@@ -316,6 +316,40 @@ func TestOverwriteAllocBudget(t *testing.T) {
 	}
 }
 
+// TestRangeScanAllocBudget fails if a live RangeScan over 100 present keys
+// (two validated chunks) allocates on any template tree: the traversal's
+// evidence, pending-subtree stack and leaf buffers all live on its frame.
+func TestRangeScanAllocBudget(t *testing.T) {
+	for _, name := range allocBenchStructures {
+		factory, ok := bench.Lookup(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		d := factory.New()
+		const keys = 1 << 12
+		for i := 0; i < keys; i++ {
+			k := allocKey(i) & (keys - 1)
+			d.Insert(k, k)
+		}
+		rg := d.(dict.IntRanger)
+		var sum int64
+		visit := func(k, v int64) bool { sum += v; return true }
+		i := 0
+		allocs := testing.AllocsPerRun(5000, func() {
+			lo := allocKey(i) & (keys - 1) % (keys - 100)
+			if n := rg.RangeScan(lo, lo+99, visit); n != 100 {
+				t.Fatalf("%s RangeScan(%d, %d) visited %d keys, want 100", name, lo, lo+99, n)
+			}
+			i++
+		})
+		if allocs > 0 {
+			t.Errorf("%s RangeScan over 100 keys allocates %.2f allocs/op, budget is 0", name, allocs)
+		} else {
+			t.Logf("%s RangeScan over 100 keys: %.2f allocs/op", name, allocs)
+		}
+	}
+}
+
 // snapshotAllocBudget is the committed allocs/op ceiling for Snapshot() on
 // the template trees: the capture is O(1) and allocation-lean regardless of
 // the dictionary's size - one allocation for the view handle; the epoch pin

@@ -42,13 +42,21 @@
 // structure in the registry — the LLX/SCX trees and the five baselines —
 // is benchmarked from the same Figure-8 structure list
 // (bench.Figure8Structures), a figure8 smoke run snapshots them all.
+//
+// -cpuprofile, -memprofile and -trace write a pprof CPU profile, a heap
+// profile taken after the last experiment, and a runtime execution trace
+// covering the experiments (go tool pprof / go tool trace read them).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
+	"runtime/trace"
 	"strconv"
 	"strings"
 	"time"
@@ -119,6 +127,9 @@ func main() {
 		chaosPPM   = flag.Int("chaos", 0, "parts-per-million delay and preemption injection at every instrumentation point (0 disables; robustness runs, not measurements)")
 		chaosSeed  = flag.Int64("chaosseed", 1, "seed for -chaos injection decisions")
 		verbose    = flag.Bool("v", false, "after the experiments, print the reclamation layer's health report (and the injection counters under -chaos)")
+		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the experiments to this file")
+		memProfile = flag.String("memprofile", "", "write a pprof heap profile, taken after the experiments, to this file")
+		tracePath  = flag.String("trace", "", "write a runtime execution trace of the experiments to this file")
 	)
 	flag.Parse()
 
@@ -261,6 +272,22 @@ func main() {
 		fmt.Fprintln(out)
 	}
 
+	// Profiles cover the experiments only; a start failure exits before any
+	// runs, so there is nothing to unwind.
+	var stopProfiles []func() error
+	startProfile := func(path string, start func(io.Writer) error, stop func()) {
+		if path == "" {
+			return
+		}
+		stopProfile, err := profileTo(path, start, stop)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "profiling: %v\n", err)
+			os.Exit(2)
+		}
+		stopProfiles = append(stopProfiles, stopProfile)
+	}
+	startProfile(*cpuProfile, pprof.StartCPUProfile, pprof.StopCPUProfile)
+	startProfile(*tracePath, trace.Start, trace.Stop)
 	if *experiment == "all" {
 		for _, name := range []string{"figure8", "figure9", "ratios", "height", "ablation"} {
 			run(name)
@@ -272,6 +299,15 @@ func main() {
 		fmt.Fprintln(out)
 	} else {
 		run(*experiment)
+	}
+	if *memProfile != "" {
+		stopProfiles = append(stopProfiles, func() error { return writeHeapProfile(*memProfile) })
+	}
+	for _, stop := range stopProfiles {
+		if err := stop(); err != nil {
+			fmt.Fprintf(os.Stderr, "profiling: %v\n", err)
+			os.Exit(1)
+		}
 	}
 
 	if *jsonPath != "" {
@@ -285,6 +321,35 @@ func main() {
 	if *verbose {
 		printHealth(out, *chaosPPM > 0)
 	}
+}
+
+// profileTo creates path and starts a profile or trace writing to it; the
+// returned function stops it and closes the file.
+func profileTo(path string, start func(io.Writer) error, stop func()) (func() error, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := start(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return func() error { stop(); return f.Close() }, nil
+}
+
+// writeHeapProfile writes the heap profile after a collection, so it shows
+// what is live once the experiments have released their structures.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing the heap profile: %w", err)
+	}
+	return f.Close()
 }
 
 // printHealth prints the reclamation layer's health report — and, when

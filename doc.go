@@ -64,6 +64,14 @@
 // exhaustively schedule-enumerated under -tags sched and argued in
 // DESIGN.md ("Versioned snapshots").
 //
+// The live scans (RangeScan, Ascend) of those trees are the paper's
+// Section 5.5 recipe applied to a subtree at a time: one in-order walk that
+// LLXs every internal node under the remaining range, one VLX over all of
+// it per chunk of up to 64 keys, values loaded and the callback run only
+// after the validation. A chunk is the range's content at one instant; a
+// scan of several chunks is not atomic as a whole, which (with repeated
+// reads of one cut) is what snapshots remain for.
+//
 // The workload generator covers the paper's uniform operation mixes plus a
 // zipfian (hot-key) key distribution, a range-scan mix share and a
 // scan-mode dimension (live validate-and-retry scans versus per-scan

@@ -7,19 +7,21 @@ import (
 )
 
 // The ordered queries of Section 5.5 of the paper - Successor, Predecessor
-// and the derived scans - are implemented once, generically, by the shared
+// and the scans - are implemented once, generically, by the shared
 // leaf-oriented BST engine (internal/lbst): an LLX-read BST search followed,
 // when the neighbouring leaf must be located, by a VLX over the connecting
 // path that validates the two leaves were adjacent in the tree at a single
-// point in time. The chromatic tree's node type satisfies lbst.View, so
-// these methods are thin wrappers; only the update path (chromatic.go,
-// rebalance.go) stays hand-unrolled, exactly as the paper's pseudocode does.
+// point in time; the scans apply the same recipe to a whole subtree, one
+// LLX'd in-order walk and one VLX per chunk of up to 64 keys. The chromatic
+// tree's node type satisfies lbst.View, so these methods are thin wrappers;
+// only the update path (chromatic.go, rebalance.go) stays hand-unrolled,
+// exactly as the paper's pseudocode does.
 //
 // Each wrapper pins the epoch for the duration of the query so that nodes
 // reached by the traversal cannot be recycled underneath it. RangeScan and
-// Ascend hold a single pin across the whole scan: the scan is not atomic,
-// but keeping one pin is cheaper than one per step, and reclamation only
-// stalls for the scan's duration, not forever.
+// Ascend hold a single pin across the whole scan: keeping one pin is cheaper
+// than one per chunk, and reclamation only stalls for the scan's duration,
+// not forever.
 
 // Successor returns the smallest key strictly greater than key together with
 // its value, or ok=false if no such key exists.
@@ -39,10 +41,11 @@ func (t *Tree[K, V]) Predecessor(key K) (k K, v V, ok bool) {
 	return k, v, ok
 }
 
-// RangeScan calls fn for every key in [lo, hi] in ascending order, using a
-// point probe for lo followed by repeated Successor queries. It returns the
-// number of keys visited. If fn returns false the scan stops early. The scan
-// is not atomic as a whole: each step is individually linearizable.
+// RangeScan calls fn for every key in [lo, hi] in ascending order and returns
+// the number of keys visited. If fn returns false the scan stops early. Each
+// chunk of up to 64 consecutive keys is the range's content at one instant
+// (lbst.RangeScan); a scan spanning several chunks is not atomic as a whole.
+// Use Snapshot for that.
 func (t *Tree[K, V]) RangeScan(lo, hi K, fn func(k K, v V) bool) int {
 	g := epoch.Pin()
 	n := lbst.RangeScan(t.entry, t.less, lo, hi, fn)
@@ -52,7 +55,8 @@ func (t *Tree[K, V]) RangeScan(lo, hi K, fn func(k K, v V) bool) int {
 
 // Ascend calls fn for every key in the dictionary in ascending order and
 // returns the number of keys visited. If fn returns false the scan stops
-// early. Each step is individually linearizable.
+// early. Like RangeScan it is atomic per chunk of up to 64 keys, not as a
+// whole.
 func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) int {
 	g := epoch.Pin()
 	n := lbst.Ascend(t.entry, t.less, fn)

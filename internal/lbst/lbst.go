@@ -1201,10 +1201,11 @@ func (t *Tree[K, V]) Predecessor(key K) (k K, v V, ok bool) {
 }
 
 // RangeScan calls fn for every key in [lo, hi] in ascending order and
-// returns the number of keys visited; each step is individually
-// linearizable. If fn returns false the scan stops early. The whole scan
-// runs under one pinned guard; fn must not block indefinitely, since a
-// pinned operation holds back memory reclamation.
+// returns the number of keys visited; each chunk of up to 64 consecutive keys
+// is the range's content at one instant, the scan as a whole is not atomic
+// (see the generic implementation in query.go). If fn returns false the scan
+// stops early. The whole scan runs under one pinned guard; fn must not block
+// indefinitely, since a pinned operation holds back memory reclamation.
 func (t *Tree[K, V]) RangeScan(lo, hi K, fn func(k K, v V) bool) int {
 	g := epoch.Pin()
 	n := RangeScan(t.entry, t.less, lo, hi, fn)
@@ -1213,9 +1214,9 @@ func (t *Tree[K, V]) RangeScan(lo, hi K, fn func(k K, v V) bool) int {
 }
 
 // Ascend calls fn for every key in the dictionary in ascending order and
-// returns the number of keys visited; each step is individually
-// linearizable. If fn returns false the scan stops early. Like RangeScan it
-// runs under one pinned guard.
+// returns the number of keys visited. If fn returns false the scan stops
+// early. Like RangeScan it is atomic per chunk, not as a whole, and runs
+// under one pinned guard.
 func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) int {
 	g := epoch.Pin()
 	n := Ascend(t.entry, t.less, fn)

@@ -20,6 +20,8 @@ import (
 // Min and Max walk to the outermost leaf with LLXs and validate the whole
 // spine with one VLX, so no "smallest possible key" sentinel value is ever
 // needed - which is what lets the queries work for arbitrary key types.
+// RangeScan and Ascend extend the same validation from a path to a subtree:
+// see scan.
 
 // View is the read-only shape a leaf-oriented BST node must expose to share
 // the engine's traversal helpers. The node type remains free to lay out its
@@ -233,43 +235,134 @@ retry:
 	}
 }
 
-// RangeScan calls fn for every key in [lo, hi] in ascending order, using a
-// point probe for lo followed by repeated Successor queries. It returns the
-// number of keys visited. If fn returns false the scan stops early. The
-// scan is not atomic as a whole: each step is individually linearizable.
+// chunkLeaves is the most leaves one validated chunk of a scan collects, and
+// chunkEvCap the evidence buffer that goes with it: a chunk LLXs the internal
+// nodes between its leaves (fewer than chunkLeaves) plus the two boundary
+// paths down to its first and last leaf. A deeper walk (the unbalanced EBST)
+// grows the evidence on the heap like the point queries' paths do.
+const (
+	chunkLeaves = 64
+	chunkEvCap  = chunkLeaves + 2*pathBufCap + 16
+)
+
+// RangeScan calls fn for every key in [lo, hi] in ascending order and
+// returns the number of keys visited. If fn returns false the scan stops
+// early. The scan proceeds in chunks of up to 64 keys: the keys of one chunk
+// are exactly the leading keys of the remaining range at a single point in
+// time (see scan), and successive chunks are taken at successive times. A
+// scan that spans several chunks is therefore not atomic as a whole, and a
+// value may be newer than its chunk's instant (values are loaded after the
+// validation, as the point queries do).
 func RangeScan[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, lo, hi K, fn func(k K, v V) bool) int {
-	count := 0
-	// The first key in range is lo itself if present, else lo's successor;
-	// no "lo - 1" arithmetic, so the scan works for any key type.
-	k, v, ok := findLeaf(entry, less, lo)
-	if !ok {
-		k, v, ok = Successor(entry, less, lo)
-	}
-	for ok && !less(hi, k) {
-		count++
-		if !fn(k, v) {
-			return count
-		}
-		k, v, ok = Successor(entry, less, k)
-	}
-	return count
+	n, _, _ := scan(entry, less, true, lo, true, hi, fn)
+	return n
 }
 
-// Ascend calls fn for every key in the dictionary in ascending order, using
-// Min followed by repeated Successor queries. It returns the number of keys
-// visited. If fn returns false the scan stops early. Each step is
-// individually linearizable.
+// Ascend calls fn for every key in the dictionary in ascending order and
+// returns the number of keys visited. If fn returns false the scan stops
+// early. It is RangeScan without bounds: chunk-atomic, not atomic as a whole.
 func Ascend[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, fn func(k K, v V) bool) int {
-	count := 0
-	k, v, ok := Min[P, N, K, V](entry)
-	for ok {
-		count++
-		if !fn(k, v) {
-			return count
+	var none K
+	n, _, _ := scan(entry, less, false, none, false, none, fn)
+	return n
+}
+
+// scan is the traversal behind RangeScan and Ascend. Each chunk is one
+// in-order depth-first walk from the entry node that LLXs every internal
+// node whose subtree can intersect the remaining range, follows the child
+// pointers of those snapshots only, and stops after limit in-range leaves.
+// One VLX over everything the walk LLX'd then shows that all those nodes
+// were unchanged at a single instant after the last LLX: the entry node is
+// always in the tree, and a node that is in the tree with unchanged child
+// pointers has those children in the tree, so at that instant every visited
+// node and every collected leaf was in the tree, and the subtrees the walk
+// pruned lay outside the range by the search-tree property. The collected
+// leaves are thus exactly the first keys of the range at that instant. Only
+// then are values loaded and fn called, so a failed LLX or VLX has emitted
+// nothing and the chunk simply retries; the next chunk resumes strictly
+// above the last emitted key.
+//
+// A retry halves the leaf limit (down to 1, the footprint of one Successor)
+// so that a scan racing heavy updates in a small tree validates less at a
+// time, and a success doubles it back. scan also reports how many validated
+// walks it is made of (chunks, counting a last one that found nothing left)
+// and how many attempts failed (retries).
+func scan[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) bool) (count, chunks, retries int) {
+	var (
+		evBuf    [chunkEvCap]llxscx.Evidence[N]
+		stackBuf [pathBufCap]P
+		leaves   [chunkLeaves]P
+		gens     [chunkLeaves]uint64
+		nilNode  P
+	)
+	loExcl := false // lo itself is in range until a chunk has been emitted
+	limit, fails := chunkLeaves, 0
+	for {
+		core.BackoffWait(fails)
+		ev := evBuf[:0]
+		stack := append(stackBuf[:0], entry)
+		n, ok := 0, true
+		for len(stack) > 0 && n < limit {
+			nd := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if nd == nilNode { // as in the point queries, a nil child fails the attempt
+				ok = false
+				break
+			}
+			if nd.IsLeaf() {
+				if nd.IsSentinel() {
+					continue
+				}
+				k := nd.Key()
+				if (useLo && (less(k, lo) || (loExcl && !less(lo, k)))) || (useHi && less(hi, k)) {
+					continue
+				}
+				gens[n] = genOf[P, N, K, V](nd)
+				leaves[n] = nd
+				n++
+				continue
+			}
+			lk, st := llxscx.LLX(nd)
+			if st != llxscx.Snapshot {
+				ok = false
+				break
+			}
+			ev = append(ev, lk.Evidence())
+			// Left subtrees hold keys strictly below the routing key, right
+			// subtrees the rest; sentinels route every key left. The right
+			// child is pushed first so the left subtree is walked first.
+			inf := nd.IsSentinel()
+			if !inf && (!useHi || !less(hi, nd.Key())) {
+				stack = append(stack, P(lk.Child(1)))
+			}
+			if inf || !useLo || less(lo, nd.Key()) {
+				stack = append(stack, P(lk.Child(0)))
+			}
 		}
-		k, v, ok = Successor(entry, less, k)
+		if !ok || !llxscx.VLXEvidence(ev) {
+			retries++
+			fails++
+			limit = max(1, limit/2)
+			continue
+		}
+		chunks++
+		fails = 0
+		limit = min(chunkLeaves, 2*limit)
+		for i := 0; i < n; i++ {
+			l := leaves[i]
+			k, v := l.Key(), l.Value()
+			assertGen(l, gens[i])
+			count++
+			if !fn(k, v) {
+				return count, chunks, retries
+			}
+		}
+		if len(stack) == 0 {
+			return count, chunks, retries
+		}
+		// The walk stopped at the limit with subtrees pending (n > 0).
+		lo, useLo, loExcl = leaves[n-1].Key(), true, true
 	}
-	return count
 }
 
 // Min returns the smallest key in the dictionary and its value, or ok=false
@@ -372,27 +465,4 @@ retry:
 		assertGen(l, g0)
 		return k, v, true
 	}
-}
-
-// findLeaf performs a plain-read search for key and reports its value if a
-// leaf holding exactly key is reached.
-func findLeaf[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, key K) (k K, v V, ok bool) {
-	var nilNode P
-	l := entry
-	for !l.IsLeaf() {
-		var next P
-		if viewLess(less, key, l) {
-			next = P(l.Mutable(0).Load())
-		} else {
-			next = P(l.Mutable(1).Load())
-		}
-		if next == nilNode {
-			return k, v, false
-		}
-		l = next
-	}
-	if !l.IsSentinel() && !less(key, l.Key()) && !less(l.Key(), key) {
-		return l.Key(), l.Value(), true
-	}
-	return k, v, false
 }

@@ -312,7 +312,7 @@ func SCXFixed[P DataRecord[N], N any](v *[MaxV]Linked[N], nv int, finalize *[Max
 // tall); VLXFixed is the bounded-array variant for update-sized sequences.
 func VLX[N any](v []Linked[N]) bool {
 	for i := range v {
-		if !validateOne(&v[i]) {
+		if !validateOne(v[i].rec, v[i].info) {
 			return false
 		}
 	}
@@ -326,7 +326,32 @@ func VLXFixed[N any](v *[MaxV]Linked[N], n int) bool {
 		panic("llxscx: VLXFixed sequence length out of range")
 	}
 	for i := 0; i < n; i++ {
-		if !validateOne(&v[i]) {
+		if !validateOne(v[i].rec, v[i].info) {
+			return false
+		}
+	}
+	return true
+}
+
+// Evidence is the part of a Linked that VLX reads: the record and the
+// descriptor its LLX observed, two words instead of a Linked's eight. A
+// reader that consumes each snapshot's children as it goes and only needs to
+// validate afterwards (a range scan LLXs every internal node under its
+// window) keeps these instead, so its evidence buffer stays small enough
+// for the stack.
+type Evidence[N any] struct {
+	rec  *Record[N]
+	info *descriptor[N]
+}
+
+// Evidence returns l's validation evidence.
+func (l Linked[N]) Evidence() Evidence[N] { return Evidence[N]{rec: l.rec, info: l.info} }
+
+// VLXEvidence is VLX over compact evidence: it returns true if none of the
+// records in v have changed since the LLXs the evidence was taken from.
+func VLXEvidence[N any](v []Evidence[N]) bool {
+	for i := range v {
+		if !validateOne(v[i].rec, v[i].info) {
 			return false
 		}
 	}
@@ -336,9 +361,9 @@ func VLXFixed[N any](v *[MaxV]Linked[N], n int) bool {
 // validateOne checks a single linked LLX: the record's descriptor must be
 // the one the LLX observed. On mismatch it helps any in-progress SCX along
 // (to preserve progress) and reports failure.
-func validateOne[N any](lk *Linked[N]) bool {
-	cur := lk.rec.info.Load()
-	if cur != lk.info {
+func validateOne[N any](rec *Record[N], info *descriptor[N]) bool {
+	cur := rec.info.Load()
+	if cur != info {
 		// Optional help (see the matching site in LLX): chaos may skip it.
 		if cur != nil && cur.state.Load() == stateInProgress && !sched.ChaosDropHelp() {
 			help(cur)

@@ -6,12 +6,16 @@
 // the prefilling procedure that brings a dictionary to its expected
 // steady-state size before measurement.
 //
-// The zipfian distribution exists to expose the cost of value overwrites:
-// under a skewed 50i-50d workload most inserts hit a key that is already
-// present, so a structure that turns Insert-on-present into an in-place
-// atomic publish (see internal/vcell and the trees' overwrite protocol)
-// separates sharply from one that pays a full removal-and-replace update for
-// every overwrite.
+// The zipfian distribution exists to expose the cost of value overwrites,
+// but skew alone does not produce them: with equal insert and delete shares
+// every key is present half the time whatever the distribution, so a zipf
+// 50i-50d cell overwrites on a quarter of its operations, exactly as under
+// uniform keys (benchmark/README.md has the measured shares). It takes a mix
+// that inserts far more often than it deletes - zipf 45i-5d makes 40% of its
+// operations overwrites, a fifth of them on the hottest key - for a
+// structure that turns Insert-on-present into an in-place atomic publish
+// (see internal/vcell and the trees' overwrite protocol) to separate sharply
+// from one that pays a full removal-and-replace update for every overwrite.
 package workload
 
 import (
