@@ -82,16 +82,16 @@ func benchmarkAllocOverwrite(b *testing.B, factory dict.IntFactory) {
 
 // allocChurnWindow is the slice of the key space the churn cells cycle keys
 // through. Small enough that the whole window turns over many times per
-// benchmark run, so the node and descriptor pools reach steady state.
+// benchmark run, so the node pool reaches steady state.
 const allocChurnWindow = 1 << 10
 
 // benchmarkAllocChurn measures the steady-state insert/delete cycle the
 // epoch pools target: the tree is filled once, then each timed pair of
 // operations deletes a present key and re-inserts it. At steady state every
-// node and SCX descriptor an update needs was retired by an earlier update
-// and recycled through the pools, so allocs/op should sit near zero (the
-// growth-phase Insert cells above necessarily allocate: a growing tree keeps
-// its nodes).
+// node an update needs was retired by an earlier update and recycled through
+// the pool, and SCX descriptors are reused in place, so allocs/op should sit
+// near zero (the growth-phase Insert cells above necessarily allocate: a
+// growing tree keeps its nodes).
 func benchmarkAllocChurn(b *testing.B, factory dict.IntFactory) {
 	d := factory.New()
 	for i := int64(0); i < allocKeyRange; i++ {
@@ -140,11 +140,11 @@ func benchmarkAllocInsert(b *testing.B, factory dict.IntFactory) {
 
 // chromaticAllocBudget is the committed allocs/op ceiling for Chromatic
 // Insert and Delete, enforced by TestChromaticAllocBudget (run in CI's
-// bench-smoke job). With epoch reclamation and the node/descriptor pools the
+// bench-smoke job). With epoch reclamation and the node pool the
 // measured growth-phase profile is 2.0 (Insert) and 0.0 (Delete): a growing
 // tree keeps its fresh nodes, so Insert still pays for the key leaf and the
-// replacement internal, while Delete's replacement node and every SCX
-// descriptor come out of the pools. (The budget was 8 before pooling, when
+// replacement internal, while Delete's replacement node comes out of the
+// pool and no SCX allocates a descriptor. (The budget was 8 before pooling, when
 // every update also burned its retired nodes and its descriptors.) The
 // budget of 3 leaves one alloc of headroom for rebalancing drift while
 // catching any reintroduction of per-attempt garbage. Under -tags noepoch
@@ -202,8 +202,12 @@ func TestChromaticAllocBudget(t *testing.T) {
 // TestChromaticChurnAllocBudget pins the headline number of the epoch
 // reclamation work: a steady-state delete/re-insert cycle on the Chromatic
 // tree must average at most one allocation per operation, because retired
-// nodes and descriptors flow back through the pools. Skipped under -tags
-// noepoch, where retired memory is left to the garbage collector.
+// nodes flow back through the pool and SCX descriptors are per-slot and
+// reused. Nothing the cycle retires may refuse its free either: a refusal
+// is a retiree that something still counted a reference to, and since
+// descriptors stopped being retired no such object exists on this path.
+// Skipped under -tags noepoch, where retired memory is left to the garbage
+// collector.
 func TestChromaticChurnAllocBudget(t *testing.T) {
 	if !epoch.Enabled {
 		t.Skip("epoch reclamation disabled (noepoch build)")
@@ -226,6 +230,7 @@ func TestChromaticChurnAllocBudget(t *testing.T) {
 			d.Insert(k, int64(i))
 		}
 	}
+	refusals := epoch.Stats().Refusals
 	i := 0
 	churnAllocs := testing.AllocsPerRun(20000, func() {
 		k := allocKey(i>>1) & (allocChurnWindow - 1)
@@ -239,14 +244,17 @@ func TestChromaticChurnAllocBudget(t *testing.T) {
 	if churnAllocs > chromaticChurnAllocBudget {
 		t.Errorf("Chromatic churn allocates %.2f allocs/op, budget is %.1f", churnAllocs, chromaticChurnAllocBudget)
 	}
+	if d := epoch.Stats().Refusals - refusals; d != 0 {
+		t.Errorf("Chromatic churn: %d free callbacks refused, want 0", d)
+	}
 	t.Logf("Chromatic churn: %.2f allocs/op (budget %.1f)", churnAllocs, chromaticChurnAllocBudget)
 }
 
 // TestReclaimNoLeak checks that retired memory does not accumulate: after a
 // burst of updates reaches quiescence, draining the epoch retire lists frees
 // everything except the bounded residue the two-epoch grace period is
-// allowed to hold back (at most the last two epochs' worth of retirees plus
-// parked descriptors, all of which drain on the next call).
+// allowed to hold back (at most the last two epochs' worth of retirees,
+// which drain on the next call).
 func TestReclaimNoLeak(t *testing.T) {
 	if !epoch.Enabled {
 		t.Skip("epoch reclamation disabled (noepoch build)")
@@ -268,9 +276,8 @@ func TestReclaimNoLeak(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s does not expose DrainReclaim", name)
 		}
-		// Two passes: the first flushes deferred descriptors into the retire
-		// lists and frees everything already past the grace period, the
-		// second reaps what the first pass retired.
+		// Two passes: the first frees everything already past the grace
+		// period, the second reaps what the first pass's frees retired.
 		dr.DrainReclaim()
 		dr.DrainReclaim()
 		if pending := epoch.Pending(); pending > 64 {

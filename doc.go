@@ -2,8 +2,8 @@
 // Ruppert, "A General Technique for Non-blocking Trees" (PPoPP 2014).
 //
 // The implementation lives under internal/: the LLX/SCX/VLX primitives
-// (internal/llxscx), the tree update template (internal/core), the shared
-// leaf-oriented BST engine built on the template (internal/lbst) with its
+// (internal/llxscx), the shared leaf-oriented BST engine built on the
+// paper's tree update template (internal/lbst) with its
 // two instantiations - the unbalanced BST (internal/ebst) and the relaxed
 // AVL tree (internal/ravl) - the non-blocking chromatic tree
 // (internal/chromatic), the epoch-based reclamation layer they share
@@ -21,36 +21,37 @@
 // map, so one conformance/fuzz/stress suite and one Figure-8 grid cover
 // them all.
 //
-// The update hot path is allocation-lean, matching the compact SCX records
-// of the paper's Java implementation: an SCX-record stores its evidence in
-// inline arrays bounded by llxscx.MaxV (6, the chromatic W3/W4 steps), so
-// each SCX allocates exactly one descriptor; updates stage their V/R
-// sequences in stack arrays via the slice-free SCXFixed/VLXFixed entry
-// points; inserts reuse the old leaf as a child of the fresh internal node
-// where the template's postconditions allow (values stored into child
-// fields must stay freshly allocated, so deletes still promote a copy); and
-// NewOrdered trees install a
-// search routine specialized to the native `<` of the key type. Overwriting
-// a present key's value needs no SCX at all: leaf values live in atomically
-// published cells (internal/vcell, unboxed single-word storage for
-// word-sized value types) that sit outside the LLX snapshot evidence and
-// are aliased by every copy of a leaf, so Insert-on-present is one atomic
-// publish plus a finalization re-check - zero allocations for the int64
-// registry, on the trees and the skip-list/lock-AVL baselines alike.
-// Descriptor
-// and node reclamation is manual: internal/epoch implements
-// quiescent-state-based reclamation (every operation pins an epoch slot on
-// entry; retired memory is freed two epoch advances later, once no pinned
-// operation can still reach it), and the trees recycle their nodes and SCX
-// descriptors through sync.Pool-backed freelists layered on that grace
-// period - the ABA-freedom the paper gets from its Java runtime's garbage
-// collector is re-derived for manual reclamation in DESIGN.md. Steady-state
-// updates (delete + re-insert) run at zero allocations per operation; build
-// with -tags noepoch to fall back to GC reclamation, and -tags reclaimcheck
-// to poison recycled nodes with generation checks. BenchmarkAlloc,
+// The update hot path is allocation-lean, going one step past the compact
+// SCX records of the paper's Java implementation: an SCX-record stores its
+// evidence in inline arrays bounded by llxscx.MaxV (6, the chromatic W3/W4
+// steps) and is never allocated - every epoch slot owns one reusable,
+// sequence-tagged descriptor that its operation's SCXs overwrite
+// (Arbel-Raviv and Brown's "Reuse, don't recycle"); updates stage their V/R
+// sequences in stack arrays for the SCXFixed/SCXP/VLXFixed entry points;
+// inserts reuse the old leaf as a child of the fresh internal node where the
+// template's postconditions allow (values stored into child fields must
+// stay freshly allocated, so deletes still promote a copy); and NewOrdered
+// trees install a search routine specialized to the native `<` of the key
+// type. Overwriting a present key's value needs no SCX at all: leaf values
+// live in atomically published cells (internal/vcell, unboxed single-word
+// storage for word-sized value types) that sit outside the LLX snapshot
+// evidence and are aliased by every copy of a leaf, so Insert-on-present is
+// one atomic publish plus a finalization re-check - zero allocations for the
+// int64 registry, on the trees and the skip-list/lock-AVL baselines alike.
+// Node reclamation is manual: internal/epoch implements quiescent-state-based
+// reclamation (every operation pins an epoch slot on entry; retired memory
+// is freed two epoch advances later, once no pinned operation can still
+// reach it), and the trees recycle their nodes through sync.Pool-backed
+// freelists layered on that grace period - the ABA-freedom the paper gets
+// from its Java runtime's garbage collector is re-derived for manual
+// reclamation and descriptor reuse in DESIGN.md. Steady-state updates
+// (delete + re-insert) run at zero allocations per operation; build with
+// -tags noepoch to fall back to GC reclamation, and -tags reclaimcheck to
+// poison recycled nodes with generation checks. BenchmarkAlloc,
 // TestChromaticAllocBudget, TestChromaticChurnAllocBudget,
 // TestOverwriteAllocBudget and TestReclaimNoLeak (alloc_bench_test.go) pin
-// the resulting allocation profile in CI.
+// the resulting allocation profile in CI, and TestNoParkedDescriptors
+// (internal/chromatic) the footprint: a tree's live heap is its nodes.
 //
 // The LLX/SCX trees additionally serve O(1) versioned snapshots
 // (dict.Snapshotter): every committed SCX stamps the subtree root it

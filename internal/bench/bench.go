@@ -265,17 +265,19 @@ func runTrial(cfg Config, trial int64) (int64, time.Duration, float64, int, *lat
 	// lists, and those lists are GC roots — without draining them here every
 	// later trial in the same process pays GC mark costs for dead trees,
 	// which measurably taxes even the structures that never touch the epoch
-	// layer. Two passes, as in TestReclaimNoLeak: the first can re-queue
-	// parked descriptors, the second settles them.
+	// layer. Two passes, as in TestReclaimNoLeak: the second reaps what the
+	// first pass's frees retired.
 	if dr, ok := d.(interface{ DrainReclaim() int64 }); ok {
 		dr.DrainReclaim()
 		dr.DrainReclaim()
-		// What the drains cannot free — parked descriptors and zombie
-		// owners whose counts can never drop now that the structure is
-		// garbage — would pin the dead structure as a GC root forever.
-		// Everything retired through the layer in this process belongs to
-		// this trial's structure, so dropping the leftovers to the garbage
-		// collector is sound and severs the retention.
+		// What the drains cannot free — zombie owners whose counts can
+		// never drop now that the structure is garbage — would pin the dead
+		// structure as a GC root forever, and so would the SCX descriptors,
+		// which keep the arguments of each slot's last SCX. Everything
+		// retired through the layer in this process belongs to this trial's
+		// structure, so dropping the leftovers to the garbage collector
+		// (and scrubbing the descriptors, which DiscardAll also does) is
+		// sound and severs the retention.
 		epoch.DiscardAll()
 	}
 	runtime.KeepAlive(d)

@@ -25,10 +25,11 @@
 // is obtained with WithAllowedViolations(6) or NewChromatic6.
 //
 // Every operation runs inside an epoch-reclamation pinned region
-// (internal/epoch), and each tree recycles its nodes through a sync.Pool and
-// its SCX descriptors through an llxscx.Pool, exactly as the shared engine in
-// internal/lbst does: a node removed by a committed SCX is retired under the
-// operation's guard and re-enters the pool only after a grace period. The
+// (internal/epoch), and each tree recycles its nodes through a sync.Pool,
+// exactly as the shared engine in internal/lbst does: a node removed by a
+// committed SCX is retired under the operation's guard and re-enters the pool
+// only after a grace period. SCX descriptors are not allocated: every SCX
+// reuses the descriptor of the operation's epoch slot (internal/llxscx). The
 // safety argument is re-derived in DESIGN.md ("Epoch reclamation and the ABA
 // re-derivation"). Build with -tags noepoch to fall back to garbage-collected
 // reclamation.
@@ -86,7 +87,7 @@ type node[K, V any] struct {
 	gen uint64
 
 	// snapVer and prev are the versioned-snapshot bookkeeping, maintained by
-	// the descriptor pool's commit hook exactly as on lbst.Node: snapVer is
+	// the tree's SCX commit hook exactly as on lbst.Node: snapVer is
 	// the commit tick stamped (from pending) immediately before the update
 	// CAS that installs the node, prev the value the installing field held
 	// before. See internal/lbst/snapshot.go and DESIGN.md ("Versioned
@@ -243,7 +244,8 @@ type Tree[K, V any] struct {
 	// process, and an embedded pool would pin the whole Tree — root and all
 	// its nodes — as a GC root long after the tree is dropped.
 	nodePool *sync.Pool
-	// descPool recycles this tree's SCX descriptors (see llxscx.Pool).
+	// descPool carries the commit hooks set in NewLess into every SCX on
+	// this tree (see llxscx.Pool); the descriptors belong to the epoch slots.
 	descPool *llxscx.Pool[node[K, V]]
 	// freeNodeFn is the epoch callback for retired nodes, built once at
 	// construction so retireNode never allocates a closure.
@@ -484,11 +486,12 @@ func (t *Tree[K, V]) releaseFresh(n *node[K, V]) {
 	t.freeNode(n)
 }
 
-// scx performs one pooled SCX and, on success, retires the removed nodes
-// r[:nr]. On failure the caller is responsible for releasing the fresh
-// nodes it built (releaseFresh). Reading fields of a retired node afterwards
-// is still safe inside the invoking operation's pinned region: the node
-// cannot be recycled before the guard is released plus a grace period.
+// scx performs one SCX on the guard's descriptor and, on success, retires
+// the removed nodes r[:nr]. On failure the caller is responsible for
+// releasing the fresh nodes it built (releaseFresh). Reading fields of a
+// retired node afterwards is still safe inside the invoking operation's
+// pinned region: the node cannot be recycled before the guard is released
+// plus a grace period.
 func (t *Tree[K, V]) scx(g *epoch.Guard, v *[llxscx.MaxV]llxscx.Linked[node[K, V]], nv int, r *[llxscx.MaxV]*node[K, V], nr int, fld *atomic.Pointer[node[K, V]], old, new *node[K, V]) bool {
 	if !llxscx.SCXP(g, t.descPool, v, nv, r, nr, fld, old, new) {
 		return false
@@ -527,9 +530,7 @@ func (t *Tree[K, V]) freeNode(n *node[K, V]) {
 }
 
 // recycle resets a node whose memory is provably unreachable and returns it
-// to the pool. Releasing the record drops the node's reference on its last
-// SCX descriptor, which is what lets committed descriptors of long-dead
-// updates finally recycle too.
+// to the pool.
 func (t *Tree[K, V]) recycle(n *node[K, V]) {
 	llxscx.ReleaseRecord(&n.rec)
 	n.left.Store(nil)
@@ -551,16 +552,10 @@ func (t *Tree[K, V]) recycle(n *node[K, V]) {
 	t.nodePool.Put(n)
 }
 
-// DrainReclaim flushes the tree's deferred descriptors and drains the epoch
-// layer's retire lists, returning the number of objects still pending
-// (process-wide). Meant for tests and quiescent shutdown; see epoch.Drain.
+// DrainReclaim drains the epoch layer's retire lists, returning the number
+// of objects still pending (process-wide). Meant for tests and quiescent
+// shutdown; see epoch.Drain.
 func (t *Tree[K, V]) DrainReclaim() int64 {
-	if !epoch.Enabled {
-		return 0
-	}
-	g := epoch.Pin()
-	t.descPool.Flush(g)
-	epoch.Unpin(g)
 	return epoch.Drain()
 }
 

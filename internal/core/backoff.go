@@ -1,3 +1,8 @@
+// Package core holds what the optimistic retry loops of every structure in
+// this repository share: the bounded randomized backoff between attempts.
+// (The tree update template of the paper's Section 4 has no generic form
+// here: internal/lbst and internal/chromatic unroll it, as the paper's own
+// pseudocode does.)
 package core
 
 import (

@@ -1,16 +1,18 @@
 // Package epoch implements quiescent-state-based reclamation (QSBR) for the
-// LLX/SCX dictionary stack: retired nodes and SCX descriptors are handed to
-// a per-slot retire list and freed only after every concurrently pinned
-// operation has provably finished, at which point the memory can be recycled
-// through a sync.Pool instead of going back to the garbage collector.
+// LLX/SCX dictionary stack: retired nodes are handed to a per-slot retire
+// list and freed only after every concurrently pinned operation has provably
+// finished, at which point the memory can be recycled through a sync.Pool
+// instead of going back to the garbage collector.
 //
 // The paper's Java implementation leans on the JVM's collector for exactly
 // this guarantee ("a node is never recycled while any process can still
 // reach it"), which is what rules out ABA on the protocol's CAS steps. This
 // package supplies the same guarantee manually so that the trees can pool
-// their nodes and descriptors; the precise re-derivation of the ABA safety
-// argument lives in DESIGN.md ("Epoch reclamation and the ABA
-// re-derivation").
+// their nodes; the precise re-derivation of the ABA safety argument lives in
+// DESIGN.md ("Epoch reclamation and the ABA re-derivation"). The slots
+// double as the owners of internal/llxscx's reusable SCX descriptors: a
+// pinned operation holds its slot exclusively, so Guard.Slot indexes a
+// descriptor nobody else can start an SCX on.
 //
 // # Model
 //
@@ -25,9 +27,7 @@
 // Retired objects carry a callback (Func) that performs the actual free —
 // typically resetting the object and returning it to a pool. The callback
 // may refuse (return false), in which case the object is re-queued into the
-// current epoch's bucket and retried after a fresh grace period; the
-// descriptor pool uses this to park objects that have been resurrected by a
-// late helper.
+// current epoch's bucket and retried after a fresh grace period.
 //
 // Build with -tags noepoch to compile the whole layer away (Enabled is
 // false, Pin returns nil, Retire drops the object for the garbage collector
@@ -45,12 +45,12 @@ import (
 )
 
 const (
-	// numSlots bounds the number of concurrently pinned operations. It is a
+	// NumSlots bounds the number of concurrently pinned operations. It is a
 	// power of two so probing can wrap with a mask. 128 is far above any
 	// goroutine count the stress suites or the Figure-8 harness use; a Pin
 	// finding every slot claimed yields and retries.
-	numSlots = 128
-	slotMask = numSlots - 1
+	NumSlots = 128
+	slotMask = NumSlots - 1
 
 	// advanceEvery is the number of retires a slot accepts between attempts
 	// to advance the global epoch. Advancing scans all slots, so the
@@ -96,14 +96,18 @@ type bucket struct {
 // Guard is one pinned-operation slot. The state word is the only field
 // touched by other goroutines (the epoch advancer reads it; Pin claims it
 // with CAS); everything below the padding is owned by the claim holder.
-// Slots are padded so neighbouring state words never share a cache line.
+// The struct is a whole number of cache lines with a line of padding on
+// either side of the owner's fields, so wherever the linker places the
+// array no state word shares a line with a field some owner writes.
 type Guard struct {
 	// state is 0 when the slot is free, else the global epoch observed at
 	// Pin time. While claimed it is always within one of the current global
 	// epoch (Pin re-validates after claiming; see the advance argument in
 	// DESIGN.md).
 	state atomic.Uint64
-	_     [56]byte
+	// slot is the guard's index in the slot array, fixed at start-up.
+	slot int
+	_    [48]byte
 
 	buckets [bucketEpochs]bucket
 
@@ -114,8 +118,12 @@ type Guard struct {
 	// only so Pending/Drain can read it without claiming the slot.
 	pending atomic.Int64
 
-	_ [24]byte
+	_ [80]byte
 }
+
+// Slot returns the index of g's slot, in [0, NumSlots). While g is pinned
+// its holder is the slot's only owner.
+func (g *Guard) Slot() int { return g.slot }
 
 // stalledState is the watchdog's eviction sentinel. A slot whose holder has
 // been pinned pathologically long (stuck, leaked, or parked mid-operation)
@@ -130,7 +138,7 @@ var (
 	// globalEpoch starts at 1 so a state word of 0 can mean "free".
 	globalEpoch atomic.Uint64
 
-	slots [numSlots]Guard
+	slots [NumSlots]Guard
 
 	// degradedPins counts slots currently evicted by the watchdog. While it
 	// is nonzero the layer is in degraded mode: every eligible retiree is
@@ -149,7 +157,12 @@ var (
 	recoveries    atomic.Int64 // evicted slots whose holder later resumed
 )
 
-func init() { globalEpoch.Store(1) }
+func init() {
+	globalEpoch.Store(1)
+	for i := range slots {
+		slots[i].slot = i
+	}
+}
 
 // slotHint derives a probe start from the goroutine's stack address: the
 // same goroutine lands on the same slot across operations (keeping the slot
@@ -338,34 +351,54 @@ func tryAdvance() bool {
 // dropping the entries to the garbage collector. This is only sound at full
 // quiescence when every structure that has retired through the layer is
 // itself garbage: the point is to sever the references that otherwise keep
-// a dropped structure reachable — a parked descriptor or zombie owner whose
-// count can never drop (its aliasing copies died inside the dropped tree)
-// pins the tree's pools, and through them the whole tree, as a permanent GC
-// root. The benchmark harness calls this between trials so a long run's
-// dead structures do not accumulate as mark-phase work for later trials.
+// a dropped structure reachable. A zombie owner whose count can never drop
+// (its aliasing copies died inside the dropped tree) pins the tree's pools,
+// and through them the whole tree, as a permanent GC root; and a slot's SCX
+// descriptor keeps the arguments of its last SCX (nodes, and the structure's
+// commit hooks) until the slot's next SCX overwrites them, which OnDiscard
+// lets internal/llxscx clear. The benchmark harness calls this between
+// trials so a long run's dead structures do not accumulate as mark-phase
+// work for later trials.
 func DiscardAll() {
-	if !Enabled {
-		return
+	// Every free slot is claimed, as Pin would, for the whole call: the
+	// discard hook owns the claimed slots exactly as a pinned operation does.
+	var owned [NumSlots]bool
+	if Enabled {
+		now := globalEpoch.Load()
+		for i := range slots {
+			g := &slots[i]
+			if !g.state.CompareAndSwap(0, now) {
+				continue
+			}
+			owned[i] = true
+			for k := range g.buckets {
+				b := &g.buckets[k]
+				clear(b.items)
+				b.items = b.items[:0]
+			}
+			g.pending.Store(0)
+		}
 	}
-	now := globalEpoch.Load()
+	if discardHook != nil {
+		discardHook(&owned)
+	}
 	for i := range slots {
-		g := &slots[i]
-		if g.pending.Load() == 0 {
-			continue
+		if owned[i] {
+			slots[i].state.Store(0)
 		}
-		if !g.state.CompareAndSwap(0, now) {
-			continue
-		}
-		for k := range g.buckets {
-			b := &g.buckets[k]
-			clear(b.items)
-			b.items = b.items[:0]
-		}
-		g.pending.Store(0)
-		g.state.Store(0)
 	}
 	discardParked()
 }
+
+// discardHook is OnDiscard's registration.
+var discardHook func(owned *[NumSlots]bool)
+
+// OnDiscard registers fn to run inside every DiscardAll (also with -tags
+// noepoch), with owned[i] reporting that DiscardAll holds slot i claimed for
+// the duration of the call. It is for the one layer that keeps per-slot
+// state outside this package (internal/llxscx's descriptor table) and must
+// be called from an init function.
+func OnDiscard(fn func(owned *[NumSlots]bool)) { discardHook = fn }
 
 // Pending returns the total number of retired objects whose grace period
 // has not yet completed (or whose free callback keeps refusing). Test and
@@ -382,8 +415,7 @@ func Pending() int64 {
 // returns Pending afterwards. It is meant for quiescent moments (tests,
 // shutdown): slots still pinned by live operations are skipped, and the
 // epoch cannot advance past them, so calling it during activity merely does
-// less. Free callbacks that keep refusing (parked descriptors) remain
-// pending.
+// less. Retirees whose free callback keeps refusing remain pending.
 func Drain() int64 {
 	if !Enabled {
 		return 0

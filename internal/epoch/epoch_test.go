@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // free builds a Func that records how many times the object was freed.
@@ -265,11 +266,11 @@ func TestPinBlocksWhenSlotsExhausted(t *testing.T) {
 	}
 	Drain()
 
-	guards := make([]*Guard, numSlots)
+	guards := make([]*Guard, NumSlots)
 	for i := range guards {
 		guards[i] = Pin()
 	}
-	seen := make(map[*Guard]bool, numSlots)
+	seen := make(map[*Guard]bool, NumSlots)
 	for _, g := range guards {
 		if seen[g] {
 			t.Fatal("Pin returned the same slot twice while both claims were live")
@@ -286,19 +287,19 @@ func TestPinBlocksWhenSlotsExhausted(t *testing.T) {
 		// Expected: the caller is spinning for a free slot.
 	}
 
-	Unpin(guards[numSlots/2])
+	Unpin(guards[NumSlots/2])
 	var late *Guard
 	select {
 	case late = <-got:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Pin did not complete after a slot was released")
 	}
-	if late != guards[numSlots/2] {
-		t.Fatalf("blocked Pin got %p, want the released slot %p", late, guards[numSlots/2])
+	if late != guards[NumSlots/2] {
+		t.Fatalf("blocked Pin got %p, want the released slot %p", late, guards[NumSlots/2])
 	}
 	Unpin(late)
 	for i, g := range guards {
-		if i != numSlots/2 {
+		if i != NumSlots/2 {
 			Unpin(g)
 		}
 	}
@@ -340,5 +341,81 @@ func TestConcurrentPinRetireUnpin(t *testing.T) {
 	}
 	if Pending() != 0 {
 		t.Fatalf("Pending() = %d at quiescence, want 0", Pending())
+	}
+}
+
+// TestGuardLayout pins what the padding is for. The linker aligns the slot
+// array to less than a cache line, so a state word keeps its line to itself
+// only if the struct is a whole number of lines and the owner-written fields
+// have a line's worth of padding (less the state word) on either side.
+func TestGuardLayout(t *testing.T) {
+	const line = 64
+	size := unsafe.Sizeof(Guard{})
+	if size%line != 0 {
+		t.Fatalf("sizeof(Guard) = %d, not a multiple of %d", size, line)
+	}
+	var g Guard
+	if off := unsafe.Offsetof(g.state); off != 0 {
+		t.Fatalf("state at offset %d, want 0", off)
+	}
+	if off := unsafe.Offsetof(g.buckets); off < line {
+		t.Fatalf("first owner-written field at offset %d, inside the state word's line", off)
+	}
+	end := unsafe.Offsetof(g.pending) + unsafe.Sizeof(g.pending)
+	if pad := size - end; pad < line-unsafe.Sizeof(g.state) {
+		t.Fatalf("%d bytes between the last owner-written field and the next slot's state word, want at least %d",
+			pad, line-unsafe.Sizeof(g.state))
+	}
+}
+
+// TestSlotIndexesTheGuard: Slot is the guard's position in the slot array,
+// which is what lets another layer keep per-slot state of its own.
+func TestSlotIndexesTheGuard(t *testing.T) {
+	for i := range slots {
+		if got := slots[i].Slot(); got != i {
+			t.Fatalf("slots[%d].Slot() = %d", i, got)
+		}
+	}
+	if !Enabled {
+		return
+	}
+	g := Pin()
+	defer Unpin(g)
+	if &slots[g.Slot()] != g {
+		t.Fatalf("Pin returned a guard that Slot() = %d does not index", g.Slot())
+	}
+}
+
+// TestDiscardAllRunsHookOverClaimedSlots: the discard hook sees exactly the
+// slots DiscardAll could claim, while they are claimed.
+func TestDiscardAllRunsHookOverClaimedSlots(t *testing.T) {
+	if !Enabled {
+		t.Skip("epoch reclamation disabled (noepoch build)")
+	}
+	Drain()
+	held := Pin()
+	saved := discardHook
+	defer func() { discardHook = saved }()
+	calls := 0
+	OnDiscard(func(owned *[NumSlots]bool) {
+		calls++
+		for i := range slots {
+			if want := &slots[i] != held; owned[i] != want {
+				t.Errorf("owned[%d] = %v, want %v", i, owned[i], want)
+			}
+			if owned[i] && slots[i].state.Load() == 0 {
+				t.Errorf("slot %d reported owned but is not claimed", i)
+			}
+		}
+	})
+	DiscardAll()
+	Unpin(held)
+	if calls != 1 {
+		t.Fatalf("discard hook ran %d times, want 1", calls)
+	}
+	for i := range slots {
+		if slots[i].state.Load() != 0 {
+			t.Fatalf("slot %d left claimed after DiscardAll", i)
+		}
 	}
 }

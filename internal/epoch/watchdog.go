@@ -79,8 +79,8 @@ func (w *Watchdog) Stop() {
 func (w *Watchdog) run() {
 	defer close(w.done)
 	var (
-		lastVal [numSlots]uint64
-		since   [numSlots]time.Time
+		lastVal [NumSlots]uint64
+		since   [NumSlots]time.Time
 		evicted []evictedSlot
 	)
 	ticker := time.NewTicker(w.interval)

@@ -1,5 +1,29 @@
 // Package lbst is a reusable engine for non-blocking, leaf-oriented binary
-// search trees built on the tree update template of internal/core.
+// search trees built on the tree update template of Brown, Ellen and Ruppert
+// ("A General Technique for Non-blocking Trees", PPoPP 2014, Section 4).
+//
+// The template turns any update to a down-tree into a non-blocking,
+// linearizable operation: the update performs LLXs on a contiguous portion
+// of the tree that includes the parent node whose child pointer will change
+// and every node to be removed, then performs a single SCX that swings that
+// child pointer to a freshly allocated subtree and finalizes the removed
+// nodes. Every update in this package and in the policies built on it
+// satisfies the paper's postconditions on the SCX arguments:
+//
+//	PC1  V is a subsequence of the sequence of nodes on which LLX was
+//	     performed.
+//	PC2  R is a subsequence of V.
+//	PC3  The node containing the field Fld is in V.
+//	PC4  The new nodes form a non-empty down-tree rooted at New.
+//	PC5  If Old is nil then R and the fringe of the new subtree are empty.
+//	PC6  If R is empty and Old is non-nil, the fringe of the new subtree is
+//	     exactly {Old}.
+//	PC7  Every node in the new subtree except its fringe is newly allocated.
+//	PC8  The V sequences of all updates are ordered consistently with a fixed
+//	     tree traversal (for example breadth-first order).
+//	PC9  If R is non-empty, the removed nodes form a down-tree rooted at Old
+//	     and the fringe of the new subtree equals the fringe of the removed
+//	     subtree.
 //
 // The engine owns everything that was previously duplicated between the
 // unbalanced BST (internal/ebst) and the relaxed AVL tree (internal/ravl):
@@ -29,10 +53,12 @@
 // # Memory reclamation
 //
 // Every operation runs inside an epoch-reclamation pinned region
-// (internal/epoch), and each tree recycles its nodes through a sync.Pool and
-// its SCX descriptors through an llxscx.Pool: a node removed by a committed
-// SCX is retired under the operation's guard and re-enters the pool only
-// after a grace period, so steady-state churn allocates (almost) nothing.
+// (internal/epoch), and each tree recycles its nodes through a sync.Pool: a
+// node removed by a committed SCX is retired under the operation's guard and
+// re-enters the pool only after a grace period. SCX descriptors are not
+// allocated at all - every SCX reuses the descriptor of the operation's
+// epoch slot (see internal/llxscx) - so steady-state churn allocates
+// (almost) nothing.
 // The safety argument - why a pinned operation can never observe a recycled
 // node, and how the value-cell aliasing of Copy survives manual reclamation
 // via the cell-owner reference count - is re-derived in DESIGN.md ("Epoch
@@ -290,9 +316,9 @@ type Policy[K, V any] interface {
 
 	// Rebalance attempts one localized rebalancing step at n, whose parent
 	// on the search path is u. g is the invoking operation's pinned epoch
-	// guard; the step's SCX must go through the tree's pooled reclamation
-	// (Tree.RebalanceSCX or an equivalently wired core.Template), with
-	// fresh nodes built by Tree.InternalNode/Tree.CopyNode and released
+	// guard; the step's SCX must go through Tree.RebalanceSCX (which runs it
+	// on the guard's descriptor and retires the removed nodes), with fresh
+	// nodes built by Tree.InternalNode/Tree.CopyNode and released
 	// with Tree.ReleaseFresh when the SCX fails. It returns true if a step
 	// was applied; false means the tree changed under it (or the violation
 	// vanished) and the cleanup loop re-searches from the entry point.
@@ -326,7 +352,8 @@ type Tree[K, V any] struct {
 	// process, and an embedded pool would pin the whole Tree — root and all
 	// its nodes — as a GC root long after the tree is dropped.
 	nodePool *sync.Pool
-	// descPool recycles this tree's SCX descriptors (see llxscx.Pool).
+	// descPool carries the commit hooks below into every SCX on this tree
+	// (see llxscx.Pool); the descriptors themselves belong to the epoch slots.
 	descPool *llxscx.Pool[Node[K, V]]
 	// freeNodeFn is the epoch callback for retired nodes, built once at
 	// construction so RetireNode never allocates a closure.
@@ -453,12 +480,6 @@ func (t *Tree[K, V]) Entry() *Node[K, V] { return t.entry }
 // Less exposes the tree's key comparator.
 func (t *Tree[K, V]) Less() func(a, b K) bool { return t.less }
 
-// DescPool exposes the tree's SCX descriptor pool. Policies that express
-// their rebalancing steps through core.Template must install it (together
-// with the operation's guard) on the template, so every SCX on the tree's
-// records participates in the pooled reclamation protocol.
-func (t *Tree[K, V]) DescPool() *llxscx.Pool[Node[K, V]] { return t.descPool }
-
 // ---------------------------------------------------------------------------
 // Pooled node lifecycle.
 
@@ -538,9 +559,10 @@ func (t *Tree[K, V]) ReleaseFresh(n *Node[K, V]) {
 	t.freeNode(n)
 }
 
-// RebalanceSCX performs a pooled SCX for a policy's rebalancing step and, on
-// success, retires the removed nodes fin[:nf]. On failure the policy is
-// responsible for releasing the fresh nodes it built (ReleaseFresh).
+// RebalanceSCX performs the SCX of a policy's rebalancing step on the guard's
+// descriptor and, on success, retires the removed nodes fin[:nf]. On failure
+// the policy is responsible for releasing the fresh nodes it built
+// (ReleaseFresh).
 func (t *Tree[K, V]) RebalanceSCX(g *epoch.Guard, v *[llxscx.MaxV]llxscx.Linked[Node[K, V]], nv int, fin *[llxscx.MaxV]*Node[K, V], nf int, fld *atomic.Pointer[Node[K, V]], old, new *Node[K, V]) bool {
 	if !llxscx.SCXP(g, t.descPool, v, nv, fin, nf, fld, old, new) {
 		return false
@@ -579,9 +601,7 @@ func (t *Tree[K, V]) freeNode(n *Node[K, V]) {
 }
 
 // recycle resets a node whose memory is provably unreachable and returns it
-// to the pool. Releasing the record drops the node's reference on its last
-// SCX descriptor, which is what lets committed descriptors of long-dead
-// updates finally recycle too.
+// to the pool.
 func (t *Tree[K, V]) recycle(n *Node[K, V]) {
 	llxscx.ReleaseRecord(&n.rec)
 	n.left.Store(nil)
@@ -603,16 +623,10 @@ func (t *Tree[K, V]) recycle(n *Node[K, V]) {
 	t.nodePool.Put(n)
 }
 
-// DrainReclaim flushes the tree's deferred descriptors and drains the epoch
-// layer's retire lists, returning the number of objects still pending
-// (process-wide). Meant for tests and quiescent shutdown; see epoch.Drain.
+// DrainReclaim drains the epoch layer's retire lists, returning the number
+// of objects still pending (process-wide). Meant for tests and quiescent
+// shutdown; see epoch.Drain.
 func (t *Tree[K, V]) DrainReclaim() int64 {
-	if !epoch.Enabled {
-		return 0
-	}
-	g := epoch.Pin()
-	t.descPool.Flush(g)
-	epoch.Unpin(g)
 	return epoch.Drain()
 }
 

@@ -78,7 +78,7 @@ const pathBufCap = 48
 // with its value, or ok=false if no such key exists. entry must be the
 // sentinel entry point of the tree and less its key comparator.
 func Successor[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, key K) (k K, v V, ok bool) {
-	var buf [pathBufCap]llxscx.Linked[N]
+	var buf [pathBufCap]llxscx.Evidence[N]
 	path := buf[:0]
 	// Every retry means an LLX or the VLX lost to a concurrent update on the
 	// connecting path; back off (bounded, randomized, growing with the retry
@@ -102,10 +102,10 @@ retry:
 				lkLastLeft = lk
 				haveLastLeft = true
 				path = path[:0]
-				path = append(path, lk)
+				path = append(path, lk.Evidence())
 				l = lk.Child(0)
 			} else {
-				path = append(path, lk)
+				path = append(path, lk.Evidence())
 				l = lk.Child(1)
 			}
 			if l == nilNode {
@@ -140,14 +140,14 @@ retry:
 			if st != llxscx.Snapshot {
 				continue retry
 			}
-			path = append(path, lk)
+			path = append(path, lk.Evidence())
 			succ = lk.Child(0)
 			if succ == nilNode {
 				continue retry
 			}
 		}
 		g0 := genOf[P, N, K, V](succ)
-		if !llxscx.VLX(path) {
+		if !llxscx.VLXEvidence(path) {
 			continue retry
 		}
 		if succ.IsSentinel() {
@@ -163,7 +163,7 @@ retry:
 // with its value, or ok=false if no such key exists. entry must be the
 // sentinel entry point of the tree and less its key comparator.
 func Predecessor[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, key K) (k K, v V, ok bool) {
-	var buf [pathBufCap]llxscx.Linked[N]
+	var buf [pathBufCap]llxscx.Evidence[N]
 	path := buf[:0]
 retry:
 	for attempt := 0; ; attempt++ {
@@ -180,13 +180,13 @@ retry:
 				continue retry
 			}
 			if viewLess(less, key, l) {
-				path = append(path, lk)
+				path = append(path, lk.Evidence())
 				l = lk.Child(0)
 			} else {
 				lkLastRight = lk
 				haveLastRight = true
 				path = path[:0]
-				path = append(path, lk)
+				path = append(path, lk.Evidence())
 				l = lk.Child(1)
 			}
 			if l == nilNode {
@@ -216,14 +216,14 @@ retry:
 			if st != llxscx.Snapshot {
 				continue retry
 			}
-			path = append(path, lk)
+			path = append(path, lk.Evidence())
 			pred = lk.Child(1)
 			if pred == nilNode {
 				continue retry
 			}
 		}
 		g0 := genOf[P, N, K, V](pred)
-		if !llxscx.VLX(path) {
+		if !llxscx.VLXEvidence(path) {
 			continue retry
 		}
 		if pred.IsSentinel() {
@@ -371,7 +371,7 @@ func scan[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, useLo boo
 // and V only appear in the constraint and results, call sites must
 // instantiate the type parameters explicitly.
 func Min[P View[N, K, V], N, K, V any](entry P) (k K, v V, ok bool) {
-	var buf [pathBufCap]llxscx.Linked[N]
+	var buf [pathBufCap]llxscx.Evidence[N]
 	path := buf[:0]
 retry:
 	for attempt := 0; ; attempt++ {
@@ -384,14 +384,14 @@ retry:
 			if st != llxscx.Snapshot {
 				continue retry
 			}
-			path = append(path, lk)
+			path = append(path, lk.Evidence())
 			l = lk.Child(0)
 			if l == nilNode {
 				continue retry
 			}
 		}
 		g0 := genOf[P, N, K, V](l)
-		if !llxscx.VLX(path) {
+		if !llxscx.VLXEvidence(path) {
 			continue retry
 		}
 		if l.IsSentinel() {
@@ -411,7 +411,7 @@ retry:
 // sentinels. Like Min it validates the whole spine with a VLX and requires
 // explicit instantiation.
 func Max[P View[N, K, V], N, K, V any](entry P) (k K, v V, ok bool) {
-	var buf [pathBufCap]llxscx.Linked[N]
+	var buf [pathBufCap]llxscx.Evidence[N]
 	path := buf[:0]
 retry:
 	for attempt := 0; ; attempt++ {
@@ -422,14 +422,14 @@ retry:
 		if st != llxscx.Snapshot {
 			continue retry
 		}
-		path = append(path, lkE)
+		path = append(path, lkE.Evidence())
 		top := P(lkE.Child(0))
 		if top == nilNode {
 			continue retry
 		}
 		if top.IsLeaf() {
 			// Figure 10(a): the dictionary is empty.
-			if !llxscx.VLX(path) {
+			if !llxscx.VLXEvidence(path) {
 				continue retry
 			}
 			return k, v, false
@@ -438,7 +438,7 @@ retry:
 		if st != llxscx.Snapshot {
 			continue retry
 		}
-		path = append(path, lkTop)
+		path = append(path, lkTop.Evidence())
 		l := P(lkTop.Child(0))
 		if l == nilNode {
 			continue retry
@@ -448,14 +448,14 @@ retry:
 			if st != llxscx.Snapshot {
 				continue retry
 			}
-			path = append(path, lk)
+			path = append(path, lk.Evidence())
 			l = lk.Child(1)
 			if l == nilNode {
 				continue retry
 			}
 		}
 		g0 := genOf[P, N, K, V](l)
-		if !llxscx.VLX(path) {
+		if !llxscx.VLXEvidence(path) {
 			continue retry
 		}
 		if l.IsSentinel() {

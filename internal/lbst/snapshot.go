@@ -18,7 +18,7 @@ import (
 //   - every committed SCX stamps the subtree root it installs with a commit
 //     tick drawn from the tree's gver counter, and records the displaced
 //     value of the field in the new node's prev link. Both happen in the
-//     descriptor pool's OnCommit hook, BEFORE the update CAS, so a node
+//     tree's OnCommit hook (llxscx.Pool), BEFORE the update CAS, so a node
 //     readable out of a mutable field is always already stamped — which
 //     makes ticks monotone along structural dependencies and a captured
 //     gver value a consistent cut of the update history;

@@ -16,28 +16,47 @@
 // the DataRecord[N] interface so the primitives can reach its
 // synchronization state and mutable fields. Instead of the per-process
 // tables used in the original pseudocode, a successful LLX returns a Linked
-// value carrying the evidence (observed descriptor and snapshot); the caller
-// passes these Linked values to SCX or VLX, which expresses exactly the same
-// "linked LLX" relationship explicitly.
+// value carrying the evidence (observed descriptor tag and snapshot); the
+// caller passes these Linked values to SCX or VLX, which expresses exactly
+// the same "linked LLX" relationship explicitly.
 //
-// Reclamation: the protocol's ABA-freedom requires that descriptors and
-// nodes are never recycled while any process can still reach them. The
-// original port delegated that wholesale to the garbage collector (as the
-// paper's Java implementation does); descriptors are now recycled through a
-// per-structure Pool instead. A descriptor carries a reference count — one
-// per record it is currently installed in, one per live descriptor that
-// lists it as freezing-CAS evidence, plus the initiator's bias — and is
-// handed to internal/epoch for a grace period only when the count reaches
-// zero, after which no helper or snapshot holder can still name it. SCXP is
-// the pooled entry point; SCXFixed keeps the allocate-fresh behaviour (and
-// is the fallback when epoch reclamation is compiled out). The full safety
-// argument is re-derived in DESIGN.md ("Epoch reclamation and the ABA
+// Descriptors: the paper creates a fresh SCX-record per SCX and leaves it to
+// the garbage collector. Here SCX-records are never allocated. A
+// process-wide table holds one reusable descriptor per epoch slot
+// (internal/epoch) plus a second region claimed for the duration of an SCX
+// entered without a guard, and a record's info field is not a pointer but a
+// tag: the slot index and the slot's sequence number at the time of the
+// SCX. Following Arbel-Raviv and Brown ("Reuse, don't recycle", DISC 2017),
+// four rules replace the collector:
+//
+//   - Tags never recur. An SCX bumps its slot's sequence number before it
+//     writes anything else, so every SCX has its own tag and the freezing
+//     CAS's expected value can never be matched by a later SCX.
+//   - Validate before use. A helper copies the fields it needs out of the
+//     descriptor and then re-reads the sequence number; a mismatch means the
+//     slot has moved on and the copy is discarded. The descriptor's state
+//     lives in the same word as the sequence number and changes only by CAS
+//     from the exact word the helper observed, so a helper of a finished
+//     SCX cannot touch the state of the slot's next one.
+//   - Terminal before reuse. A slot starts its next SCX only once the
+//     previous one is committed or aborted; an owner that finds it in
+//     progress (its initiator panicked mid-protocol) helps it finish first.
+//   - Stale reads as committed. LLX and VLX treat a tag whose sequence
+//     number no longer matches as naming a committed SCX. That is exact:
+//     a finished SCX matters to LLX only through the marked bit, and only
+//     a committed SCX leaves a marked record behind.
+//
+// The full safety argument is in DESIGN.md ("Epoch reclamation and the ABA
 // re-derivation").
 package llxscx
 
 import (
+	"math/bits"
+	"runtime"
 	"sync/atomic"
+	"unsafe"
 
+	"repro/internal/epoch"
 	"repro/internal/sched"
 )
 
@@ -47,13 +66,11 @@ import (
 const MaxMutable = 4
 
 // MaxV is the maximum length of the V sequence (and therefore of the R
-// subsequence) accepted by SCXFixed and VLXFixed, and the capacity of the
-// inline evidence arrays embedded in every SCX-record. It is sized for the
-// largest update any tree in this repository performs: the chromatic tree's
-// W3/W4 rebalancing steps (and their mirrors) link six LLXs and finalize
-// five records. Keeping the bound tight keeps descriptors compact - one
-// heap object per SCX, no side slices - which is the property the paper's
-// Java implementation relies on for its update throughput.
+// subsequence) accepted by SCX and VLXFixed, and the capacity of the
+// evidence arrays of every descriptor. It is sized for the largest update
+// any tree in this repository performs: the chromatic tree's W3/W4
+// rebalancing steps (and their mirrors) link six LLXs and finalize five
+// records.
 const MaxV = 6
 
 // Status is the outcome of an LLX.
@@ -85,73 +102,70 @@ func (s Status) String() string {
 	}
 }
 
-// descriptor states.
+// A tag names one SCX: the descriptor slot in its low slotBits and the
+// slot's sequence number above them. The zero tag (a record no SCX has ever
+// frozen) names sequence 0 of slot 0, an SCX that never ran: it reads as
+// committed while slot 0 is unused, and as stale, which also reads as
+// committed, once slot 0 has run its first SCX.
 const (
-	stateInProgress int32 = iota
-	stateCommitted
-	stateAborted
+	slotBits = 8
+	numDesc  = 1 << slotBits
+	slotMask = numDesc - 1
+
+	// claimable is the number of descriptors beyond the guard-owned ones,
+	// claimed by SCXs that run without a guard. The conversion fails to
+	// compile if the epoch layer outgrows the tag's slot field.
+	claimable = uint(numDesc - epoch.NumSlots)
 )
 
-// descriptor is an SCX-record: it describes one SCX so that any process can
-// help complete it. All evidence is stored inline in fixed-capacity arrays
-// (bounded by MaxV), so initiating an SCX allocates at most one object: the
-// descriptor itself, which must stay heap-allocated while helpers retain
-// pointers to it. Descriptors created through SCXP are recycled via their
-// Pool once their reference count drains (see the package comment);
-// descriptors created through SCXFixed have a nil pool and are left to the
-// garbage collector.
-type descriptor[N any] struct {
-	state     atomic.Int32
-	allFrozen atomic.Bool
+// A descriptor's status word holds everything about an SCX that is not a
+// pointer: its state, the allFrozen bit, which elements of V are finalized
+// (R is a subset of V, so a bit mask suffices), the length of V, and the
+// sequence number. One load gives a helper a consistent view of all of
+// them, and a CAS on the word cannot succeed on a later SCX of the slot.
+// (The sequence number has 52 bits: at an SCX every 100 ns per slot, over a
+// decade of uptime.)
+const (
+	stateCommitted  = 0 // zero, so the never-used descriptor reads as committed
+	stateInProgress = 1
+	stateAborted    = 2
+	stateMask       = 3
 
-	// refs counts the reasons this descriptor must stay alive: +1 while the
-	// initiating SCXP runs (the bias), +1 per record whose info field it is
-	// installed in, and +1 per live pooled descriptor listing it in infos
-	// (the freezing-CAS expected value must not be recycled while a helper
-	// of that descriptor might still CAS with it). Only used when pool is
-	// non-nil.
-	refs atomic.Int32
+	frozenBit = 1 << 2
+	markShift = 3 // MaxV bits: bit i set means finalize the i'th element of V
+	nVShift   = markShift + MaxV
+	nVBits    = 3 // |V| <= MaxV < 8
+	seqShift  = nVShift + nVBits
+)
 
-	// retired flips once, when refs first reaches zero, so the descriptor
-	// is pushed onto its pool's deferred-retire stack exactly once even if
-	// a late helper transiently resurrects the count.
-	retired atomic.Bool
-
-	// pool is the owning Pool for SCXP-created descriptors, nil for
-	// SCXFixed ones (which also disables all reference accounting).
-	pool *Pool[N]
-
-	// dnext links the pool's deferred-retire stack.
-	dnext *descriptor[N]
-
-	// recs[i] is the synchronization record of the i'th element of V and
-	// infos[i] is the descriptor observed by the linked LLX of that element
-	// (the expected value of the freezing CAS). nV is the length of V.
-	recs  [MaxV]*Record[N]
-	infos [MaxV]*descriptor[N]
-	nV    int
-
-	// toMark[:nMark] are the synchronization records of the elements of R,
-	// which are finalized when the SCX commits.
-	toMark [MaxV]*Record[N]
-	nMark  int
-
-	// fld is the single mutable field changed from old to new.
-	fld      *atomic.Pointer[N]
-	old, new *N
+// record is the synchronization state of one Data-record.
+type record struct {
+	// info is the tag of the last SCX that froze the record. It is never
+	// reset, not even when the record's node is recycled: tags never recur,
+	// so a freezing CAS left over from before the node was recycled cannot
+	// match anything the record will hold again.
+	info   atomic.Uint64
+	marked atomic.Bool
 }
 
 // Record is the per-Data-record synchronization state used by LLX and SCX.
 // Embed one Record in every node type. The zero value is ready to use.
 type Record[N any] struct {
-	info   atomic.Pointer[descriptor[N]]
-	marked atomic.Bool
+	r record
 }
 
 // Marked reports whether the record has been finalized by a committed SCX.
 // A finalized record has been removed from the data structure and its
 // mutable fields will never change again.
-func (r *Record[N]) Marked() bool { return r.marked.Load() }
+func (r *Record[N]) Marked() bool { return r.r.marked.Load() }
+
+// ReleaseRecord resets a freed Data-record for reuse. Trees must call it
+// exactly once, when a node's grace period has completed and the node is
+// about to enter a pool: at that point no operation can reach the record,
+// and every helper that could still mark it has finished.
+func ReleaseRecord[N any](rec *Record[N]) {
+	rec.r.marked.Store(false)
+}
 
 // DataRecord is the constraint a node type must satisfy so that the
 // primitives can manipulate it. A node exposes its embedded Record and its
@@ -172,8 +186,8 @@ type DataRecord[N any] interface {
 // relationship of the original specification.
 type Linked[N any] struct {
 	node *N
-	rec  *Record[N]
-	info *descriptor[N]
+	rec  *record
+	info uint64
 	vals [MaxMutable]*N
 	n    int
 }
@@ -190,26 +204,33 @@ func (l Linked[N]) Child(i int) *N { return l.vals[i] }
 // Valid reports whether the Linked value was produced by a successful LLX.
 func (l Linked[N]) Valid() bool { return l.rec != nil }
 
+// stateOf returns the state of the SCX that tag names; an SCX whose slot has
+// moved on is over, and reads as committed (see the package comment).
+func stateOf(tag uint64) uint64 {
+	st := table[tag&slotMask].status.Load()
+	if st>>seqShift != tag>>slotBits {
+		return stateCommitted
+	}
+	return st & stateMask
+}
+
 // LLX attempts to take a snapshot of the mutable fields of r. It returns the
 // snapshot evidence and Snapshot on success, a zero Linked and Fail if it was
 // concurrent with an SCX involving r, or a zero Linked and Finalized if r has
 // been finalized.
 func LLX[P DataRecord[N], N any](r P) (Linked[N], Status) {
 	sched.Point(sched.PointLLX)
-	rec := r.LLXRecord()
+	rec := &r.LLXRecord().r
 	rinfo := rec.info.Load()
-	state := stateAborted
-	if rinfo != nil {
-		state = rinfo.state.Load()
-	}
+	state := stateOf(rinfo)
 	// The marked flag must be read after the descriptor state: help() marks
 	// the finalized records before it publishes the Committed state, so a
 	// record finalized by rinfo's SCX is guaranteed to be seen as marked
 	// here. Reading it earlier admits a race in which LLX hands out a
 	// snapshot of a record that has already been removed from the tree,
 	// allowing a later SCX to resurrect it.
-	marked1 := rec.marked.Load()
-	if state == stateAborted || (state == stateCommitted && !marked1) {
+	marked := rec.marked.Load()
+	if state == stateAborted || (state == stateCommitted && !marked) {
 		// The record is not being changed by an in-progress SCX: read the
 		// mutable fields and confirm nothing froze the record meanwhile.
 		var lk Linked[N]
@@ -225,13 +246,13 @@ func LLX[P DataRecord[N], N any](r P) (Linked[N], Status) {
 		}
 	}
 	// The record is (or was) frozen by an SCX. Help it complete, then report
-	// Finalized or Fail as appropriate.
-	curState := stateAborted
-	if rinfo != nil {
-		curState = rinfo.state.Load()
-	}
-	if (curState == stateCommitted || (curState == stateInProgress && help(rinfo))) && marked1 {
-		return Linked[N]{}, Finalized
+	// Finalized or Fail as appropriate. A marked record was frozen by an SCX
+	// that went on to set allFrozen, so its removal is certain whatever
+	// rinfo's own SCX did.
+	if marked {
+		if state = stateOf(rinfo); state == stateCommitted || (state == stateInProgress && help(rinfo)) {
+			return Linked[N]{}, Finalized
+		}
 	}
 	// Helping the blocker before reporting Fail is an optimization, not an
 	// obligation: the caller's retry re-encounters any still-frozen record
@@ -239,21 +260,23 @@ func LLX[P DataRecord[N], N any](r P) (Linked[N], Status) {
 	// injection (a probabilistic skip can delay completion but never
 	// prevent it, because help-on-encounter sites are still reached on
 	// every retry).
-	if cur := rec.info.Load(); cur != nil && cur.state.Load() == stateInProgress && !sched.ChaosDropHelp() {
+	if cur := rec.info.Load(); stateOf(cur) == stateInProgress && !sched.ChaosDropHelp() {
 		help(cur)
 	}
 	return Linked[N]{}, Fail
 }
 
-// SCX attempts to atomically store new into *fld and finalize every record in
-// finalize, provided that no record in v has changed since the linked LLX
-// that produced its evidence. v must be ordered as required by the tree
-// update template (Constraint 2 / postcondition PC8); finalize must identify
-// a subset of the records in v; the record containing fld must be in v; and
+// SCXFixed attempts to atomically store new into *fld and finalize the
+// first nf records of finalize, provided that none of the first nv records
+// of v has changed since the linked LLX that produced its evidence. Both
+// sequences are staged in caller-owned fixed-capacity arrays (typically on
+// the caller's stack). v must be ordered as required by the tree update
+// template (Constraint 2 / postcondition PC8); finalize must identify a
+// subset of the records in v; the record containing fld must be in v; and
 // old must be the value of *fld observed by that record's linked LLX.
 //
-// SCX returns true if it modified the data structure and false if it failed
-// because some record in v changed since its linked LLX.
+// SCXFixed returns true if it modified the data structure and false if it
+// failed because some record in v changed since its linked LLX.
 //
 // new must be freshly obtained - never a value that fld (or any mutable
 // field) has held while any current operation could have observed it.
@@ -265,62 +288,62 @@ func LLX[P DataRecord[N], N any](r P) (Linked[N], Status) {
 // snapshot holder can still name its previous incarnation (DESIGN.md
 // re-derives this).
 //
-// SCX is the slice-based convenience wrapper; v must not exceed MaxV
-// entries. Hot paths that stage their evidence in stack arrays should call
-// SCXFixed directly, which performs exactly one allocation (the descriptor).
-func SCX[P DataRecord[N], N any](v []Linked[N], finalize []P, fld *atomic.Pointer[N], old, new *N) bool {
-	var va [MaxV]Linked[N]
-	var ra [MaxV]P
-	copy(va[:], v)
-	copy(ra[:], finalize)
-	return SCXFixed(&va, len(v), &ra, len(finalize), fld, old, new)
+// nv must be in [1, MaxV] and nf in [0, nv]; out-of-range lengths panic,
+// since they indicate an update whose V sequence does not fit a descriptor
+// (raise MaxV if a new data structure legitimately needs a larger update).
+//
+// SCXFixed is the entry point for callers that hold no epoch guard: it
+// claims a descriptor for its own duration. Operations that run pinned
+// should call SCXP, which uses the descriptor of the guard's slot.
+func SCXFixed[P DataRecord[N], N any](v *[MaxV]Linked[N], nv int, finalize *[MaxV]P, nf int, fld *atomic.Pointer[N], old, new *N) bool {
+	return scx(nil, nil, v, nv, finalize, nf, fld, old, new)
 }
 
-// SCXFixed is the slice-free SCX entry point: v holds the first nv linked
-// LLX results and finalize the first nf records to finalize, both staged in
-// caller-owned fixed-capacity arrays (typically on the caller's stack). The
-// contract is exactly SCX's. nv must be in [1, MaxV] and nf in [0, nv];
-// out-of-range lengths panic, since they indicate an update whose V sequence
-// does not fit the inline descriptor storage (raise MaxV if a new data
-// structure legitimately needs a larger update).
-func SCXFixed[P DataRecord[N], N any](v *[MaxV]Linked[N], nv int, finalize *[MaxV]P, nf int, fld *atomic.Pointer[N], old, new *N) bool {
+// scx stages the arguments of one SCX and runs it on g's descriptor, or on
+// a claimed one when g is nil.
+func scx[P DataRecord[N], N any](g *epoch.Guard, h *hooks, v *[MaxV]Linked[N], nv int, finalize *[MaxV]P, nf int, fld *atomic.Pointer[N], old, new *N) bool {
 	if nv < 1 || nv > MaxV || nf < 0 || nf > nv {
-		panic("llxscx: SCXFixed sequence lengths out of range")
+		panic("llxscx: SCX sequence lengths out of range")
 	}
-	d := &descriptor[N]{
+	// An atomic.Pointer[N] is one pointer word whatever N is; erasing N here
+	// is what lets one non-generic help() serve every structure, including
+	// an owner finishing an SCX some other structure's operation abandoned.
+	p := payload{
 		nV:    nv,
-		nMark: nf,
-		fld:   fld,
-		old:   old,
-		new:   new,
+		fld:   (*unsafe.Pointer)(unsafe.Pointer(fld)),
+		old:   unsafe.Pointer(old),
+		new:   unsafe.Pointer(new),
+		hooks: h,
 	}
 	for i := 0; i < nv; i++ {
-		d.recs[i] = v[i].rec
-		d.infos[i] = v[i].info
+		p.recs[i] = v[i].rec
+		p.exps[i] = v[i].info
 	}
 	for i := 0; i < nf; i++ {
-		d.toMark[i] = finalize[i].LLXRecord()
-	}
-	d.state.Store(stateInProgress)
-	return help(d)
-}
-
-// VLX returns true if none of the records in v have changed since the linked
-// LLXs that produced their evidence. It can be used to obtain an atomic
-// snapshot of a set of Data-records. Unlike SCX, VLX accepts sequences of
-// any length (ordered-query spine validations can be as long as the tree is
-// tall); VLXFixed is the bounded-array variant for update-sized sequences.
-func VLX[N any](v []Linked[N]) bool {
-	for i := range v {
-		if !validateOne(v[i].rec, v[i].info) {
-			return false
+		rec := &finalize[i].LLXRecord().r
+		j := 0
+		for j < nv && p.recs[j] != rec {
+			j++
 		}
+		if j == nv {
+			panic("llxscx: finalized record is not in V")
+		}
+		p.mask |= 1 << j
 	}
-	return true
+	if g != nil {
+		return start(g.Slot(), &p)
+	}
+	slot := claim()
+	// Released by defer so an SCX that panics (chaos injection) does not
+	// leak the slot; the next claimant finishes what it left in progress.
+	defer table[slot].claimed.Store(0)
+	return start(slot, &p)
 }
 
-// VLXFixed is the slice-free VLX entry point over the first n elements of a
-// caller-owned fixed-capacity array. n must be in [0, MaxV].
+// VLXFixed returns true if none of the first n records of v has changed
+// since the linked LLXs that produced their evidence. v is a caller-owned
+// fixed-capacity array; n must be in [0, MaxV]. Readers validating more
+// than an update's worth of records use VLXEvidence.
 func VLXFixed[N any](v *[MaxV]Linked[N], n int) bool {
 	if n < 0 || n > MaxV {
 		panic("llxscx: VLXFixed sequence length out of range")
@@ -334,21 +357,22 @@ func VLXFixed[N any](v *[MaxV]Linked[N], n int) bool {
 }
 
 // Evidence is the part of a Linked that VLX reads: the record and the
-// descriptor its LLX observed, two words instead of a Linked's eight. A
+// descriptor tag its LLX observed, two words instead of a Linked's eight. A
 // reader that consumes each snapshot's children as it goes and only needs to
-// validate afterwards (a range scan LLXs every internal node under its
-// window) keeps these instead, so its evidence buffer stays small enough
-// for the stack.
+// validate afterwards (an ordered query LLXs a whole search path, a range
+// scan every internal node under its window) keeps these instead, so its
+// evidence buffer stays small enough for the stack.
 type Evidence[N any] struct {
-	rec  *Record[N]
-	info *descriptor[N]
+	rec  *record
+	info uint64
 }
 
 // Evidence returns l's validation evidence.
 func (l Linked[N]) Evidence() Evidence[N] { return Evidence[N]{rec: l.rec, info: l.info} }
 
-// VLXEvidence is VLX over compact evidence: it returns true if none of the
-// records in v have changed since the LLXs the evidence was taken from.
+// VLXEvidence returns true if none of the records in v has changed since the
+// LLXs the evidence was taken from. It can be used to obtain an atomic
+// snapshot of a set of Data-records of any size.
 func VLXEvidence[N any](v []Evidence[N]) bool {
 	for i := range v {
 		if !validateOne(v[i].rec, v[i].info) {
@@ -358,14 +382,14 @@ func VLXEvidence[N any](v []Evidence[N]) bool {
 	return true
 }
 
-// validateOne checks a single linked LLX: the record's descriptor must be
-// the one the LLX observed. On mismatch it helps any in-progress SCX along
-// (to preserve progress) and reports failure.
-func validateOne[N any](rec *Record[N], info *descriptor[N]) bool {
+// validateOne checks a single linked LLX: the record's tag must be the one
+// the LLX observed. On mismatch it helps any in-progress SCX along (to
+// preserve progress) and reports failure.
+func validateOne(rec *record, info uint64) bool {
 	cur := rec.info.Load()
 	if cur != info {
 		// Optional help (see the matching site in LLX): chaos may skip it.
-		if cur != nil && cur.state.Load() == stateInProgress && !sched.ChaosDropHelp() {
+		if stateOf(cur) == stateInProgress && !sched.ChaosDropHelp() {
 			help(cur)
 		}
 		return false
@@ -373,60 +397,186 @@ func validateOne[N any](rec *Record[N], info *descriptor[N]) bool {
 	return true
 }
 
-// help completes (or aborts) the SCX described by d. It may be called by the
-// initiating process or by any process that encounters the descriptor. It
-// returns true if the SCX committed.
-//
-// For pooled descriptors the freezing loop also maintains the reference
-// counts: the helper whose CAS installs d into a record accounts one
-// reference on d (taken before the CAS, undone if the CAS fails, so the
-// count never under-shoots) and drops the reference held by the displaced
-// descriptor, which was installed in that record until this very CAS.
-func help[N any](d *descriptor[N]) bool {
-	// Freeze every record in V by installing d in its info field.
-	pooled := d.pool != nil
-	for i := 0; i < d.nV; i++ {
-		rec := d.recs[i]
-		if sched.DropFreeze() && i == 0 {
-			// Seeded protocol mutation (armed only under -tags sched by the
-			// checker self-tests): skip the freezing CAS on the first record
-			// of V, exactly the bug the freeze-everything-before-committing
-			// step of the protocol exists to prevent.
-			continue
+// descFields is one reusable SCX-record. Everything in it is written only by
+// the slot's current owner and read by any helper, so every field is atomic;
+// the status word is the only one helpers write, and only by CAS.
+type descFields struct {
+	status atomic.Uint64
+	// claimed is the ownership word of a descriptor in the claimable
+	// region; guard-owned descriptors leave it zero (their owner is whoever
+	// holds the epoch slot pinned).
+	claimed atomic.Uint32
+	hooks   atomic.Pointer[hooks]
+
+	// fld is the single mutable field changed from old to new.
+	fld      atomic.Pointer[unsafe.Pointer]
+	old, new unsafe.Pointer
+
+	// v[i].rec is the i'th element of V and v[i].info the tag observed by
+	// its linked LLX (the expected value of the freezing CAS).
+	v [MaxV]struct {
+		rec  atomic.Pointer[record]
+		info atomic.Uint64
+	}
+}
+
+// desc pads a descriptor to whole cache lines, so a status word read by
+// every LLX that meets the slot's tag shares no line with a neighbouring
+// slot.
+type desc struct {
+	descFields
+	_ [(cacheLine - unsafe.Sizeof(descFields{})%cacheLine) % cacheLine]byte
+}
+
+const cacheLine = 64
+
+// table holds the guard-owned descriptors (indexed by epoch slot) followed
+// by the claimable ones. It is allocated rather than static so that it
+// starts on a cache-line boundary (a large allocation is page-aligned).
+var table = new([numDesc]desc)
+
+func init() { epoch.OnDiscard(scrub) }
+
+// payload is a private copy of one SCX's arguments: the initiator's own, or
+// a helper's validated copy of a descriptor.
+type payload struct {
+	nV       int
+	mask     uint64 // bit i set: finalize recs[i]
+	recs     [MaxV]*record
+	exps     [MaxV]uint64
+	fld      *unsafe.Pointer
+	old, new unsafe.Pointer
+	hooks    *hooks
+}
+
+// claim takes ownership of a descriptor in the claimable region. The probe
+// starts from the goroutine's stack address, so one goroutine keeps landing
+// on the same (warm) descriptor and different goroutines scatter.
+func claim() int {
+	var b byte
+	h := uint(uintptr(unsafe.Pointer(&b)) >> 10)
+	for tries := uint(0); ; tries++ {
+		slot := epoch.NumSlots + int((h+tries)%claimable)
+		if d := &table[slot]; d.claimed.Load() == 0 && d.claimed.CompareAndSwap(0, 1) {
+			return slot
 		}
-		sched.Point(sched.PointSCXFreeze)
-		if pooled {
-			d.refs.Add(1)
+		if tries%claimable == claimable-1 {
+			runtime.Gosched()
 		}
-		if rec.info.CompareAndSwap(d.infos[i], d) {
-			// This helper won the install: release the displaced
-			// descriptor's install reference (exactly once per record).
-			if old := d.infos[i]; old != nil && old.pool != nil {
-				old.release()
+	}
+}
+
+// nextSeq makes the slot's last SCX terminal and returns the sequence number
+// of its next one. The caller must own the slot. Finding the last SCX still
+// in progress means its initiator left it (a panic between freeze and
+// commit); helping it to completion first is what keeps the status word's
+// history one SCX at a time.
+func (d *desc) nextSeq(slot int) uint64 {
+	st := d.status.Load()
+	if st&stateMask == stateInProgress {
+		help(st>>seqShift<<slotBits | uint64(slot))
+		st = d.status.Load()
+	}
+	return st>>seqShift + 1
+}
+
+// start runs the SCX described by p on the descriptor of slot, which the
+// caller owns.
+func start(slot int, p *payload) bool {
+	d := &table[slot]
+	seq := d.nextSeq(slot)
+	st := seq<<seqShift | uint64(p.nV)<<nVShift | p.mask<<markShift | stateInProgress
+	// The sequence number moves first: a helper still reading the previous
+	// SCX's fields fails its validation from here on. Nothing between this
+	// store and the last field store can panic, so no one can find the new
+	// status over a half-written descriptor - the tag is not published
+	// until the first freezing CAS, and a next owner only ever sees a
+	// completed fill.
+	d.status.Store(st)
+	for i := 0; i < p.nV; i++ {
+		d.v[i].rec.Store(p.recs[i])
+		d.v[i].info.Store(p.exps[i])
+	}
+	d.fld.Store(p.fld)
+	atomic.StorePointer(&d.old, p.old)
+	atomic.StorePointer(&d.new, p.new)
+	if d.hooks.Load() != p.hooks { // rarely changes: spare the locked store
+		d.hooks.Store(p.hooks)
+	}
+	return run(d, seq<<slotBits|uint64(slot), st, p)
+}
+
+// help completes (or aborts) the SCX that tag names. It may be called by
+// any process that encounters the tag. It returns true if the SCX committed
+// or is over and forgotten (see the package comment), false if it aborted.
+func help(tag uint64) bool {
+	d := &table[tag&slotMask]
+	st := d.status.Load()
+	if st>>seqShift != tag>>slotBits {
+		return true
+	}
+	if st&stateMask != stateInProgress {
+		return st&stateMask == stateCommitted
+	}
+	sched.Point(sched.PointSCXRead)
+	p := payload{
+		nV:    int(st >> nVShift & (1<<nVBits - 1)),
+		mask:  st >> markShift & (1<<MaxV - 1),
+		fld:   d.fld.Load(),
+		old:   atomic.LoadPointer(&d.old),
+		new:   atomic.LoadPointer(&d.new),
+		hooks: d.hooks.Load(),
+	}
+	for i := 0; i < p.nV; i++ {
+		p.recs[i] = d.v[i].rec.Load()
+		p.exps[i] = d.v[i].info.Load()
+	}
+	// Validate before use: the copy is this SCX's only if the slot has not
+	// started another one since the status word was read. (SkipValidate is
+	// the seeded mutation that proves the check is load-bearing.)
+	if d.status.Load()>>seqShift != st>>seqShift && !sched.SkipValidate() {
+		return true
+	}
+	return run(d, tag, st, &p)
+}
+
+// run executes the SCX protocol for tag from the point its status word st
+// records, on the arguments in p. Every state change is a CAS from st, so a
+// process running behind the others changes nothing; when such a CAS fails
+// the SCX has moved on and help re-dispatches on what it is now.
+func run(d *desc, tag, st uint64, p *payload) bool {
+	if st&frozenBit == 0 {
+		// Freeze every record in V by installing the tag in its info field.
+		for i := 0; i < p.nV; i++ {
+			if sched.DropFreeze() && i == 0 {
+				// Seeded protocol mutation (armed only under -tags sched by the
+				// checker self-tests): skip the freezing CAS on the first record
+				// of V, exactly the bug the freeze-everything-before-committing
+				// step of the protocol exists to prevent.
+				continue
 			}
-		} else {
-			if pooled {
-				d.refs.Add(-1)
-			}
-			if rec.info.Load() != d {
-				// Could not freeze rec because another SCX owns it. If all
-				// records were already frozen by some helper, the SCX has
-				// committed; otherwise it must abort.
-				if d.allFrozen.Load() {
-					return true
+			sched.Point(sched.PointSCXFreeze)
+			rec := p.recs[i]
+			if !rec.info.CompareAndSwap(p.exps[i], tag) && rec.info.Load() != tag {
+				// Another SCX owns rec. Unless some helper already froze all
+				// of V (and the record has since moved on), this SCX aborts.
+				if d.status.CompareAndSwap(st, st&^stateMask|stateAborted) {
+					return false
 				}
-				d.state.Store(stateAborted)
-				return false
+				return help(tag)
 			}
 		}
+		if !d.status.CompareAndSwap(st, st|frozenBit) {
+			return help(tag)
+		}
+		st |= frozenBit
 	}
-	// All records in V are frozen for d.
-	d.allFrozen.Store(true)
+	// All records in V are frozen for tag.
 	sched.Point(sched.PointSCXMark)
-	for i := 0; i < d.nMark; i++ {
-		d.toMark[i].marked.Store(true)
+	for m := p.mask; m != 0; m &= m - 1 {
+		p.recs[bits.TrailingZeros64(m)].marked.Store(true)
 	}
-	if pooled && d.pool.OnCommit != nil {
+	if p.hooks != nil {
 		// Ordered before the update CAS: new is stamped by the hook before it
 		// can ever be read out of a mutable field, so any later update whose
 		// evidence (or search path) depends on this one necessarily stamps
@@ -434,17 +584,51 @@ func help[N any](d *descriptor[N]) bool {
 		// layer monotone along structural dependencies, and what makes
 		// "visible through a field" imply "already counted by the version
 		// counter" (DESIGN.md, "Versioned snapshots").
-		d.pool.OnCommit(d.fld, d.old, d.new)
+		p.hooks.commit(p.fld, p.old, p.new)
 	}
 	sched.Point(sched.PointSCXUpdate)
-	d.fld.CompareAndSwap(d.old, d.new)
-	if pooled && d.pool.OnCommit != nil && d.pool.OnInstalled != nil {
-		// Paired with the OnCommit call above: after this helper's CAS
+	atomic.CompareAndSwapPointer(p.fld, p.old, p.new)
+	if p.hooks != nil {
+		// Paired with the commit call above: after this helper's CAS
 		// attempt the new subtree is reachable (its own CAS landed, or an
 		// earlier helper's did — the frozen records admit no other writer).
-		d.pool.OnInstalled()
+		p.hooks.installed()
 	}
 	sched.Point(sched.PointSCXCommit)
-	d.state.Store(stateCommitted)
+	d.status.CompareAndSwap(st, st&^stateMask|stateCommitted)
 	return true
+}
+
+// scrub drops what the descriptors still reference of finished SCXs, as
+// part of epoch.DiscardAll: a descriptor keeps its last arguments until its
+// slot's next SCX overwrites them, and those reach the structure they
+// belonged to. owned marks the guard slots DiscardAll holds claimed;
+// claimable descriptors are claimed here. Each descriptor is advanced to an
+// empty committed SCX before its fields are cleared, exactly as its owner
+// would start a new one, so a helper that still holds the old tag discards
+// what it reads.
+func scrub(owned *[epoch.NumSlots]bool) {
+	for slot := range table {
+		d := &table[slot]
+		if slot < epoch.NumSlots {
+			if !owned[slot] {
+				continue
+			}
+		} else if !d.claimed.CompareAndSwap(0, 1) {
+			continue
+		}
+		if d.fld.Load() != nil {
+			d.status.Store(d.nextSeq(slot)<<seqShift | stateCommitted)
+			for i := range d.v {
+				d.v[i].rec.Store(nil)
+			}
+			d.fld.Store(nil)
+			atomic.StorePointer(&d.old, nil)
+			atomic.StorePointer(&d.new, nil)
+			d.hooks.Store(nil)
+		}
+		if slot >= epoch.NumSlots {
+			d.claimed.Store(0)
+		}
+	}
 }

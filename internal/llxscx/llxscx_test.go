@@ -4,6 +4,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
+
+	"repro/internal/chaos"
+	"repro/internal/epoch"
+	"repro/internal/sched"
 )
 
 // tnode is a minimal binary Data-record used to exercise the primitives
@@ -29,6 +34,60 @@ func newTNode(key int64, left, right *tnode) *tnode {
 	n.left.Store(left)
 	n.right.Store(right)
 	return n
+}
+
+// fixedV stages linked LLX evidence the way hot paths do: in a stack array.
+func fixedV(lks ...Linked[tnode]) ([MaxV]Linked[tnode], int) {
+	var v [MaxV]Linked[tnode]
+	return v, copy(v[:], lks)
+}
+
+func fixedR(rs ...*tnode) ([MaxV]*tnode, int) {
+	var r [MaxV]*tnode
+	return r, copy(r[:], rs)
+}
+
+// testPool is the hook-less Pool the pinned entry point runs with.
+var testPool = NewPool[tnode]()
+
+// scxFixed runs one SCX through the guard-less entry point (a claimed
+// descriptor); scxPinned through SCXP under g (the descriptor of g's slot).
+func scxFixed(lks []Linked[tnode], fin []*tnode, fld *atomic.Pointer[tnode], old, new *tnode) bool {
+	v, nv := fixedV(lks...)
+	r, nr := fixedR(fin...)
+	return SCXFixed(&v, nv, &r, nr, fld, old, new)
+}
+
+func scxPinned(g *epoch.Guard, lks []Linked[tnode], fin []*tnode, fld *atomic.Pointer[tnode], old, new *tnode) bool {
+	v, nv := fixedV(lks...)
+	r, nr := fixedR(fin...)
+	return SCXP(g, testPool, &v, nv, &r, nr, fld, old, new)
+}
+
+// scxOnce pins for the duration of one SCXP.
+func scxOnce(lks []Linked[tnode], fin []*tnode, fld *atomic.Pointer[tnode], old, new *tnode) bool {
+	g := epoch.Pin()
+	defer epoch.Unpin(g)
+	return scxPinned(g, lks, fin, fld, old, new)
+}
+
+// onlyClaimable holds every claimable descriptor except slot claimed until
+// the returned function is called, so that a guard-less SCX in between must
+// run on slot. (Left alone it probes from its stack address, which moves
+// when the goroutine's stack grows.)
+func onlyClaimable(slot int) (release func()) {
+	for i := epoch.NumSlots; i < numDesc; i++ {
+		if i != slot {
+			table[i].claimed.Store(1)
+		}
+	}
+	return func() {
+		for i := epoch.NumSlots; i < numDesc; i++ {
+			if i != slot {
+				table[i].claimed.Store(0)
+			}
+		}
+	}
 }
 
 func TestLLXSnapshotOfQuiescentRecord(t *testing.T) {
@@ -59,7 +118,9 @@ func TestZeroLinkedIsInvalid(t *testing.T) {
 	}
 }
 
-func TestSCXSwingsChildPointerAndFinalizes(t *testing.T) {
+// swingsChildPointerAndFinalizes is the uncontended update, through either
+// entry point.
+func swingsChildPointerAndFinalizes(t *testing.T, scx func([]Linked[tnode], []*tnode, *atomic.Pointer[tnode], *tnode, *tnode) bool) {
 	oldLeaf := newTNode(1, nil, nil)
 	sibling := newTNode(3, nil, nil)
 	root := newTNode(2, oldLeaf, sibling)
@@ -74,8 +135,7 @@ func TestSCXSwingsChildPointerAndFinalizes(t *testing.T) {
 	}
 
 	repl := newTNode(10, nil, nil)
-	ok := SCX([]Linked[tnode]{lkRoot, lkLeaf}, []*tnode{oldLeaf}, &root.left, oldLeaf, repl)
-	if !ok {
+	if !scx([]Linked[tnode]{lkRoot, lkLeaf}, []*tnode{oldLeaf}, &root.left, oldLeaf, repl) {
 		t.Fatal("SCX failed on uncontended update")
 	}
 	if got := root.left.Load(); got != repl {
@@ -96,7 +156,17 @@ func TestSCXSwingsChildPointerAndFinalizes(t *testing.T) {
 	}
 }
 
-func TestSCXFailsIfRecordChangedSinceLinkedLLX(t *testing.T) {
+func TestSCXSwingsChildPointerAndFinalizes(t *testing.T) {
+	swingsChildPointerAndFinalizes(t, scxOnce)
+}
+
+func TestSCXFixedSwingsChildPointerAndFinalizes(t *testing.T) {
+	swingsChildPointerAndFinalizes(t, scxFixed)
+}
+
+// failsIfRecordChangedSinceLinkedLLX runs a winning update through one entry
+// point and the stale loser through the other.
+func failsIfRecordChangedSinceLinkedLLX(t *testing.T, win, lose func([]Linked[tnode], []*tnode, *atomic.Pointer[tnode], *tnode, *tnode) bool) {
 	a := newTNode(1, nil, nil)
 	b := newTNode(3, nil, nil)
 	root := newTNode(2, a, b)
@@ -108,17 +178,36 @@ func TestSCXFailsIfRecordChangedSinceLinkedLLX(t *testing.T) {
 	lkRoot2, _ := LLX(root)
 	lkA2, _ := LLX(a)
 	winner := newTNode(7, nil, nil)
-	if !SCX([]Linked[tnode]{lkRoot2, lkA2}, []*tnode{a}, &root.left, a, winner) {
+	if !win([]Linked[tnode]{lkRoot2, lkA2}, []*tnode{a}, &root.left, a, winner) {
 		t.Fatal("first SCX should succeed")
 	}
 
 	loser := newTNode(8, nil, nil)
-	if SCX([]Linked[tnode]{lkRoot, lkA}, []*tnode{a}, &root.left, a, loser) {
+	if lose([]Linked[tnode]{lkRoot, lkA}, []*tnode{a}, &root.left, a, loser) {
 		t.Fatal("second SCX should fail: root changed since its linked LLX")
 	}
 	if got := root.left.Load(); got != winner {
 		t.Fatalf("root.left = %p, want winner %p", got, winner)
 	}
+	if !a.rec.Marked() {
+		t.Fatal("replaced child not finalized")
+	}
+}
+
+func TestSCXFailsIfRecordChangedSinceLinkedLLX(t *testing.T) {
+	failsIfRecordChangedSinceLinkedLLX(t, scxOnce, scxOnce)
+}
+
+func TestSCXFixedFailsIfRecordChangedSinceLinkedLLX(t *testing.T) {
+	failsIfRecordChangedSinceLinkedLLX(t, scxFixed, scxFixed)
+}
+
+// TestSCXPAgreesWithSCXFixed crosses the entry points: an update through a
+// guard-owned descriptor must defeat stale evidence presented through a
+// claimed one, and the other way round.
+func TestSCXPAgreesWithSCXFixed(t *testing.T) {
+	failsIfRecordChangedSinceLinkedLLX(t, scxOnce, scxFixed)
+	failsIfRecordChangedSinceLinkedLLX(t, scxFixed, scxOnce)
 }
 
 func TestVLXDetectsChange(t *testing.T) {
@@ -128,18 +217,47 @@ func TestVLXDetectsChange(t *testing.T) {
 
 	lkRoot, _ := LLX(root)
 	lkA, _ := LLX(a)
-	if !VLX([]Linked[tnode]{lkRoot, lkA}) {
-		t.Fatal("VLX on unchanged records should succeed")
+	ev := []Evidence[tnode]{lkRoot.Evidence(), lkA.Evidence()}
+	if !VLXEvidence(ev) {
+		t.Fatal("VLXEvidence on unchanged records should succeed")
 	}
 
 	// Change root via an SCX, then the old evidence must fail to validate.
 	lkRoot2, _ := LLX(root)
 	lkA2, _ := LLX(a)
-	if !SCX([]Linked[tnode]{lkRoot2, lkA2}, []*tnode{a}, &root.left, a, newTNode(9, nil, nil)) {
+	if !scxOnce([]Linked[tnode]{lkRoot2, lkA2}, []*tnode{a}, &root.left, a, newTNode(9, nil, nil)) {
 		t.Fatal("SCX should succeed")
 	}
-	if VLX([]Linked[tnode]{lkRoot, lkA}) {
-		t.Fatal("VLX should fail after root was modified")
+	if VLXEvidence(ev) {
+		t.Fatal("VLXEvidence should fail after root was modified")
+	}
+	if !VLXEvidence[tnode](nil) {
+		t.Fatal("VLXEvidence over zero records should succeed")
+	}
+}
+
+func TestVLXFixedDetectsChange(t *testing.T) {
+	a := newTNode(1, nil, nil)
+	b := newTNode(3, nil, nil)
+	root := newTNode(2, a, b)
+
+	lkRoot, _ := LLX(root)
+	lkA, _ := LLX(a)
+	v, nv := fixedV(lkRoot, lkA)
+	if !VLXFixed(&v, nv) {
+		t.Fatal("VLXFixed on unchanged records should succeed")
+	}
+
+	lkRoot2, _ := LLX(root)
+	lkA2, _ := LLX(a)
+	if !scxFixed([]Linked[tnode]{lkRoot2, lkA2}, []*tnode{a}, &root.left, a, newTNode(9, nil, nil)) {
+		t.Fatal("SCXFixed should succeed")
+	}
+	if VLXFixed(&v, nv) {
+		t.Fatal("VLXFixed should fail after root was modified")
+	}
+	if !VLXFixed(&v, 0) {
+		t.Fatal("VLXFixed over zero records should succeed")
 	}
 }
 
@@ -149,6 +267,140 @@ func TestStatusString(t *testing.T) {
 		if st.String() != want {
 			t.Errorf("Status(%d).String() = %q, want %q", int(st), st.String(), want)
 		}
+	}
+}
+
+func TestSCXFixedPanicsOnBadLengths(t *testing.T) {
+	child := newTNode(1, nil, nil)
+	root := newTNode(2, child, nil)
+	lkRoot, _ := LLX(root)
+	lkChild, _ := LLX(child)
+	v, _ := fixedV(lkRoot, lkChild)
+	r, _ := fixedR(child)
+
+	expectPanic := func(name string, fn func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", name)
+			}
+		}()
+		fn()
+	}
+	expectPanic("nv=0", func() { SCXFixed(&v, 0, &r, 0, &root.left, child, newTNode(9, nil, nil)) })
+	expectPanic("nv>MaxV", func() { SCXFixed(&v, MaxV+1, &r, 0, &root.left, child, newTNode(9, nil, nil)) })
+	expectPanic("nf>nv", func() { SCXFixed(&v, 2, &r, 3, &root.left, child, newTNode(9, nil, nil)) })
+	expectPanic("nf<0", func() { SCXFixed(&v, 2, &r, -1, &root.left, child, newTNode(9, nil, nil)) })
+	expectPanic("vlx n>MaxV", func() { VLXFixed(&v, MaxV+1) })
+	// R must be a subset of V: the finalize mask is indexed by V.
+	stranger, _ := fixedR(newTNode(5, nil, nil))
+	expectPanic("R not in V", func() { SCXFixed(&v, 2, &stranger, 1, &root.left, child, newTNode(9, nil, nil)) })
+	if _, st := LLX(root); st != Snapshot {
+		t.Fatalf("a rejected SCX left root frozen: LLX = %v", st)
+	}
+}
+
+// TestLLXFinalizedAfterRemoval checks that LLX never returns a stale
+// snapshot of a record that a committed SCX has already replaced: after the
+// SCX commits, LLX on the removed record must return Finalized - also once
+// the descriptor has moved on to later SCXs and the record's tag is stale.
+func TestLLXFinalizedAfterRemoval(t *testing.T) {
+	g := epoch.Pin()
+	defer epoch.Unpin(g)
+	child := newTNode(1, nil, nil)
+	root := newTNode(2, child, nil)
+	lkRoot, _ := LLX(root)
+	lkChild, _ := LLX(child)
+	if !scxPinned(g, []Linked[tnode]{lkRoot, lkChild}, []*tnode{child}, &root.left, child, newTNode(5, nil, nil)) {
+		t.Fatal("SCX failed")
+	}
+	for i := 0; i < 10; i++ {
+		if _, st := LLX(child); st != Finalized {
+			t.Fatalf("LLX on removed record = %v, want Finalized", st)
+		}
+		// Reuse the descriptor for an unrelated update.
+		other := newTNode(100, newTNode(101, nil, nil), nil)
+		lkO, _ := LLX(other)
+		if !scxPinned(g, []Linked[tnode]{lkO}, nil, &other.left, lkO.Child(0), newTNode(102, nil, nil)) {
+			t.Fatal("unrelated SCX failed")
+		}
+	}
+}
+
+// TestStaleTagReadsAsCommitted pins the reuse rules a reader depends on: a
+// record keeps the tag of its last SCX after the slot has moved on, that tag
+// reads as committed, LLX still snapshots the record, evidence taken under
+// the stale tag still validates, and helping the stale tag touches nothing.
+func TestStaleTagReadsAsCommitted(t *testing.T) {
+	g := epoch.Pin()
+	defer epoch.Unpin(g)
+	update := func(root *tnode) {
+		lk, _ := LLX(root)
+		if !scxPinned(g, []Linked[tnode]{lk}, nil, &root.left, lk.Child(0), newTNode(9, nil, nil)) {
+			t.Fatal("SCX failed")
+		}
+	}
+	root := newTNode(2, newTNode(1, nil, nil), nil)
+	update(root)
+	tag := root.rec.r.info.Load()
+	if g != nil && tag&slotMask != uint64(g.Slot()) {
+		t.Fatalf("tag %#x does not name the guard's slot %d", tag, g.Slot())
+	}
+	lk, st := LLX(root)
+	if st != Snapshot {
+		t.Fatalf("LLX = %v", st)
+	}
+
+	if g == nil { // -tags noepoch: SCXP claims its descriptor
+		defer onlyClaimable(int(tag & slotMask))()
+	}
+	update(newTNode(20, newTNode(10, nil, nil), nil)) // same slot, next sequence number
+	d := &table[tag&slotMask]
+	if seq := d.status.Load() >> seqShift; seq != tag>>slotBits+1 {
+		t.Fatalf("slot sequence = %d, want %d", seq, tag>>slotBits+1)
+	}
+	before := d.status.Load()
+	if stateOf(tag) != stateCommitted || !help(tag) {
+		t.Fatal("stale tag does not read as committed")
+	}
+	if d.status.Load() != before {
+		t.Fatal("helping a stale tag changed the slot's status word")
+	}
+	if got := root.rec.r.info.Load(); got != tag {
+		t.Fatalf("record's tag changed from %#x to %#x", tag, got)
+	}
+	if _, st := LLX(root); st != Snapshot {
+		t.Fatalf("LLX under a stale tag = %v, want Snapshot", st)
+	}
+	v, nv := fixedV(lk)
+	if !VLXFixed(&v, nv) {
+		t.Fatal("evidence taken before the slot moved on no longer validates")
+	}
+}
+
+// TestReleaseRecordKeepsTag: recycling clears the mark but not the tag, so a
+// freezing CAS left over from the record's previous life cannot succeed.
+func TestReleaseRecordKeepsTag(t *testing.T) {
+	child := newTNode(1, nil, nil)
+	root := newTNode(2, child, nil)
+	lkRoot, _ := LLX(root)
+	lkChild, _ := LLX(child)
+	if !scxOnce([]Linked[tnode]{lkRoot, lkChild}, []*tnode{child}, &root.left, child, newTNode(5, nil, nil)) {
+		t.Fatal("SCX failed")
+	}
+	tag := child.rec.r.info.Load()
+	ReleaseRecord(&child.rec)
+	if child.rec.Marked() || child.rec.r.info.Load() != tag || tag == 0 {
+		t.Fatalf("after ReleaseRecord: marked=%v tag=%#x (was %#x)", child.rec.Marked(), child.rec.r.info.Load(), tag)
+	}
+	// The recycled record is usable, and evidence from its previous life
+	// (tag 0, before it was ever frozen) is dead for good.
+	if _, st := LLX(child); st != Snapshot {
+		t.Fatalf("LLX on recycled record = %v, want Snapshot", st)
+	}
+	other := newTNode(3, child, nil)
+	lkOther, _ := LLX(other)
+	if scxOnce([]Linked[tnode]{lkOther, lkChild}, []*tnode{child}, &other.left, child, newTNode(6, nil, nil)) {
+		t.Fatal("SCX with evidence from before the record was recycled committed")
 	}
 }
 
@@ -182,7 +434,7 @@ func TestConcurrentSCXOnSharedParent(t *testing.T) {
 					continue
 				}
 				repl := newTNode(int64(id*attempts+i+1000), nil, nil)
-				if SCX([]Linked[tnode]{lkRoot, lkChild}, []*tnode{child}, &root.left, child, repl) {
+				if scxOnce([]Linked[tnode]{lkRoot, lkChild}, []*tnode{child}, &root.left, child, repl) {
 					successes.Add(1)
 					if !child.rec.Marked() {
 						t.Errorf("replaced child not finalized")
@@ -202,21 +454,291 @@ func TestConcurrentSCXOnSharedParent(t *testing.T) {
 	}
 }
 
-// TestLLXFailOrFinalizedUnderConcurrentFreeze checks that LLX never returns a
-// stale snapshot of a record that a committed SCX has already replaced: after
-// the SCX commits, LLX on the removed record must return Finalized.
-func TestLLXFinalizedAfterRemoval(t *testing.T) {
+// TestConcurrentFixedAndPooledSCXStress interleaves the two entry points on
+// a chain under contention: half the goroutines run on claimed descriptors,
+// half on the descriptors of their epoch slots, holding one pin across
+// several SCXs so a slot's consecutive sequence numbers meet helpers of the
+// previous ones. The committed updates must form a single consistent chain
+// whichever path performed them: every replaced node is finalized, the
+// surviving nodes are not, the number of commits equals the number of nodes
+// replaced, and at least one SCX from each entry point commits.
+func TestConcurrentFixedAndPooledSCXStress(t *testing.T) {
+	// root -> mid -> leaf: updates replace mid (V = root, mid) or leaf
+	// (V = mid, leaf), so consecutive SCXs of one slot overlap on mid.
+	root := newTNode(0, newTNode(1, newTNode(2, nil, nil), nil), nil)
+	const goroutines = 8
+	const attempts = 2000
+
+	var fixedSuccesses, pooledSuccesses atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			pooled := id%2 == 1
+			var guard *epoch.Guard
+			for i := 0; i < attempts; i++ {
+				if pooled && i%8 == 0 {
+					if guard != nil {
+						epoch.Unpin(guard)
+					}
+					guard = epoch.Pin()
+				}
+				parent := root
+				if i%2 == 1 {
+					if parent = root.left.Load(); parent == nil {
+						t.Errorf("mid unexpectedly nil")
+						return
+					}
+				}
+				lkParent, st := LLX(parent)
+				if st != Snapshot {
+					continue
+				}
+				child := lkParent.Child(0)
+				if child == nil {
+					t.Errorf("child unexpectedly nil")
+					return
+				}
+				lkChild, st := LLX(child)
+				if st != Snapshot {
+					continue
+				}
+				repl := newTNode(int64(id*attempts+i+1000), lkChild.Child(0), nil)
+				var ok bool
+				if pooled {
+					ok = scxPinned(guard, []Linked[tnode]{lkParent, lkChild}, []*tnode{child}, &parent.left, child, repl)
+				} else {
+					ok = scxFixed([]Linked[tnode]{lkParent, lkChild}, []*tnode{child}, &parent.left, child, repl)
+				}
+				if ok {
+					if pooled {
+						pooledSuccesses.Add(1)
+					} else {
+						fixedSuccesses.Add(1)
+					}
+					if !child.rec.Marked() {
+						t.Errorf("replaced child not finalized")
+						return
+					}
+					if parent.left.Load() == child {
+						t.Errorf("committed SCX left the replaced child in place")
+						return
+					}
+				}
+			}
+			if guard != nil {
+				epoch.Unpin(guard)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if fixedSuccesses.Load() == 0 {
+		t.Fatal("no SCXFixed succeeded under contention")
+	}
+	if pooledSuccesses.Load() == 0 {
+		t.Fatal("no SCXP succeeded under contention")
+	}
+	for n := root; n != nil; n = n.left.Load() {
+		if n.rec.Marked() {
+			t.Fatalf("node %d is finalized but still in the structure", n.key)
+		}
+		if _, st := LLX(n); st != Snapshot {
+			t.Fatalf("node %d left frozen at quiescence: LLX = %v", n.key, st)
+		}
+	}
+}
+
+// TestOrphanedSCXIsFinishedBeforeReuse abandons an SCX in mid-protocol (a
+// chaos panic unwinds its initiator) and then issues the next SCX from the
+// same descriptor, on unrelated records so that nothing but the
+// terminal-before-reuse rule can finish the orphan. The orphan must be
+// terminal before the slot's sequence number moves, its update must have
+// taken effect exactly as if its initiator had survived, and none of its
+// records may stay frozen.
+func TestOrphanedSCXIsFinishedBeforeReuse(t *testing.T) {
+	if sched.Enabled {
+		t.Skip("chaos injection is disabled under -tags sched")
+	}
+	// A 50% panic rate at the freezing CAS abandons SCXs with none or one of
+	// their two records frozen, depending on the seed; a certain panic at
+	// the mark step abandons them with everything frozen and nothing marked.
+	policies := map[string]map[sched.PointID]chaos.PointPolicy{
+		"freeze": {sched.PointSCXFreeze: {Panic: 500_000}},
+		"mark":   {sched.PointSCXMark: {Panic: 1_000_000}},
+	}
+	for _, ep := range []string{"SCXP", "SCXFixed"} {
+		for name, points := range policies {
+			t.Run(ep+"/"+name, func(t *testing.T) {
+				frozenAtPanic := map[int]int{}
+				for seed := int64(1); seed <= 24; seed++ {
+					frozenAtPanic[orphanRound(t, ep == "SCXP", points, seed)]++
+				}
+				t.Logf("records frozen when the initiator died (-1: it survived): %v", frozenAtPanic)
+				if name == "freeze" && frozenAtPanic[1] == 0 {
+					t.Fatal("no seed abandoned an SCX between its two freezing CASes")
+				}
+				if name == "mark" && frozenAtPanic[2] != 24 {
+					t.Fatal("a certain panic at the mark step did not fire after both freezes")
+				}
+			})
+		}
+	}
+}
+
+// orphanRound runs one abandon-then-reuse round and returns how many of the
+// orphan's records were frozen when its initiator died (-1 if it survived).
+func orphanRound(t *testing.T, pinned bool, points map[sched.PointID]chaos.PointPolicy, seed int64) int {
+	t.Helper()
+	var g *epoch.Guard
+	if pinned {
+		g = epoch.Pin()
+		defer epoch.Unpin(g)
+	}
+	scx := func(lks []Linked[tnode], fin []*tnode, fld *atomic.Pointer[tnode], old, new *tnode) bool {
+		if pinned {
+			return scxPinned(g, lks, fin, fld, old, new)
+		}
+		return scxFixed(lks, fin, fld, old, new)
+	}
+
 	child := newTNode(1, nil, nil)
 	root := newTNode(2, child, nil)
+	repl := newTNode(5, nil, nil)
 	lkRoot, _ := LLX(root)
 	lkChild, _ := LLX(child)
-	if !SCX([]Linked[tnode]{lkRoot, lkChild}, []*tnode{child}, &root.left, child, newTNode(5, nil, nil)) {
-		t.Fatal("SCX failed")
+
+	if err := chaos.Enable(chaos.Config{Seed: seed, Points: points}); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		if _, st := LLX(child); st != Finalized {
-			t.Fatalf("LLX on removed record = %v, want Finalized", st)
+	// attempt runs one SCX and reports whether a chaos panic unwound it. Both
+	// SCXs of the round go through it so that they run at the same stack
+	// depth: a guard-less SCX probes for its descriptor from its stack
+	// address, and the round is about reusing the orphan's.
+	attempt := func(lks []Linked[tnode], fin []*tnode, fld *atomic.Pointer[tnode], old, new *tnode) (ok, died bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, isChaos := r.(chaos.Panic); !isChaos {
+					panic(r)
+				}
+				died = true
+			}
+		}()
+		return scx(lks, fin, fld, old, new), false
+	}
+	w := chaos.Register(0)
+	_, died := attempt([]Linked[tnode]{lkRoot, lkChild}, []*tnode{child}, &root.left, child, repl)
+	w.Close()
+	chaos.Disable()
+	if !died {
+		return -1
+	}
+
+	// Find the orphan: at quiescence it is the only SCX in progress, and it
+	// sits in the descriptor this goroutine is about to reuse.
+	slot := -1
+	for i := range table {
+		if table[i].status.Load()&stateMask == stateInProgress {
+			if slot != -1 {
+				t.Fatalf("seed %d: descriptors %d and %d both in progress", seed, slot, i)
+			}
+			slot = i
 		}
+	}
+	if slot == -1 {
+		t.Fatalf("seed %d: the abandoned SCX is not in progress anywhere", seed)
+	}
+	if g != nil && slot != g.Slot() {
+		t.Fatalf("seed %d: orphan in descriptor %d, not in the guard's (%d)", seed, slot, g.Slot())
+	}
+	st := table[slot].status.Load()
+	orphan := st>>seqShift<<slotBits | uint64(slot)
+	frozen := 0
+	for _, n := range []*tnode{root, child} {
+		if n.rec.r.info.Load() == orphan {
+			frozen++
+		}
+	}
+
+	// The next SCX of the slot, on records the orphan never touched. A
+	// guard-less SCX probes for a free descriptor from its stack address,
+	// which the panic may have moved, so every other one is held claimed.
+	if g == nil {
+		defer onlyClaimable(slot)()
+	}
+	other := newTNode(20, newTNode(10, nil, nil), nil)
+	lkOther, _ := LLX(other)
+	if ok, _ := attempt([]Linked[tnode]{lkOther}, nil, &other.left, lkOther.Child(0), newTNode(11, nil, nil)); !ok {
+		t.Fatalf("seed %d: the SCX after the orphan failed", seed)
+	}
+	if got := table[slot].status.Load() >> seqShift; got != st>>seqShift+1 {
+		t.Fatalf("seed %d: the next SCX ran on sequence %d, want %d (same descriptor)", seed, got, st>>seqShift+1)
+	}
+	// Uncontended, so the orphan must have committed, in full.
+	if root.left.Load() != repl || !child.rec.Marked() {
+		t.Fatalf("seed %d: orphan frozen at %d records was not completed: root.left=%p (want %p), child marked=%v",
+			seed, frozen, root.left.Load(), repl, child.rec.Marked())
+	}
+	if _, st := LLX(root); st != Snapshot {
+		t.Fatalf("seed %d: orphan's parent record left frozen: LLX = %v", seed, st)
+	}
+	if _, st := LLX(child); st != Finalized {
+		t.Fatalf("seed %d: orphan's removed record: LLX = %v, want Finalized", seed, st)
+	}
+	return frozen
+}
+
+// TestScrubDropsDescriptorReferences: after epoch.DiscardAll no descriptor
+// still references the arguments of a finished SCX, and a tag handed out
+// before the scrub is stale.
+func TestScrubDropsDescriptorReferences(t *testing.T) {
+	root := newTNode(2, newTNode(1, nil, nil), nil)
+	for _, scx := range []func([]Linked[tnode], []*tnode, *atomic.Pointer[tnode], *tnode, *tnode) bool{scxFixed, scxOnce} {
+		lk, _ := LLX(root)
+		if !scx([]Linked[tnode]{lk}, nil, &root.left, lk.Child(0), newTNode(9, nil, nil)) {
+			t.Fatal("SCX failed")
+		}
+	}
+	tag := root.rec.r.info.Load()
+	seq := table[tag&slotMask].status.Load() >> seqShift
+	epoch.DiscardAll()
+	for i := range table {
+		d := &table[i]
+		if d.fld.Load() != nil || atomic.LoadPointer(&d.old) != nil || atomic.LoadPointer(&d.new) != nil || d.hooks.Load() != nil {
+			t.Fatalf("descriptor %d still references its last SCX", i)
+		}
+		for j := range d.v {
+			if d.v[j].rec.Load() != nil {
+				t.Fatalf("descriptor %d still references record %d of its last SCX", i, j)
+			}
+		}
+		if d.claimed.Load() != 0 {
+			t.Fatalf("descriptor %d left claimed", i)
+		}
+	}
+	if got := table[tag&slotMask].status.Load() >> seqShift; got != seq+1 {
+		t.Fatalf("scrub moved the sequence number from %d to %d, want %d", seq, got, seq+1)
+	}
+	if _, st := LLX(root); st != Snapshot {
+		t.Fatalf("LLX after scrub = %v", st)
+	}
+}
+
+// TestDescriptorLayout pins what the padding is for: whole cache lines per
+// descriptor, starting on a line boundary, so the status word an LLX reads
+// through some other slot's tag never shares a line with a neighbour's.
+func TestDescriptorLayout(t *testing.T) {
+	if size := unsafe.Sizeof(desc{}); size%cacheLine != 0 || size-unsafe.Sizeof(descFields{}) >= cacheLine {
+		t.Fatalf("sizeof(desc) = %d for %d bytes of fields, want the next multiple of %d", size, unsafe.Sizeof(descFields{}), cacheLine)
+	}
+	if off := unsafe.Offsetof(desc{}.status); off != 0 {
+		t.Fatalf("status at offset %d, want 0", off)
+	}
+	if addr := uintptr(unsafe.Pointer(table)); addr%cacheLine != 0 {
+		t.Fatalf("descriptor table at %#x is not cache-line aligned", addr)
+	}
+	if unsafe.Sizeof(atomic.Pointer[tnode]{}) != unsafe.Sizeof(unsafe.Pointer(nil)) {
+		t.Fatal("atomic.Pointer[N] is not one pointer word: fld cannot be type-erased")
 	}
 }
 
@@ -230,16 +752,37 @@ func BenchmarkLLX(b *testing.B) {
 	}
 }
 
+// BenchmarkSCXUncontended measures one uncontended update (two LLXs, one
+// fresh node, one SCX) through each entry point; the guard of the SCXP
+// variant is pinned once, outside the loop.
 func BenchmarkSCXUncontended(b *testing.B) {
-	root := newTNode(2, newTNode(1, nil, nil), nil)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		lkRoot, _ := LLX(root)
-		child := lkRoot.Child(0)
-		lkChild, _ := LLX(child)
-		repl := newTNode(int64(i), nil, nil)
-		if !SCX([]Linked[tnode]{lkRoot, lkChild}, []*tnode{child}, &root.left, child, repl) {
-			b.Fatal("uncontended SCX failed")
-		}
+	g := epoch.Pin()
+	defer epoch.Unpin(g)
+	for _, ep := range []struct {
+		name string
+		scx  func(v *[MaxV]Linked[tnode], r *[MaxV]*tnode, fld *atomic.Pointer[tnode], old, new *tnode) bool
+	}{
+		{"SCXFixed", func(v *[MaxV]Linked[tnode], r *[MaxV]*tnode, fld *atomic.Pointer[tnode], old, new *tnode) bool {
+			return SCXFixed(v, 2, r, 1, fld, old, new)
+		}},
+		{"SCXP", func(v *[MaxV]Linked[tnode], r *[MaxV]*tnode, fld *atomic.Pointer[tnode], old, new *tnode) bool {
+			return SCXP(g, testPool, v, 2, r, 1, fld, old, new)
+		}},
+	} {
+		b.Run(ep.name, func(b *testing.B) {
+			root := newTNode(2, newTNode(1, nil, nil), nil)
+			var v [MaxV]Linked[tnode]
+			var r [MaxV]*tnode
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v[0], _ = LLX(root)
+				child := v[0].Child(0)
+				v[1], _ = LLX(child)
+				r[0] = child
+				if !ep.scx(&v, &r, &root.left, child, newTNode(int64(i), nil, nil)) {
+					b.Fatal("uncontended SCX failed")
+				}
+			}
+		})
 	}
 }

@@ -83,6 +83,10 @@ func WaitZero(_ PointID, v *atomic.Int64) {
 // branches that test it.
 func DropFreeze() bool { return false }
 
+// SkipValidate reports whether the skipped-validation mutation is armed.
+// Always false in the default build.
+func SkipValidate() bool { return false }
+
 // PrematureFree reports whether the premature-epoch-free mutation is armed.
 // Always false in the default build.
 func PrematureFree() bool { return false }

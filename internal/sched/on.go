@@ -18,11 +18,12 @@ const Enabled = true
 // Point: when no controller is running, a point is one atomic load.
 var active atomic.Int32
 
-// dropFreeze and prematureFree are the seeded protocol mutations used by
-// the checker self-tests. They are process-global: tests that arm them must
+// dropFreeze, skipValidate and prematureFree are the seeded protocol
+// mutations used by the checker self-tests. They are process-global: tests that arm them must
 // not run in parallel with other tests (Explore already serializes itself).
 var (
 	dropFreeze    atomic.Bool
+	skipValidate  atomic.Bool
 	prematureFree atomic.Bool
 )
 
@@ -34,6 +35,15 @@ func SetDropFreeze(on bool) { dropFreeze.Store(on) }
 
 // DropFreeze reports whether the dropped-freeze mutation is armed.
 func DropFreeze() bool { return dropFreeze.Load() }
+
+// SetSkipValidate arms or disarms the skipped-validation mutation: while
+// armed, a helper uses the fields it copied out of a reusable SCX descriptor
+// without re-checking that the descriptor still belongs to the SCX it set
+// out to help. The caller must disarm it before any other test runs.
+func SetSkipValidate(on bool) { skipValidate.Store(on) }
+
+// SkipValidate reports whether the skipped-validation mutation is armed.
+func SkipValidate() bool { return skipValidate.Load() }
 
 // SetPrematureFree arms or disarms the premature-free mutation: while
 // armed, epoch reclamation frees objects after one epoch advance instead of

@@ -3,11 +3,12 @@
 //
 // The protocol layers (internal/llxscx, internal/epoch, internal/vcell and
 // the trees' overwrite paths) call Point at the steps where interleaving
-// matters: before a freezing CAS, before marking, before the update CAS and
-// the commit store, inside a vcell publish bracket and before the publish
-// itself, and at epoch retire/advance boundaries. In the default build
-// these calls compile to empty inlined functions — the production binaries
-// and the ordinary test suites pay nothing for them. Building with
+// matters: before a helper reads a descriptor, before a freezing CAS, before
+// marking, before the update CAS and the commit CAS, inside a vcell publish
+// bracket and before the publish itself, and at epoch retire/advance
+// boundaries. In the default build these calls compile to empty inlined
+// functions — the production binaries and the ordinary test suites pay
+// nothing for them. Building with
 //
 //	go test -tags sched
 //
@@ -21,11 +22,12 @@
 // time can never deadlock the system: helping substitutes for the parked
 // goroutine.
 //
-// The same build tag arms the fault knobs (SetDropFreeze, SetPrematureFree)
-// that the self-tests use to seed protocol mutations — skipping the first
-// freezing CAS of an SCX, or freeing epoch-retired memory one epoch early —
-// and prove that the linearizability checker and the reclamation tests
-// actually catch them. The tag mirrors the existing noepoch/reclaimcheck
+// The same build tag arms the fault knobs (SetDropFreeze, SetSkipValidate,
+// SetPrematureFree) that the self-tests use to seed protocol mutations —
+// skipping the first freezing CAS of an SCX, trusting a reused descriptor's
+// fields without re-validating its sequence number, or freeing
+// epoch-retired memory one epoch early — and prove that the linearizability
+// checker and the reclamation tests actually catch them. The tag mirrors the existing noepoch/reclaimcheck
 // convention (see internal/epoch).
 package sched
 
@@ -41,14 +43,19 @@ const (
 	PointLLX PointID = iota
 	// PointSCXFreeze fires in help() immediately before each freezing CAS.
 	PointSCXFreeze
+	// PointSCXRead fires in help() between the load of a descriptor's status
+	// word and the reads of the fields that word is validated against
+	// afterwards: a helper parked here can resume on a descriptor whose
+	// owner has finished that SCX and started its next one.
+	PointSCXRead
 	// PointSCXMark fires in help() after all records are frozen, before the
 	// finalized records are marked.
 	PointSCXMark
 	// PointSCXUpdate fires in help() immediately before the update CAS on
 	// the mutable field.
 	PointSCXUpdate
-	// PointSCXCommit fires in help() immediately before the Committed state
-	// store.
+	// PointSCXCommit fires in help() immediately before the CAS that
+	// publishes the Committed state.
 	PointSCXCommit
 	// PointVCellPublish fires at the top of vcell.(*Cell).Swap, before the
 	// value is published.
@@ -97,6 +104,8 @@ func (p PointID) String() string {
 		return "llx"
 	case PointSCXFreeze:
 		return "scx-freeze"
+	case PointSCXRead:
+		return "scx-read"
 	case PointSCXMark:
 		return "scx-mark"
 	case PointSCXUpdate:

@@ -7,7 +7,8 @@ package repro
 // (internal/linearize): every interleaving of a bounded conflict window is
 // replayed under the cooperative controller, the recorded history of each
 // schedule is checked against the sequential specification, and the seeded
-// dropped-freeze protocol mutation is proven to be caught.
+// protocol mutations (a dropped freeze, a skipped descriptor validation) are
+// proven to be caught.
 //
 // The windows run on EBST: it is the plainest instantiation of the tree
 // update template (no rebalancing policy), so its point sequence is the
@@ -290,4 +291,127 @@ func TestDroppedFreezeMutationCaught(t *testing.T) {
 		}
 		t.Logf("mutation caught after %d schedules:\n%s", schedules, msg)
 	})
+}
+
+// TestStaleHelperWindow enumerates the window that descriptor reuse opens
+// and sequence validation closes. SCX descriptors are per epoch slot and
+// reused, so one goroutine's consecutive updates run on the same descriptor:
+// here delete(10) with V = {I40, I20, leaf10, leaf20} and then delete(40)
+// with V = {sentinel, I40, leaf20', leaf40} in the tree built by inserting
+// 20, 40, 10. The other worker's insert(30) meets delete(10)'s frozen
+// records and helps it; PointSCXRead parks that helper between its load of
+// the descriptor's status word and its reads of the descriptor's fields, and
+// in the schedules this test is about the owner meanwhile commits
+// delete(10) and fills the descriptor with delete(40). The helper's
+// re-validation of the sequence number must then discard what it read.
+//
+// With sched.SkipValidate armed it does not: under delete(10)'s tag and
+// all-frozen status the helper finalizes delete(40)'s records and performs
+// its pointer swing before delete(40) has frozen anything. The helper's own
+// insert(30) then lands at the sentinel, which delete(40) still has to
+// freeze; delete(40) aborts, retries, and finds its key already gone: an
+// acknowledged-absent delete of a key nobody else removed, which the checker
+// reports on key 40.
+func TestStaleHelperWindow(t *testing.T) {
+	// Parking at every freezing CAS would put this window out of exhaustive
+	// reach (helping replays the freeze loop), and only one of them matters:
+	// the first freezing CAS after the owner has started on its second
+	// operation, which is where delete(40) sits with its descriptor filled
+	// and nothing frozen. secondOp arms that one park; exactly one worker
+	// runs at a time, so the two flags are plain variables.
+	var secondOp, parkedAtFreeze bool
+	points := func(id sched.PointID) bool {
+		switch id {
+		case sched.PointSCXRead, sched.PointSCXCommit:
+			return true
+		case sched.PointSCXFreeze:
+			if secondOp && !parkedAtFreeze {
+				parkedAtFreeze = true
+				return true
+			}
+		}
+		return false
+	}
+	body := func(c *sched.Controller) error {
+		secondOp, parkedAtFreeze = false, false
+		rec := linearize.NewRecorder[int64, int64](ebst.NewOrdered[int64, int64]())
+		setup := rec.Proc()
+		for _, k := range []int64{20, 40, 10} { // order fixes the shape
+			setup.Insert(k, -k)
+		}
+		owner, helper := rec.Proc(), rec.Proc()
+		c.Go("delete-10-then-40", func() {
+			// The epoch layer picks a slot from the goroutine's stack
+			// address: two operations of the same kind, on a stack that has
+			// already grown, land on the same slot and so on the same
+			// descriptor. (The mutated run is the canary for this: if the
+			// descriptor were not reused it would find nothing.)
+			growStack(32)
+			owner.Delete(10)
+			secondOp = true
+			owner.Delete(40)
+		})
+		c.Go("insert-30", func() { helper.Insert(30, 3) })
+		if err := c.Run(); err != nil {
+			return err
+		}
+		// Checked key by key, 40 first: under the mutation the aborted
+		// delete(40) also recycles a node the helper made reachable, and a
+		// Get that walks into it would crash before the checker has spoken.
+		post := rec.Proc()
+		for _, k := range []int64{40, 30, 20, 10} {
+			post.Get(k)
+			if err := checkHistory(rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	t.Run("healthy-protocol", func(t *testing.T) {
+		const cap = 50000
+		schedules, violations := sched.Explore(sched.Options{
+			Points:       points,
+			MaxSchedules: cap,
+		}, body)
+		if len(violations) > 0 {
+			t.Fatalf("healthy protocol produced %d violations in %d schedules; first:\nschedule %v\n%v",
+				len(violations), schedules, violations[0].Schedule, violations[0].Err)
+		}
+		if schedules >= cap {
+			t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
+		}
+		t.Logf("%d schedules, all linearizable", schedules)
+	})
+
+	t.Run("mutated-protocol", func(t *testing.T) {
+		sched.SetSkipValidate(true)
+		defer sched.SetSkipValidate(false)
+		schedules, violations := sched.Explore(sched.Options{
+			Points:          points,
+			MaxSchedules:    50000,
+			StopOnViolation: true,
+		}, body)
+		if len(violations) == 0 {
+			t.Fatalf("skipped-validation mutation not caught in %d schedules: the checker has no teeth", schedules)
+		}
+		msg := violations[0].Err.Error()
+		if !strings.Contains(msg, "linearizability violation") || !strings.Contains(msg, "key 40") {
+			t.Fatalf("violation is not the lost delete of key 40:\n%s", msg)
+		}
+		t.Logf("mutation caught after %d schedules:\n%s", schedules, msg)
+	})
+}
+
+// growStack forces the calling goroutine's stack past anything the tree
+// operations need (n frames of 1 KiB), so that it does not move between them.
+//
+//go:noinline
+func growStack(n int) byte {
+	var pad [1024]byte
+	pad[n] = byte(n)
+	if n == 0 {
+		return pad[0]
+	}
+	return growStack(n-1) + pad[n]
 }
