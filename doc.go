@@ -38,20 +38,27 @@
 // evidence and are aliased by every copy of a leaf, so Insert-on-present is
 // one atomic publish plus a finalization re-check - zero allocations for the
 // int64 registry, on the trees and the skip-list/lock-AVL baselines alike.
+// The trees keep the cells outside their nodes: a node is one 64-byte cache
+// line (weight or decoration and the leaf/sentinel flags packed into the
+// four spare bytes of its llxscx.Record), a cell is 32 bytes from a per-tree
+// pool, and a cell counts the nodes aliasing it so that it returns to the
+// pool when the last of them has been freed.
 // Node reclamation is manual: internal/epoch implements quiescent-state-based
 // reclamation (every operation pins an epoch slot on entry; retired memory
 // is freed two epoch advances later, once no pinned operation can still
-// reach it), and the trees recycle their nodes through sync.Pool-backed
-// freelists layered on that grace period - the ABA-freedom the paper gets
+// reach it), and the trees recycle their nodes and value cells through
+// sync.Pool-backed freelists layered on that grace period - the ABA-freedom
+// the paper gets
 // from its Java runtime's garbage collector is re-derived for manual
 // reclamation and descriptor reuse in DESIGN.md. Steady-state updates
 // (delete + re-insert) run at zero allocations per operation; build with
 // -tags noepoch to fall back to GC reclamation, and -tags reclaimcheck to
-// poison recycled nodes with generation checks. BenchmarkAlloc,
+// poison recycled nodes and cells with generation checks. BenchmarkAlloc,
 // TestChromaticAllocBudget, TestChromaticChurnAllocBudget,
 // TestOverwriteAllocBudget and TestReclaimNoLeak (alloc_bench_test.go) pin
 // the resulting allocation profile in CI, and TestNoParkedDescriptors
-// (internal/chromatic) the footprint: a tree's live heap is its nodes.
+// (internal/chromatic) the footprint: a tree's live heap is two nodes and a
+// cell per key, 160 bytes for the int64 registry.
 //
 // The LLX/SCX trees additionally serve O(1) versioned snapshots
 // (dict.Snapshotter): every committed SCX stamps the subtree root it

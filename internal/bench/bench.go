@@ -270,10 +270,10 @@ func runTrial(cfg Config, trial int64) (int64, time.Duration, float64, int, *lat
 	if dr, ok := d.(interface{ DrainReclaim() int64 }); ok {
 		dr.DrainReclaim()
 		dr.DrainReclaim()
-		// What the drains cannot free — zombie owners whose counts can
-		// never drop now that the structure is garbage — would pin the dead
-		// structure as a GC root forever, and so would the SCX descriptors,
-		// which keep the arguments of each slot's last SCX. Everything
+		// What the drains leave behind (the last grace periods' retirees)
+		// would pin the dead structure as a GC root, and so would the SCX
+		// descriptors, which keep the arguments of each slot's last SCX.
+		// Everything
 		// retired through the layer in this process belongs to this trial's
 		// structure, so dropping the leftovers to the garbage collector
 		// (and scrubbing the descriptors, which DiscardAll also does) is

@@ -25,10 +25,12 @@
 // is obtained with WithAllowedViolations(6) or NewChromatic6.
 //
 // Every operation runs inside an epoch-reclamation pinned region
-// (internal/epoch), and each tree recycles its nodes through a sync.Pool,
-// exactly as the shared engine in internal/lbst does: a node removed by a
-// committed SCX is retired under the operation's guard and re-enters the pool
-// only after a grace period. SCX descriptors are not allocated: every SCX
+// (internal/epoch), and each tree recycles its nodes and value cells through
+// pools, exactly as the shared engine in internal/lbst does: a node removed
+// by a committed SCX is retired under the operation's guard and re-enters the
+// pool only after a grace period, and a cell when the last node aliasing it
+// has. A node is one 64-byte cache line for word-sized keys; the 32-byte
+// cells live outside the nodes. SCX descriptors are not allocated: every SCX
 // reuses the descriptor of the operation's epoch slot (internal/llxscx). The
 // safety argument is re-derived in DESIGN.md ("Epoch reclamation and the ABA
 // re-derivation"). Build with -tags noepoch to fall back to garbage-collected
@@ -53,38 +55,27 @@ import (
 // immutable, exactly as the tree update template requires. Updates that
 // need to change immutable data replace the node with a fresh copy.
 //
+// A node is one 64-byte cache line for word-sized keys, and everything a
+// search reads (flags and weight, key, children) comes first, so a descent
+// touches one line per level whatever the key type. The weight and the two
+// flags share the 32 bits llxscx.Record leaves to its node (see aux).
+//
 // A leaf's value is NOT immutable data: it lives in a vcell.Cell outside the
-// LLX snapshot evidence, so overwriting the value of a present key (the
-// paper's Insert2 case) is a single atomic publish instead of a full SCX. A
-// fresh leaf points val at its own embedded cell (keeping the common-case
-// value load on the leaf's cache lines); every copy of a leaf aliases the
-// original's cell (see copyWithWeight), which keeps a racing overwrite
-// visible through whichever copy wins. The cell pointer itself is immutable.
+// node and outside the LLX snapshot evidence, so overwriting the value of a
+// present key (the paper's Insert2 case) is a single atomic publish instead
+// of a full SCX. A fresh leaf draws its cell from the tree's cell pool; every
+// copy aliases the source's cell and holds one of its references (copyNode),
+// which keeps a racing overwrite visible through whichever copy wins.
 type node[K, V any] struct {
-	rec  llxscx.Record[node[K, V]]
-	k    K              // routing key (internal) or dictionary key (leaf); ignored if inf
-	val  *vcell.Cell[V] // value cell (leaves only; nil on internal/sentinel nodes)
-	cell vcell.Cell[V]  // a fresh leaf's own cell; unused on copies and non-leaves
-	w    int32          // weight: 0 = red, 1 = black, >1 = overweight
-	leaf bool           // true for leaves; leaves' child pointers are always nil
-	inf  bool           // true for sentinel nodes, whose key is +infinity
+	rec llxscx.Record[node[K, V]]
+	// gen counts how many times this node's memory has been recycled through
+	// the pool (zero-size unless -tags reclaimcheck).
+	gen epoch.Gen
+	k   K // routing key (internal) or dictionary key (leaf); ignored if inf
 
 	left, right atomic.Pointer[node[K, V]]
 
-	// owner points at the node whose embedded cell this node's val aliases:
-	// itself for a fresh value leaf, the original owner for copies
-	// (flattened, so chains of copies share one owner), nil for internal and
-	// sentinel nodes. Immutable after construction.
-	owner *node[K, V]
-	// crefs counts, on an owner node, the nodes whose val aliases its
-	// embedded cell (itself included); see the cell-owner protocol in
-	// internal/lbst, which this package follows verbatim.
-	crefs atomic.Int32
-	// gen counts how many times this node's memory has been recycled through
-	// the pool. Plain field: written only during recycle (after the grace
-	// period, which establishes a happens-before edge to every earlier
-	// reader) and read only under -tags reclaimcheck.
-	gen uint64
+	val *vcell.Cell[V] // value cell (leaves only; nil on internal/sentinel nodes)
 
 	// snapVer and prev are the versioned-snapshot bookkeeping, maintained by
 	// the tree's SCX commit hook exactly as on lbst.Node: snapVer is
@@ -95,6 +86,32 @@ type node[K, V any] struct {
 	snapVer atomic.Uint64
 	prev    atomic.Pointer[node[K, V]]
 }
+
+// The node's 32 bits of record data: the leaf and sentinel flags in the two
+// low bits, the weight (0 = red, 1 = black, >1 = overweight) in the 30 above
+// them, read back signed so that a weight that wrapped shows up negative in
+// CheckInvariants instead of as some small valid weight.
+const (
+	auxLeaf   = 1 << 0 // leaves' child pointers are always nil
+	auxInf    = 1 << 1 // sentinel nodes, whose key is +infinity
+	auxWShift = 2
+
+	maxWeight = 1<<(31-auxWShift) - 1
+)
+
+func aux(w int32, leaf, inf bool) uint32 {
+	a := uint32(w) << auxWShift
+	if leaf {
+		a |= auxLeaf
+	}
+	if inf {
+		a |= auxInf
+	}
+	return a
+}
+
+// w returns the node's weight.
+func (n *node[K, V]) w() int32 { return int32(n.rec.Aux()) >> auxWShift }
 
 // verPending marks a node whose installing update has not been stamped with
 // a commit tick; it compares greater than every capture version.
@@ -129,58 +146,17 @@ func (n *node[K, V]) Key() K { return n.k }
 func (n *node[K, V]) Value() V { return n.val.Load() }
 
 // IsLeaf implements lbst.View.
-func (n *node[K, V]) IsLeaf() bool { return n.leaf }
+func (n *node[K, V]) IsLeaf() bool { return n.rec.Aux()&auxLeaf != 0 }
 
 // IsSentinel implements lbst.View.
-func (n *node[K, V]) IsSentinel() bool { return n.inf }
+func (n *node[K, V]) IsSentinel() bool { return n.rec.Aux()&auxInf != 0 }
 
-// Gen returns the node's reclamation generation counter, bumped every time
-// the node's memory is recycled through the pool. It only changes under
-// -tags reclaimcheck, where the shared query helpers use it to assert that
-// no node is recycled while a pinned reader can still reach it.
-func (n *node[K, V]) Gen() uint64 { return n.gen }
-
-func newLeaf[K, V any](k K, v V, w int32) *node[K, V] {
-	n := &node[K, V]{k: k, w: w, leaf: true}
-	n.cell.Init(vcell.Unboxed[V](), v)
-	n.val = &n.cell
-	n.owner = n
-	n.crefs.Store(1)
-	return n
-}
-
-func newSentinelLeaf[K, V any]() *node[K, V] {
-	return &node[K, V]{w: 1, leaf: true, inf: true}
-}
-
-func newInternal[K, V any](k K, w int32, inf bool, left, right *node[K, V]) *node[K, V] {
-	n := &node[K, V]{k: k, w: w, inf: inf}
-	n.left.Store(left)
-	n.right.Store(right)
-	return n
-}
-
-// copyWithWeight returns a fresh copy of the node captured by lk, with the
-// given weight and with the children recorded in lk's snapshot. The copy
-// ALIASES the source's value cell rather than capturing the value, so an
-// in-place overwrite racing with the copying SCX stays visible through the
-// copy whichever commits first (see Insert's overwrite protocol). The copy
-// takes a reference on the cell's owner, so the cell outlives every aliasing
-// node under pooled reclamation.
-func copyWithWeight[K, V any](lk llxscx.Linked[node[K, V]], w int32) *node[K, V] {
-	src := lk.Node()
-	n := &node[K, V]{k: src.k, val: src.val, w: w, leaf: src.leaf, inf: src.inf}
-	n.left.Store(lk.Child(0))
-	n.right.Store(lk.Child(1))
-	if own := src.owner; own != nil {
-		// Safe to increment: src holds a reference on own and src is
-		// protected by the caller's pinned region, so the count cannot
-		// reach zero concurrently.
-		n.owner = own
-		own.crefs.Add(1)
-	}
-	return n
-}
+// Gen returns the reclamation generation of the node and, for a leaf, of its
+// value cell: each is bumped when its memory is recycled through a pool, so
+// the sum changes when either is. It only changes under -tags reclaimcheck,
+// where the shared query helpers use it to assert that neither is recycled
+// while a pinned reader can still reach it.
+func (n *node[K, V]) Gen() uint64 { return n.gen.Load() + n.val.Gen() }
 
 // Stats counts the number of successful updates of each kind performed on a
 // tree. It is intended for tests and experiments; counts are monotone and
@@ -210,6 +186,10 @@ func (s *Stats) RebalanceTotal() int64 {
 // number of goroutines. The zero value is not usable; call New, NewOrdered
 // or NewLess.
 type Tree[K, V any] struct {
+	// Two groups, a full cache line apart wherever the allocator puts the
+	// header: every operation reads the first, every commit writes the second
+	// (gver, fastWriters, stats) and must not invalidate the first with it.
+
 	// entry is the sentinel entry point (Figure 10 of the paper). It is
 	// never removed. entry.left is the root of the structure: a sentinel
 	// leaf when the dictionary is empty, or a sentinel internal node whose
@@ -232,10 +212,6 @@ type Tree[K, V any] struct {
 	// node.
 	searchFn func(t *Tree[K, V], key K) (gp, p, l *node[K, V], violations int)
 
-	// unboxed is vcell.Unboxed[V](), computed once so every pooled leaf
-	// initializes its cell without re-deriving the representation.
-	unboxed bool
-
 	// nodePool recycles this tree's nodes; nodes enter it only through the
 	// epoch layer's grace period (or releaseFresh, for nodes that were
 	// never published). Per-tree, because the pool is generic over K and V.
@@ -244,12 +220,17 @@ type Tree[K, V any] struct {
 	// process, and an embedded pool would pin the whole Tree — root and all
 	// its nodes — as a GC root long after the tree is dropped.
 	nodePool *sync.Pool
+	// cells recycles the leaves' value cells: a cell returns to it when the
+	// last node aliasing it has been freed (see freeNode).
+	cells *vcell.Pool[V]
 	// descPool carries the commit hooks set in NewLess into every SCX on
 	// this tree (see llxscx.Pool); the descriptors belong to the epoch slots.
 	descPool *llxscx.Pool[node[K, V]]
 	// freeNodeFn is the epoch callback for retired nodes, built once at
 	// construction so retireNode never allocates a closure.
 	freeNodeFn epoch.Func
+
+	_ [64]byte
 
 	// gver, snapLive, fastWriters and the root forest mirror the
 	// versioned-snapshot state of lbst.Tree; see internal/lbst/snapshot.go.
@@ -290,16 +271,16 @@ func NewLess[K, V any](less func(a, b K) bool, opts ...Option) *Tree[K, V] {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var sentinelKey K
 	t := &Tree[K, V]{
-		entry:    newInternal(sentinelKey, 1, true, newSentinelLeaf[K, V](), nil),
 		less:     less,
 		allowed:  cfg.allowed,
 		searchFn: searchLess[K, V],
-		unboxed:  vcell.Unboxed[V](),
+		nodePool: &sync.Pool{New: func() any { return new(node[K, V]) }},
+		cells:    vcell.NewPool[V](),
 		descPool: llxscx.NewPool[node[K, V]](),
 	}
-	t.nodePool = &sync.Pool{New: func() any { return new(node[K, V]) }}
+	var sentinelKey K
+	t.entry = t.internalNode(sentinelKey, 1, true, t.newNode(sentinelKey, aux(1, true, true)), nil)
 	t.freeNodeFn = func(g *epoch.Guard, obj any) bool {
 		t.freeNode(obj.(*node[K, V]))
 		return true
@@ -402,69 +383,62 @@ func itoa(v int) string {
 // here a second time because the chromatic tree keeps its own hand-unrolled
 // node type, exactly as the paper keeps its pseudocode concrete.
 
-// leafNode returns a leaf holding key and value, drawn from the tree's node
-// pool (a fresh allocation under -tags noepoch). The leaf owns its embedded
-// value cell.
-func (t *Tree[K, V]) leafNode(k K, v V, w int32) *node[K, V] {
+// newNode returns a node with the given key, weight and flags and nothing
+// else set, drawn from the tree's node pool (a fresh allocation under -tags
+// noepoch, where the commit hook must find nothing to stamp).
+func (t *Tree[K, V]) newNode(k K, a uint32) *node[K, V] {
 	if !epoch.Enabled {
-		return newLeaf[K, V](k, v, w)
+		n := &node[K, V]{k: k}
+		n.rec.SetAux(a)
+		return n
 	}
 	n := t.nodePool.Get().(*node[K, V])
 	n.k = k
-	n.w = w
-	n.leaf = true
-	n.cell.Init(t.unboxed, v)
-	n.val = &n.cell
-	n.owner = n
-	n.crefs.Store(1)
+	n.rec.SetAux(a)
 	n.snapVer.Store(verPending)
 	return n
 }
 
-// internalNode returns an internal node drawn from the tree's node pool (a
-// fresh allocation under -tags noepoch).
+// leafNode returns a leaf holding key and value, with a cell of its own from
+// the tree's cell pool.
+func (t *Tree[K, V]) leafNode(k K, v V, w int32) *node[K, V] {
+	n := t.newNode(k, aux(w, true, false))
+	n.val = t.cells.Get(v)
+	return n
+}
+
+// internalNode returns an internal node with the given children.
 func (t *Tree[K, V]) internalNode(k K, w int32, inf bool, left, right *node[K, V]) *node[K, V] {
-	if !epoch.Enabled {
-		return newInternal(k, w, inf, left, right)
-	}
-	n := t.nodePool.Get().(*node[K, V])
-	n.k = k
-	n.w = w
-	n.inf = inf
+	n := t.newNode(k, aux(w, false, inf))
 	n.left.Store(left)
 	n.right.Store(right)
-	n.snapVer.Store(verPending)
 	return n
 }
 
-// copyNode is copyWithWeight drawing the copy from the tree's node pool (a
-// fresh allocation under -tags noepoch). Like it, the copy aliases the
-// source's value cell and takes a reference on the cell's owner.
+// copyNode returns a fresh copy of the node captured by lk, with the given
+// weight and with the children recorded in lk's snapshot. The copy ALIASES
+// the source's value cell rather than capturing the value, so an in-place
+// overwrite racing with the copying SCX stays visible through the copy
+// whichever commits first (see Insert's overwrite protocol), and takes a
+// reference on the cell: the caller is pinned and reached the source in the
+// tree, so the source cannot have been freed and still holds its own.
 func (t *Tree[K, V]) copyNode(lk llxscx.Linked[node[K, V]], w int32) *node[K, V] {
-	if !epoch.Enabled {
-		return copyWithWeight(lk, w)
-	}
 	src := lk.Node()
-	n := t.nodePool.Get().(*node[K, V])
-	n.k = src.k
-	n.val = src.val
-	n.w = w
-	n.leaf = src.leaf
-	n.inf = src.inf
-	n.left.Store(lk.Child(0))
-	n.right.Store(lk.Child(1))
-	if own := src.owner; own != nil {
-		n.owner = own
-		own.crefs.Add(1)
+	n := t.newNode(src.k, aux(w, src.IsLeaf(), src.IsSentinel()))
+	if !src.IsLeaf() {
+		n.left.Store(lk.Child(0))
+		n.right.Store(lk.Child(1))
+	} else if c := src.val; c != nil {
+		c.Retain()
+		n.val = c
 	}
-	n.snapVer.Store(verPending)
 	return n
 }
 
 // internalLike creates a fresh internal node carrying src's routing key and
 // sentinel flag, with the given weight and children.
 func (t *Tree[K, V]) internalLike(src *node[K, V], w int32, left, right *node[K, V]) *node[K, V] {
-	return t.internalNode(src.k, w, src.inf, left, right)
+	return t.internalNode(src.k, w, src.IsSentinel(), left, right)
 }
 
 // retireNode hands a node that a committed SCX removed from the tree to the
@@ -503,52 +477,21 @@ func (t *Tree[K, V]) scx(g *epoch.Guard, v *[llxscx.MaxV]llxscx.Linked[node[K, V
 }
 
 // freeNode runs after a retired node's grace period (or immediately, for a
-// never-published fresh node): no operation can reach n anymore, so its
-// memory may be recycled - except that an owner node whose embedded cell is
-// still aliased by live copies must park until the last copy is freed.
+// never-published fresh node): it drops the node's reference on its value
+// cell, clears the node with plain stores and returns it to the pool, as
+// lbst.Tree's freeNode does (the argument is there).
 func (t *Tree[K, V]) freeNode(n *node[K, V]) {
-	own := n.owner
-	switch {
-	case own == nil:
-		// Internal or sentinel node: no cell bookkeeping.
-		t.recycle(n)
-	case own != n:
-		// A copy: its embedded cell was never used; drop its reference on
-		// the owner, and recycle the owner too if this was the last alias
-		// (the owner was freed earlier and parked as a zombie).
-		t.recycle(n)
-		if own.crefs.Add(-1) == 0 {
-			t.recycle(own)
-		}
-	default:
-		// The owner itself: recycle only if no copy aliases its cell;
-		// otherwise park - the last copy's free recycles it via own above.
-		if n.crefs.Add(-1) == 0 {
-			t.recycle(n)
-		}
+	if c := n.val; c != nil {
+		t.cells.Release(c)
+		n.val = nil
 	}
-}
-
-// recycle resets a node whose memory is provably unreachable and returns it
-// to the pool.
-func (t *Tree[K, V]) recycle(n *node[K, V]) {
 	llxscx.ReleaseRecord(&n.rec)
-	n.left.Store(nil)
-	n.right.Store(nil)
-	n.val = nil
-	n.owner = nil
-	n.crefs.Store(0)
-	n.snapVer.Store(0)
-	n.prev.Store(nil)
-	n.cell.Reset()
 	var zeroK K
 	n.k = zeroK
-	n.w = 0
-	n.leaf = false
-	n.inf = false
-	if epoch.PoisonCheck {
-		n.gen++
-	}
+	n.left = atomic.Pointer[node[K, V]]{}
+	n.right = atomic.Pointer[node[K, V]]{}
+	n.prev = atomic.Pointer[node[K, V]]{}
+	n.gen.Bump()
 	t.nodePool.Put(n)
 }
 
@@ -564,13 +507,13 @@ func (t *Tree[K, V]) DrainReclaim() int64 {
 // keyLess reports whether key is strictly smaller than n's key, treating
 // sentinel nodes as holding +infinity.
 func (t *Tree[K, V]) keyLess(key K, n *node[K, V]) bool {
-	return n.inf || t.less(key, n.k)
+	return n.IsSentinel() || t.less(key, n.k)
 }
 
 // isKey reports whether the leaf l holds exactly key (two comparator calls,
 // since keys are equal exactly when neither orders before the other).
 func (t *Tree[K, V]) isKey(key K, l *node[K, V]) bool {
-	return !l.inf && !t.less(key, l.k) && !t.less(l.k, key)
+	return !l.IsSentinel() && !t.less(key, l.k) && !t.less(l.k, key)
 }
 
 // search performs an ordinary BST search for key using plain reads of child
@@ -582,23 +525,26 @@ func (t *Tree[K, V]) search(key K) (gp, p, l *node[K, V], violations int) {
 	return t.searchFn(t, key)
 }
 
+// The search loops read each node's packed weight and flags once (la, with
+// the parent's in pa) and decide everything about the node from that word.
+
 // searchLess is the comparator-based search loop installed by NewLess.
 func searchLess[K, V any](t *Tree[K, V], key K) (gp, p, l *node[K, V], violations int) {
-	gp = nil
 	p = t.entry
-	l = t.entry.left.Load()
-	if violationAt(p, l) {
+	l = p.left.Load()
+	pa, la := p.rec.Aux(), l.rec.Aux()
+	if violationIn(pa, la) {
 		violations++
 	}
-	for !l.leaf {
-		gp = p
-		p = l
-		if t.keyLess(key, l) {
+	for la&auxLeaf == 0 {
+		gp, p = p, l
+		if la&auxInf != 0 || t.less(key, l.k) {
 			l = l.left.Load()
 		} else {
 			l = l.right.Load()
 		}
-		if violationAt(p, l) {
+		pa, la = la, l.rec.Aux()
+		if violationIn(pa, la) {
 			violations++
 		}
 	}
@@ -609,21 +555,21 @@ func searchLess[K, V any](t *Tree[K, V], key K) (gp, p, l *node[K, V], violation
 // identical to searchLess, but the per-node comparison is the native `<` of
 // a cmp.Ordered key type instead of an indirect call through t.less.
 func searchOrdered[K cmp.Ordered, V any](t *Tree[K, V], key K) (gp, p, l *node[K, V], violations int) {
-	gp = nil
 	p = t.entry
-	l = t.entry.left.Load()
-	if violationAt(p, l) {
+	l = p.left.Load()
+	pa, la := p.rec.Aux(), l.rec.Aux()
+	if violationIn(pa, la) {
 		violations++
 	}
-	for !l.leaf {
-		gp = p
-		p = l
-		if l.inf || key < l.k {
+	for la&auxLeaf == 0 {
+		gp, p = p, l
+		if la&auxInf != 0 || key < l.k {
 			l = l.left.Load()
 		} else {
 			l = l.right.Load()
 		}
-		if violationAt(p, l) {
+		pa, la = la, l.rec.Aux()
+		if violationIn(pa, la) {
 			violations++
 		}
 	}
@@ -637,21 +583,21 @@ func searchOrdered[K cmp.Ordered, V any](t *Tree[K, V], key K) (gp, p, l *node[K
 // installs it via the type assertion above, which succeeds exactly when K is
 // string.
 func searchString[V any](t *Tree[string, V], key string) (gp, p, l *node[string, V], violations int) {
-	gp = nil
 	p = t.entry
-	l = t.entry.left.Load()
-	if violationAt(p, l) {
+	l = p.left.Load()
+	pa, la := p.rec.Aux(), l.rec.Aux()
+	if violationIn(pa, la) {
 		violations++
 	}
-	for !l.leaf {
-		gp = p
-		p = l
-		if l.inf || key < l.k {
+	for la&auxLeaf == 0 {
+		gp, p = p, l
+		if la&auxInf != 0 || key < l.k {
 			l = l.left.Load()
 		} else {
 			l = l.right.Load()
 		}
-		if violationAt(p, l) {
+		pa, la = la, l.rec.Aux()
+		if violationIn(pa, la) {
 			violations++
 		}
 	}
@@ -661,13 +607,14 @@ func searchString[V any](t *Tree[string, V], key string) (gp, p, l *node[string,
 // violationAt reports whether a violation (overweight or red-red) occurs at
 // child given its parent.
 func violationAt[K, V any](parent, child *node[K, V]) bool {
-	if child == nil {
-		return false
-	}
-	if child.w > 1 {
-		return true
-	}
-	return parent != nil && parent.w == 0 && child.w == 0
+	return violationIn(parent.rec.Aux(), child.rec.Aux())
+}
+
+// violationIn is violationAt on the two nodes' packed words: the weight sits
+// above the flag bits, so a word is below 1<<auxWShift exactly when the
+// weight is zero (red) and reaches 2<<auxWShift exactly when it exceeds one.
+func violationIn(parent, child uint32) bool {
+	return child >= 2<<auxWShift || parent|child < 1<<auxWShift
 }
 
 // Get returns the value associated with key, or the zero value and false if
@@ -679,11 +626,11 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 	if t.isKey(key, l) {
 		var g0 uint64
 		if epoch.PoisonCheck {
-			g0 = l.gen
+			g0 = l.Gen()
 		}
 		v := l.val.Load()
-		if epoch.PoisonCheck && l.gen != g0 {
-			panic("chromatic: node recycled under a pinned reader (reclaimcheck)")
+		if epoch.PoisonCheck && l.Gen() != g0 {
+			panic("chromatic: leaf or value cell recycled under a pinned reader (reclaimcheck)")
 		}
 		epoch.Unpin(g)
 		return v, true
@@ -726,10 +673,11 @@ type updateResult[V any] struct {
 // saw the leaf un-finalized is totally ordered before the finalizer's load
 // and cannot be missed - and no publish can land after it. See the full
 // protocol argument in internal/lbst (Insert's comment); this engine
-// mirrors it exactly. Copies alias the leaf's cell (copyWithWeight,
-// tryInsert's overweight-leaf copy) and the bracket lives on the cell, so
-// both the published value and the bracket follow the cell through every
-// copy - a racing copy can never lose either.
+// mirrors it exactly. Copies alias the leaf's cell (copyNode: the
+// rebalancing steps, tryDelete's promoted sibling, tryInsert's
+// overweight-leaf copy) and the bracket lives on the cell, so both the
+// published value and the bracket follow the cell through every copy - a
+// racing copy can never lose either.
 //
 // Under pooled reclamation the whole operation runs inside ONE pinned
 // region, so no leaf the operation reaches can be recycled (and its cell
@@ -938,18 +886,18 @@ func (t *Tree[K, V]) tryInsert(g *epoch.Guard, p, l *node[K, V], key K, value V)
 	var repl *node[K, V]
 	nr := 1
 	var newWeight int32 = 1
-	if !l.inf && !p.inf {
-		newWeight = l.w - 1
+	if !l.IsSentinel() && !p.IsSentinel() {
+		newWeight = l.w() - 1
 	}
 	newKeyLeaf := t.leafNode(key, value, 1)
 	oldLeaf := l
-	if l.w != 1 {
+	if l.w() != 1 {
 		oldLeaf = t.copyNode(lkL, 1)
 	} else {
 		nr = 0
 	}
 	if t.keyLess(key, l) {
-		repl = t.internalNode(l.k, newWeight, l.inf, newKeyLeaf, oldLeaf)
+		repl = t.internalNode(l.k, newWeight, l.IsSentinel(), newKeyLeaf, oldLeaf)
 	} else {
 		repl = t.internalNode(key, newWeight, false, oldLeaf, newKeyLeaf)
 	}
@@ -965,7 +913,7 @@ func (t *Tree[K, V]) tryInsert(g *epoch.Guard, p, l *node[K, V], key K, value V)
 		return updateResult[V]{}, false
 	}
 	t.stats.Insert1.Add(1)
-	res.createdViolation = repl.w == 0 && p.w == 0
+	res.createdViolation = repl.w() == 0 && p.w() == 0
 	return res, true
 }
 
@@ -995,7 +943,7 @@ func (t *Tree[K, V]) tryReplace(g *epoch.Guard, key K, value V, p, l *node[K, V]
 	if st != llxscx.Snapshot {
 		return zero, false
 	}
-	repl := t.leafNode(key, value, l.w)
+	repl := t.leafNode(key, value, l.w())
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkP, lkL}
 	r := [llxscx.MaxV]*node[K, V]{l}
 	if !t.scx(g, &v, 2, &r, 1, fld, l, repl) {
@@ -1076,10 +1024,10 @@ func (t *Tree[K, V]) tryDelete(g *epoch.Guard, gp, p, l *node[K, V], key K) (upd
 	// would let that CAS resurrect a finalized subtree). Reuse is only safe
 	// for nodes that become children of fresh nodes, as in tryInsert.
 	var newWeight int32
-	if p.inf || gp.inf {
+	if p.IsSentinel() || gp.IsSentinel() {
 		newWeight = 1
 	} else {
-		newWeight = p.w + s.w
+		newWeight = p.w() + s.w()
 	}
 	repl := t.copyNode(lkS, newWeight)
 
@@ -1140,7 +1088,7 @@ func (t *Tree[K, V]) cleanup(g *epoch.Guard, key K) {
 				t.tryRebalance(g, ggp, gp, p, l)
 				break // restart the search from the entry point
 			}
-			if l.leaf {
+			if l.IsLeaf() {
 				return
 			}
 			ggp, gp, p = gp, p, l

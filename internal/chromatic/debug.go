@@ -15,11 +15,11 @@ func (t *Tree[K, V]) DebugPath(key K) string {
 	depth := 0
 	for n != nil {
 		k := "inf"
-		if !n.inf {
+		if !n.IsSentinel() {
 			k = fmt.Sprintf("%v", n.k)
 		}
-		fmt.Fprintf(&b, "depth=%d key=%s w=%d leaf=%v finalized=%v\n", depth, k, n.w, n.leaf, n.rec.Marked())
-		if n.leaf {
+		fmt.Fprintf(&b, "depth=%d key=%s w=%d leaf=%v finalized=%v\n", depth, k, n.w(), n.IsLeaf(), n.rec.Marked())
+		if n.IsLeaf() {
 			break
 		}
 		if t.keyLess(key, n) {

@@ -20,7 +20,7 @@ import (
 func (t *Tree[K, V]) Size() int {
 	size := 0
 	t.visitLeaves(t.entry.left.Load(), func(n *node[K, V]) {
-		if !n.inf {
+		if !n.IsSentinel() {
 			size++
 		}
 	})
@@ -31,7 +31,7 @@ func (t *Tree[K, V]) Size() int {
 func (t *Tree[K, V]) Keys() []K {
 	var keys []K
 	t.visitLeaves(t.entry.left.Load(), func(n *node[K, V]) {
-		if !n.inf {
+		if !n.IsSentinel() {
 			keys = append(keys, n.k)
 		}
 	})
@@ -67,7 +67,7 @@ func (t *Tree[K, V]) CountViolations() int {
 // grandchild of the entry node), or nil when the dictionary is empty.
 func (t *Tree[K, V]) chromaticRoot() *node[K, V] {
 	top := t.entry.left.Load()
-	if top == nil || top.leaf {
+	if top == nil || top.IsLeaf() {
 		return nil
 	}
 	return top.left.Load()
@@ -77,7 +77,7 @@ func (t *Tree[K, V]) visitLeaves(n *node[K, V], fn func(*node[K, V])) {
 	if n == nil {
 		return
 	}
-	if n.leaf {
+	if n.IsLeaf() {
 		fn(n)
 		return
 	}
@@ -89,7 +89,7 @@ func height[K, V any](n *node[K, V]) int {
 	if n == nil {
 		return 0
 	}
-	if n.leaf {
+	if n.IsLeaf() {
 		return 1
 	}
 	l, r := height(n.left.Load()), height(n.right.Load())
@@ -104,13 +104,13 @@ func countViolations[K, V any](parent, n *node[K, V]) int {
 		return 0
 	}
 	c := 0
-	if n.w > 1 {
-		c += int(n.w) - 1
+	if n.w() > 1 {
+		c += int(n.w()) - 1
 	}
-	if parent != nil && parent.w == 0 && n.w == 0 {
+	if parent != nil && parent.w() == 0 && n.w() == 0 {
 		c++
 	}
-	if !n.leaf {
+	if !n.IsLeaf() {
 		c += countViolations(n, n.left.Load())
 		c += countViolations(n, n.right.Load())
 	}
@@ -121,7 +121,12 @@ func countViolations[K, V any](parent, n *node[K, V]) int {
 //
 //   - the sentinel structure at the top of the tree is intact;
 //   - every internal node has exactly two children and every leaf none;
-//   - leaves have weight at least one and nodes never have negative weight;
+//   - leaves have weight at least one and nodes never have negative weight.
+//     Weights are packed into 30 bits beside the leaf and sentinel flags
+//     (see aux) and read back signed, so this is also the check that every
+//     weight is representable: one that outgrew the field reads back
+//     negative, with the flags - which the two conditions above check against
+//     the node's shape - untouched;
 //   - keys satisfy the leaf-oriented BST order under the tree's comparator
 //     (left subtree strictly smaller than the routing key, right subtree
 //     greater or equal);
@@ -136,25 +141,25 @@ func (t *Tree[K, V]) CheckInvariants() error {
 	if top == nil {
 		return errors.New("entry has no left child")
 	}
-	if !top.inf || top.w != 1 {
-		return fmt.Errorf("node below entry is not a weight-1 sentinel (inf=%v w=%d)", top.inf, top.w)
+	if !top.IsSentinel() || top.w() != 1 {
+		return fmt.Errorf("node below entry is not a weight-1 sentinel (inf=%v w=%d)", top.IsSentinel(), top.w())
 	}
 	if t.entry.rec.Marked() || top.rec.Marked() {
 		return errors.New("a sentinel node is finalized")
 	}
-	if top.leaf {
+	if top.IsLeaf() {
 		return nil // empty dictionary: Figure 10(a)
 	}
 	right := top.right.Load()
-	if right == nil || !right.leaf || !right.inf {
+	if right == nil || !right.IsLeaf() || !right.IsSentinel() {
 		return errors.New("right child of the sentinel internal node is not the sentinel leaf")
 	}
 	root := top.left.Load()
 	if root == nil {
 		return errors.New("sentinel internal node has no left child")
 	}
-	if root.w != 1 {
-		return fmt.Errorf("chromatic root has weight %d, want 1", root.w)
+	if root.w() != 1 {
+		return fmt.Errorf("chromatic root has weight %d, want 1", root.w())
 	}
 	type bound struct {
 		lo, hi K
@@ -169,17 +174,17 @@ func (t *Tree[K, V]) CheckInvariants() error {
 		if n.rec.Marked() {
 			return 0, fmt.Errorf("reachable node with key %v is finalized", n.k)
 		}
-		if n.w < 0 {
-			return 0, fmt.Errorf("node %v has negative weight %d", n.k, n.w)
+		if n.w() < 0 {
+			return 0, fmt.Errorf("node %v has negative weight %d (a weight above %d wraps the packed field)", n.k, n.w(), maxWeight)
 		}
-		if n.leaf {
+		if n.IsLeaf() {
 			if n.left.Load() != nil || n.right.Load() != nil {
 				return 0, fmt.Errorf("leaf %v has children", n.k)
 			}
-			if n.w < 1 {
-				return 0, fmt.Errorf("leaf %v has weight %d, want >= 1", n.k, n.w)
+			if n.w() < 1 {
+				return 0, fmt.Errorf("leaf %v has weight %d, want >= 1", n.k, n.w())
 			}
-			if !n.inf {
+			if !n.IsSentinel() {
 				if b.hasLo && t.less(n.k, b.lo) {
 					return 0, fmt.Errorf("leaf key %v below lower bound %v", n.k, b.lo)
 				}
@@ -187,9 +192,9 @@ func (t *Tree[K, V]) CheckInvariants() error {
 					return 0, fmt.Errorf("leaf key %v not below upper bound %v", n.k, b.hi)
 				}
 			}
-			return n.w, nil
+			return n.w(), nil
 		}
-		if n.inf {
+		if n.IsSentinel() {
 			return 0, fmt.Errorf("sentinel internal node with key infinity found inside the chromatic tree")
 		}
 		if b.hasLo && t.less(n.k, b.lo) {
@@ -213,7 +218,7 @@ func (t *Tree[K, V]) CheckInvariants() error {
 		if lw != rw {
 			return 0, fmt.Errorf("unequal weighted path lengths below key %v: left %d, right %d", n.k, lw, rw)
 		}
-		return lw + n.w, nil
+		return lw + n.w(), nil
 	}
 	_, err := walk(top, root, bound{})
 	return err
@@ -237,13 +242,13 @@ func (t *Tree[K, V]) CheckRedBlack() error {
 		if n == nil {
 			return nil
 		}
-		if n.w > 1 {
-			return fmt.Errorf("node %v is overweight (w=%d)", n.k, n.w)
+		if n.w() > 1 {
+			return fmt.Errorf("node %v is overweight (w=%d)", n.k, n.w())
 		}
-		if parent != nil && parent.w == 0 && n.w == 0 {
+		if parent != nil && parent.w() == 0 && n.w() == 0 {
 			return fmt.Errorf("red-red violation at node %v", n.k)
 		}
-		if n.leaf {
+		if n.IsLeaf() {
 			return nil
 		}
 		if err := walk(n, n.left.Load()); err != nil {

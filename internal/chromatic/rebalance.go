@@ -47,7 +47,7 @@ func fieldFor[K, V any](lkU llxscx.Linked[node[K, V]], child *node[K, V]) *atomi
 // root is safe because the root lies on every path, so weighted path lengths
 // remain equal.
 func replacementWeight[K, V any](u *node[K, V], w int32) int32 {
-	if u.inf {
+	if u.IsSentinel() {
 		return 1
 	}
 	if w < 0 {
@@ -98,7 +98,7 @@ func (t *Tree[K, V]) tryRebalanceOnce(g *epoch.Guard, ggp, gp, p, l *node[K, V])
 	}
 	rxxl, rxxr := lkRxx.Child(0), lkRxx.Child(1)
 
-	if l.w > 1 {
+	if l.w() > 1 {
 		// Overweight violation at l.
 		switch l {
 		case rxxl:
@@ -118,10 +118,10 @@ func (t *Tree[K, V]) tryRebalanceOnce(g *epoch.Guard, ggp, gp, p, l *node[K, V])
 		}
 	}
 
-	// Red-red violation at l (l.w == 0 and rxx.w == 0).
+	// Red-red violation at l (l.w() == 0 and rxx.w() == 0).
 	if rxx == rxl {
 		// The red parent is a left child.
-		if rxr != nil && rxr.w == 0 {
+		if rxr != nil && rxr.w() == 0 {
 			lkRxr, st := llxscx.LLX(rxr)
 			if st != llxscx.Snapshot {
 				return false
@@ -142,7 +142,7 @@ func (t *Tree[K, V]) tryRebalanceOnce(g *epoch.Guard, ggp, gp, p, l *node[K, V])
 		}
 	}
 	// The red parent is a right child.
-	if rxl != nil && rxl.w == 0 {
+	if rxl != nil && rxl.w() == 0 {
 		lkRxl, st := llxscx.LLX(rxl)
 		if st != llxscx.Snapshot {
 			return false
@@ -174,13 +174,13 @@ func (t *Tree[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl llx
 		return false
 	}
 	switch {
-	case rxxr.w == 0:
-		if rxx.w == 0 {
+	case rxxr.w() == 0:
+		if rxx.w() == 0 {
 			if rxx == rxl {
 				if rxr == nil {
 					return false
 				}
-				if rxr.w == 0 {
+				if rxr.w() == 0 {
 					lkRxr, st := llxscx.LLX(rxr)
 					if st != llxscx.Snapshot {
 						return false
@@ -197,7 +197,7 @@ func (t *Tree[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl llx
 			if rxl == nil {
 				return false
 			}
-			if rxl.w == 0 {
+			if rxl.w() == 0 {
 				lkRxl, st := llxscx.LLX(rxl)
 				if st != llxscx.Snapshot {
 					return false
@@ -206,7 +206,7 @@ func (t *Tree[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl llx
 			}
 			return t.doRB1s(g, lkR, lkRx, lkRxx)
 		}
-		// rxx.w > 0
+		// rxx.w() > 0
 		lkRxxr, st := llxscx.LLX(rxxr)
 		if st != llxscx.Snapshot {
 			return false
@@ -220,17 +220,17 @@ func (t *Tree[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl llx
 			return false
 		}
 		switch {
-		case rxxrl.w > 1:
+		case rxxrl.w() > 1:
 			return t.doW1(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxrl)
-		case rxxrl.w == 0:
+		case rxxrl.w() == 0:
 			return t.doRB2s(g, lkRx, lkRxx, lkRxxr, lkRxxrl)
-		default: // rxxrl.w == 1
+		default: // rxxrl.w() == 1
 			rxxrll, rxxrlr := lkRxxrl.Child(0), lkRxxrl.Child(1)
 			if rxxrlr == nil {
 				// A node we performed LLX on was modified concurrently.
 				return false
 			}
-			if rxxrlr.w == 0 {
+			if rxxrlr.w() == 0 {
 				lkRxxrlr, st := llxscx.LLX(rxxrlr)
 				if st != llxscx.Snapshot {
 					return false
@@ -240,7 +240,7 @@ func (t *Tree[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl llx
 			if rxxrll == nil {
 				return false
 			}
-			if rxxrll.w == 0 {
+			if rxxrll.w() == 0 {
 				lkRxxrll, st := llxscx.LLX(rxxrll)
 				if st != llxscx.Snapshot {
 					return false
@@ -249,7 +249,7 @@ func (t *Tree[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl llx
 			}
 			return t.doW2(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxrl)
 		}
-	case rxxr.w == 1:
+	case rxxr.w() == 1:
 		lkRxxr, st := llxscx.LLX(rxxr)
 		if st != llxscx.Snapshot {
 			return false
@@ -259,7 +259,7 @@ func (t *Tree[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl llx
 			// A node we performed LLX on was modified concurrently.
 			return false
 		}
-		if rxxrr.w == 0 {
+		if rxxrr.w() == 0 {
 			lkRxxrr, st := llxscx.LLX(rxxrr)
 			if st != llxscx.Snapshot {
 				return false
@@ -269,7 +269,7 @@ func (t *Tree[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl llx
 		if rxxrl == nil {
 			return false
 		}
-		if rxxrl.w == 0 {
+		if rxxrl.w() == 0 {
 			lkRxxrl, st := llxscx.LLX(rxxrl)
 			if st != llxscx.Snapshot {
 				return false
@@ -277,7 +277,7 @@ func (t *Tree[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl llx
 			return t.doW6(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxrl)
 		}
 		return t.doPUSH(g, lkRx, lkRxx, lkRxxl, lkRxxr)
-	default: // rxxr.w > 1
+	default: // rxxr.w() > 1
 		lkRxxr, st := llxscx.LLX(rxxr)
 		if st != llxscx.Snapshot {
 			return false
@@ -296,13 +296,13 @@ func (t *Tree[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxr ll
 		return false
 	}
 	switch {
-	case rxxl.w == 0:
-		if rxx.w == 0 {
+	case rxxl.w() == 0:
+		if rxx.w() == 0 {
 			if rxx == rxr {
 				if rxl == nil {
 					return false
 				}
-				if rxl.w == 0 {
+				if rxl.w() == 0 {
 					lkRxl, st := llxscx.LLX(rxl)
 					if st != llxscx.Snapshot {
 						return false
@@ -319,7 +319,7 @@ func (t *Tree[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxr ll
 			if rxr == nil {
 				return false
 			}
-			if rxr.w == 0 {
+			if rxr.w() == 0 {
 				lkRxr, st := llxscx.LLX(rxr)
 				if st != llxscx.Snapshot {
 					return false
@@ -328,7 +328,7 @@ func (t *Tree[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxr ll
 			}
 			return t.doRB1(g, lkR, lkRx, lkRxx)
 		}
-		// rxx.w > 0
+		// rxx.w() > 0
 		lkRxxl, st := llxscx.LLX(rxxl)
 		if st != llxscx.Snapshot {
 			return false
@@ -342,16 +342,16 @@ func (t *Tree[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxr ll
 			return false
 		}
 		switch {
-		case rxxlr.w > 1:
+		case rxxlr.w() > 1:
 			return t.doW1s(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxlr)
-		case rxxlr.w == 0:
+		case rxxlr.w() == 0:
 			return t.doRB2(g, lkRx, lkRxx, lkRxxl, lkRxxlr)
-		default: // rxxlr.w == 1
+		default: // rxxlr.w() == 1
 			rxxlrl, rxxlrr := lkRxxlr.Child(0), lkRxxlr.Child(1)
 			if rxxlrl == nil {
 				return false
 			}
-			if rxxlrl.w == 0 {
+			if rxxlrl.w() == 0 {
 				lkRxxlrl, st := llxscx.LLX(rxxlrl)
 				if st != llxscx.Snapshot {
 					return false
@@ -361,7 +361,7 @@ func (t *Tree[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxr ll
 			if rxxlrr == nil {
 				return false
 			}
-			if rxxlrr.w == 0 {
+			if rxxlrr.w() == 0 {
 				lkRxxlrr, st := llxscx.LLX(rxxlrr)
 				if st != llxscx.Snapshot {
 					return false
@@ -370,7 +370,7 @@ func (t *Tree[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxr ll
 			}
 			return t.doW2s(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxlr)
 		}
-	case rxxl.w == 1:
+	case rxxl.w() == 1:
 		lkRxxl, st := llxscx.LLX(rxxl)
 		if st != llxscx.Snapshot {
 			return false
@@ -379,7 +379,7 @@ func (t *Tree[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxr ll
 		if rxxll == nil {
 			return false
 		}
-		if rxxll.w == 0 {
+		if rxxll.w() == 0 {
 			lkRxxll, st := llxscx.LLX(rxxll)
 			if st != llxscx.Snapshot {
 				return false
@@ -389,7 +389,7 @@ func (t *Tree[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxr ll
 		if rxxlr == nil {
 			return false
 		}
-		if rxxlr.w == 0 {
+		if rxxlr.w() == 0 {
 			lkRxxlr, st := llxscx.LLX(rxxlr)
 			if st != llxscx.Snapshot {
 				return false
@@ -397,7 +397,7 @@ func (t *Tree[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxr ll
 			return t.doW6s(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxlr)
 		}
 		return t.doPUSHs(g, lkRx, lkRxx, lkRxxl, lkRxxr)
-	default: // rxxl.w > 1
+	default: // rxxl.w() > 1
 		lkRxxl, st := llxscx.LLX(rxxl)
 		if st != llxscx.Snapshot {
 			return false
@@ -418,7 +418,7 @@ func (t *Tree[K, V]) doBLK(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR llxscx.Linked
 	}
 	nl := t.copyNode(lkUXL, 1)
 	nr := t.copyNode(lkUXR, 1)
-	n := t.internalLike(ux, replacementWeight(u, ux.w-1), nl, nr)
+	n := t.internalLike(ux, replacementWeight(u, ux.w()-1), nl, nr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXL, lkUXR}
 	r := [llxscx.MaxV]*node[K, V]{ux, lkUXL.Node(), lkUXR.Node()}
 	if !t.scx(g, &v, 4, &r, 3, fld, ux, n) {
@@ -442,7 +442,7 @@ func (t *Tree[K, V]) doRB1(g *epoch.Guard, lkU, lkUX, lkUXL llxscx.Linked[node[K
 	uxr := lkUX.Child(1)
 	uxll, uxlr := lkUXL.Child(0), lkUXL.Child(1)
 	nr := t.internalLike(ux, 0, uxlr, uxr)
-	n := t.internalLike(uxl, replacementWeight(u, ux.w), uxll, nr)
+	n := t.internalLike(uxl, replacementWeight(u, ux.w()), uxll, nr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXL}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxl}
 	if !t.scx(g, &v, 3, &r, 2, fld, ux, n) {
@@ -465,7 +465,7 @@ func (t *Tree[K, V]) doRB1s(g *epoch.Guard, lkU, lkUX, lkUXR llxscx.Linked[node[
 	uxl := lkUX.Child(0)
 	uxrl, uxrr := lkUXR.Child(0), lkUXR.Child(1)
 	nl := t.internalLike(ux, 0, uxl, uxrl)
-	n := t.internalLike(uxr, replacementWeight(u, ux.w), nl, uxrr)
+	n := t.internalLike(uxr, replacementWeight(u, ux.w()), nl, uxrr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXR}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxr}
 	if !t.scx(g, &v, 3, &r, 2, fld, ux, n) {
@@ -490,7 +490,7 @@ func (t *Tree[K, V]) doRB2(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXLR llxscx.Linke
 	uxlrl, uxlrr := lkUXLR.Child(0), lkUXLR.Child(1)
 	nl := t.internalLike(uxl, 0, uxll, uxlrl)
 	nr := t.internalLike(ux, 0, uxlrr, uxr)
-	n := t.internalLike(uxlr, replacementWeight(u, ux.w), nl, nr)
+	n := t.internalLike(uxlr, replacementWeight(u, ux.w()), nl, nr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXL, lkUXLR}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxl, uxlr}
 	if !t.scx(g, &v, 4, &r, 3, fld, ux, n) {
@@ -516,7 +516,7 @@ func (t *Tree[K, V]) doRB2s(g *epoch.Guard, lkU, lkUX, lkUXR, lkUXRL llxscx.Link
 	uxrll, uxrlr := lkUXRL.Child(0), lkUXRL.Child(1)
 	nl := t.internalLike(ux, 0, uxl, uxrll)
 	nr := t.internalLike(uxr, 0, uxrlr, uxrr)
-	n := t.internalLike(uxrl, replacementWeight(u, ux.w), nl, nr)
+	n := t.internalLike(uxrl, replacementWeight(u, ux.w()), nl, nr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXR, lkUXRL}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxr, uxrl}
 	if !t.scx(g, &v, 4, &r, 3, fld, ux, n) {
@@ -540,9 +540,9 @@ func (t *Tree[K, V]) pushUp(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR llxscx.Linke
 	if fld == nil {
 		return false
 	}
-	nl := t.copyNode(lkUXL, uxl.w-1)
-	nr := t.copyNode(lkUXR, uxr.w-1)
-	n := t.internalLike(ux, replacementWeight(u, ux.w+1), nl, nr)
+	nl := t.copyNode(lkUXL, uxl.w()-1)
+	nr := t.copyNode(lkUXR, uxr.w()-1)
+	n := t.internalLike(ux, replacementWeight(u, ux.w()+1), nl, nr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXL, lkUXR}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxl, uxr}
 	if !t.scx(g, &v, 4, &r, 3, fld, ux, n) {
@@ -586,10 +586,10 @@ func (t *Tree[K, V]) doW1(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXRL llxscx
 		return false
 	}
 	uxrr := lkUXR.Child(1)
-	nll := t.copyNode(lkUXL, uxl.w-1)
-	nlr := t.copyNode(lkUXRL, uxrl.w-1)
+	nll := t.copyNode(lkUXL, uxl.w()-1)
+	nlr := t.copyNode(lkUXRL, uxrl.w()-1)
 	nl := t.internalLike(ux, 1, nll, nlr)
-	n := t.internalLike(uxr, replacementWeight(u, ux.w), nl, uxrr)
+	n := t.internalLike(uxr, replacementWeight(u, ux.w()), nl, uxrr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXRL}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxl, uxr, uxrl}
 	if !t.scx(g, &v, 5, &r, 4, fld, ux, n) {
@@ -612,10 +612,10 @@ func (t *Tree[K, V]) doW1s(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXLR llxsc
 		return false
 	}
 	uxll := lkUXL.Child(0)
-	nrr := t.copyNode(lkUXR, uxr.w-1)
-	nrl := t.copyNode(lkUXLR, uxlr.w-1)
+	nrr := t.copyNode(lkUXR, uxr.w()-1)
+	nrl := t.copyNode(lkUXLR, uxlr.w()-1)
 	nr := t.internalLike(ux, 1, nrl, nrr)
-	n := t.internalLike(uxl, replacementWeight(u, ux.w), uxll, nr)
+	n := t.internalLike(uxl, replacementWeight(u, ux.w()), uxll, nr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXLR}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxl, uxr, uxlr}
 	if !t.scx(g, &v, 5, &r, 4, fld, ux, n) {
@@ -639,10 +639,10 @@ func (t *Tree[K, V]) doW2(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXRL llxscx
 		return false
 	}
 	uxrr := lkUXR.Child(1)
-	nll := t.copyNode(lkUXL, uxl.w-1)
+	nll := t.copyNode(lkUXL, uxl.w()-1)
 	nlr := t.copyNode(lkUXRL, 0)
 	nl := t.internalLike(ux, 1, nll, nlr)
-	n := t.internalLike(uxr, replacementWeight(u, ux.w), nl, uxrr)
+	n := t.internalLike(uxr, replacementWeight(u, ux.w()), nl, uxrr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXRL}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxl, uxr, uxrl}
 	if !t.scx(g, &v, 5, &r, 4, fld, ux, n) {
@@ -665,10 +665,10 @@ func (t *Tree[K, V]) doW2s(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXLR llxsc
 		return false
 	}
 	uxll := lkUXL.Child(0)
-	nrr := t.copyNode(lkUXR, uxr.w-1)
+	nrr := t.copyNode(lkUXR, uxr.w()-1)
 	nrl := t.copyNode(lkUXLR, 0)
 	nr := t.internalLike(ux, 1, nrl, nrr)
-	n := t.internalLike(uxl, replacementWeight(u, ux.w), uxll, nr)
+	n := t.internalLike(uxl, replacementWeight(u, ux.w()), uxll, nr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXLR}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxl, uxr, uxlr}
 	if !t.scx(g, &v, 5, &r, 4, fld, ux, n) {
@@ -694,11 +694,11 @@ func (t *Tree[K, V]) doW3(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXRL, lkUXR
 	uxrr := lkUXR.Child(1)
 	uxrlr := lkUXRL.Child(1)
 	uxrlll, uxrllr := lkUXRLL.Child(0), lkUXRLL.Child(1)
-	nlll := t.copyNode(lkUXL, uxl.w-1)
+	nlll := t.copyNode(lkUXL, uxl.w()-1)
 	nll := t.internalLike(ux, 1, nlll, uxrlll)
 	nlr := t.internalLike(uxrl, 1, uxrllr, uxrlr)
 	nl := t.internalLike(uxrll, 0, nll, nlr)
-	n := t.internalLike(uxr, replacementWeight(u, ux.w), nl, uxrr)
+	n := t.internalLike(uxr, replacementWeight(u, ux.w()), nl, uxrr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXRL, lkUXRLL}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxl, uxr, uxrl, uxrll}
 	if !t.scx(g, &v, 6, &r, 5, fld, ux, n) {
@@ -724,11 +724,11 @@ func (t *Tree[K, V]) doW3s(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXLR, lkUX
 	uxll := lkUXL.Child(0)
 	uxlrl := lkUXLR.Child(0)
 	uxlrrl, uxlrrr := lkUXLRR.Child(0), lkUXLRR.Child(1)
-	nrrr := t.copyNode(lkUXR, uxr.w-1)
+	nrrr := t.copyNode(lkUXR, uxr.w()-1)
 	nrr := t.internalLike(ux, 1, uxlrrr, nrrr)
 	nrl := t.internalLike(uxlr, 1, uxlrl, uxlrrl)
 	nr := t.internalLike(uxlrr, 0, nrl, nrr)
-	n := t.internalLike(uxl, replacementWeight(u, ux.w), uxll, nr)
+	n := t.internalLike(uxl, replacementWeight(u, ux.w()), uxll, nr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXLR, lkUXLRR}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxl, uxr, uxlr, uxlrr}
 	if !t.scx(g, &v, 6, &r, 5, fld, ux, n) {
@@ -754,11 +754,11 @@ func (t *Tree[K, V]) doW4(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXRL, lkUXR
 	}
 	uxrr := lkUXR.Child(1)
 	uxrll := lkUXRL.Child(0)
-	nll := t.copyNode(lkUXL, uxl.w-1)
+	nll := t.copyNode(lkUXL, uxl.w()-1)
 	nl := t.internalLike(ux, 1, nll, uxrll)
 	nrl := t.copyNode(lkUXRLR, 1)
 	nr := t.internalLike(uxr, 0, nrl, uxrr)
-	n := t.internalLike(uxrl, replacementWeight(u, ux.w), nl, nr)
+	n := t.internalLike(uxrl, replacementWeight(u, ux.w()), nl, nr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXRL, lkUXRLR}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxl, uxr, uxrl, uxrlr}
 	if !t.scx(g, &v, 6, &r, 5, fld, ux, n) {
@@ -783,11 +783,11 @@ func (t *Tree[K, V]) doW4s(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXLR, lkUX
 	}
 	uxll := lkUXL.Child(0)
 	uxlrr := lkUXLR.Child(1)
-	nrr := t.copyNode(lkUXR, uxr.w-1)
+	nrr := t.copyNode(lkUXR, uxr.w()-1)
 	nr := t.internalLike(ux, 1, uxlrr, nrr)
 	nlr := t.copyNode(lkUXLRL, 1)
 	nl := t.internalLike(uxl, 0, uxll, nlr)
-	n := t.internalLike(uxlr, replacementWeight(u, ux.w), nl, nr)
+	n := t.internalLike(uxlr, replacementWeight(u, ux.w()), nl, nr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXLR, lkUXLRL}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxl, uxr, uxlr, uxlrl}
 	if !t.scx(g, &v, 6, &r, 5, fld, ux, n) {
@@ -812,10 +812,10 @@ func (t *Tree[K, V]) doW5(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXRR llxscx
 		return false
 	}
 	uxrl := lkUXR.Child(0)
-	nll := t.copyNode(lkUXL, uxl.w-1)
+	nll := t.copyNode(lkUXL, uxl.w()-1)
 	nl := t.internalLike(ux, 1, nll, uxrl)
 	nr := t.copyNode(lkUXRR, 1)
-	n := t.internalLike(uxr, replacementWeight(u, ux.w), nl, nr)
+	n := t.internalLike(uxr, replacementWeight(u, ux.w()), nl, nr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXRR}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxl, uxr, uxrr}
 	if !t.scx(g, &v, 5, &r, 4, fld, ux, n) {
@@ -838,10 +838,10 @@ func (t *Tree[K, V]) doW5s(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXLL llxsc
 		return false
 	}
 	uxlr := lkUXL.Child(1)
-	nrr := t.copyNode(lkUXR, uxr.w-1)
+	nrr := t.copyNode(lkUXR, uxr.w()-1)
 	nr := t.internalLike(ux, 1, uxlr, nrr)
 	nl := t.copyNode(lkUXLL, 1)
-	n := t.internalLike(uxl, replacementWeight(u, ux.w), nl, nr)
+	n := t.internalLike(uxl, replacementWeight(u, ux.w()), nl, nr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXLL}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxl, uxr, uxll}
 	if !t.scx(g, &v, 5, &r, 4, fld, ux, n) {
@@ -866,10 +866,10 @@ func (t *Tree[K, V]) doW6(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXRL llxscx
 	}
 	uxrr := lkUXR.Child(1)
 	uxrll, uxrlr := lkUXRL.Child(0), lkUXRL.Child(1)
-	nll := t.copyNode(lkUXL, uxl.w-1)
+	nll := t.copyNode(lkUXL, uxl.w()-1)
 	nl := t.internalLike(ux, 1, nll, uxrll)
 	nr := t.internalLike(uxr, 1, uxrlr, uxrr)
-	n := t.internalLike(uxrl, replacementWeight(u, ux.w), nl, nr)
+	n := t.internalLike(uxrl, replacementWeight(u, ux.w()), nl, nr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXRL}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxl, uxr, uxrl}
 	if !t.scx(g, &v, 5, &r, 4, fld, ux, n) {
@@ -893,10 +893,10 @@ func (t *Tree[K, V]) doW6s(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXLR llxsc
 	}
 	uxll := lkUXL.Child(0)
 	uxlrl, uxlrr := lkUXLR.Child(0), lkUXLR.Child(1)
-	nrr := t.copyNode(lkUXR, uxr.w-1)
+	nrr := t.copyNode(lkUXR, uxr.w()-1)
 	nr := t.internalLike(ux, 1, uxlrr, nrr)
 	nl := t.internalLike(uxl, 1, uxll, uxlrl)
-	n := t.internalLike(uxlr, replacementWeight(u, ux.w), nl, nr)
+	n := t.internalLike(uxlr, replacementWeight(u, ux.w()), nl, nr)
 	v := [llxscx.MaxV]llxscx.Linked[node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXLR}
 	r := [llxscx.MaxV]*node[K, V]{ux, uxl, uxr, uxlr}
 	if !t.scx(g, &v, 5, &r, 4, fld, ux, n) {

@@ -38,10 +38,10 @@ func (policy[K, V]) MitigateSpine(t *lbst.Tree[K, V], key K) {
 	g := epoch.Pin()
 	defer epoch.Unpin(g)
 	less := t.Less()
-	goesLeft := func(n *lbst.Node[K, V], k K) bool { return n.Inf || less(k, n.K) }
+	goesLeft := func(n *lbst.Node[K, V], k K) bool { return n.IsSentinel() || less(k, n.K) }
 	u := t.Entry()
 	n := u.Left()
-	for scxs := 0; n != nil && !n.Leaf && scxs < maxCompressions; {
+	for scxs := 0; n != nil && !n.IsLeaf() && scxs < maxCompressions; {
 		if block, tail, ok := compressSegment(g, t, key, u, n); ok {
 			scxs++
 			// Resume BELOW the freshly built block, never inside it:
@@ -82,7 +82,7 @@ func (policy[K, V]) MitigateSpine(t *lbst.Tree[K, V], key K) {
 // concurrent update invalidated the evidence, in which case the caller
 // simply steps one node down.
 func compressSegment[K, V any](g *epoch.Guard, t *lbst.Tree[K, V], key K, u, s1 *lbst.Node[K, V]) (block, tail *lbst.Node[K, V], ok bool) {
-	if s1.Leaf || s1.Inf {
+	if s1.IsLeaf() || s1.IsSentinel() {
 		return nil, nil, false
 	}
 	less := t.Less()
@@ -109,7 +109,7 @@ func compressSegment[K, V any](g *epoch.Guard, t *lbst.Tree[K, V], key K, u, s1 
 	nPre, nSuf := 0, 0
 	s := s1
 	for i := 0; i < segLen; i++ {
-		if s.Leaf || s.Inf {
+		if s.IsLeaf() || s.IsSentinel() {
 			return nil, nil, false
 		}
 		lk, st := llxscx.LLX(s)

@@ -151,7 +151,7 @@ var (
 
 	// Cumulative diagnostics, surfaced by Stats.
 	advanceFails  atomic.Int64 // epoch advances blocked by a lagging slot
-	freeRefusals  atomic.Int64 // free callbacks that refused (zombie retirees)
+	freeRefusals  atomic.Int64 // free callbacks that refused and were re-queued
 	degradedDrops atomic.Int64 // retirees dropped to GC in degraded mode
 	evictions     atomic.Int64 // watchdog evictions performed
 	recoveries    atomic.Int64 // evicted slots whose holder later resumed
@@ -351,9 +351,9 @@ func tryAdvance() bool {
 // dropping the entries to the garbage collector. This is only sound at full
 // quiescence when every structure that has retired through the layer is
 // itself garbage: the point is to sever the references that otherwise keep
-// a dropped structure reachable. A zombie owner whose count can never drop
-// (its aliasing copies died inside the dropped tree) pins the tree's pools,
-// and through them the whole tree, as a permanent GC root; and a slot's SCX
+// a dropped structure reachable. An entry a drain has not reached yet, or
+// one whose callback refuses, pins the tree's pools, and through them the
+// whole tree, as a GC root; and a slot's SCX
 // descriptor keeps the arguments of its last SCX (nodes, and the structure's
 // commit hooks) until the slot's next SCX overwrites them, which OnDiscard
 // lets internal/llxscx clear. The benchmark harness calls this between

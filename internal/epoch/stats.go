@@ -32,8 +32,9 @@ type Report struct {
 	// blocked by a slot still observing an older epoch.
 	AdvanceFails int64
 	// Refusals counts free callbacks (cumulative) that refused and were
-	// re-queued for another grace period — "zombie" retirees such as
-	// descriptors resurrected by a late helper.
+	// re-queued for another grace period. No structure in the repository
+	// refuses today (nodes and value cells are freed unconditionally), so a
+	// nonzero count marks a regression.
 	Refusals int64
 	// DegradedDrops counts retirees (cumulative) dropped to the garbage
 	// collector instead of recycled because a watchdog eviction was active.

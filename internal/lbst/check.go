@@ -11,7 +11,11 @@ import (
 //   - the sentinel structure at the top of the tree is intact;
 //   - every internal node has exactly two children and every leaf none;
 //   - leaves carry decoration 0 (the decoration is policy state for
-//     internal nodes only);
+//     internal nodes only). Decorations are packed into 30 bits beside the
+//     leaf and sentinel flags (see aux), which refuses a value outside
+//     [0, MaxDeco] when the node is built, so what a node stores is what its
+//     policy asked for; the flags are checked against the node's shape by
+//     the two conditions above;
 //   - keys satisfy the leaf-oriented BST order under the tree's comparator
 //     (left subtree strictly smaller than the routing key, right subtree
 //     greater or equal);
@@ -25,17 +29,17 @@ func (t *Tree[K, V]) CheckStructure() error {
 	if top == nil {
 		return errors.New("entry has no left child")
 	}
-	if !top.Inf {
+	if !top.IsSentinel() {
 		return fmt.Errorf("node below entry is not a sentinel (key %v)", top.K)
 	}
 	if t.entry.Marked() || top.Marked() {
 		return errors.New("a sentinel node is finalized")
 	}
-	if top.Leaf {
+	if top.IsLeaf() {
 		return nil // empty dictionary: Figure 10(a)
 	}
 	right := top.right.Load()
-	if right == nil || !right.Leaf || !right.Inf {
+	if right == nil || !right.IsLeaf() || !right.IsSentinel() {
 		return errors.New("right child of the sentinel internal node is not the sentinel leaf")
 	}
 	root := top.left.Load()
@@ -55,14 +59,14 @@ func (t *Tree[K, V]) CheckStructure() error {
 		if n.Marked() {
 			return fmt.Errorf("reachable node with key %v is finalized", n.K)
 		}
-		if n.Leaf {
+		if n.IsLeaf() {
 			if n.left.Load() != nil || n.right.Load() != nil {
 				return fmt.Errorf("leaf %v has children", n.K)
 			}
-			if n.Deco != 0 {
-				return fmt.Errorf("leaf %v has decoration %d, want 0", n.K, n.Deco)
+			if n.Deco() != 0 {
+				return fmt.Errorf("leaf %v has decoration %d, want 0", n.K, n.Deco())
 			}
-			if !n.Inf {
+			if !n.IsSentinel() {
 				if b.hasLo && t.less(n.K, b.lo) {
 					return fmt.Errorf("leaf key %v below lower bound %v", n.K, b.lo)
 				}
@@ -72,7 +76,7 @@ func (t *Tree[K, V]) CheckStructure() error {
 			}
 			return nil
 		}
-		if n.Inf {
+		if n.IsSentinel() {
 			return errors.New("sentinel internal node found inside the tree proper")
 		}
 		if b.hasLo && t.less(n.K, b.lo) {

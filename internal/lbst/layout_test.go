@@ -1,0 +1,95 @@
+package lbst
+
+import (
+	"testing"
+	"unsafe"
+
+	"repro/internal/epoch"
+)
+
+// TestNodeLayout pins the engine's node at one cache line for word-sized
+// keys (the issue allowed 80 bytes; packing the decoration beside the flags
+// saves the last 16), and for any key type keeps what a search reads - the
+// record with the packed decoration and flags, the key, the child pointers -
+// inside the first line.
+func TestNodeLayout(t *testing.T) {
+	if epoch.PoisonCheck {
+		t.Skip("-tags reclaimcheck adds the generation word")
+	}
+	var n Node[int64, int64]
+	if got := unsafe.Sizeof(n); got != 64 {
+		t.Errorf("Sizeof(Node[int64,int64]) = %d, want 64", got)
+	}
+	var s Node[string, string]
+	if got := unsafe.Sizeof(s); got > 80 {
+		t.Errorf("Sizeof(Node[string,string]) = %d, want at most 80", got)
+	}
+	for _, f := range []struct {
+		name string
+		end  uintptr
+	}{
+		{"rec", unsafe.Offsetof(s.rec) + unsafe.Sizeof(s.rec)},
+		{"K", unsafe.Offsetof(s.K) + unsafe.Sizeof(s.K)},
+		{"left", unsafe.Offsetof(s.left) + unsafe.Sizeof(s.left)},
+		{"right", unsafe.Offsetof(s.right) + unsafe.Sizeof(s.right)},
+	} {
+		if f.end > 64 {
+			t.Errorf("Node[string,string].%s ends at offset %d, outside the node's first line", f.name, f.end)
+		}
+	}
+}
+
+// TestTreeHeaderLayout checks that the fields every operation reads share no
+// cache line with the words updates write, wherever the allocator puts the
+// header: a full line lies between the two groups.
+func TestTreeHeaderLayout(t *testing.T) {
+	var tr Tree[int64, int64]
+	readEnd := uintptr(0)
+	for _, end := range []uintptr{
+		unsafe.Offsetof(tr.entry) + unsafe.Sizeof(tr.entry),
+		unsafe.Offsetof(tr.less) + unsafe.Sizeof(tr.less),
+		unsafe.Offsetof(tr.pol) + unsafe.Sizeof(tr.pol),
+		unsafe.Offsetof(tr.searchFn) + unsafe.Sizeof(tr.searchFn),
+		unsafe.Offsetof(tr.nodePool) + unsafe.Sizeof(tr.nodePool),
+		unsafe.Offsetof(tr.cells) + unsafe.Sizeof(tr.cells),
+		unsafe.Offsetof(tr.descPool) + unsafe.Sizeof(tr.descPool),
+		unsafe.Offsetof(tr.freeNodeFn) + unsafe.Sizeof(tr.freeNodeFn),
+	} {
+		readEnd = max(readEnd, end)
+	}
+	writeStart := min(
+		unsafe.Offsetof(tr.spineDeep), unsafe.Offsetof(tr.spineMax), unsafe.Offsetof(tr.mitigating),
+		unsafe.Offsetof(tr.gver), unsafe.Offsetof(tr.snapLive), unsafe.Offsetof(tr.fastWriters),
+		unsafe.Offsetof(tr.roots), unsafe.Offsetof(tr.rootsIdx))
+	if writeStart < readEnd+64 {
+		t.Fatalf("read-mostly fields end at offset %d and per-commit words start at %d: less than a line apart", readEnd, writeStart)
+	}
+}
+
+// TestPackedDecoRoundTrip: every decoration up to MaxDeco comes back with
+// either flag set or clear, and one that does not fit is refused when the
+// node is built rather than truncated.
+func TestPackedDecoRoundTrip(t *testing.T) {
+	for _, deco := range []int64{0, 1, 7, MaxDeco - 1, MaxDeco} {
+		for _, leaf := range []bool{false, true} {
+			for _, inf := range []bool{false, true} {
+				var n intNode
+				n.rec.SetAux(aux(deco, leaf, inf))
+				if n.Deco() != deco || n.IsLeaf() != leaf || n.IsSentinel() != inf {
+					t.Fatalf("aux(%d, %v, %v) reads back as (%d, %v, %v)", deco, leaf, inf, n.Deco(), n.IsLeaf(), n.IsSentinel())
+				}
+			}
+		}
+	}
+	tr := New[int64, int64](intLess, nopPolicy{})
+	for _, deco := range []int64{-1, MaxDeco + 1, 1 << 40} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("InternalNode accepted decoration %d", deco)
+				}
+			}()
+			tr.InternalNode(1, deco, false, nil, nil)
+		}()
+	}
+}

@@ -31,7 +31,7 @@
 // (PPoPP 2014), the leaf-oriented search loop, the construction of the
 // insertion and deletion template updates (so postconditions PC1-PC9 are
 // discharged once, here), the SCX-free in-place value overwrite for inserts
-// on present keys (see Insert and the value-cell notes on Node and Copy),
+// on present keys (see Insert and the value-cell notes on Node and CopyNode),
 // the post-update cleanup loop that drives rebalancing, and the ordered
 // Successor/Predecessor queries with VLX validation (shared, in generic
 // form, with internal/chromatic via query.go).
@@ -53,17 +53,19 @@
 // # Memory reclamation
 //
 // Every operation runs inside an epoch-reclamation pinned region
-// (internal/epoch), and each tree recycles its nodes through a sync.Pool: a
-// node removed by a committed SCX is retired under the operation's guard and
-// re-enters the pool only after a grace period. SCX descriptors are not
-// allocated at all - every SCX reuses the descriptor of the operation's
-// epoch slot (see internal/llxscx) - so steady-state churn allocates
-// (almost) nothing.
+// (internal/epoch), and each tree recycles its nodes and value cells through
+// pools: a node removed by a committed SCX is retired under the operation's
+// guard and re-enters the pool only after a grace period, and a value cell
+// when the last node aliasing it has. A node is one 64-byte cache line for
+// word-sized keys; the 32-byte cells live outside the nodes. SCX descriptors
+// are not allocated at all - every SCX reuses the descriptor of the
+// operation's epoch slot (see internal/llxscx) - so steady-state churn
+// allocates (almost) nothing.
 // The safety argument - why a pinned operation can never observe a recycled
-// node, and how the value-cell aliasing of Copy survives manual reclamation
-// via the cell-owner reference count - is re-derived in DESIGN.md ("Epoch
-// reclamation and the ABA re-derivation"). Build with -tags noepoch to fall
-// back to garbage-collected reclamation.
+// node, and how the value-cell aliasing of CopyNode survives manual
+// reclamation through the cells' reference counts - is re-derived in
+// DESIGN.md ("Epoch reclamation and the ABA re-derivation"). Build with
+// -tags noepoch to fall back to garbage-collected reclamation.
 package lbst
 
 import (
@@ -84,59 +86,37 @@ import (
 // manipulated through LLX/SCX. Updates that need to change immutable data
 // replace the node with a fresh copy, as the template requires.
 //
+// A Node is one 64-byte cache line for word-sized keys, and everything a
+// search reads (flags, key, children) comes first, so a descent touches one
+// line per level whatever the key type. The flags and the decoration share
+// the 32 bits llxscx.Record leaves to its node (see aux).
+//
 // The value of a leaf is NOT part of the node's immutable data: it lives in
-// a separately allocated vcell.Cell that sits outside the LLX snapshot
-// evidence, so overwriting the value of a present key is a single atomic
-// publish instead of a full SCX (see Insert). Every copy of a leaf - the
-// deletion template promotes a copy of the sibling, and balancing policies
-// copy nodes in their rebalancing steps - aliases the original's cell, which
-// is what keeps a concurrent overwrite from being lost to a copy that
-// captured the value just before the publish.
+// a vcell.Cell outside the node and outside the LLX snapshot evidence, so
+// overwriting the value of a present key is a single atomic publish instead
+// of a full SCX (see Insert). A fresh leaf draws its cell from the tree's
+// cell pool. Every copy of a leaf - the deletion template promotes a copy of
+// the sibling, and policies copy nodes in their rebalancing steps - aliases
+// the source's cell, which keeps a concurrent overwrite from being lost to a
+// copy that captured the value just before the publish, and holds one of the
+// cell's references (see CopyNode and freeNode).
 type Node[K, V any] struct {
 	rec llxscx.Record[Node[K, V]]
+	// gen counts how many times this node's memory has been recycled
+	// through the pool (zero-size unless -tags reclaimcheck).
+	gen epoch.Gen
 
 	// K is the routing key (internal nodes) or dictionary key (leaves);
-	// ignored when Inf is set.
+	// ignored on sentinels.
 	K K
-	// val is the leaf's value cell, shared with every copy of the leaf; nil
-	// on internal nodes and sentinel leaves (which read as the zero value).
-	// The pointer itself is immutable; the cell's content is published
-	// atomically. A fresh leaf points val at its own embedded cell (so the
-	// common-case value load stays on the leaf's cache lines); a copy
-	// points at the original's cell, leaving its own cell unused - under
-	// garbage-collected reclamation the pointer itself retains the original
-	// node, and under epoch reclamation the owner/crefs bookkeeping below
-	// keeps the cell's embedding node out of the pool until the last
-	// aliasing copy has been freed.
-	val  *vcell.Cell[V]
-	cell vcell.Cell[V]
-	// Deco is the balancing decoration, owned by the policy (for example
-	// the relaxed height in internal/ravl). Leaves always carry 0.
-	Deco int64
-	// Leaf marks dictionary leaves; their child pointers are always nil.
-	Leaf bool
-	// Inf marks sentinel nodes, whose key reads as +infinity.
-	Inf bool
 
 	left, right atomic.Pointer[Node[K, V]]
 
-	// owner points at the node whose embedded cell this node's val aliases:
-	// itself for a fresh value leaf, the original owner for copies
-	// (flattened, so chains of copies share one owner), nil for internal
-	// nodes and sentinel leaves. Immutable after construction.
-	owner *Node[K, V]
-	// crefs counts, on an owner node, the nodes whose val aliases its
-	// embedded cell (itself included). A copy increments its owner's count
-	// at creation; freeing a node decrements it, and only the decrement
-	// that reaches zero may recycle the owner - an owner freed while copies
-	// remain parks as a zombie until the last copy is freed.
-	crefs atomic.Int32
-	// gen counts how many times this node's memory has been recycled
-	// through the pool. Plain field: it is only written during recycle
-	// (after the grace period, which establishes a happens-before edge to
-	// every earlier reader) and only read under -tags reclaimcheck by the
-	// poisoning assertions.
-	gen uint64
+	// val is the leaf's value cell, shared with every copy of the leaf; nil
+	// on internal nodes and sentinel leaves (which read as the zero value).
+	// The pointer itself is immutable; the cell's content is published
+	// atomically.
+	val *vcell.Cell[V]
 
 	// snapVer is the node's commit tick for the versioned-snapshot layer:
 	// verPending from construction until the node is installed into a
@@ -159,6 +139,32 @@ type Node[K, V any] struct {
 	// not run there, which also keeps the chain from leaking through the
 	// garbage collector).
 	prev atomic.Pointer[Node[K, V]]
+}
+
+// The node's 32 bits of record data: the leaf and sentinel flags in the two
+// low bits and the policy's decoration, which must lie in [0, MaxDeco], in
+// the 30 above them.
+const (
+	auxLeaf      = 1 << 0 // dictionary leaves; their child pointers are always nil
+	auxInf       = 1 << 1 // sentinel nodes, whose key reads as +infinity
+	auxDecoShift = 2
+
+	// MaxDeco is the largest decoration a node can carry.
+	MaxDeco = 1<<(32-auxDecoShift) - 1
+)
+
+func aux(deco int64, leaf, inf bool) uint32 {
+	if deco < 0 || deco > MaxDeco {
+		panic("lbst: decoration outside [0, MaxDeco]")
+	}
+	a := uint32(deco) << auxDecoShift
+	if leaf {
+		a |= auxLeaf
+	}
+	if inf {
+		a |= auxInf
+	}
+	return a
 }
 
 // verPending marks a node whose installing update has not been stamped with
@@ -193,18 +199,23 @@ func (n *Node[K, V]) Key() K { return n.K }
 // and sentinel nodes (nil cell) read as the zero value.
 func (n *Node[K, V]) Value() V { return n.val.Load() }
 
-// IsLeaf implements View.
-func (n *Node[K, V]) IsLeaf() bool { return n.Leaf }
+// IsLeaf implements View: dictionary leaves, whose child pointers are always
+// nil.
+func (n *Node[K, V]) IsLeaf() bool { return n.rec.Aux()&auxLeaf != 0 }
 
-// IsSentinel implements View.
-func (n *Node[K, V]) IsSentinel() bool { return n.Inf }
+// IsSentinel implements View: sentinel nodes, whose key reads as +infinity.
+func (n *Node[K, V]) IsSentinel() bool { return n.rec.Aux()&auxInf != 0 }
 
-// Gen returns the node's reclamation generation counter, bumped every time
-// the node's memory is recycled through a pool. It only changes under -tags
-// reclaimcheck, where the poisoning assertions in the read paths use it to
-// prove that no node is ever recycled while a pinned operation can still
-// reach it.
-func (n *Node[K, V]) Gen() uint64 { return n.gen }
+// Deco returns the balancing decoration, owned by the policy (for example
+// the relaxed height in internal/ravl). Leaves always carry 0.
+func (n *Node[K, V]) Deco() int64 { return int64(n.rec.Aux() >> auxDecoShift) }
+
+// Gen returns the reclamation generation of the node and, for a leaf, of its
+// value cell: each is bumped when its memory is recycled through a pool, so
+// the sum changes when either is. It only changes under -tags reclaimcheck,
+// where the poisoning assertions in the read paths use it to prove that
+// neither is ever recycled while a pinned operation can still reach it.
+func (n *Node[K, V]) Gen() uint64 { return n.gen.Load() + n.val.Gen() }
 
 // Left returns the left child with a plain atomic read. It is intended for
 // policies and quiescent inspection, not for lock-free traversals that need
@@ -216,53 +227,6 @@ func (n *Node[K, V]) Right() *Node[K, V] { return n.right.Load() }
 
 // Marked reports whether the node has been finalized (removed) by an SCX.
 func (n *Node[K, V]) Marked() bool { return n.rec.Marked() }
-
-// NewLeaf returns a fresh leaf holding key and value. Leaves always carry
-// decoration 0. The leaf's value lives in its embedded cell (representation
-// selected by vcell.Unboxed, so word-sized values are stored unboxed);
-// copies of the leaf alias this cell via Copy. The leaf is heap-allocated;
-// inside operations the trees use the pooled Tree.LeafNode instead.
-func NewLeaf[K, V any](k K, v V) *Node[K, V] {
-	n := &Node[K, V]{K: k, Leaf: true}
-	n.cell.Init(vcell.Unboxed[V](), v)
-	n.val = &n.cell
-	n.owner = n
-	n.crefs.Store(1)
-	return n
-}
-
-// NewInternal returns a fresh internal node with the given routing key,
-// decoration, sentinel flag and children.
-func NewInternal[K, V any](k K, deco int64, inf bool, left, right *Node[K, V]) *Node[K, V] {
-	n := &Node[K, V]{K: k, Deco: deco, Inf: inf}
-	n.left.Store(left)
-	n.right.Store(right)
-	return n
-}
-
-// Copy returns a fresh copy of the node captured by lk, carrying the given
-// decoration and the children recorded in lk's snapshot. It is the standard
-// building block of rebalancing steps: a removed node reappears in the new
-// subtree only as a copy. The copy ALIASES the source's value cell rather
-// than capturing the value: an in-place overwrite racing with the copying
-// SCX stays visible through the copy, whichever of the two commits first
-// (see the in-place overwrite protocol on Insert). The copy takes a
-// reference on the cell's owner, so the cell outlives every aliasing node
-// under pooled reclamation.
-func Copy[K, V any](lk llxscx.Linked[Node[K, V]], deco int64) *Node[K, V] {
-	src := lk.Node()
-	n := &Node[K, V]{K: src.K, val: src.val, Deco: deco, Leaf: src.Leaf, Inf: src.Inf}
-	n.left.Store(lk.Child(0))
-	n.right.Store(lk.Child(1))
-	if own := src.owner; own != nil {
-		// Safe to increment: src holds a reference on own (its own, if src
-		// is the owner) and src is protected by the caller's pinned region,
-		// so the count cannot reach zero concurrently.
-		n.owner = own
-		own.crefs.Add(1)
-	}
-	return n
-}
 
 // FieldOf returns the mutable child field of the node captured by lk that
 // pointed to child in its snapshot, or nil if child was not one of its
@@ -329,6 +293,9 @@ type Policy[K, V any] interface {
 // and balanced according to a Policy. It is safe for concurrent use. Use New
 // or NewOrdered.
 type Tree[K, V any] struct {
+	// Two groups, a full cache line apart wherever the allocator puts the
+	// header: every operation reads the first, every commit writes the second
+	// (gver, fastWriters) and must not invalidate the first with it.
 	entry *Node[K, V]
 	less  func(a, b K) bool
 	pol   Policy[K, V]
@@ -340,10 +307,6 @@ type Tree[K, V any] struct {
 	// call per search instead of one per node.
 	searchFn func(t *Tree[K, V], key K) (gp, p, l *Node[K, V])
 
-	// unboxed is vcell.Unboxed[V](), computed once so every pooled leaf
-	// initializes its cell without re-deriving the representation.
-	unboxed bool
-
 	// nodePool recycles this tree's nodes; nodes enter it only through the
 	// epoch layer's grace period (or ReleaseFresh, for nodes that were
 	// never published). Per-tree, because the pool is generic over K and V.
@@ -352,12 +315,17 @@ type Tree[K, V any] struct {
 	// process, and an embedded pool would pin the whole Tree — root and all
 	// its nodes — as a GC root long after the tree is dropped.
 	nodePool *sync.Pool
+	// cells recycles the leaves' value cells: a cell returns to it when the
+	// last node aliasing it has been freed (see freeNode).
+	cells *vcell.Pool[V]
 	// descPool carries the commit hooks below into every SCX on this tree
 	// (see llxscx.Pool); the descriptors themselves belong to the epoch slots.
 	descPool *llxscx.Pool[Node[K, V]]
 	// freeNodeFn is the epoch callback for retired nodes, built once at
 	// construction so RetireNode never allocates a closure.
 	freeNodeFn epoch.Func
+
+	_ [64]byte
 
 	// spineDeep counts searches that walked at least spineCap nodes, and
 	// spineMax records the deepest such walk: the cheap degenerate-spine
@@ -402,16 +370,16 @@ const rootHistory = 8
 // sentinels (Figure 10 of the paper) so every leaf always has a parent and,
 // when the tree is non-empty, a grandparent.
 func New[K, V any](less func(a, b K) bool, pol Policy[K, V]) *Tree[K, V] {
-	var sentinelKey K
 	t := &Tree[K, V]{
-		entry:    NewInternal(sentinelKey, 0, true, &Node[K, V]{Leaf: true, Inf: true}, nil),
 		less:     less,
 		pol:      pol,
 		searchFn: searchLess[K, V],
-		unboxed:  vcell.Unboxed[V](),
+		nodePool: &sync.Pool{New: func() any { return new(Node[K, V]) }},
+		cells:    vcell.NewPool[V](),
 		descPool: llxscx.NewPool[Node[K, V]](),
 	}
-	t.nodePool = &sync.Pool{New: func() any { return new(Node[K, V]) }}
+	var sentinelKey K
+	t.entry = t.InternalNode(sentinelKey, 0, true, t.newNode(sentinelKey, aux(0, true, true)), nil)
 	t.freeNodeFn = func(g *epoch.Guard, obj any) bool {
 		t.freeNode(obj.(*Node[K, V]))
 		return true
@@ -483,61 +451,58 @@ func (t *Tree[K, V]) Less() func(a, b K) bool { return t.less }
 // ---------------------------------------------------------------------------
 // Pooled node lifecycle.
 
-// LeafNode returns a leaf holding key and value, drawn from the tree's node
-// pool (a fresh allocation under -tags noepoch). The leaf owns its embedded
-// value cell.
-func (t *Tree[K, V]) LeafNode(k K, v V) *Node[K, V] {
+// newNode returns a node with the given key, decoration and flags and
+// nothing else set, drawn from the tree's node pool (a fresh allocation under
+// -tags noepoch, where the commit hook must find nothing to stamp).
+func (t *Tree[K, V]) newNode(k K, a uint32) *Node[K, V] {
 	if !epoch.Enabled {
-		return NewLeaf(k, v)
+		n := &Node[K, V]{K: k}
+		n.rec.SetAux(a)
+		return n
 	}
 	n := t.nodePool.Get().(*Node[K, V])
 	n.K = k
-	n.Leaf = true
-	n.cell.Init(t.unboxed, v)
-	n.val = &n.cell
-	n.owner = n
-	n.crefs.Store(1)
+	n.rec.SetAux(a)
 	n.snapVer.Store(verPending)
 	return n
 }
 
-// InternalNode returns an internal node drawn from the tree's node pool (a
-// fresh allocation under -tags noepoch).
+// LeafNode returns a leaf holding key and value, with a cell of its own from
+// the tree's cell pool. Leaves always carry decoration 0.
+func (t *Tree[K, V]) LeafNode(k K, v V) *Node[K, V] {
+	n := t.newNode(k, aux(0, true, false))
+	n.val = t.cells.Get(v)
+	return n
+}
+
+// InternalNode returns an internal node with the given routing key,
+// decoration (in [0, MaxDeco]), sentinel flag and children.
 func (t *Tree[K, V]) InternalNode(k K, deco int64, inf bool, left, right *Node[K, V]) *Node[K, V] {
-	if !epoch.Enabled {
-		return NewInternal(k, deco, inf, left, right)
-	}
-	n := t.nodePool.Get().(*Node[K, V])
-	n.K = k
-	n.Deco = deco
-	n.Inf = inf
+	n := t.newNode(k, aux(deco, false, inf))
 	n.left.Store(left)
 	n.right.Store(right)
-	n.snapVer.Store(verPending)
 	return n
 }
 
-// CopyNode is Copy drawing the copy from the tree's node pool (a fresh
-// allocation under -tags noepoch). Like Copy it aliases the source's value
-// cell and takes a reference on the cell's owner.
+// CopyNode returns a fresh copy of the node captured by lk, carrying the
+// given decoration and the children recorded in lk's snapshot. It is the
+// standard building block of rebalancing steps: a removed node reappears in
+// the new subtree only as a copy. The copy ALIASES the source's value cell
+// rather than capturing the value: an in-place overwrite racing with the
+// copying SCX stays visible through the copy, whichever of the two commits
+// first (see the in-place overwrite protocol on Insert). The copy takes a
+// reference on the cell: the caller is pinned and reached the source in the
+// tree, so the source cannot have been freed and still holds its own.
 func (t *Tree[K, V]) CopyNode(lk llxscx.Linked[Node[K, V]], deco int64) *Node[K, V] {
-	if !epoch.Enabled {
-		return Copy(lk, deco)
-	}
 	src := lk.Node()
-	n := t.nodePool.Get().(*Node[K, V])
-	n.K = src.K
-	n.val = src.val
-	n.Deco = deco
-	n.Leaf = src.Leaf
-	n.Inf = src.Inf
-	n.left.Store(lk.Child(0))
-	n.right.Store(lk.Child(1))
-	if own := src.owner; own != nil {
-		n.owner = own
-		own.crefs.Add(1)
+	n := t.newNode(src.K, aux(deco, src.IsLeaf(), src.IsSentinel()))
+	if !src.IsLeaf() {
+		n.left.Store(lk.Child(0))
+		n.right.Store(lk.Child(1))
+	} else if c := src.val; c != nil {
+		c.Retain()
+		n.val = c
 	}
-	n.snapVer.Store(verPending)
 	return n
 }
 
@@ -574,52 +539,24 @@ func (t *Tree[K, V]) RebalanceSCX(g *epoch.Guard, v *[llxscx.MaxV]llxscx.Linked[
 }
 
 // freeNode runs after a retired node's grace period (or immediately, for a
-// never-published fresh node): no operation can reach n anymore, so its
-// memory may be recycled - except that an owner node whose embedded cell is
-// still aliased by live copies must park until the last copy is freed.
+// never-published fresh node): no operation can reach n anymore. It drops
+// the node's reference on its value cell (the last one returns the cell to
+// its pool), clears the node and returns it to the pool. The stores are
+// plain: the grace period orders them after every access by another
+// goroutine, as it does for the key. The record's tag is left alone - tags
+// never recur (internal/llxscx) - and newNode sets the rest.
 func (t *Tree[K, V]) freeNode(n *Node[K, V]) {
-	own := n.owner
-	switch {
-	case own == nil:
-		// Internal or sentinel node: no cell bookkeeping.
-		t.recycle(n)
-	case own != n:
-		// A copy: its embedded cell was never used; drop its reference on
-		// the owner, and recycle the owner too if this was the last alias
-		// (the owner was freed earlier and parked as a zombie).
-		t.recycle(n)
-		if own.crefs.Add(-1) == 0 {
-			t.recycle(own)
-		}
-	default:
-		// The owner itself: recycle only if no copy aliases its cell;
-		// otherwise park - the last copy's free recycles it via own above.
-		if n.crefs.Add(-1) == 0 {
-			t.recycle(n)
-		}
+	if c := n.val; c != nil {
+		t.cells.Release(c)
+		n.val = nil
 	}
-}
-
-// recycle resets a node whose memory is provably unreachable and returns it
-// to the pool.
-func (t *Tree[K, V]) recycle(n *Node[K, V]) {
 	llxscx.ReleaseRecord(&n.rec)
-	n.left.Store(nil)
-	n.right.Store(nil)
-	n.val = nil
-	n.owner = nil
-	n.crefs.Store(0)
-	n.snapVer.Store(0)
-	n.prev.Store(nil)
-	n.cell.Reset()
 	var zeroK K
 	n.K = zeroK
-	n.Deco = 0
-	n.Leaf = false
-	n.Inf = false
-	if epoch.PoisonCheck {
-		n.gen++
-	}
+	n.left = atomic.Pointer[Node[K, V]]{}
+	n.right = atomic.Pointer[Node[K, V]]{}
+	n.prev = atomic.Pointer[Node[K, V]]{}
+	n.gen.Bump()
 	t.nodePool.Put(n)
 }
 
@@ -690,11 +627,11 @@ func (t *Tree[K, V]) mitigateSpine(key K) {
 
 // keyLess reports whether key is strictly smaller than n's key, treating
 // sentinels as +infinity.
-func (t *Tree[K, V]) keyLess(key K, n *Node[K, V]) bool { return n.Inf || t.less(key, n.K) }
+func (t *Tree[K, V]) keyLess(key K, n *Node[K, V]) bool { return n.IsSentinel() || t.less(key, n.K) }
 
 // isKey reports whether the leaf l holds exactly key.
 func (t *Tree[K, V]) isKey(key K, l *Node[K, V]) bool {
-	return !l.Inf && !t.less(key, l.K) && !t.less(l.K, key)
+	return !l.IsSentinel() && !t.less(key, l.K) && !t.less(l.K, key)
 }
 
 // search returns the grandparent, parent and leaf on the search path for
@@ -704,14 +641,17 @@ func (t *Tree[K, V]) search(key K) (gp, p, l *Node[K, V]) {
 	return t.searchFn(t, key)
 }
 
+// The search loops read each node's packed flags once (a) and take both the
+// leaf test and the sentinel test from that word.
+
 // searchLess is the comparator-based search loop installed by New.
 func searchLess[K, V any](t *Tree[K, V], key K) (gp, p, l *Node[K, V]) {
 	p = t.entry
 	l = t.entry.left.Load()
 	depth := 0
-	for !l.Leaf {
+	for a := l.rec.Aux(); a&auxLeaf == 0; a = l.rec.Aux() {
 		gp, p = p, l
-		if t.keyLess(key, l) {
+		if a&auxInf != 0 || t.less(key, l.K) {
 			l = l.left.Load()
 		} else {
 			l = l.right.Load()
@@ -732,9 +672,9 @@ func searchOrdered[K cmp.Ordered, V any](t *Tree[K, V], key K) (gp, p, l *Node[K
 	p = t.entry
 	l = t.entry.left.Load()
 	depth := 0
-	for !l.Leaf {
+	for a := l.rec.Aux(); a&auxLeaf == 0; a = l.rec.Aux() {
 		gp, p = p, l
-		if l.Inf || key < l.K {
+		if a&auxInf != 0 || key < l.K {
 			l = l.left.Load()
 		} else {
 			l = l.right.Load()
@@ -758,9 +698,9 @@ func searchString[V any](t *Tree[string, V], key string) (gp, p, l *Node[string,
 	p = t.entry
 	l = t.entry.left.Load()
 	depth := 0
-	for !l.Leaf {
+	for a := l.rec.Aux(); a&auxLeaf == 0; a = l.rec.Aux() {
 		gp, p = p, l
-		if l.Inf || key < l.K {
+		if a&auxInf != 0 || key < l.K {
 			l = l.left.Load()
 		} else {
 			l = l.right.Load()
@@ -785,11 +725,11 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 	if t.isKey(key, l) {
 		var g0 uint64
 		if epoch.PoisonCheck {
-			g0 = l.gen
+			g0 = l.Gen()
 		}
 		v := l.val.Load()
-		if epoch.PoisonCheck && l.gen != g0 {
-			panic("lbst: node recycled under a pinned reader (reclaimcheck)")
+		if epoch.PoisonCheck && l.Gen() != g0 {
+			panic("lbst: leaf or value cell recycled under a pinned reader (reclaimcheck)")
 		}
 		epoch.Unpin(g)
 		return v, true
@@ -978,7 +918,7 @@ func (t *Tree[K, V]) tryInsert(g *epoch.Guard, key K, value V, p, l *Node[K, V])
 	keyLeaf := t.LeafNode(key, value)
 	var repl *Node[K, V]
 	if t.keyLess(key, l) {
-		repl = t.InternalNode(l.K, t.pol.InternalDeco(), l.Inf, keyLeaf, l)
+		repl = t.InternalNode(l.K, t.pol.InternalDeco(), l.IsSentinel(), keyLeaf, l)
 	} else {
 		repl = t.InternalNode(key, t.pol.InternalDeco(), false, l, keyLeaf)
 	}
@@ -1106,7 +1046,7 @@ func (t *Tree[K, V]) tryDelete(g *epoch.Guard, key K, gp, p, l *Node[K, V]) (V, 
 	// its update CAS unconditionally, and re-installing a pointer the field
 	// once held would let that CAS resurrect a finalized subtree). Reuse is
 	// only safe for nodes that become children of fresh nodes, as in Insert.
-	repl := t.CopyNode(lkS, s.Deco)
+	repl := t.CopyNode(lkS, s.Deco())
 	// V and R are ordered by a breadth-first traversal (PC8): the parent's
 	// children appear in left-to-right order.
 	var v [llxscx.MaxV]llxscx.Linked[Node[K, V]]
@@ -1159,10 +1099,10 @@ func (t *Tree[K, V]) cleanup(g *epoch.Guard, key K) {
 			if n == nil {
 				break // tree changed under us; restart
 			}
-			if n.Leaf {
+			if n.IsLeaf() {
 				return
 			}
-			if !n.Inf && t.pol.Violation(n) {
+			if !n.IsSentinel() && t.pol.Violation(n) {
 				t.pol.Rebalance(g, u, n)
 				break // restart the search from the entry point
 			}
@@ -1258,7 +1198,7 @@ func (t *Tree[K, V]) Max() (k K, v V, ok bool) {
 func (t *Tree[K, V]) Size() int {
 	size := 0
 	visitLeaves(t.entry.left.Load(), func(n *Node[K, V]) {
-		if !n.Inf {
+		if !n.IsSentinel() {
 			size++
 		}
 	})
@@ -1269,7 +1209,7 @@ func (t *Tree[K, V]) Size() int {
 func (t *Tree[K, V]) Keys() []K {
 	var keys []K
 	visitLeaves(t.entry.left.Load(), func(n *Node[K, V]) {
-		if !n.Inf {
+		if !n.IsSentinel() {
 			keys = append(keys, n.K)
 		}
 	})
@@ -1284,7 +1224,7 @@ func (t *Tree[K, V]) Height() int { return height(t.root()) }
 // entry node), or nil when the dictionary is empty.
 func (t *Tree[K, V]) root() *Node[K, V] {
 	top := t.entry.left.Load()
-	if top == nil || top.Leaf {
+	if top == nil || top.IsLeaf() {
 		return nil
 	}
 	return top.left.Load()
@@ -1298,7 +1238,7 @@ func visitLeaves[K, V any](n *Node[K, V], fn func(*Node[K, V])) {
 	if n == nil {
 		return
 	}
-	if n.Leaf {
+	if n.IsLeaf() {
 		fn(n)
 		return
 	}
@@ -1310,7 +1250,7 @@ func height[K, V any](n *Node[K, V]) int {
 	if n == nil {
 		return 0
 	}
-	if n.Leaf {
+	if n.IsLeaf() {
 		return 1
 	}
 	l, r := height(n.left.Load()), height(n.right.Load())

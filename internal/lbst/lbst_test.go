@@ -103,7 +103,7 @@ func TestEnginePolicyHooks(t *testing.T) {
 		t.Fatalf("CreatesViolation calls after second insert = %d, want 2", pol.created.Load())
 	}
 	root := tr.Root()
-	if root == nil || root.Deco != 7 {
+	if root == nil || root.Deco() != 7 {
 		t.Fatalf("internal node decoration = %v, want 7", root)
 	}
 	if pol.violation.Load() == 0 {

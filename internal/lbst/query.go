@@ -44,9 +44,10 @@ func viewLess[P View[N, K, V], N, K, V any](less func(K, K) bool, key K, n P) bo
 	return n.IsSentinel() || less(key, n.Key())
 }
 
-// genOf reads n's reclamation generation for the poisoning assertions.
-// Compiled out unless -tags reclaimcheck; the type assertion tolerates node
-// types without a generation counter.
+// genOf reads the reclamation generation of n (and, through the node types'
+// Gen, of a leaf's value cell) for the poisoning assertions. Compiled out
+// unless -tags reclaimcheck; the type assertion tolerates node types without
+// a generation counter.
 func genOf[P View[N, K, V], N, K, V any](n P) uint64 {
 	if !epoch.PoisonCheck {
 		return 0
@@ -57,13 +58,23 @@ func genOf[P View[N, K, V], N, K, V any](n P) uint64 {
 	return 0
 }
 
-// assertGen panics if a node's generation changed while the (pinned) query
-// held it: the reclamation layer recycled memory a reader could still reach,
-// which the grace-period argument in DESIGN.md says must never happen.
+// assertGen panics if the generation of a node or of its value cell changed
+// while the (pinned) query held it: the reclamation layer recycled memory a
+// reader could still reach, which the grace-period argument in DESIGN.md
+// says must never happen.
 func assertGen[P View[N, K, V], N, K, V any](n P, g0 uint64) {
 	if epoch.PoisonCheck && genOf[P, N, K, V](n) != g0 {
-		panic("lbst: node recycled under a pinned reader (reclaimcheck)")
+		panic("lbst: node or value cell recycled under a pinned reader (reclaimcheck)")
 	}
+}
+
+// valueOf loads the value of leaf l under the generation assertion, for
+// reads with nothing between taking the leaf and loading from it.
+func valueOf[P View[N, K, V], N, K, V any](l P) V {
+	g0 := genOf[P, N, K, V](l)
+	v := l.Value()
+	assertGen(l, g0)
+	return v
 }
 
 // pathBufCap is the capacity of the stack buffer each ordered query reuses
@@ -123,10 +134,7 @@ retry:
 			if l.IsSentinel() {
 				return k, v, false
 			}
-			g0 := genOf[P, N, K, V](l)
-			k, v = l.Key(), l.Value()
-			assertGen(l, g0)
-			return k, v, true
+			return l.Key(), valueOf[P, N, K, V](l), true
 		}
 		// Otherwise the successor is the leftmost leaf of lastLeft's right
 		// subtree. Walk down to it with LLXs and validate the whole
@@ -196,10 +204,7 @@ retry:
 		if !l.IsSentinel() && less(l.Key(), key) {
 			// The leaf reached holds a key strictly smaller than key, so it
 			// is the predecessor.
-			g0 := genOf[P, N, K, V](l)
-			k, v = l.Key(), l.Value()
-			assertGen(l, g0)
-			return k, v, true
+			return l.Key(), valueOf[P, N, K, V](l), true
 		}
 		if !haveLastRight {
 			// The search never turned right: every key in the dictionary is

@@ -132,7 +132,7 @@ func (s *Snap[P, N, K, V]) Get(key K) (V, bool) {
 		l = c
 	}
 	if !l.IsSentinel() && !s.less(key, l.Key()) && !s.less(l.Key(), key) {
-		return l.Value(), true
+		return valueOf[P, N, K, V](l), true
 	}
 	return zero, false
 }
@@ -171,7 +171,7 @@ func (s *Snap[P, N, K, V]) walk(n P, useLo bool, lo K, useHi bool, hi K, fn func
 		if (useLo && s.less(k, lo)) || (useHi && s.less(hi, k)) {
 			return 0, true
 		}
-		if !fn(k, n.Value()) {
+		if !fn(k, valueOf[P, N, K, V](n)) {
 			return 1, false
 		}
 		return 1, true
@@ -291,7 +291,7 @@ func (s *Snap[P, N, K, V]) collect(n P, ver uint64, out *[]snapKV[K, V]) {
 	}
 	if n.IsLeaf() {
 		if !n.IsSentinel() {
-			*out = append(*out, snapKV[K, V]{n.Key(), n.Value()})
+			*out = append(*out, snapKV[K, V]{n.Key(), valueOf[P, N, K, V](n)})
 		}
 		return
 	}

@@ -146,13 +146,32 @@ type record struct {
 	// match anything the record will hold again.
 	info   atomic.Uint64
 	marked atomic.Bool
+	// aux fills the four bytes that would otherwise pad the record to a
+	// multiple of eight: immutable data of the embedding node, which the
+	// primitives never read (see Record.Aux).
+	aux uint32
 }
 
 // Record is the per-Data-record synchronization state used by LLX and SCX.
 // Embed one Record in every node type. The zero value is ready to use.
+//
+// A Record is 16 bytes: the tag word, the 4-byte finalized flag and 32 bits
+// the embedding node may use for its own immutable data (Aux), so a tree
+// node can keep its flags and balance information on the line a search
+// already touches instead of in a field of its own.
 type Record[N any] struct {
 	r record
 }
+
+// Aux returns the 32 bits of node data stored with SetAux. They are
+// immutable in the Data-record sense: set before the node is published and
+// not again until its memory is reused, so a plain read is enough.
+func (r *Record[N]) Aux() uint32 { return r.r.aux }
+
+// SetAux stores the node's 32 bits of immutable data. It must only be called
+// while no other goroutine can reach the node: when it is built, or when it
+// is drawn from a pool after its grace period.
+func (r *Record[N]) SetAux(a uint32) { r.r.aux = a }
 
 // Marked reports whether the record has been finalized by a committed SCX.
 // A finalized record has been removed from the data structure and its

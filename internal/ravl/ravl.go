@@ -87,10 +87,10 @@ func (p *policy[K, V]) InternalDeco() int64 { return 1 }
 // Sentinels carry no height bookkeeping, so changes directly below them
 // never violate anything.
 func (p *policy[K, V]) CreatesViolation(parent, oldChild, newChild *lbst.Node[K, V]) bool {
-	if parent.Inf || newChild == nil {
+	if parent.IsSentinel() || newChild == nil {
 		return false
 	}
-	if oldChild.Deco == newChild.Deco {
+	if oldChild.Deco() == newChild.Deco() {
 		return false
 	}
 	p.stats.Cleanups.Add(1)
@@ -105,8 +105,8 @@ func (p *policy[K, V]) Violation(n *lbst.Node[K, V]) bool {
 	if l == nil || r == nil {
 		return false
 	}
-	hl, hr := l.Deco, r.Deco
-	return n.Deco != 1+max(hl, hr) || hl-hr >= 2 || hr-hl >= 2
+	hl, hr := l.Deco(), r.Deco()
+	return n.Deco() != 1+max(hl, hr) || hl-hr >= 2 || hr-hl >= 2
 }
 
 // Rebalance implements lbst.Policy: one localized rebalancing step at n,
@@ -133,13 +133,13 @@ func (p *policy[K, V]) Rebalance(g *epoch.Guard, u, n *lbst.Node[K, V]) bool {
 	if l == nil || r == nil {
 		return false
 	}
-	hl, hr := l.Deco, r.Deco
+	hl, hr := l.Deco(), r.Deco()
 	switch {
 	case hl >= hr+2:
 		return p.fixLeft(g, lkU, lkN, fld)
 	case hr >= hl+2:
 		return p.fixRight(g, lkU, lkN, fld)
-	case n.Deco != 1+max(hl, hr):
+	case n.Deco() != 1+max(hl, hr):
 		repl := p.eng.CopyNode(lkN, 1+max(hl, hr))
 		v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkN}
 		fin := [llxscx.MaxV]*lbst.Node[K, V]{n}
@@ -160,7 +160,7 @@ func (p *policy[K, V]) Rebalance(g *epoch.Guard, u, n *lbst.Node[K, V]) bool {
 func (p *policy[K, V]) fixLeft(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node[K, V]], fld *atomic.Pointer[lbst.Node[K, V]]) bool {
 	n := lkN.Node()
 	l, r := lkN.Child(0), lkN.Child(1)
-	if l.Leaf {
+	if l.IsLeaf() {
 		// Leaves store height 0, so a leaf can never be the taller side by
 		// two; the tree changed under us.
 		return false
@@ -173,8 +173,8 @@ func (p *policy[K, V]) fixLeft(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node[
 	if ll == nil || lr == nil {
 		return false
 	}
-	hll, hlr := ll.Deco, lr.Deco
-	if l.Deco != 1+max(hll, hlr) {
+	hll, hlr := ll.Deco(), lr.Deco()
+	if l.Deco() != 1+max(hll, hlr) {
 		// Rotations are only applied between nodes whose stored heights are
 		// locally correct; fix the child's height first (the balance
 		// violation at n is then re-evaluated against the corrected height).
@@ -192,8 +192,8 @@ func (p *policy[K, V]) fixLeft(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node[
 	if hll >= hlr {
 		// Single right rotation: l becomes the subtree root, n drops to its
 		// right with the inner subtree lr attached.
-		inner := p.eng.InternalNode(n.K, 1+max(hlr, r.Deco), false, lr, r)
-		repl := p.eng.InternalNode(l.K, 1+max(hll, inner.Deco), false, ll, inner)
+		inner := p.eng.InternalNode(n.K, 1+max(hlr, r.Deco()), false, lr, r)
+		repl := p.eng.InternalNode(l.K, 1+max(hll, inner.Deco()), false, ll, inner)
 		v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkN, lkL}
 		fin := [llxscx.MaxV]*lbst.Node[K, V]{n, l}
 		if !p.eng.RebalanceSCX(g, &v, 3, &fin, 2, fld, n, repl) {
@@ -206,7 +206,7 @@ func (p *policy[K, V]) fixLeft(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node[
 	}
 	// Double rotation: the taller child leans inward, so lr (which must be
 	// internal, since its stored height is at least 1) becomes the root.
-	if lr.Leaf {
+	if lr.IsLeaf() {
 		return false
 	}
 	lkLR, st := llxscx.LLX(lr)
@@ -217,9 +217,9 @@ func (p *policy[K, V]) fixLeft(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node[
 	if lrl == nil || lrr == nil {
 		return false
 	}
-	nl := p.eng.InternalNode(l.K, 1+max(hll, lrl.Deco), false, ll, lrl)
-	nr := p.eng.InternalNode(n.K, 1+max(lrr.Deco, r.Deco), false, lrr, r)
-	repl := p.eng.InternalNode(lr.K, 1+max(nl.Deco, nr.Deco), false, nl, nr)
+	nl := p.eng.InternalNode(l.K, 1+max(hll, lrl.Deco()), false, ll, lrl)
+	nr := p.eng.InternalNode(n.K, 1+max(lrr.Deco(), r.Deco()), false, lrr, r)
+	repl := p.eng.InternalNode(lr.K, 1+max(nl.Deco(), nr.Deco()), false, nl, nr)
 	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkN, lkL, lkLR}
 	fin := [llxscx.MaxV]*lbst.Node[K, V]{n, l, lr}
 	if !p.eng.RebalanceSCX(g, &v, 4, &fin, 3, fld, n, repl) {
@@ -237,7 +237,7 @@ func (p *policy[K, V]) fixLeft(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node[
 func (p *policy[K, V]) fixRight(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node[K, V]], fld *atomic.Pointer[lbst.Node[K, V]]) bool {
 	n := lkN.Node()
 	l, r := lkN.Child(0), lkN.Child(1)
-	if r.Leaf {
+	if r.IsLeaf() {
 		return false
 	}
 	lkR, st := llxscx.LLX(r)
@@ -248,8 +248,8 @@ func (p *policy[K, V]) fixRight(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node
 	if rl == nil || rr == nil {
 		return false
 	}
-	hrl, hrr := rl.Deco, rr.Deco
-	if r.Deco != 1+max(hrl, hrr) {
+	hrl, hrr := rl.Deco(), rr.Deco()
+	if r.Deco() != 1+max(hrl, hrr) {
 		rfld := lbst.FieldOf(lkN, r)
 		repl := p.eng.CopyNode(lkR, 1+max(hrl, hrr))
 		v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkN, lkR}
@@ -263,8 +263,8 @@ func (p *policy[K, V]) fixRight(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node
 	}
 	if hrr >= hrl {
 		// Single left rotation.
-		inner := p.eng.InternalNode(n.K, 1+max(l.Deco, hrl), false, l, rl)
-		repl := p.eng.InternalNode(r.K, 1+max(inner.Deco, hrr), false, inner, rr)
+		inner := p.eng.InternalNode(n.K, 1+max(l.Deco(), hrl), false, l, rl)
+		repl := p.eng.InternalNode(r.K, 1+max(inner.Deco(), hrr), false, inner, rr)
 		v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkN, lkR}
 		fin := [llxscx.MaxV]*lbst.Node[K, V]{n, r}
 		if !p.eng.RebalanceSCX(g, &v, 3, &fin, 2, fld, n, repl) {
@@ -276,7 +276,7 @@ func (p *policy[K, V]) fixRight(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node
 		return true
 	}
 	// Double rotation through rl.
-	if rl.Leaf {
+	if rl.IsLeaf() {
 		return false
 	}
 	lkRL, st := llxscx.LLX(rl)
@@ -287,9 +287,9 @@ func (p *policy[K, V]) fixRight(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node
 	if rll == nil || rlr == nil {
 		return false
 	}
-	nl := p.eng.InternalNode(n.K, 1+max(l.Deco, rll.Deco), false, l, rll)
-	nr := p.eng.InternalNode(r.K, 1+max(rlr.Deco, hrr), false, rlr, rr)
-	repl := p.eng.InternalNode(rl.K, 1+max(nl.Deco, nr.Deco), false, nl, nr)
+	nl := p.eng.InternalNode(n.K, 1+max(l.Deco(), rll.Deco()), false, l, rll)
+	nr := p.eng.InternalNode(r.K, 1+max(rlr.Deco(), hrr), false, rlr, rr)
+	repl := p.eng.InternalNode(rl.K, 1+max(nl.Deco(), nr.Deco()), false, nl, nr)
 	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkN, lkR, lkRL}
 	fin := [llxscx.MaxV]*lbst.Node[K, V]{n, r, rl}
 	if !p.eng.RebalanceSCX(g, &v, 4, &fin, 3, fld, n, repl) {
@@ -384,7 +384,7 @@ func (t *Tree[K, V]) RebalanceAll(maxSteps int) (int, error) {
 func (t *Tree[K, V]) findViolation() (u, n *lbst.Node[K, V]) {
 	var rec func(parent, nd *lbst.Node[K, V]) (*lbst.Node[K, V], *lbst.Node[K, V])
 	rec = func(parent, nd *lbst.Node[K, V]) (*lbst.Node[K, V], *lbst.Node[K, V]) {
-		if nd == nil || nd.Leaf {
+		if nd == nil || nd.IsLeaf() {
 			return nil, nil
 		}
 		if pu, pn := rec(nd, nd.Left()); pn != nil {
@@ -393,7 +393,7 @@ func (t *Tree[K, V]) findViolation() (u, n *lbst.Node[K, V]) {
 		if pu, pn := rec(nd, nd.Right()); pn != nil {
 			return pu, pn
 		}
-		if !nd.Inf && t.pol.Violation(nd) {
+		if !nd.IsSentinel() && t.pol.Violation(nd) {
 			return parent, nd
 		}
 		return nil, nil
@@ -407,10 +407,10 @@ func (t *Tree[K, V]) CountViolations() int {
 	count := 0
 	var rec func(nd *lbst.Node[K, V])
 	rec = func(nd *lbst.Node[K, V]) {
-		if nd == nil || nd.Leaf {
+		if nd == nil || nd.IsLeaf() {
 			return
 		}
-		if !nd.Inf && t.pol.Violation(nd) {
+		if !nd.IsSentinel() && t.pol.Violation(nd) {
 			count++
 		}
 		rec(nd.Left())
@@ -435,7 +435,7 @@ func (t *Tree[K, V]) CheckAVL() error {
 	}
 	var walk func(nd *lbst.Node[K, V]) (int64, error)
 	walk = func(nd *lbst.Node[K, V]) (int64, error) {
-		if nd.Leaf {
+		if nd.IsLeaf() {
 			return 0, nil // CheckStructure already verified leaf decorations
 		}
 		hl, err := walk(nd.Left())
@@ -446,13 +446,13 @@ func (t *Tree[K, V]) CheckAVL() error {
 		if err != nil {
 			return 0, err
 		}
-		if nd.Deco != 1+max(hl, hr) {
-			return 0, fmt.Errorf("node %v stores height %d, true height is %d", nd.K, nd.Deco, 1+max(hl, hr))
+		if nd.Deco() != 1+max(hl, hr) {
+			return 0, fmt.Errorf("node %v stores height %d, true height is %d", nd.K, nd.Deco(), 1+max(hl, hr))
 		}
 		if hl-hr > 1 || hr-hl > 1 {
 			return 0, fmt.Errorf("AVL balance violated at node %v: subtree heights %d and %d", nd.K, hl, hr)
 		}
-		return nd.Deco, nil
+		return nd.Deco(), nil
 	}
 	_, err := walk(root)
 	return err

@@ -25,13 +25,17 @@
 // Cells may be shared: the template trees alias one cell between a leaf and
 // every copy of that leaf made by rebalancing or deletion, which is what
 // makes the SCX-free overwrite safe (see the package comment of
-// internal/lbst and the in-place overwrite section of DESIGN.md).
+// internal/lbst and the in-place overwrite section of DESIGN.md). The trees
+// draw their cells from a Pool; a cell counts the nodes that alias it (Retain,
+// Pool.Release) and returns to the pool when the last of them is freed.
 package vcell
 
 import (
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/epoch"
 	"repro/internal/sched"
 )
 
@@ -42,6 +46,11 @@ type Cell[V any] struct {
 	// unboxed selects the representation. It is written once by Init, before
 	// the cell is published, and never changes.
 	unboxed bool
+	// refs counts the nodes aliasing the cell beyond the first, in bytes that
+	// would otherwise pad unboxed: zero is one holder, Retain adds one, and the
+	// Release that takes it below zero was the last. Unpooled cells ignore it.
+	refs atomic.Int32
+	gen  epoch.Gen // trips through a Pool; zero-size unless -tags reclaimcheck
 
 	word atomic.Uint64
 	ptr  atomic.Pointer[V]
@@ -85,9 +94,10 @@ func fromWord[V any](w uint64) V {
 }
 
 // New returns a fresh cell holding v, selecting the representation from
-// Unboxed[V](). It is the constructor for callers that allocate one cell per
-// key (the template trees); structures that embed cells in their nodes use
-// Init with a constructor-computed flag instead.
+// Unboxed[V](). It is the constructor for callers that leave their cells to
+// the garbage collector (the template trees under -tags noepoch; otherwise
+// they draw cells from a Pool); structures that embed cells in their nodes
+// use Init with a constructor-computed flag instead.
 func New[V any](v V) *Cell[V] {
 	c := &Cell[V]{}
 	c.Init(Unboxed[V](), v)
@@ -117,6 +127,9 @@ func (c *Cell[V]) Load() V {
 		var zero V
 		return zero
 	}
+	if epoch.PoisonCheck && c.refs.Load() < 0 {
+		panic("vcell: cell loaded after its last release (reclaimcheck)")
+	}
 	if c.unboxed {
 		return fromWord[V](c.word.Load())
 	}
@@ -134,24 +147,93 @@ func (c *Cell[V]) Store(v V) {
 	c.ptr.Store(&box)
 }
 
-// Reset clears the cell for reuse by a node pool: the boxed representation
-// drops its box so a recycled node does not pin the last value of a dead key
-// for the garbage collector. The caller must guarantee the cell is no longer
-// shared (the reclamation layer's grace period plus the cell-owner reference
-// count in the trees). The representation flag is left to the next Init.
-func (c *Cell[V]) Reset() {
-	c.word.Store(0)
-	c.ptr.Store(nil)
-	c.pubs.Store(0)
+// Gen returns how many times the cell has been recycled through a Pool (0
+// for a nil cell). It only changes under -tags reclaimcheck, where the trees'
+// read paths assert that no cell is recycled under a pinned reader.
+func (c *Cell[V]) Gen() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.gen.Load()
+}
+
+// Retain registers one more node aliasing the cell: a copy of a leaf calls it
+// on the source's cell. The caller must hold a node that holds the cell and
+// cannot be freed meanwhile (the copier is pinned and read the source out of
+// the tree), so the count cannot be passing through its last Release.
+func (c *Cell[V]) Retain() {
+	if !epoch.Enabled {
+		return // nothing is ever released: the collector owns the cell
+	}
+	if n := c.refs.Add(1); epoch.PoisonCheck && n <= 0 {
+		panic("vcell: cell retained after its last release (reclaimcheck)")
+	}
+}
+
+// Pool recycles the cells of one data structure. It is its own heap object
+// (NewPool) because a sync.Pool that has ever been used stays registered with
+// the runtime, and one embedded in a tree would keep the tree reachable.
+type Pool[V any] struct {
+	cells   sync.Pool
+	unboxed bool
+}
+
+// NewPool returns an empty pool of cells for values of type V.
+func NewPool[V any]() *Pool[V] {
+	return &Pool[V]{
+		cells:   sync.Pool{New: func() any { return new(Cell[V]) }},
+		unboxed: Unboxed[V](),
+	}
+}
+
+// Get returns a cell holding v, with one holder. Under -tags noepoch, where
+// no node is ever freed by hand, it is New and the collector owns the cell.
+func (p *Pool[V]) Get(v V) *Cell[V] {
+	if !epoch.Enabled {
+		return New(v)
+	}
+	c := p.cells.Get().(*Cell[V])
+	if epoch.PoisonCheck {
+		c.refs.Store(0) // a pooled cell is left at -1 in this build, see Release
+	}
+	c.Init(p.unboxed, v)
+	return c
+}
+
+// Release drops one holder's reference; the last one returns the cell to the
+// pool. A node releases its reference when its memory is freed: after its
+// grace period, or at once if it was never published. Every reader reached
+// the cell through such a node while pinned, so the last Release is ordered
+// after all of them and clears the cell with plain stores (dropping a boxed
+// value's box, so a pooled cell does not keep a dead key's value alive).
+func (p *Pool[V]) Release(c *Cell[V]) {
+	n := c.refs.Add(-1)
+	if n >= 0 {
+		return
+	}
+	if epoch.PoisonCheck && n < -1 {
+		panic("vcell: cell released more often than it was held (reclaimcheck)")
+	}
+	c.word = atomic.Uint64{}
+	c.ptr = atomic.Pointer[V]{}
+	c.pubs = atomic.Int64{}
+	if epoch.PoisonCheck {
+		// The count stays below zero while the cell is pooled, so a Load,
+		// Retain or Release that reaches it there is caught.
+		c.gen.Bump()
+	} else {
+		c.refs = atomic.Int32{}
+	}
+	p.cells.Put(c)
 }
 
 // BeginPublish registers an intent to Swap a value into the cell. The
 // bracket it opens (closed by EndPublish) lets a consumer that has
-// finalized the cell's owner wait out every writer that might still land a
-// Swap, so the consumer's subsequent Load is ordered after all publishes
-// that will ever be visible (see DrainPublishers). The bracket must be
-// short and straight-line: register, check the owner's finalized flag,
-// Swap, unregister - nothing inside may block, park, or panic.
+// finalized the leaf holding the cell wait out every writer that might
+// still land a Swap, so the consumer's subsequent Load is ordered after all
+// publishes that will ever be visible (see DrainPublishers). The bracket
+// must be short and straight-line: register, check the leaf's finalized
+// flag, Swap, unregister - nothing inside may block, park, or panic.
 func (c *Cell[V]) BeginPublish() {
 	c.pubs.Add(1)
 }
@@ -162,12 +244,12 @@ func (c *Cell[V]) EndPublish() {
 }
 
 // DrainPublishers waits until no publish bracket is open. A consumer calls
-// it after finalizing the cell's owning leaf and before loading the
-// displaced value: once the owner is finalized every NEW bracket observes
+// it after finalizing the leaf that holds the cell and before loading the
+// displaced value: once the leaf is finalized every NEW bracket observes
 // the finalized flag and backs off without swapping, so only the
 // (finitely many, short) brackets already open are waited for, and the
 // wait terminates. After the drain, any publish whose bracket saw the
-// owner un-finalized is totally ordered before the consumer's Load - that
+// leaf un-finalized is totally ordered before the consumer's Load - that
 // is the ordering fact that makes the in-place overwrite linearizable
 // against deletion (see internal/lbst's overwrite protocol).
 //

@@ -4,6 +4,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
+
+	"repro/internal/epoch"
 )
 
 func TestUnboxedSelection(t *testing.T) {
@@ -133,4 +136,82 @@ func TestAllocationProfile(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { boxed.Store("y") }); allocs < 1 {
 		t.Errorf("boxed Store allocates %.1f allocs/op, expected the box", allocs)
 	}
+}
+
+// TestCellIsHalfALine pins the size the trees' footprint arithmetic rests on:
+// the alias count lives in what used to be padding, so a cell is still 32
+// bytes (one generation word more under -tags reclaimcheck).
+func TestCellIsHalfALine(t *testing.T) {
+	want := uintptr(32)
+	if epoch.PoisonCheck {
+		want += 8
+	}
+	if got := unsafe.Sizeof(Cell[int64]{}); got != want {
+		t.Fatalf("Sizeof(Cell[int64]) = %d, want %d", got, want)
+	}
+}
+
+// holders is the number of references a live cell counts.
+func holders[V any](c *Cell[V]) int32 { return c.refs.Load() + 1 }
+
+// TestPoolReleasesAfterLastHolder drops a cell's three references and checks
+// that it keeps its value until the last one goes, and is cleared (its box
+// dropped, ready for the pool) exactly then.
+func TestPoolReleasesAfterLastHolder(t *testing.T) {
+	if !epoch.Enabled {
+		t.Skip("-tags noepoch leaves cells to the garbage collector")
+	}
+	p := NewPool[string]()
+	c := p.Get("v")
+	c.Retain()
+	c.Retain()
+	for want := int32(3); want > 1; want-- {
+		if got := holders(c); got != want {
+			t.Fatalf("%d holders, want %d", got, want)
+		}
+		p.Release(c)
+		if got := c.Load(); got != "v" {
+			t.Fatalf("cell reads %q with %d holders left, want \"v\"", got, want-1)
+		}
+	}
+	p.Release(c)
+	if c.ptr.Load() != nil || c.pubs.Load() != 0 {
+		t.Fatal("the last release left the cell's content in place")
+	}
+	if epoch.PoisonCheck {
+		mustPanic(t, "Load of a pooled cell", func() { c.Load() })
+		mustPanic(t, "Release of a pooled cell", func() { p.Release(c) })
+		mustPanic(t, "Retain of a pooled cell", func() { c.Retain() })
+	}
+}
+
+// TestPoolReusesCells checks the round trip: a released cell comes back from
+// Get with one holder, the new value and, under -tags reclaimcheck, a new
+// generation. (sync.Pool may drop an object, most often under the race
+// detector, so the test only looks at the cell when it did come back.)
+func TestPoolReusesCells(t *testing.T) {
+	if !epoch.Enabled {
+		t.Skip("-tags noepoch leaves cells to the garbage collector")
+	}
+	p := NewPool[int64]()
+	c := p.Get(7)
+	g0 := c.Gen()
+	p.Release(c)
+	d := p.Get(9)
+	if holders(d) != 1 || d.Load() != 9 {
+		t.Fatalf("fresh cell has %d holders and reads %d, want 1 and 9", holders(d), d.Load())
+	}
+	if d == c && epoch.PoisonCheck && d.Gen() == g0 {
+		t.Fatal("a recycled cell kept its generation")
+	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
 }
