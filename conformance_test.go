@@ -19,6 +19,7 @@ package repro
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
@@ -51,6 +52,9 @@ func templateTreeTargets(tb testing.TB) []dicttest.Target {
 			Check: func(d dict.IntMap) error {
 				return d.(*ebst.Tree[int64, int64]).CheckStructure()
 			},
+			CheckOp: func(d dict.IntMap) error {
+				return d.(*ebst.Tree[int64, int64]).CheckStructure()
+			},
 		},
 		{
 			Name: "RAVL",
@@ -65,6 +69,11 @@ func templateTreeTargets(tb testing.TB) []dicttest.Target {
 				}
 				return tr.CheckAVL()
 			},
+			// A sequential run leaves nothing for RebalanceAll to do: every
+			// operation's own cleanup restores the exact AVL shape.
+			CheckOp: func(d dict.IntMap) error {
+				return d.(*ravl.Tree[int64, int64]).CheckAVL()
+			},
 		},
 		{
 			Name: "Chromatic",
@@ -74,6 +83,9 @@ func templateTreeTargets(tb testing.TB) []dicttest.Target {
 				// it must satisfy the full red-black conditions.
 				return d.(*chromatic.Tree[int64, int64]).CheckRedBlack()
 			},
+			CheckOp: func(d dict.IntMap) error {
+				return d.(*chromatic.Tree[int64, int64]).CheckRedBlack()
+			},
 		},
 		{
 			Name: "Chromatic6",
@@ -81,6 +93,9 @@ func templateTreeTargets(tb testing.TB) []dicttest.Target {
 			Check: func(d dict.IntMap) error {
 				// Chromatic6 may retain up to six violations per search path,
 				// so only the structural and weight invariants must hold.
+				return d.(*chromatic.Tree[int64, int64]).CheckInvariants()
+			},
+			CheckOp: func(d dict.IntMap) error {
 				return d.(*chromatic.Tree[int64, int64]).CheckInvariants()
 			},
 		},
@@ -428,19 +443,46 @@ func TestHotKeyOverwriteStressBoxedValues(t *testing.T) {
 	}
 }
 
-// FuzzOrderedMapAgainstModel feeds an arbitrary byte stream, decoded as
-// (opcode, key, value) triples, to every structure - template trees and
-// baselines, both the int64 registry instantiations and the string-keyed
-// generic ones - and compares each result with the model map; the invariant
-// checkers run at the end of every input. Run with
-// `go test -fuzz=FuzzOrderedMapAgainstModel .` for continuous fuzzing; the
-// seed corpus below runs as part of `go test`.
-func FuzzOrderedMapAgainstModel(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 1, 2})
-	f.Add([]byte{0, 5, 1, 0, 5, 2, 1, 5, 0})
-	f.Add([]byte{0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 1, 2, 0, 3, 1, 0, 4, 9, 0})
-	// An ascending then descending churn that forces rebalancing.
+// churnOps returns one deterministic operation stream of the fuzz corpus: an
+// optional ascending fill of [0, keyRange) followed by n inserts and deletes,
+// insertPct percent of them inserts, of keys drawn from that range by a fixed
+// LCG.
+func churnOps(seed uint64, n, keyRange, insertPct int, prefill bool) []byte {
+	var data []byte
+	if prefill {
+		for k := 0; k < keyRange; k++ {
+			data = append(data, 0, byte(k), 1)
+		}
+	}
+	next := func() uint64 {
+		seed = seed*2862933555777941757 + 3037000493
+		return seed >> 33
+	}
+	for i := 0; i < n; i++ {
+		op := byte(1)
+		if int(next()%100) < insertPct {
+			op = 0
+		}
+		data = append(data, op, byte(next()%uint64(keyRange)), byte(next()))
+	}
+	return data
+}
+
+// fuzzSeedCorpus is the seed corpus of FuzzOrderedMapAgainstModel. The six
+// churn streams were picked by a search over churnOps' parameters so that,
+// together, they take the chromatic trees through every one of their
+// rebalancing steps and the relaxed AVL tree through every step a sequential
+// run can reach (TestFuzzSeedCorpusReachesEveryStep holds them to that). The
+// overweight steps that need two overweight nodes side by side (W1, W7 and
+// their mirrors) only fire on Chromatic6, which lets violations accumulate.
+func fuzzSeedCorpus() [][]byte {
+	corpus := [][]byte{
+		{},
+		{0, 1, 2},
+		{0, 5, 1, 0, 5, 2, 1, 5, 0},
+		{0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 1, 2, 0, 3, 1, 0, 4, 9, 0},
+	}
+	// An ascending fill, a deletion of every other key, then ordered queries.
 	var churn []byte
 	for i := byte(0); i < 60; i++ {
 		churn = append(churn, 0, i, i)
@@ -451,7 +493,38 @@ func FuzzOrderedMapAgainstModel(f *testing.F) {
 	for i := byte(60); i > 0; i-- {
 		churn = append(churn, 3, i, 0, 4, i, 0)
 	}
-	f.Add(churn)
+	corpus = append(corpus, churn)
+	for _, c := range []struct {
+		seed                   uint64
+		n, keyRange, insertPct int
+		prefill                bool
+	}{
+		{274, 26, 58, 24, true},
+		{24, 45, 217, 43, false},
+		{774, 160, 19, 57, true},
+		{351, 390, 66, 29, true},
+		{294, 214, 38, 26, true},
+		{21, 373, 58, 52, true},
+	} {
+		corpus = append(corpus, churnOps(c.seed, c.n, c.keyRange, c.insertPct, c.prefill))
+	}
+	return corpus
+}
+
+// FuzzOrderedMapAgainstModel feeds an arbitrary byte stream, decoded as
+// (opcode, key, value) triples, to every structure - template trees and
+// baselines, both the int64 registry instantiations and the string-keyed
+// generic ones - and compares each result with the model map. The four
+// template trees are checked after every operation (their targets' CheckOp:
+// whole content against the model, then CheckRedBlack, CheckInvariants,
+// CheckAVL or CheckStructure); every structure's invariant checker runs at
+// the end of the input. Run with
+// `go test -fuzz=FuzzOrderedMapAgainstModel .` for continuous fuzzing; the
+// seed corpus runs as part of `go test`.
+func FuzzOrderedMapAgainstModel(f *testing.F) {
+	for _, data := range fuzzSeedCorpus() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*5000 {
 			t.Skip("input larger than the op budget")
@@ -463,6 +536,72 @@ func FuzzOrderedMapAgainstModel(f *testing.F) {
 			dicttest.FuzzOpsKV(t, tgt, stringKey, stringVal, data)
 		}
 	})
+}
+
+// TestFuzzSeedCorpusReachesEveryStep runs the seed corpus through the same
+// per-operation-checked interpreter as the fuzz target and reads the trees'
+// step counters afterwards: every chromatic rebalancing step and every
+// relaxed AVL step a sequential run can reach must have fired at least once,
+// so each of them has been followed by an invariant check. The two child
+// height fixes of the relaxed AVL tree need a stale height below an
+// unbalanced node, which only concurrent updates leave behind; internal/ravl
+// covers them (TestCleanupFixesStaleChildHeightFirst).
+func TestFuzzSeedCorpusReachesEveryStep(t *testing.T) {
+	var chromatics []*chromatic.Tree[int64, int64]
+	var ravls []*ravl.Tree[int64, int64]
+	targets := templateTreeTargets(t)
+	for i := range targets {
+		newTree := targets[i].New
+		targets[i].New = func() dict.IntMap {
+			d := newTree()
+			switch tr := d.(type) {
+			case *chromatic.Tree[int64, int64]:
+				chromatics = append(chromatics, tr)
+			case *ravl.Tree[int64, int64]:
+				ravls = append(ravls, tr)
+			}
+			return d
+		}
+	}
+	for _, data := range fuzzSeedCorpus() {
+		for _, tgt := range targets {
+			dicttest.FuzzOps(t, tgt, data)
+		}
+	}
+	fired := map[string]int64{}
+	for _, tr := range chromatics {
+		s := tr.Stats()
+		for name, c := range map[string]*atomic.Int64{
+			"BLK": &s.BLK, "RB1": &s.RB1, "RB1s": &s.MirrorRB1, "RB2": &s.RB2, "RB2s": &s.MirrorRB2,
+			"PUSH": &s.PUSH, "PUSHs": &s.MirrorPUSH,
+			"W1": &s.W1, "W1s": &s.MirrorW1, "W2": &s.W2, "W2s": &s.MirrorW2,
+			"W3": &s.W3, "W3s": &s.MirrorW3, "W4": &s.W4, "W4s": &s.MirrorW4,
+			"W5": &s.W5, "W5s": &s.MirrorW5, "W6": &s.W6, "W6s": &s.MirrorW6,
+			"W7": &s.W7, "W7s": &s.MirrorW7,
+		} {
+			fired[name] += c.Load()
+		}
+	}
+	for _, tr := range ravls {
+		s := tr.Stats()
+		for name, c := range map[string]*atomic.Int64{
+			"RAVL height fix":       &s.HeightFixes,
+			"RAVL single rotation":  &s.SingleRotations,
+			"RAVL single rotation*": &s.MirrorSingleRotations,
+			"RAVL double rotation":  &s.DoubleRotations,
+			"RAVL double rotation*": &s.MirrorDoubleRotations,
+		} {
+			fired[name] += c.Load()
+		}
+	}
+	if len(fired) != 21+5 {
+		t.Fatalf("counted %d distinct steps, want 21 chromatic and 5 relaxed AVL", len(fired))
+	}
+	for name, n := range fired {
+		if n == 0 {
+			t.Errorf("the seed corpus never reaches step %s", name)
+		}
+	}
 }
 
 // TestRegistryCoversAllStructures pins the registry contents the harness

@@ -355,9 +355,9 @@ func RAVLBalanceReport(w io.Writer, opts Options) RAVLReport {
 		report.AVLBound = ravl.HeightBound(report.Keys)
 		s := tree.Stats()
 		report.Cleanups = s.Cleanups.Load()
-		report.HeightFixes = s.HeightFixes.Load()
-		report.SingleRotations = s.SingleRotations.Load()
-		report.DoubleRotations = s.DoubleRotations.Load()
+		report.HeightFixes = s.HeightFixes.Load() + s.ChildHeightFixes.Load() + s.MirrorChildHeightFixes.Load()
+		report.SingleRotations = s.SingleRotations.Load() + s.MirrorSingleRotations.Load()
+		report.DoubleRotations = s.DoubleRotations.Load() + s.MirrorDoubleRotations.Load()
 		fmt.Fprintf(w, "RAVL balance report: %s, key range [0,%d), %d threads\n",
 			workload.Mix50i50d, keyRange, threads)
 		fmt.Fprintf(w, "  n=%d leftover violations at quiescence=%d drained in %d steps\n",

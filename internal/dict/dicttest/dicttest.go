@@ -44,6 +44,12 @@ type TargetOf[K comparable, V comparable] struct {
 	// Check, if non-nil, verifies structure-specific invariants. It is only
 	// called when no operations are in flight.
 	Check func(dict.Map[K, V]) error
+	// CheckOp, if non-nil, makes FuzzOpsKV check the dictionary after every
+	// operation instead of once per input: the whole content is compared
+	// with the model and CheckOp verifies the invariants that hold between
+	// any two operations of a sequential run. Unlike Check it must leave the
+	// structure as it found it.
+	CheckOp func(dict.Map[K, V]) error
 }
 
 // Target is the historical int64 form of TargetOf, used by tests written
@@ -56,16 +62,19 @@ type Target struct {
 	// Check, if non-nil, verifies structure-specific invariants. It is only
 	// called when no operations are in flight.
 	Check func(dict.IntMap) error
+	// CheckOp is TargetOf.CheckOp.
+	CheckOp func(dict.IntMap) error
 }
 
 // generic converts an int64 Target to the generic form with the natural
 // ordering.
 func (tgt Target) generic() TargetOf[int64, int64] {
 	return TargetOf[int64, int64]{
-		Name:  tgt.Name,
-		New:   tgt.New,
-		Less:  func(a, b int64) bool { return a < b },
-		Check: tgt.Check,
+		Name:    tgt.Name,
+		New:     tgt.New,
+		Less:    func(a, b int64) bool { return a < b },
+		Check:   tgt.Check,
+		CheckOp: tgt.CheckOp,
 	}
 }
 
@@ -205,6 +214,30 @@ func finalCheck[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], d 
 	}
 }
 
+// checkContent compares everything an in-order scan of the dictionary emits
+// with the model's sorted content. Dictionaries without Ascend are skipped.
+func checkContent[K comparable, V comparable](t *testing.T, name string, step int, d dict.Map[K, V], md *model[K, V]) {
+	t.Helper()
+	asc, ok := d.(interface {
+		Ascend(fn func(k K, v V) bool) int
+	})
+	if !ok {
+		return
+	}
+	want := md.sortedKeys()
+	i := 0
+	n := asc.Ascend(func(k K, v V) bool {
+		if i >= len(want) || k != want[i] || v != md.m[k] {
+			t.Fatalf("%s step %d: scan position %d holds (%v,%v); the model's sorted keys are %v", name, step, i, k, v, want)
+		}
+		i++
+		return true
+	})
+	if n != len(want) {
+		t.Fatalf("%s step %d: scan emitted %d keys, model has %d", name, step, n, len(want))
+	}
+}
+
 // lcg advances the suite's deterministic pseudo-random stream (a simple LCG
 // so the suite does not depend on math/rand stability across Go releases).
 func lcg(state *uint64) uint64 {
@@ -279,6 +312,12 @@ func FuzzOpsKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], key
 		k := key(uint64(data[i+1]))
 		v := val(uint64(data[i+2]))
 		applyChecked(t, tgt.Name, d, md, i/3, op, k, v)
+		if tgt.CheckOp != nil {
+			checkContent(t, tgt.Name, i/3, d, md)
+			if err := tgt.CheckOp(d); err != nil {
+				t.Fatalf("%s step %d: invariant check after the operation: %v", tgt.Name, i/3, err)
+			}
+		}
 	}
 	finalCheck(t, tgt, d, md)
 }

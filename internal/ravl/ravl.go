@@ -51,15 +51,23 @@ import (
 // monotone and only approximately ordered with respect to concurrent
 // operations.
 type Stats struct {
-	Cleanups        atomic.Int64 // cleanup passes triggered by updates
-	HeightFixes     atomic.Int64
-	SingleRotations atomic.Int64
-	DoubleRotations atomic.Int64
+	Cleanups atomic.Int64 // cleanup passes triggered by updates
+
+	// The seven steps, one counter each: a height fix at the violating node,
+	// and below a node whose left child is the taller one a height fix of
+	// that child, a single rotation or a double rotation (Mirror*: the right
+	// child is the taller one).
+	HeightFixes                              atomic.Int64
+	ChildHeightFixes, MirrorChildHeightFixes atomic.Int64
+	SingleRotations, MirrorSingleRotations   atomic.Int64
+	DoubleRotations, MirrorDoubleRotations   atomic.Int64
 }
 
 // RebalanceTotal returns the total number of successful rebalancing steps.
 func (s *Stats) RebalanceTotal() int64 {
-	return s.HeightFixes.Load() + s.SingleRotations.Load() + s.DoubleRotations.Load()
+	return s.HeightFixes.Load() + s.ChildHeightFixes.Load() + s.MirrorChildHeightFixes.Load() +
+		s.SingleRotations.Load() + s.MirrorSingleRotations.Load() +
+		s.DoubleRotations.Load() + s.MirrorDoubleRotations.Load()
 }
 
 // policy is the relaxed AVL balancing policy for the lbst engine. eng is the
@@ -186,7 +194,7 @@ func (p *policy[K, V]) fixLeft(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node[
 			p.eng.ReleaseFresh(repl)
 			return false
 		}
-		p.stats.HeightFixes.Add(1)
+		p.stats.ChildHeightFixes.Add(1)
 		return true
 	}
 	if hll >= hlr {
@@ -258,7 +266,7 @@ func (p *policy[K, V]) fixRight(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node
 			p.eng.ReleaseFresh(repl)
 			return false
 		}
-		p.stats.HeightFixes.Add(1)
+		p.stats.MirrorChildHeightFixes.Add(1)
 		return true
 	}
 	if hrr >= hrl {
@@ -272,7 +280,7 @@ func (p *policy[K, V]) fixRight(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node
 			p.eng.ReleaseFresh(repl)
 			return false
 		}
-		p.stats.SingleRotations.Add(1)
+		p.stats.MirrorSingleRotations.Add(1)
 		return true
 	}
 	// Double rotation through rl.
@@ -298,7 +306,7 @@ func (p *policy[K, V]) fixRight(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node
 		p.eng.ReleaseFresh(repl)
 		return false
 	}
-	p.stats.DoubleRotations.Add(1)
+	p.stats.MirrorDoubleRotations.Add(1)
 	return true
 }
 

@@ -4,7 +4,10 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/lbst"
 )
 
 func TestEmpty(t *testing.T) {
@@ -202,8 +205,10 @@ func TestConcurrentDisjointKeys(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RebalanceAll: %v", err)
 	}
+	s := tr.Stats()
 	t.Logf("quiescent rebalancing: %d steps, stats %d fixes / %d single / %d double",
-		steps, tr.Stats().HeightFixes.Load(), tr.Stats().SingleRotations.Load(), tr.Stats().DoubleRotations.Load())
+		steps, s.HeightFixes.Load()+s.ChildHeightFixes.Load()+s.MirrorChildHeightFixes.Load(),
+		s.SingleRotations.Load()+s.MirrorSingleRotations.Load(), s.DoubleRotations.Load()+s.MirrorDoubleRotations.Load())
 	if err := tr.CheckAVL(); err != nil {
 		t.Fatalf("CheckAVL after RebalanceAll: %v", err)
 	}
@@ -295,5 +300,66 @@ func TestRelaxationStaysBounded(t *testing.T) {
 	bound := HeightBound(n)
 	if h := tr.Height(); h > bound {
 		t.Fatalf("height %d exceeds AVL bound %d for %d keys", h, bound, n)
+	}
+}
+
+// deferring is the relaxed AVL policy with a switch that holds back every
+// cleanup, so that a single goroutine can leave behind what otherwise only
+// concurrent updates do: a stale height below an unbalanced node.
+type deferring struct {
+	*policy[int64, int64]
+	hold *bool
+}
+
+func (d deferring) CreatesViolation(parent, oldChild, newChild *lbst.Node[int64, int64]) bool {
+	return !*d.hold && d.policy.CreatesViolation(parent, oldChild, newChild)
+}
+
+// TestCleanupFixesStaleChildHeightFirst reaches the two steps no sequential
+// run of the public operations can: cleanup walks top-down, so when deferred
+// deletions have left a node unbalanced AND its taller child's stored height
+// stale, it meets the unbalanced node first and must correct the child's
+// height before it may rotate. Each script builds an exact AVL tree of keys
+// 1..fill, deletes some keys with cleanup held back, and then deletes one
+// more key with cleanup restored.
+func TestCleanupFixesStaleChildHeightFirst(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		fill    int64
+		held    []int64
+		trigger int64
+		step    func(*Stats) *atomic.Int64
+	}{
+		{"left child", 7, []int64{6, 3, 5}, 2, func(s *Stats) *atomic.Int64 { return &s.ChildHeightFixes }},
+		{"right child", 9, []int64{9}, 6, func(s *Stats) *atomic.Int64 { return &s.MirrorChildHeightFixes }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &Tree[int64, int64]{}
+			tr.pol = &policy[int64, int64]{stats: &tr.stats}
+			hold := false
+			tr.Tree = lbst.New(func(a, b int64) bool { return a < b }, deferring{tr.pol, &hold})
+			tr.pol.eng = tr.Tree
+			for k := int64(1); k <= tc.fill; k++ {
+				tr.Insert(k, k)
+			}
+			if err := tr.CheckAVL(); err != nil {
+				t.Fatalf("after the fill: %v", err)
+			}
+			hold = true
+			for _, k := range tc.held {
+				tr.Delete(k)
+			}
+			hold = false
+			tr.Delete(tc.trigger)
+			if n := tc.step(tr.Stats()).Load(); n == 0 {
+				t.Fatalf("the cleanup of Delete(%d) performed no child height fix", tc.trigger)
+			}
+			if _, err := tr.RebalanceAll(DrainCap(tr.Size())); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.CheckAVL(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
