@@ -3,10 +3,11 @@
 //
 // The implementation lives under internal/: the LLX/SCX/VLX primitives
 // (internal/llxscx), the shared leaf-oriented BST engine built on the
-// paper's tree update template (internal/lbst) with its
-// two instantiations - the unbalanced BST (internal/ebst) and the relaxed
-// AVL tree (internal/ravl) - the non-blocking chromatic tree
-// (internal/chromatic), the epoch-based reclamation layer they share
+// paper's tree update template (internal/lbst) with its three balancing
+// policies - the unbalanced BST (internal/ebst), the relaxed AVL tree
+// (internal/ravl) and the paper's non-blocking chromatic tree
+// (internal/chromatic: the 22 rebalancing steps and the weight rules, nothing
+// else) - the epoch-based reclamation layer they share
 // (internal/epoch), and every data structure the paper's evaluation
 // compares against, plus the workload generator and throughput harness that
 // regenerate the paper's figures. The dictionary stack is generic end to
@@ -30,7 +31,8 @@
 // sequences in stack arrays for the SCXFixed/SCXP/VLXFixed entry points;
 // inserts reuse the old leaf as a child of the fresh internal node where the
 // template's postconditions allow (values stored into child fields must
-// stay freshly allocated, so deletes still promote a copy); and NewOrdered
+// stay freshly allocated, so deletes still promote a copy, and a leaf whose
+// weight an insertion changes is copied too); and NewOrdered
 // trees install a search routine specialized to the native `<` of the key
 // type. Overwriting a present key's value needs no SCX at all: leaf values
 // live in atomically published cells (internal/vcell, unboxed single-word
@@ -39,8 +41,8 @@
 // one atomic publish plus a finalization re-check - zero allocations for the
 // int64 registry, on the trees and the skip-list/lock-AVL baselines alike.
 // The trees keep the cells outside their nodes: a node is one 64-byte cache
-// line (weight or decoration and the leaf/sentinel flags packed into the
-// four spare bytes of its llxscx.Record), a cell is 32 bytes from a per-tree
+// line (the policy's decoration - a weight or a height - and the
+// leaf/sentinel flags packed into the four spare bytes of its llxscx.Record), a cell is 32 bytes from a per-tree
 // pool, and a cell counts the nodes aliasing it so that it returns to the
 // pool when the last of them has been freed.
 // Node reclamation is manual: internal/epoch implements quiescent-state-based

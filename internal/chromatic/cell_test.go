@@ -4,83 +4,18 @@ import (
 	"testing"
 
 	"repro/internal/epoch"
-	"repro/internal/llxscx"
-	"repro/internal/vcell"
 )
 
-// cellAlive reports whether c still holds v. Once the last node aliasing a
-// cell has been freed the cell is cleared for its pool: it reads as the zero
-// value, or - under -tags reclaimcheck - panics on the load.
-func cellAlive(c *vcell.Cell[int64], v int64) (alive bool) {
-	defer func() {
-		if recover() != nil {
-			alive = false
-		}
-	}()
-	return c.Load() == v
-}
-
-// leafAndTwoCopies builds a leaf holding v and two copies aliasing its cell,
-// none of them published.
-func leafAndTwoCopies(t *testing.T, tr *Tree[int64, int64], v int64) [3]*node[int64, int64] {
-	t.Helper()
-	l := tr.leafNode(1, v, 1)
-	lk, st := llxscx.LLX(l)
-	if st != llxscx.Snapshot {
-		t.Fatalf("LLX of a fresh leaf: %v", st)
-	}
-	a, b := tr.copyNode(lk, 1), tr.copyNode(lk, 2)
-	if a.val != l.val || b.val != l.val {
-		t.Fatal("a copy does not alias its source's cell")
-	}
-	return [3]*node[int64, int64]{l, a, b}
-}
-
-// TestCellFreedWithLastAlias frees a leaf and two copies of it in all six
-// orders: the shared cell keeps its value until the last of the three is
-// freed and returns to its pool exactly then.
-func TestCellFreedWithLastAlias(t *testing.T) {
-	if !epoch.Enabled {
-		t.Skip("-tags noepoch leaves cells to the garbage collector")
-	}
-	tr := New()
-	for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
-		nodes := leafAndTwoCopies(t, tr, 42)
-		cell := nodes[0].val
-		for i, which := range order {
-			tr.freeNode(nodes[which])
-			if alive := cellAlive(cell, 42); alive != (i < 2) {
-				t.Fatalf("order %v: after freeing %d of 3 aliasing nodes the cell is alive=%v", order, i+1, alive)
-			}
-		}
-	}
-}
-
-// TestReleaseFreshDropsReference: a copy built for an SCX that then failed
-// gives its reference back, so the source's free is the last one again.
-func TestReleaseFreshDropsReference(t *testing.T) {
-	if !epoch.Enabled {
-		t.Skip("-tags noepoch leaves cells to the garbage collector")
-	}
-	tr := New()
-	nodes := leafAndTwoCopies(t, tr, 42)
-	cell := nodes[0].val
-	tr.releaseFresh(nodes[1])
-	tr.releaseFresh(nodes[2])
-	if !cellAlive(cell, 42) {
-		t.Fatal("releasing the unpublished copies freed the source's cell")
-	}
-	tr.freeNode(nodes[0])
-	if cellAlive(cell, 42) {
-		t.Fatal("the cell outlived its only remaining holder: a released copy kept its reference")
-	}
-}
+// The value-cell lifetime protocol is the engine's and is tested there
+// (internal/lbst/cell_test.go). The two tests below go through the public
+// operations only and end on CheckInvariants, so what they add is the
+// chromatic policy's part: the promoted sibling and the replacement leaf must
+// come out with the right weights while they alias, or replace, a cell.
 
 // TestCopyKeepsCellAfterSourceFreed goes through the public operations:
 // deleting key 1 promotes a copy of its sibling, the leaf of key 2, and
 // retires the original; once the original has been freed the copy must still
-// read, and overwrite, the value through the shared cell. (This is the test
-// that fails, in every build, if copyNode forgets its Retain.)
+// read, and overwrite, the value through the shared cell.
 func TestCopyKeepsCellAfterSourceFreed(t *testing.T) {
 	tr := New()
 	tr.Insert(1, 10)
@@ -107,7 +42,8 @@ func TestCopyKeepsCellAfterSourceFreed(t *testing.T) {
 // TestReplacedLeafReadableThroughSnapshot: while a snapshot is held an
 // overwrite replaces the leaf instead of publishing in place, and the held
 // view keeps reading the old leaf, and its cell, through the replacement's
-// prev link until it is released.
+// prev link until it is released. The replacement carries the old leaf's
+// weight.
 func TestReplacedLeafReadableThroughSnapshot(t *testing.T) {
 	if !epoch.Enabled {
 		t.Skip("-tags noepoch snapshots are live views")

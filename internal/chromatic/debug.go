@@ -11,21 +11,22 @@ import (
 // uses plain reads and is not linearizable.
 func (t *Tree[K, V]) DebugPath(key K) string {
 	var b strings.Builder
-	n := t.entry
+	less := t.Less()
+	n := t.Entry()
 	depth := 0
 	for n != nil {
 		k := "inf"
 		if !n.IsSentinel() {
-			k = fmt.Sprintf("%v", n.k)
+			k = fmt.Sprintf("%v", n.K)
 		}
-		fmt.Fprintf(&b, "depth=%d key=%s w=%d leaf=%v finalized=%v\n", depth, k, n.w(), n.IsLeaf(), n.rec.Marked())
+		fmt.Fprintf(&b, "depth=%d key=%s w=%d leaf=%v finalized=%v\n", depth, k, n.Deco(), n.IsLeaf(), n.Marked())
 		if n.IsLeaf() {
 			break
 		}
-		if t.keyLess(key, n) {
-			n = n.left.Load()
+		if n.IsSentinel() || less(key, n.K) {
+			n = n.Left()
 		} else {
-			n = n.right.Load()
+			n = n.Right()
 		}
 		depth++
 	}

@@ -56,9 +56,8 @@ func TestDiagnoseContention(t *testing.T) {
 		case <-tick.C:
 			cur := completed.Load()
 			s := tr.Stats()
-			t.Logf("progress: %d ops done (+%d), inserts=%d deletes=%d rebalance=%d rebalanceAttempts=%d rebalanceFails=%d",
-				cur, cur-last, s.Insert1.Load()+s.Insert2.Load(), s.Delete.Load(),
-				s.RebalanceTotal(), s.RebalanceAttempts.Load(), s.RebalanceFails.Load())
+			t.Logf("progress: %d ops done (+%d), rebalance=%d rebalanceAttempts=%d rebalanceFails=%d",
+				cur, cur-last, s.RebalanceTotal(), s.RebalanceAttempts.Load(), s.RebalanceFails.Load())
 			last = cur
 		case <-deadline:
 			cur := completed.Load()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/lbst"
 	"repro/internal/vcell"
 	"repro/internal/workload"
 )
@@ -34,7 +35,7 @@ func TestNoParkedDescriptors(t *testing.T) {
 	runtime.GC() // twice: the first only moves the node pool to its victim cache
 	perKey := float64(heapAlloc()-before) / float64(size)
 
-	want := float64(2*unsafe.Sizeof(node[int64, int64]{}) + unsafe.Sizeof(vcell.Cell[int64]{}))
+	want := float64(2*unsafe.Sizeof(lbst.Node[int64, int64]{}) + unsafe.Sizeof(vcell.Cell[int64]{}))
 	t.Logf("%d keys: %.0f heap bytes per key, two nodes and a cell are %.0f", size, perKey, want)
 	if perKey > 1.1*want {
 		t.Fatalf("%.0f heap bytes per key, want at most %.0f (two nodes and a cell, plus 10%%): something else stays live per record",

@@ -149,7 +149,7 @@ func (md *model[K, V]) sortedKeys() []K {
 
 // applyChecked performs one operation against both the dictionary and the
 // model and fails the test on any divergence. op is interpreted modulo 5.
-func applyChecked[K comparable, V comparable](t *testing.T, name string, d dict.Map[K, V], md *model[K, V], step int, op int, key K, val V) {
+func applyChecked[K comparable, V comparable](t testing.TB, name string, d dict.Map[K, V], md *model[K, V], step int, op int, key K, val V) {
 	t.Helper()
 	om, ordered := d.(dict.OrderedMap[K, V])
 	switch op % 5 {
@@ -194,7 +194,7 @@ func applyChecked[K comparable, V comparable](t *testing.T, name string, d dict.
 
 // finalCheck sweeps the model's final state, the Size report and the
 // target's invariant checker.
-func finalCheck[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], d dict.Map[K, V], md *model[K, V]) {
+func finalCheck[K comparable, V comparable](t testing.TB, tgt TargetOf[K, V], d dict.Map[K, V], md *model[K, V]) {
 	t.Helper()
 	for _, k := range md.sortedKeys() {
 		want := md.m[k]
@@ -216,7 +216,7 @@ func finalCheck[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], d 
 
 // checkContent compares everything an in-order scan of the dictionary emits
 // with the model's sorted content. Dictionaries without Ascend are skipped.
-func checkContent[K comparable, V comparable](t *testing.T, name string, step int, d dict.Map[K, V], md *model[K, V]) {
+func checkContent[K comparable, V comparable](t testing.TB, name string, step int, d dict.Map[K, V], md *model[K, V]) {
 	t.Helper()
 	asc, ok := d.(interface {
 		Ascend(fn func(k K, v V) bool) int
@@ -302,8 +302,9 @@ func SequentialConformance(t *testing.T, tgt Target, ops int, keyRange int64, se
 // FuzzOpsKV interprets data as an operation stream - three bytes per
 // operation: opcode, key selector, value selector - and checks every result
 // against the model. It is intended to be driven by go test's fuzzing
-// engine.
-func FuzzOpsKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V, data []byte) {
+// engine. (It takes a testing.TB so that the seeded-mutation tests can hand
+// it one that records the failure they expect.)
+func FuzzOpsKV[K comparable, V comparable](t testing.TB, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V, data []byte) {
 	t.Helper()
 	d := tgt.New()
 	md := newModel[K, V](tgt.Less)
@@ -324,7 +325,7 @@ func FuzzOpsKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], key
 
 // FuzzOps is the int64 wrapper around FuzzOpsKV: keys and values are the
 // raw selector bytes.
-func FuzzOps(t *testing.T, tgt Target, data []byte) {
+func FuzzOps(t testing.TB, tgt Target, data []byte) {
 	t.Helper()
 	FuzzOpsKV(t, tgt.generic(),
 		func(u uint64) int64 { return int64(u) },

@@ -38,19 +38,22 @@ import (
 // itself in violation.
 type policy[K, V any] struct{}
 
-func (policy[K, V]) Name() string                                   { return "EBST" }
-func (policy[K, V]) InternalDeco() int64                            { return 0 }
-func (policy[K, V]) CreatesViolation(_, _, _ *lbst.Node[K, V]) bool { return false }
-func (policy[K, V]) Violation(*lbst.Node[K, V]) bool                { return false }
-func (policy[K, V]) Rebalance(_ *epoch.Guard, _, _ *lbst.Node[K, V]) bool {
+func (policy[K, V]) Name() string                                        { return "EBST" }
+func (policy[K, V]) SentinelDeco() int64                                 { return 0 }
+func (policy[K, V]) InsertDecos(_, _ *lbst.Node[K, V]) (_, _, _ int64)   { return 0, 0, 0 }
+func (policy[K, V]) PromoteDeco(_, _, _ *lbst.Node[K, V]) int64          { return 0 }
+func (policy[K, V]) CreatesViolation(_ K, _, _, _ *lbst.Node[K, V]) bool { return false }
+func (policy[K, V]) Violation(_, _ *lbst.Node[K, V]) bool                { return false }
+func (policy[K, V]) Rebalance(_ *epoch.Guard, _, _, _, _ *lbst.Node[K, V]) bool {
 	return false
 }
 
 // Tree is a non-blocking unbalanced leaf-oriented BST. It is safe for
 // concurrent use. Use New, NewOrdered or NewLess to create one. All
-// dictionary and ordered-query operations (Get, Insert, Delete, Successor,
-// Predecessor, RangeScan, Ascend, Min, Max) and the quiescent helpers
-// (Size, Height, Keys, CheckStructure) are provided by the embedded engine.
+// dictionary and ordered-query operations (Get, Insert, LoadOrStore, Delete,
+// Successor, Predecessor, RangeScan, Ascend, Min, Max, Snapshot) and the
+// quiescent helpers (Size, Height, Keys, CheckStructure) are provided by the
+// embedded engine.
 type Tree[K, V any] struct {
 	*lbst.Tree[K, V]
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/epoch"
 	"repro/internal/lbst"
 )
 
@@ -228,18 +227,11 @@ func TestSpineDiagnosticFiresOnSequentialFill(t *testing.T) {
 	}
 }
 
-// rawPolicy is the no-op policy without the SpineMitigator extension: a tree
+// rawPolicy is the no-op policy without the SpineMitigator extension (it
+// embeds the policy as a plain lbst.Policy, which hides MitigateSpine): a tree
 // instantiated with it keeps whatever degenerate spine the insertion order
 // builds. It serves as the "before" side of the mitigation test.
-type rawPolicy[K, V any] struct{}
-
-func (rawPolicy[K, V]) Name() string                                   { return "EBST-raw" }
-func (rawPolicy[K, V]) InternalDeco() int64                            { return 0 }
-func (rawPolicy[K, V]) CreatesViolation(_, _, _ *lbst.Node[K, V]) bool { return false }
-func (rawPolicy[K, V]) Violation(*lbst.Node[K, V]) bool                { return false }
-func (rawPolicy[K, V]) Rebalance(_ *epoch.Guard, _, _ *lbst.Node[K, V]) bool {
-	return false
-}
+type rawPolicy[K, V any] struct{ lbst.Policy[K, V] }
 
 // TestSpineMitigationCompressesSequentialFill is the before/after SpineStats
 // check for the segment-compression mitigation: the same sequential fill is
@@ -250,7 +242,7 @@ func (rawPolicy[K, V]) Rebalance(_ *epoch.Guard, _, _ *lbst.Node[K, V]) bool {
 func TestSpineMitigationCompressesSequentialFill(t *testing.T) {
 	const n = 2048
 
-	raw := lbst.NewOrdered[int64, int64](rawPolicy[int64, int64]{})
+	raw := lbst.NewOrdered[int64, int64](rawPolicy[int64, int64]{policy[int64, int64]{}})
 	for i := int64(0); i < n; i++ {
 		raw.Insert(i, i)
 	}

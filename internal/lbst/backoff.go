@@ -1,23 +1,18 @@
-// Package core holds what the optimistic retry loops of every structure in
-// this repository share: the bounded randomized backoff between attempts.
-// (The tree update template of the paper's Section 4 has no generic form
-// here: internal/lbst and internal/chromatic unroll it, as the paper's own
-// pseudocode does.)
-package core
+package lbst
 
 import (
 	"math/rand/v2"
 	"runtime"
 )
 
-// maxBackoffSpins bounds the exponential growth of BackoffWait. The cap
+// maxBackoffSpins bounds the exponential growth of backoffWait. The cap
 // keeps the worst-case wait small (a few hundred scheduler yields) so a
 // backed-off operation still reacts quickly once contention drains; the
 // randomization below breaks the convoys that a deterministic wait would
 // re-form.
 const maxBackoffSpins = 1 << 8
 
-// BackoffWait is the bounded randomized exponential backoff for optimistic
+// backoffWait is the bounded randomized exponential backoff for optimistic
 // retry loops: template-update (SCX) retries and ordered-query (VLX)
 // validation retries. It waits for a randomized number of scheduler yields
 // bounded by min(2^(failures-1), maxBackoffSpins), where failures is the
@@ -36,7 +31,7 @@ const maxBackoffSpins = 1 << 8
 // than a struct with a Wait method: an addressable backoff local inside a
 // hot retry loop measurably degrades the surrounding codegen even on the
 // uncontended path where Wait is never called.
-func BackoffWait(failures int) {
+func backoffWait(failures int) {
 	if failures <= 0 {
 		return
 	}

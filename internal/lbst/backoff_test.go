@@ -1,4 +1,4 @@
-package core
+package lbst
 
 import "testing"
 
@@ -7,10 +7,10 @@ func TestBackoffWaitBounds(t *testing.T) {
 	// rand.IntN argument); large counts must stay at the cap. The wait
 	// itself is scheduler yields, so the only observable contract here is
 	// "returns promptly for any input".
-	BackoffWait(0)
-	BackoffWait(-3)
+	backoffWait(0)
+	backoffWait(-3)
 	for fails := 1; fails < 70; fails++ {
-		BackoffWait(fails)
+		backoffWait(fails)
 	}
 }
 

@@ -10,20 +10,20 @@ import (
 //
 //   - the sentinel structure at the top of the tree is intact;
 //   - every internal node has exactly two children and every leaf none;
-//   - leaves carry decoration 0 (the decoration is policy state for
-//     internal nodes only). Decorations are packed into 30 bits beside the
-//     leaf and sentinel flags (see aux), which refuses a value outside
+//   - decorations need no check here: they are packed into 30 bits beside
+//     the leaf and sentinel flags (see aux), which refuses a value outside
 //     [0, MaxDeco] when the node is built, so what a node stores is what its
-//     policy asked for; the flags are checked against the node's shape by
-//     the two conditions above;
+//     policy asked for, and the flags are checked against the node's shape
+//     by the two conditions above;
 //   - keys satisfy the leaf-oriented BST order under the tree's comparator
 //     (left subtree strictly smaller than the routing key, right subtree
 //     greater or equal);
 //   - no reachable node has been finalized.
 //
 // It must only be called at quiescence. It returns nil if all invariants
-// hold. Policy-specific balance invariants (for example the relaxed AVL's
-// height bookkeeping) are checked by the concrete tree packages.
+// hold. Policy-specific balance invariants (the relaxed AVL's height
+// bookkeeping, the chromatic tree's weights) are checked by the concrete tree
+// packages.
 func (t *Tree[K, V]) CheckStructure() error {
 	top := t.entry.left.Load()
 	if top == nil {
@@ -62,9 +62,6 @@ func (t *Tree[K, V]) CheckStructure() error {
 		if n.IsLeaf() {
 			if n.left.Load() != nil || n.right.Load() != nil {
 				return fmt.Errorf("leaf %v has children", n.K)
-			}
-			if n.Deco() != 0 {
-				return fmt.Errorf("leaf %v has decoration %d, want 0", n.K, n.Deco())
 			}
 			if !n.IsSentinel() {
 				if b.hasLo && t.less(n.K, b.lo) {

@@ -8,5 +8,5 @@ import "repro/internal/epoch"
 func (t *Tree[K, V]) ScanStats(lo, hi K, fn func(k K, v V) bool) (count, chunks, retries int) {
 	g := epoch.Pin()
 	defer epoch.Unpin(g)
-	return scan(t.entry, t.less, true, lo, true, hi, fn)
+	return t.scan(true, lo, true, hi, fn)
 }

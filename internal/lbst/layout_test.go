@@ -59,8 +59,7 @@ func TestTreeHeaderLayout(t *testing.T) {
 	}
 	writeStart := min(
 		unsafe.Offsetof(tr.spineDeep), unsafe.Offsetof(tr.spineMax), unsafe.Offsetof(tr.mitigating),
-		unsafe.Offsetof(tr.gver), unsafe.Offsetof(tr.snapLive), unsafe.Offsetof(tr.fastWriters),
-		unsafe.Offsetof(tr.roots), unsafe.Offsetof(tr.rootsIdx))
+		unsafe.Offsetof(tr.gver), unsafe.Offsetof(tr.snapLive), unsafe.Offsetof(tr.fastWriters))
 	if writeStart < readEnd+64 {
 		t.Fatalf("read-mostly fields end at offset %d and per-commit words start at %d: less than a line apart", readEnd, writeStart)
 	}

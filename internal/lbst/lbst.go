@@ -25,16 +25,17 @@
 //	     and the fringe of the new subtree equals the fringe of the removed
 //	     subtree.
 //
-// The engine owns everything that was previously duplicated between the
-// unbalanced BST (internal/ebst) and the relaxed AVL tree (internal/ravl):
-// the sentinel entry structure of Figure 10 of Brown, Ellen and Ruppert
-// (PPoPP 2014), the leaf-oriented search loop, the construction of the
-// insertion and deletion template updates (so postconditions PC1-PC9 are
-// discharged once, here), the SCX-free in-place value overwrite for inserts
-// on present keys (see Insert and the value-cell notes on Node and CopyNode),
-// the post-update cleanup loop that drives rebalancing, and the ordered
-// Successor/Predecessor queries with VLX validation (shared, in generic
-// form, with internal/chromatic via query.go).
+// The engine owns everything the three trees of this repository share - the
+// unbalanced BST (internal/ebst), the relaxed AVL tree (internal/ravl) and the
+// paper's chromatic tree (internal/chromatic): the node and its pools, the
+// sentinel entry structure of Figure 10 of Brown, Ellen and Ruppert (PPoPP
+// 2014), the leaf-oriented search loop, the construction of the insertion and
+// deletion template updates (so postconditions PC1-PC9 are discharged once,
+// here), the SCX-free in-place value overwrite for inserts on present keys
+// (see Insert and the value-cell notes on Node and CopyNode), the post-update
+// cleanup loop that drives rebalancing (Figure 5), the ordered queries and
+// chunk-validated scans with VLX validation (query.go), and the versioned
+// snapshots (snapshot.go).
 //
 // The engine is generic over the key and value types. Only the search loop
 // compares keys - exactly the paper's point about the template being
@@ -43,12 +44,15 @@
 // dict.Less). Keys a and b are equal exactly when !less(a, b) && !less(b, a).
 //
 // A concrete tree supplies a Policy: the meaning of the per-node balancing
-// decoration, how to detect a violation of its balance condition, and a set
-// of localized rebalancing steps (each itself a template update). The policy
-// for the unbalanced BST is trivial - no decoration, no violations, no
-// steps - which is exactly the paper's point about how little code a new
-// template-based data structure needs. The relaxed AVL policy decorates
-// nodes with heights and repairs violations with height fixes and rotations.
+// decoration, the decorations the insertion and the deletion assign, how to
+// detect a violation of its balance condition, and a set of localized
+// rebalancing steps (each itself a template update). The policy for the
+// unbalanced BST is trivial - no decoration, no violations, no steps - which
+// is exactly the paper's point about how little code a new template-based
+// data structure needs. The relaxed AVL policy decorates nodes with heights
+// and repairs violations with height fixes and rotations; the chromatic
+// policy decorates them with weights and repairs violations with the 22
+// steps of Boyar, Fagerberg and Larsen.
 //
 // # Memory reclamation
 //
@@ -73,7 +77,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/dict"
 	"repro/internal/epoch"
 	"repro/internal/llxscx"
@@ -171,13 +174,6 @@ func aux(deco int64, leaf, inf bool) uint32 {
 // a commit tick. It compares greater than every capture version.
 const verPending = ^uint64(0)
 
-// SnapVer implements VersionedView: the node's commit tick.
-func (n *Node[K, V]) SnapVer() uint64 { return n.snapVer.Load() }
-
-// SnapPrev implements VersionedView: the previous version of this node's
-// position, or nil.
-func (n *Node[K, V]) SnapPrev() *Node[K, V] { return n.prev.Load() }
-
 // LLXRecord implements llxscx.DataRecord.
 func (n *Node[K, V]) LLXRecord() *llxscx.Record[Node[K, V]] { return &n.rec }
 
@@ -192,22 +188,15 @@ func (n *Node[K, V]) Mutable(i int) *atomic.Pointer[Node[K, V]] {
 	return &n.right
 }
 
-// Key implements View for the shared query helpers.
-func (n *Node[K, V]) Key() K { return n.K }
-
-// Value implements View. It reads the leaf's value cell atomically; internal
-// and sentinel nodes (nil cell) read as the zero value.
-func (n *Node[K, V]) Value() V { return n.val.Load() }
-
-// IsLeaf implements View: dictionary leaves, whose child pointers are always
-// nil.
+// IsLeaf reports whether n is a dictionary leaf, whose child pointers are
+// always nil.
 func (n *Node[K, V]) IsLeaf() bool { return n.rec.Aux()&auxLeaf != 0 }
 
-// IsSentinel implements View: sentinel nodes, whose key reads as +infinity.
+// IsSentinel reports whether n is a sentinel, whose key reads as +infinity.
 func (n *Node[K, V]) IsSentinel() bool { return n.rec.Aux()&auxInf != 0 }
 
-// Deco returns the balancing decoration, owned by the policy (for example
-// the relaxed height in internal/ravl). Leaves always carry 0.
+// Deco returns the balancing decoration, owned by the policy (the relaxed
+// height in internal/ravl, the weight in internal/chromatic).
 func (n *Node[K, V]) Deco() int64 { return int64(n.rec.Aux() >> auxDecoShift) }
 
 // Gen returns the reclamation generation of the node and, for a leaf, of its
@@ -255,38 +244,53 @@ func SiblingOf[K, V any](lk llxscx.Linked[Node[K, V]], child *Node[K, V]) *Node[
 }
 
 // Policy parameterizes the engine with a balancing discipline. All methods
-// must be safe for concurrent use; Violation and Rebalance are invoked from
-// the engine's cleanup loop with plain-read path context and must express
-// any structural change as a template update (LLXs followed by one SCX) so
-// the combined data structure stays non-blocking and linearizable.
+// must be safe for concurrent use and read only immutable node data (flags,
+// key, decoration) unless stated otherwise; Rebalance must express any
+// structural change as a template update (LLXs followed by one SCX) so the
+// combined data structure stays non-blocking and linearizable.
 type Policy[K, V any] interface {
 	// Name identifies the resulting data structure in benchmark reports.
 	Name() string
 
-	// InternalDeco is the decoration given to the fresh internal node that
-	// an insertion places where the old leaf was (its two children are
-	// leaves with decoration 0).
-	InternalDeco() int64
+	// SentinelDeco is the decoration of the two sentinels of the empty tree:
+	// the entry node and the sentinel leaf below it.
+	SentinelDeco() int64
 
-	// CreatesViolation reports whether replacing oldChild by newChild below
-	// parent may have violated the balance condition, in which case the
-	// engine runs its cleanup loop. All three nodes are read-only context
-	// (immutable fields only).
-	CreatesViolation(parent, oldChild, newChild *Node[K, V]) bool
+	// InsertDecos returns the decorations an insertion assigns when it
+	// replaces the leaf l below p by an internal node above l and a fresh
+	// leaf: the internal node's, the fresh leaf's and the old leaf's. If
+	// oldLeaf is the decoration l already carries the engine reuses l itself
+	// as the child of the new node and finalizes nothing; otherwise l is
+	// finalized and a copy carrying oldLeaf takes its place (see tryInsert).
+	InsertDecos(p, l *Node[K, V]) (internal, leaf, oldLeaf int64)
+
+	// PromoteDeco returns the decoration of the copy of s that a deletion
+	// installs below gp in place of p, the parent of s and of the removed
+	// leaf.
+	PromoteDeco(gp, p, s *Node[K, V]) int64
+
+	// CreatesViolation reports whether the insertion or deletion of key that
+	// just replaced oldChild by newChild below parent violated the balance
+	// condition by more than the policy tolerates, in which case the engine
+	// runs its cleanup loop for key. A policy that tolerates violations up to
+	// a threshold counts the ones now on key's path with PathViolations.
+	CreatesViolation(key K, parent, oldChild, newChild *Node[K, V]) bool
 
 	// Violation reports, using plain reads, whether a rebalancing step is
-	// needed at the internal non-sentinel node n.
-	Violation(n *Node[K, V]) bool
+	// needed at n, whose parent on the search path is parent. n may be a leaf
+	// or a sentinel.
+	Violation(parent, n *Node[K, V]) bool
 
-	// Rebalance attempts one localized rebalancing step at n, whose parent
-	// on the search path is u. g is the invoking operation's pinned epoch
-	// guard; the step's SCX must go through Tree.RebalanceSCX (which runs it
-	// on the guard's descriptor and retires the removed nodes), with fresh
-	// nodes built by Tree.InternalNode/Tree.CopyNode and released
-	// with Tree.ReleaseFresh when the SCX fails. It returns true if a step
-	// was applied; false means the tree changed under it (or the violation
+	// Rebalance attempts one localized rebalancing step at n, whose nearest
+	// ancestors on the search path are p, gp and ggp (gp and ggp are nil
+	// where the path is that short). g is the invoking operation's pinned
+	// epoch guard; the step's SCX must go through Tree.RebalanceSCX (which
+	// runs it on the guard's descriptor and retires the removed nodes), with
+	// fresh nodes built by Tree.InternalNode/Tree.CopyNode and released with
+	// Tree.ReleaseFresh when the SCX fails. It returns true if a step was
+	// applied; false means the tree changed under it (or the violation
 	// vanished) and the cleanup loop re-searches from the entry point.
-	Rebalance(g *epoch.Guard, u, n *Node[K, V]) bool
+	Rebalance(g *epoch.Guard, ggp, gp, p, n *Node[K, V]) bool
 }
 
 // Tree is a non-blocking leaf-oriented BST over keys ordered by a comparator
@@ -322,7 +326,7 @@ type Tree[K, V any] struct {
 	// (see llxscx.Pool); the descriptors themselves belong to the epoch slots.
 	descPool *llxscx.Pool[Node[K, V]]
 	// freeNodeFn is the epoch callback for retired nodes, built once at
-	// construction so RetireNode never allocates a closure.
+	// construction so retiring a node never allocates a closure.
 	freeNodeFn epoch.Func
 
 	_ [64]byte
@@ -353,22 +357,14 @@ type Tree[K, V any] struct {
 	// land after the capture's first read, and a node stamped at or below
 	// the captured version cannot still be waiting to be installed.
 	fastWriters atomic.Int64
-	// roots is the bounded multi-root forest: the commit hook publishes every
-	// newly installed top-level subtree root here with one atomic store,
-	// overwriting the oldest slot. Observability only — snapshot resolution
-	// walks from the entry sentinel — see Versions.
-	roots    [rootHistory]atomic.Pointer[Node[K, V]]
-	rootsIdx atomic.Uint64
 }
 
-// rootHistory bounds the root forest: only the most recent rootHistory
-// top-level roots are retained for Versions introspection.
-const rootHistory = 8
-
 // New returns an empty tree whose keys are ordered by less and whose balance
-// is governed by pol. The entry structure mirrors the chromatic tree's
-// sentinels (Figure 10 of the paper) so every leaf always has a parent and,
-// when the tree is non-empty, a grandparent.
+// is governed by pol. The entry structure is the chromatic tree's (Figure 10
+// of the paper): entry.left is a sentinel leaf when the dictionary is empty,
+// otherwise a sentinel internal node whose left subtree is the tree proper
+// and whose right child is a sentinel leaf, so every leaf always has a parent
+// and, when the tree is non-empty, a grandparent.
 func New[K, V any](less func(a, b K) bool, pol Policy[K, V]) *Tree[K, V] {
 	t := &Tree[K, V]{
 		less:     less,
@@ -379,7 +375,8 @@ func New[K, V any](less func(a, b K) bool, pol Policy[K, V]) *Tree[K, V] {
 		descPool: llxscx.NewPool[Node[K, V]](),
 	}
 	var sentinelKey K
-	t.entry = t.InternalNode(sentinelKey, 0, true, t.newNode(sentinelKey, aux(0, true, true)), nil)
+	deco := pol.SentinelDeco()
+	t.entry = t.InternalNode(sentinelKey, deco, true, t.newNode(sentinelKey, aux(deco, true, true)), nil)
 	t.freeNodeFn = func(g *epoch.Guard, obj any) bool {
 		t.freeNode(obj.(*Node[K, V]))
 		return true
@@ -389,8 +386,7 @@ func New[K, V any](less func(a, b K) bool, pol Policy[K, V]) *Tree[K, V] {
 	// node readable out of a mutable field is therefore always stamped, which
 	// is what makes ticks monotone along structural dependencies and a
 	// captured gver a consistent cut (DESIGN.md, "Versioned snapshots").
-	// Every helper calls the hook, so the stamp CAS makes it idempotent; the
-	// ring store is last-helper-wins, which is harmless for observability.
+	// Every helper calls the hook, so the stamp CAS makes it idempotent.
 	t.descPool.OnCommit = func(fld *atomic.Pointer[Node[K, V]], old, new *Node[K, V]) {
 		// Open the stamp→install bracket BEFORE the tick can be assigned;
 		// OnInstalled closes it after the update CAS. Snapshot reads gver and
@@ -404,9 +400,6 @@ func New[K, V any](less func(a, b K) bool, pol Policy[K, V]) *Tree[K, V] {
 			new.prev.Store(old)
 			sched.Point(sched.PointVerStamp)
 			new.snapVer.CompareAndSwap(verPending, t.gver.Add(1))
-		}
-		if fld == &t.entry.left {
-			t.roots[t.rootsIdx.Add(1)%rootHistory].Store(new)
 		}
 	}
 	t.descPool.OnInstalled = func() { t.fastWriters.Add(-1) }
@@ -467,10 +460,10 @@ func (t *Tree[K, V]) newNode(k K, a uint32) *Node[K, V] {
 	return n
 }
 
-// LeafNode returns a leaf holding key and value, with a cell of its own from
-// the tree's cell pool. Leaves always carry decoration 0.
-func (t *Tree[K, V]) LeafNode(k K, v V) *Node[K, V] {
-	n := t.newNode(k, aux(0, true, false))
+// LeafNode returns a leaf holding key and value, with the given decoration
+// and a cell of its own from the tree's cell pool.
+func (t *Tree[K, V]) LeafNode(k K, v V, deco int64) *Node[K, V] {
+	n := t.newNode(k, aux(deco, true, false))
 	n.val = t.cells.Get(v)
 	return n
 }
@@ -506,14 +499,6 @@ func (t *Tree[K, V]) CopyNode(lk llxscx.Linked[Node[K, V]], deco int64) *Node[K,
 	return n
 }
 
-// RetireNode hands a node that a committed SCX removed from the tree to the
-// reclamation layer under the operation's pinned guard: it re-enters the
-// node pool after a grace period. A no-op under -tags noepoch (the garbage
-// collector reclaims the node).
-func (t *Tree[K, V]) RetireNode(g *epoch.Guard, n *Node[K, V]) {
-	epoch.Retire(g, n, t.freeNodeFn)
-}
-
 // ReleaseFresh recycles a freshly built node whose SCX failed. Such a node
 // was never published - no other operation can have seen it - so it re-enters
 // the pool immediately, without a grace period. A no-op under -tags noepoch.
@@ -524,16 +509,20 @@ func (t *Tree[K, V]) ReleaseFresh(n *Node[K, V]) {
 	t.freeNode(n)
 }
 
-// RebalanceSCX performs the SCX of a policy's rebalancing step on the guard's
-// descriptor and, on success, retires the removed nodes fin[:nf]. On failure
-// the policy is responsible for releasing the fresh nodes it built
-// (ReleaseFresh).
+// RebalanceSCX performs one SCX - the engine's own updates' and the policies'
+// rebalancing steps' - on the guard's descriptor and, on success, retires the
+// removed nodes fin[:nf] under that guard: they re-enter the node pool after a
+// grace period (a no-op under -tags noepoch, where the garbage collector
+// reclaims them). On failure the caller is responsible for releasing the fresh
+// nodes it built (ReleaseFresh). Reading fields of a retired node afterwards
+// is still safe inside the invoking operation's pinned region: the node cannot
+// be recycled before the guard is released plus a grace period.
 func (t *Tree[K, V]) RebalanceSCX(g *epoch.Guard, v *[llxscx.MaxV]llxscx.Linked[Node[K, V]], nv int, fin *[llxscx.MaxV]*Node[K, V], nf int, fld *atomic.Pointer[Node[K, V]], old, new *Node[K, V]) bool {
 	if !llxscx.SCXP(g, t.descPool, v, nv, fin, nf, fld, old, new) {
 		return false
 	}
 	for i := 0; i < nf; i++ {
-		t.RetireNode(g, fin[i])
+		epoch.Retire(g, fin[i], t.freeNodeFn)
 	}
 	return true
 }
@@ -739,13 +728,22 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
+// Contains reports whether key is present.
+func (t *Tree[K, V]) Contains(key K) bool {
+	g := epoch.Pin()
+	_, _, l := t.search(key)
+	ok := t.isKey(key, l)
+	epoch.Unpin(g)
+	return ok
+}
+
 // Insert associates value with key, returning the previous value and true
 // if key was present.
 //
 // When the key is absent the update follows the tree update template,
 // hand-unrolled in tryInsert: one LLX on the leaf's parent, one on the leaf,
-// and one pooled SCX that replaces the leaf with a fresh internal node above
-// two leaves.
+// and one SCX that replaces the leaf with a fresh internal node above two
+// leaves (the paper's Insert1; the overwrite below is its Insert2).
 //
 // When the key is present the overwrite is performed IN PLACE, without an
 // SCX and (for unboxed value types) without allocating: the leaf's value
@@ -861,7 +859,31 @@ func (t *Tree[K, V]) InsertBounded(key K, value V, budget dict.Budget) (V, bool,
 		// re-searching so heavy contention on a small key range does not
 		// degenerate into a storm of wasted re-searches.
 		fails++
-		core.BackoffWait(fails)
+		backoffWait(fails)
+	}
+}
+
+// LoadOrStore returns the value already associated with key (with
+// loaded=true) if key is present; otherwise it inserts value and returns it
+// (with loaded=false). Unlike a Get-then-Insert pair, a LoadOrStore race
+// between two goroutines guarantees exactly one of them stores, which makes
+// it the right primitive for sharing per-key state (for example a counter)
+// between concurrent writers.
+func (t *Tree[K, V]) LoadOrStore(key K, value V) (actual V, loaded bool) {
+	g := epoch.Pin()
+	defer epoch.Unpin(g)
+	for fails := 0; ; {
+		_, p, l := t.searchFn(t, key)
+		if t.isKey(key, l) {
+			// The key was present while l was on the search path; linearize
+			// there, exactly as Get does.
+			return l.val.Load(), true
+		}
+		if t.tryInsert(g, key, value, p, l) {
+			return value, false
+		}
+		fails++
+		backoffWait(fails)
 	}
 }
 
@@ -894,12 +916,19 @@ func tryPublish[K, V any](l *Node[K, V], value V) (V, bool) {
 
 // tryInsert is one attempt of the insertion template update (hand-unrolled,
 // so an attempt stages its SCX evidence entirely on this frame): LLX the
-// parent and the leaf, build the replacement subtree from the pool, and
-// publish it with one pooled SCX. The old leaf is reused as the fringe of
-// the new subtree (PC6) - leaves carry no mutable balance bookkeeping, so no
-// copy is needed and nothing is finalized, exactly as in the non-blocking
-// BST of Ellen et al. The leaf stays in V, so the SCX fails if a concurrent
-// update froze it.
+// parent and the leaf, build the replacement subtree from the pool with the
+// decorations the policy assigns, and publish it with one SCX.
+//
+// When the policy leaves the old leaf's decoration as it is, the leaf itself
+// becomes the fringe of the new subtree and nothing is finalized (R is empty,
+// PC6), exactly as in the non-blocking BST of Ellen et al.: a reused node
+// becomes the child of a fresh node, so no child field ever holds a pointer
+// it held before. The leaf stays in V, so the SCX fails if a concurrent
+// update froze it. When the policy gives it a new decoration (a chromatic
+// leaf that is overweight must come out with weight one) the decoration is
+// immutable data, so the leaf is finalized and a copy takes its place (PC9);
+// the copy aliases the leaf's value cell, which keeps a racing in-place
+// overwrite of its key visible through it.
 func (t *Tree[K, V]) tryInsert(g *epoch.Guard, key K, value V, p, l *Node[K, V]) bool {
 	lkP, st := llxscx.LLX(p)
 	if st != llxscx.Snapshot {
@@ -915,21 +944,29 @@ func (t *Tree[K, V]) tryInsert(g *epoch.Guard, key K, value V, p, l *Node[K, V])
 	}
 	// The key is absent (the overwrite fast path already handled a present
 	// key; l's key is immutable, so the check holds for this attempt).
-	keyLeaf := t.LeafNode(key, value)
+	internalDeco, leafDeco, oldDeco := t.pol.InsertDecos(p, l)
+	keyLeaf := t.LeafNode(key, value, leafDeco)
+	oldLeaf, nf := l, 0
+	if oldDeco != l.Deco() && !sched.ReuseRedecoratedLeaf() {
+		oldLeaf, nf = t.CopyNode(lkL, oldDeco), 1
+	}
 	var repl *Node[K, V]
 	if t.keyLess(key, l) {
-		repl = t.InternalNode(l.K, t.pol.InternalDeco(), l.IsSentinel(), keyLeaf, l)
+		repl = t.InternalNode(l.K, internalDeco, l.IsSentinel(), keyLeaf, oldLeaf)
 	} else {
-		repl = t.InternalNode(key, t.pol.InternalDeco(), false, l, keyLeaf)
+		repl = t.InternalNode(key, internalDeco, false, oldLeaf, keyLeaf)
 	}
 	v := [llxscx.MaxV]llxscx.Linked[Node[K, V]]{lkP, lkL}
-	var fin [llxscx.MaxV]*Node[K, V]
-	if !llxscx.SCXP(g, t.descPool, &v, 2, &fin, 0, fld, l, repl) {
+	fin := [llxscx.MaxV]*Node[K, V]{l}
+	if !t.RebalanceSCX(g, &v, 2, &fin, nf, fld, l, repl) {
 		t.ReleaseFresh(keyLeaf)
+		if oldLeaf != l {
+			t.ReleaseFresh(oldLeaf)
+		}
 		t.ReleaseFresh(repl)
 		return false
 	}
-	if t.pol.CreatesViolation(p, l, repl) {
+	if t.pol.CreatesViolation(key, p, l, repl) {
 		t.cleanup(g, key)
 	}
 	return true
@@ -937,13 +974,14 @@ func (t *Tree[K, V]) tryInsert(g *epoch.Guard, key K, value V, p, l *Node[K, V])
 
 // tryReplace is one attempt of the snapshot-safe overwrite of a present key:
 // instead of publishing into the (possibly captured) leaf's cell in place, it
-// replaces the leaf with a fresh leaf owning a fresh cell, via an
-// insertion-shaped pooled SCX that finalizes the old leaf. Live snapshots
-// resolve past the replacement through its prev link and keep reading the
-// frozen old cell. The displaced value is read from the old leaf's cell after
-// the SCX commits, mirroring the deletion template's argument: the read
-// happens after the leaf was finalized, so an in-place overwrite that
-// linearized before this replacement is visible in the returned value.
+// replaces the leaf with a fresh leaf of the same decoration owning a fresh
+// cell, via an insertion-shaped SCX that finalizes the old leaf. Live
+// snapshots resolve past the replacement through its prev link and keep
+// reading the frozen old cell. No decoration changes, so no violation can be
+// created. The displaced value is read from the old leaf's cell after the SCX
+// commits, mirroring the deletion template's argument: the read happens after
+// the leaf was finalized, so an in-place overwrite that linearized before
+// this replacement is visible in the returned value.
 func (t *Tree[K, V]) tryReplace(g *epoch.Guard, key K, value V, p, l *Node[K, V]) (V, bool) {
 	var zero V
 	lkP, st := llxscx.LLX(p)
@@ -958,10 +996,10 @@ func (t *Tree[K, V]) tryReplace(g *epoch.Guard, key K, value V, p, l *Node[K, V]
 	if st != llxscx.Snapshot {
 		return zero, false
 	}
-	repl := t.LeafNode(key, value)
+	repl := t.LeafNode(key, value, l.Deco())
 	v := [llxscx.MaxV]llxscx.Linked[Node[K, V]]{lkP, lkL}
 	fin := [llxscx.MaxV]*Node[K, V]{l}
-	if !llxscx.SCXP(g, t.descPool, &v, 2, &fin, 1, fld, l, repl) {
+	if !t.RebalanceSCX(g, &v, 2, &fin, 1, fld, l, repl) {
 		t.ReleaseFresh(repl)
 		return zero, false
 	}
@@ -970,9 +1008,7 @@ func (t *Tree[K, V]) tryReplace(g *epoch.Guard, key K, value V, p, l *Node[K, V]
 	// will ever be visible is ordered before this read (see the overwrite
 	// protocol in Insert's comment).
 	l.val.DrainPublishers()
-	old := l.val.Load()
-	t.RetireNode(g, l)
-	return old, true
+	return l.val.Load(), true
 }
 
 // Delete removes key, returning its value and true if it was present. The
@@ -1005,7 +1041,7 @@ func (t *Tree[K, V]) DeleteBounded(key K, budget dict.Budget) (V, bool, error) {
 			return v, true, nil
 		}
 		fails++
-		core.BackoffWait(fails)
+		backoffWait(fails)
 	}
 }
 
@@ -1039,14 +1075,20 @@ func (t *Tree[K, V]) tryDelete(g *epoch.Guard, key K, gp, p, l *Node[K, V]) (V, 
 	if st != llxscx.Snapshot {
 		return zero, false
 	}
-	// The promoted copy keeps the sibling's decoration: its own subtree is
-	// unchanged, so its balance bookkeeping is too. It must be a fresh copy,
-	// not s itself: the SCX protocol's ABA-freedom rests on every value
+	// The sibling is promoted into p's place with the decoration the policy
+	// computes (a chromatic sibling absorbs p's weight, a height is the
+	// sibling's own). It must be a fresh copy even when that is the decoration
+	// s already carries: the SCX protocol's ABA-freedom rests on every value
 	// stored into a child field being newly obtained (a stale helper retries
 	// its update CAS unconditionally, and re-installing a pointer the field
 	// once held would let that CAS resurrect a finalized subtree). Reuse is
-	// only safe for nodes that become children of fresh nodes, as in Insert.
-	repl := t.CopyNode(lkS, s.Deco())
+	// only safe for nodes that become children of fresh nodes, as in
+	// tryInsert.
+	deco := t.pol.PromoteDeco(gp, p, s)
+	if sched.KeepSiblingDeco() {
+		deco = s.Deco()
+	}
+	repl := t.CopyNode(lkS, deco)
 	// V and R are ordered by a breadth-first traversal (PC8): the parent's
 	// children appear in left-to-right order.
 	var v [llxscx.MaxV]llxscx.Linked[Node[K, V]]
@@ -1058,7 +1100,7 @@ func (t *Tree[K, V]) tryDelete(g *epoch.Guard, key K, gp, p, l *Node[K, V]) (V, 
 		v = [llxscx.MaxV]llxscx.Linked[Node[K, V]]{lkGP, lkP, lkS, lkL}
 		fin = [llxscx.MaxV]*Node[K, V]{p, s, l}
 	}
-	if !llxscx.SCXP(g, t.descPool, &v, 4, &fin, 3, fld, p, repl) {
+	if !t.RebalanceSCX(g, &v, 4, &fin, 3, fld, p, repl) {
 		t.ReleaseFresh(repl)
 		return zero, false
 	}
@@ -1070,43 +1112,38 @@ func (t *Tree[K, V]) tryDelete(g *epoch.Guard, key K, gp, p, l *Node[K, V]) (V, 
 	// protocol in Insert's comment).
 	l.val.DrainPublishers()
 	val := l.val.Load()
-	t.RetireNode(g, fin[0])
-	t.RetireNode(g, fin[1])
-	t.RetireNode(g, fin[2])
-	if t.pol.CreatesViolation(gp, p, repl) {
+	if t.pol.CreatesViolation(key, gp, p, repl) {
 		t.cleanup(g, key)
 	}
 	return val, true
 }
 
 // cleanup repeatedly searches for key from the entry point and asks the
-// policy to perform one rebalancing step at the first violation on the
-// path, restarting from the entry point after every step, until it reaches
-// a leaf without seeing a violation. This is the chromatic tree's Cleanup
-// loop (Figure 5 of the paper) generalized over the balancing policy. It
-// runs under the invoking operation's pinned guard g.
+// policy to perform one rebalancing step at the first violation on the path,
+// handing it the three ancestors the walk just passed, and restarts from the
+// entry point after every step, until it reaches a leaf without seeing a
+// violation (Figure 5 of the paper). It runs under the invoking operation's
+// pinned guard g.
 //
-// Note that unlike the chromatic tree's VIOL property, a policy need not
-// guarantee that every violation stays on the search path of the key that
-// created it; cleanup then restores balance on this key's path and leaves
-// any violation it pushed elsewhere to later operations (that is the
-// "relaxed" in relaxed balancing).
+// The chromatic steps keep every violation on the search path of the key
+// whose update created it (property VIOL), so there cleanup returns with the
+// caller's violation gone. A policy need not guarantee that: cleanup then
+// restores balance on this key's path and leaves any violation it pushed
+// elsewhere to later operations (that is the "relaxed" in relaxed AVL).
 func (t *Tree[K, V]) cleanup(g *epoch.Guard, key K) {
 	for {
-		u := t.entry
+		var ggp, gp *Node[K, V]
+		p := t.entry
 		n := t.entry.left.Load()
 		for {
-			if n == nil {
-				break // tree changed under us; restart
+			if t.pol.Violation(p, n) {
+				t.pol.Rebalance(g, ggp, gp, p, n)
+				break // restart the search from the entry point
 			}
 			if n.IsLeaf() {
 				return
 			}
-			if !n.IsSentinel() && t.pol.Violation(n) {
-				t.pol.Rebalance(g, u, n)
-				break // restart the search from the entry point
-			}
-			u = n
+			ggp, gp, p = gp, p, n
 			if t.keyLess(key, n) {
 				n = n.left.Load()
 			} else {
@@ -1116,31 +1153,41 @@ func (t *Tree[K, V]) cleanup(g *epoch.Guard, key K) {
 	}
 }
 
-// Cleanup exposes the rebalancing loop for policies that want to schedule
-// extra cleanup passes (for example from a background rebalancer). It pins
-// its own reclamation guard.
-func (t *Tree[K, V]) Cleanup(key K) {
-	g := epoch.Pin()
-	t.cleanup(g, key)
-	epoch.Unpin(g)
+// PathViolations counts, with plain reads, the nodes on key's search path at
+// which the policy reports a violation. It is meant for a policy's
+// CreatesViolation, which runs inside the pinned update that has just walked
+// that path.
+func (t *Tree[K, V]) PathViolations(key K) int {
+	count := 0
+	p := t.entry
+	n := t.entry.left.Load()
+	for {
+		if t.pol.Violation(p, n) {
+			count++
+		}
+		if n.IsLeaf() {
+			return count
+		}
+		p = n
+		if t.keyLess(key, n) {
+			n = n.left.Load()
+		} else {
+			n = n.right.Load()
+		}
+	}
 }
 
-// RebalanceStep runs one policy rebalancing step at n (whose search-path
-// parent is u) under a fresh pinned guard. It exists for quiescent drains
-// like ravl's RebalanceAll, which walk the tree themselves.
-func (t *Tree[K, V]) RebalanceStep(u, n *Node[K, V]) bool {
-	g := epoch.Pin()
-	ok := t.pol.Rebalance(g, u, n)
-	epoch.Unpin(g)
-	return ok
-}
+// The ordered queries below are implemented in query.go; each wrapper pins the
+// epoch for the duration of the query so that nodes reached by the traversal
+// cannot be recycled underneath it. RangeScan and Ascend hold a single pin
+// across the whole scan: keeping one pin is cheaper than one per chunk, and
+// reclamation only stalls for the scan's duration.
 
 // Successor returns the smallest key strictly greater than key, with its
-// value; ok is false if no such key exists. See the generic implementation
-// in query.go.
+// value; ok is false if no such key exists.
 func (t *Tree[K, V]) Successor(key K) (k K, v V, ok bool) {
 	g := epoch.Pin()
-	k, v, ok = Successor(t.entry, t.less, key)
+	k, v, ok = t.successor(key)
 	epoch.Unpin(g)
 	return k, v, ok
 }
@@ -1149,7 +1196,7 @@ func (t *Tree[K, V]) Successor(key K) (k K, v V, ok bool) {
 // value; ok is false if no such key exists.
 func (t *Tree[K, V]) Predecessor(key K) (k K, v V, ok bool) {
 	g := epoch.Pin()
-	k, v, ok = Predecessor(t.entry, t.less, key)
+	k, v, ok = t.predecessor(key)
 	epoch.Unpin(g)
 	return k, v, ok
 }
@@ -1157,12 +1204,13 @@ func (t *Tree[K, V]) Predecessor(key K) (k K, v V, ok bool) {
 // RangeScan calls fn for every key in [lo, hi] in ascending order and
 // returns the number of keys visited; each chunk of up to 64 consecutive keys
 // is the range's content at one instant, the scan as a whole is not atomic
-// (see the generic implementation in query.go). If fn returns false the scan
-// stops early. The whole scan runs under one pinned guard; fn must not block
-// indefinitely, since a pinned operation holds back memory reclamation.
+// (see scan in query.go; use Snapshot for an atomic scan). If fn returns false
+// the scan stops early. The whole scan runs under one pinned guard; fn must
+// not block indefinitely, since a pinned operation holds back memory
+// reclamation.
 func (t *Tree[K, V]) RangeScan(lo, hi K, fn func(k K, v V) bool) int {
 	g := epoch.Pin()
-	n := RangeScan(t.entry, t.less, lo, hi, fn)
+	n, _, _ := t.scan(true, lo, true, hi, fn)
 	epoch.Unpin(g)
 	return n
 }
@@ -1173,7 +1221,8 @@ func (t *Tree[K, V]) RangeScan(lo, hi K, fn func(k K, v V) bool) int {
 // under one pinned guard.
 func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) int {
 	g := epoch.Pin()
-	n := Ascend(t.entry, t.less, fn)
+	var none K
+	n, _, _ := t.scan(false, none, false, none, fn)
 	epoch.Unpin(g)
 	return n
 }
@@ -1181,15 +1230,16 @@ func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) int {
 // Min returns the smallest key and its value, or ok=false if empty.
 func (t *Tree[K, V]) Min() (k K, v V, ok bool) {
 	g := epoch.Pin()
-	k, v, ok = Min[*Node[K, V], Node[K, V], K, V](t.entry)
+	k, v, ok = t.min()
 	epoch.Unpin(g)
 	return k, v, ok
 }
 
-// Max returns the largest key and its value, or ok=false if empty.
+// Max returns the largest key and its value, or ok=false if empty. (Sentinel
+// keys are treated as +infinity and are never returned.)
 func (t *Tree[K, V]) Max() (k K, v V, ok bool) {
 	g := epoch.Pin()
-	k, v, ok = Max[*Node[K, V], Node[K, V], K, V](t.entry)
+	k, v, ok = t.max()
 	epoch.Unpin(g)
 	return k, v, ok
 }

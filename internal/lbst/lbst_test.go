@@ -15,16 +15,11 @@ type intNode = Node[int64, int64]
 func intLess(a, b int64) bool { return a < b }
 
 // nopPolicy is the minimal policy: no decoration, no violations.
-type nopPolicy struct{}
-
-func (nopPolicy) Name() string                                 { return "nop" }
-func (nopPolicy) InternalDeco() int64                          { return 0 }
-func (nopPolicy) CreatesViolation(_, _, _ *intNode) bool       { return false }
-func (nopPolicy) Violation(*intNode) bool                      { return false }
-func (nopPolicy) Rebalance(_ *epoch.Guard, _, _ *intNode) bool { return false }
+type nopPolicy = genPolicy[int64, int64]
 
 // probePolicy records the engine's policy callbacks so the tests can verify
-// the engine honours the contract: CreatesViolation is consulted after every
+// the engine honours the contract: the nodes its updates build carry the
+// decorations the policy assigns, CreatesViolation is consulted after every
 // structural change and a true return triggers a cleanup pass that consults
 // Violation along the key's search path.
 type probePolicy struct {
@@ -33,16 +28,22 @@ type probePolicy struct {
 }
 
 func (p *probePolicy) Name() string        { return "probe" }
-func (p *probePolicy) InternalDeco() int64 { return 7 }
-func (p *probePolicy) CreatesViolation(parent, oldChild, newChild *intNode) bool {
+func (p *probePolicy) SentinelDeco() int64 { return 3 }
+func (p *probePolicy) InsertDecos(_, l *intNode) (internal, leaf, oldLeaf int64) {
+	// A leaf comes out redecorated the first time a key is inserted beside
+	// it, 5 to 6, and keeps 6 from then on.
+	return 7, 5, min(l.Deco()+1, 6)
+}
+func (p *probePolicy) PromoteDeco(_, p1, s *intNode) int64 { return p1.Deco() + s.Deco() }
+func (p *probePolicy) CreatesViolation(_ int64, parent, oldChild, newChild *intNode) bool {
 	p.created.Add(1)
 	return true
 }
-func (p *probePolicy) Violation(n *intNode) bool {
+func (p *probePolicy) Violation(_, n *intNode) bool {
 	p.violation.Add(1)
 	return false
 }
-func (p *probePolicy) Rebalance(_ *epoch.Guard, _, _ *intNode) bool { return false }
+func (p *probePolicy) Rebalance(_ *epoch.Guard, _, _, _, _ *intNode) bool { return false }
 
 func TestEngineDictionarySemantics(t *testing.T) {
 	tr := New[int64, int64](intLess, nopPolicy{})
@@ -85,6 +86,13 @@ func TestEngineDictionarySemantics(t *testing.T) {
 func TestEnginePolicyHooks(t *testing.T) {
 	pol := &probePolicy{}
 	tr := New[int64, int64](intLess, pol)
+	if e := tr.Entry(); e.Deco() != 3 || e.Left().Deco() != 3 {
+		t.Fatalf("sentinel decorations = %d, %d, want the policy's 3", e.Deco(), e.Left().Deco())
+	}
+	leaf := func(key int64) *intNode {
+		_, _, l := tr.search(key)
+		return l
+	}
 	// A fresh insert is a structural change below the top sentinel: the
 	// engine must consult CreatesViolation and, on true, run a cleanup pass.
 	tr.Insert(10, 1)
@@ -96,29 +104,54 @@ func TestEnginePolicyHooks(t *testing.T) {
 	if pol.created.Load() != 1 {
 		t.Fatalf("CreatesViolation consulted for a value-only insert")
 	}
-	// The internal node created by the insert below carries the policy
-	// decoration.
+	// The nodes an insertion builds carry the decorations the policy assigns.
+	// The policy moved the old leaf - key 10, decorated 5 by its own insertion
+	// - to 6, so the engine must have finalized it and put a copy, which
+	// shares its value, in its place.
+	old10 := leaf(10)
 	tr.Insert(20, 3)
 	if pol.created.Load() != 2 {
 		t.Fatalf("CreatesViolation calls after second insert = %d, want 2", pol.created.Load())
 	}
 	root := tr.Root()
-	if root == nil || root.Deco() != 7 {
-		t.Fatalf("internal node decoration = %v, want 7", root)
+	if root == nil || root.Deco() != 7 || leaf(20).Deco() != 5 {
+		t.Fatalf("decorations of the new internal node and leaf = %v, %d, want 7, 5", root, leaf(20).Deco())
+	}
+	if new10 := leaf(10); new10 == old10 || !old10.Marked() || new10.Deco() != 6 || new10.val != old10.val {
+		t.Fatalf("redecorated old leaf: same node %v, old finalized %v, new decoration %d, cell shared %v; want false, true, 6, true",
+			new10 == old10, old10.Marked(), new10.Deco(), new10.val == old10.val)
+	}
+	// Now the policy leaves key 10's leaf at 6, so the next insertion beside it
+	// reuses the node itself and finalizes nothing.
+	old10 = leaf(10)
+	tr.Insert(15, 4)
+	if new10 := leaf(10); new10 != old10 || old10.Marked() {
+		t.Fatalf("old leaf with an unchanged decoration: same node %v, finalized %v; want true, false", new10 == old10, old10.Marked())
+	}
+	if v, ok := tr.Get(10); !ok || v != 2 {
+		t.Fatalf("Get(10) = %d, %v after two insertions beside it, want 2, true", v, ok)
 	}
 	if pol.violation.Load() == 0 {
 		t.Fatal("cleanup pass never consulted Violation")
 	}
-	// Deleting one of two keys promotes the sibling; structural change again.
+	// Deleting a key promotes a copy of the sibling with the decoration the
+	// policy computes (here its parent's 7 plus its own 5); structural change
+	// again.
 	before := pol.created.Load()
 	tr.Delete(10)
 	if pol.created.Load() != before+1 {
 		t.Fatalf("CreatesViolation calls after delete = %d, want %d", pol.created.Load(), before+1)
 	}
+	if d := leaf(15).Deco(); d != 12 {
+		t.Fatalf("promoted sibling's decoration = %d, want 12", d)
+	}
 	// Deleting an absent key changes nothing.
 	tr.Delete(99)
 	if pol.created.Load() != before+1 {
 		t.Fatalf("CreatesViolation consulted for a no-op delete")
+	}
+	if err := tr.CheckStructure(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -171,15 +204,16 @@ func TestEngineOrderedQueriesUnderConcurrency(t *testing.T) {
 	}
 }
 
-// genPolicy is the trivial policy at an arbitrary instantiation, used by
-// the construction tests below.
+// genPolicy is the trivial policy at an arbitrary instantiation.
 type genPolicy[K, V any] struct{}
 
-func (genPolicy[K, V]) Name() string                                    { return "nop" }
-func (genPolicy[K, V]) InternalDeco() int64                             { return 0 }
-func (genPolicy[K, V]) CreatesViolation(_, _, _ *Node[K, V]) bool       { return false }
-func (genPolicy[K, V]) Violation(*Node[K, V]) bool                      { return false }
-func (genPolicy[K, V]) Rebalance(_ *epoch.Guard, _, _ *Node[K, V]) bool { return false }
+func (genPolicy[K, V]) Name() string                                          { return "nop" }
+func (genPolicy[K, V]) SentinelDeco() int64                                   { return 0 }
+func (genPolicy[K, V]) InsertDecos(_, _ *Node[K, V]) (_, _, _ int64)          { return 0, 0, 0 }
+func (genPolicy[K, V]) PromoteDeco(_, _, _ *Node[K, V]) int64                 { return 0 }
+func (genPolicy[K, V]) CreatesViolation(_ K, _, _, _ *Node[K, V]) bool        { return false }
+func (genPolicy[K, V]) Violation(_, _ *Node[K, V]) bool                       { return false }
+func (genPolicy[K, V]) Rebalance(_ *epoch.Guard, _, _, _, _ *Node[K, V]) bool { return false }
 
 // TestNewOrderedInstallsSpecializedSearch pins the constructor-time search
 // selection: int64 trees get the generic cmp.Ordered specialization, string

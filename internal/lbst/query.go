@@ -1,16 +1,13 @@
 package lbst
 
 import (
-	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/llxscx"
 )
 
 // This file implements the ordered queries of Section 5.5 of the paper -
-// Successor and Predecessor - generically, so that every leaf-oriented BST
-// in the repository (the engine's own trees and the chromatic tree, whose
-// update path stays hand-unrolled) shares one implementation, whatever its
-// key and value types.
+// Successor and Predecessor - and the scans, once for every tree built on the
+// engine, whatever its key and value types.
 //
 // Both queries perform an ordinary BST search using LLX to read child
 // pointers; if the leaf reached already answers the query it is returned
@@ -23,56 +20,30 @@ import (
 // RangeScan and Ascend extend the same validation from a path to a subtree:
 // see scan.
 
-// View is the read-only shape a leaf-oriented BST node must expose to share
-// the engine's traversal helpers. The node type remains free to lay out its
-// fields however it likes (the chromatic tree keeps its weight field; the
-// engine's Node carries the policy decoration).
-type View[N, K, V any] interface {
-	llxscx.DataRecord[N]
-	// Key returns the routing key (internal nodes) or dictionary key
-	// (leaves); ignored for sentinels.
-	Key() K
-	// Value returns the associated value (leaves only).
-	Value() V
-	// IsLeaf reports whether the node is a leaf.
-	IsLeaf() bool
-	// IsSentinel reports whether the node's key reads as +infinity.
-	IsSentinel() bool
-}
-
-func viewLess[P View[N, K, V], N, K, V any](less func(K, K) bool, key K, n P) bool {
-	return n.IsSentinel() || less(key, n.Key())
-}
-
-// genOf reads the reclamation generation of n (and, through the node types'
-// Gen, of a leaf's value cell) for the poisoning assertions. Compiled out
-// unless -tags reclaimcheck; the type assertion tolerates node types without
-// a generation counter.
-func genOf[P View[N, K, V], N, K, V any](n P) uint64 {
+// genOf reads the reclamation generation of n and, for a leaf, of its value
+// cell for the poisoning assertions. Compiled out unless -tags reclaimcheck.
+func genOf[K, V any](n *Node[K, V]) uint64 {
 	if !epoch.PoisonCheck {
 		return 0
 	}
-	if gn, ok := any(n).(interface{ Gen() uint64 }); ok {
-		return gn.Gen()
-	}
-	return 0
+	return n.Gen()
 }
 
 // assertGen panics if the generation of a node or of its value cell changed
 // while the (pinned) query held it: the reclamation layer recycled memory a
 // reader could still reach, which the grace-period argument in DESIGN.md
 // says must never happen.
-func assertGen[P View[N, K, V], N, K, V any](n P, g0 uint64) {
-	if epoch.PoisonCheck && genOf[P, N, K, V](n) != g0 {
+func assertGen[K, V any](n *Node[K, V], g0 uint64) {
+	if epoch.PoisonCheck && n.Gen() != g0 {
 		panic("lbst: node or value cell recycled under a pinned reader (reclaimcheck)")
 	}
 }
 
 // valueOf loads the value of leaf l under the generation assertion, for
 // reads with nothing between taking the leaf and loading from it.
-func valueOf[P View[N, K, V], N, K, V any](l P) V {
-	g0 := genOf[P, N, K, V](l)
-	v := l.Value()
+func valueOf[K, V any](l *Node[K, V]) V {
+	g0 := genOf(l)
+	v := l.val.Load()
 	assertGen(l, g0)
 	return v
 }
@@ -85,11 +56,9 @@ func valueOf[P View[N, K, V], N, K, V any](l P) V {
 // own frame, so steady-state queries generate no garbage per retry.
 const pathBufCap = 48
 
-// Successor returns the smallest key strictly greater than key together
-// with its value, or ok=false if no such key exists. entry must be the
-// sentinel entry point of the tree and less its key comparator.
-func Successor[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, key K) (k K, v V, ok bool) {
-	var buf [pathBufCap]llxscx.Evidence[N]
+// successor is Successor inside the caller's pinned region.
+func (t *Tree[K, V]) successor(key K) (k K, v V, ok bool) {
+	var buf [pathBufCap]llxscx.Evidence[Node[K, V]]
 	path := buf[:0]
 	// Every retry means an LLX or the VLX lost to a concurrent update on the
 	// connecting path; back off (bounded, randomized, growing with the retry
@@ -97,19 +66,18 @@ func Successor[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, key 
 	// load instead of re-validating a path that keeps changing.
 retry:
 	for attempt := 0; ; attempt++ {
-		core.BackoffWait(attempt)
+		backoffWait(attempt)
 		path = path[:0]
-		var lkLastLeft llxscx.Linked[N]
+		var lkLastLeft llxscx.Linked[Node[K, V]]
 		haveLastLeft := false
 
-		var nilNode P
-		l := entry
+		l := t.entry
 		for !l.IsLeaf() {
 			lk, st := llxscx.LLX(l)
 			if st != llxscx.Snapshot {
 				continue retry
 			}
-			if viewLess(less, key, l) {
+			if t.keyLess(key, l) {
 				lkLastLeft = lk
 				haveLastLeft = true
 				path = path[:0]
@@ -119,28 +87,28 @@ retry:
 				path = append(path, lk.Evidence())
 				l = lk.Child(1)
 			}
-			if l == nilNode {
+			if l == nil {
 				continue retry
 			}
 		}
 		// The search for key always turns left at the sentinels, so lastLeft
 		// exists; if it is the entry node itself the dictionary is empty.
-		if !haveLastLeft || lkLastLeft.Node() == (*N)(entry) {
+		if !haveLastLeft || lkLastLeft.Node() == t.entry {
 			return k, v, false
 		}
-		if viewLess(less, key, l) {
+		if t.keyLess(key, l) {
 			// The leaf reached holds a key strictly greater than key, so it
 			// is the successor (linearized while it was on the search path).
 			if l.IsSentinel() {
 				return k, v, false
 			}
-			return l.Key(), valueOf[P, N, K, V](l), true
+			return l.K, valueOf(l), true
 		}
 		// Otherwise the successor is the leftmost leaf of lastLeft's right
 		// subtree. Walk down to it with LLXs and validate the whole
 		// connecting path with a VLX.
-		succ := P(lkLastLeft.Child(1))
-		if succ == nilNode {
+		succ := lkLastLeft.Child(1)
+		if succ == nil {
 			continue retry
 		}
 		for !succ.IsLeaf() {
@@ -150,44 +118,41 @@ retry:
 			}
 			path = append(path, lk.Evidence())
 			succ = lk.Child(0)
-			if succ == nilNode {
+			if succ == nil {
 				continue retry
 			}
 		}
-		g0 := genOf[P, N, K, V](succ)
+		g0 := genOf(succ)
 		if !llxscx.VLXEvidence(path) {
 			continue retry
 		}
 		if succ.IsSentinel() {
 			return k, v, false
 		}
-		k, v = succ.Key(), succ.Value()
+		k, v = succ.K, succ.val.Load()
 		assertGen(succ, g0)
 		return k, v, true
 	}
 }
 
-// Predecessor returns the largest key strictly smaller than key together
-// with its value, or ok=false if no such key exists. entry must be the
-// sentinel entry point of the tree and less its key comparator.
-func Predecessor[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, key K) (k K, v V, ok bool) {
-	var buf [pathBufCap]llxscx.Evidence[N]
+// predecessor is Predecessor inside the caller's pinned region.
+func (t *Tree[K, V]) predecessor(key K) (k K, v V, ok bool) {
+	var buf [pathBufCap]llxscx.Evidence[Node[K, V]]
 	path := buf[:0]
 retry:
 	for attempt := 0; ; attempt++ {
-		core.BackoffWait(attempt)
+		backoffWait(attempt)
 		path = path[:0]
-		var lkLastRight llxscx.Linked[N]
+		var lkLastRight llxscx.Linked[Node[K, V]]
 		haveLastRight := false
 
-		var nilNode P
-		l := entry
+		l := t.entry
 		for !l.IsLeaf() {
 			lk, st := llxscx.LLX(l)
 			if st != llxscx.Snapshot {
 				continue retry
 			}
-			if viewLess(less, key, l) {
+			if t.keyLess(key, l) {
 				path = append(path, lk.Evidence())
 				l = lk.Child(0)
 			} else {
@@ -197,14 +162,14 @@ retry:
 				path = append(path, lk.Evidence())
 				l = lk.Child(1)
 			}
-			if l == nilNode {
+			if l == nil {
 				continue retry
 			}
 		}
-		if !l.IsSentinel() && less(l.Key(), key) {
+		if !l.IsSentinel() && t.less(l.K, key) {
 			// The leaf reached holds a key strictly smaller than key, so it
 			// is the predecessor.
-			return l.Key(), valueOf[P, N, K, V](l), true
+			return l.K, valueOf(l), true
 		}
 		if !haveLastRight {
 			// The search never turned right: every key in the dictionary is
@@ -212,8 +177,8 @@ retry:
 			return k, v, false
 		}
 		// The predecessor is the rightmost leaf of lastRight's left subtree.
-		pred := P(lkLastRight.Child(0))
-		if pred == nilNode {
+		pred := lkLastRight.Child(0)
+		if pred == nil {
 			continue retry
 		}
 		for !pred.IsLeaf() {
@@ -223,18 +188,18 @@ retry:
 			}
 			path = append(path, lk.Evidence())
 			pred = lk.Child(1)
-			if pred == nilNode {
+			if pred == nil {
 				continue retry
 			}
 		}
-		g0 := genOf[P, N, K, V](pred)
+		g0 := genOf(pred)
 		if !llxscx.VLXEvidence(path) {
 			continue retry
 		}
 		if pred.IsSentinel() {
 			return k, v, false
 		}
-		k, v = pred.Key(), pred.Value()
+		k, v = pred.K, pred.val.Load()
 		assertGen(pred, g0)
 		return k, v, true
 	}
@@ -249,28 +214,6 @@ const (
 	chunkLeaves = 64
 	chunkEvCap  = chunkLeaves + 2*pathBufCap + 16
 )
-
-// RangeScan calls fn for every key in [lo, hi] in ascending order and
-// returns the number of keys visited. If fn returns false the scan stops
-// early. The scan proceeds in chunks of up to 64 keys: the keys of one chunk
-// are exactly the leading keys of the remaining range at a single point in
-// time (see scan), and successive chunks are taken at successive times. A
-// scan that spans several chunks is therefore not atomic as a whole, and a
-// value may be newer than its chunk's instant (values are loaded after the
-// validation, as the point queries do).
-func RangeScan[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, lo, hi K, fn func(k K, v V) bool) int {
-	n, _, _ := scan(entry, less, true, lo, true, hi, fn)
-	return n
-}
-
-// Ascend calls fn for every key in the dictionary in ascending order and
-// returns the number of keys visited. If fn returns false the scan stops
-// early. It is RangeScan without bounds: chunk-atomic, not atomic as a whole.
-func Ascend[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, fn func(k K, v V) bool) int {
-	var none K
-	n, _, _ := scan(entry, less, false, none, false, none, fn)
-	return n
-}
 
 // scan is the traversal behind RangeScan and Ascend. Each chunk is one
 // in-order depth-first walk from the entry node that LLXs every internal
@@ -292,25 +235,25 @@ func Ascend[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, fn func
 // time, and a success doubles it back. scan also reports how many validated
 // walks it is made of (chunks, counting a last one that found nothing left)
 // and how many attempts failed (retries).
-func scan[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) bool) (count, chunks, retries int) {
+func (t *Tree[K, V]) scan(useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) bool) (count, chunks, retries int) {
 	var (
-		evBuf    [chunkEvCap]llxscx.Evidence[N]
-		stackBuf [pathBufCap]P
-		leaves   [chunkLeaves]P
+		evBuf    [chunkEvCap]llxscx.Evidence[Node[K, V]]
+		stackBuf [pathBufCap]*Node[K, V]
+		leaves   [chunkLeaves]*Node[K, V]
 		gens     [chunkLeaves]uint64
-		nilNode  P
 	)
+	less := t.less
 	loExcl := false // lo itself is in range until a chunk has been emitted
 	limit, fails := chunkLeaves, 0
 	for {
-		core.BackoffWait(fails)
+		backoffWait(fails)
 		ev := evBuf[:0]
-		stack := append(stackBuf[:0], entry)
+		stack := append(stackBuf[:0], t.entry)
 		n, ok := 0, true
 		for len(stack) > 0 && n < limit {
 			nd := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if nd == nilNode { // as in the point queries, a nil child fails the attempt
+			if nd == nil { // as in the point queries, a nil child fails the attempt
 				ok = false
 				break
 			}
@@ -318,11 +261,11 @@ func scan[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, useLo boo
 				if nd.IsSentinel() {
 					continue
 				}
-				k := nd.Key()
+				k := nd.K
 				if (useLo && (less(k, lo) || (loExcl && !less(lo, k)))) || (useHi && less(hi, k)) {
 					continue
 				}
-				gens[n] = genOf[P, N, K, V](nd)
+				gens[n] = genOf(nd)
 				leaves[n] = nd
 				n++
 				continue
@@ -337,11 +280,11 @@ func scan[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, useLo boo
 			// subtrees the rest; sentinels route every key left. The right
 			// child is pushed first so the left subtree is walked first.
 			inf := nd.IsSentinel()
-			if !inf && (!useHi || !less(hi, nd.Key())) {
-				stack = append(stack, P(lk.Child(1)))
+			if !inf && (!useHi || !less(hi, nd.K)) {
+				stack = append(stack, lk.Child(1))
 			}
-			if inf || !useLo || less(lo, nd.Key()) {
-				stack = append(stack, P(lk.Child(0)))
+			if inf || !useLo || less(lo, nd.K) {
+				stack = append(stack, lk.Child(0))
 			}
 		}
 		if !ok || !llxscx.VLXEvidence(ev) {
@@ -355,7 +298,7 @@ func scan[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, useLo boo
 		limit = min(chunkLeaves, 2*limit)
 		for i := 0; i < n; i++ {
 			l := leaves[i]
-			k, v := l.Key(), l.Value()
+			k, v := l.K, l.val.Load()
 			assertGen(l, gens[i])
 			count++
 			if !fn(k, v) {
@@ -366,24 +309,20 @@ func scan[P View[N, K, V], N, K, V any](entry P, less func(K, K) bool, useLo boo
 			return count, chunks, retries
 		}
 		// The walk stopped at the limit with subtrees pending (n > 0).
-		lo, useLo, loExcl = leaves[n-1].Key(), true, true
+		lo, useLo, loExcl = leaves[n-1].K, true, true
 	}
 }
 
-// Min returns the smallest key in the dictionary and its value, or ok=false
-// if the dictionary is empty. It walks to the leftmost leaf with LLXs and
-// validates the spine with a VLX, so the result is linearizable. Because K
-// and V only appear in the constraint and results, call sites must
-// instantiate the type parameters explicitly.
-func Min[P View[N, K, V], N, K, V any](entry P) (k K, v V, ok bool) {
-	var buf [pathBufCap]llxscx.Evidence[N]
+// min is Min inside the caller's pinned region: it walks to the leftmost leaf
+// with LLXs and validates the spine with a VLX, so the result is linearizable.
+func (t *Tree[K, V]) min() (k K, v V, ok bool) {
+	var buf [pathBufCap]llxscx.Evidence[Node[K, V]]
 	path := buf[:0]
 retry:
 	for attempt := 0; ; attempt++ {
-		core.BackoffWait(attempt)
+		backoffWait(attempt)
 		path = path[:0]
-		var nilNode P
-		l := entry
+		l := t.entry
 		for !l.IsLeaf() {
 			lk, st := llxscx.LLX(l)
 			if st != llxscx.Snapshot {
@@ -391,11 +330,11 @@ retry:
 			}
 			path = append(path, lk.Evidence())
 			l = lk.Child(0)
-			if l == nilNode {
+			if l == nil {
 				continue retry
 			}
 		}
-		g0 := genOf[P, N, K, V](l)
+		g0 := genOf(l)
 		if !llxscx.VLXEvidence(path) {
 			continue retry
 		}
@@ -403,33 +342,30 @@ retry:
 			// The leftmost leaf is the sentinel leaf: the dictionary is empty.
 			return k, v, false
 		}
-		k, v = l.Key(), l.Value()
+		k, v = l.K, l.val.Load()
 		assertGen(l, g0)
 		return k, v, true
 	}
 }
 
-// Max returns the largest key in the dictionary and its value, or ok=false
-// if the dictionary is empty. The rightmost spine of the entry structure
-// ends at a sentinel leaf, so Max walks to the rightmost leaf of the tree
-// proper (the left subtree below the top sentinel), which contains no
-// sentinels. Like Min it validates the whole spine with a VLX and requires
-// explicit instantiation.
-func Max[P View[N, K, V], N, K, V any](entry P) (k K, v V, ok bool) {
-	var buf [pathBufCap]llxscx.Evidence[N]
+// max is Max inside the caller's pinned region. The rightmost spine of the
+// entry structure ends at a sentinel leaf, so max walks to the rightmost leaf
+// of the tree proper (the left subtree below the top sentinel), which contains
+// no sentinels. Like min it validates the whole spine with a VLX.
+func (t *Tree[K, V]) max() (k K, v V, ok bool) {
+	var buf [pathBufCap]llxscx.Evidence[Node[K, V]]
 	path := buf[:0]
 retry:
 	for attempt := 0; ; attempt++ {
-		core.BackoffWait(attempt)
+		backoffWait(attempt)
 		path = path[:0]
-		var nilNode P
-		lkE, st := llxscx.LLX(entry)
+		lkE, st := llxscx.LLX(t.entry)
 		if st != llxscx.Snapshot {
 			continue retry
 		}
 		path = append(path, lkE.Evidence())
-		top := P(lkE.Child(0))
-		if top == nilNode {
+		top := lkE.Child(0)
+		if top == nil {
 			continue retry
 		}
 		if top.IsLeaf() {
@@ -444,8 +380,8 @@ retry:
 			continue retry
 		}
 		path = append(path, lkTop.Evidence())
-		l := P(lkTop.Child(0))
-		if l == nilNode {
+		l := lkTop.Child(0)
+		if l == nil {
 			continue retry
 		}
 		for !l.IsLeaf() {
@@ -455,18 +391,18 @@ retry:
 			}
 			path = append(path, lk.Evidence())
 			l = lk.Child(1)
-			if l == nilNode {
+			if l == nil {
 				continue retry
 			}
 		}
-		g0 := genOf[P, N, K, V](l)
+		g0 := genOf(l)
 		if !llxscx.VLXEvidence(path) {
 			continue retry
 		}
 		if l.IsSentinel() {
 			continue retry
 		}
-		k, v = l.Key(), l.Value()
+		k, v = l.K, l.val.Load()
 		assertGen(l, g0)
 		return k, v, true
 	}

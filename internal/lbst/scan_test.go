@@ -173,11 +173,15 @@ func TestScanMatchesModel(t *testing.T) {
 // does not compress spines either.
 type plain struct{}
 
-func (plain) Name() string                                                 { return "plain" }
-func (plain) InternalDeco() int64                                          { return 0 }
-func (plain) CreatesViolation(_, _, _ *lbst.Node[int64, int64]) bool       { return false }
-func (plain) Violation(*lbst.Node[int64, int64]) bool                      { return false }
-func (plain) Rebalance(_ *epoch.Guard, _, _ *lbst.Node[int64, int64]) bool { return false }
+func (plain) Name() string                                                    { return "plain" }
+func (plain) SentinelDeco() int64                                             { return 0 }
+func (plain) InsertDecos(_, _ *lbst.Node[int64, int64]) (_, _, _ int64)       { return 0, 0, 0 }
+func (plain) PromoteDeco(_, _, _ *lbst.Node[int64, int64]) int64              { return 0 }
+func (plain) CreatesViolation(_ int64, _, _, _ *lbst.Node[int64, int64]) bool { return false }
+func (plain) Violation(_, _ *lbst.Node[int64, int64]) bool                    { return false }
+func (plain) Rebalance(_ *epoch.Guard, _, _, _, _ *lbst.Node[int64, int64]) bool {
+	return false
+}
 
 // TestScanDeepSpine scans a tree that descending inserts degenerate into a
 // left spine deeper than the traversal's stack buffers, so both the

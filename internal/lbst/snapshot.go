@@ -8,9 +8,8 @@ import (
 	"repro/internal/sched"
 )
 
-// This file implements O(1) versioned snapshots for the engine's trees (and,
-// through the same generic walk, the chromatic tree): Snapshot captures a
-// frozen point-in-time view in constant time, and scans over the view walk
+// This file implements O(1) versioned snapshots for the engine's trees:
+// Snapshot captures a frozen point-in-time view in constant time, and scans over the view walk
 // plain pointers with zero VLX validation, zero retries and zero per-node
 // CASes. The full safety argument lives in DESIGN.md ("Versioned
 // snapshots"); the mechanism in brief:
@@ -42,45 +41,31 @@ import (
 // Snapshot degrades to a weakly consistent live view (Consistent reports
 // false), matching the garbage-collected fallback semantics elsewhere.
 
-// VersionedView is the shape a node must expose for frozen-version walks, on
-// top of the traversal View: its commit tick and previous-version link.
-type VersionedView[N, K, V any] interface {
-	View[N, K, V]
-	// SnapVer returns the node's commit tick; nodes never installed as an
-	// update's subtree root report either 0 (pre-reclamation construction)
-	// or the pending marker (fresh interiors), both handled by resolve.
-	SnapVer() uint64
-	// SnapPrev returns the value the field that installed this node held
-	// immediately before, or nil.
-	SnapPrev() *N
-}
-
 // resolve rewinds a just-loaded child pointer to the version a snapshot
 // captured: nodes stamped after ver are stepped back through their prev
 // chain. A node without a prev link is accepted as-is — it is either ancient
 // (tick 0), or a fresh unstamped interior of an update whose root the walk
 // already accepted. The epoch pin held by the snapshot guarantees every node
 // on the chain is still valid memory (see the capture argument in DESIGN.md).
-func resolve[P VersionedView[N, K, V], N, K, V any](c P, ver uint64) P {
-	var nilNode P
-	for c != nilNode {
-		if c.SnapVer() <= ver {
+func resolve[K, V any](c *Node[K, V], ver uint64) *Node[K, V] {
+	for c != nil {
+		if c.snapVer.Load() <= ver {
 			return c
 		}
-		p := P(c.SnapPrev())
-		if p == nilNode {
+		p := c.prev.Load()
+		if p == nil {
 			return c
 		}
 		c = p
 	}
-	return nilNode
+	return nil
 }
 
 // Snap is a frozen point-in-time view of a versioned tree. It implements
 // dict.SnapshotView and dict.Differ. The zero value is not meaningful; views
 // are produced by the trees' Snapshot methods.
-type Snap[P VersionedView[N, K, V], N, K, V any] struct {
-	entry P
+type Snap[K, V any] struct {
+	entry *Node[K, V]
 	less  func(K, K) bool
 	ver   uint64
 	// pin is the long-lived epoch registration keeping reachable retired
@@ -93,16 +78,16 @@ type Snap[P VersionedView[N, K, V], N, K, V any] struct {
 }
 
 // Version returns the capture's commit tick.
-func (s *Snap[P, N, K, V]) Version() uint64 { return s.ver }
+func (s *Snap[K, V]) Version() uint64 { return s.ver }
 
 // Consistent reports whether the view is frozen: true except under
 // -tags noepoch, where snapshots degrade to live views.
-func (s *Snap[P, N, K, V]) Consistent() bool { return s.pin != nil }
+func (s *Snap[K, V]) Consistent() bool { return s.pin != nil }
 
 // Release ends the view's lifetime: it re-enables the source tree's in-place
 // overwrite fast path and unpins the epoch layer, letting parked retirees
 // recycle. Idempotent.
-func (s *Snap[P, N, K, V]) Release() {
+func (s *Snap[K, V]) Release() {
 	if s.released.Swap(true) {
 		return
 	}
@@ -114,25 +99,24 @@ func (s *Snap[P, N, K, V]) Release() {
 
 // Get returns the value associated with key in the snapshot. Plain reads
 // plus resolution only: no validation, no retries.
-func (s *Snap[P, N, K, V]) Get(key K) (V, bool) {
+func (s *Snap[K, V]) Get(key K) (V, bool) {
 	var zero V
-	var nilNode P
 	l := s.entry
 	for !l.IsLeaf() {
-		var c P
-		if viewLess[P, N, K, V](s.less, key, l) {
-			c = P(l.Mutable(0).Load())
+		var c *Node[K, V]
+		if l.IsSentinel() || s.less(key, l.K) {
+			c = l.left.Load()
 		} else {
-			c = P(l.Mutable(1).Load())
+			c = l.right.Load()
 		}
 		c = resolve(c, s.ver)
-		if c == nilNode {
+		if c == nil {
 			return zero, false
 		}
 		l = c
 	}
-	if !l.IsSentinel() && !s.less(key, l.Key()) && !s.less(l.Key(), key) {
-		return valueOf[P, N, K, V](l), true
+	if !l.IsSentinel() && !s.less(key, l.K) && !s.less(l.K, key) {
+		return valueOf(l), true
 	}
 	return zero, false
 }
@@ -141,14 +125,14 @@ func (s *Snap[P, N, K, V]) Get(key K) (V, bool) {
 // returns the number of keys visited; if fn returns false the scan stops
 // early. The whole scan observes the single capture point: one in-order walk
 // with per-child resolution, never retrying.
-func (s *Snap[P, N, K, V]) RangeScan(lo, hi K, fn func(k K, v V) bool) int {
+func (s *Snap[K, V]) RangeScan(lo, hi K, fn func(k K, v V) bool) int {
 	n, _ := s.walk(s.entry, true, lo, true, hi, fn)
 	return n
 }
 
 // Ascend calls fn for every key in ascending order and returns the number of
 // keys visited; if fn returns false the scan stops early.
-func (s *Snap[P, N, K, V]) Ascend(fn func(k K, v V) bool) int {
+func (s *Snap[K, V]) Ascend(fn func(k K, v V) bool) int {
 	var zero K
 	n, _ := s.walk(s.entry, false, zero, false, zero, fn)
 	return n
@@ -158,35 +142,34 @@ func (s *Snap[P, N, K, V]) Ascend(fn func(k K, v V) bool) int {
 // hold keys strictly below the routing key, right subtrees the rest;
 // sentinel internals route every real key left, so their right children
 // (sentinel leaves, or the entry's nil right field) are pruned.
-func (s *Snap[P, N, K, V]) walk(n P, useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) bool) (int, bool) {
-	var nilNode P
-	if n == nilNode {
+func (s *Snap[K, V]) walk(n *Node[K, V], useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) bool) (int, bool) {
+	if n == nil {
 		return 0, true
 	}
 	if n.IsLeaf() {
 		if n.IsSentinel() {
 			return 0, true
 		}
-		k := n.Key()
+		k := n.K
 		if (useLo && s.less(k, lo)) || (useHi && s.less(hi, k)) {
 			return 0, true
 		}
-		if !fn(k, valueOf[P, N, K, V](n)) {
+		if !fn(k, valueOf(n)) {
 			return 1, false
 		}
 		return 1, true
 	}
 	count := 0
-	if !useLo || n.IsSentinel() || s.less(lo, n.Key()) {
-		c := resolve(P(n.Mutable(0).Load()), s.ver)
+	if !useLo || n.IsSentinel() || s.less(lo, n.K) {
+		c := resolve(n.left.Load(), s.ver)
 		cnt, cont := s.walk(c, useLo, lo, useHi, hi, fn)
 		count += cnt
 		if !cont {
 			return count, false
 		}
 	}
-	if !n.IsSentinel() && (!useHi || !s.less(hi, n.Key())) {
-		c := resolve(P(n.Mutable(1).Load()), s.ver)
+	if !n.IsSentinel() && (!useHi || !s.less(hi, n.K)) {
+		c := resolve(n.right.Load(), s.ver)
 		cnt, cont := s.walk(c, useLo, lo, useHi, hi, fn)
 		count += cnt
 		if !cont {
@@ -207,8 +190,8 @@ func (s *Snap[P, N, K, V]) walk(n P, useLo bool, lo K, useHi bool, hi K, fn func
 // are enumerated and merged. Exactness of the pointer-equal-leaf skip
 // requires s to have been held live continuously since its capture (see
 // dict.SnapshotDiff).
-func (s *Snap[P, N, K, V]) Diff(other dict.SnapshotView[K, V], eq func(a, b V) bool, fn func(key K, oldV V, oldOK bool, newV V, newOK bool) bool) bool {
-	o, ok := other.(*Snap[P, N, K, V])
+func (s *Snap[K, V]) Diff(other dict.SnapshotView[K, V], eq func(a, b V) bool, fn func(key K, oldV V, oldOK bool, newV V, newOK bool) bool) bool {
+	o, ok := other.(*Snap[K, V])
 	if !ok || o.entry != s.entry {
 		return false
 	}
@@ -223,25 +206,23 @@ type snapKV[K, V any] struct {
 
 // diffWalk diffs two same-interval subtrees, a resolved under s.ver and b
 // under o.ver. It returns false if fn stopped the diff.
-func (s *Snap[P, N, K, V]) diffWalk(a, b P, o *Snap[P, N, K, V], eq func(V, V) bool, fn func(K, V, bool, V, bool) bool) bool {
-	var nilNode P
+func (s *Snap[K, V]) diffWalk(a, b *Node[K, V], o *Snap[K, V], eq func(V, V) bool, fn func(K, V, bool, V, bool) bool) bool {
 	if a == b {
-		if a == nilNode || a.IsLeaf() {
+		if a == nil || a.IsLeaf() {
 			// Pointer-equal leaves are value-equal: overwrites while either
 			// snapshot was live went through leaf replacement.
 			return true
 		}
-		lf, rf := a.Mutable(0), a.Mutable(1)
-		if !s.diffWalk(resolve(P(lf.Load()), s.ver), resolve(P(lf.Load()), o.ver), o, eq, fn) {
+		if !s.diffWalk(resolve(a.left.Load(), s.ver), resolve(a.left.Load(), o.ver), o, eq, fn) {
 			return false
 		}
-		return s.diffWalk(resolve(P(rf.Load()), s.ver), resolve(P(rf.Load()), o.ver), o, eq, fn)
+		return s.diffWalk(resolve(a.right.Load(), s.ver), resolve(a.right.Load(), o.ver), o, eq, fn)
 	}
-	if a != nilNode && b != nilNode && !a.IsLeaf() && !b.IsLeaf() && sameRouting(s.less, a, b) {
-		if !s.diffWalk(resolve(P(a.Mutable(0).Load()), s.ver), resolve(P(b.Mutable(0).Load()), o.ver), o, eq, fn) {
+	if a != nil && b != nil && !a.IsLeaf() && !b.IsLeaf() && sameRouting(s.less, a, b) {
+		if !s.diffWalk(resolve(a.left.Load(), s.ver), resolve(b.left.Load(), o.ver), o, eq, fn) {
 			return false
 		}
-		return s.diffWalk(resolve(P(a.Mutable(1).Load()), s.ver), resolve(P(b.Mutable(1).Load()), o.ver), o, eq, fn)
+		return s.diffWalk(resolve(a.right.Load(), s.ver), resolve(b.right.Load(), o.ver), o, eq, fn)
 	}
 	// Divergent region: enumerate both sides and merge.
 	var as, bs []snapKV[K, V]
@@ -276,28 +257,27 @@ func (s *Snap[P, N, K, V]) diffWalk(a, b P, o *Snap[P, N, K, V], eq func(V, V) b
 
 // sameRouting reports whether two internal nodes carry the same routing key
 // (sentinels route identically by definition).
-func sameRouting[P VersionedView[N, K, V], N, K, V any](less func(K, K) bool, a, b P) bool {
+func sameRouting[K, V any](less func(K, K) bool, a, b *Node[K, V]) bool {
 	if a.IsSentinel() || b.IsSentinel() {
 		return a.IsSentinel() && b.IsSentinel()
 	}
-	return !less(a.Key(), b.Key()) && !less(b.Key(), a.Key())
+	return !less(a.K, b.K) && !less(b.K, a.K)
 }
 
 // collect appends the (key, value) pairs of a resolved subtree in order.
-func (s *Snap[P, N, K, V]) collect(n P, ver uint64, out *[]snapKV[K, V]) {
-	var nilNode P
-	if n == nilNode {
+func (s *Snap[K, V]) collect(n *Node[K, V], ver uint64, out *[]snapKV[K, V]) {
+	if n == nil {
 		return
 	}
 	if n.IsLeaf() {
 		if !n.IsSentinel() {
-			*out = append(*out, snapKV[K, V]{n.Key(), valueOf[P, N, K, V](n)})
+			*out = append(*out, snapKV[K, V]{n.K, valueOf(n)})
 		}
 		return
 	}
-	s.collect(resolve(P(n.Mutable(0).Load()), ver), ver, out)
+	s.collect(resolve(n.left.Load(), ver), ver, out)
 	if !n.IsSentinel() {
-		s.collect(resolve(P(n.Mutable(1).Load()), ver), ver, out)
+		s.collect(resolve(n.right.Load(), ver), ver, out)
 	}
 }
 
@@ -315,15 +295,8 @@ func (t *Tree[K, V]) Snapshot() dict.SnapshotView[K, V] {
 	return t.snapshot()
 }
 
-// snapshot is Snapshot returning the concrete view type.
-func (t *Tree[K, V]) snapshot() *Snap[*Node[K, V], Node[K, V], K, V] {
-	return CaptureSnap[*Node[K, V], Node[K, V], K, V](t.entry, t.less, &t.gver, &t.snapLive, &t.fastWriters)
-}
-
-// CaptureSnap runs the capture protocol for any tree sharing the versioned
-// walk (the engine's trees and the chromatic tree): entry and less identify
-// the tree, gver its commit-tick counter, snapLive its live-snapshot count
-// and fastWriters its in-flight fast-path overwrite count.
+// snapshot is Snapshot returning the concrete view type: it runs the capture
+// protocol.
 //
 // Order matters. The pin registers first so every later retire parks behind
 // it. snapLive rises next, the version is read, and only then do the
@@ -337,33 +310,18 @@ func (t *Tree[K, V]) snapshot() *Snap[*Node[K, V], Node[K, V], K, V] {
 // drain observes zero its update CAS has gone through — a covered node can
 // never surface mid-capture and un-freeze the view. (Draining before the
 // gver read has the opposite hole: a writer can open its bracket after the
-// drain and still stamp at or below the version read afterwards.) Under
-// -tags noepoch the returned view is a weakly consistent live view
-// (Consistent reports false).
-func CaptureSnap[P VersionedView[N, K, V], N, K, V any](entry P, less func(K, K) bool, gver *atomic.Uint64, snapLive, fastWriters *atomic.Int64) *Snap[P, N, K, V] {
-	s := &Snap[P, N, K, V]{entry: entry, less: less}
+// drain and still stamp at or below the version read afterwards.)
+func (t *Tree[K, V]) snapshot() *Snap[K, V] {
+	s := &Snap[K, V]{entry: t.entry, less: t.less}
 	if !epoch.Enabled {
 		s.ver = ^uint64(0) // accept every node: a live view
 		return s
 	}
 	s.pin = epoch.SnapPin()
-	snapLive.Add(1)
-	s.live = snapLive
+	t.snapLive.Add(1)
+	s.live = &t.snapLive
 	sched.Point(sched.PointSnapPublish)
-	s.ver = gver.Load()
-	sched.WaitZero(sched.PointSnapDrain, fastWriters)
+	s.ver = t.gver.Load()
+	sched.WaitZero(sched.PointSnapDrain, &t.fastWriters)
 	return s
-}
-
-// Versions returns the commit ticks of the top-level subtree roots currently
-// retained in the tree's bounded root forest, unordered. Observability and
-// tests only: snapshot resolution does not consult the forest.
-func (t *Tree[K, V]) Versions() []uint64 {
-	var out []uint64
-	for i := range t.roots {
-		if n := t.roots[i].Load(); n != nil {
-			out = append(out, n.snapVer.Load())
-		}
-	}
-	return out
 }

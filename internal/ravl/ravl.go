@@ -5,7 +5,8 @@
 // the tree update template.
 //
 // The tree is built entirely on the shared leaf-oriented BST engine
-// (internal/lbst); this package supplies only the balancing policy, and like
+// (internal/lbst), as the chromatic tree is; this package supplies only the
+// balancing policy, and like
 // the engine it is generic over the key and value types (NewOrdered for
 // cmp.Ordered keys, NewLess for an arbitrary comparator, New for the
 // historical int64 instantiation). Every node's decoration is its relaxed
@@ -81,10 +82,19 @@ type policy[K, V any] struct {
 // Name implements lbst.Policy.
 func (p *policy[K, V]) Name() string { return "RAVL" }
 
-// InternalDeco implements lbst.Policy: the internal node created by an
-// insertion sits above two leaves (height 0), so its locally correct height
-// is 1.
-func (p *policy[K, V]) InternalDeco() int64 { return 1 }
+// SentinelDeco implements lbst.Policy: sentinels carry no height bookkeeping.
+func (p *policy[K, V]) SentinelDeco() int64 { return 0 }
+
+// InsertDecos implements lbst.Policy: the internal node created by an
+// insertion sits above two leaves (height 0, which the old leaf already
+// carries), so its locally correct height is 1.
+func (p *policy[K, V]) InsertDecos(_, _ *lbst.Node[K, V]) (internal, leaf, oldLeaf int64) {
+	return 1, 0, 0
+}
+
+// PromoteDeco implements lbst.Policy: the promoted sibling's own subtree is
+// unchanged, so its height is too.
+func (p *policy[K, V]) PromoteDeco(_, _, s *lbst.Node[K, V]) int64 { return s.Deco() }
 
 // CreatesViolation implements lbst.Policy. Replacing oldChild by newChild
 // below parent can only create a violation at parent, and only if the
@@ -94,8 +104,8 @@ func (p *policy[K, V]) InternalDeco() int64 { return 1 }
 // parent with the promoted sibling, whose height is typically one less.)
 // Sentinels carry no height bookkeeping, so changes directly below them
 // never violate anything.
-func (p *policy[K, V]) CreatesViolation(parent, oldChild, newChild *lbst.Node[K, V]) bool {
-	if parent.IsSentinel() || newChild == nil {
+func (p *policy[K, V]) CreatesViolation(_ K, parent, oldChild, newChild *lbst.Node[K, V]) bool {
+	if parent.IsSentinel() {
 		return false
 	}
 	if oldChild.Deco() == newChild.Deco() {
@@ -105,10 +115,14 @@ func (p *policy[K, V]) CreatesViolation(parent, oldChild, newChild *lbst.Node[K,
 	return true
 }
 
-// Violation implements lbst.Policy: using plain reads, an internal node is
-// in violation if its stored height is not one more than its children's
-// maximum, or if the children's stored heights differ by two or more.
-func (p *policy[K, V]) Violation(n *lbst.Node[K, V]) bool {
+// Violation implements lbst.Policy: using plain reads, an internal node below
+// the sentinels is in violation if its stored height is not one more than its
+// children's maximum, or if the children's stored heights differ by two or
+// more.
+func (p *policy[K, V]) Violation(_, n *lbst.Node[K, V]) bool {
+	if n.IsLeaf() || n.IsSentinel() {
+		return false
+	}
 	l, r := n.Left(), n.Right()
 	if l == nil || r == nil {
 		return false
@@ -124,7 +138,7 @@ func (p *policy[K, V]) Violation(n *lbst.Node[K, V]) bool {
 // node reappears only as a copy, satisfying PC9). Fresh nodes come from the
 // engine's node pool and are released back immediately when the SCX fails;
 // removed nodes are retired by the engine's RebalanceSCX.
-func (p *policy[K, V]) Rebalance(g *epoch.Guard, u, n *lbst.Node[K, V]) bool {
+func (p *policy[K, V]) Rebalance(g *epoch.Guard, _, _, u, n *lbst.Node[K, V]) bool {
 	lkU, st := llxscx.LLX(u)
 	if st != llxscx.Snapshot {
 		return false
@@ -378,7 +392,10 @@ func (t *Tree[K, V]) RebalanceAll(maxSteps int) (int, error) {
 		if steps >= maxSteps {
 			return steps, fmt.Errorf("rebalancing did not converge after %d steps (violation at key %v)", steps, n.K)
 		}
-		if !t.RebalanceStep(u, n) {
+		g := epoch.Pin()
+		ok := t.pol.Rebalance(g, nil, nil, u, n)
+		epoch.Unpin(g)
+		if !ok {
 			return steps, fmt.Errorf("rebalancing step failed at quiescence (key %v)", n.K)
 		}
 		steps++
@@ -401,7 +418,7 @@ func (t *Tree[K, V]) findViolation() (u, n *lbst.Node[K, V]) {
 		if pu, pn := rec(nd, nd.Right()); pn != nil {
 			return pu, pn
 		}
-		if !nd.IsSentinel() && t.pol.Violation(nd) {
+		if t.pol.Violation(parent, nd) {
 			return parent, nd
 		}
 		return nil, nil
@@ -418,7 +435,7 @@ func (t *Tree[K, V]) CountViolations() int {
 		if nd == nil || nd.IsLeaf() {
 			return
 		}
-		if !nd.IsSentinel() && t.pol.Violation(nd) {
+		if t.pol.Violation(nil, nd) {
 			count++
 		}
 		rec(nd.Left())
@@ -430,8 +447,8 @@ func (t *Tree[K, V]) CountViolations() int {
 
 // CheckAVL verifies that the tree is an exact AVL tree: the shared
 // structural invariants hold (CheckStructure), every stored height equals
-// the node's true height, and every internal node's subtree heights differ
-// by at most one. After sequential operation - or after RebalanceAll at
+// the node's true height (0 for a leaf), and every internal node's subtree
+// heights differ by at most one. After sequential operation - or after RebalanceAll at
 // quiescence - this must hold. It returns nil on success.
 func (t *Tree[K, V]) CheckAVL() error {
 	if err := t.CheckStructure(); err != nil {
@@ -444,7 +461,10 @@ func (t *Tree[K, V]) CheckAVL() error {
 	var walk func(nd *lbst.Node[K, V]) (int64, error)
 	walk = func(nd *lbst.Node[K, V]) (int64, error) {
 		if nd.IsLeaf() {
-			return 0, nil // CheckStructure already verified leaf decorations
+			if nd.Deco() != 0 {
+				return 0, fmt.Errorf("leaf %v stores height %d, want 0", nd.K, nd.Deco())
+			}
+			return 0, nil
 		}
 		hl, err := walk(nd.Left())
 		if err != nil {

@@ -311,8 +311,8 @@ type deferring struct {
 	hold *bool
 }
 
-func (d deferring) CreatesViolation(parent, oldChild, newChild *lbst.Node[int64, int64]) bool {
-	return !*d.hold && d.policy.CreatesViolation(parent, oldChild, newChild)
+func (d deferring) CreatesViolation(key int64, parent, oldChild, newChild *lbst.Node[int64, int64]) bool {
+	return !*d.hold && d.policy.CreatesViolation(key, parent, oldChild, newChild)
 }
 
 // TestCleanupFixesStaleChildHeightFirst reaches the two steps no sequential

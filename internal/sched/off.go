@@ -90,3 +90,11 @@ func SkipValidate() bool { return false }
 // PrematureFree reports whether the premature-epoch-free mutation is armed.
 // Always false in the default build.
 func PrematureFree() bool { return false }
+
+// ReuseRedecoratedLeaf reports whether the reused-leaf mutation of the tree
+// engine's insertion is armed. Always false in the default build.
+func ReuseRedecoratedLeaf() bool { return false }
+
+// KeepSiblingDeco reports whether the kept-decoration mutation of the tree
+// engine's deletion is armed. Always false in the default build.
+func KeepSiblingDeco() bool { return false }

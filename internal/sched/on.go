@@ -18,13 +18,16 @@ const Enabled = true
 // Point: when no controller is running, a point is one atomic load.
 var active atomic.Int32
 
-// dropFreeze, skipValidate and prematureFree are the seeded protocol
-// mutations used by the checker self-tests. They are process-global: tests that arm them must
-// not run in parallel with other tests (Explore already serializes itself).
+// dropFreeze, skipValidate, prematureFree, reuseRedecoratedLeaf and
+// keepSiblingDeco are the seeded protocol mutations used by the checker
+// self-tests. They are process-global: tests that arm them must not run in
+// parallel with other tests (Explore already serializes itself).
 var (
-	dropFreeze    atomic.Bool
-	skipValidate  atomic.Bool
-	prematureFree atomic.Bool
+	dropFreeze           atomic.Bool
+	skipValidate         atomic.Bool
+	prematureFree        atomic.Bool
+	reuseRedecoratedLeaf atomic.Bool
+	keepSiblingDeco      atomic.Bool
 )
 
 // SetDropFreeze arms or disarms the dropped-freeze mutation: while armed,
@@ -52,6 +55,24 @@ func SetPrematureFree(on bool) { prematureFree.Store(on) }
 
 // PrematureFree reports whether the premature-free mutation is armed.
 func PrematureFree() bool { return prematureFree.Load() }
+
+// SetReuseRedecoratedLeaf arms or disarms the reused-leaf mutation: while
+// armed, the tree engine's insertion keeps the old leaf as a child of the new
+// internal node even when the policy assigned it a different decoration (an
+// overweight chromatic leaf, which must be replaced by a weight-one copy).
+func SetReuseRedecoratedLeaf(on bool) { reuseRedecoratedLeaf.Store(on) }
+
+// ReuseRedecoratedLeaf reports whether the reused-leaf mutation is armed.
+func ReuseRedecoratedLeaf() bool { return reuseRedecoratedLeaf.Load() }
+
+// SetKeepSiblingDeco arms or disarms the kept-decoration mutation: while
+// armed, the sibling a deletion promotes keeps its own decoration instead of
+// the one the policy computes (for a chromatic tree, its weight plus its
+// removed parent's).
+func SetKeepSiblingDeco(on bool) { keepSiblingDeco.Store(on) }
+
+// KeepSiblingDeco reports whether the kept-decoration mutation is armed.
+func KeepSiblingDeco() bool { return keepSiblingDeco.Load() }
 
 // SetChaosHooks is a no-op in the sched build: runtime chaos injection
 // (internal/chaos) targets the default build, where the deterministic

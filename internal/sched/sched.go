@@ -23,12 +23,14 @@
 // goroutine.
 //
 // The same build tag arms the fault knobs (SetDropFreeze, SetSkipValidate,
-// SetPrematureFree) that the self-tests use to seed protocol mutations —
-// skipping the first freezing CAS of an SCX, trusting a reused descriptor's
-// fields without re-validating its sequence number, or freeing
-// epoch-retired memory one epoch early — and prove that the linearizability
-// checker and the reclamation tests actually catch them. The tag mirrors the existing noepoch/reclaimcheck
-// convention (see internal/epoch).
+// SetPrematureFree, SetReuseRedecoratedLeaf, SetKeepSiblingDeco) that the
+// self-tests use to seed protocol mutations — skipping the first freezing CAS
+// of an SCX, trusting a reused descriptor's fields without re-validating its
+// sequence number, freeing epoch-retired memory one epoch early, or ignoring
+// a decoration the balancing policy assigned in an insertion or a deletion —
+// and prove that the linearizability checker, the reclamation tests and the
+// per-operation invariant checks actually catch them. The tag mirrors the
+// existing noepoch/reclaimcheck convention (see internal/epoch).
 package sched
 
 // PointID identifies one instrumented protocol step. The constants below

@@ -1,0 +1,83 @@
+//go:build sched
+
+package repro
+
+// Seeded mutations of the one place where the tree engine acts on a
+// decoration its balancing policy assigns (internal/lbst: tryInsert and
+// tryDelete). Each must be caught by the per-operation fuzz of
+// FuzzOrderedMapAgainstModel - the same interpreter, the same seed corpus -
+// as unequal weighted path lengths in a chromatic tree.
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/dict/dicttest"
+	"repro/internal/sched"
+)
+
+// failureRecorder is a testing.TB whose Fatalf records the message and ends
+// the calling goroutine instead of failing the test.
+type failureRecorder struct {
+	testing.TB
+	failure string
+}
+
+func (r *failureRecorder) Helper() {}
+
+func (r *failureRecorder) Fatalf(format string, args ...any) {
+	r.failure = fmt.Sprintf(format, args...)
+	runtime.Goexit()
+}
+
+// firstFuzzFailure runs the fuzz seed corpus against the named template tree
+// and returns the first failure the per-operation checks report, or "".
+func firstFuzzFailure(t *testing.T, name string) string {
+	for _, tgt := range templateTreeTargets(t) {
+		if tgt.Name != name {
+			continue
+		}
+		for _, data := range fuzzSeedCorpus() {
+			rec := &failureRecorder{TB: t}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				dicttest.FuzzOps(rec, tgt, data)
+			}()
+			<-done
+			if rec.failure != "" {
+				return rec.failure
+			}
+		}
+		return ""
+	}
+	t.Fatalf("no template tree target named %q", name)
+	return ""
+}
+
+func TestDecorationMutationsCaught(t *testing.T) {
+	for _, tc := range []struct {
+		name, tree string
+		arm        func(bool)
+	}{
+		// An overweight leaf only survives until the next insertion beside it
+		// where violations are tolerated, so this one needs Chromatic6.
+		{"insertion reuses an overweight old leaf", "Chromatic6", sched.SetReuseRedecoratedLeaf},
+		{"promoted sibling keeps its own weight", "Chromatic", sched.SetKeepSiblingDeco},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if msg := firstFuzzFailure(t, tc.tree); msg != "" {
+				t.Fatalf("the healthy engine fails the per-operation fuzz: %s", msg)
+			}
+			tc.arm(true)
+			defer tc.arm(false)
+			msg := firstFuzzFailure(t, tc.tree)
+			if !strings.Contains(msg, "unequal weighted path lengths") {
+				t.Fatalf("mutation not caught as unequal weighted path lengths; first failure: %q", msg)
+			}
+			t.Logf("mutation caught: %s", msg)
+		})
+	}
+}
