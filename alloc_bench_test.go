@@ -357,6 +357,40 @@ func TestRangeScanAllocBudget(t *testing.T) {
 	}
 }
 
+// TestSuccessorAllocBudget fails if Successor or Predecessor allocates on any
+// template tree: the search path's evidence lives on the query's frame, two
+// words per node.
+func TestSuccessorAllocBudget(t *testing.T) {
+	for _, name := range allocBenchStructures {
+		factory, ok := bench.Lookup(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		d := factory.New().(dict.IntOrderedMap)
+		const keys = 1 << 12
+		for i := 0; i < keys; i++ {
+			k := allocKey(i) & (keys - 1)
+			d.Insert(k, k)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(20000, func() {
+			k := 1 + allocKey(i)&(keys-1)%(keys-2)
+			if s, _, ok := d.Successor(k); !ok || s != k+1 {
+				t.Fatalf("%s Successor(%d) = %d, %v", name, k, s, ok)
+			}
+			if p, _, ok := d.Predecessor(k); !ok || p != k-1 {
+				t.Fatalf("%s Predecessor(%d) = %d, %v", name, k, p, ok)
+			}
+			i++
+		})
+		if allocs > 0 {
+			t.Errorf("%s Successor and Predecessor allocate %.2f allocs/op, budget is 0", name, allocs)
+		} else {
+			t.Logf("%s Successor and Predecessor: %.2f allocs/op", name, allocs)
+		}
+	}
+}
+
 // snapshotAllocBudget is the committed allocs/op ceiling for Snapshot() on
 // the template trees: the capture is O(1) and allocation-lean regardless of
 // the dictionary's size - one allocation for the view handle; the epoch pin

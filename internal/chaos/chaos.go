@@ -328,6 +328,10 @@ func pointHook(id sched.PointID) {
 // abandon parks the calling worker until the next ReleaseAbandoned, unless
 // the cap of simultaneously parked workers is already reached.
 func (ctl *controller) abandon(sched.PointID) {
+	// Take the release channel before being counted as parked: a release
+	// issued by someone who saw the count closes this channel or a later
+	// one, never an earlier one, so the park cannot miss its wakeup.
+	ch := ctl.currentRelease()
 	for {
 		n := ctl.abandoned.Load()
 		if n >= int64(ctl.cfg.MaxAbandoned) {
@@ -338,10 +342,6 @@ func (ctl *controller) abandon(sched.PointID) {
 		}
 	}
 	ctl.abandons.Add(1)
-	// Snapshot the release channel before parking: a release that raced in
-	// after the CAS closed the channel we are about to read, so the park is
-	// never missed-wakeup-prone.
-	ch := ctl.currentRelease()
 	<-ch
 	ctl.abandoned.Add(-1)
 }

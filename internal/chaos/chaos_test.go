@@ -3,6 +3,7 @@ package chaos
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/sched"
@@ -129,7 +130,7 @@ func TestAbandonReleaseAndCap(t *testing.T) {
 	defer Disable()
 
 	const workers = 5
-	parked := make(chan struct{}, workers)
+	var through atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -137,19 +138,17 @@ func TestAbandonReleaseAndCap(t *testing.T) {
 			defer wg.Done()
 			w := Register(i)
 			defer w.Close()
-			parked <- struct{}{}
 			// With Abandon at 100% and a cap of 2, exactly two of these
 			// crossings park; the other three fall through the cap check
 			// and return immediately.
 			sched.Point(sched.PointLLX)
+			through.Add(1)
 		}(i)
 	}
-	for i := 0; i < workers; i++ {
-		<-parked
-	}
-	for AbandonedCount() != 2 {
-		// The two winners park shortly after signalling; yield until both
-		// are counted, then verify the cap holds.
+	for AbandonedCount() != 2 || through.Load() != workers-2 {
+		// Yield until the two winners are counted and the three losers are
+		// through: one still short of its crossing when the winners are
+		// released would find room under the cap and park for good.
 		runtime.Gosched()
 	}
 	if n := AbandonedCount(); n != 2 {

@@ -72,7 +72,7 @@ func (pol *policy[K, V]) Rebalance(g *epoch.Guard, ggp, gp, p, l *lbst.Node[K, V
 
 func (pol *policy[K, V]) tryRebalanceOnce(g *epoch.Guard, ggp, gp, p, l *lbst.Node[K, V]) bool {
 	r := ggp
-	lkR, st := llxscx.LLX(r)
+	lkR, st := r.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}
@@ -82,7 +82,7 @@ func (pol *policy[K, V]) tryRebalanceOnce(g *epoch.Guard, ggp, gp, p, l *lbst.No
 	if rx != rl && rx != rr {
 		return false
 	}
-	lkRx, st := llxscx.LLX(rx)
+	lkRx, st := rx.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}
@@ -92,7 +92,7 @@ func (pol *policy[K, V]) tryRebalanceOnce(g *epoch.Guard, ggp, gp, p, l *lbst.No
 	if rxx != rxl && rxx != rxr {
 		return false
 	}
-	lkRxx, st := llxscx.LLX(rxx)
+	lkRxx, st := rxx.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}
@@ -102,13 +102,13 @@ func (pol *policy[K, V]) tryRebalanceOnce(g *epoch.Guard, ggp, gp, p, l *lbst.No
 		// Overweight violation at l.
 		switch l {
 		case rxxl:
-			lkRxxl, st := llxscx.LLX(rxxl)
+			lkRxxl, st := rxxl.LLX()
 			if st != llxscx.Snapshot {
 				return false
 			}
 			return pol.overweightLeft(g, lkR, lkRx, lkRxx, lkRxxl, rl, rr, rxl, rxr, rxxr)
 		case rxxr:
-			lkRxxr, st := llxscx.LLX(rxxr)
+			lkRxxr, st := rxxr.LLX()
 			if st != llxscx.Snapshot {
 				return false
 			}
@@ -122,7 +122,7 @@ func (pol *policy[K, V]) tryRebalanceOnce(g *epoch.Guard, ggp, gp, p, l *lbst.No
 	if rxx == rxl {
 		// The red parent is a left child.
 		if rxr != nil && rxr.Deco() == 0 {
-			lkRxr, st := llxscx.LLX(rxr)
+			lkRxr, st := rxr.LLX()
 			if st != llxscx.Snapshot {
 				return false
 			}
@@ -132,7 +132,7 @@ func (pol *policy[K, V]) tryRebalanceOnce(g *epoch.Guard, ggp, gp, p, l *lbst.No
 		case rxxl:
 			return pol.doRB1(g, lkR, lkRx, lkRxx)
 		case rxxr:
-			lkRxxr, st := llxscx.LLX(rxxr)
+			lkRxxr, st := rxxr.LLX()
 			if st != llxscx.Snapshot {
 				return false
 			}
@@ -143,7 +143,7 @@ func (pol *policy[K, V]) tryRebalanceOnce(g *epoch.Guard, ggp, gp, p, l *lbst.No
 	}
 	// The red parent is a right child.
 	if rxl != nil && rxl.Deco() == 0 {
-		lkRxl, st := llxscx.LLX(rxl)
+		lkRxl, st := rxl.LLX()
 		if st != llxscx.Snapshot {
 			return false
 		}
@@ -153,7 +153,7 @@ func (pol *policy[K, V]) tryRebalanceOnce(g *epoch.Guard, ggp, gp, p, l *lbst.No
 	case rxxr:
 		return pol.doRB1s(g, lkR, lkRx, lkRxx)
 	case rxxl:
-		lkRxxl, st := llxscx.LLX(rxxl)
+		lkRxxl, st := rxxl.LLX()
 		if st != llxscx.Snapshot {
 			return false
 		}
@@ -181,13 +181,13 @@ func (pol *policy[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl
 					return false
 				}
 				if rxr.Deco() == 0 {
-					lkRxr, st := llxscx.LLX(rxr)
+					lkRxr, st := rxr.LLX()
 					if st != llxscx.Snapshot {
 						return false
 					}
 					return pol.doBLK(g, lkR, lkRx, lkRxx, lkRxr)
 				}
-				lkRxxr, st := llxscx.LLX(rxxr)
+				lkRxxr, st := rxxr.LLX()
 				if st != llxscx.Snapshot {
 					return false
 				}
@@ -198,7 +198,7 @@ func (pol *policy[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl
 				return false
 			}
 			if rxl.Deco() == 0 {
-				lkRxl, st := llxscx.LLX(rxl)
+				lkRxl, st := rxl.LLX()
 				if st != llxscx.Snapshot {
 					return false
 				}
@@ -207,7 +207,7 @@ func (pol *policy[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl
 			return pol.doRB1s(g, lkR, lkRx, lkRxx)
 		}
 		// rxx.Deco() > 0
-		lkRxxr, st := llxscx.LLX(rxxr)
+		lkRxxr, st := rxxr.LLX()
 		if st != llxscx.Snapshot {
 			return false
 		}
@@ -215,7 +215,7 @@ func (pol *policy[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl
 		if rxxrl == nil {
 			return false
 		}
-		lkRxxrl, st := llxscx.LLX(rxxrl)
+		lkRxxrl, st := rxxrl.LLX()
 		if st != llxscx.Snapshot {
 			return false
 		}
@@ -231,7 +231,7 @@ func (pol *policy[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl
 				return false
 			}
 			if rxxrlr.Deco() == 0 {
-				lkRxxrlr, st := llxscx.LLX(rxxrlr)
+				lkRxxrlr, st := rxxrlr.LLX()
 				if st != llxscx.Snapshot {
 					return false
 				}
@@ -241,7 +241,7 @@ func (pol *policy[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl
 				return false
 			}
 			if rxxrll.Deco() == 0 {
-				lkRxxrll, st := llxscx.LLX(rxxrll)
+				lkRxxrll, st := rxxrll.LLX()
 				if st != llxscx.Snapshot {
 					return false
 				}
@@ -250,7 +250,7 @@ func (pol *policy[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl
 			return pol.doW2(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxrl)
 		}
 	case rxxr.Deco() == 1:
-		lkRxxr, st := llxscx.LLX(rxxr)
+		lkRxxr, st := rxxr.LLX()
 		if st != llxscx.Snapshot {
 			return false
 		}
@@ -260,7 +260,7 @@ func (pol *policy[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl
 			return false
 		}
 		if rxxrr.Deco() == 0 {
-			lkRxxrr, st := llxscx.LLX(rxxrr)
+			lkRxxrr, st := rxxrr.LLX()
 			if st != llxscx.Snapshot {
 				return false
 			}
@@ -270,7 +270,7 @@ func (pol *policy[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl
 			return false
 		}
 		if rxxrl.Deco() == 0 {
-			lkRxxrl, st := llxscx.LLX(rxxrl)
+			lkRxxrl, st := rxxrl.LLX()
 			if st != llxscx.Snapshot {
 				return false
 			}
@@ -278,7 +278,7 @@ func (pol *policy[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl
 		}
 		return pol.doPUSH(g, lkRx, lkRxx, lkRxxl, lkRxxr)
 	default: // rxxr.Deco() > 1
-		lkRxxr, st := llxscx.LLX(rxxr)
+		lkRxxr, st := rxxr.LLX()
 		if st != llxscx.Snapshot {
 			return false
 		}
@@ -303,13 +303,13 @@ func (pol *policy[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxx
 					return false
 				}
 				if rxl.Deco() == 0 {
-					lkRxl, st := llxscx.LLX(rxl)
+					lkRxl, st := rxl.LLX()
 					if st != llxscx.Snapshot {
 						return false
 					}
 					return pol.doBLK(g, lkR, lkRx, lkRxl, lkRxx)
 				}
-				lkRxxl, st := llxscx.LLX(rxxl)
+				lkRxxl, st := rxxl.LLX()
 				if st != llxscx.Snapshot {
 					return false
 				}
@@ -320,7 +320,7 @@ func (pol *policy[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxx
 				return false
 			}
 			if rxr.Deco() == 0 {
-				lkRxr, st := llxscx.LLX(rxr)
+				lkRxr, st := rxr.LLX()
 				if st != llxscx.Snapshot {
 					return false
 				}
@@ -329,7 +329,7 @@ func (pol *policy[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxx
 			return pol.doRB1(g, lkR, lkRx, lkRxx)
 		}
 		// rxx.Deco() > 0
-		lkRxxl, st := llxscx.LLX(rxxl)
+		lkRxxl, st := rxxl.LLX()
 		if st != llxscx.Snapshot {
 			return false
 		}
@@ -337,7 +337,7 @@ func (pol *policy[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxx
 		if rxxlr == nil {
 			return false
 		}
-		lkRxxlr, st := llxscx.LLX(rxxlr)
+		lkRxxlr, st := rxxlr.LLX()
 		if st != llxscx.Snapshot {
 			return false
 		}
@@ -352,7 +352,7 @@ func (pol *policy[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxx
 				return false
 			}
 			if rxxlrl.Deco() == 0 {
-				lkRxxlrl, st := llxscx.LLX(rxxlrl)
+				lkRxxlrl, st := rxxlrl.LLX()
 				if st != llxscx.Snapshot {
 					return false
 				}
@@ -362,7 +362,7 @@ func (pol *policy[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxx
 				return false
 			}
 			if rxxlrr.Deco() == 0 {
-				lkRxxlrr, st := llxscx.LLX(rxxlrr)
+				lkRxxlrr, st := rxxlrr.LLX()
 				if st != llxscx.Snapshot {
 					return false
 				}
@@ -371,7 +371,7 @@ func (pol *policy[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxx
 			return pol.doW2s(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxlr)
 		}
 	case rxxl.Deco() == 1:
-		lkRxxl, st := llxscx.LLX(rxxl)
+		lkRxxl, st := rxxl.LLX()
 		if st != llxscx.Snapshot {
 			return false
 		}
@@ -380,7 +380,7 @@ func (pol *policy[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxx
 			return false
 		}
 		if rxxll.Deco() == 0 {
-			lkRxxll, st := llxscx.LLX(rxxll)
+			lkRxxll, st := rxxll.LLX()
 			if st != llxscx.Snapshot {
 				return false
 			}
@@ -390,7 +390,7 @@ func (pol *policy[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxx
 			return false
 		}
 		if rxxlr.Deco() == 0 {
-			lkRxxlr, st := llxscx.LLX(rxxlr)
+			lkRxxlr, st := rxxlr.LLX()
 			if st != llxscx.Snapshot {
 				return false
 			}
@@ -398,7 +398,7 @@ func (pol *policy[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxx
 		}
 		return pol.doPUSHs(g, lkRx, lkRxx, lkRxxl, lkRxxr)
 	default: // rxxl.Deco() > 1
-		lkRxxl, st := llxscx.LLX(rxxl)
+		lkRxxl, st := rxxl.LLX()
 		if st != llxscx.Snapshot {
 			return false
 		}

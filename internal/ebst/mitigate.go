@@ -86,7 +86,7 @@ func compressSegment[K, V any](g *epoch.Guard, t *lbst.Tree[K, V], key K, u, s1 
 		return nil, nil, false
 	}
 	less := t.Less()
-	lkU, st := llxscx.LLX(u)
+	lkU, st := u.LLX()
 	if st != llxscx.Snapshot {
 		return nil, nil, false
 	}
@@ -112,7 +112,7 @@ func compressSegment[K, V any](g *epoch.Guard, t *lbst.Tree[K, V], key K, u, s1 
 		if s.IsLeaf() || s.IsSentinel() {
 			return nil, nil, false
 		}
-		lk, st := llxscx.LLX(s)
+		lk, st := s.LLX()
 		if st != llxscx.Snapshot {
 			return nil, nil, false
 		}

@@ -25,7 +25,7 @@ func cellAlive(c *vcell.Cell[int64], v int64) (alive bool) {
 func leafAndTwoCopies(t *testing.T, tr *Tree[int64, int64], v int64) [3]*intNode {
 	t.Helper()
 	l := tr.LeafNode(1, v, 0)
-	lk, st := llxscx.LLX(l)
+	lk, st := l.LLX()
 	if st != llxscx.Snapshot {
 		t.Fatalf("LLX of a fresh leaf: %v", st)
 	}

@@ -188,6 +188,23 @@ func (n *Node[K, V]) Mutable(i int) *atomic.Pointer[Node[K, V]] {
 	return &n.right
 }
 
+// LLX performs an LLX on n, going straight to its record and its two child
+// fields instead of through the DataRecord methods above (which the generic
+// llxscx.LLX would reach through the type-parameter dictionary). It is the
+// LLX of every update in the engine and the policies.
+func (n *Node[K, V]) LLX() (llxscx.Linked[Node[K, V]], llxscx.Status) {
+	return n.rec.LLX(n, &n.left, &n.right)
+}
+
+// snap is LLX for the readers of query.go, which take a snapshot apart at
+// once: the two children and the evidence to validate later, in registers.
+// ok is false when the LLX failed (having helped whatever blocked it) or n
+// is finalized; either way the reader starts over.
+func (n *Node[K, V]) snap() (left, right *Node[K, V], ev llxscx.Evidence[Node[K, V]], ok bool) {
+	left, right, ev, st := n.rec.Snap2(&n.left, &n.right)
+	return left, right, ev, st == llxscx.Snapshot
+}
+
 // IsLeaf reports whether n is a dictionary leaf, whose child pointers are
 // always nil.
 func (n *Node[K, V]) IsLeaf() bool { return n.rec.Aux()&auxLeaf != 0 }
@@ -905,7 +922,7 @@ func tryPublish[K, V any](l *Node[K, V], value V) (V, bool) {
 		// instead of spinning against a stalled finalizer. Without this the
 		// retry loop makes no progress on the blocker and the overwrite is
 		// not lock-free (a single parked deleter could starve it forever).
-		llxscx.LLX(l)
+		l.snap()
 		var zero V
 		return zero, false
 	}
@@ -930,7 +947,7 @@ func tryPublish[K, V any](l *Node[K, V], value V) (V, bool) {
 // the copy aliases the leaf's value cell, which keeps a racing in-place
 // overwrite of its key visible through it.
 func (t *Tree[K, V]) tryInsert(g *epoch.Guard, key K, value V, p, l *Node[K, V]) bool {
-	lkP, st := llxscx.LLX(p)
+	lkP, st := p.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}
@@ -938,7 +955,7 @@ func (t *Tree[K, V]) tryInsert(g *epoch.Guard, key K, value V, p, l *Node[K, V])
 	if fld == nil {
 		return false
 	}
-	lkL, st := llxscx.LLX(l)
+	lkL, st := l.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}
@@ -984,7 +1001,7 @@ func (t *Tree[K, V]) tryInsert(g *epoch.Guard, key K, value V, p, l *Node[K, V])
 // this replacement is visible in the returned value.
 func (t *Tree[K, V]) tryReplace(g *epoch.Guard, key K, value V, p, l *Node[K, V]) (V, bool) {
 	var zero V
-	lkP, st := llxscx.LLX(p)
+	lkP, st := p.LLX()
 	if st != llxscx.Snapshot {
 		return zero, false
 	}
@@ -992,7 +1009,7 @@ func (t *Tree[K, V]) tryReplace(g *epoch.Guard, key K, value V, p, l *Node[K, V]
 	if fld == nil {
 		return zero, false
 	}
-	lkL, st := llxscx.LLX(l)
+	lkL, st := l.LLX()
 	if st != llxscx.Snapshot {
 		return zero, false
 	}
@@ -1051,7 +1068,7 @@ func (t *Tree[K, V]) DeleteBounded(key K, budget dict.Budget) (V, bool, error) {
 // parent, leaf and sibling, which are then retired to the node pool.
 func (t *Tree[K, V]) tryDelete(g *epoch.Guard, key K, gp, p, l *Node[K, V]) (V, bool) {
 	var zero V
-	lkGP, st := llxscx.LLX(gp)
+	lkGP, st := gp.LLX()
 	if st != llxscx.Snapshot {
 		return zero, false
 	}
@@ -1059,11 +1076,11 @@ func (t *Tree[K, V]) tryDelete(g *epoch.Guard, key K, gp, p, l *Node[K, V]) (V, 
 	if fld == nil {
 		return zero, false
 	}
-	lkP, st := llxscx.LLX(p)
+	lkP, st := p.LLX()
 	if st != llxscx.Snapshot {
 		return zero, false
 	}
-	lkL, st := llxscx.LLX(l)
+	lkL, st := l.LLX()
 	if st != llxscx.Snapshot {
 		return zero, false
 	}
@@ -1071,7 +1088,7 @@ func (t *Tree[K, V]) tryDelete(g *epoch.Guard, key K, gp, p, l *Node[K, V]) (V, 
 	if s == nil {
 		return zero, false
 	}
-	lkS, st := llxscx.LLX(s)
+	lkS, st := s.LLX()
 	if st != llxscx.Snapshot {
 		return zero, false
 	}

@@ -68,24 +68,24 @@ retry:
 	for attempt := 0; ; attempt++ {
 		backoffWait(attempt)
 		path = path[:0]
-		var lkLastLeft llxscx.Linked[Node[K, V]]
-		haveLastLeft := false
+		// lastLeft is the last node at which the search turned left, and succ
+		// the right child in its snapshot.
+		var lastLeft, succ *Node[K, V]
 
 		l := t.entry
 		for !l.IsLeaf() {
-			lk, st := llxscx.LLX(l)
-			if st != llxscx.Snapshot {
+			left, right, ev, ok := l.snap()
+			if !ok {
 				continue retry
 			}
 			if t.keyLess(key, l) {
-				lkLastLeft = lk
-				haveLastLeft = true
+				lastLeft, succ = l, right
 				path = path[:0]
-				path = append(path, lk.Evidence())
-				l = lk.Child(0)
+				path = append(path, ev)
+				l = left
 			} else {
-				path = append(path, lk.Evidence())
-				l = lk.Child(1)
+				path = append(path, ev)
+				l = right
 			}
 			if l == nil {
 				continue retry
@@ -93,7 +93,7 @@ retry:
 		}
 		// The search for key always turns left at the sentinels, so lastLeft
 		// exists; if it is the entry node itself the dictionary is empty.
-		if !haveLastLeft || lkLastLeft.Node() == t.entry {
+		if lastLeft == nil || lastLeft == t.entry {
 			return k, v, false
 		}
 		if t.keyLess(key, l) {
@@ -107,20 +107,16 @@ retry:
 		// Otherwise the successor is the leftmost leaf of lastLeft's right
 		// subtree. Walk down to it with LLXs and validate the whole
 		// connecting path with a VLX.
-		succ := lkLastLeft.Child(1)
 		if succ == nil {
 			continue retry
 		}
 		for !succ.IsLeaf() {
-			lk, st := llxscx.LLX(succ)
-			if st != llxscx.Snapshot {
+			left, _, ev, ok := succ.snap()
+			if !ok || left == nil {
 				continue retry
 			}
-			path = append(path, lk.Evidence())
-			succ = lk.Child(0)
-			if succ == nil {
-				continue retry
-			}
+			path = append(path, ev)
+			succ = left
 		}
 		g0 := genOf(succ)
 		if !llxscx.VLXEvidence(path) {
@@ -143,24 +139,24 @@ retry:
 	for attempt := 0; ; attempt++ {
 		backoffWait(attempt)
 		path = path[:0]
-		var lkLastRight llxscx.Linked[Node[K, V]]
-		haveLastRight := false
+		// lastRight is the last node at which the search turned right, and
+		// pred the left child in its snapshot.
+		var lastRight, pred *Node[K, V]
 
 		l := t.entry
 		for !l.IsLeaf() {
-			lk, st := llxscx.LLX(l)
-			if st != llxscx.Snapshot {
+			left, right, ev, ok := l.snap()
+			if !ok {
 				continue retry
 			}
 			if t.keyLess(key, l) {
-				path = append(path, lk.Evidence())
-				l = lk.Child(0)
+				path = append(path, ev)
+				l = left
 			} else {
-				lkLastRight = lk
-				haveLastRight = true
+				lastRight, pred = l, left
 				path = path[:0]
-				path = append(path, lk.Evidence())
-				l = lk.Child(1)
+				path = append(path, ev)
+				l = right
 			}
 			if l == nil {
 				continue retry
@@ -171,26 +167,22 @@ retry:
 			// is the predecessor.
 			return l.K, valueOf(l), true
 		}
-		if !haveLastRight {
+		if lastRight == nil {
 			// The search never turned right: every key in the dictionary is
 			// greater than or equal to key.
 			return k, v, false
 		}
 		// The predecessor is the rightmost leaf of lastRight's left subtree.
-		pred := lkLastRight.Child(0)
 		if pred == nil {
 			continue retry
 		}
 		for !pred.IsLeaf() {
-			lk, st := llxscx.LLX(pred)
-			if st != llxscx.Snapshot {
+			_, right, ev, ok := pred.snap()
+			if !ok || right == nil {
 				continue retry
 			}
-			path = append(path, lk.Evidence())
-			pred = lk.Child(1)
-			if pred == nil {
-				continue retry
-			}
+			path = append(path, ev)
+			pred = right
 		}
 		g0 := genOf(pred)
 		if !llxscx.VLXEvidence(path) {
@@ -240,8 +232,14 @@ func (t *Tree[K, V]) scan(useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) 
 		evBuf    [chunkEvCap]llxscx.Evidence[Node[K, V]]
 		stackBuf [pathBufCap]*Node[K, V]
 		leaves   [chunkLeaves]*Node[K, V]
-		gens     [chunkLeaves]uint64
+		// gens holds the leaves' generations for the poisoning assertion; it
+		// exists (and is zeroed on every call) only under -tags reclaimcheck.
+		gens []uint64
 	)
+	if epoch.PoisonCheck {
+		var genBuf [chunkLeaves]uint64
+		gens = genBuf[:]
+	}
 	less := t.less
 	loExcl := false // lo itself is in range until a chunk has been emitted
 	limit, fails := chunkLeaves, 0
@@ -253,10 +251,6 @@ func (t *Tree[K, V]) scan(useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) 
 		for len(stack) > 0 && n < limit {
 			nd := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if nd == nil { // as in the point queries, a nil child fails the attempt
-				ok = false
-				break
-			}
 			if nd.IsLeaf() {
 				if nd.IsSentinel() {
 					continue
@@ -265,26 +259,37 @@ func (t *Tree[K, V]) scan(useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) 
 				if (useLo && (less(k, lo) || (loExcl && !less(lo, k)))) || (useHi && less(hi, k)) {
 					continue
 				}
-				gens[n] = genOf(nd)
+				if epoch.PoisonCheck {
+					gens[n] = nd.Gen()
+				}
 				leaves[n] = nd
 				n++
 				continue
 			}
-			lk, st := llxscx.LLX(nd)
-			if st != llxscx.Snapshot {
+			left, right, e, snapped := nd.snap()
+			if !snapped {
 				ok = false
 				break
 			}
-			ev = append(ev, lk.Evidence())
+			ev = append(ev, e)
 			// Left subtrees hold keys strictly below the routing key, right
 			// subtrees the rest; sentinels route every key left. The right
-			// child is pushed first so the left subtree is walked first.
+			// child is pushed first so the left subtree is walked first. As in
+			// the point queries, a nil child fails the attempt.
 			inf := nd.IsSentinel()
 			if !inf && (!useHi || !less(hi, nd.K)) {
-				stack = append(stack, lk.Child(1))
+				if right == nil {
+					ok = false
+					break
+				}
+				stack = append(stack, right)
 			}
 			if inf || !useLo || less(lo, nd.K) {
-				stack = append(stack, lk.Child(0))
+				if left == nil {
+					ok = false
+					break
+				}
+				stack = append(stack, left)
 			}
 		}
 		if !ok || !llxscx.VLXEvidence(ev) {
@@ -299,7 +304,9 @@ func (t *Tree[K, V]) scan(useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) 
 		for i := 0; i < n; i++ {
 			l := leaves[i]
 			k, v := l.K, l.val.Load()
-			assertGen(l, gens[i])
+			if epoch.PoisonCheck {
+				assertGen(l, gens[i])
+			}
 			count++
 			if !fn(k, v) {
 				return count, chunks, retries
@@ -324,15 +331,12 @@ retry:
 		path = path[:0]
 		l := t.entry
 		for !l.IsLeaf() {
-			lk, st := llxscx.LLX(l)
-			if st != llxscx.Snapshot {
+			left, _, ev, ok := l.snap()
+			if !ok || left == nil {
 				continue retry
 			}
-			path = append(path, lk.Evidence())
-			l = lk.Child(0)
-			if l == nil {
-				continue retry
-			}
+			path = append(path, ev)
+			l = left
 		}
 		g0 := genOf(l)
 		if !llxscx.VLXEvidence(path) {
@@ -359,15 +363,11 @@ retry:
 	for attempt := 0; ; attempt++ {
 		backoffWait(attempt)
 		path = path[:0]
-		lkE, st := llxscx.LLX(t.entry)
-		if st != llxscx.Snapshot {
+		top, _, ev, ok := t.entry.snap()
+		if !ok || top == nil {
 			continue retry
 		}
-		path = append(path, lkE.Evidence())
-		top := lkE.Child(0)
-		if top == nil {
-			continue retry
-		}
+		path = append(path, ev)
 		if top.IsLeaf() {
 			// Figure 10(a): the dictionary is empty.
 			if !llxscx.VLXEvidence(path) {
@@ -375,25 +375,18 @@ retry:
 			}
 			return k, v, false
 		}
-		lkTop, st := llxscx.LLX(top)
-		if st != llxscx.Snapshot {
+		l, _, ev, ok := top.snap()
+		if !ok || l == nil {
 			continue retry
 		}
-		path = append(path, lkTop.Evidence())
-		l := lkTop.Child(0)
-		if l == nil {
-			continue retry
-		}
+		path = append(path, ev)
 		for !l.IsLeaf() {
-			lk, st := llxscx.LLX(l)
-			if st != llxscx.Snapshot {
+			_, right, ev, ok := l.snap()
+			if !ok || right == nil {
 				continue retry
 			}
-			path = append(path, lk.Evidence())
-			l = lk.Child(1)
-			if l == nil {
-				continue retry
-			}
+			path = append(path, ev)
+			l = right
 		}
 		g0 := genOf(l)
 		if !llxscx.VLXEvidence(path) {

@@ -14,7 +14,9 @@
 //
 // A Data-record of concrete node type N embeds a Record[N] and implements
 // the DataRecord[N] interface so the primitives can reach its
-// synchronization state and mutable fields. Instead of the per-process
+// synchronization state and mutable fields. (LLX needs nothing else of the
+// node, so a node type on a hot path hands its record and fields to
+// Record.LLX or Record.Snap2 itself.) Instead of the per-process
 // tables used in the original pseudocode, a successful LLX returns a Linked
 // value carrying the evidence (observed descriptor tag and snapshot); the
 // caller passes these Linked values to SCX or VLX, which expresses exactly
@@ -61,9 +63,12 @@ import (
 )
 
 // MaxMutable is the maximum number of mutable fields a Data-record may
-// expose to LLX. Binary trees use 2; k-ary structures may use up to this
-// limit.
-const MaxMutable = 4
+// expose to LLX: two, the child pointers of a binary node, which is what
+// every Data-record in this repository has. Raising it for a k-ary node
+// costs eight bytes per extra field in every Linked (six of which sit on each
+// update's frame), and llx, which takes the fields as two arguments and
+// returns their values in registers, has to grow a loop over them.
+const MaxMutable = 2
 
 // MaxV is the maximum length of the V sequence (and therefore of the R
 // subsequence) accepted by SCX and VLXFixed, and the capacity of the
@@ -205,8 +210,7 @@ type DataRecord[N any] interface {
 // relationship of the original specification.
 type Linked[N any] struct {
 	node *N
-	rec  *record
-	info uint64
+	ev   Evidence[N]
 	vals [MaxMutable]*N
 	n    int
 }
@@ -221,7 +225,25 @@ func (l Linked[N]) NumChildren() int { return l.n }
 func (l Linked[N]) Child(i int) *N { return l.vals[i] }
 
 // Valid reports whether the Linked value was produced by a successful LLX.
-func (l Linked[N]) Valid() bool { return l.rec != nil }
+func (l Linked[N]) Valid() bool { return l.ev.rec != nil }
+
+// Evidence is the part of a Linked that SCX and VLX read: the record and the
+// descriptor tag its LLX observed, two words instead of a Linked's six. A
+// reader that consumes each snapshot's children as it goes and only needs to
+// validate afterwards (an ordered query LLXs a whole search path, a range
+// scan every internal node under its window) keeps these instead, so its
+// evidence buffer stays small enough for the stack.
+type Evidence[N any] evidence
+
+// evidence is an Evidence with the node type, which it only carries for its
+// users' type checking, erased.
+type evidence struct {
+	rec  *record
+	info uint64 // the tag in rec's info field at the LLX
+}
+
+// Evidence returns l's validation evidence.
+func (l Linked[N]) Evidence() Evidence[N] { return l.ev }
 
 // stateOf returns the state of the SCX that tag names; an SCX whose slot has
 // moved on is over, and reads as committed (see the package comment).
@@ -233,13 +255,13 @@ func stateOf(tag uint64) uint64 {
 	return st & stateMask
 }
 
-// LLX attempts to take a snapshot of the mutable fields of r. It returns the
-// snapshot evidence and Snapshot on success, a zero Linked and Fail if it was
-// concurrent with an SCX involving r, or a zero Linked and Finalized if r has
-// been finalized.
-func LLX[P DataRecord[N], N any](r P) (Linked[N], Status) {
+// llx is LLX on a record whose mutable fields are f0 and f1, with the node
+// type erased and everything passed and returned in registers. It is the
+// only implementation of LLX: every entry point below is a cast around it.
+// On Snapshot c0 and c1 are the fields' values and ev is what links a later
+// SCX or VLX to this LLX; otherwise they are zero.
+func llx(rec *record, f0, f1 *unsafe.Pointer) (c0, c1 unsafe.Pointer, ev evidence, st Status) {
 	sched.Point(sched.PointLLX)
-	rec := &r.LLXRecord().r
 	rinfo := rec.info.Load()
 	state := stateOf(rinfo)
 	// The marked flag must be read after the descriptor state: help() marks
@@ -247,30 +269,34 @@ func LLX[P DataRecord[N], N any](r P) (Linked[N], Status) {
 	// record finalized by rinfo's SCX is guaranteed to be seen as marked
 	// here. Reading it earlier admits a race in which LLX hands out a
 	// snapshot of a record that has already been removed from the tree,
-	// allowing a later SCX to resurrect it.
-	marked := rec.marked.Load()
+	// allowing a later SCX to resurrect it. (SkipMarkedRead is the seeded
+	// mutation that proves the read is load-bearing.)
+	marked := rec.marked.Load() && !sched.SkipMarkedRead()
 	if state == stateAborted || (state == stateCommitted && !marked) {
 		// The record is not being changed by an in-progress SCX: read the
 		// mutable fields and confirm nothing froze the record meanwhile.
-		var lk Linked[N]
-		lk.node = (*N)(r)
-		lk.rec = rec
-		lk.info = rinfo
-		lk.n = r.NumMutable()
-		for i := 0; i < lk.n; i++ {
-			lk.vals[i] = r.Mutable(i).Load()
+		c0, c1 = atomic.LoadPointer(f0), atomic.LoadPointer(f1)
+		if sched.Enabled {
+			// For the deterministic scheduler only: an LLX has one point in
+			// the default build, the one at its top.
+			sched.Point(sched.PointLLXRecheck)
 		}
 		if rec.info.Load() == rinfo {
-			return lk, Snapshot
+			return c0, c1, evidence{rec, rinfo}, Snapshot
 		}
 	}
-	// The record is (or was) frozen by an SCX. Help it complete, then report
-	// Finalized or Fail as appropriate. A marked record was frozen by an SCX
-	// that went on to set allFrozen, so its removal is certain whatever
-	// rinfo's own SCX did.
+	return nil, nil, evidence{}, blocked(rec, rinfo, marked)
+}
+
+// blocked is the rest of an LLX that found its record frozen, or freshly
+// unfrozen, by an SCX: help that SCX complete, then report Finalized or Fail
+// as appropriate. rinfo and marked are what the LLX read. A marked record
+// was frozen by an SCX that went on to set allFrozen, so its removal is
+// certain whatever rinfo's own SCX did.
+func blocked(rec *record, rinfo uint64, marked bool) Status {
 	if marked {
-		if state = stateOf(rinfo); state == stateCommitted || (state == stateInProgress && help(rinfo)) {
-			return Linked[N]{}, Finalized
+		if state := stateOf(rinfo); state == stateCommitted || (state == stateInProgress && help(rinfo)) {
+			return Finalized
 		}
 	}
 	// Helping the blocker before reporting Fail is an optimization, not an
@@ -282,8 +308,62 @@ func LLX[P DataRecord[N], N any](r P) (Linked[N], Status) {
 	if cur := rec.info.Load(); stateOf(cur) == stateInProgress && !sched.ChaosDropHelp() {
 		help(cur)
 	}
-	return Linked[N]{}, Fail
+	return Fail
 }
+
+// Snap2 is LLX for a Data-record that knows its own layout: r is the record
+// embedded in the node and f0, f1 its two mutable fields. It returns what a
+// reader consumes - the two field values and the two-word evidence to
+// validate later - as scalars, with no dictionary call and no Linked built,
+// which is what makes a live scan's per-node cost a handful of loads. The
+// values and the evidence are zero unless st is Snapshot.
+func (r *Record[N]) Snap2(f0, f1 *atomic.Pointer[N]) (c0, c1 *N, ev Evidence[N], st Status) {
+	// An atomic.Pointer[N] is one pointer word whatever N is (see scx).
+	p0, p1, e, st := llx(&r.r, (*unsafe.Pointer)(unsafe.Pointer(f0)), (*unsafe.Pointer)(unsafe.Pointer(f1)))
+	return (*N)(p0), (*N)(p1), Evidence[N](e), st
+}
+
+// LLX is Snap2 with the snapshot packaged as the Linked an SCX takes: node
+// is the Data-record r is embedded in.
+func (r *Record[N]) LLX(node *N, f0, f1 *atomic.Pointer[N]) (lk Linked[N], st Status) {
+	c0, c1, ev, st := r.Snap2(f0, f1)
+	if st == Snapshot {
+		lk = Linked[N]{node: node, ev: ev, vals: [MaxMutable]*N{c0, c1}, n: MaxMutable}
+	}
+	return lk, st
+}
+
+// LLX attempts to take a snapshot of the mutable fields of r. It returns the
+// snapshot evidence and Snapshot on success, a zero Linked and Fail if it was
+// concurrent with an SCX involving r, or a zero Linked and Finalized if r has
+// been finalized. It reaches the record and the fields through the
+// DataRecord methods; a node type that knows its own layout calls its
+// record's LLX or Snap2 directly and spares the indirection.
+func LLX[P DataRecord[N], N any](r P) (lk Linked[N], st Status) {
+	n := r.NumMutable()
+	if n > MaxMutable {
+		panic("llxscx: Data-record has more than MaxMutable mutable fields")
+	}
+	f0, f1 := &noField, &noField
+	if n > 0 {
+		f0 = (*unsafe.Pointer)(unsafe.Pointer(r.Mutable(0)))
+	}
+	if n > 1 {
+		f1 = (*unsafe.Pointer)(unsafe.Pointer(r.Mutable(1)))
+	}
+	// Straight to llx, and the Linked built in place: going through
+	// Record.LLX copies it out of one more frame, which costs as much as
+	// the LLX.
+	c0, c1, ev, st := llx(&r.LLXRecord().r, f0, f1)
+	if st == Snapshot {
+		lk = Linked[N]{node: (*N)(r), ev: Evidence[N](ev), vals: [MaxMutable]*N{(*N)(c0), (*N)(c1)}, n: n}
+	}
+	return lk, st
+}
+
+// noField stands in for a mutable field a record does not have. Nothing
+// writes it, so it reads as nil.
+var noField unsafe.Pointer
 
 // SCXFixed attempts to atomically store new into *fld and finalize the
 // first nf records of finalize, provided that none of the first nv records
@@ -335,8 +415,8 @@ func scx[P DataRecord[N], N any](g *epoch.Guard, h *hooks, v *[MaxV]Linked[N], n
 		hooks: h,
 	}
 	for i := 0; i < nv; i++ {
-		p.recs[i] = v[i].rec
-		p.exps[i] = v[i].info
+		p.recs[i] = v[i].ev.rec
+		p.exps[i] = v[i].ev.info
 	}
 	for i := 0; i < nf; i++ {
 		rec := &finalize[i].LLXRecord().r
@@ -368,26 +448,12 @@ func VLXFixed[N any](v *[MaxV]Linked[N], n int) bool {
 		panic("llxscx: VLXFixed sequence length out of range")
 	}
 	for i := 0; i < n; i++ {
-		if !validateOne(v[i].rec, v[i].info) {
+		if !validateOne(v[i].ev.rec, v[i].ev.info) {
 			return false
 		}
 	}
 	return true
 }
-
-// Evidence is the part of a Linked that VLX reads: the record and the
-// descriptor tag its LLX observed, two words instead of a Linked's eight. A
-// reader that consumes each snapshot's children as it goes and only needs to
-// validate afterwards (an ordered query LLXs a whole search path, a range
-// scan every internal node under its window) keeps these instead, so its
-// evidence buffer stays small enough for the stack.
-type Evidence[N any] struct {
-	rec  *record
-	info uint64
-}
-
-// Evidence returns l's validation evidence.
-func (l Linked[N]) Evidence() Evidence[N] { return Evidence[N]{rec: l.rec, info: l.info} }
 
 // VLXEvidence returns true if none of the records in v has changed since the
 // LLXs the evidence was taken from. It can be used to obtain an atomic

@@ -29,6 +29,16 @@ func (n *tnode) Mutable(i int) *atomic.Pointer[tnode] {
 	return &n.right
 }
 
+// wnode reports one mutable field more than LLX reads.
+type wnode struct {
+	rec Record[wnode]
+	f   [MaxMutable + 1]atomic.Pointer[wnode]
+}
+
+func (n *wnode) LLXRecord() *Record[wnode]            { return &n.rec }
+func (n *wnode) NumMutable() int                      { return len(n.f) }
+func (n *wnode) Mutable(i int) *atomic.Pointer[wnode] { return &n.f[i] }
+
 func newTNode(key int64, left, right *tnode) *tnode {
 	n := &tnode{key: key}
 	n.left.Store(left)
@@ -291,6 +301,7 @@ func TestSCXFixedPanicsOnBadLengths(t *testing.T) {
 	expectPanic("nf>nv", func() { SCXFixed(&v, 2, &r, 3, &root.left, child, newTNode(9, nil, nil)) })
 	expectPanic("nf<0", func() { SCXFixed(&v, 2, &r, -1, &root.left, child, newTNode(9, nil, nil)) })
 	expectPanic("vlx n>MaxV", func() { VLXFixed(&v, MaxV+1) })
+	expectPanic("llx NumMutable>MaxMutable", func() { LLX(&wnode{}) })
 	// R must be a subset of V: the finalize mask is indexed by V.
 	stranger, _ := fixedR(newTNode(5, nil, nil))
 	expectPanic("R not in V", func() { SCXFixed(&v, 2, &stranger, 1, &root.left, child, newTNode(9, nil, nil)) })
@@ -374,6 +385,195 @@ func TestStaleTagReadsAsCommitted(t *testing.T) {
 	v, nv := fixedV(lk)
 	if !VLXFixed(&v, nv) {
 		t.Fatal("evidence taken before the slot moved on no longer validates")
+	}
+}
+
+// llxEntryPoints are the three ways into llx, each reduced to what it
+// reports: the generic LLX that finds the record and the fields through the
+// DataRecord methods, and the two a node type that knows its layout calls.
+var llxEntryPoints = []struct {
+	name string
+	llx  func(n *tnode) (c0, c1 *tnode, tag uint64, st Status)
+}{
+	{"LLX", func(n *tnode) (*tnode, *tnode, uint64, Status) {
+		lk, st := LLX(n)
+		return lk.Child(0), lk.Child(1), lk.Evidence().info, st
+	}},
+	{"Record.LLX", func(n *tnode) (*tnode, *tnode, uint64, Status) {
+		lk, st := n.rec.LLX(n, &n.left, &n.right)
+		return lk.Child(0), lk.Child(1), lk.Evidence().info, st
+	}},
+	{"Record.Snap2", func(n *tnode) (*tnode, *tnode, uint64, Status) {
+		c0, c1, ev, st := n.rec.Snap2(&n.left, &n.right)
+		return c0, c1, ev.info, st
+	}},
+}
+
+// orphanSCX runs an SCX that replaces parent's left child, finalizing it,
+// and dies of a chaos panic at point: the SCX stays in progress, with the
+// steps before point done, until someone helps it.
+func orphanSCX(t *testing.T, point sched.PointID, parent *tnode) {
+	t.Helper()
+	child := parent.left.Load()
+	lkP, _ := LLX(parent)
+	lkC, _ := LLX(child)
+	if err := chaos.Enable(chaos.Config{Seed: 1, Points: map[sched.PointID]chaos.PointPolicy{point: {Panic: 1_000_000}}}); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer chaos.Disable()
+		w := chaos.Register(0)
+		defer w.Close()
+		defer func() {
+			if _, isChaos := recover().(chaos.Panic); !isChaos {
+				t.Fatalf("the SCX survived a certain panic at %v", point)
+			}
+		}()
+		scxFixed([]Linked[tnode]{lkP, lkC}, []*tnode{child}, &parent.left, child, newTNode(5, nil, nil))
+	}()
+	for _, n := range []*tnode{parent, child} {
+		if tag := n.rec.r.info.Load(); tag == lkP.Evidence().info || stateOf(tag) != stateInProgress {
+			t.Fatalf("record %d is not frozen by an SCX in progress", n.key)
+		}
+	}
+}
+
+// TestLLXInEveryRecordState puts a record in each state an LLX can find it
+// in and checks, for every entry point, the status it reports and that a
+// snapshot carries the record's children and tag; every failing outcome
+// carries nothing. All entry points share one implementation, so this pins
+// the casts around it and the decision table itself: a snapshot exactly
+// when the record's last SCX is over (aborted, committed or forgotten), did
+// not finalize it, and did not give way to another between the two reads of
+// the tag. That last state takes a point between the two reads, which only
+// the sched build has: TestLLXTagChangedBetweenReads.
+func TestLLXInEveryRecordState(t *testing.T) {
+	// replaceLeft commits an SCX on n that swings its left child; with
+	// finalize it runs on n's parent instead and removes n.
+	replaceLeft := func(t *testing.T, n *tnode) {
+		lk, _ := LLX(n)
+		if !scxFixed([]Linked[tnode]{lk}, nil, &n.left, lk.Child(0), newTNode(9, nil, nil)) {
+			t.Fatal("SCX failed")
+		}
+	}
+	remove := func(t *testing.T, n *tnode) {
+		parent := newTNode(10, n, nil)
+		lkP, _ := LLX(parent)
+		lkN, _ := LLX(n)
+		if !scxFixed([]Linked[tnode]{lkP, lkN}, []*tnode{n}, &parent.left, n, newTNode(5, nil, nil)) {
+			t.Fatal("SCX failed")
+		}
+	}
+	// moveSlotOn runs one more SCX, on unrelated records, in the descriptor
+	// n's tag names, so that the tag is stale.
+	moveSlotOn := func(t *testing.T, n *tnode) {
+		tag := n.rec.r.info.Load()
+		defer onlyClaimable(int(tag & slotMask))()
+		replaceLeft(t, newTNode(20, newTNode(21, nil, nil), nil))
+		if seq := table[tag&slotMask].status.Load() >> seqShift; seq == tag>>slotBits {
+			t.Fatal("the record's tag is not stale")
+		}
+	}
+	fresh := func() *tnode { return newTNode(2, newTNode(1, nil, nil), newTNode(3, nil, nil)) }
+
+	cases := []struct {
+		name string
+		// chaos marks the states that take a chaos panic to reach.
+		chaos bool
+		// setup returns the record to LLX.
+		setup     func(t *testing.T) *tnode
+		want      Status
+		wantState uint64 // of the tag a snapshot carries
+		// after is the status of a second LLX: the first one has helped
+		// whatever it found in progress.
+		after Status
+	}{
+		{name: "never frozen", setup: func(t *testing.T) *tnode { return fresh() },
+			want: Snapshot, wantState: stateCommitted, after: Snapshot},
+		{name: "committed", setup: func(t *testing.T) *tnode {
+			n := fresh()
+			replaceLeft(t, n)
+			return n
+		}, want: Snapshot, wantState: stateCommitted, after: Snapshot},
+		{name: "aborted", setup: func(t *testing.T) *tnode {
+			// An SCX freezes n, then finds its second record changed.
+			n, other := fresh(), fresh()
+			lkN, _ := LLX(n)
+			lkO, _ := LLX(other)
+			replaceLeft(t, other)
+			if scxFixed([]Linked[tnode]{lkN, lkO}, nil, &n.left, lkN.Child(0), newTNode(9, nil, nil)) {
+				t.Fatal("SCX on a changed record committed")
+			}
+			return n
+		}, want: Snapshot, wantState: stateAborted, after: Snapshot},
+		{name: "stale", setup: func(t *testing.T) *tnode {
+			n := fresh()
+			replaceLeft(t, n)
+			moveSlotOn(t, n)
+			return n
+		}, want: Snapshot, wantState: stateCommitted, after: Snapshot},
+		{name: "finalized", setup: func(t *testing.T) *tnode {
+			n := fresh()
+			remove(t, n)
+			return n
+		}, want: Finalized, after: Finalized},
+		{name: "finalized, stale", setup: func(t *testing.T) *tnode {
+			n := fresh()
+			remove(t, n)
+			moveSlotOn(t, n)
+			return n
+		}, want: Finalized, after: Finalized},
+		{name: "in progress, frozen", chaos: true, setup: func(t *testing.T) *tnode {
+			n := fresh()
+			orphanSCX(t, sched.PointSCXMark, n)
+			return n
+		}, want: Fail, after: Snapshot},
+		{name: "in progress, frozen, to be finalized", chaos: true, setup: func(t *testing.T) *tnode {
+			n := fresh()
+			orphanSCX(t, sched.PointSCXMark, newTNode(10, n, nil))
+			return n
+		}, want: Fail, after: Finalized},
+		{name: "in progress, updated", chaos: true, setup: func(t *testing.T) *tnode {
+			n := fresh()
+			orphanSCX(t, sched.PointSCXCommit, n)
+			return n
+		}, want: Fail, after: Snapshot},
+		{name: "in progress, finalized", chaos: true, setup: func(t *testing.T) *tnode {
+			n := fresh()
+			orphanSCX(t, sched.PointSCXCommit, newTNode(10, n, nil))
+			return n
+		}, want: Finalized, after: Finalized},
+	}
+	for _, tc := range cases {
+		for _, ep := range llxEntryPoints {
+			t.Run(tc.name+"/"+ep.name, func(t *testing.T) {
+				if tc.chaos && sched.Enabled {
+					t.Skip("chaos injection is disabled under -tags sched")
+				}
+				n := tc.setup(t)
+				c0, c1, tag, st := ep.llx(n)
+				if st != tc.want {
+					t.Fatalf("status = %v, want %v", st, tc.want)
+				}
+				if st == Snapshot {
+					if c0 != n.left.Load() || c1 != n.right.Load() || tag != n.rec.r.info.Load() {
+						t.Fatalf("snapshot = (%p, %p, tag %#x), record holds (%p, %p, tag %#x)",
+							c0, c1, tag, n.left.Load(), n.right.Load(), n.rec.r.info.Load())
+					}
+					if got := stateOf(tag); got != tc.wantState {
+						t.Fatalf("the snapshot's tag names an SCX in state %d, want %d", got, tc.wantState)
+					}
+				} else if c0 != nil || c1 != nil || tag != 0 {
+					t.Fatalf("%v came with (%p, %p, tag %#x), want nothing", st, c0, c1, tag)
+				}
+				if _, _, _, st := ep.llx(n); st != tc.after {
+					t.Fatalf("second LLX = %v, want %v", st, tc.after)
+				}
+				if stateOf(n.rec.r.info.Load()) == stateInProgress {
+					t.Fatal("the LLX left the record's SCX in progress")
+				}
+			})
+		}
 	}
 }
 
@@ -739,6 +939,10 @@ func TestDescriptorLayout(t *testing.T) {
 	}
 	if unsafe.Sizeof(atomic.Pointer[tnode]{}) != unsafe.Sizeof(unsafe.Pointer(nil)) {
 		t.Fatal("atomic.Pointer[N] is not one pointer word: fld cannot be type-erased")
+	}
+	// An update stages MaxV of these on its frame.
+	if size := unsafe.Sizeof(Linked[tnode]{}); size != 48 {
+		t.Fatalf("sizeof(Linked) = %d, want 48", size)
 	}
 }
 

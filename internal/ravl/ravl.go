@@ -139,7 +139,7 @@ func (p *policy[K, V]) Violation(_, n *lbst.Node[K, V]) bool {
 // engine's node pool and are released back immediately when the SCX fails;
 // removed nodes are retired by the engine's RebalanceSCX.
 func (p *policy[K, V]) Rebalance(g *epoch.Guard, _, _, u, n *lbst.Node[K, V]) bool {
-	lkU, st := llxscx.LLX(u)
+	lkU, st := u.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}
@@ -147,7 +147,7 @@ func (p *policy[K, V]) Rebalance(g *epoch.Guard, _, _, u, n *lbst.Node[K, V]) bo
 	if fld == nil {
 		return false // n is no longer u's child; caller re-searches
 	}
-	lkN, st := llxscx.LLX(n)
+	lkN, st := n.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}
@@ -187,7 +187,7 @@ func (p *policy[K, V]) fixLeft(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node[
 		// two; the tree changed under us.
 		return false
 	}
-	lkL, st := llxscx.LLX(l)
+	lkL, st := l.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}
@@ -231,7 +231,7 @@ func (p *policy[K, V]) fixLeft(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node[
 	if lr.IsLeaf() {
 		return false
 	}
-	lkLR, st := llxscx.LLX(lr)
+	lkLR, st := lr.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}
@@ -262,7 +262,7 @@ func (p *policy[K, V]) fixRight(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node
 	if r.IsLeaf() {
 		return false
 	}
-	lkR, st := llxscx.LLX(r)
+	lkR, st := r.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}
@@ -301,7 +301,7 @@ func (p *policy[K, V]) fixRight(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node
 	if rl.IsLeaf() {
 		return false
 	}
-	lkRL, st := llxscx.LLX(rl)
+	lkRL, st := rl.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}

@@ -87,6 +87,10 @@ func DropFreeze() bool { return false }
 // Always false in the default build.
 func SkipValidate() bool { return false }
 
+// SkipMarkedRead reports whether the skipped-marked-read mutation is armed.
+// Always false in the default build.
+func SkipMarkedRead() bool { return false }
+
 // PrematureFree reports whether the premature-epoch-free mutation is armed.
 // Always false in the default build.
 func PrematureFree() bool { return false }

@@ -18,13 +18,15 @@ const Enabled = true
 // Point: when no controller is running, a point is one atomic load.
 var active atomic.Int32
 
-// dropFreeze, skipValidate, prematureFree, reuseRedecoratedLeaf and
-// keepSiblingDeco are the seeded protocol mutations used by the checker
-// self-tests. They are process-global: tests that arm them must not run in
-// parallel with other tests (Explore already serializes itself).
+// dropFreeze, skipValidate, skipMarkedRead, prematureFree,
+// reuseRedecoratedLeaf and keepSiblingDeco are the seeded protocol mutations
+// used by the checker self-tests. They are process-global: tests that arm
+// them must not run in parallel with other tests (Explore already serializes
+// itself).
 var (
 	dropFreeze           atomic.Bool
 	skipValidate         atomic.Bool
+	skipMarkedRead       atomic.Bool
 	prematureFree        atomic.Bool
 	reuseRedecoratedLeaf atomic.Bool
 	keepSiblingDeco      atomic.Bool
@@ -47,6 +49,14 @@ func SetSkipValidate(on bool) { skipValidate.Store(on) }
 
 // SkipValidate reports whether the skipped-validation mutation is armed.
 func SkipValidate() bool { return skipValidate.Load() }
+
+// SetSkipMarkedRead arms or disarms the skipped-marked-read mutation: while
+// armed, LLX takes a record's finalized flag to be clear without reading it,
+// so it hands out snapshots of records a committed SCX has removed.
+func SetSkipMarkedRead(on bool) { skipMarkedRead.Store(on) }
+
+// SkipMarkedRead reports whether the skipped-marked-read mutation is armed.
+func SkipMarkedRead() bool { return skipMarkedRead.Load() }
 
 // SetPrematureFree arms or disarms the premature-free mutation: while
 // armed, epoch reclamation frees objects after one epoch advance instead of

@@ -23,10 +23,11 @@
 // goroutine.
 //
 // The same build tag arms the fault knobs (SetDropFreeze, SetSkipValidate,
-// SetPrematureFree, SetReuseRedecoratedLeaf, SetKeepSiblingDeco) that the
-// self-tests use to seed protocol mutations — skipping the first freezing CAS
-// of an SCX, trusting a reused descriptor's fields without re-validating its
-// sequence number, freeing epoch-retired memory one epoch early, or ignoring
+// SetSkipMarkedRead, SetPrematureFree, SetReuseRedecoratedLeaf,
+// SetKeepSiblingDeco) that the self-tests use to seed protocol mutations —
+// skipping the first freezing CAS of an SCX, trusting a reused descriptor's
+// fields without re-validating its sequence number, an LLX that does not read
+// the finalized flag, freeing epoch-retired memory one epoch early, or ignoring
 // a decoration the balancing policy assigned in an insertion or a deletion —
 // and prove that the linearizability checker, the reclamation tests and the
 // per-operation invariant checks actually catch them. The tag mirrors the
@@ -90,6 +91,13 @@ const (
 	// (vcell.(*Cell).DrainPublishers). Like PointSnapDrain it is a WaitZero
 	// site, not a Point.
 	PointVCellDrain
+	// PointLLXRecheck fires in LLX between the reads of the record's mutable
+	// fields and the re-read of its info word that validates them: an SCX
+	// that runs while an LLX is parked here makes that LLX fail. Only the
+	// sched build has it (the default build's LLX pays for one point, at its
+	// top), so chaos never sees it. It is last so that the older points keep
+	// their numbers.
+	PointLLXRecheck
 
 	numPoints
 )
@@ -130,6 +138,8 @@ func (p PointID) String() string {
 		return "snap-drain"
 	case PointVCellDrain:
 		return "vcell-drain"
+	case PointLLXRecheck:
+		return "llx-recheck"
 	default:
 		return "unknown"
 	}

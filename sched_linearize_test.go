@@ -7,8 +7,8 @@ package repro
 // (internal/linearize): every interleaving of a bounded conflict window is
 // replayed under the cooperative controller, the recorded history of each
 // schedule is checked against the sequential specification, and the seeded
-// protocol mutations (a dropped freeze, a skipped descriptor validation) are
-// proven to be caught.
+// protocol mutations (a dropped freeze, a skipped descriptor validation, an
+// LLX that does not read the finalized flag) are proven to be caught.
 //
 // The windows run on EBST: it is the plainest instantiation of the tree
 // update template (no rebalancing policy), so its point sequence is the
@@ -288,6 +288,84 @@ func TestDroppedFreezeMutationCaught(t *testing.T) {
 		msg := violations[0].Err.Error()
 		if !strings.Contains(msg, "linearizability violation") || !strings.Contains(msg, "key 20") {
 			t.Fatalf("violation is not the lost delete of key 20:\n%s", msg)
+		}
+		t.Logf("mutation caught after %d schedules:\n%s", schedules, msg)
+	})
+}
+
+// TestSkippedMarkedReadMutationCaught is the seeded mutation of LLX itself:
+// arming sched.SkipMarkedRead makes LLX take every record to be unfinalized,
+// so it hands out a snapshot of a node that a committed SCX has removed.
+//
+// The window is an insertion racing the deletion of the leaf it lands next
+// to, interleaved at the LLXs: in the tree built by inserting 10, 20, 30 the
+// insert of 15 searches to p = I20, l = leaf10, and delete(10) removes
+// exactly those (and promotes a copy of I20's other child). In the schedules
+// where the deletion commits between the insertion's search and its LLXs,
+// the healthy LLX(I20) reports Finalized and the insertion searches again.
+// The mutated one links I20 and leaf10 with the tags the deletion left in
+// them, which nothing will ever change, so the insertion's SCX freezes both
+// and commits into the removed subtree: an acknowledged insert of a key no
+// later Get finds, which the checker reports on key 15.
+//
+// The scan windows of sched_scan_test.go cannot see this mutation, by
+// construction and not for want of schedules (the scan-vs-delete window
+// stays at zero violations in all 910 with it armed): a reader only reaches
+// a removed node through the snapshot of its parent, the SCX that removed
+// the node froze that parent, and so the reader's closing VLX fails on the
+// parent whatever LLX said about the child. The finalized flag protects
+// updates, whose SCX validates only the records it links.
+func TestSkippedMarkedReadMutationCaught(t *testing.T) {
+	body := func(c *sched.Controller) error {
+		rec := linearize.NewRecorder[int64, int64](ebst.NewOrdered[int64, int64]())
+		setup := rec.Proc()
+		for _, k := range []int64{10, 20, 30} {
+			setup.Insert(k, -k)
+		}
+		w0, w1 := rec.Proc(), rec.Proc()
+		c.Go("delete-10", func() { w0.Delete(10) })
+		c.Go("insert-15", func() { w1.Insert(15, 5) })
+		if err := c.Run(); err != nil {
+			return err
+		}
+		post := rec.Proc()
+		for _, k := range []int64{10, 15, 20, 30} {
+			post.Get(k)
+		}
+		return checkHistory(rec)
+	}
+	points := pointSet(sched.PointLLX)
+
+	t.Run("healthy-protocol", func(t *testing.T) {
+		const cap = 20000
+		schedules, violations := sched.Explore(sched.Options{
+			Points:       points,
+			MaxSchedules: cap,
+		}, body)
+		if len(violations) > 0 {
+			t.Fatalf("healthy protocol produced %d violations in %d schedules; first:\n%v",
+				len(violations), schedules, violations[0].Err)
+		}
+		if schedules >= cap {
+			t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
+		}
+		t.Logf("%d schedules, all linearizable", schedules)
+	})
+
+	t.Run("mutated-protocol", func(t *testing.T) {
+		sched.SetSkipMarkedRead(true)
+		defer sched.SetSkipMarkedRead(false)
+		schedules, violations := sched.Explore(sched.Options{
+			Points:          points,
+			MaxSchedules:    20000,
+			StopOnViolation: true,
+		}, body)
+		if len(violations) == 0 {
+			t.Fatalf("skipped-marked-read mutation not caught in %d schedules: the checker has no teeth", schedules)
+		}
+		msg := violations[0].Err.Error()
+		if !strings.Contains(msg, "linearizability violation") || !strings.Contains(msg, "key 15") {
+			t.Fatalf("violation is not the lost insert of key 15:\n%s", msg)
 		}
 		t.Logf("mutation caught after %d schedules:\n%s", schedules, msg)
 	})
