@@ -42,8 +42,7 @@ var allocOverwriteStructures = []string{"Chromatic", "RAVL", "EBST", "SkipList",
 // (Insert on a present key) and Delete on each template-based tree, plus the
 // Overwrite case for the skip list and the lock-based AVL tree. Run with
 // -benchmem (ReportAllocs is set anyway) and compare allocs/op across
-// commits; BENCH_pr3.json records the snapshot committed with the PR that
-// introduced these benchmarks.
+// commits.
 func BenchmarkAlloc(b *testing.B) {
 	for _, name := range allocBenchStructures {
 		factory, ok := bench.Lookup(name)
@@ -147,15 +146,8 @@ func benchmarkAllocInsert(b *testing.B, factory dict.IntFactory) {
 // out of the pool and no SCX allocates a descriptor. (The budget was 8 before
 // pooling, when every update also burned its retired nodes and its
 // descriptors.) The budget of 4 leaves one alloc of headroom for rebalancing
-// drift while catching any reintroduction of per-attempt garbage. Under -tags
-// noepoch the pools are compiled away and the pre-pooling ceiling applies.
-var chromaticAllocBudget = 8.0
-
-func init() {
-	if epoch.Enabled {
-		chromaticAllocBudget = 4.0
-	}
-}
+// drift while catching any reintroduction of per-attempt garbage.
+const chromaticAllocBudget = 4.0
 
 // chromaticChurnAllocBudget is the committed allocs/op ceiling for the
 // steady-state insert/delete cycle (TestChromaticChurnAllocBudget): once the
@@ -206,12 +198,7 @@ func TestChromaticAllocBudget(t *testing.T) {
 // reused. Nothing the cycle retires may refuse its free either: a refusal
 // is a retiree that something still counted a reference to, and since
 // descriptors stopped being retired no such object exists on this path.
-// Skipped under -tags noepoch, where retired memory is left to the garbage
-// collector.
 func TestChromaticChurnAllocBudget(t *testing.T) {
-	if !epoch.Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	factory, ok := bench.Lookup("Chromatic")
 	if !ok {
 		t.Fatal("Chromatic not registered")
@@ -256,9 +243,6 @@ func TestChromaticChurnAllocBudget(t *testing.T) {
 // allowed to hold back (at most the last two epochs' worth of retirees,
 // which drain on the next call).
 func TestReclaimNoLeak(t *testing.T) {
-	if !epoch.Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	for _, name := range allocBenchStructures {
 		factory, ok := bench.Lookup(name)
 		if !ok {

@@ -32,16 +32,10 @@
 // a laptop; pass -paper to use the paper's exact thread counts and key
 // ranges (which assume a large multiprocessor and a long run).
 //
-// Snapshots written with -json can be diffed across commits:
-//
-//	chromatic-bench -compare BENCH_pr3.json BENCH_pr4.json
-//
-// prints every cell present in both snapshots with its throughput delta and
-// exits non-zero if any cell regressed by more than -threshold (a fraction;
-// default 0.25, generous because short smoke trials are noisy). Since every
-// structure in the registry — the LLX/SCX trees and the five baselines —
-// is benchmarked from the same Figure-8 structure list
-// (bench.Figure8Structures), a figure8 smoke run snapshots them all.
+// -json writes every measured cell as a JSON row. This is the paper's grid,
+// for reading and plotting; whether a change made the library faster or
+// slower is judged by the repository benchmark (go run ./benchmark), parent
+// against change, and not by comparing these raw Mops across runs.
 //
 // -cpuprofile, -memprofile and -trace write a pprof CPU profile, a heap
 // profile taken after the last experiment, and a runtime execution trace
@@ -69,13 +63,10 @@ import (
 
 // jsonRow is one measurement in the machine-readable output produced by
 // -json: every timed trial cell any experiment runs, in the order it ran.
-// The schema is kept deliberately flat so successive BENCH_*.json snapshots
-// can be diffed and plotted across PRs. Dist is omitted for uniform keys and
-// ScanMode for live scans, so snapshots written before either dimension
-// existed compare cell-for-cell with current default cells. ScanP50Ns and
-// ScanP99Ns carry the per-scan-operation latency quantiles for cells whose
-// mix scans (0 and omitted otherwise); they are informational in -compare,
-// which gates on throughput only.
+// The schema is kept deliberately flat so the rows can be plotted as they
+// are. Dist is omitted for uniform keys and ScanMode for live scans.
+// ScanP50Ns and ScanP99Ns carry the per-scan-operation latency quantiles for
+// cells whose mix scans (0 and omitted otherwise).
 type jsonRow struct {
 	Structure string  `json:"structure"`
 	Mix       string  `json:"mix"`
@@ -122,8 +113,6 @@ func main() {
 		paper      = flag.Bool("paper", false, "use the paper's thread counts (1,32,64,96,128) and key ranges")
 		listOnly   = flag.Bool("list", false, "list the registered data structures and exit")
 		jsonPath   = flag.String("json", "", "also write every measured cell as JSON rows to this file")
-		compare    = flag.Bool("compare", false, "compare two -json snapshots (old.json new.json) instead of running experiments")
-		threshold  = flag.Float64("threshold", 0.25, "with -compare, the fractional throughput regression tolerated per cell")
 		chaosPPM   = flag.Int("chaos", 0, "parts-per-million delay and preemption injection at every instrumentation point (0 disables; robustness runs, not measurements)")
 		chaosSeed  = flag.Int64("chaosseed", 1, "seed for -chaos injection decisions")
 		verbose    = flag.Bool("v", false, "after the experiments, print the reclamation layer's health report (and the injection counters under -chaos)")
@@ -136,22 +125,6 @@ func main() {
 	if *listOnly {
 		for _, name := range bench.Names() {
 			fmt.Println(name)
-		}
-		return
-	}
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: chromatic-bench -compare [-threshold 0.25] old.json new.json")
-			os.Exit(2)
-		}
-		regressed, err := compareSnapshots(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "compare: %v\n", err)
-			os.Exit(2)
-		}
-		if regressed {
-			os.Exit(1)
 		}
 		return
 	}
@@ -370,119 +343,6 @@ func printHealth(out *os.File, chaosOn bool) {
 		st := chaos.ReadStats()
 		fmt.Fprintf(out, "chaos: %+v\n", st)
 	}
-}
-
-// cellKey identifies one measured configuration across snapshots. Dist is
-// empty for uniform keys and ScanMode for live scans (matching rows written
-// before either dimension existed).
-type cellKey struct {
-	Structure string
-	Mix       string
-	KeyRange  int64
-	Threads   int
-	Dist      string
-	ScanMode  string
-}
-
-// readSnapshot loads a -json snapshot and averages duplicate cells (an
-// experiment that measures the same configuration twice - for example
-// figure8 followed by ravl - emits one row per measurement).
-func readSnapshot(path string) (map[cellKey]float64, []cellKey, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []jsonRow
-	if err := json.Unmarshal(data, &rows); err != nil {
-		return nil, nil, fmt.Errorf("%s: %v", path, err)
-	}
-	sums := make(map[cellKey]float64)
-	counts := make(map[cellKey]int)
-	var order []cellKey
-	for _, r := range rows {
-		dist := r.Dist
-		if dist == "uniform" {
-			dist = "" // normalize: pre-dist snapshots wrote no dist field
-		}
-		scanMode := r.ScanMode
-		if scanMode == "live" {
-			scanMode = "" // normalize: pre-scan-mode snapshots wrote no scanmode field
-		}
-		k := cellKey{r.Structure, r.Mix, r.KeyRange, r.Threads, dist, scanMode}
-		if counts[k] == 0 {
-			order = append(order, k)
-		}
-		sums[k] += r.Mops
-		counts[k]++
-	}
-	for k := range sums {
-		sums[k] /= float64(counts[k])
-	}
-	return sums, order, nil
-}
-
-// compareSnapshots diffs two -json snapshots cell by cell, printing every
-// cell present in both with its relative throughput change, and reports
-// whether any cell regressed by more than threshold. Cells present in only
-// one snapshot are listed but never count as regressions (structures and
-// experiments legitimately come and go between PRs).
-func compareSnapshots(out *os.File, oldPath, newPath string, threshold float64) (regressed bool, err error) {
-	oldCells, order, err := readSnapshot(oldPath)
-	if err != nil {
-		return false, err
-	}
-	newCells, newOrder, err := readSnapshot(newPath)
-	if err != nil {
-		return false, err
-	}
-	fmt.Fprintf(out, "%-12s %-10s %-8s %-8s %9s %8s %10s %10s %8s\n",
-		"structure", "mix", "dist", "scans", "keyrange", "threads", "old Mops", "new Mops", "delta")
-	distCol := func(k cellKey) string {
-		if k.Dist == "" {
-			return "uniform"
-		}
-		return k.Dist
-	}
-	scanCol := func(k cellKey) string {
-		if k.ScanMode == "" {
-			return "live"
-		}
-		return k.ScanMode
-	}
-	var nRegressed, nCompared int
-	for _, k := range order {
-		oldMops, ok := oldCells[k]
-		if !ok {
-			continue
-		}
-		newMops, ok := newCells[k]
-		if !ok {
-			fmt.Fprintf(out, "%-12s %-10s %-8s %-8s %9d %8d %10.3f %10s %8s\n",
-				k.Structure, k.Mix, distCol(k), scanCol(k), k.KeyRange, k.Threads, oldMops, "-", "gone")
-			continue
-		}
-		nCompared++
-		delta := 0.0
-		if oldMops > 0 {
-			delta = newMops/oldMops - 1
-		}
-		flag := ""
-		if delta < -threshold {
-			flag = "  REGRESSION"
-			nRegressed++
-		}
-		fmt.Fprintf(out, "%-12s %-10s %-8s %-8s %9d %8d %10.3f %10.3f %+7.1f%%%s\n",
-			k.Structure, k.Mix, distCol(k), scanCol(k), k.KeyRange, k.Threads, oldMops, newMops, delta*100, flag)
-	}
-	for _, k := range newOrder {
-		if _, ok := oldCells[k]; !ok {
-			fmt.Fprintf(out, "%-12s %-10s %-8s %-8s %9d %8d %10s %10.3f %8s\n",
-				k.Structure, k.Mix, distCol(k), scanCol(k), k.KeyRange, k.Threads, "-", newCells[k], "new")
-		}
-	}
-	fmt.Fprintf(out, "\n%d cells compared, %d regressed beyond %.0f%%\n",
-		nCompared, nRegressed, threshold*100)
-	return nRegressed > 0, nil
 }
 
 // writeJSON writes the collected measurements as an indented JSON array, one

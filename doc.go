@@ -54,8 +54,8 @@
 // from its Java runtime's garbage collector is re-derived for manual
 // reclamation and descriptor reuse in DESIGN.md. Steady-state updates
 // (delete + re-insert) run at zero allocations per operation; build with
-// -tags noepoch to fall back to GC reclamation, and -tags reclaimcheck to
-// poison recycled nodes and cells with generation checks. BenchmarkAlloc,
+// -tags reclaimcheck to poison recycled nodes and cells with generation
+// checks. BenchmarkAlloc,
 // TestChromaticAllocBudget, TestChromaticChurnAllocBudget,
 // TestOverwriteAllocBudget and TestReclaimNoLeak (alloc_bench_test.go) pin
 // the resulting allocation profile in CI, and TestNoParkedDescriptors

@@ -263,7 +263,7 @@ func Register(id int) *Worker {
 	if ctl == nil {
 		return &Worker{}
 	}
-	w := &Worker{goid: goid(), rng: mix64(uint64(ctl.cfg.Seed) ^ (uint64(id)+1)*0x9e3779b97f4a7c15)}
+	w := &Worker{goid: sched.GoID(), rng: mix64(uint64(ctl.cfg.Seed) ^ (uint64(id)+1)*0x9e3779b97f4a7c15)}
 	workers.Store(w.goid, w)
 	registered.Add(1)
 	return w
@@ -304,7 +304,7 @@ func pointHook(id sched.PointID) {
 	if total == 0 {
 		return
 	}
-	v, ok := workers.Load(goid())
+	v, ok := workers.Load(sched.GoID())
 	if !ok {
 		return
 	}
@@ -353,7 +353,7 @@ func dropHelpHook() bool {
 	if ctl == nil || ctl.cfg.DropHelp == 0 || registered.Load() == 0 {
 		return false
 	}
-	v, ok := workers.Load(goid())
+	v, ok := workers.Load(sched.GoID())
 	if !ok {
 		return false
 	}
@@ -379,25 +379,4 @@ func spin(n int) {
 		x += uint64(i) ^ x<<7
 	}
 	spinSink.v.Store(x)
-}
-
-// goid returns the calling goroutine's id, parsed from the first line of
-// its stack trace. Same technique as internal/sched's controller registry;
-// the cost is paid only while chaos is armed.
-func goid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	s := buf[:n]
-	const prefix = "goroutine "
-	if len(s) > len(prefix) {
-		s = s[len(prefix):]
-	}
-	var id int64
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + int64(c-'0')
-	}
-	return id
 }

@@ -2,8 +2,6 @@ package chromatic
 
 import (
 	"testing"
-
-	"repro/internal/epoch"
 )
 
 // The value-cell lifetime protocol is the engine's and is tested there
@@ -45,9 +43,6 @@ func TestCopyKeepsCellAfterSourceFreed(t *testing.T) {
 // prev link until it is released. The replacement carries the old leaf's
 // weight.
 func TestReplacedLeafReadableThroughSnapshot(t *testing.T) {
-	if !epoch.Enabled {
-		t.Skip("-tags noepoch snapshots are live views")
-	}
 	tr := New()
 	tr.Insert(1, 10)
 	tr.Insert(2, 20)

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/epoch"
 	"repro/internal/lbst"
 	"repro/internal/vcell"
 	"repro/internal/workload"
@@ -32,16 +31,6 @@ func TestNoParkedDescriptors(t *testing.T) {
 	size := workload.Prefill(tr, workload.Mix20i10d, keyRange, 0.01, 1)
 	tr.DrainReclaim()
 	tr.DrainReclaim()
-	if !epoch.Enabled {
-		// Under -tags noepoch only, and a workaround, not a fix: every SCX
-		// there claims its descriptor by probing from its stack address, a
-		// goroutine whose stack has moved never lands on its old one again,
-		// and the removed nodes that one still names keep, through their
-		// child pointers, everything the garbage collector would have freed
-		// below them since (eighteen bytes per key here, when the move falls
-		// inside the prefill). The default build measures what is there.
-		epoch.DiscardAll()
-	}
 	runtime.GC()
 	runtime.GC() // twice: the first only moves the node pool to its victim cache
 	perKey := float64(heapAlloc()-before) / float64(size)

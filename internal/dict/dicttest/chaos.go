@@ -49,9 +49,6 @@ func chaosSkip(t *testing.T) {
 // retiree's grace period open forever.
 func drainPending(t *testing.T, d time.Duration) {
 	t.Helper()
-	if !epoch.Enabled {
-		return
-	}
 	deadline := time.Now().Add(d)
 	for epoch.Drain() != 0 {
 		if time.Now().After(deadline) {
@@ -80,10 +77,8 @@ func ChaosChurnStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K
 	d := tgt.New()
 	rec := linearize.NewRecorder(d)
 
-	if epoch.Enabled {
-		w := epoch.StartWatchdog(2*time.Millisecond, 10*time.Millisecond)
-		defer w.Stop()
-	}
+	w := epoch.StartWatchdog(2*time.Millisecond, 10*time.Millisecond)
+	defer w.Stop()
 	if err := chaos.Enable(chaos.Config{
 		Seed:         int64(seed),
 		Default:      chaos.PointPolicy{Delay: 20000, Preempt: 20000, Abandon: 1500},
@@ -222,10 +217,8 @@ func ChaosCrashStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K
 
 	d := tgt.New()
 
-	if epoch.Enabled {
-		w := epoch.StartWatchdog(2*time.Millisecond, 10*time.Millisecond)
-		defer w.Stop()
-	}
+	w := epoch.StartWatchdog(2*time.Millisecond, 10*time.Millisecond)
+	defer w.Stop()
 	if err := chaos.Enable(chaos.Config{
 		Seed:       int64(seed),
 		Default:    chaos.PointPolicy{Delay: 10000, Preempt: 10000, Panic: 2000},
@@ -368,10 +361,8 @@ func ChaosBoundedStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf
 		t.Fatalf("%s does not implement dict.BoundedMap", tgt.Name)
 	}
 
-	if epoch.Enabled {
-		w := epoch.StartWatchdog(2*time.Millisecond, 10*time.Millisecond)
-		defer w.Stop()
-	}
+	w := epoch.StartWatchdog(2*time.Millisecond, 10*time.Millisecond)
+	defer w.Stop()
 	if err := chaos.Enable(chaos.Config{
 		Seed:       int64(seed),
 		Default:    chaos.PointPolicy{Delay: 50000, Preempt: 50000},

@@ -19,9 +19,7 @@ func checkGoroutineLeaks(t *testing.T) {
 	t.Helper()
 	base := runtime.NumGoroutine()
 	t.Cleanup(func() {
-		if epoch.Enabled {
-			epoch.Drain()
-		}
+		epoch.Drain()
 		deadline := time.Now().Add(5 * time.Second)
 		for runtime.NumGoroutine() > base {
 			if time.Now().After(deadline) {

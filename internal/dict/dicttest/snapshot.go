@@ -11,7 +11,7 @@ import (
 // SnapshotSuiteKV is the conformance suite for dict.Snapshotter
 // implementations. It skips (not fails) when the target does not implement
 // Snapshotter, and gates the frozen-view assertions on the view reporting
-// Consistent() — an adapter or a noepoch build legitimately serves weakly
+// Consistent() — the scan-backed adapter legitimately serves weakly
 // consistent live views, for which only the self-consistency checks apply.
 //
 // Three properties are exercised:
@@ -107,7 +107,7 @@ func snapshotHoldChurn[K comparable, V comparable](t *testing.T, tgt TargetOf[K,
 
 	// With the snapshot still held, draining reclamation must park the
 	// retirees it covers instead of recycling them...
-	if dr, ok := d.(interface{ DrainReclaim() int64 }); ok && epoch.Enabled {
+	if dr, ok := d.(interface{ DrainReclaim() int64 }); ok {
 		dr.DrainReclaim()
 		dr.DrainReclaim()
 		if epoch.ParkedCount() == 0 {

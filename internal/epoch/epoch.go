@@ -29,11 +29,8 @@
 // may refuse (return false), in which case the object is re-queued into the
 // current epoch's bucket and retried after a fresh grace period.
 //
-// Build with -tags noepoch to compile the whole layer away (Enabled is
-// false, Pin returns nil, Retire drops the object for the garbage collector
-// to reclaim): the escape hatch restores the PR 5 GC-reclamation semantics.
-// Build with -tags reclaimcheck to additionally enable the recycled-node
-// poisoning assertions in the trees (PoisonCheck).
+// Build with -tags reclaimcheck to enable the recycled-node poisoning
+// assertions in the trees (PoisonCheck).
 package epoch
 
 import (
@@ -131,7 +128,7 @@ func (g *Guard) Slot() int { return g.slot }
 // counting it; the safety that normally came from blocking the advance is
 // re-established by degraded mode (see runFree and DESIGN.md, "Chaos,
 // stalls, and bounded degradation"). The sentinel is never a valid epoch —
-// epochs count up from 1 — and never claimable: Pin's CAS only fires on 0.
+// epochs count up from 1 — and can never be pinned: Pin's CAS only fires on 0.
 const stalledState = ^uint64(0)
 
 var (
@@ -176,12 +173,8 @@ func slotHint() uint64 {
 // Pin claims a reclamation slot for the calling operation and returns its
 // guard. Every dictionary operation that reads or writes shared nodes must
 // run between Pin and Unpin; Retire may only be called with a guard that is
-// currently pinned. With -tags noepoch Pin returns nil (and every other
-// entry point ignores its guard).
+// currently pinned.
 func Pin() *Guard {
-	if !Enabled {
-		return nil
-	}
 	e := globalEpoch.Load()
 	h := slotHint()
 	for tries := 0; ; tries++ {
@@ -209,21 +202,14 @@ func Pin() *Guard {
 // Unpin releases a guard obtained from Pin. The caller must not use the
 // guard, or any pointer it was protecting, afterwards.
 func Unpin(g *Guard) {
-	if !Enabled {
-		return
-	}
 	g.state.Store(0)
 }
 
 // Retire hands obj to the reclamation layer: free(g', obj) will be called
 // once no operation pinned at retire time can still hold a reference —
 // concretely, once the global epoch has advanced twice past the current
-// one. g must be the caller's pinned guard. With -tags noepoch the object
-// is simply dropped for the garbage collector.
+// one. g must be the caller's pinned guard.
 func Retire(g *Guard, obj any, free Func) {
-	if !Enabled {
-		return
-	}
 	sched.Point(sched.PointEpochRetire)
 	e := globalEpoch.Load()
 	b := &g.buckets[e%bucketEpochs]
@@ -363,21 +349,19 @@ func DiscardAll() {
 	// Every free slot is claimed, as Pin would, for the whole call: the
 	// discard hook owns the claimed slots exactly as a pinned operation does.
 	var owned [NumSlots]bool
-	if Enabled {
-		now := globalEpoch.Load()
-		for i := range slots {
-			g := &slots[i]
-			if !g.state.CompareAndSwap(0, now) {
-				continue
-			}
-			owned[i] = true
-			for k := range g.buckets {
-				b := &g.buckets[k]
-				clear(b.items)
-				b.items = b.items[:0]
-			}
-			g.pending.Store(0)
+	now := globalEpoch.Load()
+	for i := range slots {
+		g := &slots[i]
+		if !g.state.CompareAndSwap(0, now) {
+			continue
 		}
+		owned[i] = true
+		for k := range g.buckets {
+			b := &g.buckets[k]
+			clear(b.items)
+			b.items = b.items[:0]
+		}
+		g.pending.Store(0)
 	}
 	if discardHook != nil {
 		discardHook(&owned)
@@ -393,11 +377,11 @@ func DiscardAll() {
 // discardHook is OnDiscard's registration.
 var discardHook func(owned *[NumSlots]bool)
 
-// OnDiscard registers fn to run inside every DiscardAll (also with -tags
-// noepoch), with owned[i] reporting that DiscardAll holds slot i claimed for
-// the duration of the call. It is for the one layer that keeps per-slot
-// state outside this package (internal/llxscx's descriptor table) and must
-// be called from an init function.
+// OnDiscard registers fn to run inside every DiscardAll, with owned[i]
+// reporting that DiscardAll holds slot i claimed for the duration of the
+// call. It is for the one layer that keeps per-slot state outside this
+// package (internal/llxscx's descriptor table) and must be called from an
+// init function.
 func OnDiscard(fn func(owned *[NumSlots]bool)) { discardHook = fn }
 
 // Pending returns the total number of retired objects whose grace period
@@ -417,9 +401,6 @@ func Pending() int64 {
 // epoch cannot advance past them, so calling it during activity merely does
 // less. Retirees whose free callback keeps refusing remain pending.
 func Drain() int64 {
-	if !Enabled {
-		return 0
-	}
 	for round := 0; round < 3*bucketEpochs; round++ {
 		tryAdvance()
 		now := globalEpoch.Load()

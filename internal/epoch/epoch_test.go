@@ -17,9 +17,6 @@ func countingFree(n *atomic.Int64) Func {
 }
 
 func TestPinReturnsGuardAndUnpinReleases(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	g := Pin()
 	if g == nil {
 		t.Fatal("Pin returned nil with reclamation enabled")
@@ -34,9 +31,6 @@ func TestPinReturnsGuardAndUnpinReleases(t *testing.T) {
 }
 
 func TestRetireFreesOnlyAfterGracePeriod(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain() // start from a clean slate
 
 	var freed atomic.Int64
@@ -66,9 +60,6 @@ func TestRetireFreesOnlyAfterGracePeriod(t *testing.T) {
 }
 
 func TestRetireBlockedByConcurrentPin(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain()
 
 	// A reader pins and stays pinned: it may still hold references to
@@ -106,9 +97,6 @@ func TestRetireBlockedByConcurrentPin(t *testing.T) {
 }
 
 func TestRefusedFreeIsRequeued(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain()
 
 	// Refuse the first two attempts: the object must stay pending, take a
@@ -139,9 +127,6 @@ func TestRefusedFreeIsRequeued(t *testing.T) {
 }
 
 func TestPendingTracksRetiredObjects(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain()
 	base := Pending()
 
@@ -169,9 +154,6 @@ func TestPendingTracksRetiredObjects(t *testing.T) {
 // order, each object must wait out a fresh grace period per refusal, and
 // every object must be freed exactly once in the end.
 func TestRefusedFreeKeepsRetireOrder(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain()
 
 	const n = 5
@@ -217,9 +199,6 @@ func TestRefusedFreeKeepsRetireOrder(t *testing.T) {
 // objects, and dropping them would also silently zero the slot's pending
 // accounting under it.
 func TestDiscardAllSkipsPinnedSlots(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain()
 
 	// The reader pins first and stays pinned; its own retired object must
@@ -261,9 +240,6 @@ func TestDiscardAllSkipsPinnedSlots(t *testing.T) {
 // soon as a slot frees up. This is the documented behavior for workloads
 // with more goroutines than the 128 padded slots.
 func TestPinBlocksWhenSlotsExhausted(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain()
 
 	guards := make([]*Guard, NumSlots)
@@ -311,9 +287,6 @@ func TestPinBlocksWhenSlotsExhausted(t *testing.T) {
 // with retires, and slots are handed between goroutines. Every retired
 // object must be freed exactly once. Run under -race in CI.
 func TestConcurrentPinRetireUnpin(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain()
 
 	const goroutines = 16
@@ -376,9 +349,6 @@ func TestSlotIndexesTheGuard(t *testing.T) {
 			t.Fatalf("slots[%d].Slot() = %d", i, got)
 		}
 	}
-	if !Enabled {
-		return
-	}
 	g := Pin()
 	defer Unpin(g)
 	if &slots[g.Slot()] != g {
@@ -389,9 +359,6 @@ func TestSlotIndexesTheGuard(t *testing.T) {
 // TestDiscardAllRunsHookOverClaimedSlots: the discard hook sees exactly the
 // slots DiscardAll could claim, while they are claimed.
 func TestDiscardAllRunsHookOverClaimedSlots(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain()
 	held := Pin()
 	saved := discardHook

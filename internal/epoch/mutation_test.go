@@ -25,9 +25,6 @@ import (
 // rule (eligible once E+2 <= now) keeps the bucket; the mutated rule
 // (E+1 <= now) frees it while the reader is still pinned.
 func TestPrematureFreeMutationCaught(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 
 	scenario := func(t *testing.T) (freedWhilePinned bool) {
 		Drain()

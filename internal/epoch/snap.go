@@ -62,13 +62,8 @@ type parkedEntry struct {
 // SnapPin registers a long-lived snapshot pin at the current global epoch and
 // returns its guard. Objects retired from this moment on will not be freed
 // until the pin (and every other pin at or below their retire epoch) is
-// released; the global epoch itself keeps advancing. Returns nil when the
-// epoch layer is compiled out (-tags noepoch), which callers must treat as
-// "snapshots cannot pin memory".
+// released; the global epoch itself keeps advancing.
 func SnapPin() *SnapGuard {
-	if !Enabled {
-		return nil
-	}
 	e := globalEpoch.Load()
 	for tries := 0; ; tries++ {
 		s := &snapSlots[tries%numSnapSlots]
@@ -87,9 +82,6 @@ func SnapPin() *SnapGuard {
 // re-retired under a fresh guard, taking one more grace period before they
 // recycle. Safe to call from any goroutine, but exactly once per SnapPin.
 func (s *SnapGuard) Release() {
-	if s == nil {
-		return
-	}
 	s.epoch.Store(0)
 	snapCount.Add(-1)
 	unparkEligible()

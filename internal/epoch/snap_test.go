@@ -10,9 +10,6 @@ import (
 // pin is held, and must take one more grace period and recycle after the last
 // covering pin is released.
 func TestSnapPinParksAndReleaseFrees(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain()
 	discardParked()
 
@@ -62,9 +59,6 @@ func TestSnapPinParksAndReleaseFrees(t *testing.T) {
 // TestOverlappingSnapPins checks that parked retirees stay parked until the
 // LAST covering pin is released, regardless of release order.
 func TestOverlappingSnapPins(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain()
 	discardParked()
 
@@ -99,9 +93,6 @@ func TestOverlappingSnapPins(t *testing.T) {
 // everything older (which the snapshot cannot reach) proceeds at full rate
 // while the pin is held.
 func TestRetireeBelowPinEpochIsNotParked(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain()
 	discardParked()
 
@@ -121,20 +112,10 @@ func TestRetireeBelowPinEpochIsNotParked(t *testing.T) {
 	}
 }
 
-// TestSnapReleaseNilSafe pins the noepoch contract: SnapPin returns nil when
-// the layer is compiled out and Release on a nil guard must be a no-op.
-func TestSnapReleaseNilSafe(t *testing.T) {
-	var s *SnapGuard
-	s.Release() // must not panic
-}
-
 // TestSnapSlotReuse cycles far more pins than there are slots: every release
 // must return its slot, so sequential pin/release never exhausts the
 // registry.
 func TestSnapSlotReuse(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	for i := 0; i < 4*numSnapSlots; i++ {
 		s := SnapPin()
 		if s == nil {
@@ -151,9 +132,6 @@ func TestSnapSlotReuse(t *testing.T) {
 // retirees to the garbage collector instead of freeing them through their
 // callbacks.
 func TestDiscardAllDropsParked(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain()
 	discardParked()
 

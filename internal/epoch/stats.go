@@ -48,13 +48,9 @@ type Report struct {
 // Stats returns a health report for the reclamation layer. The per-bucket
 // ages are gathered by briefly claiming each quiescent slot with the same
 // CAS Drain uses, so the scan never races a slot owner; busy slots
-// contribute only their atomic pending total. With -tags noepoch it returns
-// the zero Report.
+// contribute only their atomic pending total.
 func Stats() Report {
 	var r Report
-	if !Enabled {
-		return r
-	}
 	now := globalEpoch.Load()
 	r.Epoch = now
 	r.SnapPins = snapCount.Load()

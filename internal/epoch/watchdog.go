@@ -49,18 +49,13 @@ type evictedSlot struct {
 // every interval and evicts any slot continuously pinned at one epoch for
 // at least stallAfter. While any eviction is active it also drives
 // reclamation (Drain) so the backlog the stall accumulated actually
-// shrinks. Stop the returned watchdog exactly once. With -tags noepoch the
-// watchdog is inert.
+// shrinks. Stop the returned watchdog exactly once.
 func StartWatchdog(interval, stallAfter time.Duration) *Watchdog {
 	w := &Watchdog{
 		interval:   interval,
 		stallAfter: stallAfter,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-	}
-	if !Enabled {
-		close(w.done)
-		return w
 	}
 	go w.run()
 	return w

@@ -24,9 +24,6 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // backlog (to the GC, not the pools), and when the holder finally resumes
 // the eviction is recovered and normal recycling returns.
 func TestWatchdogEvictsStalledPinAndRecovers(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain()
 	baseDrops := degradedDrops.Load()
 
@@ -101,9 +98,6 @@ func TestWatchdogEvictsStalledPinAndRecovers(t *testing.T) {
 // is conservatively blocked again rather than skipping a pin nobody is
 // accounting for.
 func TestWatchdogStopRestoresBlockedSlot(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain()
 
 	stalled := Pin()
@@ -136,9 +130,6 @@ func TestWatchdogStopRestoresBlockedSlot(t *testing.T) {
 // eviction window — the degraded-mode drop is what makes the watchdog's
 // observational stall test safe against false positives.
 func TestWatchdogFalseEvictionIsSafe(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain()
 
 	holder := Pin() // "slow", not stuck: we release it mid-test
@@ -173,9 +164,6 @@ func TestWatchdogFalseEvictionIsSafe(t *testing.T) {
 // TestStatsReportsShape: the Report's instantaneous fields track pins and
 // pending retirees without claiming busy slots.
 func TestStatsReportsShape(t *testing.T) {
-	if !Enabled {
-		t.Skip("epoch reclamation disabled (noepoch build)")
-	}
 	Drain()
 
 	g := Pin()

@@ -3,7 +3,6 @@ package lbst
 import (
 	"testing"
 
-	"repro/internal/epoch"
 	"repro/internal/llxscx"
 	"repro/internal/vcell"
 )
@@ -40,9 +39,6 @@ func leafAndTwoCopies(t *testing.T, tr *Tree[int64, int64], v int64) [3]*intNode
 // orders: the shared cell keeps its value until the last of the three is
 // freed and returns to its pool exactly then.
 func TestCellFreedWithLastAlias(t *testing.T) {
-	if !epoch.Enabled {
-		t.Skip("-tags noepoch leaves cells to the garbage collector")
-	}
 	tr := New[int64, int64](intLess, nopPolicy{})
 	for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
 		nodes := leafAndTwoCopies(t, tr, 42)
@@ -59,9 +55,6 @@ func TestCellFreedWithLastAlias(t *testing.T) {
 // TestReleaseFreshDropsReference: a copy built for an SCX that then failed
 // gives its reference back, so the source's free is the last one again.
 func TestReleaseFreshDropsReference(t *testing.T) {
-	if !epoch.Enabled {
-		t.Skip("-tags noepoch leaves cells to the garbage collector")
-	}
 	tr := New[int64, int64](intLess, nopPolicy{})
 	nodes := leafAndTwoCopies(t, tr, 42)
 	cell := nodes[0].val
@@ -109,9 +102,6 @@ func TestCopyKeepsCellAfterSourceFreed(t *testing.T) {
 // view keeps reading the old leaf, and its cell, through the replacement's
 // prev link until it is released.
 func TestReplacedLeafReadableThroughSnapshot(t *testing.T) {
-	if !epoch.Enabled {
-		t.Skip("-tags noepoch snapshots are live views")
-	}
 	tr := New[int64, int64](intLess, nopPolicy{})
 	tr.Insert(1, 10)
 	tr.Insert(2, 20)

@@ -68,8 +68,7 @@
 // The safety argument - why a pinned operation can never observe a recycled
 // node, and how the value-cell aliasing of CopyNode survives manual
 // reclamation through the cells' reference counts - is re-derived in
-// DESIGN.md ("Epoch reclamation and the ABA re-derivation"). Build with
-// -tags noepoch to fall back to garbage-collected reclamation.
+// DESIGN.md ("Epoch reclamation and the ABA re-derivation").
 package lbst
 
 import (
@@ -138,9 +137,7 @@ type Node[K, V any] struct {
 	// needed to keep the duplicate stores race-clean). Followed only by
 	// snapshot resolution walks, whose epoch pin keeps the chain's retired
 	// nodes from being recycled. nil for nodes that were never an update's
-	// subtree root. Not maintained under -tags noepoch (the commit hook does
-	// not run there, which also keeps the chain from leaking through the
-	// garbage collector).
+	// subtree root.
 	prev atomic.Pointer[Node[K, V]]
 }
 
@@ -462,14 +459,8 @@ func (t *Tree[K, V]) Less() func(a, b K) bool { return t.less }
 // Pooled node lifecycle.
 
 // newNode returns a node with the given key, decoration and flags and
-// nothing else set, drawn from the tree's node pool (a fresh allocation under
-// -tags noepoch, where the commit hook must find nothing to stamp).
+// nothing else set, drawn from the tree's node pool.
 func (t *Tree[K, V]) newNode(k K, a uint32) *Node[K, V] {
-	if !epoch.Enabled {
-		n := &Node[K, V]{K: k}
-		n.rec.SetAux(a)
-		return n
-	}
 	n := t.nodePool.Get().(*Node[K, V])
 	n.K = k
 	n.rec.SetAux(a)
@@ -518,19 +509,15 @@ func (t *Tree[K, V]) CopyNode(lk llxscx.Linked[Node[K, V]], deco int64) *Node[K,
 
 // ReleaseFresh recycles a freshly built node whose SCX failed. Such a node
 // was never published - no other operation can have seen it - so it re-enters
-// the pool immediately, without a grace period. A no-op under -tags noepoch.
+// the pool immediately, without a grace period.
 func (t *Tree[K, V]) ReleaseFresh(n *Node[K, V]) {
-	if !epoch.Enabled {
-		return
-	}
 	t.freeNode(n)
 }
 
 // RebalanceSCX performs one SCX - the engine's own updates' and the policies'
 // rebalancing steps' - on the guard's descriptor and, on success, retires the
 // removed nodes fin[:nf] under that guard: they re-enter the node pool after a
-// grace period (a no-op under -tags noepoch, where the garbage collector
-// reclaims them). On failure the caller is responsible for releasing the fresh
+// grace period. On failure the caller is responsible for releasing the fresh
 // nodes it built (ReleaseFresh). Reading fields of a retired node afterwards
 // is still safe inside the invoking operation's pinned region: the node cannot
 // be recycled before the guard is released plus a grace period.
@@ -843,28 +830,24 @@ func (t *Tree[K, V]) InsertBounded(key K, value V, budget dict.Budget) (V, bool,
 		}
 		_, p, l := t.searchFn(t, key)
 		if t.isKey(key, l) {
-			if epoch.Enabled {
-				// While a snapshot handle is live the in-place publish would
-				// mutate a value the snapshot captured, so the overwrite
-				// degrades to a leaf-replacement SCX (tryReplace) that leaves
-				// the captured leaf frozen. fastWriters brackets the publish
-				// so a concurrent capture can drain in-flight fast-path
-				// writers before it reads the version counter (see Snapshot).
-				t.fastWriters.Add(1)
-				if t.snapLive.Load() != 0 {
-					t.fastWriters.Add(-1)
-					if old, done := t.tryReplace(g, key, value, p, l); done {
-						return old, true, nil
-					}
-				} else {
-					old, ok := tryPublish(l, value)
-					t.fastWriters.Add(-1)
-					if ok {
-						return old, true, nil
-					}
+			// While a snapshot handle is live the in-place publish would
+			// mutate a value the snapshot captured, so the overwrite
+			// degrades to a leaf-replacement SCX (tryReplace) that leaves
+			// the captured leaf frozen. fastWriters brackets the publish
+			// so a concurrent capture can drain in-flight fast-path
+			// writers before it reads the version counter (see Snapshot).
+			t.fastWriters.Add(1)
+			if t.snapLive.Load() != 0 {
+				t.fastWriters.Add(-1)
+				if old, done := t.tryReplace(g, key, value, p, l); done {
+					return old, true, nil
 				}
-			} else if old, ok := tryPublish(l, value); ok {
-				return old, true, nil
+			} else {
+				old, ok := tryPublish(l, value)
+				t.fastWriters.Add(-1)
+				if ok {
+					return old, true, nil
+				}
 			}
 		} else if t.tryInsert(g, key, value, p, l) {
 			var zero V

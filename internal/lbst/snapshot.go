@@ -36,10 +36,6 @@ import (
 //     (epoch.SnapPin) before reading gver: every node the snapshot can reach
 //     that is later retired was retired after the pin registered, so its
 //     grace period parks it behind the pin instead of recycling it.
-//
-// Under -tags noepoch the commit hook never runs and nothing is stamped;
-// Snapshot degrades to a weakly consistent live view (Consistent reports
-// false), matching the garbage-collected fallback semantics elsewhere.
 
 // resolve rewinds a just-loaded child pointer to the version a snapshot
 // captured: nodes stamped after ver are stepped back through their prev
@@ -69,7 +65,7 @@ type Snap[K, V any] struct {
 	less  func(K, K) bool
 	ver   uint64
 	// pin is the long-lived epoch registration keeping reachable retired
-	// nodes parked; nil under -tags noepoch.
+	// nodes parked.
 	pin *epoch.SnapGuard
 	// live points at the owning tree's live-snapshot counter, decremented on
 	// Release to re-enable the in-place overwrite fast path.
@@ -80,9 +76,9 @@ type Snap[K, V any] struct {
 // Version returns the capture's commit tick.
 func (s *Snap[K, V]) Version() uint64 { return s.ver }
 
-// Consistent reports whether the view is frozen: true except under
-// -tags noepoch, where snapshots degrade to live views.
-func (s *Snap[K, V]) Consistent() bool { return s.pin != nil }
+// Consistent reports whether the view is frozen: always, for a tree's own
+// snapshot (dict's scan-backed adapter is the view that is not).
+func (s *Snap[K, V]) Consistent() bool { return true }
 
 // Release ends the view's lifetime: it re-enables the source tree's in-place
 // overwrite fast path and unpins the epoch layer, letting parked retirees
@@ -91,9 +87,7 @@ func (s *Snap[K, V]) Release() {
 	if s.released.Swap(true) {
 		return
 	}
-	if s.live != nil {
-		s.live.Add(-1)
-	}
+	s.live.Add(-1)
 	s.pin.Release()
 }
 
@@ -289,8 +283,7 @@ func (s *Snap[K, V]) collect(n *Node[K, V], ver uint64, out *[]snapKV[K, V]) {
 // The view stays valid and unchanging under arbitrary concurrent updates
 // until Release is called; holding it parks reclamation of the nodes it can
 // reach (and disables the in-place overwrite fast path on this tree), so
-// release views promptly. Under -tags noepoch the view degrades to a weakly
-// consistent live view (Consistent reports false).
+// release views promptly.
 func (t *Tree[K, V]) Snapshot() dict.SnapshotView[K, V] {
 	return t.snapshot()
 }
@@ -312,14 +305,9 @@ func (t *Tree[K, V]) Snapshot() dict.SnapshotView[K, V] {
 // gver read has the opposite hole: a writer can open its bracket after the
 // drain and still stamp at or below the version read afterwards.)
 func (t *Tree[K, V]) snapshot() *Snap[K, V] {
-	s := &Snap[K, V]{entry: t.entry, less: t.less}
-	if !epoch.Enabled {
-		s.ver = ^uint64(0) // accept every node: a live view
-		return s
-	}
+	s := &Snap[K, V]{entry: t.entry, less: t.less, live: &t.snapLive}
 	s.pin = epoch.SnapPin()
 	t.snapLive.Add(1)
-	s.live = &t.snapLive
 	sched.Point(sched.PointSnapPublish)
 	s.ver = t.gver.Load()
 	sched.WaitZero(sched.PointSnapDrain, &t.fastWriters)

@@ -25,11 +25,10 @@
 // Descriptors: the paper creates a fresh SCX-record per SCX and leaves it to
 // the garbage collector. Here SCX-records are never allocated. A
 // process-wide table holds one reusable descriptor per epoch slot
-// (internal/epoch) plus a second region claimed for the duration of an SCX
-// entered without a guard, and a record's info field is not a pointer but a
-// tag: the slot index and the slot's sequence number at the time of the
-// SCX. Following Arbel-Raviv and Brown ("Reuse, don't recycle", DISC 2017),
-// four rules replace the collector:
+// (internal/epoch), owned by whoever holds that slot pinned, and a record's
+// info field is not a pointer but a tag: the slot index and the slot's
+// sequence number at the time of the SCX. Following Arbel-Raviv and Brown
+// ("Reuse, don't recycle", DISC 2017), four rules replace the collector:
 //
 //   - Tags never recur. An SCX bumps its slot's sequence number before it
 //     writes anything else, so every SCX has its own tag and the freezing
@@ -54,7 +53,6 @@ package llxscx
 
 import (
 	"math/bits"
-	"runtime"
 	"sync/atomic"
 	"unsafe"
 
@@ -117,10 +115,8 @@ const (
 	numDesc  = 1 << slotBits
 	slotMask = numDesc - 1
 
-	// claimable is the number of descriptors beyond the guard-owned ones,
-	// claimed by SCXs that run without a guard. The conversion fails to
-	// compile if the epoch layer outgrows the tag's slot field.
-	claimable = uint(numDesc - epoch.NumSlots)
+	// Fails to compile if the epoch layer outgrows the tag's slot field.
+	_ = uint(numDesc - epoch.NumSlots)
 )
 
 // A descriptor's status word holds everything about an SCX that is not a
@@ -391,15 +387,19 @@ var noField unsafe.Pointer
 // since they indicate an update whose V sequence does not fit a descriptor
 // (raise MaxV if a new data structure legitimately needs a larger update).
 //
-// SCXFixed is the entry point for callers that hold no epoch guard: it
-// claims a descriptor for its own duration. Operations that run pinned
-// should call SCXP, which uses the descriptor of the guard's slot.
+// SCXFixed is the entry point for callers that hold no epoch guard: it pins
+// an epoch slot for its own duration. Operations that run pinned should call
+// SCXP, which uses the descriptor of the guard they already hold.
 func SCXFixed[P DataRecord[N], N any](v *[MaxV]Linked[N], nv int, finalize *[MaxV]P, nf int, fld *atomic.Pointer[N], old, new *N) bool {
-	return scx(nil, nil, v, nv, finalize, nf, fld, old, new)
+	g := epoch.Pin()
+	// Unpinned by defer so an SCX that panics (chaos injection) does not
+	// leak the slot; its next owner finishes what it left in progress.
+	defer epoch.Unpin(g)
+	return scx(g, nil, v, nv, finalize, nf, fld, old, new)
 }
 
-// scx stages the arguments of one SCX and runs it on g's descriptor, or on
-// a claimed one when g is nil.
+// scx stages the arguments of one SCX and runs it on the descriptor of g's
+// slot; g must be pinned.
 func scx[P DataRecord[N], N any](g *epoch.Guard, h *hooks, v *[MaxV]Linked[N], nv int, finalize *[MaxV]P, nf int, fld *atomic.Pointer[N], old, new *N) bool {
 	if nv < 1 || nv > MaxV || nf < 0 || nf > nv {
 		panic("llxscx: SCX sequence lengths out of range")
@@ -429,14 +429,7 @@ func scx[P DataRecord[N], N any](g *epoch.Guard, h *hooks, v *[MaxV]Linked[N], n
 		}
 		p.mask |= 1 << j
 	}
-	if g != nil {
-		return start(g.Slot(), &p)
-	}
-	slot := claim()
-	// Released by defer so an SCX that panics (chaos injection) does not
-	// leak the slot; the next claimant finishes what it left in progress.
-	defer table[slot].claimed.Store(0)
-	return start(slot, &p)
+	return start(g.Slot(), &p)
 }
 
 // VLXFixed returns true if none of the first n records of v has changed
@@ -483,15 +476,12 @@ func validateOne(rec *record, info uint64) bool {
 }
 
 // descFields is one reusable SCX-record. Everything in it is written only by
-// the slot's current owner and read by any helper, so every field is atomic;
-// the status word is the only one helpers write, and only by CAS.
+// the slot's current owner (whoever holds the epoch slot pinned) and read by
+// any helper, so every field is atomic; the status word is the only one
+// helpers write, and only by CAS.
 type descFields struct {
 	status atomic.Uint64
-	// claimed is the ownership word of a descriptor in the claimable
-	// region; guard-owned descriptors leave it zero (their owner is whoever
-	// holds the epoch slot pinned).
-	claimed atomic.Uint32
-	hooks   atomic.Pointer[hooks]
+	hooks  atomic.Pointer[hooks]
 
 	// fld is the single mutable field changed from old to new.
 	fld      atomic.Pointer[unsafe.Pointer]
@@ -515,9 +505,11 @@ type desc struct {
 
 const cacheLine = 64
 
-// table holds the guard-owned descriptors (indexed by epoch slot) followed
-// by the claimable ones. It is allocated rather than static so that it
-// starts on a cache-line boundary (a large allocation is page-aligned).
+// table holds the descriptors, indexed by epoch slot. It is allocated rather
+// than static so that it starts on a cache-line boundary: a large allocation
+// is page-aligned, and the entries above epoch.NumSlots, which nothing uses,
+// are what make it large (at NumSlots entries it is a small object behind an
+// eight-byte malloc header).
 var table = new([numDesc]desc)
 
 func init() { epoch.OnDiscard(scrub) }
@@ -532,23 +524,6 @@ type payload struct {
 	fld      *unsafe.Pointer
 	old, new unsafe.Pointer
 	hooks    *hooks
-}
-
-// claim takes ownership of a descriptor in the claimable region. The probe
-// starts from the goroutine's stack address, so one goroutine keeps landing
-// on the same (warm) descriptor and different goroutines scatter.
-func claim() int {
-	var b byte
-	h := uint(uintptr(unsafe.Pointer(&b)) >> 10)
-	for tries := uint(0); ; tries++ {
-		slot := epoch.NumSlots + int((h+tries)%claimable)
-		if d := &table[slot]; d.claimed.Load() == 0 && d.claimed.CompareAndSwap(0, 1) {
-			return slot
-		}
-		if tries%claimable == claimable-1 {
-			runtime.Gosched()
-		}
-	}
 }
 
 // nextSeq makes the slot's last SCX terminal and returns the sequence number
@@ -687,33 +662,23 @@ func run(d *desc, tag, st uint64, p *payload) bool {
 // scrub drops what the descriptors still reference of finished SCXs, as
 // part of epoch.DiscardAll: a descriptor keeps its last arguments until its
 // slot's next SCX overwrites them, and those reach the structure they
-// belonged to. owned marks the guard slots DiscardAll holds claimed;
-// claimable descriptors are claimed here. Each descriptor is advanced to an
-// empty committed SCX before its fields are cleared, exactly as its owner
-// would start a new one, so a helper that still holds the old tag discards
-// what it reads.
+// belonged to. owned marks the slots DiscardAll holds pinned. Each of their
+// descriptors is advanced to an empty committed SCX before its fields are
+// cleared, exactly as its owner would start a new one, so a helper that
+// still holds the old tag discards what it reads.
 func scrub(owned *[epoch.NumSlots]bool) {
-	for slot := range table {
+	for slot := range owned {
 		d := &table[slot]
-		if slot < epoch.NumSlots {
-			if !owned[slot] {
-				continue
-			}
-		} else if !d.claimed.CompareAndSwap(0, 1) {
+		if !owned[slot] || d.fld.Load() == nil {
 			continue
 		}
-		if d.fld.Load() != nil {
-			d.status.Store(d.nextSeq(slot)<<seqShift | stateCommitted)
-			for i := range d.v {
-				d.v[i].rec.Store(nil)
-			}
-			d.fld.Store(nil)
-			atomic.StorePointer(&d.old, nil)
-			atomic.StorePointer(&d.new, nil)
-			d.hooks.Store(nil)
+		d.status.Store(d.nextSeq(slot)<<seqShift | stateCommitted)
+		for i := range d.v {
+			d.v[i].rec.Store(nil)
 		}
-		if slot >= epoch.NumSlots {
-			d.claimed.Store(0)
-		}
+		d.fld.Store(nil)
+		atomic.StorePointer(&d.old, nil)
+		atomic.StorePointer(&d.new, nil)
+		d.hooks.Store(nil)
 	}
 }

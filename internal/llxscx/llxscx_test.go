@@ -60,8 +60,8 @@ func fixedR(rs ...*tnode) ([MaxV]*tnode, int) {
 // testPool is the hook-less Pool the pinned entry point runs with.
 var testPool = NewPool[tnode]()
 
-// scxFixed runs one SCX through the guard-less entry point (a claimed
-// descriptor); scxPinned through SCXP under g (the descriptor of g's slot).
+// scxFixed runs one SCX through the guard-less entry point, which pins a slot
+// of its own; scxPinned through SCXP under g (the descriptor of g's slot).
 func scxFixed(lks []Linked[tnode], fin []*tnode, fld *atomic.Pointer[tnode], old, new *tnode) bool {
 	v, nv := fixedV(lks...)
 	r, nr := fixedR(fin...)
@@ -81,22 +81,27 @@ func scxOnce(lks []Linked[tnode], fin []*tnode, fld *atomic.Pointer[tnode], old,
 	return scxPinned(g, lks, fin, fld, old, new)
 }
 
-// onlyClaimable holds every claimable descriptor except slot claimed until
-// the returned function is called, so that a guard-less SCX in between must
-// run on slot. (Left alone it probes from its stack address, which moves
-// when the goroutine's stack grows.)
-func onlyClaimable(slot int) (release func()) {
-	for i := epoch.NumSlots; i < numDesc; i++ {
-		if i != slot {
-			table[i].claimed.Store(1)
-		}
+// pinSlot pins the epoch slot with the given index. No slot may be pinned
+// when it is called. Pin probes upwards from a hint that moves with the
+// goroutine's stack, so holding on to whatever else it hands out walks it
+// over every slot.
+func pinSlot(t *testing.T, slot int) *epoch.Guard {
+	t.Helper()
+	if n := epoch.Stats().PinnedSlots; n != 0 {
+		t.Fatalf("%d slots are pinned at quiescence", n)
 	}
-	return func() {
-		for i := epoch.NumSlots; i < numDesc; i++ {
-			if i != slot {
-				table[i].claimed.Store(0)
-			}
+	var others []*epoch.Guard
+	defer func() {
+		for _, g := range others {
+			epoch.Unpin(g)
 		}
+	}()
+	for {
+		g := epoch.Pin()
+		if g.Slot() == slot {
+			return g
+		}
+		others = append(others, g)
 	}
 }
 
@@ -212,12 +217,29 @@ func TestSCXFixedFailsIfRecordChangedSinceLinkedLLX(t *testing.T) {
 	failsIfRecordChangedSinceLinkedLLX(t, scxFixed, scxFixed)
 }
 
-// TestSCXPAgreesWithSCXFixed crosses the entry points: an update through a
-// guard-owned descriptor must defeat stale evidence presented through a
-// claimed one, and the other way round.
-func TestSCXPAgreesWithSCXFixed(t *testing.T) {
-	failsIfRecordChangedSinceLinkedLLX(t, scxOnce, scxFixed)
-	failsIfRecordChangedSinceLinkedLLX(t, scxFixed, scxOnce)
+// TestSCXFixedPinsASlotForItsOwnDuration: the guard-less entry point runs on
+// an epoch slot's descriptor like every other SCX, and gives the slot back.
+// The slot's next owner continues its sequence.
+func TestSCXFixedPinsASlotForItsOwnDuration(t *testing.T) {
+	root := newTNode(2, newTNode(1, nil, nil), nil)
+	lk, _ := LLX(root)
+	if !scxFixed([]Linked[tnode]{lk}, nil, &root.left, lk.Child(0), newTNode(9, nil, nil)) {
+		t.Fatal("SCXFixed failed")
+	}
+	tag := root.rec.r.info.Load()
+	slot := int(tag & slotMask)
+	if slot >= epoch.NumSlots {
+		t.Fatalf("tag %#x names descriptor %d, which no epoch slot owns", tag, slot)
+	}
+	g := pinSlot(t, slot) // fails if SCXFixed kept the slot pinned
+	defer epoch.Unpin(g)
+	lk, _ = LLX(root)
+	if !scxPinned(g, []Linked[tnode]{lk}, nil, &root.left, lk.Child(0), newTNode(10, nil, nil)) {
+		t.Fatal("SCXP on the slot SCXFixed used failed")
+	}
+	if got, want := root.rec.r.info.Load(), tag+1<<slotBits; got != want {
+		t.Fatalf("the slot's next SCX has tag %#x, want %#x", got, want)
+	}
 }
 
 func TestVLXDetectsChange(t *testing.T) {
@@ -353,7 +375,7 @@ func TestStaleTagReadsAsCommitted(t *testing.T) {
 	root := newTNode(2, newTNode(1, nil, nil), nil)
 	update(root)
 	tag := root.rec.r.info.Load()
-	if g != nil && tag&slotMask != uint64(g.Slot()) {
+	if tag&slotMask != uint64(g.Slot()) {
 		t.Fatalf("tag %#x does not name the guard's slot %d", tag, g.Slot())
 	}
 	lk, st := LLX(root)
@@ -361,9 +383,6 @@ func TestStaleTagReadsAsCommitted(t *testing.T) {
 		t.Fatalf("LLX = %v", st)
 	}
 
-	if g == nil { // -tags noepoch: SCXP claims its descriptor
-		defer onlyClaimable(int(tag & slotMask))()
-	}
 	update(newTNode(20, newTNode(10, nil, nil), nil)) // same slot, next sequence number
 	d := &table[tag&slotMask]
 	if seq := d.status.Load() >> seqShift; seq != tag>>slotBits+1 {
@@ -448,30 +467,31 @@ func orphanSCX(t *testing.T, point sched.PointID, parent *tnode) {
 // the tag. That last state takes a point between the two reads, which only
 // the sched build has: TestLLXTagChangedBetweenReads.
 func TestLLXInEveryRecordState(t *testing.T) {
-	// replaceLeft commits an SCX on n that swings its left child; with
-	// finalize it runs on n's parent instead and removes n.
-	replaceLeft := func(t *testing.T, n *tnode) {
+	// Every SCX of a setup runs under the one guard it is handed, so "the
+	// same descriptor again" is that guard's.
+	// replaceLeft commits an SCX on n that swings its left child; remove
+	// runs one on a parent of n instead and finalizes n.
+	replaceLeft := func(t *testing.T, g *epoch.Guard, n *tnode) {
 		lk, _ := LLX(n)
-		if !scxFixed([]Linked[tnode]{lk}, nil, &n.left, lk.Child(0), newTNode(9, nil, nil)) {
+		if !scxPinned(g, []Linked[tnode]{lk}, nil, &n.left, lk.Child(0), newTNode(9, nil, nil)) {
 			t.Fatal("SCX failed")
 		}
 	}
-	remove := func(t *testing.T, n *tnode) {
+	remove := func(t *testing.T, g *epoch.Guard, n *tnode) {
 		parent := newTNode(10, n, nil)
 		lkP, _ := LLX(parent)
 		lkN, _ := LLX(n)
-		if !scxFixed([]Linked[tnode]{lkP, lkN}, []*tnode{n}, &parent.left, n, newTNode(5, nil, nil)) {
+		if !scxPinned(g, []Linked[tnode]{lkP, lkN}, []*tnode{n}, &parent.left, n, newTNode(5, nil, nil)) {
 			t.Fatal("SCX failed")
 		}
 	}
 	// moveSlotOn runs one more SCX, on unrelated records, in the descriptor
 	// n's tag names, so that the tag is stale.
-	moveSlotOn := func(t *testing.T, n *tnode) {
+	moveSlotOn := func(t *testing.T, g *epoch.Guard, n *tnode) {
 		tag := n.rec.r.info.Load()
-		defer onlyClaimable(int(tag & slotMask))()
-		replaceLeft(t, newTNode(20, newTNode(21, nil, nil), nil))
-		if seq := table[tag&slotMask].status.Load() >> seqShift; seq == tag>>slotBits {
-			t.Fatal("the record's tag is not stale")
+		replaceLeft(t, g, newTNode(20, newTNode(21, nil, nil), nil))
+		if seq := table[tag&slotMask].status.Load() >> seqShift; seq != tag>>slotBits+1 {
+			t.Fatalf("the record's slot is at sequence %d, want %d: its tag is not stale", seq, tag>>slotBits+1)
 		}
 	}
 	fresh := func() *tnode { return newTNode(2, newTNode(1, nil, nil), newTNode(3, nil, nil)) }
@@ -481,64 +501,64 @@ func TestLLXInEveryRecordState(t *testing.T) {
 		// chaos marks the states that take a chaos panic to reach.
 		chaos bool
 		// setup returns the record to LLX.
-		setup     func(t *testing.T) *tnode
+		setup     func(t *testing.T, g *epoch.Guard) *tnode
 		want      Status
 		wantState uint64 // of the tag a snapshot carries
 		// after is the status of a second LLX: the first one has helped
 		// whatever it found in progress.
 		after Status
 	}{
-		{name: "never frozen", setup: func(t *testing.T) *tnode { return fresh() },
+		{name: "never frozen", setup: func(t *testing.T, g *epoch.Guard) *tnode { return fresh() },
 			want: Snapshot, wantState: stateCommitted, after: Snapshot},
-		{name: "committed", setup: func(t *testing.T) *tnode {
+		{name: "committed", setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			n := fresh()
-			replaceLeft(t, n)
+			replaceLeft(t, g, n)
 			return n
 		}, want: Snapshot, wantState: stateCommitted, after: Snapshot},
-		{name: "aborted", setup: func(t *testing.T) *tnode {
+		{name: "aborted", setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			// An SCX freezes n, then finds its second record changed.
 			n, other := fresh(), fresh()
 			lkN, _ := LLX(n)
 			lkO, _ := LLX(other)
-			replaceLeft(t, other)
-			if scxFixed([]Linked[tnode]{lkN, lkO}, nil, &n.left, lkN.Child(0), newTNode(9, nil, nil)) {
+			replaceLeft(t, g, other)
+			if scxPinned(g, []Linked[tnode]{lkN, lkO}, nil, &n.left, lkN.Child(0), newTNode(9, nil, nil)) {
 				t.Fatal("SCX on a changed record committed")
 			}
 			return n
 		}, want: Snapshot, wantState: stateAborted, after: Snapshot},
-		{name: "stale", setup: func(t *testing.T) *tnode {
+		{name: "stale", setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			n := fresh()
-			replaceLeft(t, n)
-			moveSlotOn(t, n)
+			replaceLeft(t, g, n)
+			moveSlotOn(t, g, n)
 			return n
 		}, want: Snapshot, wantState: stateCommitted, after: Snapshot},
-		{name: "finalized", setup: func(t *testing.T) *tnode {
+		{name: "finalized", setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			n := fresh()
-			remove(t, n)
+			remove(t, g, n)
 			return n
 		}, want: Finalized, after: Finalized},
-		{name: "finalized, stale", setup: func(t *testing.T) *tnode {
+		{name: "finalized, stale", setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			n := fresh()
-			remove(t, n)
-			moveSlotOn(t, n)
+			remove(t, g, n)
+			moveSlotOn(t, g, n)
 			return n
 		}, want: Finalized, after: Finalized},
-		{name: "in progress, frozen", chaos: true, setup: func(t *testing.T) *tnode {
+		{name: "in progress, frozen", chaos: true, setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			n := fresh()
 			orphanSCX(t, sched.PointSCXMark, n)
 			return n
 		}, want: Fail, after: Snapshot},
-		{name: "in progress, frozen, to be finalized", chaos: true, setup: func(t *testing.T) *tnode {
+		{name: "in progress, frozen, to be finalized", chaos: true, setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			n := fresh()
 			orphanSCX(t, sched.PointSCXMark, newTNode(10, n, nil))
 			return n
 		}, want: Fail, after: Finalized},
-		{name: "in progress, updated", chaos: true, setup: func(t *testing.T) *tnode {
+		{name: "in progress, updated", chaos: true, setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			n := fresh()
 			orphanSCX(t, sched.PointSCXCommit, n)
 			return n
 		}, want: Fail, after: Snapshot},
-		{name: "in progress, finalized", chaos: true, setup: func(t *testing.T) *tnode {
+		{name: "in progress, finalized", chaos: true, setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			n := fresh()
 			orphanSCX(t, sched.PointSCXCommit, newTNode(10, n, nil))
 			return n
@@ -550,7 +570,9 @@ func TestLLXInEveryRecordState(t *testing.T) {
 				if tc.chaos && sched.Enabled {
 					t.Skip("chaos injection is disabled under -tags sched")
 				}
-				n := tc.setup(t)
+				g := epoch.Pin()
+				defer epoch.Unpin(g)
+				n := tc.setup(t, g)
 				c0, c1, tag, st := ep.llx(n)
 				if st != tc.want {
 					t.Fatalf("status = %v, want %v", st, tc.want)
@@ -655,10 +677,10 @@ func TestConcurrentSCXOnSharedParent(t *testing.T) {
 }
 
 // TestConcurrentFixedAndPooledSCXStress interleaves the two entry points on
-// a chain under contention: half the goroutines run on claimed descriptors,
-// half on the descriptors of their epoch slots, holding one pin across
-// several SCXs so a slot's consecutive sequence numbers meet helpers of the
-// previous ones. The committed updates must form a single consistent chain
+// a chain under contention: half the goroutines pin a slot per SCX, so the
+// slots change hands between SCXs, half hold one pin across several SCXs, so
+// a slot's consecutive sequence numbers meet helpers of the previous ones.
+// The committed updates must form a single consistent chain
 // whichever path performed them: every replaced node is finalized, the
 // surviving nodes are not, the number of commits equals the number of nodes
 // replaced, and at least one SCX from each entry point commits.
@@ -755,7 +777,9 @@ func TestConcurrentFixedAndPooledSCXStress(t *testing.T) {
 // terminal-before-reuse rule can finish the orphan. The orphan must be
 // terminal before the slot's sequence number moves, its update must have
 // taken effect exactly as if its initiator had survived, and none of its
-// records may stay frozen.
+// records may stay frozen. Through SCXP one pin spans both SCXs; an SCXFixed
+// that dies must leave its slot free, and the next SCX is whoever pins that
+// slot next.
 func TestOrphanedSCXIsFinishedBeforeReuse(t *testing.T) {
 	if sched.Enabled {
 		t.Skip("chaos injection is disabled under -tags sched")
@@ -795,8 +819,9 @@ func orphanRound(t *testing.T, pinned bool, points map[sched.PointID]chaos.Point
 		g = epoch.Pin()
 		defer epoch.Unpin(g)
 	}
+	// scx runs under g, or through SCXFixed while there is none.
 	scx := func(lks []Linked[tnode], fin []*tnode, fld *atomic.Pointer[tnode], old, new *tnode) bool {
-		if pinned {
+		if g != nil {
 			return scxPinned(g, lks, fin, fld, old, new)
 		}
 		return scxFixed(lks, fin, fld, old, new)
@@ -811,10 +836,7 @@ func orphanRound(t *testing.T, pinned bool, points map[sched.PointID]chaos.Point
 	if err := chaos.Enable(chaos.Config{Seed: seed, Points: points}); err != nil {
 		t.Fatal(err)
 	}
-	// attempt runs one SCX and reports whether a chaos panic unwound it. Both
-	// SCXs of the round go through it so that they run at the same stack
-	// depth: a guard-less SCX probes for its descriptor from its stack
-	// address, and the round is about reusing the orphan's.
+	// attempt runs one SCX and reports whether a chaos panic unwound it.
 	attempt := func(lks []Linked[tnode], fin []*tnode, fld *atomic.Pointer[tnode], old, new *tnode) (ok, died bool) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -835,7 +857,7 @@ func orphanRound(t *testing.T, pinned bool, points map[sched.PointID]chaos.Point
 	}
 
 	// Find the orphan: at quiescence it is the only SCX in progress, and it
-	// sits in the descriptor this goroutine is about to reuse.
+	// sits in the descriptor of the guard, or of a slot that is free again.
 	slot := -1
 	for i := range table {
 		if table[i].status.Load()&stateMask == stateInProgress {
@@ -851,6 +873,9 @@ func orphanRound(t *testing.T, pinned bool, points map[sched.PointID]chaos.Point
 	if g != nil && slot != g.Slot() {
 		t.Fatalf("seed %d: orphan in descriptor %d, not in the guard's (%d)", seed, slot, g.Slot())
 	}
+	if slot >= epoch.NumSlots {
+		t.Fatalf("seed %d: orphan in descriptor %d, which no epoch slot owns", seed, slot)
+	}
 	st := table[slot].status.Load()
 	orphan := st>>seqShift<<slotBits | uint64(slot)
 	frozen := 0
@@ -860,11 +885,10 @@ func orphanRound(t *testing.T, pinned bool, points map[sched.PointID]chaos.Point
 		}
 	}
 
-	// The next SCX of the slot, on records the orphan never touched. A
-	// guard-less SCX probes for a free descriptor from its stack address,
-	// which the panic may have moved, so every other one is held claimed.
+	// The next SCX of the slot, on records the orphan never touched.
 	if g == nil {
-		defer onlyClaimable(slot)()
+		g = pinSlot(t, slot) // fails if the SCXFixed that died kept the slot pinned
+		defer epoch.Unpin(g)
 	}
 	other := newTNode(20, newTNode(10, nil, nil), nil)
 	lkOther, _ := LLX(other)
@@ -911,9 +935,6 @@ func TestScrubDropsDescriptorReferences(t *testing.T) {
 			if d.v[j].rec.Load() != nil {
 				t.Fatalf("descriptor %d still references record %d of its last SCX", i, j)
 			}
-		}
-		if d.claimed.Load() != 0 {
-			t.Fatalf("descriptor %d left claimed", i)
 		}
 	}
 	if got := table[tag&slotMask].status.Load() >> seqShift; got != seq+1 {

@@ -62,9 +62,7 @@ func NewPool[N any]() *Pool[N] {
 
 // SCXP is SCXFixed for a caller that runs pinned: g must be the caller's
 // pinned epoch guard, and the SCX uses the descriptor of g's slot instead
-// of claiming one. pl supplies the structure's commit hooks. When epoch
-// reclamation is compiled out (-tags noepoch) g is nil and a descriptor is
-// claimed as in SCXFixed.
+// of pinning one of its own. pl supplies the structure's commit hooks.
 func SCXP[P DataRecord[N], N any](g *epoch.Guard, pl *Pool[N], v *[MaxV]Linked[N], nv int, finalize *[MaxV]P, nf int, fld *atomic.Pointer[N], old, new *N) bool {
 	var h *hooks
 	if pl.OnCommit != nil {

@@ -67,7 +67,7 @@ func (c *Controller) Go(name string, fn func()) {
 	c.workers = append(c.workers, w)
 	go func() {
 		<-w.resume
-		id := goid()
+		id := GoID()
 		registry.Store(id, w)
 		defer registry.Delete(id)
 		var panicked any

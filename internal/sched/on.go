@@ -3,9 +3,7 @@
 package sched
 
 import (
-	"bytes"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -107,25 +105,6 @@ func ChaosDropHelp() bool { return false }
 // Point untouched.
 var registry sync.Map // goid int64 -> *worker
 
-// goid returns the calling goroutine's id, parsed from the first line of
-// its stack trace ("goroutine 123 [running]:"). This is test-only
-// machinery behind the sched build tag; the few microseconds per call are
-// irrelevant next to the schedule enumeration around it.
-func goid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	s := buf[:n]
-	s = bytes.TrimPrefix(s, []byte("goroutine "))
-	if i := bytes.IndexByte(s, ' '); i >= 0 {
-		s = s[:i]
-	}
-	id, err := strconv.ParseInt(string(s), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return id
-}
-
 // Point is a potential preemption point. If the calling goroutine is a
 // worker of a running Controller and the controller's point filter admits
 // id, the goroutine parks here until the controller schedules it again.
@@ -134,7 +113,7 @@ func Point(id PointID) {
 	if active.Load() == 0 {
 		return
 	}
-	v, ok := registry.Load(goid())
+	v, ok := registry.Load(GoID())
 	if !ok {
 		return
 	}
@@ -160,7 +139,7 @@ func WaitZero(id PointID, v *atomic.Int64) {
 		return
 	}
 	if active.Load() != 0 {
-		if rec, ok := registry.Load(goid()); ok {
+		if rec, ok := registry.Load(GoID()); ok {
 			w := rec.(*worker)
 			if !w.c.abandoned.Load() {
 				w.ready = func() bool { return v.Load() == 0 }

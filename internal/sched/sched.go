@@ -30,9 +30,11 @@
 // the finalized flag, freeing epoch-retired memory one epoch early, or ignoring
 // a decoration the balancing policy assigned in an insertion or a deletion —
 // and prove that the linearizability checker, the reclamation tests and the
-// per-operation invariant checks actually catch them. The tag mirrors the
-// existing noepoch/reclaimcheck convention (see internal/epoch).
+// per-operation invariant checks actually catch them. The tag follows
+// the reclaimcheck convention (see internal/epoch).
 package sched
+
+import "runtime"
 
 // PointID identifies one instrumented protocol step. The constants below
 // are the complete set of yield/fault points compiled into the stack; a
@@ -143,4 +145,25 @@ func (p PointID) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// GoID returns the calling goroutine's id, parsed from the first line of its
+// stack trace ("goroutine 123 [running]:"). The controller's worker registry
+// and internal/chaos's both key on it; it costs a runtime.Stack call, which
+// only a running controller or armed chaos pays.
+func GoID() int64 {
+	var buf [64]byte
+	s := buf[:runtime.Stack(buf[:], false)]
+	const prefix = "goroutine "
+	if len(s) > len(prefix) {
+		s = s[len(prefix):]
+	}
+	var id int64
+	for _, c := range s {
+		if c < '0' || c > '9' {
+			break
+		}
+		id = id*10 + int64(c-'0')
+	}
+	return id
 }

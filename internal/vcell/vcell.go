@@ -95,9 +95,9 @@ func fromWord[V any](w uint64) V {
 
 // New returns a fresh cell holding v, selecting the representation from
 // Unboxed[V](). It is the constructor for callers that leave their cells to
-// the garbage collector (the template trees under -tags noepoch; otherwise
-// they draw cells from a Pool); structures that embed cells in their nodes
-// use Init with a constructor-computed flag instead.
+// the garbage collector (the template trees draw theirs from a Pool);
+// structures that embed cells in their nodes use Init with a
+// constructor-computed flag instead.
 func New[V any](v V) *Cell[V] {
 	c := &Cell[V]{}
 	c.Init(Unboxed[V](), v)
@@ -162,9 +162,6 @@ func (c *Cell[V]) Gen() uint64 {
 // cannot be freed meanwhile (the copier is pinned and read the source out of
 // the tree), so the count cannot be passing through its last Release.
 func (c *Cell[V]) Retain() {
-	if !epoch.Enabled {
-		return // nothing is ever released: the collector owns the cell
-	}
 	if n := c.refs.Add(1); epoch.PoisonCheck && n <= 0 {
 		panic("vcell: cell retained after its last release (reclaimcheck)")
 	}
@@ -186,12 +183,8 @@ func NewPool[V any]() *Pool[V] {
 	}
 }
 
-// Get returns a cell holding v, with one holder. Under -tags noepoch, where
-// no node is ever freed by hand, it is New and the collector owns the cell.
+// Get returns a cell holding v, with one holder.
 func (p *Pool[V]) Get(v V) *Cell[V] {
-	if !epoch.Enabled {
-		return New(v)
-	}
 	c := p.cells.Get().(*Cell[V])
 	if epoch.PoisonCheck {
 		c.refs.Store(0) // a pooled cell is left at -1 in this build, see Release

@@ -158,9 +158,6 @@ func holders[V any](c *Cell[V]) int32 { return c.refs.Load() + 1 }
 // that it keeps its value until the last one goes, and is cleared (its box
 // dropped, ready for the pool) exactly then.
 func TestPoolReleasesAfterLastHolder(t *testing.T) {
-	if !epoch.Enabled {
-		t.Skip("-tags noepoch leaves cells to the garbage collector")
-	}
 	p := NewPool[string]()
 	c := p.Get("v")
 	c.Retain()
@@ -190,9 +187,6 @@ func TestPoolReleasesAfterLastHolder(t *testing.T) {
 // generation. (sync.Pool may drop an object, most often under the race
 // detector, so the test only looks at the cell when it did come back.)
 func TestPoolReusesCells(t *testing.T) {
-	if !epoch.Enabled {
-		t.Skip("-tags noepoch leaves cells to the garbage collector")
-	}
 	p := NewPool[int64]()
 	c := p.Get(7)
 	g0 := c.Gen()

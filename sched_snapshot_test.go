@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/dict"
 	"repro/internal/ebst"
-	"repro/internal/epoch"
 	"repro/internal/sched"
 )
 
@@ -58,9 +57,6 @@ func observeSnap(v dict.SnapshotView[int64, int64]) snapObs {
 // window quiesces (frozen), and the second capture's cut index and version
 // must not precede the first's (monotone capture).
 func TestSnapshotCutEnumeration(t *testing.T) {
-	if !epoch.Enabled {
-		t.Skip("snapshots degrade to live views without epoch reclamation (noepoch build)")
-	}
 	// The sequential states of the writer's history over (10, 15, 20, 30).
 	states := [4]snapObs{
 		{val: [4]int64{-10, 0, -20, -30}, ok: [4]bool{true, false, true, true}},  // S0
@@ -161,9 +157,6 @@ func TestSnapshotCutEnumeration(t *testing.T) {
 // hot key forever; one captured after must pin the new one; no schedule may
 // show the capture tearing between them or observing an unstamped node.
 func TestSnapshotOverwritePublishEnumeration(t *testing.T) {
-	if !epoch.Enabled {
-		t.Skip("snapshots degrade to live views without epoch reclamation (noepoch build)")
-	}
 	const cap = 50000
 	schedules, violations := sched.Explore(sched.Options{
 		Points: pointSet(
@@ -226,9 +219,6 @@ func TestSnapshotOverwritePublishEnumeration(t *testing.T) {
 // where the capture first answers the old value and later the new one would
 // mean a Swap landed inside a supposedly frozen view.
 func TestSnapshotFastPathPublishEnumeration(t *testing.T) {
-	if !epoch.Enabled {
-		t.Skip("snapshots degrade to live views without epoch reclamation (noepoch build)")
-	}
 	const cap = 50000
 	schedules, violations := sched.Explore(sched.Options{
 		Points: pointSet(
