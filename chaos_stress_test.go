@@ -21,13 +21,13 @@ var (
 
 // These tests run the chaos-mode stress suites (internal/dict/dicttest's
 // chaos.go) over every LLX/SCX template tree in the benchmark registry.
-// Unlike the sched-build enumerations, which explore adversarial
+// Unlike the schedule enumerations, which explore adversarial
 // interleavings deterministically at a handful of points, chaos injection
-// perturbs the DEFAULT build probabilistically — delays, preemption,
+// perturbs the same code probabilistically — delays, preemption,
 // dropped optional helping, workers parked indefinitely mid-operation, and
 // injected panics — so the whole stack (trees, LLX/SCX, epochs, watchdog)
 // is exercised under sustained degraded conditions rather than a scripted
-// schedule. All suites skip themselves under -tags sched.
+// schedule.
 //
 // The suites run under -race in CI (the chaos-stress job), with
 // DICTTEST_SEED echoed on failure for replay.

@@ -56,8 +56,8 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/chaos"
 	"repro/internal/epoch"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -135,16 +135,16 @@ func main() {
 		// (Panic, Abandon) stay off. The trees stay correct either way -
 		// this mode exists to measure throughput under degraded scheduling
 		// and to soak the stack outside the test harnesses.
-		err := chaos.Enable(chaos.Config{
+		err := sched.EnableChaos(sched.ChaosConfig{
 			Seed:       *chaosSeed,
-			Default:    chaos.PointPolicy{Delay: uint32(*chaosPPM), Preempt: uint32(*chaosPPM)},
+			Default:    sched.ChaosPolicy{Delay: uint32(*chaosPPM), Preempt: uint32(*chaosPPM)},
 			DelaySpins: 128,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 			os.Exit(2)
 		}
-		defer chaos.Disable()
+		defer sched.DisableChaos()
 	}
 
 	opts := bench.Options{
@@ -340,7 +340,7 @@ func printHealth(out *os.File, chaosOn bool) {
 	fmt.Fprintf(out, "advance fails %d, free refusals %d, degraded drops %d, evictions %d (recovered %d)\n",
 		r.AdvanceFails, r.Refusals, r.DegradedDrops, r.Evictions, r.Recovered)
 	if chaosOn {
-		st := chaos.ReadStats()
+		st := sched.ReadChaosStats()
 		fmt.Fprintf(out, "chaos: %+v\n", st)
 	}
 }

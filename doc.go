@@ -71,8 +71,8 @@
 // CASes on the read path. SnapshotDiff enumerates the changes between two
 // captures, skipping unchanged subtrees by pointer equality. The capture
 // protocol (stamp-before-install bracketing, read-version-then-drain) is
-// exhaustively schedule-enumerated under -tags sched and argued in
-// DESIGN.md ("Versioned snapshots").
+// exhaustively schedule-enumerated (sched_snapshot_test.go, selected by
+// -tags sched) and argued in DESIGN.md ("Versioned snapshots").
 //
 // The live scans (RangeScan, Ascend) of those trees are the paper's
 // Section 5.5 recipe applied to a subtree at a time: one in-order walk that

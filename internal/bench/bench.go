@@ -16,9 +16,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/dict"
 	"repro/internal/epoch"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -196,7 +196,7 @@ func runTrial(cfg Config, trial int64) (int64, time.Duration, float64, int, *lat
 			// chromatic-bench -chaos flag, robustness experiments) injects
 			// into bench workers too. A no-op when chaos is disabled, which
 			// is the default for every measurement run.
-			cw := chaos.Register(worker)
+			cw := sched.RegisterChaos(worker)
 			defer cw.Close()
 			gen := workload.NewGeneratorDist(cfg.Mix, cfg.KeyRange, cfg.Dist,
 				cfg.Seed^(trial*1_000_003)^int64(worker)*2_654_435_761)

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/dict"
 	"repro/internal/epoch"
 	"repro/internal/linearize"
@@ -16,9 +15,9 @@ import (
 
 // This file holds the chaos-mode stress suites: the same shared-window
 // churn workloads as ChurnStressKV, but run with runtime fault injection
-// armed (internal/chaos) and every operation recorded for linearizability
-// checking. Two suites cover the two failure families the robustness work
-// targets:
+// armed (internal/sched's chaos driver) and every operation recorded for
+// linearizability checking. Two suites cover the two failure families the
+// robustness work targets:
 //
 //   - ChaosChurnStressKV: delays, preemption, dropped optional helping and
 //     abandoned (indefinitely parked) workers. Operations must all complete
@@ -30,18 +29,6 @@ import (
 //     through an operation's deferred epoch unpin, so a crashed worker must
 //     not wedge reclamation; the structure must remain fully usable and its
 //     invariants intact afterwards.
-//
-// Both suites skip under -tags sched: the deterministic controller owns the
-// instrumentation points there, and chaos arming is deliberately inert.
-
-// chaosSkip skips suites that need the probabilistic hooks when the
-// deterministic scheduler build owns the points instead.
-func chaosSkip(t *testing.T) {
-	t.Helper()
-	if sched.Enabled {
-		t.Skip("chaos injection is inert under -tags sched (deterministic controller owns the points)")
-	}
-}
 
 // drainPending drives the epoch layer's pending count to zero, failing if
 // it sticks. After a chaos run every worker has unpinned (or been released
@@ -69,7 +56,6 @@ func drainPending(t *testing.T, d time.Duration) {
 // epoch pending returns to zero.
 func ChaosChurnStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], writers, opsPerWriter int, window []K, val func(writer, i int) V) {
 	t.Helper()
-	chaosSkip(t)
 	checkGoroutineLeaks(t)
 	seed := stressSeed(t)
 	defer hangGuard(t, 2*time.Minute)()
@@ -79,16 +65,16 @@ func ChaosChurnStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K
 
 	w := epoch.StartWatchdog(2*time.Millisecond, 10*time.Millisecond)
 	defer w.Stop()
-	if err := chaos.Enable(chaos.Config{
+	if err := sched.EnableChaos(sched.ChaosConfig{
 		Seed:         int64(seed),
-		Default:      chaos.PointPolicy{Delay: 20000, Preempt: 20000, Abandon: 1500},
+		Default:      sched.ChaosPolicy{Delay: 20000, Preempt: 20000, Abandon: 1500},
 		DropHelp:     100000,
 		MaxAbandoned: 2,
 		DelaySpins:   128,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	defer chaos.Disable()
+	defer sched.DisableChaos()
 
 	// Releaser: abandoned workers park until woken; waking them every tick
 	// keeps the workload finite while still leaving parks long enough
@@ -106,7 +92,7 @@ func ChaosChurnStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K
 			case <-relStop:
 				return
 			case <-tick.C:
-				chaos.ReleaseAbandoned()
+				sched.ReleaseAbandoned()
 			}
 		}
 	}()
@@ -117,7 +103,7 @@ func ChaosChurnStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K
 		writerWG.Add(1)
 		go func(w int) {
 			defer writerWG.Done()
-			cw := chaos.Register(w)
+			cw := sched.RegisterChaos(w)
 			defer cw.Close()
 			p := rec.Proc()
 			state := seed + uint64(w)*0x9e3779b97f4a7c15 + 1
@@ -145,7 +131,7 @@ func ChaosChurnStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K
 	scanWG.Add(1)
 	go func() {
 		defer scanWG.Done()
-		cw := chaos.Register(writers)
+		cw := sched.RegisterChaos(writers)
 		defer cw.Close()
 		p := rec.Proc()
 		lo, hi := window[0], window[len(window)-1]
@@ -166,8 +152,8 @@ func ChaosChurnStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K
 	close(relStop)
 	relWG.Wait()
 
-	st := chaos.ReadStats() // before Disable: stats belong to the active run
-	chaos.Disable()
+	st := sched.ReadChaosStats() // before Disable: stats belong to the active run
+	sched.DisableChaos()
 	t.Logf("chaos stats: %+v", st)
 	if st.Delays+st.Preempts == 0 {
 		t.Error("no delays or preemptions injected; chaos run was inert")
@@ -210,7 +196,6 @@ func ChaosChurnStress(t *testing.T, tgt Target, writers, opsPerWriter int) {
 // must hold, and epoch pending must drain to zero.
 func ChaosCrashStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], workers, opsPerWorker int, window []K, val func(worker, i int) V) {
 	t.Helper()
-	chaosSkip(t)
 	checkGoroutineLeaks(t)
 	seed := stressSeed(t)
 	defer hangGuard(t, 2*time.Minute)()
@@ -219,15 +204,15 @@ func ChaosCrashStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K
 
 	w := epoch.StartWatchdog(2*time.Millisecond, 10*time.Millisecond)
 	defer w.Stop()
-	if err := chaos.Enable(chaos.Config{
+	if err := sched.EnableChaos(sched.ChaosConfig{
 		Seed:       int64(seed),
-		Default:    chaos.PointPolicy{Delay: 10000, Preempt: 10000, Panic: 2000},
+		Default:    sched.ChaosPolicy{Delay: 10000, Preempt: 10000, Panic: 2000},
 		DropHelp:   50000,
 		DelaySpins: 128,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	defer chaos.Disable()
+	defer sched.DisableChaos()
 
 	var crashes atomic.Int64
 	var badPanic atomic.Pointer[any]
@@ -236,7 +221,7 @@ func ChaosCrashStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K
 	survive := func(fn func()) {
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(chaos.Panic); !ok {
+				if _, ok := r.(sched.ChaosPanic); !ok {
 					badPanic.CompareAndSwap(nil, &r)
 					return
 				}
@@ -251,7 +236,7 @@ func ChaosCrashStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cw := chaos.Register(w)
+			cw := sched.RegisterChaos(w)
 			defer cw.Close()
 			state := seed + uint64(w)*0x9e3779b97f4a7c15 + 1
 			for i := 0; i < opsPerWorker; i++ {
@@ -269,8 +254,8 @@ func ChaosCrashStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K
 	}
 	wg.Wait()
 
-	st := chaos.ReadStats()
-	chaos.Disable()
+	st := sched.ReadChaosStats()
+	sched.DisableChaos()
 	t.Logf("chaos stats: %+v (recovered crashes: %d)", st, crashes.Load())
 	if p := badPanic.Load(); p != nil {
 		t.Fatalf("worker panicked with a non-injected value: %v", *p)
@@ -350,7 +335,6 @@ func ChaosCrashStress(t *testing.T, tgt Target, workers, opsPerWorker int) {
 // a success must land exactly. The target must implement dict.BoundedMap.
 func ChaosBoundedStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], goroutines, opsPerG int, key func(g int, u uint64) K, val func(uint64) V) {
 	t.Helper()
-	chaosSkip(t)
 	checkGoroutineLeaks(t)
 	seed := stressSeed(t)
 	defer hangGuard(t, 2*time.Minute)()
@@ -363,14 +347,14 @@ func ChaosBoundedStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf
 
 	w := epoch.StartWatchdog(2*time.Millisecond, 10*time.Millisecond)
 	defer w.Stop()
-	if err := chaos.Enable(chaos.Config{
+	if err := sched.EnableChaos(sched.ChaosConfig{
 		Seed:       int64(seed),
-		Default:    chaos.PointPolicy{Delay: 50000, Preempt: 50000},
+		Default:    sched.ChaosPolicy{Delay: 50000, Preempt: 50000},
 		DelaySpins: 256,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	defer chaos.Disable()
+	defer sched.DisableChaos()
 
 	var budgetFails atomic.Int64
 	var wg sync.WaitGroup
@@ -379,7 +363,7 @@ func ChaosBoundedStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			cw := chaos.Register(g)
+			cw := sched.RegisterChaos(g)
 			defer cw.Close()
 			md := newModel[K, V](tgt.Less)
 			state := seed + uint64(g)*0x9e3779b97f4a7c15 + 1
@@ -435,8 +419,8 @@ func ChaosBoundedStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf
 		}(g)
 	}
 	wg.Wait()
-	st := chaos.ReadStats()
-	chaos.Disable()
+	st := sched.ReadChaosStats()
+	sched.DisableChaos()
 	for g := 0; g < goroutines; g++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)

@@ -268,11 +268,11 @@ func (g *Guard) drain(now uint64) {
 	// An object retired at epoch E is eligible once now >= E+grace with
 	// grace = 2: one advance proves the retiring operation finished, the
 	// second proves every operation that was pinned concurrently with the
-	// retire finished too. The premature-free mutation (armed only under
-	// -tags sched by the reclamation self-test) shortens the grace period
-	// to 1 — the E+1 bug DESIGN.md's grace-period argument rules out.
+	// retire finished too. The premature-free mutation (armed only by the
+	// reclamation self-test) shortens the grace period to 1 — the E+1 bug
+	// DESIGN.md's grace-period argument rules out.
 	grace := uint64(2)
-	if sched.PrematureFree() {
+	if sched.Mutated(sched.PrematureFree) {
 		grace = 1
 	}
 	for k := 0; k < bucketEpochs; k++ {

@@ -1,5 +1,3 @@
-//go:build sched
-
 package epoch
 
 import (
@@ -55,8 +53,8 @@ func TestPrematureFreeMutationCaught(t *testing.T) {
 	})
 
 	t.Run("mutated-grace-period", func(t *testing.T) {
-		sched.SetPrematureFree(true)
-		defer sched.SetPrematureFree(false)
+		sched.SetMutation(sched.PrematureFree, true)
+		defer sched.SetMutation(sched.PrematureFree, false)
 		if !scenario(t) {
 			t.Fatal("premature-free mutation not caught: the E+1 rule did not free early, so this check has no teeth")
 		}

@@ -423,26 +423,11 @@ func New[K, V any](less func(a, b K) bool, pol Policy[K, V]) *Tree[K, V] {
 // NewOrdered returns an empty tree over a naturally ordered key type,
 // balanced by pol. It behaves exactly like New with cmp.Less, but installs
 // a search routine specialized to the native `<` operator, removing the
-// indirect comparator call per node on the read path. String keys get a
-// further specialization to the concrete string comparison (see
-// searchString).
+// indirect comparator call per node on the read path.
 func NewOrdered[K cmp.Ordered, V any](pol Policy[K, V]) *Tree[K, V] {
 	t := New(cmp.Less[K], pol)
-	t.searchFn, _ = orderedSearchFor[K, V]()
+	t.searchFn = searchOrdered[K, V]
 	return t
-}
-
-// orderedSearchFor selects the search routine a NewOrdered tree installs:
-// the concrete string specialization when K is string (the type assertion
-// succeeds exactly then), the generic cmp.Ordered specialization otherwise.
-// The boolean reports whether the string specialization was chosen; it
-// exists for the construction tests, since the function values themselves
-// are hidden behind instantiation wrappers.
-func orderedSearchFor[K cmp.Ordered, V any]() (func(*Tree[K, V], K) (gp, p, l *Node[K, V]), bool) {
-	if fn, ok := any(searchString[V]).(func(*Tree[K, V], K) (gp, p, l *Node[K, V])); ok {
-		return fn, true
-	}
-	return searchOrdered[K, V], false
 }
 
 // Name identifies the data structure in benchmark reports.
@@ -662,32 +647,6 @@ func searchLess[K, V any](t *Tree[K, V], key K) (gp, p, l *Node[K, V]) {
 // identical to searchLess, but the per-node comparison is the native `<` of
 // a cmp.Ordered key type instead of an indirect call through t.less.
 func searchOrdered[K cmp.Ordered, V any](t *Tree[K, V], key K) (gp, p, l *Node[K, V]) {
-	p = t.entry
-	l = t.entry.left.Load()
-	depth := 0
-	for a := l.rec.Aux(); a&auxLeaf == 0; a = l.rec.Aux() {
-		gp, p = p, l
-		if a&auxInf != 0 || key < l.K {
-			l = l.left.Load()
-		} else {
-			l = l.right.Load()
-		}
-		depth++
-	}
-	if depth >= spineCap {
-		t.noteDeepSpine(depth)
-		t.mitigateSpine(key)
-	}
-	return gp, p, l
-}
-
-// searchString is searchOrdered instantiated at the concrete string type.
-// Generic instantiations are compiled per GC shape, where the comparison and
-// key loads go through the shape dictionary; pinning K to string lets the
-// compiler emit the direct string-compare call. NewOrdered[string, V]
-// installs it via the type assertion above, which succeeds exactly when K is
-// string.
-func searchString[V any](t *Tree[string, V], key string) (gp, p, l *Node[string, V]) {
 	p = t.entry
 	l = t.entry.left.Load()
 	depth := 0
@@ -947,7 +906,7 @@ func (t *Tree[K, V]) tryInsert(g *epoch.Guard, key K, value V, p, l *Node[K, V])
 	internalDeco, leafDeco, oldDeco := t.pol.InsertDecos(p, l)
 	keyLeaf := t.LeafNode(key, value, leafDeco)
 	oldLeaf, nf := l, 0
-	if oldDeco != l.Deco() && !sched.ReuseRedecoratedLeaf() {
+	if oldDeco != l.Deco() && !sched.Mutated(sched.ReuseRedecoratedLeaf) {
 		oldLeaf, nf = t.CopyNode(lkL, oldDeco), 1
 	}
 	var repl *Node[K, V]
@@ -1085,7 +1044,7 @@ func (t *Tree[K, V]) tryDelete(g *epoch.Guard, key K, gp, p, l *Node[K, V]) (V, 
 	// only safe for nodes that become children of fresh nodes, as in
 	// tryInsert.
 	deco := t.pol.PromoteDeco(gp, p, s)
-	if sched.KeepSiblingDeco() {
+	if sched.Mutated(sched.KeepSiblingDeco) {
 		deco = s.Deco()
 	}
 	repl := t.CopyNode(lkS, deco)

@@ -267,16 +267,12 @@ func llx(rec *record, f0, f1 *unsafe.Pointer) (c0, c1 unsafe.Pointer, ev evidenc
 	// snapshot of a record that has already been removed from the tree,
 	// allowing a later SCX to resurrect it. (SkipMarkedRead is the seeded
 	// mutation that proves the read is load-bearing.)
-	marked := rec.marked.Load() && !sched.SkipMarkedRead()
+	marked := rec.marked.Load() && !sched.Mutated(sched.SkipMarkedRead)
 	if state == stateAborted || (state == stateCommitted && !marked) {
 		// The record is not being changed by an in-progress SCX: read the
 		// mutable fields and confirm nothing froze the record meanwhile.
 		c0, c1 = atomic.LoadPointer(f0), atomic.LoadPointer(f1)
-		if sched.Enabled {
-			// For the deterministic scheduler only: an LLX has one point in
-			// the default build, the one at its top.
-			sched.Point(sched.PointLLXRecheck)
-		}
+		sched.Point(sched.PointLLXRecheck)
 		if rec.info.Load() == rinfo {
 			return c0, c1, evidence{rec, rinfo}, Snapshot
 		}
@@ -594,7 +590,7 @@ func help(tag uint64) bool {
 	// Validate before use: the copy is this SCX's only if the slot has not
 	// started another one since the status word was read. (SkipValidate is
 	// the seeded mutation that proves the check is load-bearing.)
-	if d.status.Load()>>seqShift != st>>seqShift && !sched.SkipValidate() {
+	if d.status.Load()>>seqShift != st>>seqShift && !sched.Mutated(sched.SkipValidate) {
 		return true
 	}
 	return run(d, tag, st, &p)
@@ -608,11 +604,11 @@ func run(d *desc, tag, st uint64, p *payload) bool {
 	if st&frozenBit == 0 {
 		// Freeze every record in V by installing the tag in its info field.
 		for i := 0; i < p.nV; i++ {
-			if sched.DropFreeze() && i == 0 {
-				// Seeded protocol mutation (armed only under -tags sched by the
-				// checker self-tests): skip the freezing CAS on the first record
-				// of V, exactly the bug the freeze-everything-before-committing
-				// step of the protocol exists to prevent.
+			if i == 0 && sched.Mutated(sched.DropFreeze) {
+				// Seeded protocol mutation (armed only by the checker
+				// self-tests): skip the freezing CAS on the first record of V,
+				// exactly the bug the freeze-everything-before-committing step
+				// of the protocol exists to prevent.
 				continue
 			}
 			sched.Point(sched.PointSCXFreeze)

@@ -1,5 +1,3 @@
-//go:build sched
-
 package llxscx
 
 import (

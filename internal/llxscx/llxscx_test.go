@@ -6,7 +6,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/chaos"
 	"repro/internal/epoch"
 	"repro/internal/sched"
 )
@@ -436,15 +435,15 @@ func orphanSCX(t *testing.T, point sched.PointID, parent *tnode) {
 	child := parent.left.Load()
 	lkP, _ := LLX(parent)
 	lkC, _ := LLX(child)
-	if err := chaos.Enable(chaos.Config{Seed: 1, Points: map[sched.PointID]chaos.PointPolicy{point: {Panic: 1_000_000}}}); err != nil {
+	if err := sched.EnableChaos(sched.ChaosConfig{Seed: 1, Points: map[sched.PointID]sched.ChaosPolicy{point: {Panic: 1_000_000}}}); err != nil {
 		t.Fatal(err)
 	}
 	func() {
-		defer chaos.Disable()
-		w := chaos.Register(0)
+		defer sched.DisableChaos()
+		w := sched.RegisterChaos(0)
 		defer w.Close()
 		defer func() {
-			if _, isChaos := recover().(chaos.Panic); !isChaos {
+			if _, isChaos := recover().(sched.ChaosPanic); !isChaos {
 				t.Fatalf("the SCX survived a certain panic at %v", point)
 			}
 		}()
@@ -464,8 +463,8 @@ func orphanSCX(t *testing.T, point sched.PointID, parent *tnode) {
 // the casts around it and the decision table itself: a snapshot exactly
 // when the record's last SCX is over (aborted, committed or forgotten), did
 // not finalize it, and did not give way to another between the two reads of
-// the tag. That last state takes a point between the two reads, which only
-// the sched build has: TestLLXTagChangedBetweenReads.
+// the tag. That last state takes the schedule controller, parking the LLX
+// between the two reads: TestLLXTagChangedBetweenReads.
 func TestLLXInEveryRecordState(t *testing.T) {
 	// Every SCX of a setup runs under the one guard it is handed, so "the
 	// same descriptor again" is that guard's.
@@ -498,8 +497,6 @@ func TestLLXInEveryRecordState(t *testing.T) {
 
 	cases := []struct {
 		name string
-		// chaos marks the states that take a chaos panic to reach.
-		chaos bool
 		// setup returns the record to LLX.
 		setup     func(t *testing.T, g *epoch.Guard) *tnode
 		want      Status
@@ -543,22 +540,22 @@ func TestLLXInEveryRecordState(t *testing.T) {
 			moveSlotOn(t, g, n)
 			return n
 		}, want: Finalized, after: Finalized},
-		{name: "in progress, frozen", chaos: true, setup: func(t *testing.T, g *epoch.Guard) *tnode {
+		{name: "in progress, frozen", setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			n := fresh()
 			orphanSCX(t, sched.PointSCXMark, n)
 			return n
 		}, want: Fail, after: Snapshot},
-		{name: "in progress, frozen, to be finalized", chaos: true, setup: func(t *testing.T, g *epoch.Guard) *tnode {
+		{name: "in progress, frozen, to be finalized", setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			n := fresh()
 			orphanSCX(t, sched.PointSCXMark, newTNode(10, n, nil))
 			return n
 		}, want: Fail, after: Finalized},
-		{name: "in progress, updated", chaos: true, setup: func(t *testing.T, g *epoch.Guard) *tnode {
+		{name: "in progress, updated", setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			n := fresh()
 			orphanSCX(t, sched.PointSCXCommit, n)
 			return n
 		}, want: Fail, after: Snapshot},
-		{name: "in progress, finalized", chaos: true, setup: func(t *testing.T, g *epoch.Guard) *tnode {
+		{name: "in progress, finalized", setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			n := fresh()
 			orphanSCX(t, sched.PointSCXCommit, newTNode(10, n, nil))
 			return n
@@ -567,9 +564,6 @@ func TestLLXInEveryRecordState(t *testing.T) {
 	for _, tc := range cases {
 		for _, ep := range llxEntryPoints {
 			t.Run(tc.name+"/"+ep.name, func(t *testing.T) {
-				if tc.chaos && sched.Enabled {
-					t.Skip("chaos injection is disabled under -tags sched")
-				}
 				g := epoch.Pin()
 				defer epoch.Unpin(g)
 				n := tc.setup(t, g)
@@ -781,13 +775,10 @@ func TestConcurrentFixedAndPooledSCXStress(t *testing.T) {
 // that dies must leave its slot free, and the next SCX is whoever pins that
 // slot next.
 func TestOrphanedSCXIsFinishedBeforeReuse(t *testing.T) {
-	if sched.Enabled {
-		t.Skip("chaos injection is disabled under -tags sched")
-	}
 	// A 50% panic rate at the freezing CAS abandons SCXs with none or one of
 	// their two records frozen, depending on the seed; a certain panic at
 	// the mark step abandons them with everything frozen and nothing marked.
-	policies := map[string]map[sched.PointID]chaos.PointPolicy{
+	policies := map[string]map[sched.PointID]sched.ChaosPolicy{
 		"freeze": {sched.PointSCXFreeze: {Panic: 500_000}},
 		"mark":   {sched.PointSCXMark: {Panic: 1_000_000}},
 	}
@@ -812,7 +803,7 @@ func TestOrphanedSCXIsFinishedBeforeReuse(t *testing.T) {
 
 // orphanRound runs one abandon-then-reuse round and returns how many of the
 // orphan's records were frozen when its initiator died (-1 if it survived).
-func orphanRound(t *testing.T, pinned bool, points map[sched.PointID]chaos.PointPolicy, seed int64) int {
+func orphanRound(t *testing.T, pinned bool, points map[sched.PointID]sched.ChaosPolicy, seed int64) int {
 	t.Helper()
 	var g *epoch.Guard
 	if pinned {
@@ -833,14 +824,14 @@ func orphanRound(t *testing.T, pinned bool, points map[sched.PointID]chaos.Point
 	lkRoot, _ := LLX(root)
 	lkChild, _ := LLX(child)
 
-	if err := chaos.Enable(chaos.Config{Seed: seed, Points: points}); err != nil {
+	if err := sched.EnableChaos(sched.ChaosConfig{Seed: seed, Points: points}); err != nil {
 		t.Fatal(err)
 	}
 	// attempt runs one SCX and reports whether a chaos panic unwound it.
 	attempt := func(lks []Linked[tnode], fin []*tnode, fld *atomic.Pointer[tnode], old, new *tnode) (ok, died bool) {
 		defer func() {
 			if r := recover(); r != nil {
-				if _, isChaos := r.(chaos.Panic); !isChaos {
+				if _, isChaos := r.(sched.ChaosPanic); !isChaos {
 					panic(r)
 				}
 				died = true
@@ -848,10 +839,10 @@ func orphanRound(t *testing.T, pinned bool, points map[sched.PointID]chaos.Point
 		}()
 		return scx(lks, fin, fld, old, new), false
 	}
-	w := chaos.Register(0)
+	w := sched.RegisterChaos(0)
 	_, died := attempt([]Linked[tnode]{lkRoot, lkChild}, []*tnode{child}, &root.left, child, repl)
 	w.Close()
-	chaos.Disable()
+	sched.DisableChaos()
 	if !died {
 		return -1
 	}

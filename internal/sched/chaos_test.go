@@ -1,29 +1,18 @@
-package chaos
+package sched
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/sched"
 )
 
-// skipUnderSched skips chaos tests in the `-tags sched` build, where arming
-// is deliberately inert (the deterministic controller owns the points).
-func skipUnderSched(t *testing.T) {
-	t.Helper()
-	if sched.Enabled {
-		t.Skip("chaos injection is disabled under -tags sched")
-	}
-}
-
-// crossAll drives every instrumentation point n times through the armed
-// hook on the calling goroutine.
+// crossAll crosses every instrumentation point n times on the calling
+// goroutine.
 func crossAll(n int) {
 	for i := 0; i < n; i++ {
-		for p := 0; p < sched.NumPoints; p++ {
-			sched.Point(sched.PointID(p))
+		for p := PointID(0); p < numPoints; p++ {
+			Point(p)
 		}
 	}
 }
@@ -31,33 +20,32 @@ func crossAll(n int) {
 // TestSeededDeterminism pins the replay contract: the same (seed, worker
 // id, point sequence) produces the same injection counts.
 func TestSeededDeterminism(t *testing.T) {
-	skipUnderSched(t)
-	run := func() Stats {
-		if err := Enable(Config{Seed: 42, Default: PointPolicy{Delay: 40_000, Preempt: 40_000}, DelaySpins: 1}); err != nil {
+	run := func() ChaosStats {
+		if err := EnableChaos(ChaosConfig{Seed: 42, Default: ChaosPolicy{Delay: 40_000, Preempt: 40_000}, DelaySpins: 1}); err != nil {
 			t.Fatal(err)
 		}
-		defer Disable()
-		w := Register(7)
+		defer DisableChaos()
+		w := RegisterChaos(7)
 		defer w.Close()
 		crossAll(2_000)
-		return ReadStats()
+		return ReadChaosStats()
 	}
 	a := run()
 	b := run()
-	if a == (Stats{}) {
+	if a == (ChaosStats{}) {
 		t.Fatal("no injections at 4% rates over 24k crossings")
 	}
 	if a != b {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
-	if err := Enable(Config{Seed: 43, Default: PointPolicy{Delay: 40_000, Preempt: 40_000}, DelaySpins: 1}); err != nil {
+	if err := EnableChaos(ChaosConfig{Seed: 43, Default: ChaosPolicy{Delay: 40_000, Preempt: 40_000}, DelaySpins: 1}); err != nil {
 		t.Fatal(err)
 	}
-	w := Register(7)
+	w := RegisterChaos(7)
 	crossAll(2_000)
-	c := ReadStats()
+	c := ReadChaosStats()
 	w.Close()
-	Disable()
+	DisableChaos()
 	if a == c {
 		t.Fatalf("different seeds produced identical stats %+v (suspicious RNG wiring)", a)
 	}
@@ -66,13 +54,12 @@ func TestSeededDeterminism(t *testing.T) {
 // TestUnregisteredGoroutineUntouched: arming chaos must not perturb
 // goroutines that never registered.
 func TestUnregisteredGoroutineUntouched(t *testing.T) {
-	skipUnderSched(t)
-	if err := Enable(Config{Seed: 1, Default: PointPolicy{Panic: 1_000_000}}); err != nil {
+	if err := EnableChaos(ChaosConfig{Seed: 1, Default: ChaosPolicy{Panic: 1_000_000}}); err != nil {
 		t.Fatal(err)
 	}
-	defer Disable()
+	defer DisableChaos()
 	crossAll(50) // would panic on the first crossing if the roll applied
-	if s := ReadStats(); s.Panics != 0 {
+	if s := ReadChaosStats(); s.Panics != 0 {
 		t.Fatalf("unregistered goroutine drew %d panics", s.Panics)
 	}
 }
@@ -81,37 +68,35 @@ func TestUnregisteredGoroutineUntouched(t *testing.T) {
 // allowed point with the typed value, and never fires at the excluded
 // bracket-interior points even when explicitly requested.
 func TestPanicInjectionAndExclusion(t *testing.T) {
-	skipUnderSched(t)
-	if err := Enable(Config{
+	if err := EnableChaos(ChaosConfig{
 		Seed:    9,
-		Default: PointPolicy{Panic: 1_000_000},
+		Default: ChaosPolicy{Panic: 1_000_000},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	defer Disable()
-	w := Register(0)
+	defer DisableChaos()
+	w := RegisterChaos(0)
 	defer w.Close()
 
-	for p := 0; p < sched.NumPoints; p++ {
-		id := sched.PointID(p)
+	for id := PointID(0); id < numPoints; id++ {
 		func() {
 			defer func() {
 				r := recover()
-				if excluded[p] {
+				if points[id].bracket {
 					if r != nil {
 						t.Fatalf("panic injected at excluded point %v: %v", id, r)
 					}
 					return
 				}
-				pv, ok := r.(Panic)
+				pv, ok := r.(ChaosPanic)
 				if !ok {
-					t.Fatalf("point %v: recovered %#v, want chaos.Panic", id, r)
+					t.Fatalf("point %v: recovered %#v, want ChaosPanic", id, r)
 				}
 				if pv.Point != id {
 					t.Fatalf("panic value names point %v, fired at %v", pv.Point, id)
 				}
 			}()
-			sched.Point(id)
+			Point(id)
 		}()
 	}
 }
@@ -119,15 +104,14 @@ func TestPanicInjectionAndExclusion(t *testing.T) {
 // TestAbandonReleaseAndCap: abandoned workers park until released, and the
 // MaxAbandoned cap keeps survivors running.
 func TestAbandonReleaseAndCap(t *testing.T) {
-	skipUnderSched(t)
-	if err := Enable(Config{
+	if err := EnableChaos(ChaosConfig{
 		Seed:         5,
-		Default:      PointPolicy{Abandon: 1_000_000},
+		Default:      ChaosPolicy{Abandon: 1_000_000},
 		MaxAbandoned: 2,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	defer Disable()
+	defer DisableChaos()
 
 	const workers = 5
 	var through atomic.Int32
@@ -136,12 +120,12 @@ func TestAbandonReleaseAndCap(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := Register(i)
+			w := RegisterChaos(i)
 			defer w.Close()
 			// With Abandon at 100% and a cap of 2, exactly two of these
 			// crossings park; the other three fall through the cap check
 			// and return immediately.
-			sched.Point(sched.PointLLX)
+			Point(PointLLX)
 			through.Add(1)
 		}(i)
 	}
@@ -159,7 +143,7 @@ func TestAbandonReleaseAndCap(t *testing.T) {
 	if n := AbandonedCount(); n != 0 {
 		t.Fatalf("AbandonedCount() = %d after release", n)
 	}
-	if s := ReadStats(); s.Abandons != 2 {
+	if s := ReadChaosStats(); s.Abandons != 2 {
 		t.Fatalf("Abandons = %d, want 2", s.Abandons)
 	}
 }
@@ -167,61 +151,58 @@ func TestAbandonReleaseAndCap(t *testing.T) {
 // TestDisableReleasesParked: Disable must wake parked workers itself so a
 // run cannot leak goroutines.
 func TestDisableReleasesParked(t *testing.T) {
-	skipUnderSched(t)
-	if err := Enable(Config{Seed: 5, Default: PointPolicy{Abandon: 1_000_000}, MaxAbandoned: 1}); err != nil {
+	if err := EnableChaos(ChaosConfig{Seed: 5, Default: ChaosPolicy{Abandon: 1_000_000}, MaxAbandoned: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		w := Register(0)
+		w := RegisterChaos(0)
 		defer w.Close()
-		sched.Point(sched.PointSCXFreeze)
+		Point(PointSCXFreeze)
 	}()
 	for AbandonedCount() != 1 {
 		runtime.Gosched()
 	}
-	Disable()
+	DisableChaos()
 	wg.Wait() // would hang if Disable left the worker parked
-	if Armed() {
-		t.Fatal("Armed() after Disable")
+	if activeRun.Load() != nil {
+		t.Fatal("a run is still active after DisableChaos")
 	}
 }
 
 // TestDropHelp: the drop-help roll honours its rate and counts drops.
 func TestDropHelp(t *testing.T) {
-	skipUnderSched(t)
-	if err := Enable(Config{Seed: 3, DropHelp: 500_000}); err != nil {
+	if err := EnableChaos(ChaosConfig{Seed: 3, DropHelp: 500_000}); err != nil {
 		t.Fatal(err)
 	}
-	defer Disable()
-	w := Register(0)
+	defer DisableChaos()
+	w := RegisterChaos(0)
 	defer w.Close()
 	drops := 0
 	const n = 4_000
 	for i := 0; i < n; i++ {
-		if sched.ChaosDropHelp() {
+		if ChaosDropHelp() {
 			drops++
 		}
 	}
 	if drops < n/3 || drops > 2*n/3 {
 		t.Fatalf("drop-help fired %d/%d times at a 50%% rate", drops, n)
 	}
-	if s := ReadStats(); int(s.DropHelps) != drops {
+	if s := ReadChaosStats(); int(s.DropHelps) != drops {
 		t.Fatalf("DropHelps stat %d != observed %d", s.DropHelps, drops)
 	}
 }
 
-// TestDoubleEnable: a second Enable while a run is active errors instead of
+// TestDoubleEnable: a second EnableChaos while a run is active errors instead of
 // clobbering the active policy table.
 func TestDoubleEnable(t *testing.T) {
-	skipUnderSched(t)
-	if err := Enable(Config{Seed: 1}); err != nil {
+	if err := EnableChaos(ChaosConfig{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	defer Disable()
-	if err := Enable(Config{Seed: 2}); err == nil {
-		t.Fatal("second Enable succeeded")
+	defer DisableChaos()
+	if err := EnableChaos(ChaosConfig{Seed: 2}); err == nil {
+		t.Fatal("second EnableChaos succeeded")
 	}
 }

@@ -1,5 +1,3 @@
-//go:build sched
-
 package sched
 
 import (
@@ -32,26 +30,14 @@ type Controller struct {
 	branches []int // runnable-worker count at each decision
 	trace    []string
 
-	workers   []*worker
+	workers   []*Worker
 	events    chan event
 	abandoned atomic.Bool
 	ran       bool
 }
 
-type worker struct {
-	c      *Controller
-	name   string
-	resume chan struct{}
-	// ready, when non-nil, marks the worker wait-blocked (parked in
-	// WaitZero): the controller keeps it out of the runnable set until the
-	// predicate reports true. Written by the worker goroutine strictly
-	// before it parks and read by the controller goroutine strictly after
-	// it receives the park event, so no lock is needed.
-	ready func() bool
-}
-
 type event struct {
-	w        *worker
+	w        *Worker
 	parked   bool // else finished
 	point    PointID
 	panicked any
@@ -63,25 +49,24 @@ func (c *Controller) Go(name string, fn func()) {
 	if c.ran {
 		panic("sched: Controller.Go after Run")
 	}
-	w := &worker{c: c, name: name, resume: make(chan struct{})}
+	w := &Worker{c: c, name: name, resume: make(chan struct{})}
 	c.workers = append(c.workers, w)
 	go func() {
 		<-w.resume
-		id := GoID()
-		registry.Store(id, w)
-		defer registry.Delete(id)
+		register(w) // a fresh goroutine: nobody else can own it
 		var panicked any
 		func() {
 			defer func() { panicked = recover() }()
 			fn()
 		}()
+		unregister() // before the event: Run returns with none of its workers registered
 		c.events <- event{w: w, panicked: panicked}
 	}()
 }
 
 // park suspends the calling worker at point id until the controller
 // schedules it again. Called from Point.
-func (w *worker) park(id PointID) {
+func (w *Worker) park(id PointID) {
 	if w.c.abandoned.Load() {
 		return
 	}
@@ -99,8 +84,6 @@ func (c *Controller) Run() error {
 	}
 	c.ran = true
 	c.events = make(chan event, len(c.workers))
-	active.Add(1)
-	defer active.Add(-1)
 
 	maxSteps := c.maxSteps
 	if maxSteps <= 0 {
@@ -163,7 +146,7 @@ func (c *Controller) Run() error {
 // concurrently) to completion: subsequent Points are pass-throughs. Used
 // when a run trips the step bound; determinism is already lost, the goal is
 // only not to leak blocked goroutines.
-func (c *Controller) abandon(runnable []*worker) {
+func (c *Controller) abandon(runnable []*Worker) {
 	c.abandoned.Store(true)
 	for _, w := range runnable {
 		w.resume <- struct{}{}
@@ -203,9 +186,9 @@ type Violation struct {
 	Err      error
 }
 
-// exploreMu serializes explorations process-wide: the registry, the active
-// counter and the fault knobs are global, so two concurrent enumerations
-// would corrupt each other's schedules.
+// exploreMu serializes explorations process-wide: the seeded mutations are
+// global, so an enumeration that arms one must not overlap another that
+// expects the healthy protocol.
 var exploreMu sync.Mutex
 
 // Explore enumerates schedules of the operation set constructed by body.

@@ -1,5 +1,3 @@
-//go:build sched
-
 package sched
 
 import (
@@ -187,25 +185,5 @@ func TestNextPrefix(t *testing.T) {
 		if !slices.Equal(got, tc.want) {
 			t.Fatalf("nextPrefix(%v, %v) = %v, want %v", tc.taken, tc.branches, got, tc.want)
 		}
-	}
-}
-
-// TestKnobsRoundTrip: the mutation knobs must arm and disarm.
-func TestKnobsRoundTrip(t *testing.T) {
-	SetDropFreeze(true)
-	if !DropFreeze() {
-		t.Fatal("DropFreeze did not arm")
-	}
-	SetDropFreeze(false)
-	if DropFreeze() {
-		t.Fatal("DropFreeze did not disarm")
-	}
-	SetPrematureFree(true)
-	if !PrematureFree() {
-		t.Fatal("PrematureFree did not arm")
-	}
-	SetPrematureFree(false)
-	if PrematureFree() {
-		t.Fatal("PrematureFree did not disarm")
 	}
 }

@@ -1,40 +1,41 @@
-// Package sched provides deterministic schedule exploration and fault
-// injection for the LLX/SCX stack's concurrency tests.
+// Package sched is the instrumentation layer of the LLX/SCX stack's
+// concurrency tests: one table of protocol points, one registry of the
+// goroutines that are perturbed at them, and two drivers over both.
 //
 // The protocol layers (internal/llxscx, internal/epoch, internal/vcell and
 // the trees' overwrite paths) call Point at the steps where interleaving
 // matters: before a helper reads a descriptor, before a freezing CAS, before
 // marking, before the update CAS and the commit CAS, inside a vcell publish
 // bracket and before the publish itself, and at epoch retire/advance
-// boundaries. In the default build these calls compile to empty inlined
-// functions — the production binaries and the ordinary test suites pay
-// nothing for them. Building with
+// boundaries. A Point is one atomic load of the count of registered
+// goroutines and a branch that is never taken while that count is zero,
+// which is all production code and the ordinary test suites pay for it.
 //
-//	go test -tags sched
+// A goroutine is registered by exactly one driver, and only registered
+// goroutines are ever touched:
 //
-// turns each Point into a potential preemption: a test hands a set of
-// operations to a Controller, which runs exactly one of them at a time and
-// decides, at every reached point, which operation runs next. Explore then
-// enumerates every schedule of a bounded conflict window by depth-first
-// search over those decisions, replaying the operations from scratch for
-// each one. Because the structures under test are lock-free (a stalled SCX
-// is completed by whoever trips over it), running a single operation at a
-// time can never deadlock the system: helping substitutes for the parked
-// goroutine.
+//   - A Controller (controller.go) runs a set of operations one at a time
+//     and decides, at every point one of them reaches, which runs next.
+//     Explore enumerates every schedule of a bounded conflict window by
+//     depth-first search over those decisions, replaying the operations from
+//     scratch for each one. Because the structures under test are lock-free
+//     (a stalled SCX is completed by whoever trips over it), running a
+//     single operation at a time can never deadlock the system: helping
+//     substitutes for the parked goroutine.
+//   - A chaos run (chaos.go) samples the unbounded space instead: every
+//     point a registered goroutine crosses rolls, from a seeded per-worker
+//     stream, a delay, a preemption, a panic or an indefinite park.
 //
-// The same build tag arms the fault knobs (SetDropFreeze, SetSkipValidate,
-// SetSkipMarkedRead, SetPrematureFree, SetReuseRedecoratedLeaf,
-// SetKeepSiblingDeco) that the self-tests use to seed protocol mutations —
-// skipping the first freezing CAS of an SCX, trusting a reused descriptor's
-// fields without re-validating its sequence number, an LLX that does not read
-// the finalized flag, freeing epoch-retired memory one epoch early, or ignoring
-// a decoration the balancing policy assigned in an insertion or a deletion —
-// and prove that the linearizability checker, the reclamation tests and the
-// per-operation invariant checks actually catch them. The tag follows
-// the reclaimcheck convention (see internal/epoch).
+// SetMutation seeds the protocol mutations the self-tests use to prove that
+// the linearizability checker, the reclamation tests and the per-operation
+// invariant checks have teeth (see Mutation).
 package sched
 
-import "runtime"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // PointID identifies one instrumented protocol step. The constants below
 // are the complete set of yield/fault points compiled into the stack; a
@@ -85,8 +86,8 @@ const (
 	PointSnapPublish
 	// PointSnapDrain identifies Snapshot()'s post-version-read wait for the
 	// in-flight publish windows (fast-path value publishes and stamp→install
-	// brackets) to drain. It is a WaitZero site, not a Point: in the sched
-	// build the capture parks here until the counter's holders have run.
+	// brackets) to drain. It is a WaitZero site, not a Point: a capture that a
+	// controller owns parks here until the counter's holders have run.
 	PointSnapDrain
 	// PointVCellDrain identifies a finalizer's post-commit wait for a
 	// cell's publish brackets to drain before it loads the displaced value
@@ -95,63 +96,220 @@ const (
 	PointVCellDrain
 	// PointLLXRecheck fires in LLX between the reads of the record's mutable
 	// fields and the re-read of its info word that validates them: an SCX
-	// that runs while an LLX is parked here makes that LLX fail. Only the
-	// sched build has it (the default build's LLX pays for one point, at its
-	// top), so chaos never sees it. It is last so that the older points keep
-	// their numbers.
+	// that runs while an LLX is parked here makes that LLX fail. It is last so
+	// that the older points keep their numbers.
 	PointLLXRecheck
 
 	numPoints
 )
 
-// NumPoints is the number of defined instrumentation points. Layers that
-// keep per-point state (internal/chaos's policy and counter tables) size
-// their arrays with it.
-const NumPoints = int(numPoints)
+// points is the point table. bracket marks the points inside a publish
+// bracket (vcell publish and mark re-check, version stamp, the stamped SCX's
+// update CAS) or Snapshot()'s capture window: a goroutine lost there holds a
+// counter or a live-snapshot registration that nothing else can release,
+// wedging every later capture, so chaos injects no panic and no abandonment
+// at them. That is a failure the real runtime cannot produce (the bracket
+// body makes no call that can panic, and the runtime never abandons a
+// goroutine that is not blocked). Delays and preemption are allowed
+// everywhere; they are what the enumerations explore at these points.
+var points = [numPoints]struct {
+	name    string
+	bracket bool
+}{
+	PointLLX:          {name: "llx"},
+	PointSCXFreeze:    {name: "scx-freeze"},
+	PointSCXRead:      {name: "scx-read"},
+	PointSCXMark:      {name: "scx-mark"},
+	PointSCXUpdate:    {name: "scx-update", bracket: true},
+	PointSCXCommit:    {name: "scx-commit"},
+	PointVCellPublish: {name: "vcell-publish", bracket: true},
+	PointVCellRecheck: {name: "vcell-recheck", bracket: true},
+	PointEpochRetire:  {name: "epoch-retire"},
+	PointEpochAdvance: {name: "epoch-advance"},
+	PointVerStamp:     {name: "ver-stamp", bracket: true},
+	PointSnapPublish:  {name: "snap-publish", bracket: true},
+	PointSnapDrain:    {name: "snap-drain", bracket: true},
+	PointVCellDrain:   {name: "vcell-drain"},
+	PointLLXRecheck:   {name: "llx-recheck"},
+}
 
 // String returns the point's name for traces and failure reports.
 func (p PointID) String() string {
-	switch p {
-	case PointLLX:
-		return "llx"
-	case PointSCXFreeze:
-		return "scx-freeze"
-	case PointSCXRead:
-		return "scx-read"
-	case PointSCXMark:
-		return "scx-mark"
-	case PointSCXUpdate:
-		return "scx-update"
-	case PointSCXCommit:
-		return "scx-commit"
-	case PointVCellPublish:
-		return "vcell-publish"
-	case PointVCellRecheck:
-		return "vcell-recheck"
-	case PointEpochRetire:
-		return "epoch-retire"
-	case PointEpochAdvance:
-		return "epoch-advance"
-	case PointVerStamp:
-		return "ver-stamp"
-	case PointSnapPublish:
-		return "snap-publish"
-	case PointSnapDrain:
-		return "snap-drain"
-	case PointVCellDrain:
-		return "vcell-drain"
-	case PointLLXRecheck:
-		return "llx-recheck"
-	default:
+	if p < 0 || p >= numPoints {
 		return "unknown"
+	}
+	return points[p].name
+}
+
+// A Worker is the registry's record of one instrumented goroutine. Exactly
+// one driver owns it: c is set for an operation a Controller parks and
+// resumes, run for a goroutine a chaos run rolls faults against.
+type Worker struct {
+	c      *Controller
+	name   string
+	resume chan struct{}
+	// ready, when non-nil, marks the worker wait-blocked (parked in
+	// WaitZero): the controller keeps it out of the runnable set until the
+	// predicate reports true. Written by the worker goroutine strictly
+	// before it parks and read by the controller goroutine strictly after
+	// it receives the park event, so no lock is needed.
+	ready func() bool
+
+	run *chaosRun
+	rng uint64 // splitmix64 state; touched only by the owning goroutine
+}
+
+// workers maps the goroutine id of every registered goroutine to its record.
+// Goroutines not in it (the test harness, runtime goroutines, the epoch
+// watchdog) pass through every point untouched.
+var workers sync.Map // goid int64 -> *Worker
+
+// registered counts the entries of workers. It is the only word Point,
+// WaitZero and ChaosDropHelp load before they return, so phases that run
+// with nobody registered (production, benchmark prefill and drain, the
+// stress harnesses' verification passes) never resolve a goroutine id.
+var registered atomic.Int32
+
+// register enters the calling goroutine into the registry as w. A goroutine
+// has one owner: it reports false, and changes nothing, if the goroutine is
+// registered already.
+func register(w *Worker) bool {
+	if _, dup := workers.LoadOrStore(goID(), w); dup {
+		return false
+	}
+	registered.Add(1)
+	return true
+}
+
+// unregister removes the calling goroutine, which must be registered.
+func unregister() {
+	workers.Delete(goID())
+	registered.Add(-1)
+}
+
+// self returns the calling goroutine's record, or nil.
+func self() *Worker {
+	if v, ok := workers.Load(goID()); ok {
+		return v.(*Worker)
+	}
+	return nil
+}
+
+// Point is a potential preemption or fault point. A goroutine no driver
+// registered returns at once; a Controller's worker parks here, if the
+// controller's point filter admits id, until it is scheduled again; a chaos
+// worker rolls its policy for id.
+func Point(id PointID) {
+	if registered.Load() != 0 {
+		point(id)
 	}
 }
 
-// GoID returns the calling goroutine's id, parsed from the first line of its
-// stack trace ("goroutine 123 [running]:"). The controller's worker registry
-// and internal/chaos's both key on it; it costs a runtime.Stack call, which
-// only a running controller or armed chaos pays.
-func GoID() int64 {
+func point(id PointID) {
+	w := self()
+	switch {
+	case w == nil: // somebody is registered, but not this goroutine
+	case w.c == nil:
+		w.roll(id)
+	case w.c.filter == nil || w.c.filter(id):
+		w.park(id)
+	}
+}
+
+// WaitZero waits until the counter drains to zero. Protocol code must use it
+// (never a bare spin) for any wait whose progress depends on another thread
+// passing an instrumentation point. For a goroutine a running controller
+// owns this is NOT a free spin: one worker runs at a time, so spinning
+// against a counter held by a parked sibling would hang the enumeration.
+// Instead the worker parks as wait-blocked and the controller excludes it
+// from the runnable set until the counter is zero, which forces the schedule
+// to run the counter's holder first. The wait is not a scheduling decision
+// of its own (the controller has no choice to make about a blocked worker),
+// so it does not blow up the schedule space. Everyone else (unregistered
+// goroutines, chaos workers, the concurrently running workers of an
+// abandoned run) yields until the counter is zero.
+func WaitZero(id PointID, v *atomic.Int64) {
+	if v.Load() == 0 {
+		return
+	}
+	if registered.Load() != 0 {
+		if w := self(); w != nil && w.c != nil {
+			w.ready = func() bool { return v.Load() == 0 }
+			w.park(id)
+			w.ready = nil
+		}
+	}
+	// A worker rescheduled with the counter still held was abandoned
+	// mid-wait.
+	for v.Load() != 0 {
+		runtime.Gosched()
+	}
+}
+
+// ChaosDropHelp reports whether the calling goroutine should skip one
+// optional helping step (LLX's help-on-failure). The protocol layers query
+// it only at steps whose omission is progress-neutral: helping there is an
+// optimization, and lock-freedom is preserved because the failed operation
+// retries and helps on its next attempt. Only a chaos worker ever draws
+// true.
+func ChaosDropHelp() bool {
+	return registered.Load() != 0 && dropHelp()
+}
+
+// A Mutation is a seeded protocol bug. The self-tests arm one, run the
+// checker that is supposed to notice, and require that it does. The set is
+// process-global: a test that arms a mutation must not run in parallel with
+// other tests (Explore already serializes itself) and must disarm it before
+// it returns.
+type Mutation uint32
+
+const (
+	// DropFreeze makes help() skip the freezing CAS on the first record of
+	// every SCX's V sequence.
+	DropFreeze Mutation = 1 << iota
+	// SkipValidate makes a helper use the fields it copied out of a reusable
+	// SCX descriptor without re-checking that the descriptor still belongs
+	// to the SCX it set out to help.
+	SkipValidate
+	// SkipMarkedRead makes LLX take a record's finalized flag to be clear, so
+	// it hands out snapshots of records a committed SCX has removed.
+	SkipMarkedRead
+	// PrematureFree makes epoch reclamation free objects after one epoch
+	// advance instead of two (the E+1 bug the grace-period argument in
+	// DESIGN.md rules out).
+	PrematureFree
+	// ReuseRedecoratedLeaf makes the tree engine's insertion keep the old
+	// leaf as a child of the new internal node even when the policy assigned
+	// it a different decoration (an overweight chromatic leaf, which must be
+	// replaced by a weight-one copy).
+	ReuseRedecoratedLeaf
+	// KeepSiblingDeco makes the sibling a deletion promotes keep its own
+	// decoration instead of the one the policy computes (for a chromatic
+	// tree, its weight plus its removed parent's).
+	KeepSiblingDeco
+)
+
+var mutations atomic.Uint32
+
+// SetMutation arms or disarms m.
+func SetMutation(m Mutation, on bool) {
+	if on {
+		mutations.Or(uint32(m))
+	} else {
+		mutations.And(^uint32(m))
+	}
+}
+
+// Mutated reports whether m is armed. The protocol layers read it where the
+// surrounding condition is already rare, or at most once per SCX, deletion
+// or drain.
+func Mutated(m Mutation) bool { return mutations.Load()&uint32(m) != 0 }
+
+// goID returns the calling goroutine's id, parsed from the first line of its
+// stack trace ("goroutine 123 [running]:"). The registry keys on it; it
+// costs a runtime.Stack call, which is paid only while a driver has
+// goroutines registered.
+func goID() int64 {
 	var buf [64]byte
 	s := buf[:runtime.Stack(buf[:], false)]
 	const prefix = "goroutine "

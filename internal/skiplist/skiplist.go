@@ -365,6 +365,18 @@ func (l *List[K, V]) Insert(key K, value V) (V, bool) {
 		// Link the remaining levels, re-finding on interference.
 		for level := 1; level <= topLevel; level++ {
 			for {
+				// The new node must point at the successor it is linked in
+				// front of, so that the link preserves the list order. A
+				// re-find at a lower level replaced succs at every level, so
+				// this is checked before each attempt, not only after a
+				// failed one; only a deletion's mark can make the CAS fail.
+				ref := fresh.next[level].Load()
+				if ref.marked {
+					return zero, false
+				}
+				if ref.succ != succs[level] && !fresh.next[level].CompareAndSwap(ref, &succRef[K, V]{succ: succs[level]}) {
+					return zero, false
+				}
 				if casLink(preds[level], level, succs[level], fresh) {
 					break
 				}
@@ -373,17 +385,6 @@ func (l *List[K, V]) Insert(key K, value V) (V, bool) {
 					// The new node was deleted before we finished building
 					// its tower; stop linking upper levels.
 					return zero, false
-				}
-				// Refresh the expected successor of the new node at this
-				// level so the link preserves the list order.
-				ref := fresh.next[level].Load()
-				if ref.marked {
-					return zero, false
-				}
-				if ref.succ != succs[level] {
-					if !fresh.next[level].CompareAndSwap(ref, &succRef[K, V]{succ: succs[level]}) {
-						return zero, false
-					}
 				}
 			}
 		}

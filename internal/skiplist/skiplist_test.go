@@ -138,6 +138,20 @@ func TestConcurrentStress(t *testing.T) {
 	dicttest.ConcurrentStress(t, target(), 8, 4000, 400)
 }
 
+// TestTowerLinkedInFrontOfItsOwnSuccessor repeats the stress above. An insert
+// that re-finds while it links its tower gets fresh successors for every
+// level, and must point the new node at the successor of the level it links
+// next, not at the one it started with: linking in front of the stale one
+// unlinks, from that level only, a node that arrived in between, which the
+// quiescent check reports as "tower node missing from lower level". One round
+// hit that about once in twenty before Insert refreshed the link ahead of
+// every casLink; a hundred rounds miss it less than once in a hundred.
+func TestTowerLinkedInFrontOfItsOwnSuccessor(t *testing.T) {
+	for round := 0; round < 100 && !t.Failed(); round++ {
+		dicttest.ConcurrentStress(t, target(), 8, 4000, 400)
+	}
+}
+
 func TestConcurrentContention(t *testing.T) {
 	l := New()
 	const goroutines = 16

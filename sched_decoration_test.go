@@ -1,5 +1,3 @@
-//go:build sched
-
 package repro
 
 // Seeded mutations of the one place where the tree engine acts on a
@@ -60,19 +58,19 @@ func firstFuzzFailure(t *testing.T, name string) string {
 func TestDecorationMutationsCaught(t *testing.T) {
 	for _, tc := range []struct {
 		name, tree string
-		arm        func(bool)
+		mutation   sched.Mutation
 	}{
 		// An overweight leaf only survives until the next insertion beside it
 		// where violations are tolerated, so this one needs Chromatic6.
-		{"insertion reuses an overweight old leaf", "Chromatic6", sched.SetReuseRedecoratedLeaf},
-		{"promoted sibling keeps its own weight", "Chromatic", sched.SetKeepSiblingDeco},
+		{"insertion reuses an overweight old leaf", "Chromatic6", sched.ReuseRedecoratedLeaf},
+		{"promoted sibling keeps its own weight", "Chromatic", sched.KeepSiblingDeco},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if msg := firstFuzzFailure(t, tc.tree); msg != "" {
 				t.Fatalf("the healthy engine fails the per-operation fuzz: %s", msg)
 			}
-			tc.arm(true)
-			defer tc.arm(false)
+			sched.SetMutation(tc.mutation, true)
+			defer sched.SetMutation(tc.mutation, false)
 			msg := firstFuzzFailure(t, tc.tree)
 			if !strings.Contains(msg, "unequal weighted path lengths") {
 				t.Fatalf("mutation not caught as unequal weighted path lengths; first failure: %q", msg)

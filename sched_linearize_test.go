@@ -275,8 +275,8 @@ func TestDroppedFreezeMutationCaught(t *testing.T) {
 	})
 
 	t.Run("mutated-protocol", func(t *testing.T) {
-		sched.SetDropFreeze(true)
-		defer sched.SetDropFreeze(false)
+		sched.SetMutation(sched.DropFreeze, true)
+		defer sched.SetMutation(sched.DropFreeze, false)
 		schedules, violations := sched.Explore(sched.Options{
 			Points:          points,
 			MaxSchedules:    20000,
@@ -353,8 +353,8 @@ func TestSkippedMarkedReadMutationCaught(t *testing.T) {
 	})
 
 	t.Run("mutated-protocol", func(t *testing.T) {
-		sched.SetSkipMarkedRead(true)
-		defer sched.SetSkipMarkedRead(false)
+		sched.SetMutation(sched.SkipMarkedRead, true)
+		defer sched.SetMutation(sched.SkipMarkedRead, false)
 		schedules, violations := sched.Explore(sched.Options{
 			Points:          points,
 			MaxSchedules:    20000,
@@ -463,8 +463,8 @@ func TestStaleHelperWindow(t *testing.T) {
 	})
 
 	t.Run("mutated-protocol", func(t *testing.T) {
-		sched.SetSkipValidate(true)
-		defer sched.SetSkipValidate(false)
+		sched.SetMutation(sched.SkipValidate, true)
+		defer sched.SetMutation(sched.SkipValidate, false)
 		schedules, violations := sched.Explore(sched.Options{
 			Points:          points,
 			MaxSchedules:    50000,
