@@ -29,6 +29,7 @@ import (
 	"repro/internal/ebst"
 	"repro/internal/lockavl"
 	"repro/internal/ravl"
+	"repro/internal/sched"
 	"repro/internal/seqrbt"
 	"repro/internal/skiplist"
 	"repro/internal/stmrbt"
@@ -541,11 +542,14 @@ func FuzzOrderedMapAgainstModel(f *testing.F) {
 // TestFuzzSeedCorpusReachesEveryStep runs the seed corpus through the same
 // per-operation-checked interpreter as the fuzz target and reads the trees'
 // step counters afterwards: every chromatic rebalancing step and every
-// relaxed AVL step a sequential run can reach must have fired at least once,
-// so each of them has been followed by an invariant check. The two child
-// height fixes of the relaxed AVL tree need a stale height below an
-// unbalanced node, which only concurrent updates leave behind; internal/ravl
-// covers them (TestCleanupFixesStaleChildHeightFirst).
+// relaxed AVL step must have fired at least once, on both of its sides, so
+// each of them has been followed by an invariant check. The two child height
+// fixes of the relaxed AVL tree need a stale height below an unbalanced node,
+// which no sequential run of complete operations leaves behind: one update
+// creates one violation and its own cleanup walks it up to the root. They are
+// reached by the two scripts of staleChildHeightScripts instead, in which a
+// deleter dies between its SCX and its cleanup (internal/ravl reaches them a
+// third way, by holding cleanups back: TestCleanupFixesStaleChildHeightFirst).
 func TestFuzzSeedCorpusReachesEveryStep(t *testing.T) {
 	var chromatics []*chromatic.Tree[int64, int64]
 	var ravls []*ravl.Tree[int64, int64]
@@ -568,6 +572,11 @@ func TestFuzzSeedCorpusReachesEveryStep(t *testing.T) {
 			dicttest.FuzzOps(t, tgt, data)
 		}
 	}
+	for _, tgt := range targets {
+		if tgt.Name == "RAVL" {
+			staleChildHeightScripts(t, tgt)
+		}
+	}
 	fired := map[string]int64{}
 	for _, tr := range chromatics {
 		s := tr.Stats()
@@ -585,23 +594,86 @@ func TestFuzzSeedCorpusReachesEveryStep(t *testing.T) {
 	for _, tr := range ravls {
 		s := tr.Stats()
 		for name, c := range map[string]*atomic.Int64{
-			"RAVL height fix":       &s.HeightFixes,
-			"RAVL single rotation":  &s.SingleRotations,
-			"RAVL single rotation*": &s.MirrorSingleRotations,
-			"RAVL double rotation":  &s.DoubleRotations,
-			"RAVL double rotation*": &s.MirrorDoubleRotations,
+			"RAVL height fix":        &s.HeightFixes,
+			"RAVL child height fix":  &s.ChildHeightFixes,
+			"RAVL child height fix*": &s.MirrorChildHeightFixes,
+			"RAVL single rotation":   &s.SingleRotations,
+			"RAVL single rotation*":  &s.MirrorSingleRotations,
+			"RAVL double rotation":   &s.DoubleRotations,
+			"RAVL double rotation*":  &s.MirrorDoubleRotations,
 		} {
 			fired[name] += c.Load()
 		}
 	}
-	if len(fired) != 21+5 {
-		t.Fatalf("counted %d distinct steps, want 21 chromatic and 5 relaxed AVL", len(fired))
+	if len(fired) != 21+7 {
+		t.Fatalf("counted %d distinct steps, want 21 chromatic and 7 relaxed AVL", len(fired))
 	}
 	for name, n := range fired {
 		if n == 0 {
 			t.Errorf("the seed corpus never reaches step %s", name)
 		}
 	}
+}
+
+// staleChildHeightScripts takes a relaxed AVL tree through its two child
+// height fixes. Each script fills keys 1..9 (ascending, or descending for the
+// mirror image), deletes the outermost key of the taller side with a deleter
+// that dies after its SCX and before its cleanup - an injected panic at the
+// first retire, the crash the chaos suites model - and then deletes a key of
+// the shorter side: that deletion's cleanup walks top-down, meets the root
+// unbalanced with its taller child's stored height stale, and must correct
+// the child before it may rotate. The oracle is the target's own: the content
+// against the expected keys, then the drain to an exact AVL tree.
+func staleChildHeightScripts(t *testing.T, tgt dicttest.Target) {
+	for _, sc := range []struct {
+		descending       bool
+		crashed, trigger int64
+	}{
+		{false, 9, 6}, // the right child is the taller one
+		{true, 1, 4},  // the left child is
+	} {
+		d := tgt.New()
+		for i := int64(1); i <= 9; i++ {
+			k := i
+			if sc.descending {
+				k = 10 - i
+			}
+			d.Insert(k, k)
+		}
+		deleteAndDieBeforeCleanup(t, d, sc.crashed)
+		d.Delete(sc.trigger)
+		for k := int64(1); k <= 9; k++ {
+			if _, ok := d.Get(k); ok == (k == sc.crashed || k == sc.trigger) {
+				t.Fatalf("%s: after Delete(%d) by a deleter that died and Delete(%d), Get(%d) reports present=%v", tgt.Name, sc.crashed, sc.trigger, k, ok)
+			}
+		}
+		if err := tgt.Check(d); err != nil {
+			t.Fatalf("%s: after Delete(%d) by a deleter that died and Delete(%d): %v", tgt.Name, sc.crashed, sc.trigger, err)
+		}
+	}
+}
+
+// deleteAndDieBeforeCleanup deletes key from d on a goroutine that panics at
+// the first instrumentation point past the deletion's SCX, the retiring of
+// the removed nodes: the deletion has taken effect, and the violation it
+// created is left for whoever passes next.
+func deleteAndDieBeforeCleanup(t *testing.T, d dict.IntMap, key int64) {
+	t.Helper()
+	err := sched.EnableChaos(sched.ChaosConfig{Seed: 1, Points: map[sched.PointID]sched.ChaosPolicy{
+		sched.PointEpochRetire: {Panic: 1_000_000},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sched.DisableChaos()
+	w := sched.RegisterChaos(0)
+	defer w.Close()
+	defer func() {
+		if _, injected := recover().(sched.ChaosPanic); !injected {
+			t.Fatalf("Delete(%d) returned without meeting the injected panic", key)
+		}
+	}()
+	d.Delete(key)
 }
 
 // TestRegistryCoversAllStructures pins the registry contents the harness

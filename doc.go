@@ -6,9 +6,9 @@
 // paper's tree update template (internal/lbst) with its three balancing
 // policies - the unbalanced BST (internal/ebst), the relaxed AVL tree
 // (internal/ravl) and the paper's non-blocking chromatic tree
-// (internal/chromatic: the 22 rebalancing steps and the weight rules, nothing
-// else) - the epoch-based reclamation layer they share
-// (internal/epoch), and every data structure the paper's evaluation
+// (internal/chromatic: the rebalancing steps, each written once over a side,
+// and the weight rules, nothing else) - the epoch-based reclamation layer
+// they share (internal/epoch), and every data structure the paper's evaluation
 // compares against, plus the workload generator and throughput harness that
 // regenerate the paper's figures. The dictionary stack is generic end to
 // end: dict.Map[K, V] / dict.OrderedMap[K, V] are the canonical interfaces,

@@ -10,7 +10,7 @@
 // deletions are decoupled from rebalancing: each is a small localized update
 // that follows the tree update template (LLX on a handful of nodes followed
 // by one SCX), and a separate set of 22 localized rebalancing steps (Boyar,
-// Fagerberg and Larsen) restores balance. Every operation is non-blocking
+// Fagerberg and Larsen: eleven, and their mirror images) restores balance. Every operation is non-blocking
 // and linearizable, and the height of the tree is O(c + log n) where c is
 // the number of insertions and deletions in progress.
 //

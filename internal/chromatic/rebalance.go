@@ -8,29 +8,43 @@ import (
 	"repro/internal/llxscx"
 )
 
-// This file implements the 22 localized rebalancing steps of the chromatic
-// tree (Boyar, Fagerberg and Larsen's steps, as adapted by Brown, Ellen and
+// This file implements the localized rebalancing steps of the chromatic tree
+// (Boyar, Fagerberg and Larsen's steps, as adapted by Brown, Ellen and
 // Ruppert in Figure 11 of the paper) and the decision procedure that selects
-// which step to apply at a violation (Figures 14-16).
+// which step to apply at a violation (Figures 14-16). The figure draws
+// eleven transformations and gives each a mirror image (the trailing S of
+// RB1S, W1S, ...), 22 named steps in all; here each of the eleven is written
+// once, over a side d that says which way round it runs.
 //
-// Naming follows the paper: in each transformation u is the node whose child
-// pointer is changed, ux is the child of u being replaced (the root of the
-// removed subgraph), and deeper nodes append l/r for left/right (uxl, uxr,
-// uxrl, ...). Nodes named n, nl, nr, nll, ... are freshly drawn from the
-// tree's node pool. Each transformation preserves the binary search tree
-// order and the equality of weighted path lengths, never increases the
-// number of violations, and keeps any remaining violation on the search path
-// of the key whose insertion or deletion created it (property VIOL of
-// Section 5.2).
+// Naming. In each transformation u is the node whose child pointer is
+// changed and ux is the child of u being replaced (the root of the removed
+// subgraph), as in the paper. Below ux, nodes are named by position relative
+// to the violation instead of by left and right: n is the near child of ux -
+// its child on side d, Child(d) of ux's snapshot, the left child when d is 0
+// and the right child when d is 1 - and f is the far child, Child(1-d). In
+// an overweight step n is the overweight node and f its sibling; in a
+// red-red step n is the red parent of the red node. One more letter goes one
+// level down: fn and ff are the near and far child of f, nn and nf those of
+// n, fnn and fnf those of fn, and so on. With d = 0 the names read as the
+// figure's (n = uxl, f = uxr, fn = uxrl, ff = uxrr, fnn = uxrll, ...), with
+// d = 1 as its mirror image's. Stats counts the two sides of a step
+// separately (W1 for d = 0, MirrorW1 for d = 1).
 //
-// Every step runs under the invoking operation's pinned epoch guard g: its
-// SCX goes through the engine's RebalanceSCX (which retires the removed nodes
-// on success), and on failure every fresh node is returned to the pool with
-// ReleaseFresh - it was never published, so no grace period is needed. A
-// removed node reappears in the new subtree only as a copy (CopyNode, which
-// aliases a leaf's value cell) or as a fresh node with its key
-// (internalLike); subtrees hanging off the removed nodes are reused as
-// children of fresh nodes.
+// Each transformation preserves the binary search tree order and the
+// equality of weighted path lengths, never increases the number of
+// violations, and keeps any remaining violation on the search path of the
+// key whose insertion or deletion created it (property VIOL of Section 5.2).
+//
+// Every step runs under the invoking operation's pinned epoch guard and is
+// assembled on an lbst.Step: the LLX evidence is recorded as kept (u) or
+// removed (everything below it), a sibling pair through RemovePair, which
+// lists the left one first whatever d is (PC8); a removed node reappears in
+// the new subtree only as a copy (Step.Copy, which aliases a leaf's value
+// cell) or as a fresh node with its key (Step.Internal, which places two
+// children given as near and far); subtrees hanging off the removed nodes
+// are reused as children of fresh nodes. Step.Commit runs the SCX, retires
+// the removed nodes on success and returns every fresh node to the pool on
+// failure - they were never published, so no grace period is needed.
 
 // replacementWeight returns the weight of the node that replaces ux as a
 // child of u: the computed weight w, or 1 when u is a sentinel so that the
@@ -48,10 +62,30 @@ func replacementWeight[K, V any](u *lbst.Node[K, V], w int64) int64 {
 	return w
 }
 
-// internalLike creates a fresh internal node carrying src's routing key and
-// sentinel flag, with the given weight and children.
-func (pol *policy[K, V]) internalLike(src *lbst.Node[K, V], w int64, left, right *lbst.Node[K, V]) *lbst.Node[K, V] {
-	return pol.eng.InternalNode(src.K, w, src.IsSentinel(), left, right)
+// counted passes a step's outcome through and, when it committed, bumps the
+// counter of the side it ran on.
+func counted(ok bool, d int, side0, side1 *atomic.Int64) bool {
+	if ok {
+		if d == 0 {
+			side0.Add(1)
+		} else {
+			side1.Add(1)
+		}
+	}
+	return ok
+}
+
+// sideOf returns the side of child below the node captured by lk, or false
+// if it was not one of that node's children in the snapshot (the tree changed
+// under the caller).
+func sideOf[K, V any](lk llxscx.Linked[lbst.Node[K, V]], child *lbst.Node[K, V]) (d int, ok bool) {
+	switch child {
+	case lk.Child(0):
+		return 0, true
+	case lk.Child(1):
+		return 1, true
+	}
+	return 0, false
 }
 
 // Rebalance implements lbst.Policy: it attempts to apply one rebalancing step
@@ -70,842 +104,342 @@ func (pol *policy[K, V]) Rebalance(g *epoch.Guard, ggp, gp, p, l *lbst.Node[K, V
 	return ok
 }
 
-func (pol *policy[K, V]) tryRebalanceOnce(g *epoch.Guard, ggp, gp, p, l *lbst.Node[K, V]) bool {
-	r := ggp
+// tryRebalanceOnce is one attempt of Rebalance; r, rx and rxx are ggp, gp and
+// p under the names Figure 15 gives them.
+func (pol *policy[K, V]) tryRebalanceOnce(g *epoch.Guard, r, rx, rxx, l *lbst.Node[K, V]) bool {
 	lkR, st := r.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}
-	rl, rr := lkR.Child(0), lkR.Child(1)
-
-	rx := gp
-	if rx != rl && rx != rr {
+	if lbst.FieldOf(lkR, rx) == nil {
 		return false
 	}
 	lkRx, st := rx.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}
-	rxl, rxr := lkRx.Child(0), lkRx.Child(1)
-
-	rxx := p
-	if rxx != rxl && rxx != rxr {
+	dx, ok := sideOf(lkRx, rxx) // the side of rxx below rx
+	if !ok {
 		return false
 	}
 	lkRxx, st := rxx.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}
-	rxxl, rxxr := lkRxx.Child(0), lkRxx.Child(1)
 
 	if l.Deco() > 1 {
 		// Overweight violation at l.
-		switch l {
-		case rxxl:
-			lkRxxl, st := rxxl.LLX()
-			if st != llxscx.Snapshot {
-				return false
-			}
-			return pol.overweightLeft(g, lkR, lkRx, lkRxx, lkRxxl, rl, rr, rxl, rxr, rxxr)
-		case rxxr:
-			lkRxxr, st := rxxr.LLX()
-			if st != llxscx.Snapshot {
-				return false
-			}
-			return pol.overweightRight(g, lkR, lkRx, lkRxx, lkRxxr, rl, rr, rxl, rxr, rxxl)
-		default:
+		d, ok := sideOf(lkRxx, l)
+		if !ok {
 			return false
 		}
-	}
-
-	// Red-red violation at l (l.Deco() == 0 and rxx.Deco() == 0).
-	if rxx == rxl {
-		// The red parent is a left child.
-		if rxr != nil && rxr.Deco() == 0 {
-			lkRxr, st := rxr.LLX()
-			if st != llxscx.Snapshot {
-				return false
-			}
-			return pol.doBLK(g, lkR, lkRx, lkRxx, lkRxr)
-		}
-		switch l {
-		case rxxl:
-			return pol.doRB1(g, lkR, lkRx, lkRxx)
-		case rxxr:
-			lkRxxr, st := rxxr.LLX()
-			if st != llxscx.Snapshot {
-				return false
-			}
-			return pol.doRB2(g, lkR, lkRx, lkRxx, lkRxxr)
-		default:
-			return false
-		}
-	}
-	// The red parent is a right child.
-	if rxl != nil && rxl.Deco() == 0 {
-		lkRxl, st := rxl.LLX()
+		lkL, st := l.LLX()
 		if st != llxscx.Snapshot {
 			return false
 		}
-		return pol.doBLK(g, lkR, lkRx, lkRxl, lkRxx)
+		return pol.overweight(g, d, dx, lkR, lkRx, lkRxx, lkL)
+	}
+	// Red-red violation at l (l.Deco() == 0 and rxx.Deco() == 0).
+	return pol.redRed(g, dx, lkR, lkRx, lkRxx, l)
+}
+
+// redRed selects and applies the step for a red-red violation at l, a red
+// child of the red node n, which is the child of ux on side d: BLK when n's
+// sibling is red as well, otherwise a single rotation (RB1) when l is the
+// near child of n - the outer grandchild of ux - and a double rotation (RB2)
+// when it is the far, inner one. The linked LLX evidence for u, ux and n is
+// supplied by the caller.
+func (pol *policy[K, V]) redRed(g *epoch.Guard, d int, lkU, lkUX, lkN llxscx.Linked[lbst.Node[K, V]], l *lbst.Node[K, V]) bool {
+	f := lkUX.Child(1 - d)
+	if f == nil {
+		return false
+	}
+	if f.Deco() == 0 {
+		lkF, st := f.LLX()
+		if st != llxscx.Snapshot {
+			return false
+		}
+		return pol.doBLK(g, d, lkU, lkUX, lkN, lkF)
 	}
 	switch l {
-	case rxxr:
-		return pol.doRB1s(g, lkR, lkRx, lkRxx)
-	case rxxl:
-		lkRxxl, st := rxxl.LLX()
+	case lkN.Child(d):
+		return pol.doRB1(g, d, lkU, lkUX, lkN)
+	case lkN.Child(1 - d):
+		lkNF, st := l.LLX()
 		if st != llxscx.Snapshot {
 			return false
 		}
-		return pol.doRB2s(g, lkR, lkRx, lkRxx, lkRxxl)
+		return pol.doRB2(g, d, lkU, lkUX, lkN, lkNF)
 	default:
 		return false
 	}
 }
 
-// overweightLeft selects and applies the rebalancing step for an overweight
-// violation at rxxl, the left child of rxx (Figure 16 of the paper). The
-// linked LLX evidence for r, rx, rxx and rxxl is supplied by the caller.
-func (pol *policy[K, V]) overweightLeft(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxl llxscx.Linked[lbst.Node[K, V]], rl, rr, rxl, rxr, rxxr *lbst.Node[K, V]) bool {
-	_ = rl
-	_ = rr
+// overweight selects and applies the rebalancing step for an overweight
+// violation at n, the child of rxx on side d (Figure 16 of the paper); dx is
+// the side of rxx below rx. The linked LLX evidence for r, rx, rxx and n is
+// supplied by the caller.
+func (pol *policy[K, V]) overweight(g *epoch.Guard, d, dx int, lkR, lkRx, lkRxx, lkN llxscx.Linked[lbst.Node[K, V]]) bool {
 	rxx := lkRxx.Node()
-	if rxxr == nil {
+	f := lkRxx.Child(1 - d)
+	if f == nil {
 		return false
 	}
 	switch {
-	case rxxr.Deco() == 0:
+	case f.Deco() == 0:
 		if rxx.Deco() == 0 {
-			if rxx == rxl {
-				if rxr == nil {
-					return false
-				}
-				if rxr.Deco() == 0 {
-					lkRxr, st := rxr.LLX()
-					if st != llxscx.Snapshot {
-						return false
-					}
-					return pol.doBLK(g, lkR, lkRx, lkRxx, lkRxr)
-				}
-				lkRxxr, st := rxxr.LLX()
-				if st != llxscx.Snapshot {
-					return false
-				}
-				return pol.doRB2(g, lkR, lkRx, lkRxx, lkRxxr)
-			}
-			// rxx == rxr
-			if rxl == nil {
-				return false
-			}
-			if rxl.Deco() == 0 {
-				lkRxl, st := rxl.LLX()
-				if st != llxscx.Snapshot {
-					return false
-				}
-				return pol.doBLK(g, lkR, lkRx, lkRxl, lkRxx)
-			}
-			return pol.doRB1s(g, lkR, lkRx, lkRxx)
+			// The red sibling under a red parent is a red-red violation
+			// of its own, and is repaired first.
+			return pol.redRed(g, dx, lkR, lkRx, lkRxx, f)
 		}
-		// rxx.Deco() > 0
-		lkRxxr, st := rxxr.LLX()
+		lkF, st := f.LLX()
 		if st != llxscx.Snapshot {
 			return false
 		}
-		rxxrl := lkRxxr.Child(0)
-		if rxxrl == nil {
+		fn := lkF.Child(d)
+		if fn == nil {
 			return false
 		}
-		lkRxxrl, st := rxxrl.LLX()
+		lkFN, st := fn.LLX()
 		if st != llxscx.Snapshot {
 			return false
 		}
 		switch {
-		case rxxrl.Deco() > 1:
-			return pol.doW1(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxrl)
-		case rxxrl.Deco() == 0:
-			return pol.doRB2s(g, lkRx, lkRxx, lkRxxr, lkRxxrl)
-		default: // rxxrl.Deco() == 1
-			rxxrll, rxxrlr := lkRxxrl.Child(0), lkRxxrl.Child(1)
-			if rxxrlr == nil {
+		case fn.Deco() > 1:
+			return pol.doW1W2(g, d, lkRx, lkRxx, lkN, lkF, lkFN, &pol.stats.W1, &pol.stats.MirrorW1)
+		case fn.Deco() == 0:
+			// A red-red violation between f and fn, the inner grandchild
+			// of rxx on f's side.
+			return pol.doRB2(g, 1-d, lkRx, lkRxx, lkF, lkFN)
+		default: // fn.Deco() == 1
+			fnn, fnf := lkFN.Child(d), lkFN.Child(1-d)
+			if fnf == nil {
 				// A node we performed LLX on was modified concurrently.
 				return false
 			}
-			if rxxrlr.Deco() == 0 {
-				lkRxxrlr, st := rxxrlr.LLX()
+			if fnf.Deco() == 0 {
+				lkFNF, st := fnf.LLX()
 				if st != llxscx.Snapshot {
 					return false
 				}
-				return pol.doW4(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxrl, lkRxxrlr)
+				return pol.doW4(g, d, lkRx, lkRxx, lkN, lkF, lkFN, lkFNF)
 			}
-			if rxxrll == nil {
+			if fnn == nil {
 				return false
 			}
-			if rxxrll.Deco() == 0 {
-				lkRxxrll, st := rxxrll.LLX()
+			if fnn.Deco() == 0 {
+				lkFNN, st := fnn.LLX()
 				if st != llxscx.Snapshot {
 					return false
 				}
-				return pol.doW3(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxrl, lkRxxrll)
+				return pol.doW3(g, d, lkRx, lkRxx, lkN, lkF, lkFN, lkFNN)
 			}
-			return pol.doW2(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxrl)
+			return pol.doW1W2(g, d, lkRx, lkRxx, lkN, lkF, lkFN, &pol.stats.W2, &pol.stats.MirrorW2)
 		}
-	case rxxr.Deco() == 1:
-		lkRxxr, st := rxxr.LLX()
+	case f.Deco() == 1:
+		lkF, st := f.LLX()
 		if st != llxscx.Snapshot {
 			return false
 		}
-		rxxrl, rxxrr := lkRxxr.Child(0), lkRxxr.Child(1)
-		if rxxrr == nil {
+		fn, ff := lkF.Child(d), lkF.Child(1-d)
+		if ff == nil {
 			// A node we performed LLX on was modified concurrently.
 			return false
 		}
-		if rxxrr.Deco() == 0 {
-			lkRxxrr, st := rxxrr.LLX()
+		if ff.Deco() == 0 {
+			lkFF, st := ff.LLX()
 			if st != llxscx.Snapshot {
 				return false
 			}
-			return pol.doW5(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxrr)
+			return pol.doW5(g, d, lkRx, lkRxx, lkN, lkF, lkFF)
 		}
-		if rxxrl == nil {
+		if fn == nil {
 			return false
 		}
-		if rxxrl.Deco() == 0 {
-			lkRxxrl, st := rxxrl.LLX()
+		if fn.Deco() == 0 {
+			lkFN, st := fn.LLX()
 			if st != llxscx.Snapshot {
 				return false
 			}
-			return pol.doW6(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxrl)
+			return pol.doW6(g, d, lkRx, lkRxx, lkN, lkF, lkFN)
 		}
-		return pol.doPUSH(g, lkRx, lkRxx, lkRxxl, lkRxxr)
-	default: // rxxr.Deco() > 1
-		lkRxxr, st := rxxr.LLX()
+		return pol.pushUp(g, d, lkRx, lkRxx, lkN, lkF, &pol.stats.PUSH, &pol.stats.MirrorPUSH)
+	default: // f.Deco() > 1
+		lkF, st := f.LLX()
 		if st != llxscx.Snapshot {
 			return false
 		}
-		return pol.doW7(g, lkRx, lkRxx, lkRxxl, lkRxxr)
-	}
-}
-
-// overweightRight is the mirror image of overweightLeft: it handles an
-// overweight violation at rxxr, the right child of rxx.
-func (pol *policy[K, V]) overweightRight(g *epoch.Guard, lkR, lkRx, lkRxx, lkRxxr llxscx.Linked[lbst.Node[K, V]], rl, rr, rxl, rxr, rxxl *lbst.Node[K, V]) bool {
-	_ = rl
-	_ = rr
-	rxx := lkRxx.Node()
-	if rxxl == nil {
-		return false
-	}
-	switch {
-	case rxxl.Deco() == 0:
-		if rxx.Deco() == 0 {
-			if rxx == rxr {
-				if rxl == nil {
-					return false
-				}
-				if rxl.Deco() == 0 {
-					lkRxl, st := rxl.LLX()
-					if st != llxscx.Snapshot {
-						return false
-					}
-					return pol.doBLK(g, lkR, lkRx, lkRxl, lkRxx)
-				}
-				lkRxxl, st := rxxl.LLX()
-				if st != llxscx.Snapshot {
-					return false
-				}
-				return pol.doRB2s(g, lkR, lkRx, lkRxx, lkRxxl)
-			}
-			// rxx == rxl
-			if rxr == nil {
-				return false
-			}
-			if rxr.Deco() == 0 {
-				lkRxr, st := rxr.LLX()
-				if st != llxscx.Snapshot {
-					return false
-				}
-				return pol.doBLK(g, lkR, lkRx, lkRxx, lkRxr)
-			}
-			return pol.doRB1(g, lkR, lkRx, lkRxx)
-		}
-		// rxx.Deco() > 0
-		lkRxxl, st := rxxl.LLX()
-		if st != llxscx.Snapshot {
-			return false
-		}
-		rxxlr := lkRxxl.Child(1)
-		if rxxlr == nil {
-			return false
-		}
-		lkRxxlr, st := rxxlr.LLX()
-		if st != llxscx.Snapshot {
-			return false
-		}
-		switch {
-		case rxxlr.Deco() > 1:
-			return pol.doW1s(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxlr)
-		case rxxlr.Deco() == 0:
-			return pol.doRB2(g, lkRx, lkRxx, lkRxxl, lkRxxlr)
-		default: // rxxlr.Deco() == 1
-			rxxlrl, rxxlrr := lkRxxlr.Child(0), lkRxxlr.Child(1)
-			if rxxlrl == nil {
-				return false
-			}
-			if rxxlrl.Deco() == 0 {
-				lkRxxlrl, st := rxxlrl.LLX()
-				if st != llxscx.Snapshot {
-					return false
-				}
-				return pol.doW4s(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxlr, lkRxxlrl)
-			}
-			if rxxlrr == nil {
-				return false
-			}
-			if rxxlrr.Deco() == 0 {
-				lkRxxlrr, st := rxxlrr.LLX()
-				if st != llxscx.Snapshot {
-					return false
-				}
-				return pol.doW3s(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxlr, lkRxxlrr)
-			}
-			return pol.doW2s(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxlr)
-		}
-	case rxxl.Deco() == 1:
-		lkRxxl, st := rxxl.LLX()
-		if st != llxscx.Snapshot {
-			return false
-		}
-		rxxll, rxxlr := lkRxxl.Child(0), lkRxxl.Child(1)
-		if rxxll == nil {
-			return false
-		}
-		if rxxll.Deco() == 0 {
-			lkRxxll, st := rxxll.LLX()
-			if st != llxscx.Snapshot {
-				return false
-			}
-			return pol.doW5s(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxll)
-		}
-		if rxxlr == nil {
-			return false
-		}
-		if rxxlr.Deco() == 0 {
-			lkRxxlr, st := rxxlr.LLX()
-			if st != llxscx.Snapshot {
-				return false
-			}
-			return pol.doW6s(g, lkRx, lkRxx, lkRxxl, lkRxxr, lkRxxlr)
-		}
-		return pol.doPUSHs(g, lkRx, lkRxx, lkRxxl, lkRxxr)
-	default: // rxxl.Deco() > 1
-		lkRxxl, st := rxxl.LLX()
-		if st != llxscx.Snapshot {
-			return false
-		}
-		return pol.doW7s(g, lkRx, lkRxx, lkRxxl, lkRxxr)
+		return pol.pushUp(g, d, lkRx, lkRxx, lkN, lkF, &pol.stats.W7, &pol.stats.MirrorW7)
 	}
 }
 
 // --- Red-red transformations -------------------------------------------
 
 // doBLK recolours ux and its two red children: both children's copies get
-// weight one and ux's copy loses one unit of weight (its own mirror image).
-func (pol *policy[K, V]) doBLK(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR llxscx.Linked[lbst.Node[K, V]]) bool {
+// weight one and ux's copy loses one unit of weight. The step is its own
+// mirror image, so both sides count as BLK; d only says which of its two
+// children the caller calls near.
+func (pol *policy[K, V]) doBLK(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF llxscx.Linked[lbst.Node[K, V]]) bool {
 	u, ux := lkU.Node(), lkUX.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	nl := pol.eng.CopyNode(lkUXL, 1)
-	nr := pol.eng.CopyNode(lkUXR, 1)
-	n := pol.internalLike(ux, replacementWeight(u, ux.Deco()-1), nl, nr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXL, lkUXR}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, lkUXL.Node(), lkUXR.Node()}
-	if !pol.eng.RebalanceSCX(g, &v, 4, &r, 3, fld, ux, n) {
-		pol.eng.ReleaseFresh(nl)
-		pol.eng.ReleaseFresh(nr)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.BLK.Add(1)
-	return true
+	s := lbst.Step[K, V]{Tree: pol.eng, Guard: g}
+	s.Keep(lkU)
+	s.Remove(lkUX)
+	s.RemovePair(d, lkN, lkF)
+	root := s.Internal(ux, replacementWeight(u, ux.Deco()-1), d, s.Copy(lkN, 1), s.Copy(lkF, 1))
+	return counted(s.Commit(lkU, ux, root), d, &pol.stats.BLK, &pol.stats.BLK)
 }
 
-// doRB1 performs a single rotation fixing a red-red violation at the
-// left-left grandchild of u.
-func (pol *policy[K, V]) doRB1(g *epoch.Guard, lkU, lkUX, lkUXL llxscx.Linked[lbst.Node[K, V]]) bool {
-	u, ux, uxl := lkU.Node(), lkUX.Node(), lkUXL.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	uxr := lkUX.Child(1)
-	uxll, uxlr := lkUXL.Child(0), lkUXL.Child(1)
-	nr := pol.internalLike(ux, 0, uxlr, uxr)
-	n := pol.internalLike(uxl, replacementWeight(u, ux.Deco()), uxll, nr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXL}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxl}
-	if !pol.eng.RebalanceSCX(g, &v, 3, &r, 2, fld, ux, n) {
-		pol.eng.ReleaseFresh(nr)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.RB1.Add(1)
-	return true
+// doRB1 performs a single rotation fixing a red-red violation at the outer
+// grandchild of ux on side d (nn, the near child of the red node n): n comes
+// up into ux's place and ux goes down on the far side, red, taking n's inner
+// subtree with it.
+func (pol *policy[K, V]) doRB1(g *epoch.Guard, d int, lkU, lkUX, lkN llxscx.Linked[lbst.Node[K, V]]) bool {
+	u, ux, n := lkU.Node(), lkUX.Node(), lkN.Node()
+	f := lkUX.Child(1 - d)
+	nn, nf := lkN.Child(d), lkN.Child(1-d)
+	s := lbst.Step[K, V]{Tree: pol.eng, Guard: g}
+	s.Keep(lkU)
+	s.Remove(lkUX)
+	s.Remove(lkN)
+	down := s.Internal(ux, 0, d, nf, f)
+	root := s.Internal(n, replacementWeight(u, ux.Deco()), d, nn, down)
+	return counted(s.Commit(lkU, ux, root), d, &pol.stats.RB1, &pol.stats.MirrorRB1)
 }
 
-// doRB1s is the mirror image of doRB1 (red-red violation at the right-right
-// grandchild of u).
-func (pol *policy[K, V]) doRB1s(g *epoch.Guard, lkU, lkUX, lkUXR llxscx.Linked[lbst.Node[K, V]]) bool {
-	u, ux, uxr := lkU.Node(), lkUX.Node(), lkUXR.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	uxl := lkUX.Child(0)
-	uxrl, uxrr := lkUXR.Child(0), lkUXR.Child(1)
-	nl := pol.internalLike(ux, 0, uxl, uxrl)
-	n := pol.internalLike(uxr, replacementWeight(u, ux.Deco()), nl, uxrr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXR}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxr}
-	if !pol.eng.RebalanceSCX(g, &v, 3, &r, 2, fld, ux, n) {
-		pol.eng.ReleaseFresh(nl)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.MirrorRB1.Add(1)
-	return true
-}
-
-// doRB2 performs a double rotation fixing a red-red violation at the
-// left-right grandchild of u (Figure 17 of the paper).
-func (pol *policy[K, V]) doRB2(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXLR llxscx.Linked[lbst.Node[K, V]]) bool {
-	u, ux, uxl, uxlr := lkU.Node(), lkUX.Node(), lkUXL.Node(), lkUXLR.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	uxr := lkUX.Child(1)
-	uxll := lkUXL.Child(0)
-	uxlrl, uxlrr := lkUXLR.Child(0), lkUXLR.Child(1)
-	nl := pol.internalLike(uxl, 0, uxll, uxlrl)
-	nr := pol.internalLike(ux, 0, uxlrr, uxr)
-	n := pol.internalLike(uxlr, replacementWeight(u, ux.Deco()), nl, nr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXL, lkUXLR}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxl, uxlr}
-	if !pol.eng.RebalanceSCX(g, &v, 4, &r, 3, fld, ux, n) {
-		pol.eng.ReleaseFresh(nl)
-		pol.eng.ReleaseFresh(nr)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.RB2.Add(1)
-	return true
-}
-
-// doRB2s is the mirror image of doRB2 (violation at the right-left
-// grandchild of u).
-func (pol *policy[K, V]) doRB2s(g *epoch.Guard, lkU, lkUX, lkUXR, lkUXRL llxscx.Linked[lbst.Node[K, V]]) bool {
-	u, ux, uxr, uxrl := lkU.Node(), lkUX.Node(), lkUXR.Node(), lkUXRL.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	uxl := lkUX.Child(0)
-	uxrr := lkUXR.Child(1)
-	uxrll, uxrlr := lkUXRL.Child(0), lkUXRL.Child(1)
-	nl := pol.internalLike(ux, 0, uxl, uxrll)
-	nr := pol.internalLike(uxr, 0, uxrlr, uxrr)
-	n := pol.internalLike(uxrl, replacementWeight(u, ux.Deco()), nl, nr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXR, lkUXRL}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxr, uxrl}
-	if !pol.eng.RebalanceSCX(g, &v, 4, &r, 3, fld, ux, n) {
-		pol.eng.ReleaseFresh(nl)
-		pol.eng.ReleaseFresh(nr)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.MirrorRB2.Add(1)
-	return true
+// doRB2 performs a double rotation fixing a red-red violation at the inner
+// grandchild of ux on side d (nf, the far child of the red node n; Figure 17
+// of the paper): nf comes up into ux's place, above n on the near side and ux
+// on the far side, both red, and its two subtrees are shared out between them.
+func (pol *policy[K, V]) doRB2(g *epoch.Guard, d int, lkU, lkUX, lkN, lkNF llxscx.Linked[lbst.Node[K, V]]) bool {
+	u, ux, n, nf := lkU.Node(), lkUX.Node(), lkN.Node(), lkNF.Node()
+	f := lkUX.Child(1 - d)
+	nn := lkN.Child(d)
+	nfn, nff := lkNF.Child(d), lkNF.Child(1-d)
+	s := lbst.Step[K, V]{Tree: pol.eng, Guard: g}
+	s.Keep(lkU)
+	s.Remove(lkUX)
+	s.Remove(lkN)
+	s.Remove(lkNF)
+	near := s.Internal(n, 0, d, nn, nfn)
+	far := s.Internal(ux, 0, d, nff, f)
+	root := s.Internal(nf, replacementWeight(u, ux.Deco()), d, near, far)
+	return counted(s.Commit(lkU, ux, root), d, &pol.stats.RB2, &pol.stats.MirrorRB2)
 }
 
 // --- Overweight transformations ------------------------------------------
+//
+// In each of them n, the near child of ux, is the overweight node and gives
+// up one unit of weight.
 
-// pushUp implements the construction shared by PUSH and W7: both children
-// give up one unit of weight to their parent.
-func (pol *policy[K, V]) pushUp(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR llxscx.Linked[lbst.Node[K, V]], counter *atomic.Int64) bool {
+// pushUp is PUSH and W7, which build the same subtree: both children of ux
+// give up one unit of weight to their parent. PUSH applies when the sibling f
+// has weight one and no red child, W7 when f is overweight too.
+func (pol *policy[K, V]) pushUp(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF llxscx.Linked[lbst.Node[K, V]], side0, side1 *atomic.Int64) bool {
 	u, ux := lkU.Node(), lkUX.Node()
-	uxl, uxr := lkUXL.Node(), lkUXR.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	nl := pol.eng.CopyNode(lkUXL, uxl.Deco()-1)
-	nr := pol.eng.CopyNode(lkUXR, uxr.Deco()-1)
-	n := pol.internalLike(ux, replacementWeight(u, ux.Deco()+1), nl, nr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXL, lkUXR}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxl, uxr}
-	if !pol.eng.RebalanceSCX(g, &v, 4, &r, 3, fld, ux, n) {
-		pol.eng.ReleaseFresh(nl)
-		pol.eng.ReleaseFresh(nr)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	counter.Add(1)
-	return true
+	n, f := lkN.Node(), lkF.Node()
+	s := lbst.Step[K, V]{Tree: pol.eng, Guard: g}
+	s.Keep(lkU)
+	s.Remove(lkUX)
+	s.RemovePair(d, lkN, lkF)
+	root := s.Internal(ux, replacementWeight(u, ux.Deco()+1), d, s.Copy(lkN, n.Deco()-1), s.Copy(lkF, f.Deco()-1))
+	return counted(s.Commit(lkU, ux, root), d, side0, side1)
 }
 
-// doPUSH handles an overweight left child whose sibling has weight one and
-// no red children.
-func (pol *policy[K, V]) doPUSH(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR llxscx.Linked[lbst.Node[K, V]]) bool {
-	return pol.pushUp(g, lkU, lkUX, lkUXL, lkUXR, &pol.stats.PUSH)
-}
-
-// doPUSHs is the mirror image of doPUSH.
-func (pol *policy[K, V]) doPUSHs(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR llxscx.Linked[lbst.Node[K, V]]) bool {
-	return pol.pushUp(g, lkU, lkUX, lkUXL, lkUXR, &pol.stats.MirrorPUSH)
-}
-
-// doW7 handles the case where both children of ux are overweight.
-func (pol *policy[K, V]) doW7(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR llxscx.Linked[lbst.Node[K, V]]) bool {
-	return pol.pushUp(g, lkU, lkUX, lkUXL, lkUXR, &pol.stats.W7)
-}
-
-// doW7s is the mirror image of doW7.
-func (pol *policy[K, V]) doW7s(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR llxscx.Linked[lbst.Node[K, V]]) bool {
-	return pol.pushUp(g, lkU, lkUX, lkUXL, lkUXR, &pol.stats.MirrorW7)
-}
-
-// doW1 handles an overweight uxl whose sibling uxr is red and whose nephew
-// uxrl is overweight as well.
-func (pol *policy[K, V]) doW1(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXRL llxscx.Linked[lbst.Node[K, V]]) bool {
+// doW1W2 is W1 and W2, which build the same subtree: the sibling f is red and
+// its near child fn, the nephew next to n, is not. f comes up into ux's place
+// and ux goes down on the near side with weight one, above n and fn, each one
+// unit lighter. In W1 fn is overweight like n; in W2 it has weight one and no
+// red child, and comes out red.
+func (pol *policy[K, V]) doW1W2(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFN llxscx.Linked[lbst.Node[K, V]], side0, side1 *atomic.Int64) bool {
 	u, ux := lkU.Node(), lkUX.Node()
-	uxl, uxr, uxrl := lkUXL.Node(), lkUXR.Node(), lkUXRL.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	uxrr := lkUXR.Child(1)
-	nll := pol.eng.CopyNode(lkUXL, uxl.Deco()-1)
-	nlr := pol.eng.CopyNode(lkUXRL, uxrl.Deco()-1)
-	nl := pol.internalLike(ux, 1, nll, nlr)
-	n := pol.internalLike(uxr, replacementWeight(u, ux.Deco()), nl, uxrr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXRL}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxl, uxr, uxrl}
-	if !pol.eng.RebalanceSCX(g, &v, 5, &r, 4, fld, ux, n) {
-		pol.eng.ReleaseFresh(nll)
-		pol.eng.ReleaseFresh(nlr)
-		pol.eng.ReleaseFresh(nl)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.W1.Add(1)
-	return true
+	n, f, fn := lkN.Node(), lkF.Node(), lkFN.Node()
+	ff := lkF.Child(1 - d)
+	s := lbst.Step[K, V]{Tree: pol.eng, Guard: g}
+	s.Keep(lkU)
+	s.Remove(lkUX)
+	s.RemovePair(d, lkN, lkF)
+	s.Remove(lkFN)
+	down := s.Internal(ux, 1, d, s.Copy(lkN, n.Deco()-1), s.Copy(lkFN, fn.Deco()-1))
+	root := s.Internal(f, replacementWeight(u, ux.Deco()), d, down, ff)
+	return counted(s.Commit(lkU, ux, root), d, side0, side1)
 }
 
-// doW1s is the mirror image of doW1.
-func (pol *policy[K, V]) doW1s(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXLR llxscx.Linked[lbst.Node[K, V]]) bool {
+// doW3 handles a red sibling f whose near child fn has weight one and a red
+// near child fnn: fnn comes up, red, between ux (near side, above n and
+// fnn's near subtree) and fn (far side, above fnn's far subtree and its
+// own), both with weight one, all of it below f in ux's place.
+func (pol *policy[K, V]) doW3(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFN, lkFNN llxscx.Linked[lbst.Node[K, V]]) bool {
 	u, ux := lkU.Node(), lkUX.Node()
-	uxl, uxr, uxlr := lkUXL.Node(), lkUXR.Node(), lkUXLR.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	uxll := lkUXL.Child(0)
-	nrr := pol.eng.CopyNode(lkUXR, uxr.Deco()-1)
-	nrl := pol.eng.CopyNode(lkUXLR, uxlr.Deco()-1)
-	nr := pol.internalLike(ux, 1, nrl, nrr)
-	n := pol.internalLike(uxl, replacementWeight(u, ux.Deco()), uxll, nr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXLR}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxl, uxr, uxlr}
-	if !pol.eng.RebalanceSCX(g, &v, 5, &r, 4, fld, ux, n) {
-		pol.eng.ReleaseFresh(nrr)
-		pol.eng.ReleaseFresh(nrl)
-		pol.eng.ReleaseFresh(nr)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.MirrorW1.Add(1)
-	return true
+	n, f, fn, fnn := lkN.Node(), lkF.Node(), lkFN.Node(), lkFNN.Node()
+	ff := lkF.Child(1 - d)
+	fnf := lkFN.Child(1 - d)
+	fnnn, fnnf := lkFNN.Child(d), lkFNN.Child(1-d)
+	s := lbst.Step[K, V]{Tree: pol.eng, Guard: g}
+	s.Keep(lkU)
+	s.Remove(lkUX)
+	s.RemovePair(d, lkN, lkF)
+	s.Remove(lkFN)
+	s.Remove(lkFNN)
+	near := s.Internal(ux, 1, d, s.Copy(lkN, n.Deco()-1), fnnn)
+	far := s.Internal(fn, 1, d, fnnf, fnf)
+	mid := s.Internal(fnn, 0, d, near, far)
+	root := s.Internal(f, replacementWeight(u, ux.Deco()), d, mid, ff)
+	return counted(s.Commit(lkU, ux, root), d, &pol.stats.W3, &pol.stats.MirrorW3)
 }
 
-// doW2 handles an overweight uxl with a red sibling uxr whose left child has
-// weight one and two non-red children.
-func (pol *policy[K, V]) doW2(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXRL llxscx.Linked[lbst.Node[K, V]]) bool {
+// doW4 handles a red sibling f whose near child fn has weight one and a red
+// far child fnf: fn comes up into ux's place, above ux (near side, weight
+// one, above n and fn's near subtree) and f (far side, still red, above a
+// weight-one copy of fnf and its own far subtree).
+func (pol *policy[K, V]) doW4(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFN, lkFNF llxscx.Linked[lbst.Node[K, V]]) bool {
 	u, ux := lkU.Node(), lkUX.Node()
-	uxl, uxr, uxrl := lkUXL.Node(), lkUXR.Node(), lkUXRL.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	uxrr := lkUXR.Child(1)
-	nll := pol.eng.CopyNode(lkUXL, uxl.Deco()-1)
-	nlr := pol.eng.CopyNode(lkUXRL, 0)
-	nl := pol.internalLike(ux, 1, nll, nlr)
-	n := pol.internalLike(uxr, replacementWeight(u, ux.Deco()), nl, uxrr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXRL}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxl, uxr, uxrl}
-	if !pol.eng.RebalanceSCX(g, &v, 5, &r, 4, fld, ux, n) {
-		pol.eng.ReleaseFresh(nll)
-		pol.eng.ReleaseFresh(nlr)
-		pol.eng.ReleaseFresh(nl)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.W2.Add(1)
-	return true
+	n, f, fn := lkN.Node(), lkF.Node(), lkFN.Node()
+	ff := lkF.Child(1 - d)
+	fnn := lkFN.Child(d)
+	s := lbst.Step[K, V]{Tree: pol.eng, Guard: g}
+	s.Keep(lkU)
+	s.Remove(lkUX)
+	s.RemovePair(d, lkN, lkF)
+	s.Remove(lkFN)
+	s.Remove(lkFNF)
+	near := s.Internal(ux, 1, d, s.Copy(lkN, n.Deco()-1), fnn)
+	far := s.Internal(f, 0, d, s.Copy(lkFNF, 1), ff)
+	root := s.Internal(fn, replacementWeight(u, ux.Deco()), d, near, far)
+	return counted(s.Commit(lkU, ux, root), d, &pol.stats.W4, &pol.stats.MirrorW4)
 }
 
-// doW2s is the mirror image of doW2.
-func (pol *policy[K, V]) doW2s(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXLR llxscx.Linked[lbst.Node[K, V]]) bool {
+// doW5 handles a sibling f of weight one with a red far child ff: f comes up
+// into ux's place, above ux (near side, weight one, above n and f's near
+// subtree) and a weight-one copy of ff.
+func (pol *policy[K, V]) doW5(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFF llxscx.Linked[lbst.Node[K, V]]) bool {
 	u, ux := lkU.Node(), lkUX.Node()
-	uxl, uxr, uxlr := lkUXL.Node(), lkUXR.Node(), lkUXLR.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	uxll := lkUXL.Child(0)
-	nrr := pol.eng.CopyNode(lkUXR, uxr.Deco()-1)
-	nrl := pol.eng.CopyNode(lkUXLR, 0)
-	nr := pol.internalLike(ux, 1, nrl, nrr)
-	n := pol.internalLike(uxl, replacementWeight(u, ux.Deco()), uxll, nr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXLR}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxl, uxr, uxlr}
-	if !pol.eng.RebalanceSCX(g, &v, 5, &r, 4, fld, ux, n) {
-		pol.eng.ReleaseFresh(nrr)
-		pol.eng.ReleaseFresh(nrl)
-		pol.eng.ReleaseFresh(nr)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.MirrorW2.Add(1)
-	return true
+	n, f := lkN.Node(), lkF.Node()
+	fn := lkF.Child(d)
+	s := lbst.Step[K, V]{Tree: pol.eng, Guard: g}
+	s.Keep(lkU)
+	s.Remove(lkUX)
+	s.RemovePair(d, lkN, lkF)
+	s.Remove(lkFF)
+	near := s.Internal(ux, 1, d, s.Copy(lkN, n.Deco()-1), fn)
+	root := s.Internal(f, replacementWeight(u, ux.Deco()), d, near, s.Copy(lkFF, 1))
+	return counted(s.Commit(lkU, ux, root), d, &pol.stats.W5, &pol.stats.MirrorW5)
 }
 
-// doW3 handles an overweight uxl with red sibling uxr, where uxrl has weight
-// one and a red left child uxrll.
-func (pol *policy[K, V]) doW3(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXRL, lkUXRLL llxscx.Linked[lbst.Node[K, V]]) bool {
+// doW6 handles a sibling f of weight one with a red near child fn: fn comes
+// up into ux's place, above ux (near side, above n and fn's near subtree) and
+// f (far side, above fn's far subtree and its own), both with weight one.
+func (pol *policy[K, V]) doW6(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFN llxscx.Linked[lbst.Node[K, V]]) bool {
 	u, ux := lkU.Node(), lkUX.Node()
-	uxl, uxr, uxrl, uxrll := lkUXL.Node(), lkUXR.Node(), lkUXRL.Node(), lkUXRLL.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	uxrr := lkUXR.Child(1)
-	uxrlr := lkUXRL.Child(1)
-	uxrlll, uxrllr := lkUXRLL.Child(0), lkUXRLL.Child(1)
-	nlll := pol.eng.CopyNode(lkUXL, uxl.Deco()-1)
-	nll := pol.internalLike(ux, 1, nlll, uxrlll)
-	nlr := pol.internalLike(uxrl, 1, uxrllr, uxrlr)
-	nl := pol.internalLike(uxrll, 0, nll, nlr)
-	n := pol.internalLike(uxr, replacementWeight(u, ux.Deco()), nl, uxrr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXRL, lkUXRLL}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxl, uxr, uxrl, uxrll}
-	if !pol.eng.RebalanceSCX(g, &v, 6, &r, 5, fld, ux, n) {
-		pol.eng.ReleaseFresh(nlll)
-		pol.eng.ReleaseFresh(nll)
-		pol.eng.ReleaseFresh(nlr)
-		pol.eng.ReleaseFresh(nl)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.W3.Add(1)
-	return true
-}
-
-// doW3s is the mirror image of doW3.
-func (pol *policy[K, V]) doW3s(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXLR, lkUXLRR llxscx.Linked[lbst.Node[K, V]]) bool {
-	u, ux := lkU.Node(), lkUX.Node()
-	uxl, uxr, uxlr, uxlrr := lkUXL.Node(), lkUXR.Node(), lkUXLR.Node(), lkUXLRR.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	uxll := lkUXL.Child(0)
-	uxlrl := lkUXLR.Child(0)
-	uxlrrl, uxlrrr := lkUXLRR.Child(0), lkUXLRR.Child(1)
-	nrrr := pol.eng.CopyNode(lkUXR, uxr.Deco()-1)
-	nrr := pol.internalLike(ux, 1, uxlrrr, nrrr)
-	nrl := pol.internalLike(uxlr, 1, uxlrl, uxlrrl)
-	nr := pol.internalLike(uxlrr, 0, nrl, nrr)
-	n := pol.internalLike(uxl, replacementWeight(u, ux.Deco()), uxll, nr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXLR, lkUXLRR}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxl, uxr, uxlr, uxlrr}
-	if !pol.eng.RebalanceSCX(g, &v, 6, &r, 5, fld, ux, n) {
-		pol.eng.ReleaseFresh(nrrr)
-		pol.eng.ReleaseFresh(nrr)
-		pol.eng.ReleaseFresh(nrl)
-		pol.eng.ReleaseFresh(nr)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.MirrorW3.Add(1)
-	return true
-}
-
-// doW4 handles an overweight uxl with red sibling uxr, where uxrl has weight
-// one and a red right child uxrlr.
-func (pol *policy[K, V]) doW4(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXRL, lkUXRLR llxscx.Linked[lbst.Node[K, V]]) bool {
-	u, ux := lkU.Node(), lkUX.Node()
-	uxl, uxr, uxrl, uxrlr := lkUXL.Node(), lkUXR.Node(), lkUXRL.Node(), lkUXRLR.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	uxrr := lkUXR.Child(1)
-	uxrll := lkUXRL.Child(0)
-	nll := pol.eng.CopyNode(lkUXL, uxl.Deco()-1)
-	nl := pol.internalLike(ux, 1, nll, uxrll)
-	nrl := pol.eng.CopyNode(lkUXRLR, 1)
-	nr := pol.internalLike(uxr, 0, nrl, uxrr)
-	n := pol.internalLike(uxrl, replacementWeight(u, ux.Deco()), nl, nr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXRL, lkUXRLR}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxl, uxr, uxrl, uxrlr}
-	if !pol.eng.RebalanceSCX(g, &v, 6, &r, 5, fld, ux, n) {
-		pol.eng.ReleaseFresh(nll)
-		pol.eng.ReleaseFresh(nl)
-		pol.eng.ReleaseFresh(nrl)
-		pol.eng.ReleaseFresh(nr)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.W4.Add(1)
-	return true
-}
-
-// doW4s is the mirror image of doW4.
-func (pol *policy[K, V]) doW4s(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXLR, lkUXLRL llxscx.Linked[lbst.Node[K, V]]) bool {
-	u, ux := lkU.Node(), lkUX.Node()
-	uxl, uxr, uxlr, uxlrl := lkUXL.Node(), lkUXR.Node(), lkUXLR.Node(), lkUXLRL.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	uxll := lkUXL.Child(0)
-	uxlrr := lkUXLR.Child(1)
-	nrr := pol.eng.CopyNode(lkUXR, uxr.Deco()-1)
-	nr := pol.internalLike(ux, 1, uxlrr, nrr)
-	nlr := pol.eng.CopyNode(lkUXLRL, 1)
-	nl := pol.internalLike(uxl, 0, uxll, nlr)
-	n := pol.internalLike(uxlr, replacementWeight(u, ux.Deco()), nl, nr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXLR, lkUXLRL}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxl, uxr, uxlr, uxlrl}
-	if !pol.eng.RebalanceSCX(g, &v, 6, &r, 5, fld, ux, n) {
-		pol.eng.ReleaseFresh(nrr)
-		pol.eng.ReleaseFresh(nr)
-		pol.eng.ReleaseFresh(nlr)
-		pol.eng.ReleaseFresh(nl)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.MirrorW4.Add(1)
-	return true
-}
-
-// doW5 handles an overweight uxl whose sibling uxr has weight one and a red
-// right child uxrr.
-func (pol *policy[K, V]) doW5(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXRR llxscx.Linked[lbst.Node[K, V]]) bool {
-	u, ux := lkU.Node(), lkUX.Node()
-	uxl, uxr, uxrr := lkUXL.Node(), lkUXR.Node(), lkUXRR.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	uxrl := lkUXR.Child(0)
-	nll := pol.eng.CopyNode(lkUXL, uxl.Deco()-1)
-	nl := pol.internalLike(ux, 1, nll, uxrl)
-	nr := pol.eng.CopyNode(lkUXRR, 1)
-	n := pol.internalLike(uxr, replacementWeight(u, ux.Deco()), nl, nr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXRR}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxl, uxr, uxrr}
-	if !pol.eng.RebalanceSCX(g, &v, 5, &r, 4, fld, ux, n) {
-		pol.eng.ReleaseFresh(nll)
-		pol.eng.ReleaseFresh(nl)
-		pol.eng.ReleaseFresh(nr)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.W5.Add(1)
-	return true
-}
-
-// doW5s is the mirror image of doW5.
-func (pol *policy[K, V]) doW5s(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXLL llxscx.Linked[lbst.Node[K, V]]) bool {
-	u, ux := lkU.Node(), lkUX.Node()
-	uxl, uxr, uxll := lkUXL.Node(), lkUXR.Node(), lkUXLL.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	uxlr := lkUXL.Child(1)
-	nrr := pol.eng.CopyNode(lkUXR, uxr.Deco()-1)
-	nr := pol.internalLike(ux, 1, uxlr, nrr)
-	nl := pol.eng.CopyNode(lkUXLL, 1)
-	n := pol.internalLike(uxl, replacementWeight(u, ux.Deco()), nl, nr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXLL}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxl, uxr, uxll}
-	if !pol.eng.RebalanceSCX(g, &v, 5, &r, 4, fld, ux, n) {
-		pol.eng.ReleaseFresh(nrr)
-		pol.eng.ReleaseFresh(nr)
-		pol.eng.ReleaseFresh(nl)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.MirrorW5.Add(1)
-	return true
-}
-
-// doW6 handles an overweight uxl whose sibling uxr has weight one and a red
-// left child uxrl.
-func (pol *policy[K, V]) doW6(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXRL llxscx.Linked[lbst.Node[K, V]]) bool {
-	u, ux := lkU.Node(), lkUX.Node()
-	uxl, uxr, uxrl := lkUXL.Node(), lkUXR.Node(), lkUXRL.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	uxrr := lkUXR.Child(1)
-	uxrll, uxrlr := lkUXRL.Child(0), lkUXRL.Child(1)
-	nll := pol.eng.CopyNode(lkUXL, uxl.Deco()-1)
-	nl := pol.internalLike(ux, 1, nll, uxrll)
-	nr := pol.internalLike(uxr, 1, uxrlr, uxrr)
-	n := pol.internalLike(uxrl, replacementWeight(u, ux.Deco()), nl, nr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXRL}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxl, uxr, uxrl}
-	if !pol.eng.RebalanceSCX(g, &v, 5, &r, 4, fld, ux, n) {
-		pol.eng.ReleaseFresh(nll)
-		pol.eng.ReleaseFresh(nl)
-		pol.eng.ReleaseFresh(nr)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.W6.Add(1)
-	return true
-}
-
-// doW6s is the mirror image of doW6.
-func (pol *policy[K, V]) doW6s(g *epoch.Guard, lkU, lkUX, lkUXL, lkUXR, lkUXLR llxscx.Linked[lbst.Node[K, V]]) bool {
-	u, ux := lkU.Node(), lkUX.Node()
-	uxl, uxr, uxlr := lkUXL.Node(), lkUXR.Node(), lkUXLR.Node()
-	fld := lbst.FieldOf(lkU, ux)
-	if fld == nil {
-		return false
-	}
-	uxll := lkUXL.Child(0)
-	uxlrl, uxlrr := lkUXLR.Child(0), lkUXLR.Child(1)
-	nrr := pol.eng.CopyNode(lkUXR, uxr.Deco()-1)
-	nr := pol.internalLike(ux, 1, uxlrr, nrr)
-	nl := pol.internalLike(uxl, 1, uxll, uxlrl)
-	n := pol.internalLike(uxlr, replacementWeight(u, ux.Deco()), nl, nr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkUX, lkUXL, lkUXR, lkUXLR}
-	r := [llxscx.MaxV]*lbst.Node[K, V]{ux, uxl, uxr, uxlr}
-	if !pol.eng.RebalanceSCX(g, &v, 5, &r, 4, fld, ux, n) {
-		pol.eng.ReleaseFresh(nrr)
-		pol.eng.ReleaseFresh(nr)
-		pol.eng.ReleaseFresh(nl)
-		pol.eng.ReleaseFresh(n)
-		return false
-	}
-	pol.stats.MirrorW6.Add(1)
-	return true
+	n, f, fn := lkN.Node(), lkF.Node(), lkFN.Node()
+	ff := lkF.Child(1 - d)
+	fnn, fnf := lkFN.Child(d), lkFN.Child(1-d)
+	s := lbst.Step[K, V]{Tree: pol.eng, Guard: g}
+	s.Keep(lkU)
+	s.Remove(lkUX)
+	s.RemovePair(d, lkN, lkF)
+	s.Remove(lkFN)
+	near := s.Internal(ux, 1, d, s.Copy(lkN, n.Deco()-1), fnn)
+	far := s.Internal(f, 1, d, fnf, ff)
+	root := s.Internal(fn, replacementWeight(u, ux.Deco()), d, near, far)
+	return counted(s.Commit(lkU, ux, root), d, &pol.stats.W6, &pol.stats.MirrorW6)
 }

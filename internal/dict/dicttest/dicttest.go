@@ -20,10 +20,13 @@
 package dicttest
 
 import (
+	"fmt"
 	"os"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -299,16 +302,51 @@ func SequentialConformance(t *testing.T, tgt Target, ops int, keyRange int64, se
 		seed)
 }
 
+// fuzzInputDeadline bounds one input of FuzzOpsKV. Inputs are a few hundred
+// operations and take milliseconds; the bound only has to be far above that.
+const fuzzInputDeadline = 30 * time.Second
+
 // FuzzOpsKV interprets data as an operation stream - three bytes per
 // operation: opcode, key selector, value selector - and checks every result
 // against the model. It is intended to be driven by go test's fuzzing
 // engine. (It takes a testing.TB so that the seeded-mutation tests can hand
 // it one that records the failure they expect.)
+//
+// An operation that never returns - a rebalancing step that installs a
+// malformed subtree can leave the structure's own cleanup loop spinning on it
+// - would otherwise surface only as the harness timeout, minutes later and
+// with no word on which structure or which operation. So each input runs
+// under a deadline, and a run that passes it is ended the way the testing
+// package ends one that passes -timeout: by a panic, which here names both,
+// followed by every goroutine's stack, which shows where the operation spins.
 func FuzzOpsKV[K comparable, V comparable](t testing.TB, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V, data []byte) {
+	t.Helper()
+	fuzzOpsKV(t, tgt, key, val, data, fuzzInputDeadline, func(report string) {
+		debug.SetTraceback("all")
+		panic(report)
+	})
+}
+
+// fuzzOpsKV is FuzzOpsKV with the deadline of one input and what happens when
+// it passes (on the timer's goroutine: the test's own is stuck in the
+// operation) left to the caller.
+func fuzzOpsKV[K comparable, V comparable](t testing.TB, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V, data []byte, deadline time.Duration, expired func(report string)) {
 	t.Helper()
 	d := tgt.New()
 	md := newModel[K, V](tgt.Less)
+	var step atomic.Int64 // the operation in flight, for the watchdog
+	watchdog := time.AfterFunc(deadline, func() {
+		report := fmt.Sprintf("dicttest: %s: operation %d of the input has not returned after %v", tgt.Name, step.Load(), deadline)
+		// Every lbst tree has Height. The structure is not quiescent, but it
+		// is not changing either if the operation is spinning.
+		if h, ok := d.(interface{ Height() int }); ok {
+			report += fmt.Sprintf(" (tree height %d)", h.Height())
+		}
+		expired(report)
+	})
+	defer watchdog.Stop()
 	for i := 0; i+2 < len(data); i += 3 {
+		step.Store(int64(i / 3))
 		op := int(data[i])
 		k := key(uint64(data[i+1]))
 		v := val(uint64(data[i+2]))

@@ -90,22 +90,21 @@ func compressSegment[K, V any](g *epoch.Guard, t *lbst.Tree[K, V], key K, u, s1 
 	if st != llxscx.Snapshot {
 		return nil, nil, false
 	}
-	fld := lbst.FieldOf(lkU, s1)
-	if fld == nil {
+	if lbst.FieldOf(lkU, s1) == nil {
 		return nil, nil, false
 	}
 
 	// Walk the segment through LLX evidence, accumulating the in-order
-	// sequence of hanging subtrees and separator keys: a left turn at s means
-	// s's key and right child follow the expansion (collected in suffix, to
-	// be reversed), a right turn means s's left child and key precede it.
-	var v [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]
-	var fin [llxscx.MaxV]*lbst.Node[K, V]
-	v[0] = lkU
+	// sequence of hanging subtrees and separators (the segment's nodes, for
+	// their keys): a left turn at s means s and its right child follow the
+	// expansion (collected in suffix, to be reversed), a right turn means s's
+	// left child and s precede it.
+	step := lbst.Step[K, V]{Tree: t, Guard: g}
+	step.Keep(lkU)
 	var subs [segLen + 1]*lbst.Node[K, V]
-	var keys [segLen]K
+	var seps [segLen]*lbst.Node[K, V]
 	var sufSubs [segLen]*lbst.Node[K, V]
-	var sufKeys [segLen]K
+	var sufSeps [segLen]*lbst.Node[K, V]
 	nPre, nSuf := 0, 0
 	s := s1
 	for i := 0; i < segLen; i++ {
@@ -116,16 +115,15 @@ func compressSegment[K, V any](g *epoch.Guard, t *lbst.Tree[K, V], key K, u, s1 
 		if st != llxscx.Snapshot {
 			return nil, nil, false
 		}
-		v[i+1] = lk
-		fin[i] = s
+		step.Remove(lk)
 		if less(key, s.K) {
-			sufKeys[nSuf] = s.K
+			sufSeps[nSuf] = s
 			sufSubs[nSuf] = lk.Child(1)
 			nSuf++
 			s = lk.Child(0)
 		} else {
 			subs[nPre] = lk.Child(0)
-			keys[nPre] = s.K
+			seps[nPre] = s
 			nPre++
 			s = lk.Child(1)
 		}
@@ -134,11 +132,11 @@ func compressSegment[K, V any](g *epoch.Guard, t *lbst.Tree[K, V], key K, u, s1 
 		}
 	}
 	// s is now the tail: the path's continuation below the segment. Assemble
-	// the full in-order sequence subs[0] keys[0] ... keys[3] subs[4].
+	// the full in-order sequence subs[0] seps[0] ... seps[3] subs[4].
 	tail = s
 	subs[nPre] = s
 	for i := nSuf - 1; i >= 0; i-- {
-		keys[nPre] = sufKeys[i]
+		seps[nPre] = sufSeps[i]
 		nPre++
 		subs[nPre] = sufSubs[i]
 	}
@@ -147,8 +145,6 @@ func compressSegment[K, V any](g *epoch.Guard, t *lbst.Tree[K, V], key K, u, s1 
 	// subtrees are reused as children of fresh nodes (allowed, as in the
 	// insertion template); only the four spine nodes are finalized and
 	// retired, and their keys reappear solely in fresh internal nodes (PC9).
-	var fresh [segLen]*lbst.Node[K, V]
-	nFresh := 0
 	var build func(sl, sr, kl, kr int) *lbst.Node[K, V]
 	build = func(sl, sr, kl, kr int) *lbst.Node[K, V] {
 		if sl == sr {
@@ -157,16 +153,10 @@ func compressSegment[K, V any](g *epoch.Guard, t *lbst.Tree[K, V], key K, u, s1 
 		mid := kl + (kr-kl)/2
 		left := build(sl, sl+(mid-kl), kl, mid)
 		right := build(sl+(mid-kl)+1, sr, mid+1, kr)
-		n := t.InternalNode(keys[mid], 0, false, left, right)
-		fresh[nFresh] = n
-		nFresh++
-		return n
+		return step.Internal(seps[mid], 0, 0, left, right)
 	}
 	block = build(0, segLen, 0, segLen)
-	if !t.RebalanceSCX(g, &v, segLen+1, &fin, segLen, fld, s1, block) {
-		for i := 0; i < nFresh; i++ {
-			t.ReleaseFresh(fresh[i])
-		}
+	if !step.Commit(lkU, s1, block) {
 		return nil, nil, false
 	}
 	return block, tail, true

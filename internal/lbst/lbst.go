@@ -51,8 +51,8 @@
 // is exactly the paper's point about how little code a new template-based
 // data structure needs. The relaxed AVL policy decorates nodes with heights
 // and repairs violations with height fixes and rotations; the chromatic
-// policy decorates them with weights and repairs violations with the 22
-// steps of Boyar, Fagerberg and Larsen.
+// policy decorates them with weights and repairs violations with the 11
+// steps of Boyar, Fagerberg and Larsen, each written over a side.
 //
 // # Memory reclamation
 //
@@ -298,12 +298,12 @@ type Policy[K, V any] interface {
 	// Rebalance attempts one localized rebalancing step at n, whose nearest
 	// ancestors on the search path are p, gp and ggp (gp and ggp are nil
 	// where the path is that short). g is the invoking operation's pinned
-	// epoch guard; the step's SCX must go through Tree.RebalanceSCX (which
-	// runs it on the guard's descriptor and retires the removed nodes), with
-	// fresh nodes built by Tree.InternalNode/Tree.CopyNode and released with
-	// Tree.ReleaseFresh when the SCX fails. It returns true if a step was
-	// applied; false means the tree changed under it (or the violation
-	// vanished) and the cleanup loop re-searches from the entry point.
+	// epoch guard; the step is assembled and committed through a Step, which
+	// runs the SCX on the guard's descriptor, retires the removed nodes when
+	// it succeeds and gives the fresh nodes back when it fails. It returns
+	// true if a step was applied; false means the tree changed under it (or
+	// the violation vanished) and the cleanup loop re-searches from the entry
+	// point.
 	Rebalance(g *epoch.Guard, ggp, gp, p, n *Node[K, V]) bool
 }
 
@@ -326,8 +326,9 @@ type Tree[K, V any] struct {
 	searchFn func(t *Tree[K, V], key K) (gp, p, l *Node[K, V])
 
 	// nodePool recycles this tree's nodes; nodes enter it only through the
-	// epoch layer's grace period (or ReleaseFresh, for nodes that were
-	// never published). Per-tree, because the pool is generic over K and V.
+	// epoch layer's grace period (or straight from a failed update, for
+	// nodes that were never published). Per-tree, because the pool is
+	// generic over K and V.
 	// Heap-allocated separately rather than embedded: a sync.Pool that has
 	// ever been used registers itself with the runtime for the rest of the
 	// process, and an embedded pool would pin the whole Tree — root and all
@@ -492,21 +493,15 @@ func (t *Tree[K, V]) CopyNode(lk llxscx.Linked[Node[K, V]], deco int64) *Node[K,
 	return n
 }
 
-// ReleaseFresh recycles a freshly built node whose SCX failed. Such a node
-// was never published - no other operation can have seen it - so it re-enters
-// the pool immediately, without a grace period.
-func (t *Tree[K, V]) ReleaseFresh(n *Node[K, V]) {
-	t.freeNode(n)
-}
-
-// RebalanceSCX performs one SCX - the engine's own updates' and the policies'
-// rebalancing steps' - on the guard's descriptor and, on success, retires the
-// removed nodes fin[:nf] under that guard: they re-enter the node pool after a
-// grace period. On failure the caller is responsible for releasing the fresh
-// nodes it built (ReleaseFresh). Reading fields of a retired node afterwards
-// is still safe inside the invoking operation's pinned region: the node cannot
-// be recycled before the guard is released plus a grace period.
-func (t *Tree[K, V]) RebalanceSCX(g *epoch.Guard, v *[llxscx.MaxV]llxscx.Linked[Node[K, V]], nv int, fin *[llxscx.MaxV]*Node[K, V], nf int, fld *atomic.Pointer[Node[K, V]], old, new *Node[K, V]) bool {
+// scx performs one SCX - the engine's own updates' and, through Step.Commit,
+// the policies' rebalancing steps' - on the guard's descriptor and, on
+// success, retires the removed nodes fin[:nf] under that guard: they re-enter
+// the node pool after a grace period. On failure the caller is responsible
+// for freeing the fresh nodes it built (freeNode, at once: they were never
+// published). Reading fields of a retired node afterwards is still safe
+// inside the invoking operation's pinned region: the node cannot be recycled
+// before the guard is released plus a grace period.
+func (t *Tree[K, V]) scx(g *epoch.Guard, v *[llxscx.MaxV]llxscx.Linked[Node[K, V]], nv int, fin *[llxscx.MaxV]*Node[K, V], nf int, fld *atomic.Pointer[Node[K, V]], old, new *Node[K, V]) bool {
 	if !llxscx.SCXP(g, t.descPool, v, nv, fin, nf, fld, old, new) {
 		return false
 	}
@@ -917,12 +912,12 @@ func (t *Tree[K, V]) tryInsert(g *epoch.Guard, key K, value V, p, l *Node[K, V])
 	}
 	v := [llxscx.MaxV]llxscx.Linked[Node[K, V]]{lkP, lkL}
 	fin := [llxscx.MaxV]*Node[K, V]{l}
-	if !t.RebalanceSCX(g, &v, 2, &fin, nf, fld, l, repl) {
-		t.ReleaseFresh(keyLeaf)
+	if !t.scx(g, &v, 2, &fin, nf, fld, l, repl) {
+		t.freeNode(keyLeaf)
 		if oldLeaf != l {
-			t.ReleaseFresh(oldLeaf)
+			t.freeNode(oldLeaf)
 		}
-		t.ReleaseFresh(repl)
+		t.freeNode(repl)
 		return false
 	}
 	if t.pol.CreatesViolation(key, p, l, repl) {
@@ -958,8 +953,8 @@ func (t *Tree[K, V]) tryReplace(g *epoch.Guard, key K, value V, p, l *Node[K, V]
 	repl := t.LeafNode(key, value, l.Deco())
 	v := [llxscx.MaxV]llxscx.Linked[Node[K, V]]{lkP, lkL}
 	fin := [llxscx.MaxV]*Node[K, V]{l}
-	if !t.RebalanceSCX(g, &v, 2, &fin, 1, fld, l, repl) {
-		t.ReleaseFresh(repl)
+	if !t.scx(g, &v, 2, &fin, 1, fld, l, repl) {
+		t.freeNode(repl)
 		return zero, false
 	}
 	// The SCX finalized l, so in-place publishers now fail their bracket
@@ -1049,7 +1044,8 @@ func (t *Tree[K, V]) tryDelete(g *epoch.Guard, key K, gp, p, l *Node[K, V]) (V, 
 	}
 	repl := t.CopyNode(lkS, deco)
 	// V and R are ordered by a breadth-first traversal (PC8): the parent's
-	// children appear in left-to-right order.
+	// children appear in left-to-right order, the order Step.RemovePair gives
+	// the sibling pair of every rebalancing step.
 	var v [llxscx.MaxV]llxscx.Linked[Node[K, V]]
 	var fin [llxscx.MaxV]*Node[K, V]
 	if lkP.Child(0) == l {
@@ -1059,8 +1055,8 @@ func (t *Tree[K, V]) tryDelete(g *epoch.Guard, key K, gp, p, l *Node[K, V]) (V, 
 		v = [llxscx.MaxV]llxscx.Linked[Node[K, V]]{lkGP, lkP, lkS, lkL}
 		fin = [llxscx.MaxV]*Node[K, V]{p, s, l}
 	}
-	if !t.RebalanceSCX(g, &v, 4, &fin, 3, fld, p, repl) {
-		t.ReleaseFresh(repl)
+	if !t.scx(g, &v, 4, &fin, 3, fld, p, repl) {
+		t.freeNode(repl)
 		return zero, false
 	}
 	// The SCX committed, so l is finalized and in-place publishers now fail

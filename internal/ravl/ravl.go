@@ -135,16 +135,15 @@ func (p *policy[K, V]) Violation(_, n *lbst.Node[K, V]) bool {
 // whose parent on the search path is u, expressed as LLXs followed by a
 // single SCX exactly like the engine's insertions and deletions (the V
 // sequences are ordered root-to-leaf, satisfying PC8, and every removed
-// node reappears only as a copy, satisfying PC9). Fresh nodes come from the
-// engine's node pool and are released back immediately when the SCX fails;
-// removed nodes are retired by the engine's RebalanceSCX.
+// node reappears only as a copy, satisfying PC9). Each step is assembled on
+// an lbst.Step, whose Commit retires the removed nodes when the SCX succeeds
+// and returns the fresh ones to the engine's node pool when it fails.
 func (p *policy[K, V]) Rebalance(g *epoch.Guard, _, _, u, n *lbst.Node[K, V]) bool {
 	lkU, st := u.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}
-	fld := lbst.FieldOf(lkU, n)
-	if fld == nil {
+	if lbst.FieldOf(lkU, n) == nil {
 		return false // n is no longer u's child; caller re-searches
 	}
 	lkN, st := n.LLX()
@@ -158,170 +157,98 @@ func (p *policy[K, V]) Rebalance(g *epoch.Guard, _, _, u, n *lbst.Node[K, V]) bo
 	hl, hr := l.Deco(), r.Deco()
 	switch {
 	case hl >= hr+2:
-		return p.fixLeft(g, lkU, lkN, fld)
+		return p.fix(g, 0, lkU, lkN)
 	case hr >= hl+2:
-		return p.fixRight(g, lkU, lkN, fld)
+		return p.fix(g, 1, lkU, lkN)
 	case n.Deco() != 1+max(hl, hr):
-		repl := p.eng.CopyNode(lkN, 1+max(hl, hr))
-		v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkN}
-		fin := [llxscx.MaxV]*lbst.Node[K, V]{n}
-		if !p.eng.RebalanceSCX(g, &v, 2, &fin, 1, fld, n, repl) {
-			p.eng.ReleaseFresh(repl)
-			return false
+		s := lbst.Step[K, V]{Tree: p.eng, Guard: g}
+		s.Keep(lkU)
+		s.Remove(lkN)
+		ok := s.Commit(lkU, n, s.Copy(lkN, 1+max(hl, hr)))
+		if ok {
+			p.stats.HeightFixes.Add(1)
 		}
-		p.stats.HeightFixes.Add(1)
-		return true
+		return ok
 	}
 	// The violation vanished between the plain-read check and the LLXs.
 	return false
 }
 
-// fixLeft repairs a balance violation where n's left child l is at least
-// two taller than its right child r. The linked LLX evidence for u and n is
-// supplied by the caller; fld is u's child field holding n.
-func (p *policy[K, V]) fixLeft(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node[K, V]], fld *atomic.Pointer[lbst.Node[K, V]]) bool {
+// counted passes a step's outcome through and, when it committed, bumps the
+// counter of the side it ran on.
+func counted(ok bool, d int, side0, side1 *atomic.Int64) bool {
+	if ok {
+		if d == 0 {
+			side0.Add(1)
+		} else {
+			side1.Add(1)
+		}
+	}
+	return ok
+}
+
+// fix repairs a balance violation where t, n's child on side d (0: the left
+// one), is at least two taller than its other child, s. Below t, to is the
+// outer grandchild of n (t's child on side d) and ti the inner one. The
+// linked LLX evidence for u and n is supplied by the caller, who has checked
+// that both children of n exist.
+func (p *policy[K, V]) fix(g *epoch.Guard, d int, lkU, lkN llxscx.Linked[lbst.Node[K, V]]) bool {
 	n := lkN.Node()
-	l, r := lkN.Child(0), lkN.Child(1)
-	if l.IsLeaf() {
+	t, s := lkN.Child(d), lkN.Child(1-d)
+	if t.IsLeaf() {
 		// Leaves store height 0, so a leaf can never be the taller side by
 		// two; the tree changed under us.
 		return false
 	}
-	lkL, st := l.LLX()
+	lkT, st := t.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}
-	ll, lr := lkL.Child(0), lkL.Child(1)
-	if ll == nil || lr == nil {
+	to, ti := lkT.Child(d), lkT.Child(1-d)
+	if to == nil || ti == nil {
 		return false
 	}
-	hll, hlr := ll.Deco(), lr.Deco()
-	if l.Deco() != 1+max(hll, hlr) {
+	hto, hti := to.Deco(), ti.Deco()
+	step := lbst.Step[K, V]{Tree: p.eng, Guard: g}
+	step.Keep(lkU)
+	if t.Deco() != 1+max(hto, hti) {
 		// Rotations are only applied between nodes whose stored heights are
 		// locally correct; fix the child's height first (the balance
 		// violation at n is then re-evaluated against the corrected height).
-		lfld := lbst.FieldOf(lkN, l)
-		repl := p.eng.CopyNode(lkL, 1+max(hll, hlr))
-		v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkN, lkL}
-		fin := [llxscx.MaxV]*lbst.Node[K, V]{l}
-		if !p.eng.RebalanceSCX(g, &v, 3, &fin, 1, lfld, l, repl) {
-			p.eng.ReleaseFresh(repl)
-			return false
-		}
-		p.stats.ChildHeightFixes.Add(1)
-		return true
+		step.Keep(lkN)
+		step.Remove(lkT)
+		ok := step.Commit(lkN, t, step.Copy(lkT, 1+max(hto, hti)))
+		return counted(ok, d, &p.stats.ChildHeightFixes, &p.stats.MirrorChildHeightFixes)
 	}
-	if hll >= hlr {
-		// Single right rotation: l becomes the subtree root, n drops to its
-		// right with the inner subtree lr attached.
-		inner := p.eng.InternalNode(n.K, 1+max(hlr, r.Deco()), false, lr, r)
-		repl := p.eng.InternalNode(l.K, 1+max(hll, inner.Deco()), false, ll, inner)
-		v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkN, lkL}
-		fin := [llxscx.MaxV]*lbst.Node[K, V]{n, l}
-		if !p.eng.RebalanceSCX(g, &v, 3, &fin, 2, fld, n, repl) {
-			p.eng.ReleaseFresh(inner)
-			p.eng.ReleaseFresh(repl)
-			return false
-		}
-		p.stats.SingleRotations.Add(1)
-		return true
+	step.Remove(lkN)
+	step.Remove(lkT)
+	if hto >= hti {
+		// Single rotation: t becomes the subtree root, n drops to its far
+		// side with the inner subtree ti attached.
+		down := step.Internal(n, 1+max(hti, s.Deco()), d, ti, s)
+		root := step.Internal(t, 1+max(hto, down.Deco()), d, to, down)
+		return counted(step.Commit(lkU, n, root), d, &p.stats.SingleRotations, &p.stats.MirrorSingleRotations)
 	}
-	// Double rotation: the taller child leans inward, so lr (which must be
-	// internal, since its stored height is at least 1) becomes the root.
-	if lr.IsLeaf() {
+	// Double rotation: the taller child leans inward, so ti (which must be
+	// internal, since its stored height is at least 1) becomes the root, above
+	// t on the near side and n on the far side, and its two subtrees are
+	// shared out between them.
+	if ti.IsLeaf() {
 		return false
 	}
-	lkLR, st := lr.LLX()
+	lkTI, st := ti.LLX()
 	if st != llxscx.Snapshot {
 		return false
 	}
-	lrl, lrr := lkLR.Child(0), lkLR.Child(1)
-	if lrl == nil || lrr == nil {
+	tin, tif := lkTI.Child(d), lkTI.Child(1-d)
+	if tin == nil || tif == nil {
 		return false
 	}
-	nl := p.eng.InternalNode(l.K, 1+max(hll, lrl.Deco()), false, ll, lrl)
-	nr := p.eng.InternalNode(n.K, 1+max(lrr.Deco(), r.Deco()), false, lrr, r)
-	repl := p.eng.InternalNode(lr.K, 1+max(nl.Deco(), nr.Deco()), false, nl, nr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkN, lkL, lkLR}
-	fin := [llxscx.MaxV]*lbst.Node[K, V]{n, l, lr}
-	if !p.eng.RebalanceSCX(g, &v, 4, &fin, 3, fld, n, repl) {
-		p.eng.ReleaseFresh(nl)
-		p.eng.ReleaseFresh(nr)
-		p.eng.ReleaseFresh(repl)
-		return false
-	}
-	p.stats.DoubleRotations.Add(1)
-	return true
-}
-
-// fixRight is the mirror image of fixLeft: n's right child r is at least
-// two taller than its left child l.
-func (p *policy[K, V]) fixRight(g *epoch.Guard, lkU, lkN llxscx.Linked[lbst.Node[K, V]], fld *atomic.Pointer[lbst.Node[K, V]]) bool {
-	n := lkN.Node()
-	l, r := lkN.Child(0), lkN.Child(1)
-	if r.IsLeaf() {
-		return false
-	}
-	lkR, st := r.LLX()
-	if st != llxscx.Snapshot {
-		return false
-	}
-	rl, rr := lkR.Child(0), lkR.Child(1)
-	if rl == nil || rr == nil {
-		return false
-	}
-	hrl, hrr := rl.Deco(), rr.Deco()
-	if r.Deco() != 1+max(hrl, hrr) {
-		rfld := lbst.FieldOf(lkN, r)
-		repl := p.eng.CopyNode(lkR, 1+max(hrl, hrr))
-		v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkN, lkR}
-		fin := [llxscx.MaxV]*lbst.Node[K, V]{r}
-		if !p.eng.RebalanceSCX(g, &v, 3, &fin, 1, rfld, r, repl) {
-			p.eng.ReleaseFresh(repl)
-			return false
-		}
-		p.stats.MirrorChildHeightFixes.Add(1)
-		return true
-	}
-	if hrr >= hrl {
-		// Single left rotation.
-		inner := p.eng.InternalNode(n.K, 1+max(l.Deco(), hrl), false, l, rl)
-		repl := p.eng.InternalNode(r.K, 1+max(inner.Deco(), hrr), false, inner, rr)
-		v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkN, lkR}
-		fin := [llxscx.MaxV]*lbst.Node[K, V]{n, r}
-		if !p.eng.RebalanceSCX(g, &v, 3, &fin, 2, fld, n, repl) {
-			p.eng.ReleaseFresh(inner)
-			p.eng.ReleaseFresh(repl)
-			return false
-		}
-		p.stats.MirrorSingleRotations.Add(1)
-		return true
-	}
-	// Double rotation through rl.
-	if rl.IsLeaf() {
-		return false
-	}
-	lkRL, st := rl.LLX()
-	if st != llxscx.Snapshot {
-		return false
-	}
-	rll, rlr := lkRL.Child(0), lkRL.Child(1)
-	if rll == nil || rlr == nil {
-		return false
-	}
-	nl := p.eng.InternalNode(n.K, 1+max(l.Deco(), rll.Deco()), false, l, rll)
-	nr := p.eng.InternalNode(r.K, 1+max(rlr.Deco(), hrr), false, rlr, rr)
-	repl := p.eng.InternalNode(rl.K, 1+max(nl.Deco(), nr.Deco()), false, nl, nr)
-	v := [llxscx.MaxV]llxscx.Linked[lbst.Node[K, V]]{lkU, lkN, lkR, lkRL}
-	fin := [llxscx.MaxV]*lbst.Node[K, V]{n, r, rl}
-	if !p.eng.RebalanceSCX(g, &v, 4, &fin, 3, fld, n, repl) {
-		p.eng.ReleaseFresh(nl)
-		p.eng.ReleaseFresh(nr)
-		p.eng.ReleaseFresh(repl)
-		return false
-	}
-	p.stats.MirrorDoubleRotations.Add(1)
-	return true
+	step.Remove(lkTI)
+	near := step.Internal(t, 1+max(hto, tin.Deco()), d, to, tin)
+	far := step.Internal(n, 1+max(tif.Deco(), s.Deco()), d, tif, s)
+	root := step.Internal(ti, 1+max(near.Deco(), far.Deco()), d, near, far)
+	return counted(step.Commit(lkU, n, root), d, &p.stats.DoubleRotations, &p.stats.MirrorDoubleRotations)
 }
 
 // Tree is a non-blocking relaxed AVL tree implementing an ordered

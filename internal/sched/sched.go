@@ -287,6 +287,10 @@ const (
 	// decoration instead of the one the policy computes (for a chromatic
 	// tree, its weight plus its removed parent's).
 	KeepSiblingDeco
+	// IgnoreSide makes lbst.Step.Internal place a fresh node's children as if
+	// every step ran on side 0, so a step run on side 1 puts its near child
+	// on the left: the bug of a mirrored step that reads one wrong side.
+	IgnoreSide
 )
 
 var mutations atomic.Uint32

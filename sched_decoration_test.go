@@ -2,9 +2,11 @@ package repro
 
 // Seeded mutations of the one place where the tree engine acts on a
 // decoration its balancing policy assigns (internal/lbst: tryInsert and
-// tryDelete). Each must be caught by the per-operation fuzz of
-// FuzzOrderedMapAgainstModel - the same interpreter, the same seed corpus -
-// as unequal weighted path lengths in a chromatic tree.
+// tryDelete), and of the one place where it acts on the side a rebalancing
+// step runs on (lbst.Step.Internal). Each must be caught by the per-operation
+// fuzz of FuzzOrderedMapAgainstModel - the same interpreter, the same seed
+// corpus - in a chromatic tree: the first two as unequal weighted path
+// lengths, the third as keys out of order.
 
 import (
 	"fmt"
@@ -59,11 +61,16 @@ func TestDecorationMutationsCaught(t *testing.T) {
 	for _, tc := range []struct {
 		name, tree string
 		mutation   sched.Mutation
+		caughtAs   string
 	}{
 		// An overweight leaf only survives until the next insertion beside it
 		// where violations are tolerated, so this one needs Chromatic6.
-		{"insertion reuses an overweight old leaf", "Chromatic6", sched.ReuseRedecoratedLeaf},
-		{"promoted sibling keeps its own weight", "Chromatic", sched.KeepSiblingDeco},
+		{"insertion reuses an overweight old leaf", "Chromatic6", sched.ReuseRedecoratedLeaf, "unequal weighted path lengths"},
+		{"promoted sibling keeps its own weight", "Chromatic", sched.KeepSiblingDeco, "unequal weighted path lengths"},
+		// The first step a run takes on side 1 swaps two subtrees, and the
+		// content check that follows the operation reads the keys out of
+		// order, before any later operation can spin on what was installed.
+		{"a step on side 1 places its children as on side 0", "Chromatic", sched.IgnoreSide, "the model's sorted keys are"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if msg := firstFuzzFailure(t, tc.tree); msg != "" {
@@ -72,8 +79,8 @@ func TestDecorationMutationsCaught(t *testing.T) {
 			sched.SetMutation(tc.mutation, true)
 			defer sched.SetMutation(tc.mutation, false)
 			msg := firstFuzzFailure(t, tc.tree)
-			if !strings.Contains(msg, "unequal weighted path lengths") {
-				t.Fatalf("mutation not caught as unequal weighted path lengths; first failure: %q", msg)
+			if !strings.Contains(msg, tc.caughtAs) {
+				t.Fatalf("mutation not caught as %q; first failure: %q", tc.caughtAs, msg)
 			}
 			t.Logf("mutation caught: %s", msg)
 		})
