@@ -339,6 +339,8 @@ func printHealth(out *os.File, chaosOn bool) {
 		r.Pending, r.Parked, r.PendingUnscanned, r.PendingByAge)
 	fmt.Fprintf(out, "advance fails %d, free refusals %d, degraded drops %d, evictions %d (recovered %d)\n",
 		r.AdvanceFails, r.Refusals, r.DegradedDrops, r.Evictions, r.Recovered)
+	fmt.Fprintf(out, "snapshot captures: %d waited for a publish window, the last scanned %d slots\n",
+		r.WindowWaits, r.DrainSlots)
 	if chaosOn {
 		st := sched.ReadChaosStats()
 		fmt.Fprintf(out, "chaos: %+v\n", st)

@@ -19,7 +19,6 @@ package repro
 import (
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
@@ -27,6 +26,7 @@ import (
 	"repro/internal/dict"
 	"repro/internal/dict/dicttest"
 	"repro/internal/ebst"
+	"repro/internal/epoch"
 	"repro/internal/lockavl"
 	"repro/internal/ravl"
 	"repro/internal/sched"
@@ -580,7 +580,7 @@ func TestFuzzSeedCorpusReachesEveryStep(t *testing.T) {
 	fired := map[string]int64{}
 	for _, tr := range chromatics {
 		s := tr.Stats()
-		for name, c := range map[string]*atomic.Int64{
+		for name, c := range map[string]*epoch.Counter{
 			"BLK": &s.BLK, "RB1": &s.RB1, "RB1s": &s.MirrorRB1, "RB2": &s.RB2, "RB2s": &s.MirrorRB2,
 			"PUSH": &s.PUSH, "PUSHs": &s.MirrorPUSH,
 			"W1": &s.W1, "W1s": &s.MirrorW1, "W2": &s.W2, "W2s": &s.MirrorW2,
@@ -593,7 +593,7 @@ func TestFuzzSeedCorpusReachesEveryStep(t *testing.T) {
 	}
 	for _, tr := range ravls {
 		s := tr.Stats()
-		for name, c := range map[string]*atomic.Int64{
+		for name, c := range map[string]*epoch.Counter{
 			"RAVL height fix":        &s.HeightFixes,
 			"RAVL child height fix":  &s.ChildHeightFixes,
 			"RAVL child height fix*": &s.MirrorChildHeightFixes,

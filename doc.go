@@ -64,13 +64,15 @@
 //
 // The LLX/SCX trees additionally serve O(1) versioned snapshots
 // (dict.Snapshotter): every committed SCX stamps the subtree root it
-// installs with a commit tick and links the displaced version, Snapshot
-// captures (entry, tick) in constant time behind a long-lived epoch pin,
+// installs with the tree's version clock and links the displaced version,
+// Snapshot advances the clock and captures (entry, tick) in constant time
+// behind a long-lived epoch pin,
 // and the returned frozen view answers Get/RangeScan/Ascend by rewinding
 // newer nodes through their version chains - no validation, no retries, no
 // CASes on the read path. SnapshotDiff enumerates the changes between two
 // captures, skipping unchanged subtrees by pointer equality. The capture
-// protocol (stamp-before-install bracketing, read-version-then-drain) is
+// protocol (stamp and install inside a publish window on an epoch slot,
+// advance-the-clock-then-drain) is
 // exhaustively schedule-enumerated (sched_snapshot_test.go, selected by
 // -tags sched) and argued in DESIGN.md ("Versioned snapshots").
 //

@@ -36,23 +36,38 @@ package chromatic
 import (
 	"cmp"
 	"strconv"
-	"sync/atomic"
 
+	"repro/internal/epoch"
 	"repro/internal/lbst"
 )
 
 // Stats counts the successful rebalancing steps of each kind performed on a
 // tree, and the attempts. It is intended for tests and experiments; counts
 // are monotone and only approximately ordered with respect to concurrent
-// operations.
+// operations. The counters are sharded by epoch slot (epoch.Counters), so a
+// step counts on a line private to the operation running it.
 type Stats struct {
-	BLK, RB1, RB2, PUSH, W7           atomic.Int64
-	W1, W2, W3, W4, W5, W6            atomic.Int64
-	MirrorRB1, MirrorRB2, MirrorPUSH  atomic.Int64
-	MirrorW1, MirrorW2, MirrorW3      atomic.Int64
-	MirrorW4, MirrorW5, MirrorW6      atomic.Int64
-	MirrorW7                          atomic.Int64
-	RebalanceAttempts, RebalanceFails atomic.Int64
+	set epoch.Counters
+
+	BLK, RB1, RB2, PUSH, W7           epoch.Counter
+	W1, W2, W3, W4, W5, W6            epoch.Counter
+	MirrorRB1, MirrorRB2, MirrorPUSH  epoch.Counter
+	MirrorW1, MirrorW2, MirrorW3      epoch.Counter
+	MirrorW4, MirrorW5, MirrorW6      epoch.Counter
+	MirrorW7                          epoch.Counter
+	RebalanceAttempts, RebalanceFails epoch.Counter
+}
+
+func newStats() *Stats {
+	s := new(Stats)
+	s.set.Bind(&s.BLK, &s.RB1, &s.RB2, &s.PUSH, &s.W7,
+		&s.W1, &s.W2, &s.W3, &s.W4, &s.W5, &s.W6,
+		&s.MirrorRB1, &s.MirrorRB2, &s.MirrorPUSH,
+		&s.MirrorW1, &s.MirrorW2, &s.MirrorW3,
+		&s.MirrorW4, &s.MirrorW5, &s.MirrorW6,
+		&s.MirrorW7,
+		&s.RebalanceAttempts, &s.RebalanceFails)
+	return s
 }
 
 // RebalanceTotal returns the total number of successful rebalancing steps.
@@ -99,7 +114,7 @@ func newTree[K, V any](opts []Option, engine func(lbst.Policy[K, V]) *lbst.Tree[
 	for _, o := range opts {
 		o(&cfg)
 	}
-	pol := &policy[K, V]{allowed: cfg.allowed, stats: new(Stats)}
+	pol := &policy[K, V]{allowed: cfg.allowed, stats: newStats()}
 	pol.eng = engine(pol)
 	return &Tree[K, V]{Tree: pol.eng, pol: pol}
 }
@@ -140,9 +155,7 @@ type policy[K, V any] struct {
 	// reproduces the paper's Chromatic, 6 reproduces Chromatic6.
 	allowed int
 	eng     *lbst.Tree[K, V]
-	// stats is an allocation of its own: every step writes it, and every
-	// update reads the two words above.
-	stats *Stats
+	stats   *Stats
 }
 
 // Name implements lbst.Policy: "Chromatic", or "Chromatic6" and the like for

@@ -1,8 +1,6 @@
 package chromatic
 
 import (
-	"sync/atomic"
-
 	"repro/internal/epoch"
 	"repro/internal/lbst"
 	"repro/internal/llxscx"
@@ -64,12 +62,12 @@ func replacementWeight[K, V any](u *lbst.Node[K, V], w int64) int64 {
 
 // counted passes a step's outcome through and, when it committed, bumps the
 // counter of the side it ran on.
-func counted(ok bool, d int, side0, side1 *atomic.Int64) bool {
+func counted(g *epoch.Guard, ok bool, d int, side0, side1 *epoch.Counter) bool {
 	if ok {
 		if d == 0 {
-			side0.Add(1)
+			side0.Add(g, 1)
 		} else {
-			side1.Add(1)
+			side1.Add(g, 1)
 		}
 	}
 	return ok
@@ -96,10 +94,10 @@ func sideOf[K, V any](lk llxscx.Linked[lbst.Node[K, V]], child *lbst.Node[K, V])
 // three ancestors exist. A false return means no step was applied (the
 // engine's cleanup will search again from the entry point).
 func (pol *policy[K, V]) Rebalance(g *epoch.Guard, ggp, gp, p, l *lbst.Node[K, V]) bool {
-	pol.stats.RebalanceAttempts.Add(1)
+	pol.stats.RebalanceAttempts.Add(g, 1)
 	ok := pol.tryRebalanceOnce(g, ggp, gp, p, l)
 	if !ok {
-		pol.stats.RebalanceFails.Add(1)
+		pol.stats.RebalanceFails.Add(g, 1)
 	}
 	return ok
 }
@@ -286,7 +284,7 @@ func (pol *policy[K, V]) doBLK(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF llxscx
 	s.Remove(lkUX)
 	s.RemovePair(d, lkN, lkF)
 	root := s.Internal(ux, replacementWeight(u, ux.Deco()-1), d, s.Copy(lkN, 1), s.Copy(lkF, 1))
-	return counted(s.Commit(lkU, ux, root), d, &pol.stats.BLK, &pol.stats.BLK)
+	return counted(g, s.Commit(lkU, ux, root), d, &pol.stats.BLK, &pol.stats.BLK)
 }
 
 // doRB1 performs a single rotation fixing a red-red violation at the outer
@@ -303,7 +301,7 @@ func (pol *policy[K, V]) doRB1(g *epoch.Guard, d int, lkU, lkUX, lkN llxscx.Link
 	s.Remove(lkN)
 	down := s.Internal(ux, 0, d, nf, f)
 	root := s.Internal(n, replacementWeight(u, ux.Deco()), d, nn, down)
-	return counted(s.Commit(lkU, ux, root), d, &pol.stats.RB1, &pol.stats.MirrorRB1)
+	return counted(g, s.Commit(lkU, ux, root), d, &pol.stats.RB1, &pol.stats.MirrorRB1)
 }
 
 // doRB2 performs a double rotation fixing a red-red violation at the inner
@@ -323,7 +321,7 @@ func (pol *policy[K, V]) doRB2(g *epoch.Guard, d int, lkU, lkUX, lkN, lkNF llxsc
 	near := s.Internal(n, 0, d, nn, nfn)
 	far := s.Internal(ux, 0, d, nff, f)
 	root := s.Internal(nf, replacementWeight(u, ux.Deco()), d, near, far)
-	return counted(s.Commit(lkU, ux, root), d, &pol.stats.RB2, &pol.stats.MirrorRB2)
+	return counted(g, s.Commit(lkU, ux, root), d, &pol.stats.RB2, &pol.stats.MirrorRB2)
 }
 
 // --- Overweight transformations ------------------------------------------
@@ -334,7 +332,7 @@ func (pol *policy[K, V]) doRB2(g *epoch.Guard, d int, lkU, lkUX, lkN, lkNF llxsc
 // pushUp is PUSH and W7, which build the same subtree: both children of ux
 // give up one unit of weight to their parent. PUSH applies when the sibling f
 // has weight one and no red child, W7 when f is overweight too.
-func (pol *policy[K, V]) pushUp(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF llxscx.Linked[lbst.Node[K, V]], side0, side1 *atomic.Int64) bool {
+func (pol *policy[K, V]) pushUp(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF llxscx.Linked[lbst.Node[K, V]], side0, side1 *epoch.Counter) bool {
 	u, ux := lkU.Node(), lkUX.Node()
 	n, f := lkN.Node(), lkF.Node()
 	s := lbst.Step[K, V]{Tree: pol.eng, Guard: g}
@@ -342,7 +340,7 @@ func (pol *policy[K, V]) pushUp(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF llxsc
 	s.Remove(lkUX)
 	s.RemovePair(d, lkN, lkF)
 	root := s.Internal(ux, replacementWeight(u, ux.Deco()+1), d, s.Copy(lkN, n.Deco()-1), s.Copy(lkF, f.Deco()-1))
-	return counted(s.Commit(lkU, ux, root), d, side0, side1)
+	return counted(g, s.Commit(lkU, ux, root), d, side0, side1)
 }
 
 // doW1W2 is W1 and W2, which build the same subtree: the sibling f is red and
@@ -350,7 +348,7 @@ func (pol *policy[K, V]) pushUp(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF llxsc
 // and ux goes down on the near side with weight one, above n and fn, each one
 // unit lighter. In W1 fn is overweight like n; in W2 it has weight one and no
 // red child, and comes out red.
-func (pol *policy[K, V]) doW1W2(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFN llxscx.Linked[lbst.Node[K, V]], side0, side1 *atomic.Int64) bool {
+func (pol *policy[K, V]) doW1W2(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFN llxscx.Linked[lbst.Node[K, V]], side0, side1 *epoch.Counter) bool {
 	u, ux := lkU.Node(), lkUX.Node()
 	n, f, fn := lkN.Node(), lkF.Node(), lkFN.Node()
 	ff := lkF.Child(1 - d)
@@ -361,7 +359,7 @@ func (pol *policy[K, V]) doW1W2(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFN
 	s.Remove(lkFN)
 	down := s.Internal(ux, 1, d, s.Copy(lkN, n.Deco()-1), s.Copy(lkFN, fn.Deco()-1))
 	root := s.Internal(f, replacementWeight(u, ux.Deco()), d, down, ff)
-	return counted(s.Commit(lkU, ux, root), d, side0, side1)
+	return counted(g, s.Commit(lkU, ux, root), d, side0, side1)
 }
 
 // doW3 handles a red sibling f whose near child fn has weight one and a red
@@ -384,7 +382,7 @@ func (pol *policy[K, V]) doW3(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFN, 
 	far := s.Internal(fn, 1, d, fnnf, fnf)
 	mid := s.Internal(fnn, 0, d, near, far)
 	root := s.Internal(f, replacementWeight(u, ux.Deco()), d, mid, ff)
-	return counted(s.Commit(lkU, ux, root), d, &pol.stats.W3, &pol.stats.MirrorW3)
+	return counted(g, s.Commit(lkU, ux, root), d, &pol.stats.W3, &pol.stats.MirrorW3)
 }
 
 // doW4 handles a red sibling f whose near child fn has weight one and a red
@@ -405,7 +403,7 @@ func (pol *policy[K, V]) doW4(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFN, 
 	near := s.Internal(ux, 1, d, s.Copy(lkN, n.Deco()-1), fnn)
 	far := s.Internal(f, 0, d, s.Copy(lkFNF, 1), ff)
 	root := s.Internal(fn, replacementWeight(u, ux.Deco()), d, near, far)
-	return counted(s.Commit(lkU, ux, root), d, &pol.stats.W4, &pol.stats.MirrorW4)
+	return counted(g, s.Commit(lkU, ux, root), d, &pol.stats.W4, &pol.stats.MirrorW4)
 }
 
 // doW5 handles a sibling f of weight one with a red far child ff: f comes up
@@ -422,7 +420,7 @@ func (pol *policy[K, V]) doW5(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFF l
 	s.Remove(lkFF)
 	near := s.Internal(ux, 1, d, s.Copy(lkN, n.Deco()-1), fn)
 	root := s.Internal(f, replacementWeight(u, ux.Deco()), d, near, s.Copy(lkFF, 1))
-	return counted(s.Commit(lkU, ux, root), d, &pol.stats.W5, &pol.stats.MirrorW5)
+	return counted(g, s.Commit(lkU, ux, root), d, &pol.stats.W5, &pol.stats.MirrorW5)
 }
 
 // doW6 handles a sibling f of weight one with a red near child fn: fn comes
@@ -441,5 +439,5 @@ func (pol *policy[K, V]) doW6(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFN l
 	near := s.Internal(ux, 1, d, s.Copy(lkN, n.Deco()-1), fnn)
 	far := s.Internal(f, 1, d, fnf, ff)
 	root := s.Internal(fn, replacementWeight(u, ux.Deco()), d, near, far)
-	return counted(s.Commit(lkU, ux, root), d, &pol.stats.W6, &pol.stats.MirrorW6)
+	return counted(g, s.Commit(lkU, ux, root), d, &pol.stats.W6, &pol.stats.MirrorW6)
 }

@@ -124,8 +124,9 @@ type SnapshotView[K, V any] interface {
 	// Ascend calls fn for every key in ascending order and returns the number
 	// of keys visited; if fn returns false the scan stops early.
 	Ascend(fn func(k K, v V) bool) int
-	// Version is the capture's commit tick: snapshots of the same dictionary
-	// are ordered by it. Adapter views report 0.
+	// Version is the capture's position on the dictionary's version clock:
+	// snapshots of the same dictionary are ordered by it. Adapter views
+	// report 0.
 	Version() uint64
 	// Consistent reports whether the view is frozen (true) or a weakly
 	// consistent live fallback (false).

@@ -33,9 +33,14 @@ import (
 // drainPending drives the epoch layer's pending count to zero, failing if
 // it sticks. After a chaos run every worker has unpinned (or been released
 // and then unpinned), so with the watchdog's help nothing may keep a
-// retiree's grace period open forever.
+// retiree's grace period open forever. Nor may a publish window be left
+// open: the windows are process-wide, so one that a crashed or parked worker
+// never closed would wedge every later snapshot capture.
 func drainPending(t *testing.T, d time.Duration) {
 	t.Helper()
+	if n := epoch.Stats().OpenWindows; n != 0 {
+		t.Errorf("%d publish windows left open after chaos run", n)
+	}
 	deadline := time.Now().Add(d)
 	for epoch.Drain() != 0 {
 		if time.Now().After(deadline) {

@@ -90,21 +90,29 @@ type bucket struct {
 	items []entry
 }
 
-// Guard is one pinned-operation slot. The state word is the only field
-// touched by other goroutines (the epoch advancer reads it; Pin claims it
-// with CAS); everything below the padding is owned by the claim holder.
-// The struct is a whole number of cache lines with a line of padding on
-// either side of the owner's fields, so wherever the linker places the
-// array no state word shares a line with a field some owner writes.
+// Guard is one pinned-operation slot. Its first cache line is the only one
+// other goroutines touch: the epoch advancer reads state and Pin claims it
+// with CAS, and the publish-window counter beside it is opened by whoever runs
+// an SCX of this slot and read by snapshot captures (DrainWindows). The owner's
+// Pin CAS has just made that line exclusive, so its own windows cost no
+// transfer. Everything from buckets on is owned by the claim holder. The slot
+// array starts on a line boundary (see slots) and the struct is a whole
+// number of lines, so the first line is shared with no field an owner writes
+// and with no neighbour.
 type Guard struct {
 	// state is 0 when the slot is free, else the global epoch observed at
 	// Pin time. While claimed it is always within one of the current global
 	// epoch (Pin re-validates after claiming; see the advance argument in
 	// DESIGN.md).
 	state atomic.Uint64
+	// window counts the publish windows open on this slot (see Window).
+	window Window
 	// slot is the guard's index in the slot array, fixed at start-up.
 	slot int
-	_    [48]byte
+	// used records that the slot has been pinned at least once and is in
+	// usedSlots; only a claim holder reads or writes it.
+	used bool
+	_    [39]byte
 
 	buckets [bucketEpochs]bucket
 
@@ -135,7 +143,17 @@ var (
 	// globalEpoch starts at 1 so a state word of 0 can mean "free".
 	globalEpoch atomic.Uint64
 
-	slots [NumSlots]Guard
+	// slots is allocated, not static, so that it can start on a cache-line
+	// boundary (the linker aligns a static array to less), and a slice, not
+	// a pointer to the array, so that indexing it costs a bounds check
+	// instead of a nil check that reads slot 0's state line on every Pin.
+	slots = NewAligned[[NumSlots]Guard]()[:]
+
+	// usedSlots has bit i set once slot i has been pinned: the slots a window
+	// can be open on, which is all DrainWindows scans. Goroutines keep their
+	// slot across operations (slotHint), so the set stays near the number of
+	// goroutines that have ever run an operation.
+	usedSlots [NumSlots / 64]atomic.Uint64
 
 	// degradedPins counts slots currently evicted by the watchdog. While it
 	// is nonzero the layer is in degraded mode: every eligible retiree is
@@ -152,7 +170,32 @@ var (
 	degradedDrops atomic.Int64 // retirees dropped to GC in degraded mode
 	evictions     atomic.Int64 // watchdog evictions performed
 	recoveries    atomic.Int64 // evicted slots whose holder later resumed
+	windowWaits   atomic.Int64 // DrainWindows calls that found a window open
+	drainSlots    atomic.Int64 // slots the last DrainWindows scanned
 )
+
+// CacheLine is the line size the layouts of this package and of
+// internal/llxscx are padded and aligned to.
+const CacheLine = 64
+
+// NewAligned allocates a zeroed T on a cache-line boundary (the slot array
+// here, internal/llxscx's descriptor table, a counter block). The allocator
+// places an object of a whole number of lines on one, except that it puts an
+// eight-byte type header in front of some (since Go 1.22, those holding
+// pointers that are larger than 512 bytes and not large enough for a span of
+// their own), which the second attempt pads to a line. Alignment is a matter
+// of cache traffic, not of correctness, so nothing here insists on it: the
+// layout tests of the three users do (TestGuardLayout, llxscx's
+// TestDescriptorLayout, TestCounterBlocksArePrivateLines).
+func NewAligned[T any]() *T {
+	if p := new(T); uintptr(unsafe.Pointer(p))%CacheLine == 0 {
+		return p
+	}
+	return &new(struct {
+		_ [CacheLine - 8]byte
+		v T
+	}).v
+}
 
 func init() {
 	globalEpoch.Store(1)
@@ -189,6 +232,10 @@ func Pin() *Guard {
 			if g.pending.Load() != 0 {
 				// Adopt garbage parked by a previous owner of this slot.
 				g.drain(globalEpoch.Load())
+			}
+			if !g.used {
+				g.used = true
+				usedSlots[g.slot/64].Or(1 << (g.slot % 64))
 			}
 			return g
 		}
@@ -341,7 +388,7 @@ func tryAdvance() bool {
 // one whose callback refuses, pins the tree's pools, and through them the
 // whole tree, as a GC root; and a slot's SCX
 // descriptor keeps the arguments of its last SCX (nodes, and the structure's
-// commit hooks) until the slot's next SCX overwrites them, which OnDiscard
+// commit hook) until the slot's next SCX overwrites them, which OnDiscard
 // lets internal/llxscx clear. The benchmark harness calls this between
 // trials so a long run's dead structures do not accumulate as mark-phase
 // work for later trials.

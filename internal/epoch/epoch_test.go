@@ -317,12 +317,16 @@ func TestConcurrentPinRetireUnpin(t *testing.T) {
 	}
 }
 
-// TestGuardLayout pins what the padding is for. The linker aligns the slot
-// array to less than a cache line, so a state word keeps its line to itself
-// only if the struct is a whole number of lines and the owner-written fields
-// have a line's worth of padding (less the state word) on either side.
+// TestGuardLayout pins what the padding and the alignment are for: the slot
+// array starts on a cache line and a Guard is a whole number of lines, so the
+// state word and the window counter - the two words other goroutines touch -
+// share the first line of their slot with no field an owner writes and with
+// no neighbour.
 func TestGuardLayout(t *testing.T) {
-	const line = 64
+	const line = CacheLine
+	if base := uintptr(unsafe.Pointer(&slots[0])); base%line != 0 {
+		t.Fatalf("slot array at %#x is not cache-line aligned", base)
+	}
 	size := unsafe.Sizeof(Guard{})
 	if size%line != 0 {
 		t.Fatalf("sizeof(Guard) = %d, not a multiple of %d", size, line)
@@ -331,13 +335,11 @@ func TestGuardLayout(t *testing.T) {
 	if off := unsafe.Offsetof(g.state); off != 0 {
 		t.Fatalf("state at offset %d, want 0", off)
 	}
-	if off := unsafe.Offsetof(g.buckets); off < line {
-		t.Fatalf("first owner-written field at offset %d, inside the state word's line", off)
+	if off := unsafe.Offsetof(g.window); off != 8 {
+		t.Fatalf("window at offset %d, want 8: beside the state word", off)
 	}
-	end := unsafe.Offsetof(g.pending) + unsafe.Sizeof(g.pending)
-	if pad := size - end; pad < line-unsafe.Sizeof(g.state) {
-		t.Fatalf("%d bytes between the last owner-written field and the next slot's state word, want at least %d",
-			pad, line-unsafe.Sizeof(g.state))
+	if off := unsafe.Offsetof(g.buckets); off != line {
+		t.Fatalf("first owner-written field at offset %d, want %d: the start of the second line", off, line)
 	}
 }
 

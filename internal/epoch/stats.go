@@ -43,6 +43,16 @@ type Report struct {
 	// whose holder later resumed and released the slot (cumulative).
 	Evictions int64
 	Recovered int64
+	// WindowWaits counts snapshot captures (cumulative, DrainWindows calls)
+	// that found a publish window open and waited for it.
+	WindowWaits int64
+	// DrainSlots is the number of slots the most recent DrainWindows
+	// scanned: the slots ever pinned, which is what a capture costs.
+	DrainSlots int64
+	// OpenWindows is the number of publish windows open right now. With no
+	// update in flight it is zero; a window left open (an operation that
+	// panicked or parked inside one) wedges every later capture.
+	OpenWindows int64
 }
 
 // Stats returns a health report for the reclamation layer. The per-bucket
@@ -60,8 +70,11 @@ func Stats() Report {
 	r.DegradedDrops = degradedDrops.Load()
 	r.Evictions = evictions.Load()
 	r.Recovered = recoveries.Load()
+	r.WindowWaits = windowWaits.Load()
+	r.DrainSlots = drainSlots.Load()
 	for i := range slots {
 		g := &slots[i]
+		r.OpenWindows += g.window.n.Load()
 		pending := g.pending.Load()
 		r.Pending += pending
 		switch s := g.state.Load(); {

@@ -1,6 +1,9 @@
 package lbst
 
 import (
+	"bytes"
+	"math/rand"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -40,8 +43,9 @@ func TestNodeLayout(t *testing.T) {
 }
 
 // TestTreeHeaderLayout checks that the fields every operation reads share no
-// cache line with the words updates write, wherever the allocator puts the
-// header: a full line lies between the two groups.
+// cache line with the words snapshots and the spine diagnostic write,
+// wherever the allocator puts the header: a full line lies between the two
+// groups. (TestUpdatesWriteNoTreeWord checks that updates write neither.)
 func TestTreeHeaderLayout(t *testing.T) {
 	var tr Tree[int64, int64]
 	readEnd := uintptr(0)
@@ -59,9 +63,52 @@ func TestTreeHeaderLayout(t *testing.T) {
 	}
 	writeStart := min(
 		unsafe.Offsetof(tr.spineDeep), unsafe.Offsetof(tr.spineMax), unsafe.Offsetof(tr.mitigating),
-		unsafe.Offsetof(tr.gver), unsafe.Offsetof(tr.snapLive), unsafe.Offsetof(tr.fastWriters))
+		unsafe.Offsetof(tr.gver), unsafe.Offsetof(tr.snapLive))
 	if writeStart < readEnd+64 {
-		t.Fatalf("read-mostly fields end at offset %d and per-commit words start at %d: less than a line apart", readEnd, writeStart)
+		t.Fatalf("read-mostly fields end at offset %d and the written words start at %d: less than a line apart", readEnd, writeStart)
+	}
+}
+
+// TestUpdatesWriteNoTreeWord is the claim the header layout serves: with no
+// snapshot ever taken, inserts, deletes and overwrites from two goroutines
+// leave every word of the header's written group as it was, the version
+// clock included - what an update writes besides nodes is on the epoch slot
+// it holds pinned.
+func TestUpdatesWriteNoTreeWord(t *testing.T) {
+	tr := New[int64, int64](intLess, nopPolicy{})
+	start := unsafe.Offsetof(tr.spineDeep)
+	written := func() []byte {
+		return unsafe.Slice((*byte)(unsafe.Add(unsafe.Pointer(tr), start)), unsafe.Sizeof(*tr)-start)
+	}
+	before := bytes.Clone(written())
+	var wg sync.WaitGroup
+	for w := int64(0); w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(w))
+			for i := 0; i < 5000; i++ {
+				// A third of the calls delete; inserts of a present key are
+				// overwrites, and on 200 keys most are.
+				if key := rng.Int63n(200); rng.Intn(3) == 0 {
+					tr.Delete(key)
+				} else {
+					tr.Insert(key, rng.Int63())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if after := written(); !bytes.Equal(before, after) {
+		t.Fatalf("updates wrote the tree header:\nbefore %x\nafter  %x", before, after)
+	}
+	if v := tr.gver.Load(); v != 0 {
+		t.Fatalf("gver = %d with no snapshot ever taken", v)
+	}
+	s := tr.Snapshot()
+	s.Release()
+	if v := tr.gver.Load(); v != 1 {
+		t.Fatalf("gver = %d after one capture, want 1: captures advance the clock", v)
 	}
 }
 

@@ -123,7 +123,7 @@ type Node[K, V any] struct {
 	// snapVer is the node's commit tick for the versioned-snapshot layer:
 	// verPending from construction until the node is installed into a
 	// mutable field by a committed SCX, at which point the tree's commit
-	// hook stamps it (CAS, exactly once) with the tree's version counter —
+	// hook stamps it (CAS, exactly once) with the tree's version clock —
 	// BEFORE the update CAS, so a node readable out of a field is always
 	// already stamped. Fresh interior nodes of an update that are not the
 	// CASed-in subtree root stay verPending forever; the resolution rule
@@ -312,8 +312,11 @@ type Policy[K, V any] interface {
 // or NewOrdered.
 type Tree[K, V any] struct {
 	// Two groups, a full cache line apart wherever the allocator puts the
-	// header: every operation reads the first, every commit writes the second
-	// (gver, fastWriters) and must not invalidate the first with it.
+	// header. Every operation reads the first. An update writes neither: what
+	// it writes besides nodes (its publish windows, a policy's step counters)
+	// is on the epoch slot it holds pinned. The second group is written by
+	// snapshot capture and release and by the degenerate-spine diagnostic
+	// only, and must not invalidate the first when it is.
 	entry *Node[K, V]
 	less  func(a, b K) bool
 	pol   Policy[K, V]
@@ -337,7 +340,7 @@ type Tree[K, V any] struct {
 	// cells recycles the leaves' value cells: a cell returns to it when the
 	// last node aliasing it has been freed (see freeNode).
 	cells *vcell.Pool[V]
-	// descPool carries the commit hooks below into every SCX on this tree
+	// descPool carries the commit hook below into every SCX on this tree
 	// (see llxscx.Pool); the descriptors themselves belong to the epoch slots.
 	descPool *llxscx.Pool[Node[K, V]]
 	// freeNodeFn is the epoch callback for retired nodes, built once at
@@ -356,22 +359,18 @@ type Tree[K, V any] struct {
 	// deep probes does not stampede the same spine (see mitigateSpine).
 	mitigating atomic.Bool
 
-	// gver is the tree's commit tick counter for versioned snapshots: the
-	// commit hook stamps every CASed-in subtree root with gver+1 immediately
-	// before the update CAS, and Snapshot captures gver as its version.
+	// gver is the tree's version clock for versioned snapshots. Captures
+	// advance it; updates only read it: the commit hook stamps every CASed-in
+	// subtree root with the clock's current value immediately before the
+	// update CAS, inside a publish window, and Snapshot takes the value it
+	// advanced the clock from as its version. Updates between two captures
+	// share a tick; resolution only ever compares a tick with a version.
 	gver atomic.Uint64
 	// snapLive counts this tree's live snapshot handles. While nonzero,
 	// Insert's in-place overwrite fast path is disabled so captured leaves
-	// stay frozen (values included); see Insert and Snapshot.
+	// stay frozen (values included); see Insert and Snapshot. Updates read
+	// it, and like gver it stays shared in their caches between captures.
 	snapLive atomic.Int64
-	// fastWriters counts in-flight publish windows of both kinds: the
-	// in-place overwrite fast path brackets its value Swap, and the commit
-	// hooks bracket the stamp→install window of every SCX (version tick
-	// assigned, update CAS not yet through). Snapshot reads gver and THEN
-	// drains this counter, which closes both races: a fast-path Swap cannot
-	// land after the capture's first read, and a node stamped at or below
-	// the captured version cannot still be waiting to be installed.
-	fastWriters atomic.Int64
 }
 
 // New returns an empty tree whose keys are ordered by less and whose balance
@@ -396,28 +395,26 @@ func New[K, V any](less func(a, b K) bool, pol Policy[K, V]) *Tree[K, V] {
 		t.freeNode(obj.(*Node[K, V]))
 		return true
 	}
-	// The commit hook stamps the freshly installed subtree root with the next
-	// tick BEFORE the update CAS publishes it (see llxscx.Pool.OnCommit): a
-	// node readable out of a mutable field is therefore always stamped, which
-	// is what makes ticks monotone along structural dependencies and a
-	// captured gver a consistent cut (DESIGN.md, "Versioned snapshots").
-	// Every helper calls the hook, so the stamp CAS makes it idempotent.
+	// The commit hook stamps the freshly installed subtree root with the
+	// version clock BEFORE the update CAS publishes it (see
+	// llxscx.Pool.OnCommit): a node readable out of a mutable field is
+	// therefore always stamped, which is what makes ticks monotone along
+	// structural dependencies and a captured version a consistent cut
+	// (DESIGN.md, "Versioned snapshots"). llxscx runs the hook inside a
+	// publish window that stays open until the update CAS is through; a
+	// capture advances the clock and then drains the windows, so a node
+	// stamped with the tick a capture covers is installed before the capture's
+	// first read. Reading the clock outside the window lets a covered node
+	// surface mid-capture and un-freeze the view (the StampBeforeWindow
+	// mutation; caught by the enumerations in sched_snapshot_test.go). Every
+	// helper calls the hook, so the stamp CAS makes it idempotent.
 	t.descPool.OnCommit = func(fld *atomic.Pointer[Node[K, V]], old, new *Node[K, V]) {
-		// Open the stamp→install bracket BEFORE the tick can be assigned;
-		// OnInstalled closes it after the update CAS. Snapshot reads gver and
-		// then drains fastWriters, so every node stamped at or below the
-		// captured version is installed before the capture's first read —
-		// without the bracket a node could carry a covered tick yet surface
-		// mid-capture, un-freezing the view (caught by the sched enumeration
-		// in sched_snapshot_test.go).
-		t.fastWriters.Add(1)
 		if new.snapVer.Load() == verPending {
 			new.prev.Store(old)
 			sched.Point(sched.PointVerStamp)
-			new.snapVer.CompareAndSwap(verPending, t.gver.Add(1))
+			new.snapVer.CompareAndSwap(verPending, t.gver.Load())
 		}
 	}
-	t.descPool.OnInstalled = func() { t.fastWriters.Add(-1) }
 	return t
 }
 
@@ -787,21 +784,34 @@ func (t *Tree[K, V]) InsertBounded(key K, value V, budget dict.Budget) (V, bool,
 			// While a snapshot handle is live the in-place publish would
 			// mutate a value the snapshot captured, so the overwrite
 			// degrades to a leaf-replacement SCX (tryReplace) that leaves
-			// the captured leaf frozen. fastWriters brackets the publish
-			// so a concurrent capture can drain in-flight fast-path
-			// writers before it reads the version counter (see Snapshot).
-			t.fastWriters.Add(1)
+			// the captured leaf frozen. The liveness check and the publish
+			// share a publish window on the guard's slot: a capture raises
+			// snapLive and then drains the windows, so a publish that did
+			// not see it lands before the capture's first read (see
+			// Snapshot). Slots are process-wide, so the window holds nothing
+			// that can park or panic: the help a failed publish owes comes
+			// after it closes.
+			w := g.Window()
+			w.Open()
 			if t.snapLive.Load() != 0 {
-				t.fastWriters.Add(-1)
+				w.Close()
 				if old, done := t.tryReplace(g, key, value, p, l); done {
 					return old, true, nil
 				}
 			} else {
 				old, ok := tryPublish(l, value)
-				t.fastWriters.Add(-1)
+				w.Close()
 				if ok {
 					return old, true, nil
 				}
+				// Help the SCX that finalized the leaf before retrying. LLX on
+				// a marked record helps its in-progress descriptor to
+				// completion, so the retry finds the replacement subtree
+				// installed instead of spinning against a stalled finalizer.
+				// Without this the retry loop makes no progress on the blocker
+				// and the overwrite is not lock-free (a single parked deleter
+				// could starve it forever).
+				l.snap()
 			}
 		} else if t.tryInsert(g, key, value, p, l) {
 			var zero V
@@ -844,22 +854,16 @@ func (t *Tree[K, V]) LoadOrStore(key K, value V) (actual V, loaded bool) {
 // tryPublish is one attempt of the in-place overwrite (see the protocol in
 // Insert's comment): open the cell's publish bracket, check the leaf is not
 // finalized, and publish with one Swap. A finalized leaf fails the attempt
-// with nothing published; the caller re-searches. The bracket is
-// straight-line and park-free - its instrumentation points are excluded
-// from chaos panic/abandon injection - so a finalizer's DrainPublishers
-// always terminates.
+// with nothing published; the caller helps the finalizer and re-searches.
+// The bracket, and the caller's publish window around it, is straight-line
+// and park-free - its instrumentation points are excluded from chaos
+// panic/abandon injection - so a finalizer's DrainPublishers and a capture's
+// DrainWindows always terminate.
 func tryPublish[K, V any](l *Node[K, V], value V) (V, bool) {
 	l.val.BeginPublish()
 	sched.Point(sched.PointVCellRecheck)
 	if l.Marked() {
 		l.val.EndPublish()
-		// Help the SCX that finalized the leaf before failing. LLX on a
-		// marked record helps its in-progress descriptor to completion, so
-		// the overwrite's retry finds the replacement subtree installed
-		// instead of spinning against a stalled finalizer. Without this the
-		// retry loop makes no progress on the blocker and the overwrite is
-		// not lock-free (a single parked deleter could starve it forever).
-		l.snap()
 		var zero V
 		return zero, false
 	}

@@ -14,14 +14,19 @@ import (
 // CASes. The full safety argument lives in DESIGN.md ("Versioned
 // snapshots"); the mechanism in brief:
 //
-//   - every committed SCX stamps the subtree root it installs with a commit
-//     tick drawn from the tree's gver counter, and records the displaced
-//     value of the field in the new node's prev link. Both happen in the
-//     tree's OnCommit hook (llxscx.Pool), BEFORE the update CAS, so a node
-//     readable out of a mutable field is always already stamped — which
-//     makes ticks monotone along structural dependencies and a captured
-//     gver value a consistent cut of the update history;
-//   - a snapshot is the pair (entry, ver = gver at capture). A walk resolves
+//   - every committed SCX stamps the subtree root it installs with the
+//     current value of the tree's version clock gver, which it only reads,
+//     and records the displaced value of the field in the new node's prev
+//     link. Both happen in the tree's OnCommit hook (llxscx.Pool), BEFORE the
+//     update CAS, so a node readable out of a mutable field is always
+//     already stamped — which makes ticks monotone along structural
+//     dependencies and a captured version a consistent cut of the update
+//     history. Updates between two captures share a tick;
+//   - capture advances the clock: a snapshot is the pair (entry, ver = the
+//     value it advanced gver from), and it then waits out the publish
+//     windows open on the epoch slots, inside which updates read the clock
+//     and install, so a node stamped at or below ver is in the tree before
+//     the view is first read. A walk resolves
 //     every child pointer it loads: a node stamped after ver is rewound
 //     through its prev chain to the version the snapshot captured. Fresh
 //     interior nodes of an update are never stamped (only the CASed-in root
@@ -30,10 +35,10 @@ import (
 //   - values stay frozen because Insert's in-place overwrite fast path is
 //     disabled while any snapshot is live (the overwrite becomes a
 //     leaf-replacement SCX, which the resolution walk rewinds like any other
-//     update), and capture drains in-flight fast-path publishes before it
-//     reads gver;
+//     update), and the same drain waits out the fast-path publishes that
+//     did not see the snapshot registered;
 //   - memory stays valid because capture registers a long-lived epoch pin
-//     (epoch.SnapPin) before reading gver: every node the snapshot can reach
+//     (epoch.SnapPin) before advancing gver: every node the snapshot can reach
 //     that is later retired was retired after the pin registered, so its
 //     grace period parks it behind the pin instead of recycling it.
 
@@ -73,7 +78,9 @@ type Snap[K, V any] struct {
 	released atomic.Bool
 }
 
-// Version returns the capture's commit tick.
+// Version returns the capture's version: the value it advanced the tree's
+// clock from. The view holds exactly the updates stamped at or below it, and
+// a later capture of the same tree has a greater one.
 func (s *Snap[K, V]) Version() uint64 { return s.ver }
 
 // Consistent reports whether the view is frozen: always, for a tree's own
@@ -292,24 +299,27 @@ func (t *Tree[K, V]) Snapshot() dict.SnapshotView[K, V] {
 // protocol.
 //
 // Order matters. The pin registers first so every later retire parks behind
-// it. snapLive rises next, the version is read, and only then do the
-// in-flight publish windows drain. The drain-last order closes both races at
-// once. Value cells: a fast-path overwrite that entered its bracket before
-// snapLive rose has its Swap complete before the drain observes zero — i.e.
-// before any read through the view — and every later overwrite sees
+// it. snapLive rises next, then the capture advances the version clock and
+// takes the value it advanced from as its version, and only then do the open
+// publish windows drain (epoch.DrainWindows). The drain-last order closes
+// both races at once. Value cells: a fast-path overwrite that opened its
+// window before snapLive rose has its Swap complete before the drain returns,
+// i.e. before any read through the view, and every later overwrite sees
 // snapLive != 0 and takes the leaf-replacement slow path, so captured values
-// are frozen. Structure: a version tick at or below the captured gver was
-// assigned inside a bracket opened before the gver read, so by the time the
-// drain observes zero its update CAS has gone through — a covered node can
-// never surface mid-capture and un-freeze the view. (Draining before the
-// gver read has the opposite hole: a writer can open its bracket after the
-// drain and still stamp at or below the version read afterwards.)
+// are frozen. Structure: an update reads the clock inside its window, so one
+// that read a tick at or below the captured version opened its window before
+// the clock advanced and its update CAS is through by the time the drain
+// returns - a covered node can never surface mid-capture and un-freeze the
+// view - while one whose window opens after the drain passed its slot reads
+// the advanced clock and is not covered. (Draining before the advance has
+// the opposite hole: a writer can open its window after the drain and still
+// read the old tick.)
 func (t *Tree[K, V]) snapshot() *Snap[K, V] {
 	s := &Snap[K, V]{entry: t.entry, less: t.less, live: &t.snapLive}
 	s.pin = epoch.SnapPin()
 	t.snapLive.Add(1)
 	sched.Point(sched.PointSnapPublish)
-	s.ver = t.gver.Load()
-	sched.WaitZero(sched.PointSnapDrain, &t.fastWriters)
+	s.ver = t.gver.Add(1) - 1
+	epoch.DrainWindows()
 	return s
 }

@@ -111,12 +111,15 @@ func (s Status) String() string {
 // committed while slot 0 is unused, and as stale, which also reads as
 // committed, once slot 0 has run its first SCX.
 const (
-	slotBits = 8
+	slotBits = 7
 	numDesc  = 1 << slotBits
 	slotMask = numDesc - 1
 
-	// Fails to compile if the epoch layer outgrows the tag's slot field.
+	// Fail to compile unless the tag's slot field names exactly the epoch
+	// layer's slots, so the table below has a descriptor for each and none
+	// to spare.
 	_ = uint(numDesc - epoch.NumSlots)
+	_ = uint(epoch.NumSlots - numDesc)
 )
 
 // A descriptor's status word holds everything about an SCX that is not a
@@ -499,14 +502,11 @@ type desc struct {
 	_ [(cacheLine - unsafe.Sizeof(descFields{})%cacheLine) % cacheLine]byte
 }
 
-const cacheLine = 64
+const cacheLine = epoch.CacheLine
 
 // table holds the descriptors, indexed by epoch slot. It is allocated rather
-// than static so that it starts on a cache-line boundary: a large allocation
-// is page-aligned, and the entries above epoch.NumSlots, which nothing uses,
-// are what make it large (at NumSlots entries it is a small object behind an
-// eight-byte malloc header).
-var table = new([numDesc]desc)
+// than static so that it starts on a cache-line boundary.
+var table = epoch.NewAligned[[numDesc]desc]()
 
 func init() { epoch.OnDiscard(scrub) }
 
@@ -520,6 +520,9 @@ type payload struct {
 	fld      *unsafe.Pointer
 	old, new unsafe.Pointer
 	hooks    *hooks
+	// helper is set on a copy read out of a descriptor: the process running
+	// it is not the one that started the SCX.
+	helper bool
 }
 
 // nextSeq makes the slot's last SCX terminal and returns the sequence number
@@ -582,6 +585,8 @@ func help(tag uint64) bool {
 		old:   atomic.LoadPointer(&d.old),
 		new:   atomic.LoadPointer(&d.new),
 		hooks: d.hooks.Load(),
+
+		helper: true,
 	}
 	for i := 0; i < p.nV; i++ {
 		p.recs[i] = d.v[i].rec.Load()
@@ -632,28 +637,58 @@ func run(d *desc, tag, st uint64, p *payload) bool {
 	for m := p.mask; m != 0; m &= m - 1 {
 		p.recs[bits.TrailingZeros64(m)].marked.Store(true)
 	}
-	if p.hooks != nil {
-		// Ordered before the update CAS: new is stamped by the hook before it
-		// can ever be read out of a mutable field, so any later update whose
-		// evidence (or search path) depends on this one necessarily stamps
-		// after it. This is what makes the version ticks of the snapshot
-		// layer monotone along structural dependencies, and what makes
-		// "visible through a field" imply "already counted by the version
-		// counter" (DESIGN.md, "Versioned snapshots").
+	// An SCX with a commit hook stamps new with the structure's version clock
+	// before the update CAS can make it readable, inside a publish window on
+	// the slot the tag names: the initiator's own, so the window moves no
+	// cache line unless a helper is running the SCX, and a helper is already
+	// contending on that slot's descriptor. The window opens before the hook
+	// reads the clock and closes after this process's CAS attempt, when new
+	// is reachable (its own CAS landed, or an earlier helper's did: the
+	// frozen records admit no other writer). A snapshot capture advances the
+	// clock and then waits the open windows out (epoch.DrainWindows), so a
+	// node stamped with a tick the capture covers is installed before the
+	// capture's first read (DESIGN.md, "Versioned snapshots"). Every process
+	// that reaches this point runs the hook, which is idempotent. That new is
+	// stamped before it can be read out of a mutable field is also what makes
+	// ticks monotone along structural dependencies: a later update whose
+	// evidence or search path depends on this one stamps after it.
+	win, late := p.window(tag), false
+	if win != nil {
+		// StampBeforeWindow is the seeded mutation that opens the window only
+		// after the stamp, which is the clock read left outside it.
+		if late = sched.Mutated(sched.StampBeforeWindow); !late {
+			win.Open()
+		}
 		p.hooks.commit(p.fld, p.old, p.new)
 	}
 	sched.Point(sched.PointSCXUpdate)
+	if late {
+		win.Open()
+	}
 	atomic.CompareAndSwapPointer(p.fld, p.old, p.new)
-	if p.hooks != nil {
-		// Paired with the commit call above: after this helper's CAS
-		// attempt the new subtree is reachable (its own CAS landed, or an
-		// earlier helper's did — the frozen records admit no other writer).
-		p.hooks.installed()
+	if win != nil {
+		win.Close()
 	}
 	sched.Point(sched.PointSCXCommit)
 	d.status.CompareAndSwap(st, st&^stateMask|stateCommitted)
 	return true
 }
+
+// window returns the publish window the SCX named tag runs its commit hook
+// and update CAS in, or nil if it has no hook. SkipHelperWindow is the seeded
+// mutation in which a helper opens its window where no capture looks.
+func (p *payload) window(tag uint64) *epoch.Window {
+	if p.hooks == nil {
+		return nil
+	}
+	if p.helper && sched.Mutated(sched.SkipHelperWindow) {
+		return &unscanned
+	}
+	return epoch.SlotWindow(int(tag & slotMask))
+}
+
+// unscanned is the window of the SkipHelperWindow mutation.
+var unscanned epoch.Window
 
 // scrub drops what the descriptors still reference of finished SCXs, as
 // part of epoch.DiscardAll: a descriptor keeps its last arguments until its

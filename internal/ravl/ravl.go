@@ -41,7 +41,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/epoch"
 	"repro/internal/lbst"
@@ -50,18 +49,28 @@ import (
 
 // Stats counts the rebalancing steps performed on a tree. Counts are
 // monotone and only approximately ordered with respect to concurrent
-// operations.
+// operations. The counters are sharded by epoch slot (epoch.Counters), so a
+// step counts on a line private to the operation running it.
 type Stats struct {
-	Cleanups atomic.Int64 // cleanup passes triggered by updates
+	set epoch.Counters
+
+	Cleanups epoch.Counter // cleanup passes triggered by updates
 
 	// The seven steps, one counter each: a height fix at the violating node,
 	// and below a node whose left child is the taller one a height fix of
 	// that child, a single rotation or a double rotation (Mirror*: the right
 	// child is the taller one).
-	HeightFixes                              atomic.Int64
-	ChildHeightFixes, MirrorChildHeightFixes atomic.Int64
-	SingleRotations, MirrorSingleRotations   atomic.Int64
-	DoubleRotations, MirrorDoubleRotations   atomic.Int64
+	HeightFixes                              epoch.Counter
+	ChildHeightFixes, MirrorChildHeightFixes epoch.Counter
+	SingleRotations, MirrorSingleRotations   epoch.Counter
+	DoubleRotations, MirrorDoubleRotations   epoch.Counter
+}
+
+func (s *Stats) init() {
+	s.set.Bind(&s.Cleanups, &s.HeightFixes,
+		&s.ChildHeightFixes, &s.MirrorChildHeightFixes,
+		&s.SingleRotations, &s.MirrorSingleRotations,
+		&s.DoubleRotations, &s.MirrorDoubleRotations)
 }
 
 // RebalanceTotal returns the total number of successful rebalancing steps.
@@ -111,7 +120,7 @@ func (p *policy[K, V]) CreatesViolation(_ K, parent, oldChild, newChild *lbst.No
 	if oldChild.Deco() == newChild.Deco() {
 		return false
 	}
-	p.stats.Cleanups.Add(1)
+	p.stats.Cleanups.Add(nil, 1) // the engine hands CreatesViolation no guard
 	return true
 }
 
@@ -166,7 +175,7 @@ func (p *policy[K, V]) Rebalance(g *epoch.Guard, _, _, u, n *lbst.Node[K, V]) bo
 		s.Remove(lkN)
 		ok := s.Commit(lkU, n, s.Copy(lkN, 1+max(hl, hr)))
 		if ok {
-			p.stats.HeightFixes.Add(1)
+			p.stats.HeightFixes.Add(g, 1)
 		}
 		return ok
 	}
@@ -176,12 +185,12 @@ func (p *policy[K, V]) Rebalance(g *epoch.Guard, _, _, u, n *lbst.Node[K, V]) bo
 
 // counted passes a step's outcome through and, when it committed, bumps the
 // counter of the side it ran on.
-func counted(ok bool, d int, side0, side1 *atomic.Int64) bool {
+func counted(g *epoch.Guard, ok bool, d int, side0, side1 *epoch.Counter) bool {
 	if ok {
 		if d == 0 {
-			side0.Add(1)
+			side0.Add(g, 1)
 		} else {
-			side1.Add(1)
+			side1.Add(g, 1)
 		}
 	}
 	return ok
@@ -218,7 +227,7 @@ func (p *policy[K, V]) fix(g *epoch.Guard, d int, lkU, lkN llxscx.Linked[lbst.No
 		step.Keep(lkN)
 		step.Remove(lkT)
 		ok := step.Commit(lkN, t, step.Copy(lkT, 1+max(hto, hti)))
-		return counted(ok, d, &p.stats.ChildHeightFixes, &p.stats.MirrorChildHeightFixes)
+		return counted(g, ok, d, &p.stats.ChildHeightFixes, &p.stats.MirrorChildHeightFixes)
 	}
 	step.Remove(lkN)
 	step.Remove(lkT)
@@ -227,7 +236,7 @@ func (p *policy[K, V]) fix(g *epoch.Guard, d int, lkU, lkN llxscx.Linked[lbst.No
 		// side with the inner subtree ti attached.
 		down := step.Internal(n, 1+max(hti, s.Deco()), d, ti, s)
 		root := step.Internal(t, 1+max(hto, down.Deco()), d, to, down)
-		return counted(step.Commit(lkU, n, root), d, &p.stats.SingleRotations, &p.stats.MirrorSingleRotations)
+		return counted(g, step.Commit(lkU, n, root), d, &p.stats.SingleRotations, &p.stats.MirrorSingleRotations)
 	}
 	// Double rotation: the taller child leans inward, so ti (which must be
 	// internal, since its stored height is at least 1) becomes the root, above
@@ -248,7 +257,7 @@ func (p *policy[K, V]) fix(g *epoch.Guard, d int, lkU, lkN llxscx.Linked[lbst.No
 	near := step.Internal(t, 1+max(hto, tin.Deco()), d, to, tin)
 	far := step.Internal(n, 1+max(tif.Deco(), s.Deco()), d, tif, s)
 	root := step.Internal(ti, 1+max(near.Deco(), far.Deco()), d, near, far)
-	return counted(step.Commit(lkU, n, root), d, &p.stats.DoubleRotations, &p.stats.MirrorDoubleRotations)
+	return counted(g, step.Commit(lkU, n, root), d, &p.stats.DoubleRotations, &p.stats.MirrorDoubleRotations)
 }
 
 // Tree is a non-blocking relaxed AVL tree implementing an ordered
@@ -265,6 +274,7 @@ type Tree[K, V any] struct {
 // NewLess returns an empty relaxed AVL tree whose keys are ordered by less.
 func NewLess[K, V any](less func(a, b K) bool) *Tree[K, V] {
 	t := &Tree[K, V]{}
+	t.stats.init()
 	t.pol = &policy[K, V]{stats: &t.stats}
 	t.Tree = lbst.New(less, t.pol)
 	t.pol.eng = t.Tree
@@ -276,6 +286,7 @@ func NewLess[K, V any](less func(a, b K) bool) *Tree[K, V] {
 // operator, so searches avoid the indirect comparator call per node.
 func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] {
 	t := &Tree[K, V]{}
+	t.stats.init()
 	t.pol = &policy[K, V]{stats: &t.stats}
 	t.Tree = lbst.NewOrdered[K, V](t.pol)
 	t.pol.eng = t.Tree

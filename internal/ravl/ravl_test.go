@@ -4,9 +4,9 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 
+	"repro/internal/epoch"
 	"repro/internal/lbst"
 )
 
@@ -328,13 +328,14 @@ func TestCleanupFixesStaleChildHeightFirst(t *testing.T) {
 		fill    int64
 		held    []int64
 		trigger int64
-		step    func(*Stats) *atomic.Int64
+		step    func(*Stats) *epoch.Counter
 	}{
-		{"left child", 7, []int64{6, 3, 5}, 2, func(s *Stats) *atomic.Int64 { return &s.ChildHeightFixes }},
-		{"right child", 9, []int64{9}, 6, func(s *Stats) *atomic.Int64 { return &s.MirrorChildHeightFixes }},
+		{"left child", 7, []int64{6, 3, 5}, 2, func(s *Stats) *epoch.Counter { return &s.ChildHeightFixes }},
+		{"right child", 9, []int64{9}, 6, func(s *Stats) *epoch.Counter { return &s.MirrorChildHeightFixes }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := &Tree[int64, int64]{}
+			tr.stats.init()
 			tr.pol = &policy[int64, int64]{stats: &tr.stats}
 			hold := false
 			tr.Tree = lbst.New(func(a, b int64) bool { return a < b }, deferring{tr.pol, &hold})

@@ -57,7 +57,7 @@ func (c *Controller) Go(name string, fn func()) {
 		var panicked any
 		func() {
 			defer func() { panicked = recover() }()
-			fn()
+			deep(32, fn)
 		}()
 		unregister() // before the event: Run returns with none of its workers registered
 		c.events <- event{w: w, panicked: panicked}
@@ -98,7 +98,7 @@ func (c *Controller) Run() error {
 			c.abandon(runnable)
 			break
 		}
-		// Wait-blocked workers (parked in WaitZero with a false predicate)
+		// Wait-blocked workers (parked in WaitUntil with a false predicate)
 		// are not schedulable: the decision is made among the eligible ones.
 		// The predicates read only state the schedule determines, so replay
 		// sees the same eligible sets and stays deterministic.
@@ -242,4 +242,25 @@ func nextPrefix(taken, branches []int) []int {
 		}
 	}
 	return nil
+}
+
+// deep runs fn under n frames of 1 KiB, which is more stack than an operation
+// under test needs and, held while fn runs, too much in use for the collector
+// to shrink: the worker's stack does not move while it runs. The epoch layer
+// picks an operation's slot, and with it the descriptor its SCXs use and the
+// line its publish windows are counted on, from the goroutine's stack
+// address; a worker whose stack moved between two of its operations would
+// change slots, and which schedules exist (a snapshot capture waits for the
+// windows of particular slots) would depend on when the runtime grew or
+// shrank the stack.
+//
+//go:noinline
+func deep(n int, fn func()) byte {
+	var pad [1024]byte
+	pad[n] = byte(n)
+	if n == 0 {
+		fn()
+		return pad[0]
+	}
+	return deep(n-1, fn) + pad[n]
 }

@@ -82,16 +82,17 @@ const (
 	PointVerStamp
 	// PointSnapPublish fires in Snapshot() between the live-snapshot
 	// registration (which closes the in-place overwrite fast path) and the
-	// version read that linearizes the capture.
+	// advance of the version clock that linearizes the capture.
 	PointSnapPublish
-	// PointSnapDrain identifies Snapshot()'s post-version-read wait for the
-	// in-flight publish windows (fast-path value publishes and stamp→install
-	// brackets) to drain. It is a WaitZero site, not a Point: a capture that a
-	// controller owns parks here until the counter's holders have run.
+	// PointSnapDrain identifies Snapshot()'s wait, after it has advanced the
+	// version clock, for the publish windows it found open (fast-path value
+	// publishes and SCXs between stamp and install) to close:
+	// epoch.DrainWindows. It is a WaitUntil site, not a Point: a capture that
+	// a controller owns parks here until the windows' holders have run.
 	PointSnapDrain
 	// PointVCellDrain identifies a finalizer's post-commit wait for a
 	// cell's publish brackets to drain before it loads the displaced value
-	// (vcell.(*Cell).DrainPublishers). Like PointSnapDrain it is a WaitZero
+	// (vcell.(*Cell).DrainPublishers). Like PointSnapDrain it is a wait
 	// site, not a Point.
 	PointVCellDrain
 	// PointLLXRecheck fires in LLX between the reads of the record's mutable
@@ -149,7 +150,7 @@ type Worker struct {
 	name   string
 	resume chan struct{}
 	// ready, when non-nil, marks the worker wait-blocked (parked in
-	// WaitZero): the controller keeps it out of the runnable set until the
+	// WaitUntil): the controller keeps it out of the runnable set until the
 	// predicate reports true. Written by the worker goroutine strictly
 	// before it parks and read by the controller goroutine strictly after
 	// it receives the park event, so no lock is needed.
@@ -217,31 +218,39 @@ func point(id PointID) {
 }
 
 // WaitZero waits until the counter drains to zero. Protocol code must use it
-// (never a bare spin) for any wait whose progress depends on another thread
-// passing an instrumentation point. For a goroutine a running controller
-// owns this is NOT a free spin: one worker runs at a time, so spinning
-// against a counter held by a parked sibling would hang the enumeration.
-// Instead the worker parks as wait-blocked and the controller excludes it
-// from the runnable set until the counter is zero, which forces the schedule
-// to run the counter's holder first. The wait is not a scheduling decision
-// of its own (the controller has no choice to make about a blocked worker),
-// so it does not blow up the schedule space. Everyone else (unregistered
-// goroutines, chaos workers, the concurrently running workers of an
-// abandoned run) yields until the counter is zero.
+// or WaitUntil (never a bare spin) for any wait whose progress depends on
+// another thread passing an instrumentation point.
 func WaitZero(id PointID, v *atomic.Int64) {
 	if v.Load() == 0 {
 		return
 	}
+	WaitUntil(id, func() bool { return v.Load() == 0 })
+}
+
+// WaitUntil waits until ready reports true; ready must read only atomics
+// that other threads' progress changes. For a goroutine a running controller
+// owns this is NOT a free spin: one worker runs at a time, so spinning
+// against a counter held by a parked sibling would hang the enumeration.
+// Instead the worker parks as wait-blocked and the controller excludes it
+// from the runnable set until ready holds, which forces the schedule to run
+// the counters' holders first. The wait is not a scheduling decision of its
+// own (the controller has no choice to make about a blocked worker), so it
+// does not blow up the schedule space. Everyone else (unregistered
+// goroutines, chaos workers, the concurrently running workers of an
+// abandoned run) yields until ready holds.
+func WaitUntil(id PointID, ready func() bool) {
+	if ready() {
+		return
+	}
 	if registered.Load() != 0 {
 		if w := self(); w != nil && w.c != nil {
-			w.ready = func() bool { return v.Load() == 0 }
+			w.ready = ready
 			w.park(id)
 			w.ready = nil
 		}
 	}
-	// A worker rescheduled with the counter still held was abandoned
-	// mid-wait.
-	for v.Load() != 0 {
+	// A worker rescheduled before ready holds was abandoned mid-wait.
+	for !ready() {
 		runtime.Gosched()
 	}
 }
@@ -291,6 +300,14 @@ const (
 	// every step ran on side 0, so a step run on side 1 puts its near child
 	// on the left: the bug of a mirrored step that reads one wrong side.
 	IgnoreSide
+	// SkipHelperWindow makes a process that runs an SCX some other process
+	// started (a helper) open its stamp-to-install publish window on a word
+	// no snapshot capture drains, as if helpers opened none.
+	SkipHelperWindow
+	// StampBeforeWindow makes an SCX run its commit hook, which reads the
+	// version clock and stamps the new node, before it opens the publish
+	// window instead of inside it.
+	StampBeforeWindow
 )
 
 var mutations atomic.Uint32

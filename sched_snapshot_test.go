@@ -18,14 +18,21 @@ package repro
 // read gver second, no stamp bracket) failed TestSnapshotCutEnumeration:
 // an SCX could stamp its node at or below the captured version yet install
 // it after the capture's first read, so the "frozen" view changed answers.
-// The capture's drain runs under sched.WaitZero, so a schedule that parks a
-// writer inside its fastWriters bracket simply makes the capture
-// wait-blocked until the controller has run the writer past the bracket —
+// The capture's drain runs under sched.WaitUntil, so a schedule that parks a
+// writer inside its publish window simply makes the capture
+// wait-blocked until the controller has run the writer past the window —
 // which is also what lets the fast-path value publish (PointVCellRecheck)
 // be enumerated directly (see TestSnapshotFastPathPublishEnumeration).
+//
+// The windows are counted on epoch slots, a helper's on the slot of the SCX
+// it runs, and captures, not commits, advance the version clock:
+// TestSnapshotHelperWindowEnumeration is the window in which one writer's
+// SCX is finished from another writer's goroutine under a capture, and
+// TestSnapshotWindowMutationsCaught seeds the two bugs that design admits.
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/dict"
@@ -211,9 +218,10 @@ func TestSnapshotOverwritePublishEnumeration(t *testing.T) {
 
 // TestSnapshotFastPathPublishEnumeration enumerates the seam the previous
 // test holds shut: the in-place value publish of the overwrite fast path
-// (bracketed by fastWriters) against the capture's snapLive rise, version
-// read and drain. Whichever way the race lands, the overwrite must either
-// complete its Swap before the capture's drain observes zero — in which case
+// (inside a publish window on its guard's slot) against the capture's
+// snapLive rise, clock advance and drain. Whichever way the race lands, the
+// overwrite must either complete its Swap before the capture's drain
+// observes zero — in which case
 // the snapshot pins the NEW value — or fall to the leaf-replacement SCX,
 // whose stamped leaf resolves to the old or new value by tick; a schedule
 // where the capture first answers the old value and later the new one would
@@ -263,4 +271,126 @@ func TestSnapshotFastPathPublishEnumeration(t *testing.T) {
 		t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
 	}
 	t.Logf("%d schedules, fast-path publish and capture never tear", schedules)
+}
+
+// helperWindow is the three-worker window of the slot-local publish windows.
+// Writer A's Insert(15) can park anywhere between its last freeze and its
+// update CAS; writer B's Insert(16) lands on the same leaf, so its LLXs meet
+// a record A froze and B finishes A's SCX - mark, stamp, install - from its
+// own goroutine, inside a window it opens on A's slot, before it runs its own;
+// C captures twice and reads each capture at once. The two insertions are
+// concurrent for the whole window, so a capture may hold either, both or
+// neither, but the second must hold what the first does, each must still
+// answer the same once the window has quiesced, and their versions must not
+// go backwards.
+func helperWindow(c *sched.Controller) error {
+	tree := ebst.NewOrdered[int64, int64]()
+	tree.Insert(10, -10)
+	tree.Insert(20, -20)
+	tree.Insert(30, -30)
+
+	// The fixed keys and the two the writers add.
+	observe := func(v dict.SnapshotView[int64, int64]) (o [5]int64) {
+		for i, k := range [...]int64{10, 20, 30, 15, 16} {
+			o[i], _ = v.Get(k)
+		}
+		return o
+	}
+	var snap1, snap2 dict.SnapshotView[int64, int64]
+	var first1, first2 [5]int64
+	c.Go("writer-A", func() { tree.Insert(15, 5) })
+	c.Go("writer-B", func() { tree.Insert(16, 6) })
+	c.Go("snapshot", func() {
+		snap1 = tree.Snapshot()
+		first1 = observe(snap1)
+		snap2 = tree.Snapshot()
+		first2 = observe(snap2)
+	})
+	if err := c.Run(); err != nil {
+		return err
+	}
+	defer snap1.Release()
+	defer snap2.Release()
+
+	for i, o := range [][5]int64{first1, first2} {
+		if [3]int64(o[:3]) != [3]int64{-10, -20, -30} || (o[3] != 0 && o[3] != 5) || (o[4] != 0 && o[4] != 6) {
+			return fmt.Errorf("snapshot %d observed a torn cut: %v", i+1, o)
+		}
+	}
+	if (first1[3] != 0 && first2[3] == 0) || (first1[4] != 0 && first2[4] == 0) {
+		return fmt.Errorf("later snapshot went backwards: %v then %v", first1, first2)
+	}
+	if snap2.Version() < snap1.Version() {
+		return fmt.Errorf("later snapshot version %d < earlier %d", snap2.Version(), snap1.Version())
+	}
+	if again := observe(snap1); again != first1 {
+		return fmt.Errorf("first snapshot moved after quiescence: %v then %v", first1, again)
+	}
+	if again := observe(snap2); again != first2 {
+		return fmt.Errorf("second snapshot moved after quiescence: %v then %v", first2, again)
+	}
+	if a, _ := tree.Get(15); a != 5 {
+		return fmt.Errorf("live tree lost writer A's insertion: Get(15) = %d", a)
+	}
+	if b, _ := tree.Get(16); b != 6 {
+		return fmt.Errorf("live tree lost writer B's insertion: Get(16) = %d", b)
+	}
+	return nil
+}
+
+// helperWindowPoints admits the points between an SCX's last freeze and its
+// update CAS, where A parks and B takes over, and the capture's own.
+var helperWindowPoints = pointSet(
+	sched.PointSCXMark, sched.PointVerStamp, sched.PointSCXUpdate,
+	sched.PointSnapPublish,
+)
+
+// TestSnapshotHelperWindowEnumeration: every schedule of helperWindow yields
+// frozen, monotone captures.
+func TestSnapshotHelperWindowEnumeration(t *testing.T) {
+	const cap = 200000
+	schedules, violations := sched.Explore(sched.Options{Points: helperWindowPoints, MaxSchedules: cap}, helperWindow)
+	if len(violations) > 0 {
+		t.Fatalf("%d of %d schedules broke the snapshot contract; first:\nschedule %v\n%v",
+			len(violations), schedules, violations[0].Schedule, violations[0].Err)
+	}
+	if schedules >= cap {
+		t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
+	}
+	t.Logf("%d schedules, every capture frozen with a helper finishing the other writer's SCX", schedules)
+}
+
+// TestSnapshotWindowMutationsCaught seeds the two bugs the slot-local windows
+// admit and requires helperWindow to catch each: a helper that opens its
+// window where no capture looks (SkipHelperWindow), and a version clock read
+// before the window opens (StampBeforeWindow). Either lets a node stamped
+// with a tick the capture covers be installed after the capture's first
+// read, so the capture answers differently once the window has quiesced.
+// (The healthy protocol passes the same enumeration above.)
+func TestSnapshotWindowMutationsCaught(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		mutation sched.Mutation
+	}{
+		{"SkipHelperWindow", sched.SkipHelperWindow},
+		{"StampBeforeWindow", sched.StampBeforeWindow},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched.SetMutation(tc.mutation, true)
+			defer sched.SetMutation(tc.mutation, false)
+			schedules, violations := sched.Explore(sched.Options{
+				Points:          helperWindowPoints,
+				MaxSchedules:    200000,
+				StopOnViolation: true,
+			}, helperWindow)
+			if len(violations) == 0 {
+				t.Fatalf("mutation not caught in %d schedules: the enumeration has no teeth", schedules)
+			}
+			msg := violations[0].Err.Error()
+			if !strings.Contains(msg, "moved after quiescence") {
+				t.Fatalf("violation is not an un-frozen capture:\n%s", msg)
+			}
+			t.Logf("caught after %d schedules, schedule %v:\n%s", schedules, violations[0].Schedule, msg)
+		})
+	}
 }
