@@ -341,16 +341,20 @@ func TestRangeScanAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSuccessorAllocBudget fails if Successor or Predecessor allocates on any
-// template tree: the search path's evidence lives on the query's frame, two
-// words per node.
+// TestSuccessorAllocBudget fails if Successor, Predecessor, Min or Max
+// allocates on any template tree: the search path's evidence lives on the
+// query's frame, two words per node.
 func TestSuccessorAllocBudget(t *testing.T) {
 	for _, name := range allocBenchStructures {
 		factory, ok := bench.Lookup(name)
 		if !ok {
 			t.Fatalf("%s not registered", name)
 		}
-		d := factory.New().(dict.IntOrderedMap)
+		d := factory.New().(interface {
+			dict.IntOrderedMap
+			Min() (int64, int64, bool)
+			Max() (int64, int64, bool)
+		})
 		const keys = 1 << 12
 		for i := 0; i < keys; i++ {
 			k := allocKey(i) & (keys - 1)
@@ -365,12 +369,18 @@ func TestSuccessorAllocBudget(t *testing.T) {
 			if p, _, ok := d.Predecessor(k); !ok || p != k-1 {
 				t.Fatalf("%s Predecessor(%d) = %d, %v", name, k, p, ok)
 			}
+			if lo, _, ok := d.Min(); !ok || lo != 0 {
+				t.Fatalf("%s Min() = %d, %v", name, lo, ok)
+			}
+			if hi, _, ok := d.Max(); !ok || hi != keys-1 {
+				t.Fatalf("%s Max() = %d, %v", name, hi, ok)
+			}
 			i++
 		})
 		if allocs > 0 {
-			t.Errorf("%s Successor and Predecessor allocate %.2f allocs/op, budget is 0", name, allocs)
+			t.Errorf("%s Successor, Predecessor, Min and Max allocate %.2f allocs/op, budget is 0", name, allocs)
 		} else {
-			t.Logf("%s Successor and Predecessor: %.2f allocs/op", name, allocs)
+			t.Logf("%s Successor, Predecessor, Min and Max: %.2f allocs/op", name, allocs)
 		}
 	}
 }

@@ -19,6 +19,7 @@ package repro
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/dict/dicttest"
 	"repro/internal/ebst"
 	"repro/internal/epoch"
+	"repro/internal/linearize"
 	"repro/internal/lockavl"
 	"repro/internal/ravl"
 	"repro/internal/sched"
@@ -802,10 +804,75 @@ func TestSnapshotAdapterFallback(t *testing.T) {
 	if count != 6 {
 		t.Fatalf("adapter RangeScan(10,20) visited %d keys, want 6", count)
 	}
+	// An empty range visits nothing, a present lo included, on the native
+	// scan the skip list's view delegates to and on the Successor walk a
+	// structure without one (LockAVL) gets.
+	avl := lockavl.NewOrdered[int64, int64]()
+	for i := int64(1); i <= 9; i++ {
+		avl.Insert(i, i)
+	}
+	walk := dict.AdaptSnapshot[int64, int64](avl, int64Less).Snapshot()
+	if _, native := dict.IntMap(avl).(dict.IntRanger); native {
+		t.Fatal("LockAVL has a native RangeScan: the adapter's Successor walk is not under test")
+	}
+	for _, v := range []dict.SnapshotView[int64, int64]{view, walk} {
+		if n := v.RangeScan(7, 3, func(k, _ int64) bool { return true }); n != 0 {
+			t.Fatalf("adapter RangeScan(7,3) visited %d keys, want 0", n)
+		}
+		if n := v.RangeScan(3, 7, func(k, _ int64) bool { return true }); n == 0 {
+			t.Fatal("adapter RangeScan(3,7) visited nothing")
+		}
+	}
 	// Adapter views are live: they see later updates (weak consistency).
 	l.Insert(1, 999)
 	if v, ok := view.Get(1); !ok || v != 999 {
 		t.Fatalf("adapter view missed a live update: (%d,%v)", v, ok)
+	}
+}
+
+// TestScanConformance compares range scans with the sorted keys on every
+// registry structure (and the sequential red-black tree) in both scan modes:
+// live, through the recorder's Scan (the native RangeScan, or its Successor
+// walk where there is none), and through a snapshot view (native, or
+// dict.AdaptSnapshot's fallback). The ranges are the whole key range, an inner
+// one with both bounds absent, and an empty one (hi < lo, both present), which
+// must visit nothing.
+func TestScanConformance(t *testing.T) {
+	keys := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	for _, tgt := range allSequentialTargets(t) {
+		t.Run(tgt.Name, func(t *testing.T) {
+			d := tgt.New()
+			for _, k := range keys {
+				d.Insert(2*k, -k)
+			}
+			sn, native := d.(dict.IntSnapshotter)
+			if !native {
+				sn = dict.AdaptSnapshot[int64, int64](d.(dict.IntOrderedMap), int64Less)
+			}
+			view := sn.Snapshot()
+			defer view.Release()
+			for _, r := range []struct{ lo, hi, first, n int64 }{{2, 18, 2, 9}, {5, 13, 6, 4}, {14, 6, 0, 0}} {
+				var want, live, frozen []int64
+				for k := r.first; k < r.first+2*r.n; k += 2 {
+					want = append(want, k)
+				}
+				rec := linearize.NewRecorder[int64, int64](d)
+				n := rec.Proc().Scan(r.lo, r.hi, int64Less)
+				for _, op := range rec.History().Ops {
+					live = append(live, op.Key)
+				}
+				if n != len(want) || !slices.Equal(live, want) {
+					t.Errorf("live scan of [%d, %d] visited %d keys %v, want %v", r.lo, r.hi, n, live, want)
+				}
+				n = view.RangeScan(r.lo, r.hi, func(k, _ int64) bool {
+					frozen = append(frozen, k)
+					return true
+				})
+				if n != len(want) || !slices.Equal(frozen, want) {
+					t.Errorf("snapshot scan of [%d, %d] visited %d keys %v, want %v", r.lo, r.hi, n, frozen, want)
+				}
+			}
+		})
 	}
 }
 

@@ -83,6 +83,10 @@
 // after the validation. A chunk is the range's content at one instant; a
 // scan of several chunks is not atomic as a whole, which (with repeated
 // reads of one cut) is what snapshots remain for.
+// The point queries (Successor, Predecessor, Min, Max) are the same recipe
+// applied to a path, written once over a side (lbst's neighbor): Min and Max
+// are the query for an infinite key, and a leaf the search reaches on the
+// asked-for side is returned without a VLX.
 //
 // The workload generator covers the paper's uniform operation mixes plus a
 // zipfian (hot-key) key distribution, a range-scan mix share and a

@@ -60,19 +60,6 @@ func replacementWeight[K, V any](u *lbst.Node[K, V], w int64) int64 {
 	return w
 }
 
-// counted passes a step's outcome through and, when it committed, bumps the
-// counter of the side it ran on.
-func counted(g *epoch.Guard, ok bool, d int, side0, side1 *epoch.Counter) bool {
-	if ok {
-		if d == 0 {
-			side0.Add(g, 1)
-		} else {
-			side1.Add(g, 1)
-		}
-	}
-	return ok
-}
-
 // sideOf returns the side of child below the node captured by lk, or false
 // if it was not one of that node's children in the snapshot (the tree changed
 // under the caller).
@@ -284,7 +271,7 @@ func (pol *policy[K, V]) doBLK(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF llxscx
 	s.Remove(lkUX)
 	s.RemovePair(d, lkN, lkF)
 	root := s.Internal(ux, replacementWeight(u, ux.Deco()-1), d, s.Copy(lkN, 1), s.Copy(lkF, 1))
-	return counted(g, s.Commit(lkU, ux, root), d, &pol.stats.BLK, &pol.stats.BLK)
+	return s.Counted(s.Commit(lkU, ux, root), d, &pol.stats.BLK, &pol.stats.BLK)
 }
 
 // doRB1 performs a single rotation fixing a red-red violation at the outer
@@ -301,7 +288,7 @@ func (pol *policy[K, V]) doRB1(g *epoch.Guard, d int, lkU, lkUX, lkN llxscx.Link
 	s.Remove(lkN)
 	down := s.Internal(ux, 0, d, nf, f)
 	root := s.Internal(n, replacementWeight(u, ux.Deco()), d, nn, down)
-	return counted(g, s.Commit(lkU, ux, root), d, &pol.stats.RB1, &pol.stats.MirrorRB1)
+	return s.Counted(s.Commit(lkU, ux, root), d, &pol.stats.RB1, &pol.stats.MirrorRB1)
 }
 
 // doRB2 performs a double rotation fixing a red-red violation at the inner
@@ -321,7 +308,7 @@ func (pol *policy[K, V]) doRB2(g *epoch.Guard, d int, lkU, lkUX, lkN, lkNF llxsc
 	near := s.Internal(n, 0, d, nn, nfn)
 	far := s.Internal(ux, 0, d, nff, f)
 	root := s.Internal(nf, replacementWeight(u, ux.Deco()), d, near, far)
-	return counted(g, s.Commit(lkU, ux, root), d, &pol.stats.RB2, &pol.stats.MirrorRB2)
+	return s.Counted(s.Commit(lkU, ux, root), d, &pol.stats.RB2, &pol.stats.MirrorRB2)
 }
 
 // --- Overweight transformations ------------------------------------------
@@ -340,7 +327,7 @@ func (pol *policy[K, V]) pushUp(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF llxsc
 	s.Remove(lkUX)
 	s.RemovePair(d, lkN, lkF)
 	root := s.Internal(ux, replacementWeight(u, ux.Deco()+1), d, s.Copy(lkN, n.Deco()-1), s.Copy(lkF, f.Deco()-1))
-	return counted(g, s.Commit(lkU, ux, root), d, side0, side1)
+	return s.Counted(s.Commit(lkU, ux, root), d, side0, side1)
 }
 
 // doW1W2 is W1 and W2, which build the same subtree: the sibling f is red and
@@ -359,7 +346,7 @@ func (pol *policy[K, V]) doW1W2(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFN
 	s.Remove(lkFN)
 	down := s.Internal(ux, 1, d, s.Copy(lkN, n.Deco()-1), s.Copy(lkFN, fn.Deco()-1))
 	root := s.Internal(f, replacementWeight(u, ux.Deco()), d, down, ff)
-	return counted(g, s.Commit(lkU, ux, root), d, side0, side1)
+	return s.Counted(s.Commit(lkU, ux, root), d, side0, side1)
 }
 
 // doW3 handles a red sibling f whose near child fn has weight one and a red
@@ -382,7 +369,7 @@ func (pol *policy[K, V]) doW3(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFN, 
 	far := s.Internal(fn, 1, d, fnnf, fnf)
 	mid := s.Internal(fnn, 0, d, near, far)
 	root := s.Internal(f, replacementWeight(u, ux.Deco()), d, mid, ff)
-	return counted(g, s.Commit(lkU, ux, root), d, &pol.stats.W3, &pol.stats.MirrorW3)
+	return s.Counted(s.Commit(lkU, ux, root), d, &pol.stats.W3, &pol.stats.MirrorW3)
 }
 
 // doW4 handles a red sibling f whose near child fn has weight one and a red
@@ -403,7 +390,7 @@ func (pol *policy[K, V]) doW4(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFN, 
 	near := s.Internal(ux, 1, d, s.Copy(lkN, n.Deco()-1), fnn)
 	far := s.Internal(f, 0, d, s.Copy(lkFNF, 1), ff)
 	root := s.Internal(fn, replacementWeight(u, ux.Deco()), d, near, far)
-	return counted(g, s.Commit(lkU, ux, root), d, &pol.stats.W4, &pol.stats.MirrorW4)
+	return s.Counted(s.Commit(lkU, ux, root), d, &pol.stats.W4, &pol.stats.MirrorW4)
 }
 
 // doW5 handles a sibling f of weight one with a red far child ff: f comes up
@@ -420,7 +407,7 @@ func (pol *policy[K, V]) doW5(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFF l
 	s.Remove(lkFF)
 	near := s.Internal(ux, 1, d, s.Copy(lkN, n.Deco()-1), fn)
 	root := s.Internal(f, replacementWeight(u, ux.Deco()), d, near, s.Copy(lkFF, 1))
-	return counted(g, s.Commit(lkU, ux, root), d, &pol.stats.W5, &pol.stats.MirrorW5)
+	return s.Counted(s.Commit(lkU, ux, root), d, &pol.stats.W5, &pol.stats.MirrorW5)
 }
 
 // doW6 handles a sibling f of weight one with a red near child fn: fn comes
@@ -439,5 +426,5 @@ func (pol *policy[K, V]) doW6(g *epoch.Guard, d int, lkU, lkUX, lkN, lkF, lkFN l
 	near := s.Internal(ux, 1, d, s.Copy(lkN, n.Deco()-1), fnn)
 	far := s.Internal(f, 1, d, fnf, ff)
 	root := s.Internal(fn, replacementWeight(u, ux.Deco()), d, near, far)
-	return counted(g, s.Commit(lkU, ux, root), d, &pol.stats.W6, &pol.stats.MirrorW6)
+	return s.Counted(s.Commit(lkU, ux, root), d, &pol.stats.W6, &pol.stats.MirrorW6)
 }

@@ -34,7 +34,11 @@ func (v *adapterView[K, V]) RangeScan(lo, hi K, fn func(k K, val V) bool) int {
 		return r.RangeScan(lo, hi, fn)
 	}
 	// Successor walk: check lo itself (Successor is strict), then advance.
+	// An empty range holds nothing, lo included.
 	n := 0
+	if v.less(hi, lo) {
+		return 0
+	}
 	if val, ok := v.m.Get(lo); ok {
 		n++
 		if !fn(lo, val) {

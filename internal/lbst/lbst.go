@@ -1146,7 +1146,7 @@ func (t *Tree[K, V]) PathViolations(key K) int {
 // value; ok is false if no such key exists.
 func (t *Tree[K, V]) Successor(key K) (k K, v V, ok bool) {
 	g := epoch.Pin()
-	k, v, ok = t.successor(key)
+	k, v, ok = t.neighbor(0, true, key)
 	epoch.Unpin(g)
 	return k, v, ok
 }
@@ -1155,7 +1155,7 @@ func (t *Tree[K, V]) Successor(key K) (k K, v V, ok bool) {
 // value; ok is false if no such key exists.
 func (t *Tree[K, V]) Predecessor(key K) (k K, v V, ok bool) {
 	g := epoch.Pin()
-	k, v, ok = t.predecessor(key)
+	k, v, ok = t.neighbor(1, true, key)
 	epoch.Unpin(g)
 	return k, v, ok
 }
@@ -1189,7 +1189,7 @@ func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) int {
 // Min returns the smallest key and its value, or ok=false if empty.
 func (t *Tree[K, V]) Min() (k K, v V, ok bool) {
 	g := epoch.Pin()
-	k, v, ok = t.min()
+	k, v, ok = t.neighbor(0, false, k)
 	epoch.Unpin(g)
 	return k, v, ok
 }
@@ -1198,7 +1198,7 @@ func (t *Tree[K, V]) Min() (k K, v V, ok bool) {
 // keys are treated as +infinity and are never returned.)
 func (t *Tree[K, V]) Max() (k K, v V, ok bool) {
 	g := epoch.Pin()
-	k, v, ok = t.max()
+	k, v, ok = t.neighbor(1, false, k)
 	epoch.Unpin(g)
 	return k, v, ok
 }

@@ -3,22 +3,21 @@ package lbst
 import (
 	"repro/internal/epoch"
 	"repro/internal/llxscx"
+	"repro/internal/sched"
 )
 
-// This file implements the ordered queries of Section 5.5 of the paper -
-// Successor and Predecessor - and the scans, once for every tree built on the
-// engine, whatever its key and value types.
+// This file implements the ordered queries of Section 5.5 of the paper and
+// the scans, once for every tree built on the engine, whatever its key and
+// value types.
 //
-// Both queries perform an ordinary BST search using LLX to read child
-// pointers; if the leaf reached already answers the query it is returned
-// directly (it was linearized while on the search path), otherwise the
-// neighbouring leaf is located and a VLX over the connecting path validates
-// that the two leaves were adjacent in the tree at a single point in time.
-// Min and Max walk to the outermost leaf with LLXs and validate the whole
-// spine with one VLX, so no "smallest possible key" sentinel value is ever
-// needed - which is what lets the queries work for arbitrary key types.
-// RangeScan and Ascend extend the same validation from a path to a subtree:
-// see scan.
+// Successor, Predecessor, Min and Max are one query over a side, neighbor: an
+// ordinary BST search using LLX to read child pointers, which returns the
+// leaf it reaches if that already answers the query and otherwise locates
+// the neighbouring leaf and validates the connecting path with one VLX. Min
+// and Max are the query for an infinite key, which is a flag and not a value
+// of K, so no "smallest possible key" sentinel value is ever needed - which
+// is what lets the queries work for arbitrary key types. RangeScan and Ascend
+// extend the same validation from a path to a subtree: see scan.
 
 // genOf reads the reclamation generation of n and, for a leaf, of its value
 // cell for the poisoning assertions. Compiled out unless -tags reclaimcheck.
@@ -56,8 +55,31 @@ func valueOf[K, V any](l *Node[K, V]) V {
 // own frame, so steady-state queries generate no garbage per retry.
 const pathBufCap = 48
 
-// successor is Successor inside the caller's pinned region.
-func (t *Tree[K, V]) successor(key K) (k K, v V, ok bool) {
+// neighbor is the ordered point query inside the caller's pinned region: the
+// nearest key on side d of key, above it for d = 0 (Successor) and below it
+// for d = 1 (Predecessor). With bounded false, key is ignored and stands for
+// the infinity opposite d: the nearest key above minus infinity is Min, the
+// nearest below plus infinity is Max. At every node, near names the child
+// towards smaller keys for d = 0 and towards larger ones for d = 1, and far
+// the other; the two are swapped in registers once the snapshot is taken.
+//
+// A leaf reached on side d of key is the answer, and nothing is validated: a
+// node an LLX search visits was on key's search path at some instant during
+// the search, and the leaf ending that path, when on side d of key, is the
+// nearest key on that side at that instant. Nothing there needs key to be
+// finite - the search path for minus infinity is the leftmost spine, for plus
+// infinity the spine that turns left at the sentinels and right everywhere
+// else - so Min and Max always return here and validate nothing. Otherwise
+// the leaf holds key or lies on the other side of it, and the answer is the
+// leaf nearest to key in the far subtree of the last node at which the search
+// turned to the near side. The evidence path restarts at every such turn, so
+// it runs from that node down to both leaves, and one VLX over it shows the
+// two leaves adjacent in the tree at one instant.
+//
+// A sentinel leaf answers ok == false on either side: the search turns left
+// at every sentinel, so it reaches only the leaf of an empty dictionary, and
+// the walk only the top sentinel's right child, above every key.
+func (t *Tree[K, V]) neighbor(d int, bounded bool, key K) (k K, v V, ok bool) {
 	var buf [pathBufCap]llxscx.Evidence[Node[K, V]]
 	path := buf[:0]
 	// Every retry means an LLX or the VLX lost to a concurrent update on the
@@ -68,131 +90,77 @@ retry:
 	for attempt := 0; ; attempt++ {
 		backoffWait(attempt)
 		path = path[:0]
-		// lastLeft is the last node at which the search turned left, and succ
-		// the right child in its snapshot.
-		var lastLeft, succ *Node[K, V]
-
+		// adj is the far child in the snapshot of the last node at which the
+		// search turned to the near side, and until it has, the entry node,
+		// which is nobody's child.
+		adj := t.entry
 		l := t.entry
-		for !l.IsLeaf() {
-			left, right, ev, ok := l.snap()
+		// As in the search loops, one read of a node's flags serves both tests.
+		for a := l.rec.Aux(); a&auxLeaf == 0; a = l.rec.Aux() {
+			near, far, ev, ok := l.snap()
 			if !ok {
 				continue retry
 			}
-			if t.keyLess(key, l) {
-				lastLeft, succ = l, right
-				path = path[:0]
-				path = append(path, ev)
-				l = left
+			if d != 0 {
+				near, far = far, near
+			}
+			// Smaller keys are to the left, the near side for d = 0. A sentinel's
+			// key is plus infinity, so every search goes left there; an infinite
+			// key lies opposite d of every other node's, so it goes near.
+			toNear := !bounded
+			if a&auxInf != 0 {
+				toNear = d == 0
+			} else if bounded {
+				toNear = t.less(key, l.K) == (d == 0)
+			}
+			if toNear {
+				adj = far
+				path = append(path[:0], ev)
+				l = near
 			} else {
 				path = append(path, ev)
-				l = right
+				l = far
 			}
 			if l == nil {
 				continue retry
 			}
 		}
-		// The search for key always turns left at the sentinels, so lastLeft
-		// exists; if it is the entry node itself the dictionary is empty.
-		if lastLeft == nil || lastLeft == t.entry {
+		if l.IsSentinel() {
 			return k, v, false
 		}
-		if t.keyLess(key, l) {
-			// The leaf reached holds a key strictly greater than key, so it
-			// is the successor (linearized while it was on the search path).
-			if l.IsSentinel() {
-				return k, v, false
-			}
+		if !bounded || (d == 0 && t.less(key, l.K)) || (d != 0 && t.less(l.K, key)) {
 			return l.K, valueOf(l), true
 		}
-		// Otherwise the successor is the leftmost leaf of lastLeft's right
-		// subtree. Walk down to it with LLXs and validate the whole
-		// connecting path with a VLX.
-		if succ == nil {
+		if adj == t.entry {
+			// The search never turned to the near side: every key in the
+			// dictionary lies on the other side of key, or is key.
+			return k, v, false
+		}
+		// Walk down to the leaf of adj's subtree nearest to key with LLXs and
+		// validate the whole connecting path with a VLX.
+		if adj == nil {
 			continue retry
 		}
-		for !succ.IsLeaf() {
-			left, _, ev, ok := succ.snap()
-			if !ok || left == nil {
+		for !adj.IsLeaf() {
+			next, right, ev, ok := adj.snap()
+			if d != 0 {
+				next = right
+			}
+			if !ok || next == nil {
 				continue retry
 			}
 			path = append(path, ev)
-			succ = left
+			adj = next
 		}
-		g0 := genOf(succ)
-		if !llxscx.VLXEvidence(path) {
+		g0 := genOf(adj)
+		if !llxscx.VLXEvidence(path) && !sched.Mutated(sched.SkipNeighborVLX) {
 			continue retry
 		}
-		if succ.IsSentinel() {
+		if adj.IsSentinel() {
 			return k, v, false
 		}
-		k, v = succ.K, succ.val.Load()
-		assertGen(succ, g0)
-		return k, v, true
-	}
-}
-
-// predecessor is Predecessor inside the caller's pinned region.
-func (t *Tree[K, V]) predecessor(key K) (k K, v V, ok bool) {
-	var buf [pathBufCap]llxscx.Evidence[Node[K, V]]
-	path := buf[:0]
-retry:
-	for attempt := 0; ; attempt++ {
-		backoffWait(attempt)
-		path = path[:0]
-		// lastRight is the last node at which the search turned right, and
-		// pred the left child in its snapshot.
-		var lastRight, pred *Node[K, V]
-
-		l := t.entry
-		for !l.IsLeaf() {
-			left, right, ev, ok := l.snap()
-			if !ok {
-				continue retry
-			}
-			if t.keyLess(key, l) {
-				path = append(path, ev)
-				l = left
-			} else {
-				lastRight, pred = l, left
-				path = path[:0]
-				path = append(path, ev)
-				l = right
-			}
-			if l == nil {
-				continue retry
-			}
-		}
-		if !l.IsSentinel() && t.less(l.K, key) {
-			// The leaf reached holds a key strictly smaller than key, so it
-			// is the predecessor.
-			return l.K, valueOf(l), true
-		}
-		if lastRight == nil {
-			// The search never turned right: every key in the dictionary is
-			// greater than or equal to key.
-			return k, v, false
-		}
-		// The predecessor is the rightmost leaf of lastRight's left subtree.
-		if pred == nil {
-			continue retry
-		}
-		for !pred.IsLeaf() {
-			_, right, ev, ok := pred.snap()
-			if !ok || right == nil {
-				continue retry
-			}
-			path = append(path, ev)
-			pred = right
-		}
-		g0 := genOf(pred)
-		if !llxscx.VLXEvidence(path) {
-			continue retry
-		}
-		if pred.IsSentinel() {
-			return k, v, false
-		}
-		k, v = pred.K, pred.val.Load()
-		assertGen(pred, g0)
+		k, v = adj.K, adj.val.Load()
+		assertGen(adj, g0)
 		return k, v, true
 	}
 }
@@ -317,86 +285,5 @@ func (t *Tree[K, V]) scan(useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) 
 		}
 		// The walk stopped at the limit with subtrees pending (n > 0).
 		lo, useLo, loExcl = leaves[n-1].K, true, true
-	}
-}
-
-// min is Min inside the caller's pinned region: it walks to the leftmost leaf
-// with LLXs and validates the spine with a VLX, so the result is linearizable.
-func (t *Tree[K, V]) min() (k K, v V, ok bool) {
-	var buf [pathBufCap]llxscx.Evidence[Node[K, V]]
-	path := buf[:0]
-retry:
-	for attempt := 0; ; attempt++ {
-		backoffWait(attempt)
-		path = path[:0]
-		l := t.entry
-		for !l.IsLeaf() {
-			left, _, ev, ok := l.snap()
-			if !ok || left == nil {
-				continue retry
-			}
-			path = append(path, ev)
-			l = left
-		}
-		g0 := genOf(l)
-		if !llxscx.VLXEvidence(path) {
-			continue retry
-		}
-		if l.IsSentinel() {
-			// The leftmost leaf is the sentinel leaf: the dictionary is empty.
-			return k, v, false
-		}
-		k, v = l.K, l.val.Load()
-		assertGen(l, g0)
-		return k, v, true
-	}
-}
-
-// max is Max inside the caller's pinned region. The rightmost spine of the
-// entry structure ends at a sentinel leaf, so max walks to the rightmost leaf
-// of the tree proper (the left subtree below the top sentinel), which contains
-// no sentinels. Like min it validates the whole spine with a VLX.
-func (t *Tree[K, V]) max() (k K, v V, ok bool) {
-	var buf [pathBufCap]llxscx.Evidence[Node[K, V]]
-	path := buf[:0]
-retry:
-	for attempt := 0; ; attempt++ {
-		backoffWait(attempt)
-		path = path[:0]
-		top, _, ev, ok := t.entry.snap()
-		if !ok || top == nil {
-			continue retry
-		}
-		path = append(path, ev)
-		if top.IsLeaf() {
-			// Figure 10(a): the dictionary is empty.
-			if !llxscx.VLXEvidence(path) {
-				continue retry
-			}
-			return k, v, false
-		}
-		l, _, ev, ok := top.snap()
-		if !ok || l == nil {
-			continue retry
-		}
-		path = append(path, ev)
-		for !l.IsLeaf() {
-			_, right, ev, ok := l.snap()
-			if !ok || right == nil {
-				continue retry
-			}
-			path = append(path, ev)
-			l = right
-		}
-		g0 := genOf(l)
-		if !llxscx.VLXEvidence(path) {
-			continue retry
-		}
-		if l.IsSentinel() {
-			continue retry
-		}
-		k, v = l.K, l.val.Load()
-		assertGen(l, g0)
-		return k, v, true
 	}
 }

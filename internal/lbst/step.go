@@ -79,6 +79,18 @@ func (s *Step[K, V]) Internal(src *Node[K, V], deco int64, d int, near, far *Nod
 	return s.remember(s.Tree.InternalNode(src.K, deco, src.IsSentinel(), left, right))
 }
 
+// Counted passes Commit's outcome through and, when the step committed, adds
+// one to the counter of the side it ran on, on the guard's slot.
+func (s *Step[K, V]) Counted(ok bool, d int, side0, side1 *epoch.Counter) bool {
+	if ok {
+		if d != 0 {
+			side0 = side1
+		}
+		side0.Add(s.Guard, 1)
+	}
+	return ok
+}
+
 // remember records n as built for this step. Building more nodes than the
 // step holds panics.
 func (s *Step[K, V]) remember(n *Node[K, V]) *Node[K, V] {

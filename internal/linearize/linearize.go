@@ -203,7 +203,7 @@ func (p *Proc[K, V]) Scan(lo, hi K, less dict.Less[K]) int {
 		return n
 	}
 	om, ok := p.r.m.(dict.OrderedMap[K, V])
-	if !ok {
+	if !ok || less(hi, lo) {
 		return 0
 	}
 	n := 0

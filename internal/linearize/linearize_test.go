@@ -194,6 +194,11 @@ func TestRecorderScanFallback(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("Scan visited %d keys, want 5", n)
 	}
+	// An empty range records nothing, not even a present lo.
+	steps := len(r.History().Ops)
+	if n := p.Scan(12, 4, func(a, b int64) bool { return a < b }); n != 0 || len(r.History().Ops) != steps {
+		t.Fatalf("Scan(12, 4) visited %d keys and recorded %d steps, want none", n, len(r.History().Ops)-steps)
+	}
 	if res := Check(r.History()); !res.OK() {
 		t.Fatalf("scan history rejected:\n%s", res.Report())
 	}

@@ -183,19 +183,6 @@ func (p *policy[K, V]) Rebalance(g *epoch.Guard, _, _, u, n *lbst.Node[K, V]) bo
 	return false
 }
 
-// counted passes a step's outcome through and, when it committed, bumps the
-// counter of the side it ran on.
-func counted(g *epoch.Guard, ok bool, d int, side0, side1 *epoch.Counter) bool {
-	if ok {
-		if d == 0 {
-			side0.Add(g, 1)
-		} else {
-			side1.Add(g, 1)
-		}
-	}
-	return ok
-}
-
 // fix repairs a balance violation where t, n's child on side d (0: the left
 // one), is at least two taller than its other child, s. Below t, to is the
 // outer grandchild of n (t's child on side d) and ti the inner one. The
@@ -227,7 +214,7 @@ func (p *policy[K, V]) fix(g *epoch.Guard, d int, lkU, lkN llxscx.Linked[lbst.No
 		step.Keep(lkN)
 		step.Remove(lkT)
 		ok := step.Commit(lkN, t, step.Copy(lkT, 1+max(hto, hti)))
-		return counted(g, ok, d, &p.stats.ChildHeightFixes, &p.stats.MirrorChildHeightFixes)
+		return step.Counted(ok, d, &p.stats.ChildHeightFixes, &p.stats.MirrorChildHeightFixes)
 	}
 	step.Remove(lkN)
 	step.Remove(lkT)
@@ -236,7 +223,7 @@ func (p *policy[K, V]) fix(g *epoch.Guard, d int, lkU, lkN llxscx.Linked[lbst.No
 		// side with the inner subtree ti attached.
 		down := step.Internal(n, 1+max(hti, s.Deco()), d, ti, s)
 		root := step.Internal(t, 1+max(hto, down.Deco()), d, to, down)
-		return counted(g, step.Commit(lkU, n, root), d, &p.stats.SingleRotations, &p.stats.MirrorSingleRotations)
+		return step.Counted(step.Commit(lkU, n, root), d, &p.stats.SingleRotations, &p.stats.MirrorSingleRotations)
 	}
 	// Double rotation: the taller child leans inward, so ti (which must be
 	// internal, since its stored height is at least 1) becomes the root, above
@@ -257,7 +244,7 @@ func (p *policy[K, V]) fix(g *epoch.Guard, d int, lkU, lkN llxscx.Linked[lbst.No
 	near := step.Internal(t, 1+max(hto, tin.Deco()), d, to, tin)
 	far := step.Internal(n, 1+max(tif.Deco(), s.Deco()), d, tif, s)
 	root := step.Internal(ti, 1+max(near.Deco(), far.Deco()), d, near, far)
-	return counted(g, step.Commit(lkU, n, root), d, &p.stats.DoubleRotations, &p.stats.MirrorDoubleRotations)
+	return step.Counted(step.Commit(lkU, n, root), d, &p.stats.DoubleRotations, &p.stats.MirrorDoubleRotations)
 }
 
 // Tree is a non-blocking relaxed AVL tree implementing an ordered
@@ -271,26 +258,27 @@ type Tree[K, V any] struct {
 	stats Stats
 }
 
-// NewLess returns an empty relaxed AVL tree whose keys are ordered by less.
-func NewLess[K, V any](less func(a, b K) bool) *Tree[K, V] {
+// newTree wires a policy, its counters and the engine tree that engine
+// builds around the policy into one Tree.
+func newTree[K, V any](engine func(lbst.Policy[K, V]) *lbst.Tree[K, V]) *Tree[K, V] {
 	t := &Tree[K, V]{}
 	t.stats.init()
 	t.pol = &policy[K, V]{stats: &t.stats}
-	t.Tree = lbst.New(less, t.pol)
+	t.Tree = engine(t.pol)
 	t.pol.eng = t.Tree
 	return t
+}
+
+// NewLess returns an empty relaxed AVL tree whose keys are ordered by less.
+func NewLess[K, V any](less func(a, b K) bool) *Tree[K, V] {
+	return newTree(func(pol lbst.Policy[K, V]) *lbst.Tree[K, V] { return lbst.New(less, pol) })
 }
 
 // NewOrdered returns an empty relaxed AVL tree over a naturally ordered key
 // type. The engine installs a search routine specialized to the native `<`
 // operator, so searches avoid the indirect comparator call per node.
 func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] {
-	t := &Tree[K, V]{}
-	t.stats.init()
-	t.pol = &policy[K, V]{stats: &t.stats}
-	t.Tree = lbst.NewOrdered[K, V](t.pol)
-	t.pol.eng = t.Tree
-	return t
+	return newTree(lbst.NewOrdered[K, V])
 }
 
 // New returns an empty relaxed AVL tree with int64 keys and values, the

@@ -308,6 +308,9 @@ const (
 	// version clock and stamps the new node, before it opens the publish
 	// window instead of inside it.
 	StampBeforeWindow
+	// SkipNeighborVLX makes lbst's ordered point query take a failed VLX over
+	// the path connecting its two leaves for a successful one.
+	SkipNeighborVLX
 )
 
 var mutations atomic.Uint32

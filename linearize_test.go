@@ -64,7 +64,7 @@ func TestRecordedHistoriesLinearizable(t *testing.T) {
 					for i := 0; i < opsPerProc; i++ {
 						r := lcg(&state)
 						own := base + int64(r%keysPerProc)
-						any := int64(lcg(&state)%(procs*100)) // any proc's range
+						any := int64(lcg(&state) % (procs * 100)) // any proc's range
 						switch {
 						case r%100 < 40:
 							p.Insert(own, int64(g*opsPerProc+i))

@@ -66,10 +66,10 @@ func observeSnap(v dict.SnapshotView[int64, int64]) snapObs {
 func TestSnapshotCutEnumeration(t *testing.T) {
 	// The sequential states of the writer's history over (10, 15, 20, 30).
 	states := [4]snapObs{
-		{val: [4]int64{-10, 0, -20, -30}, ok: [4]bool{true, false, true, true}},  // S0
-		{val: [4]int64{-10, 5, -20, -30}, ok: [4]bool{true, true, true, true}},   // S1: +15
-		{val: [4]int64{0, 5, -20, -30}, ok: [4]bool{false, true, true, true}},    // S2: -10
-		{val: [4]int64{0, 5, 99, -30}, ok: [4]bool{false, true, true, true}},     // S3: 20→99
+		{val: [4]int64{-10, 0, -20, -30}, ok: [4]bool{true, false, true, true}}, // S0
+		{val: [4]int64{-10, 5, -20, -30}, ok: [4]bool{true, true, true, true}},  // S1: +15
+		{val: [4]int64{0, 5, -20, -30}, ok: [4]bool{false, true, true, true}},   // S2: -10
+		{val: [4]int64{0, 5, 99, -30}, ok: [4]bool{false, true, true, true}},    // S3: 20→99
 	}
 	cutIndex := func(o snapObs) int {
 		for i, s := range states {
