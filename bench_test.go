@@ -1,24 +1,15 @@
 package repro
 
-// Repository-level benchmarks: one benchmark family per table/figure of the
-// paper's evaluation (Section 6). These are deliberately scaled down so that
-// `go test -bench=. -benchmem` finishes in minutes on a laptop; the full
-// parameter sweep (the paper's exact thread counts, key ranges and five
-// second trials) is produced by cmd/chromatic-bench.
+// Repository-level microbenchmarks, scaled down so that
+// `go test -bench=. -benchmem` finishes in minutes on a laptop. The paper's
+// Figure 8 grid is produced by cmd/chromatic-bench (README.md holds one run),
+// and whether a change is faster is judged by the repository benchmark
+// (go run ./benchmark).
 //
-//	BenchmarkFigure8*   throughput for each operation mix x key range x
-//	                    data structure (Figure 8); parallelism comes from
-//	                    b.RunParallel, so use -cpu to sweep thread counts.
-//	BenchmarkFigure9*   single-threaded overhead relative to the sequential
-//	                    red-black tree (Figure 9).
-//	BenchmarkHeightBound    the Section 5.3 height experiment.
-//	BenchmarkViolationThreshold  the Section 5.6 Chromatic6 ablation.
 //	BenchmarkPrimitives     LLX/SCX microbenchmarks (Section 3 overhead).
 //	BenchmarkRangeScan100, BenchmarkAscend  the Section 5.5 live scans.
 
 import (
-	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
@@ -26,152 +17,6 @@ import (
 	"repro/internal/dict"
 	"repro/internal/workload"
 )
-
-// figure8Structures are the concurrent dictionaries included in the Figure 8
-// benchmarks. The STM-based structures are restricted to the small key range
-// (as in the paper, which omits them from the largest range because even
-// prefilling them takes too long).
-var figure8Structures = []string{
-	"Chromatic", "Chromatic6", "RAVL", "SkipList", "LockAVL", "EBST", "RBGlobal",
-}
-
-var figure8STMStructures = []string{"RBSTM", "SkipListSTM"}
-
-func benchmarkDictionary(b *testing.B, factory dict.IntFactory, mix workload.Mix, keyRange int64) {
-	d := factory.New()
-	workload.Prefill(d, mix, keyRange, 0.05, 1)
-	var worker atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		gen := workload.NewGenerator(mix, keyRange, 1000+worker.Add(1))
-		span := gen.ScanSpan()
-		for pb.Next() {
-			op, key := gen.Next()
-			workload.Apply(d, op, key, span)
-		}
-	})
-}
-
-func benchmarkFigure8(b *testing.B, mix workload.Mix) {
-	for _, keyRange := range []int64{100, 10_000} {
-		structures := figure8Structures
-		if keyRange <= 100 {
-			structures = append(append([]string{}, figure8Structures...), figure8STMStructures...)
-		}
-		for _, name := range structures {
-			factory, ok := bench.Lookup(name)
-			if !ok {
-				b.Fatalf("unknown structure %q", name)
-			}
-			b.Run(fmt.Sprintf("range=%d/%s", keyRange, name), func(b *testing.B) {
-				benchmarkDictionary(b, factory, mix, keyRange)
-			})
-		}
-	}
-}
-
-// BenchmarkFigure8Mix50i50d is the update-only row of Figure 8.
-func BenchmarkFigure8Mix50i50d(b *testing.B) { benchmarkFigure8(b, workload.Mix50i50d) }
-
-// BenchmarkFigure8Mix20i10d is the mixed row of Figure 8.
-func BenchmarkFigure8Mix20i10d(b *testing.B) { benchmarkFigure8(b, workload.Mix20i10d) }
-
-// BenchmarkFigure8Mix0i0d is the read-only row of Figure 8.
-func BenchmarkFigure8Mix0i0d(b *testing.B) { benchmarkFigure8(b, workload.Mix0i0d) }
-
-// BenchmarkFigure8LargeKeyRange covers the paper's third column (key range
-// 10^6) for the two headline structures and the skip list, on the mixed
-// workload, so the low-contention regime is exercised without making the
-// default benchmark run take tens of minutes.
-func BenchmarkFigure8LargeKeyRange(b *testing.B) {
-	for _, name := range []string{"Chromatic", "Chromatic6", "RAVL", "SkipList"} {
-		factory, _ := bench.Lookup(name)
-		b.Run(name, func(b *testing.B) {
-			benchmarkDictionary(b, factory, workload.Mix20i10d, 1_000_000)
-		})
-	}
-}
-
-// BenchmarkFigure9 measures single-threaded throughput of every structure
-// and of the sequential red-black tree baseline on the same workload; the
-// ratio of the reported ns/op values is the height of the bars in Figure 9.
-func BenchmarkFigure9(b *testing.B) {
-	const keyRange = 100_000
-	factories := append([]dict.IntFactory{bench.SequentialRBTFactory()}, bench.Registry()...)
-	for _, mix := range []workload.Mix{workload.Mix50i50d, workload.Mix20i10d, workload.Mix0i0d} {
-		for _, factory := range factories {
-			if factory.Name == "RBSTM" || factory.Name == "SkipListSTM" {
-				// Prefilling the STM structures at this key range dominates
-				// the benchmark; the paper omits them here for that reason.
-				continue
-			}
-			b.Run(fmt.Sprintf("%s/%s", mix, factory.Name), func(b *testing.B) {
-				d := factory.New()
-				workload.Prefill(d, mix, keyRange, 0.05, 1)
-				gen := workload.NewGenerator(mix, keyRange, 99)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					op, key := gen.Next()
-					workload.Apply(d, op, key, gen.ScanSpan())
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkHeightBound measures update throughput while also verifying, per
-// iteration batch, that the chromatic tree height stays within the
-// O(c + log n) bound of Section 5.3 (checked at quiescence after the timer
-// stops).
-func BenchmarkHeightBound(b *testing.B) {
-	const keyRange = 1 << 16
-	tree := chromatic.New()
-	workload.Prefill(tree, workload.Mix50i50d, keyRange, 0.05, 1)
-	var worker atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		gen := workload.NewGenerator(workload.Mix50i50d, keyRange, worker.Add(1))
-		for pb.Next() {
-			op, key := gen.Next()
-			workload.Apply(tree, op, key, gen.ScanSpan())
-		}
-	})
-	b.StopTimer()
-	n := tree.Size()
-	bound := 2*ceilLog2(n+1) + 2
-	if h := tree.Height(); h > bound {
-		b.Fatalf("height %d exceeds red-black bound %d for %d keys", h, bound, n)
-	}
-	if err := tree.CheckRedBlack(); err != nil {
-		b.Fatalf("tree not balanced at quiescence: %v", err)
-	}
-	b.ReportMetric(float64(tree.Height()), "height")
-	b.ReportMetric(float64(n), "keys")
-}
-
-// BenchmarkViolationThreshold is the Section 5.6 ablation: the same
-// update-heavy workload against chromatic trees that tolerate different
-// numbers of violations per search path before rebalancing.
-func BenchmarkViolationThreshold(b *testing.B) {
-	const keyRange = 10_000
-	for _, allowed := range []int{0, 1, 2, 4, 6, 8, 16} {
-		b.Run(fmt.Sprintf("allowed=%d", allowed), func(b *testing.B) {
-			tree := chromatic.New(chromatic.WithAllowedViolations(allowed))
-			workload.Prefill(tree, workload.Mix50i50d, keyRange, 0.05, 1)
-			var worker atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				gen := workload.NewGenerator(workload.Mix50i50d, keyRange, worker.Add(1))
-				for pb.Next() {
-					op, key := gen.Next()
-					workload.Apply(tree, op, key, gen.ScanSpan())
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(tree.Stats().RebalanceTotal())/float64(b.N), "rebalance/op")
-		})
-	}
-}
 
 // BenchmarkPrimitives measures the building blocks: the chromatic tree's
 // three dictionary operations individually, which bound the cost of the
@@ -253,12 +98,4 @@ func BenchmarkAscend(b *testing.B) {
 			Ascend(fn func(k, v int64) bool) int
 		}).Ascend(fn)
 	})
-}
-
-func ceilLog2(n int) int {
-	h := 0
-	for v := 1; v < n; v *= 2 {
-		h++
-	}
-	return h
 }

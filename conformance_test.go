@@ -18,7 +18,6 @@ package repro
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -699,37 +698,23 @@ func TestRegistryCoversAllStructures(t *testing.T) {
 	}
 }
 
-// TestRegistryAndFigure8StayInSync is the parity test between the benchmark
-// registry and the Figure-8 structure list: every experiment's default grid
-// must cover exactly the registered structures, every listed name must
-// resolve through Lookup, and every factory must construct a structure that
-// reports the name it is registered under.
+// TestRegistryAndFigure8StayInSync checks that every registry name resolves
+// through Lookup and that every factory constructs a structure reporting the
+// name it is registered under (the name the Figure 8 table prints).
 func TestRegistryAndFigure8StayInSync(t *testing.T) {
-	if !reflect.DeepEqual(bench.Figure8Structures(), bench.Names()) {
-		t.Fatalf("Figure8Structures() = %v, registry Names() = %v",
-			bench.Figure8Structures(), bench.Names())
-	}
-	for _, name := range bench.Figure8Structures() {
+	for _, name := range bench.Names() {
 		f, ok := bench.Lookup(name)
 		if !ok {
-			t.Errorf("Figure-8 structure %q does not resolve through Lookup", name)
+			t.Errorf("registry name %q does not resolve through Lookup", name)
 			continue
 		}
-		d := f.New()
-		named, ok := d.(dict.Named)
+		named, ok := f.New().(dict.Named)
 		if !ok {
 			t.Errorf("%s does not implement dict.Named", name)
 			continue
 		}
 		if got := named.Name(); got != name {
 			t.Errorf("factory %q constructs a structure reporting Name() = %q", name, got)
-		}
-	}
-	// The sequential reference factory stays out of the concurrent grid.
-	seq := bench.SequentialRBTFactory()
-	for _, name := range bench.Figure8Structures() {
-		if name == seq.Name {
-			t.Errorf("sequential-only %q must not be in the Figure-8 grid", seq.Name)
 		}
 	}
 }

@@ -88,12 +88,10 @@
 // are the query for an infinite key, and a leaf the search reaches on the
 // asked-for side is returned without a VLX.
 //
-// The workload generator covers the paper's uniform operation mixes plus a
-// zipfian (hot-key) key distribution, a range-scan mix share and a
-// scan-mode dimension (live validate-and-retry scans versus per-scan
-// frozen snapshots); the Figure-8 grid and cmd/chromatic-bench sweep all
-// of them (-mixes, -dists, -scanspan, -scanmode), with per-scan p50/p99
-// latency quantiles reported for scanning cells.
+// cmd/chromatic-bench runs the paper's Figure 8 grid (its three uniform
+// operation mixes) and the height experiment; README.md holds one committed
+// run. The zipfian (hot-key), scan-heavy and snapshot-scan workloads are the
+// repository benchmark's (benchmark/).
 //
 // The root package only hosts the repository-level benchmarks
 // (bench_test.go, alloc_bench_test.go) and the cross-implementation

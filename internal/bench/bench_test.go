@@ -76,24 +76,6 @@ func TestRunProducesThroughput(t *testing.T) {
 	}
 }
 
-func TestRunSkipPrefill(t *testing.T) {
-	factory, _ := Lookup("SkipList")
-	res := Run(Config{
-		Factory:     factory,
-		Mix:         workload.Mix50i50d,
-		KeyRange:    100,
-		Threads:     1,
-		Duration:    20 * time.Millisecond,
-		SkipPrefill: true,
-	})
-	if res.PrefillLen != 0 {
-		t.Fatalf("PrefillLen = %d, want 0 with SkipPrefill", res.PrefillLen)
-	}
-	if res.Ops == 0 {
-		t.Fatal("no operations performed")
-	}
-}
-
 func TestTableFormattingAndQueries(t *testing.T) {
 	table := NewTable(Cell{Mix: workload.Mix50i50d, KeyRange: 100}, []int{1, 2}, []string{"A", "B"})
 	table.Add("A", 1, 1.5)
@@ -106,15 +88,6 @@ func TestTableFormattingAndQueries(t *testing.T) {
 	}
 	if !strings.Contains(out, "A") || !strings.Contains(out, "B") {
 		t.Errorf("table missing structure columns:\n%s", out)
-	}
-	if w, v := table.Winner(2); w != "B" || v != 5.0 {
-		t.Errorf("Winner(2) = (%s,%f), want (B,5.0)", w, v)
-	}
-	if s := table.Speedup("B", "A", 2); s != 2.0 {
-		t.Errorf("Speedup(B,A,2) = %f, want 2.0", s)
-	}
-	if s := table.Speedup("B", "missing", 2); s != 0 {
-		t.Errorf("Speedup vs missing structure = %f, want 0", s)
 	}
 	// Adding an unknown structure extends the table.
 	table.Add("C", 1, 0.5)
@@ -133,178 +106,11 @@ func TestDefaultThreadCounts(t *testing.T) {
 			t.Fatalf("thread counts not strictly increasing: %v", counts)
 		}
 	}
-	if got := PaperThreadCounts(); len(got) != 5 || got[4] != 128 {
-		t.Fatalf("PaperThreadCounts = %v", got)
-	}
 	if got := PaperKeyRanges(); len(got) != 3 || got[2] != 1_000_000 {
 		t.Fatalf("PaperKeyRanges = %v", got)
 	}
 	if got := PaperMixes(); len(got) != 3 {
 		t.Fatalf("PaperMixes = %v", got)
-	}
-	if got := Figure8Mixes(); len(got) != 4 || got[3] != workload.Mix5i5d50s {
-		t.Fatalf("Figure8Mixes = %v, want the paper's mixes plus %v", got, workload.Mix5i5d50s)
-	}
-	if got := Figure8Dists(); len(got) != 2 || got[0] != workload.DistUniform || got[1] != workload.DistZipf {
-		t.Fatalf("Figure8Dists = %v, want [uniform zipf]", got)
-	}
-}
-
-// TestFigure8SkewAndScanCells runs the extended grid - the zipfian key
-// distribution and the scan-heavy mix - at a small scale and checks that
-// every requested cell produces throughput and is labelled with its
-// distribution.
-func TestFigure8SkewAndScanCells(t *testing.T) {
-	var sb strings.Builder
-	opts := Options{
-		Duration:   25 * time.Millisecond,
-		KeyRanges:  []int64{256},
-		Mixes:      []workload.Mix{workload.Mix50i50d, workload.Mix5i5d50s},
-		Dists:      Figure8Dists(),
-		Structures: []string{"Chromatic", "SkipList"},
-		Threads:    []int{2},
-	}
-	var observed []Result
-	opts.Observe = func(r Result) { observed = append(observed, r) }
-	tables := Figure8(&sb, opts)
-	if len(tables) != 4 { // 2 mixes x 1 key range x 2 dists
-		t.Fatalf("Figure8 returned %d tables, want 4", len(tables))
-	}
-	dists := map[workload.Dist]int{}
-	for _, table := range tables {
-		dists[table.Cell.Dist]++
-		for _, s := range opts.Structures {
-			if v, ok := table.Mops[s][2]; !ok || v <= 0 {
-				t.Fatalf("cell %s/%s/%s missing or zero", table.Cell.Mix, table.Cell.Dist, s)
-			}
-		}
-	}
-	if dists[workload.DistUniform] != 2 || dists[workload.DistZipf] != 2 {
-		t.Fatalf("distribution coverage = %v, want 2 uniform + 2 zipf tables", dists)
-	}
-	for _, r := range observed {
-		if r.Config.Mix.ScanPct > 0 && r.Ops == 0 {
-			t.Fatalf("scan-heavy cell %+v performed no operations", r.Config)
-		}
-	}
-	if !strings.Contains(sb.String(), "zipf keys") || !strings.Contains(sb.String(), "5i-5d-50s") {
-		t.Errorf("Figure8 output missing the skew/scan cell headers:\n%s", sb.String())
-	}
-}
-
-// TestLatencyHistQuantiles pins the log-bucket histogram arithmetic the
-// scan-latency columns rest on.
-func TestLatencyHistQuantiles(t *testing.T) {
-	var h latencyHist
-	if h.quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile not zero")
-	}
-	// 90 observations near 1us, 10 near 1ms: the median lands in the 1us
-	// bucket, the p99 in the 1ms bucket.
-	for i := 0; i < 90; i++ {
-		h.observe(1 * time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.observe(1 * time.Millisecond)
-	}
-	p50, p99 := h.quantile(0.50), h.quantile(0.99)
-	if p50 < 512*time.Nanosecond || p50 > 2*time.Microsecond {
-		t.Fatalf("p50 = %v, want within the 1us bucket", p50)
-	}
-	if p99 < 512*time.Microsecond || p99 > 2*time.Millisecond {
-		t.Fatalf("p99 = %v, want within the 1ms bucket", p99)
-	}
-	var other latencyHist
-	other.observe(1 * time.Millisecond)
-	h.merge(&other)
-	var n uint64
-	for _, c := range h {
-		n += c
-	}
-	if n != 101 {
-		t.Fatalf("merged count = %d, want 101", n)
-	}
-}
-
-// TestRunMeasuresScanLatency checks that a scanning mix yields per-scan
-// latency quantiles in both scan modes and that a scan-free mix yields none.
-func TestRunMeasuresScanLatency(t *testing.T) {
-	factory, _ := Lookup("Chromatic")
-	for _, mode := range []workload.ScanMode{workload.ScanLive, workload.ScanSnapshot} {
-		res := Run(Config{
-			Factory:  factory,
-			Mix:      workload.Mix5i5d50s,
-			KeyRange: 1024,
-			Threads:  2,
-			Duration: 50 * time.Millisecond,
-			ScanMode: mode,
-			Seed:     1,
-		})
-		if res.ScanP50 <= 0 || res.ScanP99 <= 0 {
-			t.Fatalf("%s: scan quantiles (%v, %v) not positive", mode, res.ScanP50, res.ScanP99)
-		}
-		if res.ScanP99 < res.ScanP50 {
-			t.Fatalf("%s: p99 %v below p50 %v", mode, res.ScanP99, res.ScanP50)
-		}
-	}
-	res := Run(Config{
-		Factory:  factory,
-		Mix:      workload.Mix50i50d,
-		KeyRange: 1024,
-		Threads:  1,
-		Duration: 20 * time.Millisecond,
-		Seed:     1,
-	})
-	if res.ScanP50 != 0 || res.ScanP99 != 0 {
-		t.Fatalf("scan-free mix reported scan quantiles (%v, %v)", res.ScanP50, res.ScanP99)
-	}
-}
-
-// TestFigure8ScanModeCells checks the scan-mode dimension of the grid: the
-// snapshot sweep covers exactly the mixes that scan, its tables are labelled,
-// and the live tables' headers are unchanged.
-func TestFigure8ScanModeCells(t *testing.T) {
-	var sb strings.Builder
-	opts := Options{
-		Duration:   25 * time.Millisecond,
-		KeyRanges:  []int64{256},
-		Mixes:      []workload.Mix{workload.Mix50i50d, workload.Mix5i5d50s},
-		ScanModes:  []workload.ScanMode{workload.ScanLive, workload.ScanSnapshot},
-		Structures: []string{"Chromatic", "EBST"},
-		Threads:    []int{2},
-	}
-	var observed []Result
-	opts.Observe = func(r Result) { observed = append(observed, r) }
-	tables := Figure8(&sb, opts)
-	if len(tables) != 3 { // live: both mixes; snapshot: only the scanning mix
-		t.Fatalf("Figure8 returned %d tables, want 3", len(tables))
-	}
-	modes := map[workload.ScanMode]int{}
-	for _, table := range tables {
-		modes[table.Cell.ScanMode]++
-		if table.Cell.ScanMode == workload.ScanSnapshot && table.Cell.Mix.ScanPct == 0 {
-			t.Fatalf("snapshot sweep measured the scan-free mix %s", table.Cell.Mix)
-		}
-		for _, s := range opts.Structures {
-			if v, ok := table.Mops[s][2]; !ok || v <= 0 {
-				t.Fatalf("cell %s/%s/%s missing or zero", table.Cell.Mix, table.Cell.ScanMode, s)
-			}
-		}
-	}
-	if modes[workload.ScanLive] != 2 || modes[workload.ScanSnapshot] != 1 {
-		t.Fatalf("scan-mode coverage = %v, want 2 live + 1 snapshot tables", modes)
-	}
-	for _, r := range observed {
-		if r.Config.Mix.ScanPct > 0 && (r.ScanP50 <= 0 || r.ScanP99 <= 0) {
-			t.Fatalf("scanning cell %s/%s has no scan latency quantiles", r.Config.Mix, r.Config.ScanMode)
-		}
-	}
-	out := sb.String()
-	if !strings.Contains(out, "snapshot scans") {
-		t.Errorf("snapshot table header missing the scan-mode label:\n%s", out)
-	}
-	if strings.Contains(out, "live scans") {
-		t.Errorf("live table headers must stay byte-identical to the pre-scan-mode format:\n%s", out)
 	}
 }
 
@@ -321,44 +127,6 @@ func TestHeightExperimentReportsBalancedTree(t *testing.T) {
 	}
 	if rep.Height > rep.RedBlackBound {
 		t.Fatalf("height %d exceeds red-black bound %d", rep.Height, rep.RedBlackBound)
-	}
-}
-
-func TestViolationThresholdAblationRuns(t *testing.T) {
-	opts := Options{
-		Duration:  30 * time.Millisecond,
-		Threads:   []int{2},
-		KeyRanges: []int64{100, 1000},
-	}
-	rows := ViolationThresholdAblation(io.Discard, opts, []int{0, 6})
-	if len(rows) != 2 {
-		t.Fatalf("ablation returned %d rows, want 2", len(rows))
-	}
-	for _, r := range rows {
-		if r.Mops <= 0 {
-			t.Fatalf("ablation row %+v has no throughput", r)
-		}
-	}
-	if rows[0].Allowed != 0 || rows[1].Allowed != 6 {
-		t.Fatalf("ablation rows out of order: %+v", rows)
-	}
-}
-
-func TestFigure9SmallScale(t *testing.T) {
-	opts := Options{
-		Duration:   30 * time.Millisecond,
-		KeyRanges:  []int64{512},
-		Structures: []string{"Chromatic", "Chromatic6", "RBGlobal"},
-		Threads:    []int{1},
-	}
-	rows := Figure9(io.Discard, opts)
-	if len(rows) != 9 { // 3 mixes x 3 structures
-		t.Fatalf("Figure9 returned %d rows, want 9", len(rows))
-	}
-	for _, r := range rows {
-		if r.Relative <= 0 {
-			t.Fatalf("row %+v has non-positive relative throughput", r)
-		}
 	}
 }
 

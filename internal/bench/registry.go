@@ -50,18 +50,3 @@ func Names() []string {
 	}
 	return names
 }
-
-// Figure8Structures returns the structure list every Figure-8-style grid
-// runs over when Options.Structures is empty: exactly the registry, in
-// registry order. It exists (rather than experiments calling Names
-// directly) so the "every experiment covers every structure" contract has a
-// name that tests can pin against the registry — see
-// TestRegistryAndFigure8StayInSync at the module root.
-func Figure8Structures() []string { return Names() }
-
-// SequentialRBTFactory returns the factory for the purely sequential
-// red-black tree used as the reference line of Figure 9. It is not part of
-// Registry because it is not safe for concurrent use.
-func SequentialRBTFactory() dict.IntFactory {
-	return dict.IntFactory{Name: "SeqRBT", New: func() dict.IntMap { return seqrbt.New() }}
-}

@@ -21,8 +21,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 
 	"repro/internal/dict"
 )
@@ -34,9 +32,9 @@ type Mix struct {
 	InsertPct int
 	DeletePct int
 	// ScanPct is the percentage of range-scan operations, each visiting the
-	// keys in a window of ScanSpan keys starting at the drawn key. The
+	// keys in a window of DefaultScanSpan keys starting at the drawn key. The
 	// paper's own mixes carry no scans; the scan share is this repository's
-	// extension for the scan-heavy grid cells.
+	// extension for the repository benchmark's scan-10k workload.
 	ScanPct int
 }
 
@@ -61,43 +59,6 @@ func (m Mix) String() string {
 		return fmt.Sprintf("%di-%dd-%ds", m.InsertPct, m.DeletePct, m.ScanPct)
 	}
 	return fmt.Sprintf("%di-%dd", m.InsertPct, m.DeletePct)
-}
-
-// ParseMix parses the String representation: "20i-10d" or "5i-5d-50s".
-func ParseMix(s string) (Mix, error) {
-	parts := strings.Split(s, "-")
-	if len(parts) != 2 && len(parts) != 3 {
-		return Mix{}, fmt.Errorf("workload: malformed mix %q (want e.g. 20i-10d or 5i-5d-50s)", s)
-	}
-	var m Mix
-	for i, suffix := range []string{"i", "d", "s"}[:len(parts)] {
-		p := parts[i]
-		if !strings.HasSuffix(p, suffix) {
-			return Mix{}, fmt.Errorf("workload: malformed mix %q: part %q lacks %q suffix", s, p, suffix)
-		}
-		v, err := strconv.Atoi(strings.TrimSuffix(p, suffix))
-		if err != nil {
-			return Mix{}, fmt.Errorf("workload: malformed mix %q: %v", s, err)
-		}
-		switch i {
-		case 0:
-			m.InsertPct = v
-		case 1:
-			m.DeletePct = v
-		case 2:
-			m.ScanPct = v
-		}
-	}
-	if !m.Valid() {
-		return Mix{}, fmt.Errorf("workload: mix %q percentages out of range", s)
-	}
-	return m, nil
-}
-
-// Valid reports whether the percentages are sane.
-func (m Mix) Valid() bool {
-	return m.InsertPct >= 0 && m.DeletePct >= 0 && m.ScanPct >= 0 &&
-		m.InsertPct+m.DeletePct+m.ScanPct <= 100
 }
 
 // ExpectedSize returns the expected steady-state dictionary size for this mix
@@ -145,7 +106,7 @@ const ZipfS = 1.2
 // ((v+k)/v)^-s); 1 gives the classical zipf shape.
 const zipfV = 1.0
 
-// String returns the name used in tables, flags and JSON snapshots.
+// String returns the name the repository benchmark prints.
 func (d Dist) String() string {
 	if d == DistZipf {
 		return "zipf"
@@ -153,22 +114,7 @@ func (d Dist) String() string {
 	return "uniform"
 }
 
-// ParseDist parses a Dist name as printed by String. The empty string parses
-// as DistUniform, so JSON snapshots written before the distribution
-// dimension existed read back correctly.
-func ParseDist(s string) (Dist, error) {
-	switch s {
-	case "", "uniform":
-		return DistUniform, nil
-	case "zipf":
-		return DistZipf, nil
-	default:
-		return DistUniform, fmt.Errorf("workload: unknown distribution %q (want uniform or zipf)", s)
-	}
-}
-
-// DefaultScanSpan is the width of the key window a scan operation visits
-// when the harness does not override it.
+// DefaultScanSpan is the width of the key window a scan operation visits.
 const DefaultScanSpan = 100
 
 // Op identifies one dictionary operation kind.
@@ -179,8 +125,8 @@ const (
 	OpGet Op = iota
 	OpInsert
 	OpDelete
-	// OpScan is a range scan over [key, key+span-1], where span is the
-	// generator's scan span.
+	// OpScan is a range scan over [key, key+span-1], where span is the scan
+	// span passed to Apply.
 	OpScan
 )
 
@@ -191,7 +137,6 @@ type Generator struct {
 	keyRange int64
 	rng      *rand.Rand
 	zipf     *rand.Zipf // nil for DistUniform
-	scanSpan int64
 }
 
 // NewGenerator returns a generator for the given mix and key range with
@@ -201,30 +146,18 @@ func NewGenerator(mix Mix, keyRange int64, seed int64) *Generator {
 }
 
 // NewGeneratorDist returns a generator drawing keys from the given
-// distribution, seeded deterministically from seed. The scan span defaults
-// to DefaultScanSpan; override it with SetScanSpan.
+// distribution, seeded deterministically from seed.
 func NewGeneratorDist(mix Mix, keyRange int64, dist Dist, seed int64) *Generator {
 	g := &Generator{
 		mix:      mix,
 		keyRange: keyRange,
 		rng:      rand.New(rand.NewSource(seed)),
-		scanSpan: DefaultScanSpan,
 	}
 	if dist == DistZipf {
 		g.zipf = rand.NewZipf(g.rng, ZipfS, zipfV, uint64(keyRange-1))
 	}
 	return g
 }
-
-// SetScanSpan overrides the width of the key window OpScan operations cover.
-func (g *Generator) SetScanSpan(span int64) {
-	if span > 0 {
-		g.scanSpan = span
-	}
-}
-
-// ScanSpan returns the width of the key window OpScan operations cover.
-func (g *Generator) ScanSpan() int64 { return g.scanSpan }
 
 // Next returns the next operation and its key. The value for inserts is the
 // key itself (the benchmarks never inspect values). For zipfian generators
@@ -250,8 +183,8 @@ func (g *Generator) Next() (Op, int64) {
 }
 
 // Apply performs one generated operation against d. scanSpan is the width of
-// the key window an OpScan covers (the generator's ScanSpan); it is ignored
-// for the other operation kinds.
+// the key window an OpScan covers (DefaultScanSpan); it is ignored for the
+// other operation kinds.
 func Apply(d dict.IntMap, op Op, key int64, scanSpan int64) {
 	switch op {
 	case OpInsert:
