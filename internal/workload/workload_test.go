@@ -23,7 +23,11 @@ func TestMixString(t *testing.T) {
 			t.Errorf("Mix.String() = %q, want %q", got, want)
 		}
 	}
-	// The repository benchmark prints the distribution in its header line.
+}
+
+// TestDistString pins the distribution names the repository benchmark prints
+// in its header line.
+func TestDistString(t *testing.T) {
 	if DistUniform.String() != "uniform" || DistZipf.String() != "zipf" {
 		t.Error("Dist.String names changed")
 	}
