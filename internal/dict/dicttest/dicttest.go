@@ -218,7 +218,10 @@ func finalCheck[K comparable, V comparable](t testing.TB, tgt TargetOf[K, V], d 
 }
 
 // checkContent compares everything an in-order scan of the dictionary emits
-// with the model's sorted content. Dictionaries without Ascend are skipped.
+// with the model's sorted content. Dictionaries without Ascend are skipped. A
+// mismatch stops the scan and is reported after it returns: a Fatalf that
+// ends the goroutine inside the callback would leave the scan's epoch slot
+// pinned for the rest of the process.
 func checkContent[K comparable, V comparable](t testing.TB, name string, step int, d dict.Map[K, V], md *model[K, V]) {
 	t.Helper()
 	asc, ok := d.(interface {
@@ -229,13 +232,18 @@ func checkContent[K comparable, V comparable](t testing.TB, name string, step in
 	}
 	want := md.sortedKeys()
 	i := 0
+	var bad string
 	n := asc.Ascend(func(k K, v V) bool {
 		if i >= len(want) || k != want[i] || v != md.m[k] {
-			t.Fatalf("%s step %d: scan position %d holds (%v,%v); the model's sorted keys are %v", name, step, i, k, v, want)
+			bad = fmt.Sprintf("scan position %d holds (%v,%v)", i, k, v)
+			return false
 		}
 		i++
 		return true
 	})
+	if bad != "" {
+		t.Fatalf("%s step %d: %s; the model's sorted keys are %v", name, step, bad, want)
+	}
 	if n != len(want) {
 		t.Fatalf("%s step %d: scan emitted %d keys, model has %d", name, step, n, len(want))
 	}

@@ -40,9 +40,8 @@ func (s *Counters) Bind(cs ...*Counter) {
 
 // Add adds n to the counter on the block of the slot g holds pinned. A caller
 // that was not handed the guard of the operation it runs in (a policy method
-// without one) passes nil and counts on the block its stack address hashes
-// to, as Pin's probe does: its own unless another goroutine's stack hashes
-// there too, and exact either way.
+// without one) passes nil and counts on the block Pin's probe starts from
+// (slotHint): usually its own, and exact either way.
 func (c *Counter) Add(g *Guard, n int64) {
 	c.cell(g).Add(n)
 }

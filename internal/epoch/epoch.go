@@ -204,13 +204,14 @@ func init() {
 	}
 }
 
-// slotHint derives a probe start from the goroutine's stack address: the
-// same goroutine lands on the same slot across operations (keeping the slot
-// line warm), different goroutines scatter. The pointer never escapes — it
-// is converted to uintptr immediately — so the local does not heap-allocate.
+// slotHint derives a probe start from the goroutine's stack address, or takes
+// a schedule controller's worker's slot (sched.Slot): a goroutine lands on
+// the same slot across operations (keeping the slot line warm), different
+// goroutines scatter. The pointer never escapes — it is converted to uintptr
+// immediately — so the local does not heap-allocate.
 func slotHint() uint64 {
 	var b byte
-	return uint64(uintptr(unsafe.Pointer(&b)) >> 10)
+	return sched.Slot(uint64(uintptr(unsafe.Pointer(&b)) >> 10))
 }
 
 // Pin claims a reclamation slot for the calling operation and returns its

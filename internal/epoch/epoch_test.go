@@ -1,11 +1,14 @@
 package epoch
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
+
+	"repro/internal/sched"
 )
 
 // free builds a Func that records how many times the object was freed.
@@ -355,6 +358,43 @@ func TestSlotIndexesTheGuard(t *testing.T) {
 	defer Unpin(g)
 	if &slots[g.Slot()] != g {
 		t.Fatalf("Pin returned a guard that Slot() = %d does not index", g.Slot())
+	}
+}
+
+// TestControllerWorkerPinsItsSlot: under a schedule controller, worker i (in
+// Go order) pins slot i on every operation, which keeps the SCX descriptor
+// and the publish-window line a worker uses fixed from one replay to the
+// next. Outside a controller the probe starts at the stack hint.
+func TestControllerWorkerPinsItsSlot(t *testing.T) {
+	if h := uint64(0xdead); sched.Slot(h) != h {
+		t.Fatalf("sched.Slot(%#x) = %#x outside a controller", h, sched.Slot(h))
+	}
+	schedules, violations := sched.Explore(sched.Options{}, func(c *sched.Controller) error {
+		var got [3][2]int
+		for i := range got {
+			c.Go(fmt.Sprint("worker-", i), func() {
+				for j := range got[i] {
+					g := Pin()
+					got[i][j] = g.Slot()
+					Unpin(g)
+				}
+			})
+		}
+		if err := c.Run(); err != nil {
+			return err
+		}
+		for i, s := range got {
+			if s != [2]int{i, i} {
+				return fmt.Errorf("worker %d pinned slots %v, want %d twice", i, s, i)
+			}
+		}
+		return nil
+	})
+	for _, v := range violations {
+		t.Errorf("schedule %v: %v", v.Schedule, v.Err)
+	}
+	if schedules != 6 { // the orders in which three one-step workers run
+		t.Fatalf("explored %d schedules, want 6", schedules)
 	}
 }
 

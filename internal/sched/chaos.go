@@ -100,12 +100,12 @@ var (
 )
 
 // EnableChaos starts a chaos run with cfg. It returns an error if one is
-// already active.
+// already active or a Controller is running (one driver at a time).
 func EnableChaos(cfg ChaosConfig) error {
 	chaosMu.Lock()
 	defer chaosMu.Unlock()
-	if activeRun.Load() != nil {
-		return fmt.Errorf("chaos: already enabled")
+	if activeRun.Load() != nil || controlled.Load() {
+		return fmt.Errorf("chaos: already enabled, or a schedule controller is running")
 	}
 	if cfg.DelaySpins == 0 {
 		cfg.DelaySpins = 256
@@ -194,19 +194,17 @@ func (run *chaosRun) currentRelease() chan struct{} {
 // RegisterChaos opts the calling goroutine into the active run's injection.
 // id disambiguates the worker's RNG stream: rolls are a pure function of
 // (ChaosConfig.Seed, id), so a fixed seed replays the same faults regardless
-// of how goroutine startup interleaves. The caller must Close the worker, on
-// the same goroutine, before that goroutine exits. With no active run, or on
-// a goroutine a Controller owns (one whose points are scheduling decisions
-// is never also chaos-delayed), the worker it returns is inert.
+// of how goroutine startup interleaves. A goroutine registers once, and must
+// Close the worker before it exits. With no active run, or while a
+// Controller runs (a worker whose points are scheduling decisions is never
+// also chaos-delayed), the worker it returns is inert.
 func RegisterChaos(id int) *Worker {
 	run := activeRun.Load()
-	if run == nil {
+	if run == nil || controlled.Load() {
 		return &Worker{}
 	}
 	w := &Worker{run: run, rng: mix64(uint64(run.cfg.Seed) ^ (uint64(id)+1)*0x9e3779b97f4a7c15)}
-	if !register(w) {
-		return &Worker{}
-	}
+	register(w)
 	return w
 }
 

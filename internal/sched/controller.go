@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // defaultMaxSteps bounds the scheduling decisions of one run so a mutation
@@ -17,10 +16,15 @@ const defaultMaxSteps = 100000
 // is not usable; Explore constructs controllers, one per schedule.
 //
 // The decision sequence is deterministic: at each step the runnable workers
-// form an ordered list (registration order, finished workers removed), and
-// the controller picks the index given by its replay prefix, defaulting to
-// 0 past the prefix's end. Recording the branching factor at each step lets
+// form an ordered list (Go order, finished workers removed), and the
+// controller picks the index given by its replay prefix, defaulting to 0
+// past the prefix's end. Recording the branching factor at each step lets
 // Explore enumerate all schedules depth-first.
+//
+// One driver at a time: during Run no goroutine but the released worker may
+// cross a point (whoever does is taken for it), and no chaos worker may be
+// registered. The epoch watchdog's advance attempts cross one; only the
+// chaos suites start it.
 type Controller struct {
 	filter   func(PointID) bool
 	maxSteps int
@@ -30,10 +34,9 @@ type Controller struct {
 	branches []int // runnable-worker count at each decision
 	trace    []string
 
-	workers   []*Worker
-	events    chan event
-	abandoned atomic.Bool
-	ran       bool
+	workers []*Worker
+	events  chan event
+	ran     bool
 }
 
 type event struct {
@@ -43,47 +46,51 @@ type event struct {
 	panicked any
 }
 
-// Go registers fn as a scheduled operation. The goroutine starts parked; it
+// Go adds fn as the next worker, which pins the next epoch slot (Slot). It
 // does not run until Run schedules it. All Go calls must precede Run.
 func (c *Controller) Go(name string, fn func()) {
 	if c.ran {
 		panic("sched: Controller.Go after Run")
 	}
-	w := &Worker{c: c, name: name, resume: make(chan struct{})}
+	w := &Worker{c: c, name: name, slot: len(c.workers), fn: fn, resume: make(chan struct{})}
 	c.workers = append(c.workers, w)
-	go func() {
-		<-w.resume
-		register(w) // a fresh goroutine: nobody else can own it
-		var panicked any
-		func() {
-			defer func() { panicked = recover() }()
-			deep(32, fn)
-		}()
-		unregister() // before the event: Run returns with none of its workers registered
-		c.events <- event{w: w, panicked: panicked}
-	}()
 }
 
 // park suspends the calling worker at point id until the controller
 // schedules it again. Called from Point.
 func (w *Worker) park(id PointID) {
-	if w.c.abandoned.Load() {
-		return
-	}
 	w.c.events <- event{w: w, parked: true, point: id}
 	<-w.resume
 }
 
-// Run executes every registered operation to completion under the
-// controller's schedule and returns an error if a worker panicked or the
-// step bound was exceeded. It must be called exactly once, after all Go
-// calls.
+// Run executes every operation to completion under the controller's
+// schedule and returns an error if a worker panicked, the step bound was
+// exceeded or the replay diverged from its prefix; it returns one, having
+// run nothing, if chaos workers are registered. Call it once, after Go.
 func (c *Controller) Run() error {
 	if c.ran {
 		panic("sched: Controller.Run called twice")
 	}
 	c.ran = true
+	if n := registered.Load(); n != 0 {
+		return fmt.Errorf("sched: Run with %d chaos workers registered (one driver at a time)", n)
+	}
+	controlled.Store(true)
+	registered.Add(1)
+	defer controlled.Store(false)
+	defer registered.Add(-1)
 	c.events = make(chan event, len(c.workers))
+	for _, w := range c.workers {
+		go func() {
+			<-w.resume
+			var panicked any
+			func() {
+				defer func() { panicked = recover() }()
+				w.fn()
+			}()
+			c.events <- event{w: w, panicked: panicked}
+		}()
+	}
 
 	maxSteps := c.maxSteps
 	if maxSteps <= 0 {
@@ -116,19 +123,20 @@ func (c *Controller) Run() error {
 		n := len(eligible)
 		choice := 0
 		if d := len(c.taken); d < len(c.prefix) {
-			choice = c.prefix[d]
-			if choice >= n {
-				// The run diverged from the recorded one (benign
-				// nondeterminism, e.g. sync.Pool); clamp and continue.
-				choice = n - 1
+			if choice = c.prefix[d]; choice >= n {
+				err = fmt.Errorf("sched: replay diverged at decision %d: the prefix chooses worker %d of %d eligible", d, choice, n)
+				c.abandon(runnable)
+				break
 			}
 		}
 		c.taken = append(c.taken, choice)
 		c.branches = append(c.branches, n)
 		idx := eligible[choice]
 		w := runnable[idx]
+		running.Store(w)
 		w.resume <- struct{}{}
 		ev := <-c.events
+		running.Store(nil)
 		if ev.parked {
 			c.trace = append(c.trace, fmt.Sprintf("%s parked at %s", ev.w.name, ev.point))
 			continue
@@ -143,11 +151,11 @@ func (c *Controller) Run() error {
 }
 
 // abandon releases every still-parked worker and lets them run freely (and
-// concurrently) to completion: subsequent Points are pass-throughs. Used
-// when a run trips the step bound; determinism is already lost, the goal is
-// only not to leak blocked goroutines.
+// concurrently) to completion: with none running, points pass through and
+// waits spin. Used when a run trips the step bound or diverges; determinism
+// is already lost, the goal is only not to leak blocked goroutines.
 func (c *Controller) abandon(runnable []*Worker) {
-	c.abandoned.Store(true)
+	running.Store(nil)
 	for _, w := range runnable {
 		w.resume <- struct{}{}
 	}
@@ -242,25 +250,4 @@ func nextPrefix(taken, branches []int) []int {
 		}
 	}
 	return nil
-}
-
-// deep runs fn under n frames of 1 KiB, which is more stack than an operation
-// under test needs and, held while fn runs, too much in use for the collector
-// to shrink: the worker's stack does not move while it runs. The epoch layer
-// picks an operation's slot, and with it the descriptor its SCXs use and the
-// line its publish windows are counted on, from the goroutine's stack
-// address; a worker whose stack moved between two of its operations would
-// change slots, and which schedules exist (a snapshot capture waits for the
-// windows of particular slots) would depend on when the runtime grew or
-// shrank the stack.
-//
-//go:noinline
-func deep(n int, fn func()) byte {
-	var pad [1024]byte
-	pad[n] = byte(n)
-	if n == 0 {
-		fn()
-		return pad[0]
-	}
-	return deep(n-1, fn) + pad[n]
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -153,8 +154,27 @@ func TestStepBoundConfigured(t *testing.T) {
 		})
 		return c.Run()
 	})
-	if schedules == 0 || len(violations) != schedules {
-		t.Fatalf("every schedule should trip the bound: %d schedules, %d violations", schedules, len(violations))
+	// One worker has one schedule, and it trips the bound.
+	if schedules != 1 || len(violations) != 1 {
+		t.Fatalf("want the one schedule to trip the bound: %d schedules, %d violations", schedules, len(violations))
+	}
+}
+
+// TestReplayDivergenceFails: a prefix that chooses a worker the run does not
+// offer is an error naming the decision, not a choice to clamp, and the
+// workers still run to completion.
+func TestReplayDivergenceFails(t *testing.T) {
+	c := Controller{prefix: []int{1, 1}}
+	done := 0
+	for _, name := range []string{"a", "b"} {
+		c.Go(name, func() { done++ })
+	}
+	err := c.Run()
+	if err == nil || !strings.Contains(err.Error(), "decision 1") {
+		t.Fatalf("Run = %v, want divergence at decision 1", err)
+	}
+	if done != 2 {
+		t.Fatalf("%d of 2 workers finished", done)
 	}
 }
 

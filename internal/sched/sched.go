@@ -1,27 +1,26 @@
 // Package sched is the instrumentation layer of the LLX/SCX stack's
-// concurrency tests: one table of protocol points, one registry of the
-// goroutines that are perturbed at them, and two drivers over both.
+// concurrency tests: one table of protocol points, the workers that are
+// perturbed at them, and two drivers over both.
 //
 // The protocol layers (internal/llxscx, internal/epoch, internal/vcell and
 // the trees' overwrite paths) call Point at the steps where interleaving
 // matters: before a helper reads a descriptor, before a freezing CAS, before
 // marking, before the update CAS and the commit CAS, inside a vcell publish
 // bracket and before the publish itself, and at epoch retire/advance
-// boundaries. A Point is one atomic load of the count of registered
-// goroutines and a branch that is never taken while that count is zero,
-// which is all production code and the ordinary test suites pay for it.
+// boundaries. A Point is one atomic load of the arming word (registered) and
+// a branch that is never taken while it is zero, which is all production
+// code and the ordinary test suites pay for it.
 //
-// A goroutine is registered by exactly one driver, and only registered
-// goroutines are ever touched:
+// One driver runs at a time, and only its workers are ever touched:
 //
 //   - A Controller (controller.go) runs a set of operations one at a time
-//     and decides, at every point one of them reaches, which runs next.
-//     Explore enumerates every schedule of a bounded conflict window by
-//     depth-first search over those decisions, replaying the operations from
-//     scratch for each one. Because the structures under test are lock-free
-//     (a stalled SCX is completed by whoever trips over it), running a
-//     single operation at a time can never deadlock the system: helping
-//     substitutes for the parked goroutine.
+//     and decides, at every point one of them reaches, which runs next; the
+//     worker it released is the one there. Explore enumerates every schedule
+//     of a bounded conflict window by depth-first search over those
+//     decisions, replaying the operations from scratch for each one. Because
+//     the structures under test are lock-free (a stalled SCX is completed by
+//     whoever trips over it), running a single operation at a time can never
+//     deadlock the system: helping substitutes for the parked goroutine.
 //   - A chaos run (chaos.go) samples the unbounded space instead: every
 //     point a registered goroutine crosses rolls, from a seeded per-worker
 //     stream, a delay, a preemption, a panic or an indefinite park.
@@ -142,12 +141,14 @@ func (p PointID) String() string {
 	return points[p].name
 }
 
-// A Worker is the registry's record of one instrumented goroutine. Exactly
-// one driver owns it: c is set for an operation a Controller parks and
-// resumes, run for a goroutine a chaos run rolls faults against.
+// A Worker is the record of one instrumented goroutine. Exactly one driver
+// owns it: c is set for an operation a Controller parks and resumes, run for
+// a goroutine a chaos run rolls faults against.
 type Worker struct {
 	c      *Controller
 	name   string
+	slot   int // index in c's Go order: the epoch slot the worker pins
+	fn     func()
 	resume chan struct{}
 	// ready, when non-nil, marks the worker wait-blocked (parked in
 	// WaitUntil): the controller keeps it out of the runnable set until the
@@ -160,26 +161,26 @@ type Worker struct {
 	rng uint64 // splitmix64 state; touched only by the owning goroutine
 }
 
-// workers maps the goroutine id of every registered goroutine to its record.
+// workers maps the goroutine id of every chaos worker to its record.
 // Goroutines not in it (the test harness, runtime goroutines, the epoch
 // watchdog) pass through every point untouched.
 var workers sync.Map // goid int64 -> *Worker
 
-// registered counts the entries of workers. It is the only word Point,
-// WaitZero and ChaosDropHelp load before they return, so phases that run
-// with nobody registered (production, benchmark prefill and drain, the
-// stress harnesses' verification passes) never resolve a goroutine id.
+// registered counts the entries of workers, plus one while a Controller
+// runs. It is the only word Point, WaitZero, ChaosDropHelp and Slot load
+// before they return while nobody is registered (production, benchmark
+// prefill and drain, the stress harnesses' verification passes).
 var registered atomic.Int32
 
-// register enters the calling goroutine into the registry as w. A goroutine
-// has one owner: it reports false, and changes nothing, if the goroutine is
-// registered already.
-func register(w *Worker) bool {
-	if _, dup := workers.LoadOrStore(goID(), w); dup {
-		return false
-	}
+// controlled is set while a Controller runs, and running is the worker it
+// released, until that worker parks or finishes.
+var controlled atomic.Bool
+var running atomic.Pointer[Worker]
+
+// register enters the calling goroutine into the registry as w.
+func register(w *Worker) {
+	workers.Store(goID(), w)
 	registered.Add(1)
-	return true
 }
 
 // unregister removes the calling goroutine, which must be registered.
@@ -188,10 +189,13 @@ func unregister() {
 	registered.Add(-1)
 }
 
-// self returns the calling goroutine's record, or nil.
+// self returns the calling goroutine's chaos worker, or nil. While a
+// controller runs there is none, and no goroutine id is resolved.
 func self() *Worker {
-	if v, ok := workers.Load(goID()); ok {
-		return v.(*Worker)
+	if !controlled.Load() {
+		if v, ok := workers.Load(goID()); ok {
+			return v.(*Worker)
+		}
 	}
 	return nil
 }
@@ -207,14 +211,25 @@ func Point(id PointID) {
 }
 
 func point(id PointID) {
-	w := self()
-	switch {
-	case w == nil: // somebody is registered, but not this goroutine
-	case w.c == nil:
+	if w := running.Load(); w != nil {
+		if w.c.filter == nil || w.c.filter(id) {
+			w.park(id)
+		}
+	} else if w := self(); w != nil {
 		w.roll(id)
-	case w.c.filter == nil || w.c.filter(id):
-		w.park(id)
 	}
+}
+
+// Slot returns the epoch slot the calling operation probes first: i for a
+// running Controller's worker i (in Go order), whatever its stack, and hint
+// for everyone else.
+func Slot(hint uint64) uint64 {
+	if registered.Load() != 0 {
+		if w := running.Load(); w != nil {
+			return uint64(w.slot)
+		}
+	}
+	return hint
 }
 
 // WaitZero waits until the counter drains to zero. Protocol code must use it
@@ -228,8 +243,8 @@ func WaitZero(id PointID, v *atomic.Int64) {
 }
 
 // WaitUntil waits until ready reports true; ready must read only atomics
-// that other threads' progress changes. For a goroutine a running controller
-// owns this is NOT a free spin: one worker runs at a time, so spinning
+// that other threads' progress changes. For the worker a running controller
+// released this is NOT a free spin: one worker runs at a time, so spinning
 // against a counter held by a parked sibling would hang the enumeration.
 // Instead the worker parks as wait-blocked and the controller excludes it
 // from the runnable set until ready holds, which forces the schedule to run
@@ -243,7 +258,7 @@ func WaitUntil(id PointID, ready func() bool) {
 		return
 	}
 	if registered.Load() != 0 {
-		if w := self(); w != nil && w.c != nil {
+		if w := running.Load(); w != nil {
 			w.ready = ready
 			w.park(id)
 			w.ready = nil
@@ -330,9 +345,9 @@ func SetMutation(m Mutation, on bool) {
 func Mutated(m Mutation) bool { return mutations.Load()&uint32(m) != 0 }
 
 // goID returns the calling goroutine's id, parsed from the first line of its
-// stack trace ("goroutine 123 [running]:"). The registry keys on it; it
-// costs a runtime.Stack call, which is paid only while a driver has
-// goroutines registered.
+// stack trace ("goroutine 123 [running]:"). The chaos registry keys on it;
+// it costs a runtime.Stack call, which is paid only while chaos workers are
+// registered.
 func goID() int64 {
 	var buf [64]byte
 	s := buf[:runtime.Stack(buf[:], false)]

@@ -11,8 +11,9 @@ const allMutations = SkipNeighborVLX<<1 - 1
 
 // TestNothingRegisteredIsInert pins what the protocol layers rely on in
 // production: with no goroutine registered, every point, a WaitZero on a
-// drained counter and the dropped-help query return at once, whether or not
-// a chaos run is active, and every mutation reads false.
+// drained counter and the dropped-help query return at once, the slot hint
+// comes back unchanged, whether or not a chaos run is active, and every
+// mutation reads false.
 func TestNothingRegisteredIsInert(t *testing.T) {
 	check := func() {
 		t.Helper()
@@ -24,6 +25,9 @@ func TestNothingRegisteredIsInert(t *testing.T) {
 		WaitZero(PointSnapDrain, &zero)
 		if ChaosDropHelp() {
 			t.Fatal("ChaosDropHelp() = true with nobody registered")
+		}
+		if s := Slot(12345); s != 12345 {
+			t.Fatalf("Slot(12345) = %d with nobody registered", s)
 		}
 		if Mutated(allMutations) {
 			t.Fatalf("mutations armed: %#x", mutations.Load())
@@ -58,28 +62,34 @@ func TestMutationsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGoroutineHasOneOwner: the registry refuses a second registration of a
-// goroutine, in both directions. An operation a running controller owns gets
-// an inert worker from RegisterChaos and keeps parking at its points without
-// drawing a fault; a goroutine a chaos run owns cannot be entered as a
-// controller's worker.
-func TestGoroutineHasOneOwner(t *testing.T) {
+// TestOneDriverAtATime: a controller and a chaos run never drive the points
+// together. While a controller runs, EnableChaos fails, and a worker that
+// calls RegisterChaos gets an inert worker and keeps parking at its points
+// without drawing a fault; while a chaos worker is registered, Run fails
+// without running anything.
+func TestOneDriverAtATime(t *testing.T) {
+	var c Controller
+	c.Go("op", func() {
+		if err := EnableChaos(ChaosConfig{Seed: 1}); err == nil {
+			DisableChaos()
+			t.Error("EnableChaos succeeded while a controller runs")
+		}
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+
 	if err := EnableChaos(ChaosConfig{Seed: 1, Default: ChaosPolicy{Panic: 1_000_000}, DropHelp: 1_000_000}); err != nil {
 		t.Fatal(err)
 	}
 	defer DisableChaos()
-
-	var c Controller
+	c = Controller{}
 	c.Go("op", func() {
-		mine := self()
 		w := RegisterChaos(0)
 		if w.run != nil {
-			t.Error("RegisterChaos registered a goroutine a controller owns")
+			t.Error("RegisterChaos registered a controller's worker")
 		}
-		w.Close() // inert: must leave the controller's registration alone
-		if self() != mine {
-			t.Error("the controller's worker lost its registration")
-		}
+		w.Close()       // inert: must leave the controller's count alone
 		Point(PointLLX) // a scheduling decision, not a certain panic
 		if ChaosDropHelp() {
 			t.Error("a controller's worker drew a dropped help")
@@ -98,12 +108,15 @@ func TestGoroutineHasOneOwner(t *testing.T) {
 	w := RegisterChaos(0)
 	defer w.Close()
 	if w.run == nil {
-		t.Fatal("RegisterChaos refused an unowned goroutine")
+		t.Fatal("RegisterChaos refused a goroutine with no controller running")
 	}
-	if register(&Worker{c: &c}) {
-		t.Fatal("a goroutine a chaos run owns was registered for a controller")
+	c = Controller{}
+	ran := false
+	c.Go("op", func() { ran = true })
+	if err := c.Run(); err == nil || ran {
+		t.Fatalf("Run with a chaos worker registered: err %v, operation ran %t", err, ran)
 	}
-	if self() != w {
-		t.Fatal("the refused registration displaced the chaos worker")
+	if n := registered.Load(); n != 1 {
+		t.Fatalf("%d registered after the refused Run, want the chaos worker alone", n)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/dict/dicttest"
+	"repro/internal/epoch"
 	"repro/internal/sched"
 )
 
@@ -33,8 +34,15 @@ func (r *failureRecorder) Fatalf(format string, args ...any) {
 }
 
 // firstFuzzFailure runs the fuzz seed corpus against the named template tree
-// and returns the first failure the per-operation checks report, or "".
+// and returns the first failure the per-operation checks report, or "". The
+// goroutine a failure ends must not hold an epoch slot: one left pinned stops
+// the epoch for the rest of the process, and every later retiree with it.
 func firstFuzzFailure(t *testing.T, name string) string {
+	defer func() {
+		if n := epoch.Stats().PinnedSlots; n != 0 {
+			t.Fatalf("%d epoch slots left pinned by the fuzz corpus", n)
+		}
+	}()
 	for _, tgt := range templateTreeTargets(t) {
 		if tgt.Name != name {
 			continue

@@ -35,6 +35,17 @@ func pointSet(ids ...sched.PointID) func(sched.PointID) bool {
 	return func(p sched.PointID) bool { return admit[p] }
 }
 
+// wantSchedules fails the test unless an enumeration ran exactly want
+// schedules. A replay is a pure function of its decision prefix, so every
+// window's count (and the schedule at which each mutation is caught) is
+// pinned: a change in it means the window's schedule space changed.
+func wantSchedules(t *testing.T, got, want int) {
+	t.Helper()
+	if got != want {
+		t.Fatalf("explored %d schedules, want %d", got, want)
+	}
+}
+
 // checkHistory runs the checker over the recorded history and converts a
 // violation into an error for Explore.
 func checkHistory(rec *linearize.Recorder[int64, int64]) error {
@@ -55,18 +66,18 @@ func TestConflictWindowEnumerationLinearizable(t *testing.T) {
 	cases := []struct {
 		name   string
 		points []sched.PointID
-		// minSchedules is the interleaving count with no retries (the
-		// multinomial of the workers' segment counts); contention retries
-		// only add schedules.
-		minSchedules int
-		workers      func(rec *linearize.Recorder[int64, int64], c *sched.Controller)
+		// schedules is the window's count. The interleaving count with no
+		// retries (the multinomial of the workers' segment counts) is a
+		// lower bound; contention retries only add schedules.
+		schedules int
+		workers   func(rec *linearize.Recorder[int64, int64], c *sched.Controller)
 	}{
 		{
 			// Fresh insert vs. deletion of an adjacent key: the two SCXs
 			// contend on the shared parent and leaf records.
-			name:         "insert-vs-delete",
-			points:       []sched.PointID{sched.PointSCXFreeze, sched.PointSCXUpdate},
-			minSchedules: 210, // segments (6,4): C(10,4)
+			name:      "insert-vs-delete",
+			points:    []sched.PointID{sched.PointSCXFreeze, sched.PointSCXUpdate},
+			schedules: 926, // segments (6,4): at least C(10,4) = 210
 			workers: func(rec *linearize.Recorder[int64, int64], c *sched.Controller) {
 				w0, w1 := rec.Proc(), rec.Proc()
 				c.Go("delete-10", func() { w0.Delete(10) })
@@ -82,7 +93,7 @@ func TestConflictWindowEnumerationLinearizable(t *testing.T) {
 				sched.PointSCXFreeze, sched.PointSCXUpdate,
 				sched.PointVCellPublish, sched.PointVCellRecheck,
 			},
-			minSchedules: 84, // segments (6,3): C(9,3)
+			schedules: 84, // segments (6,3): at least C(9,3) = 84
 			workers: func(rec *linearize.Recorder[int64, int64], c *sched.Controller) {
 				w0, w1 := rec.Proc(), rec.Proc()
 				c.Go("overwrite-20", func() { w0.Insert(20, 99) })
@@ -101,7 +112,7 @@ func TestConflictWindowEnumerationLinearizable(t *testing.T) {
 			points: []sched.PointID{
 				sched.PointSCXUpdate, sched.PointVCellPublish, sched.PointVCellRecheck,
 			},
-			minSchedules: 210, // segments (2,2,3): 7!/(2!2!3!)
+			schedules: 844, // segments (2,2,3): at least 7!/(2!2!3!) = 210
 			workers: func(rec *linearize.Recorder[int64, int64], c *sched.Controller) {
 				w0, w1, w2 := rec.Proc(), rec.Proc(), rec.Proc()
 				c.Go("insert-15", func() { w0.Insert(15, 5) })
@@ -137,13 +148,7 @@ func TestConflictWindowEnumerationLinearizable(t *testing.T) {
 				t.Fatalf("%d of %d schedules not linearizable; first:\nschedule %v\n%v",
 					len(violations), schedules, violations[0].Schedule, violations[0].Err)
 			}
-			if schedules >= cap {
-				t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
-			}
-			if schedules < tc.minSchedules {
-				t.Fatalf("explored %d schedules, want at least %d (the retry-free interleaving count)",
-					schedules, tc.minSchedules)
-			}
+			wantSchedules(t, schedules, tc.schedules)
 			t.Logf("%d schedules, all linearizable", schedules)
 		})
 	}
@@ -215,9 +220,7 @@ func TestOverwriteDeleteWindowClosed(t *testing.T) {
 		t.Fatalf("%d of %d schedules not linearizable; first:\nschedule %v\n%v",
 			len(violations), schedules, violations[0].Schedule, violations[0].Err)
 	}
-	if schedules >= cap {
-		t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
-	}
+	wantSchedules(t, schedules, 328)
 	t.Logf("%d schedules, all linearizable", schedules)
 }
 
@@ -268,9 +271,7 @@ func TestDroppedFreezeMutationCaught(t *testing.T) {
 			t.Fatalf("healthy protocol produced %d violations in %d schedules; first:\n%v",
 				len(violations), schedules, violations[0].Err)
 		}
-		if schedules >= cap {
-			t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
-		}
+		wantSchedules(t, schedules, 2736)
 		t.Logf("%d schedules, all linearizable", schedules)
 	})
 
@@ -289,6 +290,7 @@ func TestDroppedFreezeMutationCaught(t *testing.T) {
 		if !strings.Contains(msg, "linearizability violation") || !strings.Contains(msg, "key 20") {
 			t.Fatalf("violation is not the lost delete of key 20:\n%s", msg)
 		}
+		wantSchedules(t, schedules, 2)
 		t.Logf("mutation caught after %d schedules:\n%s", schedules, msg)
 	})
 }
@@ -346,9 +348,7 @@ func TestSkippedMarkedReadMutationCaught(t *testing.T) {
 			t.Fatalf("healthy protocol produced %d violations in %d schedules; first:\n%v",
 				len(violations), schedules, violations[0].Err)
 		}
-		if schedules >= cap {
-			t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
-		}
+		wantSchedules(t, schedules, 56)
 		t.Logf("%d schedules, all linearizable", schedules)
 	})
 
@@ -367,13 +367,14 @@ func TestSkippedMarkedReadMutationCaught(t *testing.T) {
 		if !strings.Contains(msg, "linearizability violation") || !strings.Contains(msg, "key 15") {
 			t.Fatalf("violation is not the lost insert of key 15:\n%s", msg)
 		}
+		wantSchedules(t, schedules, 2)
 		t.Logf("mutation caught after %d schedules:\n%s", schedules, msg)
 	})
 }
 
 // TestStaleHelperWindow enumerates the window that descriptor reuse opens
 // and sequence validation closes. SCX descriptors are per epoch slot and
-// reused, so one goroutine's consecutive updates run on the same descriptor:
+// reused, so one worker's consecutive updates run on the same descriptor:
 // here delete(10) with V = {I40, I20, leaf10, leaf20} and then delete(40)
 // with V = {sentinel, I40, leaf20', leaf40} in the tree built by inserting
 // 20, 40, 10. The other worker's insert(30) meets delete(10)'s frozen
@@ -419,12 +420,8 @@ func TestStaleHelperWindow(t *testing.T) {
 		}
 		owner, helper := rec.Proc(), rec.Proc()
 		c.Go("delete-10-then-40", func() {
-			// The epoch layer picks a slot from the goroutine's stack
-			// address: two operations of the same kind, on a stack that has
-			// already grown, land on the same slot and so on the same
-			// descriptor. (The mutated run is the canary for this: if the
-			// descriptor were not reused it would find nothing.)
-			growStack(32)
+			// Worker 0 pins slot 0 on both deletions (sched.Slot), so both
+			// run on that slot's descriptor.
 			owner.Delete(10)
 			secondOp = true
 			owner.Delete(40)
@@ -456,9 +453,7 @@ func TestStaleHelperWindow(t *testing.T) {
 			t.Fatalf("healthy protocol produced %d violations in %d schedules; first:\nschedule %v\n%v",
 				len(violations), schedules, violations[0].Schedule, violations[0].Err)
 		}
-		if schedules >= cap {
-			t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
-		}
+		wantSchedules(t, schedules, 43)
 		t.Logf("%d schedules, all linearizable", schedules)
 	})
 
@@ -477,19 +472,7 @@ func TestStaleHelperWindow(t *testing.T) {
 		if !strings.Contains(msg, "linearizability violation") || !strings.Contains(msg, "key 40") {
 			t.Fatalf("violation is not the lost delete of key 40:\n%s", msg)
 		}
+		wantSchedules(t, schedules, 22)
 		t.Logf("mutation caught after %d schedules:\n%s", schedules, msg)
 	})
-}
-
-// growStack forces the calling goroutine's stack past anything the tree
-// operations need (n frames of 1 KiB), so that it does not move between them.
-//
-//go:noinline
-func growStack(n int) byte {
-	var pad [1024]byte
-	pad[n] = byte(n)
-	if n == 0 {
-		return pad[0]
-	}
-	return growStack(n-1) + pad[n]
 }

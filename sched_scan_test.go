@@ -5,7 +5,8 @@ package repro
 // Schedule enumeration of the chunk-validated range scan (lbst.RangeScan):
 // one scan over a window of two or three keys runs against one concurrent
 // writer under every interleaving of the scanner's LLXs with the writer's
-// LLXs, freezing CASes and update CASes. A window this small is one chunk
+// LLXs and update CASes. (With the freezing CASes admitted too, the token
+// move passes 2 000 000 schedules unfinished.) A window this small is one chunk
 // (the leaf limit only drops below it after more failed attempts than the
 // writer has SCXs to cause), so in every schedule the emitted keys must be
 // the window's content at one instant - one of the states the writer's
@@ -33,34 +34,38 @@ func TestChunkedScanEnumeration(t *testing.T) {
 		setup  []int64
 		writer func(w *linearize.Proc[int64, int64])
 		// states are the window's contents over the writer's history.
-		states [][]int64
+		states    [][]int64
+		schedules int
 	}{
 		{
-			name:   "delete",
-			newMap: func() dict.Map[int64, int64] { return ebst.New() },
-			setup:  []int64{20, 10, 30},
-			writer: func(w *linearize.Proc[int64, int64]) { w.Delete(20) },
-			states: [][]int64{{10, 20, 30}, {10, 30}},
+			name:      "delete",
+			newMap:    func() dict.Map[int64, int64] { return ebst.New() },
+			setup:     []int64{20, 10, 30},
+			writer:    func(w *linearize.Proc[int64, int64]) { w.Delete(20) },
+			states:    [][]int64{{10, 20, 30}, {10, 30}},
+			schedules: 910,
 		},
 		{
 			// The token moves from 30 to 5, behind a scanner that has passed
 			// 5: a walk validating key by key could emit {10} alone, which
 			// the window never held.
-			name:   "insert-behind-delete-ahead",
-			newMap: func() dict.Map[int64, int64] { return ebst.New() },
-			setup:  []int64{10, 30},
-			writer: func(w *linearize.Proc[int64, int64]) { w.Insert(5, -5); w.Delete(30) },
-			states: [][]int64{{10, 30}, {5, 10, 30}, {5, 10}},
+			name:      "insert-behind-delete-ahead",
+			newMap:    func() dict.Map[int64, int64] { return ebst.New() },
+			setup:     []int64{10, 30},
+			writer:    func(w *linearize.Proc[int64, int64]) { w.Insert(5, -5); w.Delete(30) },
+			states:    [][]int64{{10, 30}, {5, 10, 30}, {5, 10}},
+			schedules: 21161,
 		},
 		{
 			// On the relaxed AVL tree the third insert is followed by a
 			// rebalancing step, which replaces internal nodes the scanner may
 			// already hold snapshots of without changing the key set.
-			name:   "insert-with-rebalance",
-			newMap: func() dict.Map[int64, int64] { return ravl.New() },
-			setup:  []int64{10, 20},
-			writer: func(w *linearize.Proc[int64, int64]) { w.Insert(30, -30) },
-			states: [][]int64{{10, 20}, {10, 20, 30}},
+			name:      "insert-with-rebalance",
+			newMap:    func() dict.Map[int64, int64] { return ravl.New() },
+			setup:     []int64{10, 20},
+			writer:    func(w *linearize.Proc[int64, int64]) { w.Insert(30, -30) },
+			states:    [][]int64{{10, 20}, {10, 20, 30}},
+			schedules: 6794,
 		},
 	}
 	for _, tc := range cases {
@@ -111,9 +116,7 @@ func TestChunkedScanEnumeration(t *testing.T) {
 				t.Fatalf("%d of %d schedules violate chunk atomicity or linearizability; first:\nschedule %v\n%v",
 					len(violations), schedules, violations[0].Schedule, violations[0].Err)
 			}
-			if schedules >= cap {
-				t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
-			}
+			wantSchedules(t, schedules, tc.schedules)
 			// Every state must be reachable, or the window is not racing.
 			if len(seen) != len(tc.states) {
 				t.Fatalf("%d schedules reached only the states %v of %v", schedules, seen, tc.states)
@@ -144,15 +147,12 @@ func TestChunkedScanEnumeration(t *testing.T) {
 // rebalancing step in these shapes (each insertion lands below a node of
 // weight one, each deletion removes a leaf below a red one).
 //
-// The decisions are the LLXs of both sides, so each SCX of the writer takes
-// effect at once between two of the query's LLXs, which is every way the two
-// updates can fall around the query's two descents. Parking the writer inside
-// its SCXs as well, where the query helps and starts over, is out of reach of
-// a depth-first enumeration: with PointSCXUpdate admitted the four rows have
-// 121 640, 121 640, 82 296 and 82 296 schedules (about five minutes), and
-// with PointSCXCommit too the smallest was past 750 000 when it was stopped.
-// A reader against a writer parked between its freezes and its commit is what
-// the scan windows above enumerate.
+// The decisions are the LLXs of both sides, which is every way the two
+// updates can fall around the query's two descents, and the writer's update
+// CASes, which park each SCX after its freezes, where the query's LLXs meet
+// frozen records and help it. Admitting PointSCXCommit as well is out of
+// reach of a depth-first enumeration: the smallest row was past 750 000
+// schedules when it was stopped.
 type neighborRow struct {
 	name   string
 	setup  []int64 // inserted in order; a negative entry deletes the key
@@ -162,24 +162,29 @@ type neighborRow struct {
 	// answer of a query that saw the second update without the first.
 	states []int64
 	never  int64
+	// schedules is the row's count, and caught the schedule at which a
+	// bounded row catches SkipNeighborVLX.
+	schedules, caught int
 }
 
 var neighborRows = []neighborRow{
 	{
-		name:   "predecessor",
-		setup:  []int64{10, 20, 40, 32, 50, 30, -32},
-		writer: func(w *linearize.Proc[int64, int64]) { w.Insert(34, -34); w.Delete(30) },
-		query:  func(m dict.IntOrderedMap) (int64, int64, bool) { return m.Predecessor(35) },
-		states: []int64{30, 34},
-		never:  20,
+		name:      "predecessor",
+		setup:     []int64{10, 20, 40, 32, 50, 30, -32},
+		writer:    func(w *linearize.Proc[int64, int64]) { w.Insert(34, -34); w.Delete(30) },
+		query:     func(m dict.IntOrderedMap) (int64, int64, bool) { return m.Predecessor(35) },
+		states:    []int64{30, 34},
+		never:     20,
+		schedules: 121640, caught: 132,
 	},
 	{
-		name:   "successor",
-		setup:  []int64{10, 20, 30, 50, 40},
-		writer: func(w *linearize.Proc[int64, int64]) { w.Insert(26, -26); w.Delete(30) },
-		query:  func(m dict.IntOrderedMap) (int64, int64, bool) { return m.Successor(25) },
-		states: []int64{30, 26},
-		never:  40,
+		name:      "successor",
+		setup:     []int64{10, 20, 30, 50, 40},
+		writer:    func(w *linearize.Proc[int64, int64]) { w.Insert(26, -26); w.Delete(30) },
+		query:     func(m dict.IntOrderedMap) (int64, int64, bool) { return m.Successor(25) },
+		states:    []int64{30, 26},
+		never:     40,
+		schedules: 121640, caught: 132,
 	},
 	{
 		name:   "max",
@@ -188,8 +193,9 @@ var neighborRows = []neighborRow{
 		query: func(m dict.IntOrderedMap) (int64, int64, bool) {
 			return m.(interface{ Max() (int64, int64, bool) }).Max()
 		},
-		states: []int64{50, 60},
-		never:  40,
+		states:    []int64{50, 60},
+		never:     40,
+		schedules: 82296,
 	},
 	{
 		name:   "min",
@@ -198,8 +204,9 @@ var neighborRows = []neighborRow{
 		query: func(m dict.IntOrderedMap) (int64, int64, bool) {
 			return m.(interface{ Min() (int64, int64, bool) }).Min()
 		},
-		states: []int64{10, 5},
-		never:  20,
+		states:    []int64{10, 5},
+		never:     20,
+		schedules: 82296,
 	},
 }
 
@@ -211,7 +218,7 @@ func neighborWindow(t *testing.T, row neighborRow, stopOnViolation bool) (schedu
 	}
 	seen = map[int64]int{}
 	schedules, violations = sched.Explore(sched.Options{
-		Points:          pointSet(sched.PointLLX),
+		Points:          pointSet(sched.PointLLX, sched.PointSCXUpdate),
 		MaxSchedules:    neighborCap,
 		StopOnViolation: stopOnViolation,
 	}, func(c *sched.Controller) error {
@@ -241,7 +248,7 @@ func neighborWindow(t *testing.T, row neighborRow, stopOnViolation bool) (schedu
 	return schedules, violations, seen
 }
 
-const neighborCap = 100000
+const neighborCap = 200000
 
 // TestNeighborWindowEnumeration: in every schedule of every row the query
 // answers with a key that was its answer at some instant.
@@ -253,9 +260,7 @@ func TestNeighborWindowEnumeration(t *testing.T) {
 				t.Fatalf("%d of %d schedules gave an answer the dictionary never held; first:\nschedule %v\n%v",
 					len(violations), schedules, violations[0].Schedule, violations[0].Err)
 			}
-			if schedules >= neighborCap {
-				t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", neighborCap)
-			}
+			wantSchedules(t, schedules, row.schedules)
 			// Every answer must be reachable, or the window is not racing.
 			if len(seen) != len(row.states) {
 				t.Fatalf("%d schedules reached only the answers %v of %v", schedules, seen, row.states)
@@ -283,6 +288,7 @@ func TestNeighborMutationCaught(t *testing.T) {
 			if want := fmt.Sprintf("answered (%d, %d, true)", row.never, -row.never); !strings.Contains(msg, want) {
 				t.Fatalf("violation is not the stale walk's answer %d:\n%s", row.never, msg)
 			}
+			wantSchedules(t, schedules, row.caught)
 			t.Logf("caught after %d schedules, schedule %v:\n%s", schedules, violations[0].Schedule, msg)
 		})
 	}

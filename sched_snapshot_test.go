@@ -144,16 +144,11 @@ func TestSnapshotCutEnumeration(t *testing.T) {
 		t.Fatalf("%d of %d schedules broke the snapshot contract; first:\nschedule %v\n%v",
 			len(violations), schedules, violations[0].Schedule, violations[0].Err)
 	}
-	if schedules >= cap {
-		t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
-	}
 	// The writer contributes at least 13 admitted points (insert 5, delete 7,
 	// overwrite ≥ 1) and the capture goroutine 2, so a complete enumeration
 	// cannot be smaller than the placements of 2 capture points among 14
 	// writer segments: C(15, 2) = 105.
-	if schedules < 105 {
-		t.Fatalf("explored %d schedules, want at least 105 (the retry-free interleaving count)", schedules)
-	}
+	wantSchedules(t, schedules, 3428)
 	t.Logf("%d schedules, every capture a frozen consistent cut", schedules)
 }
 
@@ -210,9 +205,7 @@ func TestSnapshotOverwritePublishEnumeration(t *testing.T) {
 		t.Fatalf("%d of %d schedules broke the overwrite/capture ordering; first:\nschedule %v\n%v",
 			len(violations), schedules, violations[0].Schedule, violations[0].Err)
 	}
-	if schedules >= cap {
-		t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
-	}
+	wantSchedules(t, schedules, 20)
 	t.Logf("%d schedules, capture pins exactly one published value", schedules)
 }
 
@@ -267,9 +260,7 @@ func TestSnapshotFastPathPublishEnumeration(t *testing.T) {
 		t.Fatalf("%d of %d schedules broke the fast-path publish/capture ordering; first:\nschedule %v\n%v",
 			len(violations), schedules, violations[0].Schedule, violations[0].Err)
 	}
-	if schedules >= cap {
-		t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
-	}
+	wantSchedules(t, schedules, 7)
 	t.Logf("%d schedules, fast-path publish and capture never tear", schedules)
 }
 
@@ -354,9 +345,7 @@ func TestSnapshotHelperWindowEnumeration(t *testing.T) {
 		t.Fatalf("%d of %d schedules broke the snapshot contract; first:\nschedule %v\n%v",
 			len(violations), schedules, violations[0].Schedule, violations[0].Err)
 	}
-	if schedules >= cap {
-		t.Fatalf("enumeration hit the %d-schedule cap: not exhaustive", cap)
-	}
+	wantSchedules(t, schedules, 58278)
 	t.Logf("%d schedules, every capture frozen with a helper finishing the other writer's SCX", schedules)
 }
 
@@ -371,9 +360,10 @@ func TestSnapshotWindowMutationsCaught(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		mutation sched.Mutation
+		caught   int
 	}{
-		{"SkipHelperWindow", sched.SkipHelperWindow},
-		{"StampBeforeWindow", sched.StampBeforeWindow},
+		{"SkipHelperWindow", sched.SkipHelperWindow, 10430},
+		{"StampBeforeWindow", sched.StampBeforeWindow, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sched.SetMutation(tc.mutation, true)
@@ -390,6 +380,7 @@ func TestSnapshotWindowMutationsCaught(t *testing.T) {
 			if !strings.Contains(msg, "moved after quiescence") {
 				t.Fatalf("violation is not an un-frozen capture:\n%s", msg)
 			}
+			wantSchedules(t, schedules, tc.caught)
 			t.Logf("caught after %d schedules, schedule %v:\n%s", schedules, violations[0].Schedule, msg)
 		})
 	}
