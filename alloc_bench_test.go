@@ -88,7 +88,7 @@ const allocChurnWindow = 1 << 10
 // epoch pools target: the tree is filled once, then each timed pair of
 // operations deletes a present key and re-inserts it. At steady state every
 // node an update needs was retired by an earlier update and recycled through
-// the pool, and SCX descriptors are reused in place, so allocs/op should sit
+// the pool, and SCX argument blocks are rewritten in place, so allocs/op should sit
 // near zero (the growth-phase Insert cells above necessarily allocate: a
 // growing tree keeps its nodes).
 func benchmarkAllocChurn(b *testing.B, factory dict.IntFactory) {
@@ -194,8 +194,8 @@ func TestChromaticAllocBudget(t *testing.T) {
 // TestChromaticChurnAllocBudget pins the headline number of the epoch
 // reclamation work: a steady-state delete/re-insert cycle on the Chromatic
 // tree must average at most one allocation per operation, because retired
-// nodes flow back through the pool and SCX descriptors are per-slot and
-// reused. Nothing the cycle retires may refuse its free either: a refusal
+// nodes flow back through the pool and SCX argument blocks are per-slot and
+// rewritten. Nothing the cycle retires may refuse its free either: a refusal
 // is a retiree that something still counted a reference to, and since
 // descriptors stopped being retired no such object exists on this path.
 func TestChromaticChurnAllocBudget(t *testing.T) {

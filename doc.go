@@ -25,9 +25,11 @@
 // The update hot path is allocation-lean, going one step past the compact
 // SCX records of the paper's Java implementation: an SCX-record stores its
 // evidence in inline arrays bounded by llxscx.MaxV (6, the chromatic W3/W4
-// steps) and is never allocated - every epoch slot owns one reusable,
-// sequence-tagged descriptor that its operation's SCXs overwrite
-// (Arbel-Raviv and Brown's "Reuse, don't recycle"); updates stage their V/R
+// steps) and is not allocated per SCX - every epoch slot owns one
+// sequence-tagged descriptor, and its operation's SCXs rewrite argument
+// blocks the slot replaced two epochs before and publish each with one
+// pointer store (Arbel-Raviv and Brown's "Reuse, don't recycle"); updates
+// stage their V/R
 // sequences in stack arrays for the SCXFixed/SCXP/VLXFixed entry points;
 // inserts reuse the old leaf as a child of the fresh internal node where the
 // template's postconditions allow (values stored into child fields must

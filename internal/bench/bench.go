@@ -158,11 +158,11 @@ func runTrial(cfg Config, trial int64) (int64, time.Duration, float64, int) {
 		dr.DrainReclaim()
 		// What the drains leave behind (the last grace periods' retirees)
 		// would pin the dead structure as a GC root, and so would the SCX
-		// descriptors, which keep the arguments of each slot's last SCX.
-		// Everything
+		// argument blocks, which keep the arguments of each slot's recent
+		// SCXs. Everything
 		// retired through the layer in this process belongs to this trial's
 		// structure, so dropping the leftovers to the garbage collector
-		// (and scrubbing the descriptors, which DiscardAll also does) is
+		// (and the blocks, which DiscardAll also does) is
 		// sound and severs the retention.
 		epoch.DiscardAll()
 	}

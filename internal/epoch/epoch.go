@@ -10,9 +10,10 @@
 // package supplies the same guarantee manually so that the trees can pool
 // their nodes; the precise re-derivation of the ABA safety argument lives in
 // DESIGN.md ("Epoch reclamation and the ABA re-derivation"). The slots
-// double as the owners of internal/llxscx's reusable SCX descriptors: a
-// pinned operation holds its slot exclusively, so Guard.Slot indexes a
-// descriptor nobody else can start an SCX on.
+// double as the owners of internal/llxscx's SCX descriptors: a pinned
+// operation holds its slot exclusively, so Guard.Slot indexes a descriptor
+// nobody else can start an SCX on, and the descriptor's argument blocks are
+// recycled under the same grace period as retirees (Recycler).
 //
 // # Model
 //
@@ -44,8 +45,10 @@ import (
 const (
 	// NumSlots bounds the number of concurrently pinned operations. It is a
 	// power of two so probing can wrap with a mask. 128 is far above any
-	// goroutine count the stress suites or the Figure-8 harness use; a Pin
-	// finding every slot claimed yields and retries.
+	// goroutine count the stress suites or the Figure-8 harness use, even
+	// counting the second slot internal/llxscx pins while an operation
+	// helps another's SCX; a Pin finding every slot claimed yields and
+	// retries.
 	NumSlots = 128
 	slotMask = NumSlots - 1
 
@@ -53,6 +56,11 @@ const (
 	// to advance the global epoch. Advancing scans all slots, so the
 	// interval amortizes the scan to a fraction of a retire.
 	advanceEvery = 64
+
+	// graceEpochs is the grace period: an object retired (or put in a
+	// Recycler) at epoch E may be read by an operation pinned at E-1 or E,
+	// and both have unpinned once the epoch is E+graceEpochs (see drain).
+	graceEpochs = 2
 
 	// bucketEpochs is the number of retire buckets per slot: an object
 	// retired at epoch E is freeable at E+2, so by the time a bucket index
@@ -319,7 +327,7 @@ func (g *Guard) drain(now uint64) {
 	// retire finished too. The premature-free mutation (armed only by the
 	// reclamation self-test) shortens the grace period to 1 — the E+1 bug
 	// DESIGN.md's grace-period argument rules out.
-	grace := uint64(2)
+	grace := uint64(graceEpochs)
 	if sched.Mutated(sched.PrematureFree) {
 		grace = 1
 	}
@@ -371,6 +379,12 @@ func (g *Guard) runFree(requeue *bucket, items []entry) {
 // became observable.
 func tryAdvance() bool {
 	sched.Point(sched.PointEpochAdvance)
+	return advance()
+}
+
+// advance is tryAdvance without the instrumentation point, for a Recycler,
+// which moves the epoch from inside an SCX.
+func advance() bool {
 	g := globalEpoch.Load()
 	for i := range slots {
 		if s := slots[i].state.Load(); s != 0 && s != g && s != stalledState {
@@ -388,9 +402,9 @@ func tryAdvance() bool {
 // a dropped structure reachable. An entry a drain has not reached yet, or
 // one whose callback refuses, pins the tree's pools, and through them the
 // whole tree, as a GC root; and a slot's SCX
-// descriptor keeps the arguments of its last SCX (nodes, and the structure's
-// commit hook) until the slot's next SCX overwrites them, which OnDiscard
-// lets internal/llxscx clear. The benchmark harness calls this between
+// argument blocks keep the arguments of its recent SCXs (nodes, and the
+// structure's commit hook) until the slot rewrites them, which OnDiscard
+// lets internal/llxscx drop. The benchmark harness calls this between
 // trials so a long run's dead structures do not accumulate as mark-phase
 // work for later trials.
 func DiscardAll() {
@@ -428,8 +442,8 @@ var discardHook func(owned *[NumSlots]bool)
 // OnDiscard registers fn to run inside every DiscardAll, with owned[i]
 // reporting that DiscardAll holds slot i claimed for the duration of the
 // call. It is for the one layer that keeps per-slot state outside this
-// package (internal/llxscx's descriptor table) and must be called from an
-// init function.
+// package (internal/llxscx's descriptors and argument blocks) and must be
+// called from an init function.
 func OnDiscard(fn func(owned *[NumSlots]bool)) { discardHook = fn }
 
 // Pending returns the total number of retired objects whose grace period

@@ -62,9 +62,10 @@
 // guard and re-enters the pool only after a grace period, and a value cell
 // when the last node aliasing it has. A node is one 64-byte cache line for
 // word-sized keys; the 32-byte cells live outside the nodes. SCX descriptors
-// are not allocated at all - every SCX reuses the descriptor of the
-// operation's epoch slot (see internal/llxscx) - so steady-state churn
-// allocates (almost) nothing.
+// are not allocated per SCX - every SCX runs on the descriptor of the
+// operation's epoch slot and rewrites an argument block that slot replaced
+// two epochs before (see internal/llxscx) - so steady-state churn allocates
+// (almost) nothing.
 // The safety argument - why a pinned operation can never observe a recycled
 // node, and how the value-cell aliasing of CopyNode survives manual
 // reclamation through the cells' reference counts - is re-derived in
@@ -75,6 +76,7 @@ import (
 	"cmp"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/dict"
 	"repro/internal/epoch"
@@ -120,15 +122,16 @@ type Node[K, V any] struct {
 	// atomically.
 	val *vcell.Cell[V]
 
-	// snapVer is the node's commit tick for the versioned-snapshot layer:
-	// verPending from construction until the node is installed into a
-	// mutable field by a committed SCX, at which point the tree's commit
-	// hook stamps it (CAS, exactly once) with the tree's version clock —
-	// BEFORE the update CAS, so a node readable out of a field is always
-	// already stamped. Fresh interior nodes of an update that are not the
-	// CASed-in subtree root stay verPending forever; the resolution rule
-	// accepts them through their stamped ancestor (see snapshot.go and the
-	// "Versioned snapshots" section of DESIGN.md).
+	// snapVer is the node's commit tick for the versioned-snapshot layer,
+	// stored inverted (see ver) so that the zero a recycled or new node
+	// carries means verPending: from construction until the node is
+	// installed into a mutable field by a committed SCX, at which point the
+	// tree's commit hook stamps it (CAS, exactly once) with the tree's
+	// version clock — BEFORE the update CAS, so a node readable out of a
+	// field is always already stamped. Fresh interior nodes of an update
+	// that are not the CASed-in subtree root stay verPending forever; the
+	// resolution rule accepts them through their stamped ancestor (see
+	// snapshot.go and the "Versioned snapshots" section of DESIGN.md).
 	snapVer atomic.Uint64
 	// prev is the value the field this node was CASed into held immediately
 	// before — the previous version of this position. Written by the commit
@@ -170,6 +173,17 @@ func aux(deco int64, leaf, inf bool) uint32 {
 // verPending marks a node whose installing update has not been stamped with
 // a commit tick. It compares greater than every capture version.
 const verPending = ^uint64(0)
+
+// ver returns n's commit tick, or verPending.
+func (n *Node[K, V]) ver() uint64 { return ^n.snapVer.Load() }
+
+// setChild stores c in the child field f of a node no other goroutine can
+// reach yet, with a plain store: the SCX that publishes the node orders it
+// before every read. An atomic.Pointer[N] is one pointer word, the erasure
+// llxscx's SCX relies on too.
+func setChild[K, V any](f *atomic.Pointer[Node[K, V]], c *Node[K, V]) {
+	*(**Node[K, V])(unsafe.Pointer(f)) = c
+}
 
 // LLXRecord implements llxscx.DataRecord.
 func (n *Node[K, V]) LLXRecord() *llxscx.Record[Node[K, V]] { return &n.rec }
@@ -409,10 +423,10 @@ func New[K, V any](less func(a, b K) bool, pol Policy[K, V]) *Tree[K, V] {
 	// mutation; caught by the enumerations in sched_snapshot_test.go). Every
 	// helper calls the hook, so the stamp CAS makes it idempotent.
 	t.descPool.OnCommit = func(fld *atomic.Pointer[Node[K, V]], old, new *Node[K, V]) {
-		if new.snapVer.Load() == verPending {
+		if new.ver() == verPending {
 			new.prev.Store(old)
 			sched.Point(sched.PointVerStamp)
-			new.snapVer.CompareAndSwap(verPending, t.gver.Load())
+			new.snapVer.CompareAndSwap(^verPending, ^t.gver.Load())
 		}
 	}
 	return t
@@ -442,12 +456,12 @@ func (t *Tree[K, V]) Less() func(a, b K) bool { return t.less }
 // Pooled node lifecycle.
 
 // newNode returns a node with the given key, decoration and flags and
-// nothing else set, drawn from the tree's node pool.
+// nothing else set, drawn from the tree's node pool: zeroed, by the pool or
+// by freeNode, so its children are nil and its tick is verPending.
 func (t *Tree[K, V]) newNode(k K, a uint32) *Node[K, V] {
 	n := t.nodePool.Get().(*Node[K, V])
 	n.K = k
 	n.rec.SetAux(a)
-	n.snapVer.Store(verPending)
 	return n
 }
 
@@ -463,8 +477,8 @@ func (t *Tree[K, V]) LeafNode(k K, v V, deco int64) *Node[K, V] {
 // decoration (in [0, MaxDeco]), sentinel flag and children.
 func (t *Tree[K, V]) InternalNode(k K, deco int64, inf bool, left, right *Node[K, V]) *Node[K, V] {
 	n := t.newNode(k, aux(deco, false, inf))
-	n.left.Store(left)
-	n.right.Store(right)
+	setChild(&n.left, left)
+	setChild(&n.right, right)
 	return n
 }
 
@@ -481,8 +495,8 @@ func (t *Tree[K, V]) CopyNode(lk llxscx.Linked[Node[K, V]], deco int64) *Node[K,
 	src := lk.Node()
 	n := t.newNode(src.K, aux(deco, src.IsLeaf(), src.IsSentinel()))
 	if !src.IsLeaf() {
-		n.left.Store(lk.Child(0))
-		n.right.Store(lk.Child(1))
+		setChild(&n.left, lk.Child(0))
+		setChild(&n.right, lk.Child(1))
 	} else if c := src.val; c != nil {
 		c.Retain()
 		n.val = c
@@ -513,8 +527,9 @@ func (t *Tree[K, V]) scx(g *epoch.Guard, v *[llxscx.MaxV]llxscx.Linked[Node[K, V
 // the node's reference on its value cell (the last one returns the cell to
 // its pool), clears the node and returns it to the pool. The stores are
 // plain: the grace period orders them after every access by another
-// goroutine, as it does for the key. The record's tag is left alone - tags
-// never recur (internal/llxscx) - and newNode sets the rest.
+// goroutine, as it does for the key. The cleared tick reads as verPending.
+// The record's tag is left alone - tags never recur (internal/llxscx) - and
+// newNode sets key and flags.
 func (t *Tree[K, V]) freeNode(n *Node[K, V]) {
 	if c := n.val; c != nil {
 		t.cells.Release(c)
@@ -525,6 +540,7 @@ func (t *Tree[K, V]) freeNode(n *Node[K, V]) {
 	n.K = zeroK
 	n.left = atomic.Pointer[Node[K, V]]{}
 	n.right = atomic.Pointer[Node[K, V]]{}
+	n.snapVer = atomic.Uint64{}
 	n.prev = atomic.Pointer[Node[K, V]]{}
 	n.gen.Bump()
 	t.nodePool.Put(n)

@@ -50,7 +50,7 @@ import (
 // on the chain is still valid memory (see the capture argument in DESIGN.md).
 func resolve[K, V any](c *Node[K, V], ver uint64) *Node[K, V] {
 	for c != nil {
-		if c.snapVer.Load() <= ver {
+		if c.ver() <= ver {
 			return c
 		}
 		p := c.prev.Load()

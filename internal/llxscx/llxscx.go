@@ -23,20 +23,29 @@
 // the same "linked LLX" relationship explicitly.
 //
 // Descriptors: the paper creates a fresh SCX-record per SCX and leaves it to
-// the garbage collector. Here SCX-records are never allocated. A
-// process-wide table holds one reusable descriptor per epoch slot
-// (internal/epoch), owned by whoever holds that slot pinned, and a record's
-// info field is not a pointer but a tag: the slot index and the slot's
-// sequence number at the time of the SCX. Following Arbel-Raviv and Brown
+// the garbage collector. Here a process-wide table holds one descriptor per
+// epoch slot (internal/epoch), owned by whoever holds that slot pinned, and a
+// record's info field is not a pointer but a tag: the slot index and the
+// slot's sequence number at the time of the SCX. A descriptor is two words on
+// one cache line: the status word (state, allFrozen bit, sequence number),
+// which is all LLX reads, and a pointer to the SCX's argument block (V, the
+// expected tags, R, fld, old, new and the commit hook), which only helpers
+// read. The owner fills a block with plain stores and publishes it with one
+// atomic store beside the status word. Following Arbel-Raviv and Brown
 // ("Reuse, don't recycle", DISC 2017), four rules replace the collector:
 //
-//   - Tags never recur. An SCX bumps its slot's sequence number before it
-//     writes anything else, so every SCX has its own tag and the freezing
-//     CAS's expected value can never be matched by a later SCX.
-//   - Validate before use. A helper copies the fields it needs out of the
-//     descriptor and then re-reads the sequence number; a mismatch means the
-//     slot has moved on and the copy is discarded. The descriptor's state
-//     lives in the same word as the sequence number and changes only by CAS
+//   - Tags never recur. Every SCX of a slot has the next sequence number,
+//     so every SCX has its own tag and the freezing CAS's expected value can
+//     never be matched by a later SCX.
+//   - Immutable while reachable. Nobody writes a block a helper can still
+//     read. A helper pins an epoch slot of its own before it loads the
+//     block pointer, and a slot hands the blocks it has replaced to an
+//     epoch.Recycler, which returns one for rewriting only once every
+//     operation pinned when it was replaced has unpinned; the epoch layer's
+//     atomics order the helper's plain reads before the rewrite, as they do
+//     for recycled nodes. A helper runs an SCX from the block it loads only
+//     if the block's sequence number is its tag's; otherwise the slot has
+//     moved on and the SCX is over. The status word changes only by CAS
 //     from the exact word the helper observed, so a helper of a finished
 //     SCX cannot touch the state of the slot's next one.
 //   - Terminal before reuse. A slot starts its next SCX only once the
@@ -47,7 +56,9 @@
 //     a finished SCX matters to LLX only through the marked bit, and only
 //     a committed SCX leaves a marked record behind.
 //
-// The full safety argument is in DESIGN.md ("Epoch reclamation and the ABA
+// Since helping pins, LLX and VLX need no guard: a caller that holds none
+// helps as safely as an operation that runs pinned. The full safety
+// argument is in DESIGN.md ("Epoch reclamation and the ABA
 // re-derivation").
 package llxscx
 
@@ -70,7 +81,7 @@ const MaxMutable = 2
 
 // MaxV is the maximum length of the V sequence (and therefore of the R
 // subsequence) accepted by SCX and VLXFixed, and the capacity of the
-// evidence arrays of every descriptor. It is sized for the largest update
+// evidence arrays of every argument block. It is sized for the largest update
 // any tree in this repository performs: the chromatic tree's W3/W4
 // rebalancing steps (and their mirrors) link six LLXs and finalize five
 // records.
@@ -122,13 +133,10 @@ const (
 	_ = uint(epoch.NumSlots - numDesc)
 )
 
-// A descriptor's status word holds everything about an SCX that is not a
-// pointer: its state, the allFrozen bit, which elements of V are finalized
-// (R is a subset of V, so a bit mask suffices), the length of V, and the
-// sequence number. One load gives a helper a consistent view of all of
-// them, and a CAS on the word cannot succeed on a later SCX of the slot.
-// (The sequence number has 52 bits: at an SCX every 100 ns per slot, over a
-// decade of uptime.)
+// A descriptor's status word holds what changes during an SCX, with the
+// sequence number it belongs to: its state and the allFrozen bit. One load
+// tells an LLX what the SCX a tag names has done, and a CAS on the word
+// cannot succeed on a later SCX of the slot.
 const (
 	stateCommitted  = 0 // zero, so the never-used descriptor reads as committed
 	stateInProgress = 1
@@ -136,10 +144,7 @@ const (
 	stateMask       = 3
 
 	frozenBit = 1 << 2
-	markShift = 3 // MaxV bits: bit i set means finalize the i'th element of V
-	nVShift   = markShift + MaxV
-	nVBits    = 3 // |V| <= MaxV < 8
-	seqShift  = nVShift + nVBits
+	seqShift  = 3
 )
 
 // record is the synchronization state of one Data-record.
@@ -185,9 +190,12 @@ func (r *Record[N]) Marked() bool { return r.r.marked.Load() }
 // ReleaseRecord resets a freed Data-record for reuse. Trees must call it
 // exactly once, when a node's grace period has completed and the node is
 // about to enter a pool: at that point no operation can reach the record,
-// and every helper that could still mark it has finished.
+// and every helper that could still mark it has finished. The store is
+// plain: the grace period orders it after every access by another
+// goroutine, and the SCX that publishes the node again orders it before the
+// next.
 func ReleaseRecord[N any](rec *Record[N]) {
-	rec.r.marked.Store(false)
+	rec.r.marked = atomic.Bool{}
 }
 
 // DataRecord is the constraint a node type must satisfy so that the
@@ -383,8 +391,9 @@ var noField unsafe.Pointer
 // re-derives this).
 //
 // nv must be in [1, MaxV] and nf in [0, nv]; out-of-range lengths panic,
-// since they indicate an update whose V sequence does not fit a descriptor
-// (raise MaxV if a new data structure legitimately needs a larger update).
+// since they indicate an update whose V sequence does not fit an argument
+// block (raise MaxV if a new data structure legitimately needs a larger
+// update).
 //
 // SCXFixed is the entry point for callers that hold no epoch guard: it pins
 // an epoch slot for its own duration. Operations that run pinned should call
@@ -397,38 +406,42 @@ func SCXFixed[P DataRecord[N], N any](v *[MaxV]Linked[N], nv int, finalize *[Max
 	return scx(g, nil, v, nv, finalize, nf, fld, old, new)
 }
 
-// scx stages the arguments of one SCX and runs it on the descriptor of g's
-// slot; g must be pinned.
+// scx writes the arguments of one SCX into a block and runs the SCX on the
+// descriptor of g's slot; g must be pinned.
 func scx[P DataRecord[N], N any](g *epoch.Guard, h *hooks, v *[MaxV]Linked[N], nv int, finalize *[MaxV]P, nf int, fld *atomic.Pointer[N], old, new *N) bool {
 	if nv < 1 || nv > MaxV || nf < 0 || nf > nv {
 		panic("llxscx: SCX sequence lengths out of range")
 	}
-	// An atomic.Pointer[N] is one pointer word whatever N is; erasing N here
-	// is what lets one non-generic help() serve every structure, including
-	// an owner finishing an SCX some other structure's operation abandoned.
-	p := payload{
-		nV:    nv,
-		fld:   (*unsafe.Pointer)(unsafe.Pointer(fld)),
-		old:   unsafe.Pointer(old),
-		new:   unsafe.Pointer(new),
-		hooks: h,
-	}
-	for i := 0; i < nv; i++ {
-		p.recs[i] = v[i].ev.rec
-		p.exps[i] = v[i].ev.info
-	}
+	var mask uint8
 	for i := 0; i < nf; i++ {
 		rec := &finalize[i].LLXRecord().r
 		j := 0
-		for j < nv && p.recs[j] != rec {
+		for j < nv && v[j].ev.rec != rec {
 			j++
 		}
 		if j == nv {
 			panic("llxscx: finalized record is not in V")
 		}
-		p.mask |= 1 << j
+		mask |= 1 << j
 	}
-	return start(g.Slot(), &p)
+	slot := g.Slot()
+	d := &table[slot]
+	seq := d.nextSeq(slot)
+	b := d.spare.Get()
+	if b == nil {
+		b = &block{}
+	}
+	b.seq, b.nV, b.mask = seq, uint8(nv), mask
+	for i := 0; i < nv; i++ {
+		b.recs[i] = v[i].ev.rec
+		b.exps[i] = v[i].ev.info
+	}
+	// An atomic.Pointer[N] is one pointer word whatever N is; erasing N here
+	// is what lets one non-generic help() serve every structure, including
+	// an owner finishing an SCX some other structure's operation abandoned.
+	b.fld = (*unsafe.Pointer)(unsafe.Pointer(fld))
+	b.old, b.new, b.hooks = unsafe.Pointer(old), unsafe.Pointer(new), h
+	return d.start(slot, b)
 }
 
 // VLXFixed returns true if none of the first n records of v has changed
@@ -474,55 +487,50 @@ func validateOne(rec *record, info uint64) bool {
 	return true
 }
 
-// descFields is one reusable SCX-record. Everything in it is written only by
-// the slot's current owner (whoever holds the epoch slot pinned) and read by
-// any helper, so every field is atomic; the status word is the only one
-// helpers write, and only by CAS.
-type descFields struct {
-	status atomic.Uint64
-	hooks  atomic.Pointer[hooks]
-
-	// fld is the single mutable field changed from old to new.
-	fld      atomic.Pointer[unsafe.Pointer]
-	old, new unsafe.Pointer
-
-	// v[i].rec is the i'th element of V and v[i].info the tag observed by
-	// its linked LLX (the expected value of the freezing CAS).
-	v [MaxV]struct {
-		rec  atomic.Pointer[record]
-		info atomic.Uint64
-	}
-}
-
-// desc pads a descriptor to whole cache lines, so a status word read by
-// every LLX that meets the slot's tag shares no line with a neighbouring
-// slot.
+// desc is one slot's SCX descriptor. Its first line is what other processes
+// touch: the status word, which LLX reads and helpers change by CAS, and the
+// pointer to the argument block of the slot's current SCX, which helpers
+// load. The second line is the owner's alone (whoever holds the epoch slot
+// pinned). Whole lines per descriptor, so neither shares a line with a
+// neighbouring slot.
 type desc struct {
-	descFields
-	_ [(cacheLine - unsafe.Sizeof(descFields{})%cacheLine) % cacheLine]byte
+	status atomic.Uint64
+	block  atomic.Pointer[block]
+	_      [cacheLine - 16]byte
+
+	// spare holds the blocks the slot has replaced until no helper can
+	// still read them.
+	spare epoch.Recycler[block]
+	_     [cacheLine - unsafe.Sizeof(epoch.Recycler[block]{})]byte
 }
 
 const cacheLine = epoch.CacheLine
 
 // table holds the descriptors, indexed by epoch slot. It is allocated rather
-// than static so that it starts on a cache-line boundary.
-var table = epoch.NewAligned[[numDesc]desc]()
+// than static so that it starts on a cache-line boundary, and a slice, not a
+// pointer to the array, so that indexing it costs a bounds check instead of a
+// nil check that reads descriptor 0's status line on every LLX.
+var table = epoch.NewAligned[[numDesc]desc]()[:]
 
 func init() { epoch.OnDiscard(scrub) }
 
-// payload is a private copy of one SCX's arguments: the initiator's own, or
-// a helper's validated copy of a descriptor.
-type payload struct {
-	nV       int
-	mask     uint64 // bit i set: finalize recs[i]
+// block holds the arguments of one SCX. The slot's owner writes it with
+// plain stores before it publishes it in the descriptor, and nobody writes it
+// again while a helper can load it (see help and start), so helpers read it
+// with plain loads and need no private copy.
+type block struct {
+	// seq is the sequence number of the SCX the block was written for.
+	seq uint64
+	// recs[i] is the i'th element of V and exps[i] the tag its linked LLX
+	// observed (the expected value of the freezing CAS); bit i of mask is
+	// set if recs[i] is finalized (R is a subset of V).
+	nV, mask uint8
 	recs     [MaxV]*record
 	exps     [MaxV]uint64
+	// fld is the single mutable field changed from old to new.
 	fld      *unsafe.Pointer
 	old, new unsafe.Pointer
 	hooks    *hooks
-	// helper is set on a copy read out of a descriptor: the process running
-	// it is not the one that started the SCX.
-	helper bool
 }
 
 // nextSeq makes the slot's last SCX terminal and returns the sequence number
@@ -533,42 +541,38 @@ type payload struct {
 func (d *desc) nextSeq(slot int) uint64 {
 	st := d.status.Load()
 	if st&stateMask == stateInProgress {
-		help(st>>seqShift<<slotBits | uint64(slot))
+		resume(st>>seqShift<<slotBits|uint64(slot), false)
 		st = d.status.Load()
 	}
 	return st>>seqShift + 1
 }
 
-// start runs the SCX described by p on the descriptor of slot, which the
-// caller owns.
-func start(slot int, p *payload) bool {
-	d := &table[slot]
-	seq := d.nextSeq(slot)
-	st := seq<<seqShift | uint64(p.nV)<<nVShift | p.mask<<markShift | stateInProgress
-	// The sequence number moves first: a helper still reading the previous
-	// SCX's fields fails its validation from here on. Nothing between this
-	// store and the last field store can panic, so no one can find the new
-	// status over a half-written descriptor - the tag is not published
-	// until the first freezing CAS, and a next owner only ever sees a
-	// completed fill.
+// start publishes b, the arguments of the slot's next SCX, and runs the SCX.
+// The caller owns the slot. The two stores are the SCX's only sequentially
+// consistent ones before its first freezing CAS, which is what publishes its
+// tag; a helper of an earlier SCX of the slot finds a later sequence number
+// in the status word or in the block, and knows the SCX it came for is over.
+// The block b replaces goes to the slot's Recycler, which hands it back only
+// once every helper that could have loaded it has unpinned.
+func (d *desc) start(slot int, b *block) bool {
+	if prev := d.block.Swap(b); prev != nil {
+		d.spare.Put(prev)
+	}
+	st := b.seq<<seqShift | stateInProgress
 	d.status.Store(st)
-	for i := 0; i < p.nV; i++ {
-		d.v[i].rec.Store(p.recs[i])
-		d.v[i].info.Store(p.exps[i])
-	}
-	d.fld.Store(p.fld)
-	atomic.StorePointer(&d.old, p.old)
-	atomic.StorePointer(&d.new, p.new)
-	if d.hooks.Load() != p.hooks { // rarely changes: spare the locked store
-		d.hooks.Store(p.hooks)
-	}
-	return run(d, seq<<slotBits|uint64(slot), st, p)
+	return run(d, b.seq<<slotBits|uint64(slot), st, b, false)
 }
 
 // help completes (or aborts) the SCX that tag names. It may be called by
-// any process that encounters the tag. It returns true if the SCX committed
-// or is over and forgotten (see the package comment), false if it aborted.
-func help(tag uint64) bool {
+// any process that encounters the tag, pinned or not. It returns true if the
+// SCX committed or is over and forgotten (see the package comment), false if
+// it aborted.
+func help(tag uint64) bool { return resume(tag, true) }
+
+// resume is help. pin is false for a caller under whom the slot cannot
+// rewrite the block: the slot's owner (nextSeq), or run going back to the
+// status word for a caller that holds the owner's pin or a helper's.
+func resume(tag uint64, pin bool) bool {
 	d := &table[tag&slotMask]
 	st := d.status.Load()
 	if st>>seqShift != tag>>slotBits {
@@ -578,37 +582,34 @@ func help(tag uint64) bool {
 		return st&stateMask == stateCommitted
 	}
 	sched.Point(sched.PointSCXRead)
-	p := payload{
-		nV:    int(st >> nVShift & (1<<nVBits - 1)),
-		mask:  st >> markShift & (1<<MaxV - 1),
-		fld:   d.fld.Load(),
-		old:   atomic.LoadPointer(&d.old),
-		new:   atomic.LoadPointer(&d.new),
-		hooks: d.hooks.Load(),
-
-		helper: true,
+	// Pinned before the block pointer is loaded, so the slot cannot rewrite
+	// the block while this helper reads it, whether or not its caller runs
+	// pinned (an LLX or VLX needs no guard). Unpinned by defer, like
+	// SCXFixed's slot, so a chaos panic does not leak it.
+	if pin {
+		g := epoch.Pin()
+		defer epoch.Unpin(g)
 	}
-	for i := 0; i < p.nV; i++ {
-		p.recs[i] = d.v[i].rec.Load()
-		p.exps[i] = d.v[i].info.Load()
-	}
-	// Validate before use: the copy is this SCX's only if the slot has not
-	// started another one since the status word was read. (SkipValidate is
-	// the seeded mutation that proves the check is load-bearing.)
-	if d.status.Load()>>seqShift != st>>seqShift && !sched.Mutated(sched.SkipValidate) {
+	// The slot's block is this SCX's only if its sequence number says so;
+	// otherwise the slot has started another SCX since the status word was
+	// read, and this one is over. (SkipValidate is the seeded mutation that
+	// proves the check is load-bearing.)
+	b := d.block.Load()
+	if b.seq != tag>>slotBits && !sched.Mutated(sched.SkipValidate) {
 		return true
 	}
-	return run(d, tag, st, &p)
+	return run(d, tag, st, b, true)
 }
 
 // run executes the SCX protocol for tag from the point its status word st
-// records, on the arguments in p. Every state change is a CAS from st, so a
-// process running behind the others changes nothing; when such a CAS fails
-// the SCX has moved on and help re-dispatches on what it is now.
-func run(d *desc, tag, st uint64, p *payload) bool {
+// records, on the arguments in b; helper is set when the process running it
+// is not the one that started the SCX. Every state change is a CAS from st,
+// so a process running behind the others changes nothing; when such a CAS
+// fails the SCX has moved on and help re-dispatches on what it is now.
+func run(d *desc, tag, st uint64, b *block, helper bool) bool {
 	if st&frozenBit == 0 {
 		// Freeze every record in V by installing the tag in its info field.
-		for i := 0; i < p.nV; i++ {
+		for i := 0; i < int(b.nV); i++ {
 			if i == 0 && sched.Mutated(sched.DropFreeze) {
 				// Seeded protocol mutation (armed only by the checker
 				// self-tests): skip the freezing CAS on the first record of V,
@@ -617,25 +618,25 @@ func run(d *desc, tag, st uint64, p *payload) bool {
 				continue
 			}
 			sched.Point(sched.PointSCXFreeze)
-			rec := p.recs[i]
-			if !rec.info.CompareAndSwap(p.exps[i], tag) && rec.info.Load() != tag {
+			rec := b.recs[i]
+			if !rec.info.CompareAndSwap(b.exps[i], tag) && rec.info.Load() != tag {
 				// Another SCX owns rec. Unless some helper already froze all
 				// of V (and the record has since moved on), this SCX aborts.
 				if d.status.CompareAndSwap(st, st&^stateMask|stateAborted) {
 					return false
 				}
-				return help(tag)
+				return resume(tag, false)
 			}
 		}
 		if !d.status.CompareAndSwap(st, st|frozenBit) {
-			return help(tag)
+			return resume(tag, false)
 		}
 		st |= frozenBit
 	}
 	// All records in V are frozen for tag.
 	sched.Point(sched.PointSCXMark)
-	for m := p.mask; m != 0; m &= m - 1 {
-		p.recs[bits.TrailingZeros64(m)].marked.Store(true)
+	for m := b.mask; m != 0; m &= m - 1 {
+		b.recs[bits.TrailingZeros8(m)].marked.Store(true)
 	}
 	// An SCX with a commit hook stamps new with the structure's version clock
 	// before the update CAS can make it readable, inside a publish window on
@@ -652,20 +653,20 @@ func run(d *desc, tag, st uint64, p *payload) bool {
 	// stamped before it can be read out of a mutable field is also what makes
 	// ticks monotone along structural dependencies: a later update whose
 	// evidence or search path depends on this one stamps after it.
-	win, late := p.window(tag), false
+	win, late := window(b.hooks, helper, tag), false
 	if win != nil {
 		// StampBeforeWindow is the seeded mutation that opens the window only
 		// after the stamp, which is the clock read left outside it.
 		if late = sched.Mutated(sched.StampBeforeWindow); !late {
 			win.Open()
 		}
-		p.hooks.commit(p.fld, p.old, p.new)
+		b.hooks.commit(b.fld, b.old, b.new)
 	}
 	sched.Point(sched.PointSCXUpdate)
 	if late {
 		win.Open()
 	}
-	atomic.CompareAndSwapPointer(p.fld, p.old, p.new)
+	atomic.CompareAndSwapPointer(b.fld, b.old, b.new)
 	if win != nil {
 		win.Close()
 	}
@@ -674,14 +675,15 @@ func run(d *desc, tag, st uint64, p *payload) bool {
 	return true
 }
 
-// window returns the publish window the SCX named tag runs its commit hook
-// and update CAS in, or nil if it has no hook. SkipHelperWindow is the seeded
-// mutation in which a helper opens its window where no capture looks.
-func (p *payload) window(tag uint64) *epoch.Window {
-	if p.hooks == nil {
+// window returns the publish window an SCX named tag with commit hooks h
+// runs its hook and update CAS in, or nil if it has none. SkipHelperWindow is
+// the seeded mutation in which a helper opens its window where no capture
+// looks.
+func window(h *hooks, helper bool, tag uint64) *epoch.Window {
+	if h == nil {
 		return nil
 	}
-	if p.helper && sched.Mutated(sched.SkipHelperWindow) {
+	if helper && sched.Mutated(sched.SkipHelperWindow) {
 		return &unscanned
 	}
 	return epoch.SlotWindow(int(tag & slotMask))
@@ -691,25 +693,20 @@ func (p *payload) window(tag uint64) *epoch.Window {
 var unscanned epoch.Window
 
 // scrub drops what the descriptors still reference of finished SCXs, as
-// part of epoch.DiscardAll: a descriptor keeps its last arguments until its
-// slot's next SCX overwrites them, and those reach the structure they
-// belonged to. owned marks the slots DiscardAll holds pinned. Each of their
-// descriptors is advanced to an empty committed SCX before its fields are
-// cleared, exactly as its owner would start a new one, so a helper that
-// still holds the old tag discards what it reads.
+// part of epoch.DiscardAll: a slot's current block and the blocks in its
+// Recycler keep their arguments until the slot rewrites them, and those
+// reach the structures they belonged to. owned marks the slots DiscardAll
+// holds pinned. Each of their descriptors is advanced to an empty committed
+// SCX, exactly as its owner would start a new one, before its blocks are
+// dropped, so a helper that still holds an old tag finds that SCX over.
 func scrub(owned *[epoch.NumSlots]bool) {
 	for slot := range owned {
 		d := &table[slot]
-		if !owned[slot] || d.fld.Load() == nil {
+		if !owned[slot] || d.block.Load() == nil && d.spare.Len() == 0 {
 			continue
 		}
 		d.status.Store(d.nextSeq(slot)<<seqShift | stateCommitted)
-		for i := range d.v {
-			d.v[i].rec.Store(nil)
-		}
-		d.fld.Store(nil)
-		atomic.StorePointer(&d.old, nil)
-		atomic.StorePointer(&d.new, nil)
-		d.hooks.Store(nil)
+		d.block.Store(nil)
+		d.spare = epoch.Recycler[block]{}
 	}
 }

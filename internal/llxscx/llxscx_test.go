@@ -1,10 +1,13 @@
 package llxscx
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
+	"weak"
 
 	"repro/internal/epoch"
 	"repro/internal/sched"
@@ -428,9 +431,10 @@ var llxEntryPoints = []struct {
 }
 
 // orphanSCX runs an SCX that replaces parent's left child, finalizing it,
-// and dies of a chaos panic at point: the SCX stays in progress, with the
-// steps before point done, until someone helps it.
-func orphanSCX(t *testing.T, point sched.PointID, parent *tnode) {
+// through SCXP with pl's commit hook under a pin of its own, and dies of a
+// chaos panic at point: the SCX stays in progress, with the steps before
+// point done, and its slot free, until someone helps it.
+func orphanSCX(t *testing.T, point sched.PointID, parent *tnode, pl *Pool[tnode]) {
 	t.Helper()
 	child := parent.left.Load()
 	lkP, _ := LLX(parent)
@@ -447,7 +451,11 @@ func orphanSCX(t *testing.T, point sched.PointID, parent *tnode) {
 				t.Fatalf("the SCX survived a certain panic at %v", point)
 			}
 		}()
-		scxFixed([]Linked[tnode]{lkP, lkC}, []*tnode{child}, &parent.left, child, newTNode(5, nil, nil))
+		g := epoch.Pin()
+		defer epoch.Unpin(g)
+		v, nv := fixedV(lkP, lkC)
+		r, nr := fixedR(child)
+		SCXP(g, pl, &v, nv, &r, nr, &parent.left, child, newTNode(5, nil, nil))
 	}()
 	for _, n := range []*tnode{parent, child} {
 		if tag := n.rec.r.info.Load(); tag == lkP.Evidence().info || stateOf(tag) != stateInProgress {
@@ -542,22 +550,22 @@ func TestLLXInEveryRecordState(t *testing.T) {
 		}, want: Finalized, after: Finalized},
 		{name: "in progress, frozen", setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			n := fresh()
-			orphanSCX(t, sched.PointSCXMark, n)
+			orphanSCX(t, sched.PointSCXMark, n, testPool)
 			return n
 		}, want: Fail, after: Snapshot},
 		{name: "in progress, frozen, to be finalized", setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			n := fresh()
-			orphanSCX(t, sched.PointSCXMark, newTNode(10, n, nil))
+			orphanSCX(t, sched.PointSCXMark, newTNode(10, n, nil), testPool)
 			return n
 		}, want: Fail, after: Finalized},
 		{name: "in progress, updated", setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			n := fresh()
-			orphanSCX(t, sched.PointSCXCommit, n)
+			orphanSCX(t, sched.PointSCXCommit, n, testPool)
 			return n
 		}, want: Fail, after: Snapshot},
 		{name: "in progress, finalized", setup: func(t *testing.T, g *epoch.Guard) *tnode {
 			n := fresh()
-			orphanSCX(t, sched.PointSCXCommit, newTNode(10, n, nil))
+			orphanSCX(t, sched.PointSCXCommit, newTNode(10, n, nil), testPool)
 			return n
 		}, want: Finalized, after: Finalized},
 	}
@@ -904,8 +912,9 @@ func orphanRound(t *testing.T, pinned bool, points map[sched.PointID]sched.Chaos
 }
 
 // TestScrubDropsDescriptorReferences: after epoch.DiscardAll no descriptor
-// still references the arguments of a finished SCX, and a tag handed out
-// before the scrub is stale.
+// still references a block, its current one or one it replaced, a tag handed
+// out before the scrub is stale, and a dropped tree whose nodes only a
+// replaced block still reached is collected.
 func TestScrubDropsDescriptorReferences(t *testing.T) {
 	root := newTNode(2, newTNode(1, nil, nil), nil)
 	for _, scx := range []func([]Linked[tnode], []*tnode, *atomic.Pointer[tnode], *tnode, *tnode) bool{scxFixed, scxOnce} {
@@ -916,16 +925,15 @@ func TestScrubDropsDescriptorReferences(t *testing.T) {
 	}
 	tag := root.rec.r.info.Load()
 	seq := table[tag&slotMask].status.Load() >> seqShift
+	dropped := updateAndDrop(t)
+	runtime.GC()
+	if dropped.Value() == nil {
+		t.Fatal("the dropped tree was collected before the scrub: no block kept it")
+	}
 	epoch.DiscardAll()
 	for i := range table {
-		d := &table[i]
-		if d.fld.Load() != nil || atomic.LoadPointer(&d.old) != nil || atomic.LoadPointer(&d.new) != nil || d.hooks.Load() != nil {
-			t.Fatalf("descriptor %d still references its last SCX", i)
-		}
-		for j := range d.v {
-			if d.v[j].rec.Load() != nil {
-				t.Fatalf("descriptor %d still references record %d of its last SCX", i, j)
-			}
+		if d := &table[i]; d.block.Load() != nil || d.spare.Len() != 0 {
+			t.Fatalf("descriptor %d still holds blocks (current %p, %d replaced)", i, d.block.Load(), d.spare.Len())
 		}
 	}
 	if got := table[tag&slotMask].status.Load() >> seqShift; got != seq+1 {
@@ -934,23 +942,186 @@ func TestScrubDropsDescriptorReferences(t *testing.T) {
 	if _, st := LLX(root); st != Snapshot {
 		t.Fatalf("LLX after scrub = %v", st)
 	}
+	runtime.GC()
+	if dropped.Value() != nil {
+		t.Fatal("a node of a dropped tree is still reachable after DiscardAll")
+	}
 }
 
-// TestDescriptorLayout pins what the padding is for: whole cache lines per
-// descriptor, starting on a line boundary, so the status word an LLX reads
-// through some other slot's tag never shares a line with a neighbour's.
+// updateAndDrop removes a leaf from a fresh tree and then runs one more SCX
+// on the same slot, so the block that names the leaf sits in the slot's
+// Recycler, and drops both trees. It returns a weak pointer to the leaf, which
+// only that block still reaches.
+func updateAndDrop(t *testing.T) weak.Pointer[tnode] {
+	g := epoch.Pin()
+	defer epoch.Unpin(g)
+	leaf := newTNode(1, nil, nil)
+	root := newTNode(2, leaf, nil)
+	lkR, _ := LLX(root)
+	lkL, _ := LLX(leaf)
+	if !scxPinned(g, []Linked[tnode]{lkR, lkL}, []*tnode{leaf}, &root.left, leaf, newTNode(3, nil, nil)) {
+		t.Fatal("SCX failed")
+	}
+	other := newTNode(20, newTNode(10, nil, nil), nil)
+	lkO, _ := LLX(other)
+	if !scxPinned(g, []Linked[tnode]{lkO}, nil, &other.left, lkO.Child(0), newTNode(11, nil, nil)) {
+		t.Fatal("SCX failed")
+	}
+	return weak.Make(leaf)
+}
+
+// TestBlockLifetime follows one slot's argument blocks through their life,
+// one pin per SCX as a tree operation holds: while a reader stays pinned
+// every SCX gets a block of its own; once the reader has unpinned and the
+// epoch has moved on, the slot rewrites a block it replaced and lets the
+// surplus go, so one long pin does not leave the slot holding its peak count
+// for good; from then on the slot's SCXs rewrite the blocks it already has;
+// and while a watchdog eviction is active it rewrites none, however far the
+// epoch moves. internal/epoch's TestRecyclerLifetime pins the epoch counts.
+func TestBlockLifetime(t *testing.T) {
+	epoch.DiscardAll() // every Recycler empty
+	g := epoch.Pin()
+	slot := g.Slot()
+	d := &table[slot]
+	// update runs one SCX on the slot's descriptor, under g if it is not
+	// nil and else under a pin of its own, and returns the block it ran from.
+	update := func(g *epoch.Guard) *block {
+		t.Helper()
+		if g == nil {
+			g = pinSlot(t, slot)
+			defer epoch.Unpin(g)
+		}
+		n := newTNode(2, newTNode(1, nil, nil), nil)
+		lk, _ := LLX(n)
+		if !scxPinned(g, []Linked[tnode]{lk}, nil, &n.left, lk.Child(0), newTNode(3, nil, nil)) {
+			t.Fatal("SCX failed")
+		}
+		return d.block.Load()
+	}
+
+	// Enough SCXs for the slot to try advancing the epoch itself, twice.
+	const k = 200
+	reader := epoch.Pin()
+	seen := map[*block]bool{}
+	for i := 0; i < k; i++ {
+		// The reader holds the epoch, and so every block the slot replaces.
+		if b := update(g); seen[b] {
+			t.Fatalf("SCX %d rewrote a block while a reader was pinned", i)
+		} else {
+			seen[b] = true
+		}
+	}
+	if n := d.spare.Len(); n != k-1 {
+		t.Fatalf("%d SCXs left %d blocks in the Recycler, want %d", k, n, k-1)
+	}
+
+	epoch.Unpin(reader)
+	epoch.Unpin(g)
+	epoch.Drain() // the epoch moves on with nothing pinned
+	if b := update(nil); !seen[b] {
+		t.Fatal("the SCX after the reader left did not rewrite a block its slot replaced")
+	}
+	if n := d.spare.Len(); n != 1 {
+		t.Fatalf("the Recycler kept %d blocks after the reader left, want 1 (the one just replaced)", n)
+	}
+
+	// The slot grows back to what it replaces in two epochs, which the
+	// Recycler moves itself every so many SCXs, and then allocates no more.
+	for i := 0; i < k; i++ {
+		seen[update(nil)] = true
+	}
+	for i := 0; i < k; i++ {
+		if b := update(nil); !seen[b] {
+			t.Fatalf("SCX %d in the steady state ran from a new block (the Recycler holds %d)", i, d.spare.Len())
+		}
+	}
+
+	w := epoch.StartWatchdog(time.Millisecond, 20*time.Millisecond)
+	defer w.Stop()
+	// The stalled holder pins while g holds the slot, so it takes another.
+	g = pinSlot(t, slot)
+	stalled := epoch.Pin()
+	defer epoch.Unpin(stalled)
+	epoch.Unpin(g)
+	for deadline := time.Now().Add(10 * time.Second); epoch.Stats().StalledSlots == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the watchdog did not evict a slot pinned for 10 s")
+		}
+	}
+	epoch.Drain() // the evicted slot no longer holds the epoch back
+	for i := 0; i < k; i++ {
+		if b := update(nil); seen[b] {
+			t.Fatalf("SCX %d rewrote a block during an eviction", i)
+		} else {
+			seen[b] = true
+		}
+	}
+}
+
+// TestUnpinnedHelperPins: an LLX whose caller holds no guard and that meets
+// an SCX in progress helps it under a pin of its own, so the SCX's slot
+// cannot rewrite the block the helper runs from. The SCX's commit hook runs
+// inside the helper and finds that the epoch cannot move two past where it
+// stands, which it could if nothing were pinned.
+func TestUnpinnedHelperPins(t *testing.T) {
+	pl := NewPool[tnode]()
+	ran := false
+	pl.OnCommit = func(_ *atomic.Pointer[tnode], _, _ *tnode) {
+		ran = true
+		e := epoch.Stats().Epoch
+		epoch.Drain()
+		if got := epoch.Stats().Epoch; got >= e+2 {
+			t.Errorf("a helper ran an SCX from its block while the epoch moved from %d to %d: its slot could have rewritten the block", e, got)
+		}
+	}
+	n := newTNode(2, newTNode(1, nil, nil), nil)
+	orphanSCX(t, sched.PointSCXMark, n, pl)
+	if n := epoch.Stats().PinnedSlots; n != 0 {
+		t.Fatalf("%d slots pinned with the SCX orphaned", n)
+	}
+	if _, st := LLX(n); st != Fail {
+		t.Fatalf("LLX of a record frozen by an SCX in progress = %v, want Fail", st)
+	}
+	if !ran {
+		t.Fatal("the LLX did not help the SCX through its commit hook")
+	}
+}
+
+// TestDescriptorLayout pins what the padding is for: two cache lines per
+// descriptor, starting on a line boundary, the status word an LLX reads
+// through some other slot's tag and the block pointer helpers load on the
+// first, and the owner's Recycler on the second, so neither shares a line
+// with a neighbour's and no helper's load touches the line the owner writes.
 func TestDescriptorLayout(t *testing.T) {
-	if size := unsafe.Sizeof(desc{}); size%cacheLine != 0 || size-unsafe.Sizeof(descFields{}) >= cacheLine {
-		t.Fatalf("sizeof(desc) = %d for %d bytes of fields, want the next multiple of %d", size, unsafe.Sizeof(descFields{}), cacheLine)
+	var d desc
+	if size := unsafe.Sizeof(d); size != 2*cacheLine {
+		t.Fatalf("sizeof(desc) = %d, want %d", size, 2*cacheLine)
 	}
-	if off := unsafe.Offsetof(desc{}.status); off != 0 {
-		t.Fatalf("status at offset %d, want 0", off)
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+		line      uintptr
+	}{
+		{"status", unsafe.Offsetof(d.status), unsafe.Sizeof(d.status), 0},
+		{"block", unsafe.Offsetof(d.block), unsafe.Sizeof(d.block), 0},
+		{"spare", unsafe.Offsetof(d.spare), unsafe.Sizeof(d.spare), 1},
+	} {
+		if f.off/cacheLine != f.line || (f.off+f.size-1)/cacheLine != f.line {
+			t.Errorf("desc.%s at bytes [%d, %d), want it on line %d", f.name, f.off, f.off+f.size, f.line)
+		}
 	}
-	if addr := uintptr(unsafe.Pointer(table)); addr%cacheLine != 0 {
+	if addr := uintptr(unsafe.Pointer(&table[0])); addr%cacheLine != 0 {
 		t.Fatalf("descriptor table at %#x is not cache-line aligned", addr)
+	}
+	if len(table) != epoch.NumSlots {
+		t.Fatalf("%d descriptors for %d epoch slots", len(table), epoch.NumSlots)
 	}
 	if unsafe.Sizeof(atomic.Pointer[tnode]{}) != unsafe.Sizeof(unsafe.Pointer(nil)) {
 		t.Fatal("atomic.Pointer[N] is not one pointer word: fld cannot be type-erased")
+	}
+	// A slot's Recycler holds a few epochs' worth of these.
+	if size := unsafe.Sizeof(block{}); size != 144 {
+		t.Fatalf("sizeof(block) = %d, want 144", size)
 	}
 	// An update stages MaxV of these on its frame.
 	if size := unsafe.Sizeof(Linked[tnode]{}); size != 48 {
@@ -969,11 +1140,11 @@ func BenchmarkLLX(b *testing.B) {
 }
 
 // BenchmarkSCXUncontended measures one uncontended update (two LLXs, one
-// fresh node, one SCX) through each entry point; the guard of the SCXP
-// variant is pinned once, outside the loop.
+// fresh node, one SCX) through each entry point. Both pin a slot per SCX, as
+// a tree operation does: under one pin held across the loop the SCXP
+// variant's slot could rewrite none of its blocks, since the epoch cannot
+// move two past its owner's own pin.
 func BenchmarkSCXUncontended(b *testing.B) {
-	g := epoch.Pin()
-	defer epoch.Unpin(g)
 	for _, ep := range []struct {
 		name string
 		scx  func(v *[MaxV]Linked[tnode], r *[MaxV]*tnode, fld *atomic.Pointer[tnode], old, new *tnode) bool
@@ -982,6 +1153,8 @@ func BenchmarkSCXUncontended(b *testing.B) {
 			return SCXFixed(v, 2, r, 1, fld, old, new)
 		}},
 		{"SCXP", func(v *[MaxV]Linked[tnode], r *[MaxV]*tnode, fld *atomic.Pointer[tnode], old, new *tnode) bool {
+			g := epoch.Pin()
+			defer epoch.Unpin(g)
 			return SCXP(g, testPool, v, 2, r, 1, fld, old, new)
 		}},
 	} {

@@ -47,7 +47,11 @@ func NewPool[N any]() *Pool[N] {
 
 // SCXP is SCXFixed for a caller that runs pinned: g must be the caller's
 // pinned epoch guard, and the SCX uses the descriptor of g's slot instead
-// of pinning one of its own. pl supplies the structure's commit hook.
+// of pinning one of its own. pl supplies the structure's commit hook. The
+// slot rewrites an argument block only once every operation pinned when the
+// block was replaced has unpinned, g included: a caller that runs many SCXs
+// under one pin adds a block per SCX to its slot's Recycler until it
+// unpins, as its retires pile up on its retire list.
 func SCXP[P DataRecord[N], N any](g *epoch.Guard, pl *Pool[N], v *[MaxV]Linked[N], nv int, finalize *[MaxV]P, nf int, fld *atomic.Pointer[N], old, new *N) bool {
 	var h *hooks
 	if pl.OnCommit != nil {

@@ -82,7 +82,7 @@ func (s *Stats) RebalanceTotal() int64 {
 
 // policy is the relaxed AVL balancing policy for the lbst engine. eng is the
 // engine tree it balances, wired after construction; the rebalancing steps
-// draw their fresh nodes and SCX descriptors from its pools.
+// draw their fresh nodes from its pools.
 type policy[K, V any] struct {
 	stats *Stats
 	eng   *lbst.Tree[K, V]

@@ -49,9 +49,9 @@ const (
 	// PointSCXFreeze fires in help() immediately before each freezing CAS.
 	PointSCXFreeze
 	// PointSCXRead fires in help() between the load of a descriptor's status
-	// word and the reads of the fields that word is validated against
-	// afterwards: a helper parked here can resume on a descriptor whose
-	// owner has finished that SCX and started its next one.
+	// word and the load of its argument block: a helper parked here can
+	// resume on a descriptor whose owner has finished that SCX and published
+	// the block of its next one.
 	PointSCXRead
 	// PointSCXMark fires in help() after all records are frozen, before the
 	// finalized records are marked.
@@ -291,9 +291,9 @@ const (
 	// DropFreeze makes help() skip the freezing CAS on the first record of
 	// every SCX's V sequence.
 	DropFreeze Mutation = 1 << iota
-	// SkipValidate makes a helper use the fields it copied out of a reusable
-	// SCX descriptor without re-checking that the descriptor still belongs
-	// to the SCX it set out to help.
+	// SkipValidate makes a helper run an SCX from its descriptor's current
+	// argument block without checking that the block's sequence number is
+	// that of the SCX it set out to help.
 	SkipValidate
 	// SkipMarkedRead makes LLX take a record's finalized flag to be clear, so
 	// it hands out snapshots of records a committed SCX has removed.

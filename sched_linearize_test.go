@@ -7,7 +7,7 @@ package repro
 // (internal/linearize): every interleaving of a bounded conflict window is
 // replayed under the cooperative controller, the recorded history of each
 // schedule is checked against the sequential specification, and the seeded
-// protocol mutations (a dropped freeze, a skipped descriptor validation, an
+// protocol mutations (a dropped freeze, a skipped block sequence check, an
 // LLX that does not read the finalized flag) are proven to be caught.
 //
 // The windows run on EBST: it is the plainest instantiation of the tree
@@ -373,16 +373,16 @@ func TestSkippedMarkedReadMutationCaught(t *testing.T) {
 }
 
 // TestStaleHelperWindow enumerates the window that descriptor reuse opens
-// and sequence validation closes. SCX descriptors are per epoch slot and
-// reused, so one worker's consecutive updates run on the same descriptor:
-// here delete(10) with V = {I40, I20, leaf10, leaf20} and then delete(40)
-// with V = {sentinel, I40, leaf20', leaf40} in the tree built by inserting
-// 20, 40, 10. The other worker's insert(30) meets delete(10)'s frozen
-// records and helps it; PointSCXRead parks that helper between its load of
-// the descriptor's status word and its reads of the descriptor's fields, and
-// in the schedules this test is about the owner meanwhile commits
-// delete(10) and fills the descriptor with delete(40). The helper's
-// re-validation of the sequence number must then discard what it read.
+// and the argument block's sequence number closes. SCX descriptors are per
+// epoch slot, so one worker's consecutive updates run on the same
+// descriptor: here delete(10) with V = {I40, I20, leaf10, leaf20} and then
+// delete(40) with V = {sentinel, I40, leaf20', leaf40} in the tree built by
+// inserting 20, 40, 10. The other worker's insert(30) meets delete(10)'s
+// frozen records and helps it; PointSCXRead parks that helper between its
+// load of the descriptor's status word and its load of the descriptor's
+// block pointer, and in the schedules this test is about the owner meanwhile
+// commits delete(10) and publishes delete(40)'s block. The helper must then
+// find the block's sequence number is not its tag's and leave it alone.
 //
 // With sched.SkipValidate armed it does not: under delete(10)'s tag and
 // all-frozen status the helper finalizes delete(40)'s records and performs
@@ -391,11 +391,17 @@ func TestSkippedMarkedReadMutationCaught(t *testing.T) {
 // freeze; delete(40) aborts, retries, and finds its key already gone: an
 // acknowledged-absent delete of a key nobody else removed, which the checker
 // reports on key 40.
+//
+// Neither count depends on how the arguments reach the helper: it passes
+// the same points in the same order whether it reads them from a block or
+// from descriptor fields, and under the mutation the block it runs,
+// delete(40)'s, has the |V| and R mask (three of four records) of
+// delete(10)'s.
 func TestStaleHelperWindow(t *testing.T) {
 	// Parking at every freezing CAS would put this window out of exhaustive
 	// reach (helping replays the freeze loop), and only one of them matters:
 	// the first freezing CAS after the owner has started on its second
-	// operation, which is where delete(40) sits with its descriptor filled
+	// operation, which is where delete(40) sits with its block published
 	// and nothing frozen. secondOp arms that one park; exactly one worker
 	// runs at a time, so the two flags are plain variables.
 	var secondOp, parkedAtFreeze bool
