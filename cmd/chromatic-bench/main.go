@@ -225,8 +225,8 @@ func printHealth(out *os.File) {
 	fmt.Fprintln(out, "=== reclamation layer health (epoch.Stats) ===")
 	fmt.Fprintf(out, "epoch %d: %d pinned slots, %d stalled slots, %d snapshot pins\n",
 		r.Epoch, r.PinnedSlots, r.StalledSlots, r.SnapPins)
-	fmt.Fprintf(out, "pending %d (parked %d, unscanned %d, by age %v)\n",
-		r.Pending, r.Parked, r.PendingUnscanned, r.PendingByAge)
+	fmt.Fprintf(out, "pending %d (unscanned %d, by age %v)\n",
+		r.Pending, r.PendingUnscanned, r.PendingByAge)
 	fmt.Fprintf(out, "advance fails %d, free refusals %d, degraded drops %d, evictions %d (recovered %d)\n",
 		r.AdvanceFails, r.Refusals, r.DegradedDrops, r.Evictions, r.Recovered)
 	fmt.Fprintf(out, "snapshot captures: %d waited for a publish window, the last scanned %d slots\n",

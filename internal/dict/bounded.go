@@ -61,61 +61,3 @@ type BoundedMap[K, V any] interface {
 	InsertBounded(key K, value V, b Budget) (old V, existed bool, err error)
 	DeleteBounded(key K, b Budget) (old V, existed bool, err error)
 }
-
-// Bounded wraps a Map, applying one default Budget to every update. Updates
-// on maps that implement BoundedMap enforce the budget inside their retry
-// loops; for any other map the budget is unenforceable (the wrapped calls
-// always return a nil error), which Enforced reports so callers can tell
-// the difference. Reads are never bounded — the structures' reads don't
-// retry.
-type Bounded[K, V any] struct {
-	m      Map[K, V]
-	bm     BoundedMap[K, V] // nil when m has no bounded surface
-	budget Budget
-}
-
-// NewBounded wraps m with a per-operation budget. A Deadline in the budget
-// is almost always wrong here (it would apply the same absolute instant to
-// every future operation); use Retries in the default and per-call
-// deadlines via InsertBounded/DeleteBounded.
-func NewBounded[K, V any](m Map[K, V], budget Budget) *Bounded[K, V] {
-	b := &Bounded[K, V]{m: m, budget: budget}
-	if bm, ok := m.(BoundedMap[K, V]); ok {
-		b.bm = bm
-	}
-	return b
-}
-
-// Enforced reports whether the wrapped map actually enforces budgets.
-func (b *Bounded[K, V]) Enforced() bool { return b.bm != nil }
-
-// Get passes through to the wrapped map.
-func (b *Bounded[K, V]) Get(key K) (V, bool) { return b.m.Get(key) }
-
-// Insert upserts under the wrapper's default budget.
-func (b *Bounded[K, V]) Insert(key K, value V) (V, bool, error) {
-	return b.InsertBounded(key, value, b.budget)
-}
-
-// Delete removes under the wrapper's default budget.
-func (b *Bounded[K, V]) Delete(key K) (V, bool, error) {
-	return b.DeleteBounded(key, b.budget)
-}
-
-// InsertBounded upserts under an explicit budget.
-func (b *Bounded[K, V]) InsertBounded(key K, value V, budget Budget) (V, bool, error) {
-	if b.bm != nil {
-		return b.bm.InsertBounded(key, value, budget)
-	}
-	old, existed := b.m.Insert(key, value)
-	return old, existed, nil
-}
-
-// DeleteBounded removes under an explicit budget.
-func (b *Bounded[K, V]) DeleteBounded(key K, budget Budget) (V, bool, error) {
-	if b.bm != nil {
-		return b.bm.DeleteBounded(key, budget)
-	}
-	old, existed := b.m.Delete(key)
-	return old, existed, nil
-}

@@ -53,37 +53,3 @@ func TestBudgetCheckDeadline(t *testing.T) {
 		t.Fatalf("Check(5) with both exhausted = %v, want ErrRetryBudget", err)
 	}
 }
-
-func TestBoundedWrapperUnenforced(t *testing.T) {
-	// A map without the bounded surface still works through the wrapper;
-	// Enforced() tells the caller the budget is advisory there.
-	m := plainMap{}
-	b := NewBounded[int, int](m, Budget{Retries: 1})
-	if b.Enforced() {
-		t.Fatal("Enforced() = true for a map without InsertBounded/DeleteBounded")
-	}
-	if _, _, err := b.Insert(1, 10); err != nil {
-		t.Fatalf("unenforced Insert returned %v", err)
-	}
-	if v, ok := b.Get(1); !ok || v != 10 {
-		t.Fatalf("Get(1) = (%d, %v) after Insert", v, ok)
-	}
-	if old, existed, err := b.Delete(1); err != nil || !existed || old != 10 {
-		t.Fatalf("unenforced Delete = (%d, %v, %v)", old, existed, err)
-	}
-}
-
-// plainMap is a minimal unbounded Map for wrapper tests.
-type plainMap map[int]int
-
-func (m plainMap) Get(k int) (int, bool) { v, ok := m[k]; return v, ok }
-func (m plainMap) Insert(k, v int) (int, bool) {
-	old, ok := m[k]
-	m[k] = v
-	return old, ok
-}
-func (m plainMap) Delete(k int) (int, bool) {
-	old, ok := m[k]
-	delete(m, k)
-	return old, ok
-}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dict"
-	"repro/internal/epoch"
 )
 
 // SnapshotSuiteKV is the conformance suite for dict.Snapshotter
@@ -41,14 +40,14 @@ func SnapshotSuiteKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V
 }
 
 // snapshotHoldChurn is the reclamation side of the snapshot contract: while
-// a snapshot is held, every node it can reach must be PARKED when retired,
-// never recycled - so a frozen walk stays bit-exact no matter how hard
+// a snapshot is held, every node it can reach must stay pending when
+// retired, never recycled - so a frozen walk stays bit-exact no matter how hard
 // concurrent churn recycles the live tree's memory. Under -tags reclaimcheck
 // the trees poison recycled nodes with generation counters, which turns "a
 // reachable node was recycled under the snapshot" from a probabilistic
 // wrong-value signal into a deterministic panic; under -race the same walk
 // catches the recycle as a data race. After the churn quiesces, draining
-// reclamation with the snapshot still held must leave retirees parked, and
+// reclamation with the snapshot still held must leave retirees pending, and
 // releasing the snapshot must let them recycle.
 func snapshotHoldChurn[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V) {
 	t.Helper()
@@ -105,20 +104,18 @@ func snapshotHoldChurn[K comparable, V comparable](t *testing.T, tgt TargetOf[K,
 	// One more full pass at quiescence.
 	viewEqualsModel(t, tgt.Name, snap, md)
 
-	// With the snapshot still held, draining reclamation must park the
-	// retirees it covers instead of recycling them...
+	// With the snapshot still held, draining reclamation must leave the
+	// retirees it covers pending instead of recycling them...
 	if dr, ok := d.(interface{ DrainReclaim() int64 }); ok {
 		dr.DrainReclaim()
-		dr.DrainReclaim()
-		if epoch.ParkedCount() == 0 {
-			t.Errorf("%s: no retirees parked while a snapshot covering heavy churn was held", tgt.Name)
+		if p := dr.DrainReclaim(); p == 0 {
+			t.Errorf("%s: nothing pending while a snapshot covering heavy churn was held", tgt.Name)
 		}
-		// ...and releasing it must let them through.
+		// ...and releasing it must let them through: the first drain after
+		// the release frees them all.
 		snap.Release()
-		dr.DrainReclaim()
-		dr.DrainReclaim()
-		if p := epoch.ParkedCount(); p != 0 {
-			t.Errorf("%s: %d retirees still parked after the snapshot released", tgt.Name, p)
+		if p := dr.DrainReclaim(); p != 0 {
+			t.Errorf("%s: %d retirees still pending after the snapshot released", tgt.Name, p)
 		}
 	}
 	if tgt.Check != nil {

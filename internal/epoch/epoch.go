@@ -1,6 +1,6 @@
 // Package epoch implements quiescent-state-based reclamation (QSBR) for the
-// LLX/SCX dictionary stack: retired nodes are handed to a per-slot retire
-// list and freed only after every concurrently pinned operation has provably
+// LLX/SCX dictionary stack: retired nodes wait on a per-slot retire list and
+// are freed only after every concurrently pinned operation has provably
 // finished, at which point the memory can be recycled through a sync.Pool
 // instead of going back to the garbage collector.
 //
@@ -24,11 +24,16 @@
 // the current epoch; an object retired at epoch E becomes freeable once the
 // global epoch reaches E+2, because any operation that could still hold a
 // reference was pinned before the retire and would have held the epoch back.
+// A slot's retire list and a Recycler are one structure, a FIFO of objects
+// stamped with the epoch at which their owner stopped publishing them
+// (fifo), and one test decides when either may let an object go.
 //
 // Retired objects carry a callback (Func) that performs the actual free —
 // typically resetting the object and returning it to a pool. The callback
-// may refuse (return false), in which case the object is re-queued into the
-// current epoch's bucket and retried after a fresh grace period.
+// may refuse (return false), in which case the object goes back on the tail
+// of the retire list stamped with the current epoch and is retried after a
+// fresh grace period. A live snapshot pin (snap.go) holds the retirees it
+// may still reach in place on their lists.
 //
 // Build with -tags reclaimcheck to enable the recycled-node poisoning
 // assertions in the trees (PoisonCheck).
@@ -57,15 +62,9 @@ const (
 	// interval amortizes the scan to a fraction of a retire.
 	advanceEvery = 64
 
-	// graceEpochs is the grace period: an object retired (or put in a
-	// Recycler) at epoch E may be read by an operation pinned at E-1 or E,
-	// and both have unpinned once the epoch is E+graceEpochs (see drain).
-	graceEpochs = 2
-
-	// bucketEpochs is the number of retire buckets per slot: an object
-	// retired at epoch E is freeable at E+2, so by the time a bucket index
-	// repeats (E+3) its previous contents are always eligible.
-	bucketEpochs = 3
+	// drainRounds is the number of epoch advances Drain tries: enough for a
+	// retiree whose callback refuses twice to be freed by one call.
+	drainRounds = 9
 
 	// yieldPending is the per-slot backlog above which a failed epoch
 	// advance makes Retire yield the processor. On an oversubscribed
@@ -81,9 +80,8 @@ const (
 
 // Func frees one retired object, typically by resetting it and returning it
 // to a pool. It runs on the goroutine that drains the retire list, always
-// inside a pinned region (g is that region's guard). Returning false
-// re-queues the object into the current epoch's bucket for a fresh grace
-// period.
+// inside a pinned region (g is that region's guard). Returning false puts
+// the object back on the tail of the retire list for a fresh grace period.
 type Func func(g *Guard, obj any) bool
 
 // entry is one retired object awaiting its grace period.
@@ -92,18 +90,12 @@ type entry struct {
 	free Func
 }
 
-// bucket collects the objects retired during one epoch.
-type bucket struct {
-	epoch uint64
-	items []entry
-}
-
 // Guard is one pinned-operation slot. Its first cache line is the only one
 // other goroutines touch: the epoch advancer reads state and Pin claims it
 // with CAS, and the publish-window counter beside it is opened by whoever runs
 // an SCX of this slot and read by snapshot captures (DrainWindows). The owner's
 // Pin CAS has just made that line exclusive, so its own windows cost no
-// transfer. Everything from buckets on is owned by the claim holder. The slot
+// transfer. Everything from retired on is owned by the claim holder. The slot
 // array starts on a line boundary (see slots) and the struct is a whole
 // number of lines, so the first line is shared with no field an owner writes
 // and with no neighbour.
@@ -122,16 +114,14 @@ type Guard struct {
 	used bool
 	_    [39]byte
 
-	buckets [bucketEpochs]bucket
-
-	// retires counts retires since the last epoch-advance attempt.
+	// retired is the slot's retire list, and retires counts retires since
+	// the last epoch-advance attempt. pending counts the entries on retired;
+	// it is atomic only so Pending/Drain can read it without claiming the
+	// slot.
+	retired fifo[entry]
 	retires int
-
-	// pending counts entries sitting in this slot's buckets. It is atomic
-	// only so Pending/Drain can read it without claiming the slot.
 	pending atomic.Int64
-
-	_ [80]byte
+	_       [8]byte
 }
 
 // Slot returns the index of g's slot, in [0, NumSlots). While g is pinned
@@ -142,7 +132,7 @@ func (g *Guard) Slot() int { return g.slot }
 // been pinned pathologically long (stuck, leaked, or parked mid-operation)
 // is moved from its recorded epoch to this value so tryAdvance stops
 // counting it; the safety that normally came from blocking the advance is
-// re-established by degraded mode (see runFree and DESIGN.md, "Chaos,
+// re-established by degraded mode (see drain and DESIGN.md, "Chaos,
 // stalls, and bounded degradation"). The sentinel is never a valid epoch —
 // epochs count up from 1 — and can never be pinned: Pin's CAS only fires on 0.
 const stalledState = ^uint64(0)
@@ -239,7 +229,7 @@ func Pin() *Guard {
 				g.state.Store(e2)
 			}
 			if g.pending.Load() != 0 {
-				// Adopt garbage parked by a previous owner of this slot.
+				// Adopt garbage left by a previous owner of this slot.
 				g.drain(globalEpoch.Load())
 			}
 			if !g.used {
@@ -267,14 +257,7 @@ func Unpin(g *Guard) {
 // one. g must be the caller's pinned guard.
 func Retire(g *Guard, obj any, free Func) {
 	sched.Point(sched.PointEpochRetire)
-	e := globalEpoch.Load()
-	b := &g.buckets[e%bucketEpochs]
-	if b.epoch != e {
-		// The bucket holds leftovers from epoch e-3 or older; they are past
-		// their grace period, so clear them out before reusing the bucket.
-		g.drain(e)
-	}
-	b.items = append(b.items, entry{obj, free})
+	g.retired.push(entry{obj, free}, globalEpoch.Load())
 	g.pending.Add(1)
 	g.retires++
 	if g.retires >= advanceEvery {
@@ -291,84 +274,42 @@ func Retire(g *Guard, obj any, free Func) {
 	}
 }
 
-// drain frees every eligible entry in g's buckets. An entry retired at
-// epoch E is eligible once now >= E+2. Entries whose callback refuses are
-// re-queued into the bucket of epoch now for a fresh grace period. The
-// caller must own the slot (hold it pinned or have claimed it in Drain).
-func (g *Guard) drain(now uint64) {
-	// Normalize the current bucket first so survivors of the loop below can
-	// be re-stamped into it without being freed prematurely.
-	cur := &g.buckets[now%bucketEpochs]
-	if cur.epoch != now {
-		oldEpoch := cur.epoch
-		items := cur.items
-		cur.items = items[:0]
-		cur.epoch = now
-		if snapCount.Load() != 0 && snapHeld(oldEpoch) {
-			// A live snapshot pinned at or below the bucket's epoch may still
-			// reach these objects: defer them behind the pin instead of
-			// freeing (see snap.go).
-			park(oldEpoch, items)
-			g.pending.Add(int64(-len(items)))
-			clear(items)
-		} else {
-			g.runFree(cur, items)
-			// Refusals were re-appended over the front of the same backing
-			// array (they never outnumber what was read, so no reallocation);
-			// the tail beyond them still holds references to freed objects,
-			// which would keep them reachable through the bucket's spare
-			// capacity. Clear it.
-			clear(items[len(cur.items):])
-		}
-	}
-	// An object retired at epoch E is eligible once now >= E+grace with
-	// grace = 2: one advance proves the retiring operation finished, the
-	// second proves every operation that was pinned concurrently with the
-	// retire finished too. The premature-free mutation (armed only by the
-	// reclamation self-test) shortens the grace period to 1 — the E+1 bug
-	// DESIGN.md's grace-period argument rules out.
-	grace := uint64(graceEpochs)
-	if sched.Mutated(sched.PrematureFree) {
-		grace = 1
-	}
-	for k := 0; k < bucketEpochs; k++ {
-		b := &g.buckets[k]
-		if b == cur || len(b.items) == 0 || b.epoch+grace > now {
-			continue
-		}
-		items := b.items
-		b.items = items[:0]
-		if snapCount.Load() != 0 && snapHeld(b.epoch) {
-			park(b.epoch, items)
-			g.pending.Add(int64(-len(items)))
-			clear(items)
-			continue
-		}
-		g.runFree(cur, items)
-		clear(items) // refusals went to cur, the whole array is stale
-	}
-}
-
-// runFree invokes the free callback on each entry, re-queuing refusals into
-// requeue (the normalized current bucket). In degraded mode (a watchdog
-// eviction is active) the callbacks are skipped and the whole batch is
+// drain frees the entries at the head of g's retire list whose grace period
+// is over at epoch now, and stops at the first one still in it or stamped at
+// or above a live snapshot pin's epoch (snapFloor): the stamps behind it are
+// no smaller, so the same holds for everything behind it. A refusal goes back
+// on the tail stamped now, for a fresh grace period. In degraded mode (a
+// watchdog eviction is active) the callbacks are skipped and the entries
 // dropped for the garbage collector: the evicted slot's holder may still
-// reference any of these objects, and the GC — unlike the pools — can see
-// that holder's stack as a root, so dropping is always safe where recycling
-// would re-introduce the ABA hazard the epoch scheme exists to prevent.
-func (g *Guard) runFree(requeue *bucket, items []entry) {
-	if degradedPins.Load() != 0 {
-		degradedDrops.Add(int64(len(items)))
-		g.pending.Add(int64(-len(items)))
+// reference any of them, and the GC — unlike the pools — can see that
+// holder's stack as a root, so dropping is always safe where recycling would
+// re-introduce the ABA hazard the epoch scheme exists to prevent. The caller
+// must own the slot (hold it pinned or have claimed it in Drain), and now
+// must have been read after the entries were stamped.
+func (g *Guard) drain(now uint64) {
+	q, grace := &g.retired, gracePeriod()
+	if !q.ready(now, grace) {
 		return
 	}
-	for _, it := range items {
-		if it.free(g, it.obj) {
-			g.pending.Add(-1)
-		} else {
+	degraded, floor := degradedPins.Load() != 0, snapFloor()
+	var freed, dropped int64
+	for q.ready(now, grace) && q.stamp(0) < floor {
+		e := q.pop()
+		switch {
+		case degraded:
+			dropped++
+		case e.free(g, e.obj):
+			freed++
+		default:
 			freeRefusals.Add(1)
-			requeue.items = append(requeue.items, it)
+			q.push(e, now)
 		}
+	}
+	if dropped != 0 {
+		degradedDrops.Add(dropped)
+	}
+	if n := freed + dropped; n != 0 {
+		g.pending.Add(-n)
 	}
 }
 
@@ -395,18 +336,18 @@ func advance() bool {
 	return globalEpoch.CompareAndSwap(g, g+1)
 }
 
-// DiscardAll empties every retire list without running the free callbacks,
-// dropping the entries to the garbage collector. This is only sound at full
-// quiescence when every structure that has retired through the layer is
-// itself garbage: the point is to sever the references that otherwise keep
-// a dropped structure reachable. An entry a drain has not reached yet, or
-// one whose callback refuses, pins the tree's pools, and through them the
-// whole tree, as a GC root; and a slot's SCX
-// argument blocks keep the arguments of its recent SCXs (nodes, and the
-// structure's commit hook) until the slot rewrites them, which OnDiscard
-// lets internal/llxscx drop. The benchmark harness calls this between
-// trials so a long run's dead structures do not accumulate as mark-phase
-// work for later trials.
+// DiscardAll drops every retire list, ring and all, without running the
+// free callbacks, leaving the entries to the garbage collector. This is only
+// sound at full quiescence when every structure that has retired through the
+// layer is itself garbage: the point is to sever the references that
+// otherwise keep a dropped structure reachable. An entry a drain has not
+// reached yet, or one whose callback refuses, pins the tree's pools, and
+// through them the whole tree, as a GC root; and a slot's SCX argument
+// blocks keep the arguments of its recent SCXs (nodes, and the structure's
+// commit hook) until the slot rewrites them, which OnDiscard lets
+// internal/llxscx drop. The benchmark harness calls this between trials so a
+// long run's dead structures do not accumulate as mark-phase work for later
+// trials.
 func DiscardAll() {
 	// Every free slot is claimed, as Pin would, for the whole call: the
 	// discard hook owns the claimed slots exactly as a pinned operation does.
@@ -418,11 +359,7 @@ func DiscardAll() {
 			continue
 		}
 		owned[i] = true
-		for k := range g.buckets {
-			b := &g.buckets[k]
-			clear(b.items)
-			b.items = b.items[:0]
-		}
+		g.retired = fifo[entry]{}
 		g.pending.Store(0)
 	}
 	if discardHook != nil {
@@ -433,7 +370,6 @@ func DiscardAll() {
 			slots[i].state.Store(0)
 		}
 	}
-	discardParked()
 }
 
 // discardHook is OnDiscard's registration.
@@ -447,23 +383,24 @@ var discardHook func(owned *[NumSlots]bool)
 func OnDiscard(fn func(owned *[NumSlots]bool)) { discardHook = fn }
 
 // Pending returns the total number of retired objects whose grace period
-// has not yet completed (or whose free callback keeps refusing). Test and
-// diagnostic use.
+// has not yet completed, or that a live snapshot pin holds, or whose free
+// callback keeps refusing. Test and diagnostic use.
 func Pending() int64 {
 	var n int64
 	for i := range slots {
 		n += slots[i].pending.Load()
 	}
-	return n + parkedCount.Load()
+	return n
 }
 
 // Drain advances the epoch and frees everything eligible, repeatedly, and
 // returns Pending afterwards. It is meant for quiescent moments (tests,
 // shutdown): slots still pinned by live operations are skipped, and the
 // epoch cannot advance past them, so calling it during activity merely does
-// less. Retirees whose free callback keeps refusing remain pending.
+// less. Retirees a live snapshot pin holds, and those whose free callback
+// keeps refusing, remain pending.
 func Drain() int64 {
-	for round := 0; round < 3*bucketEpochs; round++ {
+	for round := 0; round < drainRounds; round++ {
 		tryAdvance()
 		now := globalEpoch.Load()
 		for i := range slots {
@@ -477,7 +414,6 @@ func Drain() int64 {
 			g.drain(globalEpoch.Load())
 			g.state.Store(0)
 		}
-		unparkEligible()
 	}
 	return Pending()
 }

@@ -341,7 +341,7 @@ func TestGuardLayout(t *testing.T) {
 	if off := unsafe.Offsetof(g.window); off != 8 {
 		t.Fatalf("window at offset %d, want 8: beside the state word", off)
 	}
-	if off := unsafe.Offsetof(g.buckets); off != line {
+	if off := unsafe.Offsetof(g.retired); off != line {
 		t.Fatalf("first owner-written field at offset %d, want %d: the start of the second line", off, line)
 	}
 }

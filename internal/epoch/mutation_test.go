@@ -17,11 +17,13 @@ import (
 // demonstrates the check has teeth.
 //
 // The configuration: a reader pins at epoch e. A writer pins, retires an
-// object into bucket e, and unpins. The epoch can now advance to e+1 — the
+// object at e, and unpins. The epoch can now advance to e+1 — the
 // reader's stamp matches e, so it does not block that one advance — but no
 // further, because the reader never re-observes. At now = e+1 the correct
-// rule (eligible once E+2 <= now) keeps the bucket; the mutated rule
-// (E+1 <= now) frees it while the reader is still pinned.
+// rule (eligible once E+2 <= now) keeps the object; the mutated rule
+// (E+1 <= now) frees it while the reader is still pinned. The same test
+// decides when a Recycler hands an object back, so the mutation reaches the
+// SCX argument blocks too.
 func TestPrematureFreeMutationCaught(t *testing.T) {
 
 	scenario := func(t *testing.T) (freedWhilePinned bool) {
@@ -57,6 +59,30 @@ func TestPrematureFreeMutationCaught(t *testing.T) {
 		defer sched.SetMutation(sched.PrematureFree, false)
 		if !scenario(t) {
 			t.Fatal("premature-free mutation not caught: the E+1 rule did not free early, so this check has no teeth")
+		}
+	})
+
+	// The Recycler configuration: a reader pins at e, an object is put at e,
+	// and the epoch moves to e+1, which the reader does not block; Get must
+	// not hand the object back while the reader is still pinned.
+	recycledWhilePinned := func() bool {
+		Drain()
+		var r Recycler[int]
+		reader := Pin()
+		defer Unpin(reader)
+		r.Put(new(int))
+		Drain()
+		return r.Get() != nil
+	}
+
+	t.Run("mutated-recycler", func(t *testing.T) {
+		if recycledWhilePinned() {
+			t.Fatal("Get returned an object put while a reader that is still pinned was (E+2 rule violated)")
+		}
+		sched.SetMutation(sched.PrematureFree, true)
+		defer sched.SetMutation(sched.PrematureFree, false)
+		if !recycledWhilePinned() {
+			t.Fatal("premature-free mutation not caught by a Recycler: Get kept the object for two epochs, so the mutation does not reach the argument blocks")
 		}
 	})
 }

@@ -109,7 +109,7 @@ func TestRecyclerLifetime(t *testing.T) {
 			t.Fatal("Get two epochs after a Put returned nil")
 		}
 	}
-	if n := len(r.ring); n != 8 {
+	if n := len(r.q.ring); n != 8 {
 		t.Fatalf("ring of %d after the surplus went, want 8", n)
 	}
 }

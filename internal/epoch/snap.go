@@ -2,7 +2,6 @@ package epoch
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -14,14 +13,16 @@ import (
 //
 //   - the epoch keeps advancing while snapshot pins are held, so ordinary
 //     reclamation of objects the snapshot cannot reach proceeds at full rate;
-//   - an object whose grace period completes while a snapshot pinned at an
-//     epoch at or below its retire epoch is live is PARKED instead of freed
+//   - a retiree whose grace period is over stays in place on its slot's retire
+//     list while a snapshot pinned at an epoch at or below its stamp is live
 //     (any node a snapshot can still reach was, by the capture argument in
 //     DESIGN.md, retired after the snapshot registered, hence at an epoch at
-//     or above the pin);
-//   - releasing the last covering pin un-parks the deferred retirees by
-//     re-retiring them under a fresh guard, so they take one more grace
-//     period and then recycle normally.
+//     or above the pin), and so does everything behind it, whose stamps are
+//     no smaller;
+//   - releasing a pin only clears its registry slot: the next drain of each
+//     retire list frees what the pin held, with no further grace period. The
+//     grace period is already over, and the released view was the only reader
+//     left.
 //
 // The registry is a fixed array of padded slots claimed by CAS, exactly like
 // the operation slots, so SnapPin allocates nothing.
@@ -33,7 +34,7 @@ const numSnapSlots = 64
 type SnapGuard struct {
 	// epoch is 0 when the slot is free, else the global epoch recorded when
 	// the snapshot registered. Recording a stale (smaller) epoch is safe: it
-	// only parks more.
+	// only holds more.
 	epoch atomic.Uint64
 	_     [56]byte
 }
@@ -41,23 +42,10 @@ type SnapGuard struct {
 var (
 	snapSlots [numSnapSlots]SnapGuard
 
-	// snapCount is the number of live snapshot pins; the retire path loads it
-	// once per drain to skip the held-bucket scan entirely when no snapshots
-	// exist.
+	// snapCount is the number of live snapshot pins; a drain loads it once to
+	// skip the registry scan entirely when no snapshots exist.
 	snapCount atomic.Int64
-
-	// parked holds retirees whose grace period completed under a live
-	// snapshot pin. parkedCount mirrors len-in-entries for Pending.
-	parkedMu    sync.Mutex
-	parked      []parkedEntry
-	parkedCount atomic.Int64
 )
-
-type parkedEntry struct {
-	obj   any
-	free  Func
-	epoch uint64
-}
 
 // SnapPin registers a long-lived snapshot pin at the current global epoch and
 // returns its guard. Objects retired from this moment on will not be freed
@@ -78,92 +66,29 @@ func SnapPin() *SnapGuard {
 	}
 }
 
-// Release frees the pin. Deferred retirees that no remaining pin covers are
-// re-retired under a fresh guard, taking one more grace period before they
-// recycle. Safe to call from any goroutine, but exactly once per SnapPin.
+// Release frees the pin. The retirees only it held are freed by the next
+// drain of the retire lists they are on. Safe to call from any goroutine,
+// but exactly once per SnapPin.
 func (s *SnapGuard) Release() {
 	s.epoch.Store(0)
 	snapCount.Add(-1)
-	unparkEligible()
 }
 
-// minSnapEpoch returns the smallest epoch among live snapshot pins, and
-// whether any pin is live.
-func minSnapEpoch() (uint64, bool) {
-	min, any := uint64(0), false
-	for i := range snapSlots {
-		if e := snapSlots[i].epoch.Load(); e != 0 && (!any || e < min) {
-			min, any = e, true
+// snapFloor returns the smallest epoch a live snapshot pin registered at, or
+// the largest epoch when none is live: a snapshot may still reach a retiree
+// stamped at or above it.
+func snapFloor() uint64 {
+	floor := ^uint64(0)
+	if snapCount.Load() != 0 {
+		for i := range snapSlots {
+			if e := snapSlots[i].epoch.Load(); e != 0 {
+				floor = min(floor, e)
+			}
 		}
 	}
-	return min, any
-}
-
-// snapHeld reports whether a bucket retired at epoch be must be parked
-// instead of freed: some live snapshot pin registered at or below be, so the
-// snapshot may still reach objects in the bucket. Callers should gate on
-// snapCount first; this re-scans the registry.
-func snapHeld(be uint64) bool {
-	min, any := minSnapEpoch()
-	return any && be >= min
-}
-
-// park moves a drained-but-held batch onto the global parked list.
-func park(be uint64, items []entry) {
-	parkedMu.Lock()
-	for _, it := range items {
-		parked = append(parked, parkedEntry{it.obj, it.free, be})
-	}
-	parkedMu.Unlock()
-	parkedCount.Add(int64(len(items)))
-}
-
-// unparkEligible re-retires every parked object that no live snapshot pin
-// covers anymore. Each takes a fresh grace period under the re-retiring
-// guard, which also re-checks any pins registered in the meantime.
-func unparkEligible() {
-	if parkedCount.Load() == 0 {
-		return
-	}
-	min, any := minSnapEpoch()
-	parkedMu.Lock()
-	var out []parkedEntry
-	kept := parked[:0]
-	for _, pe := range parked {
-		if any && pe.epoch >= min {
-			kept = append(kept, pe)
-		} else {
-			out = append(out, pe)
-		}
-	}
-	clear(parked[len(kept):])
-	parked = kept
-	parkedMu.Unlock()
-	if len(out) == 0 {
-		return
-	}
-	parkedCount.Add(int64(-len(out)))
-	g := Pin()
-	for _, pe := range out {
-		Retire(g, pe.obj, pe.free)
-	}
-	Unpin(g)
+	return floor
 }
 
 // SnapPinned returns the number of live snapshot pins. Test and diagnostic
 // use.
 func SnapPinned() int64 { return snapCount.Load() }
-
-// ParkedCount returns the number of retirees deferred behind snapshot pins.
-// Test and diagnostic use.
-func ParkedCount() int64 { return parkedCount.Load() }
-
-// discardParked drops every parked retiree to the garbage collector; part of
-// DiscardAll's full-quiescence reset.
-func discardParked() {
-	parkedMu.Lock()
-	clear(parked)
-	parked = parked[:0]
-	parkedMu.Unlock()
-	parkedCount.Store(0)
-}

@@ -6,12 +6,10 @@ import (
 )
 
 // TestSnapPinParksAndReleaseFrees is the core lifecycle: an object retired
-// while a snapshot pin is live must be parked (not freed) for as long as the
-// pin is held, and must take one more grace period and recycle after the last
-// covering pin is released.
+// while a snapshot pin is live must stay pending (not freed) for as long as
+// the pin is held, and must recycle once the last covering pin is released.
 func TestSnapPinParksAndReleaseFrees(t *testing.T) {
 	Drain()
-	discardParked()
 
 	s := SnapPin()
 	if s == nil {
@@ -27,40 +25,67 @@ func TestSnapPinParksAndReleaseFrees(t *testing.T) {
 	Retire(g, obj, countingFree(&freed))
 	Unpin(g)
 
-	// The grace period completes under the live pin: the object must be
-	// parked, not freed, no matter how often the epoch is drained.
+	// The grace period completes under the live pin: the object must stay
+	// pending, not freed, no matter how often the epoch is drained.
 	for i := 0; i < 4; i++ {
 		Drain()
 	}
 	if freed.Load() != 0 {
 		t.Fatal("object freed while a snapshot pin covering its retire epoch was live")
 	}
-	if ParkedCount() == 0 {
-		t.Fatal("object neither freed nor parked after drain under a live pin")
-	}
-	if p := Pending(); p == 0 {
-		t.Fatal("Pending() does not account for parked retirees")
+	if p := Pending(); p != 1 {
+		t.Fatalf("Pending() = %d with one retiree held by a snapshot pin, want 1", p)
 	}
 
 	s.Release()
 	if got := SnapPinned(); got != 0 {
 		t.Fatalf("SnapPinned() = %d after release, want 0", got)
 	}
-	// Release re-retires the parked object; one more grace period frees it.
 	Drain()
 	if got := freed.Load(); got != 1 {
 		t.Fatalf("object freed %d times after release+drain, want 1", got)
 	}
-	if ParkedCount() != 0 {
-		t.Fatalf("ParkedCount() = %d after release+drain, want 0", ParkedCount())
+	if p := Pending(); p != 0 {
+		t.Fatalf("Pending() = %d after release+drain, want 0", p)
 	}
 }
 
-// TestOverlappingSnapPins checks that parked retirees stay parked until the
+// TestReleaseFreesWithoutAnotherGracePeriod: a retiree the last covering pin
+// held is past its grace period already, and the released view was its only
+// reader left, so the first drain after Release frees it at the epoch it
+// finds, without the epoch moving again.
+func TestReleaseFreesWithoutAnotherGracePeriod(t *testing.T) {
+	Drain()
+
+	s := SnapPin()
+	var freed atomic.Int64
+	g := Pin()
+	Retire(g, new(int), countingFree(&freed))
+	Unpin(g)
+	Drain()
+	if freed.Load() != 0 {
+		t.Fatal("object freed while a snapshot pin covering its retire epoch was live")
+	}
+
+	s.Release()
+	e := globalEpoch.Load()
+	if !g.state.CompareAndSwap(0, e) {
+		t.Fatal("the retiring slot was claimed by someone else")
+	}
+	g.drain(e)
+	g.state.Store(0)
+	if got := freed.Load(); got != 1 {
+		t.Fatalf("object freed %d times by the first drain after release, want 1", got)
+	}
+	if got := globalEpoch.Load(); got != e {
+		t.Fatalf("the epoch moved from %d to %d", e, got)
+	}
+}
+
+// TestOverlappingSnapPins checks that held retirees stay pending until the
 // LAST covering pin is released, regardless of release order.
 func TestOverlappingSnapPins(t *testing.T) {
 	Drain()
-	discardParked()
 
 	s1 := SnapPin()
 	s2 := SnapPin()
@@ -71,8 +96,8 @@ func TestOverlappingSnapPins(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		Drain()
 	}
-	if freed.Load() != 0 || ParkedCount() == 0 {
-		t.Fatalf("object not parked under two live pins (freed=%d parked=%d)", freed.Load(), ParkedCount())
+	if freed.Load() != 0 || Pending() != 1 {
+		t.Fatalf("object not held under two live pins (freed=%d pending=%d)", freed.Load(), Pending())
 	}
 
 	s1.Release()
@@ -94,10 +119,9 @@ func TestOverlappingSnapPins(t *testing.T) {
 // while the pin is held.
 func TestRetireeBelowPinEpochIsNotParked(t *testing.T) {
 	Drain()
-	discardParked()
 
 	// Retire first, then advance the epoch once so the pin registers at a
-	// strictly later epoch than the retiree's bucket, then pin and drain.
+	// strictly later epoch than the retiree's stamp, then pin and drain.
 	var freed atomic.Int64
 	g := Pin()
 	Retire(g, new(int), countingFree(&freed))
@@ -108,7 +132,7 @@ func TestRetireeBelowPinEpochIsNotParked(t *testing.T) {
 	defer s.Release()
 	Drain()
 	if got := freed.Load(); got != 1 {
-		t.Fatalf("object retired before the pin freed %d times under it, want 1 (parked=%d)", got, ParkedCount())
+		t.Fatalf("object retired before the pin freed %d times under it, want 1 (pending=%d)", got, Pending())
 	}
 }
 
@@ -128,12 +152,11 @@ func TestSnapSlotReuse(t *testing.T) {
 	}
 }
 
-// TestDiscardAllDropsParked: the full-quiescence reset abandons parked
-// retirees to the garbage collector instead of freeing them through their
-// callbacks.
+// TestDiscardAllDropsParked: the full-quiescence reset abandons retirees a
+// snapshot pin holds to the garbage collector instead of freeing them
+// through their callbacks.
 func TestDiscardAllDropsParked(t *testing.T) {
 	Drain()
-	discardParked()
 
 	s := SnapPin()
 	var freed atomic.Int64
@@ -143,15 +166,35 @@ func TestDiscardAllDropsParked(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		Drain()
 	}
-	if ParkedCount() == 0 {
-		t.Fatal("object not parked under the live pin")
+	if p := Pending(); p != 1 {
+		t.Fatalf("Pending() = %d with one retiree held by the live pin, want 1", p)
 	}
 	DiscardAll()
-	if ParkedCount() != 0 {
-		t.Fatalf("ParkedCount() = %d after DiscardAll, want 0", ParkedCount())
-	}
-	if freed.Load() != 0 {
-		t.Fatal("DiscardAll ran free callbacks on parked retirees")
+	if p := Pending(); p != 0 {
+		t.Fatalf("Pending() = %d after DiscardAll, want 0", p)
 	}
 	s.Release()
+	Drain()
+	if freed.Load() != 0 {
+		t.Fatal("DiscardAll ran free callbacks on held retirees")
+	}
+}
+
+// TestPushKeepsStampOrder: a pass over a retire list stops at the first
+// entry it must keep, which is sound only because the stamps never decrease
+// along the list. Under -tags reclaimcheck a push that breaks the order
+// panics.
+func TestPushKeepsStampOrder(t *testing.T) {
+	if !PoisonCheck {
+		t.Skip("the stamp-order assertion needs -tags reclaimcheck")
+	}
+	var q fifo[int]
+	q.push(1, 5)
+	q.push(2, 5)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("push of a stamp below the tail's did not panic")
+		}
+	}()
+	q.push(3, 4)
 }

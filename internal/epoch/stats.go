@@ -1,9 +1,7 @@
 package epoch
 
 // Report is a point-in-time health summary of the reclamation layer,
-// returned by Stats. Until PR 10 the only visibility was Pending(); the
-// watchdog and the bench harness's -v mode both want to know *why* memory
-// is pending, not just how much.
+// returned by Stats: why memory is pending, not just how much.
 type Report struct {
 	// Epoch is the current global epoch.
 	Epoch uint64
@@ -16,15 +14,13 @@ type Report struct {
 	// SnapPins is the number of live long-lived snapshot pins.
 	SnapPins int64
 	// Pending is the total retirees whose grace period has not completed,
-	// including snapshot-parked ones (same quantity as Pending()).
+	// including those a snapshot pin holds (same quantity as Pending()).
 	Pending int64
-	// Parked is the subset of Pending deferred behind snapshot pins.
-	Parked int64
-	// PendingByAge buckets the pending retirees of quiescent slots by how
+	// PendingByAge counts the pending retirees of quiescent slots by how
 	// many epochs ago they were retired (index min(now-retireEpoch, 2)).
 	// Slots claimed by live operations cannot be scanned without racing
 	// their owner; their share is reported in PendingUnscanned instead.
-	PendingByAge [bucketEpochs]int64
+	PendingByAge [3]int64
 	// PendingUnscanned is the pending count held by slots that were busy
 	// during the scan.
 	PendingUnscanned int64
@@ -55,8 +51,8 @@ type Report struct {
 	OpenWindows int64
 }
 
-// Stats returns a health report for the reclamation layer. The per-bucket
-// ages are gathered by briefly claiming each quiescent slot with the same
+// Stats returns a health report for the reclamation layer. The ages are
+// gathered by briefly claiming each quiescent slot with the same
 // CAS Drain uses, so the scan never races a slot owner; busy slots
 // contribute only their atomic pending total.
 func Stats() Report {
@@ -64,7 +60,6 @@ func Stats() Report {
 	now := globalEpoch.Load()
 	r.Epoch = now
 	r.SnapPins = snapCount.Load()
-	r.Parked = parkedCount.Load()
 	r.AdvanceFails = advanceFails.Load()
 	r.Refusals = freeRefusals.Load()
 	r.DegradedDrops = degradedDrops.Load()
@@ -87,17 +82,9 @@ func Stats() Report {
 		case pending == 0:
 			// Free and empty; nothing to scan.
 		case g.state.CompareAndSwap(0, now):
-			// Claimed like Drain does, so the bucket fields are ours to read.
-			for k := range g.buckets {
-				b := &g.buckets[k]
-				if len(b.items) == 0 {
-					continue
-				}
-				age := now - b.epoch
-				if age >= bucketEpochs {
-					age = bucketEpochs - 1
-				}
-				r.PendingByAge[age] += int64(len(b.items))
+			// Claimed like Drain does, so the retire list is ours to read.
+			for i := range g.retired.n {
+				r.PendingByAge[min(now-g.retired.stamp(i), 2)]++
 			}
 			g.state.Store(0)
 		default:
@@ -105,6 +92,5 @@ func Stats() Report {
 			r.PendingUnscanned += pending
 		}
 	}
-	r.Pending += r.Parked
 	return r
 }

@@ -39,8 +39,8 @@ import (
 //     did not see the snapshot registered;
 //   - memory stays valid because capture registers a long-lived epoch pin
 //     (epoch.SnapPin) before advancing gver: every node the snapshot can reach
-//     that is later retired was retired after the pin registered, so its
-//     grace period parks it behind the pin instead of recycling it.
+//     that is later retired was retired after the pin registered, so the
+//     pin holds it on its retire list instead of letting it be recycled.
 
 // resolve rewinds a just-loaded child pointer to the version a snapshot
 // captured: nodes stamped after ver are stepped back through their prev
@@ -70,7 +70,7 @@ type Snap[K, V any] struct {
 	less  func(K, K) bool
 	ver   uint64
 	// pin is the long-lived epoch registration keeping reachable retired
-	// nodes parked.
+	// nodes from being recycled.
 	pin *epoch.SnapGuard
 	// live points at the owning tree's live-snapshot counter, decremented on
 	// Release to re-enable the in-place overwrite fast path.
@@ -88,8 +88,8 @@ func (s *Snap[K, V]) Version() uint64 { return s.ver }
 func (s *Snap[K, V]) Consistent() bool { return true }
 
 // Release ends the view's lifetime: it re-enables the source tree's in-place
-// overwrite fast path and unpins the epoch layer, letting parked retirees
-// recycle. Idempotent.
+// overwrite fast path and unpins the epoch layer, letting the retirees the
+// view held recycle. Idempotent.
 func (s *Snap[K, V]) Release() {
 	if s.released.Swap(true) {
 		return
