@@ -9,7 +9,9 @@ package repro
 // Keys are visited in a pseudo-random but deterministic order: multiplying
 // the iteration index by an odd constant modulo a power-of-two key range is a
 // bijection, so every Insert in a block hits a fresh key, every Delete hits a
-// present key, and runs are exactly reproducible.
+// present key, and runs are exactly reproducible. Trees are filled in the
+// same order: a sorted fill would give the unbalanced EBST a linear spine,
+// and every timed operation would then measure a walk down it.
 
 import (
 	"testing"
@@ -68,12 +70,12 @@ func BenchmarkAlloc(b *testing.B) {
 // order, so the whole run goes through the in-place overwrite path.
 func benchmarkAllocOverwrite(b *testing.B, factory dict.IntFactory) {
 	d := factory.New()
-	for i := int64(0); i < allocKeyRange; i++ {
-		d.Insert(i, i)
+	for i := 0; i < allocKeyRange; i++ {
+		k := allocKey(i)
+		d.Insert(k, k)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		k := allocKey(i)
 		d.Insert(k, int64(i))
 	}
@@ -93,12 +95,12 @@ const allocChurnWindow = 1 << 10
 // growing tree keeps its nodes).
 func benchmarkAllocChurn(b *testing.B, factory dict.IntFactory) {
 	d := factory.New()
-	for i := int64(0); i < allocKeyRange; i++ {
-		d.Insert(i, i)
+	for i := 0; i < allocKeyRange; i++ {
+		k := allocKey(i)
+		d.Insert(k, k)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		k := allocKey(i>>1) & (allocChurnWindow - 1)
 		if i&1 == 0 {
 			d.Delete(k)
@@ -111,11 +113,11 @@ func benchmarkAllocChurn(b *testing.B, factory dict.IntFactory) {
 func benchmarkAllocGet(b *testing.B, factory dict.IntFactory) {
 	d := factory.New()
 	for i := 0; i < allocKeyRange; i += 2 {
-		d.Insert(int64(i), int64(i))
+		k := allocKey(i) // i even, so k even: exactly the even keys
+		d.Insert(k, k)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		d.Get(allocKey(i))
 	}
 }
@@ -123,8 +125,7 @@ func benchmarkAllocGet(b *testing.B, factory dict.IntFactory) {
 func benchmarkAllocInsert(b *testing.B, factory dict.IntFactory) {
 	d := factory.New()
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		if i > 0 && i&allocKeyMask == 0 {
 			// The key space is exhausted: start over on a fresh tree with the
 			// timer (and the allocation accounting) stopped.
@@ -250,8 +251,9 @@ func TestReclaimNoLeak(t *testing.T) {
 		}
 		d := factory.New()
 		const n = 1 << 12
-		for i := int64(0); i < n; i++ {
-			d.Insert(i, i)
+		for i := 0; i < n; i++ {
+			k := allocKey(i) & (n - 1)
+			d.Insert(k, k)
 		}
 		for i := int64(0); i < n; i++ {
 			d.Delete(i)
@@ -402,10 +404,11 @@ func TestSnapshotAllocBudget(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s not registered", name)
 		}
-		for _, size := range []int64{1 << 6, 1 << 15} {
+		for _, size := range []int{1 << 6, 1 << 15} {
 			d := factory.New()
-			for i := int64(0); i < size; i++ {
-				d.Insert(i, i)
+			for i := 0; i < size; i++ {
+				k := allocKey(i) & int64(size-1)
+				d.Insert(k, k)
 			}
 			sn, ok := d.(dict.IntSnapshotter)
 			if !ok {
@@ -434,13 +437,13 @@ func BenchmarkSnapshotCapture(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			d := factory.New()
-			for i := int64(0); i < allocKeyRange; i++ {
-				d.Insert(i, i)
+			for i := 0; i < allocKeyRange; i++ {
+				k := allocKey(i)
+				d.Insert(k, k)
 			}
 			sn := d.(dict.IntSnapshotter)
 			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				s := sn.Snapshot()
 				s.Release()
 			}
@@ -457,12 +460,12 @@ func benchmarkAllocDelete(b *testing.B, factory dict.IntFactory) {
 	const half = allocKeyRange / 2
 	d := factory.New()
 	for i := 0; i < allocKeyRange; i++ {
-		d.Insert(int64(i), int64(i))
+		k := allocKey(i)
+		d.Insert(k, k)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
 	j := 0
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if j == half {
 			b.StopTimer()
 			for k := 0; k < half; k++ {

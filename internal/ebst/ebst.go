@@ -8,18 +8,13 @@
 // deletion template updates and the ordered queries; all this package adds
 // is the no-op balancing policy - no decoration, no violations, no
 // rebalancing steps - which demonstrates how little code a new
-// template-based data structure needs. Because there is no rebalancing, the
-// height can be linear in the number of keys; the benchmark harness uses it
-// as the "unbalanced non-blocking" reference point.
+// template-based data structure needs. The benchmark harness uses it as the
+// "unbalanced non-blocking" reference point.
 //
-// Degenerate spines are observable and self-correcting: the engine counts
-// every search that walks past a fixed spine cap and folds the walk's final
-// depth into a running maximum (Tree.SpineStats), and each such probe
-// triggers one throttled mitigation pass (mitigate.go) that compresses the
-// offending path segment by segment with ordinary template updates. The
-// operations themselves never fail; pathological (for example sequential)
-// insertion orders converge toward locally balanced paths instead of
-// degrading to linear ones.
+// Because there is no rebalancing, the height is linear in the number of
+// keys under a sorted insertion order, as for the paper's unbalanced BST,
+// and nothing corrects it: balance is a policy's job, and this policy has
+// no steps.
 //
 // The tree is generic over the key and value types: NewOrdered builds a tree
 // over any cmp.Ordered key type, NewLess accepts an arbitrary comparator

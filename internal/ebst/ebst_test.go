@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/lbst"
 )
 
 func TestEmpty(t *testing.T) {
@@ -192,114 +190,19 @@ func TestConcurrentContention(t *testing.T) {
 	}
 }
 
-// TestSpineDiagnosticFiresOnSequentialFill checks the degenerate-spine
-// diagnostic the engine provides for unbalanced instantiations: a sequential
-// insertion order keeps driving probes past the spine cap, so deep searches
-// must be counted - observable through SpineStats without any operation
-// failing. Since the policy now mitigates on every deep probe, the recorded
-// maximum depth must stay far below the linear height the fill would
-// otherwise build. A random insertion order of the same size must not trip
-// the diagnostic at all.
-func TestSpineDiagnosticFiresOnSequentialFill(t *testing.T) {
-	const n = 1024 // far past the 128-node spine cap
-	tr := New()
-	for i := int64(0); i < n; i++ {
-		tr.Insert(i, i)
-	}
-	if _, ok := tr.Get(n - 1); !ok {
-		t.Fatal("deepest key missing after sequential fill")
-	}
-	deep, maxDepth := tr.SpineStats()
-	if deep == 0 {
-		t.Fatal("sequential fill of 1024 keys tripped no deep-spine searches")
-	}
-	if maxDepth >= n/2 {
-		t.Fatalf("max recorded depth %d: mitigation left the %d-key spine linear", maxDepth, n)
-	}
-	t.Logf("sequential fill: %d deep searches, max depth %d", deep, maxDepth)
-
-	rnd := New()
-	for _, k := range rand.New(rand.NewSource(1)).Perm(n) {
-		rnd.Insert(int64(k), int64(k))
-	}
-	if deep, _ := rnd.SpineStats(); deep != 0 {
-		t.Fatalf("random fill of %d keys tripped %d deep-spine searches", n, deep)
-	}
-}
-
-// rawPolicy is the no-op policy without the SpineMitigator extension (it
-// embeds the policy as a plain lbst.Policy, which hides MitigateSpine): a tree
-// instantiated with it keeps whatever degenerate spine the insertion order
-// builds. It serves as the "before" side of the mitigation test.
-type rawPolicy[K, V any] struct{ lbst.Policy[K, V] }
-
-// TestSpineMitigationCompressesSequentialFill is the before/after SpineStats
-// check for the segment-compression mitigation: the same sequential fill is
-// run once without the mitigator (linear spine, the "before" baseline) and
-// once with it (the shipped policy), and the mitigated tree must end up with
-// a height and recorded probe depth far below the baseline while holding
-// exactly the same contents.
-func TestSpineMitigationCompressesSequentialFill(t *testing.T) {
-	const n = 2048
-
-	raw := lbst.NewOrdered[int64, int64](rawPolicy[int64, int64]{policy[int64, int64]{}})
-	for i := int64(0); i < n; i++ {
-		raw.Insert(i, i)
-	}
-	raw.Get(n - 1)
-	_, rawMax := raw.SpineStats()
-	rawH := raw.Height()
-	if rawH < n/2 {
-		t.Fatalf("unmitigated baseline height %d is not a linear spine", rawH)
-	}
-
-	tr := New()
-	for i := int64(0); i < n; i++ {
-		tr.Insert(i, i)
-	}
-	// Deep probes trigger throttled mitigation passes; spread them across the
-	// key space so every residual deep path gets compressed.
-	for round := 0; round < 64; round++ {
-		for k := int64(0); k < n; k += 97 {
-			tr.Get(k)
-		}
-	}
-	deep, maxDepth := tr.SpineStats()
-	if deep == 0 {
-		t.Fatal("mitigated fill tripped no deep-spine searches (mitigation never ran)")
-	}
-	h := tr.Height()
-	if h*4 > rawH {
-		t.Fatalf("mitigated height %d not clearly below unmitigated %d", h, rawH)
-	}
-	if maxDepth >= rawMax {
-		t.Fatalf("mitigated max probe depth %d did not improve on baseline %d", maxDepth, rawMax)
-	}
-	t.Logf("height %d -> %d, max probe depth %d -> %d, %d deep searches",
-		rawH, h, rawMax, maxDepth, deep)
-
-	if got := tr.Size(); got != n {
-		t.Fatalf("Size = %d after mitigation, want %d", got, n)
-	}
-	keys := tr.Keys()
-	for i := range keys {
-		if keys[i] != int64(i) {
-			t.Fatalf("Keys()[%d] = %d after mitigation, want %d", i, keys[i], i)
-		}
-	}
-	if err := tr.CheckStructure(); err != nil {
-		t.Fatalf("structure check after mitigation: %v", err)
-	}
-}
-
-// TestSpineMitigationUnderConcurrentChurn runs the mitigation concurrently
-// with updates over an initially degenerate key range: compressions are
-// ordinary template updates, so nothing may be lost or duplicated.
-func TestSpineMitigationUnderConcurrentChurn(t *testing.T) {
+// TestSequentialFillConcurrentChurn fills even keys in ascending order,
+// which gives the unbalanced tree a linear spine, as for the paper's
+// unbalanced BST: no policy step shortens it. Concurrent updates of the odd
+// keys between them then run at that depth, and nothing may be lost or
+// duplicated.
+func TestSequentialFillConcurrentChurn(t *testing.T) {
 	const n = 1024
 	tr := New()
 	for i := int64(0); i < n; i++ {
 		tr.Insert(i*2, i*2) // even keys, sequential: deep spine + gaps to churn
+	}
+	if h := tr.Height(); h < n {
+		t.Fatalf("height %d after a sequential fill of %d keys: want a linear spine", h, n)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -43,9 +43,9 @@ func TestNodeLayout(t *testing.T) {
 }
 
 // TestTreeHeaderLayout checks that the fields every operation reads share no
-// cache line with the words snapshots and the spine diagnostic write,
-// wherever the allocator puts the header: a full line lies between the two
-// groups. (TestUpdatesWriteNoTreeWord checks that updates write neither.)
+// cache line with the words snapshot capture and release write, wherever the
+// allocator puts the header: a full line lies between the two groups.
+// (TestUpdatesWriteNoTreeWord checks that updates write neither.)
 func TestTreeHeaderLayout(t *testing.T) {
 	var tr Tree[int64, int64]
 	readEnd := uintptr(0)
@@ -61,9 +61,7 @@ func TestTreeHeaderLayout(t *testing.T) {
 	} {
 		readEnd = max(readEnd, end)
 	}
-	writeStart := min(
-		unsafe.Offsetof(tr.spineDeep), unsafe.Offsetof(tr.spineMax), unsafe.Offsetof(tr.mitigating),
-		unsafe.Offsetof(tr.gver), unsafe.Offsetof(tr.snapLive))
+	writeStart := min(unsafe.Offsetof(tr.gver), unsafe.Offsetof(tr.snapLive))
 	if writeStart < readEnd+64 {
 		t.Fatalf("read-mostly fields end at offset %d and the written words start at %d: less than a line apart", readEnd, writeStart)
 	}
@@ -76,7 +74,7 @@ func TestTreeHeaderLayout(t *testing.T) {
 // it holds pinned.
 func TestUpdatesWriteNoTreeWord(t *testing.T) {
 	tr := New[int64, int64](intLess, nopPolicy{})
-	start := unsafe.Offsetof(tr.spineDeep)
+	start := unsafe.Offsetof(tr.gver)
 	written := func() []byte {
 		return unsafe.Slice((*byte)(unsafe.Add(unsafe.Pointer(tr), start)), unsafe.Sizeof(*tr)-start)
 	}

@@ -329,8 +329,8 @@ type Tree[K, V any] struct {
 	// header. Every operation reads the first. An update writes neither: what
 	// it writes besides nodes (its publish windows, a policy's step counters)
 	// is on the epoch slot it holds pinned. The second group is written by
-	// snapshot capture and release and by the degenerate-spine diagnostic
-	// only, and must not invalidate the first when it is.
+	// snapshot capture and release only, and must not invalidate the first
+	// when it is.
 	entry *Node[K, V]
 	less  func(a, b K) bool
 	pol   Policy[K, V]
@@ -362,16 +362,6 @@ type Tree[K, V any] struct {
 	freeNodeFn epoch.Func
 
 	_ [64]byte
-
-	// spineDeep counts searches that walked at least spineCap nodes, and
-	// spineMax records the deepest such walk: the cheap degenerate-spine
-	// diagnostic for unbalanced instantiations (see SpineStats).
-	spineDeep atomic.Int64
-	spineMax  atomic.Int64
-
-	// mitigating serializes degenerate-spine mitigation passes so a burst of
-	// deep probes does not stampede the same spine (see mitigateSpine).
-	mitigating atomic.Bool
 
 	// gver is the tree's version clock for versioned snapshots. Captures
 	// advance it; updates only read it: the commit hook stamps every CASed-in
@@ -556,61 +546,6 @@ func (t *Tree[K, V]) DrainReclaim() int64 {
 // ---------------------------------------------------------------------------
 // Searches.
 
-// spineCap is the walk depth past which a search counts as degenerate: a
-// balanced tree never gets near it (a few dozen nodes even at millions of
-// keys), while the unbalanced EBST reaches it under sequential insertion
-// orders. Crossing it is observable, not fatal - the walk completes and its
-// final depth is recorded as a one-shot height probe of the searched spine
-// (see SpineStats).
-const spineCap = 128
-
-// noteDeepSpine records a search that crossed spineCap: it bumps the
-// degenerate-search counter and folds the walk's final depth into the
-// maximum, which doubles as the height probe of the offending spine.
-func (t *Tree[K, V]) noteDeepSpine(depth int) {
-	t.spineDeep.Add(1)
-	for {
-		cur := t.spineMax.Load()
-		if int64(depth) <= cur || t.spineMax.CompareAndSwap(cur, int64(depth)) {
-			return
-		}
-	}
-}
-
-// SpineStats reports the degenerate-spine diagnostic: how many searches
-// walked at least spineCap nodes, and the deepest walk observed (a probe of
-// the height of the degenerate subtree). Both are zero on balanced trees;
-// nonzero values on an unbalanced instantiation flag a pathological insert
-// order to the caller without making operations fail.
-func (t *Tree[K, V]) SpineStats() (deepSearches, maxDepth int64) {
-	return t.spineDeep.Load(), t.spineMax.Load()
-}
-
-// SpineMitigator is optionally implemented by policies that can repair a
-// degenerate spine when a search reports one (via the SpineStats threshold):
-// MitigateSpine is invoked — throttled to one pass at a time per tree — with
-// the key whose search walked at least spineCap nodes. The policy performs a
-// bounded number of localized template updates (each LLXs + one SCX through
-// the tree's pooled reclamation) and returns; it must not call the tree's
-// own search routine, which would re-trigger mitigation. See internal/ebst
-// for the segment-compression implementation.
-type SpineMitigator[K, V any] interface {
-	MitigateSpine(t *Tree[K, V], key K)
-}
-
-// mitigateSpine runs one policy mitigation pass for a degenerate search,
-// dropping the request if the policy has no mitigator or a pass is already
-// running (deep probes arrive in bursts; one pass at a time is enough to
-// make progress and keeps the stampede cost off the read path).
-func (t *Tree[K, V]) mitigateSpine(key K) {
-	m, ok := t.pol.(SpineMitigator[K, V])
-	if !ok || !t.mitigating.CompareAndSwap(false, true) {
-		return
-	}
-	m.MitigateSpine(t, key)
-	t.mitigating.Store(false)
-}
-
 // keyLess reports whether key is strictly smaller than n's key, treating
 // sentinels as +infinity.
 func (t *Tree[K, V]) keyLess(key K, n *Node[K, V]) bool { return n.IsSentinel() || t.less(key, n.K) }
@@ -634,7 +569,6 @@ func (t *Tree[K, V]) search(key K) (gp, p, l *Node[K, V]) {
 func searchLess[K, V any](t *Tree[K, V], key K) (gp, p, l *Node[K, V]) {
 	p = t.entry
 	l = t.entry.left.Load()
-	depth := 0
 	for a := l.rec.Aux(); a&auxLeaf == 0; a = l.rec.Aux() {
 		gp, p = p, l
 		if a&auxInf != 0 || t.less(key, l.K) {
@@ -642,11 +576,6 @@ func searchLess[K, V any](t *Tree[K, V], key K) (gp, p, l *Node[K, V]) {
 		} else {
 			l = l.right.Load()
 		}
-		depth++
-	}
-	if depth >= spineCap {
-		t.noteDeepSpine(depth)
-		t.mitigateSpine(key)
 	}
 	return gp, p, l
 }
@@ -657,7 +586,6 @@ func searchLess[K, V any](t *Tree[K, V], key K) (gp, p, l *Node[K, V]) {
 func searchOrdered[K cmp.Ordered, V any](t *Tree[K, V], key K) (gp, p, l *Node[K, V]) {
 	p = t.entry
 	l = t.entry.left.Load()
-	depth := 0
 	for a := l.rec.Aux(); a&auxLeaf == 0; a = l.rec.Aux() {
 		gp, p = p, l
 		if a&auxInf != 0 || key < l.K {
@@ -665,11 +593,6 @@ func searchOrdered[K cmp.Ordered, V any](t *Tree[K, V], key K) (gp, p, l *Node[K
 		} else {
 			l = l.right.Load()
 		}
-		depth++
-	}
-	if depth >= spineCap {
-		t.noteDeepSpine(depth)
-		t.mitigateSpine(key)
 	}
 	return gp, p, l
 }

@@ -7,12 +7,12 @@ import (
 )
 
 // Step assembles one localized template update that is not the engine's own
-// insertion or deletion - a policy's rebalancing step, a spine compression -
-// and commits it: the caller takes the LLXs, records each as kept or removed,
-// builds the replacement subtree through the step, and calls Commit. The
-// step owns what every such update used to repeat by hand: V and R as the
-// SCX wants them, the list of fresh nodes to give back when the SCX fails,
-// and the retiring of R when it succeeds.
+// insertion or deletion - a policy's rebalancing step - and commits it: the
+// caller takes the LLXs, records each as kept or removed, builds the
+// replacement subtree through the step, and calls Commit. The step owns what
+// every such update used to repeat by hand: V and R as the SCX wants them,
+// the list of fresh nodes to give back when the SCX fails, and the retiring
+// of R when it succeeds.
 //
 // Fill in Tree and Guard (the invoking operation's pinned guard) and leave
 // the rest zero. A Step is meant to live on its caller's frame: nothing here
