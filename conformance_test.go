@@ -721,23 +721,30 @@ func TestRegistryAndFigure8StayInSync(t *testing.T) {
 
 // TestSnapshotConformance runs the shared snapshot suite - frozen views that
 // never observe post-snapshot updates (including in-place overwrites),
-// consistent-cut checks under concurrent churn, and SnapshotDiff against the
-// model diff - over every structure in the registry. Structures without O(1)
-// snapshots (the baselines) are skipped by the suite itself, so this test
-// also documents exactly which structures are Snapshotters.
+// consistent-cut checks under concurrent churn, and the hold-churn
+// reclamation stress - over every structure in the registry, and pins which
+// structures are Snapshotters: exactly the LLX/SCX trees. The baselines have
+// no snapshots, and the suite skips them.
 func TestSnapshotConformance(t *testing.T) {
+	var snapshotters []string
 	for _, tgt := range allConcurrentTargets(t) {
+		if _, ok := tgt.New().(dict.IntSnapshotter); ok {
+			snapshotters = append(snapshotters, tgt.Name)
+		}
 		t.Run(tgt.Name, func(t *testing.T) {
 			dicttest.SnapshotSuite(t, tgt)
 		})
 	}
+	slices.Sort(snapshotters)
+	if want := []string{"Chromatic", "Chromatic6", "EBST", "RAVL"}; !slices.Equal(snapshotters, want) {
+		t.Errorf("registry structures implementing dict.IntSnapshotter = %v, want %v", snapshotters, want)
+	}
 }
 
 // TestStringKeyedSnapshotConformance runs the snapshot suite over the
-// string-keyed instantiations of the template trees: the frozen walk and the
-// structural diff must not assume integer keys. The key derivation is
-// injective (unlike stringKey) because the consistent-cut check needs
-// per-writer disjoint keys.
+// string-keyed instantiations of the template trees: the frozen walk must
+// not assume integer keys. The key derivation is injective (unlike
+// stringKey) because the consistent-cut check needs per-writer disjoint keys.
 func TestStringKeyedSnapshotConformance(t *testing.T) {
 	snapKey := func(u uint64) string { return fmt.Sprintf("s%06d", u%100000) }
 	for _, tgt := range allStringConcurrentTargets() {
@@ -747,95 +754,29 @@ func TestStringKeyedSnapshotConformance(t *testing.T) {
 	}
 }
 
-// TestSnapshotAdapterFallback pins the semantics of dict.AdaptSnapshot, the
-// weakly consistent fallback for structures without native snapshots: views
-// must report Consistent() == false and Version() == 0, delegate Get to the
-// live map, and produce ordered scans.
-func TestSnapshotAdapterFallback(t *testing.T) {
-	l := skiplist.NewOrdered[int64, int64]()
-	for i := int64(0); i < 100; i++ {
-		l.Insert(i*2, i)
-	}
-	sn := dict.AdaptSnapshot[int64, int64](l, func(a, b int64) bool { return a < b })
-	view := sn.Snapshot()
-	defer view.Release()
-	if view.Consistent() {
-		t.Fatal("adapter view claims to be consistent")
-	}
-	if view.Version() != 0 {
-		t.Fatalf("adapter view Version() = %d, want 0", view.Version())
-	}
-	if v, ok := view.Get(10); !ok || v != 5 {
-		t.Fatalf("adapter Get(10) = (%d,%v), want (5,true)", v, ok)
-	}
-	var keys []int64
-	n := view.Ascend(func(k, v int64) bool {
-		keys = append(keys, k)
-		return true
-	})
-	if n != 100 || len(keys) != 100 {
-		t.Fatalf("adapter Ascend visited %d keys, want 100", n)
-	}
-	for i, k := range keys {
-		if k != int64(i*2) {
-			t.Fatalf("adapter Ascend[%d] = %d, want %d", i, k, i*2)
-		}
-	}
-	count := 0
-	view.RangeScan(10, 20, func(k, v int64) bool {
-		count++
-		return true
-	})
-	if count != 6 {
-		t.Fatalf("adapter RangeScan(10,20) visited %d keys, want 6", count)
-	}
-	// An empty range visits nothing, a present lo included, on the native
-	// scan the skip list's view delegates to and on the Successor walk a
-	// structure without one (LockAVL) gets.
-	avl := lockavl.NewOrdered[int64, int64]()
-	for i := int64(1); i <= 9; i++ {
-		avl.Insert(i, i)
-	}
-	walk := dict.AdaptSnapshot[int64, int64](avl, int64Less).Snapshot()
-	if _, native := dict.IntMap(avl).(dict.IntRanger); native {
-		t.Fatal("LockAVL has a native RangeScan: the adapter's Successor walk is not under test")
-	}
-	for _, v := range []dict.SnapshotView[int64, int64]{view, walk} {
-		if n := v.RangeScan(7, 3, func(k, _ int64) bool { return true }); n != 0 {
-			t.Fatalf("adapter RangeScan(7,3) visited %d keys, want 0", n)
-		}
-		if n := v.RangeScan(3, 7, func(k, _ int64) bool { return true }); n == 0 {
-			t.Fatal("adapter RangeScan(3,7) visited nothing")
-		}
-	}
-	// Adapter views are live: they see later updates (weak consistency).
-	l.Insert(1, 999)
-	if v, ok := view.Get(1); !ok || v != 999 {
-		t.Fatalf("adapter view missed a live update: (%d,%v)", v, ok)
-	}
-}
-
 // TestScanConformance compares range scans with the sorted keys on every
-// registry structure (and the sequential red-black tree) in both scan modes:
-// live, through the recorder's Scan (the native RangeScan, or its Successor
-// walk where there is none), and through a snapshot view (native, or
-// dict.AdaptSnapshot's fallback). The ranges are the whole key range, an inner
-// one with both bounds absent, and an empty one (hi < lo, both present), which
-// must visit nothing.
+// registry structure (and the sequential red-black tree): live, through the
+// recorder's Scan (the native RangeScan, or its Successor walk where there
+// is none, as on LockAVL), and, on the structures with snapshots, through a
+// frozen view. The ranges are the whole key range, an inner one with both
+// bounds absent, and an empty one (hi < lo, both present), which must visit
+// nothing.
 func TestScanConformance(t *testing.T) {
 	keys := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9}
 	for _, tgt := range allSequentialTargets(t) {
 		t.Run(tgt.Name, func(t *testing.T) {
 			d := tgt.New()
+			if _, native := d.(dict.IntRanger); tgt.Name == "LockAVL" && native {
+				t.Fatal("LockAVL has a native RangeScan: the recorder's Successor walk is not under test")
+			}
 			for _, k := range keys {
 				d.Insert(2*k, -k)
 			}
-			sn, native := d.(dict.IntSnapshotter)
-			if !native {
-				sn = dict.AdaptSnapshot[int64, int64](d.(dict.IntOrderedMap), int64Less)
+			var view dict.IntSnapshotView
+			if sn, ok := d.(dict.IntSnapshotter); ok {
+				view = sn.Snapshot()
+				defer view.Release()
 			}
-			view := sn.Snapshot()
-			defer view.Release()
 			for _, r := range []struct{ lo, hi, first, n int64 }{{2, 18, 2, 9}, {5, 13, 6, 4}, {14, 6, 0, 0}} {
 				var want, live, frozen []int64
 				for k := r.first; k < r.first+2*r.n; k += 2 {
@@ -848,6 +789,9 @@ func TestScanConformance(t *testing.T) {
 				}
 				if n != len(want) || !slices.Equal(live, want) {
 					t.Errorf("live scan of [%d, %d] visited %d keys %v, want %v", r.lo, r.hi, n, live, want)
+				}
+				if view == nil {
+					continue
 				}
 				n = view.RangeScan(r.lo, r.hi, func(k, _ int64) bool {
 					frozen = append(frozen, k)

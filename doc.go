@@ -68,15 +68,13 @@
 // (dict.Snapshotter): every committed SCX stamps the subtree root it
 // installs with the tree's version clock and links the displaced version,
 // Snapshot advances the clock and captures (entry, tick) in constant time
-// behind a long-lived epoch pin,
-// and the returned frozen view answers Get/RangeScan/Ascend by rewinding
-// newer nodes through their version chains - no validation, no retries, no
-// CASes on the read path. SnapshotDiff enumerates the changes between two
-// captures, skipping unchanged subtrees by pointer equality. The capture
+// behind a long-lived epoch pin, and the returned frozen view answers
+// Get/RangeScan/Ascend by rewinding newer nodes through their version chains
+// - no validation, no retries, no CASes on the read path. The capture
 // protocol (stamp and install inside a publish window on an epoch slot,
-// advance-the-clock-then-drain) is
-// exhaustively schedule-enumerated (sched_snapshot_test.go, selected by
-// -tags sched) and argued in DESIGN.md ("Versioned snapshots").
+// advance-the-clock-then-drain) is exhaustively schedule-enumerated
+// (sched_snapshot_test.go, selected by -tags sched) and argued in DESIGN.md
+// ("Versioned snapshots").
 //
 // The live scans (RangeScan, Ascend) of those trees are the paper's
 // Section 5.5 recipe applied to a subtree at a time: one in-order walk that

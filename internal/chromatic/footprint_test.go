@@ -2,8 +2,8 @@ package chromatic
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
-	"unsafe"
 
 	"repro/internal/lbst"
 	"repro/internal/vcell"
@@ -35,13 +35,30 @@ func TestNoParkedDescriptors(t *testing.T) {
 	runtime.GC() // twice: the first only moves the node pool to its victim cache
 	perKey := float64(heapAlloc()-before) / float64(size)
 
-	want := float64(2*unsafe.Sizeof(lbst.Node[int64, int64]{}) + unsafe.Sizeof(vcell.Cell[int64]{}))
-	t.Logf("%d keys: %.0f heap bytes per key, two nodes and a cell are %.0f", size, perKey, want)
+	node, cell := heapSize[lbst.Node[int64, int64]](), heapSize[vcell.Cell[int64]]()
+	want := float64(2*node + cell)
+	t.Logf("%d keys: %.0f heap bytes per key, two nodes and a cell are %.0f (%d + %d on the heap)", size, perKey, want, node, cell)
 	if perKey > 1.1*want {
 		t.Fatalf("%.0f heap bytes per key, want at most %.0f (two nodes and a cell, plus 10%%): something else stays live per record",
 			perKey, 1.1*want)
 	}
 	runtime.KeepAlive(tr)
+}
+
+// heapSize is the heap footprint of one T: the size class the allocator
+// rounds it up to, which unsafe.Sizeof does not see (a build with
+// -tags reclaimcheck grows a node and a cell past a class boundary).
+func heapSize[T any]() uint64 {
+	const n = 4096
+	objs := make([]*T, n)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := heapAlloc()
+	for i := range objs {
+		objs[i] = new(T)
+	}
+	after := heapAlloc()
+	runtime.KeepAlive(objs)
+	return (after - before + n/2) / n
 }
 
 func heapAlloc() uint64 {

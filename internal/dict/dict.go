@@ -102,18 +102,14 @@ type IntFactory = Factory[int64, int64]
 type IntRanger = Ranger[int64, int64]
 
 // SnapshotView is a read-only, point-in-time view of a dictionary returned
-// by a Snapshotter. On native implementations (the LLX/SCX trees) the view is
-// frozen: every operation observes exactly the state at the capture's
-// linearization point, never blocks, never retries, and performs no
-// per-node validation; the view stays valid under arbitrary concurrent
+// by a Snapshotter (the LLX/SCX trees). The view is frozen: every operation
+// observes exactly the state at the capture's linearization point, never
+// blocks, never retries, and performs no per-node validation; the view stays
+// valid under arbitrary concurrent
 // updates to the source dictionary until Release is called. Holding a view
 // pins memory reclamation for the nodes it can reach, so views should be
 // released promptly. Release must be called exactly once; using a view after
 // Release is undefined.
-//
-// The fallback adapter (AdaptSnapshot) satisfies the same interface with a
-// weakly consistent live view, for implementations without native snapshots;
-// Consistent reports which semantics a view provides.
 type SnapshotView[K, V any] interface {
 	// Get returns the value associated with key in the snapshot.
 	Get(key K) (value V, ok bool)
@@ -125,21 +121,16 @@ type SnapshotView[K, V any] interface {
 	// of keys visited; if fn returns false the scan stops early.
 	Ascend(fn func(k K, v V) bool) int
 	// Version is the capture's position on the dictionary's version clock:
-	// snapshots of the same dictionary are ordered by it. Adapter views
-	// report 0.
+	// snapshots of the same dictionary are ordered by it.
 	Version() uint64
-	// Consistent reports whether the view is frozen (true) or a weakly
-	// consistent live fallback (false).
-	Consistent() bool
 	// Release ends the view's lifetime and unpins memory reclamation.
 	Release()
 }
 
 // Snapshotter is implemented by dictionaries with O(1) versioned snapshots.
 type Snapshotter[K, V any] interface {
-	// Snapshot captures the current state and returns its view. On native
-	// implementations it is O(1) and allocation-lean regardless of the
-	// dictionary's size.
+	// Snapshot captures the current state and returns its view in O(1),
+	// allocation-lean regardless of the dictionary's size.
 	Snapshot() SnapshotView[K, V]
 }
 
@@ -148,77 +139,6 @@ type IntSnapshotter = Snapshotter[int64, int64]
 
 // IntSnapshotView is the int64-keyed instantiation of SnapshotView.
 type IntSnapshotView = SnapshotView[int64, int64]
-
-// Differ is optionally implemented by SnapshotView values that can compute a
-// structural diff against another view of the same dictionary. Diff reports
-// false (and emits nothing) when other is not a compatible view, in which
-// case the caller falls back to a merge of two scans (see SnapshotDiff).
-type Differ[K, V any] interface {
-	Diff(other SnapshotView[K, V], eq func(a, b V) bool, fn func(key K, oldV V, oldOK bool, newV V, newOK bool) bool) bool
-}
-
-// SnapshotDiff calls fn for every key whose presence or value differs between
-// the two views, in ascending key order: oldOK/newOK report presence in each
-// view and eq decides value equality for keys present in both. If fn returns
-// false the diff stops early. When old implements Differ (both views come
-// from the same native tree) the diff walks the two versions' shared
-// structure and skips unchanged regions cheaply; otherwise it merges two full
-// scans, materializing the old view's contents.
-//
-// For the structural fast path to be exact the old view must have been
-// captured before new and held live continuously since (the usual case:
-// diffing two snapshots the caller holds). A view released and re-taken in
-// between may share leaves whose values were overwritten in place while no
-// snapshot was live; only the merge fallback detects those.
-func SnapshotDiff[K, V any](less Less[K], eq func(a, b V) bool, old, new SnapshotView[K, V], fn func(key K, oldV V, oldOK bool, newV V, newOK bool) bool) {
-	if d, ok := old.(Differ[K, V]); ok && d.Diff(new, eq, fn) {
-		return
-	}
-	type kv struct {
-		k K
-		v V
-	}
-	var olds []kv
-	var zero V
-	old.Ascend(func(k K, v V) bool {
-		olds = append(olds, kv{k, v})
-		return true
-	})
-	i, stopped := 0, false
-	new.Ascend(func(k K, v V) bool {
-		for i < len(olds) && less(olds[i].k, k) {
-			if !fn(olds[i].k, olds[i].v, true, zero, false) {
-				stopped = true
-				return false
-			}
-			i++
-		}
-		if i < len(olds) && !less(k, olds[i].k) {
-			ov := olds[i].v
-			i++
-			if !eq(ov, v) {
-				if !fn(k, ov, true, v, true) {
-					stopped = true
-					return false
-				}
-			}
-			return true
-		}
-		if !fn(k, zero, false, v, true) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	for ; i < len(olds); i++ {
-		if !fn(olds[i].k, olds[i].v, true, zero, false) {
-			return
-		}
-	}
-}
 
 // Sized is implemented by dictionaries that can report the number of keys
 // they currently store. Size may run in linear time and need not be

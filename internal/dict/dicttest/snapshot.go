@@ -9,9 +9,7 @@ import (
 
 // SnapshotSuiteKV is the conformance suite for dict.Snapshotter
 // implementations. It skips (not fails) when the target does not implement
-// Snapshotter, and gates the frozen-view assertions on the view reporting
-// Consistent() — the scan-backed adapter legitimately serves weakly
-// consistent live views, for which only the self-consistency checks apply.
+// Snapshotter.
 //
 // Three properties are exercised:
 //
@@ -25,9 +23,8 @@ import (
 //     so any consistent cut shows a contiguous run of each writer's keys;
 //     a gap proves the view mixed states. Overwrite frozenness is checked by
 //     re-reading a captured key while a writer keeps overwriting it.
-//  3. SnapshotDiff (and the structural Differ fast path under the hood)
-//     reports exactly the keys whose presence or value changed between two
-//     snapshots, in ascending order.
+//  3. A held snapshot keeps every node it can reach from being recycled
+//     under heavy churn, and releasing it lets them recycle.
 func SnapshotSuiteKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V) {
 	t.Helper()
 	if _, ok := tgt.New().(dict.Snapshotter[K, V]); !ok {
@@ -35,7 +32,6 @@ func SnapshotSuiteKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V
 	}
 	t.Run("Frozen", func(t *testing.T) { snapshotFrozen(t, tgt, key, val) })
 	t.Run("ConsistentCut", func(t *testing.T) { snapshotConsistentCut(t, tgt, key, val) })
-	t.Run("Diff", func(t *testing.T) { snapshotDiff(t, tgt, key, val) })
 	t.Run("HoldChurnStress", func(t *testing.T) { snapshotHoldChurn(t, tgt, key, val) })
 }
 
@@ -63,9 +59,6 @@ func snapshotHoldChurn[K comparable, V comparable](t *testing.T, tgt TargetOf[K,
 	}
 	snap := sn.Snapshot()
 	defer snap.Release()
-	if !snap.Consistent() {
-		t.Skipf("%s serves weakly consistent views; hold-churn assertions do not apply", tgt.Name)
-	}
 
 	// Writers churn the captured window flat out: every delete retires the
 	// key's leaf (and internal nodes around it), all of which the snapshot
@@ -180,9 +173,6 @@ func snapshotFrozen[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V]
 	}
 	snap := sn.Snapshot()
 	defer snap.Release()
-	if !snap.Consistent() {
-		t.Skipf("%s serves weakly consistent views; frozen assertions do not apply", tgt.Name)
-	}
 	// Mutate hard: overwrite every captured key (exercising the disabled
 	// in-place fast path), delete half of them, and insert fresh keys.
 	for i, k := range md.sortedKeys() {
@@ -259,10 +249,6 @@ func snapshotConsistentCut[K comparable, V comparable](t *testing.T, tgt TargetO
 
 	for round := 0; round < 50; round++ {
 		snap := sn.Snapshot()
-		if !snap.Consistent() {
-			snap.Release()
-			break
-		}
 		// Contiguity: for each writer, the set of its keys present in the
 		// snapshot must be one contiguous run of the insertion order.
 		for g := 0; g < writers; g++ {
@@ -300,98 +286,6 @@ func snapshotConsistentCut[K comparable, V comparable](t *testing.T, tgt TargetO
 	if tgt.Check != nil {
 		if err := tgt.Check(d); err != nil {
 			t.Fatalf("%s: invariant check at quiescence: %v", tgt.Name, err)
-		}
-	}
-}
-
-func snapshotDiff[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V) {
-	t.Helper()
-	d := tgt.New()
-	sn := d.(dict.Snapshotter[K, V])
-	md := newModel[K, V](tgt.Less)
-	state := uint64(0xd1ff)
-	for i := 0; i < 1500; i++ {
-		k := key(lcg(&state))
-		v := val(lcg(&state))
-		d.Insert(k, v)
-		md.insert(k, v)
-	}
-	oldSnap := sn.Snapshot()
-	defer oldSnap.Release()
-	if !oldSnap.Consistent() {
-		t.Skipf("%s serves weakly consistent views; diff assertions do not apply", tgt.Name)
-	}
-	oldModel := map[K]V{}
-	for k, v := range md.m {
-		oldModel[k] = v
-	}
-	// Mutate: some deletes, some overwrites (with a guaranteed-different
-	// value), some fresh inserts.
-	for i, k := range md.sortedKeys() {
-		switch i % 3 {
-		case 0:
-			d.Delete(k)
-			md.delete(k)
-		case 1:
-			nv := val(lcg(&state))
-			if nv == oldModel[k] {
-				continue
-			}
-			d.Insert(k, nv)
-			md.insert(k, nv)
-		}
-	}
-	for i := 0; i < 1500; i++ {
-		k := key(lcg(&state))
-		v := val(lcg(&state))
-		d.Insert(k, v)
-		md.insert(k, v)
-	}
-	newSnap := sn.Snapshot()
-	defer newSnap.Release()
-
-	// The expected diff, from the two model states.
-	type change struct {
-		oldV, newV   V
-		oldOK, newOK bool
-	}
-	want := map[K]change{}
-	for k, v := range oldModel {
-		nv, ok := md.m[k]
-		if !ok {
-			want[k] = change{oldV: v, oldOK: true}
-		} else if nv != v {
-			want[k] = change{oldV: v, oldOK: true, newV: nv, newOK: true}
-		}
-	}
-	for k, v := range md.m {
-		if _, ok := oldModel[k]; !ok {
-			want[k] = change{newV: v, newOK: true}
-		}
-	}
-
-	eq := func(a, b V) bool { return a == b }
-	got := map[K]change{}
-	var prev K
-	first := true
-	dict.SnapshotDiff(tgt.Less, eq, oldSnap, newSnap, func(k K, oldV V, oldOK bool, newV V, newOK bool) bool {
-		if !first && !tgt.Less(prev, k) {
-			t.Fatalf("%s: diff keys not strictly ascending: %v after %v", tgt.Name, k, prev)
-		}
-		first, prev = false, k
-		if _, dup := got[k]; dup {
-			t.Fatalf("%s: diff reported key %v twice", tgt.Name, k)
-		}
-		got[k] = change{oldV: oldV, newV: newV, oldOK: oldOK, newOK: newOK}
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("%s: diff reported %d changes, want %d", tgt.Name, len(got), len(want))
-	}
-	for k, w := range want {
-		g, ok := got[k]
-		if !ok || g != w {
-			t.Fatalf("%s: diff for key %v = %+v (reported %v), want %+v", tgt.Name, k, g, ok, w)
 		}
 	}
 }

@@ -622,15 +622,6 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
-// Contains reports whether key is present.
-func (t *Tree[K, V]) Contains(key K) bool {
-	g := epoch.Pin()
-	_, _, l := t.search(key)
-	ok := t.isKey(key, l)
-	epoch.Unpin(g)
-	return ok
-}
-
 // Insert associates value with key, returning the previous value and true
 // if key was present.
 //

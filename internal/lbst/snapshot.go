@@ -63,8 +63,8 @@ func resolve[K, V any](c *Node[K, V], ver uint64) *Node[K, V] {
 }
 
 // Snap is a frozen point-in-time view of a versioned tree. It implements
-// dict.SnapshotView and dict.Differ. The zero value is not meaningful; views
-// are produced by the trees' Snapshot methods.
+// dict.SnapshotView. The zero value is not meaningful; views are produced by
+// the trees' Snapshot methods.
 type Snap[K, V any] struct {
 	entry *Node[K, V]
 	less  func(K, K) bool
@@ -82,10 +82,6 @@ type Snap[K, V any] struct {
 // clock from. The view holds exactly the updates stamped at or below it, and
 // a later capture of the same tree has a greater one.
 func (s *Snap[K, V]) Version() uint64 { return s.ver }
-
-// Consistent reports whether the view is frozen: always, for a tree's own
-// snapshot (dict's scan-backed adapter is the view that is not).
-func (s *Snap[K, V]) Consistent() bool { return true }
 
 // Release ends the view's lifetime: it re-enables the source tree's in-place
 // overwrite fast path and unpins the epoch layer, letting the retirees the
@@ -178,108 +174,6 @@ func (s *Snap[K, V]) walk(n *Node[K, V], useLo bool, lo K, useHi bool, hi K, fn 
 		}
 	}
 	return count, true
-}
-
-// Diff implements dict.Differ: it calls fn for every key whose presence or
-// value differs between s (the older view) and other, in ascending key
-// order, and reports whether it handled the pair (false when other is not a
-// view of the same tree, in which case dict.SnapshotDiff falls back to a
-// scan merge). The walk descends the two versions in lockstep, pairing
-// subtrees that span the same key interval: pointer-equal leaves are skipped
-// without touching their values, pointer-equal internals and internals with
-// equal routing keys descend pairwise, and only genuinely divergent regions
-// are enumerated and merged. Exactness of the pointer-equal-leaf skip
-// requires s to have been held live continuously since its capture (see
-// dict.SnapshotDiff).
-func (s *Snap[K, V]) Diff(other dict.SnapshotView[K, V], eq func(a, b V) bool, fn func(key K, oldV V, oldOK bool, newV V, newOK bool) bool) bool {
-	o, ok := other.(*Snap[K, V])
-	if !ok || o.entry != s.entry {
-		return false
-	}
-	s.diffWalk(s.entry, o.entry, o, eq, fn)
-	return true
-}
-
-type snapKV[K, V any] struct {
-	k K
-	v V
-}
-
-// diffWalk diffs two same-interval subtrees, a resolved under s.ver and b
-// under o.ver. It returns false if fn stopped the diff.
-func (s *Snap[K, V]) diffWalk(a, b *Node[K, V], o *Snap[K, V], eq func(V, V) bool, fn func(K, V, bool, V, bool) bool) bool {
-	if a == b {
-		if a == nil || a.IsLeaf() {
-			// Pointer-equal leaves are value-equal: overwrites while either
-			// snapshot was live went through leaf replacement.
-			return true
-		}
-		if !s.diffWalk(resolve(a.left.Load(), s.ver), resolve(a.left.Load(), o.ver), o, eq, fn) {
-			return false
-		}
-		return s.diffWalk(resolve(a.right.Load(), s.ver), resolve(a.right.Load(), o.ver), o, eq, fn)
-	}
-	if a != nil && b != nil && !a.IsLeaf() && !b.IsLeaf() && sameRouting(s.less, a, b) {
-		if !s.diffWalk(resolve(a.left.Load(), s.ver), resolve(b.left.Load(), o.ver), o, eq, fn) {
-			return false
-		}
-		return s.diffWalk(resolve(a.right.Load(), s.ver), resolve(b.right.Load(), o.ver), o, eq, fn)
-	}
-	// Divergent region: enumerate both sides and merge.
-	var as, bs []snapKV[K, V]
-	s.collect(a, s.ver, &as)
-	s.collect(b, o.ver, &bs)
-	i, j := 0, 0
-	var zero V
-	for i < len(as) || j < len(bs) {
-		switch {
-		case j == len(bs) || (i < len(as) && s.less(as[i].k, bs[j].k)):
-			if !fn(as[i].k, as[i].v, true, zero, false) {
-				return false
-			}
-			i++
-		case i == len(as) || s.less(bs[j].k, as[i].k):
-			if !fn(bs[j].k, zero, false, bs[j].v, true) {
-				return false
-			}
-			j++
-		default:
-			if !eq(as[i].v, bs[j].v) {
-				if !fn(as[i].k, as[i].v, true, bs[j].v, true) {
-					return false
-				}
-			}
-			i++
-			j++
-		}
-	}
-	return true
-}
-
-// sameRouting reports whether two internal nodes carry the same routing key
-// (sentinels route identically by definition).
-func sameRouting[K, V any](less func(K, K) bool, a, b *Node[K, V]) bool {
-	if a.IsSentinel() || b.IsSentinel() {
-		return a.IsSentinel() && b.IsSentinel()
-	}
-	return !less(a.K, b.K) && !less(b.K, a.K)
-}
-
-// collect appends the (key, value) pairs of a resolved subtree in order.
-func (s *Snap[K, V]) collect(n *Node[K, V], ver uint64, out *[]snapKV[K, V]) {
-	if n == nil {
-		return
-	}
-	if n.IsLeaf() {
-		if !n.IsSentinel() {
-			*out = append(*out, snapKV[K, V]{n.K, valueOf(n)})
-		}
-		return
-	}
-	s.collect(resolve(n.left.Load(), ver), ver, out)
-	if !n.IsSentinel() {
-		s.collect(resolve(n.right.Load(), ver), ver, out)
-	}
 }
 
 // ---------------------------------------------------------------------------

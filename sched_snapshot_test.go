@@ -135,9 +135,6 @@ func TestSnapshotCutEnumeration(t *testing.T) {
 		if again := observeSnap(snap2); again != first2 {
 			return fmt.Errorf("second snapshot moved after quiescence: %+v then %+v", first2, again)
 		}
-		if !snap1.Consistent() || !snap2.Consistent() {
-			return fmt.Errorf("capture did not report a consistent view")
-		}
 		return nil
 	})
 	if len(violations) > 0 {
