@@ -13,8 +13,8 @@ package repro
 // and STM red-black trees.
 //
 // The same suite also runs against string-keyed instantiations of every
-// structure (see stringTargets), which exercises the comparator path end to
-// end: no part of the stack may assume integer keys.
+// structure (see stringTreeTargets), so no part of the stack may assume
+// integer keys.
 
 import (
 	"fmt"
@@ -179,16 +179,12 @@ func allSequentialTargets(tb testing.TB) []dicttest.Target {
 }
 
 // stringTreeTargets instantiates the generic template trees with string keys
-// and values: EBST and RAVL through NewOrdered (natural string ordering),
-// Chromatic through NewLess with an explicit comparator, so both
-// construction paths are exercised.
+// and values.
 func stringTreeTargets() []dicttest.TargetOf[string, string] {
-	stringLess := func(a, b string) bool { return a < b }
 	return []dicttest.TargetOf[string, string]{
 		{
 			Name: "EBST/string",
 			New:  func() dict.Map[string, string] { return ebst.NewOrdered[string, string]() },
-			Less: stringLess,
 			Check: func(d dict.Map[string, string]) error {
 				return d.(*ebst.Tree[string, string]).CheckStructure()
 			},
@@ -196,7 +192,6 @@ func stringTreeTargets() []dicttest.TargetOf[string, string] {
 		{
 			Name: "RAVL/string",
 			New:  func() dict.Map[string, string] { return ravl.NewOrdered[string, string]() },
-			Less: stringLess,
 			Check: func(d dict.Map[string, string]) error {
 				tr := d.(*ravl.Tree[string, string])
 				if err := tr.CheckStructure(); err != nil {
@@ -210,10 +205,7 @@ func stringTreeTargets() []dicttest.TargetOf[string, string] {
 		},
 		{
 			Name: "Chromatic/string",
-			New: func() dict.Map[string, string] {
-				return chromatic.NewLess[string, string](stringLess)
-			},
-			Less: stringLess,
+			New:  func() dict.Map[string, string] { return chromatic.NewOrdered[string, string]() },
 			Check: func(d dict.Map[string, string]) error {
 				return d.(*chromatic.Tree[string, string]).CheckRedBlack()
 			},
@@ -221,9 +213,8 @@ func stringTreeTargets() []dicttest.TargetOf[string, string] {
 		{
 			Name: "Chromatic6/string",
 			New: func() dict.Map[string, string] {
-				return chromatic.NewLess[string, string](stringLess, chromatic.WithAllowedViolations(6))
+				return chromatic.NewOrdered[string, string](chromatic.WithAllowedViolations(6))
 			},
-			Less: stringLess,
 			Check: func(d dict.Map[string, string]) error {
 				return d.(*chromatic.Tree[string, string]).CheckInvariants()
 			},
@@ -232,23 +223,19 @@ func stringTreeTargets() []dicttest.TargetOf[string, string] {
 }
 
 // stringBaselineTargets instantiates the five baseline structures with
-// string keys and values, mixing the NewOrdered and NewLess construction
-// paths so both the devirtualized and the comparator-based walks run.
+// string keys and values.
 func stringBaselineTargets() []dicttest.TargetOf[string, string] {
-	stringLess := func(a, b string) bool { return a < b }
 	return []dicttest.TargetOf[string, string]{
 		{
 			Name: "SkipList/string",
 			New:  func() dict.Map[string, string] { return skiplist.NewOrdered[string, string]() },
-			Less: stringLess,
 			Check: func(d dict.Map[string, string]) error {
 				return d.(*skiplist.List[string, string]).CheckInvariants()
 			},
 		},
 		{
 			Name: "LockAVL/string",
-			New:  func() dict.Map[string, string] { return lockavl.NewLess[string, string](stringLess) },
-			Less: stringLess,
+			New:  func() dict.Map[string, string] { return lockavl.NewOrdered[string, string]() },
 			Check: func(d dict.Map[string, string]) error {
 				return d.(*lockavl.Tree[string, string]).CheckInvariants()
 			},
@@ -256,15 +243,13 @@ func stringBaselineTargets() []dicttest.TargetOf[string, string] {
 		{
 			Name: "RBSTM/string",
 			New:  func() dict.Map[string, string] { return stmrbt.NewOrdered[string, string]() },
-			Less: stringLess,
 			Check: func(d dict.Map[string, string]) error {
 				return d.(*stmrbt.Tree[string, string]).CheckInvariants()
 			},
 		},
 		{
 			Name: "SkipListSTM/string",
-			New:  func() dict.Map[string, string] { return stmskip.NewLess[string, string](stringLess) },
-			Less: stringLess,
+			New:  func() dict.Map[string, string] { return stmskip.NewOrdered[string, string]() },
 			Check: func(d dict.Map[string, string]) error {
 				return d.(*stmskip.List[string, string]).CheckInvariants()
 			},
@@ -272,7 +257,6 @@ func stringBaselineTargets() []dicttest.TargetOf[string, string] {
 		{
 			Name: "RBGlobal/string",
 			New:  func() dict.Map[string, string] { return seqrbt.NewGlobalOrdered[string, string]() },
-			Less: stringLess,
 			Check: func(d dict.Map[string, string]) error {
 				return d.(*seqrbt.Global[string, string]).CheckInvariants()
 			},
@@ -283,11 +267,9 @@ func stringBaselineTargets() []dicttest.TargetOf[string, string] {
 // stringSeqRBTTarget is the string-keyed sequential tree (sequential and
 // fuzz suites only).
 func stringSeqRBTTarget() dicttest.TargetOf[string, string] {
-	stringLess := func(a, b string) bool { return a < b }
 	return dicttest.TargetOf[string, string]{
 		Name: "SeqRBT/string",
-		New:  func() dict.Map[string, string] { return seqrbt.NewLess[string, string](stringLess) },
-		Less: stringLess,
+		New:  func() dict.Map[string, string] { return seqrbt.NewOrdered[string, string]() },
 		Check: func(d dict.Map[string, string]) error {
 			return d.(*seqrbt.Tree[string, string]).CheckInvariants()
 		},
@@ -304,7 +286,7 @@ func allStringSequentialTargets() []dicttest.TargetOf[string, string] {
 
 // stringKey derives a compact string key from the suite's random stream.
 // The space mixes short and long keys sharing prefixes, which stresses the
-// comparator path more than fixed-width keys would.
+// key comparisons more than fixed-width keys would.
 func stringKey(u uint64) string {
 	base := fmt.Sprintf("k%02d", u%97)
 	if u%3 == 0 {
@@ -416,22 +398,18 @@ func TestHotKeyOverwriteStressBoxedValues(t *testing.T) {
 		{
 			Name: "Chromatic/boxed",
 			New:  func() dict.Map[int64, string] { return chromatic.NewOrdered[int64, string]() },
-			Less: func(a, b int64) bool { return a < b },
 		},
 		{
 			Name: "EBST/boxed",
 			New:  func() dict.Map[int64, string] { return ebst.NewOrdered[int64, string]() },
-			Less: func(a, b int64) bool { return a < b },
 		},
 		{
 			Name: "SkipList/boxed",
 			New:  func() dict.Map[int64, string] { return skiplist.NewOrdered[int64, string]() },
-			Less: func(a, b int64) bool { return a < b },
 		},
 		{
 			Name: "LockAVL/boxed",
 			New:  func() dict.Map[int64, string] { return lockavl.NewOrdered[int64, string]() },
-			Less: func(a, b int64) bool { return a < b },
 		},
 	}
 	const hot = int64(1 << 20)
@@ -783,7 +761,7 @@ func TestScanConformance(t *testing.T) {
 					want = append(want, k)
 				}
 				rec := linearize.NewRecorder[int64, int64](d)
-				n := rec.Proc().Scan(r.lo, r.hi, int64Less)
+				n := rec.Proc().Scan(r.lo, r.hi)
 				for _, op := range rec.History().Ops {
 					live = append(live, op.Key)
 				}

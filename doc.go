@@ -14,13 +14,11 @@
 // end: dict.Map[K, V] / dict.OrderedMap[K, V] are the canonical interfaces,
 // and every structure - the LLX/SCX trees and the five baselines (lock-free
 // skip list, lock-based AVL, STM red-black tree and skip list, sequential
-// red-black tree) alike - is parameterized by a key comparator with
-// NewOrdered fast paths for cmp.Ordered keys (plus a concrete string-key
-// specialization in the trees). The historical int64 instantiations survive
-// as the dict.IntMap / dict.IntOrderedMap / dict.IntFactory aliases the
-// benchmark registry uses, and every registered structure is an ordered
-// map, so one conformance/fuzz/stress suite and one Figure-8 grid cover
-// them all.
+// red-black tree) alike - takes cmp.Ordered keys ordered by cmp.Less (NaN
+// first). The historical int64 instantiations survive as the dict.IntMap /
+// dict.IntOrderedMap / dict.IntFactory aliases the benchmark registry uses,
+// and every registered structure is an ordered map, so one
+// conformance/fuzz/stress suite and one Figure-8 grid cover them all.
 //
 // The update hot path is allocation-lean, going one step past the compact
 // SCX records of the paper's Java implementation: an SCX-record stores its
@@ -34,14 +32,14 @@
 // inserts reuse the old leaf as a child of the fresh internal node where the
 // template's postconditions allow (values stored into child fields must
 // stay freshly allocated, so deletes still promote a copy, and a leaf whose
-// weight an insertion changes is copied too); and NewOrdered
-// trees install a search routine specialized to the native `<` of the key
-// type. Overwriting a present key's value needs no SCX at all: leaf values
-// live in atomically published cells (internal/vcell, unboxed single-word
-// storage for word-sized value types) that sit outside the LLX snapshot
-// evidence and are aliased by every copy of a leaf, so Insert-on-present is
-// one atomic publish plus a finalization re-check - zero allocations for the
-// int64 registry, on the trees and the skip-list/lock-AVL baselines alike.
+// weight an insertion changes is copied too); and the search compares keys
+// with cmp.Less inline. Overwriting a present key's value needs no SCX at
+// all: leaf values live in atomically published cells (internal/vcell,
+// unboxed single-word storage for word-sized value types) that sit outside
+// the LLX snapshot evidence and are aliased by every copy of a leaf, so
+// Insert-on-present is one atomic publish plus a finalization re-check -
+// zero allocations for the int64 registry, on the trees and the
+// skip-list/lock-AVL baselines alike.
 // The trees keep the cells outside their nodes: a node is one 64-byte cache
 // line (the policy's decoration - a weight or a height - and the
 // leaf/sentinel flags packed into the four spare bytes of its llxscx.Record), a cell is 32 bytes from a per-tree

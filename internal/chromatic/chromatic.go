@@ -25,10 +25,9 @@
 // holds the steps and the decision procedure that picks one. Tree adds the
 // weight-aware checkers (CheckInvariants, CheckRedBlack, CountViolations).
 //
-// Tree is generic over the key and value types. NewOrdered builds a tree over
-// any cmp.Ordered key type, NewLess accepts an arbitrary comparator (see
-// dict.Less for the contract), and New keeps the historical int64
-// instantiation. The Chromatic6 variant of the paper — which postpones
+// Tree is generic over the key and value types: NewOrdered builds a tree over
+// any cmp.Ordered key type, ordered by cmp.Less, and New keeps the historical
+// int64 instantiation. The Chromatic6 variant of the paper — which postpones
 // rebalancing until more than six violations accumulate on a search path —
 // is obtained with WithAllowedViolations(6) or NewChromatic6.
 package chromatic
@@ -79,12 +78,12 @@ func (s *Stats) RebalanceTotal() int64 {
 		s.MirrorW5.Load() + s.MirrorW6.Load()
 }
 
-// Tree is a non-blocking chromatic tree implementing an ordered dictionary
-// with keys ordered by a comparator. It is safe for concurrent use by any
-// number of goroutines. The zero value is not usable; call New, NewOrdered
-// or NewLess. All dictionary and ordered-query operations come from the
-// embedded engine; this type adds the weight-aware inspection helpers.
-type Tree[K, V any] struct {
+// Tree is a non-blocking chromatic tree implementing an ordered dictionary.
+// It is safe for concurrent use by any number of goroutines. The zero value
+// is not usable; call New or NewOrdered. All dictionary and ordered-query
+// operations come from the embedded engine; this type adds the weight-aware
+// inspection helpers.
+type Tree[K cmp.Ordered, V any] struct {
 	*lbst.Tree[K, V]
 	pol *policy[K, V]
 }
@@ -108,28 +107,16 @@ func WithAllowedViolations(k int) Option {
 	return func(c *config) { c.allowed = k }
 }
 
-// newTree wires a policy to the engine tree that engine builds around it.
-func newTree[K, V any](opts []Option, engine func(lbst.Policy[K, V]) *lbst.Tree[K, V]) *Tree[K, V] {
+// NewOrdered returns an empty chromatic tree over a naturally ordered key
+// type.
+func NewOrdered[K cmp.Ordered, V any](opts ...Option) *Tree[K, V] {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
 	pol := &policy[K, V]{allowed: cfg.allowed, stats: newStats()}
-	pol.eng = engine(pol)
+	pol.eng = lbst.NewOrdered[K, V](pol)
 	return &Tree[K, V]{Tree: pol.eng, pol: pol}
-}
-
-// NewLess returns an empty chromatic tree whose keys are ordered by less.
-func NewLess[K, V any](less func(a, b K) bool, opts ...Option) *Tree[K, V] {
-	return newTree(opts, func(pol lbst.Policy[K, V]) *lbst.Tree[K, V] { return lbst.New(less, pol) })
-}
-
-// NewOrdered returns an empty chromatic tree over a naturally ordered key
-// type. It behaves exactly like NewLess with cmp.Less, but the engine
-// installs a search routine specialized to the native `<` operator, removing
-// the indirect comparator call per node on the read path.
-func NewOrdered[K cmp.Ordered, V any](opts ...Option) *Tree[K, V] {
-	return newTree(opts, lbst.NewOrdered[K, V])
 }
 
 // New returns an empty chromatic tree with int64 keys and values, the
@@ -149,7 +136,7 @@ func (t *Tree[K, V]) Stats() *Stats { return t.pol.stats }
 // policy is the chromatic balancing policy for the lbst engine: a node's
 // decoration is its weight. eng is the engine tree it balances, wired after
 // construction; the rebalancing steps draw their fresh nodes from its pools.
-type policy[K, V any] struct {
+type policy[K cmp.Ordered, V any] struct {
 	// allowed is the number of violations tolerated on a search path before
 	// an insertion or deletion that created a violation triggers cleanup. 0
 	// reproduces the paper's Chromatic, 6 reproduces Chromatic6.

@@ -616,24 +616,3 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 		t.Fatalf("invariants: %v", err)
 	}
 }
-
-// TestNewOrderedInstallsSpecializedSearch: NewOrdered hands the engine's
-// NewOrdered the policy (which of the engine's search loops that installs is
-// pinned in internal/lbst), NewLess the comparator, and the two trees must
-// agree.
-func TestNewOrderedInstallsSpecializedSearch(t *testing.T) {
-	st := NewOrdered[string, int64]()
-	lt := NewLess[string, int64](func(a, b string) bool { return a < b })
-	keys := []string{"b", "a", "c/long", "c", "aa", ""}
-	for i, k := range keys {
-		st.Insert(k, int64(i))
-		lt.Insert(k, int64(i))
-	}
-	for _, k := range append(keys, "zz", "ab") {
-		sv, sok := st.Get(k)
-		lv, lok := lt.Get(k)
-		if sv != lv || sok != lok {
-			t.Fatalf("Get(%q): specialized (%d,%v), comparator (%d,%v)", k, sv, sok, lv, lok)
-		}
-	}
-}

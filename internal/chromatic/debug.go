@@ -1,6 +1,7 @@
 package chromatic
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 )
@@ -11,7 +12,6 @@ import (
 // uses plain reads and is not linearizable.
 func (t *Tree[K, V]) DebugPath(key K) string {
 	var b strings.Builder
-	less := t.Less()
 	n := t.Entry()
 	depth := 0
 	for n != nil {
@@ -23,7 +23,7 @@ func (t *Tree[K, V]) DebugPath(key K) string {
 		if n.IsLeaf() {
 			break
 		}
-		if n.IsSentinel() || less(key, n.K) {
+		if n.IsSentinel() || cmp.Less(key, n.K) {
 			n = n.Left()
 		} else {
 			n = n.Right()

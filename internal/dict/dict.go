@@ -7,31 +7,12 @@
 // with the value ⊥ represented by the boolean "ok" result. The paper's trees
 // are key-type-agnostic - only the search routine compares keys - so the
 // canonical interfaces are generic: Map[K, V] and OrderedMap[K, V] are
-// parameterized by the key and value types, and implementations order keys
-// with a caller-supplied comparator of type Less[K] (constructors for
-// cmp.Ordered key types install the natural `<` ordering). The historical
-// int64 instantiations survive as the IntMap, IntOrderedMap and IntFactory
+// parameterized by the key and value types. Every implementation takes
+// cmp.Ordered keys and orders them by cmp.Less, which puts a NaN key before
+// every other key and treats two NaNs as the same key. The historical int64
+// instantiations survive as the IntMap, IntOrderedMap and IntFactory
 // aliases, which the benchmark harness and the paper's figures still use.
 package dict
-
-import "cmp"
-
-// Less is the key comparator contract: it reports whether a is strictly
-// ordered before b. It must define a strict weak ordering (irreflexive,
-// transitive, with transitive incomparability); two keys a and b are
-// considered equal exactly when !Less(a, b) && !Less(b, a). Comparators must
-// be pure and safe for concurrent use: the trees call them from many
-// goroutines with no synchronization.
-type Less[K any] func(a, b K) bool
-
-// Ordered returns the natural `<` comparator for any cmp.Ordered key type.
-// It is a convenience for callers that need an explicit Less value (for
-// example to store alongside other configuration, or to hand to a tree's
-// NewLess constructor); the trees' NewOrdered constructors install the same
-// ordering themselves.
-func Ordered[K cmp.Ordered]() Less[K] {
-	return func(a, b K) bool { return a < b }
-}
 
 // Map is a dictionary with totally ordered keys of type K and values of
 // type V.

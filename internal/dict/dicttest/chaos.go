@@ -1,6 +1,7 @@
 package dicttest
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -59,7 +60,7 @@ func drainPending(t *testing.T, d time.Duration) {
 // reclamation), so the workload always terminates; afterwards the suite
 // asserts completion, linearizability, structure invariants, and that
 // epoch pending returns to zero.
-func ChaosChurnStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], writers, opsPerWriter int, window []K, val func(writer, i int) V) {
+func ChaosChurnStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], writers, opsPerWriter int, window []K, val func(writer, i int) V) {
 	t.Helper()
 	checkGoroutineLeaks(t)
 	seed := stressSeed(t)
@@ -145,7 +146,7 @@ func ChaosChurnStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K
 			case <-scanStop:
 				return
 			default:
-				p.Scan(lo, hi, tgt.Less)
+				p.Scan(lo, hi)
 			}
 		}
 		<-scanStop
@@ -199,7 +200,7 @@ func ChaosChurnStress(t *testing.T, tgt Target, writers, opsPerWriter int) {
 // their pins during unwinding. Afterwards the structure must be fully
 // usable (a sequential model-checked pass over the window), its invariants
 // must hold, and epoch pending must drain to zero.
-func ChaosCrashStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], workers, opsPerWorker int, window []K, val func(worker, i int) V) {
+func ChaosCrashStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], workers, opsPerWorker int, window []K, val func(worker, i int) V) {
 	t.Helper()
 	checkGoroutineLeaks(t)
 	seed := stressSeed(t)
@@ -285,7 +286,7 @@ func ChaosCrashStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K
 	// Post-crash usability: with injection off, the survivors of the crash
 	// storm must behave like a healthy dictionary. Run a deterministic
 	// model-checked pass over the same window the crashes hit.
-	md := newModel[K, V](tgt.Less)
+	md := newModel[K, V]()
 	for _, k := range window {
 		if v, ok := d.Get(k); ok {
 			md.insert(k, v)
@@ -338,7 +339,7 @@ func ChaosCrashStress(t *testing.T, tgt Target, workers, opsPerWorker int) {
 // its keys, its operations are sequential per key, so a per-worker model
 // tracks the exact expected state: a budget failure must be effect-free and
 // a success must land exactly. The target must implement dict.BoundedMap.
-func ChaosBoundedStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], goroutines, opsPerG int, key func(g int, u uint64) K, val func(uint64) V) {
+func ChaosBoundedStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], goroutines, opsPerG int, key func(g int, u uint64) K, val func(uint64) V) {
 	t.Helper()
 	checkGoroutineLeaks(t)
 	seed := stressSeed(t)
@@ -370,7 +371,7 @@ func ChaosBoundedStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf
 			defer wg.Done()
 			cw := sched.RegisterChaos(g)
 			defer cw.Close()
-			md := newModel[K, V](tgt.Less)
+			md := newModel[K, V]()
 			state := seed + uint64(g)*0x9e3779b97f4a7c15 + 1
 			budget := dict.Budget{Retries: 2}
 			for i := 0; i < opsPerG; i++ {

@@ -48,7 +48,6 @@ func TestFuzzInputDeadlineNamesTheStuckOperation(t *testing.T) {
 	tgt := TargetOf[int64, int64]{
 		Name: "Stuck",
 		New:  func() dict.Map[int64, int64] { return m },
-		Less: func(a, b int64) bool { return a < b },
 	}
 	id := func(u uint64) int64 { return int64(u) }
 	reports := make(chan string, 1) // one expiry at most; it must not block the timer

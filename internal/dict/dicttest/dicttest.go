@@ -1,9 +1,9 @@
 // Package dicttest provides a reusable conformance, fuzz and stress suite
 // for dict.Map / dict.OrderedMap implementations, in the spirit of the
 // fuzz-vs-model testing used for classic balanced-tree libraries: every
-// operation is mirrored against a plain Go map (plus keys sorted by the
-// target's comparator for the ordered queries), and a structure-specific
-// invariant checker runs once the structure is quiescent.
+// operation is mirrored against a plain Go map (plus keys sorted by cmp.Less
+// for the ordered queries), and a structure-specific invariant checker runs
+// once the structure is quiescent.
 //
 // The suite is generic over the key and value types (TargetOf and the *KV
 // functions); the historical int64 entry points (Target,
@@ -20,10 +20,11 @@
 package dicttest
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -33,17 +34,14 @@ import (
 	"repro/internal/dict"
 )
 
-// TargetOf bundles a dictionary factory with its key comparator and an
-// optional quiescent invariant check (for example the chromatic tree's
-// weight invariants or the relaxed AVL tree's height bookkeeping).
-type TargetOf[K comparable, V comparable] struct {
+// TargetOf bundles a dictionary factory with an optional quiescent invariant
+// check (for example the chromatic tree's weight invariants or the relaxed
+// AVL tree's height bookkeeping).
+type TargetOf[K cmp.Ordered, V comparable] struct {
 	// Name labels subtests.
 	Name string
 	// New creates an empty dictionary.
 	New func() dict.Map[K, V]
-	// Less orders keys; it must match the comparator the dictionary itself
-	// was built with, since the model's ordered queries use it.
-	Less func(a, b K) bool
 	// Check, if non-nil, verifies structure-specific invariants. It is only
 	// called when no operations are in flight.
 	Check func(dict.Map[K, V]) error
@@ -69,27 +67,24 @@ type Target struct {
 	CheckOp func(dict.IntMap) error
 }
 
-// generic converts an int64 Target to the generic form with the natural
-// ordering.
+// generic converts an int64 Target to the generic form.
 func (tgt Target) generic() TargetOf[int64, int64] {
 	return TargetOf[int64, int64]{
 		Name:    tgt.Name,
 		New:     tgt.New,
-		Less:    func(a, b int64) bool { return a < b },
 		Check:   tgt.Check,
 		CheckOp: tgt.CheckOp,
 	}
 }
 
-// model is the reference implementation: a Go map plus comparator-sorted
-// queries.
-type model[K comparable, V comparable] struct {
-	m    map[K]V
-	less func(a, b K) bool
+// model is the reference implementation: a Go map plus cmp.Less-ordered
+// queries. A Go map cannot find a NaN key, so the model holds none.
+type model[K cmp.Ordered, V comparable] struct {
+	m map[K]V
 }
 
-func newModel[K comparable, V comparable](less func(a, b K) bool) *model[K, V] {
-	return &model[K, V]{m: map[K]V{}, less: less}
+func newModel[K cmp.Ordered, V comparable]() *model[K, V] {
+	return &model[K, V]{m: map[K]V{}}
 }
 
 func (md *model[K, V]) insert(k K, v V) (V, bool) {
@@ -113,7 +108,7 @@ func (md *model[K, V]) successor(k K) (K, V, bool) {
 	var best K
 	found := false
 	for key := range md.m {
-		if md.less(k, key) && (!found || md.less(key, best)) {
+		if cmp.Less(k, key) && (!found || cmp.Less(key, best)) {
 			best, found = key, true
 		}
 	}
@@ -129,7 +124,7 @@ func (md *model[K, V]) predecessor(k K) (K, V, bool) {
 	var best K
 	found := false
 	for key := range md.m {
-		if md.less(key, k) && (!found || md.less(best, key)) {
+		if cmp.Less(key, k) && (!found || cmp.Less(best, key)) {
 			best, found = key, true
 		}
 	}
@@ -146,13 +141,13 @@ func (md *model[K, V]) sortedKeys() []K {
 	for k := range md.m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return md.less(keys[i], keys[j]) })
+	slices.Sort(keys)
 	return keys
 }
 
 // applyChecked performs one operation against both the dictionary and the
 // model and fails the test on any divergence. op is interpreted modulo 5.
-func applyChecked[K comparable, V comparable](t testing.TB, name string, d dict.Map[K, V], md *model[K, V], step int, op int, key K, val V) {
+func applyChecked[K cmp.Ordered, V comparable](t testing.TB, name string, d dict.Map[K, V], md *model[K, V], step int, op int, key K, val V) {
 	t.Helper()
 	om, ordered := d.(dict.OrderedMap[K, V])
 	switch op % 5 {
@@ -197,7 +192,7 @@ func applyChecked[K comparable, V comparable](t testing.TB, name string, d dict.
 
 // finalCheck sweeps the model's final state, the Size report and the
 // target's invariant checker.
-func finalCheck[K comparable, V comparable](t testing.TB, tgt TargetOf[K, V], d dict.Map[K, V], md *model[K, V]) {
+func finalCheck[K cmp.Ordered, V comparable](t testing.TB, tgt TargetOf[K, V], d dict.Map[K, V], md *model[K, V]) {
 	t.Helper()
 	for _, k := range md.sortedKeys() {
 		want := md.m[k]
@@ -222,7 +217,7 @@ func finalCheck[K comparable, V comparable](t testing.TB, tgt TargetOf[K, V], d 
 // mismatch stops the scan and is reported after it returns: a Fatalf that
 // ends the goroutine inside the callback would leave the scan's epoch slot
 // pinned for the rest of the process.
-func checkContent[K comparable, V comparable](t testing.TB, name string, step int, d dict.Map[K, V], md *model[K, V]) {
+func checkContent[K cmp.Ordered, V comparable](t testing.TB, name string, step int, d dict.Map[K, V], md *model[K, V]) {
 	t.Helper()
 	asc, ok := d.(interface {
 		Ascend(fn func(k K, v V) bool) int
@@ -286,10 +281,10 @@ func stressSeed(t *testing.T) uint64 {
 // sequence (including ordered queries when supported) against the model.
 // key and val derive the operation's key and value from the suite's random
 // stream; key controls the effective key-space density.
-func SequentialConformanceKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], ops int, key func(uint64) K, val func(uint64) V, seed int64) {
+func SequentialConformanceKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], ops int, key func(uint64) K, val func(uint64) V, seed int64) {
 	t.Helper()
 	d := tgt.New()
-	md := newModel[K, V](tgt.Less)
+	md := newModel[K, V]()
 	state := uint64(seed)*2862933555777941757 + 3037000493
 	for i := 0; i < ops; i++ {
 		op := int(lcg(&state) % 5)
@@ -327,7 +322,7 @@ const fuzzInputDeadline = 30 * time.Second
 // under a deadline, and a run that passes it is ended the way the testing
 // package ends one that passes -timeout: by a panic, which here names both,
 // followed by every goroutine's stack, which shows where the operation spins.
-func FuzzOpsKV[K comparable, V comparable](t testing.TB, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V, data []byte) {
+func FuzzOpsKV[K cmp.Ordered, V comparable](t testing.TB, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V, data []byte) {
 	t.Helper()
 	fuzzOpsKV(t, tgt, key, val, data, fuzzInputDeadline, func(report string) {
 		debug.SetTraceback("all")
@@ -338,10 +333,10 @@ func FuzzOpsKV[K comparable, V comparable](t testing.TB, tgt TargetOf[K, V], key
 // fuzzOpsKV is FuzzOpsKV with the deadline of one input and what happens when
 // it passes (on the timer's goroutine: the test's own is stuck in the
 // operation) left to the caller.
-func fuzzOpsKV[K comparable, V comparable](t testing.TB, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V, data []byte, deadline time.Duration, expired func(report string)) {
+func fuzzOpsKV[K cmp.Ordered, V comparable](t testing.TB, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V, data []byte, deadline time.Duration, expired func(report string)) {
 	t.Helper()
 	d := tgt.New()
-	md := newModel[K, V](tgt.Less)
+	md := newModel[K, V]()
 	var step atomic.Int64 // the operation in flight, for the watchdog
 	watchdog := time.AfterFunc(deadline, func() {
 		report := fmt.Sprintf("dicttest: %s: operation %d of the input has not returned after %v", tgt.Name, step.Load(), deadline)
@@ -385,7 +380,7 @@ func FuzzOps(t testing.TB, tgt Target, data []byte) {
 // must satisfy their contract, and runs the invariant checker at
 // quiescence. key derives goroutine g's keys from the random stream and
 // must return disjoint key sets for distinct g.
-func ConcurrentStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], goroutines, opsPerG int, key func(g int, u uint64) K, val func(uint64) V) {
+func ConcurrentStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], goroutines, opsPerG int, key func(g int, u uint64) K, val func(uint64) V) {
 	t.Helper()
 	checkGoroutineLeaks(t)
 	seed := stressSeed(t)
@@ -415,7 +410,7 @@ func ConcurrentStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K
 					dead[k] = true
 				default:
 					if ordered {
-						if sk, _, ok := om.Successor(k); ok && !tgt.Less(k, sk) {
+						if sk, _, ok := om.Successor(k); ok && !cmp.Less(k, sk) {
 							t.Errorf("%s: Successor(%v) returned %v", tgt.Name, k, sk)
 							return
 						}
@@ -483,7 +478,7 @@ func ConcurrentStress(t *testing.T, tgt Target, goroutines, opsPerG int, keysPer
 // val must return a distinct value for every (writer, i) pair and must not
 // collide with churnVal; both are "published" values. writer indices 0..
 // writers-1 are the overwriters.
-func HotKeyStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], writers, overwritesPerWriter int, hot K, neighbors []K, val func(writer, i int) V, churnVal V) {
+func HotKeyStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], writers, overwritesPerWriter int, hot K, neighbors []K, val func(writer, i int) V, churnVal V) {
 	t.Helper()
 	checkGoroutineLeaks(t)
 	d := tgt.New()
@@ -634,9 +629,9 @@ func HotKeyStress(t *testing.T, tgt Target, writers, overwritesPerWriter int) {
 // makes recycling a node's fields race-free, so any hole in it surfaces as a
 // race report here.
 //
-// window must be sorted ascending by tgt.Less and contain no duplicates. val
+// window must be sorted ascending by cmp.Less and contain no duplicates. val
 // must return a distinct value for every (writer, i) pair.
-func ChurnStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], writers, opsPerWriter, readers int, window []K, val func(writer, i int) V) {
+func ChurnStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], writers, opsPerWriter, readers int, window []K, val func(writer, i int) V) {
 	t.Helper()
 	checkGoroutineLeaks(t)
 	seed := stressSeed(t)
@@ -656,7 +651,7 @@ func ChurnStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V],
 	}
 	inWindow := make(map[K]bool, len(window))
 	for i, k := range window {
-		if i > 0 && !tgt.Less(window[i-1], k) {
+		if i > 0 && !cmp.Less(window[i-1], k) {
 			t.Fatalf("window must be sorted ascending without duplicates (index %d)", i)
 		}
 		inWindow[k] = true
@@ -719,10 +714,10 @@ func ChurnStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V],
 					prev := lo
 					for steps := 0; steps <= len(window); steps++ {
 						k, v, ok := om.Successor(prev)
-						if !ok || tgt.Less(hi, k) {
+						if !ok || cmp.Less(hi, k) {
 							break
 						}
-						if !tgt.Less(prev, k) {
+						if !cmp.Less(prev, k) {
 							t.Errorf("successor walk: Successor(%v) returned %v, not strictly greater", prev, k)
 							return
 						}
@@ -736,7 +731,7 @@ func ChurnStressKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V],
 					first := true
 					var last K
 					rng.RangeScan(lo, hi, func(k K, v V) bool {
-						if !first && !tgt.Less(last, k) {
+						if !first && !cmp.Less(last, k) {
 							t.Errorf("range scan: key %v after %v, not strictly ascending", k, last)
 							return false
 						}

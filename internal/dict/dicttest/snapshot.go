@@ -1,6 +1,7 @@
 package dicttest
 
 import (
+	"cmp"
 	"sync"
 	"testing"
 
@@ -25,7 +26,7 @@ import (
 //     re-reading a captured key while a writer keeps overwriting it.
 //  3. A held snapshot keeps every node it can reach from being recycled
 //     under heavy churn, and releasing it lets them recycle.
-func SnapshotSuiteKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V) {
+func SnapshotSuiteKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V) {
 	t.Helper()
 	if _, ok := tgt.New().(dict.Snapshotter[K, V]); !ok {
 		t.Skipf("%s does not implement dict.Snapshotter", tgt.Name)
@@ -45,11 +46,11 @@ func SnapshotSuiteKV[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V
 // catches the recycle as a data race. After the churn quiesces, draining
 // reclamation with the snapshot still held must leave retirees pending, and
 // releasing the snapshot must let them recycle.
-func snapshotHoldChurn[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V) {
+func snapshotHoldChurn[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V) {
 	t.Helper()
 	d := tgt.New()
 	sn := d.(dict.Snapshotter[K, V])
-	md := newModel[K, V](tgt.Less)
+	md := newModel[K, V]()
 	const window = 512
 	for i := 0; i < window; i++ {
 		k := key(uint64(i))
@@ -120,7 +121,7 @@ func snapshotHoldChurn[K comparable, V comparable](t *testing.T, tgt TargetOf[K,
 
 // viewEqualsModel checks that the view reports exactly the model's contents
 // through Get, Ascend and a full-range RangeScan.
-func viewEqualsModel[K comparable, V comparable](t *testing.T, name string, view dict.SnapshotView[K, V], md *model[K, V]) {
+func viewEqualsModel[K cmp.Ordered, V comparable](t *testing.T, name string, view dict.SnapshotView[K, V], md *model[K, V]) {
 	t.Helper()
 	for _, k := range md.sortedKeys() {
 		want := md.m[k]
@@ -159,11 +160,11 @@ func viewEqualsModel[K comparable, V comparable](t *testing.T, name string, view
 	}
 }
 
-func snapshotFrozen[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V) {
+func snapshotFrozen[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V) {
 	t.Helper()
 	d := tgt.New()
 	sn := d.(dict.Snapshotter[K, V])
-	md := newModel[K, V](tgt.Less)
+	md := newModel[K, V]()
 	state := uint64(0x5eed)
 	for i := 0; i < 2000; i++ {
 		k := key(lcg(&state))
@@ -198,7 +199,7 @@ func snapshotFrozen[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V]
 	}
 }
 
-func snapshotConsistentCut[K comparable, V comparable](t *testing.T, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V) {
+func snapshotConsistentCut[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V) {
 	t.Helper()
 	d := tgt.New()
 	sn := d.(dict.Snapshotter[K, V])

@@ -17,8 +17,7 @@
 // no steps.
 //
 // The tree is generic over the key and value types: NewOrdered builds a tree
-// over any cmp.Ordered key type, NewLess accepts an arbitrary comparator
-// (see dict.Less for the contract), and New keeps the historical int64
+// over any cmp.Ordered key type, and New keeps the historical int64
 // instantiation used by the benchmark registry.
 package ebst
 
@@ -44,23 +43,16 @@ func (policy[K, V]) Rebalance(_ *epoch.Guard, _, _, _, _ *lbst.Node[K, V]) bool 
 }
 
 // Tree is a non-blocking unbalanced leaf-oriented BST. It is safe for
-// concurrent use. Use New, NewOrdered or NewLess to create one. All
+// concurrent use. Use New or NewOrdered to create one. All
 // dictionary and ordered-query operations (Get, Insert, LoadOrStore, Delete,
 // Successor, Predecessor, RangeScan, Ascend, Min, Max, Snapshot) and the
 // quiescent helpers (Size, Height, Keys, CheckStructure) are provided by the
 // embedded engine.
-type Tree[K, V any] struct {
+type Tree[K cmp.Ordered, V any] struct {
 	*lbst.Tree[K, V]
 }
 
-// NewLess returns an empty tree whose keys are ordered by less.
-func NewLess[K, V any](less func(a, b K) bool) *Tree[K, V] {
-	return &Tree[K, V]{lbst.New(less, policy[K, V]{})}
-}
-
-// NewOrdered returns an empty tree over a naturally ordered key type. The
-// engine installs a search routine specialized to the native `<` operator,
-// so searches avoid the indirect comparator call per node.
+// NewOrdered returns an empty tree over a naturally ordered key type.
 func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] {
 	return &Tree[K, V]{lbst.NewOrdered[K, V](policy[K, V]{})}
 }

@@ -39,7 +39,7 @@ func leafAndTwoCopies(t *testing.T, tr *Tree[int64, int64], v int64) [3]*intNode
 // orders: the shared cell keeps its value until the last of the three is
 // freed and returns to its pool exactly then.
 func TestCellFreedWithLastAlias(t *testing.T) {
-	tr := New[int64, int64](intLess, nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy{})
 	for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
 		nodes := leafAndTwoCopies(t, tr, 42)
 		cell := nodes[0].val
@@ -55,7 +55,7 @@ func TestCellFreedWithLastAlias(t *testing.T) {
 // TestReleaseFreshDropsReference: a copy built for an SCX that then failed
 // gives its reference back, so the source's free is the last one again.
 func TestReleaseFreshDropsReference(t *testing.T) {
-	tr := New[int64, int64](intLess, nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy{})
 	nodes := leafAndTwoCopies(t, tr, 42)
 	cell := nodes[0].val
 	tr.ReleaseFresh(nodes[1])
@@ -75,7 +75,7 @@ func TestReleaseFreshDropsReference(t *testing.T) {
 // read, and overwrite, the value through the shared cell. (This is the test
 // that fails, in every build, if CopyNode forgets its Retain.)
 func TestCopyKeepsCellAfterSourceFreed(t *testing.T) {
-	tr := New[int64, int64](intLess, nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy{})
 	tr.Insert(1, 10)
 	tr.Insert(2, 20)
 	tr.Delete(1)
@@ -102,7 +102,7 @@ func TestCopyKeepsCellAfterSourceFreed(t *testing.T) {
 // view keeps reading the old leaf, and its cell, through the replacement's
 // prev link until it is released.
 func TestReplacedLeafReadableThroughSnapshot(t *testing.T) {
-	tr := New[int64, int64](intLess, nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy{})
 	tr.Insert(1, 10)
 	tr.Insert(2, 20)
 	snap := tr.Snapshot()

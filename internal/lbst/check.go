@@ -1,6 +1,7 @@
 package lbst
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 )
@@ -15,7 +16,7 @@ import (
 //     [0, MaxDeco] when the node is built, so what a node stores is what its
 //     policy asked for, and the flags are checked against the node's shape
 //     by the two conditions above;
-//   - keys satisfy the leaf-oriented BST order under the tree's comparator
+//   - keys satisfy the leaf-oriented BST order under cmp.Less
 //     (left subtree strictly smaller than the routing key, right subtree
 //     greater or equal);
 //   - no reachable node has been finalized.
@@ -64,10 +65,10 @@ func (t *Tree[K, V]) CheckStructure() error {
 				return fmt.Errorf("leaf %v has children", n.K)
 			}
 			if !n.IsSentinel() {
-				if b.hasLo && t.less(n.K, b.lo) {
+				if b.hasLo && cmp.Less(n.K, b.lo) {
 					return fmt.Errorf("leaf key %v below lower bound %v", n.K, b.lo)
 				}
-				if b.hasHi && !t.less(n.K, b.hi) {
+				if b.hasHi && !cmp.Less(n.K, b.hi) {
 					return fmt.Errorf("leaf key %v not below upper bound %v", n.K, b.hi)
 				}
 			}
@@ -76,10 +77,10 @@ func (t *Tree[K, V]) CheckStructure() error {
 		if n.IsSentinel() {
 			return errors.New("sentinel internal node found inside the tree proper")
 		}
-		if b.hasLo && t.less(n.K, b.lo) {
+		if b.hasLo && cmp.Less(n.K, b.lo) {
 			return fmt.Errorf("routing key %v below lower bound %v", n.K, b.lo)
 		}
-		if b.hasHi && t.less(b.hi, n.K) {
+		if b.hasHi && cmp.Less(b.hi, n.K) {
 			return fmt.Errorf("routing key %v above upper bound %v", n.K, b.hi)
 		}
 		lb := b

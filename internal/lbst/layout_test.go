@@ -51,9 +51,7 @@ func TestTreeHeaderLayout(t *testing.T) {
 	readEnd := uintptr(0)
 	for _, end := range []uintptr{
 		unsafe.Offsetof(tr.entry) + unsafe.Sizeof(tr.entry),
-		unsafe.Offsetof(tr.less) + unsafe.Sizeof(tr.less),
 		unsafe.Offsetof(tr.pol) + unsafe.Sizeof(tr.pol),
-		unsafe.Offsetof(tr.searchFn) + unsafe.Sizeof(tr.searchFn),
 		unsafe.Offsetof(tr.nodePool) + unsafe.Sizeof(tr.nodePool),
 		unsafe.Offsetof(tr.cells) + unsafe.Sizeof(tr.cells),
 		unsafe.Offsetof(tr.descPool) + unsafe.Sizeof(tr.descPool),
@@ -73,7 +71,7 @@ func TestTreeHeaderLayout(t *testing.T) {
 // clock included - what an update writes besides nodes is on the epoch slot
 // it holds pinned.
 func TestUpdatesWriteNoTreeWord(t *testing.T) {
-	tr := New[int64, int64](intLess, nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy{})
 	start := unsafe.Offsetof(tr.gver)
 	written := func() []byte {
 		return unsafe.Slice((*byte)(unsafe.Add(unsafe.Pointer(tr), start)), unsafe.Sizeof(*tr)-start)
@@ -125,7 +123,7 @@ func TestPackedDecoRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	tr := New[int64, int64](intLess, nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy{})
 	for _, deco := range []int64{-1, MaxDeco + 1, 1 << 40} {
 		func() {
 			defer func() {

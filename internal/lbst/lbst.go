@@ -39,9 +39,8 @@
 //
 // The engine is generic over the key and value types. Only the search loop
 // compares keys - exactly the paper's point about the template being
-// key-type-agnostic - so a tree is ordered by a caller-supplied comparator
-// less(a, b) reporting whether a is strictly ordered before b (see
-// dict.Less). Keys a and b are equal exactly when !less(a, b) && !less(b, a).
+// key-type-agnostic - so any cmp.Ordered key type will do, ordered by
+// cmp.Less (a NaN key sorts before every other key and equals itself).
 //
 // A concrete tree supplies a Policy: the meaning of the per-node balancing
 // decoration, the decorations the insertion and the deletion assign, how to
@@ -321,10 +320,10 @@ type Policy[K, V any] interface {
 	Rebalance(g *epoch.Guard, ggp, gp, p, n *Node[K, V]) bool
 }
 
-// Tree is a non-blocking leaf-oriented BST over keys ordered by a comparator
-// and balanced according to a Policy. It is safe for concurrent use. Use New
-// or NewOrdered.
-type Tree[K, V any] struct {
+// Tree is a non-blocking leaf-oriented BST over keys ordered by cmp.Less
+// and balanced according to a Policy. It is safe for concurrent use. Use
+// NewOrdered.
+type Tree[K cmp.Ordered, V any] struct {
 	// Two groups, a full cache line apart wherever the allocator puts the
 	// header. Every operation reads the first. An update writes neither: what
 	// it writes besides nodes (its publish windows, a policy's step counters)
@@ -332,15 +331,7 @@ type Tree[K, V any] struct {
 	// snapshot capture and release only, and must not invalidate the first
 	// when it is.
 	entry *Node[K, V]
-	less  func(a, b K) bool
 	pol   Policy[K, V]
-
-	// searchFn locates the grandparent, parent and leaf on the search path
-	// for a key using plain reads. It is selected at construction: New
-	// installs the comparator-based loop, NewOrdered a specialization that
-	// compares with the native `<`, so ordered-key trees pay one indirect
-	// call per search instead of one per node.
-	searchFn func(t *Tree[K, V], key K) (gp, p, l *Node[K, V])
 
 	// nodePool recycles this tree's nodes; nodes enter it only through the
 	// epoch layer's grace period (or straight from a failed update, for
@@ -377,17 +368,15 @@ type Tree[K, V any] struct {
 	snapLive atomic.Int64
 }
 
-// New returns an empty tree whose keys are ordered by less and whose balance
-// is governed by pol. The entry structure is the chromatic tree's (Figure 10
-// of the paper): entry.left is a sentinel leaf when the dictionary is empty,
-// otherwise a sentinel internal node whose left subtree is the tree proper
-// and whose right child is a sentinel leaf, so every leaf always has a parent
-// and, when the tree is non-empty, a grandparent.
-func New[K, V any](less func(a, b K) bool, pol Policy[K, V]) *Tree[K, V] {
+// NewOrdered returns an empty tree whose balance is governed by pol. The
+// entry structure is the chromatic tree's (Figure 10 of the paper):
+// entry.left is a sentinel leaf when the dictionary is empty, otherwise a
+// sentinel internal node whose left subtree is the tree proper and whose
+// right child is a sentinel leaf, so every leaf always has a parent and, when
+// the tree is non-empty, a grandparent.
+func NewOrdered[K cmp.Ordered, V any](pol Policy[K, V]) *Tree[K, V] {
 	t := &Tree[K, V]{
-		less:     less,
 		pol:      pol,
-		searchFn: searchLess[K, V],
 		nodePool: &sync.Pool{New: func() any { return new(Node[K, V]) }},
 		cells:    vcell.NewPool[V](),
 		descPool: llxscx.NewPool[Node[K, V]](),
@@ -422,25 +411,12 @@ func New[K, V any](less func(a, b K) bool, pol Policy[K, V]) *Tree[K, V] {
 	return t
 }
 
-// NewOrdered returns an empty tree over a naturally ordered key type,
-// balanced by pol. It behaves exactly like New with cmp.Less, but installs
-// a search routine specialized to the native `<` operator, removing the
-// indirect comparator call per node on the read path.
-func NewOrdered[K cmp.Ordered, V any](pol Policy[K, V]) *Tree[K, V] {
-	t := New(cmp.Less[K], pol)
-	t.searchFn = searchOrdered[K, V]
-	return t
-}
-
 // Name identifies the data structure in benchmark reports.
 func (t *Tree[K, V]) Name() string { return t.pol.Name() }
 
 // Entry exposes the sentinel entry point for policies and quiescent
 // inspection.
 func (t *Tree[K, V]) Entry() *Node[K, V] { return t.entry }
-
-// Less exposes the tree's key comparator.
-func (t *Tree[K, V]) Less() func(a, b K) bool { return t.less }
 
 // ---------------------------------------------------------------------------
 // Pooled node lifecycle.
@@ -548,47 +524,25 @@ func (t *Tree[K, V]) DrainReclaim() int64 {
 
 // keyLess reports whether key is strictly smaller than n's key, treating
 // sentinels as +infinity.
-func (t *Tree[K, V]) keyLess(key K, n *Node[K, V]) bool { return n.IsSentinel() || t.less(key, n.K) }
+func keyLess[K cmp.Ordered, V any](key K, n *Node[K, V]) bool {
+	return n.IsSentinel() || cmp.Less(key, n.K)
+}
 
 // isKey reports whether the leaf l holds exactly key.
-func (t *Tree[K, V]) isKey(key K, l *Node[K, V]) bool {
-	return !l.IsSentinel() && !t.less(key, l.K) && !t.less(l.K, key)
+func isKey[K cmp.Ordered, V any](key K, l *Node[K, V]) bool {
+	return !l.IsSentinel() && cmp.Compare(key, l.K) == 0
 }
 
 // search returns the grandparent, parent and leaf on the search path for
 // key, using plain reads (Figure 5 of the paper). gp is nil when the tree
-// below the sentinels is a single leaf.
+// below the sentinels is a single leaf. It reads each node's packed flags
+// once (a) and takes both the leaf test and the sentinel test from that word.
 func (t *Tree[K, V]) search(key K) (gp, p, l *Node[K, V]) {
-	return t.searchFn(t, key)
-}
-
-// The search loops read each node's packed flags once (a) and take both the
-// leaf test and the sentinel test from that word.
-
-// searchLess is the comparator-based search loop installed by New.
-func searchLess[K, V any](t *Tree[K, V], key K) (gp, p, l *Node[K, V]) {
 	p = t.entry
 	l = t.entry.left.Load()
 	for a := l.rec.Aux(); a&auxLeaf == 0; a = l.rec.Aux() {
 		gp, p = p, l
-		if a&auxInf != 0 || t.less(key, l.K) {
-			l = l.left.Load()
-		} else {
-			l = l.right.Load()
-		}
-	}
-	return gp, p, l
-}
-
-// searchOrdered is the devirtualized search loop installed by NewOrdered:
-// identical to searchLess, but the per-node comparison is the native `<` of
-// a cmp.Ordered key type instead of an indirect call through t.less.
-func searchOrdered[K cmp.Ordered, V any](t *Tree[K, V], key K) (gp, p, l *Node[K, V]) {
-	p = t.entry
-	l = t.entry.left.Load()
-	for a := l.rec.Aux(); a&auxLeaf == 0; a = l.rec.Aux() {
-		gp, p = p, l
-		if a&auxInf != 0 || key < l.K {
+		if a&auxInf != 0 || cmp.Less(key, l.K) {
 			l = l.left.Load()
 		} else {
 			l = l.right.Load()
@@ -605,7 +559,7 @@ func searchOrdered[K cmp.Ordered, V any](t *Tree[K, V], key K) (gp, p, l *Node[K
 func (t *Tree[K, V]) Get(key K) (V, bool) {
 	g := epoch.Pin()
 	_, _, l := t.search(key)
-	if t.isKey(key, l) {
+	if isKey(key, l) {
 		var g0 uint64
 		if epoch.PoisonCheck {
 			g0 = l.Gen()
@@ -709,8 +663,8 @@ func (t *Tree[K, V]) InsertBounded(key K, value V, budget dict.Budget) (V, bool,
 			var zero V
 			return zero, false, err
 		}
-		_, p, l := t.searchFn(t, key)
-		if t.isKey(key, l) {
+		_, p, l := t.search(key)
+		if isKey(key, l) {
 			// While a snapshot handle is live the in-place publish would
 			// mutate a value the snapshot captured, so the overwrite
 			// degrades to a leaf-replacement SCX (tryReplace) that leaves
@@ -767,8 +721,8 @@ func (t *Tree[K, V]) LoadOrStore(key K, value V) (actual V, loaded bool) {
 	g := epoch.Pin()
 	defer epoch.Unpin(g)
 	for fails := 0; ; {
-		_, p, l := t.searchFn(t, key)
-		if t.isKey(key, l) {
+		_, p, l := t.search(key)
+		if isKey(key, l) {
 			// The key was present while l was on the search path; linearize
 			// there, exactly as Get does.
 			return l.val.Load(), true
@@ -839,7 +793,7 @@ func (t *Tree[K, V]) tryInsert(g *epoch.Guard, key K, value V, p, l *Node[K, V])
 		oldLeaf, nf = t.CopyNode(lkL, oldDeco), 1
 	}
 	var repl *Node[K, V]
-	if t.keyLess(key, l) {
+	if keyLess(key, l) {
 		repl = t.InternalNode(l.K, internalDeco, l.IsSentinel(), keyLeaf, oldLeaf)
 	} else {
 		repl = t.InternalNode(key, internalDeco, false, oldLeaf, keyLeaf)
@@ -920,8 +874,8 @@ func (t *Tree[K, V]) DeleteBounded(key K, budget dict.Budget) (V, bool, error) {
 			var zero V
 			return zero, false, err
 		}
-		gp, p, l := t.searchFn(t, key)
-		if gp == nil || !t.isKey(key, l) {
+		gp, p, l := t.search(key)
+		if gp == nil || !isKey(key, l) {
 			var zero V
 			return zero, false, nil
 		}
@@ -1033,7 +987,7 @@ func (t *Tree[K, V]) cleanup(g *epoch.Guard, key K) {
 				return
 			}
 			ggp, gp, p = gp, p, n
-			if t.keyLess(key, n) {
+			if keyLess(key, n) {
 				n = n.left.Load()
 			} else {
 				n = n.right.Load()
@@ -1058,7 +1012,7 @@ func (t *Tree[K, V]) PathViolations(key K) int {
 			return count
 		}
 		p = n
-		if t.keyLess(key, n) {
+		if keyLess(key, n) {
 			n = n.left.Load()
 		} else {
 			n = n.right.Load()

@@ -12,10 +12,16 @@ import (
 // intNode abbreviates the engine's node type at the test's instantiation.
 type intNode = Node[int64, int64]
 
-func intLess(a, b int64) bool { return a < b }
-
 // nopPolicy is the minimal policy: no decoration, no violations.
-type nopPolicy = genPolicy[int64, int64]
+type nopPolicy struct{}
+
+func (nopPolicy) Name() string                                       { return "nop" }
+func (nopPolicy) SentinelDeco() int64                                { return 0 }
+func (nopPolicy) InsertDecos(_, _ *intNode) (_, _, _ int64)          { return 0, 0, 0 }
+func (nopPolicy) PromoteDeco(_, _, _ *intNode) int64                 { return 0 }
+func (nopPolicy) CreatesViolation(_ int64, _, _, _ *intNode) bool    { return false }
+func (nopPolicy) Violation(_, _ *intNode) bool                       { return false }
+func (nopPolicy) Rebalance(_ *epoch.Guard, _, _, _, _ *intNode) bool { return false }
 
 // probePolicy records the engine's policy callbacks so the tests can verify
 // the engine honours the contract: the nodes its updates build carry the
@@ -46,7 +52,7 @@ func (p *probePolicy) Violation(_, n *intNode) bool {
 func (p *probePolicy) Rebalance(_ *epoch.Guard, _, _, _, _ *intNode) bool { return false }
 
 func TestEngineDictionarySemantics(t *testing.T) {
-	tr := New[int64, int64](intLess, nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy{})
 	model := map[int64]int64{}
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 10000; i++ {
@@ -85,7 +91,7 @@ func TestEngineDictionarySemantics(t *testing.T) {
 
 func TestEnginePolicyHooks(t *testing.T) {
 	pol := &probePolicy{}
-	tr := New[int64, int64](intLess, pol)
+	tr := NewOrdered[int64, int64](pol)
 	if e := tr.Entry(); e.Deco() != 3 || e.Left().Deco() != 3 {
 		t.Fatalf("sentinel decorations = %d, %d, want the policy's 3", e.Deco(), e.Left().Deco())
 	}
@@ -156,7 +162,7 @@ func TestEnginePolicyHooks(t *testing.T) {
 }
 
 func TestEngineOrderedQueriesUnderConcurrency(t *testing.T) {
-	tr := New[int64, int64](intLess, nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy{})
 	const keyRange = 512
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -201,35 +207,5 @@ func TestEngineOrderedQueriesUnderConcurrency(t *testing.T) {
 	wg.Wait()
 	if err := tr.CheckStructure(); err != nil {
 		t.Fatalf("CheckStructure at quiescence: %v", err)
-	}
-}
-
-// genPolicy is the trivial policy at an arbitrary instantiation.
-type genPolicy[K, V any] struct{}
-
-func (genPolicy[K, V]) Name() string                                          { return "nop" }
-func (genPolicy[K, V]) SentinelDeco() int64                                   { return 0 }
-func (genPolicy[K, V]) InsertDecos(_, _ *Node[K, V]) (_, _, _ int64)          { return 0, 0, 0 }
-func (genPolicy[K, V]) PromoteDeco(_, _, _ *Node[K, V]) int64                 { return 0 }
-func (genPolicy[K, V]) CreatesViolation(_ K, _, _, _ *Node[K, V]) bool        { return false }
-func (genPolicy[K, V]) Violation(_, _ *Node[K, V]) bool                       { return false }
-func (genPolicy[K, V]) Rebalance(_ *epoch.Guard, _, _, _, _ *Node[K, V]) bool { return false }
-
-// TestNewOrderedInstallsSpecializedSearch: the cmp.Ordered search NewOrdered
-// installs must behave identically to the comparator-based loop.
-func TestNewOrderedInstallsSpecializedSearch(t *testing.T) {
-	st := NewOrdered[string, int64](genPolicy[string, int64]{})
-	lt := New[string, int64](func(a, b string) bool { return a < b }, genPolicy[string, int64]{})
-	keys := []string{"b", "a", "c/long", "c", "aa", ""}
-	for i, k := range keys {
-		st.Insert(k, int64(i))
-		lt.Insert(k, int64(i))
-	}
-	for _, k := range append(keys, "zz", "ab") {
-		sv, sok := st.Get(k)
-		lv, lok := lt.Get(k)
-		if sv != lv || sok != lok {
-			t.Fatalf("Get(%q): specialized (%d,%v), comparator (%d,%v)", k, sv, sok, lv, lok)
-		}
 	}
 }

@@ -21,21 +21,20 @@ type neighborMap interface {
 
 // TestNeighborAgainstModel compares Successor, Predecessor, Min and Max with
 // a sorted slice after every operation of a random insert/delete stream, on
-// the three policies through both of the engine's constructors. Present keys
+// the three policies through both of each package's constructors. Present keys
 // are even, so a probe over every key of [-1, 2*span+1] asks each query below
 // the minimum, above the maximum, at a present key and between two keys; the
 // stream starts on the empty tree and keeps returning to it and to one key.
 func TestNeighborAgainstModel(t *testing.T) {
-	less := dict.Ordered[int64]()
 	for _, tc := range []struct {
 		name string
 		new  func() neighborMap
 	}{
-		{"EBST/New", func() neighborMap { return ebst.NewLess[int64, int64](less) }},
+		{"EBST/New", func() neighborMap { return ebst.New() }},
 		{"EBST/NewOrdered", func() neighborMap { return ebst.NewOrdered[int64, int64]() }},
-		{"RAVL/New", func() neighborMap { return ravl.NewLess[int64, int64](less) }},
+		{"RAVL/New", func() neighborMap { return ravl.New() }},
 		{"RAVL/NewOrdered", func() neighborMap { return ravl.NewOrdered[int64, int64]() }},
-		{"Chromatic/New", func() neighborMap { return chromatic.NewLess[int64, int64](less) }},
+		{"Chromatic/New", func() neighborMap { return chromatic.New() }},
 		{"Chromatic/NewOrdered", func() neighborMap { return chromatic.NewOrdered[int64, int64]() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,8 @@
 package lbst
 
 import (
+	"cmp"
+
 	"repro/internal/epoch"
 	"repro/internal/llxscx"
 	"repro/internal/sched"
@@ -111,7 +113,7 @@ retry:
 			if a&auxInf != 0 {
 				toNear = d == 0
 			} else if bounded {
-				toNear = t.less(key, l.K) == (d == 0)
+				toNear = cmp.Less(key, l.K) == (d == 0)
 			}
 			if toNear {
 				adj = far
@@ -128,7 +130,7 @@ retry:
 		if l.IsSentinel() {
 			return k, v, false
 		}
-		if !bounded || (d == 0 && t.less(key, l.K)) || (d != 0 && t.less(l.K, key)) {
+		if !bounded || (d == 0 && cmp.Less(key, l.K)) || (d != 0 && cmp.Less(l.K, key)) {
 			return l.K, valueOf(l), true
 		}
 		if adj == t.entry {
@@ -208,7 +210,6 @@ func (t *Tree[K, V]) scan(useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) 
 		var genBuf [chunkLeaves]uint64
 		gens = genBuf[:]
 	}
-	less := t.less
 	loExcl := false // lo itself is in range until a chunk has been emitted
 	limit, fails := chunkLeaves, 0
 	for {
@@ -224,7 +225,7 @@ func (t *Tree[K, V]) scan(useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) 
 					continue
 				}
 				k := nd.K
-				if (useLo && (less(k, lo) || (loExcl && !less(lo, k)))) || (useHi && less(hi, k)) {
+				if (useLo && (cmp.Less(k, lo) || (loExcl && !cmp.Less(lo, k)))) || (useHi && cmp.Less(hi, k)) {
 					continue
 				}
 				if epoch.PoisonCheck {
@@ -245,14 +246,14 @@ func (t *Tree[K, V]) scan(useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) 
 			// child is pushed first so the left subtree is walked first. As in
 			// the point queries, a nil child fails the attempt.
 			inf := nd.IsSentinel()
-			if !inf && (!useHi || !less(hi, nd.K)) {
+			if !inf && (!useHi || !cmp.Less(hi, nd.K)) {
 				if right == nil {
 					ok = false
 					break
 				}
 				stack = append(stack, right)
 			}
-			if inf || !useLo || less(lo, nd.K) {
+			if inf || !useLo || cmp.Less(lo, nd.K) {
 				if left == nil {
 					ok = false
 					break

@@ -1,6 +1,7 @@
 package lbst
 
 import (
+	"cmp"
 	"sync/atomic"
 
 	"repro/internal/dict"
@@ -65,9 +66,8 @@ func resolve[K, V any](c *Node[K, V], ver uint64) *Node[K, V] {
 // Snap is a frozen point-in-time view of a versioned tree. It implements
 // dict.SnapshotView. The zero value is not meaningful; views are produced by
 // the trees' Snapshot methods.
-type Snap[K, V any] struct {
+type Snap[K cmp.Ordered, V any] struct {
 	entry *Node[K, V]
-	less  func(K, K) bool
 	ver   uint64
 	// pin is the long-lived epoch registration keeping reachable retired
 	// nodes from being recycled.
@@ -101,7 +101,7 @@ func (s *Snap[K, V]) Get(key K) (V, bool) {
 	l := s.entry
 	for !l.IsLeaf() {
 		var c *Node[K, V]
-		if l.IsSentinel() || s.less(key, l.K) {
+		if keyLess(key, l) {
 			c = l.left.Load()
 		} else {
 			c = l.right.Load()
@@ -112,7 +112,7 @@ func (s *Snap[K, V]) Get(key K) (V, bool) {
 		}
 		l = c
 	}
-	if !l.IsSentinel() && !s.less(key, l.K) && !s.less(l.K, key) {
+	if isKey(key, l) {
 		return valueOf(l), true
 	}
 	return zero, false
@@ -148,7 +148,7 @@ func (s *Snap[K, V]) walk(n *Node[K, V], useLo bool, lo K, useHi bool, hi K, fn 
 			return 0, true
 		}
 		k := n.K
-		if (useLo && s.less(k, lo)) || (useHi && s.less(hi, k)) {
+		if (useLo && cmp.Less(k, lo)) || (useHi && cmp.Less(hi, k)) {
 			return 0, true
 		}
 		if !fn(k, valueOf(n)) {
@@ -157,7 +157,7 @@ func (s *Snap[K, V]) walk(n *Node[K, V], useLo bool, lo K, useHi bool, hi K, fn 
 		return 1, true
 	}
 	count := 0
-	if !useLo || n.IsSentinel() || s.less(lo, n.K) {
+	if !useLo || n.IsSentinel() || cmp.Less(lo, n.K) {
 		c := resolve(n.left.Load(), s.ver)
 		cnt, cont := s.walk(c, useLo, lo, useHi, hi, fn)
 		count += cnt
@@ -165,7 +165,7 @@ func (s *Snap[K, V]) walk(n *Node[K, V], useLo bool, lo K, useHi bool, hi K, fn 
 			return count, false
 		}
 	}
-	if !n.IsSentinel() && (!useHi || !s.less(hi, n.K)) {
+	if !n.IsSentinel() && (!useHi || !cmp.Less(hi, n.K)) {
 		c := resolve(n.right.Load(), s.ver)
 		cnt, cont := s.walk(c, useLo, lo, useHi, hi, fn)
 		count += cnt
@@ -209,7 +209,7 @@ func (t *Tree[K, V]) Snapshot() dict.SnapshotView[K, V] {
 // the opposite hole: a writer can open its window after the drain and still
 // read the old tick.)
 func (t *Tree[K, V]) snapshot() *Snap[K, V] {
-	s := &Snap[K, V]{entry: t.entry, less: t.less, live: &t.snapLive}
+	s := &Snap[K, V]{entry: t.entry, live: &t.snapLive}
 	s.pin = epoch.SnapPin()
 	t.snapLive.Add(1)
 	sched.Point(sched.PointSnapPublish)

@@ -1,6 +1,8 @@
 package lbst
 
 import (
+	"cmp"
+
 	"repro/internal/epoch"
 	"repro/internal/llxscx"
 	"repro/internal/sched"
@@ -22,7 +24,7 @@ import (
 // side d - 0 when the side it calls "near" is the left, 1 when it is the
 // right - and passes d wherever left and right matter: RemovePair orders a
 // sibling pair for V and R, Internal places a fresh node's two children.
-type Step[K, V any] struct {
+type Step[K cmp.Ordered, V any] struct {
 	Tree  *Tree[K, V]
 	Guard *epoch.Guard
 

@@ -28,7 +28,7 @@ type stepFixture struct {
 
 func newStepFixture(t *testing.T) *stepFixture {
 	t.Helper()
-	tr := New[int64, int64](intLess, nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy{})
 	f := &stepFixture{tr: tr, cellA: 10, cellB: 30}
 	f.a, f.b = tr.LeafNode(1, f.cellA, 0), tr.LeafNode(3, f.cellB, 0)
 	f.ux = tr.InternalNode(3, 0, false, f.a, f.b)

@@ -43,6 +43,7 @@
 package linearize
 
 import (
+	"cmp"
 	"sync"
 	"sync/atomic"
 
@@ -106,7 +107,7 @@ type History[K comparable, V comparable] struct {
 // Recorder wraps a dictionary and hands out per-goroutine Procs that log
 // every operation. The recorder itself is safe for concurrent use; each
 // Proc must be used by a single goroutine.
-type Recorder[K comparable, V comparable] struct {
+type Recorder[K cmp.Ordered, V comparable] struct {
 	m     dict.Map[K, V]
 	clock atomic.Int64
 
@@ -115,7 +116,7 @@ type Recorder[K comparable, V comparable] struct {
 }
 
 // NewRecorder returns a recorder wrapping m.
-func NewRecorder[K comparable, V comparable](m dict.Map[K, V]) *Recorder[K, V] {
+func NewRecorder[K cmp.Ordered, V comparable](m dict.Map[K, V]) *Recorder[K, V] {
 	return &Recorder[K, V]{m: m}
 }
 
@@ -141,7 +142,7 @@ func (r *Recorder[K, V]) History() History[K, V] {
 }
 
 // Proc is a single-goroutine recording proxy for the wrapped dictionary.
-type Proc[K comparable, V comparable] struct {
+type Proc[K cmp.Ordered, V comparable] struct {
 	r   *Recorder[K, V]
 	id  int
 	ops []Op[K, V]
@@ -183,7 +184,7 @@ func (p *Proc[K, V]) Delete(key K) (V, bool) {
 // dict.OrderedMap; a map with neither capability records nothing and
 // returns 0). Each step's interval brackets the read that produced it: the
 // step's pair was current somewhere inside it.
-func (p *Proc[K, V]) Scan(lo, hi K, less dict.Less[K]) int {
+func (p *Proc[K, V]) Scan(lo, hi K) int {
 	if rg, ok := p.r.m.(dict.Ranger[K, V]); ok {
 		// Every step's interval starts at the scan's invocation, not at the
 		// previous step: a snapshot-based RangeScan observes all its pairs at
@@ -203,7 +204,7 @@ func (p *Proc[K, V]) Scan(lo, hi K, less dict.Less[K]) int {
 		return n
 	}
 	om, ok := p.r.m.(dict.OrderedMap[K, V])
-	if !ok || less(hi, lo) {
+	if !ok || cmp.Less(hi, lo) {
 		return 0
 	}
 	n := 0
@@ -219,7 +220,7 @@ func (p *Proc[K, V]) Scan(lo, hi K, less dict.Less[K]) int {
 		call := p.r.clock.Add(1)
 		nk, v, ok := om.Successor(k)
 		ret := p.r.clock.Add(1)
-		if !ok || less(hi, nk) {
+		if !ok || cmp.Less(hi, nk) {
 			break
 		}
 		p.record(Op[K, V]{Proc: p.id, Kind: KindScanStep, Key: nk, Out: v, OutOK: true, Call: call, Ret: ret})

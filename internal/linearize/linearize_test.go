@@ -190,13 +190,13 @@ func TestRecorderScanFallback(t *testing.T) {
 	for k := int64(0); k < 20; k += 2 {
 		p.Insert(k, k*100)
 	}
-	n := p.Scan(4, 12, func(a, b int64) bool { return a < b })
+	n := p.Scan(4, 12)
 	if n != 5 {
 		t.Fatalf("Scan visited %d keys, want 5", n)
 	}
 	// An empty range records nothing, not even a present lo.
 	steps := len(r.History().Ops)
-	if n := p.Scan(12, 4, func(a, b int64) bool { return a < b }); n != 0 || len(r.History().Ops) != steps {
+	if n := p.Scan(12, 4); n != 0 || len(r.History().Ops) != steps {
 		t.Fatalf("Scan(12, 4) visited %d keys and recorded %d steps, want none", n, len(r.History().Ops)-steps)
 	}
 	if res := Check(r.History()); !res.OK() {

@@ -15,10 +15,8 @@
 //
 // The tree is generic over the key and value types and implements
 // dict.OrderedMap[K, V]: NewOrdered builds a tree over any cmp.Ordered key
-// type (installing search walks devirtualized to the native `<` operator),
-// NewLess accepts an arbitrary comparator (see dict.Less for the contract),
-// and New keeps the historical int64 instantiation used by the benchmark
-// registry.
+// type, ordered by cmp.Less, and New keeps the historical int64
+// instantiation used by the benchmark registry.
 package lockavl
 
 import (
@@ -36,8 +34,7 @@ type node[K, V any] struct {
 	// value is the node's value cell, embedded so that overwriting a
 	// present key's value stores no per-store box: the cell's
 	// representation is selected once per tree at construction (word
-	// storage for word-sized value types, a boxed pointer otherwise),
-	// mirroring how the constructors select the devirtualized search walks.
+	// storage for word-sized value types, a boxed pointer otherwise).
 	value   vcell.Cell[V]
 	present atomic.Bool // false for routing nodes (logically deleted)
 	removed atomic.Bool // true once physically unlinked
@@ -79,14 +76,13 @@ func balanceOf[K, V any](n *node[K, V]) int32 {
 }
 
 // Tree is a concurrent ordered dictionary backed by a lock-based relaxed
-// AVL tree. It is safe for concurrent use. Use New, NewOrdered or NewLess
-// to create one.
-type Tree[K, V any] struct {
+// AVL tree. It is safe for concurrent use. Use New or NewOrdered to create
+// one.
+type Tree[K cmp.Ordered, V any] struct {
 	// rootHolder is a sentinel whose right child is the root of the tree; it
 	// is never removed, which removes special cases for an empty tree and
 	// for rotations at the root.
 	rootHolder *node[K, V]
-	less       func(a, b K) bool
 	// structMods counts completed structural modifications (rotations and
 	// unlinks) and inFlight counts the ones currently in progress; together
 	// they let optimistic readers detect that their traversal overlapped a
@@ -101,13 +97,6 @@ type Tree[K, V any] struct {
 	// word-sized value types, so an overwrite of a present key allocates
 	// nothing, with the boxed atomic.Pointer fallback otherwise.
 	unboxed bool
-
-	// getFn and locateFn are the structure's per-node search walks, selected
-	// at construction: NewLess installs the comparator-based loops,
-	// NewOrdered specializations comparing with the native `<` (one indirect
-	// call per operation instead of one per node).
-	getFn    func(t *Tree[K, V], key K) (V, bool)
-	locateFn func(t *Tree[K, V], key K) (parent, found *node[K, V])
 }
 
 // beginStructMod marks the start of a structural modification (a rotation or
@@ -127,26 +116,14 @@ func (t *Tree[K, V]) structuresStable(stamp uint64) bool {
 	return t.structMods.Load() == stamp && t.inFlight.Load() == 0
 }
 
-// NewLess returns an empty tree whose keys are ordered by less.
-func NewLess[K, V any](less func(a, b K) bool) *Tree[K, V] {
+// NewOrdered returns an empty tree over a naturally ordered key type.
+func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] {
 	unboxed := vcell.Unboxed[V]()
 	holder := &node[K, V]{}
 	var zv V
 	holder.value.Init(unboxed, zv)
 	holder.present.Store(false)
-	return &Tree[K, V]{rootHolder: holder, less: less, unboxed: unboxed,
-		getFn: getLess[K, V], locateFn: locateLess[K, V]}
-}
-
-// NewOrdered returns an empty tree over a naturally ordered key type. It
-// behaves exactly like NewLess with cmp.Less, but installs search walks
-// specialized to the native `<` operator, removing the indirect comparator
-// call per node on the hot paths (Get and the update locate).
-func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] {
-	t := NewLess[K, V](cmp.Less[K])
-	t.getFn = getOrdered[K, V]
-	t.locateFn = locateOrdered[K, V]
-	return t
+	return &Tree[K, V]{rootHolder: holder, unboxed: unboxed}
 }
 
 // New returns an empty tree with int64 keys and values, the instantiation
@@ -168,19 +145,14 @@ func (t *Tree[K, V]) Size() int { return int(t.size.Load()) }
 // absent. It never blocks: it traverses optimistically and retries only if a
 // concurrent structural modification could have hidden the key.
 func (t *Tree[K, V]) Get(key K) (V, bool) {
-	return t.getFn(t, key)
-}
-
-// getLess is the comparator-based Get walk installed by NewLess.
-func getLess[K, V any](t *Tree[K, V], key K) (V, bool) {
 	for {
 		stamp := t.structMods.Load()
 		n := t.rootHolder.right.Load()
 		for n != nil {
-			switch {
-			case t.less(key, n.key):
+			switch c := cmp.Compare(key, n.key); {
+			case c < 0:
 				n = n.left.Load()
-			case t.less(n.key, key):
+			case c > 0:
 				n = n.right.Load()
 			default:
 				if n.present.Load() {
@@ -191,33 +163,6 @@ func getLess[K, V any](t *Tree[K, V], key K) (V, bool) {
 		}
 		// Key not found (or only a routing node found): the answer is
 		// trustworthy only if no rotation or unlink overlapped the search.
-		if t.structuresStable(stamp) {
-			var zero V
-			return zero, false
-		}
-	}
-}
-
-// getOrdered is the devirtualized Get walk installed by NewOrdered:
-// identical to getLess, but the per-node comparison is the native `<` of a
-// cmp.Ordered key type instead of an indirect call through t.less.
-func getOrdered[K cmp.Ordered, V any](t *Tree[K, V], key K) (V, bool) {
-	for {
-		stamp := t.structMods.Load()
-		n := t.rootHolder.right.Load()
-		for n != nil {
-			switch {
-			case key < n.key:
-				n = n.left.Load()
-			case n.key < key:
-				n = n.right.Load()
-			default:
-				if n.present.Load() {
-					return n.val(), true
-				}
-				n = nil
-			}
-		}
 		if t.structuresStable(stamp) {
 			var zero V
 			return zero, false
@@ -257,7 +202,7 @@ func (t *Tree[K, V]) Insert(key K, value V) (V, bool) {
 			parent.mu.Unlock()
 			continue
 		}
-		right := !t.less(key, parent.key)
+		right := !cmp.Less(key, parent.key)
 		if parent == t.rootHolder {
 			right = true
 		}
@@ -330,38 +275,14 @@ func (t *Tree[K, V]) Delete(key K) (V, bool) {
 // (if any reachable node carries it) and otherwise the last node visited,
 // which is the attachment point for an insertion.
 func (t *Tree[K, V]) locate(key K) (parent *node[K, V], found *node[K, V]) {
-	return t.locateFn(t, key)
-}
-
-// locateLess is the comparator-based locate walk installed by NewLess.
-func locateLess[K, V any](t *Tree[K, V], key K) (parent, found *node[K, V]) {
 	parent = t.rootHolder
 	n := t.rootHolder.right.Load()
 	for n != nil {
-		switch {
-		case t.less(key, n.key):
+		switch c := cmp.Compare(key, n.key); {
+		case c < 0:
 			parent = n
 			n = n.left.Load()
-		case t.less(n.key, key):
-			parent = n
-			n = n.right.Load()
-		default:
-			return parent, n
-		}
-	}
-	return parent, nil
-}
-
-// locateOrdered is the devirtualized locate walk installed by NewOrdered.
-func locateOrdered[K cmp.Ordered, V any](t *Tree[K, V], key K) (parent, found *node[K, V]) {
-	parent = t.rootHolder
-	n := t.rootHolder.right.Load()
-	for n != nil {
-		switch {
-		case key < n.key:
-			parent = n
-			n = n.left.Load()
-		case n.key < key:
+		case c > 0:
 			parent = n
 			n = n.right.Load()
 		default:
@@ -586,7 +507,7 @@ func (t *Tree[K, V]) structuralSuccessor(key K) (*node[K, V], bool) {
 		var best *node[K, V]
 		n := t.rootHolder.right.Load()
 		for n != nil {
-			if t.less(key, n.key) {
+			if cmp.Less(key, n.key) {
 				best = n
 				n = n.left.Load()
 			} else {
@@ -625,7 +546,7 @@ func (t *Tree[K, V]) structuralPredecessor(key K) (*node[K, V], bool) {
 		var best *node[K, V]
 		n := t.rootHolder.right.Load()
 		for n != nil {
-			if t.less(n.key, key) {
+			if cmp.Less(n.key, key) {
 				best = n
 				n = n.right.Load()
 			} else {
@@ -685,10 +606,10 @@ func (t *Tree[K, V]) CheckInvariants() error {
 		if n == nil {
 			return nil
 		}
-		if lo != nil && !t.less(*lo, n.key) {
+		if lo != nil && !cmp.Less(*lo, n.key) {
 			return errOrder
 		}
-		if hi != nil && !t.less(n.key, *hi) {
+		if hi != nil && !cmp.Less(n.key, *hi) {
 			return errOrder
 		}
 		if n.removed.Load() {

@@ -84,32 +84,12 @@ func TestSequentialConformance(t *testing.T) {
 	dicttest.SequentialConformance(t, target(), 4000, 8, 99)
 }
 
-// TestComparatorPath runs the same conformance suite against a NewLess tree
-// with a reversed ordering, so the comparator-based walks (getLess/
-// locateLess) are exercised rather than the devirtualized ones New installs.
-func TestComparatorPath(t *testing.T) {
-	desc := func(a, b int64) bool { return a > b }
-	tgt := dicttest.TargetOf[int64, int64]{
-		Name: "LockAVL/desc",
-		New:  func() dict.Map[int64, int64] { return NewLess[int64, int64](desc) },
-		Less: desc,
-		Check: func(d dict.Map[int64, int64]) error {
-			return d.(*Tree[int64, int64]).CheckInvariants()
-		},
-	}
-	dicttest.SequentialConformanceKV(t, tgt, 6000,
-		func(u uint64) int64 { return int64(u % 300) },
-		func(u uint64) int64 { return int64(u % (1 << 30)) },
-		7)
-}
-
 // TestStringKeys runs the conformance suite over the string-keyed
 // instantiation, exercising NewOrdered's generic construction path.
 func TestStringKeys(t *testing.T) {
 	tgt := dicttest.TargetOf[string, string]{
 		Name: "LockAVL/string",
 		New:  func() dict.Map[string, string] { return NewOrdered[string, string]() },
-		Less: func(a, b string) bool { return a < b },
 		Check: func(d dict.Map[string, string]) error {
 			return d.(*Tree[string, string]).CheckInvariants()
 		},

@@ -6,12 +6,11 @@
 //
 // The tree is built entirely on the shared leaf-oriented BST engine
 // (internal/lbst), as the chromatic tree is; this package supplies only the
-// balancing policy, and like
-// the engine it is generic over the key and value types (NewOrdered for
-// cmp.Ordered keys, NewLess for an arbitrary comparator, New for the
-// historical int64 instantiation). Every node's decoration is its relaxed
-// height: 0 for leaves, and for internal nodes a value that would be 1 + max
-// of the children's heights if the tree were quiescent and fully rebalanced.
+// balancing policy, and like the engine it is generic over the key and value
+// types (NewOrdered for cmp.Ordered keys, New for the historical int64
+// instantiation). Every node's decoration is its relaxed height: 0 for
+// leaves, and for internal nodes a value that would be 1 + max of the
+// children's heights if the tree were quiescent and fully rebalanced.
 // Insertions and deletions are the engine's ordinary template updates and do
 // not touch ancestors' heights; instead, a node whose stored height no
 // longer matches its children's (a height violation), or whose children's
@@ -83,7 +82,7 @@ func (s *Stats) RebalanceTotal() int64 {
 // policy is the relaxed AVL balancing policy for the lbst engine. eng is the
 // engine tree it balances, wired after construction; the rebalancing steps
 // draw their fresh nodes from its pools.
-type policy[K, V any] struct {
+type policy[K cmp.Ordered, V any] struct {
 	stats *Stats
 	eng   *lbst.Tree[K, V]
 }
@@ -249,36 +248,24 @@ func (p *policy[K, V]) fix(g *epoch.Guard, d int, lkU, lkN llxscx.Linked[lbst.No
 
 // Tree is a non-blocking relaxed AVL tree implementing an ordered
 // dictionary. It is safe for concurrent use by any number of goroutines.
-// Use New, NewOrdered or NewLess. All dictionary and ordered-query
+// Use New or NewOrdered. All dictionary and ordered-query
 // operations come from the embedded engine; this type adds the AVL-specific
 // inspection and quiescent rebalancing helpers.
-type Tree[K, V any] struct {
+type Tree[K cmp.Ordered, V any] struct {
 	*lbst.Tree[K, V]
 	pol   *policy[K, V]
 	stats Stats
 }
 
-// newTree wires a policy, its counters and the engine tree that engine
-// builds around the policy into one Tree.
-func newTree[K, V any](engine func(lbst.Policy[K, V]) *lbst.Tree[K, V]) *Tree[K, V] {
+// NewOrdered returns an empty relaxed AVL tree over a naturally ordered key
+// type.
+func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] {
 	t := &Tree[K, V]{}
 	t.stats.init()
 	t.pol = &policy[K, V]{stats: &t.stats}
-	t.Tree = engine(t.pol)
+	t.Tree = lbst.NewOrdered[K, V](t.pol)
 	t.pol.eng = t.Tree
 	return t
-}
-
-// NewLess returns an empty relaxed AVL tree whose keys are ordered by less.
-func NewLess[K, V any](less func(a, b K) bool) *Tree[K, V] {
-	return newTree(func(pol lbst.Policy[K, V]) *lbst.Tree[K, V] { return lbst.New(less, pol) })
-}
-
-// NewOrdered returns an empty relaxed AVL tree over a naturally ordered key
-// type. The engine installs a search routine specialized to the native `<`
-// operator, so searches avoid the indirect comparator call per node.
-func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] {
-	return newTree(lbst.NewOrdered[K, V])
 }
 
 // New returns an empty relaxed AVL tree with int64 keys and values, the

@@ -338,7 +338,7 @@ func TestCleanupFixesStaleChildHeightFirst(t *testing.T) {
 			tr.stats.init()
 			tr.pol = &policy[int64, int64]{stats: &tr.stats}
 			hold := false
-			tr.Tree = lbst.New(func(a, b int64) bool { return a < b }, deferring{tr.pol, &hold})
+			tr.Tree = lbst.NewOrdered[int64, int64](deferring{tr.pol, &hold})
 			tr.pol.eng = tr.Tree
 			for k := int64(1); k <= tc.fill; k++ {
 				tr.Insert(k, k)

@@ -9,16 +9,10 @@ import (
 // the "RBGlobal" baseline of the paper's evaluation (java.util.TreeMap with
 // every operation protected by a global lock). It is safe for concurrent use
 // but serializes every operation, including queries. Like the tree it wraps
-// it is generic: use NewGlobal, NewGlobalOrdered or NewGlobalLess.
-type Global[K, V any] struct {
+// it is generic: use NewGlobal or NewGlobalOrdered.
+type Global[K cmp.Ordered, V any] struct {
 	mu   sync.Mutex
 	tree *Tree[K, V]
-}
-
-// NewGlobalLess returns an empty globally locked red-black tree whose keys
-// are ordered by less.
-func NewGlobalLess[K, V any](less func(a, b K) bool) *Global[K, V] {
-	return &Global[K, V]{tree: NewLess[K, V](less)}
 }
 
 // NewGlobalOrdered returns an empty globally locked red-black tree over a

@@ -8,10 +8,8 @@
 //
 // Both are generic over the key and value types and implement
 // dict.OrderedMap[K, V]: NewOrdered builds a tree over any cmp.Ordered key
-// type (installing a search walk devirtualized to the native `<` operator),
-// NewLess accepts an arbitrary comparator (see dict.Less for the contract),
-// and New keeps the historical int64 instantiation used by the benchmark
-// registry.
+// type, ordered by cmp.Less, and New keeps the historical int64
+// instantiation used by the benchmark registry.
 package seqrbt
 
 import "cmp"
@@ -30,31 +28,15 @@ type node[K, V any] struct {
 }
 
 // Tree is a sequential red-black tree. It is not safe for concurrent use.
-// Use New, NewOrdered or NewLess to create one.
-type Tree[K, V any] struct {
+// Use New or NewOrdered to create one.
+type Tree[K cmp.Ordered, V any] struct {
 	root *node[K, V]
 	size int
-	less func(a, b K) bool
-
-	// lookupFn is the search walk used by Get and Delete, selected at
-	// construction: NewLess installs the comparator-based loop, NewOrdered a
-	// specialization comparing with the native `<`.
-	lookupFn func(t *Tree[K, V], key K) *node[K, V]
-}
-
-// NewLess returns an empty sequential red-black tree whose keys are ordered
-// by less.
-func NewLess[K, V any](less func(a, b K) bool) *Tree[K, V] {
-	return &Tree[K, V]{less: less, lookupFn: lookupLess[K, V]}
 }
 
 // NewOrdered returns an empty sequential red-black tree over a naturally
-// ordered key type, with the search loop devirtualized to the native `<`.
-func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] {
-	t := NewLess[K, V](cmp.Less[K])
-	t.lookupFn = lookupOrdered[K, V]
-	return t
-}
+// ordered key type.
+func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] { return &Tree[K, V]{} }
 
 // New returns an empty sequential red-black tree with int64 keys and values,
 // the instantiation the benchmark registry and the paper's figures use.
@@ -70,30 +52,14 @@ func (t *Tree[K, V]) Name() string { return "SeqRBT" }
 // Size returns the number of keys stored.
 func (t *Tree[K, V]) Size() int { return t.size }
 
-// lookupLess is the comparator-based search installed by NewLess.
-func lookupLess[K, V any](t *Tree[K, V], key K) *node[K, V] {
+// lookup returns the node holding key, or nil; Get and Delete use it.
+func (t *Tree[K, V]) lookup(key K) *node[K, V] {
 	n := t.root
 	for n != nil {
-		switch {
-		case t.less(key, n.k):
+		switch c := cmp.Compare(key, n.k); {
+		case c < 0:
 			n = n.left
-		case t.less(n.k, key):
-			n = n.right
-		default:
-			return n
-		}
-	}
-	return nil
-}
-
-// lookupOrdered is the devirtualized search installed by NewOrdered.
-func lookupOrdered[K cmp.Ordered, V any](t *Tree[K, V], key K) *node[K, V] {
-	n := t.root
-	for n != nil {
-		switch {
-		case key < n.k:
-			n = n.left
-		case n.k < key:
+		case c > 0:
 			n = n.right
 		default:
 			return n
@@ -105,7 +71,7 @@ func lookupOrdered[K cmp.Ordered, V any](t *Tree[K, V], key K) *node[K, V] {
 // Get returns the value associated with key, or the zero value and false if
 // absent.
 func (t *Tree[K, V]) Get(key K) (V, bool) {
-	if n := t.lookupFn(t, key); n != nil {
+	if n := t.lookup(key); n != nil {
 		return n.v, true
 	}
 	var zero V
@@ -119,10 +85,10 @@ func (t *Tree[K, V]) Insert(key K, value V) (V, bool) {
 	n := t.root
 	for n != nil {
 		parent = n
-		switch {
-		case t.less(key, n.k):
+		switch c := cmp.Compare(key, n.k); {
+		case c < 0:
 			n = n.left
-		case t.less(n.k, key):
+		case c > 0:
 			n = n.right
 		default:
 			old := n.v
@@ -134,7 +100,7 @@ func (t *Tree[K, V]) Insert(key K, value V) (V, bool) {
 	switch {
 	case parent == nil:
 		t.root = fresh
-	case t.less(key, parent.k):
+	case cmp.Less(key, parent.k):
 		parent.left = fresh
 	default:
 		parent.right = fresh
@@ -147,7 +113,7 @@ func (t *Tree[K, V]) Insert(key K, value V) (V, bool) {
 
 // Delete removes key, returning its value and true if it was present.
 func (t *Tree[K, V]) Delete(key K) (V, bool) {
-	n := t.lookupFn(t, key)
+	n := t.lookup(key)
 	if n == nil {
 		var zero V
 		return zero, false
@@ -206,7 +172,7 @@ func (t *Tree[K, V]) Successor(key K) (k K, v V, ok bool) {
 	var best *node[K, V]
 	n := t.root
 	for n != nil {
-		if t.less(key, n.k) {
+		if cmp.Less(key, n.k) {
 			best = n
 			n = n.left
 		} else {
@@ -224,7 +190,7 @@ func (t *Tree[K, V]) Predecessor(key K) (k K, v V, ok bool) {
 	var best *node[K, V]
 	n := t.root
 	for n != nil {
-		if t.less(n.k, key) {
+		if cmp.Less(n.k, key) {
 			best = n
 			n = n.right
 		} else {
@@ -452,7 +418,7 @@ func (t *Tree[K, V]) CheckInvariants() error {
 	if t.root.colour != black {
 		return errRootNotBlack
 	}
-	_, err := checkNode(t, t.root, nil, nil)
+	_, err := checkNode(t.root, nil, nil)
 	return err
 }
 
@@ -468,14 +434,14 @@ const (
 	errParentPointer = rbError("bad parent pointer")
 )
 
-func checkNode[K, V any](t *Tree[K, V], n *node[K, V], lo, hi *K) (int, error) {
+func checkNode[K cmp.Ordered, V any](n *node[K, V], lo, hi *K) (int, error) {
 	if n == nil {
 		return 1, nil
 	}
-	if lo != nil && !t.less(*lo, n.k) {
+	if lo != nil && !cmp.Less(*lo, n.k) {
 		return 0, errOrder
 	}
-	if hi != nil && !t.less(n.k, *hi) {
+	if hi != nil && !cmp.Less(n.k, *hi) {
 		return 0, errOrder
 	}
 	if n.colour == red && (colourOf(n.left) == red || colourOf(n.right) == red) {
@@ -487,11 +453,11 @@ func checkNode[K, V any](t *Tree[K, V], n *node[K, V], lo, hi *K) (int, error) {
 	if n.right != nil && n.right.parent != n {
 		return 0, errParentPointer
 	}
-	lh, err := checkNode(t, n.left, lo, &n.k)
+	lh, err := checkNode(n.left, lo, &n.k)
 	if err != nil {
 		return 0, err
 	}
-	rh, err := checkNode(t, n.right, &n.k, hi)
+	rh, err := checkNode(n.right, &n.k, hi)
 	if err != nil {
 		return 0, err
 	}

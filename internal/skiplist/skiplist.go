@@ -8,11 +8,8 @@
 //
 // The list is generic over the key and value types and implements
 // dict.OrderedMap[K, V]: NewOrdered builds a list over any cmp.Ordered key
-// type (installing search routines devirtualized to the native `<` operator,
-// so the per-node comparisons of the tower walk cost no indirect call),
-// NewLess accepts an arbitrary comparator (see dict.Less for the contract),
-// and New keeps the historical int64 instantiation used by the benchmark
-// registry.
+// type, ordered by cmp.Less, and New keeps the historical int64
+// instantiation used by the benchmark registry.
 package skiplist
 
 import (
@@ -42,8 +39,7 @@ type node[K, V any] struct {
 	// v is the node's value cell, embedded so that overwriting a present
 	// key's value stores no per-store box: the cell's representation is
 	// selected once per list at construction (word storage for word-sized
-	// value types, a boxed pointer otherwise), mirroring how the
-	// constructors select the devirtualized search walks.
+	// value types, a boxed pointer otherwise).
 	v        vcell.Cell[V]
 	next     []atomic.Pointer[succRef[K, V]]
 	level    int
@@ -82,32 +78,20 @@ func (n *node[K, V]) tryPublish(value V) (V, bool) {
 }
 
 // List is a lock-free skip list implementing an ordered dictionary. It is
-// safe for concurrent use. Use New, NewOrdered or NewLess to create one.
-type List[K, V any] struct {
+// safe for concurrent use. Use New or NewOrdered to create one.
+type List[K cmp.Ordered, V any] struct {
 	head *node[K, V]
 	tail *node[K, V]
-	less func(a, b K) bool
 
 	// unboxed is the value-cell representation every node of this list uses,
 	// computed once at construction (see vcell.Unboxed): word storage for
 	// word-sized value types, so an overwrite of a present key allocates
 	// nothing, with the boxed atomic.Pointer fallback otherwise.
 	unboxed bool
-
-	// findFn and findPresentFn are the structure's search walks, selected at
-	// construction: NewLess installs the comparator-based loops, NewOrdered
-	// specializations comparing with the native `<`, so ordered-key lists pay
-	// one indirect call per operation instead of one per node visited.
-	// findPresentFn is the wait-free read-only walk (no preds/succs
-	// bookkeeping, so nothing it touches escapes to the heap) returning the
-	// unmarked node holding key, or nil; Get and Insert's overwrite fast
-	// path are built on it.
-	findFn        func(l *List[K, V], key K, preds, succs *[maxLevel + 1]*node[K, V]) bool
-	findPresentFn func(l *List[K, V], key K) *node[K, V]
 }
 
-// NewLess returns an empty skip list whose keys are ordered by less.
-func NewLess[K, V any](less func(a, b K) bool) *List[K, V] {
+// NewOrdered returns an empty skip list over a naturally ordered key type.
+func NewOrdered[K cmp.Ordered, V any]() *List[K, V] {
 	var zk K
 	var zv V
 	unboxed := vcell.Unboxed[V]()
@@ -116,19 +100,7 @@ func NewLess[K, V any](less func(a, b K) bool) *List[K, V] {
 	for i := 0; i <= maxLevel; i++ {
 		head.next[i].Store(&succRef[K, V]{succ: tail})
 	}
-	return &List[K, V]{head: head, tail: tail, less: less, unboxed: unboxed,
-		findFn: findLess[K, V], findPresentFn: findPresentLess[K, V]}
-}
-
-// NewOrdered returns an empty skip list over a naturally ordered key type.
-// It behaves exactly like NewLess with cmp.Less, but installs search walks
-// specialized to the native `<` operator, removing the indirect comparator
-// call per node on the hot paths (find and Get).
-func NewOrdered[K cmp.Ordered, V any]() *List[K, V] {
-	l := NewLess[K, V](cmp.Less[K])
-	l.findFn = findOrdered[K, V]
-	l.findPresentFn = findPresentOrdered[K, V]
-	return l
+	return &List[K, V]{head: head, tail: tail, unboxed: unboxed}
 }
 
 // New returns an empty skip list with int64 keys and values, the
@@ -160,18 +132,17 @@ func (l *List[K, V]) nodeLess(n *node[K, V], key K) bool {
 	case 1:
 		return false
 	default:
-		return l.less(n.k, key)
+		return cmp.Less(n.k, key)
 	}
 }
 
-// isKey reports whether n holds exactly key (two comparator calls; keys are
-// equal exactly when neither orders before the other).
+// isKey reports whether n holds exactly key.
 func (l *List[K, V]) isKey(n *node[K, V], key K) bool {
-	return n.sentinel == 0 && !l.less(n.k, key) && !l.less(key, n.k)
+	return n.sentinel == 0 && cmp.Compare(n.k, key) == 0
 }
 
-// nodeLessEq reports whether n's key is smaller than or equal to key (one
-// comparator call), treating the sentinels as ±infinity.
+// nodeLessEq reports whether n's key is smaller than or equal to key,
+// treating the sentinels as ±infinity.
 func (l *List[K, V]) nodeLessEq(n *node[K, V], key K) bool {
 	switch n.sentinel {
 	case -1:
@@ -179,7 +150,7 @@ func (l *List[K, V]) nodeLessEq(n *node[K, V], key K) bool {
 	case 1:
 		return false
 	default:
-		return !l.less(key, n.k)
+		return !cmp.Less(key, n.k)
 	}
 }
 
@@ -188,11 +159,6 @@ func (l *List[K, V]) nodeLessEq(n *node[K, V], key K) bool {
 // succs and reports whether an unmarked node with the key was found at the
 // bottom level.
 func (l *List[K, V]) find(key K, preds, succs *[maxLevel + 1]*node[K, V]) bool {
-	return l.findFn(l, key, preds, succs)
-}
-
-// findLess is the comparator-based find walk installed by NewLess.
-func findLess[K, V any](l *List[K, V], key K, preds, succs *[maxLevel + 1]*node[K, V]) bool {
 retry:
 	for {
 		pred := l.head
@@ -227,58 +193,22 @@ retry:
 	}
 }
 
-// findOrdered is the devirtualized find walk installed by NewOrdered:
-// identical to findLess, but the per-node comparison is the native `<` of a
-// cmp.Ordered key type instead of an indirect call through l.less.
-func findOrdered[K cmp.Ordered, V any](l *List[K, V], key K, preds, succs *[maxLevel + 1]*node[K, V]) bool {
-retry:
-	for {
-		pred := l.head
-		for level := maxLevel; level >= 0; level-- {
-			curr := pred.next[level].Load().succ
-			for {
-				ref := curr.next[level].Load()
-				for ref != nil && ref.marked {
-					expected := pred.next[level].Load()
-					if expected.marked || expected.succ != curr {
-						continue retry
-					}
-					if !pred.next[level].CompareAndSwap(expected, &succRef[K, V]{succ: ref.succ}) {
-						continue retry
-					}
-					curr = ref.succ
-					ref = curr.next[level].Load()
-				}
-				if curr.sentinel == -1 || (curr.sentinel == 0 && curr.k < key) {
-					pred = curr
-					curr = ref.succ
-				} else {
-					break
-				}
-			}
-			preds[level] = pred
-			succs[level] = curr
-		}
-		s := succs[0]
-		return s.sentinel == 0 && s.k == key
-	}
-}
-
 // Get returns the value associated with key, or the zero value and false if
 // absent. It is wait-free: it never helps, retries or modifies the
 // structure.
 func (l *List[K, V]) Get(key K) (V, bool) {
-	if n := l.findPresentFn(l, key); n != nil {
+	if n := l.findPresent(key); n != nil {
 		return n.value(), true
 	}
 	var zero V
 	return zero, false
 }
 
-// findPresentLess is the comparator-based read-only walk installed by
-// NewLess: it returns the unmarked node holding key, or nil if key is absent
-// or logically deleted.
-func findPresentLess[K, V any](l *List[K, V], key K) *node[K, V] {
+// findPresent is the wait-free read-only walk: it returns the unmarked node
+// holding key, or nil if key is absent or logically deleted. It keeps no
+// preds/succs, so nothing it touches escapes to the heap; Get and Insert's
+// overwrite fast path are built on it.
+func (l *List[K, V]) findPresent(key K) *node[K, V] {
 	pred := l.head
 	var curr *node[K, V]
 	for level := maxLevel; level >= 0; level-- {
@@ -289,27 +219,6 @@ func findPresentLess[K, V any](l *List[K, V], key K) *node[K, V] {
 		}
 	}
 	if l.isKey(curr, key) {
-		if ref := curr.next[0].Load(); ref != nil && ref.marked {
-			return nil
-		}
-		return curr
-	}
-	return nil
-}
-
-// findPresentOrdered is the devirtualized read-only walk installed by
-// NewOrdered.
-func findPresentOrdered[K cmp.Ordered, V any](l *List[K, V], key K) *node[K, V] {
-	pred := l.head
-	var curr *node[K, V]
-	for level := maxLevel; level >= 0; level-- {
-		curr = pred.next[level].Load().succ
-		for curr.sentinel == -1 || (curr.sentinel == 0 && curr.k < key) {
-			pred = curr
-			curr = curr.next[level].Load().succ
-		}
-	}
-	if curr.sentinel == 0 && curr.k == key {
 		if ref := curr.next[0].Load(); ref != nil && ref.marked {
 			return nil
 		}
@@ -332,7 +241,7 @@ func (l *List[K, V]) Insert(key K, value V) (V, bool) {
 	// find; the trade measured as a net win on update-heavy mixes, where
 	// roughly half the inserts hit present keys and skip find's
 	// heap-escaping preds/succs staging entirely.
-	if n := l.findPresentFn(l, key); n != nil {
+	if n := l.findPresent(key); n != nil {
 		if old, ok := n.tryPublish(value); ok {
 			return old, true
 		}
@@ -500,7 +409,7 @@ func (l *List[K, V]) RangeScan(lo, hi K, fn func(k K, v V) bool) int {
 		}
 	}
 	count := 0
-	for curr.sentinel != 1 && !l.less(hi, curr.k) {
+	for curr.sentinel != 1 && !cmp.Less(hi, curr.k) {
 		ref := curr.next[0].Load()
 		if ref == nil {
 			break
@@ -545,7 +454,7 @@ func (l *List[K, V]) CheckInvariants() error {
 	// Bottom level strictly ordered.
 	prev := l.head
 	for n := l.head.next[0].Load().succ; n.sentinel != 1; n = n.next[0].Load().succ {
-		if prev.sentinel == 0 && !l.less(prev.k, n.k) {
+		if prev.sentinel == 0 && !cmp.Less(prev.k, n.k) {
 			return errOrder
 		}
 		prev = n

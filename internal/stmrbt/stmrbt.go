@@ -8,10 +8,8 @@
 //
 // The tree is generic over the key and value types and implements
 // dict.OrderedMap[K, V]: NewOrdered builds a tree over any cmp.Ordered key
-// type (installing a transactional search devirtualized to the native `<`
-// operator), NewLess accepts an arbitrary comparator (see dict.Less for the
-// contract), and New keeps the historical int64 instantiation used by the
-// benchmark registry.
+// type, ordered by cmp.Less, and New keeps the historical int64
+// instantiation used by the benchmark registry.
 package stmrbt
 
 import (
@@ -47,37 +45,19 @@ func newNode[K, V any](k K, v V, parent *node[K, V]) *node[K, V] {
 
 // Tree is a transactional red-black tree implementing an ordered dictionary.
 // It is safe for concurrent use; every operation executes as a single STM
-// transaction. Use New, NewOrdered or NewLess to create one.
-type Tree[K, V any] struct {
+// transaction. Use New or NewOrdered to create one.
+type Tree[K cmp.Ordered, V any] struct {
 	root *stm.Var[*node[K, V]]
 	size *stm.Var[int64]
-	less func(a, b K) bool
-
-	// lookupFn is the transactional search walk, selected at construction:
-	// NewLess installs the comparator-based loop, NewOrdered a
-	// specialization comparing with the native `<`, so ordered-key trees pay
-	// one indirect call per search instead of one per node (on top of the
-	// unavoidable per-node stm.Read).
-	lookupFn func(t *Tree[K, V], tx *stm.Txn, key K) *node[K, V]
-}
-
-// NewLess returns an empty transactional red-black tree whose keys are
-// ordered by less.
-func NewLess[K, V any](less func(a, b K) bool) *Tree[K, V] {
-	return &Tree[K, V]{
-		root:     stm.NewVar[*node[K, V]](nil),
-		size:     stm.NewVar[int64](0),
-		less:     less,
-		lookupFn: lookupLess[K, V],
-	}
 }
 
 // NewOrdered returns an empty transactional red-black tree over a naturally
-// ordered key type, with the search loop devirtualized to the native `<`.
+// ordered key type.
 func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] {
-	t := NewLess[K, V](cmp.Less[K])
-	t.lookupFn = lookupOrdered[K, V]
-	return t
+	return &Tree[K, V]{
+		root: stm.NewVar[*node[K, V]](nil),
+		size: stm.NewVar[int64](0),
+	}
 }
 
 // New returns an empty transactional red-black tree with int64 keys and
@@ -97,32 +77,15 @@ func (t *Tree[K, V]) Size() int {
 	return int(stm.Atomically(func(tx *stm.Txn) int64 { return stm.Read(tx, t.size) }))
 }
 
-// lookupLess is the comparator-based transactional search installed by
-// NewLess: it returns the node holding key, or nil, all reads within tx.
-func lookupLess[K, V any](t *Tree[K, V], tx *stm.Txn, key K) *node[K, V] {
+// lookup is the transactional search: it returns the node holding key, or
+// nil, all reads within tx.
+func (t *Tree[K, V]) lookup(tx *stm.Txn, key K) *node[K, V] {
 	n := stm.Read(tx, t.root)
 	for n != nil {
-		switch k := stm.Read(tx, n.k); {
-		case t.less(key, k):
+		switch c := cmp.Compare(key, stm.Read(tx, n.k)); {
+		case c < 0:
 			n = stm.Read(tx, n.left)
-		case t.less(k, key):
-			n = stm.Read(tx, n.right)
-		default:
-			return n
-		}
-	}
-	return nil
-}
-
-// lookupOrdered is the devirtualized transactional search installed by
-// NewOrdered.
-func lookupOrdered[K cmp.Ordered, V any](t *Tree[K, V], tx *stm.Txn, key K) *node[K, V] {
-	n := stm.Read(tx, t.root)
-	for n != nil {
-		switch k := stm.Read(tx, n.k); {
-		case key < k:
-			n = stm.Read(tx, n.left)
-		case k < key:
+		case c > 0:
 			n = stm.Read(tx, n.right)
 		default:
 			return n
@@ -139,7 +102,7 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 		ok bool
 	}
 	r := stm.Atomically(func(tx *stm.Txn) result {
-		if n := t.lookupFn(t, tx, key); n != nil {
+		if n := t.lookup(tx, key); n != nil {
 			return result{stm.Read(tx, n.v), true}
 		}
 		return result{}
@@ -159,10 +122,10 @@ func (t *Tree[K, V]) Insert(key K, value V) (V, bool) {
 		n := stm.Read(tx, t.root)
 		for n != nil {
 			parent = n
-			switch k := stm.Read(tx, n.k); {
-			case t.less(key, k):
+			switch c := cmp.Compare(key, stm.Read(tx, n.k)); {
+			case c < 0:
 				n = stm.Read(tx, n.left)
-			case t.less(k, key):
+			case c > 0:
 				n = stm.Read(tx, n.right)
 			default:
 				old := stm.Read(tx, n.v)
@@ -174,7 +137,7 @@ func (t *Tree[K, V]) Insert(key K, value V) (V, bool) {
 		switch {
 		case parent == nil:
 			stm.Write(tx, t.root, fresh)
-		case t.less(key, stm.Read(tx, parent.k)):
+		case cmp.Less(key, stm.Read(tx, parent.k)):
 			stm.Write(tx, parent.left, fresh)
 		default:
 			stm.Write(tx, parent.right, fresh)
@@ -193,7 +156,7 @@ func (t *Tree[K, V]) Delete(key K) (V, bool) {
 		existed bool
 	}
 	r := stm.Atomically(func(tx *stm.Txn) result {
-		n := t.lookupFn(t, tx, key)
+		n := t.lookup(tx, key)
 		if n == nil {
 			return result{}
 		}
@@ -216,7 +179,7 @@ func (t *Tree[K, V]) Successor(key K) (K, V, bool) {
 		var best *node[K, V]
 		n := stm.Read(tx, t.root)
 		for n != nil {
-			if k := stm.Read(tx, n.k); t.less(key, k) {
+			if k := stm.Read(tx, n.k); cmp.Less(key, k) {
 				best = n
 				n = stm.Read(tx, n.left)
 			} else {
@@ -242,7 +205,7 @@ func (t *Tree[K, V]) Predecessor(key K) (K, V, bool) {
 		var best *node[K, V]
 		n := stm.Read(tx, t.root)
 		for n != nil {
-			if k := stm.Read(tx, n.k); t.less(k, key) {
+			if k := stm.Read(tx, n.k); cmp.Less(k, key) {
 				best = n
 				n = stm.Read(tx, n.right)
 			} else {
@@ -502,7 +465,7 @@ func (t *Tree[K, V]) CheckInvariants() error {
 				return 1
 			}
 			k := stm.Read(tx, n.k)
-			if (lo != nil && !t.less(*lo, k)) || (hi != nil && !t.less(k, *hi)) {
+			if (lo != nil && !cmp.Less(*lo, k)) || (hi != nil && !cmp.Less(k, *hi)) {
 				valid = false
 				return 0
 			}

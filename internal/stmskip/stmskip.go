@@ -5,12 +5,8 @@
 //
 // The list is generic over the key and value types and implements
 // dict.OrderedMap[K, V]: NewOrdered builds a list over any cmp.Ordered key
-// type, NewLess accepts an arbitrary comparator (see dict.Less for the
-// contract), and New keeps the historical int64 instantiation used by the
-// benchmark registry. Unlike the structures that walk raw pointers, every
-// step of the skip list's search already pays an stm.Read, so there is no
-// devirtualized fast path: the comparator cost is noise next to the STM
-// bookkeeping.
+// type, ordered by cmp.Less, and New keeps the historical int64
+// instantiation used by the benchmark registry.
 package stmskip
 
 import (
@@ -41,16 +37,15 @@ func newNode[K, V any](k K, v V, level int, sentinel int8) *node[K, V] {
 }
 
 // List is a transactional skip list implementing an ordered dictionary. It
-// is safe for concurrent use. Use New, NewOrdered or NewLess to create one.
-type List[K, V any] struct {
+// is safe for concurrent use. Use New or NewOrdered to create one.
+type List[K cmp.Ordered, V any] struct {
 	head *node[K, V]
 	size *stm.Var[int64]
-	less func(a, b K) bool
 }
 
-// NewLess returns an empty transactional skip list whose keys are ordered by
-// less.
-func NewLess[K, V any](less func(a, b K) bool) *List[K, V] {
+// NewOrdered returns an empty transactional skip list over a naturally
+// ordered key type.
+func NewOrdered[K cmp.Ordered, V any]() *List[K, V] {
 	var zk K
 	var zv V
 	head := newNode(zk, zv, maxLevel, -1)
@@ -58,13 +53,7 @@ func NewLess[K, V any](less func(a, b K) bool) *List[K, V] {
 	for i := 0; i <= maxLevel; i++ {
 		head.next[i] = stm.NewVar(tail)
 	}
-	return &List[K, V]{head: head, size: stm.NewVar[int64](0), less: less}
-}
-
-// NewOrdered returns an empty transactional skip list over a naturally
-// ordered key type.
-func NewOrdered[K cmp.Ordered, V any]() *List[K, V] {
-	return NewLess[K, V](cmp.Less[K])
+	return &List[K, V]{head: head, size: stm.NewVar[int64](0)}
 }
 
 // New returns an empty transactional skip list with int64 keys and values,
@@ -95,13 +84,13 @@ func (l *List[K, V]) nodeLess(n *node[K, V], key K) bool {
 	case 1:
 		return false
 	default:
-		return l.less(n.k, key)
+		return cmp.Less(n.k, key)
 	}
 }
 
 // isKey reports whether n holds exactly key.
 func (l *List[K, V]) isKey(n *node[K, V], key K) bool {
-	return n.sentinel == 0 && !l.less(n.k, key) && !l.less(key, n.k)
+	return n.sentinel == 0 && cmp.Compare(n.k, key) == 0
 }
 
 // findPreds fills preds with the rightmost node strictly smaller than key at
@@ -251,7 +240,7 @@ func (l *List[K, V]) CheckInvariants() error {
 		for level := 0; level <= maxLevel; level++ {
 			var prev *node[K, V]
 			for n := stm.Read(tx, l.head.next[level]); n.sentinel != 1; n = stm.Read(tx, n.next[level]) {
-				if prev != nil && !l.less(prev.k, n.k) {
+				if prev != nil && !cmp.Less(prev.k, n.k) {
 					return errOrder
 				}
 				prev = n

@@ -16,8 +16,7 @@
 //     Swap allocates one box. This is the fallback for every other type
 //     (strings, structs, pointers to caller-owned state, ...).
 //
-// The representation is selected by the data structure's constructor
-// (mirroring how the constructors select devirtualized search routines): a
+// The representation is selected by the data structure's constructor: a
 // structure computes Unboxed[V]() once and passes it to Init for every cell
 // it creates, so the per-access cost of the choice is a single predictable
 // branch rather than a type assertion or an indirect call.

@@ -29,8 +29,6 @@ import (
 	"repro/internal/linearize"
 )
 
-func int64Less(a, b int64) bool { return a < b }
-
 // lcg advances a deterministic pseudo-random stream (same generator as the
 // dicttest suite).
 func lcg(state *uint64) uint64 {
@@ -74,7 +72,7 @@ func TestRecordedHistoriesLinearizable(t *testing.T) {
 							p.Get(any)
 						default:
 							lo := any - 10
-							p.Scan(lo, lo+20, int64Less)
+							p.Scan(lo, lo+20)
 						}
 					}
 				}(g)
@@ -104,7 +102,6 @@ func TestRecordedStringHistoriesLinearizable(t *testing.T) {
 		t.Run(target.Name, func(t *testing.T) {
 			t.Parallel()
 			rec := linearize.NewRecorder(target.New())
-			less := target.Less
 
 			const procs = 4
 			const opsPerProc = 300
@@ -131,7 +128,7 @@ func TestRecordedStringHistoriesLinearizable(t *testing.T) {
 						default:
 							// Scan one proc's whole prefix range.
 							gp := int(lcg(&state)) % procs
-							p.Scan(key(gp, 0), key(gp, keysPerProc-1), less)
+							p.Scan(key(gp, 0), key(gp, keysPerProc-1))
 						}
 					}
 				}(g)

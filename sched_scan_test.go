@@ -88,7 +88,7 @@ func TestChunkedScanEnumeration(t *testing.T) {
 					stepsBefore = rt.Stats().RebalanceTotal()
 				}
 				scanner, writer := rec.Proc(), rec.Proc()
-				c.Go("scan", func() { scanner.Scan(1, 35, dict.Ordered[int64]()) })
+				c.Go("scan", func() { scanner.Scan(1, 35) })
 				c.Go("write", func() { tc.writer(writer) })
 				if err := c.Run(); err != nil {
 					return err
