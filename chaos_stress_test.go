@@ -3,20 +3,7 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/chromatic"
-	"repro/internal/dict"
 	"repro/internal/dict/dicttest"
-	"repro/internal/ebst"
-	"repro/internal/lbst"
-	"repro/internal/ravl"
-)
-
-// Every LLX/SCX template tree exposes the bounded-operation surface.
-var (
-	_ dict.BoundedMap[int64, int64] = (*lbst.Tree[int64, int64])(nil)
-	_ dict.BoundedMap[int64, int64] = (*ebst.Tree[int64, int64])(nil)
-	_ dict.BoundedMap[int64, int64] = (*ravl.Tree[int64, int64])(nil)
-	_ dict.BoundedMap[int64, int64] = (*chromatic.Tree[int64, int64])(nil)
 )
 
 // These tests run the chaos-mode stress suites (internal/dict/dicttest's
@@ -52,17 +39,6 @@ func TestChaosCrashStress(t *testing.T) {
 	for _, tgt := range templateTreeTargets(t) {
 		t.Run(tgt.Name, func(t *testing.T) {
 			dicttest.ChaosCrashStress(t, tgt, 4, 800)
-		})
-	}
-}
-
-// TestChaosBoundedStress: tight per-operation retry budgets under injected
-// contention. Budget failures must be effect-free and successes exact — a
-// per-worker model over disjoint keyspaces verifies both.
-func TestChaosBoundedStress(t *testing.T) {
-	for _, tgt := range templateTreeTargets(t) {
-		t.Run(tgt.Name, func(t *testing.T) {
-			dicttest.ChaosBoundedStress(t, tgt, 4, 1500, 64)
 		})
 	}
 }

@@ -2,13 +2,11 @@ package dicttest
 
 import (
 	"cmp"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/dict"
 	"repro/internal/epoch"
 	"repro/internal/linearize"
 	"repro/internal/sched"
@@ -330,128 +328,4 @@ func ChaosCrashStress(t *testing.T, tgt Target, workers, opsPerWorker int) {
 	}
 	ChaosCrashStressKV(t, tgt.generic(), workers, opsPerWorker, window,
 		func(w, i int) int64 { return int64(w)<<32 + int64(i) + 1 })
-}
-
-// ChaosBoundedStressKV exercises the bounded-operation surface under chaos
-// contention: workers on disjoint keyspaces issue InsertBounded and
-// DeleteBounded with tight retry budgets while chaos delays and preemption
-// inflate contention from neighboring keyspaces. Because each worker owns
-// its keys, its operations are sequential per key, so a per-worker model
-// tracks the exact expected state: a budget failure must be effect-free and
-// a success must land exactly. The target must implement dict.BoundedMap.
-func ChaosBoundedStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], goroutines, opsPerG int, key func(g int, u uint64) K, val func(uint64) V) {
-	t.Helper()
-	checkGoroutineLeaks(t)
-	seed := stressSeed(t)
-	defer hangGuard(t, 2*time.Minute)()
-
-	d := tgt.New()
-	bm, ok := d.(dict.BoundedMap[K, V])
-	if !ok {
-		t.Fatalf("%s does not implement dict.BoundedMap", tgt.Name)
-	}
-
-	w := epoch.StartWatchdog(2*time.Millisecond, 10*time.Millisecond)
-	defer w.Stop()
-	if err := sched.EnableChaos(sched.ChaosConfig{
-		Seed:       int64(seed),
-		Default:    sched.ChaosPolicy{Delay: 50000, Preempt: 50000},
-		DelaySpins: 256,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	defer sched.DisableChaos()
-
-	var budgetFails atomic.Int64
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			cw := sched.RegisterChaos(g)
-			defer cw.Close()
-			md := newModel[K, V]()
-			state := seed + uint64(g)*0x9e3779b97f4a7c15 + 1
-			budget := dict.Budget{Retries: 2}
-			for i := 0; i < opsPerG; i++ {
-				k := key(g, lcg(&state))
-				if lcg(&state)%3 != 2 {
-					v := val(lcg(&state))
-					old, existed, err := bm.InsertBounded(k, v, budget)
-					if err != nil {
-						// Effect-free by contract: the model is untouched.
-						if err != dict.ErrRetryBudget && err != dict.ErrDeadline {
-							errs <- err
-							return
-						}
-						budgetFails.Add(1)
-						continue
-					}
-					wantOld, wantEx := md.insert(k, v)
-					if old != wantOld || existed != wantEx {
-						errs <- errMismatch("InsertBounded", k, old, existed, wantOld, wantEx)
-						return
-					}
-				} else {
-					old, existed, err := bm.DeleteBounded(k, budget)
-					if err != nil {
-						if err != dict.ErrRetryBudget && err != dict.ErrDeadline {
-							errs <- err
-							return
-						}
-						budgetFails.Add(1)
-						continue
-					}
-					wantOld, wantEx := md.delete(k)
-					if old != wantOld || existed != wantEx {
-						errs <- errMismatch("DeleteBounded", k, old, existed, wantOld, wantEx)
-						return
-					}
-				}
-			}
-			// Final sweep: the structure's view of this worker's keyspace
-			// must match the model exactly — a "failed" operation that
-			// actually published would show up here.
-			for _, k := range md.sortedKeys() {
-				wantV, _ := md.get(k)
-				gotV, gotOK := d.Get(k)
-				if !gotOK || gotV != wantV {
-					errs <- errMismatch("final Get", k, gotV, gotOK, wantV, true)
-					return
-				}
-			}
-			errs <- nil
-		}(g)
-	}
-	wg.Wait()
-	st := sched.ReadChaosStats()
-	sched.DisableChaos()
-	for g := 0; g < goroutines; g++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Logf("chaos stats: %+v, budget failures: %d", st, budgetFails.Load())
-	if tgt.Check != nil {
-		if err := tgt.Check(d); err != nil {
-			t.Errorf("invariant check after bounded stress: %v", err)
-		}
-	}
-	drainPending(t, 10*time.Second)
-}
-
-// ChaosBoundedStress is the int64 wrapper: goroutine g owns the packed
-// keyspace [g*keysPerG, (g+1)*keysPerG), so budget pressure comes from
-// structural contention with the neighbors, never from data races on keys.
-func ChaosBoundedStress(t *testing.T, tgt Target, goroutines, opsPerG int, keysPerG int64) {
-	t.Helper()
-	gt := tgt.generic()
-	ChaosBoundedStressKV(t, gt, goroutines, opsPerG,
-		func(g int, u uint64) int64 { return int64(g)*keysPerG + int64(u%uint64(keysPerG)) },
-		func(u uint64) int64 { return int64(u%(1<<30)) + 1 })
-}
-
-func errMismatch(op string, key, got, gotOK, want, wantOK any) error {
-	return fmt.Errorf("%s(%v) = (%v, %v), sequential model says (%v, %v)", op, key, got, gotOK, want, wantOK)
 }

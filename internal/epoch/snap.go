@@ -88,7 +88,3 @@ func snapFloor() uint64 {
 	}
 	return floor
 }
-
-// SnapPinned returns the number of live snapshot pins. Test and diagnostic
-// use.
-func SnapPinned() int64 { return snapCount.Load() }

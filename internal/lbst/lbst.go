@@ -77,7 +77,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"repro/internal/dict"
 	"repro/internal/epoch"
 	"repro/internal/llxscx"
 	"repro/internal/sched"
@@ -638,31 +637,15 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 //
 // Under pooled reclamation the whole operation runs inside ONE pinned
 // region, so no leaf the operation reaches can be recycled (and its cell
-// reset) before the operation returns.
+// reset) before the operation returns. The guard is released by defer, so a
+// panic unwinding out of an attempt — chaos injection in the tests, or any
+// future bug — releases the epoch slot instead of wedging reclamation for
+// the whole process (the stall watchdog exists for holders that park
+// without unwinding; see internal/epoch).
 func (t *Tree[K, V]) Insert(key K, value V) (V, bool) {
-	old, existed, _ := t.InsertBounded(key, value, dict.Budget{})
-	return old, existed
-}
-
-// InsertBounded is Insert under a per-operation budget (see dict.Budget):
-// the retry loop gives up with ErrRetryBudget or ErrDeadline once the
-// budget is exhausted. A budget failure is always effect-free: an insertion
-// attempt either commits (SCX or in-place publish, and the loop returns
-// success) or changed nothing. The uncontended path never consults the
-// budget.
-//
-// The guard is released by defer, so a panic unwinding out of an attempt —
-// chaos injection in the tests, or any future bug — releases the epoch slot
-// instead of wedging reclamation for the whole process (the stall watchdog
-// exists for holders that park without unwinding; see internal/epoch).
-func (t *Tree[K, V]) InsertBounded(key K, value V, budget dict.Budget) (V, bool, error) {
 	g := epoch.Pin()
 	defer epoch.Unpin(g)
 	for fails := 0; ; {
-		if err := budget.Check(fails); err != nil {
-			var zero V
-			return zero, false, err
-		}
 		_, p, l := t.search(key)
 		if isKey(key, l) {
 			// While a snapshot handle is live the in-place publish would
@@ -680,13 +663,13 @@ func (t *Tree[K, V]) InsertBounded(key K, value V, budget dict.Budget) (V, bool,
 			if t.snapLive.Load() != 0 {
 				w.Close()
 				if old, done := t.tryReplace(g, key, value, p, l); done {
-					return old, true, nil
+					return old, true
 				}
 			} else {
 				old, ok := tryPublish(l, value)
 				w.Close()
 				if ok {
-					return old, true, nil
+					return old, true
 				}
 				// Help the SCX that finalized the leaf before retrying. LLX on
 				// a marked record helps its in-progress descriptor to
@@ -699,7 +682,7 @@ func (t *Tree[K, V]) InsertBounded(key K, value V, budget dict.Budget) (V, bool,
 			}
 		} else if t.tryInsert(g, key, value, p, l) {
 			var zero V
-			return zero, false, nil
+			return zero, false
 		}
 		// A failed attempt means a concurrent update won the SCX in this
 		// neighbourhood (or the leaf was finalized under an overwrite); back
@@ -856,31 +839,19 @@ func (t *Tree[K, V]) tryReplace(g *epoch.Guard, key K, value V, p, l *Node[K, V]
 // Delete removes key, returning its value and true if it was present. The
 // update performs LLXs on the grandparent, parent, leaf and sibling, and
 // one SCX that swings the grandparent's child pointer to a copy of the
-// sibling (Figure 6 of the paper).
+// sibling (Figure 6 of the paper). The guard is released by defer, for the
+// panic-safety Insert describes.
 func (t *Tree[K, V]) Delete(key K) (V, bool) {
-	old, existed, _ := t.DeleteBounded(key, dict.Budget{})
-	return old, existed
-}
-
-// DeleteBounded is Delete under a per-operation budget. A budget failure is
-// always effect-free: a deletion attempt either commits its SCX (and the
-// loop returns success) or changed nothing. The guard is released by defer
-// for the same panic-safety as InsertBounded.
-func (t *Tree[K, V]) DeleteBounded(key K, budget dict.Budget) (V, bool, error) {
 	g := epoch.Pin()
 	defer epoch.Unpin(g)
 	for fails := 0; ; {
-		if err := budget.Check(fails); err != nil {
-			var zero V
-			return zero, false, err
-		}
 		gp, p, l := t.search(key)
 		if gp == nil || !isKey(key, l) {
 			var zero V
-			return zero, false, nil
+			return zero, false
 		}
 		if v, ok := t.tryDelete(g, key, gp, p, l); ok {
-			return v, true, nil
+			return v, true
 		}
 		fails++
 		backoffWait(fails)

@@ -231,9 +231,6 @@ func (l Linked[N]) NumChildren() int { return l.n }
 // Child returns the value of the i'th mutable field at the time of the LLX.
 func (l Linked[N]) Child(i int) *N { return l.vals[i] }
 
-// Valid reports whether the Linked value was produced by a successful LLX.
-func (l Linked[N]) Valid() bool { return l.ev.rec != nil }
-
 // Evidence is the part of a Linked that SCX and VLX read: the record and the
 // descriptor tag its LLX observed, two words instead of a Linked's six. A
 // reader that consumes each snapshot's children as it goes and only needs to

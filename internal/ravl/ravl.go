@@ -39,7 +39,6 @@ package ravl
 import (
 	"cmp"
 	"fmt"
-	"math"
 
 	"repro/internal/epoch"
 	"repro/internal/lbst"
@@ -281,13 +280,6 @@ func (t *Tree[K, V]) Stats() *Stats { return &t.stats }
 // tree of n keys: far more steps than any converging drain needs, small
 // enough that RebalanceAll fails fast if step selection ever diverged.
 func DrainCap(n int) int { return 30*n + 10000 }
-
-// HeightBound returns the exact-AVL height bound for a leaf-oriented tree
-// of n keys (~1.44*log2(n), plus slack for the leaf level and rounding).
-// After RebalanceAll the tree's Height must not exceed it.
-func HeightBound(n int) int {
-	return int(1.4405*math.Log2(float64(n)+2)) + 3
-}
 
 // RebalanceAll repeatedly applies rebalancing steps, deepest violation
 // first, until the tree contains none, and returns the number of steps

@@ -152,15 +152,6 @@ func ReleaseAbandoned() {
 	}
 }
 
-// AbandonedCount returns the number of workers currently parked by
-// abandonment injection.
-func AbandonedCount() int64 {
-	if run := activeRun.Load(); run != nil {
-		return run.abandoned.Load()
-	}
-	return 0
-}
-
 // ReadChaosStats returns the active run's cumulative injection counts (zero
 // when no run is active).
 func ReadChaosStats() ChaosStats {

@@ -93,7 +93,6 @@ type Txn struct {
 	readVersion uint64
 	reads       []readEntry
 	writes      []writeEntry
-	attempts    int
 }
 
 type readEntry struct {
@@ -146,10 +145,6 @@ func Write[T any](tx *Txn, v *Var[T], val T) {
 	tx.writes = append(tx.writes, writeEntry{h: v, val: val})
 }
 
-// Attempts reports how many times the current transaction has been retried.
-// STM data structures may use it for diagnostics.
-func (tx *Txn) Attempts() int { return tx.attempts }
-
 // Atomically runs fn as a transaction, retrying it until it commits, and
 // returns fn's result. fn must perform all shared accesses through Read and
 // Write, must be free of side effects other than through the transaction,
@@ -157,11 +152,10 @@ func (tx *Txn) Attempts() int { return tx.attempts }
 func Atomically[R any](fn func(tx *Txn) R) R {
 	backoff := 1
 	tx := &Txn{}
-	for attempt := 0; ; attempt++ {
+	for {
 		tx.readVersion = clock.Load()
 		tx.reads = tx.reads[:0]
 		tx.writes = tx.writes[:0]
-		tx.attempts = attempt
 
 		result, aborted := runAttempt(fn, tx)
 		if !aborted && tx.commit() {
