@@ -129,11 +129,17 @@ func baselineTargets(tb testing.TB) []dicttest.Target {
 			Check: func(d dict.IntMap) error {
 				return d.(*lockavl.Tree[int64, int64]).CheckInvariants()
 			},
+			CheckOp: func(d dict.IntMap) error {
+				return d.(*lockavl.Tree[int64, int64]).CheckInvariants()
+			},
 		},
 		{
 			Name: "RBSTM",
 			New:  lookup("RBSTM"),
 			Check: func(d dict.IntMap) error {
+				return d.(*stmrbt.Tree[int64, int64]).CheckInvariants()
+			},
+			CheckOp: func(d dict.IntMap) error {
 				return d.(*stmrbt.Tree[int64, int64]).CheckInvariants()
 			},
 		},
@@ -150,6 +156,9 @@ func baselineTargets(tb testing.TB) []dicttest.Target {
 			Check: func(d dict.IntMap) error {
 				return d.(*seqrbt.Global[int64, int64]).CheckInvariants()
 			},
+			CheckOp: func(d dict.IntMap) error {
+				return d.(*seqrbt.Global[int64, int64]).CheckInvariants()
+			},
 		},
 	}
 }
@@ -162,6 +171,9 @@ func seqRBTTarget() dicttest.Target {
 		Name: "SeqRBT",
 		New:  func() dict.IntMap { return seqrbt.New() },
 		Check: func(d dict.IntMap) error {
+			return d.(*seqrbt.Tree[int64, int64]).CheckInvariants()
+		},
+		CheckOp: func(d dict.IntMap) error {
 			return d.(*seqrbt.Tree[int64, int64]).CheckInvariants()
 		},
 	}
@@ -495,10 +507,11 @@ func fuzzSeedCorpus() [][]byte {
 // (opcode, key, value) triples, to every structure - template trees and
 // baselines, both the int64 registry instantiations and the string-keyed
 // generic ones - and compares each result with the model map. The four
-// template trees are checked after every operation (their targets' CheckOp:
-// whole content against the model, then CheckRedBlack, CheckInvariants,
-// CheckAVL or CheckStructure); every structure's invariant checker runs at
-// the end of the input. Run with
+// template trees and the baseline trees (LockAVL, RBSTM, RBGlobal, SeqRBT)
+// are checked after every operation (their targets' CheckOp: whole content
+// against the model, then CheckRedBlack, CheckInvariants, CheckAVL,
+// CheckStructure or the baseline's CheckInvariants); every structure's
+// invariant checker runs at the end of the input. Run with
 // `go test -fuzz=FuzzOrderedMapAgainstModel .` for continuous fuzzing; the
 // seed corpus runs as part of `go test`.
 func FuzzOrderedMapAgainstModel(f *testing.F) {
@@ -676,23 +689,13 @@ func TestRegistryCoversAllStructures(t *testing.T) {
 	}
 }
 
-// TestRegistryAndFigure8StayInSync checks that every registry name resolves
-// through Lookup and that every factory constructs a structure reporting the
-// name it is registered under (the name the Figure 8 table prints).
+// TestRegistryAndFigure8StayInSync checks that every registry name, the
+// name the Figure 8 table prints, resolves through Lookup to the factory
+// registered under it.
 func TestRegistryAndFigure8StayInSync(t *testing.T) {
 	for _, name := range bench.Names() {
-		f, ok := bench.Lookup(name)
-		if !ok {
+		if f, ok := bench.Lookup(name); !ok || f.Name != name {
 			t.Errorf("registry name %q does not resolve through Lookup", name)
-			continue
-		}
-		named, ok := f.New().(dict.Named)
-		if !ok {
-			t.Errorf("%s does not implement dict.Named", name)
-			continue
-		}
-		if got := named.Name(); got != name {
-			t.Errorf("factory %q constructs a structure reporting Name() = %q", name, got)
 		}
 	}
 }

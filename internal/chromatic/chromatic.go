@@ -34,7 +34,6 @@ package chromatic
 
 import (
 	"cmp"
-	"strconv"
 
 	"repro/internal/epoch"
 	"repro/internal/lbst"
@@ -143,15 +142,6 @@ type policy[K cmp.Ordered, V any] struct {
 	allowed int
 	eng     *lbst.Tree[K, V]
 	stats   *Stats
-}
-
-// Name implements lbst.Policy: "Chromatic", or "Chromatic6" and the like for
-// a tree that tolerates violations.
-func (pol *policy[K, V]) Name() string {
-	if pol.allowed == 0 {
-		return "Chromatic"
-	}
-	return "Chromatic" + strconv.Itoa(pol.allowed)
 }
 
 // SentinelDeco implements lbst.Policy: sentinels have weight one.

@@ -127,9 +127,3 @@ type IntSnapshotView = SnapshotView[int64, int64]
 type Sized interface {
 	Size() int
 }
-
-// Named is implemented by dictionaries that expose a human-readable name for
-// benchmark reports.
-type Named interface {
-	Name() string
-}

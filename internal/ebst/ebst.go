@@ -32,7 +32,6 @@ import (
 // itself in violation.
 type policy[K, V any] struct{}
 
-func (policy[K, V]) Name() string                                        { return "EBST" }
 func (policy[K, V]) SentinelDeco() int64                                 { return 0 }
 func (policy[K, V]) InsertDecos(_, _ *lbst.Node[K, V]) (_, _, _ int64)   { return 0, 0, 0 }
 func (policy[K, V]) PromoteDeco(_, _, _ *lbst.Node[K, V]) int64          { return 0 }

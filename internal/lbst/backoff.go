@@ -35,12 +35,17 @@ func backoffWait(failures int) {
 	if failures <= 0 {
 		return
 	}
-	limit := maxBackoffSpins
-	if shift := failures - 1; shift < 8 {
-		limit = 1 << shift
-	}
-	spins := rand.IntN(limit) + 1
+	spins := rand.IntN(backoffLimit(failures)) + 1
 	for i := 0; i < spins; i++ {
 		runtime.Gosched()
 	}
+}
+
+// backoffLimit is the bound on backoffWait's yields after failures >= 1
+// consecutive failed attempts: min(2^(failures-1), maxBackoffSpins).
+func backoffLimit(failures int) int {
+	if shift := failures - 1; shift < 8 {
+		return 1 << shift
+	}
+	return maxBackoffSpins
 }

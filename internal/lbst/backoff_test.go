@@ -16,15 +16,8 @@ func TestBackoffWaitBounds(t *testing.T) {
 
 func TestBackoffLimitComputation(t *testing.T) {
 	// The spin bound doubles per failure and caps at maxBackoffSpins.
-	limitFor := func(failures int) int {
-		limit := maxBackoffSpins
-		if shift := failures - 1; shift < 8 {
-			limit = 1 << shift
-		}
-		return limit
-	}
-	for failures, want := range map[int]int{1: 1, 2: 2, 3: 4, 8: 128, 9: 256, 50: 256} {
-		if got := limitFor(failures); got != want {
+	for failures, want := range map[int]int{1: 1, 2: 2, 3: 4, 8: 128, 9: 256, 10: 256, 50: 256} {
+		if got := backoffLimit(failures); got != want {
 			t.Errorf("limit for %d failures = %d, want %d", failures, got, want)
 		}
 	}

@@ -275,9 +275,6 @@ func SiblingOf[K, V any](lk llxscx.Linked[Node[K, V]], child *Node[K, V]) *Node[
 // structural change as a template update (LLXs followed by one SCX) so the
 // combined data structure stays non-blocking and linearizable.
 type Policy[K, V any] interface {
-	// Name identifies the resulting data structure in benchmark reports.
-	Name() string
-
 	// SentinelDeco is the decoration of the two sentinels of the empty tree:
 	// the entry node and the sentinel leaf below it.
 	SentinelDeco() int64
@@ -409,9 +406,6 @@ func NewOrdered[K cmp.Ordered, V any](pol Policy[K, V]) *Tree[K, V] {
 	}
 	return t
 }
-
-// Name identifies the data structure in benchmark reports.
-func (t *Tree[K, V]) Name() string { return t.pol.Name() }
 
 // Entry exposes the sentinel entry point for policies and quiescent
 // inspection.

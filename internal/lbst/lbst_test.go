@@ -15,7 +15,6 @@ type intNode = Node[int64, int64]
 // nopPolicy is the minimal policy: no decoration, no violations.
 type nopPolicy struct{}
 
-func (nopPolicy) Name() string                                       { return "nop" }
 func (nopPolicy) SentinelDeco() int64                                { return 0 }
 func (nopPolicy) InsertDecos(_, _ *intNode) (_, _, _ int64)          { return 0, 0, 0 }
 func (nopPolicy) PromoteDeco(_, _, _ *intNode) int64                 { return 0 }
@@ -33,7 +32,6 @@ type probePolicy struct {
 	violation atomic.Int64
 }
 
-func (p *probePolicy) Name() string        { return "probe" }
 func (p *probePolicy) SentinelDeco() int64 { return 3 }
 func (p *probePolicy) InsertDecos(_, l *intNode) (internal, leaf, oldLeaf int64) {
 	// A leaf comes out redecorated the first time a key is inserted beside

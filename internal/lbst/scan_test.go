@@ -173,7 +173,6 @@ func TestScanMatchesModel(t *testing.T) {
 // does not compress spines either.
 type plain struct{}
 
-func (plain) Name() string                                                    { return "plain" }
 func (plain) SentinelDeco() int64                                             { return 0 }
 func (plain) InsertDecos(_, _ *lbst.Node[int64, int64]) (_, _, _ int64)       { return 0, 0, 0 }
 func (plain) PromoteDeco(_, _, _ *lbst.Node[int64, int64]) int64              { return 0 }

@@ -39,16 +39,23 @@ type node[K, V any] struct {
 	present atomic.Bool // false for routing nodes (logically deleted)
 	removed atomic.Bool // true once physically unlinked
 
-	left, right atomic.Pointer[node[K, V]]
-	parent      atomic.Pointer[node[K, V]]
-	height      atomic.Int32
+	// child[0] is the left child and child[1] the right: the rotations,
+	// the rebalancing cases and the neighbour queries are each written
+	// once over a side d, with 1-d the other side.
+	child  [2]atomic.Pointer[node[K, V]]
+	parent atomic.Pointer[node[K, V]]
+	height atomic.Int32
 }
 
-func (n *node[K, V]) child(right bool) *atomic.Pointer[node[K, V]] {
-	if right {
-		return &n.right
+// slotOf returns the child slot of n that holds c, trying the left one
+// first, or nil if neither does.
+func (n *node[K, V]) slotOf(c *node[K, V]) *atomic.Pointer[node[K, V]] {
+	for d := range n.child {
+		if n.child[d].Load() == c {
+			return &n.child[d]
+		}
 	}
-	return &n.left
+	return nil
 }
 
 func (n *node[K, V]) val() V { return n.value.Load() }
@@ -63,7 +70,7 @@ func heightOf[K, V any](n *node[K, V]) int32 {
 }
 
 func (n *node[K, V]) fixHeight() {
-	lh, rh := heightOf(n.left.Load()), heightOf(n.right.Load())
+	lh, rh := heightOf(n.child[0].Load()), heightOf(n.child[1].Load())
 	if lh > rh {
 		n.height.Store(lh + 1)
 	} else {
@@ -72,7 +79,7 @@ func (n *node[K, V]) fixHeight() {
 }
 
 func balanceOf[K, V any](n *node[K, V]) int32 {
-	return heightOf(n.left.Load()) - heightOf(n.right.Load())
+	return heightOf(n.child[0].Load()) - heightOf(n.child[1].Load())
 }
 
 // Tree is a concurrent ordered dictionary backed by a lock-based relaxed
@@ -130,13 +137,6 @@ func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] {
 // the benchmark registry and the paper's figures use.
 func New() *Tree[int64, int64] { return NewOrdered[int64, int64]() }
 
-// IntTree is the historical int64 instantiation used by the benchmark
-// registry.
-type IntTree = Tree[int64, int64]
-
-// Name identifies the data structure in benchmark reports.
-func (t *Tree[K, V]) Name() string { return "LockAVL" }
-
 // Size returns the number of keys stored. It is maintained with atomic
 // counters and is exact at quiescence.
 func (t *Tree[K, V]) Size() int { return int(t.size.Load()) }
@@ -147,13 +147,13 @@ func (t *Tree[K, V]) Size() int { return int(t.size.Load()) }
 func (t *Tree[K, V]) Get(key K) (V, bool) {
 	for {
 		stamp := t.structMods.Load()
-		n := t.rootHolder.right.Load()
+		n := t.rootHolder.child[1].Load()
 		for n != nil {
 			switch c := cmp.Compare(key, n.key); {
 			case c < 0:
-				n = n.left.Load()
+				n = n.child[0].Load()
 			case c > 0:
-				n = n.right.Load()
+				n = n.child[1].Load()
 			default:
 				if n.present.Load() {
 					return n.val(), true
@@ -202,11 +202,11 @@ func (t *Tree[K, V]) Insert(key K, value V) (V, bool) {
 			parent.mu.Unlock()
 			continue
 		}
-		right := !cmp.Less(key, parent.key)
-		if parent == t.rootHolder {
-			right = true
+		d := 1
+		if parent != t.rootHolder && cmp.Less(key, parent.key) {
+			d = 0
 		}
-		slot := parent.child(right)
+		slot := &parent.child[d]
 		if slot.Load() != nil {
 			// Someone else attached a node here first; retry from the top.
 			parent.mu.Unlock()
@@ -250,7 +250,7 @@ func (t *Tree[K, V]) Delete(key K) (V, bool) {
 			found.mu.Unlock()
 			return zero, false
 		}
-		left, right := found.left.Load(), found.right.Load()
+		left, right := found.child[0].Load(), found.child[1].Load()
 		if left != nil && right != nil {
 			// Two children: logical deletion only.
 			old := found.val()
@@ -276,15 +276,15 @@ func (t *Tree[K, V]) Delete(key K) (V, bool) {
 // which is the attachment point for an insertion.
 func (t *Tree[K, V]) locate(key K) (parent *node[K, V], found *node[K, V]) {
 	parent = t.rootHolder
-	n := t.rootHolder.right.Load()
+	n := t.rootHolder.child[1].Load()
 	for n != nil {
 		switch c := cmp.Compare(key, n.key); {
 		case c < 0:
 			parent = n
-			n = n.left.Load()
+			n = n.child[0].Load()
 		case c > 0:
 			parent = n
-			n = n.right.Load()
+			n = n.child[1].Load()
 		default:
 			return parent, n
 		}
@@ -319,7 +319,7 @@ func (t *Tree[K, V]) unlink(n *node[K, V]) (V, bool, bool) {
 	if !n.present.Load() {
 		return zero, false, true
 	}
-	left, right := n.left.Load(), n.right.Load()
+	left, right := n.child[0].Load(), n.child[1].Load()
 	if left != nil && right != nil {
 		// Gained a second child since we last looked: fall back to logical
 		// deletion.
@@ -331,13 +331,8 @@ func (t *Tree[K, V]) unlink(n *node[K, V]) (V, bool, bool) {
 	if child == nil {
 		child = right
 	}
-	var slot *atomic.Pointer[node[K, V]]
-	switch {
-	case parent.left.Load() == n:
-		slot = &parent.left
-	case parent.right.Load() == n:
-		slot = &parent.right
-	default:
+	slot := parent.slotOf(n)
+	if slot == nil {
 		return zero, false, false
 	}
 	old := n.val()
@@ -390,52 +385,43 @@ func (t *Tree[K, V]) rebalanceNode(n *node[K, V]) {
 		return
 	}
 	if parent.removed.Load() || n.removed.Load() || n.parent.Load() != parent ||
-		(parent.left.Load() != n && parent.right.Load() != n) {
+		parent.slotOf(n) == nil {
 		n.mu.Unlock()
 		parent.mu.Unlock()
 		return
 	}
 	n.fixHeight()
-	balance := balanceOf(n)
-	switch {
-	case balance > 1:
-		l := n.left.Load()
-		if l != nil && l.mu.TryLock() {
-			if balanceOf(l) < 0 {
-				// Left-right case: rotate the child left first.
-				t.rotate(l, false)
+	// h is n's heavier side. balance counts left minus right, so for h = 1
+	// its sign is flipped to give h's excess.
+	balance, h := balanceOf(n), 0
+	if balance < 0 {
+		balance, h = -balance, 1
+	}
+	if balance > 1 {
+		c := n.child[h].Load()
+		if c != nil && c.mu.TryLock() {
+			if balanceOf(c)*int32(2*h-1) > 0 {
+				// Left-right or right-left case: c leans away from h, so
+				// rotate it towards h first.
+				t.rotate(c, h)
 			}
-			l.mu.Unlock()
-			t.rotate(n, true)
-		}
-	case balance < -1:
-		r := n.right.Load()
-		if r != nil && r.mu.TryLock() {
-			if balanceOf(r) > 0 {
-				// Right-left case: rotate the child right first.
-				t.rotate(r, true)
-			}
-			r.mu.Unlock()
-			t.rotate(n, false)
+			c.mu.Unlock()
+			t.rotate(n, 1-h)
 		}
 	}
 	n.mu.Unlock()
 	parent.mu.Unlock()
 }
 
-// rotate performs a right rotation (rotateRight == true) or left rotation at
-// n. The caller must hold the locks of n's parent and of n.
-func (t *Tree[K, V]) rotate(n *node[K, V], rotateRight bool) {
+// rotate moves n down to side d and lifts its child on the other side, the
+// pivot, into its place: rotate(n, 0) is a left rotation, rotate(n, 1) a
+// right one. The caller must hold the locks of n's parent and of n.
+func (t *Tree[K, V]) rotate(n *node[K, V], d int) {
 	parent := n.parent.Load()
 	if parent == nil {
 		return
 	}
-	var pivot *node[K, V]
-	if rotateRight {
-		pivot = n.left.Load()
-	} else {
-		pivot = n.right.Load()
-	}
+	pivot := n.child[1-d].Load()
 	if pivot == nil {
 		return
 	}
@@ -449,26 +435,14 @@ func (t *Tree[K, V]) rotate(n *node[K, V], rotateRight bool) {
 	// Identify the parent's slot before touching anything, so a mismatch
 	// (which cannot occur while the caller holds the parent's lock, but is
 	// checked defensively) leaves the tree untouched.
-	var slot *atomic.Pointer[node[K, V]]
-	switch {
-	case parent.left.Load() == n:
-		slot = &parent.left
-	case parent.right.Load() == n:
-		slot = &parent.right
-	default:
+	slot := parent.slotOf(n)
+	if slot == nil {
 		return
 	}
 	t.beginStructMod()
-	var moved *node[K, V]
-	if rotateRight {
-		moved = pivot.right.Load()
-		n.left.Store(moved)
-		pivot.right.Store(n)
-	} else {
-		moved = pivot.left.Load()
-		n.right.Store(moved)
-		pivot.left.Store(n)
-	}
+	moved := pivot.child[d].Load()
+	n.child[1-d].Store(moved)
+	pivot.child[d].Store(n)
 	if moved != nil {
 		moved.parent.Store(n)
 	}
@@ -481,80 +455,43 @@ func (t *Tree[K, V]) rotate(n *node[K, V], rotateRight bool) {
 }
 
 // Successor returns the smallest key strictly greater than key (only
-// considering present nodes). Routing nodes (logically deleted keys) are
-// stepped over by repeating the structural search from their key.
-func (t *Tree[K, V]) Successor(key K) (K, V, bool) {
-	probe := key
-	for {
-		node, ok := t.structuralSuccessor(probe)
-		if !ok {
-			var zk K
-			var zv V
-			return zk, zv, false
-		}
-		if node.present.Load() {
-			return node.key, node.val(), true
-		}
-		probe = node.key
-	}
-}
-
-// structuralSuccessor finds the node (present or routing) with the smallest
-// key strictly greater than key, validating against the structure stamp.
-func (t *Tree[K, V]) structuralSuccessor(key K) (*node[K, V], bool) {
-	for {
-		stamp := t.structMods.Load()
-		var best *node[K, V]
-		n := t.rootHolder.right.Load()
-		for n != nil {
-			if cmp.Less(key, n.key) {
-				best = n
-				n = n.left.Load()
-			} else {
-				n = n.right.Load()
-			}
-		}
-		if t.structuresStable(stamp) {
-			return best, best != nil
-		}
-	}
-}
+// considering present nodes).
+func (t *Tree[K, V]) Successor(key K) (K, V, bool) { return t.neighbor(1, key) }
 
 // Predecessor returns the largest key strictly smaller than key (only
 // considering present nodes).
-func (t *Tree[K, V]) Predecessor(key K) (K, V, bool) {
-	probe := key
-	for {
-		node, ok := t.structuralPredecessor(probe)
-		if !ok {
-			var zk K
-			var zv V
-			return zk, zv, false
-		}
-		if node.present.Load() {
-			return node.key, node.val(), true
-		}
-		probe = node.key
-	}
-}
+func (t *Tree[K, V]) Predecessor(key K) (K, V, bool) { return t.neighbor(0, key) }
 
-// structuralPredecessor finds the node (present or routing) with the largest
-// key strictly smaller than key, validating against the structure stamp.
-func (t *Tree[K, V]) structuralPredecessor(key K) (*node[K, V], bool) {
+// neighbor returns the present key nearest to key strictly on side d of it,
+// below it for d = 0 and above it for d = 1. Each pass finds the nearest
+// node, present or routing, validating against the structure stamp; a
+// routing node (a logically deleted key) is stepped over by repeating the
+// search from its key.
+func (t *Tree[K, V]) neighbor(d int, key K) (k K, v V, ok bool) {
+	// dir is what cmp.Compare answers for a key on side d of key.
+	dir := 2*d - 1
 	for {
 		stamp := t.structMods.Load()
 		var best *node[K, V]
-		n := t.rootHolder.right.Load()
+		n := t.rootHolder.child[1].Load()
 		for n != nil {
-			if cmp.Less(n.key, key) {
+			if cmp.Compare(n.key, key) == dir {
 				best = n
-				n = n.right.Load()
+				n = n.child[1-d].Load()
 			} else {
-				n = n.left.Load()
+				n = n.child[d].Load()
 			}
 		}
-		if t.structuresStable(stamp) {
-			return best, best != nil
+		switch {
+		case !t.structuresStable(stamp):
+			// A rotation or unlink overlapped the search: retry.
+		case best == nil:
+			return k, v, false
+		case best.present.Load():
+			return best.key, best.val(), true
+		default:
+			// A routing node: search on from its key.
+			key = best.key
 		}
 	}
 }
@@ -567,13 +504,13 @@ func (t *Tree[K, V]) Keys() []K {
 		if n == nil {
 			return
 		}
-		walk(n.left.Load())
+		walk(n.child[0].Load())
 		if n.present.Load() {
 			keys = append(keys, n.key)
 		}
-		walk(n.right.Load())
+		walk(n.child[1].Load())
 	}
-	walk(t.rootHolder.right.Load())
+	walk(t.rootHolder.child[1].Load())
 	return keys
 }
 
@@ -585,19 +522,19 @@ func (t *Tree[K, V]) Height() int {
 		if n == nil {
 			return 0
 		}
-		l, r := h(n.left.Load()), h(n.right.Load())
+		l, r := h(n.child[0].Load()), h(n.child[1].Load())
 		if l > r {
 			return l + 1
 		}
 		return r + 1
 	}
-	return h(t.rootHolder.right.Load())
+	return h(t.rootHolder.child[1].Load())
 }
 
 // CheckInvariants verifies the BST order over all reachable nodes and the
 // parent-pointer consistency. Quiescence only.
 func (t *Tree[K, V]) CheckInvariants() error {
-	root := t.rootHolder.right.Load()
+	root := t.rootHolder.child[1].Load()
 	if root == nil {
 		return nil
 	}
@@ -615,7 +552,7 @@ func (t *Tree[K, V]) CheckInvariants() error {
 		if n.removed.Load() {
 			return errRemovedReachable
 		}
-		if l := n.left.Load(); l != nil {
+		if l := n.child[0].Load(); l != nil {
 			if l.parent.Load() != n {
 				return errParent
 			}
@@ -623,7 +560,7 @@ func (t *Tree[K, V]) CheckInvariants() error {
 				return err
 			}
 		}
-		if r := n.right.Load(); r != nil {
+		if r := n.child[1].Load(); r != nil {
 			if r.parent.Load() != n {
 				return errParent
 			}

@@ -86,9 +86,6 @@ type policy[K cmp.Ordered, V any] struct {
 	eng   *lbst.Tree[K, V]
 }
 
-// Name implements lbst.Policy.
-func (p *policy[K, V]) Name() string { return "RAVL" }
-
 // SentinelDeco implements lbst.Policy: sentinels carry no height bookkeeping.
 func (p *policy[K, V]) SentinelDeco() int64 { return 0 }
 

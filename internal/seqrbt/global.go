@@ -25,13 +25,6 @@ func NewGlobalOrdered[K cmp.Ordered, V any]() *Global[K, V] {
 // and values, the instantiation the benchmark registry uses.
 func NewGlobal() *Global[int64, int64] { return NewGlobalOrdered[int64, int64]() }
 
-// IntGlobal is the historical int64 instantiation used by the benchmark
-// registry.
-type IntGlobal = Global[int64, int64]
-
-// Name identifies the data structure in benchmark reports.
-func (g *Global[K, V]) Name() string { return "RBGlobal" }
-
 // Get returns the value associated with key, or the zero value and false if
 // absent.
 func (g *Global[K, V]) Get(key K) (V, bool) {

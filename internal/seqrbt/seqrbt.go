@@ -19,12 +19,16 @@ const (
 	black = true
 )
 
+// A node's children are indexed by side: child[0] is the left child and
+// child[1] the right. Every mirrored pair of operations - the two rotations,
+// the two halves of each fixup, Successor and Predecessor - is written once
+// over a side d, with 1-d the other side.
 type node[K, V any] struct {
-	k           K
-	v           V
-	colour      bool
-	left, right *node[K, V]
-	parent      *node[K, V]
+	k      K
+	v      V
+	colour bool
+	child  [2]*node[K, V]
+	parent *node[K, V]
 }
 
 // Tree is a sequential red-black tree. It is not safe for concurrent use.
@@ -42,13 +46,6 @@ func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] { return &Tree[K, V]{} }
 // the instantiation the benchmark registry and the paper's figures use.
 func New() *Tree[int64, int64] { return NewOrdered[int64, int64]() }
 
-// IntTree is the historical int64 instantiation used by the benchmark
-// registry.
-type IntTree = Tree[int64, int64]
-
-// Name identifies the data structure in benchmark reports.
-func (t *Tree[K, V]) Name() string { return "SeqRBT" }
-
 // Size returns the number of keys stored.
 func (t *Tree[K, V]) Size() int { return t.size }
 
@@ -58,9 +55,9 @@ func (t *Tree[K, V]) lookup(key K) *node[K, V] {
 	for n != nil {
 		switch c := cmp.Compare(key, n.k); {
 		case c < 0:
-			n = n.left
+			n = n.child[0]
 		case c > 0:
-			n = n.right
+			n = n.child[1]
 		default:
 			return n
 		}
@@ -87,9 +84,9 @@ func (t *Tree[K, V]) Insert(key K, value V) (V, bool) {
 		parent = n
 		switch c := cmp.Compare(key, n.k); {
 		case c < 0:
-			n = n.left
+			n = n.child[0]
 		case c > 0:
-			n = n.right
+			n = n.child[1]
 		default:
 			old := n.v
 			n.v = value
@@ -101,9 +98,9 @@ func (t *Tree[K, V]) Insert(key K, value V) (V, bool) {
 	case parent == nil:
 		t.root = fresh
 	case cmp.Less(key, parent.k):
-		parent.left = fresh
+		parent.child[0] = fresh
 	default:
-		parent.right = fresh
+		parent.child[1] = fresh
 	}
 	t.size++
 	t.fixAfterInsert(fresh)
@@ -123,29 +120,22 @@ func (t *Tree[K, V]) Delete(key K) (V, bool) {
 
 	// If n has two children, replace its contents with its successor's and
 	// delete the successor instead.
-	if n.left != nil && n.right != nil {
-		s := n.right
-		for s.left != nil {
-			s = s.left
+	if n.child[0] != nil && n.child[1] != nil {
+		s := n.child[1]
+		for s.child[0] != nil {
+			s = s.child[0]
 		}
 		n.k, n.v = s.k, s.v
 		n = s
 	}
 	// n now has at most one child.
-	child := n.left
+	child := n.child[0]
 	if child == nil {
-		child = n.right
+		child = n.child[1]
 	}
 	if child != nil {
 		child.parent = n.parent
-		switch {
-		case n.parent == nil:
-			t.root = child
-		case n == n.parent.left:
-			n.parent.left = child
-		default:
-			n.parent.right = child
-		}
+		t.replace(n, child)
 		if n.colour == black {
 			t.fixAfterDelete(child)
 		}
@@ -156,11 +146,7 @@ func (t *Tree[K, V]) Delete(key K) (V, bool) {
 			t.fixAfterDelete(n)
 		}
 		if n.parent != nil {
-			if n == n.parent.left {
-				n.parent.left = nil
-			} else {
-				n.parent.right = nil
-			}
+			t.replace(n, nil)
 			n.parent = nil
 		}
 	}
@@ -168,33 +154,24 @@ func (t *Tree[K, V]) Delete(key K) (V, bool) {
 }
 
 // Successor returns the smallest key strictly greater than key.
-func (t *Tree[K, V]) Successor(key K) (k K, v V, ok bool) {
-	var best *node[K, V]
-	n := t.root
-	for n != nil {
-		if cmp.Less(key, n.k) {
-			best = n
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	if best == nil {
-		return k, v, false
-	}
-	return best.k, best.v, true
-}
+func (t *Tree[K, V]) Successor(key K) (K, V, bool) { return t.neighbor(1, key) }
 
 // Predecessor returns the largest key strictly smaller than key.
-func (t *Tree[K, V]) Predecessor(key K) (k K, v V, ok bool) {
+func (t *Tree[K, V]) Predecessor(key K) (K, V, bool) { return t.neighbor(0, key) }
+
+// neighbor returns the key nearest to key strictly on side d of it: below it
+// for d = 0, above it for d = 1.
+func (t *Tree[K, V]) neighbor(d int, key K) (k K, v V, ok bool) {
+	// dir is what cmp.Compare answers for a key on side d of key.
+	dir := 2*d - 1
 	var best *node[K, V]
 	n := t.root
 	for n != nil {
-		if cmp.Less(n.k, key) {
+		if cmp.Compare(n.k, key) == dir {
 			best = n
-			n = n.right
+			n = n.child[1-d]
 		} else {
-			n = n.left
+			n = n.child[d]
 		}
 	}
 	if best == nil {
@@ -211,9 +188,9 @@ func (t *Tree[K, V]) Keys() []K {
 		if n == nil {
 			return
 		}
-		walk(n.left)
+		walk(n.child[0])
 		keys = append(keys, n.k)
-		walk(n.right)
+		walk(n.child[1])
 	}
 	walk(t.root)
 	return keys
@@ -226,7 +203,7 @@ func (t *Tree[K, V]) Height() int {
 		if n == nil {
 			return 0
 		}
-		l, r := h(n.left), h(n.right)
+		l, r := h(n.child[0]), h(n.child[1])
 		if l > r {
 			return l + 1
 		}
@@ -249,18 +226,11 @@ func parentOf[K, V any](n *node[K, V]) *node[K, V] {
 	return n.parent
 }
 
-func leftOf[K, V any](n *node[K, V]) *node[K, V] {
+func childOf[K, V any](n *node[K, V], d int) *node[K, V] {
 	if n == nil {
 		return nil
 	}
-	return n.left
-}
-
-func rightOf[K, V any](n *node[K, V]) *node[K, V] {
-	if n == nil {
-		return nil
-	}
-	return n.right
+	return n.child[d]
 }
 
 func setColour[K, V any](n *node[K, V], c bool) {
@@ -269,140 +239,97 @@ func setColour[K, V any](n *node[K, V], c bool) {
 	}
 }
 
-func (t *Tree[K, V]) rotateLeft(n *node[K, V]) {
-	if n == nil {
-		return
-	}
-	r := n.right
-	n.right = r.left
-	if r.left != nil {
-		r.left.parent = n
-	}
-	r.parent = n.parent
-	switch {
-	case n.parent == nil:
+// replace puts r where n hangs: in the child slot of n's parent that holds
+// n, or at the root. It leaves the parent pointers alone.
+func (t *Tree[K, V]) replace(n, r *node[K, V]) {
+	switch p := n.parent; {
+	case p == nil:
 		t.root = r
-	case n.parent.left == n:
-		n.parent.left = r
+	case p.child[0] == n:
+		p.child[0] = r
 	default:
-		n.parent.right = r
+		p.child[1] = r
 	}
-	r.left = n
-	n.parent = r
 }
 
-func (t *Tree[K, V]) rotateRight(n *node[K, V]) {
+// rotate moves n down to side d and lifts its child on the other side, the
+// pivot, into its place: rotate(n, 0) is a left rotation, rotate(n, 1) a
+// right one.
+func (t *Tree[K, V]) rotate(n *node[K, V], d int) {
 	if n == nil {
 		return
 	}
-	l := n.left
-	n.left = l.right
-	if l.right != nil {
-		l.right.parent = n
+	pivot := n.child[1-d]
+	n.child[1-d] = pivot.child[d]
+	if pivot.child[d] != nil {
+		pivot.child[d].parent = n
 	}
-	l.parent = n.parent
-	switch {
-	case n.parent == nil:
-		t.root = l
-	case n.parent.right == n:
-		n.parent.right = l
-	default:
-		n.parent.left = l
-	}
-	l.right = n
-	n.parent = l
+	pivot.parent = n.parent
+	t.replace(n, pivot)
+	pivot.child[d] = n
+	n.parent = pivot
 }
 
+// fixAfterInsert restores the red-black conditions above the fresh red node
+// x. Each pass is keyed on the side d on which x's parent hangs below x's
+// grandparent; y is the uncle, on the other side.
 func (t *Tree[K, V]) fixAfterInsert(x *node[K, V]) {
 	x.colour = red
 	for x != nil && x != t.root && colourOf(parentOf(x)) == red {
-		if parentOf(x) == leftOf(parentOf(parentOf(x))) {
-			y := rightOf(parentOf(parentOf(x)))
-			if colourOf(y) == red {
-				setColour(parentOf(x), black)
-				setColour(y, black)
-				setColour(parentOf(parentOf(x)), red)
-				x = parentOf(parentOf(x))
-			} else {
-				if x == rightOf(parentOf(x)) {
-					x = parentOf(x)
-					t.rotateLeft(x)
-				}
-				setColour(parentOf(x), black)
-				setColour(parentOf(parentOf(x)), red)
-				t.rotateRight(parentOf(parentOf(x)))
-			}
+		d := 1
+		if parentOf(x) == childOf(parentOf(parentOf(x)), 0) {
+			d = 0
+		}
+		y := childOf(parentOf(parentOf(x)), 1-d)
+		if colourOf(y) == red {
+			setColour(parentOf(x), black)
+			setColour(y, black)
+			setColour(parentOf(parentOf(x)), red)
+			x = parentOf(parentOf(x))
 		} else {
-			y := leftOf(parentOf(parentOf(x)))
-			if colourOf(y) == red {
-				setColour(parentOf(x), black)
-				setColour(y, black)
-				setColour(parentOf(parentOf(x)), red)
-				x = parentOf(parentOf(x))
-			} else {
-				if x == leftOf(parentOf(x)) {
-					x = parentOf(x)
-					t.rotateRight(x)
-				}
-				setColour(parentOf(x), black)
-				setColour(parentOf(parentOf(x)), red)
-				t.rotateLeft(parentOf(parentOf(x)))
+			if x == childOf(parentOf(x), 1-d) {
+				x = parentOf(x)
+				t.rotate(x, d)
 			}
+			setColour(parentOf(x), black)
+			setColour(parentOf(parentOf(x)), red)
+			t.rotate(parentOf(parentOf(x)), 1-d)
 		}
 	}
 	t.root.colour = black
 }
 
+// fixAfterDelete restores the red-black conditions after a black node was
+// removed at x. Each pass is keyed on the side d on which x hangs below its
+// parent; sib is x's sibling, on the other side.
 func (t *Tree[K, V]) fixAfterDelete(x *node[K, V]) {
 	for x != t.root && colourOf(x) == black {
-		if x == leftOf(parentOf(x)) {
-			sib := rightOf(parentOf(x))
-			if colourOf(sib) == red {
-				setColour(sib, black)
-				setColour(parentOf(x), red)
-				t.rotateLeft(parentOf(x))
-				sib = rightOf(parentOf(x))
-			}
-			if colourOf(leftOf(sib)) == black && colourOf(rightOf(sib)) == black {
-				setColour(sib, red)
-				x = parentOf(x)
-			} else {
-				if colourOf(rightOf(sib)) == black {
-					setColour(leftOf(sib), black)
-					setColour(sib, red)
-					t.rotateRight(sib)
-					sib = rightOf(parentOf(x))
-				}
-				setColour(sib, colourOf(parentOf(x)))
-				setColour(parentOf(x), black)
-				setColour(rightOf(sib), black)
-				t.rotateLeft(parentOf(x))
-				x = t.root
-			}
+		d := 1
+		if x == childOf(parentOf(x), 0) {
+			d = 0
+		}
+		sib := childOf(parentOf(x), 1-d)
+		if colourOf(sib) == red {
+			setColour(sib, black)
+			setColour(parentOf(x), red)
+			t.rotate(parentOf(x), d)
+			sib = childOf(parentOf(x), 1-d)
+		}
+		if colourOf(childOf(sib, d)) == black && colourOf(childOf(sib, 1-d)) == black {
+			setColour(sib, red)
+			x = parentOf(x)
 		} else {
-			sib := leftOf(parentOf(x))
-			if colourOf(sib) == red {
-				setColour(sib, black)
-				setColour(parentOf(x), red)
-				t.rotateRight(parentOf(x))
-				sib = leftOf(parentOf(x))
-			}
-			if colourOf(rightOf(sib)) == black && colourOf(leftOf(sib)) == black {
+			if colourOf(childOf(sib, 1-d)) == black {
+				setColour(childOf(sib, d), black)
 				setColour(sib, red)
-				x = parentOf(x)
-			} else {
-				if colourOf(leftOf(sib)) == black {
-					setColour(rightOf(sib), black)
-					setColour(sib, red)
-					t.rotateLeft(sib)
-					sib = leftOf(parentOf(x))
-				}
-				setColour(sib, colourOf(parentOf(x)))
-				setColour(parentOf(x), black)
-				setColour(leftOf(sib), black)
-				t.rotateRight(parentOf(x))
-				x = t.root
+				t.rotate(sib, 1-d)
+				sib = childOf(parentOf(x), 1-d)
 			}
+			setColour(sib, colourOf(parentOf(x)))
+			setColour(parentOf(x), black)
+			setColour(childOf(sib, 1-d), black)
+			t.rotate(parentOf(x), d)
+			x = t.root
 		}
 	}
 	setColour(x, black)
@@ -444,20 +371,21 @@ func checkNode[K cmp.Ordered, V any](n *node[K, V], lo, hi *K) (int, error) {
 	if hi != nil && !cmp.Less(n.k, *hi) {
 		return 0, errOrder
 	}
-	if n.colour == red && (colourOf(n.left) == red || colourOf(n.right) == red) {
+	l, r := n.child[0], n.child[1]
+	if n.colour == red && (colourOf(l) == red || colourOf(r) == red) {
 		return 0, errRedRed
 	}
-	if n.left != nil && n.left.parent != n {
+	if l != nil && l.parent != n {
 		return 0, errParentPointer
 	}
-	if n.right != nil && n.right.parent != n {
+	if r != nil && r.parent != n {
 		return 0, errParentPointer
 	}
-	lh, err := checkNode(n.left, lo, &n.k)
+	lh, err := checkNode(l, lo, &n.k)
 	if err != nil {
 		return 0, err
 	}
-	rh, err := checkNode(n.right, &n.k, hi)
+	rh, err := checkNode(r, &n.k, hi)
 	if err != nil {
 		return 0, err
 	}

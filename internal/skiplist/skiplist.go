@@ -107,13 +107,6 @@ func NewOrdered[K cmp.Ordered, V any]() *List[K, V] {
 // instantiation the benchmark registry and the paper's figures use.
 func New() *List[int64, int64] { return NewOrdered[int64, int64]() }
 
-// IntList is the historical int64 instantiation used by the benchmark
-// registry.
-type IntList = List[int64, int64]
-
-// Name identifies the data structure in benchmark reports.
-func (l *List[K, V]) Name() string { return "SkipList" }
-
 // randomLevel chooses a tower height with geometric distribution (p = 1/2).
 func randomLevel() int {
 	lvl := 0

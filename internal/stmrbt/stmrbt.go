@@ -23,12 +23,15 @@ const (
 	black = true
 )
 
+// A node's children are indexed by side: child[0] is the left child and
+// child[1] the right. Every mirrored pair of operations - the two rotations,
+// the two halves of each fixup, Successor and Predecessor - is written once
+// over a side d, with 1-d the other side.
 type node[K, V any] struct {
 	k      *stm.Var[K]
 	v      *stm.Var[V]
 	colour *stm.Var[bool]
-	left   *stm.Var[*node[K, V]]
-	right  *stm.Var[*node[K, V]]
+	child  [2]*stm.Var[*node[K, V]]
 	parent *stm.Var[*node[K, V]]
 }
 
@@ -37,8 +40,10 @@ func newNode[K, V any](k K, v V, parent *node[K, V]) *node[K, V] {
 		k:      stm.NewVar(k),
 		v:      stm.NewVar(v),
 		colour: stm.NewVar(red),
-		left:   stm.NewVar[*node[K, V]](nil),
-		right:  stm.NewVar[*node[K, V]](nil),
+		child: [2]*stm.Var[*node[K, V]]{
+			stm.NewVar[*node[K, V]](nil),
+			stm.NewVar[*node[K, V]](nil),
+		},
 		parent: stm.NewVar(parent),
 	}
 }
@@ -65,13 +70,6 @@ func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] {
 // use.
 func New() *Tree[int64, int64] { return NewOrdered[int64, int64]() }
 
-// IntTree is the historical int64 instantiation used by the benchmark
-// registry.
-type IntTree = Tree[int64, int64]
-
-// Name identifies the data structure in benchmark reports.
-func (t *Tree[K, V]) Name() string { return "RBSTM" }
-
 // Size returns the number of keys stored.
 func (t *Tree[K, V]) Size() int {
 	return int(stm.Atomically(func(tx *stm.Txn) int64 { return stm.Read(tx, t.size) }))
@@ -84,9 +82,9 @@ func (t *Tree[K, V]) lookup(tx *stm.Txn, key K) *node[K, V] {
 	for n != nil {
 		switch c := cmp.Compare(key, stm.Read(tx, n.k)); {
 		case c < 0:
-			n = stm.Read(tx, n.left)
+			n = stm.Read(tx, n.child[0])
 		case c > 0:
-			n = stm.Read(tx, n.right)
+			n = stm.Read(tx, n.child[1])
 		default:
 			return n
 		}
@@ -124,9 +122,9 @@ func (t *Tree[K, V]) Insert(key K, value V) (V, bool) {
 			parent = n
 			switch c := cmp.Compare(key, stm.Read(tx, n.k)); {
 			case c < 0:
-				n = stm.Read(tx, n.left)
+				n = stm.Read(tx, n.child[0])
 			case c > 0:
-				n = stm.Read(tx, n.right)
+				n = stm.Read(tx, n.child[1])
 			default:
 				old := stm.Read(tx, n.v)
 				stm.Write(tx, n.v, value)
@@ -138,9 +136,9 @@ func (t *Tree[K, V]) Insert(key K, value V) (V, bool) {
 		case parent == nil:
 			stm.Write(tx, t.root, fresh)
 		case cmp.Less(key, stm.Read(tx, parent.k)):
-			stm.Write(tx, parent.left, fresh)
+			stm.Write(tx, parent.child[0], fresh)
 		default:
-			stm.Write(tx, parent.right, fresh)
+			stm.Write(tx, parent.child[1], fresh)
 		}
 		stm.Write(tx, t.size, stm.Read(tx, t.size)+1)
 		t.fixAfterInsert(tx, fresh)
@@ -169,47 +167,30 @@ func (t *Tree[K, V]) Delete(key K) (V, bool) {
 }
 
 // Successor returns the smallest key strictly greater than key.
-func (t *Tree[K, V]) Successor(key K) (K, V, bool) {
-	type result struct {
-		k  K
-		v  V
-		ok bool
-	}
-	r := stm.Atomically(func(tx *stm.Txn) result {
-		var best *node[K, V]
-		n := stm.Read(tx, t.root)
-		for n != nil {
-			if k := stm.Read(tx, n.k); cmp.Less(key, k) {
-				best = n
-				n = stm.Read(tx, n.left)
-			} else {
-				n = stm.Read(tx, n.right)
-			}
-		}
-		if best == nil {
-			return result{}
-		}
-		return result{stm.Read(tx, best.k), stm.Read(tx, best.v), true}
-	})
-	return r.k, r.v, r.ok
-}
+func (t *Tree[K, V]) Successor(key K) (K, V, bool) { return t.neighbor(1, key) }
 
 // Predecessor returns the largest key strictly smaller than key.
-func (t *Tree[K, V]) Predecessor(key K) (K, V, bool) {
+func (t *Tree[K, V]) Predecessor(key K) (K, V, bool) { return t.neighbor(0, key) }
+
+// neighbor returns the key nearest to key strictly on side d of it, below it
+// for d = 0 and above it for d = 1, in one transaction.
+func (t *Tree[K, V]) neighbor(d int, key K) (K, V, bool) {
 	type result struct {
 		k  K
 		v  V
 		ok bool
 	}
+	// dir is what cmp.Compare answers for a key on side d of key.
+	dir := 2*d - 1
 	r := stm.Atomically(func(tx *stm.Txn) result {
 		var best *node[K, V]
 		n := stm.Read(tx, t.root)
 		for n != nil {
-			if k := stm.Read(tx, n.k); cmp.Less(k, key) {
+			if k := stm.Read(tx, n.k); cmp.Compare(k, key) == dir {
 				best = n
-				n = stm.Read(tx, n.right)
+				n = stm.Read(tx, n.child[1-d])
 			} else {
-				n = stm.Read(tx, n.left)
+				n = stm.Read(tx, n.child[d])
 			}
 		}
 		if best == nil {
@@ -226,24 +207,24 @@ func (t *Tree[K, V]) Predecessor(key K) (K, V, bool) {
 // java.util.TreeMap does: the successor's key and value are copied into n
 // and the successor node is unlinked instead.
 func (t *Tree[K, V]) deleteNode(tx *stm.Txn, n *node[K, V]) {
-	if stm.Read(tx, n.left) != nil && stm.Read(tx, n.right) != nil {
-		s := stm.Read(tx, n.right)
-		for stm.Read(tx, s.left) != nil {
-			s = stm.Read(tx, s.left)
+	if stm.Read(tx, n.child[0]) != nil && stm.Read(tx, n.child[1]) != nil {
+		s := stm.Read(tx, n.child[1])
+		for stm.Read(tx, s.child[0]) != nil {
+			s = stm.Read(tx, s.child[0])
 		}
 		stm.Write(tx, n.k, stm.Read(tx, s.k))
 		stm.Write(tx, n.v, stm.Read(tx, s.v))
 		n = s
 	}
 	// n now has at most one child.
-	child := stm.Read(tx, n.left)
+	child := stm.Read(tx, n.child[0])
 	if child == nil {
-		child = stm.Read(tx, n.right)
+		child = stm.Read(tx, n.child[1])
 	}
 	parent := stm.Read(tx, n.parent)
 	if child != nil {
 		stm.Write(tx, child.parent, parent)
-		t.replaceChild(tx, parent, n, child)
+		t.replaceChild(tx, parent, n, child, 0)
 		if stm.Read(tx, n.colour) == black {
 			t.fixAfterDelete(tx, child)
 		}
@@ -255,20 +236,24 @@ func (t *Tree[K, V]) deleteNode(tx *stm.Txn, n *node[K, V]) {
 		}
 		parent = stm.Read(tx, n.parent)
 		if parent != nil {
-			t.replaceChild(tx, parent, n, nil)
+			t.replaceChild(tx, parent, n, nil, 0)
 			stm.Write(tx, n.parent, nil)
 		}
 	}
 }
 
-func (t *Tree[K, V]) replaceChild(tx *stm.Txn, parent, old, new *node[K, V]) {
+// replaceChild puts new in the child slot of parent that holds old, or at
+// the root if parent is nil. It reads parent's child on side d first, the
+// side a rotation moves old to, and takes the other slot if d's does not
+// hold old.
+func (t *Tree[K, V]) replaceChild(tx *stm.Txn, parent, old, new *node[K, V], d int) {
 	switch {
 	case parent == nil:
 		stm.Write(tx, t.root, new)
-	case stm.Read(tx, parent.left) == old:
-		stm.Write(tx, parent.left, new)
+	case stm.Read(tx, parent.child[d]) == old:
+		stm.Write(tx, parent.child[d], new)
 	default:
-		stm.Write(tx, parent.right, new)
+		stm.Write(tx, parent.child[1-d], new)
 	}
 }
 
@@ -286,18 +271,11 @@ func parentOf[K, V any](tx *stm.Txn, n *node[K, V]) *node[K, V] {
 	return stm.Read(tx, n.parent)
 }
 
-func leftOf[K, V any](tx *stm.Txn, n *node[K, V]) *node[K, V] {
+func childOf[K, V any](tx *stm.Txn, n *node[K, V], d int) *node[K, V] {
 	if n == nil {
 		return nil
 	}
-	return stm.Read(tx, n.left)
-}
-
-func rightOf[K, V any](tx *stm.Txn, n *node[K, V]) *node[K, V] {
-	if n == nil {
-		return nil
-	}
-	return stm.Read(tx, n.right)
+	return stm.Read(tx, n.child[d])
 }
 
 func setColour[K, V any](tx *stm.Txn, n *node[K, V], c bool) {
@@ -306,142 +284,85 @@ func setColour[K, V any](tx *stm.Txn, n *node[K, V], c bool) {
 	}
 }
 
-func (t *Tree[K, V]) rotateLeft(tx *stm.Txn, n *node[K, V]) {
+// rotate moves n down to side d and lifts its child on the other side, the
+// pivot, into its place: rotate(n, 0) is a left rotation, rotate(n, 1) a
+// right one.
+func (t *Tree[K, V]) rotate(tx *stm.Txn, n *node[K, V], d int) {
 	if n == nil {
 		return
 	}
-	r := stm.Read(tx, n.right)
-	stm.Write(tx, n.right, stm.Read(tx, r.left))
-	if l := stm.Read(tx, r.left); l != nil {
-		stm.Write(tx, l.parent, n)
+	pivot := stm.Read(tx, n.child[1-d])
+	stm.Write(tx, n.child[1-d], stm.Read(tx, pivot.child[d]))
+	if c := stm.Read(tx, pivot.child[d]); c != nil {
+		stm.Write(tx, c.parent, n)
 	}
 	p := stm.Read(tx, n.parent)
-	stm.Write(tx, r.parent, p)
-	switch {
-	case p == nil:
-		stm.Write(tx, t.root, r)
-	case stm.Read(tx, p.left) == n:
-		stm.Write(tx, p.left, r)
-	default:
-		stm.Write(tx, p.right, r)
-	}
-	stm.Write(tx, r.left, n)
-	stm.Write(tx, n.parent, r)
+	stm.Write(tx, pivot.parent, p)
+	t.replaceChild(tx, p, n, pivot, d)
+	stm.Write(tx, pivot.child[d], n)
+	stm.Write(tx, n.parent, pivot)
 }
 
-func (t *Tree[K, V]) rotateRight(tx *stm.Txn, n *node[K, V]) {
-	if n == nil {
-		return
-	}
-	l := stm.Read(tx, n.left)
-	stm.Write(tx, n.left, stm.Read(tx, l.right))
-	if r := stm.Read(tx, l.right); r != nil {
-		stm.Write(tx, r.parent, n)
-	}
-	p := stm.Read(tx, n.parent)
-	stm.Write(tx, l.parent, p)
-	switch {
-	case p == nil:
-		stm.Write(tx, t.root, l)
-	case stm.Read(tx, p.right) == n:
-		stm.Write(tx, p.right, l)
-	default:
-		stm.Write(tx, p.left, l)
-	}
-	stm.Write(tx, l.right, n)
-	stm.Write(tx, n.parent, l)
-}
-
+// fixAfterInsert restores the red-black conditions above the fresh red node
+// x. Each pass is keyed on the side d on which x's parent hangs below x's
+// grandparent; y is the uncle, on the other side.
 func (t *Tree[K, V]) fixAfterInsert(tx *stm.Txn, x *node[K, V]) {
 	setColour(tx, x, red)
 	for x != nil && stm.Read(tx, t.root) != x && colourOf(tx, parentOf(tx, x)) == red {
-		if parentOf(tx, x) == leftOf(tx, parentOf(tx, parentOf(tx, x))) {
-			y := rightOf(tx, parentOf(tx, parentOf(tx, x)))
-			if colourOf(tx, y) == red {
-				setColour(tx, parentOf(tx, x), black)
-				setColour(tx, y, black)
-				setColour(tx, parentOf(tx, parentOf(tx, x)), red)
-				x = parentOf(tx, parentOf(tx, x))
-			} else {
-				if x == rightOf(tx, parentOf(tx, x)) {
-					x = parentOf(tx, x)
-					t.rotateLeft(tx, x)
-				}
-				setColour(tx, parentOf(tx, x), black)
-				setColour(tx, parentOf(tx, parentOf(tx, x)), red)
-				t.rotateRight(tx, parentOf(tx, parentOf(tx, x)))
-			}
+		d := 1
+		if parentOf(tx, x) == childOf(tx, parentOf(tx, parentOf(tx, x)), 0) {
+			d = 0
+		}
+		y := childOf(tx, parentOf(tx, parentOf(tx, x)), 1-d)
+		if colourOf(tx, y) == red {
+			setColour(tx, parentOf(tx, x), black)
+			setColour(tx, y, black)
+			setColour(tx, parentOf(tx, parentOf(tx, x)), red)
+			x = parentOf(tx, parentOf(tx, x))
 		} else {
-			y := leftOf(tx, parentOf(tx, parentOf(tx, x)))
-			if colourOf(tx, y) == red {
-				setColour(tx, parentOf(tx, x), black)
-				setColour(tx, y, black)
-				setColour(tx, parentOf(tx, parentOf(tx, x)), red)
-				x = parentOf(tx, parentOf(tx, x))
-			} else {
-				if x == leftOf(tx, parentOf(tx, x)) {
-					x = parentOf(tx, x)
-					t.rotateRight(tx, x)
-				}
-				setColour(tx, parentOf(tx, x), black)
-				setColour(tx, parentOf(tx, parentOf(tx, x)), red)
-				t.rotateLeft(tx, parentOf(tx, parentOf(tx, x)))
+			if x == childOf(tx, parentOf(tx, x), 1-d) {
+				x = parentOf(tx, x)
+				t.rotate(tx, x, d)
 			}
+			setColour(tx, parentOf(tx, x), black)
+			setColour(tx, parentOf(tx, parentOf(tx, x)), red)
+			t.rotate(tx, parentOf(tx, parentOf(tx, x)), 1-d)
 		}
 	}
 	setColour(tx, stm.Read(tx, t.root), black)
 }
 
+// fixAfterDelete restores the red-black conditions after a black node was
+// removed at x. Each pass is keyed on the side d on which x hangs below its
+// parent; sib is x's sibling, on the other side.
 func (t *Tree[K, V]) fixAfterDelete(tx *stm.Txn, x *node[K, V]) {
 	for stm.Read(tx, t.root) != x && colourOf(tx, x) == black {
-		if x == leftOf(tx, parentOf(tx, x)) {
-			sib := rightOf(tx, parentOf(tx, x))
-			if colourOf(tx, sib) == red {
-				setColour(tx, sib, black)
-				setColour(tx, parentOf(tx, x), red)
-				t.rotateLeft(tx, parentOf(tx, x))
-				sib = rightOf(tx, parentOf(tx, x))
-			}
-			if colourOf(tx, leftOf(tx, sib)) == black && colourOf(tx, rightOf(tx, sib)) == black {
-				setColour(tx, sib, red)
-				x = parentOf(tx, x)
-			} else {
-				if colourOf(tx, rightOf(tx, sib)) == black {
-					setColour(tx, leftOf(tx, sib), black)
-					setColour(tx, sib, red)
-					t.rotateRight(tx, sib)
-					sib = rightOf(tx, parentOf(tx, x))
-				}
-				setColour(tx, sib, colourOf(tx, parentOf(tx, x)))
-				setColour(tx, parentOf(tx, x), black)
-				setColour(tx, rightOf(tx, sib), black)
-				t.rotateLeft(tx, parentOf(tx, x))
-				x = stm.Read(tx, t.root)
-			}
+		d := 1
+		if x == childOf(tx, parentOf(tx, x), 0) {
+			d = 0
+		}
+		sib := childOf(tx, parentOf(tx, x), 1-d)
+		if colourOf(tx, sib) == red {
+			setColour(tx, sib, black)
+			setColour(tx, parentOf(tx, x), red)
+			t.rotate(tx, parentOf(tx, x), d)
+			sib = childOf(tx, parentOf(tx, x), 1-d)
+		}
+		if colourOf(tx, childOf(tx, sib, d)) == black && colourOf(tx, childOf(tx, sib, 1-d)) == black {
+			setColour(tx, sib, red)
+			x = parentOf(tx, x)
 		} else {
-			sib := leftOf(tx, parentOf(tx, x))
-			if colourOf(tx, sib) == red {
-				setColour(tx, sib, black)
-				setColour(tx, parentOf(tx, x), red)
-				t.rotateRight(tx, parentOf(tx, x))
-				sib = leftOf(tx, parentOf(tx, x))
-			}
-			if colourOf(tx, rightOf(tx, sib)) == black && colourOf(tx, leftOf(tx, sib)) == black {
+			if colourOf(tx, childOf(tx, sib, 1-d)) == black {
+				setColour(tx, childOf(tx, sib, d), black)
 				setColour(tx, sib, red)
-				x = parentOf(tx, x)
-			} else {
-				if colourOf(tx, leftOf(tx, sib)) == black {
-					setColour(tx, rightOf(tx, sib), black)
-					setColour(tx, sib, red)
-					t.rotateLeft(tx, sib)
-					sib = leftOf(tx, parentOf(tx, x))
-				}
-				setColour(tx, sib, colourOf(tx, parentOf(tx, x)))
-				setColour(tx, parentOf(tx, x), black)
-				setColour(tx, leftOf(tx, sib), black)
-				t.rotateRight(tx, parentOf(tx, x))
-				x = stm.Read(tx, t.root)
+				t.rotate(tx, sib, 1-d)
+				sib = childOf(tx, parentOf(tx, x), 1-d)
 			}
+			setColour(tx, sib, colourOf(tx, parentOf(tx, x)))
+			setColour(tx, parentOf(tx, x), black)
+			setColour(tx, childOf(tx, sib, 1-d), black)
+			t.rotate(tx, parentOf(tx, x), d)
+			x = stm.Read(tx, t.root)
 		}
 	}
 	setColour(tx, x, black)
@@ -470,12 +391,12 @@ func (t *Tree[K, V]) CheckInvariants() error {
 				return 0
 			}
 			if stm.Read(tx, n.colour) == red &&
-				(colourOf(tx, stm.Read(tx, n.left)) == red || colourOf(tx, stm.Read(tx, n.right)) == red) {
+				(colourOf(tx, stm.Read(tx, n.child[0])) == red || colourOf(tx, stm.Read(tx, n.child[1])) == red) {
 				valid = false
 				return 0
 			}
-			lh := check(stm.Read(tx, n.left), lo, &k)
-			rh := check(stm.Read(tx, n.right), &k, hi)
+			lh := check(stm.Read(tx, n.child[0]), lo, &k)
+			rh := check(stm.Read(tx, n.child[1]), &k, hi)
 			if lh != rh {
 				valid = false
 				return 0
@@ -509,9 +430,9 @@ func (t *Tree[K, V]) Keys() []K {
 			if n == nil {
 				return
 			}
-			walk(stm.Read(tx, n.left))
+			walk(stm.Read(tx, n.child[0]))
 			keys = append(keys, stm.Read(tx, n.k))
-			walk(stm.Read(tx, n.right))
+			walk(stm.Read(tx, n.child[1]))
 		}
 		walk(stm.Read(tx, t.root))
 		return keys

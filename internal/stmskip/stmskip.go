@@ -60,13 +60,6 @@ func NewOrdered[K cmp.Ordered, V any]() *List[K, V] {
 // the instantiation the benchmark registry and the paper's figures use.
 func New() *List[int64, int64] { return NewOrdered[int64, int64]() }
 
-// IntList is the historical int64 instantiation used by the benchmark
-// registry.
-type IntList = List[int64, int64]
-
-// Name identifies the data structure in benchmark reports.
-func (l *List[K, V]) Name() string { return "SkipListSTM" }
-
 func randomLevel() int {
 	lvl := 0
 	for rand.Uint64()&1 == 1 && lvl < maxLevel-1 {

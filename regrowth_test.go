@@ -69,6 +69,10 @@ var regrowthRules = []regrowthRule{
 	{pattern: `func counted\(|\) Counted\(`, paths: []string{"."}, max: 1},
 	// An update has one retry loop and no per-operation budget.
 	{pattern: `dict\.Budget|BoundedMap|InsertBounded|DeleteBounded|ErrRetryBudget|ErrDeadline\b`, paths: []string{"."}, tests: true},
+	// The baseline trees write each mirror image once, over a side; a
+	// structure's name lives in the registry alone, and its type is spelled
+	// with its parameters.
+	{pattern: `\b(rotateLeft|rotateRight|leftOf|rightOf|structuralSuccessor|structuralPredecessor|IntTree|IntGlobal|IntList)\b|dict\.Named\b`, paths: []string{"."}, tests: true},
 }
 
 // TestRegrowthGuard checks every regrowthRules row against the module's Go
