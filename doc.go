@@ -42,7 +42,7 @@
 // skip-list/lock-AVL baselines alike.
 // The trees keep the cells outside their nodes: a node is one 64-byte cache
 // line (the policy's decoration - a weight or a height - and the
-// leaf/sentinel flags packed into the four spare bytes of its llxscx.Record), a cell is 32 bytes from a per-tree
+// leaf/sentinel flags packed into the four spare bytes of its llxscx.Record), a cell is 24 bytes from a per-tree
 // pool, and a cell counts the nodes aliasing it so that it returns to the
 // pool when the last of them has been freed.
 // Node reclamation is manual: internal/epoch implements quiescent-state-based
@@ -60,7 +60,7 @@
 // TestOverwriteAllocBudget and TestReclaimNoLeak (alloc_bench_test.go) pin
 // the resulting allocation profile in CI, and TestNoParkedDescriptors
 // (internal/chromatic) the footprint: a tree's live heap is two nodes and a
-// cell per key, 160 bytes for the int64 registry.
+// cell per key, 152 bytes for the int64 registry.
 //
 // The LLX/SCX trees additionally serve O(1) versioned snapshots
 // (dict.Snapshotter): every committed SCX stamps the subtree root it

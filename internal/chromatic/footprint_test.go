@@ -4,7 +4,9 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
+	"repro/internal/epoch"
 	"repro/internal/lbst"
 	"repro/internal/vcell"
 	"repro/internal/workload"
@@ -12,7 +14,7 @@ import (
 
 // TestNoParkedDescriptors pins the tree's footprint at nodes and cells only.
 // A leaf-oriented tree of n keys is n leaves, n internal nodes and n value
-// cells, so its live heap is a little over two nodes and a cell per key: 160
+// cells, so its live heap is a little over two nodes and a cell per key: 152
 // bytes for int64 keys and values. Anything else kept alive per record - an
 // SCX-record pinned by every record it last froze (what a garbage-collected
 // or reference-counted descriptor costs), or a cell embedded in every node
@@ -43,6 +45,23 @@ func TestNoParkedDescriptors(t *testing.T) {
 			perKey, 1.1*want)
 	}
 	runtime.KeepAlive(tr)
+}
+
+// TestCellLayout pins the value cell's size, which TestNoParkedDescriptors'
+// bound rests on: three words (the two counts, the value word, the box
+// pointer), one generation word more under -tags reclaimcheck, and a heap
+// size class of exactly that many bytes.
+func TestCellLayout(t *testing.T) {
+	want := uintptr(24)
+	if epoch.PoisonCheck {
+		want += 8
+	}
+	if got := unsafe.Sizeof(vcell.Cell[int64]{}); got != want {
+		t.Fatalf("Sizeof(Cell[int64]) = %d, want %d", got, want)
+	}
+	if got := heapSize[vcell.Cell[int64]](); got != uint64(want) {
+		t.Fatalf("a Cell[int64] takes %d heap bytes, want its %d", got, want)
+	}
 }
 
 // heapSize is the heap footprint of one T: the size class the allocator

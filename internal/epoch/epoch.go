@@ -398,7 +398,11 @@ func Pending() int64 {
 // shutdown): slots still pinned by live operations are skipped, and the
 // epoch cannot advance past them, so calling it during activity merely does
 // less. Retirees a live snapshot pin holds, and those whose free callback
-// keeps refusing, remain pending.
+// keeps refusing, remain pending. A retire ring Drain empties goes back to
+// its minimum length, so a burst of retires does not keep its ring at the
+// burst's size once the structure is quiescent. Drain is the only place a
+// retire ring shrinks: shrinking one whenever a drain during operations left
+// it a quarter full made the busy slots regrow their rings over and over.
 func Drain() int64 {
 	for round := 0; round < drainRounds; round++ {
 		tryAdvance()
@@ -412,6 +416,9 @@ func Drain() int64 {
 				continue
 			}
 			g.drain(globalEpoch.Load())
+			if q := &g.retired; q.n == 0 && len(q.ring) > minRing {
+				q.resize(minRing)
+			}
 			g.state.Store(0)
 		}
 	}

@@ -152,6 +152,28 @@ func TestPendingTracksRetiredObjects(t *testing.T) {
 	}
 }
 
+// TestDrainShrinksEmptiedRing retires a burst that grows a slot's retire
+// ring, and checks that the Drain that frees the burst gives the ring back
+// its minimum length.
+func TestDrainShrinksEmptiedRing(t *testing.T) {
+	Drain()
+	var freed atomic.Int64
+	g := Pin()
+	const n = 1000
+	for i := 0; i < n; i++ {
+		Retire(g, new(int), countingFree(&freed))
+	}
+	grown := len(g.retired.ring)
+	Unpin(g)
+	Drain()
+	if freed.Load() != n {
+		t.Fatalf("freed %d of %d retirees", freed.Load(), n)
+	}
+	if got := len(g.retired.ring); grown <= minRing || got != minRing {
+		t.Fatalf("ring of %d entries left at length %d by the drain that emptied it, want %d", grown, got, minRing)
+	}
+}
+
 // TestRefusedFreeKeepsRetireOrder retires a batch of objects whose
 // callbacks refuse their first attempt: re-queuing must preserve the retire
 // order, each object must wait out a fresh grace period per refusal, and

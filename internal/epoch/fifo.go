@@ -32,6 +32,9 @@ type fifo[T any] struct {
 	head, n int
 }
 
+// minRing is the length a ring starts at, and the least it shrinks to.
+const minRing = 8
+
 type stamped[T any] struct {
 	v  T
 	at uint64
@@ -54,7 +57,7 @@ func (q *fifo[T]) push(v T, at uint64) {
 		panic("epoch: a stamp below the tail's")
 	}
 	if q.n == len(q.ring) {
-		q.resize(max(8, 2*q.n))
+		q.resize(max(minRing, 2*q.n))
 	}
 	q.ring[(q.head+q.n)&(len(q.ring)-1)] = stamped[T]{v, at}
 	q.n++
@@ -62,7 +65,7 @@ func (q *fifo[T]) push(v T, at uint64) {
 
 // pop removes the oldest entry and returns it. Its place is cleared, so the
 // ring keeps nothing reachable that it no longer holds; the ring never
-// shrinks here (see Recycler.Get for the one rule that shrinks it).
+// shrinks here (Recycler.Get and Drain shrink it).
 func (q *fifo[T]) pop() T {
 	v := q.ring[q.head].v
 	q.ring[q.head] = stamped[T]{}

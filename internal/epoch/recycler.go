@@ -72,7 +72,7 @@ func (r *Recycler[T]) Get() *T {
 		if degraded || surplus && q.ready(now, grace) {
 			continue
 		}
-		if len(q.ring) > 8 && q.n < len(q.ring)/4 {
+		if len(q.ring) > minRing && q.n < len(q.ring)/4 {
 			q.resize(len(q.ring) / 2)
 		}
 		return p

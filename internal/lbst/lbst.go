@@ -60,7 +60,7 @@
 // pools: a node removed by a committed SCX is retired under the operation's
 // guard and re-enters the pool only after a grace period, and a value cell
 // when the last node aliasing it has. A node is one 64-byte cache line for
-// word-sized keys; the 32-byte cells live outside the nodes. SCX descriptors
+// word-sized keys; the 24-byte cells live outside the nodes. SCX descriptors
 // are not allocated per SCX - every SCX runs on the descriptor of the
 // operation's epoch slot and rewrites an argument block that slot replaced
 // two epochs before (see internal/llxscx) - so steady-state churn allocates

@@ -235,7 +235,7 @@ func Slot(hint uint64) uint64 {
 // WaitZero waits until the counter drains to zero. Protocol code must use it
 // or WaitUntil (never a bare spin) for any wait whose progress depends on
 // another thread passing an instrumentation point.
-func WaitZero(id PointID, v *atomic.Int64) {
+func WaitZero(id PointID, v *atomic.Int32) {
 	if v.Load() == 0 {
 		return
 	}

@@ -21,7 +21,7 @@ func TestNothingRegisteredIsInert(t *testing.T) {
 			t.Fatalf("%d goroutines registered at the start of the test", n)
 		}
 		crossAll(1) // must not block or panic
-		var zero atomic.Int64
+		var zero atomic.Int32
 		WaitZero(PointSnapDrain, &zero)
 		if ChaosDropHelp() {
 			t.Fatal("ChaosDropHelp() = true with nobody registered")

@@ -14,12 +14,24 @@
 //     registry among them); a Store or Swap allocates nothing.
 //   - boxed: the value lives behind an atomic.Pointer[V]; every Store or
 //     Swap allocates one box. This is the fallback for every other type
-//     (strings, structs, pointers to caller-owned state, ...).
+//     (strings, structs, pointers to caller-owned state, named types, ...).
 //
 // The representation is selected by the data structure's constructor: a
 // structure computes Unboxed[V]() once and passes it to Init for every cell
-// it creates, so the per-access cost of the choice is a single predictable
-// branch rather than a type assertion or an indirect call.
+// it creates. The cell stores no flag: a boxed cell holds a non-nil box from
+// Init until its last Release, and an unboxed one never holds a box, so Load,
+// Store and Swap take the representation from the box pointer they would
+// read anyway on the boxed path - one load and a predictable branch, as a
+// flag would cost.
+//
+// A cell is three words, 24 bytes: the alias count and the publish-bracket
+// count share the first, then come the value word and the box pointer. The
+// allocator's 24-byte size class puts two cells in eight across a cache-line
+// boundary, one after the first word and one after the second. With the
+// value word in the middle, a Load (box pointer, then value) and the
+// bracket's two writes (count, then value) each stay on one line in seven
+// placements of eight; a cell padded to 32 bytes would never cross a line,
+// at 8 bytes more per key.
 //
 // Cells may be shared: the template trees alias one cell between a leaf and
 // every copy of that leaf made by rebalancing or deletion, which is what
@@ -40,26 +52,25 @@ import (
 
 // Cell is an atomically publishable value slot. The zero Cell is not ready
 // for use: call Init (or create cells with New) before the cell is shared,
-// so the representation flag is fixed before any concurrent access.
+// so the representation is fixed before any concurrent access.
 type Cell[V any] struct {
-	// unboxed selects the representation. It is written once by Init, before
-	// the cell is published, and never changes.
-	unboxed bool
-	// refs counts the nodes aliasing the cell beyond the first, in bytes that
-	// would otherwise pad unboxed: zero is one holder, Retain adds one, and the
-	// Release that takes it below zero was the last. Unpooled cells ignore it.
+	// refs counts the nodes aliasing the cell beyond the first: zero is one
+	// holder, Retain adds one, and the Release that takes it below zero was
+	// the last. Unpooled cells ignore it.
 	refs atomic.Int32
+	// pubs counts in-flight publish brackets (BeginPublish..EndPublish), at
+	// most one per goroutine. It lives on the cell - not on any node
+	// embedding it - because copies alias the cell: a consumer that finalized
+	// one leaf must drain publishers that entered through ANY aliasing leaf,
+	// however stale. See the overwrite protocol in internal/lbst.
+	pubs atomic.Int32
 	gen  epoch.Gen // trips through a Pool; zero-size unless -tags reclaimcheck
 
+	// word holds an unboxed value; ptr holds a boxed value's box and is nil
+	// in an unboxed cell. Their order is the line-placement trade-off of the
+	// package comment.
 	word atomic.Uint64
 	ptr  atomic.Pointer[V]
-
-	// pubs counts in-flight publish brackets (BeginPublish..EndPublish). It
-	// lives on the cell - not on any node embedding it - because copies alias
-	// the cell: a consumer that finalized one leaf must drain publishers that
-	// entered through ANY aliasing leaf, however stale. See the overwrite
-	// protocol in internal/lbst.
-	pubs atomic.Int64
 }
 
 // Unboxed reports whether values of type V qualify for the unboxed (packed
@@ -79,9 +90,13 @@ func Unboxed[V any]() bool {
 }
 
 // toWord packs a word-sized value into a uint64. It must only be reached
-// when Unboxed[V]() is true (sizeof(V) <= 8 and V is pointer-free); the
-// boxed representation never calls it.
+// when Unboxed[V]() is true (sizeof(V) <= 8 and V is pointer-free). A boxed
+// cell reaches it only if it is written after its last Release, a bug the
+// size check turns into a panic instead of a write past w.
 func toWord[V any](v V) uint64 {
+	if unsafe.Sizeof(v) > 8 {
+		panic("vcell: store into a released cell")
+	}
 	var w uint64
 	*(*V)(unsafe.Pointer(&w)) = v
 	return w
@@ -104,10 +119,10 @@ func New[V any](v V) *Cell[V] {
 }
 
 // Init fixes the cell's representation and stores the initial value. unboxed
-// must be Unboxed[V]() (structures compute it once at construction); Init
-// must complete before the cell becomes reachable by other goroutines.
+// must be Unboxed[V]() (structures compute it once at construction), and the
+// cell must be new or cleared by its last Release; Init must complete before
+// the cell becomes reachable by other goroutines.
 func (c *Cell[V]) Init(unboxed bool, v V) {
-	c.unboxed = unboxed
 	if unboxed {
 		c.word.Store(toWord(v))
 		return
@@ -120,25 +135,29 @@ func (c *Cell[V]) Init(unboxed bool, v V) {
 
 // Load returns the current value. A nil cell reads as the zero value, which
 // lets tree nodes without a value (internal and sentinel nodes) share the
-// leaf node layout with a nil cell pointer.
-func (c *Cell[V]) Load() V {
+// leaf node layout with a nil cell pointer. A released cell must not be
+// loaded: a boxed one has lost its box and would be read as a word (the
+// reclaimcheck build panics instead).
+func (c *Cell[V]) Load() (v V) {
 	if c == nil {
-		var zero V
-		return zero
+		return v
 	}
 	if epoch.PoisonCheck && c.refs.Load() < 0 {
 		panic("vcell: cell loaded after its last release (reclaimcheck)")
 	}
-	if c.unboxed {
-		return fromWord[V](c.word.Load())
+	if p := c.ptr.Load(); p != nil {
+		return *p
 	}
-	return *c.ptr.Load()
+	// fromWord written out: through the call, Load's inlining cost puts the
+	// trees' one-line value readers (lbst's valueOf) over the inliner's budget.
+	w := c.word.Load()
+	return *(*V)(unsafe.Pointer(&w))
 }
 
 // Store atomically publishes v. In the unboxed representation it allocates
 // nothing; in the boxed representation it allocates v's box.
 func (c *Cell[V]) Store(v V) {
-	if c.unboxed {
+	if c.ptr.Load() == nil {
 		c.word.Store(toWord(v))
 		return
 	}
@@ -208,7 +227,7 @@ func (p *Pool[V]) Release(c *Cell[V]) {
 	}
 	c.word = atomic.Uint64{}
 	c.ptr = atomic.Pointer[V]{}
-	c.pubs = atomic.Int64{}
+	c.pubs = atomic.Int32{}
 	if epoch.PoisonCheck {
 		// The count stays below zero while the cell is pooled, so a Load,
 		// Retain or Release that reaches it there is caught.
@@ -258,7 +277,7 @@ func (c *Cell[V]) DrainPublishers() {
 // however many writers race). Allocation profile as Store.
 func (c *Cell[V]) Swap(v V) V {
 	sched.Point(sched.PointVCellPublish)
-	if c.unboxed {
+	if c.ptr.Load() == nil {
 		return fromWord[V](c.word.Swap(toWord(v)))
 	}
 	box := v

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"unsafe"
 
 	"repro/internal/epoch"
 )
@@ -135,19 +134,6 @@ func TestAllocationProfile(t *testing.T) {
 	boxed := New("x")
 	if allocs := testing.AllocsPerRun(1000, func() { boxed.Store("y") }); allocs < 1 {
 		t.Errorf("boxed Store allocates %.1f allocs/op, expected the box", allocs)
-	}
-}
-
-// TestCellIsHalfALine pins the size the trees' footprint arithmetic rests on:
-// the alias count lives in what used to be padding, so a cell is still 32
-// bytes (one generation word more under -tags reclaimcheck).
-func TestCellIsHalfALine(t *testing.T) {
-	want := uintptr(32)
-	if epoch.PoisonCheck {
-		want += 8
-	}
-	if got := unsafe.Sizeof(Cell[int64]{}); got != want {
-		t.Fatalf("Sizeof(Cell[int64]) = %d, want %d", got, want)
 	}
 }
 
