@@ -83,15 +83,15 @@ func benchmarkAllocOverwrite(b *testing.B, factory dict.IntFactory) {
 
 // allocChurnWindow is the slice of the key space the churn cells cycle keys
 // through. Small enough that the whole window turns over many times per
-// benchmark run, so the node pool reaches steady state.
+// benchmark run, so the free lists reach steady state.
 const allocChurnWindow = 1 << 10
 
 // benchmarkAllocChurn measures the steady-state insert/delete cycle the
-// epoch pools target: the tree is filled once, then each timed pair of
+// free lists target: the tree is filled once, then each timed pair of
 // operations deletes a present key and re-inserts it. At steady state every
-// node an update needs was retired by an earlier update and recycled through
-// the pool, and SCX argument blocks are rewritten in place, so allocs/op should sit
-// near zero (the growth-phase Insert cells above necessarily allocate: a
+// node an update needs was retired by an earlier update and freed onto the
+// free list of the goroutine's epoch slot, and SCX argument blocks are
+// rewritten in place, so allocs/op should sit near zero (the growth-phase Insert cells above necessarily allocate: a
 // growing tree keeps its nodes).
 func benchmarkAllocChurn(b *testing.B, factory dict.IntFactory) {
 	d := factory.New()
@@ -140,19 +140,19 @@ func benchmarkAllocInsert(b *testing.B, factory dict.IntFactory) {
 
 // chromaticAllocBudget is the committed allocs/op ceiling for Chromatic
 // Insert and Delete, enforced by TestChromaticAllocBudget (run in CI's
-// bench-smoke job). With epoch reclamation and the node and cell pools the
+// bench-smoke job). With epoch reclamation and the per-slot free lists the
 // measured growth-phase profile is 3.0 (Insert) and 0.0 (Delete): a growing
 // tree keeps what it builds, so Insert still pays for the key leaf, its value
-// cell and the replacement internal, while Delete's replacement node comes
-// out of the pool and no SCX allocates a descriptor. (The budget was 8 before
-// pooling, when every update also burned its retired nodes and its
+// cell and the replacement internal, while Delete's replacement node comes off
+// of a free list and no SCX allocates a descriptor. (The budget was 8 before
+// nodes were reused, when every update also burned its retired nodes and its
 // descriptors.) The budget of 4 leaves one alloc of headroom for rebalancing
 // drift while catching any reintroduction of per-attempt garbage.
 const chromaticAllocBudget = 4.0
 
 // chromaticChurnAllocBudget is the committed allocs/op ceiling for the
 // steady-state insert/delete cycle (TestChromaticChurnAllocBudget): once the
-// pools are primed, a delete retires more nodes than the matching re-insert
+// free lists are primed, a delete retires more nodes than the matching re-insert
 // consumes, so updates should run allocation-free on average. The budget of
 // 1 tolerates retire-list growth and epoch-lag refill stalls without letting
 // per-operation garbage back in.
@@ -195,7 +195,7 @@ func TestChromaticAllocBudget(t *testing.T) {
 // TestChromaticChurnAllocBudget pins the headline number of the epoch
 // reclamation work: a steady-state delete/re-insert cycle on the Chromatic
 // tree must average at most one allocation per operation, because retired
-// nodes flow back through the pool and SCX argument blocks are per-slot and
+// nodes flow back through the free lists and SCX argument blocks are per-slot and
 // rewritten. Nothing the cycle retires may refuse its free either: a refusal
 // is a retiree that something still counted a reference to, and since
 // descriptors stopped being retired no such object exists on this path.
@@ -208,7 +208,7 @@ func TestChromaticChurnAllocBudget(t *testing.T) {
 	for i := int64(0); i < allocKeyRange; i++ {
 		d.Insert(i, i)
 	}
-	// Prime the pools: cycle the churn window a few times untimed so the
+	// Prime the free lists: cycle the churn window a few times untimed so the
 	// first timed deletes do not pay the initial retire-list growth.
 	for i := 0; i < 4*allocChurnWindow; i++ {
 		k := allocKey(i>>1) & (allocChurnWindow - 1)

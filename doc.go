@@ -42,14 +42,14 @@
 // skip-list/lock-AVL baselines alike.
 // The trees keep the cells outside their nodes: a node is one 64-byte cache
 // line (the policy's decoration - a weight or a height - and the
-// leaf/sentinel flags packed into the four spare bytes of its llxscx.Record), a cell is 24 bytes from a per-tree
-// pool, and a cell counts the nodes aliasing it so that it returns to the
-// pool when the last of them has been freed.
+// leaf/sentinel flags packed into the four spare bytes of its
+// llxscx.Record), a cell is 24 bytes, and a cell counts the nodes aliasing
+// it so that it is cleared for reuse when the last of them has been freed.
 // Node reclamation is manual: internal/epoch implements quiescent-state-based
 // reclamation (every operation pins an epoch slot on entry; retired memory
 // is freed two epoch advances later, once no pinned operation can still
-// reach it), and the trees recycle their nodes and value cells through
-// sync.Pool-backed freelists layered on that grace period - the ABA-freedom
+// reach it), and each tree reuses its nodes and value cells through
+// per-epoch-slot free lists filled after that grace period - the ABA-freedom
 // the paper gets
 // from its Java runtime's garbage collector is re-derived for manual
 // reclamation and descriptor reuse in DESIGN.md. Steady-state updates

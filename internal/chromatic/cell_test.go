@@ -21,7 +21,7 @@ func TestCopyKeepsCellAfterSourceFreed(t *testing.T) {
 	tr.Delete(1)
 	tr.DrainReclaim()
 	tr.DrainReclaim()
-	// New leaves draw from the cell pool: a cell freed too early would be
+	// New leaves draw from the free lists: a cell freed too early would be
 	// handed to one of them.
 	for k := int64(100); k < 164; k++ {
 		tr.Insert(k, k)

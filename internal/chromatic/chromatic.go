@@ -17,7 +17,7 @@
 // The paper's point is that such a tree is the tree update template plus a
 // table of localized steps, and that is all this package holds. The tree is
 // built on the shared leaf-oriented BST engine (internal/lbst), which owns
-// the node, its pools and reclamation, the search, the insertion and deletion
+// the node, its free lists and reclamation, the search, the insertion and deletion
 // updates, the in-place overwrite, the ordered queries, the scans and the
 // snapshots. This package supplies the balancing policy: a node's decoration
 // is its weight, the policy's few methods below say which weights an
@@ -134,7 +134,8 @@ func (t *Tree[K, V]) Stats() *Stats { return t.pol.stats }
 
 // policy is the chromatic balancing policy for the lbst engine: a node's
 // decoration is its weight. eng is the engine tree it balances, wired after
-// construction; the rebalancing steps draw their fresh nodes from its pools.
+// construction; the rebalancing steps draw their fresh nodes from its free
+// lists.
 type policy[K cmp.Ordered, V any] struct {
 	// allowed is the number of violations tolerated on a search path before
 	// an insertion or deletion that created a violation triggers cleanup. 0

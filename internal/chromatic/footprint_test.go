@@ -34,7 +34,7 @@ func TestNoParkedDescriptors(t *testing.T) {
 	tr.DrainReclaim()
 	tr.DrainReclaim()
 	runtime.GC()
-	runtime.GC() // twice: the first only moves the node pool to its victim cache
+	runtime.GC() // twice, as before the build, so both readings are taken alike
 	perKey := float64(heapAlloc()-before) / float64(size)
 
 	node, cell := heapSize[lbst.Node[int64, int64]](), heapSize[vcell.Cell[int64]]()

@@ -3,6 +3,7 @@ package chromatic
 import (
 	"testing"
 
+	"repro/internal/epoch"
 	"repro/internal/lbst"
 )
 
@@ -16,23 +17,25 @@ import (
 func TestPackedWeightRoundTrip(t *testing.T) {
 	tr := New()
 	pol := tr.pol
+	g := epoch.Pin()
+	defer epoch.Unpin(g)
 	for _, w := range []int64{0, 1, 2, 7, lbst.MaxDeco - 1, lbst.MaxDeco} {
 		for _, inf := range []bool{false, true} {
-			n := tr.InternalNode(1, w, inf, nil, nil)
+			n := tr.InternalNode(g, 1, w, inf, nil, nil)
 			if n.Deco() != w || n.IsLeaf() || n.IsSentinel() != inf {
 				t.Fatalf("internal node of weight %d, sentinel %v reads back as (%d, leaf %v, sentinel %v)", w, inf, n.Deco(), n.IsLeaf(), n.IsSentinel())
 			}
-			like := pol.internalLike(n, w, nil, nil)
+			like := pol.internalLike(g, n, w, nil, nil)
 			if like.Deco() != w || like.IsLeaf() || like.IsSentinel() != inf {
 				t.Fatalf("internalLike of weight %d, sentinel %v reads back as (%d, leaf %v, sentinel %v)", w, inf, like.Deco(), like.IsLeaf(), like.IsSentinel())
 			}
 		}
-		l := tr.LeafNode(1, 10, w)
+		l := tr.LeafNode(g, 1, 10, w)
 		if l.Deco() != w || !l.IsLeaf() || l.IsSentinel() {
 			t.Fatalf("leaf of weight %d reads back as (%d, leaf %v, sentinel %v)", w, l.Deco(), l.IsLeaf(), l.IsSentinel())
 		}
 	}
-	plain, sentinel := tr.InternalNode(1, 1, false, nil, nil), tr.InternalNode(1, 1, true, nil, nil)
+	plain, sentinel := tr.InternalNode(g, 1, 1, false, nil, nil), tr.InternalNode(g, 1, 1, true, nil, nil)
 	for _, tc := range []struct {
 		u       *lbst.Node[int64, int64]
 		w, want int64
@@ -49,5 +52,5 @@ func TestPackedWeightRoundTrip(t *testing.T) {
 			t.Error("a node of weight lbst.MaxDeco+1 was built")
 		}
 	}()
-	tr.InternalNode(1, lbst.MaxDeco+1, false, nil, nil)
+	tr.InternalNode(g, 1, lbst.MaxDeco+1, false, nil, nil)
 }

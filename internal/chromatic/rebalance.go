@@ -41,8 +41,9 @@ import (
 // cell) or as a fresh node with its key (Step.Internal, which places two
 // children given as near and far); subtrees hanging off the removed nodes
 // are reused as children of fresh nodes. Step.Commit runs the SCX, retires
-// the removed nodes on success and returns every fresh node to the pool on
-// failure - they were never published, so no grace period is needed.
+// the removed nodes on success and returns every fresh node to the free
+// list of the step's epoch slot on failure - they were never published, so
+// no grace period is needed.
 
 // replacementWeight returns the weight of the node that replaces ux as a
 // child of u: the computed weight w, or 1 when u is a sentinel so that the

@@ -1,13 +1,13 @@
 // Package epoch implements quiescent-state-based reclamation (QSBR) for the
 // LLX/SCX dictionary stack: retired nodes wait on a per-slot retire list and
 // are freed only after every concurrently pinned operation has provably
-// finished, at which point the memory can be recycled through a sync.Pool
-// instead of going back to the garbage collector.
+// finished, at which point the memory can be reused (on the trees' free
+// lists) instead of going back to the garbage collector.
 //
 // The paper's Java implementation leans on the JVM's collector for exactly
 // this guarantee ("a node is never recycled while any process can still
 // reach it"), which is what rules out ABA on the protocol's CAS steps. This
-// package supplies the same guarantee manually so that the trees can pool
+// package supplies the same guarantee manually so that the trees can reuse
 // their nodes; the precise re-derivation of the ABA safety argument lives in
 // DESIGN.md ("Epoch reclamation and the ABA re-derivation"). The slots
 // double as the owners of internal/llxscx's SCX descriptors: a pinned
@@ -29,7 +29,7 @@
 // (fifo), and one test decides when either may let an object go.
 //
 // Retired objects carry a callback (Func) that performs the actual free —
-// typically resetting the object and returning it to a pool. The callback
+// typically resetting the object and keeping it for reuse. The callback
 // may refuse (return false), in which case the object goes back on the tail
 // of the retire list stamped with the current epoch and is retried after a
 // fresh grace period. A live snapshot pin (snap.go) holds the retirees it
@@ -78,9 +78,9 @@ const (
 	yieldPending = 512
 )
 
-// Func frees one retired object, typically by resetting it and returning it
-// to a pool. It runs on the goroutine that drains the retire list, always
-// inside a pinned region (g is that region's guard). Returning false puts
+// Func frees one retired object, typically by resetting it and keeping it
+// for reuse. It runs on the goroutine that drains the retire list, always
+// holding the list's slot (g), pinned or claimed by Drain. Returning false puts
 // the object back on the tail of the retire list for a fresh grace period.
 type Func func(g *Guard, obj any) bool
 
@@ -177,14 +177,16 @@ var (
 const CacheLine = 64
 
 // NewAligned allocates a zeroed T on a cache-line boundary (the slot array
-// here, internal/llxscx's descriptor table, a counter block). The allocator
+// here, internal/llxscx's descriptor table, a counter block, internal/lbst's
+// free lists). The allocator
 // places an object of a whole number of lines on one, except that it puts an
 // eight-byte type header in front of some (since Go 1.22, those holding
 // pointers that are larger than 512 bytes and not large enough for a span of
 // their own), which the second attempt pads to a line. Alignment is a matter
 // of cache traffic, not of correctness, so nothing here insists on it: the
-// layout tests of the three users do (TestGuardLayout, llxscx's
-// TestDescriptorLayout, TestCounterBlocksArePrivateLines).
+// layout tests of the users do (TestGuardLayout, llxscx's
+// TestDescriptorLayout, TestCounterBlocksArePrivateLines, lbst's
+// TestFreeListLayout).
 func NewAligned[T any]() *T {
 	if p := new(T); uintptr(unsafe.Pointer(p))%CacheLine == 0 {
 		return p
@@ -281,7 +283,7 @@ func Retire(g *Guard, obj any, free Func) {
 // on the tail stamped now, for a fresh grace period. In degraded mode (a
 // watchdog eviction is active) the callbacks are skipped and the entries
 // dropped for the garbage collector: the evicted slot's holder may still
-// reference any of them, and the GC — unlike the pools — can see that
+// reference any of them, and the GC — unlike the free lists — can see that
 // holder's stack as a root, so dropping is always safe where recycling would
 // re-introduce the ABA hazard the epoch scheme exists to prevent. The caller
 // must own the slot (hold it pinned or have claimed it in Drain), and now
@@ -341,8 +343,8 @@ func advance() bool {
 // sound at full quiescence when every structure that has retired through the
 // layer is itself garbage: the point is to sever the references that
 // otherwise keep a dropped structure reachable. An entry a drain has not
-// reached yet, or one whose callback refuses, pins the tree's pools, and
-// through them the whole tree, as a GC root; and a slot's SCX argument
+// reached yet, or one whose callback refuses, pins the tree its callback
+// frees into as a GC root; and a slot's SCX argument
 // blocks keep the arguments of its recent SCXs (nodes, and the structure's
 // commit hook) until the slot rewrites them, which OnDiscard lets
 // internal/llxscx drop. The benchmark harness calls this between trials so a

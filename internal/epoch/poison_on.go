@@ -7,7 +7,7 @@ package epoch
 // poison_off.go.
 const PoisonCheck = true
 
-// Gen is the generation counter of a pooled object. A plain word: it is
+// Gen is the generation counter of a reused object. A plain word: it is
 // written only when the object is recycled, which the grace period orders
 // after every reader that could hold the object - a racing read is exactly
 // the fault the assertions (and the race detector) exist to report.
@@ -16,5 +16,5 @@ type Gen uint64
 // Load returns how many times the object has been recycled.
 func (g *Gen) Load() uint64 { return uint64(*g) }
 
-// Bump records one more trip through a pool.
+// Bump records one more free for reuse.
 func (g *Gen) Bump() { *g++ }

@@ -21,7 +21,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // TestWatchdogEvictsStalledPinAndRecovers is the end-to-end degradation
 // story: a goroutine parks while pinned, every retire in the process backs
 // up behind its stale epoch, the watchdog evicts the slot and drains the
-// backlog (to the GC, not the pools), and when the holder finally resumes
+// backlog (to the GC, not the free callbacks), and when the holder finally resumes
 // the eviction is recovered and normal recycling returns.
 func TestWatchdogEvictsStalledPinAndRecovers(t *testing.T) {
 	Drain()

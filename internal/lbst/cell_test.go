@@ -3,12 +3,13 @@ package lbst
 import (
 	"testing"
 
+	"repro/internal/epoch"
 	"repro/internal/llxscx"
 	"repro/internal/vcell"
 )
 
 // cellAlive reports whether c still holds v. Once the last node aliasing a
-// cell has been freed the cell is cleared for its pool: it reads as the zero
+// cell has been freed the cell is cleared for reuse: it reads as the zero
 // value, or - under -tags reclaimcheck - panics on the load.
 func cellAlive(c *vcell.Cell[int64], v int64) (alive bool) {
 	defer func() {
@@ -19,16 +20,24 @@ func cellAlive(c *vcell.Cell[int64], v int64) (alive bool) {
 	return c.Load() == v
 }
 
+// pin pins a guard for the rest of the test: the engine builds and frees
+// nodes on the free list of the slot the caller holds.
+func pin(t *testing.T) *epoch.Guard {
+	g := epoch.Pin()
+	t.Cleanup(func() { epoch.Unpin(g) })
+	return g
+}
+
 // leafAndTwoCopies builds a leaf holding v and two copies aliasing its cell,
 // none of them published.
-func leafAndTwoCopies(t *testing.T, tr *Tree[int64, int64], v int64) [3]*intNode {
+func leafAndTwoCopies(t *testing.T, tr *Tree[int64, int64], g *epoch.Guard, v int64) [3]*intNode {
 	t.Helper()
-	l := tr.LeafNode(1, v, 0)
+	l := tr.LeafNode(g, 1, v, 0)
 	lk, st := l.LLX()
 	if st != llxscx.Snapshot {
 		t.Fatalf("LLX of a fresh leaf: %v", st)
 	}
-	a, b := tr.CopyNode(lk, 0), tr.CopyNode(lk, 0)
+	a, b := tr.CopyNode(g, lk, 0), tr.CopyNode(g, lk, 0)
 	if a.val != l.val || b.val != l.val {
 		t.Fatal("a copy does not alias its source's cell")
 	}
@@ -37,14 +46,15 @@ func leafAndTwoCopies(t *testing.T, tr *Tree[int64, int64], v int64) [3]*intNode
 
 // TestCellFreedWithLastAlias frees a leaf and two copies of it in all six
 // orders: the shared cell keeps its value until the last of the three is
-// freed and returns to its pool exactly then.
+// freed and is cleared for reuse exactly then.
 func TestCellFreedWithLastAlias(t *testing.T) {
 	tr := NewOrdered[int64, int64](nopPolicy{})
+	g := pin(t)
 	for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
-		nodes := leafAndTwoCopies(t, tr, 42)
+		nodes := leafAndTwoCopies(t, tr, g, 42)
 		cell := nodes[0].val
 		for i, which := range order {
-			tr.freeNode(nodes[which])
+			tr.freeNode(g, nodes[which])
 			if alive := cellAlive(cell, 42); alive != (i < 2) {
 				t.Fatalf("order %v: after freeing %d of 3 aliasing nodes the cell is alive=%v", order, i+1, alive)
 			}
@@ -53,17 +63,19 @@ func TestCellFreedWithLastAlias(t *testing.T) {
 }
 
 // TestReleaseFreshDropsReference: a copy built for an SCX that then failed
-// gives its reference back, so the source's free is the last one again.
+// gives its reference back when it is freed at once, so the source's free is
+// the last one again.
 func TestReleaseFreshDropsReference(t *testing.T) {
 	tr := NewOrdered[int64, int64](nopPolicy{})
-	nodes := leafAndTwoCopies(t, tr, 42)
+	g := pin(t)
+	nodes := leafAndTwoCopies(t, tr, g, 42)
 	cell := nodes[0].val
-	tr.ReleaseFresh(nodes[1])
-	tr.ReleaseFresh(nodes[2])
+	tr.freeNode(g, nodes[1])
+	tr.freeNode(g, nodes[2])
 	if !cellAlive(cell, 42) {
 		t.Fatal("releasing the unpublished copies freed the source's cell")
 	}
-	tr.freeNode(nodes[0])
+	tr.freeNode(g, nodes[0])
 	if cellAlive(cell, 42) {
 		t.Fatal("the cell outlived its only remaining holder: a released copy kept its reference")
 	}
@@ -81,7 +93,7 @@ func TestCopyKeepsCellAfterSourceFreed(t *testing.T) {
 	tr.Delete(1)
 	tr.DrainReclaim()
 	tr.DrainReclaim()
-	// New leaves draw from the cell pool: a cell freed too early would be
+	// New leaves draw from the free lists: a cell freed too early would be
 	// handed to one of them.
 	for k := int64(100); k < 164; k++ {
 		tr.Insert(k, k)

@@ -10,9 +10,3 @@ func (t *Tree[K, V]) ScanStats(lo, hi K, fn func(k K, v V) bool) (count, chunks,
 	defer epoch.Unpin(g)
 	return t.scan(true, lo, true, hi, fn)
 }
-
-// ReleaseFresh frees a never-published node at once, as a failed update does,
-// under the name it was exported by while the policies released their own
-// fresh nodes (Step.Commit does now), which TestReleaseFreshDropsReference
-// still calls it by.
-func (t *Tree[K, V]) ReleaseFresh(n *Node[K, V]) { t.freeNode(n) }

@@ -52,16 +52,32 @@ func TestTreeHeaderLayout(t *testing.T) {
 	for _, end := range []uintptr{
 		unsafe.Offsetof(tr.entry) + unsafe.Sizeof(tr.entry),
 		unsafe.Offsetof(tr.pol) + unsafe.Sizeof(tr.pol),
-		unsafe.Offsetof(tr.nodePool) + unsafe.Sizeof(tr.nodePool),
-		unsafe.Offsetof(tr.cells) + unsafe.Sizeof(tr.cells),
+		unsafe.Offsetof(tr.free) + unsafe.Sizeof(tr.free),
 		unsafe.Offsetof(tr.descPool) + unsafe.Sizeof(tr.descPool),
 		unsafe.Offsetof(tr.freeNodeFn) + unsafe.Sizeof(tr.freeNodeFn),
+		unsafe.Offsetof(tr.unboxed) + unsafe.Sizeof(tr.unboxed),
 	} {
 		readEnd = max(readEnd, end)
 	}
 	writeStart := min(unsafe.Offsetof(tr.gver), unsafe.Offsetof(tr.snapLive))
 	if writeStart < readEnd+64 {
 		t.Fatalf("read-mostly fields end at offset %d and the written words start at %d: less than a line apart", readEnd, writeStart)
+	}
+}
+
+// TestFreeListLayout checks that each epoch slot's free lists take exactly
+// one cache line, whatever the key and value types, and that the tree's array
+// of them starts on a line boundary: a slot's holder writes only its own line.
+func TestFreeListLayout(t *testing.T) {
+	if got := unsafe.Sizeof(freeList[string, string]{}); got != epoch.CacheLine {
+		t.Errorf("Sizeof(freeList[string,string]) = %d, want %d", got, epoch.CacheLine)
+	}
+	tr := NewOrdered[int64, int64](nopPolicy{})
+	if len(tr.free) != epoch.NumSlots {
+		t.Fatalf("%d free lists, want one per epoch slot (%d)", len(tr.free), epoch.NumSlots)
+	}
+	if a := uintptr(unsafe.Pointer(&tr.free[0])); a%epoch.CacheLine != 0 {
+		t.Errorf("the free lists start at %#x, not on a cache-line boundary", a)
 	}
 }
 
@@ -124,6 +140,7 @@ func TestPackedDecoRoundTrip(t *testing.T) {
 		}
 	}
 	tr := NewOrdered[int64, int64](nopPolicy{})
+	g := pin(t)
 	for _, deco := range []int64{-1, MaxDeco + 1, 1 << 40} {
 		func() {
 			defer func() {
@@ -131,7 +148,7 @@ func TestPackedDecoRoundTrip(t *testing.T) {
 					t.Errorf("InternalNode accepted decoration %d", deco)
 				}
 			}()
-			tr.InternalNode(1, deco, false, nil, nil)
+			tr.InternalNode(g, 1, deco, false, nil, nil)
 		}()
 	}
 }

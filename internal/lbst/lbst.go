@@ -27,7 +27,7 @@
 //
 // The engine owns everything the three trees of this repository share - the
 // unbalanced BST (internal/ebst), the relaxed AVL tree (internal/ravl) and the
-// paper's chromatic tree (internal/chromatic): the node and its pools, the
+// paper's chromatic tree (internal/chromatic): the node and its free lists, the
 // sentinel entry structure of Figure 10 of Brown, Ellen and Ruppert (PPoPP
 // 2014), the leaf-oriented search loop, the construction of the insertion and
 // deletion template updates (so postconditions PC1-PC9 are discharged once,
@@ -56,9 +56,9 @@
 // # Memory reclamation
 //
 // Every operation runs inside an epoch-reclamation pinned region
-// (internal/epoch), and each tree recycles its nodes and value cells through
-// pools: a node removed by a committed SCX is retired under the operation's
-// guard and re-enters the pool only after a grace period, and a value cell
+// (internal/epoch), and each tree reuses its nodes and value cells through
+// per-slot free lists: a node removed by a committed SCX is retired under the
+// operation's guard and reused only after a grace period, and a value cell
 // when the last node aliasing it has. A node is one 64-byte cache line for
 // word-sized keys; the 24-byte cells live outside the nodes. SCX descriptors
 // are not allocated per SCX - every SCX runs on the descriptor of the
@@ -73,7 +73,6 @@ package lbst
 
 import (
 	"cmp"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -96,16 +95,15 @@ import (
 // The value of a leaf is NOT part of the node's immutable data: it lives in
 // a vcell.Cell outside the node and outside the LLX snapshot evidence, so
 // overwriting the value of a present key is a single atomic publish instead
-// of a full SCX (see Insert). A fresh leaf draws its cell from the tree's
-// cell pool. Every copy of a leaf - the deletion template promotes a copy of
-// the sibling, and policies copy nodes in their rebalancing steps - aliases
+// of a full SCX (see Insert). A fresh leaf draws its cell from a free list.
+// Every copy of a leaf - the deletion template promotes a copy of the sibling, and policies copy nodes in their rebalancing steps - aliases
 // the source's cell, which keeps a concurrent overwrite from being lost to a
 // copy that captured the value just before the publish, and holds one of the
 // cell's references (see CopyNode and freeNode).
 type Node[K, V any] struct {
 	rec llxscx.Record[Node[K, V]]
-	// gen counts how many times this node's memory has been recycled
-	// through the pool (zero-size unless -tags reclaimcheck).
+	// gen counts how many times this node's memory has been freed for reuse
+	// (zero-size unless -tags reclaimcheck).
 	gen epoch.Gen
 
 	// K is the routing key (internal nodes) or dictionary key (leaves);
@@ -226,7 +224,7 @@ func (n *Node[K, V]) IsSentinel() bool { return n.rec.Aux()&auxInf != 0 }
 func (n *Node[K, V]) Deco() int64 { return int64(n.rec.Aux() >> auxDecoShift) }
 
 // Gen returns the reclamation generation of the node and, for a leaf, of its
-// value cell: each is bumped when its memory is recycled through a pool, so
+// value cell: each is bumped when its memory is freed for reuse, so
 // the sum changes when either is. It only changes under -tags reclaimcheck,
 // where the poisoning assertions in the read paths use it to prove that
 // neither is ever recycled while a pinned operation can still reach it.
@@ -329,24 +327,14 @@ type Tree[K cmp.Ordered, V any] struct {
 	entry *Node[K, V]
 	pol   Policy[K, V]
 
-	// nodePool recycles this tree's nodes; nodes enter it only through the
-	// epoch layer's grace period (or straight from a failed update, for
-	// nodes that were never published). Per-tree, because the pool is
-	// generic over K and V.
-	// Heap-allocated separately rather than embedded: a sync.Pool that has
-	// ever been used registers itself with the runtime for the rest of the
-	// process, and an embedded pool would pin the whole Tree — root and all
-	// its nodes — as a GC root long after the tree is dropped.
-	nodePool *sync.Pool
-	// cells recycles the leaves' value cells: a cell returns to it when the
-	// last node aliasing it has been freed (see freeNode).
-	cells *vcell.Pool[V]
+	free []freeList[K, V] // one per epoch slot
 	// descPool carries the commit hook below into every SCX on this tree
 	// (see llxscx.Pool); the descriptors themselves belong to the epoch slots.
 	descPool *llxscx.Pool[Node[K, V]]
 	// freeNodeFn is the epoch callback for retired nodes, built once at
 	// construction so retiring a node never allocates a closure.
 	freeNodeFn epoch.Func
+	unboxed    bool // vcell.Unboxed[V](), every cell's representation
 
 	_ [64]byte
 
@@ -373,15 +361,18 @@ type Tree[K cmp.Ordered, V any] struct {
 func NewOrdered[K cmp.Ordered, V any](pol Policy[K, V]) *Tree[K, V] {
 	t := &Tree[K, V]{
 		pol:      pol,
-		nodePool: &sync.Pool{New: func() any { return new(Node[K, V]) }},
-		cells:    vcell.NewPool[V](),
+		free:     epoch.NewAligned[[epoch.NumSlots]freeList[K, V]]()[:],
 		descPool: llxscx.NewPool[Node[K, V]](),
+		unboxed:  vcell.Unboxed[V](),
 	}
-	var sentinelKey K
-	deco := pol.SentinelDeco()
-	t.entry = t.InternalNode(sentinelKey, deco, true, t.newNode(sentinelKey, aux(deco, true, true)), nil)
+	// The sentinels are built before any operation holds a slot to draw from.
+	deco, leaf := pol.SentinelDeco(), new(Node[K, V])
+	leaf.rec.SetAux(aux(deco, true, true))
+	t.entry = new(Node[K, V])
+	t.entry.rec.SetAux(aux(deco, false, true))
+	setChild(&t.entry.left, leaf)
 	t.freeNodeFn = func(g *epoch.Guard, obj any) bool {
-		t.freeNode(obj.(*Node[K, V]))
+		t.freeNode(g, obj.(*Node[K, V]))
 		return true
 	}
 	// The commit hook stamps the freshly installed subtree root with the
@@ -412,30 +403,64 @@ func NewOrdered[K cmp.Ordered, V any](pol Policy[K, V]) *Tree[K, V] {
 func (t *Tree[K, V]) Entry() *Node[K, V] { return t.entry }
 
 // ---------------------------------------------------------------------------
-// Pooled node lifecycle.
+// Node lifecycle.
+
+// freeList holds one epoch slot's freed nodes and cells, on a cache line of
+// its own. Only the slot's holder touches it - the pinned operation building
+// nodes, or the holder whose drain of the slot's retire list runs freeNode -
+// so the slot's claim and release order every use.
+type freeList[K, V any] struct {
+	nodes []*Node[K, V]
+	cells []*vcell.Cell[V]
+	_     [epoch.CacheLine - 2*unsafe.Sizeof([]byte(nil))]byte
+}
+
+// freeCap bounds each stack; what is freed onto a full one is left to the GC.
+const freeCap = 1024
+
+// take pops the top off s, or allocates a T if s is empty.
+func take[T any](s *[]*T) *T {
+	if i := len(*s) - 1; i >= 0 {
+		p := (*s)[i]
+		*s = (*s)[:i]
+		return p
+	}
+	return new(T)
+}
+
+// push puts p on s unless s is full.
+func push[T any](s *[]*T, p *T) {
+	if len(*s) < freeCap {
+		*s = append(*s, p)
+	}
+}
 
 // newNode returns a node with the given key, decoration and flags and
-// nothing else set, drawn from the tree's node pool: zeroed, by the pool or
-// by freeNode, so its children are nil and its tick is verPending.
-func (t *Tree[K, V]) newNode(k K, a uint32) *Node[K, V] {
-	n := t.nodePool.Get().(*Node[K, V])
+// nothing else set, from the free list of g's slot, or a new one when that
+// list is empty: zeroed, by the allocator or by freeNode, so its children
+// are nil and its tick is verPending. g must be the caller's pinned guard.
+func (t *Tree[K, V]) newNode(g *epoch.Guard, k K, a uint32) *Node[K, V] {
+	n := take(&t.free[g.Slot()].nodes)
 	n.K = k
 	n.rec.SetAux(a)
 	return n
 }
 
 // LeafNode returns a leaf holding key and value, with the given decoration
-// and a cell of its own from the tree's cell pool.
-func (t *Tree[K, V]) LeafNode(k K, v V, deco int64) *Node[K, V] {
-	n := t.newNode(k, aux(deco, true, false))
-	n.val = t.cells.Get(v)
+// and a cell of its own, both from the free list of g's slot where it has
+// them. g must be the caller's pinned guard.
+func (t *Tree[K, V]) LeafNode(g *epoch.Guard, k K, v V, deco int64) *Node[K, V] {
+	n := t.newNode(g, k, aux(deco, true, false))
+	n.val = take(&t.free[g.Slot()].cells)
+	n.val.Init(t.unboxed, v)
 	return n
 }
 
 // InternalNode returns an internal node with the given routing key,
-// decoration (in [0, MaxDeco]), sentinel flag and children.
-func (t *Tree[K, V]) InternalNode(k K, deco int64, inf bool, left, right *Node[K, V]) *Node[K, V] {
-	n := t.newNode(k, aux(deco, false, inf))
+// decoration (in [0, MaxDeco]), sentinel flag and children. g must be the
+// caller's pinned guard.
+func (t *Tree[K, V]) InternalNode(g *epoch.Guard, k K, deco int64, inf bool, left, right *Node[K, V]) *Node[K, V] {
+	n := t.newNode(g, k, aux(deco, false, inf))
 	setChild(&n.left, left)
 	setChild(&n.right, right)
 	return n
@@ -448,11 +473,11 @@ func (t *Tree[K, V]) InternalNode(k K, deco int64, inf bool, left, right *Node[K
 // rather than capturing the value: an in-place overwrite racing with the
 // copying SCX stays visible through the copy, whichever of the two commits
 // first (see the in-place overwrite protocol on Insert). The copy takes a
-// reference on the cell: the caller is pinned and reached the source in the
-// tree, so the source cannot have been freed and still holds its own.
-func (t *Tree[K, V]) CopyNode(lk llxscx.Linked[Node[K, V]], deco int64) *Node[K, V] {
+// reference on the cell: the caller, pinned under g, reached the source in
+// the tree, so the source cannot have been freed and still holds its own.
+func (t *Tree[K, V]) CopyNode(g *epoch.Guard, lk llxscx.Linked[Node[K, V]], deco int64) *Node[K, V] {
 	src := lk.Node()
-	n := t.newNode(src.K, aux(deco, src.IsLeaf(), src.IsSentinel()))
+	n := t.newNode(g, src.K, aux(deco, src.IsLeaf(), src.IsSentinel()))
 	if !src.IsLeaf() {
 		setChild(&n.left, lk.Child(0))
 		setChild(&n.right, lk.Child(1))
@@ -465,8 +490,8 @@ func (t *Tree[K, V]) CopyNode(lk llxscx.Linked[Node[K, V]], deco int64) *Node[K,
 
 // scx performs one SCX - the engine's own updates' and, through Step.Commit,
 // the policies' rebalancing steps' - on the guard's descriptor and, on
-// success, retires the removed nodes fin[:nf] under that guard: they re-enter
-// the node pool after a grace period. On failure the caller is responsible
+// success, retires the removed nodes fin[:nf] under that guard: they are
+// freed for reuse after a grace period. On failure the caller is responsible
 // for freeing the fresh nodes it built (freeNode, at once: they were never
 // published). Reading fields of a retired node afterwards is still safe
 // inside the invoking operation's pinned region: the node cannot be recycled
@@ -483,17 +508,19 @@ func (t *Tree[K, V]) scx(g *epoch.Guard, v *[llxscx.MaxV]llxscx.Linked[Node[K, V
 
 // freeNode runs after a retired node's grace period (or immediately, for a
 // never-published fresh node): no operation can reach n anymore. It drops
-// the node's reference on its value cell (the last one returns the cell to
-// its pool), clears the node and returns it to the pool. The stores are
+// the node's reference on its value cell, clears the node and puts it on the
+// free list of g's slot, and the cell too if that reference was the last.
+// g is the slot's holder: the operation that built n, or the one whose drain
+// of g's retire list runs freeNode as n's epoch callback. The stores are
 // plain: the grace period orders them after every access by another
 // goroutine, as it does for the key. The cleared tick reads as verPending.
 // The record's tag is left alone - tags never recur (internal/llxscx) - and
 // newNode sets key and flags.
-func (t *Tree[K, V]) freeNode(n *Node[K, V]) {
-	if c := n.val; c != nil {
-		t.cells.Release(c)
-		n.val = nil
+func (t *Tree[K, V]) freeNode(g *epoch.Guard, n *Node[K, V]) {
+	if c := n.val; c != nil && c.Release() {
+		push(&t.free[g.Slot()].cells, c)
 	}
+	n.val = nil
 	llxscx.ReleaseRecord(&n.rec)
 	var zeroK K
 	n.K = zeroK
@@ -502,7 +529,7 @@ func (t *Tree[K, V]) freeNode(n *Node[K, V]) {
 	n.snapVer = atomic.Uint64{}
 	n.prev = atomic.Pointer[Node[K, V]]{}
 	n.gen.Bump()
-	t.nodePool.Put(n)
+	push(&t.free[g.Slot()].nodes, n)
 }
 
 // DrainReclaim drains the epoch layer's retire lists, returning the number
@@ -629,7 +656,7 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 // be lost. This is why the cell must stay aliased and must never be
 // snapshotted into a fresh cell by a copy.
 //
-// Under pooled reclamation the whole operation runs inside ONE pinned
+// Under epoch reclamation the whole operation runs inside ONE pinned
 // region, so no leaf the operation reaches can be recycled (and its cell
 // reset) before the operation returns. The guard is released by defer, so a
 // panic unwinding out of an attempt — chaos injection in the tests, or any
@@ -735,8 +762,8 @@ func tryPublish[K, V any](l *Node[K, V], value V) (V, bool) {
 
 // tryInsert is one attempt of the insertion template update (hand-unrolled,
 // so an attempt stages its SCX evidence entirely on this frame): LLX the
-// parent and the leaf, build the replacement subtree from the pool with the
-// decorations the policy assigns, and publish it with one SCX.
+// parent and the leaf, build the replacement subtree from the slot's free
+// list with the decorations the policy assigns, and publish it with one SCX.
 //
 // When the policy leaves the old leaf's decoration as it is, the leaf itself
 // becomes the fringe of the new subtree and nothing is finalized (R is empty,
@@ -764,25 +791,25 @@ func (t *Tree[K, V]) tryInsert(g *epoch.Guard, key K, value V, p, l *Node[K, V])
 	// The key is absent (the overwrite fast path already handled a present
 	// key; l's key is immutable, so the check holds for this attempt).
 	internalDeco, leafDeco, oldDeco := t.pol.InsertDecos(p, l)
-	keyLeaf := t.LeafNode(key, value, leafDeco)
+	keyLeaf := t.LeafNode(g, key, value, leafDeco)
 	oldLeaf, nf := l, 0
 	if oldDeco != l.Deco() && !sched.Mutated(sched.ReuseRedecoratedLeaf) {
-		oldLeaf, nf = t.CopyNode(lkL, oldDeco), 1
+		oldLeaf, nf = t.CopyNode(g, lkL, oldDeco), 1
 	}
 	var repl *Node[K, V]
 	if keyLess(key, l) {
-		repl = t.InternalNode(l.K, internalDeco, l.IsSentinel(), keyLeaf, oldLeaf)
+		repl = t.InternalNode(g, l.K, internalDeco, l.IsSentinel(), keyLeaf, oldLeaf)
 	} else {
-		repl = t.InternalNode(key, internalDeco, false, oldLeaf, keyLeaf)
+		repl = t.InternalNode(g, key, internalDeco, false, oldLeaf, keyLeaf)
 	}
 	v := [llxscx.MaxV]llxscx.Linked[Node[K, V]]{lkP, lkL}
 	fin := [llxscx.MaxV]*Node[K, V]{l}
 	if !t.scx(g, &v, 2, &fin, nf, fld, l, repl) {
-		t.freeNode(keyLeaf)
+		t.freeNode(g, keyLeaf)
 		if oldLeaf != l {
-			t.freeNode(oldLeaf)
+			t.freeNode(g, oldLeaf)
 		}
-		t.freeNode(repl)
+		t.freeNode(g, repl)
 		return false
 	}
 	if t.pol.CreatesViolation(key, p, l, repl) {
@@ -815,11 +842,11 @@ func (t *Tree[K, V]) tryReplace(g *epoch.Guard, key K, value V, p, l *Node[K, V]
 	if st != llxscx.Snapshot {
 		return zero, false
 	}
-	repl := t.LeafNode(key, value, l.Deco())
+	repl := t.LeafNode(g, key, value, l.Deco())
 	v := [llxscx.MaxV]llxscx.Linked[Node[K, V]]{lkP, lkL}
 	fin := [llxscx.MaxV]*Node[K, V]{l}
 	if !t.scx(g, &v, 2, &fin, 1, fld, l, repl) {
-		t.freeNode(repl)
+		t.freeNode(g, repl)
 		return zero, false
 	}
 	// The SCX finalized l, so in-place publishers now fail their bracket
@@ -853,9 +880,9 @@ func (t *Tree[K, V]) Delete(key K) (V, bool) {
 }
 
 // tryDelete is one attempt of the deletion template update (hand-unrolled):
-// LLX the grandparent, parent, leaf and sibling, then one pooled SCX swings
+// LLX the grandparent, parent, leaf and sibling, then one SCX swings
 // the grandparent's child pointer to a copy of the sibling and finalizes the
-// parent, leaf and sibling, which are then retired to the node pool.
+// parent, leaf and sibling, which are then retired.
 func (t *Tree[K, V]) tryDelete(g *epoch.Guard, key K, gp, p, l *Node[K, V]) (V, bool) {
 	var zero V
 	lkGP, st := gp.LLX()
@@ -895,7 +922,7 @@ func (t *Tree[K, V]) tryDelete(g *epoch.Guard, key K, gp, p, l *Node[K, V]) (V, 
 	if sched.Mutated(sched.KeepSiblingDeco) {
 		deco = s.Deco()
 	}
-	repl := t.CopyNode(lkS, deco)
+	repl := t.CopyNode(g, lkS, deco)
 	// V and R are ordered by a breadth-first traversal (PC8): the parent's
 	// children appear in left-to-right order, the order Step.RemovePair gives
 	// the sibling pair of every rebalancing step.
@@ -909,7 +936,7 @@ func (t *Tree[K, V]) tryDelete(g *epoch.Guard, key K, gp, p, l *Node[K, V]) (V, 
 		fin = [llxscx.MaxV]*Node[K, V]{p, s, l}
 	}
 	if !t.scx(g, &v, 4, &fin, 3, fld, p, repl) {
-		t.freeNode(repl)
+		t.freeNode(g, repl)
 		return zero, false
 	}
 	// The SCX committed, so l is finalized and in-place publishers now fail

@@ -67,7 +67,7 @@ func (s *Step[K, V]) RemovePair(d int, near, far llxscx.Linked[Node[K, V]]) {
 
 // Copy is Tree.CopyNode, remembered as a fresh node of this step.
 func (s *Step[K, V]) Copy(lk llxscx.Linked[Node[K, V]], deco int64) *Node[K, V] {
-	return s.remember(s.Tree.CopyNode(lk, deco))
+	return s.remember(s.Tree.CopyNode(s.Guard, lk, deco))
 }
 
 // Internal returns a fresh internal node carrying src's routing key and
@@ -78,7 +78,7 @@ func (s *Step[K, V]) Internal(src *Node[K, V], deco int64, d int, near, far *Nod
 	if d != 0 && !sched.Mutated(sched.IgnoreSide) {
 		left, right = far, near
 	}
-	return s.remember(s.Tree.InternalNode(src.K, deco, src.IsSentinel(), left, right))
+	return s.remember(s.Tree.InternalNode(s.Guard, src.K, deco, src.IsSentinel(), left, right))
 }
 
 // Counted passes Commit's outcome through and, when the step committed, adds
@@ -106,15 +106,15 @@ func (s *Step[K, V]) remember(n *Node[K, V]) *Node[K, V] {
 // new. u must be in V (PC3). On success the nodes of R are retired under the
 // guard, and true is returned. Otherwise - u's snapshot no longer has old as
 // a child, or the SCX failed - nothing changed: every node built through the
-// step goes back to the pool (none was published, so none needs a grace
-// period, and each copy drops the reference it took on its source's value
-// cell) and false is returned.
+// step goes back to the free list of the guard's slot (none was published,
+// so none needs a grace period, and each copy drops the reference it took on
+// its source's value cell) and false is returned.
 func (s *Step[K, V]) Commit(u llxscx.Linked[Node[K, V]], old, new *Node[K, V]) bool {
 	if fld := FieldOf(u, old); fld != nil && s.Tree.scx(s.Guard, &s.v, s.nv, &s.fin, s.nf, fld, old, new) {
 		return true
 	}
 	for i := 0; i < s.nfresh; i++ {
-		s.Tree.freeNode(s.fresh[i])
+		s.Tree.freeNode(s.Guard, s.fresh[i])
 	}
 	s.nfresh = 0
 	return false

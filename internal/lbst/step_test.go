@@ -29,13 +29,13 @@ type stepFixture struct {
 func newStepFixture(t *testing.T) *stepFixture {
 	t.Helper()
 	tr := NewOrdered[int64, int64](nopPolicy{})
-	f := &stepFixture{tr: tr, cellA: 10, cellB: 30}
-	f.a, f.b = tr.LeafNode(1, f.cellA, 0), tr.LeafNode(3, f.cellB, 0)
-	f.ux = tr.InternalNode(3, 0, false, f.a, f.b)
-	f.u = tr.InternalNode(9, 0, false, f.ux, tr.LeafNode(9, 90, 0))
-	f.lkU, f.lkUX, f.lkA, f.lkB = f.llx(t, f.u), f.llx(t, f.ux), f.llx(t, f.a), f.llx(t, f.b)
-	f.guard = epoch.Pin()
+	f := &stepFixture{tr: tr, cellA: 10, cellB: 30, guard: epoch.Pin()}
 	t.Cleanup(f.unpin)
+	g := f.guard
+	f.a, f.b = tr.LeafNode(g, 1, f.cellA, 0), tr.LeafNode(g, 3, f.cellB, 0)
+	f.ux = tr.InternalNode(g, 3, 0, false, f.a, f.b)
+	f.u = tr.InternalNode(g, 9, 0, false, f.ux, tr.LeafNode(g, 9, 90, 0))
+	f.lkU, f.lkUX, f.lkA, f.lkB = f.llx(t, f.u), f.llx(t, f.ux), f.llx(t, f.a), f.llx(t, f.b)
 	return f
 }
 
@@ -131,10 +131,10 @@ func TestStepInternalPlacesNearChildOnItsSide(t *testing.T) {
 // TestStepFailedCommitReturnsFreshNodes: a Commit whose SCX cannot succeed,
 // because u's field changed after the LLX or because old was not a child of u
 // in the snapshot at all, changes nothing and gives back every node the step
-// built, once: each comes back cleared and comes out of the pool once, and
-// each copy of a leaf has dropped the reference it took on the leaf's value
-// cell, so the leaf's own free is the last one again (the pattern of
-// TestReleaseFreshDropsReference).
+// built, once: each comes back cleared and comes off the slot's free list
+// once, and each copy of a leaf has dropped the reference it took on the
+// leaf's value cell, so the leaf's own free is the last one again (the
+// pattern of TestReleaseFreshDropsReference).
 func TestStepFailedCommitReturnsFreshNodes(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -175,7 +175,7 @@ func TestStepFailedCommitReturnsFreshNodes(t *testing.T) {
 			}
 			for name, n := range map[string]*intNode{"the copy of a": copyA, "the copy of b": copyB, "the fresh internal node": root} {
 				if !freed(n) {
-					t.Errorf("%s was not returned to the pool", name)
+					t.Errorf("%s was not returned to the free list", name)
 				}
 			}
 			if s.nfresh != 0 {
@@ -184,17 +184,17 @@ func TestStepFailedCommitReturnsFreshNodes(t *testing.T) {
 			if !cellAlive(cellA, f.cellA) || !cellAlive(cellB, f.cellB) {
 				t.Fatal("returning the copies freed a cell its leaf still holds")
 			}
-			// A node put into the pool twice comes out of it twice.
+			// A node put on the slot's free list twice comes off it twice.
 			drawn := map[*intNode]bool{}
 			for i := 0; i < 8; i++ {
-				n := f.tr.nodePool.Get().(*intNode)
+				n := f.tr.newNode(f.guard, 0, 0)
 				if drawn[n] {
-					t.Fatal("the pool hands out one node twice: a fresh node was returned to it twice")
+					t.Fatal("the free list hands out one node twice: a fresh node was returned to it twice")
 				}
 				drawn[n] = true
 			}
-			f.tr.freeNode(f.a)
-			f.tr.freeNode(f.b)
+			f.tr.freeNode(f.guard, f.a)
+			f.tr.freeNode(f.guard, f.b)
 			if cellAlive(cellA, f.cellA) || cellAlive(cellB, f.cellB) {
 				t.Fatal("a cell outlived its leaf: a returned copy kept its reference")
 			}

@@ -154,7 +154,7 @@ type record struct {
 	// so a freezing CAS left over from before the node was recycled cannot
 	// match anything the record will hold again.
 	info   atomic.Uint64
-	marked atomic.Bool
+	marked uint32 // 1 once finalized; a word for sync/atomic, see vcell.Cell.refs
 	// aux fills the four bytes that would otherwise pad the record to a
 	// multiple of eight: immutable data of the embedding node, which the
 	// primitives never read (see Record.Aux).
@@ -179,23 +179,23 @@ func (r *Record[N]) Aux() uint32 { return r.r.aux }
 
 // SetAux stores the node's 32 bits of immutable data. It must only be called
 // while no other goroutine can reach the node: when it is built, or when it
-// is drawn from a pool after its grace period.
+// is reused after its grace period.
 func (r *Record[N]) SetAux(a uint32) { r.r.aux = a }
 
 // Marked reports whether the record has been finalized by a committed SCX.
 // A finalized record has been removed from the data structure and its
 // mutable fields will never change again.
-func (r *Record[N]) Marked() bool { return r.r.marked.Load() }
+func (r *Record[N]) Marked() bool { return atomic.LoadUint32(&r.r.marked) != 0 }
 
 // ReleaseRecord resets a freed Data-record for reuse. Trees must call it
 // exactly once, when a node's grace period has completed and the node is
-// about to enter a pool: at that point no operation can reach the record,
+// about to be kept for reuse: at that point no operation can reach the record,
 // and every helper that could still mark it has finished. The store is
 // plain: the grace period orders it after every access by another
 // goroutine, and the SCX that publishes the node again orders it before the
 // next.
 func ReleaseRecord[N any](rec *Record[N]) {
-	rec.r.marked = atomic.Bool{}
+	rec.r.marked = 0
 }
 
 // DataRecord is the constraint a node type must satisfy so that the
@@ -275,7 +275,7 @@ func llx(rec *record, f0, f1 *unsafe.Pointer) (c0, c1 unsafe.Pointer, ev evidenc
 	// snapshot of a record that has already been removed from the tree,
 	// allowing a later SCX to resurrect it. (SkipMarkedRead is the seeded
 	// mutation that proves the read is load-bearing.)
-	marked := rec.marked.Load() && !sched.Mutated(sched.SkipMarkedRead)
+	marked := atomic.LoadUint32(&rec.marked) != 0 && !sched.Mutated(sched.SkipMarkedRead)
 	if state == stateAborted || (state == stateCommitted && !marked) {
 		// The record is not being changed by an in-progress SCX: read the
 		// mutable fields and confirm nothing froze the record meanwhile.
@@ -382,7 +382,7 @@ var noField unsafe.Pointer
 // Helpers of a committed SCX retry the update CAS unconditionally, so the
 // protocol's ABA-freedom rests on stored values never recurring; reusing an
 // existing node is only sound as a child of a freshly obtained subtree
-// root, never as new itself. A node recycled through an epoch-guarded pool
+// root, never as new itself. A node reused after an epoch grace period
 // counts as freshly obtained: the grace period guarantees no helper or
 // snapshot holder can still name its previous incarnation (DESIGN.md
 // re-derives this).
@@ -633,7 +633,7 @@ func run(d *desc, tag, st uint64, b *block, helper bool) bool {
 	// All records in V are frozen for tag.
 	sched.Point(sched.PointSCXMark)
 	for m := b.mask; m != 0; m &= m - 1 {
-		b.recs[bits.TrailingZeros8(m)].marked.Store(true)
+		atomic.StoreUint32(&b.recs[bits.TrailingZeros8(m)].marked, 1)
 	}
 	// An SCX with a commit hook stamps new with the structure's version clock
 	// before the update CAS can make it readable, inside a publish window on

@@ -80,7 +80,7 @@ func (s *Stats) RebalanceTotal() int64 {
 
 // policy is the relaxed AVL balancing policy for the lbst engine. eng is the
 // engine tree it balances, wired after construction; the rebalancing steps
-// draw their fresh nodes from its pools.
+// draw their fresh nodes from its free lists.
 type policy[K cmp.Ordered, V any] struct {
 	stats *Stats
 	eng   *lbst.Tree[K, V]
@@ -141,7 +141,7 @@ func (p *policy[K, V]) Violation(_, n *lbst.Node[K, V]) bool {
 // sequences are ordered root-to-leaf, satisfying PC8, and every removed
 // node reappears only as a copy, satisfying PC9). Each step is assembled on
 // an lbst.Step, whose Commit retires the removed nodes when the SCX succeeds
-// and returns the fresh ones to the engine's node pool when it fails.
+// and returns the fresh ones to the engine's free lists when it fails.
 func (p *policy[K, V]) Rebalance(g *epoch.Guard, _, _, u, n *lbst.Node[K, V]) bool {
 	lkU, st := u.LLX()
 	if st != llxscx.Snapshot {

@@ -235,11 +235,11 @@ func Slot(hint uint64) uint64 {
 // WaitZero waits until the counter drains to zero. Protocol code must use it
 // or WaitUntil (never a bare spin) for any wait whose progress depends on
 // another thread passing an instrumentation point.
-func WaitZero(id PointID, v *atomic.Int32) {
-	if v.Load() == 0 {
+func WaitZero(id PointID, v *int32) {
+	if atomic.LoadInt32(v) == 0 {
 		return
 	}
-	WaitUntil(id, func() bool { return v.Load() == 0 })
+	WaitUntil(id, func() bool { return atomic.LoadInt32(v) == 0 })
 }
 
 // WaitUntil waits until ready reports true; ready must read only atomics

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"slices"
-	"sync/atomic"
 	"testing"
 )
 
@@ -21,7 +20,7 @@ func TestNothingRegisteredIsInert(t *testing.T) {
 			t.Fatalf("%d goroutines registered at the start of the test", n)
 		}
 		crossAll(1) // must not block or panic
-		var zero atomic.Int32
+		var zero int32
 		WaitZero(PointSnapDrain, &zero)
 		if ChaosDropHelp() {
 			t.Fatal("ChaosDropHelp() = true with nobody registered")

@@ -36,13 +36,12 @@
 // Cells may be shared: the template trees alias one cell between a leaf and
 // every copy of that leaf made by rebalancing or deletion, which is what
 // makes the SCX-free overwrite safe (see the package comment of
-// internal/lbst and the in-place overwrite section of DESIGN.md). The trees
-// draw their cells from a Pool; a cell counts the nodes that alias it (Retain,
-// Pool.Release) and returns to the pool when the last of them is freed.
+// internal/lbst and the in-place overwrite section of DESIGN.md). A cell
+// counts the nodes that alias it (Retain, Release); the last Release clears
+// it for the trees to Init again.
 package vcell
 
 import (
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -56,15 +55,17 @@ import (
 type Cell[V any] struct {
 	// refs counts the nodes aliasing the cell beyond the first: zero is one
 	// holder, Retain adds one, and the Release that takes it below zero was
-	// the last. Unpooled cells ignore it.
-	refs atomic.Int32
+	// the last. Cells that are never released ignore it. Both counts are
+	// words for sync/atomic's functions, one instruction in any package's
+	// instantiation; atomic.Int32's methods were calls in some.
+	refs int32
 	// pubs counts in-flight publish brackets (BeginPublish..EndPublish), at
 	// most one per goroutine. It lives on the cell - not on any node
 	// embedding it - because copies alias the cell: a consumer that finalized
 	// one leaf must drain publishers that entered through ANY aliasing leaf,
 	// however stale. See the overwrite protocol in internal/lbst.
-	pubs atomic.Int32
-	gen  epoch.Gen // trips through a Pool; zero-size unless -tags reclaimcheck
+	pubs int32
+	gen  epoch.Gen // bumped by every last Release; zero-size unless -tags reclaimcheck
 
 	// word holds an unboxed value; ptr holds a boxed value's box and is nil
 	// in an unboxed cell. Their order is the line-placement trade-off of the
@@ -109,8 +110,7 @@ func fromWord[V any](w uint64) V {
 
 // New returns a fresh cell holding v, selecting the representation from
 // Unboxed[V](). It is the constructor for callers that leave their cells to
-// the garbage collector (the template trees draw theirs from a Pool);
-// structures that embed cells in their nodes use Init with a
+// the garbage collector; structures that embed or reuse cells use Init with a
 // constructor-computed flag instead.
 func New[V any](v V) *Cell[V] {
 	c := &Cell[V]{}
@@ -120,9 +120,12 @@ func New[V any](v V) *Cell[V] {
 
 // Init fixes the cell's representation and stores the initial value. unboxed
 // must be Unboxed[V]() (structures compute it once at construction), and the
-// cell must be new or cleared by its last Release; Init must complete before
-// the cell becomes reachable by other goroutines.
+// cell must be new or cleared by its last Release (Init gives it one
+// holder); Init must complete before the cell is reachable by others.
 func (c *Cell[V]) Init(unboxed bool, v V) {
+	if epoch.PoisonCheck {
+		atomic.StoreInt32(&c.refs, 0) // a released cell is left at -1 in this build, see Release
+	}
 	if unboxed {
 		c.word.Store(toWord(v))
 		return
@@ -142,7 +145,7 @@ func (c *Cell[V]) Load() (v V) {
 	if c == nil {
 		return v
 	}
-	if epoch.PoisonCheck && c.refs.Load() < 0 {
+	if epoch.PoisonCheck && atomic.LoadInt32(&c.refs) < 0 {
 		panic("vcell: cell loaded after its last release (reclaimcheck)")
 	}
 	if p := c.ptr.Load(); p != nil {
@@ -165,8 +168,8 @@ func (c *Cell[V]) Store(v V) {
 	c.ptr.Store(&box)
 }
 
-// Gen returns how many times the cell has been recycled through a Pool (0
-// for a nil cell). It only changes under -tags reclaimcheck, where the trees'
+// Gen returns how many times the cell has been cleared by its last Release
+// (0 for a nil cell). It only changes under -tags reclaimcheck, where the trees'
 // read paths assert that no cell is recycled under a pinned reader.
 func (c *Cell[V]) Gen() uint64 {
 	if c == nil {
@@ -180,62 +183,37 @@ func (c *Cell[V]) Gen() uint64 {
 // cannot be freed meanwhile (the copier is pinned and read the source out of
 // the tree), so the count cannot be passing through its last Release.
 func (c *Cell[V]) Retain() {
-	if n := c.refs.Add(1); epoch.PoisonCheck && n <= 0 {
+	if n := atomic.AddInt32(&c.refs, 1); epoch.PoisonCheck && n <= 0 {
 		panic("vcell: cell retained after its last release (reclaimcheck)")
 	}
 }
 
-// Pool recycles the cells of one data structure. It is its own heap object
-// (NewPool) because a sync.Pool that has ever been used stays registered with
-// the runtime, and one embedded in a tree would keep the tree reachable.
-type Pool[V any] struct {
-	cells   sync.Pool
-	unboxed bool
-}
-
-// NewPool returns an empty pool of cells for values of type V.
-func NewPool[V any]() *Pool[V] {
-	return &Pool[V]{
-		cells:   sync.Pool{New: func() any { return new(Cell[V]) }},
-		unboxed: Unboxed[V](),
-	}
-}
-
-// Get returns a cell holding v, with one holder.
-func (p *Pool[V]) Get(v V) *Cell[V] {
-	c := p.cells.Get().(*Cell[V])
-	if epoch.PoisonCheck {
-		c.refs.Store(0) // a pooled cell is left at -1 in this build, see Release
-	}
-	c.Init(p.unboxed, v)
-	return c
-}
-
-// Release drops one holder's reference; the last one returns the cell to the
-// pool. A node releases its reference when its memory is freed: after its
-// grace period, or at once if it was never published. Every reader reached
-// the cell through such a node while pinned, so the last Release is ordered
-// after all of them and clears the cell with plain stores (dropping a boxed
-// value's box, so a pooled cell does not keep a dead key's value alive).
-func (p *Pool[V]) Release(c *Cell[V]) {
-	n := c.refs.Add(-1)
+// Release drops one holder's reference and reports whether it was the last.
+// A node releases its reference when its memory is freed: after its grace
+// period, or at once if it was never published. Every reader reached the cell
+// through such a node while pinned, so the last Release is ordered after all
+// of them and clears the cell with plain stores (dropping a boxed value's box,
+// so a cell kept for reuse does not keep a dead key's value alive). The caller
+// of the last Release owns the cell: it may Init it again or drop it.
+func (c *Cell[V]) Release() bool {
+	n := atomic.AddInt32(&c.refs, -1)
 	if n >= 0 {
-		return
+		return false
 	}
 	if epoch.PoisonCheck && n < -1 {
 		panic("vcell: cell released more often than it was held (reclaimcheck)")
 	}
 	c.word = atomic.Uint64{}
 	c.ptr = atomic.Pointer[V]{}
-	c.pubs = atomic.Int32{}
+	c.pubs = 0
 	if epoch.PoisonCheck {
-		// The count stays below zero while the cell is pooled, so a Load,
-		// Retain or Release that reaches it there is caught.
+		// The count stays below zero until Init, so a Load, Retain or
+		// Release that reaches the cleared cell is caught.
 		c.gen.Bump()
 	} else {
-		c.refs = atomic.Int32{}
+		c.refs = 0
 	}
-	p.cells.Put(c)
+	return true
 }
 
 // BeginPublish registers an intent to Swap a value into the cell. The
@@ -246,12 +224,12 @@ func (p *Pool[V]) Release(c *Cell[V]) {
 // must be short and straight-line: register, check the leaf's finalized
 // flag, Swap, unregister - nothing inside may block, park, or panic.
 func (c *Cell[V]) BeginPublish() {
-	c.pubs.Add(1)
+	atomic.AddInt32(&c.pubs, 1)
 }
 
 // EndPublish closes the bracket opened by BeginPublish.
 func (c *Cell[V]) EndPublish() {
-	c.pubs.Add(-1)
+	atomic.AddInt32(&c.pubs, -1)
 }
 
 // DrainPublishers waits until no publish bracket is open. A consumer calls

@@ -138,51 +138,62 @@ func TestAllocationProfile(t *testing.T) {
 }
 
 // holders is the number of references a live cell counts.
-func holders[V any](c *Cell[V]) int32 { return c.refs.Load() + 1 }
+func holders[V any](c *Cell[V]) int32 { return atomic.LoadInt32(&c.refs) + 1 }
 
-// TestPoolReleasesAfterLastHolder drops a cell's three references and checks
-// that it keeps its value until the last one goes, and is cleared (its box
-// dropped, ready for the pool) exactly then.
-func TestPoolReleasesAfterLastHolder(t *testing.T) {
-	p := NewPool[string]()
-	c := p.Get("v")
+// TestCellReleasedAfterLastHolder drops a cell's three references and
+// checks that it keeps its value until the last one goes, and is cleared (its
+// box dropped, ready for Init) exactly then: only the last Release reports
+// that it was the last.
+func TestCellReleasedAfterLastHolder(t *testing.T) {
+	c := New("v")
 	c.Retain()
 	c.Retain()
 	for want := int32(3); want > 1; want-- {
 		if got := holders(c); got != want {
 			t.Fatalf("%d holders, want %d", got, want)
 		}
-		p.Release(c)
+		if c.Release() {
+			t.Fatalf("Release with %d holders reported the last one", want)
+		}
 		if got := c.Load(); got != "v" {
 			t.Fatalf("cell reads %q with %d holders left, want \"v\"", got, want-1)
 		}
 	}
-	p.Release(c)
-	if c.ptr.Load() != nil || c.pubs.Load() != 0 {
+	if !c.Release() {
+		t.Fatal("the last Release did not report it")
+	}
+	if c.ptr.Load() != nil || c.pubs != 0 {
 		t.Fatal("the last release left the cell's content in place")
 	}
 	if epoch.PoisonCheck {
-		mustPanic(t, "Load of a pooled cell", func() { c.Load() })
-		mustPanic(t, "Release of a pooled cell", func() { p.Release(c) })
-		mustPanic(t, "Retain of a pooled cell", func() { c.Retain() })
+		mustPanic(t, "Load of a released cell", func() { c.Load() })
+		mustPanic(t, "Release of a released cell", func() { c.Release() })
+		mustPanic(t, "Retain of a released cell", func() { c.Retain() })
 	}
 }
 
-// TestPoolReusesCells checks the round trip: a released cell comes back from
-// Get with one holder, the new value and, under -tags reclaimcheck, a new
-// generation. (sync.Pool may drop an object, most often under the race
-// detector, so the test only looks at the cell when it did come back.)
-func TestPoolReusesCells(t *testing.T) {
-	p := NewPool[int64]()
-	c := p.Get(7)
+// TestCellReinitAfterLastRelease checks the round trip in both
+// representations: a cell cleared by its last Release and initialized again
+// has one holder, the new value and, under -tags reclaimcheck, a new
+// generation.
+func TestCellReinitAfterLastRelease(t *testing.T) {
+	c := New(int64(7))
 	g0 := c.Gen()
-	p.Release(c)
-	d := p.Get(9)
-	if holders(d) != 1 || d.Load() != 9 {
-		t.Fatalf("fresh cell has %d holders and reads %d, want 1 and 9", holders(d), d.Load())
+	if !c.Release() {
+		t.Fatal("the only holder's Release was not the last")
 	}
-	if d == c && epoch.PoisonCheck && d.Gen() == g0 {
-		t.Fatal("a recycled cell kept its generation")
+	c.Init(true, 9)
+	if holders(c) != 1 || c.Load() != 9 {
+		t.Fatalf("reinitialized cell has %d holders and reads %d, want 1 and 9", holders(c), c.Load())
+	}
+	if epoch.PoisonCheck && c.Gen() == g0 {
+		t.Fatal("a reused cell kept its generation")
+	}
+	b := New("x")
+	b.Release()
+	b.Init(false, "y")
+	if holders(b) != 1 || b.Load() != "y" || b.Swap("z") != "y" || b.Load() != "z" {
+		t.Fatal("a boxed cell initialized again does not read and swap its new value")
 	}
 }
 

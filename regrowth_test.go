@@ -69,6 +69,9 @@ var regrowthRules = []regrowthRule{
 	{pattern: `func counted\(|\) Counted\(`, paths: []string{"."}, max: 1},
 	// An update has one retry loop and no per-operation budget.
 	{pattern: `dict\.Budget|BoundedMap|InsertBounded|DeleteBounded|ErrRetryBudget|ErrDeadline\b`, paths: []string{"."}, tests: true},
+	// A tree reuses its nodes and value cells through its per-slot free
+	// lists alone: no sync.Pool, no cell pool.
+	{pattern: `sync\.Pool|vcell\.NewPool|nodePool`, paths: []string{"internal/lbst", "internal/vcell"}, tests: true},
 	// The baseline trees write each mirror image once, over a side; a
 	// structure's name lives in the registry alone, and its type is spelled
 	// with its parameters.
