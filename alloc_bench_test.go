@@ -68,7 +68,7 @@ func BenchmarkAlloc(b *testing.B) {
 // benchmarkAllocOverwrite measures Insert on a present key: the structure is
 // filled once and every timed Insert hits an existing key in the permuted
 // order, so the whole run goes through the in-place overwrite path.
-func benchmarkAllocOverwrite(b *testing.B, factory dict.IntFactory) {
+func benchmarkAllocOverwrite(b *testing.B, factory dict.Factory[int64, int64]) {
 	d := factory.New()
 	for i := 0; i < allocKeyRange; i++ {
 		k := allocKey(i)
@@ -93,7 +93,7 @@ const allocChurnWindow = 1 << 10
 // free list of the goroutine's epoch slot, and SCX argument blocks are
 // rewritten in place, so allocs/op should sit near zero (the growth-phase Insert cells above necessarily allocate: a
 // growing tree keeps its nodes).
-func benchmarkAllocChurn(b *testing.B, factory dict.IntFactory) {
+func benchmarkAllocChurn(b *testing.B, factory dict.Factory[int64, int64]) {
 	d := factory.New()
 	for i := 0; i < allocKeyRange; i++ {
 		k := allocKey(i)
@@ -110,7 +110,7 @@ func benchmarkAllocChurn(b *testing.B, factory dict.IntFactory) {
 	}
 }
 
-func benchmarkAllocGet(b *testing.B, factory dict.IntFactory) {
+func benchmarkAllocGet(b *testing.B, factory dict.Factory[int64, int64]) {
 	d := factory.New()
 	for i := 0; i < allocKeyRange; i += 2 {
 		k := allocKey(i) // i even, so k even: exactly the even keys
@@ -122,7 +122,7 @@ func benchmarkAllocGet(b *testing.B, factory dict.IntFactory) {
 	}
 }
 
-func benchmarkAllocInsert(b *testing.B, factory dict.IntFactory) {
+func benchmarkAllocInsert(b *testing.B, factory dict.Factory[int64, int64]) {
 	d := factory.New()
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
@@ -353,7 +353,7 @@ func TestSuccessorAllocBudget(t *testing.T) {
 			t.Fatalf("%s not registered", name)
 		}
 		d := factory.New().(interface {
-			dict.IntOrderedMap
+			dict.OrderedMap[int64, int64]
 			Min() (int64, int64, bool)
 			Max() (int64, int64, bool)
 		})
@@ -456,7 +456,7 @@ func BenchmarkSnapshotCapture(b *testing.B) {
 // deleted half is re-inserted with the timer stopped), so every timed
 // Delete removes a present key from a large tree rather than draining the
 // structure into the degenerate near-empty regime.
-func benchmarkAllocDelete(b *testing.B, factory dict.IntFactory) {
+func benchmarkAllocDelete(b *testing.B, factory dict.Factory[int64, int64]) {
 	const half = allocKeyRange / 2
 	d := factory.New()
 	for i := 0; i < allocKeyRange; i++ {

@@ -24,9 +24,9 @@ import (
 // operation must complete once parked workers are released, and the epoch
 // watchdog must drain reclamation past the parked workers' stale pins.
 func TestChaosChurnStress(t *testing.T) {
-	for _, tgt := range templateTreeTargets(t) {
+	for _, tgt := range templateTrees() {
 		t.Run(tgt.Name, func(t *testing.T) {
-			dicttest.ChaosChurnStress(t, tgt, 4, 600)
+			dicttest.ChaosChurnStress(t, tgt, 4, 600, ident, ident)
 		})
 	}
 }
@@ -36,9 +36,9 @@ func TestChaosChurnStress(t *testing.T) {
 // unwinding, the structure must stay fully usable, invariants must hold,
 // and pending reclamation must drain to zero.
 func TestChaosCrashStress(t *testing.T) {
-	for _, tgt := range templateTreeTargets(t) {
+	for _, tgt := range templateTrees() {
 		t.Run(tgt.Name, func(t *testing.T) {
-			dicttest.ChaosCrashStress(t, tgt, 4, 800)
+			dicttest.ChaosCrashStress(t, tgt, 4, 800, ident, ident)
 		})
 	}
 }

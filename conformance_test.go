@@ -3,20 +3,21 @@ package repro
 // Shared OrderedMap conformance, fuzz and stress suite (internal/dict/
 // dicttest) applied to EVERY dictionary in the repository - the trees built
 // on the LLX/SCX tree update template and the evaluation's baseline
-// competitors alike - resolved through the benchmark registry so the tests
-// exercise exactly what the harness benchmarks. Each target carries its own
-// quiescent invariant checker: the engine's structural check for EBST, the
-// full height/balance bookkeeping for RAVL (after draining the relaxed
-// violations), the weight invariants for the chromatic trees, BST-order and
-// parent-pointer checks for the lock-based AVL tree, level-ordering checks
-// for the two skip lists and the red-black properties for the sequential
-// and STM red-black trees.
+// competitors alike - through one table of targets. With int64 keys and
+// values a registry structure's row is built by the benchmark registry's own
+// factory, so the tests exercise exactly what the harness benchmarks. Each
+// row carries its own invariant checker: the engine's structural check for
+// EBST, the full height/balance bookkeeping for RAVL (after draining the
+// relaxed violations), the weight invariants for the chromatic trees,
+// BST-order and parent-pointer checks for the lock-based AVL tree,
+// level-ordering checks for the two skip lists and the red-black properties
+// for the sequential and STM red-black trees.
 //
-// The same suite also runs against string-keyed instantiations of every
-// structure (see stringTreeTargets), so no part of the stack may assume
-// integer keys.
+// The same table runs with string keys and values (targets[string,
+// string]), so no part of the stack may assume integer keys.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -37,331 +38,135 @@ import (
 	"repro/internal/stmskip"
 )
 
-// templateTreeTargets returns the dicttest targets for the template-based
-// trees, with structure-specific invariant checkers.
-func templateTreeTargets(tb testing.TB) []dicttest.Target {
-	lookup := func(name string) func() dict.IntMap {
-		f, ok := bench.Lookup(name)
-		if !ok {
-			tb.Fatalf("structure %q not in bench registry", name)
+// targets returns one dicttest row per dictionary: the nine registry
+// structures and the purely sequential red-black tree (the Figure 9
+// reference point), which is not in the registry because it is not safe for
+// concurrent use. A row's Check is the structure's quiescent invariant
+// checker and its CheckOp what holds between any two operations of a
+// sequential run. With int64 keys and values a registry row's New is the
+// registry's factory; TestRegistryCoversAllStructures pins the registry's
+// names to the rows'.
+func targets[K cmp.Ordered, V comparable]() []dicttest.TargetOf[K, V] {
+	row := func(name string, newOrdered func() dict.Map[K, V], check func(dict.Map[K, V]) error) dicttest.TargetOf[K, V] {
+		tgt := dicttest.TargetOf[K, V]{Name: name, New: newOrdered, Check: check, CheckOp: check}
+		if f, ok := bench.Lookup(name); ok {
+			if registered, int64s := any(f.New).(func() dict.Map[K, V]); int64s {
+				tgt.New = registered
+			}
 		}
-		return f.New
+		return tgt
 	}
-	return []dicttest.Target{
-		{
-			Name: "EBST",
-			New:  lookup("EBST"),
-			Check: func(d dict.IntMap) error {
-				return d.(*ebst.Tree[int64, int64]).CheckStructure()
-			},
-			CheckOp: func(d dict.IntMap) error {
-				return d.(*ebst.Tree[int64, int64]).CheckStructure()
-			},
-		},
-		{
-			Name: "RAVL",
-			New:  lookup("RAVL"),
-			Check: func(d dict.IntMap) error {
-				tr := d.(*ravl.Tree[int64, int64])
-				if err := tr.CheckStructure(); err != nil {
-					return err
-				}
-				if _, err := tr.RebalanceAll(ravl.DrainCap(tr.Size())); err != nil {
-					return err
-				}
-				return tr.CheckAVL()
-			},
-			// A sequential run leaves nothing for RebalanceAll to do: every
-			// operation's own cleanup restores the exact AVL shape.
-			CheckOp: func(d dict.IntMap) error {
-				return d.(*ravl.Tree[int64, int64]).CheckAVL()
-			},
-		},
-		{
-			Name: "Chromatic",
-			New:  lookup("Chromatic"),
-			Check: func(d dict.IntMap) error {
-				// The plain chromatic tree rebalances eagerly: at quiescence
-				// it must satisfy the full red-black conditions.
-				return d.(*chromatic.Tree[int64, int64]).CheckRedBlack()
-			},
-			CheckOp: func(d dict.IntMap) error {
-				return d.(*chromatic.Tree[int64, int64]).CheckRedBlack()
-			},
-		},
-		{
-			Name: "Chromatic6",
-			New:  lookup("Chromatic6"),
-			Check: func(d dict.IntMap) error {
-				// Chromatic6 may retain up to six violations per search path,
-				// so only the structural and weight invariants must hold.
-				return d.(*chromatic.Tree[int64, int64]).CheckInvariants()
-			},
-			CheckOp: func(d dict.IntMap) error {
-				return d.(*chromatic.Tree[int64, int64]).CheckInvariants()
-			},
-		},
-	}
-}
-
-// baselineTargets returns the dicttest targets for the evaluation's baseline
-// competitors, again resolved through the registry so the suite tests the
-// exact factories the harness benchmarks.
-func baselineTargets(tb testing.TB) []dicttest.Target {
-	lookup := func(name string) func() dict.IntMap {
-		f, ok := bench.Lookup(name)
-		if !ok {
-			tb.Fatalf("structure %q not in bench registry", name)
+	// A sequential run leaves nothing for RebalanceAll to do: every
+	// operation's own cleanup restores the exact AVL shape.
+	ravlRow := row("RAVL", func() dict.Map[K, V] { return ravl.NewOrdered[K, V]() },
+		func(d dict.Map[K, V]) error { return d.(*ravl.Tree[K, V]).CheckAVL() })
+	ravlRow.Check = func(d dict.Map[K, V]) error {
+		tr := d.(*ravl.Tree[K, V])
+		if err := tr.CheckStructure(); err != nil {
+			return err
 		}
-		return f.New
+		if _, err := tr.RebalanceAll(ravl.DrainCap(tr.Size())); err != nil {
+			return err
+		}
+		return tr.CheckAVL()
 	}
-	return []dicttest.Target{
-		{
-			Name: "SkipList",
-			New:  lookup("SkipList"),
-			Check: func(d dict.IntMap) error {
-				return d.(*skiplist.List[int64, int64]).CheckInvariants()
-			},
-		},
-		{
-			Name: "LockAVL",
-			New:  lookup("LockAVL"),
-			Check: func(d dict.IntMap) error {
-				return d.(*lockavl.Tree[int64, int64]).CheckInvariants()
-			},
-			CheckOp: func(d dict.IntMap) error {
-				return d.(*lockavl.Tree[int64, int64]).CheckInvariants()
-			},
-		},
-		{
-			Name: "RBSTM",
-			New:  lookup("RBSTM"),
-			Check: func(d dict.IntMap) error {
-				return d.(*stmrbt.Tree[int64, int64]).CheckInvariants()
-			},
-			CheckOp: func(d dict.IntMap) error {
-				return d.(*stmrbt.Tree[int64, int64]).CheckInvariants()
-			},
-		},
-		{
-			Name: "SkipListSTM",
-			New:  lookup("SkipListSTM"),
-			Check: func(d dict.IntMap) error {
-				return d.(*stmskip.List[int64, int64]).CheckInvariants()
-			},
-		},
-		{
-			Name: "RBGlobal",
-			New:  lookup("RBGlobal"),
-			Check: func(d dict.IntMap) error {
-				return d.(*seqrbt.Global[int64, int64]).CheckInvariants()
-			},
-			CheckOp: func(d dict.IntMap) error {
-				return d.(*seqrbt.Global[int64, int64]).CheckInvariants()
-			},
-		},
+	return []dicttest.TargetOf[K, V]{
+		row("EBST", func() dict.Map[K, V] { return ebst.NewOrdered[K, V]() },
+			func(d dict.Map[K, V]) error { return d.(*ebst.Tree[K, V]).CheckStructure() }),
+		ravlRow,
+		// The plain chromatic tree rebalances eagerly: between operations it
+		// must satisfy the full red-black conditions.
+		row("Chromatic", func() dict.Map[K, V] { return chromatic.NewOrdered[K, V]() },
+			func(d dict.Map[K, V]) error { return d.(*chromatic.Tree[K, V]).CheckRedBlack() }),
+		// Chromatic6 may retain up to six violations per search path, so only
+		// the structural and weight invariants must hold.
+		row("Chromatic6", func() dict.Map[K, V] { return chromatic.NewOrdered[K, V](chromatic.WithAllowedViolations(6)) },
+			func(d dict.Map[K, V]) error { return d.(*chromatic.Tree[K, V]).CheckInvariants() }),
+		row("SkipList", func() dict.Map[K, V] { return skiplist.NewOrdered[K, V]() },
+			func(d dict.Map[K, V]) error { return d.(*skiplist.List[K, V]).CheckInvariants() }),
+		row("LockAVL", func() dict.Map[K, V] { return lockavl.NewOrdered[K, V]() },
+			func(d dict.Map[K, V]) error { return d.(*lockavl.Tree[K, V]).CheckInvariants() }),
+		row("RBSTM", func() dict.Map[K, V] { return stmrbt.NewOrdered[K, V]() },
+			func(d dict.Map[K, V]) error { return d.(*stmrbt.Tree[K, V]).CheckInvariants() }),
+		row("SkipListSTM", func() dict.Map[K, V] { return stmskip.NewOrdered[K, V]() },
+			func(d dict.Map[K, V]) error { return d.(*stmskip.List[K, V]).CheckInvariants() }),
+		row("RBGlobal", func() dict.Map[K, V] { return seqrbt.NewGlobalOrdered[K, V]() },
+			func(d dict.Map[K, V]) error { return d.(*seqrbt.Global[K, V]).CheckInvariants() }),
+		row("SeqRBT", func() dict.Map[K, V] { return seqrbt.NewOrdered[K, V]() },
+			func(d dict.Map[K, V]) error { return d.(*seqrbt.Tree[K, V]).CheckInvariants() }),
 	}
 }
 
-// seqRBTTarget is the purely sequential red-black tree (the Figure 9
-// reference point). It is not in the registry because it is not safe for
-// concurrent use; it runs the sequential and fuzz suites only.
-func seqRBTTarget() dicttest.Target {
-	return dicttest.Target{
-		Name: "SeqRBT",
-		New:  func() dict.IntMap { return seqrbt.New() },
-		Check: func(d dict.IntMap) error {
-			return d.(*seqrbt.Tree[int64, int64]).CheckInvariants()
-		},
-		CheckOp: func(d dict.IntMap) error {
-			return d.(*seqrbt.Tree[int64, int64]).CheckInvariants()
-		},
+// named keeps the rows whose names are listed.
+func named[K cmp.Ordered, V comparable](tgts []dicttest.TargetOf[K, V], names ...string) []dicttest.TargetOf[K, V] {
+	return slices.DeleteFunc(tgts, func(tgt dicttest.TargetOf[K, V]) bool { return !slices.Contains(names, tgt.Name) })
+}
+
+// concurrentTargets is every concurrency-safe row: the registry's.
+func concurrentTargets[K cmp.Ordered, V comparable]() []dicttest.TargetOf[K, V] {
+	return named(targets[K, V](), bench.Names()...)
+}
+
+// templateTrees is the int64 rows of the four trees built on the LLX/SCX
+// template.
+func templateTrees() []dicttest.TargetOf[int64, int64] {
+	return named(targets[int64, int64](), "EBST", "RAVL", "Chromatic", "Chromatic6")
+}
+
+// ident is the int64 suites' key and value function: the selector itself.
+func ident(u uint64) int64 { return int64(u) }
+
+// strKey is the string suites' key function. Keys come in pairs that share a
+// prefix ("k07/long-suffix", "k07"), which stresses the key comparisons more
+// than fixed-width keys would.
+func strKey(u uint64) string {
+	k := fmt.Sprintf("k%02d", u/2)
+	if u%2 == 0 {
+		return k + "/long-suffix"
 	}
+	return k
 }
 
-// allConcurrentTargets is every concurrency-safe structure in the registry:
-// the template trees and the baselines, under one suite.
-func allConcurrentTargets(tb testing.TB) []dicttest.Target {
-	return append(templateTreeTargets(tb), baselineTargets(tb)...)
-}
-
-// allSequentialTargets additionally includes the sequential red-black tree.
-func allSequentialTargets(tb testing.TB) []dicttest.Target {
-	return append(allConcurrentTargets(tb), seqRBTTarget())
-}
-
-// stringTreeTargets instantiates the generic template trees with string keys
-// and values.
-func stringTreeTargets() []dicttest.TargetOf[string, string] {
-	return []dicttest.TargetOf[string, string]{
-		{
-			Name: "EBST/string",
-			New:  func() dict.Map[string, string] { return ebst.NewOrdered[string, string]() },
-			Check: func(d dict.Map[string, string]) error {
-				return d.(*ebst.Tree[string, string]).CheckStructure()
-			},
-		},
-		{
-			Name: "RAVL/string",
-			New:  func() dict.Map[string, string] { return ravl.NewOrdered[string, string]() },
-			Check: func(d dict.Map[string, string]) error {
-				tr := d.(*ravl.Tree[string, string])
-				if err := tr.CheckStructure(); err != nil {
-					return err
-				}
-				if _, err := tr.RebalanceAll(ravl.DrainCap(tr.Size())); err != nil {
-					return err
-				}
-				return tr.CheckAVL()
-			},
-		},
-		{
-			Name: "Chromatic/string",
-			New:  func() dict.Map[string, string] { return chromatic.NewOrdered[string, string]() },
-			Check: func(d dict.Map[string, string]) error {
-				return d.(*chromatic.Tree[string, string]).CheckRedBlack()
-			},
-		},
-		{
-			Name: "Chromatic6/string",
-			New: func() dict.Map[string, string] {
-				return chromatic.NewOrdered[string, string](chromatic.WithAllowedViolations(6))
-			},
-			Check: func(d dict.Map[string, string]) error {
-				return d.(*chromatic.Tree[string, string]).CheckInvariants()
-			},
-		},
-	}
-}
-
-// stringBaselineTargets instantiates the five baseline structures with
-// string keys and values.
-func stringBaselineTargets() []dicttest.TargetOf[string, string] {
-	return []dicttest.TargetOf[string, string]{
-		{
-			Name: "SkipList/string",
-			New:  func() dict.Map[string, string] { return skiplist.NewOrdered[string, string]() },
-			Check: func(d dict.Map[string, string]) error {
-				return d.(*skiplist.List[string, string]).CheckInvariants()
-			},
-		},
-		{
-			Name: "LockAVL/string",
-			New:  func() dict.Map[string, string] { return lockavl.NewOrdered[string, string]() },
-			Check: func(d dict.Map[string, string]) error {
-				return d.(*lockavl.Tree[string, string]).CheckInvariants()
-			},
-		},
-		{
-			Name: "RBSTM/string",
-			New:  func() dict.Map[string, string] { return stmrbt.NewOrdered[string, string]() },
-			Check: func(d dict.Map[string, string]) error {
-				return d.(*stmrbt.Tree[string, string]).CheckInvariants()
-			},
-		},
-		{
-			Name: "SkipListSTM/string",
-			New:  func() dict.Map[string, string] { return stmskip.NewOrdered[string, string]() },
-			Check: func(d dict.Map[string, string]) error {
-				return d.(*stmskip.List[string, string]).CheckInvariants()
-			},
-		},
-		{
-			Name: "RBGlobal/string",
-			New:  func() dict.Map[string, string] { return seqrbt.NewGlobalOrdered[string, string]() },
-			Check: func(d dict.Map[string, string]) error {
-				return d.(*seqrbt.Global[string, string]).CheckInvariants()
-			},
-		},
-	}
-}
-
-// stringSeqRBTTarget is the string-keyed sequential tree (sequential and
-// fuzz suites only).
-func stringSeqRBTTarget() dicttest.TargetOf[string, string] {
-	return dicttest.TargetOf[string, string]{
-		Name: "SeqRBT/string",
-		New:  func() dict.Map[string, string] { return seqrbt.NewOrdered[string, string]() },
-		Check: func(d dict.Map[string, string]) error {
-			return d.(*seqrbt.Tree[string, string]).CheckInvariants()
-		},
-	}
-}
-
-func allStringConcurrentTargets() []dicttest.TargetOf[string, string] {
-	return append(stringTreeTargets(), stringBaselineTargets()...)
-}
-
-func allStringSequentialTargets() []dicttest.TargetOf[string, string] {
-	return append(allStringConcurrentTargets(), stringSeqRBTTarget())
-}
-
-// stringKey derives a compact string key from the suite's random stream.
-// The space mixes short and long keys sharing prefixes, which stresses the
-// key comparisons more than fixed-width keys would.
-func stringKey(u uint64) string {
-	base := fmt.Sprintf("k%02d", u%97)
-	if u%3 == 0 {
-		return base + "/long-suffix"
-	}
-	return base
-}
-
-func stringVal(u uint64) string { return fmt.Sprintf("v%d", u%1024) }
+// strVal is the string suites' value function.
+func strVal(u uint64) string { return fmt.Sprintf("v%d", u) }
 
 // TestOrderedMapConformance runs the shared sequential suite - every
 // operation, including Successor and Predecessor, mirrored against a model
 // map - over every structure in the registry plus the sequential red-black
-// tree.
-func TestOrderedMapConformance(t *testing.T) {
-	for _, tgt := range allSequentialTargets(t) {
-		t.Run(tgt.Name, func(t *testing.T) {
+// tree. TestStringKeyedConformance runs it with string keys.
+func TestOrderedMapConformance(t *testing.T) { testConformance(t, "", ident, ident) }
+
+func TestStringKeyedConformance(t *testing.T) { testConformance(t, "/string", strKey, strVal) }
+
+// testConformance runs the sequential suite over every row, as subtests
+// named after the rows with suffix appended.
+func testConformance[K cmp.Ordered, V comparable](t *testing.T, suffix string, key func(uint64) K, val func(uint64) V) {
+	for _, tgt := range targets[K, V]() {
+		t.Run(tgt.Name+suffix, func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= 3; seed++ {
-				dicttest.SequentialConformance(t, tgt, 6000, 200, seed)
+				dicttest.SequentialConformance(t, tgt, 6000, 200, key, val, seed)
 			}
 			// A tiny key range maximizes structural churn per key.
-			dicttest.SequentialConformance(t, tgt, 4000, 8, 99)
-		})
-	}
-}
-
-// TestStringKeyedConformance runs the same sequential suite over the
-// string-keyed instantiations of every structure.
-func TestStringKeyedConformance(t *testing.T) {
-	for _, tgt := range allStringSequentialTargets() {
-		t.Run(tgt.Name, func(t *testing.T) {
-			t.Parallel()
-			for seed := int64(1); seed <= 3; seed++ {
-				dicttest.SequentialConformanceKV(t, tgt, 6000, stringKey, stringVal, seed)
-			}
-			// A tiny key space maximizes structural churn per key.
-			dicttest.SequentialConformanceKV(t, tgt, 4000,
-				func(u uint64) string { return fmt.Sprintf("k%d", u%8) }, stringVal, 99)
-		})
-	}
-}
-
-// TestStringKeyedConcurrentStress runs the shared concurrent suite over the
-// string-keyed instantiations of every concurrency-safe structure, with
-// per-goroutine disjoint key prefixes.
-func TestStringKeyedConcurrentStress(t *testing.T) {
-	for _, tgt := range allStringConcurrentTargets() {
-		t.Run(tgt.Name, func(t *testing.T) {
-			dicttest.ConcurrentStressKV(t, tgt, 4, 4000,
-				func(g int, u uint64) string { return fmt.Sprintf("g%d/%03d", g, u%150) },
-				stringVal)
+			dicttest.SequentialConformance(t, tgt, 4000, 8, key, val, 99)
 		})
 	}
 }
 
 // TestOrderedMapConcurrentStress runs the shared concurrent suite with the
 // per-structure invariant checks at quiescence over every concurrency-safe
-// structure in the registry.
-func TestOrderedMapConcurrentStress(t *testing.T) {
-	for _, tgt := range allConcurrentTargets(t) {
-		t.Run(tgt.Name, func(t *testing.T) {
-			dicttest.ConcurrentStress(t, tgt, 4, 4000, 150)
+// structure in the registry. TestStringKeyedConcurrentStress runs it with
+// string keys.
+func TestOrderedMapConcurrentStress(t *testing.T) { testConcurrentStress(t, "", ident, ident) }
+
+func TestStringKeyedConcurrentStress(t *testing.T) {
+	testConcurrentStress(t, "/string", strKey, strVal)
+}
+
+func testConcurrentStress[K cmp.Ordered, V comparable](t *testing.T, suffix string, key func(uint64) K, val func(uint64) V) {
+	for _, tgt := range concurrentTargets[K, V]() {
+		t.Run(tgt.Name+suffix, func(t *testing.T) {
+			dicttest.ConcurrentStress(t, tgt, 4, 4000, 150, key, val)
 		})
 	}
 }
@@ -375,9 +180,9 @@ func TestOrderedMapConcurrentStress(t *testing.T) {
 // finalization / resurrection). It runs under -race in CI (the race job's
 // test pattern matches "Stress").
 func TestHotKeyOverwriteStress(t *testing.T) {
-	for _, tgt := range allConcurrentTargets(t) {
+	for _, tgt := range concurrentTargets[int64, int64]() {
 		t.Run(tgt.Name, func(t *testing.T) {
-			dicttest.HotKeyStress(t, tgt, 4, 6000)
+			dicttest.HotKeyStress(t, tgt, 4, 6000, ident, ident)
 		})
 	}
 }
@@ -393,9 +198,9 @@ func TestHotKeyOverwriteStress(t *testing.T) {
 // deterministic generation-check panic in the read path. It runs under -race
 // in CI (the race job's test pattern matches "Stress").
 func TestReclamationChurnStress(t *testing.T) {
-	for _, tgt := range allConcurrentTargets(t) {
+	for _, tgt := range concurrentTargets[int64, int64]() {
 		t.Run(tgt.Name, func(t *testing.T) {
-			dicttest.ChurnStress(t, tgt, 4, 8000)
+			dicttest.ChurnStress(t, tgt, 4, 8000, ident, ident)
 		})
 	}
 }
@@ -406,31 +211,9 @@ func TestReclamationChurnStress(t *testing.T) {
 // non-word-sized value types - goes through the same overwrite races as the
 // unboxed one.
 func TestHotKeyOverwriteStressBoxedValues(t *testing.T) {
-	targets := []dicttest.TargetOf[int64, string]{
-		{
-			Name: "Chromatic/boxed",
-			New:  func() dict.Map[int64, string] { return chromatic.NewOrdered[int64, string]() },
-		},
-		{
-			Name: "EBST/boxed",
-			New:  func() dict.Map[int64, string] { return ebst.NewOrdered[int64, string]() },
-		},
-		{
-			Name: "SkipList/boxed",
-			New:  func() dict.Map[int64, string] { return skiplist.NewOrdered[int64, string]() },
-		},
-		{
-			Name: "LockAVL/boxed",
-			New:  func() dict.Map[int64, string] { return lockavl.NewOrdered[int64, string]() },
-		},
-	}
-	const hot = int64(1 << 20)
-	neighbors := []int64{hot - 2, hot - 1, hot + 1, hot + 2}
-	for _, tgt := range targets {
-		t.Run(tgt.Name, func(t *testing.T) {
-			dicttest.HotKeyStressKV(t, tgt, 4, 4000, hot, neighbors,
-				func(w, i int) string { return fmt.Sprintf("w%d/%d", w, i) },
-				"churn")
+	for _, tgt := range named(targets[int64, string](), "Chromatic", "EBST", "SkipList", "LockAVL") {
+		t.Run(tgt.Name+"/boxed", func(t *testing.T) {
+			dicttest.HotKeyStress(t, tgt, 4, 4000, ident, strVal)
 		})
 	}
 }
@@ -505,13 +288,11 @@ func fuzzSeedCorpus() [][]byte {
 
 // FuzzOrderedMapAgainstModel feeds an arbitrary byte stream, decoded as
 // (opcode, key, value) triples, to every structure - template trees and
-// baselines, both the int64 registry instantiations and the string-keyed
-// generic ones - and compares each result with the model map. The four
-// template trees and the baseline trees (LockAVL, RBSTM, RBGlobal, SeqRBT)
-// are checked after every operation (their targets' CheckOp: whole content
-// against the model, then CheckRedBlack, CheckInvariants, CheckAVL,
-// CheckStructure or the baseline's CheckInvariants); every structure's
-// invariant checker runs at the end of the input. Run with
+// baselines, with int64 and with string keys - and compares each result with
+// the model map. Every row is checked after every operation (its CheckOp:
+// whole content against the model, then CheckRedBlack, CheckInvariants,
+// CheckAVL, CheckStructure or the baseline's CheckInvariants), and every
+// structure's quiescent invariant checker runs at the end of the input. Run with
 // `go test -fuzz=FuzzOrderedMapAgainstModel .` for continuous fuzzing; the
 // seed corpus runs as part of `go test`.
 func FuzzOrderedMapAgainstModel(f *testing.F) {
@@ -522,11 +303,11 @@ func FuzzOrderedMapAgainstModel(f *testing.F) {
 		if len(data) > 3*5000 {
 			t.Skip("input larger than the op budget")
 		}
-		for _, tgt := range allSequentialTargets(t) {
-			dicttest.FuzzOps(t, tgt, data)
+		for _, tgt := range targets[int64, int64]() {
+			dicttest.FuzzOps(t, tgt, ident, ident, data)
 		}
-		for _, tgt := range allStringSequentialTargets() {
-			dicttest.FuzzOpsKV(t, tgt, stringKey, stringVal, data)
+		for _, tgt := range targets[string, string]() {
+			dicttest.FuzzOps(t, tgt, strKey, strVal, data)
 		}
 	})
 }
@@ -545,10 +326,10 @@ func FuzzOrderedMapAgainstModel(f *testing.F) {
 func TestFuzzSeedCorpusReachesEveryStep(t *testing.T) {
 	var chromatics []*chromatic.Tree[int64, int64]
 	var ravls []*ravl.Tree[int64, int64]
-	targets := templateTreeTargets(t)
-	for i := range targets {
-		newTree := targets[i].New
-		targets[i].New = func() dict.IntMap {
+	trees := templateTrees()
+	for i := range trees {
+		newTree := trees[i].New
+		trees[i].New = func() dict.Map[int64, int64] {
 			d := newTree()
 			switch tr := d.(type) {
 			case *chromatic.Tree[int64, int64]:
@@ -560,11 +341,11 @@ func TestFuzzSeedCorpusReachesEveryStep(t *testing.T) {
 		}
 	}
 	for _, data := range fuzzSeedCorpus() {
-		for _, tgt := range targets {
-			dicttest.FuzzOps(t, tgt, data)
+		for _, tgt := range trees {
+			dicttest.FuzzOps(t, tgt, ident, ident, data)
 		}
 	}
-	for _, tgt := range targets {
+	for _, tgt := range trees {
 		if tgt.Name == "RAVL" {
 			staleChildHeightScripts(t, tgt)
 		}
@@ -616,7 +397,7 @@ func TestFuzzSeedCorpusReachesEveryStep(t *testing.T) {
 // unbalanced with its taller child's stored height stale, and must correct
 // the child before it may rotate. The oracle is the target's own: the content
 // against the expected keys, then the drain to an exact AVL tree.
-func staleChildHeightScripts(t *testing.T, tgt dicttest.Target) {
+func staleChildHeightScripts(t *testing.T, tgt dicttest.TargetOf[int64, int64]) {
 	for _, sc := range []struct {
 		descending       bool
 		crashed, trigger int64
@@ -649,7 +430,7 @@ func staleChildHeightScripts(t *testing.T, tgt dicttest.Target) {
 // the first instrumentation point past the deletion's SCX, the retiring of
 // the removed nodes: the deletion has taken effect, and the violation it
 // created is left for whoever passes next.
-func deleteAndDieBeforeCleanup(t *testing.T, d dict.IntMap, key int64) {
+func deleteAndDieBeforeCleanup(t *testing.T, d dict.Map[int64, int64], key int64) {
 	t.Helper()
 	err := sched.EnableChaos(sched.ChaosConfig{Seed: 1, Points: map[sched.PointID]sched.ChaosPolicy{
 		sched.PointEpochRetire: {Panic: 1_000_000},
@@ -668,69 +449,65 @@ func deleteAndDieBeforeCleanup(t *testing.T, d dict.IntMap, key int64) {
 	d.Delete(key)
 }
 
-// TestRegistryCoversAllStructures pins the registry contents the harness
-// and the figures rely on - the paper's own algorithms (chromatic trees),
-// the engine-based trees (EBST, RAVL) and the competitors - and requires
-// every one of them to be an ordered map: since the generic unification,
-// Successor/Predecessor are part of every structure's contract.
+// TestRegistryCoversAllStructures pins the registry the harness and the
+// figures rely on: the paper's own algorithms (chromatic trees), the
+// engine-based trees (EBST, RAVL) and the competitors, each name once and in
+// the order of Figure 8's series. Every factory must build an ordered map -
+// since the generic unification, Successor/Predecessor are part of every
+// structure's contract - and a fresh, independent one on every call. It also
+// pins which structures are Snapshotters, with int64 and with string keys:
+// exactly the LLX/SCX trees. The snapshot suite skips the others.
 func TestRegistryCoversAllStructures(t *testing.T) {
-	for _, name := range []string{"Chromatic", "Chromatic6", "RAVL", "EBST", "SkipList", "LockAVL", "RBSTM", "SkipListSTM", "RBGlobal"} {
-		f, ok := bench.Lookup(name)
-		if !ok {
-			t.Errorf("registry is missing %q", name)
-			continue
+	figure8 := []string{"Chromatic", "Chromatic6", "RAVL", "SkipList", "LockAVL", "EBST", "RBSTM", "SkipListSTM", "RBGlobal"}
+	if got := bench.Names(); !slices.Equal(got, figure8) {
+		t.Errorf("registry names = %v, want %v", got, figure8)
+	}
+	for _, f := range bench.Registry() {
+		a, b := f.New(), f.New()
+		if _, ok := a.(dict.OrderedMap[int64, int64]); !ok {
+			t.Errorf("%s does not implement dict.OrderedMap", f.Name)
 		}
-		if _, ok := f.New().(dict.IntOrderedMap); !ok {
-			t.Errorf("%s does not implement dict.OrderedMap", name)
+		a.Insert(1, 1)
+		if _, ok := b.Get(1); ok {
+			t.Errorf("%s: two instances from one factory share state", f.Name)
 		}
 	}
-	if err := quickSmoke(); err != nil {
-		t.Fatal(err)
+	want := []string{"Chromatic", "Chromatic6", "EBST", "RAVL"}
+	if got := snapshotters(targets[int64, int64]()); !slices.Equal(got, want) {
+		t.Errorf("int64 structures implementing dict.Snapshotter = %v, want %v", got, want)
+	}
+	if got := snapshotters(targets[string, string]()); !slices.Equal(got, want) {
+		t.Errorf("string-keyed structures implementing dict.Snapshotter = %v, want %v", got, want)
 	}
 }
 
-// TestRegistryAndFigure8StayInSync checks that every registry name, the
-// name the Figure 8 table prints, resolves through Lookup to the factory
-// registered under it.
-func TestRegistryAndFigure8StayInSync(t *testing.T) {
-	for _, name := range bench.Names() {
-		if f, ok := bench.Lookup(name); !ok || f.Name != name {
-			t.Errorf("registry name %q does not resolve through Lookup", name)
+// snapshotters returns the sorted names of the rows whose dictionaries are
+// Snapshotters.
+func snapshotters[K cmp.Ordered, V comparable](tgts []dicttest.TargetOf[K, V]) []string {
+	var names []string
+	for _, tgt := range tgts {
+		if _, ok := tgt.New().(dict.Snapshotter[K, V]); ok {
+			names = append(names, tgt.Name)
 		}
 	}
+	slices.Sort(names)
+	return names
 }
 
 // TestSnapshotConformance runs the shared snapshot suite - frozen views that
 // never observe post-snapshot updates (including in-place overwrites),
 // consistent-cut checks under concurrent churn, and the hold-churn
-// reclamation stress - over every structure in the registry, and pins which
-// structures are Snapshotters: exactly the LLX/SCX trees. The baselines have
-// no snapshots, and the suite skips them.
-func TestSnapshotConformance(t *testing.T) {
-	var snapshotters []string
-	for _, tgt := range allConcurrentTargets(t) {
-		if _, ok := tgt.New().(dict.IntSnapshotter); ok {
-			snapshotters = append(snapshotters, tgt.Name)
-		}
-		t.Run(tgt.Name, func(t *testing.T) {
-			dicttest.SnapshotSuite(t, tgt)
-		})
-	}
-	slices.Sort(snapshotters)
-	if want := []string{"Chromatic", "Chromatic6", "EBST", "RAVL"}; !slices.Equal(snapshotters, want) {
-		t.Errorf("registry structures implementing dict.IntSnapshotter = %v, want %v", snapshotters, want)
-	}
-}
+// reclamation stress - over every structure in the registry.
+// TestStringKeyedSnapshotConformance runs it with string keys: the frozen
+// walk must not assume integer keys.
+func TestSnapshotConformance(t *testing.T) { testSnapshots(t, "", ident, ident) }
 
-// TestStringKeyedSnapshotConformance runs the snapshot suite over the
-// string-keyed instantiations of the template trees: the frozen walk must
-// not assume integer keys. The key derivation is injective (unlike
-// stringKey) because the consistent-cut check needs per-writer disjoint keys.
-func TestStringKeyedSnapshotConformance(t *testing.T) {
-	snapKey := func(u uint64) string { return fmt.Sprintf("s%06d", u%100000) }
-	for _, tgt := range allStringConcurrentTargets() {
-		t.Run(tgt.Name, func(t *testing.T) {
-			dicttest.SnapshotSuiteKV(t, tgt, snapKey, stringVal)
+func TestStringKeyedSnapshotConformance(t *testing.T) { testSnapshots(t, "/string", strKey, strVal) }
+
+func testSnapshots[K cmp.Ordered, V comparable](t *testing.T, suffix string, key func(uint64) K, val func(uint64) V) {
+	for _, tgt := range concurrentTargets[K, V]() {
+		t.Run(tgt.Name+suffix, func(t *testing.T) {
+			dicttest.SnapshotSuite(t, tgt, key, val)
 		})
 	}
 }
@@ -744,7 +521,7 @@ func TestStringKeyedSnapshotConformance(t *testing.T) {
 // nothing.
 func TestScanConformance(t *testing.T) {
 	keys := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	for _, tgt := range allSequentialTargets(t) {
+	for _, tgt := range targets[int64, int64]() {
 		t.Run(tgt.Name, func(t *testing.T) {
 			d := tgt.New()
 			if _, native := d.(dict.IntRanger); tgt.Name == "LockAVL" && native {
@@ -814,15 +591,4 @@ func TestChromaticLoadOrStore(t *testing.T) {
 	if v, ok := tr.Get("contended"); !ok || v != first {
 		t.Fatalf("Get after racing LoadOrStore = (%d,%v), want (%d,true)", v, ok, first)
 	}
-}
-
-// quickSmoke double-checks that factories return independent instances.
-func quickSmoke() error {
-	f, _ := bench.Lookup("RAVL")
-	a, b := f.New(), f.New()
-	a.Insert(1, 1)
-	if _, ok := b.Get(1); ok {
-		return fmt.Errorf("factories share state")
-	}
-	return nil
 }

@@ -15,10 +15,10 @@
 // and every structure - the LLX/SCX trees and the five baselines (lock-free
 // skip list, lock-based AVL, STM red-black tree and skip list, sequential
 // red-black tree) alike - takes cmp.Ordered keys ordered by cmp.Less (NaN
-// first). The historical int64 instantiations survive as the dict.IntMap /
-// dict.IntOrderedMap / dict.IntFactory aliases the benchmark registry uses,
-// and every registered structure is an ordered map, so one
-// conformance/fuzz/stress suite and one Figure-8 grid cover them all.
+// first). The benchmark registry builds each structure's [int64, int64]
+// instantiation with the same constructor as any other key type, and every
+// registered structure is an ordered map, so one conformance/fuzz/stress
+// suite and one Figure-8 grid cover them all.
 //
 // The update hot path is allocation-lean, going one step past the compact
 // SCX records of the paper's Java implementation: an SCX-record stores its

@@ -24,7 +24,7 @@ const (
 )
 
 func main() {
-	index := chromatic.NewChromatic6()
+	index := chromatic.NewOrdered[int64, int64](chromatic.WithAllowedViolations(6))
 	var clock atomic.Int64 // logical timestamp generator
 	var wrote, scanned atomic.Int64
 

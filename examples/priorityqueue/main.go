@@ -30,7 +30,7 @@ func jobKey(priority int64, seq int64) int64 {
 func priorityOf(key int64) int64 { return key >> 32 }
 
 func main() {
-	queue := chromatic.NewChromatic6()
+	queue := chromatic.NewOrdered[int64, int64](chromatic.WithAllowedViolations(6))
 	var seq atomic.Int64
 	var produced, consumed atomic.Int64
 	var priorityInversions atomic.Int64

@@ -12,7 +12,9 @@ import (
 )
 
 func main() {
-	tree := chromatic.New() // use chromatic.NewChromatic6() for the relaxed variant
+	// chromatic.NewOrdered[int64, int64](chromatic.WithAllowedViolations(6))
+	// builds the relaxed Chromatic6 variant instead.
+	tree := chromatic.New()
 
 	// Populate the dictionary from several goroutines at once. Every
 	// operation is linearizable and non-blocking, so no external locking is

@@ -147,7 +147,7 @@ func TestOrderedQueriesAgreeAcrossStructures(t *testing.T) {
 	for _, factory := range bench.Registry() {
 		factory := factory
 		d := factory.New()
-		om, ok := d.(dict.IntOrderedMap)
+		om, ok := d.(dict.OrderedMap[int64, int64])
 		if !ok {
 			continue
 		}

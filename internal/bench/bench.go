@@ -21,7 +21,7 @@ import (
 // Config describes one benchmark cell: a data structure, an operation mix, a
 // key range, a worker count and a trial duration.
 type Config struct {
-	Factory  dict.IntFactory
+	Factory  dict.Factory[int64, int64]
 	Mix      workload.Mix
 	KeyRange int64
 	Threads  int

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dict"
 	"repro/internal/workload"
 )
 
@@ -155,5 +154,3 @@ func TestFigure8SmallScale(t *testing.T) {
 		t.Error("Figure8 output missing key range header")
 	}
 }
-
-var _ dict.IntFactory = Registry()[0]

@@ -26,10 +26,10 @@
 // weight-aware checkers (CheckInvariants, CheckRedBlack, CountViolations).
 //
 // Tree is generic over the key and value types: NewOrdered builds a tree over
-// any cmp.Ordered key type, ordered by cmp.Less, and New keeps the historical
-// int64 instantiation. The Chromatic6 variant of the paper — which postpones
+// any cmp.Ordered key type, ordered by cmp.Less, and New is its int64
+// instantiation. The Chromatic6 variant of the paper — which postpones
 // rebalancing until more than six violations accumulate on a search path —
-// is obtained with WithAllowedViolations(6) or NewChromatic6.
+// is NewOrdered's with WithAllowedViolations(6).
 package chromatic
 
 import (
@@ -119,15 +119,8 @@ func NewOrdered[K cmp.Ordered, V any](opts ...Option) *Tree[K, V] {
 }
 
 // New returns an empty chromatic tree with int64 keys and values, the
-// instantiation the benchmark registry and the paper's figures use.
-func New(opts ...Option) *Tree[int64, int64] {
-	return NewOrdered[int64, int64](opts...)
-}
-
-// NewChromatic6 returns an empty int64-keyed chromatic tree configured as
-// the paper's Chromatic6 variant (rebalancing deferred until a search path
-// carries more than six violations).
-func NewChromatic6() *Tree[int64, int64] { return New(WithAllowedViolations(6)) }
+// instantiation the repository benchmark uses.
+func New() *Tree[int64, int64] { return NewOrdered[int64, int64]() }
 
 // Stats returns the tree's rebalancing counters.
 func (t *Tree[K, V]) Stats() *Stats { return t.pol.stats }

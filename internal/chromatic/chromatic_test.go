@@ -232,7 +232,7 @@ func TestRebalancingStepsAreExercised(t *testing.T) {
 
 func TestChromatic6DefersRebalancing(t *testing.T) {
 	plain := New()
-	relaxed := NewChromatic6()
+	relaxed := NewOrdered[int64, int64](WithAllowedViolations(6))
 	rng := rand.New(rand.NewSource(3))
 	const n = 50000
 	for i := 0; i < n; i++ {

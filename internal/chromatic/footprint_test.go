@@ -29,7 +29,7 @@ func TestNoParkedDescriptors(t *testing.T) {
 	runtime.GC()
 	before := heapAlloc()
 
-	tr := NewChromatic6()
+	tr := NewOrdered[int64, int64](WithAllowedViolations(6))
 	size := workload.Prefill(tr, workload.Mix20i10d, keyRange, 0.01, 1)
 	tr.DrainReclaim()
 	tr.DrainReclaim()

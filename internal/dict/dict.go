@@ -9,9 +9,9 @@
 // canonical interfaces are generic: Map[K, V] and OrderedMap[K, V] are
 // parameterized by the key and value types. Every implementation takes
 // cmp.Ordered keys and orders them by cmp.Less, which puts a NaN key before
-// every other key and treats two NaNs as the same key. The historical int64
-// instantiations survive as the IntMap, IntOrderedMap and IntFactory
-// aliases, which the benchmark harness and the paper's figures still use.
+// every other key and treats two NaNs as the same key. The int64 aliases
+// (IntMap, IntRanger, IntSnapshotter, IntSnapshotView) are the names the
+// repository benchmark uses; everything else spells out the type arguments.
 package dict
 
 // Map is a dictionary with totally ordered keys of type K and values of
@@ -69,15 +69,8 @@ type Factory[K, V any] struct {
 	New func() Map[K, V]
 }
 
-// IntMap is the historical int64-keyed instantiation of Map used by the
-// benchmark registry, the workload generator and the paper's figures.
+// IntMap is the int64-keyed instantiation of Map.
 type IntMap = Map[int64, int64]
-
-// IntOrderedMap is the int64-keyed instantiation of OrderedMap.
-type IntOrderedMap = OrderedMap[int64, int64]
-
-// IntFactory is the int64-keyed instantiation of Factory.
-type IntFactory = Factory[int64, int64]
 
 // IntRanger is the int64-keyed instantiation of Ranger.
 type IntRanger = Ranger[int64, int64]

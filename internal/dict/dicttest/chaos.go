@@ -13,18 +13,18 @@ import (
 )
 
 // This file holds the chaos-mode stress suites: the same shared-window
-// churn workloads as ChurnStressKV, but run with runtime fault injection
+// churn workloads as ChurnStress, but run with runtime fault injection
 // armed (internal/sched's chaos driver) and every operation recorded for
 // linearizability checking. Two suites cover the two failure families the
 // robustness work targets:
 //
-//   - ChaosChurnStressKV: delays, preemption, dropped optional helping and
+//   - ChaosChurnStress: delays, preemption, dropped optional helping and
 //     abandoned (indefinitely parked) workers. Operations must all complete
 //     once parked workers are released, the history must linearize, and the
 //     epoch watchdog must keep reclamation from wedging behind a parked
 //     worker's stale pin.
 //
-//   - ChaosCrashStressKV: injected panics mid-operation. The panic unwinds
+//   - ChaosCrashStress: injected panics mid-operation. The panic unwinds
 //     through an operation's deferred epoch unpin, so a crashed worker must
 //     not wedge reclamation; the structure must remain fully usable and its
 //     invariants intact afterwards.
@@ -50,19 +50,22 @@ func drainPending(t *testing.T, d time.Duration) {
 	}
 }
 
-// ChaosChurnStressKV hammers a shared key window with writers while chaos
+// ChaosChurnStress hammers a shared key window with writers while chaos
 // injection delays, preempts, abandons and de-helps them, with one scanning
 // reader mixed in. Every operation goes through a linearizability recorder.
 // A background releaser periodically wakes abandoned workers (the epoch
 // watchdog covers the interval where a parked worker's pin stalls
 // reclamation), so the workload always terminates; afterwards the suite
 // asserts completion, linearizability, structure invariants, and that
-// epoch pending returns to zero.
-func ChaosChurnStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], writers, opsPerWriter int, window []K, val func(writer, i int) V) {
+// epoch pending returns to zero. The window is the 16 keys key(1<<21),
+// key(1<<21+3), ..., and writer w's i'th value is published(val, w, i); key
+// and val must be injective.
+func ChaosChurnStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], writers, opsPerWriter int, key func(uint64) K, val func(uint64) V) {
 	t.Helper()
 	checkGoroutineLeaks(t)
 	seed := stressSeed(t)
 	defer hangGuard(t, 2*time.Minute)()
+	window := keyWindow(key, 1<<21, 16, 3)
 
 	d := tgt.New()
 	rec := linearize.NewRecorder(d)
@@ -115,7 +118,7 @@ func ChaosChurnStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[
 				k := window[lcg(&state)%uint64(len(window))]
 				switch lcg(&state) % 4 {
 				case 0, 1:
-					p.Insert(k, val(w, i))
+					p.Insert(k, published(val, w, i))
 				case 2:
 					p.Delete(k)
 				default:
@@ -180,29 +183,20 @@ func ChaosChurnStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[
 	drainPending(t, 10*time.Second)
 }
 
-// ChaosChurnStress is the int64 wrapper: a 16-key window in a sparse
-// region, values unique per (writer, op).
-func ChaosChurnStress(t *testing.T, tgt Target, writers, opsPerWriter int) {
-	t.Helper()
-	window := make([]int64, 16)
-	for i := range window {
-		window[i] = int64(1<<21 + i*3)
-	}
-	ChaosChurnStressKV(t, tgt.generic(), writers, opsPerWriter, window,
-		func(w, i int) int64 { return int64(w)<<32 + int64(i) + 1 })
-}
-
-// ChaosCrashStressKV runs the shared-window churn with panic injection
+// ChaosCrashStress runs the shared-window churn with panic injection
 // armed: workers crash at random instrumentation points mid-operation and
 // recover, relying on the operations' deferred epoch unpins to release
 // their pins during unwinding. Afterwards the structure must be fully
 // usable (a sequential model-checked pass over the window), its invariants
-// must hold, and epoch pending must drain to zero.
-func ChaosCrashStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], workers, opsPerWorker int, window []K, val func(worker, i int) V) {
+// must hold, and epoch pending must drain to zero. The window is the 16 keys
+// key(1<<22), key(1<<22+3), ..., and worker w's i'th value is
+// published(val, w, i); key and val must be injective.
+func ChaosCrashStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], workers, opsPerWorker int, key func(uint64) K, val func(uint64) V) {
 	t.Helper()
 	checkGoroutineLeaks(t)
 	seed := stressSeed(t)
 	defer hangGuard(t, 2*time.Minute)()
+	window := keyWindow(key, 1<<22, 16, 3)
 
 	d := tgt.New()
 
@@ -247,7 +241,7 @@ func ChaosCrashStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[
 				k := window[lcg(&state)%uint64(len(window))]
 				switch lcg(&state) % 4 {
 				case 0, 1:
-					survive(func() { d.Insert(k, val(w, i)) })
+					survive(func() { d.Insert(k, published(val, w, i)) })
 				case 2:
 					survive(func() { d.Delete(k) })
 				default:
@@ -291,7 +285,7 @@ func ChaosCrashStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[
 		}
 	}
 	for i, k := range window {
-		v := val(workers, i) // worker id past every real worker: fresh values
+		v := published(val, workers, i) // worker id past every real worker: fresh values
 		d.Insert(k, v)
 		md.insert(k, v)
 	}
@@ -317,15 +311,4 @@ func ChaosCrashStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[
 		}
 	}
 	drainPending(t, 10*time.Second)
-}
-
-// ChaosCrashStress is the int64 wrapper for ChaosCrashStressKV.
-func ChaosCrashStress(t *testing.T, tgt Target, workers, opsPerWorker int) {
-	t.Helper()
-	window := make([]int64, 16)
-	for i := range window {
-		window[i] = int64(1<<22 + i*3)
-	}
-	ChaosCrashStressKV(t, tgt.generic(), workers, opsPerWorker, window,
-		func(w, i int) int64 { return int64(w)<<32 + int64(i) + 1 })
 }

@@ -54,7 +54,7 @@ func TestFuzzInputDeadlineNamesTheStuckOperation(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		fuzzOpsKV(t, tgt, id, id, []byte{0, 1, 1, 0, 2, 2, 0, 3, 3}, 20*time.Millisecond, func(report string) {
+		fuzzOps(t, tgt, id, id, []byte{0, 1, 1, 0, 2, 2, 0, 3, 3}, 20*time.Millisecond, func(report string) {
 			reports <- report
 		})
 	}()
@@ -68,7 +68,7 @@ func TestFuzzInputDeadlineNamesTheStuckOperation(t *testing.T) {
 	<-done
 
 	clear(m.m) // a new input; its inserts are past the stuck one, so it runs to its end
-	fuzzOpsKV(t, tgt, id, id, []byte{0, 1, 1, 0, 2, 2}, time.Hour, func(report string) {
+	fuzzOps(t, tgt, id, id, []byte{0, 1, 1, 0, 2, 2}, time.Hour, func(report string) {
 		t.Errorf("an input that finished was reported: %s", report)
 	})
 }

@@ -5,18 +5,16 @@
 // for the ordered queries), and a structure-specific invariant checker runs
 // once the structure is quiescent.
 //
-// The suite is generic over the key and value types (TargetOf and the *KV
-// functions); the historical int64 entry points (Target,
-// SequentialConformance, FuzzOps, ConcurrentStress) are thin wrappers kept
-// for the repository-level tests that predate the generic dictionary stack.
-// Keys and values are produced by caller-supplied derivation functions from
-// the suite's deterministic pseudo-random stream, so the same machinery
-// drives int64, string or composite-key targets.
+// Every suite is generic over the key and value types. A caller passes an
+// injective key function and an injective value function over the suite's
+// selectors; the suite draws its selectors from a deterministic
+// pseudo-random stream and builds each shape it needs (a key range, a
+// goroutine's own keys, a hot key and its neighbours, a churn window) from
+// them, so int64, string or composite-key targets run the same shapes.
 //
 // The repository-level tests (conformance_test.go at the module root) run
-// this suite against every tree built on the LLX/SCX template - EBST, RAVL,
-// Chromatic and Chromatic6 - through the benchmark registry, and against
-// string-keyed instantiations of the generic trees directly.
+// this suite against every dictionary in the repository, with int64 and with
+// string keys.
 package dicttest
 
 import (
@@ -45,36 +43,12 @@ type TargetOf[K cmp.Ordered, V comparable] struct {
 	// Check, if non-nil, verifies structure-specific invariants. It is only
 	// called when no operations are in flight.
 	Check func(dict.Map[K, V]) error
-	// CheckOp, if non-nil, makes FuzzOpsKV check the dictionary after every
+	// CheckOp, if non-nil, makes FuzzOps check the dictionary after every
 	// operation instead of once per input: the whole content is compared
 	// with the model and CheckOp verifies the invariants that hold between
 	// any two operations of a sequential run. Unlike Check it must leave the
 	// structure as it found it.
 	CheckOp func(dict.Map[K, V]) error
-}
-
-// Target is the historical int64 form of TargetOf, used by tests written
-// against the pre-generic dictionary stack.
-type Target struct {
-	// Name labels subtests.
-	Name string
-	// New creates an empty dictionary.
-	New func() dict.IntMap
-	// Check, if non-nil, verifies structure-specific invariants. It is only
-	// called when no operations are in flight.
-	Check func(dict.IntMap) error
-	// CheckOp is TargetOf.CheckOp.
-	CheckOp func(dict.IntMap) error
-}
-
-// generic converts an int64 Target to the generic form.
-func (tgt Target) generic() TargetOf[int64, int64] {
-	return TargetOf[int64, int64]{
-		Name:    tgt.Name,
-		New:     tgt.New,
-		Check:   tgt.Check,
-		CheckOp: tgt.CheckOp,
-	}
 }
 
 // model is the reference implementation: a Go map plus cmp.Less-ordered
@@ -277,39 +251,28 @@ func stressSeed(t *testing.T) uint64 {
 	return seed
 }
 
-// SequentialConformanceKV runs a deterministic pseudo-random operation
-// sequence (including ordered queries when supported) against the model.
-// key and val derive the operation's key and value from the suite's random
-// stream; key controls the effective key-space density.
-func SequentialConformanceKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], ops int, key func(uint64) K, val func(uint64) V, seed int64) {
+// SequentialConformance runs a deterministic pseudo-random operation
+// sequence (including ordered queries when supported) against the model,
+// over the keys key(0) .. key(keys-1); key must be injective.
+func SequentialConformance[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], ops, keys int, key func(uint64) K, val func(uint64) V, seed int64) {
 	t.Helper()
 	d := tgt.New()
 	md := newModel[K, V]()
 	state := uint64(seed)*2862933555777941757 + 3037000493
 	for i := 0; i < ops; i++ {
 		op := int(lcg(&state) % 5)
-		k := key(lcg(&state))
+		k := key(lcg(&state) % uint64(keys))
 		v := val(lcg(&state))
 		applyChecked(t, tgt.Name, d, md, i, op, k, v)
 	}
 	finalCheck(t, tgt, d, md)
 }
 
-// SequentialConformance is the int64 wrapper around SequentialConformanceKV
-// with keys drawn uniformly from [0, keyRange).
-func SequentialConformance(t *testing.T, tgt Target, ops int, keyRange int64, seed int64) {
-	t.Helper()
-	SequentialConformanceKV(t, tgt.generic(), ops,
-		func(u uint64) int64 { return int64(u % uint64(keyRange)) },
-		func(u uint64) int64 { return int64(u % (1 << 30)) },
-		seed)
-}
-
-// fuzzInputDeadline bounds one input of FuzzOpsKV. Inputs are a few hundred
+// fuzzInputDeadline bounds one input of FuzzOps. Inputs are a few hundred
 // operations and take milliseconds; the bound only has to be far above that.
 const fuzzInputDeadline = 30 * time.Second
 
-// FuzzOpsKV interprets data as an operation stream - three bytes per
+// FuzzOps interprets data as an operation stream - three bytes per
 // operation: opcode, key selector, value selector - and checks every result
 // against the model. It is intended to be driven by go test's fuzzing
 // engine. (It takes a testing.TB so that the seeded-mutation tests can hand
@@ -322,18 +285,18 @@ const fuzzInputDeadline = 30 * time.Second
 // under a deadline, and a run that passes it is ended the way the testing
 // package ends one that passes -timeout: by a panic, which here names both,
 // followed by every goroutine's stack, which shows where the operation spins.
-func FuzzOpsKV[K cmp.Ordered, V comparable](t testing.TB, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V, data []byte) {
+func FuzzOps[K cmp.Ordered, V comparable](t testing.TB, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V, data []byte) {
 	t.Helper()
-	fuzzOpsKV(t, tgt, key, val, data, fuzzInputDeadline, func(report string) {
+	fuzzOps(t, tgt, key, val, data, fuzzInputDeadline, func(report string) {
 		debug.SetTraceback("all")
 		panic(report)
 	})
 }
 
-// fuzzOpsKV is FuzzOpsKV with the deadline of one input and what happens when
+// fuzzOps is FuzzOps with the deadline of one input and what happens when
 // it passes (on the timer's goroutine: the test's own is stuck in the
 // operation) left to the caller.
-func fuzzOpsKV[K cmp.Ordered, V comparable](t testing.TB, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V, data []byte, deadline time.Duration, expired func(report string)) {
+func fuzzOps[K cmp.Ordered, V comparable](t testing.TB, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V, data []byte, deadline time.Duration, expired func(report string)) {
 	t.Helper()
 	d := tgt.New()
 	md := newModel[K, V]()
@@ -364,23 +327,13 @@ func fuzzOpsKV[K cmp.Ordered, V comparable](t testing.TB, tgt TargetOf[K, V], ke
 	finalCheck(t, tgt, d, md)
 }
 
-// FuzzOps is the int64 wrapper around FuzzOpsKV: keys and values are the
-// raw selector bytes.
-func FuzzOps(t testing.TB, tgt Target, data []byte) {
-	t.Helper()
-	FuzzOpsKV(t, tgt.generic(),
-		func(u uint64) int64 { return int64(u) },
-		func(u uint64) int64 { return int64(u) },
-		data)
-}
-
-// ConcurrentStressKV applies a mixed workload from several goroutines over
+// ConcurrentStress applies a mixed workload from several goroutines over
 // per-goroutine disjoint key spaces (so the final per-key state is known
 // regardless of interleaving), sprinkles in ordered queries whose results
 // must satisfy their contract, and runs the invariant checker at
-// quiescence. key derives goroutine g's keys from the random stream and
-// must return disjoint key sets for distinct g.
-func ConcurrentStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], goroutines, opsPerG int, key func(g int, u uint64) K, val func(uint64) V) {
+// quiescence. Goroutine g owns the keys key(g*keysPerG) ..
+// key((g+1)*keysPerG-1); key must be injective.
+func ConcurrentStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], goroutines, opsPerG, keysPerG int, key func(uint64) K, val func(uint64) V) {
 	t.Helper()
 	checkGoroutineLeaks(t)
 	seed := stressSeed(t)
@@ -397,7 +350,7 @@ func ConcurrentStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[
 			f := final{}
 			dead := map[K]bool{}
 			for i := 0; i < opsPerG; i++ {
-				k := key(g, lcg(&state))
+				k := key(uint64(g*keysPerG) + lcg(&state)%uint64(keysPerG))
 				switch lcg(&state) % 4 {
 				case 0, 1:
 					v := val(lcg(&state))
@@ -449,16 +402,7 @@ func ConcurrentStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[
 	}
 }
 
-// ConcurrentStress is the int64 wrapper around ConcurrentStressKV: goroutine
-// g owns the key range [g*keysPerG, (g+1)*keysPerG).
-func ConcurrentStress(t *testing.T, tgt Target, goroutines, opsPerG int, keysPerG int64) {
-	t.Helper()
-	ConcurrentStressKV(t, tgt.generic(), goroutines, opsPerG,
-		func(g int, u uint64) int64 { return int64(g)*keysPerG + int64(u%uint64(keysPerG)) },
-		func(u uint64) int64 { return int64(u % (1 << 20)) })
-}
-
-// HotKeyStressKV hammers ONE key: writers overwrite it (Insert on a present
+// HotKeyStress hammers ONE key: writers overwrite it (Insert on a present
 // key), a churn goroutine concurrently inserts and deletes that same key,
 // and a neighbour goroutine inserts and deletes the keys around it (which,
 // in the template trees, forces the hot leaf through sibling-promotion
@@ -475,22 +419,28 @@ func ConcurrentStress(t *testing.T, tgt Target, goroutines, opsPerG int, keysPer
 //     the value;
 //   - the structure's invariant checker passes at quiescence.
 //
-// val must return a distinct value for every (writer, i) pair and must not
-// collide with churnVal; both are "published" values. writer indices 0..
-// writers-1 are the overwriters.
-func HotKeyStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], writers, overwritesPerWriter int, hot K, neighbors []K, val func(writer, i int) V, churnVal V) {
+// The hot key is key(1<<20) and the neighbours are key(1<<20-4) ..
+// key(1<<20+4) without it: the dictionary holds nothing else, so they
+// surround the hot key's leaf. Overwriter w's i'th value is
+// published(val, w, i) and the churn goroutine's is val(^uint64(0)); key and
+// val must be injective.
+func HotKeyStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], writers, overwritesPerWriter int, key func(uint64) K, val func(uint64) V) {
 	t.Helper()
 	checkGoroutineLeaks(t)
 	d := tgt.New()
+	const base = 1 << 20
+	hot := key(base)
+	neighbors := append(keyWindow(key, base-4, 4, 1), keyWindow(key, base+1, 4, 1)...)
+	churnVal := val(^uint64(0))
 
 	// The set of values that may legitimately be associated with the hot key
 	// at any point, fixed before the workload starts.
 	allowed := map[V]bool{churnVal: true}
 	for w := 0; w < writers; w++ {
 		for i := 0; i < overwritesPerWriter; i++ {
-			v := val(w, i)
+			v := published(val, w, i)
 			if allowed[v] {
-				t.Fatalf("val(%d,%d) collides with an earlier published value", w, i)
+				t.Fatalf("writer %d's value %d collides with an earlier published value", w, i)
 			}
 			allowed[v] = true
 		}
@@ -511,7 +461,7 @@ func HotKeyStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V
 		go func(w int) {
 			defer overwriters.Done()
 			for i := 0; i < overwritesPerWriter; i++ {
-				old, existed := d.Insert(hot, val(w, i))
+				old, existed := d.Insert(hot, published(val, w, i))
 				checkObserved("overwriter", old, existed)
 				if i%16 == 0 {
 					v, ok := d.Get(hot)
@@ -591,20 +541,7 @@ func HotKeyStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V
 	}
 }
 
-// HotKeyStress is the int64 wrapper around HotKeyStressKV: the hot key sits
-// in the middle of a small neighbourhood, writer w's i'th value is
-// w*2^32 + i + 1 and the churn value is -1 (distinct from every writer
-// value).
-func HotKeyStress(t *testing.T, tgt Target, writers, overwritesPerWriter int) {
-	t.Helper()
-	const hot = int64(1 << 20)
-	neighbors := []int64{hot - 4, hot - 3, hot - 2, hot - 1, hot + 1, hot + 2, hot + 3, hot + 4}
-	HotKeyStressKV(t, tgt.generic(), writers, overwritesPerWriter, hot, neighbors,
-		func(w, i int) int64 { return int64(w)<<32 + int64(i) + 1 },
-		int64(-1))
-}
-
-// ChurnStressKV is the reclamation torture test: writers insert and delete
+// ChurnStress is the reclamation torture test: writers insert and delete
 // keys from ONE shared window as fast as possible - so every node backing
 // those keys is retired and recycled over and over - while reader goroutines
 // continuously walk the window with Successor chains and RangeScan. The
@@ -629,22 +566,26 @@ func HotKeyStress(t *testing.T, tgt Target, writers, overwritesPerWriter int) {
 // makes recycling a node's fields race-free, so any hole in it surfaces as a
 // race report here.
 //
-// window must be sorted ascending by cmp.Less and contain no duplicates. val
-// must return a distinct value for every (writer, i) pair.
-func ChurnStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], writers, opsPerWriter, readers int, window []K, val func(writer, i int) V) {
+// The window is the 64 keys key(1<<20) .. key(1<<20+63): the dictionary
+// holds nothing else, so they are neighbours in it and deletes constantly
+// promote and retire each other's nodes. Writer w's i'th value is
+// published(val, w, i); key and val must be injective.
+func ChurnStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], writers, opsPerWriter int, key func(uint64) K, val func(uint64) V) {
 	t.Helper()
 	checkGoroutineLeaks(t)
 	seed := stressSeed(t)
 	d := tgt.New()
+	const readers = 2
+	window := keyWindow(key, 1<<20, 64, 1)
 	om, ordered := d.(dict.OrderedMap[K, V])
 	rng, ranged := d.(dict.Ranger[K, V])
 
 	allowed := make(map[V]bool, writers*opsPerWriter)
 	for w := 0; w < writers; w++ {
 		for i := 0; i < opsPerWriter; i++ {
-			v := val(w, i)
+			v := published(val, w, i)
 			if allowed[v] {
-				t.Fatalf("val(%d,%d) collides with an earlier published value", w, i)
+				t.Fatalf("writer %d's value %d collides with an earlier published value", w, i)
 			}
 			allowed[v] = true
 		}
@@ -652,7 +593,7 @@ func ChurnStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V]
 	inWindow := make(map[K]bool, len(window))
 	for i, k := range window {
 		if i > 0 && !cmp.Less(window[i-1], k) {
-			t.Fatalf("window must be sorted ascending without duplicates (index %d)", i)
+			t.Fatalf("key is not injective: the window holds %v twice", k)
 		}
 		inWindow[k] = true
 	}
@@ -670,7 +611,7 @@ func ChurnStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V]
 			for i := 0; i < opsPerWriter; i++ {
 				k := window[lcg(&state)%uint64(len(window))]
 				if lcg(&state)&1 == 0 {
-					d.Insert(k, val(w, i))
+					d.Insert(k, published(val, w, i))
 				} else {
 					d.Delete(k)
 				}
@@ -756,17 +697,19 @@ func ChurnStressKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V]
 	}
 }
 
-// ChurnStress is the int64 wrapper around ChurnStressKV: a 64-key window of
-// consecutive keys (consecutive so leaves in the window are siblings and
-// deletes constantly promote and retire each other's nodes), writer w's i'th
-// value is w*2^32 + i + 1.
-func ChurnStress(t *testing.T, tgt Target, writers, opsPerWriter int) {
-	t.Helper()
-	const base = int64(1 << 20)
-	window := make([]int64, 64)
-	for i := range window {
-		window[i] = base + int64(i)
+// published is writer w's i'th value in the stress suites: distinct for
+// every (w, i), and distinct from val(^uint64(0)), when val is injective.
+func published[V any](val func(uint64) V, w, i int) V {
+	return val(uint64(w)<<32 + uint64(i) + 1)
+}
+
+// keyWindow returns the n keys key(base), key(base+stride), ... sorted by
+// cmp.Less.
+func keyWindow[K cmp.Ordered](key func(uint64) K, base uint64, n, stride int) []K {
+	w := make([]K, n)
+	for i := range w {
+		w[i] = key(base + uint64(i*stride))
 	}
-	ChurnStressKV(t, tgt.generic(), writers, opsPerWriter, 2, window,
-		func(w, i int) int64 { return int64(w)<<32 + int64(i) + 1 })
+	slices.Sort(w)
+	return w
 }

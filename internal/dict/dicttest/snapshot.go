@@ -8,7 +8,7 @@ import (
 	"repro/internal/dict"
 )
 
-// SnapshotSuiteKV is the conformance suite for dict.Snapshotter
+// SnapshotSuite is the conformance suite for dict.Snapshotter
 // implementations. It skips (not fails) when the target does not implement
 // Snapshotter.
 //
@@ -26,7 +26,10 @@ import (
 //     re-reading a captured key while a writer keeps overwriting it.
 //  3. A held snapshot keeps every node it can reach from being recycled
 //     under heavy churn, and releasing it lets them recycle.
-func SnapshotSuiteKV[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V) {
+//
+// Keys are drawn from key(0) .. key(1<<14-1), dense enough to exercise
+// overwrites; key and val must be injective.
+func SnapshotSuite[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V) {
 	t.Helper()
 	if _, ok := tgt.New().(dict.Snapshotter[K, V]); !ok {
 		t.Skipf("%s does not implement dict.Snapshotter", tgt.Name)
@@ -160,6 +163,9 @@ func viewEqualsModel[K cmp.Ordered, V comparable](t *testing.T, name string, vie
 	}
 }
 
+// snapshotKeys is the size of the key range snapshotFrozen draws from.
+const snapshotKeys = 1 << 14
+
 func snapshotFrozen[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], key func(uint64) K, val func(uint64) V) {
 	t.Helper()
 	d := tgt.New()
@@ -167,7 +173,7 @@ func snapshotFrozen[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V
 	md := newModel[K, V]()
 	state := uint64(0x5eed)
 	for i := 0; i < 2000; i++ {
-		k := key(lcg(&state))
+		k := key(lcg(&state) % snapshotKeys)
 		v := val(lcg(&state))
 		d.Insert(k, v)
 		md.insert(k, v)
@@ -184,7 +190,7 @@ func snapshotFrozen[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V
 		}
 	}
 	for i := 0; i < 2000; i++ {
-		d.Insert(key(lcg(&state)), val(lcg(&state)))
+		d.Insert(key(lcg(&state)%snapshotKeys), val(lcg(&state)))
 	}
 	// Re-read the frozen view several times: it must keep answering with the
 	// pre-mutation model, bit for bit.
@@ -289,14 +295,4 @@ func snapshotConsistentCut[K cmp.Ordered, V comparable](t *testing.T, tgt Target
 			t.Fatalf("%s: invariant check at quiescence: %v", tgt.Name, err)
 		}
 	}
-}
-
-// SnapshotSuite is the int64 wrapper around SnapshotSuiteKV with keys drawn
-// from a moderate range (dense enough to exercise overwrites) and distinct
-// values.
-func SnapshotSuite(t *testing.T, tgt Target) {
-	t.Helper()
-	SnapshotSuiteKV(t, tgt.generic(),
-		func(u uint64) int64 { return int64(u % (1 << 14)) },
-		func(u uint64) int64 { return int64(u) })
 }

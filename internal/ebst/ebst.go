@@ -17,8 +17,8 @@
 // no steps.
 //
 // The tree is generic over the key and value types: NewOrdered builds a tree
-// over any cmp.Ordered key type, and New keeps the historical int64
-// instantiation used by the benchmark registry.
+// over any cmp.Ordered key type, and New is the int64 instantiation the
+// repository benchmark uses.
 package ebst
 
 import (
@@ -57,7 +57,7 @@ func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] {
 }
 
 // New returns an empty tree with int64 keys and values, the instantiation
-// the benchmark registry and the paper's figures use.
+// the repository benchmark uses.
 func New() *Tree[int64, int64] {
 	return NewOrdered[int64, int64]()
 }

@@ -147,7 +147,7 @@ func TestScanMatchesModel(t *testing.T) {
 			scanModelSuite(t, func() scanMap[int64] { return chromatic.New() }, intKey)
 		})
 		t.Run("Chromatic6", func(t *testing.T) {
-			scanModelSuite(t, func() scanMap[int64] { return chromatic.NewChromatic6() }, intKey)
+			scanModelSuite(t, func() scanMap[int64] { return chromatic.NewOrdered[int64, int64](chromatic.WithAllowedViolations(6)) }, intKey)
 		})
 		t.Run("RAVL", func(t *testing.T) {
 			scanModelSuite(t, func() scanMap[int64] { return ravl.New() }, intKey)

@@ -15,8 +15,7 @@
 //
 // The tree is generic over the key and value types and implements
 // dict.OrderedMap[K, V]: NewOrdered builds a tree over any cmp.Ordered key
-// type, ordered by cmp.Less, and New keeps the historical int64
-// instantiation used by the benchmark registry.
+// type, ordered by cmp.Less.
 package lockavl
 
 import (
@@ -132,10 +131,6 @@ func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] {
 	holder.present.Store(false)
 	return &Tree[K, V]{rootHolder: holder, unboxed: unboxed}
 }
-
-// New returns an empty tree with int64 keys and values, the instantiation
-// the benchmark registry and the paper's figures use.
-func New() *Tree[int64, int64] { return NewOrdered[int64, int64]() }
 
 // Size returns the number of keys stored. It is maintained with atomic
 // counters and is exact at quiescence.

@@ -1,7 +1,6 @@
 package lockavl
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,22 +9,8 @@ import (
 	"repro/internal/dict/dicttest"
 )
 
-// target is the shared-suite target for the int64 instantiation: the
-// model-based conformance, fuzz and stress logic lives in
-// internal/dict/dicttest; this package only supplies the constructor and the
-// quiescent invariant check.
-func target() dicttest.Target {
-	return dicttest.Target{
-		Name: "LockAVL",
-		New:  func() dict.IntMap { return New() },
-		Check: func(d dict.IntMap) error {
-			return d.(*Tree[int64, int64]).CheckInvariants()
-		},
-	}
-}
-
 func TestBasicOperations(t *testing.T) {
-	tr := New()
+	tr := NewOrdered[int64, int64]()
 	if _, ok := tr.Get(9); ok {
 		t.Fatal("Get on empty tree returned ok")
 	}
@@ -50,7 +35,7 @@ func TestBasicOperations(t *testing.T) {
 }
 
 func TestLogicalDeleteAndReinsert(t *testing.T) {
-	tr := New()
+	tr := NewOrdered[int64, int64]()
 	// Build a node with two children, delete it (logically), then reinsert
 	// the same key: the routing node must be reactivated.
 	tr.Insert(50, 1)
@@ -76,32 +61,25 @@ func TestLogicalDeleteAndReinsert(t *testing.T) {
 	}
 }
 
-func TestSequentialConformance(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		dicttest.SequentialConformance(t, target(), 8000, 600, seed)
-	}
-	// A tiny key range maximizes routing-node churn per key.
-	dicttest.SequentialConformance(t, target(), 4000, 8, 99)
-}
+// ident is the suites' key and value function: the selector itself.
+func ident(u uint64) int64 { return int64(u) }
 
-// TestStringKeys runs the conformance suite over the string-keyed
-// instantiation, exercising NewOrdered's generic construction path.
-func TestStringKeys(t *testing.T) {
-	tgt := dicttest.TargetOf[string, string]{
-		Name: "LockAVL/string",
-		New:  func() dict.Map[string, string] { return NewOrdered[string, string]() },
-		Check: func(d dict.Map[string, string]) error {
-			return d.(*Tree[string, string]).CheckInvariants()
-		},
+// TestSequentialConformance runs the shared sequential suite over a key
+// range three times the root TestOrderedMapConformance's, so
+// the tree grows deeper.
+func TestSequentialConformance(t *testing.T) {
+	tgt := dicttest.TargetOf[int64, int64]{
+		Name:  "LockAVL",
+		New:   func() dict.Map[int64, int64] { return NewOrdered[int64, int64]() },
+		Check: func(d dict.Map[int64, int64]) error { return d.(*Tree[int64, int64]).CheckInvariants() },
 	}
-	dicttest.SequentialConformanceKV(t, tgt, 6000,
-		func(u uint64) string { return fmt.Sprintf("k%03d", u%200) },
-		func(u uint64) string { return fmt.Sprintf("v%d", u%1024) },
-		5)
+	for seed := int64(1); seed <= 3; seed++ {
+		dicttest.SequentialConformance(t, tgt, 8000, 600, ident, ident, seed)
+	}
 }
 
 func TestBalanceUnderSequentialInsertions(t *testing.T) {
-	tr := New()
+	tr := NewOrdered[int64, int64]()
 	const n = 1 << 13
 	for i := 0; i < n; i++ {
 		tr.Insert(int64(i), int64(i))
@@ -120,7 +98,7 @@ func TestBalanceUnderSequentialInsertions(t *testing.T) {
 }
 
 func TestSuccessorPredecessor(t *testing.T) {
-	tr := New()
+	tr := NewOrdered[int64, int64]()
 	for k := int64(0); k < 100; k += 10 {
 		tr.Insert(k, k)
 	}
@@ -139,12 +117,20 @@ func TestSuccessorPredecessor(t *testing.T) {
 	}
 }
 
+// TestConcurrentStress runs the shared concurrent suite with twice the
+// goroutines of the root TestOrderedMapConcurrentStress and a wider key range
+// per goroutine.
 func TestConcurrentStress(t *testing.T) {
-	dicttest.ConcurrentStress(t, target(), 8, 3000, 250)
+	tgt := dicttest.TargetOf[int64, int64]{
+		Name:  "LockAVL",
+		New:   func() dict.Map[int64, int64] { return NewOrdered[int64, int64]() },
+		Check: func(d dict.Map[int64, int64]) error { return d.(*Tree[int64, int64]).CheckInvariants() },
+	}
+	dicttest.ConcurrentStress(t, tgt, 8, 3000, 250, ident, ident)
 }
 
 func TestConcurrentContention(t *testing.T) {
-	tr := New()
+	tr := NewOrdered[int64, int64]()
 	const goroutines = 16
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -181,7 +167,7 @@ func TestConcurrentContention(t *testing.T) {
 }
 
 func TestConcurrentReadersSeeStableEvenKeys(t *testing.T) {
-	tr := New()
+	tr := NewOrdered[int64, int64]()
 	const keyRange = 1 << 10
 	for k := int64(0); k < keyRange; k += 2 {
 		tr.Insert(k, k)

@@ -7,7 +7,7 @@
 // The tree is built entirely on the shared leaf-oriented BST engine
 // (internal/lbst), as the chromatic tree is; this package supplies only the
 // balancing policy, and like the engine it is generic over the key and value
-// types (NewOrdered for cmp.Ordered keys, New for the historical int64
+// types (NewOrdered for cmp.Ordered keys, New for the int64
 // instantiation). Every node's decoration is its relaxed height: 0 for
 // leaves, and for internal nodes a value that would be 1 + max of the
 // children's heights if the tree were quiescent and fully rebalanced.
@@ -265,7 +265,7 @@ func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] {
 }
 
 // New returns an empty relaxed AVL tree with int64 keys and values, the
-// instantiation the benchmark registry and the paper's figures use.
+// instantiation the repository benchmark uses.
 func New() *Tree[int64, int64] {
 	return NewOrdered[int64, int64]()
 }

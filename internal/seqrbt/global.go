@@ -9,7 +9,7 @@ import (
 // the "RBGlobal" baseline of the paper's evaluation (java.util.TreeMap with
 // every operation protected by a global lock). It is safe for concurrent use
 // but serializes every operation, including queries. Like the tree it wraps
-// it is generic: use NewGlobal or NewGlobalOrdered.
+// it is generic: use NewGlobalOrdered.
 type Global[K cmp.Ordered, V any] struct {
 	mu   sync.Mutex
 	tree *Tree[K, V]
@@ -20,10 +20,6 @@ type Global[K cmp.Ordered, V any] struct {
 func NewGlobalOrdered[K cmp.Ordered, V any]() *Global[K, V] {
 	return &Global[K, V]{tree: NewOrdered[K, V]()}
 }
-
-// NewGlobal returns an empty globally locked red-black tree with int64 keys
-// and values, the instantiation the benchmark registry uses.
-func NewGlobal() *Global[int64, int64] { return NewGlobalOrdered[int64, int64]() }
 
 // Get returns the value associated with key, or the zero value and false if
 // absent.

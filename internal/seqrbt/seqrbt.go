@@ -8,8 +8,8 @@
 //
 // Both are generic over the key and value types and implement
 // dict.OrderedMap[K, V]: NewOrdered builds a tree over any cmp.Ordered key
-// type, ordered by cmp.Less, and New keeps the historical int64
-// instantiation used by the benchmark registry.
+// type, ordered by cmp.Less, and New is the int64 instantiation the
+// repository benchmark uses.
 package seqrbt
 
 import "cmp"
@@ -43,7 +43,7 @@ type Tree[K cmp.Ordered, V any] struct {
 func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] { return &Tree[K, V]{} }
 
 // New returns an empty sequential red-black tree with int64 keys and values,
-// the instantiation the benchmark registry and the paper's figures use.
+// the instantiation the repository benchmark uses.
 func New() *Tree[int64, int64] { return NewOrdered[int64, int64]() }
 
 // Size returns the number of keys stored.

@@ -1,7 +1,6 @@
 package seqrbt
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -9,33 +8,6 @@ import (
 	"repro/internal/dict"
 	"repro/internal/dict/dicttest"
 )
-
-// target is the shared-suite target for the int64 instantiation of the
-// sequential tree: the model-based conformance logic lives in
-// internal/dict/dicttest; this package only supplies the constructor and the
-// quiescent invariant check. The sequential tree never runs the concurrent
-// suite — Global does (see globalTarget).
-func target() dicttest.Target {
-	return dicttest.Target{
-		Name: "SeqRBT",
-		New:  func() dict.IntMap { return New() },
-		Check: func(d dict.IntMap) error {
-			return d.(*Tree[int64, int64]).CheckInvariants()
-		},
-	}
-}
-
-// globalTarget is the shared-suite target for the mutex-wrapped RBGlobal
-// baseline, the only concurrency-safe form of this package.
-func globalTarget() dicttest.Target {
-	return dicttest.Target{
-		Name: "RBGlobal",
-		New:  func() dict.IntMap { return NewGlobal() },
-		Check: func(d dict.IntMap) error {
-			return d.(*Global[int64, int64]).CheckInvariants()
-		},
-	}
-}
 
 func TestEmpty(t *testing.T) {
 	tr := New()
@@ -75,28 +47,21 @@ func TestInsertGetDeleteBasic(t *testing.T) {
 	}
 }
 
-func TestSequentialConformance(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		dicttest.SequentialConformance(t, target(), 10000, 2000, seed)
-	}
-	// A tiny key range maximizes rotation churn per key.
-	dicttest.SequentialConformance(t, target(), 4000, 8, 99)
-}
+// ident is the suites' key and value function: the selector itself.
+func ident(u uint64) int64 { return int64(u) }
 
-// TestStringKeys runs the conformance suite over the string-keyed
-// instantiation, exercising NewOrdered's generic construction path.
-func TestStringKeys(t *testing.T) {
-	tgt := dicttest.TargetOf[string, string]{
-		Name: "SeqRBT/string",
-		New:  func() dict.Map[string, string] { return NewOrdered[string, string]() },
-		Check: func(d dict.Map[string, string]) error {
-			return d.(*Tree[string, string]).CheckInvariants()
-		},
+// TestSequentialConformance runs the shared sequential suite over a key
+// range ten times the root TestOrderedMapConformance's, so
+// the tree grows deeper.
+func TestSequentialConformance(t *testing.T) {
+	tgt := dicttest.TargetOf[int64, int64]{
+		Name:  "SeqRBT",
+		New:   func() dict.Map[int64, int64] { return New() },
+		Check: func(d dict.Map[int64, int64]) error { return d.(*Tree[int64, int64]).CheckInvariants() },
 	}
-	dicttest.SequentialConformanceKV(t, tgt, 6000,
-		func(u uint64) string { return fmt.Sprintf("k%03d", u%200) },
-		func(u uint64) string { return fmt.Sprintf("v%d", u%1024) },
-		5)
+	for seed := int64(1); seed <= 3; seed++ {
+		dicttest.SequentialConformance(t, tgt, 10000, 2000, ident, ident, seed)
+	}
 }
 
 func TestHeightLogarithmic(t *testing.T) {
@@ -178,26 +143,20 @@ func TestPropertyDeleteAllLeavesEmpty(t *testing.T) {
 	}
 }
 
+// TestGlobalConcurrentStress runs the shared concurrent suite with twice the
+// goroutines of the root TestOrderedMapConcurrentStress and a wider key range
+// per goroutine.
 func TestGlobalConcurrentStress(t *testing.T) {
-	dicttest.ConcurrentStress(t, globalTarget(), 8, 3000, 250)
-}
-
-// TestGlobalStringKeys exercises the generic Global constructors.
-func TestGlobalStringKeys(t *testing.T) {
-	tgt := dicttest.TargetOf[string, string]{
-		Name: "RBGlobal/string",
-		New:  func() dict.Map[string, string] { return NewGlobalOrdered[string, string]() },
-		Check: func(d dict.Map[string, string]) error {
-			return d.(*Global[string, string]).CheckInvariants()
-		},
+	tgt := dicttest.TargetOf[int64, int64]{
+		Name:  "RBGlobal",
+		New:   func() dict.Map[int64, int64] { return NewGlobalOrdered[int64, int64]() },
+		Check: func(d dict.Map[int64, int64]) error { return d.(*Global[int64, int64]).CheckInvariants() },
 	}
-	dicttest.ConcurrentStressKV(t, tgt, 4, 2000,
-		func(g int, u uint64) string { return fmt.Sprintf("g%d/%03d", g, u%150) },
-		func(u uint64) string { return fmt.Sprintf("v%d", u%1024) })
+	dicttest.ConcurrentStress(t, tgt, 8, 3000, 250, ident, ident)
 }
 
 func TestGlobalWrapperConcurrent(t *testing.T) {
-	g := NewGlobal()
+	g := NewGlobalOrdered[int64, int64]()
 	const goroutines = 8
 	const perG = 2000
 	var wg sync.WaitGroup

@@ -8,8 +8,7 @@
 //
 // The list is generic over the key and value types and implements
 // dict.OrderedMap[K, V]: NewOrdered builds a list over any cmp.Ordered key
-// type, ordered by cmp.Less, and New keeps the historical int64
-// instantiation used by the benchmark registry.
+// type, ordered by cmp.Less.
 package skiplist
 
 import (
@@ -102,10 +101,6 @@ func NewOrdered[K cmp.Ordered, V any]() *List[K, V] {
 	}
 	return &List[K, V]{head: head, tail: tail, unboxed: unboxed}
 }
-
-// New returns an empty skip list with int64 keys and values, the
-// instantiation the benchmark registry and the paper's figures use.
-func New() *List[int64, int64] { return NewOrdered[int64, int64]() }
 
 // randomLevel chooses a tower height with geometric distribution (p = 1/2).
 func randomLevel() int {

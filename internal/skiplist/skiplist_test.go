@@ -1,7 +1,6 @@
 package skiplist
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,22 +9,8 @@ import (
 	"repro/internal/dict/dicttest"
 )
 
-// target is the shared-suite target for the int64 instantiation: the
-// model-based conformance, fuzz and stress logic lives in
-// internal/dict/dicttest; this package only supplies the constructor and the
-// quiescent invariant check.
-func target() dicttest.Target {
-	return dicttest.Target{
-		Name: "SkipList",
-		New:  func() dict.IntMap { return New() },
-		Check: func(d dict.IntMap) error {
-			return d.(*List[int64, int64]).CheckInvariants()
-		},
-	}
-}
-
 func TestEmpty(t *testing.T) {
-	l := New()
+	l := NewOrdered[int64, int64]()
 	if _, ok := l.Get(5); ok {
 		t.Fatal("Get on empty list returned ok")
 	}
@@ -47,7 +32,7 @@ func TestEmpty(t *testing.T) {
 }
 
 func TestBasicOperations(t *testing.T) {
-	l := New()
+	l := NewOrdered[int64, int64]()
 	if _, existed := l.Insert(7, 70); existed {
 		t.Fatal("fresh insert reported existed")
 	}
@@ -68,32 +53,25 @@ func TestBasicOperations(t *testing.T) {
 	}
 }
 
-func TestSequentialConformance(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		dicttest.SequentialConformance(t, target(), 8000, 800, seed)
-	}
-	// A tiny key range maximizes tower churn per key.
-	dicttest.SequentialConformance(t, target(), 4000, 8, 99)
-}
+// ident is the suites' key and value function: the selector itself.
+func ident(u uint64) int64 { return int64(u) }
 
-// TestStringKeys runs the conformance suite over the string-keyed
-// instantiation, exercising NewOrdered's generic construction path.
-func TestStringKeys(t *testing.T) {
-	tgt := dicttest.TargetOf[string, string]{
-		Name: "SkipList/string",
-		New:  func() dict.Map[string, string] { return NewOrdered[string, string]() },
-		Check: func(d dict.Map[string, string]) error {
-			return d.(*List[string, string]).CheckInvariants()
-		},
+// TestSequentialConformance runs the shared sequential suite over a key
+// range four times the root TestOrderedMapConformance's, so
+// towers grow taller.
+func TestSequentialConformance(t *testing.T) {
+	tgt := dicttest.TargetOf[int64, int64]{
+		Name:  "SkipList",
+		New:   func() dict.Map[int64, int64] { return NewOrdered[int64, int64]() },
+		Check: func(d dict.Map[int64, int64]) error { return d.(*List[int64, int64]).CheckInvariants() },
 	}
-	dicttest.SequentialConformanceKV(t, tgt, 6000,
-		func(u uint64) string { return fmt.Sprintf("k%03d", u%200) },
-		func(u uint64) string { return fmt.Sprintf("v%d", u%1024) },
-		5)
+	for seed := int64(1); seed <= 3; seed++ {
+		dicttest.SequentialConformance(t, tgt, 8000, 800, ident, ident, seed)
+	}
 }
 
 func TestSuccessorPredecessor(t *testing.T) {
-	l := New()
+	l := NewOrdered[int64, int64]()
 	for k := int64(0); k < 100; k += 10 {
 		l.Insert(k, k*2)
 	}
@@ -114,26 +92,34 @@ func TestSuccessorPredecessor(t *testing.T) {
 	}
 }
 
+// TestConcurrentStress runs the shared concurrent suite with twice the
+// goroutines of the root TestOrderedMapConcurrentStress and a wider key range
+// per goroutine.
 func TestConcurrentStress(t *testing.T) {
-	dicttest.ConcurrentStress(t, target(), 8, 4000, 400)
+	tgt := dicttest.TargetOf[int64, int64]{
+		Name:  "SkipList",
+		New:   func() dict.Map[int64, int64] { return NewOrdered[int64, int64]() },
+		Check: func(d dict.Map[int64, int64]) error { return d.(*List[int64, int64]).CheckInvariants() },
+	}
+	dicttest.ConcurrentStress(t, tgt, 8, 4000, 400, ident, ident)
 }
 
-// TestTowerLinkedInFrontOfItsOwnSuccessor repeats the stress above. An insert
-// that re-finds while it links its tower gets fresh successors for every
-// level, and must point the new node at the successor of the level it links
-// next, not at the one it started with: linking in front of the stale one
-// unlinks, from that level only, a node that arrived in between, which the
-// quiescent check reports as "tower node missing from lower level". One round
-// hit that about once in twenty before Insert refreshed the link ahead of
-// every casLink; a hundred rounds miss it less than once in a hundred.
+// TestTowerLinkedInFrontOfItsOwnSuccessor repeats TestConcurrentStress. An
+// insert that re-finds while it links its tower gets fresh successors for
+// every level, and must point the new node at the successor of the level it
+// links next, not at the one it started with: linking in front of the stale
+// one unlinks, from that level only, a node that arrived in between, which
+// the quiescent check reports as "tower node missing from lower level". One
+// round hit that about once in twenty before Insert refreshed the link ahead
+// of every casLink; a hundred rounds miss it less than once in a hundred.
 func TestTowerLinkedInFrontOfItsOwnSuccessor(t *testing.T) {
 	for round := 0; round < 100 && !t.Failed(); round++ {
-		dicttest.ConcurrentStress(t, target(), 8, 4000, 400)
+		TestConcurrentStress(t)
 	}
 }
 
 func TestConcurrentContention(t *testing.T) {
-	l := New()
+	l := NewOrdered[int64, int64]()
 	const goroutines = 16
 	const opsPerG = 5000
 	var wg sync.WaitGroup
@@ -168,7 +154,7 @@ func TestConcurrentContention(t *testing.T) {
 }
 
 func TestConcurrentReadersSeeStableEvenKeys(t *testing.T) {
-	l := New()
+	l := NewOrdered[int64, int64]()
 	const keyRange = 1 << 10
 	for k := int64(0); k < keyRange; k += 2 {
 		l.Insert(k, k)

@@ -8,8 +8,7 @@
 //
 // The tree is generic over the key and value types and implements
 // dict.OrderedMap[K, V]: NewOrdered builds a tree over any cmp.Ordered key
-// type, ordered by cmp.Less, and New keeps the historical int64
-// instantiation used by the benchmark registry.
+// type, ordered by cmp.Less.
 package stmrbt
 
 import (
@@ -64,11 +63,6 @@ func NewOrdered[K cmp.Ordered, V any]() *Tree[K, V] {
 		size: stm.NewVar[int64](0),
 	}
 }
-
-// New returns an empty transactional red-black tree with int64 keys and
-// values, the instantiation the benchmark registry and the paper's figures
-// use.
-func New() *Tree[int64, int64] { return NewOrdered[int64, int64]() }
 
 // Size returns the number of keys stored.
 func (t *Tree[K, V]) Size() int {

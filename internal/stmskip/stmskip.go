@@ -5,8 +5,7 @@
 //
 // The list is generic over the key and value types and implements
 // dict.OrderedMap[K, V]: NewOrdered builds a list over any cmp.Ordered key
-// type, ordered by cmp.Less, and New keeps the historical int64
-// instantiation used by the benchmark registry.
+// type, ordered by cmp.Less.
 package stmskip
 
 import (
@@ -55,10 +54,6 @@ func NewOrdered[K cmp.Ordered, V any]() *List[K, V] {
 	}
 	return &List[K, V]{head: head, size: stm.NewVar[int64](0)}
 }
-
-// New returns an empty transactional skip list with int64 keys and values,
-// the instantiation the benchmark registry and the paper's figures use.
-func New() *List[int64, int64] { return NewOrdered[int64, int64]() }
 
 func randomLevel() int {
 	lvl := 0

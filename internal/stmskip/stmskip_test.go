@@ -1,7 +1,6 @@
 package stmskip
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,22 +9,8 @@ import (
 	"repro/internal/dict/dicttest"
 )
 
-// target is the shared-suite target for the int64 instantiation: the
-// model-based conformance, fuzz and stress logic lives in
-// internal/dict/dicttest; this package only supplies the constructor and the
-// quiescent invariant check.
-func target() dicttest.Target {
-	return dicttest.Target{
-		Name: "SkipListSTM",
-		New:  func() dict.IntMap { return New() },
-		Check: func(d dict.IntMap) error {
-			return d.(*List[int64, int64]).CheckInvariants()
-		},
-	}
-}
-
 func TestBasicOperations(t *testing.T) {
-	l := New()
+	l := NewOrdered[int64, int64]()
 	if _, ok := l.Get(3); ok {
 		t.Fatal("Get on empty list returned ok")
 	}
@@ -49,32 +34,25 @@ func TestBasicOperations(t *testing.T) {
 	}
 }
 
-func TestSequentialConformance(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		dicttest.SequentialConformance(t, target(), 6000, 600, seed)
-	}
-	// A tiny key range maximizes tower churn per key.
-	dicttest.SequentialConformance(t, target(), 3000, 8, 99)
-}
+// ident is the suites' key and value function: the selector itself.
+func ident(u uint64) int64 { return int64(u) }
 
-// TestStringKeys runs the conformance suite over the string-keyed
-// instantiation, exercising NewOrdered's generic construction path.
-func TestStringKeys(t *testing.T) {
-	tgt := dicttest.TargetOf[string, string]{
-		Name: "SkipListSTM/string",
-		New:  func() dict.Map[string, string] { return NewOrdered[string, string]() },
-		Check: func(d dict.Map[string, string]) error {
-			return d.(*List[string, string]).CheckInvariants()
-		},
+// TestSequentialConformance runs the shared sequential suite over a key
+// range three times the root TestOrderedMapConformance's, so
+// towers grow taller.
+func TestSequentialConformance(t *testing.T) {
+	tgt := dicttest.TargetOf[int64, int64]{
+		Name:  "SkipListSTM",
+		New:   func() dict.Map[int64, int64] { return NewOrdered[int64, int64]() },
+		Check: func(d dict.Map[int64, int64]) error { return d.(*List[int64, int64]).CheckInvariants() },
 	}
-	dicttest.SequentialConformanceKV(t, tgt, 5000,
-		func(u uint64) string { return fmt.Sprintf("k%03d", u%200) },
-		func(u uint64) string { return fmt.Sprintf("v%d", u%1024) },
-		5)
+	for seed := int64(1); seed <= 3; seed++ {
+		dicttest.SequentialConformance(t, tgt, 6000, 600, ident, ident, seed)
+	}
 }
 
 func TestSuccessorPredecessor(t *testing.T) {
-	l := New()
+	l := NewOrdered[int64, int64]()
 	for k := int64(0); k < 100; k += 10 {
 		l.Insert(k, k*2)
 	}
@@ -92,12 +70,19 @@ func TestSuccessorPredecessor(t *testing.T) {
 	}
 }
 
+// TestConcurrentStress runs the shared concurrent suite with twice the
+// goroutines of the root TestOrderedMapConcurrentStress.
 func TestConcurrentStress(t *testing.T) {
-	dicttest.ConcurrentStress(t, target(), 8, 1500, 150)
+	tgt := dicttest.TargetOf[int64, int64]{
+		Name:  "SkipListSTM",
+		New:   func() dict.Map[int64, int64] { return NewOrdered[int64, int64]() },
+		Check: func(d dict.Map[int64, int64]) error { return d.(*List[int64, int64]).CheckInvariants() },
+	}
+	dicttest.ConcurrentStress(t, tgt, 8, 1500, 150, ident, ident)
 }
 
 func TestConcurrentContention(t *testing.T) {
-	l := New()
+	l := NewOrdered[int64, int64]()
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

@@ -206,7 +206,7 @@ func scan(d dict.IntMap, lo, hi int64) {
 		r.RangeScan(lo, hi, visitAll)
 		return
 	}
-	om, ok := d.(dict.IntOrderedMap)
+	om, ok := d.(dict.OrderedMap[int64, int64])
 	if !ok {
 		d.Get(lo)
 		return

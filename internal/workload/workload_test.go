@@ -131,7 +131,7 @@ func TestApply(t *testing.T) {
 // dict.Ranger range scan (chromatic tree) and the Successor-walk fallback
 // (lock-based AVL tree, which exposes no RangeScan).
 func TestApplyScan(t *testing.T) {
-	targets := []dict.IntMap{chromatic.New(), lockavl.New()}
+	targets := []dict.IntMap{chromatic.New(), lockavl.NewOrdered[int64, int64]()}
 	if _, ok := targets[0].(dict.IntRanger); !ok {
 		t.Fatal("chromatic tree no longer implements dict.Ranger; the native scan path is untested")
 	}

@@ -43,7 +43,7 @@ func TestRecordedHistoriesLinearizable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, target := range allConcurrentTargets(t) {
+	for _, target := range concurrentTargets[int64, int64]() {
 		t.Run(target.Name, func(t *testing.T) {
 			t.Parallel()
 			rec := linearize.NewRecorder(target.New())
@@ -97,9 +97,8 @@ func TestRecordedStringHistoriesLinearizable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	targets := append(stringTreeTargets(), stringBaselineTargets()...)
-	for _, target := range targets {
-		t.Run(target.Name, func(t *testing.T) {
+	for _, target := range concurrentTargets[string, string]() {
+		t.Run(target.Name+"/string", func(t *testing.T) {
 			t.Parallel()
 			rec := linearize.NewRecorder(target.New())
 
@@ -152,7 +151,7 @@ func TestHotKeyOverwriteDeleteHistory(t *testing.T) {
 		t.Skip("short mode")
 	}
 	const hot = int64(100)
-	for _, target := range allConcurrentTargets(t) {
+	for _, target := range concurrentTargets[int64, int64]() {
 		t.Run(target.Name, func(t *testing.T) {
 			t.Parallel()
 			rec := linearize.NewRecorder(target.New())

@@ -76,6 +76,9 @@ var regrowthRules = []regrowthRule{
 	// structure's name lives in the registry alone, and its type is spelled
 	// with its parameters.
 	{pattern: `\b(rotateLeft|rotateRight|leftOf|rightOf|structuralSuccessor|structuralPredecessor|IntTree|IntGlobal|IntList)\b|dict\.Named\b`, paths: []string{"."}, tests: true},
+	// One generic dictionary surface: each suite and each structure has one
+	// entry point, and the int64 instantiation is a type argument.
+	{pattern: `dicttest\.Target\b|dict\.Int(OrderedMap|Factory)\b|NewChromatic6|NewGlobal\(\)|(skiplist|lockavl|stmrbt|stmskip)\.New\(\)`, paths: []string{"."}, tests: true},
 }
 
 // TestRegrowthGuard checks every regrowthRules row against the module's Go

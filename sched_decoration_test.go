@@ -43,7 +43,7 @@ func firstFuzzFailure(t *testing.T, name string) string {
 			t.Fatalf("%d epoch slots left pinned by the fuzz corpus", n)
 		}
 	}()
-	for _, tgt := range templateTreeTargets(t) {
+	for _, tgt := range templateTrees() {
 		if tgt.Name != name {
 			continue
 		}
@@ -52,7 +52,7 @@ func firstFuzzFailure(t *testing.T, name string) string {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				dicttest.FuzzOps(rec, tgt, data)
+				dicttest.FuzzOps(rec, tgt, ident, ident, data)
 			}()
 			<-done
 			if rec.failure != "" {

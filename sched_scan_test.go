@@ -157,7 +157,7 @@ type neighborRow struct {
 	name   string
 	setup  []int64 // inserted in order; a negative entry deletes the key
 	writer func(w *linearize.Proc[int64, int64])
-	query  func(m dict.IntOrderedMap) (k, v int64, ok bool)
+	query  func(m dict.OrderedMap[int64, int64]) (k, v int64, ok bool)
 	// states are the query's answers over the writer's history, never the
 	// answer of a query that saw the second update without the first.
 	states []int64
@@ -172,7 +172,7 @@ var neighborRows = []neighborRow{
 		name:      "predecessor",
 		setup:     []int64{10, 20, 40, 32, 50, 30, -32},
 		writer:    func(w *linearize.Proc[int64, int64]) { w.Insert(34, -34); w.Delete(30) },
-		query:     func(m dict.IntOrderedMap) (int64, int64, bool) { return m.Predecessor(35) },
+		query:     func(m dict.OrderedMap[int64, int64]) (int64, int64, bool) { return m.Predecessor(35) },
 		states:    []int64{30, 34},
 		never:     20,
 		schedules: 121640, caught: 132,
@@ -181,7 +181,7 @@ var neighborRows = []neighborRow{
 		name:      "successor",
 		setup:     []int64{10, 20, 30, 50, 40},
 		writer:    func(w *linearize.Proc[int64, int64]) { w.Insert(26, -26); w.Delete(30) },
-		query:     func(m dict.IntOrderedMap) (int64, int64, bool) { return m.Successor(25) },
+		query:     func(m dict.OrderedMap[int64, int64]) (int64, int64, bool) { return m.Successor(25) },
 		states:    []int64{30, 26},
 		never:     40,
 		schedules: 121640, caught: 132,
@@ -190,7 +190,7 @@ var neighborRows = []neighborRow{
 		name:   "max",
 		setup:  []int64{10, 20, 30, 50, 40},
 		writer: func(w *linearize.Proc[int64, int64]) { w.Insert(60, -60); w.Delete(50) },
-		query: func(m dict.IntOrderedMap) (int64, int64, bool) {
+		query: func(m dict.OrderedMap[int64, int64]) (int64, int64, bool) {
 			return m.(interface{ Max() (int64, int64, bool) }).Max()
 		},
 		states:    []int64{50, 60},
@@ -201,7 +201,7 @@ var neighborRows = []neighborRow{
 		name:   "min",
 		setup:  []int64{10, 20, 40, 32, 50, 30, -32},
 		writer: func(w *linearize.Proc[int64, int64]) { w.Insert(5, -5); w.Delete(10) },
-		query: func(m dict.IntOrderedMap) (int64, int64, bool) {
+		query: func(m dict.OrderedMap[int64, int64]) (int64, int64, bool) {
 			return m.(interface{ Min() (int64, int64, bool) }).Min()
 		},
 		states:    []int64{10, 5},
@@ -222,7 +222,7 @@ func neighborWindow(t *testing.T, row neighborRow, stopOnViolation bool) (schedu
 		MaxSchedules:    neighborCap,
 		StopOnViolation: stopOnViolation,
 	}, func(c *sched.Controller) error {
-		m := factory.New().(dict.IntOrderedMap)
+		m := factory.New().(dict.OrderedMap[int64, int64])
 		rec := linearize.NewRecorder[int64, int64](m)
 		setup, writer := rec.Proc(), rec.Proc()
 		for _, k := range row.setup {
