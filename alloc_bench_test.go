@@ -310,8 +310,8 @@ func TestOverwriteAllocBudget(t *testing.T) {
 }
 
 // TestRangeScanAllocBudget fails if a live RangeScan over 100 present keys
-// (two validated chunks) allocates on any template tree: the traversal's
-// evidence, pending-subtree stack and leaf buffers all live on its frame.
+// allocates on any template tree: the scan's cut is a value on its frame and
+// takes no snapshot handle.
 func TestRangeScanAllocBudget(t *testing.T) {
 	for _, name := range allocBenchStructures {
 		factory, ok := bench.Lookup(name)

@@ -55,7 +55,7 @@ func BenchmarkPrimitives(b *testing.B) {
 }
 
 // benchmarkScan times scan on each template tree (they share lbst's
-// chunk-validated scan) holding half of a 10^4 key range (the repository
+// versioned live scan) holding half of a 10^4 key range (the repository
 // benchmark's scan-10k shape), single-threaded, and reports the cost per
 // visited key beside ns/op.
 func benchmarkScan(b *testing.B, scan func(d dict.IntMap, i int, fn func(k, v int64) bool) int) {
@@ -82,7 +82,7 @@ func benchmarkScan(b *testing.B, scan func(d dict.IntMap, i int, fn func(k, v in
 }
 
 // BenchmarkRangeScan100 is a live RangeScan over a 100-key window (about 50
-// present keys, one validated chunk) at a pseudo-random position.
+// present keys) at a pseudo-random position.
 func BenchmarkRangeScan100(b *testing.B) {
 	benchmarkScan(b, func(d dict.IntMap, i int, fn func(k, v int64) bool) int {
 		lo := allocKey(i) % (10_000 - 100)
@@ -90,8 +90,7 @@ func BenchmarkRangeScan100(b *testing.B) {
 	})
 }
 
-// BenchmarkAscend is a live Ascend over the whole tree (about 5000 keys, 79
-// chunks).
+// BenchmarkAscend is a live Ascend over the whole tree (about 5000 keys).
 func BenchmarkAscend(b *testing.B) {
 	benchmarkScan(b, func(d dict.IntMap, _ int, fn func(k, v int64) bool) int {
 		return d.(interface {

@@ -74,15 +74,15 @@
 // (sched_snapshot_test.go, selected by -tags sched) and argued in DESIGN.md
 // ("Versioned snapshots").
 //
-// The live scans (RangeScan, Ascend) of those trees are the paper's
-// Section 5.5 recipe applied to a subtree at a time: one in-order walk that
-// LLXs every internal node under the remaining range, one VLX over all of
-// it per chunk of up to 64 keys, values loaded and the callback run only
-// after the validation. A chunk is the range's content at one instant; a
-// scan of several chunks is not atomic as a whole, which (with repeated
-// reads of one cut) is what snapshots remain for.
-// The point queries (Successor, Predecessor, Min, Max) are the same recipe
-// applied to a path, written once over a side (lbst's neighbor): Min and Max
+// The live scans (RangeScan, Ascend) of those trees walk the same kind of
+// cut for the length of one scan, under the scan's ordinary epoch pin: one
+// clock advance and one drain, then the resolving walk, with no snapshot
+// pin and no handle. Their keys are the range's content at one version,
+// however long the range; each value is one its key held during the scan.
+// Values frozen at the cut, and repeated reads of one cut, are what
+// snapshots remain for. The point queries (Successor, Predecessor, Min,
+// Max) are the paper's Section 5.5 recipe, an LLX search plus one VLX over
+// a path, written once over a side (lbst's neighbor): Min and Max
 // are the query for an infinite key, and a leaf the search reaches on the
 // asked-for side is returned without a VLX.
 //

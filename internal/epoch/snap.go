@@ -1,6 +1,7 @@
 package epoch
 
 import (
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 )
@@ -24,8 +25,16 @@ import (
 //     grace period is already over, and the released view was the only reader
 //     left.
 //
+// Only a snapshot handle needs one. A live range scan walks the same kind of
+// versioned cut for the length of one operation, under that operation's
+// ordinary pin (see internal/lbst).
+//
 // The registry is a fixed array of padded slots claimed by CAS, exactly like
-// the operation slots, so SnapPin allocates nothing.
+// the operation slots, so SnapPin allocates nothing, and a capture probes
+// from the slot its goroutine's operations start at (slotHint), so
+// concurrent captures claim different lines. Nothing else is written per
+// capture: a slot sets its bit in snapUsed the first time it is claimed, and
+// a drain and Stats scan the slots that bit set names.
 
 const numSnapSlots = 64
 
@@ -42,9 +51,10 @@ type SnapGuard struct {
 var (
 	snapSlots [numSnapSlots]SnapGuard
 
-	// snapCount is the number of live snapshot pins; a drain loads it once to
-	// skip the registry scan entirely when no snapshots exist.
-	snapCount atomic.Int64
+	// snapUsed has bit i set once snap slot i has been claimed: the slots a
+	// live pin can be on. With no capture ever made, a drain loads it once
+	// and scans nothing.
+	snapUsed atomic.Uint64
 )
 
 // SnapPin registers a long-lived snapshot pin at the current global epoch and
@@ -53,10 +63,14 @@ var (
 // released; the global epoch itself keeps advancing.
 func SnapPin() *SnapGuard {
 	e := globalEpoch.Load()
+	h := slotHint()
 	for tries := 0; ; tries++ {
-		s := &snapSlots[tries%numSnapSlots]
+		i := (h + uint64(tries)) % numSnapSlots
+		s := &snapSlots[i]
 		if s.epoch.Load() == 0 && s.epoch.CompareAndSwap(0, e) {
-			snapCount.Add(1)
+			if snapUsed.Load()&(1<<i) == 0 {
+				snapUsed.Or(1 << i)
+			}
 			return s
 		}
 		if tries%numSnapSlots == numSnapSlots-1 {
@@ -71,19 +85,18 @@ func SnapPin() *SnapGuard {
 // but exactly once per SnapPin.
 func (s *SnapGuard) Release() {
 	s.epoch.Store(0)
-	snapCount.Add(-1)
 }
 
 // snapFloor returns the smallest epoch a live snapshot pin registered at, or
 // the largest epoch when none is live: a snapshot may still reach a retiree
-// stamped at or above it.
+// stamped at or above it. A pin's bit is set before SnapPin returns, hence
+// before anything its snapshot can reach is retired, and so before the drain
+// that could free it loads snapUsed.
 func snapFloor() uint64 {
 	floor := ^uint64(0)
-	if snapCount.Load() != 0 {
-		for i := range snapSlots {
-			if e := snapSlots[i].epoch.Load(); e != 0 {
-				floor = min(floor, e)
-			}
+	for m := snapUsed.Load(); m != 0; m &= m - 1 {
+		if e := snapSlots[bits.TrailingZeros64(m)].epoch.Load(); e != 0 {
+			floor = min(floor, e)
 		}
 	}
 	return floor

@@ -1,8 +1,11 @@
 package epoch
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // TestSnapPinParksAndReleaseFrees is the core lifecycle: an object retired
@@ -15,8 +18,8 @@ func TestSnapPinParksAndReleaseFrees(t *testing.T) {
 	if s == nil {
 		t.Fatal("SnapPin returned nil with reclamation enabled")
 	}
-	if got := SnapPinned(); got != 1 {
-		t.Fatalf("SnapPinned() = %d with one pin live, want 1", got)
+	if got := Stats().SnapPins; got != 1 {
+		t.Fatalf("Stats().SnapPins = %d with one pin live, want 1", got)
 	}
 
 	var freed atomic.Int64
@@ -38,8 +41,8 @@ func TestSnapPinParksAndReleaseFrees(t *testing.T) {
 	}
 
 	s.Release()
-	if got := SnapPinned(); got != 0 {
-		t.Fatalf("SnapPinned() = %d after release, want 0", got)
+	if got := Stats().SnapPins; got != 0 {
+		t.Fatalf("Stats().SnapPins = %d after release, want 0", got)
 	}
 	Drain()
 	if got := freed.Load(); got != 1 {
@@ -147,8 +150,45 @@ func TestSnapSlotReuse(t *testing.T) {
 		}
 		s.Release()
 	}
-	if got := SnapPinned(); got != 0 {
-		t.Fatalf("SnapPinned() = %d after cycling, want 0", got)
+	if got := Stats().SnapPins; got != 0 {
+		t.Fatalf("Stats().SnapPins = %d after cycling, want 0", got)
+	}
+}
+
+// TestSnapPinProbesFromTheOperationSlot: a capture first tries the snap slot
+// its goroutine's operations start at (worker i of a controller: slot i), so
+// concurrent captures claim different lines, and a slot's bit in snapUsed
+// stays set once it has been claimed.
+func TestSnapPinProbesFromTheOperationSlot(t *testing.T) {
+	schedules, violations := sched.Explore(sched.Options{}, func(c *sched.Controller) error {
+		var got [3]*SnapGuard
+		for i := range got {
+			c.Go(fmt.Sprint("capture-", i), func() {
+				got[i] = SnapPin()
+				got[i].Release()
+			})
+		}
+		if err := c.Run(); err != nil {
+			return err
+		}
+		for i, s := range got {
+			if s != &snapSlots[i] {
+				return fmt.Errorf("worker %d claimed another snap slot than %d", i, i)
+			}
+			if snapUsed.Load()&(1<<i) == 0 {
+				return fmt.Errorf("snap slot %d is not marked claimed", i)
+			}
+		}
+		return nil
+	})
+	for _, v := range violations {
+		t.Errorf("schedule %v: %v", v.Schedule, v.Err)
+	}
+	if schedules != 6 { // the orders in which three one-step workers run
+		t.Fatalf("explored %d schedules, want 6", schedules)
+	}
+	if got := Stats().SnapPins; got != 0 {
+		t.Fatalf("Stats().SnapPins = %d after every pin was released, want 0", got)
 	}
 }
 

@@ -1,5 +1,7 @@
 package epoch
 
+import "math/bits"
+
 // Report is a point-in-time health summary of the reclamation layer,
 // returned by Stats: why memory is pending, not just how much.
 type Report struct {
@@ -59,7 +61,11 @@ func Stats() Report {
 	var r Report
 	now := globalEpoch.Load()
 	r.Epoch = now
-	r.SnapPins = snapCount.Load()
+	for m := snapUsed.Load(); m != 0; m &= m - 1 {
+		if snapSlots[bits.TrailingZeros64(m)].epoch.Load() != 0 {
+			r.SnapPins++
+		}
+	}
 	r.AdvanceFails = advanceFails.Load()
 	r.Refusals = freeRefusals.Load()
 	r.DegradedDrops = degradedDrops.Load()

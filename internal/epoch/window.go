@@ -58,7 +58,11 @@ func DrainWindows() {
 			}
 		}
 	}
-	drainSlots.Store(int64(scanned))
+	// Stored only when it changes: captures on different CPUs then share
+	// the line as readers instead of taking turns writing it.
+	if drainSlots.Load() != int64(scanned) {
+		drainSlots.Store(int64(scanned))
+	}
 	if open == [len(usedSlots)]uint64{} {
 		return
 	}

@@ -33,9 +33,9 @@
 // deletion template updates (so postconditions PC1-PC9 are discharged once,
 // here), the SCX-free in-place value overwrite for inserts on present keys
 // (see Insert and the value-cell notes on Node and CopyNode), the post-update
-// cleanup loop that drives rebalancing (Figure 5), the ordered queries and
-// chunk-validated scans with VLX validation (query.go), and the versioned
-// snapshots (snapshot.go).
+// cleanup loop that drives rebalancing (Figure 5), the ordered point queries
+// with VLX validation (query.go), and the versioned reads (snapshot.go): O(1)
+// snapshots, and live range scans that walk a versioned cut.
 //
 // The engine is generic over the key and value types. Only the search loop
 // compares keys - exactly the paper's point about the template being
@@ -322,8 +322,8 @@ type Tree[K cmp.Ordered, V any] struct {
 	// header. Every operation reads the first. An update writes neither: what
 	// it writes besides nodes (its publish windows, a policy's step counters)
 	// is on the epoch slot it holds pinned. The second group is written by
-	// snapshot capture and release only, and must not invalidate the first
-	// when it is.
+	// captures (a snapshot's or a live scan's) and snapshot release only, and
+	// must not invalidate the first when it is.
 	entry *Node[K, V]
 	pol   Policy[K, V]
 
@@ -338,12 +338,13 @@ type Tree[K cmp.Ordered, V any] struct {
 
 	_ [64]byte
 
-	// gver is the tree's version clock for versioned snapshots. Captures
-	// advance it; updates only read it: the commit hook stamps every CASed-in
-	// subtree root with the clock's current value immediately before the
-	// update CAS, inside a publish window, and Snapshot takes the value it
-	// advanced the clock from as its version. Updates between two captures
-	// share a tick; resolution only ever compares a tick with a version.
+	// gver is the tree's version clock for versioned reads. Captures (by
+	// Snapshot, RangeScan and Ascend) advance it; updates only read it: the
+	// commit hook stamps every CASed-in subtree root with the clock's current
+	// value immediately before the update CAS, inside a publish window, and a
+	// capture takes the value it advanced the clock from as its version.
+	// Updates between two captures share a tick; resolution only ever
+	// compares a tick with a version.
 	gver atomic.Uint64
 	// snapLive counts this tree's live snapshot handles. While nonzero,
 	// Insert's in-place overwrite fast path is disabled so captured leaves
@@ -1012,11 +1013,11 @@ func (t *Tree[K, V]) PathViolations(key K) int {
 	}
 }
 
-// The ordered queries below are implemented in query.go; each wrapper pins the
-// epoch for the duration of the query so that nodes reached by the traversal
-// cannot be recycled underneath it. RangeScan and Ascend hold a single pin
-// across the whole scan: keeping one pin is cheaper than one per chunk, and
-// reclamation only stalls for the scan's duration.
+// The ordered queries below are implemented in query.go (the point queries)
+// and snapshot.go (the scans); each wrapper pins the epoch for the duration
+// of the query so that nodes reached by the traversal cannot be recycled
+// underneath it. A scan takes its cut after pinning, so the pin also keeps
+// every node the cut's version chains reach.
 
 // Successor returns the smallest key strictly greater than key, with its
 // value; ok is false if no such key exists.
@@ -1037,27 +1038,28 @@ func (t *Tree[K, V]) Predecessor(key K) (k K, v V, ok bool) {
 }
 
 // RangeScan calls fn for every key in [lo, hi] in ascending order and
-// returns the number of keys visited; each chunk of up to 64 consecutive keys
-// is the range's content at one instant, the scan as a whole is not atomic
-// (see scan in query.go; use Snapshot for an atomic scan). If fn returns false
-// the scan stops early. The whole scan runs under one pinned guard; fn must
-// not block indefinitely, since a pinned operation holds back memory
-// reclamation.
+// returns the number of keys visited; if fn returns false the scan stops
+// early. The keys are the range's content at one version of the tree, taken
+// when the scan starts, however long the range (see scan in snapshot.go);
+// each value is one its key held during the scan. Use Snapshot to read one
+// cut more than once, or for values frozen at it. The whole scan runs under
+// one pinned guard; fn must not block indefinitely, since a pinned operation
+// holds back memory reclamation.
 func (t *Tree[K, V]) RangeScan(lo, hi K, fn func(k K, v V) bool) int {
 	g := epoch.Pin()
-	n, _, _ := t.scan(true, lo, true, hi, fn)
+	n := t.scan(true, lo, true, hi, fn)
 	epoch.Unpin(g)
 	return n
 }
 
 // Ascend calls fn for every key in the dictionary in ascending order and
 // returns the number of keys visited. If fn returns false the scan stops
-// early. Like RangeScan it is atomic per chunk, not as a whole, and runs
-// under one pinned guard.
+// early. Like RangeScan it emits the keys of one version and runs under one
+// pinned guard.
 func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) int {
 	g := epoch.Pin()
 	var none K
-	n, _, _ := t.scan(false, none, false, none, fn)
+	n := t.scan(false, none, false, none, fn)
 	epoch.Unpin(g)
 	return n
 }
@@ -1097,6 +1099,21 @@ func (t *Tree[K, V]) Keys() []K {
 		if !n.IsSentinel() {
 			keys = append(keys, n.K)
 		}
+	})
+	return keys
+}
+
+// KeysAt returns, in ascending order, the keys of the tree's versioned cut at
+// ver: the keys a snapshot or a live scan that took version ver reads. It is
+// for checking a capture against its cut after the fact: quiescence only, and
+// only while nothing retired since ver has been recycled (an epoch.SnapPin
+// held from before the capture keeps it so).
+func (t *Tree[K, V]) KeysAt(ver uint64) []K {
+	var keys []K
+	s := Snap[K, V]{entry: t.entry, ver: ver}
+	s.Ascend(func(k K, _ V) bool {
+		keys = append(keys, k)
+		return true
 	})
 	return keys
 }

@@ -8,9 +8,10 @@ import (
 	"repro/internal/sched"
 )
 
-// This file implements the ordered queries of Section 5.5 of the paper and
-// the scans, once for every tree built on the engine, whatever its key and
-// value types.
+// This file implements the ordered point queries of Section 5.5 of the
+// paper, once for every tree built on the engine, whatever its key and value
+// types. (The range scans walk a versioned cut instead: see scan in
+// snapshot.go.)
 //
 // Successor, Predecessor, Min and Max are one query over a side, neighbor: an
 // ordinary BST search using LLX to read child pointers, which returns the
@@ -18,8 +19,7 @@ import (
 // the neighbouring leaf and validates the connecting path with one VLX. Min
 // and Max are the query for an infinite key, which is a flag and not a value
 // of K, so no "smallest possible key" sentinel value is ever needed - which
-// is what lets the queries work for arbitrary key types. RangeScan and Ascend
-// extend the same validation from a path to a subtree: see scan.
+// is what lets the queries work for arbitrary key types.
 
 // genOf reads the reclamation generation of n and, for a leaf, of its value
 // cell for the poisoning assertions. Compiled out unless -tags reclaimcheck.
@@ -49,11 +49,11 @@ func valueOf[K, V any](l *Node[K, V]) V {
 	return v
 }
 
-// pathBufCap is the capacity of the stack buffer each ordered query reuses
-// for its validation path across retries and descent steps. It comfortably
-// covers the height of a balanced tree with millions of keys; a deeper walk
-// (possible only in the unbalanced EBST) falls back to append's heap growth
-// instead of failing. Each query function allocates the buffer once on its
+// pathBufCap is the capacity of the stack buffer the ordered point query
+// reuses for its validation path across retries and descent steps. It
+// comfortably covers the height of a balanced tree with millions of keys; a
+// deeper walk (possible only in the unbalanced EBST) falls back to append's
+// heap growth instead of failing. The query allocates the buffer once on its
 // own frame, so steady-state queries generate no garbage per retry.
 const pathBufCap = 48
 
@@ -164,127 +164,5 @@ retry:
 		k, v = adj.K, adj.val.Load()
 		assertGen(adj, g0)
 		return k, v, true
-	}
-}
-
-// chunkLeaves is the most leaves one validated chunk of a scan collects, and
-// chunkEvCap the evidence buffer that goes with it: a chunk LLXs the internal
-// nodes between its leaves (fewer than chunkLeaves) plus the two boundary
-// paths down to its first and last leaf. A deeper walk (the unbalanced EBST)
-// grows the evidence on the heap like the point queries' paths do.
-const (
-	chunkLeaves = 64
-	chunkEvCap  = chunkLeaves + 2*pathBufCap + 16
-)
-
-// scan is the traversal behind RangeScan and Ascend. Each chunk is one
-// in-order depth-first walk from the entry node that LLXs every internal
-// node whose subtree can intersect the remaining range, follows the child
-// pointers of those snapshots only, and stops after limit in-range leaves.
-// One VLX over everything the walk LLX'd then shows that all those nodes
-// were unchanged at a single instant after the last LLX: the entry node is
-// always in the tree, and a node that is in the tree with unchanged child
-// pointers has those children in the tree, so at that instant every visited
-// node and every collected leaf was in the tree, and the subtrees the walk
-// pruned lay outside the range by the search-tree property. The collected
-// leaves are thus exactly the first keys of the range at that instant. Only
-// then are values loaded and fn called, so a failed LLX or VLX has emitted
-// nothing and the chunk simply retries; the next chunk resumes strictly
-// above the last emitted key.
-//
-// A retry halves the leaf limit (down to 1, the footprint of one Successor)
-// so that a scan racing heavy updates in a small tree validates less at a
-// time, and a success doubles it back. scan also reports how many validated
-// walks it is made of (chunks, counting a last one that found nothing left)
-// and how many attempts failed (retries).
-func (t *Tree[K, V]) scan(useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) bool) (count, chunks, retries int) {
-	var (
-		evBuf    [chunkEvCap]llxscx.Evidence[Node[K, V]]
-		stackBuf [pathBufCap]*Node[K, V]
-		leaves   [chunkLeaves]*Node[K, V]
-		// gens holds the leaves' generations for the poisoning assertion; it
-		// exists (and is zeroed on every call) only under -tags reclaimcheck.
-		gens []uint64
-	)
-	if epoch.PoisonCheck {
-		var genBuf [chunkLeaves]uint64
-		gens = genBuf[:]
-	}
-	loExcl := false // lo itself is in range until a chunk has been emitted
-	limit, fails := chunkLeaves, 0
-	for {
-		backoffWait(fails)
-		ev := evBuf[:0]
-		stack := append(stackBuf[:0], t.entry)
-		n, ok := 0, true
-		for len(stack) > 0 && n < limit {
-			nd := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if nd.IsLeaf() {
-				if nd.IsSentinel() {
-					continue
-				}
-				k := nd.K
-				if (useLo && (cmp.Less(k, lo) || (loExcl && !cmp.Less(lo, k)))) || (useHi && cmp.Less(hi, k)) {
-					continue
-				}
-				if epoch.PoisonCheck {
-					gens[n] = nd.Gen()
-				}
-				leaves[n] = nd
-				n++
-				continue
-			}
-			left, right, e, snapped := nd.snap()
-			if !snapped {
-				ok = false
-				break
-			}
-			ev = append(ev, e)
-			// Left subtrees hold keys strictly below the routing key, right
-			// subtrees the rest; sentinels route every key left. The right
-			// child is pushed first so the left subtree is walked first. As in
-			// the point queries, a nil child fails the attempt.
-			inf := nd.IsSentinel()
-			if !inf && (!useHi || !cmp.Less(hi, nd.K)) {
-				if right == nil {
-					ok = false
-					break
-				}
-				stack = append(stack, right)
-			}
-			if inf || !useLo || cmp.Less(lo, nd.K) {
-				if left == nil {
-					ok = false
-					break
-				}
-				stack = append(stack, left)
-			}
-		}
-		if !ok || !llxscx.VLXEvidence(ev) {
-			retries++
-			fails++
-			limit = max(1, limit/2)
-			continue
-		}
-		chunks++
-		fails = 0
-		limit = min(chunkLeaves, 2*limit)
-		for i := 0; i < n; i++ {
-			l := leaves[i]
-			k, v := l.K, l.val.Load()
-			if epoch.PoisonCheck {
-				assertGen(l, gens[i])
-			}
-			count++
-			if !fn(k, v) {
-				return count, chunks, retries
-			}
-		}
-		if len(stack) == 0 {
-			return count, chunks, retries
-		}
-		// The walk stopped at the limit with subtrees pending (n > 0).
-		lo, useLo, loExcl = leaves[n-1].K, true, true
 	}
 }

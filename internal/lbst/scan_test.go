@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chromatic"
@@ -47,7 +49,7 @@ func collect[K any](t *testing.T, what string, stopAt int, scan func(fn func(K, 
 
 // scanModelSuite builds a tree holding keyOf(0), keyOf(2), ... (the odd
 // positions stay absent) and compares RangeScan and Ascend with the sorted
-// model over windows chosen around the 64-leaf chunk size.
+// model over windows of 1 to 200 keys and around the tree's ends.
 func scanModelSuite[K cmp.Ordered](t *testing.T, newTree func() scanMap[K], keyOf func(i int) K) {
 	const present = 300 // keys at positions 0, 2, ..., 2*(present-1)
 
@@ -124,8 +126,7 @@ func scanModelSuite[K cmp.Ordered](t *testing.T, newTree func() scanMap[K], keyO
 		t.Fatalf("Ascend: got %d pairs, want the %d-key model", len(got), len(model))
 	}
 
-	// fn returning false inside a chunk, on a chunk's last key, on the first
-	// key of the next chunk, and on the very first key.
+	// fn returning false on the very first key and further in.
 	for _, stopAt := range []int{1, 10, 64, 65, 128} {
 		got := collect(t, "stopped RangeScan", stopAt, rangeAt(40, 40+2*199))
 		if !slices.Equal(got, want(40, 40+2*199)[:stopAt]) {
@@ -183,8 +184,8 @@ func (plain) Rebalance(_ *epoch.Guard, _, _, _, _ *lbst.Node[int64, int64]) bool
 }
 
 // TestScanDeepSpine scans a tree that descending inserts degenerate into a
-// left spine deeper than the traversal's stack buffers, so both the
-// pending-subtree stack and the evidence grow past them.
+// left spine 400 nodes deep, so the walk's stack of set-aside right subtrees
+// grows past its buffer on the frame.
 func TestScanDeepSpine(t *testing.T) {
 	const n = 400
 	tr := lbst.NewOrdered[int64, int64](plain{})
@@ -207,49 +208,36 @@ func TestScanDeepSpine(t *testing.T) {
 	}
 }
 
-// TestScanChunking pins the chunk arithmetic on a quiescent tree: 64 leaves
-// to a chunk, no retries, and no further walk after a chunk that ends on the
-// window's (present) upper bound.
-func TestScanChunking(t *testing.T) {
-	tr := ravl.New()
-	for _, i := range rand.New(rand.NewSource(9)).Perm(300) {
-		tr.Insert(int64(i), int64(i))
-	}
-	all := func(int64, int64) bool { return true }
-	for _, c := range []struct{ keys, chunks int }{{0, 1}, {1, 1}, {64, 1}, {65, 2}, {128, 2}, {200, 4}} {
-		count, chunks, retries := tr.ScanStats(50, 50+int64(c.keys)-1, all)
-		if count != c.keys || chunks != c.chunks || retries != 0 {
-			t.Fatalf("window of %d keys: count %d, chunks %d, retries %d; want %d chunks and no retries",
-				c.keys, count, chunks, retries, c.chunks)
-		}
-	}
-}
-
-// TestScanTokenMoveConcurrent is the property a chunk-validated scan has and
+// TestScanTokenMoveConcurrent is the property a scan of one version has and
 // a Successor-per-key walk lacks. The window always holds a token (value 1)
 // among fixed background keys (value 0): the writer inserts the token at a
 // new position and only then deletes the old one. A walk that validates key
 // by key can pass the new position before the insert and reach the old one
-// after the delete, seeing no token at all; a scan that finished in a single
-// chunk saw the window at one instant and must have seen one or two.
+// after the delete, seeing no token at all; a scan that sees the window at
+// one instant sees one or two, whatever the window's length. The 512-key
+// windows are longer than any chunk a VLX-validated scan could make atomic.
 func TestScanTokenMoveConcurrent(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		tree *lbst.Tree[int64, int64]
+		name    string
+		newTree func() *lbst.Tree[int64, int64]
+		keys    int64 // background keys
 	}{
-		{"RAVL", ravl.New().Tree},
-		{"EBST", ebst.New().Tree},
+		{"RAVL", func() *lbst.Tree[int64, int64] { return ravl.New().Tree }, 32},
+		{"EBST", func() *lbst.Tree[int64, int64] { return ebst.New().Tree }, 32},
+		{"RAVL-512", func() *lbst.Tree[int64, int64] { return ravl.New().Tree }, 512},
+		{"EBST-512", func() *lbst.Tree[int64, int64] { return ebst.New().Tree }, 512},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const window = 64 // background at even positions, token at an odd one
-			tr := tc.tree
-			for _, i := range rand.New(rand.NewSource(3)).Perm(window / 2) {
+			window := 2 * tc.keys // background at even positions, token at an odd one
+			tr := tc.newTree()
+			for _, i := range rand.New(rand.NewSource(3)).Perm(int(window / 2)) {
 				tr.Insert(int64(2*i), 0)
 			}
 			tr.Insert(1, 1)
 
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
+			var moves atomic.Int64
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -261,23 +249,27 @@ func TestScanTokenMoveConcurrent(t *testing.T) {
 						return
 					default:
 					}
-					to := int64(2*rng.Intn(window/2) + 1)
+					to := 2*rng.Int63n(window/2) + 1
 					if to == at {
 						continue
 					}
 					tr.Insert(to, 1)
 					tr.Delete(at)
 					at = to
+					moves.Add(1)
 				}
 			}()
 
-			scans, single, retried := 4000, 0, 0
+			scans := 4000
 			if testing.Short() {
 				scans = 500
 			}
+			for moves.Load() == 0 {
+				runtime.Gosched() // scan against a writer that is running
+			}
 			for i := 0; i < scans; i++ {
 				tokens, last := 0, int64(-1)
-				count, chunks, retries := tr.ScanStats(0, window-1, func(k, v int64) bool {
+				count := tr.RangeScan(0, window-1, func(k, v int64) bool {
 					if k <= last || k < 0 || k >= window || v != k&1 {
 						t.Errorf("scan %d emitted (%d, %d) after key %d", i, k, v, last)
 					}
@@ -285,24 +277,13 @@ func TestScanTokenMoveConcurrent(t *testing.T) {
 					tokens += int(v)
 					return true
 				})
-				if retries > 0 {
-					retried++
-				}
-				if chunks != 1 {
-					continue
-				}
-				single++
-				if tokens < 1 || tokens > 2 || count != window/2+tokens {
-					t.Errorf("scan %d: one chunk (after %d retries) saw %d keys and %d tokens; no instant had that window",
-						i, retries, count, tokens)
+				if tokens < 1 || tokens > 2 || count != int(window/2)+tokens {
+					t.Fatalf("scan %d saw %d keys and %d tokens; no instant had that window", i, count, tokens)
 				}
 			}
 			close(stop)
 			wg.Wait()
-			if single == 0 {
-				t.Fatalf("none of %d scans finished in one chunk: the property was never exercised", scans)
-			}
-			t.Logf("%d scans: %d in one chunk, %d retried", scans, single, retried)
+			t.Logf("%d scans of %d keys against %d token moves", scans, window/2+1, moves.Load())
 			if err := tr.CheckStructure(); err != nil {
 				t.Fatalf("CheckStructure at quiescence: %v", err)
 			}

@@ -9,11 +9,13 @@ import (
 	"repro/internal/sched"
 )
 
-// This file implements O(1) versioned snapshots for the engine's trees:
-// Snapshot captures a frozen point-in-time view in constant time, and scans over the view walk
-// plain pointers with zero VLX validation, zero retries and zero per-node
-// CASes. The full safety argument lives in DESIGN.md ("Versioned
-// snapshots"); the mechanism in brief:
+// This file implements the engine's versioned reads: O(1) snapshots, and the
+// live range scans, which walk the same kind of cut for the length of one
+// operation. Snapshot captures a frozen point-in-time view in constant time,
+// and scans over a view or over a live scan's cut walk plain pointers with
+// zero VLX validation, zero retries and zero per-node CASes. The full safety
+// argument lives in DESIGN.md ("Versioned snapshots"); the mechanism in
+// brief:
 //
 //   - every committed SCX stamps the subtree root it installs with the
 //     current value of the tree's version clock gver, which it only reads,
@@ -23,31 +25,35 @@ import (
 //     already stamped — which makes ticks monotone along structural
 //     dependencies and a captured version a consistent cut of the update
 //     history. Updates between two captures share a tick;
-//   - capture advances the clock: a snapshot is the pair (entry, ver = the
-//     value it advanced gver from), and it then waits out the publish
-//     windows open on the epoch slots, inside which updates read the clock
-//     and install, so a node stamped at or below ver is in the tree before
-//     the view is first read. A walk resolves
-//     every child pointer it loads: a node stamped after ver is rewound
-//     through its prev chain to the version the snapshot captured. Fresh
-//     interior nodes of an update are never stamped (only the CASed-in root
-//     is); they carry no prev link and are accepted as-is, which is sound
-//     because they are reachable only through their update's accepted root;
-//   - values stay frozen because Insert's in-place overwrite fast path is
-//     disabled while any snapshot is live (the overwrite becomes a
-//     leaf-replacement SCX, which the resolution walk rewinds like any other
-//     update), and the same drain waits out the fast-path publishes that
-//     did not see the snapshot registered;
-//   - memory stays valid because capture registers a long-lived epoch pin
-//     (epoch.SnapPin) before advancing gver: every node the snapshot can reach
-//     that is later retired was retired after the pin registered, so the
-//     pin holds it on its retire list instead of letting it be recycled.
+//   - capture advances the clock: a cut is the pair (entry, ver = the value
+//     it advanced gver from), and capture then waits out the publish windows
+//     open on the epoch slots, inside which updates read the clock and
+//     install, so a node stamped at or below ver is in the tree before the
+//     cut is first read. A walk resolves every child pointer it loads: a node
+//     stamped after ver is rewound through its prev chain to the version the
+//     cut captured. Fresh interior nodes of an update are never stamped (only
+//     the CASed-in root is); they carry no prev link and are accepted as-is,
+//     which is sound because they are reachable only through their update's
+//     accepted root;
+//   - a snapshot's values stay frozen because Insert's in-place overwrite
+//     fast path is disabled while any snapshot is live (the overwrite becomes
+//     a leaf-replacement SCX, which the resolution walk rewinds like any
+//     other update), and the same drain waits out the fast-path publishes
+//     that did not see the snapshot registered. A live scan leaves the fast
+//     path on: its keys are the cut's, and each value is one its key held
+//     during the scan;
+//   - memory stays valid because the walk's pin comes before the clock
+//     advance: every node a cut can reach that is later retired was retired
+//     after the pin. A live scan holds its operation's ordinary pin, which
+//     keeps those nodes from being recycled until it returns; a snapshot
+//     registers a long-lived epoch pin (epoch.SnapPin), which holds them on
+//     their retire lists until Release.
 
-// resolve rewinds a just-loaded child pointer to the version a snapshot
+// resolve rewinds a just-loaded child pointer to the version a cut
 // captured: nodes stamped after ver are stepped back through their prev
 // chain. A node without a prev link is accepted as-is — it is either ancient
 // (tick 0), or a fresh unstamped interior of an update whose root the walk
-// already accepted. The epoch pin held by the snapshot guarantees every node
+// already accepted. The pin taken before the capture guarantees every node
 // on the chain is still valid memory (see the capture argument in DESIGN.md).
 func resolve[K, V any](c *Node[K, V], ver uint64) *Node[K, V] {
 	for c != nil {
@@ -123,57 +129,72 @@ func (s *Snap[K, V]) Get(key K) (V, bool) {
 // early. The whole scan observes the single capture point: one in-order walk
 // with per-child resolution, never retrying.
 func (s *Snap[K, V]) RangeScan(lo, hi K, fn func(k K, v V) bool) int {
-	n, _ := s.walk(s.entry, true, lo, true, hi, fn)
-	return n
+	return s.walk(true, lo, true, hi, fn)
 }
 
 // Ascend calls fn for every key in ascending order and returns the number of
 // keys visited; if fn returns false the scan stops early.
 func (s *Snap[K, V]) Ascend(fn func(k K, v V) bool) int {
 	var zero K
-	n, _ := s.walk(s.entry, false, zero, false, zero, fn)
-	return n
+	return s.walk(false, zero, false, zero, fn)
 }
 
-// walk is the bounded in-order traversal under resolution. Left subtrees
+// walkPoint is the walk's instrumentation point. It is the one function of
+// this package that calls sched.Point and is not generic, so compiling the
+// package inlines Point into it, and a body is re-exported only by a package
+// that inlined it: this is what lets every package that instantiates the
+// engine inline the generic code's Point calls too (the commit hook's, the
+// overwrite's, vcell's publish), where they would otherwise stay calls.
+// TestInliningGuard checks it.
+func walkPoint() { sched.Point(sched.PointScanWalk) }
+
+// walk is the bounded in-order traversal under resolution, of a snapshot
+// view and of a live scan's cut alike, from the entry node. Left subtrees
 // hold keys strictly below the routing key, right subtrees the rest;
 // sentinel internals route every real key left, so their right children
-// (sentinel leaves, or the entry's nil right field) are pruned.
-func (s *Snap[K, V]) walk(n *Node[K, V], useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) bool) (int, bool) {
-	if n == nil {
-		return 0, true
-	}
-	if n.IsLeaf() {
-		if n.IsSentinel() {
-			return 0, true
-		}
-		k := n.K
-		if (useLo && cmp.Less(k, lo)) || (useHi && cmp.Less(hi, k)) {
-			return 0, true
-		}
-		if !fn(k, valueOf(n)) {
-			return 1, false
-		}
-		return 1, true
-	}
+// (sentinel leaves, or the entry's nil right field) are pruned. It descends
+// to the leftmost leaf in range and sets aside on an explicit stack each
+// right subtree that may hold keys of the range: no call per node, and the
+// first read of a set-aside child's line overlaps the walk of its left
+// sibling. The stack lives on the frame up to pathBufCap entries (deeper
+// only in the unbalanced EBST, where append moves it to the heap). Each child
+// load crosses sched.PointScanWalk, so the schedule controller can run an
+// update between two of the walk's reads.
+func (s *Snap[K, V]) walk(useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) bool) int {
+	var buf [pathBufCap]*Node[K, V]
+	pending := buf[:0] // right subtrees still to walk, the next one last
 	count := 0
-	if !useLo || n.IsSentinel() || cmp.Less(lo, n.K) {
-		c := resolve(n.left.Load(), s.ver)
-		cnt, cont := s.walk(c, useLo, lo, useHi, hi, fn)
-		count += cnt
-		if !cont {
-			return count, false
+	for n := s.entry; ; {
+		if n != nil && !n.IsLeaf() {
+			inf := n.IsSentinel()
+			if !inf && (!useHi || !cmp.Less(hi, n.K)) {
+				walkPoint()
+				if r := resolve(n.right.Load(), s.ver); r != nil {
+					pending = append(pending, r)
+				}
+			}
+			if !useLo || inf || cmp.Less(lo, n.K) {
+				walkPoint()
+				n = resolve(n.left.Load(), s.ver)
+			} else {
+				n = nil
+			}
+			continue
 		}
-	}
-	if !n.IsSentinel() && (!useHi || !cmp.Less(hi, n.K)) {
-		c := resolve(n.right.Load(), s.ver)
-		cnt, cont := s.walk(c, useLo, lo, useHi, hi, fn)
-		count += cnt
-		if !cont {
-			return count, false
+		if n != nil && !n.IsSentinel() {
+			if k := n.K; (!useLo || !cmp.Less(k, lo)) && (!useHi || !cmp.Less(hi, k)) {
+				count++
+				if !fn(k, valueOf(n)) {
+					return count
+				}
+			}
 		}
+		if len(pending) == 0 {
+			return count
+		}
+		n = pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
 	}
-	return count, true
 }
 
 // ---------------------------------------------------------------------------
@@ -193,27 +214,49 @@ func (t *Tree[K, V]) Snapshot() dict.SnapshotView[K, V] {
 // protocol.
 //
 // Order matters. The pin registers first so every later retire parks behind
-// it. snapLive rises next, then the capture advances the version clock and
-// takes the value it advanced from as its version, and only then do the open
-// publish windows drain (epoch.DrainWindows). The drain-last order closes
-// both races at once. Value cells: a fast-path overwrite that opened its
-// window before snapLive rose has its Swap complete before the drain returns,
-// i.e. before any read through the view, and every later overwrite sees
-// snapLive != 0 and takes the leaf-replacement slow path, so captured values
-// are frozen. Structure: an update reads the clock inside its window, so one
-// that read a tick at or below the captured version opened its window before
-// the clock advanced and its update CAS is through by the time the drain
-// returns - a covered node can never surface mid-capture and un-freeze the
-// view - while one whose window opens after the drain passed its slot reads
-// the advanced clock and is not covered. (Draining before the advance has
-// the opposite hole: a writer can open its window after the drain and still
-// read the old tick.)
+// it. snapLive rises next, then capture advances the version clock and
+// drains the open publish windows. The drain-last order closes both races at
+// once. Value cells: a fast-path overwrite that opened its window before
+// snapLive rose has its Swap complete before the drain returns, i.e. before
+// any read through the view, and every later overwrite sees snapLive != 0
+// and takes the leaf-replacement slow path, so captured values are frozen.
+// Structure: see capture.
 func (t *Tree[K, V]) snapshot() *Snap[K, V] {
 	s := &Snap[K, V]{entry: t.entry, live: &t.snapLive}
 	s.pin = epoch.SnapPin()
 	t.snapLive.Add(1)
 	sched.Point(sched.PointSnapPublish)
-	s.ver = t.gver.Add(1) - 1
-	epoch.DrainWindows()
+	s.ver = t.capture()
 	return s
+}
+
+// capture takes a cut of the tree for a snapshot or a live scan whose pin
+// is already held: it advances the version clock, takes the value it
+// advanced from as the cut's version, and only then drains the publish
+// windows (epoch.DrainWindows). An update reads the clock inside its window,
+// so one that read a tick at or below the version opened its window before
+// the clock advanced and its update CAS is through by the time the drain
+// returns - a covered node can never surface mid-walk and tear the cut -
+// while one whose window opens after the drain passed its slot reads the
+// advanced clock and is not covered. (Draining before the advance has the
+// opposite hole: a writer can open its window after the drain and still
+// read the old tick.) The SkipScanDrain mutation skips the drain.
+func (t *Tree[K, V]) capture() uint64 {
+	ver := t.gver.Add(1) - 1
+	if !sched.Mutated(sched.SkipScanDrain) {
+		epoch.DrainWindows()
+	}
+	return ver
+}
+
+// scan is the traversal behind RangeScan and Ascend, inside the caller's
+// pinned region: one capture, then one walk of the cut at its version, with
+// no snapshot pin, no handle and no snapLive registration. The keys it emits
+// are the range's content at the cut, whatever its length. The in-place
+// overwrite stays on, so a value is loaded when its leaf is reached: a value
+// the key held during the scan, which is the guarantee the per-key ScanSteps
+// of internal/linearize check.
+func (t *Tree[K, V]) scan(useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) bool) int {
+	s := Snap[K, V]{entry: t.entry, ver: t.capture()}
+	return s.walk(useLo, lo, useHi, hi, fn)
 }

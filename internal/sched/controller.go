@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // defaultMaxSteps bounds the scheduling decisions of one run so a mutation
@@ -72,13 +73,13 @@ func (c *Controller) Run() error {
 		panic("sched: Controller.Run called twice")
 	}
 	c.ran = true
-	if n := registered.Load(); n != 0 {
+	if n := atomic.LoadInt32(&registered); n != 0 {
 		return fmt.Errorf("sched: Run with %d chaos workers registered (one driver at a time)", n)
 	}
 	controlled.Store(true)
-	registered.Add(1)
+	atomic.AddInt32(&registered, 1)
 	defer controlled.Store(false)
-	defer registered.Add(-1)
+	defer atomic.AddInt32(&registered, -1)
 	c.events = make(chan event, len(c.workers))
 	for _, w := range c.workers {
 		go func() {

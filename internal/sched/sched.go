@@ -96,9 +96,13 @@ const (
 	PointVCellDrain
 	// PointLLXRecheck fires in LLX between the reads of the record's mutable
 	// fields and the re-read of its info word that validates them: an SCX
-	// that runs while an LLX is parked here makes that LLX fail. It is last so
-	// that the older points keep their numbers.
+	// that runs while an LLX is parked here makes that LLX fail.
 	PointLLXRecheck
+	// PointScanWalk fires in a versioned walk (a live range scan, or a scan
+	// of a snapshot view) before it loads and resolves each child pointer,
+	// so an update can land between two of the walk's reads. It is last so
+	// that the older points keep their numbers.
+	PointScanWalk
 
 	numPoints
 )
@@ -131,6 +135,7 @@ var points = [numPoints]struct {
 	PointSnapDrain:    {name: "snap-drain", bracket: true},
 	PointVCellDrain:   {name: "vcell-drain"},
 	PointLLXRecheck:   {name: "llx-recheck"},
+	PointScanWalk:     {name: "scan-walk"},
 }
 
 // String returns the point's name for traces and failure reports.
@@ -169,8 +174,13 @@ var workers sync.Map // goid int64 -> *Worker
 // registered counts the entries of workers, plus one while a Controller
 // runs. It is the only word Point, WaitZero, ChaosDropHelp and Slot load
 // before they return while nobody is registered (production, benchmark
-// prefill and drain, the stress harnesses' verification passes).
-var registered atomic.Int32
+// prefill and drain, the stress harnesses' verification passes). It is a
+// plain word used through sync/atomic's functions, which the compiler
+// treats as intrinsics in every package: Point then inlines into the
+// protocol layers' generic code wherever it is instantiated, where a method
+// of atomic.Int32 would be called out of line from any package whose export
+// data lacks its body.
+var registered int32
 
 // controlled is set while a Controller runs, and running is the worker it
 // released, until that worker parks or finishes.
@@ -180,13 +190,13 @@ var running atomic.Pointer[Worker]
 // register enters the calling goroutine into the registry as w.
 func register(w *Worker) {
 	workers.Store(goID(), w)
-	registered.Add(1)
+	atomic.AddInt32(&registered, 1)
 }
 
 // unregister removes the calling goroutine, which must be registered.
 func unregister() {
 	workers.Delete(goID())
-	registered.Add(-1)
+	atomic.AddInt32(&registered, -1)
 }
 
 // self returns the calling goroutine's chaos worker, or nil. While a
@@ -205,7 +215,7 @@ func self() *Worker {
 // controller's point filter admits id, until it is scheduled again; a chaos
 // worker rolls its policy for id.
 func Point(id PointID) {
-	if registered.Load() != 0 {
+	if atomic.LoadInt32(&registered) != 0 {
 		point(id)
 	}
 }
@@ -224,7 +234,7 @@ func point(id PointID) {
 // running Controller's worker i (in Go order), whatever its stack, and hint
 // for everyone else.
 func Slot(hint uint64) uint64 {
-	if registered.Load() != 0 {
+	if atomic.LoadInt32(&registered) != 0 {
 		if w := running.Load(); w != nil {
 			return uint64(w.slot)
 		}
@@ -257,7 +267,7 @@ func WaitUntil(id PointID, ready func() bool) {
 	if ready() {
 		return
 	}
-	if registered.Load() != 0 {
+	if atomic.LoadInt32(&registered) != 0 {
 		if w := running.Load(); w != nil {
 			w.ready = ready
 			w.park(id)
@@ -277,7 +287,7 @@ func WaitUntil(id PointID, ready func() bool) {
 // retries and helps on its next attempt. Only a chaos worker ever draws
 // true.
 func ChaosDropHelp() bool {
-	return registered.Load() != 0 && dropHelp()
+	return atomic.LoadInt32(&registered) != 0 && dropHelp()
 }
 
 // A Mutation is a seeded protocol bug. The self-tests arm one, run the
@@ -326,23 +336,29 @@ const (
 	// SkipNeighborVLX makes lbst's ordered point query take a failed VLX over
 	// the path connecting its two leaves for a successful one.
 	SkipNeighborVLX
+	// SkipScanDrain makes lbst's captures (a live range scan's and a
+	// snapshot's) walk their version without first waiting out the publish
+	// windows open when they advanced the clock.
+	SkipScanDrain
 )
 
-var mutations atomic.Uint32
+// mutations is the set of armed mutations, a plain word for the reason
+// registered is one.
+var mutations uint32
 
 // SetMutation arms or disarms m.
 func SetMutation(m Mutation, on bool) {
 	if on {
-		mutations.Or(uint32(m))
+		atomic.OrUint32(&mutations, uint32(m))
 	} else {
-		mutations.And(^uint32(m))
+		atomic.AndUint32(&mutations, ^uint32(m))
 	}
 }
 
 // Mutated reports whether m is armed. The protocol layers read it where the
 // surrounding condition is already rare, or at most once per SCX, deletion
 // or drain.
-func Mutated(m Mutation) bool { return mutations.Load()&uint32(m) != 0 }
+func Mutated(m Mutation) bool { return atomic.LoadUint32(&mutations)&uint32(m) != 0 }
 
 // goID returns the calling goroutine's id, parsed from the first line of its
 // stack trace ("goroutine 123 [running]:"). The chaos registry keys on it;

@@ -2,11 +2,12 @@ package sched
 
 import (
 	"slices"
+	"sync/atomic"
 	"testing"
 )
 
 // allMutations is every seeded mutation.
-const allMutations = SkipNeighborVLX<<1 - 1
+const allMutations = SkipScanDrain<<1 - 1
 
 // TestNothingRegisteredIsInert pins what the protocol layers rely on in
 // production: with no goroutine registered, every point, a WaitZero on a
@@ -16,7 +17,7 @@ const allMutations = SkipNeighborVLX<<1 - 1
 func TestNothingRegisteredIsInert(t *testing.T) {
 	check := func() {
 		t.Helper()
-		if n := registered.Load(); n != 0 {
+		if n := atomic.LoadInt32(&registered); n != 0 {
 			t.Fatalf("%d goroutines registered at the start of the test", n)
 		}
 		crossAll(1) // must not block or panic
@@ -29,7 +30,7 @@ func TestNothingRegisteredIsInert(t *testing.T) {
 			t.Fatalf("Slot(12345) = %d with nobody registered", s)
 		}
 		if Mutated(allMutations) {
-			t.Fatalf("mutations armed: %#x", mutations.Load())
+			t.Fatalf("mutations armed: %#x", atomic.LoadUint32(&mutations))
 		}
 	}
 	check()
@@ -48,16 +49,16 @@ func TestNothingRegisteredIsInert(t *testing.T) {
 func TestMutationsRoundTrip(t *testing.T) {
 	for m := DropFreeze; m <= SkipNeighborVLX; m <<= 1 {
 		if Mutated(allMutations) {
-			t.Fatalf("a mutation is armed before %#x is set: %#x", m, mutations.Load())
+			t.Fatalf("a mutation is armed before %#x is set: %#x", m, atomic.LoadUint32(&mutations))
 		}
 		SetMutation(m, true)
 		if !Mutated(m) || Mutated(allMutations&^m) {
-			t.Fatalf("arming %#x left the word at %#x", m, mutations.Load())
+			t.Fatalf("arming %#x left the word at %#x", m, atomic.LoadUint32(&mutations))
 		}
 		SetMutation(m, false)
 	}
 	if Mutated(allMutations) {
-		t.Fatalf("mutations left armed: %#x", mutations.Load())
+		t.Fatalf("mutations left armed: %#x", atomic.LoadUint32(&mutations))
 	}
 }
 
@@ -115,7 +116,7 @@ func TestOneDriverAtATime(t *testing.T) {
 	if err := c.Run(); err == nil || ran {
 		t.Fatalf("Run with a chaos worker registered: err %v, operation ran %t", err, ran)
 	}
-	if n := registered.Load(); n != 1 {
+	if n := atomic.LoadInt32(&registered); n != 1 {
 		t.Fatalf("%d registered after the refused Run, want the chaos worker alone", n)
 	}
 }

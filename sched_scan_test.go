@@ -2,16 +2,19 @@
 
 package repro
 
-// Schedule enumeration of the chunk-validated range scan (lbst.RangeScan):
-// one scan over a window of two or three keys runs against one concurrent
-// writer under every interleaving of the scanner's LLXs with the writer's
-// LLXs and update CASes. (With the freezing CASes admitted too, the token
-// move passes 2 000 000 schedules unfinished.) A window this small is one chunk
-// (the leaf limit only drops below it after more failed attempts than the
-// writer has SCXs to cause), so in every schedule the emitted keys must be
-// the window's content at one instant - one of the states the writer's
-// sequential history passes through - and the recorded history, scan steps
-// included, must pass the linearizability checker.
+// Schedule enumeration of the live range scan (lbst.RangeScan): one scan
+// over a window of two to five keys runs against one or two concurrent
+// writers under every interleaving of the scan's walk - a decision before
+// each child pointer it loads - with the writers' LLXs and update CASes (and,
+// per row, their freezes or the point between freezing and marking).
+// The scan takes a versioned cut: it advances the tree's clock, waits out
+// the publish windows open at that moment and walks the cut at the version
+// it advanced from. So in every schedule the emitted keys must be exactly
+// the cut at that version, read back from the quiescent tree afterwards
+// (lbst's KeysAt); they must be a state of the window the writers' histories
+// pass through; and the recorded history, scan steps included, must pass the
+// linearizability checker. The scan is the tree's only capture, so its
+// version is 0.
 
 import (
 	"fmt"
@@ -22,106 +25,219 @@ import (
 	"repro/internal/bench"
 	"repro/internal/dict"
 	"repro/internal/ebst"
+	"repro/internal/epoch"
 	"repro/internal/linearize"
 	"repro/internal/ravl"
 	"repro/internal/sched"
 )
 
-func TestChunkedScanEnumeration(t *testing.T) {
-	cases := []struct {
-		name   string
-		newMap func() dict.Map[int64, int64]
-		setup  []int64
-		writer func(w *linearize.Proc[int64, int64])
-		// states are the window's contents over the writer's history.
-		states    [][]int64
-		schedules int
-	}{
-		{
-			name:      "delete",
-			newMap:    func() dict.Map[int64, int64] { return ebst.New() },
-			setup:     []int64{20, 10, 30},
-			writer:    func(w *linearize.Proc[int64, int64]) { w.Delete(20) },
-			states:    [][]int64{{10, 20, 30}, {10, 30}},
-			schedules: 910,
+// A liveScanRow is one window: a tree holding setup, writers run
+// concurrently with RangeScan(1, 35), and the window's contents over every
+// order of the writers' histories.
+type liveScanRow struct {
+	name    string
+	newTree func() dict.Map[int64, int64]
+	setup   []int64
+	writers []func(w *linearize.Proc[int64, int64])
+	points  func(sched.PointID) bool
+	states  [][]int64
+	// schedules is the row's count.
+	schedules int
+}
+
+func newEBST() dict.Map[int64, int64] { return ebst.New() }
+func newRAVL() dict.Map[int64, int64] { return ravl.New() }
+
+// scanPoints admits the walk's reads and the writers' LLXs and update CASes.
+var scanPoints = pointSet(sched.PointScanWalk, sched.PointLLX, sched.PointSCXUpdate)
+
+var (
+	// Two writers whose updates are both in flight when the scan takes its
+	// version, one landing behind the walk and one ahead of it: a scan that
+	// does not wait for them can pass one's position before it is installed
+	// and meet the other installed, though both are stamped with the tick it
+	// covers. Either order of the two insertions is a history of the window,
+	// so every subset is a state; only the cut tells the scan's answer from
+	// a torn one.
+	twoWriterRow = liveScanRow{
+		name:    "two-writers-either-side",
+		newTree: newEBST,
+		setup:   []int64{10, 20, 30},
+		writers: []func(w *linearize.Proc[int64, int64]){
+			func(w *linearize.Proc[int64, int64]) { w.Insert(15, -15) },
+			func(w *linearize.Proc[int64, int64]) { w.Insert(25, -25) },
 		},
-		{
-			// The token moves from 30 to 5, behind a scanner that has passed
-			// 5: a walk validating key by key could emit {10} alone, which
-			// the window never held.
-			name:      "insert-behind-delete-ahead",
-			newMap:    func() dict.Map[int64, int64] { return ebst.New() },
-			setup:     []int64{10, 30},
-			writer:    func(w *linearize.Proc[int64, int64]) { w.Insert(5, -5); w.Delete(30) },
-			states:    [][]int64{{10, 30}, {5, 10, 30}, {5, 10}},
-			schedules: 21161,
-		},
-		{
-			// On the relaxed AVL tree the third insert is followed by a
-			// rebalancing step, which replaces internal nodes the scanner may
-			// already hold snapshots of without changing the key set.
-			name:      "insert-with-rebalance",
-			newMap:    func() dict.Map[int64, int64] { return ravl.New() },
-			setup:     []int64{10, 20},
-			writer:    func(w *linearize.Proc[int64, int64]) { w.Insert(30, -30) },
-			states:    [][]int64{{10, 20}, {10, 20, 30}},
-			schedules: 6794,
-		},
+		points:    pointSet(sched.PointScanWalk, sched.PointSCXUpdate),
+		states:    [][]int64{{10, 20, 30}, {10, 15, 20, 30}, {10, 20, 25, 30}, {10, 15, 20, 25, 30}},
+		schedules: 1498,
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			const cap = 400000
-			seen := map[string]int{}
-			schedules, violations := sched.Explore(sched.Options{
-				Points:       pointSet(sched.PointLLX, sched.PointSCXUpdate),
-				MaxSchedules: cap,
-			}, func(c *sched.Controller) error {
-				m := tc.newMap()
-				rec := linearize.NewRecorder[int64, int64](m)
-				setup := rec.Proc()
-				for _, k := range tc.setup {
-					setup.Insert(k, -k)
-				}
-				rt, balanced := m.(*ravl.Tree[int64, int64])
-				var stepsBefore int64
-				if balanced {
-					stepsBefore = rt.Stats().RebalanceTotal()
-				}
-				scanner, writer := rec.Proc(), rec.Proc()
-				c.Go("scan", func() { scanner.Scan(1, 35) })
-				c.Go("write", func() { tc.writer(writer) })
-				if err := c.Run(); err != nil {
-					return err
-				}
-				if balanced && rt.Stats().RebalanceTotal() == stepsBefore {
-					return fmt.Errorf("the insert triggered no rebalancing step")
-				}
-				var emitted []int64
-				for _, op := range rec.History().Ops {
-					if op.Kind != linearize.KindScanStep {
-						continue
-					}
-					if op.Out != -op.Key {
-						return fmt.Errorf("scan emitted (%d, %d), want value %d", op.Key, op.Out, -op.Key)
-					}
-					emitted = append(emitted, op.Key)
-				}
-				if !slices.ContainsFunc(tc.states, func(s []int64) bool { return slices.Equal(s, emitted) }) {
-					return fmt.Errorf("scan emitted %v, which the window held at no instant (states %v)", emitted, tc.states)
-				}
-				seen[fmt.Sprint(emitted)]++
-				return checkHistory(rec)
-			})
+	// The second writer's insertion lands on the leaf the first one's SCX
+	// froze, so it finishes that SCX - stamp and install - from its own
+	// goroutine, inside a window it opens on the first writer's slot, before
+	// it runs its own. The first writer parks after its freezes, outside any
+	// window.
+	helperRow = liveScanRow{
+		name:    "helper-finishes-the-other-writer",
+		newTree: newEBST,
+		setup:   []int64{10, 20},
+		writers: []func(w *linearize.Proc[int64, int64]){
+			func(w *linearize.Proc[int64, int64]) { w.Insert(15, -15) },
+			func(w *linearize.Proc[int64, int64]) { w.Insert(16, -16) },
+		},
+		points:    pointSet(sched.PointScanWalk, sched.PointSCXMark, sched.PointSCXUpdate),
+		states:    [][]int64{{10, 20}, {10, 15, 20}, {10, 16, 20}, {10, 15, 16, 20}},
+		schedules: 51146,
+	}
+)
+
+var liveScanRows = []liveScanRow{
+	{
+		name:      "delete",
+		newTree:   newEBST,
+		setup:     []int64{20, 10, 30},
+		writers:   []func(w *linearize.Proc[int64, int64]){func(w *linearize.Proc[int64, int64]) { w.Delete(20) }},
+		points:    scanPoints,
+		states:    [][]int64{{10, 20, 30}, {10, 30}},
+		schedules: 1710,
+	},
+	{
+		// The token moves from 30 to 5, behind a scanner that has passed 5:
+		// a walk validating key by key could emit {10} alone, which the
+		// window never held. The writer's freezing CASes are decisions too.
+		name:      "insert-behind-delete-ahead",
+		newTree:   newEBST,
+		setup:     []int64{10, 30},
+		writers:   []func(w *linearize.Proc[int64, int64]){func(w *linearize.Proc[int64, int64]) { w.Insert(5, -5); w.Delete(30) }},
+		points:    pointSet(sched.PointScanWalk, sched.PointLLX, sched.PointSCXFreeze, sched.PointSCXUpdate),
+		states:    [][]int64{{10, 30}, {5, 10, 30}, {5, 10}},
+		schedules: 35368,
+	},
+	{
+		// On the relaxed AVL tree the third insert is followed by a
+		// rebalancing step, which replaces internal nodes the walk may have
+		// passed or be about to load without changing the key set.
+		name:      "insert-with-rebalance",
+		newTree:   newRAVL,
+		setup:     []int64{10, 20},
+		writers:   []func(w *linearize.Proc[int64, int64]){func(w *linearize.Proc[int64, int64]) { w.Insert(30, -30) }},
+		points:    scanPoints,
+		states:    [][]int64{{10, 20}, {10, 20, 30}},
+		schedules: 893,
+	},
+	twoWriterRow,
+	helperRow,
+}
+
+// liveScanWindow explores one row and returns how often each emitted set
+// was seen.
+func liveScanWindow(row liveScanRow, maxSchedules int, stopOnViolation bool) (schedules int, violations []sched.Violation, seen map[string]int) {
+	seen = map[string]int{}
+	schedules, violations = sched.Explore(sched.Options{
+		Points:          row.points,
+		MaxSchedules:    maxSchedules,
+		StopOnViolation: stopOnViolation,
+	}, func(c *sched.Controller) error {
+		m := row.newTree()
+		rec := linearize.NewRecorder[int64, int64](m)
+		setup := rec.Proc()
+		for _, k := range row.setup {
+			setup.Insert(k, -k)
+		}
+		rt, balanced := m.(*ravl.Tree[int64, int64])
+		var stepsBefore int64
+		if balanced {
+			stepsBefore = rt.Stats().RebalanceTotal()
+		}
+		// Keep every node retired from here on, so the cut can be read back
+		// once the window is over.
+		pin := epoch.SnapPin()
+		defer pin.Release()
+		for i, wr := range row.writers {
+			w := rec.Proc()
+			c.Go(fmt.Sprintf("write-%d", i), func() { wr(w) })
+		}
+		scanner := rec.Proc()
+		c.Go("scan", func() { scanner.Scan(1, 35) })
+		if err := c.Run(); err != nil {
+			return err
+		}
+		if balanced && rt.Stats().RebalanceTotal() == stepsBefore {
+			return fmt.Errorf("the insert triggered no rebalancing step")
+		}
+		var emitted []int64
+		for _, op := range rec.History().Ops {
+			if op.Kind != linearize.KindScanStep {
+				continue
+			}
+			if op.Out != -op.Key {
+				return fmt.Errorf("scan emitted (%d, %d), want value %d", op.Key, op.Out, -op.Key)
+			}
+			emitted = append(emitted, op.Key)
+		}
+		tree := m.(interface{ KeysAt(uint64) []int64 })
+		if cut := tree.KeysAt(0); !slices.Equal(emitted, cut) {
+			return fmt.Errorf("scan emitted %v, not the cut %v at its version", emitted, cut)
+		}
+		if !slices.ContainsFunc(row.states, func(s []int64) bool { return slices.Equal(s, emitted) }) {
+			return fmt.Errorf("scan emitted %v, which the window held at no instant (states %v)", emitted, row.states)
+		}
+		seen[fmt.Sprint(emitted)]++
+		return checkHistory(rec)
+	})
+	return schedules, violations, seen
+}
+
+// TestLiveScanEnumeration: in every schedule of every row the scan emits
+// exactly its cut, a state of the window, in a linearizable history.
+func TestLiveScanEnumeration(t *testing.T) {
+	for _, row := range liveScanRows {
+		t.Run(row.name, func(t *testing.T) {
+			schedules, violations, seen := liveScanWindow(row, 400000, false)
 			if len(violations) > 0 {
-				t.Fatalf("%d of %d schedules violate chunk atomicity or linearizability; first:\nschedule %v\n%v",
+				t.Fatalf("%d of %d schedules emit a torn cut or break linearizability; first:\nschedule %v\n%v",
 					len(violations), schedules, violations[0].Schedule, violations[0].Err)
 			}
-			wantSchedules(t, schedules, tc.schedules)
+			wantSchedules(t, schedules, row.schedules)
 			// Every state must be reachable, or the window is not racing.
-			if len(seen) != len(tc.states) {
-				t.Fatalf("%d schedules reached only the states %v of %v", schedules, seen, tc.states)
+			if len(seen) != len(row.states) {
+				t.Fatalf("%d schedules reached only the states %v of %v", schedules, seen, row.states)
 			}
-			t.Logf("%d schedules, every scan chunk-atomic and linearizable; emitted sets: %v", schedules, seen)
+			t.Logf("%d schedules, every scan its cut and linearizable; emitted sets: %v", schedules, seen)
+		})
+	}
+}
+
+// TestLiveScanMutationsCaught seeds the three bugs that would let an update
+// stamped with the tick a live scan covers land behind its walk, and
+// requires a row to catch each: a scan that does not drain the publish
+// windows (SkipScanDrain), a version clock read before the window opens
+// (StampBeforeWindow), and a helper that opens its window where no capture
+// looks (SkipHelperWindow). Each makes the scan miss a key of its own cut.
+// (The healthy protocol passes the same rows above.)
+func TestLiveScanMutationsCaught(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		mutation sched.Mutation
+		row      liveScanRow
+		caught   int
+	}{
+		{"SkipScanDrain", sched.SkipScanDrain, twoWriterRow, 10},
+		{"StampBeforeWindow", sched.StampBeforeWindow, twoWriterRow, 10},
+		{"SkipHelperWindow", sched.SkipHelperWindow, helperRow, 5688},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched.SetMutation(tc.mutation, true)
+			defer sched.SetMutation(tc.mutation, false)
+			schedules, violations, _ := liveScanWindow(tc.row, 400000, true)
+			if len(violations) == 0 {
+				t.Fatalf("mutation not caught in %d schedules: the enumeration has no teeth", schedules)
+			}
+			msg := violations[0].Err.Error()
+			if !strings.Contains(msg, "not the cut") {
+				t.Fatalf("violation is not a scan that missed its cut:\n%s", msg)
+			}
+			wantSchedules(t, schedules, tc.caught)
+			t.Logf("caught after %d schedules, schedule %v:\n%s", schedules, violations[0].Schedule, msg)
 		})
 	}
 }
