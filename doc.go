@@ -81,10 +81,11 @@
 // however long the range; each value is one its key held during the scan.
 // Values frozen at the cut, and repeated reads of one cut, are what
 // snapshots remain for. The point queries (Successor, Predecessor, Min,
-// Max) are the paper's Section 5.5 recipe, an LLX search plus one VLX over
-// a path, written once over a side (lbst's neighbor): Min and Max
-// are the query for an infinite key, and a leaf the search reaches on the
-// asked-for side is returned without a VLX.
+// Max) are written once over a side (lbst's Snap.neighbor) and read the
+// same kind of cut in place of the paper's Section 5.5 recipe of an LLX
+// search plus one VLX: Successor and Predecessor capture one and answer at
+// its version; Min and Max, the query for an infinite key, read the live
+// tree with plain loads, like Get, and return the first leaf they reach.
 //
 // cmd/chromatic-bench runs the paper's Figure 8 grid (its three uniform
 // operation mixes) and the height experiment; README.md holds one committed

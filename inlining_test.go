@@ -25,17 +25,25 @@ type inliningRule struct {
 // the registry compiles the engine's generic code to.
 const shape = `\[go\.shape\.int64,go\.shape\.int64\]`
 
+// cutCallees are the helpers every read of a versioned cut makes per node.
+const cutCallees = `lbst\.resolve\[|lbst\.valueOf\[|lbst\.\(\*Node\[[^]]*\]\)\.ver$|vcell\.\(\*Cell\[[^]]*\]\)\.Load$|sched\.Point$`
+
 // inliningRules holds the calls the hot paths rely on being inlined. A
 // change that pushes one over the compiler's budget (a statement added to
 // lbst's valueOf is enough) turns it into a call and fails the row.
 var inliningRules = []inliningRule{
-	// The versioned walk behind every range scan: child resolution, the
-	// node's tick, the leaf's value load and the walk's schedule point stay
-	// inside it.
+	// The versioned walk behind every range scan, and the point query's
+	// descents: child resolution, the node's tick, the leaf's value load and
+	// the walk's schedule point stay inside them.
 	{
 		pkg:     "internal/chromatic",
 		fn:      `lbst\.\(\*Snap` + shape + `\)\.walk$`,
-		callees: `lbst\.resolve\[|lbst\.valueOf\[|lbst\.\(\*Node\[[^]]*\]\)\.ver$|vcell\.\(\*Cell\[[^]]*\]\)\.Load$|sched\.Point$`,
+		callees: cutCallees,
+	},
+	{
+		pkg:     "internal/chromatic",
+		fn:      `lbst\.\(\*Snap` + shape + `\)\.neighbor$`,
+		callees: cutCallees,
 	},
 	// The key comparison of the searches and the epoch unpin of every
 	// operation, anywhere in the chromatic instantiation of the engine.

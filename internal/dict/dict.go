@@ -48,13 +48,12 @@ type OrderedMap[K, V any] interface {
 // calls fn for every key in [lo, hi] in ascending order and returns the
 // number of keys visited; if fn returns false the scan stops early. The scan
 // need not be atomic as a whole, but every visited key must have been
-// present at some point during the scan. The LLX/SCX trees give more: each
-// run of up to 64 consecutive visited keys is exactly the range's content at
-// one instant, so a window of at most 64 keys is normally seen atomically
-// (a scan that had to retry under contention may split it); whole-scan
-// atomicity and repeated reads of one cut are what Snapshotter is for. The
-// workload generator's scan operations use RangeScan when available and fall
-// back to repeated Successor queries otherwise.
+// present at some point during the scan. The LLX/SCX trees give more: the
+// visited keys are exactly the range's content at one version of the tree,
+// however long the range, and each value is one its key held during the
+// scan; values frozen at the cut and repeated reads of one cut are what
+// Snapshotter is for. The workload generator's scan operations use RangeScan
+// when available and fall back to repeated Successor queries otherwise.
 type Ranger[K, V any] interface {
 	RangeScan(lo, hi K, fn func(k K, v V) bool) int
 }

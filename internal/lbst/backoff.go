@@ -12,15 +12,13 @@ import (
 // re-form.
 const maxBackoffSpins = 1 << 8
 
-// backoffWait is the bounded randomized exponential backoff for optimistic
-// retry loops: template-update (SCX) retries and ordered-query (VLX)
-// validation retries. It waits for a randomized number of scheduler yields
-// bounded by min(2^(failures-1), maxBackoffSpins), where failures is the
-// operation's count of consecutive failed attempts; failures <= 0 waits
-// nothing, so callers can invoke it unconditionally at the top of a retry
-// loop with the attempt number.
+// backoffWait is the bounded randomized exponential backoff for the
+// template updates' optimistic retry loops (a failed LLX or SCX). It waits
+// for a randomized number of scheduler yields bounded by
+// min(2^(failures-1), maxBackoffSpins), where failures is the operation's
+// count of consecutive failed attempts; failures <= 0 waits nothing.
 //
-// Failed SCX and VLX attempts mean another operation succeeded in the same
+// A failed attempt means another operation succeeded in the same
 // neighbourhood, so the system as a whole made progress (the non-blocking
 // guarantee is untouched); backing off before re-searching trades a little
 // latency on the contended path for far fewer wasted re-searches and failed

@@ -33,9 +33,9 @@
 // deletion template updates (so postconditions PC1-PC9 are discharged once,
 // here), the SCX-free in-place value overwrite for inserts on present keys
 // (see Insert and the value-cell notes on Node and CopyNode), the post-update
-// cleanup loop that drives rebalancing (Figure 5), the ordered point queries
-// with VLX validation (query.go), and the versioned reads (snapshot.go): O(1)
-// snapshots, and live range scans that walk a versioned cut.
+// cleanup loop that drives rebalancing (Figure 5), and the versioned reads
+// (snapshot.go): O(1) snapshots, and the live range scans and ordered point
+// queries, which walk a versioned cut.
 //
 // The engine is generic over the key and value types. Only the search loop
 // compares keys - exactly the paper's point about the template being
@@ -203,15 +203,6 @@ func (n *Node[K, V]) LLX() (llxscx.Linked[Node[K, V]], llxscx.Status) {
 	return n.rec.LLX(n, &n.left, &n.right)
 }
 
-// snap is LLX for the readers of query.go, which take a snapshot apart at
-// once: the two children and the evidence to validate later, in registers.
-// ok is false when the LLX failed (having helped whatever blocked it) or n
-// is finalized; either way the reader starts over.
-func (n *Node[K, V]) snap() (left, right *Node[K, V], ev llxscx.Evidence[Node[K, V]], ok bool) {
-	left, right, ev, st := n.rec.Snap2(&n.left, &n.right)
-	return left, right, ev, st == llxscx.Snapshot
-}
-
 // IsLeaf reports whether n is a dictionary leaf, whose child pointers are
 // always nil.
 func (n *Node[K, V]) IsLeaf() bool { return n.rec.Aux()&auxLeaf != 0 }
@@ -232,7 +223,7 @@ func (n *Node[K, V]) Gen() uint64 { return n.gen.Load() + n.val.Gen() }
 
 // Left returns the left child with a plain atomic read. It is intended for
 // policies and quiescent inspection, not for lock-free traversals that need
-// snapshot consistency (use LLX for those).
+// a consistent view (an update LLXs, a read walks a versioned cut).
 func (n *Node[K, V]) Left() *Node[K, V] { return n.left.Load() }
 
 // Right returns the right child with a plain atomic read.
@@ -322,7 +313,7 @@ type Tree[K cmp.Ordered, V any] struct {
 	// header. Every operation reads the first. An update writes neither: what
 	// it writes besides nodes (its publish windows, a policy's step counters)
 	// is on the epoch slot it holds pinned. The second group is written by
-	// captures (a snapshot's or a live scan's) and snapshot release only, and
+	// captures (a snapshot's or a live read's) and snapshot release only, and
 	// must not invalidate the first when it is.
 	entry *Node[K, V]
 	pol   Policy[K, V]
@@ -339,10 +330,11 @@ type Tree[K cmp.Ordered, V any] struct {
 	_ [64]byte
 
 	// gver is the tree's version clock for versioned reads. Captures (by
-	// Snapshot, RangeScan and Ascend) advance it; updates only read it: the
-	// commit hook stamps every CASed-in subtree root with the clock's current
-	// value immediately before the update CAS, inside a publish window, and a
-	// capture takes the value it advanced the clock from as its version.
+	// Snapshot, RangeScan, Ascend, Successor and Predecessor) advance it;
+	// updates only read it: the commit hook stamps every CASed-in subtree
+	// root with the clock's current value immediately before the update CAS,
+	// inside a publish window, and a capture takes the value it advanced the
+	// clock from as its version.
 	// Updates between two captures share a tick; resolution only ever
 	// compares a tick with a version.
 	gver atomic.Uint64
@@ -700,7 +692,7 @@ func (t *Tree[K, V]) Insert(key K, value V) (V, bool) {
 				// Without this the retry loop makes no progress on the blocker
 				// and the overwrite is not lock-free (a single parked deleter
 				// could starve it forever).
-				l.snap()
+				l.LLX()
 			}
 		} else if t.tryInsert(g, key, value, p, l) {
 			var zero V
@@ -1013,14 +1005,16 @@ func (t *Tree[K, V]) PathViolations(key K) int {
 	}
 }
 
-// The ordered queries below are implemented in query.go (the point queries)
-// and snapshot.go (the scans); each wrapper pins the epoch for the duration
-// of the query so that nodes reached by the traversal cannot be recycled
-// underneath it. A scan takes its cut after pinning, so the pin also keeps
-// every node the cut's version chains reach.
+// The ordered queries below are implemented in snapshot.go; each wrapper
+// pins the epoch for the duration of the query so that nodes reached by the
+// traversal cannot be recycled underneath it. A scan, a Successor and a
+// Predecessor take their cut after pinning, so the pin also keeps every node
+// the cut's version chains reach.
 
 // Successor returns the smallest key strictly greater than key, with its
-// value; ok is false if no such key exists.
+// value; ok is false if no such key exists. It answers at one version of the
+// tree, taken when it starts, and the value is one the key held during the
+// call.
 func (t *Tree[K, V]) Successor(key K) (k K, v V, ok bool) {
 	g := epoch.Pin()
 	k, v, ok = t.neighbor(0, true, key)
@@ -1029,7 +1023,8 @@ func (t *Tree[K, V]) Successor(key K) (k K, v V, ok bool) {
 }
 
 // Predecessor returns the largest key strictly smaller than key, with its
-// value; ok is false if no such key exists.
+// value; ok is false if no such key exists. Like Successor it answers at one
+// version of the tree.
 func (t *Tree[K, V]) Predecessor(key K) (k K, v V, ok bool) {
 	g := epoch.Pin()
 	k, v, ok = t.neighbor(1, true, key)
@@ -1083,25 +1078,12 @@ func (t *Tree[K, V]) Max() (k K, v V, ok bool) {
 
 // Size returns the number of keys stored. Quiescence only.
 func (t *Tree[K, V]) Size() int {
-	size := 0
-	visitLeaves(t.entry.left.Load(), func(n *Node[K, V]) {
-		if !n.IsSentinel() {
-			size++
-		}
-	})
-	return size
+	s := Snap[K, V]{entry: t.entry, ver: liveVer}
+	return s.Ascend(func(K, V) bool { return true })
 }
 
 // Keys returns all keys in ascending order. Quiescence only.
-func (t *Tree[K, V]) Keys() []K {
-	var keys []K
-	visitLeaves(t.entry.left.Load(), func(n *Node[K, V]) {
-		if !n.IsSentinel() {
-			keys = append(keys, n.K)
-		}
-	})
-	return keys
-}
+func (t *Tree[K, V]) Keys() []K { return t.KeysAt(liveVer) }
 
 // KeysAt returns, in ascending order, the keys of the tree's versioned cut at
 // ver: the keys a snapshot or a live scan that took version ver reads. It is
@@ -1135,18 +1117,6 @@ func (t *Tree[K, V]) root() *Node[K, V] {
 // Root exposes the root of the tree proper for quiescent inspection by
 // policies and tests; nil when the dictionary is empty.
 func (t *Tree[K, V]) Root() *Node[K, V] { return t.root() }
-
-func visitLeaves[K, V any](n *Node[K, V], fn func(*Node[K, V])) {
-	if n == nil {
-		return
-	}
-	if n.IsLeaf() {
-		fn(n)
-		return
-	}
-	visitLeaves(n.left.Load(), fn)
-	visitLeaves(n.right.Load(), fn)
-}
 
 func height[K, V any](n *Node[K, V]) int {
 	if n == nil {

@@ -10,10 +10,11 @@ import (
 )
 
 // This file implements the engine's versioned reads: O(1) snapshots, and the
-// live range scans, which walk the same kind of cut for the length of one
+// live reads - range scans and the ordered point queries of Section 5.5 of
+// the paper - which walk the same kind of cut for the length of one
 // operation. Snapshot captures a frozen point-in-time view in constant time,
-// and scans over a view or over a live scan's cut walk plain pointers with
-// zero VLX validation, zero retries and zero per-node CASes. The full safety
+// and reads of a view or of a live read's cut walk plain pointers with zero
+// VLX validation, zero retries and zero per-node CASes. The full safety
 // argument lives in DESIGN.md ("Versioned snapshots"); the mechanism in
 // brief:
 //
@@ -39,15 +40,38 @@ import (
 //     fast path is disabled while any snapshot is live (the overwrite becomes
 //     a leaf-replacement SCX, which the resolution walk rewinds like any
 //     other update), and the same drain waits out the fast-path publishes
-//     that did not see the snapshot registered. A live scan leaves the fast
+//     that did not see the snapshot registered. A live read leaves the fast
 //     path on: its keys are the cut's, and each value is one its key held
-//     during the scan;
+//     during the read;
 //   - memory stays valid because the walk's pin comes before the clock
 //     advance: every node a cut can reach that is later retired was retired
-//     after the pin. A live scan holds its operation's ordinary pin, which
+//     after the pin. A live read holds its operation's ordinary pin, which
 //     keeps those nodes from being recycled until it returns; a snapshot
 //     registers a long-lived epoch pin (epoch.SnapPin), which holds them on
 //     their retire lists until Release.
+//
+// The live tree is itself a cut, at version liveVer, where resolve never
+// rewinds: Min and Max, Size and Keys walk it with plain loads.
+
+// liveVer is the version of the live tree: every tick is at or below it, so
+// resolving at it keeps every node as loaded.
+const liveVer = ^uint64(0)
+
+// valueOf loads the value of leaf l. Under -tags reclaimcheck it panics if
+// the generation of l or of its value cell changed across the load: the
+// reclamation layer recycled memory a pinned reader could still reach, which
+// the grace-period argument in DESIGN.md says must never happen.
+func valueOf[K, V any](l *Node[K, V]) V {
+	var g0 uint64
+	if epoch.PoisonCheck {
+		g0 = l.Gen()
+	}
+	v := l.val.Load()
+	if epoch.PoisonCheck && l.Gen() != g0 {
+		panic("lbst: node or value cell recycled under a pinned reader (reclaimcheck)")
+	}
+	return v
+}
 
 // resolve rewinds a just-loaded child pointer to the version a cut
 // captured: nodes stamped after ver are stepped back through their prev
@@ -148,20 +172,24 @@ func (s *Snap[K, V]) Ascend(fn func(k K, v V) bool) int {
 // TestInliningGuard checks it.
 func walkPoint() { sched.Point(sched.PointScanWalk) }
 
+// stackCap is the capacity of the stack buffer walk sets subtrees aside on.
+// It comfortably covers the height of a balanced tree with millions of keys.
+const stackCap = 48
+
 // walk is the bounded in-order traversal under resolution, of a snapshot
-// view and of a live scan's cut alike, from the entry node. Left subtrees
+// view and of a live read's cut alike, from the entry node. Left subtrees
 // hold keys strictly below the routing key, right subtrees the rest;
 // sentinel internals route every real key left, so their right children
 // (sentinel leaves, or the entry's nil right field) are pruned. It descends
 // to the leftmost leaf in range and sets aside on an explicit stack each
 // right subtree that may hold keys of the range: no call per node, and the
 // first read of a set-aside child's line overlaps the walk of its left
-// sibling. The stack lives on the frame up to pathBufCap entries (deeper
+// sibling. The stack lives on the frame up to stackCap entries (deeper
 // only in the unbalanced EBST, where append moves it to the heap). Each child
 // load crosses sched.PointScanWalk, so the schedule controller can run an
 // update between two of the walk's reads.
 func (s *Snap[K, V]) walk(useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) bool) int {
-	var buf [pathBufCap]*Node[K, V]
+	var buf [stackCap]*Node[K, V]
 	pending := buf[:0] // right subtrees still to walk, the next one last
 	count := 0
 	for n := s.entry; ; {
@@ -197,6 +225,81 @@ func (s *Snap[K, V]) walk(useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) 
 	}
 }
 
+// neighbor is the ordered point query on the cut: the nearest key on side d
+// of key, above it for d = 0 (Successor) and below it for d = 1
+// (Predecessor). With bounded false, key is ignored and stands for the
+// infinity opposite d: the nearest key above minus infinity is Min, the
+// nearest below plus infinity is Max. The near side of a node is its left
+// child for d = 0 and its right child for d = 1.
+//
+// The search for key goes left at a sentinel, whose key is plus infinity,
+// and otherwise by the comparison; an infinite key goes near. A leaf it
+// reaches on side d of key is the answer. Otherwise that leaf holds key or
+// lies on the other side of it, and the answer is the leaf nearest to key in
+// the far subtree of the last node at which the search turned near (the
+// dictionary has no key on side d if it never did). Every child pointer is
+// resolved at the cut's version, so both descents read one state of the
+// tree, and nothing is validated or retried.
+//
+// Min and Max read the live tree, at liveVer, and only ever take the first
+// answer: the search path for minus infinity is the leftmost spine, for plus
+// infinity the spine that turns left at the sentinels and right everywhere
+// else, and the leaf ending it was on that path, and so the minimum or the
+// maximum, at some instant of the search - the argument Get rests on.
+//
+// A sentinel leaf answers ok == false on either side: the search reaches one
+// only in an empty dictionary, and the far walk only the top sentinel's right
+// child, above every key.
+func (s *Snap[K, V]) neighbor(d int, bounded bool, key K) (k K, v V, ok bool) {
+	var turn *Node[K, V] // the last node at which the search turned near
+	l := s.entry
+	for a := l.rec.Aux(); a&auxLeaf == 0; a = l.rec.Aux() {
+		left := d == 0
+		if a&auxInf != 0 {
+			left = true
+		} else if bounded {
+			left = cmp.Less(key, l.K)
+		}
+		if left == (d == 0) {
+			turn = l
+		}
+		walkPoint()
+		if left {
+			l = resolve(l.left.Load(), s.ver)
+		} else {
+			l = resolve(l.right.Load(), s.ver)
+		}
+	}
+	if l.IsSentinel() {
+		return k, v, false
+	}
+	if !bounded || (d == 0 && cmp.Less(key, l.K)) || (d != 0 && cmp.Less(l.K, key)) {
+		return l.K, valueOf(l), true
+	}
+	if turn == nil {
+		return k, v, false
+	}
+	// The turn's far child, then near children down to a leaf.
+	walkPoint()
+	if d == 0 {
+		l = resolve(turn.right.Load(), s.ver)
+	} else {
+		l = resolve(turn.left.Load(), s.ver)
+	}
+	for !l.IsLeaf() {
+		walkPoint()
+		if d == 0 {
+			l = resolve(l.left.Load(), s.ver)
+		} else {
+			l = resolve(l.right.Load(), s.ver)
+		}
+	}
+	if l.IsSentinel() {
+		return k, v, false
+	}
+	return l.K, valueOf(l), true
+}
+
 // ---------------------------------------------------------------------------
 // Tree-side capture.
 
@@ -230,7 +333,7 @@ func (t *Tree[K, V]) snapshot() *Snap[K, V] {
 	return s
 }
 
-// capture takes a cut of the tree for a snapshot or a live scan whose pin
+// capture takes a cut of the tree for a snapshot or a live read whose pin
 // is already held: it advances the version clock, takes the value it
 // advanced from as the cut's version, and only then drains the publish
 // windows (epoch.DrainWindows). An update reads the clock inside its window,
@@ -259,4 +362,17 @@ func (t *Tree[K, V]) capture() uint64 {
 func (t *Tree[K, V]) scan(useLo bool, lo K, useHi bool, hi K, fn func(k K, v V) bool) int {
 	s := Snap[K, V]{entry: t.entry, ver: t.capture()}
 	return s.walk(useLo, lo, useHi, hi, fn)
+}
+
+// neighbor is the point query behind Successor, Predecessor, Min and Max,
+// inside the caller's pinned region: a bounded query takes a cut, as scan
+// does, and answers at its version; Min and Max read the live tree (see
+// Snap.neighbor). The SkipNeighborCut mutation reads the live tree for a
+// bounded query too.
+func (t *Tree[K, V]) neighbor(d int, bounded bool, key K) (K, V, bool) {
+	s := Snap[K, V]{entry: t.entry, ver: liveVer}
+	if bounded && !sched.Mutated(sched.SkipNeighborCut) {
+		s.ver = t.capture()
+	}
+	return s.neighbor(d, bounded, key)
 }

@@ -16,7 +16,7 @@
 // the DataRecord[N] interface so the primitives can reach its
 // synchronization state and mutable fields. (LLX needs nothing else of the
 // node, so a node type on a hot path hands its record and fields to
-// Record.LLX or Record.Snap2 itself.) Instead of the per-process
+// Record.LLX itself.) Instead of the per-process
 // tables used in the original pseudocode, a successful LLX returns a Linked
 // value carrying the evidence (observed descriptor tag and snapshot); the
 // caller passes these Linked values to SCX or VLX, which expresses exactly
@@ -217,7 +217,7 @@ type DataRecord[N any] interface {
 // relationship of the original specification.
 type Linked[N any] struct {
 	node *N
-	ev   Evidence[N]
+	ev   evidence
 	vals [MaxMutable]*N
 	n    int
 }
@@ -231,23 +231,12 @@ func (l Linked[N]) NumChildren() int { return l.n }
 // Child returns the value of the i'th mutable field at the time of the LLX.
 func (l Linked[N]) Child(i int) *N { return l.vals[i] }
 
-// Evidence is the part of a Linked that SCX and VLX read: the record and the
-// descriptor tag its LLX observed, two words instead of a Linked's six. A
-// reader that consumes each snapshot's children as it goes and only needs to
-// validate afterwards (an ordered query LLXs a whole search path, a range
-// scan every internal node under its window) keeps these instead, so its
-// evidence buffer stays small enough for the stack.
-type Evidence[N any] evidence
-
-// evidence is an Evidence with the node type, which it only carries for its
-// users' type checking, erased.
+// evidence is the part of a Linked that SCX and VLX read: the record and the
+// descriptor tag its LLX observed.
 type evidence struct {
 	rec  *record
 	info uint64 // the tag in rec's info field at the LLX
 }
-
-// Evidence returns l's validation evidence.
-func (l Linked[N]) Evidence() Evidence[N] { return l.ev }
 
 // stateOf returns the state of the SCX that tag names; an SCX whose slot has
 // moved on is over, and reads as committed (see the package comment).
@@ -311,24 +300,15 @@ func blocked(rec *record, rinfo uint64, marked bool) Status {
 	return Fail
 }
 
-// Snap2 is LLX for a Data-record that knows its own layout: r is the record
-// embedded in the node and f0, f1 its two mutable fields. It returns what a
-// reader consumes - the two field values and the two-word evidence to
-// validate later - as scalars, with no dictionary call and no Linked built,
-// which is what makes a live scan's per-node cost a handful of loads. The
-// values and the evidence are zero unless st is Snapshot.
-func (r *Record[N]) Snap2(f0, f1 *atomic.Pointer[N]) (c0, c1 *N, ev Evidence[N], st Status) {
-	// An atomic.Pointer[N] is one pointer word whatever N is (see scx).
-	p0, p1, e, st := llx(&r.r, (*unsafe.Pointer)(unsafe.Pointer(f0)), (*unsafe.Pointer)(unsafe.Pointer(f1)))
-	return (*N)(p0), (*N)(p1), Evidence[N](e), st
-}
-
-// LLX is Snap2 with the snapshot packaged as the Linked an SCX takes: node
-// is the Data-record r is embedded in.
+// LLX is the LLX of a Data-record that knows its own layout: node is the
+// Data-record r is embedded in and f0, f1 its two mutable fields. It reaches
+// llx with no dictionary call and packages the snapshot as the Linked an SCX
+// takes.
 func (r *Record[N]) LLX(node *N, f0, f1 *atomic.Pointer[N]) (lk Linked[N], st Status) {
-	c0, c1, ev, st := r.Snap2(f0, f1)
+	// An atomic.Pointer[N] is one pointer word whatever N is (see scx).
+	c0, c1, ev, st := llx(&r.r, (*unsafe.Pointer)(unsafe.Pointer(f0)), (*unsafe.Pointer)(unsafe.Pointer(f1)))
 	if st == Snapshot {
-		lk = Linked[N]{node: node, ev: ev, vals: [MaxMutable]*N{c0, c1}, n: MaxMutable}
+		lk = Linked[N]{node: node, ev: ev, vals: [MaxMutable]*N{(*N)(c0), (*N)(c1)}, n: MaxMutable}
 	}
 	return lk, st
 }
@@ -338,7 +318,7 @@ func (r *Record[N]) LLX(node *N, f0, f1 *atomic.Pointer[N]) (lk Linked[N], st St
 // concurrent with an SCX involving r, or a zero Linked and Finalized if r has
 // been finalized. It reaches the record and the fields through the
 // DataRecord methods; a node type that knows its own layout calls its
-// record's LLX or Snap2 directly and spares the indirection.
+// record's LLX directly and spares the indirection.
 func LLX[P DataRecord[N], N any](r P) (lk Linked[N], st Status) {
 	n := r.NumMutable()
 	if n > MaxMutable {
@@ -356,7 +336,7 @@ func LLX[P DataRecord[N], N any](r P) (lk Linked[N], st Status) {
 	// the LLX.
 	c0, c1, ev, st := llx(&r.LLXRecord().r, f0, f1)
 	if st == Snapshot {
-		lk = Linked[N]{node: (*N)(r), ev: Evidence[N](ev), vals: [MaxMutable]*N{(*N)(c0), (*N)(c1)}, n: n}
+		lk = Linked[N]{node: (*N)(r), ev: ev, vals: [MaxMutable]*N{(*N)(c0), (*N)(c1)}, n: n}
 	}
 	return lk, st
 }
@@ -443,26 +423,13 @@ func scx[P DataRecord[N], N any](g *epoch.Guard, h *hooks, v *[MaxV]Linked[N], n
 
 // VLXFixed returns true if none of the first n records of v has changed
 // since the linked LLXs that produced their evidence. v is a caller-owned
-// fixed-capacity array; n must be in [0, MaxV]. Readers validating more
-// than an update's worth of records use VLXEvidence.
+// fixed-capacity array; n must be in [0, MaxV].
 func VLXFixed[N any](v *[MaxV]Linked[N], n int) bool {
 	if n < 0 || n > MaxV {
 		panic("llxscx: VLXFixed sequence length out of range")
 	}
 	for i := 0; i < n; i++ {
 		if !validateOne(v[i].ev.rec, v[i].ev.info) {
-			return false
-		}
-	}
-	return true
-}
-
-// VLXEvidence returns true if none of the records in v has changed since the
-// LLXs the evidence was taken from. It can be used to obtain an atomic
-// snapshot of a set of Data-records of any size.
-func VLXEvidence[N any](v []Evidence[N]) bool {
-	for i := range v {
-		if !validateOne(v[i].rec, v[i].info) {
 			return false
 		}
 	}

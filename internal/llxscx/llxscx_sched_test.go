@@ -42,7 +42,7 @@ func TestLLXTagChangedBetweenReads(t *testing.T) {
 				}
 				newTag := n.rec.r.info.Load()
 				switch {
-				case st == Snapshot && c0 == oldLeft && c1 == right && tag == lk.Evidence().info:
+				case st == Snapshot && c0 == oldLeft && c1 == right && tag == lk.ev.info:
 					before++
 				case st == Snapshot && c0 == newLeft && c1 == right && tag == newTag:
 					after++

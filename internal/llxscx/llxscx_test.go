@@ -244,32 +244,6 @@ func TestSCXFixedPinsASlotForItsOwnDuration(t *testing.T) {
 	}
 }
 
-func TestVLXDetectsChange(t *testing.T) {
-	a := newTNode(1, nil, nil)
-	b := newTNode(3, nil, nil)
-	root := newTNode(2, a, b)
-
-	lkRoot, _ := LLX(root)
-	lkA, _ := LLX(a)
-	ev := []Evidence[tnode]{lkRoot.Evidence(), lkA.Evidence()}
-	if !VLXEvidence(ev) {
-		t.Fatal("VLXEvidence on unchanged records should succeed")
-	}
-
-	// Change root via an SCX, then the old evidence must fail to validate.
-	lkRoot2, _ := LLX(root)
-	lkA2, _ := LLX(a)
-	if !scxOnce([]Linked[tnode]{lkRoot2, lkA2}, []*tnode{a}, &root.left, a, newTNode(9, nil, nil)) {
-		t.Fatal("SCX should succeed")
-	}
-	if VLXEvidence(ev) {
-		t.Fatal("VLXEvidence should fail after root was modified")
-	}
-	if !VLXEvidence[tnode](nil) {
-		t.Fatal("VLXEvidence over zero records should succeed")
-	}
-}
-
 func TestVLXFixedDetectsChange(t *testing.T) {
 	a := newTNode(1, nil, nil)
 	b := newTNode(3, nil, nil)
@@ -409,24 +383,20 @@ func TestStaleTagReadsAsCommitted(t *testing.T) {
 	}
 }
 
-// llxEntryPoints are the three ways into llx, each reduced to what it
+// llxEntryPoints are the two ways into llx, each reduced to what it
 // reports: the generic LLX that finds the record and the fields through the
-// DataRecord methods, and the two a node type that knows its layout calls.
+// DataRecord methods, and the one a node type that knows its layout calls.
 var llxEntryPoints = []struct {
 	name string
 	llx  func(n *tnode) (c0, c1 *tnode, tag uint64, st Status)
 }{
 	{"LLX", func(n *tnode) (*tnode, *tnode, uint64, Status) {
 		lk, st := LLX(n)
-		return lk.Child(0), lk.Child(1), lk.Evidence().info, st
+		return lk.Child(0), lk.Child(1), lk.ev.info, st
 	}},
 	{"Record.LLX", func(n *tnode) (*tnode, *tnode, uint64, Status) {
 		lk, st := n.rec.LLX(n, &n.left, &n.right)
-		return lk.Child(0), lk.Child(1), lk.Evidence().info, st
-	}},
-	{"Record.Snap2", func(n *tnode) (*tnode, *tnode, uint64, Status) {
-		c0, c1, ev, st := n.rec.Snap2(&n.left, &n.right)
-		return c0, c1, ev.info, st
+		return lk.Child(0), lk.Child(1), lk.ev.info, st
 	}},
 }
 
@@ -458,7 +428,7 @@ func orphanSCX(t *testing.T, point sched.PointID, parent *tnode, pl *Pool[tnode]
 		SCXP(g, pl, &v, nv, &r, nr, &parent.left, child, newTNode(5, nil, nil))
 	}()
 	for _, n := range []*tnode{parent, child} {
-		if tag := n.rec.r.info.Load(); tag == lkP.Evidence().info || stateOf(tag) != stateInProgress {
+		if tag := n.rec.r.info.Load(); tag == lkP.ev.info || stateOf(tag) != stateInProgress {
 			t.Fatalf("record %d is not frozen by an SCX in progress", n.key)
 		}
 	}

@@ -333,9 +333,10 @@ const (
 	// version clock and stamps the new node, before it opens the publish
 	// window instead of inside it.
 	StampBeforeWindow
-	// SkipNeighborVLX makes lbst's ordered point query take a failed VLX over
-	// the path connecting its two leaves for a successful one.
-	SkipNeighborVLX
+	// SkipNeighborCut makes lbst's bounded point queries (Successor and
+	// Predecessor) walk the live tree instead of capturing a cut, so their
+	// two descents may read two different states of it.
+	SkipNeighborCut
 	// SkipScanDrain makes lbst's captures (a live range scan's and a
 	// snapshot's) walk their version without first waiting out the publish
 	// windows open when they advanced the clock.

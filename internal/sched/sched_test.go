@@ -47,7 +47,7 @@ func TestNothingRegisteredIsInert(t *testing.T) {
 // TestMutationsRoundTrip: every mutation reads false until it is armed,
 // arming one arms no other, and disarming restores false.
 func TestMutationsRoundTrip(t *testing.T) {
-	for m := DropFreeze; m <= SkipNeighborVLX; m <<= 1 {
+	for m := DropFreeze; m <= SkipScanDrain; m <<= 1 {
 		if Mutated(allMutations) {
 			t.Fatalf("a mutation is armed before %#x is set: %#x", m, atomic.LoadUint32(&mutations))
 		}

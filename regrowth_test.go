@@ -82,6 +82,9 @@ var regrowthRules = []regrowthRule{
 	// A live range scan walks one versioned cut, not VLX-validated chunks,
 	// and a snapshot capture writes no process-wide pin counter.
 	{pattern: `chunkLeaves|chunkEvCap|ScanStats|snapCount`, paths: []string{"."}, tests: true},
+	// The ordered point queries read a versioned cut too: no LLX read path,
+	// no evidence-only LLX and no VLX over a reader's path.
+	{pattern: `VLXEvidence|Snap2|SkipNeighborVLX|llxscx\.Evidence`, paths: []string{"."}, tests: true},
 }
 
 // TestRegrowthGuard checks every regrowthRules row against the module's Go

@@ -252,23 +252,23 @@ func TestLiveScanMutationsCaught(t *testing.T) {
 // In the bounded rows the inserted key lands beside the leaf the query's
 // first descent ends at and the deleted key is the adjacent leaf, in the
 // other subtree of the descent's last turn, two levels below it so that the
-// node the deletion writes to is one the walk passes and not one it froze.
-// A walk that skips its closing VLX answers with the row's never key when
-// both updates fall between its two descents. An absent key's Predecessor search ends at the
-// predecessor itself unless a router between the two outlived its key, so
-// that row's setup inserts 32 and deletes it again, which leaves 32 routing
-// at the root: ((10 (20 30)) 32 (40 50)) against ((10 20) 30 ((30 40) 50)).
-// The unbounded rows put both updates on the spine Min and Max descend, which
-// they return from without a VLX. Neither writer's update needs a
-// rebalancing step in these shapes (each insertion lands below a node of
-// weight one, each deletion removes a leaf below a red one).
+// node the deletion writes to is one the walk passes. A query that reads the
+// live tree instead of a cut answers with the row's never key when both
+// updates fall between its two descents. An absent key's Predecessor search
+// ends at the predecessor itself unless a router between the two outlived
+// its key, so that row's setup inserts 32 and deletes it again, which leaves
+// 32 routing at the root: ((10 (20 30)) 32 (40 50)) against
+// ((10 20) 30 ((30 40) 50)). The unbounded rows put both updates on the
+// spine Min and Max descend, which read the live tree and take the first
+// leaf they reach. Neither writer's update needs a rebalancing step in these
+// shapes (each insertion lands below a node of weight one, each deletion
+// removes a leaf below a red one).
 //
-// The decisions are the LLXs of both sides, which is every way the two
-// updates can fall around the query's two descents, and the writer's update
-// CASes, which park each SCX after its freezes, where the query's LLXs meet
-// frozen records and help it. Admitting PointSCXCommit as well is out of
-// reach of a depth-first enumeration: the smallest row was past 750 000
-// schedules when it was stopped.
+// The decisions are every child load of the query's two descents, the
+// writer's LLXs, and the points just before and just after each of its
+// update CASes, which park an SCX with its records frozen or with its new
+// subtree installed and the SCX not yet committed while the query captures
+// and walks.
 type neighborRow struct {
 	name   string
 	setup  []int64 // inserted in order; a negative entry deletes the key
@@ -279,7 +279,7 @@ type neighborRow struct {
 	states []int64
 	never  int64
 	// schedules is the row's count, and caught the schedule at which a
-	// bounded row catches SkipNeighborVLX.
+	// bounded row catches SkipNeighborCut.
 	schedules, caught int
 }
 
@@ -291,7 +291,7 @@ var neighborRows = []neighborRow{
 		query:     func(m dict.OrderedMap[int64, int64]) (int64, int64, bool) { return m.Predecessor(35) },
 		states:    []int64{30, 34},
 		never:     20,
-		schedules: 121640, caught: 132,
+		schedules: 66109, caught: 76,
 	},
 	{
 		name:      "successor",
@@ -300,7 +300,7 @@ var neighborRows = []neighborRow{
 		query:     func(m dict.OrderedMap[int64, int64]) (int64, int64, bool) { return m.Successor(25) },
 		states:    []int64{30, 26},
 		never:     40,
-		schedules: 121640, caught: 132,
+		schedules: 69528, caught: 76,
 	},
 	{
 		name:   "max",
@@ -311,7 +311,7 @@ var neighborRows = []neighborRow{
 		},
 		states:    []int64{50, 60},
 		never:     40,
-		schedules: 82296,
+		schedules: 10899,
 	},
 	{
 		name:   "min",
@@ -322,7 +322,7 @@ var neighborRows = []neighborRow{
 		},
 		states:    []int64{10, 5},
 		never:     20,
-		schedules: 82296,
+		schedules: 10899,
 	},
 }
 
@@ -334,7 +334,7 @@ func neighborWindow(t *testing.T, row neighborRow, stopOnViolation bool) (schedu
 	}
 	seen = map[int64]int{}
 	schedules, violations = sched.Explore(sched.Options{
-		Points:          pointSet(sched.PointLLX, sched.PointSCXUpdate),
+		Points:          pointSet(sched.PointLLX, sched.PointSCXUpdate, sched.PointScanWalk, sched.PointSCXCommit),
 		MaxSchedules:    neighborCap,
 		StopOnViolation: stopOnViolation,
 	}, func(c *sched.Controller) error {
@@ -386,16 +386,16 @@ func TestNeighborWindowEnumeration(t *testing.T) {
 	}
 }
 
-// TestNeighborMutationCaught arms SkipNeighborVLX, a query that takes its
-// closing VLX to have succeeded whatever it says, and requires the bounded
+// TestNeighborMutationCaught arms SkipNeighborCut, a bounded query that
+// walks the live tree instead of capturing a cut, and requires the bounded
 // rows to catch it on both sides with the answer their comment predicts.
-// (The healthy protocol passes the same enumeration above; Min and Max have
-// no VLX to skip.)
+// (The healthy protocol passes the same enumeration above; Min and Max read
+// the live tree already.)
 func TestNeighborMutationCaught(t *testing.T) {
 	for _, row := range neighborRows[:2] {
 		t.Run(row.name, func(t *testing.T) {
-			sched.SetMutation(sched.SkipNeighborVLX, true)
-			defer sched.SetMutation(sched.SkipNeighborVLX, false)
+			sched.SetMutation(sched.SkipNeighborCut, true)
+			defer sched.SetMutation(sched.SkipNeighborCut, false)
 			schedules, violations, _ := neighborWindow(t, row, true)
 			if len(violations) == 0 {
 				t.Fatalf("mutation not caught in %d schedules: the enumeration has no teeth", schedules)
