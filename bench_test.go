@@ -7,9 +7,11 @@ package repro
 // (go run ./benchmark).
 //
 //	BenchmarkPrimitives     LLX/SCX microbenchmarks (Section 3 overhead).
+//	BenchmarkDescent        the search descent under random keys.
 //	BenchmarkRangeScan100, BenchmarkAscend  the Section 5.5 live scans.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bench"
@@ -52,6 +54,34 @@ func BenchmarkPrimitives(b *testing.B) {
 			tree.Successor(int64(i) % keyRange)
 		}
 	})
+}
+
+// BenchmarkDescent times the chromatic tree's Get, one goroutine, over a
+// table of keys drawn before the timer starts, uniform and zipf, on the
+// paper's three key ranges with the tree holding half of each. Unlike
+// BenchmarkPrimitives/Get, whose in-order keys keep the descent's branches
+// predicted and its lines cached, random keys mispredict about half of the
+// descent's child choices, so a change to how the descent requests its
+// lines shows here.
+func BenchmarkDescent(b *testing.B) {
+	const tableLen = 1 << 20
+	for _, dist := range []workload.Dist{workload.DistUniform, workload.DistZipf} {
+		for _, keyRange := range []int64{100, 10_000, 1_000_000} {
+			b.Run(fmt.Sprintf("%s/%d", dist, keyRange), func(b *testing.B) {
+				tree := chromatic.New()
+				workload.PrefillExact(tree, keyRange, int(keyRange/2), 1)
+				gen := workload.NewGeneratorDist(workload.Mix0i0d, keyRange, dist, 2)
+				keys := make([]int64, tableLen)
+				for i := range keys {
+					_, keys[i] = gen.Next()
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tree.Get(keys[i&(tableLen-1)])
+				}
+			})
+		}
+	}
 }
 
 // benchmarkScan times scan on each template tree (they share lbst's

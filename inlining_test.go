@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,11 +15,14 @@ import (
 // inliningRule requires that the functions matching fn, as compiled into
 // the archive of package pkg (the package that instantiates the engine's
 // generic code), make no call to a symbol matching callees: the compiler
-// inlined every such call. At least one function must match fn.
+// inlined every such call. A row that sets needs instead requires each of
+// them to contain an instruction matching it. At least one function must
+// match fn.
 type inliningRule struct {
 	pkg     string // import path below the module root
 	fn      string
 	callees string
+	needs   string
 }
 
 // shape is the instantiation every int64-keyed, int64-valued structure of
@@ -54,7 +58,18 @@ var inliningRules = []inliningRule{
 	{pkg: "internal/chromatic", fn: `lbst\.tryPublish` + shape + `$|lbst\.NewOrdered` + shape + `\.func2$`, callees: `sched\.Point$`},
 	{pkg: "internal/ebst", fn: `lbst\.tryPublish` + shape + `$|lbst\.NewOrdered` + shape + `\.func2$`, callees: `sched\.Point$`},
 	{pkg: "internal/ravl", fn: `lbst\.tryPublish` + shape + `$|lbst\.NewOrdered` + shape + `\.func2$`, callees: `sched\.Point$`},
+	// The search descent picks the chosen child's flags with a CMOV, which
+	// keeps both children's flag loads ahead of the comparison's branch. If
+	// the select becomes a branch, the compiler sinks each load into its arm
+	// and the descent requests one child's line per level again (lbst's
+	// search says more).
+	{pkg: "internal/chromatic", fn: searchFn, needs: `^CMOV`},
+	{pkg: "internal/ebst", fn: searchFn, needs: `^CMOV`},
+	{pkg: "internal/ravl", fn: searchFn, needs: `^CMOV`},
 }
+
+// searchFn is the engine's leaf-oriented search at the shape instantiation.
+const searchFn = `lbst\.\(\*Tree` + shape + `\)\.search$`
 
 // TestInliningGuard checks every inliningRules row against the disassembly
 // of the engine's functions (internal/lbst's, which is where every row's
@@ -62,9 +77,9 @@ var inliningRules = []inliningRule{
 // benchmark runs.
 func TestInliningGuard(t *testing.T) {
 	dir := t.TempDir()
-	calls := map[string]map[string][]string{} // pkg -> function -> callees
+	code := map[string]map[string]*funcCode{} // pkg -> function -> its code
 	for _, r := range inliningRules {
-		if calls[r.pkg] != nil {
+		if code[r.pkg] != nil {
 			continue
 		}
 		archive := filepath.Join(dir, strings.ReplaceAll(r.pkg, "/", "_")+".a")
@@ -75,21 +90,24 @@ func TestInliningGuard(t *testing.T) {
 		if err != nil {
 			t.Fatalf("go tool objdump %s: %v", archive, err)
 		}
-		calls[r.pkg] = callGraph(out)
+		code[r.pkg] = disassembly(out)
 	}
 	for _, r := range inliningRules {
-		fn, callee := regexp.MustCompile(r.fn), regexp.MustCompile(r.callees)
+		fn, callee, needs := regexp.MustCompile(r.fn), regexp.MustCompile(r.callees), regexp.MustCompile(r.needs)
 		matched := 0
-		var bad []string
-		for f, cs := range calls[r.pkg] {
+		var bad, missing []string
+		for f, c := range code[r.pkg] {
 			if !fn.MatchString(f) {
 				continue
 			}
 			matched++
-			for _, c := range cs {
-				if callee.MatchString(c) {
-					bad = append(bad, fmt.Sprintf("%s calls %s", f, c))
+			for _, cs := range c.calls {
+				if r.callees != "" && callee.MatchString(cs) {
+					bad = append(bad, fmt.Sprintf("%s calls %s", f, cs))
 				}
+			}
+			if r.needs != "" && !slices.ContainsFunc(c.instrs, needs.MatchString) {
+				missing = append(missing, f)
 			}
 		}
 		if matched == 0 {
@@ -98,25 +116,42 @@ func TestInliningGuard(t *testing.T) {
 		if len(bad) > 0 {
 			t.Errorf("%s: calls matching %q are not inlined:\n\t%s", r.pkg, r.callees, strings.Join(bad, "\n\t"))
 		}
+		if len(missing) > 0 {
+			t.Errorf("%s: no instruction matches %q in:\n\t%s", r.pkg, r.needs, strings.Join(missing, "\n\t"))
+		}
 	}
 }
 
-// callGraph maps each function of an objdump listing to the symbols it
-// calls directly.
-func callGraph(objdump []byte) map[string][]string {
-	g := map[string][]string{}
-	var fn string
+// funcCode is one function of an objdump listing: the symbols it calls
+// directly and the text of its instructions.
+type funcCode struct {
+	calls, instrs []string
+}
+
+// disassembly maps each function of an objdump listing to its code.
+func disassembly(objdump []byte) map[string]*funcCode {
+	g := map[string]*funcCode{}
+	var fn *funcCode
 	sc := bufio.NewScanner(bytes.NewReader(objdump))
 	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		if sym, ok := strings.CutPrefix(line, "TEXT "); ok {
-			fn, _, _ = strings.Cut(sym, "(SB)")
-			g[fn] = g[fn][:0:0]
+			name, _, _ := strings.Cut(sym, "(SB)")
+			fn = &funcCode{}
+			g[name] = fn
 			continue
 		}
-		if _, c, ok := strings.Cut(line, "R_CALL:"); ok && fn != "" {
-			g[fn] = append(g[fn], strings.Fields(c)[0])
+		if fn == nil {
+			continue
+		}
+		// An instruction line is "file:line, address, encoding, text" and, in
+		// an archive, the relocations, separated by runs of tabs.
+		if f := strings.FieldsFunc(line, func(r rune) bool { return r == '\t' }); len(f) >= 4 {
+			fn.instrs = append(fn.instrs, f[3])
+		}
+		if _, c, ok := strings.Cut(line, "R_CALL:"); ok {
+			fn.calls = append(fn.calls, strings.Fields(c)[0])
 		}
 	}
 	return g

@@ -48,7 +48,7 @@ func leafAndTwoCopies(t *testing.T, tr *Tree[int64, int64], g *epoch.Guard, v in
 // orders: the shared cell keeps its value until the last of the three is
 // freed and is cleared for reuse exactly then.
 func TestCellFreedWithLastAlias(t *testing.T) {
-	tr := NewOrdered[int64, int64](nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy[int64]{})
 	g := pin(t)
 	for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
 		nodes := leafAndTwoCopies(t, tr, g, 42)
@@ -66,7 +66,7 @@ func TestCellFreedWithLastAlias(t *testing.T) {
 // gives its reference back when it is freed at once, so the source's free is
 // the last one again.
 func TestReleaseFreshDropsReference(t *testing.T) {
-	tr := NewOrdered[int64, int64](nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy[int64]{})
 	g := pin(t)
 	nodes := leafAndTwoCopies(t, tr, g, 42)
 	cell := nodes[0].val
@@ -87,7 +87,7 @@ func TestReleaseFreshDropsReference(t *testing.T) {
 // read, and overwrite, the value through the shared cell. (This is the test
 // that fails, in every build, if CopyNode forgets its Retain.)
 func TestCopyKeepsCellAfterSourceFreed(t *testing.T) {
-	tr := NewOrdered[int64, int64](nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy[int64]{})
 	tr.Insert(1, 10)
 	tr.Insert(2, 20)
 	tr.Delete(1)
@@ -114,7 +114,7 @@ func TestCopyKeepsCellAfterSourceFreed(t *testing.T) {
 // view keeps reading the old leaf, and its cell, through the replacement's
 // prev link until it is released.
 func TestReplacedLeafReadableThroughSnapshot(t *testing.T) {
-	tr := NewOrdered[int64, int64](nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy[int64]{})
 	tr.Insert(1, 10)
 	tr.Insert(2, 20)
 	snap := tr.Snapshot()

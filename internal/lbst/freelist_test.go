@@ -39,7 +39,7 @@ func pinSlot(t *testing.T, slot int) *epoch.Guard {
 // still pinned, which is what the first half of the check catches.
 func TestFreeListReuseWaitsForGracePeriod(t *testing.T) {
 	scenario := func(t *testing.T) (early bool) {
-		tr := NewOrdered[int64, int64](nopPolicy{})
+		tr := NewOrdered[int64, int64](nopPolicy[int64]{})
 		for _, k := range []int64{2, 1, 3} {
 			tr.Insert(k, 10*k)
 		}
@@ -112,7 +112,7 @@ func TestFreeListReuseWaitsForGracePeriod(t *testing.T) {
 // builds one node, and drains: the slot's lists stop at freeCap, and no
 // slot's list is longer.
 func TestFreeListCapBoundsBurst(t *testing.T) {
-	tr := NewOrdered[int64, int64](nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy[int64]{})
 	const keys = 3 * freeCap
 	key := func(i int64) int64 { return i * 1181 % keys } // a permutation: 1181 is prime to keys
 	for i := range int64(keys) {
@@ -141,7 +141,7 @@ func TestFreeListCapBoundsBurst(t *testing.T) {
 // runtime.
 func TestFreeListDroppedTreeCollected(t *testing.T) {
 	wp := func() weak.Pointer[Tree[int64, int64]] {
-		tr := NewOrdered[int64, int64](nopPolicy{})
+		tr := NewOrdered[int64, int64](nopPolicy[int64]{})
 		for i := range int64(600) {
 			tr.Insert(i*7%600, i)
 		}

@@ -72,7 +72,7 @@ func TestFreeListLayout(t *testing.T) {
 	if got := unsafe.Sizeof(freeList[string, string]{}); got != epoch.CacheLine {
 		t.Errorf("Sizeof(freeList[string,string]) = %d, want %d", got, epoch.CacheLine)
 	}
-	tr := NewOrdered[int64, int64](nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy[int64]{})
 	if len(tr.free) != epoch.NumSlots {
 		t.Fatalf("%d free lists, want one per epoch slot (%d)", len(tr.free), epoch.NumSlots)
 	}
@@ -87,7 +87,7 @@ func TestFreeListLayout(t *testing.T) {
 // clock included - what an update writes besides nodes is on the epoch slot
 // it holds pinned.
 func TestUpdatesWriteNoTreeWord(t *testing.T) {
-	tr := NewOrdered[int64, int64](nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy[int64]{})
 	start := unsafe.Offsetof(tr.gver)
 	written := func() []byte {
 		return unsafe.Slice((*byte)(unsafe.Add(unsafe.Pointer(tr), start)), unsafe.Sizeof(*tr)-start)
@@ -139,7 +139,7 @@ func TestPackedDecoRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	tr := NewOrdered[int64, int64](nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy[int64]{})
 	g := pin(t)
 	for _, deco := range []int64{-1, MaxDeco + 1, 1 << 40} {
 		func() {

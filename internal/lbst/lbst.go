@@ -88,8 +88,10 @@ import (
 // replace the node with a fresh copy, as the template requires.
 //
 // A Node is one 64-byte cache line for word-sized keys, and everything a
-// search reads (flags, key, children) comes first, so a descent touches one
-// line per level whatever the key type. The flags and the decoration share
+// search reads (flags, key, children) comes first, so a descent reads one
+// line of each node on its path whatever the key type. The search also
+// requests the line of each path node's sibling, whose flags it loads before
+// its comparison resolves (see search). The flags and the decoration share
 // the 32 bits llxscx.Record leaves to its node (see aux).
 //
 // The value of a leaf is NOT part of the node's immutable data: it lives in
@@ -548,17 +550,35 @@ func isKey[K cmp.Ordered, V any](key K, l *Node[K, V]) bool {
 
 // search returns the grandparent, parent and leaf on the search path for
 // key, using plain reads (Figure 5 of the paper). gp is nil when the tree
-// below the sentinels is a single leaf. It reads each node's packed flags
-// once (a) and takes both the leaf test and the sentinel test from that word.
+// below the sentinels is a single leaf. It takes both the leaf test and the
+// sentinel test from one read of each node's packed flags (a).
+//
+// At each internal node it loads both children and both children's flags
+// before the comparison resolves, and picks the flags with an integer select
+// (a CMOV), so both children's lines are requested as soon as the parent's
+// line arrives: a mispredicted comparison restarts on a line already in
+// flight. The pointer stays a branch. An if/else that assigns l and a
+// together lets the compiler sink each flag load into its arm, which is the
+// one-child loop again; TestInliningGuard's CMOV row catches that. Every
+// internal node reachable under the pin has two non-nil children, and the
+// sibling is reached through the same atomic child load as the chosen child,
+// so the pin's grace period covers its flags word too. DESIGN.md ("The
+// descent") has the measurements.
 func (t *Tree[K, V]) search(key K) (gp, p, l *Node[K, V]) {
 	p = t.entry
 	l = t.entry.left.Load()
-	for a := l.rec.Aux(); a&auxLeaf == 0; a = l.rec.Aux() {
+	for a := l.rec.Aux(); a&auxLeaf == 0; {
 		gp, p = p, l
-		if a&auxInf != 0 || cmp.Less(key, l.K) {
-			l = l.left.Load()
-		} else {
-			l = l.right.Load()
+		lc, rc := l.left.Load(), l.right.Load()
+		la, ra := lc.rec.Aux(), rc.rec.Aux()
+		left := a&auxInf != 0 || cmp.Less(key, l.K)
+		a = ra
+		if left {
+			a = la
+		}
+		l = rc
+		if left {
+			l = lc
 		}
 	}
 	return gp, p, l
@@ -958,6 +978,10 @@ func (t *Tree[K, V]) tryDelete(g *epoch.Guard, key K, gp, p, l *Node[K, V]) (V, 
 // caller's violation gone. A policy need not guarantee that: cleanup then
 // restores balance on this key's path and leaves any violation it pushed
 // elsewhere to later operations (that is the "relaxed" in relaxed AVL).
+//
+// cleanup and PathViolations descend with the one-child loop, not search's
+// two-child one: in cleanup the two-child walk read 3.7 % slower on
+// update-10k, and no workload faster (DESIGN.md, "The descent").
 func (t *Tree[K, V]) cleanup(g *epoch.Guard, key K) {
 	for {
 		var ggp, gp *Node[K, V]
@@ -984,7 +1008,8 @@ func (t *Tree[K, V]) cleanup(g *epoch.Guard, key K) {
 // PathViolations counts, with plain reads, the nodes on key's search path at
 // which the policy reports a violation. It is meant for a policy's
 // CreatesViolation, which runs inside the pinned update that has just walked
-// that path.
+// that path. It descends with the one-child loop, as cleanup does (see
+// there).
 func (t *Tree[K, V]) PathViolations(key K) int {
 	count := 0
 	p := t.entry

@@ -12,15 +12,16 @@ import (
 // intNode abbreviates the engine's node type at the test's instantiation.
 type intNode = Node[int64, int64]
 
-// nopPolicy is the minimal policy: no decoration, no violations.
-type nopPolicy struct{}
+// nopPolicy is the minimal policy at any key type: no decoration, no
+// violations.
+type nopPolicy[K any] struct{}
 
-func (nopPolicy) SentinelDeco() int64                                { return 0 }
-func (nopPolicy) InsertDecos(_, _ *intNode) (_, _, _ int64)          { return 0, 0, 0 }
-func (nopPolicy) PromoteDeco(_, _, _ *intNode) int64                 { return 0 }
-func (nopPolicy) CreatesViolation(_ int64, _, _, _ *intNode) bool    { return false }
-func (nopPolicy) Violation(_, _ *intNode) bool                       { return false }
-func (nopPolicy) Rebalance(_ *epoch.Guard, _, _, _, _ *intNode) bool { return false }
+func (nopPolicy[K]) SentinelDeco() int64                                       { return 0 }
+func (nopPolicy[K]) InsertDecos(_, _ *Node[K, int64]) (_, _, _ int64)          { return 0, 0, 0 }
+func (nopPolicy[K]) PromoteDeco(_, _, _ *Node[K, int64]) int64                 { return 0 }
+func (nopPolicy[K]) CreatesViolation(_ K, _, _, _ *Node[K, int64]) bool        { return false }
+func (nopPolicy[K]) Violation(_, _ *Node[K, int64]) bool                       { return false }
+func (nopPolicy[K]) Rebalance(_ *epoch.Guard, _, _, _, _ *Node[K, int64]) bool { return false }
 
 // probePolicy records the engine's policy callbacks so the tests can verify
 // the engine honours the contract: the nodes its updates build carry the
@@ -50,7 +51,7 @@ func (p *probePolicy) Violation(_, n *intNode) bool {
 func (p *probePolicy) Rebalance(_ *epoch.Guard, _, _, _, _ *intNode) bool { return false }
 
 func TestEngineDictionarySemantics(t *testing.T) {
-	tr := NewOrdered[int64, int64](nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy[int64]{})
 	model := map[int64]int64{}
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 10000; i++ {
@@ -160,7 +161,7 @@ func TestEnginePolicyHooks(t *testing.T) {
 }
 
 func TestEngineOrderedQueriesUnderConcurrency(t *testing.T) {
-	tr := NewOrdered[int64, int64](nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy[int64]{})
 	const keyRange = 512
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

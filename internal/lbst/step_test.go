@@ -28,7 +28,7 @@ type stepFixture struct {
 
 func newStepFixture(t *testing.T) *stepFixture {
 	t.Helper()
-	tr := NewOrdered[int64, int64](nopPolicy{})
+	tr := NewOrdered[int64, int64](nopPolicy[int64]{})
 	f := &stepFixture{tr: tr, cellA: 10, cellB: 30, guard: epoch.Pin()}
 	t.Cleanup(f.unpin)
 	g := f.guard
