@@ -153,20 +153,23 @@ func testConformance[K cmp.Ordered, V comparable](t *testing.T, suffix string, k
 	}
 }
 
-// TestOrderedMapConcurrentStress runs the shared concurrent suite with the
-// per-structure invariant checks at quiescence over every concurrency-safe
-// structure in the registry. TestStringKeyedConcurrentStress runs it with
-// string keys.
-func TestOrderedMapConcurrentStress(t *testing.T) { testConcurrentStress(t, "", ident, ident) }
-
-func TestStringKeyedConcurrentStress(t *testing.T) {
-	testConcurrentStress(t, "/string", strKey, strVal)
-}
-
-func testConcurrentStress[K cmp.Ordered, V comparable](t *testing.T, suffix string, key func(uint64) K, val func(uint64) V) {
-	for _, tgt := range concurrentTargets[K, V]() {
-		t.Run(tgt.Name+suffix, func(t *testing.T) {
-			dicttest.ConcurrentStress(t, tgt, 4, 4000, 150, key, val)
+// TestSharedKeyStress runs the shared-key recorded stress over every
+// concurrency-safe structure in the registry, with int64 and with string
+// keys: sixteen goroutines of 2 500 operations start together on sixteen
+// shared keys, and the recorded history must be linearizable. The rows run
+// one at a time, so each has both CPUs of a two-CPU host to itself: with
+// LockAVL's Delete trusting an unvalidated miss, this shape failed 10 of 10
+// seeds run this way, and 0 of 10 when the rows ran in parallel. It runs
+// under -race in CI (the race job's test pattern matches "Stress").
+func TestSharedKeyStress(t *testing.T) {
+	for _, tgt := range concurrentTargets[int64, int64]() {
+		t.Run(tgt.Name, func(t *testing.T) {
+			dicttest.SharedKeyStress(t, tgt, 16, 2500, 16, ident, ident)
+		})
+	}
+	for _, tgt := range concurrentTargets[string, string]() {
+		t.Run(tgt.Name+"/string", func(t *testing.T) {
+			dicttest.SharedKeyStress(t, tgt, 16, 2500, 16, strKey, strVal)
 		})
 	}
 }

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -57,58 +56,6 @@ func TestAllStructuresAgreeSequentially(t *testing.T) {
 			for k, v := range model {
 				if got, ok := d.Get(k); !ok || got != v {
 					t.Fatalf("%s: final Get(%d) = (%d,%v), want (%d,true)", factory.Name, k, got, ok, v)
-				}
-			}
-		})
-	}
-}
-
-// TestAllStructuresSurviveConcurrentMixedWorkload applies a concurrent
-// workload with per-goroutine disjoint key ranges to every registered
-// dictionary and checks the per-key final states, which every linearizable
-// map must satisfy regardless of interleaving.
-func TestAllStructuresSurviveConcurrentMixedWorkload(t *testing.T) {
-	const goroutines = 4
-	const keysPerG = 200
-	const opsPerG = 3000
-	for _, factory := range bench.Registry() {
-		factory := factory
-		t.Run(factory.Name, func(t *testing.T) {
-			d := factory.New()
-			finals := make([]map[int64]int64, goroutines)
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(g)))
-					final := map[int64]int64{}
-					base := int64(g * keysPerG)
-					for i := 0; i < opsPerG; i++ {
-						key := base + rng.Int63n(keysPerG)
-						if rng.Intn(2) == 0 {
-							val := rng.Int63n(1 << 20)
-							d.Insert(key, val)
-							final[key] = val
-						} else {
-							d.Delete(key)
-							final[key] = -1
-						}
-					}
-					finals[g] = final
-				}(g)
-			}
-			wg.Wait()
-			for g, final := range finals {
-				for key, want := range final {
-					v, ok := d.Get(key)
-					if want == -1 {
-						if ok {
-							t.Fatalf("%s: goroutine %d key %d present, want deleted", factory.Name, g, key)
-						}
-					} else if !ok || v != want {
-						t.Fatalf("%s: goroutine %d key %d = (%d,%v), want (%d,true)", factory.Name, g, key, v, ok, want)
-					}
 				}
 			}
 		})

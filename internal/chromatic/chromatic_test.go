@@ -463,56 +463,6 @@ func TestConcurrentDistinctKeyInsertions(t *testing.T) {
 	}
 }
 
-func TestConcurrentMixedWorkloadAgainstPerKeyLastWriter(t *testing.T) {
-	// Each goroutine owns a disjoint set of keys, so the final state of every
-	// key is determined by its owner's last operation. This checks
-	// linearizability of the per-key effects without needing a full history
-	// checker.
-	tr := New()
-	const goroutines = 8
-	const keysPerG = 400
-	const opsPerG = 20000
-	finals := make([]map[int64]int64, goroutines) // -1 means deleted
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			final := map[int64]int64{}
-			base := int64(g * keysPerG)
-			for i := 0; i < opsPerG; i++ {
-				key := base + rng.Int63n(keysPerG)
-				if rng.Intn(2) == 0 {
-					val := rng.Int63n(1 << 30)
-					tr.Insert(key, val)
-					final[key] = val
-				} else {
-					tr.Delete(key)
-					final[key] = -1
-				}
-			}
-			finals[g] = final
-		}(g)
-	}
-	wg.Wait()
-	for g, final := range finals {
-		for key, want := range final {
-			v, ok := tr.Get(key)
-			if want == -1 {
-				if ok {
-					t.Fatalf("goroutine %d key %d: present with %d, want deleted", g, key, v)
-				}
-			} else if !ok || v != want {
-				t.Fatalf("goroutine %d key %d: got (%d,%v), want (%d,true)", g, key, v, ok, want)
-			}
-		}
-	}
-	if err := tr.CheckRedBlack(); err != nil {
-		t.Fatalf("invariants after concurrent mixed workload: %v", err)
-	}
-}
-
 func TestConcurrentContendedSmallKeyRange(t *testing.T) {
 	// High contention: every goroutine hammers the same tiny key range. The
 	// final structure must still be a valid balanced chromatic tree.

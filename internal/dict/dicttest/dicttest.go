@@ -9,7 +9,7 @@
 // injective key function and an injective value function over the suite's
 // selectors; the suite draws its selectors from a deterministic
 // pseudo-random stream and builds each shape it needs (a key range, a
-// goroutine's own keys, a hot key and its neighbours, a churn window) from
+// shared key set, a hot key and its neighbours, a churn window) from
 // them, so int64, string or composite-key targets run the same shapes.
 //
 // The repository-level tests (conformance_test.go at the module root) run
@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/dict"
+	"repro/internal/linearize"
 )
 
 // TargetOf bundles a dictionary factory with an optional quiescent invariant
@@ -327,73 +328,75 @@ func fuzzOps[K cmp.Ordered, V comparable](t testing.TB, tgt TargetOf[K, V], key 
 	finalCheck(t, tgt, d, md)
 }
 
-// ConcurrentStress applies a mixed workload from several goroutines over
-// per-goroutine disjoint key spaces (so the final per-key state is known
-// regardless of interleaving), sprinkles in ordered queries whose results
-// must satisfy their contract, and runs the invariant checker at
-// quiescence. Goroutine g owns the keys key(g*keysPerG) ..
-// key((g+1)*keysPerG-1); key must be injective.
-func ConcurrentStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], goroutines, opsPerG, keysPerG int, key func(uint64) K, val func(uint64) V) {
+// SharedKeyStress runs procs goroutines of opsPerProc operations each, all
+// over the same keys key(0) .. key(keys-1), and requires a linearizable
+// history. The workers start on a barrier, so they overlap from their first
+// operation. Their mix is 40 % Insert, 25 % Delete and 31 % Get, each
+// through one linearize.Recorder; 2 % are range scans (Proc.Scan, recorded
+// too) over up to four neighbouring keys, and on an ordered map the last
+// 2 % are unrecorded Successor calls, which must return a key above the one
+// asked for. When the workers are
+// done, one more proc reads every key, so the history also fixes the final
+// state, which Size must match. Then linearize.Check searches the history
+// and the target's quiescent Check runs. Proc g's i'th value is
+// published(val, g, i); key and val must be injective.
+//
+// Two writers on one key is what a lost update needs; a history in which
+// every writer keeps to its own keys cannot show one.
+func SharedKeyStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], procs, opsPerProc, keys int, key func(uint64) K, val func(uint64) V) {
 	t.Helper()
 	checkGoroutineLeaks(t)
 	seed := stressSeed(t)
+	ks := keyWindow(key, 0, keys, 1)
 	d := tgt.New()
 	om, ordered := d.(dict.OrderedMap[K, V])
-	type final = map[K]V
-	finals := make([]final, goroutines)
-	deleted := make([]map[K]bool, goroutines)
-	done := make(chan int, goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			defer func() { done <- g }()
+	rec := linearize.NewRecorder(d)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < procs; g++ {
+		p := rec.Proc()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			state := seed + uint64(g)*0x9e3779b97f4a7c15 + 1
-			f := final{}
-			dead := map[K]bool{}
-			for i := 0; i < opsPerG; i++ {
-				k := key(uint64(g*keysPerG) + lcg(&state)%uint64(keysPerG))
-				switch lcg(&state) % 4 {
-				case 0, 1:
-					v := val(lcg(&state))
-					d.Insert(k, v)
-					f[k] = v
-					delete(dead, k)
-				case 2:
-					d.Delete(k)
-					delete(f, k)
-					dead[k] = true
-				default:
-					if ordered {
-						if sk, _, ok := om.Successor(k); ok && !cmp.Less(k, sk) {
-							t.Errorf("%s: Successor(%v) returned %v", tgt.Name, k, sk)
-							return
-						}
-					} else {
-						d.Get(k)
+			<-start
+			for i := 0; i < opsPerProc; i++ {
+				j := int(lcg(&state) % uint64(keys))
+				k := ks[j]
+				switch r := lcg(&state) % 100; {
+				case r < 40:
+					p.Insert(k, published(val, g, i))
+				case r < 65:
+					p.Delete(k)
+				case r < 96:
+					p.Get(k)
+				case r < 98:
+					p.Scan(k, ks[min(j+3, keys-1)])
+				case ordered:
+					if sk, _, ok := om.Successor(k); ok && !cmp.Less(k, sk) {
+						t.Errorf("%s: Successor(%v) returned %v", tgt.Name, k, sk)
+						return
 					}
 				}
 			}
-			finals[g] = f
-			deleted[g] = dead
-		}(g)
+		}()
 	}
-	for range goroutines {
-		<-done
-	}
+	close(start)
+	wg.Wait()
 	if t.Failed() {
 		return
 	}
-	for g := range finals {
-		for k, want := range finals[g] {
-			v, ok := d.Get(k)
-			if !ok || v != want {
-				t.Fatalf("%s: goroutine %d key %v = (%v,%v), want (%v,true)", tgt.Name, g, k, v, ok, want)
-			}
+	final, present := rec.Proc(), 0
+	for _, k := range ks {
+		if _, ok := final.Get(k); ok {
+			present++
 		}
-		for k := range deleted[g] {
-			if v, ok := d.Get(k); ok {
-				t.Fatalf("%s: goroutine %d key %v present with %v, want deleted", tgt.Name, g, k, v)
-			}
-		}
+	}
+	if res := linearize.Check(rec.History()); !res.OK() {
+		t.Fatalf("%s: history not linearizable:\n%s", tgt.Name, res.Report())
+	}
+	if s, ok := d.(dict.Sized); ok && s.Size() != present {
+		t.Fatalf("%s: Size() = %d at quiescence, %d keys present", tgt.Name, s.Size(), present)
 	}
 	if tgt.Check != nil {
 		if err := tgt.Check(d); err != nil {

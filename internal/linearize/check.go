@@ -1,6 +1,7 @@
 package linearize
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -198,12 +199,20 @@ func linearizableCut[K comparable, V comparable](ops []Op[K, V], completed []boo
 	var extras []int
 	var seq []int
 	var best []int
-	memo := map[string]struct{}{}
-
-	memoKey := func() string {
-		var b strings.Builder
-		fmt.Fprintf(&b, "%d;%v;%t;%v", f, extras, st.present, st.val)
-		return b.String()
+	// config is a search configuration: the linearized set as (f, extras),
+	// extras spelled as varints, and the register state.
+	type config struct {
+		f      int
+		extras string
+		st     register[V]
+	}
+	memo := map[config]struct{}{}
+	memoKey := func() config {
+		var b []byte
+		for _, e := range extras {
+			b = binary.AppendUvarint(b, uint64(e))
+		}
+		return config{f, string(b), st}
 	}
 	// candidates returns the operations that may linearize next from the
 	// current configuration: unlinearized, and invoked before every other
@@ -254,10 +263,16 @@ func linearizableCut[K comparable, V comparable](ops []Op[K, V], completed []boo
 			extras = slices.Insert(extras, at, i)
 		}
 		seq = append(seq, i)
+		return fr
+	}
+	// keepBest records seq if it is the longest ordering found so far. It
+	// runs where a branch of the search ends, at a repeated configuration or
+	// a dead end, which is where seq is longest: a search that never
+	// backtracks copies nothing.
+	keepBest := func() {
 		if len(seq) > len(best) {
 			best = slices.Clone(seq)
 		}
-		return fr
 	}
 	undo := func(fr *frame) {
 		marked[fr.chosen] = false
@@ -292,6 +307,7 @@ func linearizableCut[K comparable, V comparable](ops []Op[K, V], completed []boo
 			}
 			k := memoKey()
 			if _, dup := memo[k]; dup {
+				keepBest()
 				if completed[i] {
 					requiredLeft++
 				}
@@ -305,6 +321,7 @@ func linearizableCut[K comparable, V comparable](ops []Op[K, V], completed []boo
 			break
 		}
 		if !advanced {
+			keepBest()
 			stack = stack[:len(stack)-1]
 			if fr.chosen >= 0 {
 				if completed[fr.chosen] {

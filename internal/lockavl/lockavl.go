@@ -11,7 +11,11 @@
 // structure-modification stamp, so searches never block, but they may have
 // to retry while rotations are in flight; under update-heavy workloads this
 // is exactly the behaviour that lets the non-blocking chromatic tree pull
-// ahead in the paper's Figure 8.
+// ahead in the paper's Figure 8. Every answer a traversal gives without a
+// node's lock - Get's and Delete's "absent", Insert's attachment point, and
+// Successor's and Predecessor's nearest key - is trusted only if, loaded in
+// this order, no structural modification is in flight and the count of
+// completed ones still equals the stamp taken before the traversal.
 //
 // The tree is generic over the key and value types and implements
 // dict.OrderedMap[K, V]: NewOrdered builds a tree over any cmp.Ordered key
@@ -117,9 +121,13 @@ func (t *Tree[K, V]) endStructMod() {
 
 // structuresStable reports whether no structural modification completed since
 // stamp was taken and none is currently in flight; only then may the result
-// of an optimistic traversal be trusted.
+// of an optimistic traversal be trusted. It loads inFlight before structMods.
+// endStructMod adds to structMods before it subtracts from inFlight, so a
+// modification the traversal saw half done is either still in flight at the
+// first load or already counted at the second; loaded the other way round,
+// it could end between the two loads and pass as neither.
 func (t *Tree[K, V]) structuresStable(stamp uint64) bool {
-	return t.structMods.Load() == stamp && t.inFlight.Load() == 0
+	return t.inFlight.Load() == 0 && t.structMods.Load() == stamp
 }
 
 // NewOrdered returns an empty tree over a naturally ordered key type.
@@ -232,9 +240,15 @@ func (t *Tree[K, V]) Insert(key K, value V) (V, bool) {
 func (t *Tree[K, V]) Delete(key K) (V, bool) {
 	var zero V
 	for {
+		stamp := t.structMods.Load()
 		_, found := t.locate(key)
 		if found == nil {
-			return zero, false
+			// As in Get: a miss is trustworthy only if no rotation or unlink
+			// overlapped the search.
+			if t.structuresStable(stamp) {
+				return zero, false
+			}
+			continue
 		}
 		found.mu.Lock()
 		if found.removed.Load() {

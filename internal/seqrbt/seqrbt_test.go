@@ -143,18 +143,6 @@ func TestPropertyDeleteAllLeavesEmpty(t *testing.T) {
 	}
 }
 
-// TestGlobalConcurrentStress runs the shared concurrent suite with twice the
-// goroutines of the root TestOrderedMapConcurrentStress and a wider key range
-// per goroutine.
-func TestGlobalConcurrentStress(t *testing.T) {
-	tgt := dicttest.TargetOf[int64, int64]{
-		Name:  "RBGlobal",
-		New:   func() dict.Map[int64, int64] { return NewGlobalOrdered[int64, int64]() },
-		Check: func(d dict.Map[int64, int64]) error { return d.(*Global[int64, int64]).CheckInvariants() },
-	}
-	dicttest.ConcurrentStress(t, tgt, 8, 3000, 250, ident, ident)
-}
-
 func TestGlobalWrapperConcurrent(t *testing.T) {
 	g := NewGlobalOrdered[int64, int64]()
 	const goroutines = 8

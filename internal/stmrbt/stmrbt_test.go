@@ -70,17 +70,6 @@ func TestSuccessorPredecessor(t *testing.T) {
 	}
 }
 
-// TestConcurrentStress runs the shared concurrent suite with twice the
-// goroutines of the root TestOrderedMapConcurrentStress.
-func TestConcurrentStress(t *testing.T) {
-	tgt := dicttest.TargetOf[int64, int64]{
-		Name:  "RBSTM",
-		New:   func() dict.Map[int64, int64] { return NewOrdered[int64, int64]() },
-		Check: func(d dict.Map[int64, int64]) error { return d.(*Tree[int64, int64]).CheckInvariants() },
-	}
-	dicttest.ConcurrentStress(t, tgt, 8, 1500, 150, ident, ident)
-}
-
 func TestConcurrentContention(t *testing.T) {
 	tr := NewOrdered[int64, int64]()
 	const goroutines = 8

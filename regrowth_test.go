@@ -85,6 +85,10 @@ var regrowthRules = []regrowthRule{
 	// The ordered point queries read a versioned cut too: no LLX read path,
 	// no evidence-only LLX and no VLX over a reader's path.
 	{pattern: `VLXEvidence|Snap2|SkipNeighborVLX|llxscx\.Evidence`, paths: []string{"."}, tests: true},
+	// Concurrent correctness is checked on shared keys through one recorded
+	// stress: no disjoint-writer suite, and no per-goroutine last-writer
+	// model beside it.
+	{pattern: `ConcurrentStress\b|HistoriesLinearizable|SurviveConcurrentMixedWorkload|PerKeyLastWriter`, paths: []string{"."}, tests: true},
 }
 
 // TestRegrowthGuard checks every regrowthRules row against the module's Go
