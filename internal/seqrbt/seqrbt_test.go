@@ -143,6 +143,18 @@ func TestPropertyDeleteAllLeavesEmpty(t *testing.T) {
 	}
 }
 
+// TestGlobalConcurrentStress runs the shared-key recorded stress over the
+// global-lock wrapper alone: eight goroutines of 2 000 operations on sixteen
+// shared keys.
+func TestGlobalConcurrentStress(t *testing.T) {
+	tgt := dicttest.TargetOf[int64, int64]{
+		Name:  "RBGlobal",
+		New:   func() dict.Map[int64, int64] { return NewGlobalOrdered[int64, int64]() },
+		Check: func(d dict.Map[int64, int64]) error { return d.(*Global[int64, int64]).CheckInvariants() },
+	}
+	dicttest.SharedKeyStress(t, tgt, 8, 2000, 16, ident, ident)
+}
+
 func TestGlobalWrapperConcurrent(t *testing.T) {
 	g := NewGlobalOrdered[int64, int64]()
 	const goroutines = 8

@@ -92,6 +92,17 @@ func TestSuccessorPredecessor(t *testing.T) {
 	}
 }
 
+// TestConcurrentStress runs the shared-key recorded stress over this package
+// alone: eight goroutines of 2 000 operations on sixteen shared keys.
+func TestConcurrentStress(t *testing.T) {
+	tgt := dicttest.TargetOf[int64, int64]{
+		Name:  "SkipList",
+		New:   func() dict.Map[int64, int64] { return NewOrdered[int64, int64]() },
+		Check: func(d dict.Map[int64, int64]) error { return d.(*List[int64, int64]).CheckInvariants() },
+	}
+	dicttest.SharedKeyStress(t, tgt, 8, 2000, 16, ident, ident)
+}
+
 // TestTowerLinkedInFrontOfItsOwnSuccessor runs the shared-key stress a
 // hundred times, eight goroutines of 1 000 operations over 3 200 keys: the
 // list is still filling, so many towers are being linked at once. An insert

@@ -70,6 +70,17 @@ func TestSuccessorPredecessor(t *testing.T) {
 	}
 }
 
+// TestConcurrentStress runs the shared-key recorded stress over this package
+// alone: eight goroutines of 2 000 operations on sixteen shared keys.
+func TestConcurrentStress(t *testing.T) {
+	tgt := dicttest.TargetOf[int64, int64]{
+		Name:  "SkipListSTM",
+		New:   func() dict.Map[int64, int64] { return NewOrdered[int64, int64]() },
+		Check: func(d dict.Map[int64, int64]) error { return d.(*List[int64, int64]).CheckInvariants() },
+	}
+	dicttest.SharedKeyStress(t, tgt, 8, 2000, 16, ident, ident)
+}
+
 func TestConcurrentContention(t *testing.T) {
 	l := NewOrdered[int64, int64]()
 	const goroutines = 8

@@ -87,8 +87,9 @@ var regrowthRules = []regrowthRule{
 	{pattern: `VLXEvidence|Snap2|SkipNeighborVLX|llxscx\.Evidence`, paths: []string{"."}, tests: true},
 	// Concurrent correctness is checked on shared keys through one recorded
 	// stress: no disjoint-writer suite, and no per-goroutine last-writer
-	// model beside it.
-	{pattern: `ConcurrentStress\b|HistoriesLinearizable|SurviveConcurrentMixedWorkload|PerKeyLastWriter`, paths: []string{"."}, tests: true},
+	// model beside it. The packages' own TestConcurrentStress run that one
+	// stress.
+	{pattern: `dicttest\.ConcurrentStress\b|func ConcurrentStress\b|HistoriesLinearizable|SurviveConcurrentMixedWorkload|PerKeyLastWriter`, paths: []string{"."}, tests: true},
 }
 
 // TestRegrowthGuard checks every regrowthRules row against the module's Go
