@@ -13,16 +13,18 @@ import (
 )
 
 // inliningRule requires that the functions matching fn, as compiled into
-// the archive of package pkg (the package that instantiates the engine's
-// generic code), make no call to a symbol matching callees: the compiler
+// the archive of package pkg (the package that instantiates the generic
+// code), make no call to a symbol matching callees: the compiler
 // inlined every such call. A row that sets needs instead requires each of
-// them to contain an instruction matching it. At least one function must
-// match fn.
+// them to contain an instruction matching it, and one that sets forbids
+// requires that none of their instructions match it. At least one function
+// must match fn.
 type inliningRule struct {
 	pkg     string // import path below the module root
 	fn      string
 	callees string
 	needs   string
+	forbids string
 }
 
 // shape is the instantiation every int64-keyed, int64-valued structure of
@@ -66,15 +68,31 @@ var inliningRules = []inliningRule{
 	{pkg: "internal/chromatic", fn: searchFn, needs: `^CMOV`},
 	{pkg: "internal/ebst", fn: searchFn, needs: `^CMOV`},
 	{pkg: "internal/ravl", fn: searchFn, needs: `^CMOV`},
+	// SkipList's Get, in the registry's instantiation: the node's value load
+	// stays inside Get, and the walk's key comparisons and link loads inside
+	// findPresent.
+	{
+		pkg:     "internal/bench",
+		fn:      `skiplist\.\(\*List` + shape + `\)\.Get$`,
+		callees: `skiplist\.\(\*node\[[^]]*\]\)\.value$|vcell\.\(\*Cell\[[^]]*\]\)\.Load$`,
+	},
+	{
+		pkg:     "internal/bench",
+		fn:      `skiplist\.\(\*List` + shape + `\)\.findPresent$`,
+		callees: `^repro/|^cmp\.|^sync/atomic\.`,
+	},
+	// A cell's Load unpacks its word written out, not through fromWord. The
+	// call once pushed lbst's valueOf over the inliner's budget, and inlined
+	// it still leaves a nil check of fromWord's dictionary in every Load.
+	{pkg: "internal/bench", fn: `vcell\.\(\*Cell\[go\.shape\.int64\]\)\.Load$`, forbids: `^TESTB AL, 0\(`},
 }
 
 // searchFn is the engine's leaf-oriented search at the shape instantiation.
 const searchFn = `lbst\.\(\*Tree` + shape + `\)\.search$`
 
 // TestInliningGuard checks every inliningRules row against the disassembly
-// of the engine's functions (internal/lbst's, which is where every row's
-// function is from) in a plain build of its package, the build the
-// benchmark runs.
+// of the generic functions its rows name, from internal/lbst, skiplist and
+// vcell, in a plain build of its package, the build the benchmark runs.
 func TestInliningGuard(t *testing.T) {
 	dir := t.TempDir()
 	code := map[string]map[string]*funcCode{} // pkg -> function -> its code
@@ -86,7 +104,7 @@ func TestInliningGuard(t *testing.T) {
 		if out, err := exec.Command("go", "build", "-o", archive, "./"+r.pkg).CombinedOutput(); err != nil {
 			t.Fatalf("go build %s: %v\n%s", r.pkg, err, out)
 		}
-		out, err := exec.Command("go", "tool", "objdump", "-s", `^repro/internal/lbst\.`, archive).Output()
+		out, err := exec.Command("go", "tool", "objdump", "-s", `^repro/internal/(lbst|skiplist|vcell)\.`, archive).Output()
 		if err != nil {
 			t.Fatalf("go tool objdump %s: %v", archive, err)
 		}
@@ -94,8 +112,9 @@ func TestInliningGuard(t *testing.T) {
 	}
 	for _, r := range inliningRules {
 		fn, callee, needs := regexp.MustCompile(r.fn), regexp.MustCompile(r.callees), regexp.MustCompile(r.needs)
+		forbids := regexp.MustCompile(r.forbids)
 		matched := 0
-		var bad, missing []string
+		var bad, missing, forbidden []string
 		for f, c := range code[r.pkg] {
 			if !fn.MatchString(f) {
 				continue
@@ -109,6 +128,9 @@ func TestInliningGuard(t *testing.T) {
 			if r.needs != "" && !slices.ContainsFunc(c.instrs, needs.MatchString) {
 				missing = append(missing, f)
 			}
+			if r.forbids != "" && slices.ContainsFunc(c.instrs, forbids.MatchString) {
+				forbidden = append(forbidden, f)
+			}
 		}
 		if matched == 0 {
 			t.Errorf("%s: no function matches %q", r.pkg, r.fn)
@@ -118,6 +140,9 @@ func TestInliningGuard(t *testing.T) {
 		}
 		if len(missing) > 0 {
 			t.Errorf("%s: no instruction matches %q in:\n\t%s", r.pkg, r.needs, strings.Join(missing, "\n\t"))
+		}
+		if len(forbidden) > 0 {
+			t.Errorf("%s: an instruction matches %q in:\n\t%s", r.pkg, r.forbids, strings.Join(forbidden, "\n\t"))
 		}
 	}
 }

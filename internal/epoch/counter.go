@@ -52,7 +52,7 @@ func (c *Counter) cell(g *Guard) *atomic.Int64 {
 	if g != nil {
 		p = &c.set.blocks[g.slot]
 	} else {
-		p = &c.set.blocks[slotHint()&slotMask]
+		p = &c.set.blocks[slotHint()]
 	}
 	b := p.Load()
 	if b == nil {

@@ -49,11 +49,10 @@ import (
 
 const (
 	// NumSlots bounds the number of concurrently pinned operations. It is a
-	// power of two so probing can wrap with a mask. 128 is far above any
-	// goroutine count the stress suites or the Figure-8 harness use, even
-	// counting the second slot internal/llxscx pins while an operation
-	// helps another's SCX; a Pin finding every slot claimed yields and
-	// retries.
+	// power of two so probing can wrap with a mask. Pins probe from below
+	// hintSlots; the slots past it take the overflow, such as the second slot
+	// internal/llxscx pins while an operation helps another's SCX. A Pin
+	// finding every slot claimed yields and retries.
 	NumSlots = 128
 	slotMask = NumSlots - 1
 
@@ -98,7 +97,8 @@ type entry struct {
 // transfer. Everything from retired on is owned by the claim holder. The slot
 // array starts on a line boundary (see slots) and the struct is a whole
 // number of lines, so the first line is shared with no field an owner writes
-// and with no neighbour.
+// and with no neighbour. The guards that can be in use are those below
+// slotMark.
 type Guard struct {
 	// state is 0 when the slot is free, else the global epoch observed at
 	// Pin time. While claimed it is always within one of the current global
@@ -109,10 +109,7 @@ type Guard struct {
 	window Window
 	// slot is the guard's index in the slot array, fixed at start-up.
 	slot int
-	// used records that the slot has been pinned at least once and is in
-	// usedSlots; only a claim holder reads or writes it.
-	used bool
-	_    [39]byte
+	_    [40]byte
 
 	// retired is the slot's retire list, and retires counts retires since
 	// the last epoch-advance attempt. pending counts the entries on retired;
@@ -147,11 +144,14 @@ var (
 	// instead of a nil check that reads slot 0's state line on every Pin.
 	slots = NewAligned[[NumSlots]Guard]()[:]
 
-	// usedSlots has bit i set once slot i has been pinned: the slots a window
-	// can be open on, which is all DrainWindows scans. Goroutines keep their
-	// slot across operations (slotHint), so the set stays near the number of
-	// goroutines that have ever run an operation.
-	usedSlots [NumSlots / 64]atomic.Uint64
+	// hintSlots is the range slotHint folds goroutines into, read once
+	// because runtime.GOMAXPROCS takes the scheduler's lock.
+	hintSlots = min(2*runtime.GOMAXPROCS(0), NumSlots)
+
+	// slotMark is one past the highest slot a Pin may have claimed, which
+	// is all DrainWindows scans. It starts at hintSlots, so only a Pin that
+	// probes past that range raises it, and one inside never touches it.
+	slotMark atomic.Int64
 
 	// degradedPins counts slots currently evicted by the watchdog. While it
 	// is nonzero the layer is in degraded mode: every eligible retiree is
@@ -199,19 +199,32 @@ func NewAligned[T any]() *T {
 
 func init() {
 	globalEpoch.Store(1)
+	slotMark.Store(int64(hintSlots))
 	for i := range slots {
 		slots[i].slot = i
 	}
 }
 
-// slotHint derives a probe start from the goroutine's stack address, or takes
-// a schedule controller's worker's slot (sched.Slot): a goroutine lands on
-// the same slot across operations (keeping the slot line warm), different
-// goroutines scatter. The pointer never escapes — it is converted to uintptr
-// immediately — so the local does not heap-allocate.
+// slotHint derives a probe start below hintSlots from a hash of the
+// goroutine's 8 KB stack block (not from the address's low bits, which two
+// goroutines running the same loop share), or takes a schedule controller's
+// worker's slot (sched.Slot): a goroutine lands on the same slot across
+// operations, different goroutines scatter. The pointer is converted to
+// uintptr at once, so the local does not heap-allocate.
 func slotHint() uint64 {
 	var b byte
-	return sched.Slot(uint64(uintptr(unsafe.Pointer(&b)) >> 10))
+	h := uint64(uintptr(unsafe.Pointer(&b))>>13) * 0x9E3779B97F4A7C15 >> 32
+	return sched.Slot(h * uint64(hintSlots) >> 32)
+}
+
+// raise lifts mark over slot i, which the caller has just claimed.
+func raise(mark *atomic.Int64, i int) {
+	for {
+		m := mark.Load()
+		if m > int64(i) || mark.CompareAndSwap(m, int64(i)+1) {
+			return
+		}
+	}
 }
 
 // Pin claims a reclamation slot for the calling operation and returns its
@@ -234,9 +247,8 @@ func Pin() *Guard {
 				// Adopt garbage left by a previous owner of this slot.
 				g.drain(globalEpoch.Load())
 			}
-			if !g.used {
-				g.used = true
-				usedSlots[g.slot/64].Or(1 << (g.slot % 64))
+			if g.slot >= hintSlots {
+				raise(&slotMark, g.slot)
 			}
 			return g
 		}

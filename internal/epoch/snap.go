@@ -1,7 +1,6 @@
 package epoch
 
 import (
-	"math/bits"
 	"runtime"
 	"sync/atomic"
 )
@@ -33,8 +32,10 @@ import (
 // the operation slots, so SnapPin allocates nothing, and a capture probes
 // from the slot its goroutine's operations start at (slotHint), so
 // concurrent captures claim different lines. Nothing else is written per
-// capture: a slot sets its bit in snapUsed the first time it is claimed, and
-// a drain and Stats scan the slots that bit set names.
+// capture: the first claim of a slot above snapMark raises the mark, and a
+// drain and Stats scan the slots below it. The hint range is sized by
+// GOMAXPROCS, so that is about the captures that run at once; a process that
+// has never captured reads the mark, zero, and scans nothing.
 
 const numSnapSlots = 64
 
@@ -51,10 +52,9 @@ type SnapGuard struct {
 var (
 	snapSlots [numSnapSlots]SnapGuard
 
-	// snapUsed has bit i set once snap slot i has been claimed: the slots a
-	// live pin can be on. With no capture ever made, a drain loads it once
-	// and scans nothing.
-	snapUsed atomic.Uint64
+	// snapMark is one past the highest snap slot ever claimed: the slots a
+	// live pin can be on.
+	snapMark atomic.Int64
 )
 
 // SnapPin registers a long-lived snapshot pin at the current global epoch and
@@ -68,9 +68,7 @@ func SnapPin() *SnapGuard {
 		i := (h + uint64(tries)) % numSnapSlots
 		s := &snapSlots[i]
 		if s.epoch.Load() == 0 && s.epoch.CompareAndSwap(0, e) {
-			if snapUsed.Load()&(1<<i) == 0 {
-				snapUsed.Or(1 << i)
-			}
+			raise(&snapMark, int(i))
 			return s
 		}
 		if tries%numSnapSlots == numSnapSlots-1 {
@@ -89,13 +87,13 @@ func (s *SnapGuard) Release() {
 
 // snapFloor returns the smallest epoch a live snapshot pin registered at, or
 // the largest epoch when none is live: a snapshot may still reach a retiree
-// stamped at or above it. A pin's bit is set before SnapPin returns, hence
-// before anything its snapshot can reach is retired, and so before the drain
-// that could free it loads snapUsed.
+// stamped at or above it. SnapPin raises snapMark over its slot before it
+// returns, hence before anything its snapshot can reach is retired, and so
+// before the drain that could free it loads the mark.
 func snapFloor() uint64 {
 	floor := ^uint64(0)
-	for m := snapUsed.Load(); m != 0; m &= m - 1 {
-		if e := snapSlots[bits.TrailingZeros64(m)].epoch.Load(); e != 0 {
+	for i := range snapSlots[:snapMark.Load()] {
+		if e := snapSlots[i].epoch.Load(); e != 0 {
 			floor = min(floor, e)
 		}
 	}

@@ -157,8 +157,8 @@ func TestSnapSlotReuse(t *testing.T) {
 
 // TestSnapPinProbesFromTheOperationSlot: a capture first tries the snap slot
 // its goroutine's operations start at (worker i of a controller: slot i), so
-// concurrent captures claim different lines, and a slot's bit in snapUsed
-// stays set once it has been claimed.
+// concurrent captures claim different lines, and the mark stays above a
+// slot once it has been claimed.
 func TestSnapPinProbesFromTheOperationSlot(t *testing.T) {
 	schedules, violations := sched.Explore(sched.Options{}, func(c *sched.Controller) error {
 		var got [3]*SnapGuard
@@ -175,7 +175,7 @@ func TestSnapPinProbesFromTheOperationSlot(t *testing.T) {
 			if s != &snapSlots[i] {
 				return fmt.Errorf("worker %d claimed another snap slot than %d", i, i)
 			}
-			if snapUsed.Load()&(1<<i) == 0 {
+			if snapMark.Load() <= int64(i) {
 				return fmt.Errorf("snap slot %d is not marked claimed", i)
 			}
 		}

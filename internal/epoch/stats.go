@@ -1,7 +1,5 @@
 package epoch
 
-import "math/bits"
-
 // Report is a point-in-time health summary of the reclamation layer,
 // returned by Stats: why memory is pending, not just how much.
 type Report struct {
@@ -45,7 +43,8 @@ type Report struct {
 	// that found a publish window open and waited for it.
 	WindowWaits int64
 	// DrainSlots is the number of slots the most recent DrainWindows
-	// scanned: the slots ever pinned, which is what a capture costs.
+	// scanned, which is what a capture costs: the slots below the slot
+	// mark, about the operations that have run at once.
 	DrainSlots int64
 	// OpenWindows is the number of publish windows open right now. With no
 	// update in flight it is zero; a window left open (an operation that
@@ -61,8 +60,8 @@ func Stats() Report {
 	var r Report
 	now := globalEpoch.Load()
 	r.Epoch = now
-	for m := snapUsed.Load(); m != 0; m &= m - 1 {
-		if snapSlots[bits.TrailingZeros64(m)].epoch.Load() != 0 {
+	for i := range snapSlots[:snapMark.Load()] {
+		if snapSlots[i].epoch.Load() != 0 {
 			r.SnapPins++
 		}
 	}

@@ -37,10 +37,11 @@ func SlotWindow(slot int) *Window { return &slots[slot].window }
 // DrainWindows returns once every window that was open when it was called
 // has closed. Slots are process-wide, so it may wait out a window of an
 // operation on a structure other than the caller's; a window is a handful of
-// straight-line atomics. It scans only the slots that have ever been pinned:
-// a slot sets its bit in usedSlots before it can open its first window, so a
-// window whose opening precedes the call is on a slot the scan reads. The
-// cost is independent of the size of any dictionary.
+// straight-line atomics. It scans only the slots below slotMark, which
+// covers every slot a Pin has claimed before that Pin returns, hence before
+// a window can open there. Pins probe from a range sized by GOMAXPROCS
+// (slotHint), so the scan costs about the operations that run at once,
+// however many goroutines have run one and whatever the dictionary's size.
 //
 // The scan notes the open windows in one pass and then waits for them
 // together: a window that opens behind the scan is one the caller does not
@@ -48,22 +49,19 @@ func SlotWindow(slot int) *Window { return &slots[slot].window }
 // same scheduling constraint whichever slots the operations happen to hold
 // (sched's enumerations depend on that to be reproducible).
 func DrainWindows() {
-	var open [len(usedSlots)]uint64
-	scanned := 0
-	for i := range usedSlots {
-		for m := usedSlots[i].Load(); m != 0; m &= m - 1 {
-			scanned++
-			if b := bits.TrailingZeros64(m); slots[i*64+b].window.n.Load() != 0 {
-				open[i] |= 1 << b
-			}
+	used := slots[:slotMark.Load()]
+	var open [NumSlots / 64]uint64
+	for i := range used {
+		if used[i].window.n.Load() != 0 {
+			open[i/64] |= 1 << (i % 64)
 		}
 	}
 	// Stored only when it changes: captures on different CPUs then share
 	// the line as readers instead of taking turns writing it.
-	if drainSlots.Load() != int64(scanned) {
-		drainSlots.Store(int64(scanned))
+	if drainSlots.Load() != int64(len(used)) {
+		drainSlots.Store(int64(len(used)))
 	}
-	if open == [len(usedSlots)]uint64{} {
+	if open == [len(open)]uint64{} {
 		return
 	}
 	windowWaits.Add(1)

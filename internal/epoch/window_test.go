@@ -1,7 +1,6 @@
 package epoch
 
 import (
-	"math/bits"
 	"sync"
 	"testing"
 	"time"
@@ -10,12 +9,12 @@ import (
 
 // TestDrainWindowsWaitsForOpenWindow: a drain that starts while a window is
 // open returns only after it closes, counts itself as having waited, and
-// scans exactly the slots that have ever been pinned.
+// scans exactly the slots below the mark, which covers the pinned one.
 func TestDrainWindowsWaitsForOpenWindow(t *testing.T) {
 	g := Pin()
 	defer Unpin(g)
-	if usedSlots[g.slot/64].Load()&(1<<(g.slot%64)) == 0 {
-		t.Fatalf("slot %d is pinned and not in usedSlots", g.slot)
+	if slotMark.Load() <= int64(g.slot) {
+		t.Fatalf("slot %d is pinned and not below the mark %d", g.slot, slotMark.Load())
 	}
 	if g.Window() != SlotWindow(g.Slot()) {
 		t.Fatal("SlotWindow(g.Slot()) is not g's window")
@@ -38,12 +37,8 @@ func TestDrainWindowsWaitsForOpenWindow(t *testing.T) {
 	if r.WindowWaits != waits+1 {
 		t.Fatalf("WindowWaits went from %d to %d, want one more", waits, r.WindowWaits)
 	}
-	used := 0
-	for i := range usedSlots {
-		used += bits.OnesCount64(usedSlots[i].Load())
-	}
-	if r.DrainSlots != int64(used) || used == 0 {
-		t.Fatalf("the drain scanned %d slots, %d have ever been pinned", r.DrainSlots, used)
+	if mark := slotMark.Load(); r.DrainSlots != mark {
+		t.Fatalf("the drain scanned %d slots, the mark is %d", r.DrainSlots, mark)
 	}
 	DrainWindows() // nothing open: returns at once
 	if got := Stats().WindowWaits; got != waits+1 {

@@ -593,14 +593,7 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 	g := epoch.Pin()
 	_, _, l := t.search(key)
 	if isKey(key, l) {
-		var g0 uint64
-		if epoch.PoisonCheck {
-			g0 = l.Gen()
-		}
-		v := l.val.Load()
-		if epoch.PoisonCheck && l.Gen() != g0 {
-			panic("lbst: leaf or value cell recycled under a pinned reader (reclaimcheck)")
-		}
+		v := valueOf(l)
 		epoch.Unpin(g)
 		return v, true
 	}

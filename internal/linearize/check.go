@@ -177,10 +177,10 @@ func pendingEffect[K comparable, V comparable](st register[V], op Op[K, V]) regi
 // ordering found (indices into ops).
 //
 // The search state is compressed Lowe-style: the set of linearized
-// operations is stored as (f, extras) — every operation before index f is
-// linearized, plus the sorted indices in extras — and configurations
-// (set, register state) that already failed are memoized, which keeps the
-// search near-linear on the almost-sequential histories real runs record.
+// operations is keyed as (f, extras) — every operation before index f is
+// linearized, plus the indices in extras — and configurations (set,
+// register state) that already failed are memoized, which keeps the search
+// near-linear on the almost-sequential histories real runs record.
 func linearizableCut[K comparable, V comparable](ops []Op[K, V], completed []bool) (bool, []int) {
 	n := len(ops)
 	requiredLeft := 0
@@ -196,9 +196,7 @@ func linearizableCut[K comparable, V comparable](ops []Op[K, V], completed []boo
 	st := register[V]{}
 	marked := make([]bool, n)
 	f := 0
-	var extras []int
-	var seq []int
-	var best []int
+	var seq, best []int
 	// config is a search configuration: the linearized set as (f, extras),
 	// extras spelled as varints, and the register state.
 	type config struct {
@@ -207,63 +205,57 @@ func linearizableCut[K comparable, V comparable](ops []Op[K, V], completed []boo
 		st     register[V]
 	}
 	memo := map[config]struct{}{}
-	memoKey := func() config {
-		var b []byte
-		for _, e := range extras {
-			b = binary.AppendUvarint(b, uint64(e))
-		}
-		return config{f, string(b), st}
-	}
-	// candidates returns the operations that may linearize next from the
-	// current configuration: unlinearized, and invoked before every other
-	// unlinearized completed operation's return (pending operations have
-	// no response yet, so they bound nothing). Only operations invoked
-	// earlier can impose the real-time constraint, so one forward scan
-	// suffices.
-	candidates := func() []int {
-		var cand []int
+	var extras []byte
+	// cands holds the candidates of every frame on the stack, each frame's
+	// above its parent's. expand appends the operations that may linearize
+	// next from the current configuration: unlinearized, and invoked before
+	// every other unlinearized completed operation's return (pending
+	// operations have no response yet, so they bound nothing). Only
+	// operations invoked earlier can impose the real-time constraint, so one
+	// forward scan suffices. The scan also meets every linearized operation
+	// past f, which spell the configuration's key: each was linearized ahead
+	// of every unlinearized completed operation, so none was invoked after
+	// one of them returned.
+	var cands []int
+	expand := func() (lo int, k config) {
+		lo, extras = len(cands), extras[:0]
 		minRet := int64(1) << 62
-		for j := f; j < n; j++ {
+		for j := f; j < n && ops[j].Call < minRet; j++ {
 			if marked[j] {
+				extras = binary.AppendUvarint(extras, uint64(j))
 				continue
 			}
-			if ops[j].Call >= minRet {
-				break
-			}
-			cand = append(cand, j)
+			cands = append(cands, j)
 			if completed[j] && ops[j].Ret < minRet {
 				minRet = ops[j].Ret
 			}
 		}
-		return cand
+		return lo, config{f, string(extras), st}
 	}
 
+	// frame is one level of the search: its candidates are cands[lo:], of
+	// which next is the one to try next, and the edge that led to it
+	// linearized operation chosen (< 0 at the root) from state prevSt and
+	// prefix prevF.
 	type frame struct {
-		cand []int
-		next int
-		// Edge that led to this frame, for backtracking (chosen < 0 at the
-		// root).
-		chosen     int
-		prevSt     register[V]
-		prevF      int
-		prevExtras []int
+		lo, next, chosen int
+		prevSt           register[V]
+		prevF            int
 	}
-	apply := func(i int, newSt register[V]) *frame {
-		fr := &frame{chosen: i, prevSt: st, prevF: f, prevExtras: slices.Clone(extras)}
+	apply := func(i int, newSt register[V]) frame {
+		fr := frame{chosen: i, prevSt: st, prevF: f}
 		st = newSt
 		marked[i] = true
-		if i == f {
+		for f < n && marked[f] {
 			f++
-			for len(extras) > 0 && extras[0] == f {
-				extras = extras[1:]
-				f++
-			}
-		} else {
-			at, _ := slices.BinarySearch(extras, i)
-			extras = slices.Insert(extras, at, i)
 		}
 		seq = append(seq, i)
 		return fr
+	}
+	undo := func(fr *frame) {
+		marked[fr.chosen] = false
+		st, f = fr.prevSt, fr.prevF
+		seq = seq[:len(seq)-1]
 	}
 	// keepBest records seq if it is the longest ordering found so far. It
 	// runs where a branch of the search ends, at a repeated configuration or
@@ -274,20 +266,14 @@ func linearizableCut[K comparable, V comparable](ops []Op[K, V], completed []boo
 			best = slices.Clone(seq)
 		}
 	}
-	undo := func(fr *frame) {
-		marked[fr.chosen] = false
-		st = fr.prevSt
-		f = fr.prevF
-		extras = fr.prevExtras
-		seq = seq[:len(seq)-1]
-	}
 
-	stack := []*frame{{cand: candidates(), chosen: -1}}
+	lo, _ := expand()
+	stack := []frame{{lo: lo, next: lo, chosen: -1}}
 	for len(stack) > 0 {
-		fr := stack[len(stack)-1]
+		fr := &stack[len(stack)-1]
 		advanced := false
-		for fr.next < len(fr.cand) {
-			i := fr.cand[fr.next]
+		for fr.next < len(cands) {
+			i := cands[fr.next]
 			fr.next++
 			var newSt register[V]
 			if completed[i] {
@@ -305,30 +291,32 @@ func linearizableCut[K comparable, V comparable](ops []Op[K, V], completed []boo
 			if requiredLeft == 0 {
 				return true, slices.Clone(seq)
 			}
-			k := memoKey()
+			lo, k := expand()
 			if _, dup := memo[k]; dup {
+				cands = cands[:lo]
 				keepBest()
 				if completed[i] {
 					requiredLeft++
 				}
-				undo(edge)
+				undo(&edge)
 				continue
 			}
 			memo[k] = struct{}{}
-			edge.cand = candidates()
+			edge.lo, edge.next = lo, lo
 			stack = append(stack, edge)
 			advanced = true
 			break
 		}
 		if !advanced {
 			keepBest()
-			stack = stack[:len(stack)-1]
+			cands = cands[:fr.lo]
 			if fr.chosen >= 0 {
 				if completed[fr.chosen] {
 					requiredLeft++
 				}
 				undo(fr)
 			}
+			stack = stack[:len(stack)-1]
 		}
 	}
 	return false, best

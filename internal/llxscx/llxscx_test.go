@@ -894,12 +894,13 @@ func TestScrubDropsDescriptorReferences(t *testing.T) {
 		}
 	}
 	tag := root.rec.r.info.Load()
-	seq := table[tag&slotMask].status.Load() >> seqShift
 	dropped := updateAndDrop(t)
 	runtime.GC()
 	if dropped.Value() == nil {
 		t.Fatal("the dropped tree was collected before the scrub: no block kept it")
 	}
+	// Read after updateAndDrop's SCXs, which may run on the same slot.
+	seq := table[tag&slotMask].status.Load() >> seqShift
 	epoch.DiscardAll()
 	for i := range table {
 		if d := &table[i]; d.block.Load() != nil || d.spare.Len() != 0 {

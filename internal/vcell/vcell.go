@@ -67,11 +67,12 @@ type Cell[V any] struct {
 	pubs int32
 	gen  epoch.Gen // bumped by every last Release; zero-size unless -tags reclaimcheck
 
-	// word holds an unboxed value; ptr holds a boxed value's box and is nil
-	// in an unboxed cell. Their order is the line-placement trade-off of the
-	// package comment.
+	// word holds an unboxed value; ptr holds a boxed value's box (a *V) and
+	// is nil in an unboxed cell. Their order is the line-placement trade-off
+	// of the package comment. ptr is a word for the same reason as the
+	// counts: atomic.Pointer[V]'s Load left a dictionary load in callers.
 	word atomic.Uint64
-	ptr  atomic.Pointer[V]
+	ptr  unsafe.Pointer
 }
 
 // Unboxed reports whether values of type V qualify for the unboxed (packed
@@ -133,7 +134,7 @@ func (c *Cell[V]) Init(unboxed bool, v V) {
 	// The box is bound on the boxed-only path (not to the parameter) so
 	// escape analysis keeps the unboxed path free of the heap copy.
 	box := v
-	c.ptr.Store(&box)
+	atomic.StorePointer(&c.ptr, unsafe.Pointer(&box))
 }
 
 // Load returns the current value. A nil cell reads as the zero value, which
@@ -148,11 +149,11 @@ func (c *Cell[V]) Load() (v V) {
 	if epoch.PoisonCheck && atomic.LoadInt32(&c.refs) < 0 {
 		panic("vcell: cell loaded after its last release (reclaimcheck)")
 	}
-	if p := c.ptr.Load(); p != nil {
+	if p := (*V)(atomic.LoadPointer(&c.ptr)); p != nil {
 		return *p
 	}
-	// fromWord written out: through the call, Load's inlining cost puts the
-	// trees' one-line value readers (lbst's valueOf) over the inliner's budget.
+	// fromWord written out: through the call, every inlined Load keeps a nil
+	// check of fromWord's dictionary (TestInliningGuard has the row).
 	w := c.word.Load()
 	return *(*V)(unsafe.Pointer(&w))
 }
@@ -160,12 +161,12 @@ func (c *Cell[V]) Load() (v V) {
 // Store atomically publishes v. In the unboxed representation it allocates
 // nothing; in the boxed representation it allocates v's box.
 func (c *Cell[V]) Store(v V) {
-	if c.ptr.Load() == nil {
+	if atomic.LoadPointer(&c.ptr) == nil {
 		c.word.Store(toWord(v))
 		return
 	}
 	box := v
-	c.ptr.Store(&box)
+	atomic.StorePointer(&c.ptr, unsafe.Pointer(&box))
 }
 
 // Gen returns how many times the cell has been cleared by its last Release
@@ -204,7 +205,7 @@ func (c *Cell[V]) Release() bool {
 		panic("vcell: cell released more often than it was held (reclaimcheck)")
 	}
 	c.word = atomic.Uint64{}
-	c.ptr = atomic.Pointer[V]{}
+	c.ptr = nil
 	c.pubs = 0
 	if epoch.PoisonCheck {
 		// The count stays below zero until Init, so a Load, Retain or
@@ -255,9 +256,9 @@ func (c *Cell[V]) DrainPublishers() {
 // however many writers race). Allocation profile as Store.
 func (c *Cell[V]) Swap(v V) V {
 	sched.Point(sched.PointVCellPublish)
-	if c.ptr.Load() == nil {
+	if atomic.LoadPointer(&c.ptr) == nil {
 		return fromWord[V](c.word.Swap(toWord(v)))
 	}
 	box := v
-	return *c.ptr.Swap(&box)
+	return *(*V)(atomic.SwapPointer(&c.ptr, unsafe.Pointer(&box)))
 }

@@ -162,7 +162,7 @@ func TestCellReleasedAfterLastHolder(t *testing.T) {
 	if !c.Release() {
 		t.Fatal("the last Release did not report it")
 	}
-	if c.ptr.Load() != nil || c.pubs != 0 {
+	if c.ptr != nil || c.pubs != 0 {
 		t.Fatal("the last release left the cell's content in place")
 	}
 	if epoch.PoisonCheck {

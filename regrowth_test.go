@@ -90,6 +90,9 @@ var regrowthRules = []regrowthRule{
 	// model beside it. The packages' own TestConcurrentStress run that one
 	// stress.
 	{pattern: `dicttest\.ConcurrentStress\b|func ConcurrentStress\b|HistoriesLinearizable|SurviveConcurrentMixedWorkload|PerKeyLastWriter`, paths: []string{"."}, tests: true},
+	// The epoch slots in use are one high-water mark: no bitmask of the
+	// slots or snap slots ever claimed, and no per-guard used flag.
+	{pattern: `usedSlots|snapUsed|\bused\s+bool|\.used\b`, paths: []string{"internal/epoch"}, tests: true},
 }
 
 // TestRegrowthGuard checks every regrowthRules row against the module's Go
