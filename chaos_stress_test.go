@@ -12,17 +12,18 @@ import (
 // interleavings deterministically at a handful of points, chaos injection
 // perturbs the same code probabilistically — delays, preemption,
 // dropped optional helping, workers parked indefinitely mid-operation, and
-// injected panics — so the whole stack (trees, LLX/SCX, epochs, watchdog)
-// is exercised under sustained degraded conditions rather than a scripted
-// schedule.
+// injected panics — so the whole stack (trees, LLX/SCX, epochs and their
+// stall eviction) is exercised under sustained degraded conditions rather
+// than a scripted schedule.
 //
 // The suites run under -race in CI (the chaos-stress job), with
 // DICTTEST_SEED echoed on failure for replay.
 
 // TestChaosChurnStress: shared-window churn with delays, preemption,
 // dropped helping and abandoned workers; histories must linearize, every
-// operation must complete once parked workers are released, and the epoch
-// watchdog must drain reclamation past the parked workers' stale pins.
+// operation must complete once parked workers are released, and the
+// retires behind a parked worker's stale pin must evict it once it outlasts
+// the stall bound.
 func TestChaosChurnStress(t *testing.T) {
 	for _, tgt := range templateTrees() {
 		t.Run(tgt.Name, func(t *testing.T) {

@@ -20,9 +20,9 @@ import (
 //
 //   - ChaosChurnStress: delays, preemption, dropped optional helping and
 //     abandoned (indefinitely parked) workers. Operations must all complete
-//     once parked workers are released, the history must linearize, and the
-//     epoch watchdog must keep reclamation from wedging behind a parked
-//     worker's stale pin.
+//     once parked workers are released, the history must linearize, and
+//     Retire's stall detection must evict a parked worker's stale pin that
+//     outlasts the epoch layer's stall bound.
 //
 //   - ChaosCrashStress: injected panics mid-operation. The panic unwinds
 //     through an operation's deferred epoch unpin, so a crashed worker must
@@ -31,10 +31,10 @@ import (
 
 // drainPending drives the epoch layer's pending count to zero, failing if
 // it sticks. After a chaos run every worker has unpinned (or been released
-// and then unpinned), so with the watchdog's help nothing may keep a
-// retiree's grace period open forever. Nor may a publish window be left
-// open: the windows are process-wide, so one that a crashed or parked worker
-// never closed would wedge every later snapshot capture.
+// and then unpinned), so nothing may keep a retiree's grace period open
+// forever. Nor may a publish window be left open: the windows are
+// process-wide, so one that a crashed or parked worker never closed would
+// wedge every later snapshot capture.
 func drainPending(t *testing.T, d time.Duration) {
 	t.Helper()
 	if n := epoch.Stats().OpenWindows; n != 0 {
@@ -53,11 +53,10 @@ func drainPending(t *testing.T, d time.Duration) {
 // ChaosChurnStress hammers a shared key window with writers while chaos
 // injection delays, preempts, abandons and de-helps them, with one scanning
 // reader mixed in. Every operation goes through a linearizability recorder.
-// A background releaser periodically wakes abandoned workers (the epoch
-// watchdog covers the interval where a parked worker's pin stalls
-// reclamation), so the workload always terminates; afterwards the suite
-// asserts completion, linearizability, structure invariants, and that
-// epoch pending returns to zero. The window is the 16 keys key(1<<21),
+// A background releaser periodically wakes abandoned workers, so the
+// workload always terminates; afterwards the suite asserts completion,
+// linearizability, structure invariants, an eviction, and that epoch
+// pending returns to zero. The window is the 16 keys key(1<<21),
 // key(1<<21+3), ..., and writer w's i'th value is published(val, w, i); key
 // and val must be injective.
 func ChaosChurnStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], writers, opsPerWriter int, key func(uint64) K, val func(uint64) V) {
@@ -69,9 +68,8 @@ func ChaosChurnStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K,
 
 	d := tgt.New()
 	rec := linearize.NewRecorder(d)
+	evictions := epoch.Stats().Evictions
 
-	w := epoch.StartWatchdog(2*time.Millisecond, 10*time.Millisecond)
-	defer w.Stop()
 	if err := sched.EnableChaos(sched.ChaosConfig{
 		Seed:         int64(seed),
 		Default:      sched.ChaosPolicy{Delay: 20000, Preempt: 20000, Abandon: 1500},
@@ -84,9 +82,9 @@ func ChaosChurnStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K,
 	defer sched.DisableChaos()
 
 	// Releaser: abandoned workers park until woken; waking them every tick
-	// keeps the workload finite while still leaving parks long enough
-	// (relative to the watchdog's stall threshold) to force evictions and
-	// recoveries of pinned parked workers.
+	// keeps the workload finite. The first tick that finds a worker parked
+	// holds its release back past the stall bound: it retires on a tree of
+	// its own until the retires evict the parked worker's pin (or 5 s pass).
 	relStop := make(chan struct{})
 	var relWG sync.WaitGroup
 	relWG.Add(1)
@@ -94,11 +92,20 @@ func ChaosChurnStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K,
 		defer relWG.Done()
 		tick := time.NewTicker(20 * time.Millisecond)
 		defer tick.Stop()
+		held := false
 		for {
 			select {
 			case <-relStop:
 				return
 			case <-tick.C:
+				if !held && sched.ReadChaosStats().Abandons != 0 {
+					held = true
+					own := tgt.New()
+					for i, deadline := uint64(0), time.Now().Add(5*time.Second); epoch.Stats().Evictions == evictions && time.Now().Before(deadline); i++ {
+						own.Insert(key(i%64), val(i))
+						own.Delete(key((i + 32) % 64))
+					}
+				}
 				sched.ReleaseAbandoned()
 			}
 		}
@@ -168,6 +175,9 @@ func ChaosChurnStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K,
 	if st.Abandons == 0 {
 		t.Error("no workers abandoned; the parked-worker path was not exercised")
 	}
+	if epoch.Stats().Evictions == evictions {
+		t.Errorf("no stalled pin evicted while a parked worker's release was held back (stats: %+v)", epoch.Stats())
+	}
 	if got, want := completed.Load(), int64(writers*opsPerWriter); got != want {
 		t.Errorf("completed %d of %d operations", got, want)
 	}
@@ -200,8 +210,6 @@ func ChaosCrashStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K,
 
 	d := tgt.New()
 
-	w := epoch.StartWatchdog(2*time.Millisecond, 10*time.Millisecond)
-	defer w.Stop()
 	if err := sched.EnableChaos(sched.ChaosConfig{
 		Seed:       int64(seed),
 		Default:    sched.ChaosPolicy{Delay: 10000, Preempt: 10000, Panic: 2000},

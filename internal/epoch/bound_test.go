@@ -9,13 +9,18 @@ import (
 
 // resetSlotMark lowers the slot mark to the hint range, as in a process that
 // has pinned no slot past it, so a test can read what its own pins raise it
-// to. Only a window's slot must lie below the mark, so it requires that no
-// slot be claimed and no window be open.
+// to. Every slot scan stops at the mark, so it requires that no slot be
+// claimed or have a window open, and that none past the hint range hold a
+// retiree once Drain has run.
 func resetSlotMark(t *testing.T) {
 	t.Helper()
+	Drain()
 	for i := range slots {
 		if slots[i].state.Load() != 0 || slots[i].window.n.Load() != 0 {
 			t.Fatalf("slot %d is claimed or has a window open", i)
+		}
+		if n := slots[i].pending.Load(); i >= hintSlots && n != 0 {
+			t.Fatalf("slot %d, past the hint range, holds %d retirees", i, n)
 		}
 	}
 	slotMark.Store(int64(hintSlots))

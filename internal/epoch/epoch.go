@@ -35,6 +35,10 @@
 // fresh grace period. A live snapshot pin (snap.go) holds the retirees it
 // may still reach in place on their lists.
 //
+// A slot that holds one stale epoch for the stall bound is evicted by the
+// retires it blocks (stall.go): until its holder unpins, the layer drops
+// retirees to the garbage collector instead of recycling them.
+//
 // Build with -tags reclaimcheck to enable the recycled-node poisoning
 // assertions in the trees (PoisonCheck).
 package epoch
@@ -57,8 +61,8 @@ const (
 	slotMask = NumSlots - 1
 
 	// advanceEvery is the number of retires a slot accepts between attempts
-	// to advance the global epoch. Advancing scans all slots, so the
-	// interval amortizes the scan to a fraction of a retire.
+	// to advance the global epoch. Advancing scans the slots below the slot
+	// mark, so the interval amortizes the scan to a fraction of a retire.
 	advanceEvery = 64
 
 	// drainRounds is the number of epoch advances Drain tries: enough for a
@@ -66,10 +70,10 @@ const (
 	drainRounds = 9
 
 	// yieldPending is the per-slot backlog above which a failed epoch
-	// advance makes Retire yield the processor. On an oversubscribed
-	// scheduler (more workers than CPUs) a goroutine can be preempted in
-	// the middle of a pinned operation and sit on the run queue for a whole
-	// timeslice; every retire in the meantime piles up behind its stale
+	// advance makes Retire yield the processor (blocked). On an
+	// oversubscribed scheduler (more workers than CPUs) a goroutine can be
+	// preempted in the middle of a pinned operation and sit on the run
+	// queue for a whole timeslice; every retire in the meantime piles up behind its stale
 	// epoch. Yielding hands the CPU to the blocker so it can finish its
 	// (short) operation and unpin, which bounds the retire backlog — and
 	// with it the burst-free latency and the GC mark work on the lists —
@@ -125,13 +129,12 @@ type Guard struct {
 // its holder is the slot's only owner.
 func (g *Guard) Slot() int { return g.slot }
 
-// stalledState is the watchdog's eviction sentinel. A slot whose holder has
-// been pinned pathologically long (stuck, leaked, or parked mid-operation)
-// is moved from its recorded epoch to this value so tryAdvance stops
-// counting it; the safety that normally came from blocking the advance is
-// re-established by degraded mode (see drain and DESIGN.md, "Chaos,
-// stalls, and bounded degradation"). The sentinel is never a valid epoch —
-// epochs count up from 1 — and can never be pinned: Pin's CAS only fires on 0.
+// stalledState is the eviction sentinel. Retire's slow path (blocked) moves
+// a slot that has held one stale epoch for stallAfter (stuck, leaked, or
+// parked mid-operation) to it, so advance stops counting the slot; degraded
+// mode re-establishes the safety that came from blocking the advance (see
+// drain). It is never a valid epoch — epochs count up from 1 — and never
+// pinned, since Pin's CAS only fires on 0. Only Unpin moves a slot off it.
 const stalledState = ^uint64(0)
 
 var (
@@ -148,26 +151,26 @@ var (
 	// because runtime.GOMAXPROCS takes the scheduler's lock.
 	hintSlots = min(2*runtime.GOMAXPROCS(0), NumSlots)
 
-	// slotMark is one past the highest slot a Pin may have claimed, which
-	// is all DrainWindows scans. It starts at hintSlots, so only a Pin that
-	// probes past that range raises it, and one inside never touches it.
+	// slotMark is one past the highest slot a Pin may have claimed, where
+	// every scan of the slots stops. It starts at hintSlots, so only a Pin
+	// that probes past that range raises it (pinOverflow), before its claim.
 	slotMark atomic.Int64
 
-	// degradedPins counts slots currently evicted by the watchdog. While it
-	// is nonzero the layer is in degraded mode: every eligible retiree is
-	// dropped to the garbage collector instead of being recycled through its
-	// free callback, because an evicted slot's holder may still hold
-	// references into anything retired since it pinned. The watchdog
-	// increments it BEFORE the eviction CAS so no advance enabled by the
-	// eviction can complete a grace period ahead of the mode switch.
+	// degradedPins counts evicted slots whose holder has not been seen to
+	// unpin. While it is nonzero the layer is in degraded mode: the drains
+	// drop retirees to the garbage collector instead of recycling them,
+	// since an evicted holder may still reach anything retired since it
+	// pinned. An eviction increments it BEFORE its CAS to stalledState, so
+	// no advance the eviction enables completes a grace period ahead of the
+	// mode switch; recoverEvicted decrements it.
 	degradedPins atomic.Int64
 
 	// Cumulative diagnostics, surfaced by Stats.
 	advanceFails  atomic.Int64 // epoch advances blocked by a lagging slot
 	freeRefusals  atomic.Int64 // free callbacks that refused and were re-queued
 	degradedDrops atomic.Int64 // retirees dropped to GC in degraded mode
-	evictions     atomic.Int64 // watchdog evictions performed
-	recoveries    atomic.Int64 // evicted slots whose holder later resumed
+	evictions     atomic.Int64 // stalled slots evicted by Retire
+	recoveries    atomic.Int64 // evicted slots whose holder later unpinned
 	windowWaits   atomic.Int64 // DrainWindows calls that found a window open
 	drainSlots    atomic.Int64 // slots the last DrainWindows scanned
 )
@@ -217,7 +220,7 @@ func slotHint() uint64 {
 	return sched.Slot(h * uint64(hintSlots) >> 32)
 }
 
-// raise lifts mark over slot i, which the caller has just claimed.
+// raise lifts mark over slot i.
 func raise(mark *atomic.Int64, i int) {
 	for {
 		m := mark.Load()
@@ -227,32 +230,64 @@ func raise(mark *atomic.Int64, i int) {
 	}
 }
 
+// adopt drains what a previous owner left on g's slot, which Pin has just
+// claimed, and raises the mark where LateMarkRaise left that to it.
+//
+//go:noinline
+func (g *Guard) adopt() {
+	if g.pending.Load() != 0 {
+		g.drain(globalEpoch.Load())
+	}
+	if g.slot >= hintSlots && sched.Mutated(sched.LateMarkRaise) {
+		raise(&slotMark, g.slot)
+	}
+}
+
 // Pin claims a reclamation slot for the calling operation and returns its
 // guard. Every dictionary operation that reads or writes shared nodes must
 // run between Pin and Unpin; Retire may only be called with a guard that is
 // currently pinned.
 func Pin() *Guard {
 	e := globalEpoch.Load()
-	h := slotHint()
-	for tries := 0; ; tries++ {
-		g := &slots[(h+uint64(tries))&slotMask]
-		if g.state.Load() == 0 && g.state.CompareAndSwap(0, e) {
-			// Re-validate: if the global epoch advanced between the load and
-			// the claim, re-stamp so the recorded epoch is never more than
-			// one behind the global epoch (the advance-blocking invariant).
-			if e2 := globalEpoch.Load(); e2 != e {
-				g.state.Store(e2)
-			}
-			if g.pending.Load() != 0 {
-				// Adopt garbage left by a previous owner of this slot.
-				g.drain(globalEpoch.Load())
-			}
-			if g.slot >= hintSlots {
-				raise(&slotMark, g.slot)
-			}
-			return g
+	var g *Guard
+	for i := slotHint(); ; i++ {
+		if i >= uint64(hintSlots) {
+			g, e = pinOverflow(i, e)
+			break
 		}
-		if tries&slotMask == slotMask {
+		if g = &slots[i]; g.state.Load() == 0 && g.state.CompareAndSwap(0, e) {
+			break
+		}
+	}
+	// Re-validate: if the global epoch advanced between the load and the
+	// claim, re-stamp so the recorded epoch is never more than one behind
+	// the global epoch (the advance-blocking invariant).
+	if e2 := globalEpoch.Load(); e2 != e {
+		g.state.Store(e2)
+	}
+	if g.pending.Load() != 0 || g.slot >= hintSlots {
+		g.adopt()
+	}
+	return g
+}
+
+// pinOverflow goes on with Pin's probe from slot i, past the hint range and
+// round the slot array, yielding once a lap, and returns the slot it claims
+// and the epoch it claimed it at. It raises the mark over a slot past the
+// hint range before trying to claim it, so an advance that scans below the
+// mark cannot run twice past the claim (DESIGN.md, "Epoch reclamation").
+//
+//go:noinline
+func pinOverflow(i, e uint64) (*Guard, uint64) {
+	for ; ; i++ {
+		g := &slots[i&slotMask]
+		if g.slot >= hintSlots && !sched.Mutated(sched.LateMarkRaise) {
+			raise(&slotMark, g.slot)
+		}
+		if g.state.Load() == 0 && g.state.CompareAndSwap(0, e) {
+			return g, e
+		}
+		if i&slotMask == slotMask {
 			runtime.Gosched()
 			e = globalEpoch.Load()
 		}
@@ -276,13 +311,8 @@ func Retire(g *Guard, obj any, free Func) {
 	g.retires++
 	if g.retires >= advanceEvery {
 		g.retires = 0
-		if !tryAdvance() && g.pending.Load() >= yieldPending {
-			// Blocked by a slot that has not re-observed the epoch —
-			// usually a goroutine parked mid-operation by the scheduler.
-			// Give it the CPU; it only needs to finish one operation to
-			// unblock the advance.
-			runtime.Gosched()
-			tryAdvance()
+		if tryAdvance() >= 0 && g.pending.Load() >= yieldPending {
+			blocked(g)
 		}
 		g.drain(globalEpoch.Load())
 	}
@@ -292,62 +322,69 @@ func Retire(g *Guard, obj any, free Func) {
 // is over at epoch now, and stops at the first one still in it or stamped at
 // or above a live snapshot pin's epoch (snapFloor): the stamps behind it are
 // no smaller, so the same holds for everything behind it. A refusal goes back
-// on the tail stamped now, for a fresh grace period. In degraded mode (a
-// watchdog eviction is active) the callbacks are skipped and the entries
-// dropped for the garbage collector: the evicted slot's holder may still
-// reference any of them, and the GC — unlike the free lists — can see that
-// holder's stack as a root, so dropping is always safe where recycling would
-// re-introduce the ABA hazard the epoch scheme exists to prevent. The caller
-// must own the slot (hold it pinned or have claimed it in Drain), and now
-// must have been read after the entries were stamped.
+// on the tail stamped now, for a fresh grace period. In degraded mode, unless
+// the evicted holders have all unpinned (recoverEvicted), it drops the whole
+// list to the garbage collector instead: the GC, unlike the free lists, sees
+// an evicted holder's references, and dropping recycles nothing, so it is
+// safe in a grace period too. The caller must own the slot (hold it pinned
+// or have claimed it in Drain), and now must have been read after the
+// entries were stamped.
 func (g *Guard) drain(now uint64) {
-	q, grace := &g.retired, gracePeriod()
+	q := &g.retired
+	if q.n == 0 {
+		return
+	}
+	if degradedPins.Load() != 0 && !recoverEvicted() {
+		n := int64(q.n)
+		clear(q.ring)
+		q.head, q.n = 0, 0
+		degradedDrops.Add(n)
+		g.pending.Add(-n)
+		return
+	}
+	grace := gracePeriod()
 	if !q.ready(now, grace) {
 		return
 	}
-	degraded, floor := degradedPins.Load() != 0, snapFloor()
-	var freed, dropped int64
+	floor := snapFloor()
+	var freed int64
 	for q.ready(now, grace) && q.stamp(0) < floor {
-		e := q.pop()
-		switch {
-		case degraded:
-			dropped++
-		case e.free(g, e.obj):
+		if e := q.pop(); e.free(g, e.obj) {
 			freed++
-		default:
+		} else {
 			freeRefusals.Add(1)
 			q.push(e, now)
 		}
 	}
-	if dropped != 0 {
-		degradedDrops.Add(dropped)
-	}
-	if n := freed + dropped; n != 0 {
-		g.pending.Add(-n)
+	if freed != 0 {
+		g.pending.Add(-freed)
 	}
 }
 
 // tryAdvance advances the global epoch by one if every claimed slot has
-// observed the current epoch. It returns whether it advanced. Slots evicted
-// by the watchdog (stalledState) are skipped: their safety obligation has
-// been transferred to degraded mode, which was entered before the sentinel
-// became observable.
-func tryAdvance() bool {
+// observed the current epoch. It returns the slot that blocked the advance,
+// or -1 if the epoch moved. Evicted slots (stalledState) are skipped: their
+// safety obligation has been transferred to degraded mode, which was entered
+// before the sentinel became observable.
+func tryAdvance() int {
 	sched.Point(sched.PointEpochAdvance)
 	return advance()
 }
 
 // advance is tryAdvance without the instrumentation point, for a Recycler,
-// which moves the epoch from inside an SCX.
-func advance() bool {
+// which moves the epoch from inside an SCX. It loads the epoch before the
+// mark, which is what lets Pin raise the mark before its claim (pinOverflow).
+// A lost race to move the epoch counts as a move: another advance did it.
+func advance() int {
 	g := globalEpoch.Load()
-	for i := range slots {
+	for i := range slots[:slotMark.Load()] {
 		if s := slots[i].state.Load(); s != 0 && s != g && s != stalledState {
 			advanceFails.Add(1)
-			return false
+			return i
 		}
 	}
-	return globalEpoch.CompareAndSwap(g, g+1)
+	globalEpoch.CompareAndSwap(g, g+1)
+	return -1
 }
 
 // DiscardAll drops every retire list, ring and all, without running the
@@ -367,7 +404,7 @@ func DiscardAll() {
 	// discard hook owns the claimed slots exactly as a pinned operation does.
 	var owned [NumSlots]bool
 	now := globalEpoch.Load()
-	for i := range slots {
+	for i := range slots[:slotMark.Load()] {
 		g := &slots[i]
 		if !g.state.CompareAndSwap(0, now) {
 			continue
@@ -379,7 +416,7 @@ func DiscardAll() {
 	if discardHook != nil {
 		discardHook(&owned)
 	}
-	for i := range slots {
+	for i := range owned {
 		if owned[i] {
 			slots[i].state.Store(0)
 		}
@@ -401,7 +438,7 @@ func OnDiscard(fn func(owned *[NumSlots]bool)) { discardHook = fn }
 // callback keeps refusing. Test and diagnostic use.
 func Pending() int64 {
 	var n int64
-	for i := range slots {
+	for i := range slots[:slotMark.Load()] {
 		n += slots[i].pending.Load()
 	}
 	return n
@@ -411,17 +448,20 @@ func Pending() int64 {
 // returns Pending afterwards. It is meant for quiescent moments (tests,
 // shutdown): slots still pinned by live operations are skipped, and the
 // epoch cannot advance past them, so calling it during activity merely does
-// less. Retirees a live snapshot pin holds, and those whose free callback
-// keeps refusing, remain pending. A retire ring Drain empties goes back to
-// its minimum length, so a burst of retires does not keep its ring at the
-// burst's size once the structure is quiescent. Drain is the only place a
-// retire ring shrinks: shrinking one whenever a drain during operations left
-// it a quarter full made the busy slots regrow their rings over and over.
+// less. Like a drain in degraded mode it checks for evicted holders that
+// have unpinned since (recoverEvicted); it evicts nothing. Retirees a live snapshot pin
+// holds, and those whose free callback keeps refusing, remain pending. A
+// retire ring Drain empties goes back to its minimum length, so a burst of
+// retires does not keep its ring at the burst's size once the structure is
+// quiescent. Drain is the only place a retire ring shrinks: shrinking one
+// whenever a drain during operations left it a quarter full made the busy
+// slots regrow their rings over and over.
 func Drain() int64 {
+	recoverEvicted()
 	for round := 0; round < drainRounds; round++ {
 		tryAdvance()
 		now := globalEpoch.Load()
-		for i := range slots {
+		for i := range slots[:slotMark.Load()] {
 			g := &slots[i]
 			if g.pending.Load() == 0 {
 				continue

@@ -86,3 +86,68 @@ func TestPrematureFreeMutationCaught(t *testing.T) {
 		}
 	})
 }
+
+// TestLateMarkRaiseMutationCaught: a pin on a slot past the hint range holds
+// the epoch back from the moment its claim is re-validated, because Pin
+// raises the slot mark over the slot before it claims it, and every advance
+// scans the slots below the mark. The LateMarkRaise mutation raises the mark
+// at the end of Pin instead, and an advance in between runs past the pin.
+//
+// The test fills the hint range and claims the first slot past it. A
+// leftover retiree planted on that slot is what runs the test's code inside
+// that Pin, between the re-validation and the end: Pin adopts what a
+// previous owner left. Its callback releases the fillers, retires an object
+// from another slot and drains. Under the correct order the new pin stops
+// the epoch one past its own and the object stays; under the mutation the
+// object is freed while the pin that could still reach it is live.
+func TestLateMarkRaiseMutationCaught(t *testing.T) {
+	if hintSlots == NumSlots {
+		t.Skip("no slot lies past the hint range")
+	}
+	scenario := func(t *testing.T) (freedWhilePinned bool) {
+		resetSlotMark(t)
+		over := &slots[hintSlots]
+		var fillers []*Guard
+		var freed atomic.Bool
+		over.retired.push(entry{free: func(*Guard, any) bool {
+			for _, f := range fillers {
+				Unpin(f)
+			}
+			w := Pin()
+			Retire(w, new(int), func(*Guard, any) bool {
+				freed.Store(true)
+				return true
+			})
+			Unpin(w)
+			Drain()
+			freedWhilePinned = freed.Load()
+			return true
+		}}, 0)
+		over.pending.Add(1)
+		for g := Pin(); g != over; g = Pin() {
+			if g.Slot() >= hintSlots {
+				t.Fatalf("pinned slot %d past the hint range before slot %d", g.Slot(), hintSlots)
+			}
+			fillers = append(fillers, g)
+		}
+		Unpin(over)
+		Drain()
+		if !freed.Load() {
+			t.Fatal("object never freed even after the overflow pin was released")
+		}
+		return freedWhilePinned
+	}
+
+	t.Run("correct-order", func(t *testing.T) {
+		if scenario(t) {
+			t.Fatal("object freed while a pin past the hint range could still hold it")
+		}
+	})
+	t.Run("mutated-order", func(t *testing.T) {
+		sched.SetMutation(sched.LateMarkRaise, true)
+		defer sched.SetMutation(sched.LateMarkRaise, false)
+		if !scenario(t) {
+			t.Fatal("late-mark-raise mutation not caught: the advances saw the overflow pin, so this check has no teeth")
+		}
+	})
+}

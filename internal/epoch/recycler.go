@@ -32,10 +32,11 @@ func (r *Recycler[T]) Put(p *T) { r.q.push(p, globalEpoch.Load()) }
 //     oldest object in its grace period, Get tries to advance it, as Retire
 //     does every advanceEvery retires, so r stays bounded when nothing
 //     retires.
-//   - While a watchdog eviction is active (degraded mode) the epoch no
-//     longer waits for every pinned operation, so an object whose grace
-//     period is over is dropped to the garbage collector, as drain drops
-//     retirees.
+//   - While an eviction is active (degraded mode: Retire's slow path found
+//     a slot stalled, see blocked) the epoch no longer waits for every
+//     pinned operation, so an object whose grace period is over is dropped
+//     to the garbage collector, as drain drops retirees. Get leaves the
+//     recovery check to the drains.
 //
 // And one of its own: an object that has stayed reusable for two more grace
 // periods while the next one is reusable too is dropped, and the ring
@@ -60,7 +61,7 @@ func (r *Recycler[T]) Get() *T {
 			return nil
 		}
 		r.gets = 0
-		if !advance() {
+		if advance() >= 0 {
 			return nil
 		}
 		now = globalEpoch.Load()

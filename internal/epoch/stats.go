@@ -8,8 +8,8 @@ type Report struct {
 	// PinnedSlots is the number of operation slots currently claimed
 	// (excluding evicted ones).
 	PinnedSlots int
-	// StalledSlots is the number of slots currently evicted by the
-	// watchdog; nonzero means the layer is running degraded.
+	// StalledSlots is the number of slots currently evicted by Retire's
+	// stall detection; nonzero means the layer is running degraded.
 	StalledSlots int
 	// SnapPins is the number of live long-lived snapshot pins.
 	SnapPins int64
@@ -33,10 +33,11 @@ type Report struct {
 	// nonzero count marks a regression.
 	Refusals int64
 	// DegradedDrops counts retirees (cumulative) dropped to the garbage
-	// collector instead of recycled because a watchdog eviction was active.
+	// collector instead of recycled because an eviction was active.
 	DegradedDrops int64
-	// Evictions and Recovered count watchdog slot evictions and the subset
-	// whose holder later resumed and released the slot (cumulative).
+	// Evictions counts slots (cumulative) that Retire's slow path evicted
+	// after they held one stale epoch for the stall bound, and Recovered the
+	// subset whose holder later unpinned, which a drain or Drain noticed.
 	Evictions int64
 	Recovered int64
 	// WindowWaits counts snapshot captures (cumulative, DrainWindows calls)
@@ -72,7 +73,7 @@ func Stats() Report {
 	r.Recovered = recoveries.Load()
 	r.WindowWaits = windowWaits.Load()
 	r.DrainSlots = drainSlots.Load()
-	for i := range slots {
+	for i := range slots[:slotMark.Load()] {
 		g := &slots[i]
 		r.OpenWindows += g.window.n.Load()
 		pending := g.pending.Load()

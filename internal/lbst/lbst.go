@@ -667,8 +667,9 @@ func (t *Tree[K, V]) Get(key K) (V, bool) {
 // reset) before the operation returns. The guard is released by defer, so a
 // panic unwinding out of an attempt — chaos injection in the tests, or any
 // future bug — releases the epoch slot instead of wedging reclamation for
-// the whole process (the stall watchdog exists for holders that park
-// without unwinding; see internal/epoch).
+// the whole process. A holder that parks without unwinding is evicted by the
+// retires of other operations once it has held its epoch for the stall
+// bound (see internal/epoch).
 func (t *Tree[K, V]) Insert(key K, value V) (V, bool) {
 	g := epoch.Pin()
 	defer epoch.Unpin(g)
@@ -1056,25 +1057,24 @@ func (t *Tree[K, V]) Predecessor(key K) (k K, v V, ok bool) {
 // when the scan starts, however long the range (see scan in snapshot.go);
 // each value is one its key held during the scan. Use Snapshot to read one
 // cut more than once, or for values frozen at it. The whole scan runs under
-// one pinned guard; fn must not block indefinitely, since a pinned operation
-// holds back memory reclamation.
+// one pinned guard, released by defer if fn panics. If fn blocks past the
+// epoch layer's stall bound, other operations' retires evict the scan's slot
+// and drop retirees to the garbage collector until it returns.
 func (t *Tree[K, V]) RangeScan(lo, hi K, fn func(k K, v V) bool) int {
 	g := epoch.Pin()
-	n := t.scan(true, lo, true, hi, fn)
-	epoch.Unpin(g)
-	return n
+	defer epoch.Unpin(g)
+	return t.scan(true, lo, true, hi, fn)
 }
 
 // Ascend calls fn for every key in the dictionary in ascending order and
 // returns the number of keys visited. If fn returns false the scan stops
 // early. Like RangeScan it emits the keys of one version and runs under one
-// pinned guard.
+// pinned guard, released by defer.
 func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) int {
 	g := epoch.Pin()
+	defer epoch.Unpin(g)
 	var none K
-	n := t.scan(false, none, false, none, fn)
-	epoch.Unpin(g)
-	return n
+	return t.scan(false, none, false, none, fn)
 }
 
 // Min returns the smallest key and its value, or ok=false if empty.

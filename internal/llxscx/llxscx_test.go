@@ -947,8 +947,8 @@ func updateAndDrop(t *testing.T) weak.Pointer[tnode] {
 // epoch has moved on, the slot rewrites a block it replaced and lets the
 // surplus go, so one long pin does not leave the slot holding its peak count
 // for good; from then on the slot's SCXs rewrite the blocks it already has;
-// and while a watchdog eviction is active it rewrites none, however far the
-// epoch moves. internal/epoch's TestRecyclerLifetime pins the epoch counts.
+// and while an eviction is active it rewrites none, however far the epoch
+// moves. internal/epoch's TestRecyclerLifetime pins the epoch counts.
 func TestBlockLifetime(t *testing.T) {
 	epoch.DiscardAll() // every Recycler empty
 	g := epoch.Pin()
@@ -1007,17 +1007,23 @@ func TestBlockLifetime(t *testing.T) {
 		}
 	}
 
-	w := epoch.StartWatchdog(time.Millisecond, 20*time.Millisecond)
-	defer w.Stop()
 	// The stalled holder pins while g holds the slot, so it takes another.
+	// Retire traffic on a third slot evicts it once it has blocked the
+	// epoch for the stall bound.
 	g = pinSlot(t, slot)
 	stalled := epoch.Pin()
 	defer epoch.Unpin(stalled)
 	epoch.Unpin(g)
-	for deadline := time.Now().Add(10 * time.Second); epoch.Stats().StalledSlots == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); epoch.Stats().StalledSlots == 0; {
 		if time.Now().After(deadline) {
-			t.Fatal("the watchdog did not evict a slot pinned for 10 s")
+			t.Fatal("retire traffic did not evict a slot pinned for 10 s")
 		}
+		r := epoch.Pin()
+		for range 64 {
+			epoch.Retire(r, new(int), func(*epoch.Guard, any) bool { return true })
+		}
+		epoch.Unpin(r)
+		time.Sleep(100 * time.Microsecond)
 	}
 	epoch.Drain() // the evicted slot no longer holds the epoch back
 	for i := 0; i < k; i++ {

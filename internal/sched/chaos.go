@@ -15,8 +15,9 @@ import (
 // an "abandoned worker": the goroutine parks indefinitely mid-protocol,
 // possibly while epoch-pinned, simulating a stuck or leaked thread.
 // Lock-freedom says the rest of the system must keep making progress past
-// all of these (helping completes a parked SCX; the epoch watchdog degrades
-// around a parked pin), and the dicttest chaos suites assert exactly that.
+// all of these (helping completes a parked SCX; the retires behind a parked
+// epoch pin evict it and degrade around it), and the dicttest chaos suites
+// assert exactly that.
 // Only goroutines that opt in via RegisterChaos are perturbed.
 
 // ChaosPolicy sets the injection rates at one instrumentation point. Rates

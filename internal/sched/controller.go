@@ -24,8 +24,8 @@ const defaultMaxSteps = 100000
 //
 // One driver at a time: during Run no goroutine but the released worker may
 // cross a point (whoever does is taken for it), and no chaos worker may be
-// registered. The epoch watchdog's advance attempts cross one; only the
-// chaos suites start it.
+// registered. The library starts no goroutine of its own that could cross
+// one: a stalled epoch pin is evicted by an operation's own Retire.
 type Controller struct {
 	filter   func(PointID) bool
 	maxSteps int

@@ -167,8 +167,8 @@ type Worker struct {
 }
 
 // workers maps the goroutine id of every chaos worker to its record.
-// Goroutines not in it (the test harness, runtime goroutines, the epoch
-// watchdog) pass through every point untouched.
+// Goroutines not in it (the test harness, runtime goroutines) pass through
+// every point untouched.
 var workers sync.Map // goid int64 -> *Worker
 
 // registered counts the entries of workers, plus one while a Controller
@@ -341,6 +341,9 @@ const (
 	// snapshot's) walk their version without first waiting out the publish
 	// windows open when they advanced the clock.
 	SkipScanDrain
+	// LateMarkRaise makes epoch.Pin raise the slot mark over a slot past
+	// its hint range at its end, after the claim, instead of before it.
+	LateMarkRaise
 )
 
 // mutations is the set of armed mutations, a plain word for the reason

@@ -7,7 +7,7 @@ import (
 )
 
 // allMutations is every seeded mutation.
-const allMutations = SkipScanDrain<<1 - 1
+const allMutations = LateMarkRaise<<1 - 1
 
 // TestNothingRegisteredIsInert pins what the protocol layers rely on in
 // production: with no goroutine registered, every point, a WaitZero on a
@@ -47,7 +47,7 @@ func TestNothingRegisteredIsInert(t *testing.T) {
 // TestMutationsRoundTrip: every mutation reads false until it is armed,
 // arming one arms no other, and disarming restores false.
 func TestMutationsRoundTrip(t *testing.T) {
-	for m := DropFreeze; m <= SkipScanDrain; m <<= 1 {
+	for m := DropFreeze; m <= LateMarkRaise; m <<= 1 {
 		if Mutated(allMutations) {
 			t.Fatalf("a mutation is armed before %#x is set: %#x", m, atomic.LoadUint32(&mutations))
 		}

@@ -93,6 +93,10 @@ var regrowthRules = []regrowthRule{
 	// The epoch slots in use are one high-water mark: no bitmask of the
 	// slots or snap slots ever claimed, and no per-guard used flag.
 	{pattern: `usedSlots|snapUsed|\bused\s+bool|\.used\b`, paths: []string{"internal/epoch"}, tests: true},
+	// A stalled pin is evicted by the retires behind it: no watchdog
+	// goroutine to start or stop, and no record of an evicted slot's epoch
+	// to restore.
+	{pattern: `StartWatchdog|type Watchdog|evictedSlot`, paths: []string{"."}, tests: true},
 }
 
 // TestRegrowthGuard checks every regrowthRules row against the module's Go
