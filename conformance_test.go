@@ -15,6 +15,11 @@ package repro
 //
 // The same table runs with string keys and values (targets[string,
 // string]), so no part of the stack may assume integer keys.
+//
+// The concurrent workloads are dicttest suites too, run over the registry's
+// rows: the recorded shared-key stress at a hot pair, sixteen and 256 keys
+// (TestSharedKeyStress), racing ascending runs (TestAscendingRuns) and
+// readers of keys nobody writes (TestStableKeyReaders).
 
 import (
 	"cmp"
@@ -155,68 +160,57 @@ func testConformance[K cmp.Ordered, V comparable](t *testing.T, suffix string, k
 
 // TestSharedKeyStress runs the shared-key recorded stress over every
 // concurrency-safe structure in the registry, with int64 and with string
-// keys: sixteen goroutines of 2 500 operations start together on sixteen
-// shared keys, and the recorded history must be linearizable. The rows run
-// one at a time, so each has both CPUs of a two-CPU host to itself: with
-// LockAVL's Delete trusting an unvalidated miss, this shape failed 10 of 10
-// seeds run this way, and 0 of 10 when the rows ran in parallel. It runs
-// under -race in CI (the race job's test pattern matches "Stress").
+// keys (and so with boxed string values in the value cells): sixteen
+// goroutines of 2 500 operations start together on a shared key set, and
+// the recorded history must be linearizable. Each structure runs three key
+// counts. Two keys are the hot pair: each key's leaf is the other's
+// sibling, so a delete of one copies the other's leaf while overwrites race
+// the deleted key's finalization. Sixteen keys are where a lost update
+// shows most: with LockAVL's Delete trusting an unvalidated miss, this row
+// failed 10 of 10 seeds. With 256 keys the scans and Successor chains span
+// 64 keys and walk nodes the writers retire and recycle under them, which
+// -race and the reclaimcheck build's poisoning turn into reports. The rows
+// run one at a time, so each has both CPUs of a two-CPU host to itself: the
+// LockAVL defect above failed 0 of 10 seeds when the rows ran in parallel.
 func TestSharedKeyStress(t *testing.T) {
 	for _, tgt := range concurrentTargets[int64, int64]() {
-		t.Run(tgt.Name, func(t *testing.T) {
-			dicttest.SharedKeyStress(t, tgt, 16, 2500, 16, ident, ident)
-		})
+		t.Run(tgt.Name, func(t *testing.T) { sharedKeyRows(t, tgt, ident, ident) })
 	}
 	for _, tgt := range concurrentTargets[string, string]() {
-		t.Run(tgt.Name+"/string", func(t *testing.T) {
-			dicttest.SharedKeyStress(t, tgt, 16, 2500, 16, strKey, strVal)
+		t.Run(tgt.Name+"/string", func(t *testing.T) { sharedKeyRows(t, tgt, strKey, strVal) })
+	}
+}
+
+// sharedKeyRows runs the shared-key stress at each of its key counts.
+func sharedKeyRows[K cmp.Ordered, V comparable](t *testing.T, tgt dicttest.TargetOf[K, V], key func(uint64) K, val func(uint64) V) {
+	for _, keys := range []int{2, 16, 256} {
+		t.Run(fmt.Sprintf("keys=%d", keys), func(t *testing.T) {
+			dicttest.SharedKeyStress(t, tgt, 16, 2500, keys, key, val)
 		})
 	}
 }
 
-// TestHotKeyOverwriteStress hammers one key with concurrent overwrites while
-// the same key (and its neighbours) are inserted and deleted, over every
-// concurrency-safe structure in the registry. This is the targeted stress
-// for the SCX-free in-place overwrite: values observed for the hot key must
-// always be ones a writer actually published, and a successful delete at
-// quiescence must never be undone by a racing overwrite (no lost
-// finalization / resurrection). It runs under -race in CI (the race job's
-// test pattern matches "Stress").
-func TestHotKeyOverwriteStress(t *testing.T) {
+// TestAscendingRuns builds every concurrency-safe structure in the registry
+// from eight racing ascending runs of 1 000 keys, each of which then
+// deletes every other key it inserted; the content must be exactly what
+// the runs left and each row's Check must pass, which for the balanced
+// trees is the balance a sorted build must reach.
+func TestAscendingRuns(t *testing.T) {
 	for _, tgt := range concurrentTargets[int64, int64]() {
 		t.Run(tgt.Name, func(t *testing.T) {
-			dicttest.HotKeyStress(t, tgt, 4, 6000, ident, ident)
+			dicttest.AscendingRuns(t, tgt, 8, 1000, ident, ident)
 		})
 	}
 }
 
-// TestReclamationChurnStress is the epoch-reclamation torture test: several
-// writers insert and delete the SAME small key window flat out - so every
-// leaf and internal node backing the window is retired, passes through the
-// grace period and is recycled continuously - while readers walk the window
-// with Get, Successor chains and RangeScan. Readers assert that every key
-// and value they observe is one the workload could legitimately contain; a
-// recycled-too-early node surfaces as a foreign key, an unpublished value, a
-// non-monotonic walk, or (under -tags reclaimcheck, which CI also runs) a
-// deterministic generation-check panic in the read path. It runs under -race
-// in CI (the race job's test pattern matches "Stress").
-func TestReclamationChurnStress(t *testing.T) {
+// TestStableKeyReaders churns every other key of 1 024 on every
+// concurrency-safe structure in the registry while two readers make 10 000
+// probes each of the keys between them, which nobody writes: each must
+// always be found, and a Successor or Predecessor must never skip past one.
+func TestStableKeyReaders(t *testing.T) {
 	for _, tgt := range concurrentTargets[int64, int64]() {
 		t.Run(tgt.Name, func(t *testing.T) {
-			dicttest.ChurnStress(t, tgt, 4, 8000, ident, ident)
-		})
-	}
-}
-
-// TestHotKeyOverwriteStressBoxedValues repeats the hot-key stress with
-// string values on the template trees and the two rewritten baselines, so
-// the boxed (pointer) representation of the value cells - the fallback for
-// non-word-sized value types - goes through the same overwrite races as the
-// unboxed one.
-func TestHotKeyOverwriteStressBoxedValues(t *testing.T) {
-	for _, tgt := range named(targets[int64, string](), "Chromatic", "EBST", "SkipList", "LockAVL") {
-		t.Run(tgt.Name+"/boxed", func(t *testing.T) {
-			dicttest.HotKeyStress(t, tgt, 4, 4000, ident, strVal)
+			dicttest.StableKeyReaders(t, tgt, 2, 2, 10000, 1024, ident, ident)
 		})
 	}
 }

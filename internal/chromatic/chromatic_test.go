@@ -1,12 +1,13 @@
 package chromatic
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/dict"
+	"repro/internal/dict/dicttest"
 )
 
 func TestEmptyTree(t *testing.T) {
@@ -434,135 +435,18 @@ func TestPropertyKeysSorted(t *testing.T) {
 	}
 }
 
-func TestConcurrentDistinctKeyInsertions(t *testing.T) {
-	tr := New()
-	const goroutines = 8
-	const perG = 3000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				key := int64(g*perG + i)
-				tr.Insert(key, key*2)
-			}
-		}(g)
+// TestConcurrentStress runs the shared-key recorded stress over this package
+// alone: eight goroutines of 2 000 operations on sixteen shared keys. The
+// plain chromatic tree rebalances eagerly, so at quiescence it must satisfy
+// the full red-black conditions.
+func TestConcurrentStress(t *testing.T) {
+	tgt := dicttest.TargetOf[int64, int64]{
+		Name:  "Chromatic",
+		New:   func() dict.Map[int64, int64] { return NewOrdered[int64, int64]() },
+		Check: func(d dict.Map[int64, int64]) error { return d.(*Tree[int64, int64]).CheckRedBlack() },
 	}
-	wg.Wait()
-	if got, want := tr.Size(), goroutines*perG; got != want {
-		t.Fatalf("Size = %d, want %d", got, want)
-	}
-	for k := int64(0); k < goroutines*perG; k++ {
-		if v, ok := tr.Get(k); !ok || v != k*2 {
-			t.Fatalf("Get(%d) = (%d,%v), want (%d,true)", k, v, ok, k*2)
-		}
-	}
-	if err := tr.CheckRedBlack(); err != nil {
-		t.Fatalf("invariants after concurrent inserts: %v", err)
-	}
+	dicttest.SharedKeyStress(t, tgt, 8, 2000, 16, ident, ident)
 }
 
-func TestConcurrentContendedSmallKeyRange(t *testing.T) {
-	// High contention: every goroutine hammers the same tiny key range. The
-	// final structure must still be a valid balanced chromatic tree.
-	tr := New()
-	const goroutines = 16
-	const opsPerG = 10000
-	const keyRange = 32
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(1000 + g)))
-			for i := 0; i < opsPerG; i++ {
-				key := rng.Int63n(keyRange)
-				switch rng.Intn(3) {
-				case 0:
-					tr.Insert(key, key)
-				case 1:
-					tr.Delete(key)
-				case 2:
-					tr.Get(key)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if err := tr.CheckRedBlack(); err != nil {
-		t.Fatalf("invariants after contended workload: %v", err)
-	}
-	if s := tr.Size(); s > keyRange {
-		t.Fatalf("Size = %d larger than key range %d", s, keyRange)
-	}
-}
-
-func TestConcurrentReadersDuringUpdates(t *testing.T) {
-	// Even keys are always present with value == key; writers churn odd keys
-	// and rewrite even keys with the same value. Readers must therefore
-	// always find even keys, and Successor results must be in range, no
-	// matter how the tree is being restructured underneath them.
-	tr := New()
-	const keyRange = 1 << 12
-	for k := int64(0); k < keyRange; k += 2 {
-		tr.Insert(k, k)
-	}
-	stop := make(chan struct{})
-	errs := make(chan error, 8)
-	var writers, readers sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key := rng.Int63n(keyRange)
-				if key%2 == 1 {
-					if rng.Intn(2) == 0 {
-						tr.Insert(key, key)
-					} else {
-						tr.Delete(key)
-					}
-				} else {
-					tr.Insert(key, key)
-				}
-			}
-		}(w)
-	}
-	for r := 0; r < 4; r++ {
-		readers.Add(1)
-		go func(r int) {
-			defer readers.Done()
-			rng := rand.New(rand.NewSource(int64(100 + r)))
-			for i := 0; i < 20000; i++ {
-				key := rng.Int63n(keyRange/2) * 2
-				if v, ok := tr.Get(key); !ok || v != key {
-					errs <- fmt.Errorf("Get(%d) = (%d,%v) during updates, want (%d,true)", key, v, ok, key)
-					return
-				}
-				probe := rng.Int63n(keyRange)
-				if sk, _, ok := tr.Successor(probe); ok && (sk <= probe || sk >= keyRange) {
-					errs <- fmt.Errorf("Successor(%d) = %d out of range", probe, sk)
-					return
-				}
-			}
-		}(r)
-	}
-	readers.Wait()
-	close(stop)
-	writers.Wait()
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("invariants: %v", err)
-	}
-}
+// ident is the suite's key and value function: the selector itself.
+func ident(u uint64) int64 { return int64(u) }

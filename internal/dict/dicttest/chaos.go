@@ -12,9 +12,9 @@ import (
 	"repro/internal/sched"
 )
 
-// This file holds the chaos-mode stress suites: the same shared-window
-// churn workloads as ChurnStress, but run with runtime fault injection
-// armed (internal/sched's chaos driver) and every operation recorded for
+// This file holds the chaos-mode stress suites: writers churning one shared
+// key window, as in SharedKeyStress, but run with runtime fault injection
+// armed (internal/sched's chaos driver), every operation recorded for
 // linearizability checking. Two suites cover the two failure families the
 // robustness work targets:
 //

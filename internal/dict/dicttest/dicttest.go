@@ -9,8 +9,9 @@
 // injective key function and an injective value function over the suite's
 // selectors; the suite draws its selectors from a deterministic
 // pseudo-random stream and builds each shape it needs (a key range, a
-// shared key set, a hot key and its neighbours, a churn window) from
-// them, so int64, string or composite-key targets run the same shapes.
+// shared key set, disjoint ascending runs, stable keys between churned
+// ones) from them, so int64, string or composite-key targets run the same
+// shapes.
 //
 // The repository-level tests (conformance_test.go at the module root) run
 // this suite against every dictionary in the repository, with int64 and with
@@ -333,21 +334,27 @@ func fuzzOps[K cmp.Ordered, V comparable](t testing.TB, tgt TargetOf[K, V], key 
 // history. The workers start on a barrier, so they overlap from their first
 // operation. Their mix is 40 % Insert, 25 % Delete and 31 % Get, each
 // through one linearize.Recorder; 2 % are range scans (Proc.Scan, recorded
-// too) over up to four neighbouring keys, and on an ordered map the last
-// 2 % are unrecorded Successor calls, which must return a key above the one
-// asked for. When the workers are
-// done, one more proc reads every key, so the history also fixes the final
-// state, which Size must match. Then linearize.Check searches the history
-// and the target's quiescent Check runs. Proc g's i'th value is
-// published(val, g, i); key and val must be injective.
+// too) from a random key over up to a quarter of the keys (at least one),
+// and on an ordered map the last 2 % are unrecorded Successor chains over
+// the same span, each step of which must return a key of the set above the
+// one before it. When the workers are done, one more proc reads every key,
+// so the history also fixes the final state, which Size must match. Then
+// linearize.Check searches the history, and checks every scan's steps
+// against its range and order, and the target's quiescent Check runs. Proc
+// g's i'th value is published(val, g, i); key and val must be injective.
 //
 // Two writers on one key is what a lost update needs; a history in which
-// every writer keeps to its own keys cannot show one.
+// every writer keeps to its own keys cannot show one. The key count picks
+// the shape: with two keys each key's leaf is the other's sibling, so every
+// delete of one key copies the other's leaf while overwrites race that
+// key's own finalization; with hundreds, the scans and chains are long and
+// walk nodes that the writers retire and recycle under them.
 func SharedKeyStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], procs, opsPerProc, keys int, key func(uint64) K, val func(uint64) V) {
 	t.Helper()
 	checkGoroutineLeaks(t)
 	seed := stressSeed(t)
 	ks := keyWindow(key, 0, keys, 1)
+	span := max(keys/4, 1)
 	d := tgt.New()
 	om, ordered := d.(dict.OrderedMap[K, V])
 	rec := linearize.NewRecorder(d)
@@ -362,7 +369,7 @@ func SharedKeyStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, 
 			<-start
 			for i := 0; i < opsPerProc; i++ {
 				j := int(lcg(&state) % uint64(keys))
-				k := ks[j]
+				k, hi := ks[j], ks[min(j+span-1, keys-1)]
 				switch r := lcg(&state) % 100; {
 				case r < 40:
 					p.Insert(k, published(val, g, i))
@@ -371,11 +378,21 @@ func SharedKeyStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, 
 				case r < 96:
 					p.Get(k)
 				case r < 98:
-					p.Scan(k, ks[min(j+3, keys-1)])
+					p.Scan(k, hi)
 				case ordered:
-					if sk, _, ok := om.Successor(k); ok && !cmp.Less(k, sk) {
-						t.Errorf("%s: Successor(%v) returned %v", tgt.Name, k, sk)
-						return
+					for prev, n := k, 0; n < span; n++ {
+						sk, _, ok := om.Successor(prev)
+						if !ok {
+							break
+						}
+						if _, in := slices.BinarySearch(ks, sk); !in || !cmp.Less(prev, sk) {
+							t.Errorf("%s: Successor(%v) returned %v", tgt.Name, prev, sk)
+							return
+						}
+						if cmp.Less(hi, sk) {
+							break
+						}
+						prev = sk
 					}
 				}
 			}
@@ -405,293 +422,151 @@ func SharedKeyStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, 
 	}
 }
 
-// HotKeyStress hammers ONE key: writers overwrite it (Insert on a present
-// key), a churn goroutine concurrently inserts and deletes that same key,
-// and a neighbour goroutine inserts and deletes the keys around it (which,
-// in the template trees, forces the hot leaf through sibling-promotion
-// copies and rebalancing copies - exactly the machinery an in-place
-// overwrite must survive). It asserts:
-//
-//   - every value ever observed for the hot key (by a Get, or as the
-//     previous value returned by an overwrite or delete) is one that some
-//     writer actually published - no torn, recycled or out-of-thin-air
-//     values;
-//   - no lost finalization: after the workload quiesces and a final
-//     drain-delete of the hot key succeeds, the key stays absent - an
-//     overwrite that raced with a concurrent delete must never resurrect
-//     the value;
-//   - the structure's invariant checker passes at quiescence.
-//
-// The hot key is key(1<<20) and the neighbours are key(1<<20-4) ..
-// key(1<<20+4) without it: the dictionary holds nothing else, so they
-// surround the hot key's leaf. Overwriter w's i'th value is
-// published(val, w, i) and the churn goroutine's is val(^uint64(0)); key and
-// val must be injective.
-func HotKeyStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], writers, overwritesPerWriter int, key func(uint64) K, val func(uint64) V) {
+// AscendingRuns builds a dictionary from procs concurrent runs of perRun
+// keys each: run g inserts key(g*perRun) .. key(g*perRun+perRun-1) in
+// ascending order and then deletes every other one of them, its first
+// included. Each run's keys are its own, so every result is known: an
+// insert must find its key absent and a delete must return the value the
+// run inserted. At quiescence the content must be exactly what the runs
+// left, Size must match it, and the target's Check must pass; for a
+// balanced tree that check is the balance a sorted build must still reach
+// when the builders race one another. Run g's i'th value is
+// published(val, g, i); key and val must be injective.
+func AscendingRuns[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], procs, perRun int, key func(uint64) K, val func(uint64) V) {
 	t.Helper()
 	checkGoroutineLeaks(t)
 	d := tgt.New()
-	const base = 1 << 20
-	hot := key(base)
-	neighbors := append(keyWindow(key, base-4, 4, 1), keyWindow(key, base+1, 4, 1)...)
-	churnVal := val(^uint64(0))
-
-	// The set of values that may legitimately be associated with the hot key
-	// at any point, fixed before the workload starts.
-	allowed := map[V]bool{churnVal: true}
-	for w := 0; w < writers; w++ {
-		for i := 0; i < overwritesPerWriter; i++ {
-			v := published(val, w, i)
-			if allowed[v] {
-				t.Fatalf("writer %d's value %d collides with an earlier published value", w, i)
-			}
-			allowed[v] = true
-		}
-	}
-
-	d.Insert(hot, churnVal)
-	checkObserved := func(who string, v V, ok bool) {
-		if ok && !allowed[v] {
-			t.Errorf("%s: observed value %v for the hot key that no writer published", who, v)
-		}
-	}
-
-	var overwriters, churners sync.WaitGroup
-	stop := make(chan struct{})
-	// Overwriters: Insert on the (usually) present hot key.
-	for w := 0; w < writers; w++ {
-		overwriters.Add(1)
-		go func(w int) {
-			defer overwriters.Done()
-			for i := 0; i < overwritesPerWriter; i++ {
-				old, existed := d.Insert(hot, published(val, w, i))
-				checkObserved("overwriter", old, existed)
-				if i%16 == 0 {
-					v, ok := d.Get(hot)
-					checkObserved("reader", v, ok)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < procs; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			run := func(i int) K { return key(uint64(g*perRun + i)) }
+			for i := 0; i < perRun; i++ {
+				if old, existed := d.Insert(run(i), published(val, g, i)); existed {
+					t.Errorf("%s: run %d's Insert(%v) found (%v, true) on a key no other run touches", tgt.Name, g, run(i), old)
+					return
 				}
 			}
-		}(w)
+			for i := 0; i < perRun; i += 2 {
+				if old, existed := d.Delete(run(i)); !existed || old != published(val, g, i) {
+					t.Errorf("%s: run %d's Delete(%v) = (%v, %v), want (%v, true)", tgt.Name, g, run(i), old, existed, published(val, g, i))
+					return
+				}
+			}
+		}()
 	}
-	// Churn: insert and delete the hot key itself, so overwrites race with
-	// the key's finalization. Runs until the overwriters are done.
-	churners.Add(1)
-	go func() {
-		defer churners.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if i%2 == 0 {
-				old, existed := d.Delete(hot)
-				checkObserved("deleter", old, existed)
-			} else {
-				old, existed := d.Insert(hot, churnVal)
-				checkObserved("churn-inserter", old, existed)
-			}
-		}
-	}()
-	// Neighbours: churn the keys around the hot key, forcing the hot leaf
-	// through copies (sibling promotion on delete, rebalancing steps).
-	churners.Add(1)
-	go func() {
-		defer churners.Done()
-		var zero V
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			k := neighbors[i%len(neighbors)]
-			if (i/len(neighbors))%2 == 0 {
-				d.Insert(k, zero)
-			} else {
-				d.Delete(k)
-			}
-		}
-	}()
-
-	overwriters.Wait()
-	close(stop)
-	churners.Wait()
-
-	// Quiescent drain: delete the hot key until it reports absent. Each
-	// successful delete must return a published value; after the drain the
-	// key must stay absent - a resurrected value here means an overwrite
-	// re-linked a finalized leaf.
-	for {
-		old, existed := d.Delete(hot)
-		if !existed {
-			break
-		}
-		checkObserved("drain-deleter", old, existed)
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
-	// At quiescence one Get would do; the repeats are deliberate cheap
-	// paranoia against a delayed re-link surfacing on a later read path
-	// (they cost microseconds against a structure this size).
-	for i := 0; i < 100; i++ {
-		if v, ok := d.Get(hot); ok {
-			t.Fatalf("hot key resurrected after a successful quiescent delete: value %v", v)
+	md := newModel[K, V]()
+	for g := 0; g < procs; g++ {
+		for i := 1; i < perRun; i += 2 {
+			md.insert(key(uint64(g*perRun+i)), published(val, g, i))
 		}
 	}
-	if tgt.Check != nil {
-		if err := tgt.Check(d); err != nil {
-			t.Fatalf("%s: invariant check at quiescence: %v", tgt.Name, err)
-		}
-	}
+	checkContent(t, tgt.Name, procs*perRun*3/2, d, md)
+	finalCheck(t, tgt, d, md)
 }
 
-// ChurnStress is the reclamation torture test: writers insert and delete
-// keys from ONE shared window as fast as possible - so every node backing
-// those keys is retired and recycled over and over - while reader goroutines
-// continuously walk the window with Successor chains and RangeScan. The
-// dictionary contains only window keys, which gives the readers sharp
-// assertions against use-after-recycle bugs:
-//
-//   - every key a walk or scan returns must be a window key (a foreign key
-//     means a reader followed a recycled node into a different part of some
-//     tree's lifetime);
-//   - every value returned for a window key must be one some writer actually
-//     published (a stale or torn value means a node was reused while the
-//     reader still held it);
-//   - Successor results must move strictly forward and RangeScan must yield
-//     strictly ascending keys (a cycle or regression means a reader's
-//     traversal crossed a recycled pointer).
-//
-// Under the reclaimcheck build tag the template trees additionally poison
-// recycled nodes with a generation counter and the read paths assert that no
-// node changes generation mid-snapshot, converting "reader held a recycled
-// node" from a probabilistic value-corruption signal into a deterministic
-// panic. Run the test under -race as well: the epoch grace period is what
-// makes recycling a node's fields race-free, so any hole in it surfaces as a
-// race report here.
-//
-// The window is the 64 keys key(1<<20) .. key(1<<20+63): the dictionary
-// holds nothing else, so they are neighbours in it and deletes constantly
-// promote and retire each other's nodes. Writer w's i'th value is
-// published(val, w, i); key and val must be injective.
-func ChurnStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], writers, opsPerWriter int, key func(uint64) K, val func(uint64) V) {
+// StableKeyReaders fills the dictionary with the keys key(0) ..
+// key(keys-1) sorted, and keeps every other one of them stable: writers
+// insert and delete the keys between the stable ones until readers have
+// each made probes probes. Nobody writes a stable key, so a reader's Get of
+// one must always find it with the value it was filled with, however the
+// structure is rebuilt around it. On an ordered map each probe also asks
+// for the Successor and the Predecessor of a key of the set: each answer
+// must be a key of the set with the value that key is always written with,
+// on the right side of the key asked for and no further from it than the
+// first stable key on that side, which it must find if there is one. At
+// quiescence the stable keys must all be present and the target's Check
+// must pass. Key i of the sorted set is always written with val(i); key
+// and val must be injective.
+func StableKeyReaders[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], writers, readers, probes, keys int, key func(uint64) K, val func(uint64) V) {
 	t.Helper()
 	checkGoroutineLeaks(t)
 	seed := stressSeed(t)
+	ks := keyWindow(key, 0, keys, 1)
 	d := tgt.New()
-	const readers = 2
-	window := keyWindow(key, 1<<20, 64, 1)
 	om, ordered := d.(dict.OrderedMap[K, V])
-	rng, ranged := d.(dict.Ranger[K, V])
-
-	allowed := make(map[V]bool, writers*opsPerWriter)
-	for w := 0; w < writers; w++ {
-		for i := 0; i < opsPerWriter; i++ {
-			v := published(val, w, i)
-			if allowed[v] {
-				t.Fatalf("writer %d's value %d collides with an earlier published value", w, i)
-			}
-			allowed[v] = true
-		}
+	for i := 0; i < keys; i += 2 {
+		d.Insert(ks[i], val(uint64(i)))
 	}
-	inWindow := make(map[K]bool, len(window))
-	for i, k := range window {
-		if i > 0 && !cmp.Less(window[i-1], k) {
-			t.Fatalf("key is not injective: the window holds %v twice", k)
+	// answers reports whether a neighbour query's answer is key j of the
+	// set, with its value, for some j in [lo, hi], or no key when the
+	// stable key it must otherwise find does not exist.
+	answers := func(k K, v V, ok bool, lo, hi, stable int) bool {
+		if !ok {
+			return stable < 0 || stable >= keys
 		}
-		inWindow[k] = true
+		j, in := slices.BinarySearch(ks, k)
+		return in && lo <= j && j <= hi && v == val(uint64(j))
 	}
-	lo, hi := window[0], window[len(window)-1]
-
-	var writerWG, readerWG sync.WaitGroup
 	stop := make(chan struct{})
-	// Writers: all hammer the same window, so a key's leaf is deleted by one
-	// goroutine while another re-inserts it and a third walks past it.
+	var writerWG, readerWG sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		writerWG.Add(1)
-		go func(w int) {
+		go func() {
 			defer writerWG.Done()
-			state := seed + uint64(w)*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9
-			for i := 0; i < opsPerWriter; i++ {
-				k := window[lcg(&state)%uint64(len(window))]
-				if lcg(&state)&1 == 0 {
-					d.Insert(k, published(val, w, i))
-				} else {
-					d.Delete(k)
-				}
-			}
-		}(w)
-	}
-	// Readers: walk the window end to end, over and over, until the writers
-	// finish. Each full pass revisits memory the writers have recycled many
-	// times since the pass began.
-	checkEntry := func(who string, k K, v V) bool {
-		if !inWindow[k] {
-			t.Errorf("%s: returned key %v outside the churn window", who, k)
-			return false
-		}
-		if !allowed[v] {
-			t.Errorf("%s: observed value %v for key %v that no writer published", who, v, k)
-			return false
-		}
-		return true
-	}
-	for r := 0; r < readers; r++ {
-		readerWG.Add(1)
-		go func(r int) {
-			defer readerWG.Done()
+			state := seed + uint64(w)*0x9e3779b97f4a7c15 + 1
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				// Point probes on the window ends keep plain Get in the mix.
-				for _, k := range [2]K{lo, hi} {
-					if v, ok := d.Get(k); ok && !checkEntry("get", k, v) {
-						return
-					}
-				}
-				if ordered {
-					// Successor chain across the window, starting from its
-					// smallest key. Each step must move strictly forward and
-					// stay inside the window until it leaves the top end.
-					prev := lo
-					for steps := 0; steps <= len(window); steps++ {
-						k, v, ok := om.Successor(prev)
-						if !ok || cmp.Less(hi, k) {
-							break
-						}
-						if !cmp.Less(prev, k) {
-							t.Errorf("successor walk: Successor(%v) returned %v, not strictly greater", prev, k)
-							return
-						}
-						if !checkEntry("successor walk", k, v) {
-							return
-						}
-						prev = k
-					}
-				}
-				if ranged {
-					first := true
-					var last K
-					rng.RangeScan(lo, hi, func(k K, v V) bool {
-						if !first && !cmp.Less(last, k) {
-							t.Errorf("range scan: key %v after %v, not strictly ascending", k, last)
-							return false
-						}
-						first, last = false, k
-						return checkEntry("range scan", k, v)
-					})
+				i := int(lcg(&state)%uint64(keys/2))*2 + 1
+				if lcg(&state)&1 == 0 {
+					d.Insert(ks[i], val(uint64(i)))
+				} else {
+					d.Delete(ks[i])
 				}
 			}
-		}(r)
+		}()
 	}
-
-	writerWG.Wait()
-	close(stop)
+	for r := 0; r < readers; r++ {
+		readerWG.Add(1)
+		go func() {
+			defer readerWG.Done()
+			state := seed + uint64(writers+r)*0x9e3779b97f4a7c15 + 1
+			for n := 0; n < probes; n++ {
+				s := int(lcg(&state)%uint64((keys+1)/2)) * 2
+				if v, ok := d.Get(ks[s]); !ok || v != val(uint64(s)) {
+					t.Errorf("%s: Get(%v) = (%v, %v) on a stable key, want (%v, true)", tgt.Name, ks[s], v, ok, val(uint64(s)))
+					return
+				}
+				if !ordered {
+					continue
+				}
+				// The first stable keys above and below ks[p] bound its
+				// neighbours.
+				p := int(lcg(&state) % uint64(keys))
+				next, prev := p+2-p%2, p-2+p%2
+				if k, v, ok := om.Successor(ks[p]); !answers(k, v, ok, p+1, next, next) {
+					t.Errorf("%s: Successor(%v) = (%v, %v, %v) with stable key %d of %d above it", tgt.Name, ks[p], k, v, ok, next, keys)
+					return
+				}
+				if k, v, ok := om.Predecessor(ks[p]); !answers(k, v, ok, prev, p-1, prev) {
+					t.Errorf("%s: Predecessor(%v) = (%v, %v, %v) with stable key %d of %d below it", tgt.Name, ks[p], k, v, ok, prev, keys)
+					return
+				}
+			}
+		}()
+	}
 	readerWG.Wait()
+	close(stop)
+	writerWG.Wait()
 	if t.Failed() {
 		return
+	}
+	for i := 0; i < keys; i += 2 {
+		if v, ok := d.Get(ks[i]); !ok || v != val(uint64(i)) {
+			t.Fatalf("%s: Get(%v) = (%v, %v) at quiescence on a stable key, want (%v, true)", tgt.Name, ks[i], v, ok, val(uint64(i)))
+		}
 	}
 	if tgt.Check != nil {
 		if err := tgt.Check(d); err != nil {
@@ -701,7 +576,7 @@ func ChurnStress[K cmp.Ordered, V comparable](t *testing.T, tgt TargetOf[K, V], 
 }
 
 // published is writer w's i'th value in the stress suites: distinct for
-// every (w, i), and distinct from val(^uint64(0)), when val is injective.
+// every (w, i) when val is injective.
 func published[V any](val func(uint64) V, w, i int) V {
 	return val(uint64(w)<<32 + uint64(i) + 1)
 }

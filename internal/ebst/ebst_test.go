@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/dict"
+	"repro/internal/dict/dicttest"
 )
 
 func TestEmpty(t *testing.T) {
@@ -123,72 +126,19 @@ func TestPropertyMatchesMapSemantics(t *testing.T) {
 	}
 }
 
-func TestConcurrentDisjointKeys(t *testing.T) {
-	tr := New()
-	const goroutines = 8
-	const perG = 2000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			base := int64(g * perG)
-			for i := int64(0); i < perG; i++ {
-				tr.Insert(base+i, base+i)
-			}
-			for i := int64(0); i < perG; i += 2 {
-				tr.Delete(base + i)
-			}
-		}(g)
+// TestConcurrentStress runs the shared-key recorded stress over this package
+// alone: eight goroutines of 2 000 operations on sixteen shared keys.
+func TestConcurrentStress(t *testing.T) {
+	tgt := dicttest.TargetOf[int64, int64]{
+		Name:  "EBST",
+		New:   func() dict.Map[int64, int64] { return NewOrdered[int64, int64]() },
+		Check: func(d dict.Map[int64, int64]) error { return d.(*Tree[int64, int64]).CheckStructure() },
 	}
-	wg.Wait()
-	if got, want := tr.Size(), goroutines*perG/2; got != want {
-		t.Fatalf("Size = %d, want %d", got, want)
-	}
-	for g := 0; g < goroutines; g++ {
-		base := int64(g * perG)
-		for i := int64(0); i < perG; i++ {
-			_, ok := tr.Get(base + i)
-			if want := i%2 == 1; ok != want {
-				t.Fatalf("Get(%d) = %v, want %v", base+i, ok, want)
-			}
-		}
-	}
+	dicttest.SharedKeyStress(t, tgt, 8, 2000, 16, ident, ident)
 }
 
-func TestConcurrentContention(t *testing.T) {
-	tr := New()
-	const goroutines = 8
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 5000; i++ {
-				key := rng.Int63n(64)
-				switch rng.Intn(3) {
-				case 0:
-					tr.Insert(key, key)
-				case 1:
-					tr.Delete(key)
-				default:
-					if v, ok := tr.Get(key); ok && v != key {
-						t.Errorf("Get(%d) returned wrong value %d", key, v)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	keys := tr.Keys()
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			t.Fatalf("keys out of order: %d >= %d", keys[i-1], keys[i])
-		}
-	}
-}
+// ident is the suite's key and value function: the selector itself.
+func ident(u uint64) int64 { return int64(u) }
 
 // TestSequentialFillConcurrentChurn fills even keys in ascending order,
 // which gives the unbalanced tree a linear spine, as for the paper's

@@ -2,7 +2,6 @@ package lbst
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -157,54 +156,5 @@ func TestEnginePolicyHooks(t *testing.T) {
 	}
 	if err := tr.CheckStructure(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEngineOrderedQueriesUnderConcurrency(t *testing.T) {
-	tr := NewOrdered[int64, int64](nopPolicy[int64]{})
-	const keyRange = 512
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key := rng.Int63n(keyRange)
-				if rng.Intn(2) == 0 {
-					tr.Insert(key, key)
-				} else {
-					tr.Delete(key)
-				}
-			}
-		}(g)
-	}
-	// Ordered queries must always return keys consistent with their
-	// contract even while the tree churns: Successor(k) > k, Predecessor(k)
-	// < k, and returned values match the key (writers always store v = k).
-	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 20000; i++ {
-		key := rng.Int63n(keyRange)
-		if k, v, ok := tr.Successor(key); ok {
-			if k <= key || v != k {
-				t.Fatalf("Successor(%d) = (%d,%d)", key, k, v)
-			}
-		}
-		if k, v, ok := tr.Predecessor(key); ok {
-			if k >= key || v != k {
-				t.Fatalf("Predecessor(%d) = (%d,%d)", key, k, v)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if err := tr.CheckStructure(); err != nil {
-		t.Fatalf("CheckStructure at quiescence: %v", err)
 	}
 }

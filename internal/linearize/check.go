@@ -1,10 +1,10 @@
 package linearize
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -20,7 +20,7 @@ type register[V comparable] struct {
 // step applies op to the state. It returns the successor state and whether
 // the op's recorded output is what the sequential specification produces
 // from st.
-func step[K comparable, V comparable](st register[V], op Op[K, V]) (register[V], bool) {
+func step[K cmp.Ordered, V comparable](st register[V], op Op[K, V]) (register[V], bool) {
 	switch op.Kind {
 	case KindGet:
 		return st, outputOK(st, op.Out, op.OutOK)
@@ -74,9 +74,12 @@ func expect[V comparable](st register[V], kind Kind) string {
 }
 
 // Counterexample is one non-linearizable per-key subhistory, minimized and
-// formatted for humans.
-type Counterexample[K comparable, V comparable] struct {
-	// Key is the key whose subhistory has no linearization.
+// formatted for humans, or one scan step out of its scan's range or order:
+// then Ops holds the step, after the step its scan emitted before it if
+// there is one, and Best is empty.
+type Counterexample[K cmp.Ordered, V comparable] struct {
+	// Key is the key whose subhistory has no linearization, or the key of
+	// the scan step.
 	Key K
 	// Ops is the minimal failing core: the subhistory cut at the earliest
 	// response stamp at which the outputs became unexplainable. Operations
@@ -97,9 +100,10 @@ type Counterexample[K comparable, V comparable] struct {
 }
 
 // Result is the outcome of Check.
-type Result[K comparable, V comparable] struct {
-	// Violations holds one counterexample per key whose subhistory is not
-	// linearizable. Empty means the history is linearizable.
+type Result[K cmp.Ordered, V comparable] struct {
+	// Violations holds one counterexample per scan step out of range or
+	// order and one per key whose subhistory is not linearizable. Empty
+	// means the history is linearizable.
 	Violations []Counterexample[K, V]
 }
 
@@ -119,34 +123,98 @@ func (r Result[K, V]) Report() string {
 }
 
 // Check searches for a linearization of h against the sequential map
-// specification, decomposed per key (see the package comment). It returns a
-// result carrying one minimized counterexample for every key that has no
+// specification, decomposed per key (see the package comment), after
+// checking every scan's steps against its range and order. It returns a
+// result carrying one counterexample for every scan step out of range or
+// out of order and one minimized counterexample for every key that has no
 // linearization.
-func Check[K comparable, V comparable](h History[K, V]) Result[K, V] {
-	byKey := make(map[K][]Op[K, V])
-	for _, op := range h.Ops {
-		byKey[op.Key] = append(byKey[op.Key], op)
+//
+// The per-key partitions are built from indices: each key's indices are
+// grouped and sorted by Call (a recorder's history is in Call order
+// already), and its operations are then copied once, in that order, into
+// one buffer the size of the history.
+func Check[K cmp.Ordered, V comparable](h History[K, V]) Result[K, V] {
+	res := Result[K, V]{Violations: scanViolations(h.Ops)}
+	byKey := make(map[K][]int32)
+	for i := range h.Ops {
+		byKey[h.Ops[i].Key] = append(byKey[h.Ops[i].Key], int32(i))
 	}
-	var res Result[K, V]
-	for key, ops := range byKey {
-		sort.Slice(ops, func(i, j int) bool { return ops[i].Call < ops[j].Call })
+	buf := make([]Op[K, V], 0, len(h.Ops))
+	byCall := func(a, b int32) int { return cmp.Compare(h.Ops[a].Call, h.Ops[b].Call) }
+	for key, idx := range byKey {
+		if !slices.IsSortedFunc(idx, byCall) {
+			slices.SortFunc(idx, byCall)
+		}
+		lo := len(buf)
+		for _, i := range idx {
+			buf = append(buf, h.Ops[i])
+		}
+		ops := buf[lo:len(buf):len(buf)]
 		if ok, _ := linearizable(ops); ok {
 			continue
 		}
 		res.Violations = append(res.Violations, counterexample(key, ops))
 	}
 	// Map iteration order is random; make reports deterministic.
-	sort.Slice(res.Violations, func(i, j int) bool {
-		return res.Violations[i].Ops[0].Call < res.Violations[j].Ops[0].Call
+	slices.SortFunc(res.Violations, func(a, b Counterexample[K, V]) int {
+		return cmp.Compare(a.Ops[0].Call, b.Ops[0].Call)
 	})
 	return res
+}
+
+// scanViolations checks the steps of every recorded scan, taken in the order
+// they were emitted: each must lie in the scan's range and above the step
+// before it. A step that does not yields a counterexample holding it, after
+// the step before it if there is one.
+func scanViolations[K cmp.Ordered, V comparable](ops []Op[K, V]) []Counterexample[K, V] {
+	var steps []int32
+	for i := range ops {
+		if ops[i].Kind == KindScanStep {
+			steps = append(steps, int32(i))
+		}
+	}
+	slices.SortFunc(steps, func(a, b int32) int { return cmp.Compare(ops[a].Ret, ops[b].Ret) })
+	type scan struct {
+		proc int
+		call int64
+	}
+	prev := make(map[scan]int32)
+	var out []Counterexample[K, V]
+	for _, i := range steps {
+		op := &ops[i]
+		s := scan{op.Proc, op.Scan}
+		p, seen := prev[s]
+		prev[s] = i
+		var why string
+		switch {
+		case cmp.Less(op.Key, op.Lo) || cmp.Less(op.Hi, op.Key):
+			why = fmt.Sprintf("key %v lies outside the scan's range [%v, %v]", op.Key, op.Lo, op.Hi)
+		case seen && !cmp.Less(ops[p].Key, op.Key):
+			why = fmt.Sprintf("key %v is not above the key %v the scan emitted before it", op.Key, ops[p].Key)
+		default:
+			continue
+		}
+		c := Counterexample[K, V]{Key: op.Key, Ops: []Op[K, V]{*op}}
+		if seen {
+			c.Ops = []Op[K, V]{ops[p], *op}
+		}
+		c.Completed = slices.Repeat([]bool{true}, len(c.Ops))
+		var b strings.Builder
+		fmt.Fprintf(&b, "scan step out of range or order on key %v: %s\n", op.Key, why)
+		for _, o := range c.Ops {
+			fmt.Fprintf(&b, "    %s\n", formatOp(o))
+		}
+		c.Report = strings.TrimRight(b.String(), "\n")
+		out = append(out, c)
+	}
+	return out
 }
 
 // linearizable runs the Wing & Gong search over one key's complete
 // operations (which must be sorted by Call). It returns whether a
 // linearization exists and the longest linearizable ordering found (indices
 // into ops).
-func linearizable[K comparable, V comparable](ops []Op[K, V]) (bool, []int) {
+func linearizable[K cmp.Ordered, V comparable](ops []Op[K, V]) (bool, []int) {
 	completed := make([]bool, len(ops))
 	for i := range completed {
 		completed[i] = true
@@ -157,7 +225,7 @@ func linearizable[K comparable, V comparable](ops []Op[K, V]) (bool, []int) {
 // pendingEffect is the state transition of an operation that was invoked
 // but had not returned at the cut under consideration: its effect may be
 // linearized, but its recorded (later) output does not constrain it.
-func pendingEffect[K comparable, V comparable](st register[V], op Op[K, V]) register[V] {
+func pendingEffect[K cmp.Ordered, V comparable](st register[V], op Op[K, V]) register[V] {
 	switch op.Kind {
 	case KindInsert:
 		return register[V]{present: true, val: op.Val}
@@ -176,12 +244,14 @@ func pendingEffect[K comparable, V comparable](st register[V], op Op[K, V]) regi
 // others. It returns whether the cut is explainable and the longest
 // ordering found (indices into ops).
 //
-// The search state is compressed Lowe-style: the set of linearized
-// operations is keyed as (f, extras) — every operation before index f is
-// linearized, plus the indices in extras — and configurations (set,
+// The search state is compressed Lowe-style, and configurations (set,
 // register state) that already failed are memoized, which keeps the search
-// near-linear on the almost-sequential histories real runs record.
-func linearizableCut[K comparable, V comparable](ops []Op[K, V], completed []bool) (bool, []int) {
+// near-linear on the almost-sequential histories real runs record. The
+// operations not yet linearized are linked in index order, so the search
+// meets only those: an operation that stays unlinearized while thousands
+// of later ones are (a long-running update whose result fits only late)
+// costs nothing per step.
+func linearizableCut[K cmp.Ordered, V comparable](ops []Op[K, V], completed []bool) (bool, []int) {
 	n := len(ops)
 	requiredLeft := 0
 	for _, c := range completed {
@@ -194,81 +264,108 @@ func linearizableCut[K comparable, V comparable](ops []Op[K, V], completed []boo
 	}
 
 	st := register[V]{}
-	marked := make([]bool, n)
-	f := 0
-	var seq, best []int
-	// config is a search configuration: the linearized set as (f, extras),
-	// extras spelled as varints, and the register state.
-	type config struct {
-		f      int
-		extras string
-		st     register[V]
+	// after and before link the unlinearized operations in index order,
+	// through n as both the list's head and its tail. Linearizing an
+	// operation unlinks it; the search undoes its steps in reverse order,
+	// which relinks each where it was.
+	after, before := make([]int, n+1), make([]int, n+1)
+	for i := range after {
+		after[i], before[i] = (i+1)%(n+1), (i+n)%(n+1)
 	}
+	// best is the longest ordering found so far, and its first same
+	// operations are seq's.
+	var seq, best []int
+	same := 0
+	// config is a search configuration. The candidates, spelled as varints,
+	// and end, the first unlinearized operation past them, name the
+	// linearized set: every operation before end but the candidates. (A
+	// linearized operation was invoked before some unlinearized completed
+	// operation returned, and is therefore before end.)
+	type config struct {
+		end   int
+		cands string
+		st    register[V]
+	}
+	// memo holds the configurations whose every continuation failed. A
+	// configuration enters it when the search backtracks out of it, so a
+	// search that never backtracks keys nothing.
 	memo := map[config]struct{}{}
-	var extras []byte
 	// cands holds the candidates of every frame on the stack, each frame's
-	// above its parent's. expand appends the operations that may linearize
-	// next from the current configuration: unlinearized, and invoked before
+	// above its parent's; key spells the configuration whose candidates are
+	// cands[lo:], and failed looks it up in memo.
+	var cands []int
+	var spelled []byte
+	key := func(lo, end int) config {
+		spelled = spelled[:0]
+		for _, j := range cands[lo:] {
+			spelled = binary.AppendUvarint(spelled, uint64(j))
+		}
+		return config{end, string(spelled), st}
+	}
+	failed := func(lo, end int) bool {
+		if len(memo) == 0 {
+			return false
+		}
+		_, ok := memo[key(lo, end)]
+		return ok
+	}
+	// expand appends to cands the operations that may linearize next from
+	// the current configuration and returns the first unlinearized
+	// operation past them. A candidate is unlinearized, and invoked before
 	// every other unlinearized completed operation's return (pending
 	// operations have no response yet, so they bound nothing). Only
 	// operations invoked earlier can impose the real-time constraint, so one
-	// forward scan suffices. The scan also meets every linearized operation
-	// past f, which spell the configuration's key: each was linearized ahead
-	// of every unlinearized completed operation, so none was invoked after
-	// one of them returned.
-	var cands []int
-	expand := func() (lo int, k config) {
-		lo, extras = len(cands), extras[:0]
+	// forward scan suffices.
+	expand := func() (lo, end int) {
+		lo = len(cands)
 		minRet := int64(1) << 62
-		for j := f; j < n && ops[j].Call < minRet; j++ {
-			if marked[j] {
-				extras = binary.AppendUvarint(extras, uint64(j))
-				continue
-			}
+		j := after[n]
+		for ; j != n && ops[j].Call < minRet; j = after[j] {
 			cands = append(cands, j)
 			if completed[j] && ops[j].Ret < minRet {
 				minRet = ops[j].Ret
 			}
 		}
-		return lo, config{f, string(extras), st}
+		return lo, j
 	}
 
 	// frame is one level of the search: its candidates are cands[lo:], of
-	// which next is the one to try next, and the edge that led to it
-	// linearized operation chosen (< 0 at the root) from state prevSt and
-	// prefix prevF.
+	// which next is the one to try next, end is what expand returned with
+	// them, and the edge that led to it linearized operation chosen (< 0 at
+	// the root) from state prevSt.
 	type frame struct {
-		lo, next, chosen int
-		prevSt           register[V]
-		prevF            int
+		lo, end, next, chosen int
+		prevSt                register[V]
 	}
 	apply := func(i int, newSt register[V]) frame {
-		fr := frame{chosen: i, prevSt: st, prevF: f}
+		fr := frame{chosen: i, prevSt: st}
 		st = newSt
-		marked[i] = true
-		for f < n && marked[f] {
-			f++
-		}
+		after[before[i]], before[after[i]] = after[i], before[i]
 		seq = append(seq, i)
 		return fr
 	}
 	undo := func(fr *frame) {
-		marked[fr.chosen] = false
-		st, f = fr.prevSt, fr.prevF
+		i := fr.chosen
+		after[before[i]], before[after[i]] = i, i
+		st = fr.prevSt
 		seq = seq[:len(seq)-1]
+		same = min(same, len(seq))
 	}
 	// keepBest records seq if it is the longest ordering found so far. It
 	// runs where a branch of the search ends, at a repeated configuration or
-	// a dead end, which is where seq is longest: a search that never
-	// backtracks copies nothing.
+	// a dead end, which is where seq is longest, and copies only the part
+	// of seq that best does not share: a search that never backtracks
+	// copies nothing, and no position is copied again until the search
+	// backtracks past it.
 	keepBest := func() {
 		if len(seq) > len(best) {
-			best = slices.Clone(seq)
+			best = append(best[:same], seq[same:]...)
+			same = len(seq)
 		}
 	}
 
-	lo, _ := expand()
-	stack := []frame{{lo: lo, next: lo, chosen: -1}}
+	lo, end := expand()
+	stack := []frame{{lo: lo, end: end, next: lo, chosen: -1}}
 	for len(stack) > 0 {
 		fr := &stack[len(stack)-1]
 		advanced := false
@@ -291,8 +388,8 @@ func linearizableCut[K comparable, V comparable](ops []Op[K, V], completed []boo
 			if requiredLeft == 0 {
 				return true, slices.Clone(seq)
 			}
-			lo, k := expand()
-			if _, dup := memo[k]; dup {
+			lo, end := expand()
+			if failed(lo, end) {
 				cands = cands[:lo]
 				keepBest()
 				if completed[i] {
@@ -301,14 +398,14 @@ func linearizableCut[K comparable, V comparable](ops []Op[K, V], completed []boo
 				undo(&edge)
 				continue
 			}
-			memo[k] = struct{}{}
-			edge.lo, edge.next = lo, lo
+			edge.lo, edge.end, edge.next = lo, end, lo
 			stack = append(stack, edge)
 			advanced = true
 			break
 		}
 		if !advanced {
 			keepBest()
+			memo[key(fr.lo, fr.end)] = struct{}{}
 			cands = cands[:fr.lo]
 			if fr.chosen >= 0 {
 				if completed[fr.chosen] {
@@ -324,7 +421,7 @@ func linearizableCut[K comparable, V comparable](ops []Op[K, V], completed []boo
 
 // counterexample minimizes a non-linearizable per-key subhistory and
 // formats the report.
-func counterexample[K comparable, V comparable](key K, ops []Op[K, V]) Counterexample[K, V] {
+func counterexample[K cmp.Ordered, V comparable](key K, ops []Op[K, V]) Counterexample[K, V] {
 	core, completed := minimalFailingCore(ops)
 	_, best := linearizableCut(core, completed)
 	c := Counterexample[K, V]{Key: key, Ops: core, Completed: completed, Best: best}
@@ -336,7 +433,7 @@ func counterexample[K comparable, V comparable](key K, ops []Op[K, V]) Counterex
 // by t, marking those that had also returned as completed. Reads still
 // running at t are dropped — pending reads have no effect, so they can
 // neither explain nor contradict anything.
-func cutAt[K comparable, V comparable](ops []Op[K, V], t int64) ([]Op[K, V], []bool) {
+func cutAt[K cmp.Ordered, V comparable](ops []Op[K, V], t int64) ([]Op[K, V], []bool) {
 	var core []Op[K, V]
 	var completed []bool
 	for _, op := range ops {
@@ -361,7 +458,7 @@ func cutAt[K comparable, V comparable](ops []Op[K, V], t int64) ([]Op[K, V], []b
 // contradicts. The full subhistory fails (every operation completed), so a
 // failing cut exists. A galloping probe bounds the number of search runs on
 // long histories.
-func minimalFailingCore[K comparable, V comparable](ops []Op[K, V]) ([]Op[K, V], []bool) {
+func minimalFailingCore[K cmp.Ordered, V comparable](ops []Op[K, V]) ([]Op[K, V], []bool) {
 	rets := make([]int64, len(ops))
 	for i, op := range ops {
 		rets[i] = op.Ret
@@ -388,7 +485,7 @@ func minimalFailingCore[K comparable, V comparable](ops []Op[K, V]) ([]Op[K, V],
 }
 
 // formatOp renders one operation for a report.
-func formatOp[K comparable, V comparable](op Op[K, V]) string {
+func formatOp[K cmp.Ordered, V comparable](op Op[K, V]) string {
 	var call string
 	switch op.Kind {
 	case KindGet:
@@ -398,7 +495,7 @@ func formatOp[K comparable, V comparable](op Op[K, V]) string {
 	case KindDelete:
 		call = fmt.Sprintf("Delete(%v)", op.Key)
 	case KindScanStep:
-		call = fmt.Sprintf("ScanStep(%v)", op.Key)
+		call = fmt.Sprintf("ScanStep(%v) of scan [%v, %v] @%d", op.Key, op.Lo, op.Hi, op.Scan)
 	}
 	return fmt.Sprintf("[p%d] %s = (%v, %t) @[%d,%d]", op.Proc, call, op.Out, op.OutOK, op.Call, op.Ret)
 }
@@ -406,7 +503,7 @@ func formatOp[K comparable, V comparable](op Op[K, V]) string {
 // formatReport builds the human-readable explanation: the minimized
 // operations, the longest linearizable order found, and why each remaining
 // operation cannot come next.
-func formatReport[K comparable, V comparable](c Counterexample[K, V], total int) string {
+func formatReport[K cmp.Ordered, V comparable](c Counterexample[K, V], total int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "linearizability violation on key %v:\n", c.Key)
 	fmt.Fprintf(&b, "  minimal failing core: %d ops (of %d recorded on this key); no linearization exists\n", len(c.Ops), total)

@@ -33,7 +33,9 @@
 // the step's emission, which is sound both for snapshot-based scans (every
 // pair was current at the capture instant, just after the invocation) and
 // for per-step-linearizable walks. Successor/Predecessor walks used as a
-// scan fallback use the enclosing read as the interval. Whole-scan
+// scan fallback use the enclosing read as the interval. Each step also
+// carries its scan's range and invocation stamp, and Check requires the
+// steps of every scan to lie in its range and to ascend strictly. Whole-scan
 // atomicity is deliberately not asserted.
 //
 // On violation, Check shrinks the offending per-key subhistory to a small
@@ -44,6 +46,7 @@ package linearize
 
 import (
 	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -88,19 +91,25 @@ func (k Kind) String() string {
 // Op is one recorded operation. Call and Ret are stamps from the recorder's
 // shared counter: Call was taken before the operation was invoked and Ret
 // after it returned, so Ret(a) < Call(b) proves a preceded b in real time.
-type Op[K comparable, V comparable] struct {
+type Op[K cmp.Ordered, V comparable] struct {
 	Proc  int  // recording goroutine
 	Kind  Kind // operation type
-	Key   K
-	Val   V    // Insert argument (zero otherwise)
-	Out   V    // returned value
 	OutOK bool // returned presence flag
-	Call  int64
-	Ret   int64
+	Key   K
+	Val   V // Insert argument (zero otherwise)
+	Out   V // returned value
+	// A KindScanStep's scan: the range [Lo, Hi] it was asked for and the
+	// stamp taken when it was invoked. The steps of one scan share Proc and
+	// Scan, and each must lie in the range and above the step emitted
+	// before it (the one with the next smaller Ret).
+	Lo, Hi K
+	Scan   int64
+	Call   int64
+	Ret    int64
 }
 
 // History is a complete recorded run: the operations of all procs.
-type History[K comparable, V comparable] struct {
+type History[K cmp.Ordered, V comparable] struct {
 	Ops []Op[K, V]
 }
 
@@ -129,14 +138,29 @@ func (r *Recorder[K, V]) Proc() *Proc[K, V] {
 	return p
 }
 
-// History collects every proc's log into one history. It must only be
-// called after all recording goroutines have finished.
+// History merges every proc's log into one history, in invocation order.
+// It must only be called after all recording goroutines have finished.
 func (r *Recorder[K, V]) History() History[K, V] {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var h History[K, V]
+	logs, n := make([][]Op[K, V], 0, len(r.procs)), 0
 	for _, p := range r.procs {
-		h.Ops = append(h.Ops, p.ops...)
+		if len(p.ops) > 0 {
+			logs, n = append(logs, p.ops), n+len(p.ops)
+		}
+	}
+	h := History[K, V]{Ops: make([]Op[K, V], 0, n)}
+	for len(logs) > 0 {
+		first := 0
+		for i := range logs {
+			if logs[i][0].Call < logs[first][0].Call {
+				first = i
+			}
+		}
+		h.Ops = append(h.Ops, logs[first][0])
+		if logs[first] = logs[first][1:]; len(logs[first]) == 0 {
+			logs = slices.Delete(logs, first, first+1)
+		}
 	}
 	return h
 }
@@ -185,6 +209,13 @@ func (p *Proc[K, V]) Delete(key K) (V, bool) {
 // returns 0). Each step's interval brackets the read that produced it: the
 // step's pair was current somewhere inside it.
 func (p *Proc[K, V]) Scan(lo, hi K) int {
+	scan := p.r.clock.Add(1)
+	n := 0
+	emit := func(k K, v V, call int64) {
+		ret := p.r.clock.Add(1)
+		p.record(Op[K, V]{Proc: p.id, Kind: KindScanStep, Key: k, Out: v, OutOK: true, Lo: lo, Hi: hi, Scan: scan, Call: call, Ret: ret})
+		n++
+	}
 	if rg, ok := p.r.m.(dict.Ranger[K, V]); ok {
 		// Every step's interval starts at the scan's invocation, not at the
 		// previous step: a snapshot-based RangeScan observes all its pairs at
@@ -193,12 +224,8 @@ func (p *Proc[K, V]) Scan(lo, hi K) int {
 		// current somewhere in [call, step-return], which is what each
 		// ScanStep asserts. (For a hand-over-hand scan the claim is merely
 		// looser than the truth, so it stays sound for either kind.)
-		call := p.r.clock.Add(1)
-		n := 0
 		rg.RangeScan(lo, hi, func(k K, v V) bool {
-			now := p.r.clock.Add(1)
-			p.record(Op[K, V]{Proc: p.id, Kind: KindScanStep, Key: k, Out: v, OutOK: true, Call: call, Ret: now})
-			n++
+			emit(k, v, scan)
 			return true
 		})
 		return n
@@ -207,24 +234,17 @@ func (p *Proc[K, V]) Scan(lo, hi K) int {
 	if !ok || cmp.Less(hi, lo) {
 		return 0
 	}
-	n := 0
 	// Visit lo itself if present, then walk successors up to hi.
-	if call := p.r.clock.Add(1); true {
-		if v, present := om.Get(lo); present {
-			ret := p.r.clock.Add(1)
-			p.record(Op[K, V]{Proc: p.id, Kind: KindScanStep, Key: lo, Out: v, OutOK: true, Call: call, Ret: ret})
-			n++
-		}
+	if v, present := om.Get(lo); present {
+		emit(lo, v, scan)
 	}
 	for k := lo; ; {
 		call := p.r.clock.Add(1)
 		nk, v, ok := om.Successor(k)
-		ret := p.r.clock.Add(1)
 		if !ok || cmp.Less(hi, nk) {
 			break
 		}
-		p.record(Op[K, V]{Proc: p.id, Kind: KindScanStep, Key: nk, Out: v, OutOK: true, Call: call, Ret: ret})
-		n++
+		emit(nk, v, call)
 		k = nk
 	}
 	return n

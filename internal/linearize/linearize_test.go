@@ -148,22 +148,70 @@ func TestRealTimeOrderEnforced(t *testing.T) {
 	}
 }
 
+// mkStep builds a hand-crafted step of the scan over [lo, hi] that proc
+// invoked at stamp scan.
+func mkStep(proc int, key, out, lo, hi, scan, call, ret int64) Op[int64, int64] {
+	return Op[int64, int64]{Proc: proc, Kind: KindScanStep, Key: key, Out: out, OutOK: true, Lo: lo, Hi: hi, Scan: scan, Call: call, Ret: ret}
+}
+
 // TestScanStepSemantics: a scan step asserting a pair that was never
 // current must fail; one bracketing the write must pass.
 func TestScanStepSemantics(t *testing.T) {
 	ok := History[int64, int64]{Ops: []Op[int64, int64]{
 		mkOp(0, KindInsert, 3, 30, 0, false, 1, 4),
-		mkOp(1, KindScanStep, 3, 0, 30, true, 2, 6),
+		mkStep(1, 3, 30, 0, 9, 2, 2, 6),
 	}}
 	if res := Check(ok); !res.OK() {
 		t.Fatalf("valid scan step rejected:\n%s", res.Report())
 	}
 	bad := History[int64, int64]{Ops: []Op[int64, int64]{
 		mkOp(0, KindInsert, 3, 30, 0, false, 1, 2),
-		mkOp(1, KindScanStep, 3, 0, 31, true, 3, 4),
+		mkStep(1, 3, 31, 0, 9, 3, 3, 4),
 	}}
 	if res := Check(bad); res.OK() {
 		t.Fatal("scan step with never-published value accepted")
+	}
+}
+
+// TestScanStepOutsideItsRangeFails: every pair the scan emits was current
+// when it was emitted, but one of its keys lies above the range the scan
+// was asked for.
+func TestScanStepOutsideItsRangeFails(t *testing.T) {
+	h := History[int64, int64]{Ops: []Op[int64, int64]{
+		mkOp(0, KindInsert, 3, 30, 0, false, 1, 2),
+		mkOp(0, KindInsert, 12, 120, 0, false, 3, 4),
+		mkStep(1, 3, 30, 0, 9, 5, 5, 6),
+		mkStep(1, 12, 120, 0, 9, 5, 5, 7),
+	}}
+	res := Check(h)
+	if res.OK() {
+		t.Fatal("scan step outside the scan's range accepted")
+	}
+	if v := res.Violations[0]; len(res.Violations) != 1 || v.Key != 12 || !strings.Contains(v.Report, "outside the scan's range [0, 9]") {
+		t.Fatalf("want one violation naming key 12 outside [0, 9]:\n%s", res.Report())
+	}
+}
+
+// TestScanStepOutOfOrderFails: every pair the scan emits was current and in
+// its range, but the scan emits a key below the one it emitted before it.
+// The same two pairs from two scans of one proc pass.
+func TestScanStepOutOfOrderFails(t *testing.T) {
+	ops := []Op[int64, int64]{
+		mkOp(0, KindInsert, 3, 30, 0, false, 1, 2),
+		mkOp(0, KindInsert, 5, 50, 0, false, 3, 4),
+		mkStep(1, 5, 50, 0, 9, 5, 5, 6),
+		mkStep(1, 3, 30, 0, 9, 5, 5, 7),
+	}
+	res := Check(History[int64, int64]{Ops: ops})
+	if res.OK() {
+		t.Fatal("scan steps out of order accepted")
+	}
+	if v := res.Violations[0]; len(res.Violations) != 1 || v.Key != 3 || len(v.Ops) != 2 || !strings.Contains(v.Report, "not above the key 5") {
+		t.Fatalf("want one violation naming key 3 after key 5:\n%s", res.Report())
+	}
+	ops[3] = mkStep(1, 3, 30, 0, 9, 8, 8, 9)
+	if res := Check(History[int64, int64]{Ops: ops}); !res.OK() {
+		t.Fatalf("two scans of one proc taken as one:\n%s", res.Report())
 	}
 }
 

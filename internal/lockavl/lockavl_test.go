@@ -1,8 +1,6 @@
 package lockavl
 
 import (
-	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/dict"
@@ -130,97 +128,4 @@ func TestConcurrentStress(t *testing.T) {
 		Check: func(d dict.Map[int64, int64]) error { return d.(*Tree[int64, int64]).CheckInvariants() },
 	}
 	dicttest.SharedKeyStress(t, tgt, 4, 10000, 16, ident, ident)
-}
-
-func TestConcurrentContention(t *testing.T) {
-	tr := NewOrdered[int64, int64]()
-	const goroutines = 16
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 4000; i++ {
-				key := rng.Int63n(48)
-				switch rng.Intn(3) {
-				case 0:
-					tr.Insert(key, key)
-				case 1:
-					tr.Delete(key)
-				default:
-					if v, ok := tr.Get(key); ok && v != key {
-						t.Errorf("Get(%d) = %d", key, v)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after contention: %v", err)
-	}
-	keys := tr.Keys()
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			t.Fatalf("keys out of order: %d >= %d", keys[i-1], keys[i])
-		}
-	}
-}
-
-func TestConcurrentReadersSeeStableEvenKeys(t *testing.T) {
-	tr := NewOrdered[int64, int64]()
-	const keyRange = 1 << 10
-	for k := int64(0); k < keyRange; k += 2 {
-		tr.Insert(k, k)
-	}
-	stop := make(chan struct{})
-	var writers, readers sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key := rng.Int63n(keyRange/2)*2 + 1
-				if rng.Intn(2) == 0 {
-					tr.Insert(key, key)
-				} else {
-					tr.Delete(key)
-				}
-			}
-		}(w)
-	}
-	failures := make(chan int64, 4)
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func(r int) {
-			defer readers.Done()
-			rng := rand.New(rand.NewSource(int64(100 + r)))
-			for i := 0; i < 20000; i++ {
-				key := rng.Int63n(keyRange/2) * 2
-				if v, ok := tr.Get(key); !ok || v != key {
-					failures <- key
-					return
-				}
-			}
-		}(r)
-	}
-	readers.Wait()
-	close(stop)
-	writers.Wait()
-	select {
-	case key := <-failures:
-		t.Fatalf("reader failed to find stable even key %d", key)
-	default:
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dict"
+	"repro/internal/dict/dicttest"
 	"repro/internal/epoch"
 	"repro/internal/lbst"
 )
@@ -170,94 +172,30 @@ func TestOrderedQueries(t *testing.T) {
 	}
 }
 
-func TestConcurrentDisjointKeys(t *testing.T) {
-	tr := New()
-	const goroutines = 8
-	const perG = 2000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			base := int64(g * perG)
-			for i := int64(0); i < perG; i++ {
-				tr.Insert(base+i, base+i)
+// TestConcurrentStress runs the shared-key recorded stress over this package
+// alone: eight goroutines of 2 000 operations on sixteen shared keys. At
+// quiescence the relaxed violations are drained and the tree must be an
+// exact AVL tree.
+func TestConcurrentStress(t *testing.T) {
+	tgt := dicttest.TargetOf[int64, int64]{
+		Name: "RAVL",
+		New:  func() dict.Map[int64, int64] { return NewOrdered[int64, int64]() },
+		Check: func(d dict.Map[int64, int64]) error {
+			tr := d.(*Tree[int64, int64])
+			if err := tr.CheckStructure(); err != nil {
+				return err
 			}
-			for i := int64(0); i < perG; i += 2 {
-				tr.Delete(base + i)
+			if _, err := tr.RebalanceAll(DrainCap(tr.Size())); err != nil {
+				return err
 			}
-		}(g)
+			return tr.CheckAVL()
+		},
 	}
-	wg.Wait()
-	if got, want := tr.Size(), goroutines*perG/2; got != want {
-		t.Fatalf("Size = %d, want %d", got, want)
-	}
-	for g := 0; g < goroutines; g++ {
-		base := int64(g * perG)
-		for i := int64(0); i < perG; i++ {
-			_, ok := tr.Get(base + i)
-			if want := i%2 == 1; ok != want {
-				t.Fatalf("Get(%d) = %v, want %v", base+i, ok, want)
-			}
-		}
-	}
-	steps, err := tr.RebalanceAll(DrainCap(tr.Size()))
-	if err != nil {
-		t.Fatalf("RebalanceAll: %v", err)
-	}
-	s := tr.Stats()
-	t.Logf("quiescent rebalancing: %d steps, stats %d fixes / %d single / %d double",
-		steps, s.HeightFixes.Load()+s.ChildHeightFixes.Load()+s.MirrorChildHeightFixes.Load(),
-		s.SingleRotations.Load()+s.MirrorSingleRotations.Load(), s.DoubleRotations.Load()+s.MirrorDoubleRotations.Load())
-	if err := tr.CheckAVL(); err != nil {
-		t.Fatalf("CheckAVL after RebalanceAll: %v", err)
-	}
+	dicttest.SharedKeyStress(t, tgt, 8, 2000, 16, ident, ident)
 }
 
-func TestConcurrentContention(t *testing.T) {
-	tr := New()
-	const goroutines = 8
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 5000; i++ {
-				key := rng.Int63n(64)
-				switch rng.Intn(4) {
-				case 0:
-					tr.Insert(key, key)
-				case 1:
-					tr.Delete(key)
-				case 2:
-					tr.Successor(key)
-				default:
-					if v, ok := tr.Get(key); ok && v != key {
-						t.Errorf("Get(%d) returned wrong value %d", key, v)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	keys := tr.Keys()
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			t.Fatalf("keys out of order: %d >= %d", keys[i-1], keys[i])
-		}
-	}
-	if err := tr.CheckStructure(); err != nil {
-		t.Fatalf("CheckStructure at quiescence: %v", err)
-	}
-	if _, err := tr.RebalanceAll(DrainCap(tr.Size())); err != nil {
-		t.Fatalf("RebalanceAll: %v", err)
-	}
-	if err := tr.CheckAVL(); err != nil {
-		t.Fatalf("CheckAVL after RebalanceAll: %v", err)
-	}
-}
+// ident is the suite's key and value function: the selector itself.
+func ident(u uint64) int64 { return int64(u) }
 
 // TestRelaxationStaysBounded runs an update-heavy concurrent workload and
 // checks that, at quiescence, the number of leftover violations (the debt

@@ -1,7 +1,6 @@
 package seqrbt
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -153,37 +152,4 @@ func TestGlobalConcurrentStress(t *testing.T) {
 		Check: func(d dict.Map[int64, int64]) error { return d.(*Global[int64, int64]).CheckInvariants() },
 	}
 	dicttest.SharedKeyStress(t, tgt, 8, 2000, 16, ident, ident)
-}
-
-func TestGlobalWrapperConcurrent(t *testing.T) {
-	g := NewGlobalOrdered[int64, int64]()
-	const goroutines = 8
-	const perG = 2000
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			base := int64(id * perG)
-			for k := int64(0); k < perG; k++ {
-				g.Insert(base+k, k)
-			}
-			for k := int64(0); k < perG; k += 2 {
-				g.Delete(base + k)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got, want := g.Size(), goroutines*perG/2; got != want {
-		t.Fatalf("Size = %d, want %d", got, want)
-	}
-	if _, _, ok := g.Successor(0); !ok {
-		t.Fatal("Successor failed on populated map")
-	}
-	if _, _, ok := g.Predecessor(int64(goroutines * perG)); !ok {
-		t.Fatal("Predecessor failed on populated map")
-	}
-	if err := g.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -1,8 +1,6 @@
 package skiplist
 
 import (
-	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/dict"
@@ -123,100 +121,6 @@ func TestTowerLinkedInFrontOfItsOwnSuccessor(t *testing.T) {
 		dicttest.SharedKeyStress(t, tgt, 8, 1000, 3200, ident, ident)
 	}
 }
-
-func TestConcurrentContention(t *testing.T) {
-	l := NewOrdered[int64, int64]()
-	const goroutines = 16
-	const opsPerG = 5000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < opsPerG; i++ {
-				key := rng.Int63n(32)
-				switch rng.Intn(3) {
-				case 0:
-					l.Insert(key, key)
-				case 1:
-					l.Delete(key)
-				default:
-					if v, ok := l.Get(key); ok && v != key {
-						t.Errorf("Get(%d) = %d", key, v)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if err := l.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after contention: %v", err)
-	}
-	if l.Size() > 32 {
-		t.Fatalf("Size = %d exceeds key range", l.Size())
-	}
-}
-
-func TestConcurrentReadersSeeStableEvenKeys(t *testing.T) {
-	l := NewOrdered[int64, int64]()
-	const keyRange = 1 << 10
-	for k := int64(0); k < keyRange; k += 2 {
-		l.Insert(k, k)
-	}
-	stop := make(chan struct{})
-	var writers, readers sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key := rng.Int63n(keyRange/2)*2 + 1
-				if rng.Intn(2) == 0 {
-					l.Insert(key, key)
-				} else {
-					l.Delete(key)
-				}
-			}
-		}(w)
-	}
-	errs := make(chan error, 4)
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func(r int) {
-			defer readers.Done()
-			rng := rand.New(rand.NewSource(int64(100 + r)))
-			for i := 0; i < 20000; i++ {
-				key := rng.Int63n(keyRange/2) * 2
-				if v, ok := l.Get(key); !ok || v != key {
-					errs <- errMismatch
-					return
-				}
-			}
-		}(r)
-	}
-	readers.Wait()
-	close(stop)
-	writers.Wait()
-	select {
-	case <-errs:
-		t.Fatal("reader observed a missing or corrupted even key")
-	default:
-	}
-}
-
-type constError string
-
-func (e constError) Error() string { return string(e) }
-
-const errMismatch = constError("mismatch")
 
 func TestRandomLevelDistribution(t *testing.T) {
 	counts := make([]int, maxLevel+1)

@@ -1,8 +1,6 @@
 package stmrbt
 
 import (
-	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/dict"
@@ -79,41 +77,4 @@ func TestConcurrentStress(t *testing.T) {
 		Check: func(d dict.Map[int64, int64]) error { return d.(*Tree[int64, int64]).CheckInvariants() },
 	}
 	dicttest.SharedKeyStress(t, tgt, 8, 2000, 16, ident, ident)
-}
-
-func TestConcurrentContention(t *testing.T) {
-	tr := NewOrdered[int64, int64]()
-	const goroutines = 8
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 2000; i++ {
-				key := rng.Int63n(48)
-				switch rng.Intn(3) {
-				case 0:
-					tr.Insert(key, key)
-				case 1:
-					tr.Delete(key)
-				default:
-					if v, ok := tr.Get(key); ok && v != key {
-						t.Errorf("Get(%d) = %d", key, v)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after contention: %v", err)
-	}
-	keys := tr.Keys()
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			t.Fatalf("keys out of order: %d >= %d", keys[i-1], keys[i])
-		}
-	}
 }

@@ -97,6 +97,10 @@ var regrowthRules = []regrowthRule{
 	// goroutine to start or stop, and no record of an evicted slot's epoch
 	// to restore.
 	{pattern: `StartWatchdog|type Watchdog|evictedSlot`, paths: []string{"."}, tests: true},
+	// Concurrent workloads run through the dicttest suites: a hot key, a
+	// churned window and a package's contended keys are key counts of the
+	// recorded shared-key stress, and stable-key readers are one suite.
+	{pattern: `func (HotKeyStress|ChurnStress)\b|func TestConcurrentContention\b|func TestConcurrentReadersSeeStableEvenKeys\b`, paths: []string{"."}, tests: true},
 }
 
 // TestRegrowthGuard checks every regrowthRules row against the module's Go
